@@ -166,7 +166,14 @@ class PE:
         else:
             heapq.heappush(self._prioq, (msg.prio, self._prio_seq, msg, recv_cpu))
             self._prio_seq += 1
-        self._kick()
+        # _kick, inlined (the queue is known to be non-empty)
+        if self._running or self._scheduled or self._blocked:
+            return
+        self._scheduled = True
+        engine = self.engine
+        t = engine.now
+        bu = self.busy_until
+        engine.post_at(bu if bu > t else t, self._run_next)
 
     def deliver_at(self, time: float, msg: Message, recv_cpu: float = 0.0) -> None:
         """Schedule :meth:`enqueue` at an absolute simulated time.
@@ -228,35 +235,45 @@ class PE:
         bu = self.busy_until
         engine.post_at(bu if bu > t else t, self._run_next)
 
-    def _pop(self) -> tuple[Message, float]:
-        if self._prioq:
-            _, _, msg, recv_cpu = heapq.heappop(self._prioq)
-            return msg, recv_cpu
-        msg, recv_cpu = self._fifo.popleft()
-        return msg, recv_cpu
-
     def _run_next(self) -> None:
+        """Execute the next queued message: one engine event per message.
+
+        ``charge`` (for the dispatch overhead) and the trailing ``_kick``
+        are inlined — this runs once per message.
+        """
         self._scheduled = False
         if self._running:  # pragma: no cover - defensive
             return
-        if not self._fifo and not self._prioq:
+        if self._prioq:
+            _, _, msg, recv_cpu = heapq.heappop(self._prioq)
+        elif self._fifo:
+            msg, recv_cpu = self._fifo.popleft()
+        else:
             return
-        msg, recv_cpu = self._pop()
-        t = self.engine.now
+        engine = self.engine
+        t = engine.now
+        tracer = self._tracer
         if t > self.idle_since:
             self.idle_time += t - self.idle_since
             self._last_idle_start = self.idle_since
             self._last_idle_end = t
-            if self._tracer is not None:
-                self._tracer.record(self.rank, self.idle_since,
-                                    t - self.idle_since, "idle")
+            if tracer is not None:
+                tracer.record(self.rank, self.idle_since,
+                              t - self.idle_since, "idle")
         self._running = True
         self.vtime = t
         # network receive processing + scheduler dispatch are overhead
-        self.charge(recv_cpu + self._dispatch_cpu, "overhead")
+        dt = recv_cpu + self._dispatch_cpu
+        if dt < 0:
+            raise SimulationError(f"negative charge {dt}")
+        if dt != 0.0:
+            self.vtime = t + dt
+            self.overhead_time += dt
+            if tracer is not None:
+                tracer.record(self.rank, t, dt, "overhead")
         obs = self._observer
         if obs is not None and msg.trace_id is not None:
-            obs.on_exec(msg, self.rank, self.engine.now)
+            obs.on_exec(msg, self.rank, t)
         try:
             handler = self._handlers[msg.handler]
         except IndexError:
@@ -265,10 +282,13 @@ class PE:
             handler(self, msg)
         finally:
             self._running = False
-            self.busy_until = self.vtime
-            self.idle_since = self.vtime
+            self.busy_until = bu = self.idle_since = self.vtime
             self.messages_executed += 1
-            self._kick()
+            # _kick: the engine clock has not moved during the handler
+            if (not self._scheduled and not self._blocked
+                    and (self._fifo or self._prioq)):
+                self._scheduled = True
+                engine.post_at(bu if bu > t else t, self._run_next)
 
     # ------------------------------------------------------------------ #
     # Introspection

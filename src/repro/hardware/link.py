@@ -136,7 +136,9 @@ class Link:
 
     @property
     def queue_depth(self) -> float:
-        """Load signal used by adaptive routing (seconds of backlog)."""
+        """Load signal for adaptive routing: the absolute simulated time at
+        which the least-busy lane is next free (a horizon, not a duration —
+        an idle link reads as the end of its last flow, not as zero)."""
         lanes = self._lanes
         return lanes[0] if len(lanes) == 1 else min(lanes)
 

@@ -25,12 +25,15 @@ schedule completion callbacks on the engine:
 from __future__ import annotations
 
 import enum
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.hardware.config import MachineConfig
 from repro.hardware.router import TorusNetwork
 from repro.hardware.topology import Coord
 from repro.sim.engine import Engine
+
+if TYPE_CHECKING:
+    from repro.hardware.node import Node
 
 
 class TransferKind(enum.Enum):
@@ -71,37 +74,33 @@ class GeminiNIC:
     # ------------------------------------------------------------------ #
     def smsg_send(
         self,
-        dst_coord: Coord,
+        dst: "Node",
         nbytes: int,
-        on_remote_data: Callable[[float], None],
-        on_local_cq: Optional[Callable[[float], None]] = None,
+        on_remote_data: Callable[..., None],
+        *args: Any,
         at: Optional[float] = None,
     ) -> float:
-        """Send a small message; returns sender CPU time.
+        """Send a small message to node ``dst``; returns sender CPU time.
 
         The payload is FMA-stored into the remote mailbox, so CPU cost
-        includes the per-byte store term.  ``at`` is the simulated time the
-        issuing core reaches this call (defaults to engine.now); handlers
-        executing ahead of the engine clock pass their vtime.
+        includes the per-byte store term.  ``on_remote_data(arrival,
+        *args)`` fires on the destination node when the last byte lands.
+        ``at`` is the simulated time the issuing core reaches this call
+        (defaults to engine.now); handlers executing ahead of the engine
+        clock pass their vtime.
         """
         cfg = self.config
         engine = self.engine
         now = engine.now if at is None else at
         cpu = cfg.smsg_send_cpu + nbytes / cfg.fma_put_bandwidth
-        timing = self.network.transfer(
-            now + cpu, self.coord, dst_coord, nbytes,
+        arrival = self.network.transfer(
+            now + cpu, self.coord, dst.coord, nbytes,
             bandwidth_cap=cfg.fma_put_bandwidth,
-        )
+        ).arrival
         self.smsg_sent += 1
-        arrival = timing.arrival
-        # remote-data lands on the destination node's shard; the TX
-        # completion comes back to this NIC's own node
-        engine.post_at_node(self.network.topology.id_of(dst_coord),
-                            arrival, on_remote_data, arrival)
-        if on_local_cq is not None:
-            # TX completion: header ack returns
-            t_cq = arrival + cfg.nic_latency
-            engine.post_at_node(self.node_id, t_cq, on_local_cq, t_cq)
+        # remote-data lands on the destination node's shard
+        engine.post_at_node(dst.node_id, arrival, on_remote_data, arrival,
+                            *args)
         return cpu
 
     # ------------------------------------------------------------------ #
@@ -239,14 +238,16 @@ class GeminiNIC:
     def loopback_send(
         self,
         nbytes: int,
-        on_remote_data: Callable[[float], None],
+        on_remote_data: Callable[..., None],
+        *args: Any,
         at: Optional[float] = None,
     ) -> float:
         """Send to a PE on the same node *through the NIC*.
 
         This is the unoptimized intra-node path of Fig. 8(c): efficient in
         an isolated ping-pong, but it shares the NIC with inter-node
-        traffic and serializes on the loopback engine.
+        traffic and serializes on the loopback engine.  Fires
+        ``on_remote_data(arrival, *args)`` like :meth:`smsg_send`.
         """
         cfg = self.config
         now = self.engine.now if at is None else at
@@ -255,7 +256,8 @@ class GeminiNIC:
         duration = 2 * cfg.nic_latency + nbytes / cfg.nic_loopback_bandwidth
         self.loopback_available_at = start + nbytes / cfg.nic_loopback_bandwidth
         arrive = start + duration
-        self.engine.post_at_node(self.node_id, arrive, on_remote_data, arrive)
+        self.engine.post_at_node(self.node_id, arrive, on_remote_data, arrive,
+                                 *args)
         return cpu
 
     def __repr__(self) -> str:  # pragma: no cover

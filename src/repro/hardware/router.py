@@ -49,12 +49,15 @@ class TorusNetwork:
         self._links: dict[tuple[Coord, Coord], Link] = {}
         self._inject: dict[Coord, Link] = {}
         self._eject: dict[Coord, Link] = {}
-        #: (at, dst) -> (next_coord, link) for hops whose direction choice
-        #: is deterministic (single minimal direction, or dimension-ordered
-        #: mode); adaptive multi-direction hops and fault-avoidance are
-        #: load-dependent and never cached.  Link objects are stable — a
-        #: fault mutates the Link in place — so cached entries stay valid.
-        self._hop1: dict[tuple[Coord, Coord], tuple[Coord, Link]] = {}
+        #: (at, dst) -> ((next_coord, link), ...): the productive next hops
+        #: in ``minimal_directions`` order (only the first in dimension-
+        #: ordered mode, so no link is created that routing would not have
+        #: created).  The one per-hop cache; :meth:`transfer` consults it
+        #: only while no link is faulted.  Link objects are stable — a
+        #: fault mutates the Link in place — so entries outlive a
+        #: fail/restore cycle.
+        self._routes: dict[tuple[Coord, Coord],
+                           tuple[tuple[Coord, Link], ...]] = {}
         #: observability hub (:mod:`repro.observe`), set by the machine
         #: that owns this network; ``None`` skips the transfer hooks
         self.observer = None
@@ -132,25 +135,27 @@ class TorusNetwork:
 
     # -- routing ---------------------------------------------------------------
     def _next_direction(self, at: Coord, dst: Coord) -> Coord:
+        """Degraded-mode choice: dimension order, stepping around a down
+        link when another productive direction is still up."""
         topo = self.topology
         dirs = topo.minimal_directions(at, dst)
-        if self._faulted:
-            # degraded mode: dimension order, stepping around a down link
-            # when another productive direction is still up
-            for d in dirs:
-                if self.link(at, topo.neighbor(at, d)).state != "down":
-                    return d
-            return dirs[0]
-        if len(dirs) == 1 or not self.config.adaptive_routing:
-            return dirs[0]
-        # adaptive: least-backlogged outgoing productive link
-        best = dirs[0]
-        best_load = self.link(at, topo.neighbor(at, best)).queue_depth
-        for d in dirs[1:]:
-            load = self.link(at, topo.neighbor(at, d)).queue_depth
-            if load < best_load:
-                best, best_load = d, load
-        return best
+        for d in dirs:
+            if self.link(at, topo.neighbor(at, d)).state != "down":
+                return d
+        return dirs[0]
+
+    def _route_miss(self, at: Coord, dst: Coord) -> tuple[tuple[Coord, Link], ...]:
+        """Compute and remember the candidate next hops from ``at``."""
+        topo = self.topology
+        dirs = topo.minimal_directions(at, dst)
+        if not self.config.adaptive_routing:
+            dirs = dirs[:1]
+        cands = []
+        for d in dirs:
+            nxt = topo.neighbor(at, d)
+            cands.append((nxt, self.link(at, nxt)))
+        self._routes[(at, dst)] = route = tuple(cands)
+        return route
 
     def transfer(
         self,
@@ -160,6 +165,7 @@ class TorusNetwork:
         nbytes: int,
         bandwidth_cap: float | None = None,
         min_occupancy: float | None = None,
+        via: Coord | None = None,
     ) -> TransferTiming:
         """Route one message and reserve every link it crosses.
 
@@ -169,6 +175,14 @@ class TorusNetwork:
 
         ``min_occupancy`` sets a per-link floor (per-message router
         overhead) — used for small-message rate limiting.
+
+        ``via`` is a waypoint: the message walks ``src -> via -> dst`` as
+        two minimal legs (Valiant misrouting).
+
+        One pass: per hop, look the candidates up, pick one (the first in
+        deterministic mode; the least-backlogged, ties to the earlier
+        direction, in adaptive mode) and reserve its link — inline for a
+        healthy single-lane link, through :meth:`Link.reserve` otherwise.
         """
         cfg = self.config
         min_occ = cfg.nic_msg_gap if min_occupancy is None else min_occupancy
@@ -181,7 +195,49 @@ class TorusNetwork:
         _, t = inj.reserve(now, nbytes, min_occ)
         depart = t
 
-        t, hops = self._walk(t, src, dst, nbytes, min_occ)
+        hops = 0
+        at = src
+        routes = self._routes
+        degraded = bool(self._faulted)
+        leg_end = dst if via is None else via
+        while True:
+            while at != leg_end:
+                if degraded:
+                    nxt = self.topology.neighbor(
+                        at, self._next_direction(at, leg_end))
+                    lk = self.link(at, nxt)
+                else:
+                    cands = routes.get((at, leg_end))
+                    if cands is None:
+                        cands = self._route_miss(at, leg_end)
+                    nxt, lk = cands[0]
+                    if len(cands) > 1:
+                        # adaptive: least-backlogged productive link
+                        load = lk._lanes[0]
+                        for cand in cands[1:]:
+                            other = cand[1]._lanes[0]
+                            if other < load:
+                                nxt, lk = cand
+                                load = other
+                lanes = lk._lanes
+                if lk.state == "up" and len(lanes) == 1:
+                    # Link.reserve for the common case, minus the call
+                    free = lanes[0]
+                    start = free if free > t else t
+                    occupancy = nbytes / lk.bandwidth
+                    if occupancy < min_occ:
+                        occupancy = min_occ
+                    lanes[0] = start + occupancy
+                    lk.bytes_carried += nbytes
+                    lk.transfers += 1
+                    t = start + lk.latency
+                else:
+                    _, t = lk.reserve(t, nbytes, min_occ)
+                at = nxt
+                hops += 1
+            if leg_end is dst:
+                break
+            leg_end = dst
 
         # ejection into the destination NIC
         ej = self._eject.get(dst)
@@ -198,46 +254,6 @@ class TorusNetwork:
         if obs is not None:
             obs.on_net_transfer(src, dst, nbytes, now, depart, hops)
         return TransferTiming(depart, head_arrival, arrival, hops)
-
-    def _walk(self, t: float, src: Coord, dst: Coord, nbytes: int,
-              min_occ: float) -> tuple[float, int]:
-        """Reserve every link from ``src`` to ``dst``; returns (time, hops).
-
-        The hop loop behind :meth:`transfer`, reusable for multi-leg routes
-        (Valiant misrouting walks two legs through this).
-        """
-        hops = 0
-        at = src
-        topo = self.topology
-        links = self._links
-        faulted = self._faulted
-        adaptive = self.config.adaptive_routing
-        hop1 = self._hop1
-        while at != dst:
-            if not faulted:
-                hop = hop1.get((at, dst))
-                if hop is not None:
-                    nxt, lk = hop
-                    _, t = lk.reserve(t, nbytes, min_occ)
-                    at = nxt
-                    hops += 1
-                    continue
-            dirs = topo.minimal_directions(at, dst)
-            deterministic = not adaptive or len(dirs) == 1
-            if not faulted and deterministic:
-                d = dirs[0]
-            else:
-                d = self._next_direction(at, dst)
-            nxt = topo.neighbor(at, d)
-            lk = links.get((at, nxt))
-            if lk is None:
-                lk = self.link(at, nxt)
-            if not faulted and deterministic:
-                hop1[(at, dst)] = (nxt, lk)
-            _, t = lk.reserve(t, nbytes, min_occ)
-            at = nxt
-            hops += 1
-        return t, hops
 
     # -- diagnostics ------------------------------------------------------------
     def total_bytes_carried(self) -> int:
@@ -288,25 +304,5 @@ class DragonflyNetwork(TorusNetwork):
         mid = None
         if topo.routing == "valiant" and not self._faulted and src != dst:
             mid = topo.valiant_intermediate(src, dst)
-        if mid is None:
-            return super().transfer(now, src, dst, nbytes,
-                                    bandwidth_cap=bandwidth_cap,
-                                    min_occupancy=min_occupancy)
-        cfg = self.config
-        min_occ = cfg.nic_msg_gap if min_occupancy is None else min_occupancy
-        self.messages_routed += 1
-        _, t = self.injection_port(src).reserve(now, nbytes, min_occ)
-        depart = t
-        t, hops_a = self._walk(t, src, mid, nbytes, min_occ)
-        t, hops_b = self._walk(t, mid, dst, nbytes, min_occ)
-        _, t = self.ejection_port(dst).reserve(t, nbytes, min_occ)
-        head_arrival = t
-        path_bw = cfg.link_bandwidth
-        if bandwidth_cap is not None and bandwidth_cap < path_bw:
-            path_bw = bandwidth_cap
-        arrival = head_arrival + nbytes / path_bw
-        obs = self.observer
-        if obs is not None:
-            obs.on_net_transfer(src, dst, nbytes, now, depart,
-                                hops_a + hops_b)
-        return TransferTiming(depart, head_arrival, arrival, hops_a + hops_b)
+        return super().transfer(now, src, dst, nbytes, bandwidth_cap,
+                                min_occupancy, via=mid)

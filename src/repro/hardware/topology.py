@@ -67,10 +67,6 @@ class Torus3D:
         if len(dims) != 3 or any(d < 1 for d in dims):
             raise TopologyError(f"invalid torus dims {dims!r}")
         self.dims: Coord = (int(dims[0]), int(dims[1]), int(dims[2]))
-        # hot-path caches: the topology is immutable, so minimal-direction
-        # sets and wrapped neighbors are pure functions of their arguments
-        self._min_dirs: dict[tuple[Coord, Coord], list[Coord]] = {}
-        self._nbr: dict[tuple[Coord, Coord], Coord] = {}
 
     @classmethod
     def for_nodes(cls, n_nodes: int) -> "Torus3D":
@@ -108,14 +104,9 @@ class Torus3D:
             yield d, self.wrap((coord[0] + d[0], coord[1] + d[1], coord[2] + d[2]))
 
     def neighbor(self, at: Coord, d: Coord) -> Coord:
-        """Wrapped coordinate one step from ``at`` in direction ``d`` (cached)."""
-        key = (at, d)
-        nxt = self._nbr.get(key)
-        if nxt is None:
-            dx, dy, dz = self.dims
-            nxt = ((at[0] + d[0]) % dx, (at[1] + d[1]) % dy, (at[2] + d[2]) % dz)
-            self._nbr[key] = nxt
-        return nxt
+        """Wrapped coordinate one step from ``at`` in direction ``d``."""
+        dx, dy, dz = self.dims
+        return ((at[0] + d[0]) % dx, (at[1] + d[1]) % dy, (at[2] + d[2]) % dz)
 
     def _axis_step(self, src: int, dst: int, size: int) -> int:
         """Shortest-wrap step (-1, 0, +1) along one axis; ties go +1."""
@@ -142,11 +133,11 @@ class Torus3D:
         and the target sits exactly opposite), *both* are minimal and both
         are offered — important on small tori, where dimension-2 axes
         would otherwise leave half their links idle.
+
+        Computed on every call: the network's route table
+        (:class:`repro.hardware.router.TorusNetwork`) is the one per-hop
+        cache, so a route used once does not pay for a second copy here.
         """
-        key = (at, dst)
-        dirs = self._min_dirs.get(key)
-        if dirs is not None:
-            return dirs
         dirs = []
         for axis in range(3):
             size = self.dims[axis]
@@ -161,7 +152,6 @@ class Torus3D:
                 d = [0, 0, 0]
                 d[axis] = step
                 dirs.append(tuple(d))  # type: ignore[arg-type]
-        self._min_dirs[key] = dirs
         return dirs
 
     def route(self, src: Coord, dst: Coord) -> list[tuple[Coord, Coord]]:
@@ -243,8 +233,6 @@ class Dragonfly:
         #: RNG for Valiant intermediate selection; only ever drawn from in
         #: valiant mode, so minimal-mode machines consume no RNG state
         self._rng = rng
-        self._min_dirs: dict[tuple, list] = {}
-        self._nbr: dict[tuple, Any] = {}
 
     @classmethod
     def for_nodes(cls, n_nodes: int, routers_per_group: int = 4,
@@ -323,21 +311,16 @@ class Dragonfly:
     # -- geometry ----------------------------------------------------------
     def neighbor(self, at: Any, d: Any) -> Any:
         """Coordinate one step from ``at`` along direction token ``d``."""
-        key = (at, d)
-        nxt = self._nbr.get(key)
-        if nxt is None:
-            kind = d[0]
-            if kind == "up":
-                nxt = ("rt", at[0], at[1])
-            elif kind == "down":
-                nxt = (at[1], at[2], d[1])
-            elif kind == "local":
-                nxt = ("rt", at[1], d[1])
-            else:  # global: land on the peer group's gateway back to us
-                g2 = d[1]
-                nxt = ("rt", g2, self.gateway(g2, at[1]))
-            self._nbr[key] = nxt
-        return nxt
+        kind = d[0]
+        if kind == "up":
+            return ("rt", at[0], at[1])
+        if kind == "down":
+            return (at[1], at[2], d[1])
+        if kind == "local":
+            return ("rt", at[1], d[1])
+        # global: land on the peer group's gateway back to us
+        g2 = d[1]
+        return ("rt", g2, self.gateway(g2, at[1]))
 
     def neighbors(self, coord: Any) -> Iterator[tuple[Any, Any]]:
         """Yield ``(direction, neighbor_coord)`` for every attached link."""
@@ -381,30 +364,21 @@ class Dragonfly:
         The planned-arrangement dragonfly has exactly one minimal next hop
         at every step, so the list is always empty or a singleton — the
         adaptive router's backlog comparison degenerates to deterministic
-        routing, and the network's per-(at, dst) hop cache applies to
-        every hop.
+        routing, and every entry of the network's route table holds a
+        single candidate.
         """
         if at == dst:
             return []
-        key = (at, dst)
-        dirs = self._min_dirs.get(key)
-        if dirs is not None:
-            return dirs
-        rdst = self.router_of(dst)
         if at[0] != "rt":
-            dirs = [("up",)]
-        else:
-            _, g, r = at
-            _, gd, rd = rdst
-            if g != gd:
-                gw = self.gateway(g, gd)
-                dirs = [("global", gd)] if r == gw else [("local", gw)]
-            elif r != rd:
-                dirs = [("local", rd)]
-            else:
-                dirs = [("down", dst[2])]
-        self._min_dirs[key] = dirs
-        return dirs
+            return [("up",)]
+        _, g, r = at
+        _, gd, rd = self.router_of(dst)
+        if g != gd:
+            gw = self.gateway(g, gd)
+            return [("global", gd)] if r == gw else [("local", gw)]
+        if r != rd:
+            return [("local", rd)]
+        return [("down", dst[2])]
 
     def route(self, src: Any, dst: Any) -> list[tuple[Any, Any]]:
         """Minimal route as ``[(from, to), ...]`` hops."""

@@ -11,6 +11,7 @@ completed messages back to the scheduler.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Any, Optional
 
 from repro.converse.scheduler import ConverseRuntime, Message, PE
@@ -218,7 +219,14 @@ class UgniMachineLayer(ReliabilityMixin, RendezvousMixin, PersistentMixin,
             self.small_sent += 1
             if obs is not None:
                 obs.on_lrts("ugni", "small", msg, self.machine.engine.now)
-            self._send_small(src_pe, dst_rank, msg, total)
+            if self.lcfg.small_path == "msgq":
+                self._send_msgq(src_pe, dst_rank, msg, total)
+                return
+            payload: Any = msg
+            if self._rel_on:
+                payload = self._rel_wrap(src_pe, dst_rank, CHARM_SMALL_TAG,
+                                         total, msg)
+            self._smsg_push(src_pe, dst_rank, CHARM_SMALL_TAG, total, payload)
             return
         self.rendezvous_sent += 1
         if obs is not None:
@@ -233,31 +241,28 @@ class UgniMachineLayer(ReliabilityMixin, RendezvousMixin, PersistentMixin,
     # ------------------------------------------------------------------ #
     # Small-message path
     # ------------------------------------------------------------------ #
-    def _send_small(self, src_pe: PE, dst_rank: int, msg: Message,
-                    total: int) -> None:
-        if self.lcfg.small_path == "msgq":
-            self._ensure_msgq_hooked(dst_rank)
-            cpu = self.gni.msgq.send(src_pe.rank, dst_rank, CHARM_SMALL_TAG,
-                                     total, payload=msg, at=src_pe.vtime)
-            src_pe.charge(cpu, "overhead")
-            return
-        self._smsg_or_queue(src_pe, dst_rank, CHARM_SMALL_TAG, total, msg)
+    def _send_msgq(self, src_pe: PE, dst_rank: int, msg: Message,
+                   total: int) -> None:
+        self._ensure_msgq_hooked(dst_rank)
+        cpu = self.gni.msgq.send(src_pe.rank, dst_rank, CHARM_SMALL_TAG,
+                                 total, payload=msg, at=src_pe.vtime)
+        src_pe.charge(cpu, "overhead")
 
     def _smsg_control(self, pe: PE, dst_rank: int, tag: int, state: Any) -> None:
-        """Send a protocol control message (INIT/ACK/CTS/...)."""
-        self._smsg_or_queue(pe, dst_rank, tag, CONTROL_BYTES, state)
+        """Send a protocol control message (INIT/ACK/CTS/...).
 
-    def _smsg_or_queue(self, pe: PE, dst_rank: int, tag: int, nbytes: int,
-                       payload: Any) -> None:
-        """SMSG send, reliability-wrapped when enabled (acks excepted)."""
-        if self._rel_on and tag != REL_ACK_TAG:
-            payload = self._rel_wrap(pe, dst_rank, tag, nbytes, payload)
-        self._smsg_push(pe, dst_rank, tag, nbytes, payload)
+        Reliability-wrapped when enabled; the reliability acks themselves
+        go straight to :meth:`_smsg_push`.
+        """
+        if self._rel_on:
+            state = self._rel_wrap(pe, dst_rank, tag, CONTROL_BYTES, state)
+        self._smsg_push(pe, dst_rank, tag, CONTROL_BYTES, state)
 
     def _smsg_push(self, pe: PE, dst_rank: int, tag: int, nbytes: int,
                    payload: Any) -> None:
         """Raw SMSG send with credit-exhaustion queueing (FIFO per connection)."""
-        self._ensure_rx_hooked(dst_rank)
+        if dst_rank not in self._hooked_rx:
+            self._hook_rx(dst_rank)
         key = (pe.rank, dst_rank)
         pending = self._pending.get(key)
         obs = self._obs
@@ -310,12 +315,10 @@ class UgniMachineLayer(ReliabilityMixin, RendezvousMixin, PersistentMixin,
     # ------------------------------------------------------------------ #
     # Receive side: CQ hooks feed the destination PE's scheduler
     # ------------------------------------------------------------------ #
-    def _ensure_rx_hooked(self, rank: int) -> None:
-        if rank in self._hooked_rx:
-            return
+    def _hook_rx(self, rank: int) -> None:
         self._hooked_rx.add(rank)
-        cq = self._smsg.rx_cq(rank)
-        cq.on_event = lambda _cq, rank=rank, cq=cq: self._on_smsg_event(rank, cq)
+        # the CQ calls on_event(cq): bound straight to the drain loop
+        self._smsg.rx_cq(rank).on_event = partial(self._on_smsg_event, rank)
 
     def _on_smsg_event(self, rank: int, cq: CompletionQueue) -> None:
         """Drain every message currently in this PE's RX CQ.

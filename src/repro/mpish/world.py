@@ -128,7 +128,7 @@ class MpiWorld:
                     self._arrive(arr, t)
 
                 if nbytes <= MPI_SMALL:
-                    src_node.nic.smsg_send(dst_node.coord, wire, on_arrive,
+                    src_node.nic.smsg_send(dst_node, wire, on_arrive,
                                            at=at + cpu)
                 else:
                     kind = src_node.nic.best_kind(wire, put=True)
@@ -155,7 +155,7 @@ class MpiWorld:
             def on_arrive(t: float, arr=arr) -> None:
                 self._arrive(arr, t)
 
-            src_node.nic.smsg_send(dst_node.coord, MPI_CONTROL, on_arrive,
+            src_node.nic.smsg_send(dst_node, MPI_CONTROL, on_arrive,
                                    at=at + cpu)
         return req, cpu
 
@@ -281,7 +281,7 @@ class MpiWorld:
                 self._complete_at(info.send_req, tf + cfg.mpi_request_cpu,
                                   cfg.mpi_request_cpu)
 
-            dst_node.nic.smsg_send(src_node.coord, MPI_CONTROL, on_fin, at=tc)
+            dst_node.nic.smsg_send(src_node, MPI_CONTROL, on_fin, at=tc)
 
         post_cpu = dst_node.nic.post_transfer(
             kind, src_node.coord, arr.nbytes + MPI_HEADER,

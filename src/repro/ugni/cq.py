@@ -12,7 +12,6 @@ model is unchanged, only the wasted host cycles are elided.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.errors import UgniCqOverrun, UgniInvalidParam
@@ -20,18 +19,26 @@ from repro.sim.engine import Engine
 from repro.ugni.types import CqEventKind
 
 
-@dataclass(frozen=True)
 class CqEntry:
-    """One completion event."""
+    """One completion event (treated as immutable once pushed)."""
 
-    kind: CqEventKind
-    time: float
-    #: application tag (SMSG tag, post descriptor id, ...)
-    tag: Any = None
-    #: event payload: the SMSG message, the completed descriptor, ...
-    data: Any = None
-    #: originating PE / node, when meaningful
-    source: Any = None
+    __slots__ = ("kind", "time", "tag", "data", "source")
+
+    def __init__(self, kind: CqEventKind, time: float, tag: Any = None,
+                 data: Any = None, source: Any = None):
+        self.kind = kind
+        self.time = time
+        #: application tag (SMSG tag, post descriptor id, ...)
+        self.tag = tag
+        #: event payload: the SMSG message, the completed descriptor, ...
+        self.data = data
+        #: originating PE / node, when meaningful
+        self.source = source
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return (f"CqEntry(kind={self.kind!r}, time={self.time!r}, "
+                f"tag={self.tag!r}, data={self.data!r}, "
+                f"source={self.source!r})")
 
 
 class CompletionQueue:

@@ -91,7 +91,7 @@ class MsgqFabric:
         extra = self.config.msgq_send_cpu - self.config.smsg_send_cpu
         if src_node.node_id == dst_node.node_id:
             return extra + src_node.nic.loopback_send(need, on_arrive, at=at)
-        return extra + src_node.nic.smsg_send(dst_node.coord, need, on_arrive, at=at)
+        return extra + src_node.nic.smsg_send(dst_node, need, on_arrive, at=at)
 
     def get_next(self, node_id: int) -> tuple[Optional[MsgqMessage], float]:
         """Dequeue one message from the node's shared queue."""

@@ -44,21 +44,31 @@ class SmsgMessage:
 
 
 class SmsgConnection:
-    """One direction of a mailbox pair: ``src_pe -> dst_pe``."""
+    """One direction of a mailbox pair: ``src_pe -> dst_pe``.
+
+    Everything :meth:`SmsgFabric.send` needs per message and that is fixed
+    for the life of the pair lives here, looked up once at creation: both
+    endpoint nodes, the receiver's CQ and the observer's label.
+    """
+
+    __slots__ = ("fabric", "src_pe", "dst_pe", "src_node", "dst_node",
+                 "rx_cq", "label", "mailbox_bytes", "credits_used", "sent",
+                 "delivered", "dropped")
 
     def __init__(self, fabric: "SmsgFabric", src_pe: int, dst_pe: int):
         self.fabric = fabric
         self.src_pe = src_pe
         self.dst_pe = dst_pe
+        self.src_node = fabric.machine.node_of_pe(src_pe)
+        self.dst_node = fabric.machine.node_of_pe(dst_pe)
+        self.rx_cq = fabric.rx_cq(dst_pe)
+        self.label = f"smsg[{src_pe}->{dst_pe}]"
         self.mailbox_bytes = fabric.mailbox_bytes
         self.credits_used = 0
         self.sent = 0
         self.delivered = 0
         #: deliveries eaten by the fault injector (credit was reclaimed)
         self.dropped = 0
-
-    def has_credit(self, nbytes: int) -> bool:
-        return self.credits_used + nbytes + SMSG_HEADER <= self.mailbox_bytes
 
     def take_credit(self, nbytes: int) -> None:
         self.credits_used += nbytes + SMSG_HEADER
@@ -112,8 +122,8 @@ class SmsgFabric:
         if conn is None:
             conn = SmsgConnection(self, src_pe, dst_pe)
             self._connections[key] = conn
-            for pe in (src_pe, dst_pe):
-                nid = self.machine.node_of_pe(pe).node_id
+            for node in (conn.src_node, conn.dst_node):
+                nid = node.node_id
                 self.mailbox_memory_per_node[nid] = (
                     self.mailbox_memory_per_node.get(nid, 0) + self.mailbox_bytes
                 )
@@ -147,12 +157,14 @@ class SmsgFabric:
         conn = self._connections.get((src_pe, dst_pe))
         if conn is None:
             conn = self.connection(src_pe, dst_pe)
-        if not conn.has_credit(nbytes):
+        need = nbytes + SMSG_HEADER
+        # the credit check and take_credit, inlined
+        if conn.credits_used + need > conn.mailbox_bytes:
             raise UgniNoSpace(
                 f"SMSG mailbox {src_pe}->{dst_pe} out of credits "
                 f"({conn.credits_used}/{conn.mailbox_bytes})"
             )
-        conn.take_credit(nbytes)
+        conn.credits_used += need
         conn.sent += 1
         msg = SmsgMessage(src_pe, dst_pe, tag, nbytes, payload)
         machine = self.machine
@@ -161,21 +173,13 @@ class SmsgFabric:
             san.on_smsg_send(msg)
         obs = machine.observer
         if obs is not None:
-            obs.on_tx(msg, "smsg", nbytes, f"smsg[{src_pe}->{dst_pe}]",
+            obs.on_tx(msg, "smsg", nbytes, conn.label,
                       at if at is not None else machine.engine.now)
-        src_node = machine.node_of_pe(src_pe)
-        dst_node = machine.node_of_pe(dst_pe)
-        cq = self._rx_cqs.get(dst_pe)
-        if cq is None:
-            cq = self.rx_cq(dst_pe)
-
-        def on_arrive(t: float, msg=msg, conn=conn, cq=cq) -> None:
-            conn.delivered += 1
-            cq.push(CqEntry(CqEventKind.SMSG_ARRIVAL, t, tag=msg.tag,
-                            data=msg, source=msg.src_pe))
-
-        if src_node.node_id == dst_node.node_id:
-            return src_node.nic.loopback_send(nbytes + SMSG_HEADER, on_arrive, at=at)
+        src_node = conn.src_node
+        dst_node = conn.dst_node
+        if src_node is dst_node:
+            return src_node.nic.loopback_send(need, self._arrive, msg, conn,
+                                              at=at)
 
         faults = machine.faults
         if faults is not None:
@@ -191,21 +195,27 @@ class SmsgFabric:
                     if san is not None:
                         san.on_smsg_drop(msg)
 
-                return src_node.nic.smsg_send(dst_node.coord,
-                                              nbytes + SMSG_HEADER,
-                                              on_drop, at=at)
+                return src_node.nic.smsg_send(dst_node, need, on_drop, at=at)
             stall = faults.smsg_stall_delay(src_pe, dst_pe)
             if stall > 0.0:
                 self.stalled += 1
-                prompt_arrive = on_arrive
 
-                def on_arrive(t: float, inner=prompt_arrive, stall=stall) -> None:
+                def on_stall(t: float, msg=msg, conn=conn, stall=stall) -> None:
                     # credit stall: the message (and its mailbox credit)
                     # sits in the fabric before the receiver sees it
-                    self.machine.engine.call_at(t + stall, inner, t + stall)
+                    self.machine.engine.call_at(t + stall, self._arrive,
+                                                t + stall, msg, conn)
 
-        return src_node.nic.smsg_send(dst_node.coord, nbytes + SMSG_HEADER,
-                                      on_arrive, at=at)
+                return src_node.nic.smsg_send(dst_node, need, on_stall, at=at)
+
+        return src_node.nic.smsg_send(dst_node, need, self._arrive, msg, conn,
+                                      at=at)
+
+    def _arrive(self, t: float, msg: SmsgMessage, conn: SmsgConnection) -> None:
+        """The last byte landed: post the arrival on the receiver's CQ."""
+        conn.delivered += 1
+        conn.rx_cq.push(CqEntry(CqEventKind.SMSG_ARRIVAL, t, msg.tag, msg,
+                                msg.src_pe))
 
     def get_next(self, pe: int) -> tuple[Optional[SmsgMessage], float]:
         """``GNI_SmsgGetNextWTag``: ``(message_or_None, consumer_cpu)``.
@@ -227,7 +237,10 @@ class SmsgFabric:
         if entry is None:
             return None, cfg.cq_poll_cpu
         msg: SmsgMessage = entry.data
-        self._connections[(msg.src_pe, msg.dst_pe)].release_credit(msg.nbytes)
+        # release_credit, inlined
+        conn = self._connections[(msg.src_pe, msg.dst_pe)]
+        conn.credits_used -= msg.nbytes + SMSG_HEADER
+        assert conn.credits_used >= 0, "SMSG credit accounting went negative"
         self.consumed += 1
         san = self.machine.sanitizer
         if san is not None:

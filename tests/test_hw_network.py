@@ -113,7 +113,7 @@ class TestNic:
         """Pure SMSG 8-byte latency should be ~1.2us (paper §V.A)."""
         m = self._machine()
         arrivals = []
-        m.nodes[0].nic.smsg_send(m.nodes[1].coord, 8, arrivals.append)
+        m.nodes[0].nic.smsg_send(m.nodes[1], 8, arrivals.append)
         m.engine.run()
         assert len(arrivals) == 1
         assert 0.9 * us < arrivals[0] < 1.6 * us

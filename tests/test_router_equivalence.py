@@ -1,0 +1,113 @@
+"""Differential test: the fused router pass vs the frozen reference.
+
+``tests/_reference_router.py`` is the pre-flatten ``transfer -> _walk ->
+_next_direction -> Link.reserve`` composition.  Random streams of
+transfers with link faults interleaved go through it and through the live
+network side by side; every :class:`TransferTiming` field and every
+per-link horizon and counter must be identical, and the two must have
+created exactly the same links (``len(net._links)`` is in the observer's
+metrics digest, so lazy link creation is part of the contract).
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.hardware.config import MachineConfig
+from repro.hardware.router import DragonflyNetwork, TorusNetwork
+from repro.hardware.topology import Dragonfly, Torus3D
+from tests._reference_router import RefDragonflyNetwork, RefTorusNetwork
+
+SETTINGS = dict(max_examples=40, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+_SIZES = [8, 64, 256, 4096, 256 * 1024]
+_CAPS = [None, 1.5e9, 6.0e9, 1.0e12]
+_MIN_OCC = [None, 0.0, 2.0e-7]
+_DT = [0.0, 0.0, 1.0e-8, 5.0e-7, 2.0e-5]
+
+
+def _ops(n_nodes):
+    node = st.integers(0, n_nodes - 1)
+    transfer = st.tuples(st.just("transfer"), st.sampled_from(_DT), node, node,
+                         st.sampled_from(_SIZES), st.sampled_from(_CAPS),
+                         st.sampled_from(_MIN_OCC))
+    # a fault names a node and one of its outgoing links by index
+    fault = st.tuples(st.sampled_from(["fail", "degrade", "restore"]), node,
+                      st.integers(0, 7), st.sampled_from([0.1, 0.5, 0.9]))
+    return st.lists(st.one_of(transfer, transfer, transfer, fault),
+                    min_size=1, max_size=60)
+
+
+def _link_state(net):
+    """Per-port horizons and counters, keyed by the port's own name."""
+    return {lk.name: (tuple(lk._lanes), lk.bytes_carried, lk.transfers,
+                      lk.faulted_transfers, lk.state)
+            for table in (net._links, net._inject, net._eject)
+            for lk in table.values()}
+
+
+def _drive(live, ref, ops):
+    topo = live.topology
+    coords = [topo.coord_of(i) for i in range(topo.volume)]
+    now = 0.0
+    for op in ops:
+        if op[0] == "transfer":
+            _, dt, a, b, nbytes, cap, min_occ = op
+            now += dt
+            got = live.transfer(now, coords[a], coords[b], nbytes,
+                                bandwidth_cap=cap, min_occupancy=min_occ)
+            want = ref.transfer(now, coords[a], coords[b], nbytes,
+                                bandwidth_cap=cap, min_occupancy=min_occ)
+            assert (got.depart, got.head_arrival, got.arrival,
+                    got.hops) == want
+        else:
+            kind, a, port, factor = op
+            # walk one hop off the node so router-to-router links (the
+            # only kind a dragonfly has beyond terminal up-links) are hit
+            frm = coords[a]
+            nbrs = [n for _, n in topo.neighbors(frm)]
+            if port >= 4 and len(nbrs) == 1:
+                frm = nbrs[0]
+                nbrs = [n for _, n in topo.neighbors(frm)]
+            to = nbrs[port % len(nbrs)]
+            for net in (live, ref):
+                if kind == "fail":
+                    net.fail_link(frm, to)
+                elif kind == "degrade":
+                    net.degrade_link(frm, to, factor)
+                else:
+                    net.restore_link(frm, to)
+        assert set(live._links) == set(ref._links)
+    assert _link_state(live) == _link_state(ref)
+    assert live.messages_routed == ref.messages_routed
+
+
+@pytest.mark.parametrize("adaptive", [True, False],
+                         ids=["adaptive", "dimension-ordered"])
+@pytest.mark.parametrize("dims", [(4, 4, 2), (2, 2, 1), (3, 1, 5)])
+@settings(**SETTINGS)
+@given(data=st.data())
+def test_torus_matches_reference(dims, adaptive, data):
+    cfg = MachineConfig(adaptive_routing=adaptive)
+    ops = data.draw(_ops(dims[0] * dims[1] * dims[2]))
+    _drive(TorusNetwork(Torus3D(dims), cfg),
+           RefTorusNetwork(Torus3D(dims), cfg), ops)
+
+
+@pytest.mark.parametrize("routing", ["minimal", "valiant"])
+@settings(**SETTINGS)
+@given(data=st.data())
+def test_dragonfly_matches_reference(routing, data):
+    cfg = MachineConfig(topology="dragonfly")
+    shape = (5, 3, 2, 2)
+    # Valiant intermediates come from the topology's RNG: identical seeds
+    # give the two networks identical misroute choices
+    live_topo = Dragonfly(*shape, routing=routing,
+                          rng=np.random.default_rng(7))
+    ref_topo = Dragonfly(*shape, routing=routing,
+                         rng=np.random.default_rng(7))
+    ops = data.draw(_ops(live_topo.volume))
+    _drive(DragonflyNetwork(live_topo, cfg),
+           RefDragonflyNetwork(ref_topo, cfg), ops)
