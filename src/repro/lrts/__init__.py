@@ -10,7 +10,7 @@ interface so a vendor can port Charm++ by implementing just a few calls:
 * persistent API (``LrtsCreatePersistent`` / ``LrtsSendPersistentMsg``)
   → :meth:`create_persistent` / :meth:`send_persistent`.
 
-Two implementations ship, matching the paper's comparison:
+Three implementations ship behind :mod:`repro.lrts.registry`:
 
 * :class:`repro.lrts.ugni_layer.UgniMachineLayer` — the contribution:
   SMSG small path, GET-based rendezvous, memory pool, persistent channels,
@@ -18,6 +18,15 @@ Two implementations ship, matching the paper's comparison:
 * :class:`repro.lrts.mpi_layer.MpiMachineLayer` — the baseline: Charm++
   over MPI with Iprobe polling, the extra receive-side copy/allocation, and
   blocking large receives.
+* :class:`repro.lrts.rdma_layer.RdmaMachineLayer` — a Slingshot/InfiniBand-
+  class fabric: RC queue pairs, inline/eager/rendezvous, pin-down cache.
+
+What the uGNI and RDMA layers share is written once, here and not in
+either layer package: the rendezvous and persistent-channel state machines
+(:mod:`repro.lrts.protocols`, over a six-verb fabric port), pxshm delivery
+(:mod:`repro.lrts.intranode`), the GPU paths
+(:mod:`repro.lrts.gpu_transport`) and the wire constants
+(:mod:`repro.lrts.messages`).
 """
 
 from repro.lrts.interface import LrtsLayer, PersistentHandle

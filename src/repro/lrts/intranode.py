@@ -1,6 +1,8 @@
 """Intra-node delivery (paper §IV.C, Fig. 8c).
 
-Three modes, selected by ``UgniLayerConfig.intranode``:
+Shared by the uGNI and RDMA layers (both mix it in; each selects the mode
+through its own layer config's ``intranode`` field).  The uGNI layer's
+three modes:
 
 * ``"pxshm_single"`` — sender-side copy into POSIX shared memory; the
   receiver hands the in-region message straight to the application.  The
@@ -22,7 +24,7 @@ from repro.memory.pxshm import PxshmMessage
 
 
 class IntranodeMixin:
-    """Mixed into :class:`UgniMachineLayer`."""
+    """pxshm delivery for any layer that owns a ``self.pxshm`` fabric."""
 
     def _send_intranode(self, src_pe: PE, dst_rank: int, msg: Message) -> None:
         total = msg.nbytes + LRTS_ENVELOPE

@@ -166,7 +166,7 @@ class RcQueuePair:
             self.state = "failed"
             while self.backlog:
                 _, tag, nbytes, payload = self.backlog.popleft()
-                self.fabric._giveup(self, tag, nbytes, payload)
+                self.fabric.on_giveup(self, tag, nbytes, payload)
             return
         self._connect(self.fabric.machine.engine.now)
 
@@ -176,7 +176,7 @@ class RcQueuePair:
         seq = self.next_seq
         self.next_seq += 1
         if self.state == "failed":
-            self.fabric._giveup(self, tag, nbytes, payload)
+            self.fabric.on_giveup(self, tag, nbytes, payload)
             return
         if self.state != "ready" or self.credits == 0 or self.backlog:
             self.backlog.append((seq, tag, nbytes, payload))
@@ -228,7 +228,7 @@ class RcQueuePair:
     def _abandon(self, tag: str, nbytes: int, payload: Any) -> None:
         """Retry budget exhausted: reclaim the credit, drop the WQE."""
         self.credits += 1
-        self.fabric._giveup(self, tag, nbytes, payload)
+        self.fabric.on_giveup(self, tag, nbytes, payload)
         self._flush(self.fabric.machine.engine.now)
 
     def _tx_complete(self) -> None:
@@ -241,11 +241,11 @@ class RcQueuePair:
         if seq != self.rx_expected:
             self.rx_buffer[seq] = (tag, nbytes, payload)
             return
-        self.fabric._deliver_rc(self, tag, nbytes, payload, t)
+        self.fabric.on_receive(self, tag, nbytes, payload, t)
         self.rx_expected += 1
         while self.rx_expected in self.rx_buffer:
             tag, nbytes, payload = self.rx_buffer.pop(self.rx_expected)
-            self.fabric._deliver_rc(self, tag, nbytes, payload, t)
+            self.fabric.on_receive(self, tag, nbytes, payload, t)
             self.rx_expected += 1
 
 
@@ -301,14 +301,6 @@ class RdmaFabric:
     @property
     def qps(self) -> dict[tuple[int, int], RcQueuePair]:
         return self._qps
-
-    def _deliver_rc(self, qp: RcQueuePair, tag: str, nbytes: int,
-                    payload: Any, t: float) -> None:
-        self.on_receive(qp, tag, nbytes, payload, t)
-
-    def _giveup(self, qp: RcQueuePair, tag: str, nbytes: int,
-                payload: Any) -> None:
-        self.on_giveup(qp, tag, nbytes, payload)
 
     # -- UD datagrams (connection management only) -----------------------------
     def _ud_send(self, src_rank: int, dst_rank: int, at: float,
@@ -368,13 +360,12 @@ class RdmaFabric:
         return cpu + self.cfg.t_free(block.size)
 
     # -- one-sided memory channel ------------------------------------------------
-    def post_rdma(self, initiator_node: int, kind: str, desc: PostDescriptor,
-                  on_done: Callable[[float], None],
-                  on_error: Optional[Callable[[float], None]], at: float,
-                  ) -> float:
-        """RDMA READ (``kind="get"``) or WRITE (``"put"``); returns cpu.
+    def post_rdma(self, initiator_node: int, desc: PostDescriptor,
+                  on_done: Callable[[], None], on_error: Callable[[], None],
+                  at: float) -> float:
+        """RDMA READ (a ``GET`` descriptor) or WRITE (``PUT``); returns cpu.
 
-        ``on_done(t)`` / ``on_error(t)`` run in engine context on the
+        ``on_done()`` / ``on_error()`` run in engine context on the
         initiator's node.  Offloaded: the posting CPU is free after the
         doorbell (the returned :attr:`MachineConfig.rdma_post_cpu`).
         """
@@ -386,19 +377,18 @@ class RdmaFabric:
             desc.local_mem, desc.local_addr, desc.length)
         self.registrations[desc.remote_mem.node_id].check(
             desc.remote_mem, desc.remote_addr, desc.length)
-        if kind == "put":
+        if desc.post_type is PostType.PUT:
             self.rdma_puts += 1
         else:
             self.rdma_gets += 1
         token = san.on_rdma_post(desc, initiator_node) if san is not None else None
-        self._rdma_attempt(initiator_node, kind, desc, on_done, on_error,
+        self._rdma_attempt(initiator_node, desc, on_done, on_error,
                            token, 0, at)
         return self.cfg.rdma_post_cpu
 
-    def _rdma_attempt(self, initiator_node: int, kind: str,
-                      desc: PostDescriptor, on_done: Callable,
-                      on_error: Optional[Callable], token: Optional[int],
-                      attempt: int, at: float) -> None:
+    def _rdma_attempt(self, initiator_node: int, desc: PostDescriptor,
+                      on_done: Callable, on_error: Callable,
+                      token: Optional[int], attempt: int, at: float) -> None:
         machine = self.machine
         cfg = self.cfg
         peer_node = desc.remote_mem.node_id
@@ -415,20 +405,18 @@ class RdmaFabric:
                 san = machine.sanitizer
                 if san is not None and token is not None:
                     san.on_rdma_retire(token, err_t)
-                if on_error is not None:
-                    machine.engine.call_at_node(
-                        initiator_node, err_t, on_error, err_t)
+                machine.engine.call_at_node(initiator_node, err_t, on_error)
                 return
             self.rdma_retransmits += 1
             machine.engine.call_at_node(
                 initiator_node, err_t + self.lcfg.retransmit_timeout,
-                self._rdma_attempt, initiator_node, kind, desc, on_done,
+                self._rdma_attempt, initiator_node, desc, on_done,
                 on_error, token, attempt + 1,
                 err_t + self.lcfg.retransmit_timeout)
             return
         init_coord = self._coord[initiator_node]
         peer_coord = self._coord[peer_node]
-        if kind == "put":
+        if desc.post_type is PostType.PUT:
             timing = machine.network.transfer(
                 at, init_coord, peer_coord, desc.length,
                 bandwidth_cap=cfg.rdma_write_bandwidth)
@@ -443,12 +431,12 @@ class RdmaFabric:
             done_t = timing.arrival + cfg.rdma_completion_latency
         san = machine.sanitizer
         if san is not None and token is not None:
-            def complete(t: float) -> None:
-                san.on_rdma_retire(token, t)
-                on_done(t)
+            def complete() -> None:
+                san.on_rdma_retire(token, done_t)
+                on_done()
         else:
             complete = on_done
-        machine.engine.call_at_node(initiator_node, done_t, complete, done_t)
+        machine.engine.call_at_node(initiator_node, done_t, complete)
 
     # -- diagnostics --------------------------------------------------------------
     def stats(self) -> dict[str, Any]:
@@ -476,6 +464,4 @@ class RdmaFabric:
         }
 
 
-# re-export for protocol code that builds descriptors
-__all__ = ["PinDownCache", "RcQueuePair", "RdmaFabric", "PostDescriptor",
-           "PostType", "UD_DGRAM_BYTES"]
+__all__ = ["PinDownCache", "RcQueuePair", "RdmaFabric", "UD_DGRAM_BYTES"]

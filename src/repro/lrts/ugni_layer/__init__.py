@@ -3,14 +3,14 @@
 Send-path dispatch (paper §III.C, §IV):
 
 * same node → pxshm single/double copy, or the NIC loopback baseline
-  (:mod:`repro.lrts.ugni_layer.intranode`, Fig. 8c);
+  (:mod:`repro.lrts.intranode`, Fig. 8c);
 * ``nbytes + envelope <= SMSG max`` → direct SMSG
   (:mod:`repro.lrts.ugni_layer.layer`);
 * larger, with a persistent channel set up → one-sided PUT + notify
-  (:mod:`repro.lrts.ugni_layer.persistent`, Fig. 7a / 8a);
+  (:mod:`repro.lrts.protocols`, Fig. 7a / 8a);
 * larger, otherwise → GET-based rendezvous, buffers served from the
   pre-registered memory pool when enabled
-  (:mod:`repro.lrts.ugni_layer.rendezvous`, Fig. 5 / 7b / 8b).
+  (:mod:`repro.lrts.protocols`, Fig. 5 / 7b / 8b).
 
 Feature flags in :class:`~repro.lrts.ugni_layer.config.UgniLayerConfig`
 turn each optimization off to reproduce the "initial design" curves

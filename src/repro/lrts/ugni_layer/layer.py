@@ -14,64 +14,39 @@ from collections import deque
 from functools import partial
 from typing import Any, Optional
 
-from repro.converse.scheduler import ConverseRuntime, Message, PE
-from repro.errors import LrtsError, UgniNoSpace, UgniTransactionError
+from repro.converse.scheduler import Message, PE
+from repro.errors import UgniNoSpace
 from repro.hardware.machine import Machine
 from repro.lrts.gpu_transport import GpuTransportMixin
-from repro.lrts.interface import LrtsLayer, PersistentHandle
+from repro.lrts.interface import LrtsLayer
+from repro.lrts.intranode import IntranodeMixin
 from repro.lrts.messages import (
-    ACK_TAG,
     CHARM_SMALL_TAG,
     CONTROL_BYTES,
-    INIT_TAG,
     LRTS_ENVELOPE,
-    PERSISTENT_TAG,
-    PUT_CTS_TAG,
-    PUT_DONE_TAG,
-    PUT_REQ_TAG,
+    STEP_TAGS,
+    TAG_STEPS,
 )
+from repro.lrts.protocols import ProtocolCore
 from repro.lrts.ugni_layer.config import UgniLayerConfig
-from repro.lrts.ugni_layer.intranode import IntranodeMixin
-from repro.lrts.ugni_layer.persistent import (
-    PERSIST_READY_TAG,
-    PERSIST_SETUP_TAG,
-    PERSIST_TEARDOWN_TAG,
-    PersistentMixin,
-)
-from repro.lrts.ugni_layer.reliability import (
-    REL_ACK_TAG,
-    ReliabilityMixin,
-    _RelPacket,
-)
-from repro.lrts.ugni_layer.rendezvous import RNDV_FAIL_TAG, RendezvousMixin
+from repro.lrts.ugni_layer.reliability import ReliabilityMixin, _RelPacket
 from repro.memory.mempool import MemoryPool
 from repro.memory.pxshm import PxshmFabric
 from repro.ugni.api import GniJob
 from repro.ugni.cq import CompletionQueue
-from repro.ugni.types import CqEventKind
-
-#: smsg tag -> protocol-step name executed on the receiving PE
-_TAG_STEPS = {
-    INIT_TAG: "init",
-    ACK_TAG: "ack",
-    PUT_REQ_TAG: "put_req",
-    PUT_CTS_TAG: "put_cts",
-    PUT_DONE_TAG: "put_done",
-    PERSISTENT_TAG: "persistent",
-    PERSIST_SETUP_TAG: "persist_setup",
-    PERSIST_READY_TAG: "persist_ready",
-    PERSIST_TEARDOWN_TAG: "persist_teardown",
-    REL_ACK_TAG: "rel_ack",
-    RNDV_FAIL_TAG: "rndv_fail",
-}
 
 
-class UgniMachineLayer(ReliabilityMixin, RendezvousMixin, PersistentMixin,
-                       IntranodeMixin, GpuTransportMixin, LrtsLayer):
-    """Charm++ machine layer on uGNI (the paper's contribution)."""
+class UgniMachineLayer(ReliabilityMixin, ProtocolCore, IntranodeMixin,
+                       GpuTransportMixin, LrtsLayer):
+    """Charm++ machine layer on uGNI (the paper's contribution).
+
+    The rendezvous and persistent protocols are
+    :class:`~repro.lrts.protocols.ProtocolCore`; this class binds its
+    fabric port to SMSG control messages, the memory pool and FMA/BTE
+    (``_post`` lives with the retry logic in ``reliability.py``).
+    """
 
     name = "ugni"
-    supports_persistent = True
 
     def __init__(self, machine: Machine,
                  layer_config: Optional[UgniLayerConfig] = None):
@@ -86,7 +61,6 @@ class UgniMachineLayer(ReliabilityMixin, RendezvousMixin, PersistentMixin,
         self._smsg = self.gni.smsg
         self._small_cutoff = self._small_max()
         self._pools: dict[int, MemoryPool] = {}
-        self._persistent: dict[int, PersistentHandle] = {}
         #: sends blocked on SMSG credits, per (src_rank, dst_rank)
         self._pending: dict[tuple[int, int], deque] = {}
         self._hooked_rx: set[int] = set()
@@ -94,7 +68,6 @@ class UgniMachineLayer(ReliabilityMixin, RendezvousMixin, PersistentMixin,
         # counters
         self.small_sent = 0
         self.rendezvous_sent = 0
-        self.persistent_sent = 0
         self.intranode_sent = 0
         # recovery counters (stay zero unless lcfg.reliability + faults)
         self._rel_on = False
@@ -107,11 +80,6 @@ class UgniMachineLayer(ReliabilityMixin, RendezvousMixin, PersistentMixin,
         self.post_retries = 0
         self.post_failures = 0
         self.persistent_rearms = 0
-        #: rendezvous transfers abandoned after exhausting post retries
-        #: (both sides' buffers were reclaimed; the message was lost)
-        self.rndv_failed = 0
-        #: persistent-channel sends abandoned after exhausting post retries
-        self.persistent_failed = 0
 
     # ------------------------------------------------------------------ #
     # LrtsInit
@@ -120,28 +88,9 @@ class UgniMachineLayer(ReliabilityMixin, RendezvousMixin, PersistentMixin,
         assert self.conv is not None
         self.pxshm = PxshmFabric(
             self.machine, single_copy=(self.lcfg.intranode == "pxshm_single"))
-        self._proto_hid = self.conv.register_handler(self._proto_handler)
-        #: protocol-step dispatch table (replaces a long if/elif chain on
-        #: the receive hot path)
-        self._steps = {
-            "init": self._on_init_tag,
-            "ack": self._on_ack_tag,
-            "get_done": self._on_get_done,
-            "put_req": self._on_put_req,
-            "put_cts": self._on_put_cts,
-            "put_done_local": self._on_put_done_local,
-            "put_done": self._on_put_done,
-            "persistent": self._on_persistent_tag,
-            "persist_setup": self._on_persist_setup,
-            "persist_ready": self._on_persist_ready,
-            "persist_done": self._on_persist_done,
-            "persist_teardown": self._on_persist_teardown,
-            "flush_pending": self._flush_pending,
-            "rel_rx": self._on_rel_rx,
-            "rel_ack": self._on_rel_ack,
-            "rndv_fail": self._on_rndv_fail,
-            "post_failed": self._on_post_failed,
-        }
+        self._proto_setup()
+        self._steps.update(flush_pending=self._flush_pending,
+                           rel_rx=self._on_rel_rx, rel_ack=self._on_rel_ack)
         if self.lcfg.reliability:
             self._rel_setup()
         san = self.machine.sanitizer
@@ -159,16 +108,7 @@ class UgniMachineLayer(ReliabilityMixin, RendezvousMixin, PersistentMixin,
                 san.report(
                     "undelivered-message", f"layer.pending[{src}->{dst}]",
                     f"{len(q)} send(s) still waiting for SMSG credits")
-        for handle in self._persistent.values():
-            impl = handle.impl
-            if impl.queued:
-                san.report(
-                    "stuck-persistent", f"persistent[{handle.id}]",
-                    f"{len(impl.queued)} queued send(s), channel never ready")
-            elif impl.closing:
-                san.report(
-                    "stuck-persistent", f"persistent[{handle.id}]",
-                    "destroy deferred forever (channel never quiesced)")
+        self._scan_persistent(san)
         for pool in self._pools.values():
             if pool.live_blocks:
                 san.report(
@@ -188,16 +128,40 @@ class UgniMachineLayer(ReliabilityMixin, RendezvousMixin, PersistentMixin,
             self._pools[key] = pool
         return pool
 
-    def _pool_for_node_block(self, pe: PE, block) -> MemoryPool:
-        """Find the pool that owns ``block`` (for frees on the owning PE)."""
-        key = pe.node.node_id if self.lcfg.smp_pools else pe.rank
-        pool = self._pools.get(key)
-        if pool is not None and any(a.handle is block.mem_handle for a in pool.arenas):
-            return pool
-        for pool in self._pools.values():
-            if any(a.handle is block.mem_handle for a in pool.arenas):
-                return pool
-        raise LrtsError(f"no pool owns {block!r}")
+    # -- fabric port: buffers and windows -------------------------------------------
+    def _acquire(self, pe: PE, nbytes: int) -> tuple:
+        """Charge ``pe`` for a send/recv buffer: ``(block, handle, pool)``.
+
+        Pool mode: cheap pool alloc from the pre-registered arena.
+        No-pool mode (``pool`` is None): the full ``Tmalloc + Tregister``
+        of Eq. 1.
+        """
+        if self.lcfg.use_mempool:
+            pool = self._pool_for(pe)
+            block, cost = pool.alloc(nbytes)
+            pe.charge(cost, "overhead")
+            return block, block.mem_handle, pool
+        block, handle, cost = self.gni.malloc_registered(pe.node.node_id, nbytes)
+        pe.charge(cost, "overhead")
+        return block, handle, None
+
+    def _release(self, pe: PE, buf: tuple) -> None:
+        block, handle, pool = buf
+        if pool is not None:
+            pe.charge(pool.free(block), "overhead")
+        else:
+            pe.charge(self.gni.free_registered(block, handle), "overhead")
+
+    def _pin_window(self, pe: PE, nbytes: int, why: str) -> tuple:
+        block, handle, cost = self.gni.malloc_registered(pe.node.node_id, nbytes)
+        pe.charge(cost, "overhead")
+        san = self.machine.sanitizer
+        if san is not None:
+            san.root_region(handle, why)
+        return block, handle
+
+    def _unpin_window(self, pe: PE, win: tuple) -> None:
+        pe.charge(self.gni.free_registered(*win), "overhead")
 
     # ------------------------------------------------------------------ #
     # LrtsSyncSend
@@ -231,7 +195,7 @@ class UgniMachineLayer(ReliabilityMixin, RendezvousMixin, PersistentMixin,
         self.rendezvous_sent += 1
         if obs is not None:
             obs.on_lrts("ugni", "rendezvous", msg, self.machine.engine.now)
-        self._send_rendezvous(src_pe, dst_rank, msg)
+        self._send_rendezvous(src_pe, dst_rank, msg, total)
 
     def _small_max(self) -> int:
         if self.lcfg.small_path == "msgq":
@@ -248,12 +212,13 @@ class UgniMachineLayer(ReliabilityMixin, RendezvousMixin, PersistentMixin,
                                  total, payload=msg, at=src_pe.vtime)
         src_pe.charge(cpu, "overhead")
 
-    def _smsg_control(self, pe: PE, dst_rank: int, tag: int, state: Any) -> None:
-        """Send a protocol control message (INIT/ACK/CTS/...).
+    def _control(self, pe: PE, dst_rank: int, step: str, state: Any) -> None:
+        """Fabric port: a protocol control SMSG (INIT/ACK/CTS/...).
 
         Reliability-wrapped when enabled; the reliability acks themselves
         go straight to :meth:`_smsg_push`.
         """
+        tag = STEP_TAGS[step]
         if self._rel_on:
             state = self._rel_wrap(pe, dst_rank, tag, CONTROL_BYTES, state)
         self._smsg_push(pe, dst_rank, tag, CONTROL_BYTES, state)
@@ -283,16 +248,9 @@ class UgniMachineLayer(ReliabilityMixin, RendezvousMixin, PersistentMixin,
             self._schedule_flush(pe.rank, dst_rank, pe.vtime)
 
     def _schedule_flush(self, src_rank: int, dst_rank: int, after: float) -> None:
-        def kick() -> None:
-            pe = self.conv.pes[src_rank]
-            pe.enqueue(
-                Message(handler=self._proto_hid, src_pe=src_rank, dst_pe=src_rank,
-                        nbytes=0, payload=("flush_pending", dst_rank)),
-                recv_cpu=0.0,
-            )
-
         self.machine.engine.call_at(
-            after + self.lcfg.credit_retry_interval, kick)
+            after + self.lcfg.credit_retry_interval, self._self_step,
+            self.conv.pes[src_rank], "flush_pending", dst_rank, 0.0)
 
     def _flush_pending(self, pe: PE, dst_rank: int) -> None:
         key = (pe.rank, dst_rank)
@@ -336,24 +294,19 @@ class UgniMachineLayer(ReliabilityMixin, RendezvousMixin, PersistentMixin,
             if smsg_msg is None:
                 # the event was a CQ overrun marker / error entry, not a message
                 return
-            if isinstance(smsg_msg.payload, _RelPacket):
+            payload = smsg_msg.payload
+            if isinstance(payload, _RelPacket):
                 # dedupe + ack must run in PE context (the ack charges pe.vtime)
-                pe.enqueue(
-                    Message(handler=proto_hid, src_pe=smsg_msg.src_pe,
-                            dst_pe=rank, nbytes=0,
-                            payload=("rel_rx", smsg_msg.payload)),
-                    recv_cpu,
-                )
+                step = "rel_rx"
             elif smsg_msg.tag == CHARM_SMALL_TAG:
+                step = None  # a whole application message: enqueue as is
                 self.delivered += 1
-                pe.enqueue(smsg_msg.payload, recv_cpu)
             else:
-                pe.enqueue(
-                    Message(handler=proto_hid, src_pe=smsg_msg.src_pe,
-                            dst_pe=rank, nbytes=0,
-                            payload=(_TAG_STEPS[smsg_msg.tag], smsg_msg.payload)),
-                    recv_cpu,
-                )
+                step = TAG_STEPS[smsg_msg.tag]
+            if step is not None:
+                payload = Message(handler=proto_hid, src_pe=smsg_msg.src_pe,
+                                  dst_pe=rank, nbytes=0, payload=(step, payload))
+            pe.enqueue(payload, recv_cpu)
             if not cq:
                 return
 
@@ -370,52 +323,6 @@ class UgniMachineLayer(ReliabilityMixin, RendezvousMixin, PersistentMixin,
         assert msg is not None
         self.delivered += 1
         self.conv.pes[msg.dst_pe].enqueue(msg.payload, recv_cpu)
-
-    # ------------------------------------------------------------------ #
-    # Protocol handler (runs on the PE that owns each step)
-    # ------------------------------------------------------------------ #
-    def _proto_handler(self, pe: PE, message: Message) -> None:
-        step, state = message.payload
-        self._dispatch_step(pe, step, state)
-
-    @staticmethod
-    def _step_for_tag(tag: int) -> str:
-        return _TAG_STEPS[tag]
-
-    def _dispatch_step(self, pe: PE, step: str, state: Any) -> None:
-        try:
-            fn = self._steps[step]
-        except KeyError:  # pragma: no cover - defensive
-            raise LrtsError(f"unknown protocol step {step!r}") from None
-        fn(pe, state)
-
-    # ------------------------------------------------------------------ #
-    # Post-completion plumbing
-    # ------------------------------------------------------------------ #
-    def _await_post(self, desc, cb, on_error=None) -> None:
-        """Arrange for ``cb(time)`` when the descriptor's local CQ fires.
-
-        An ``ERROR`` completion (fault-injected transaction failure) goes
-        to ``on_error(time)`` instead; with no handler it raises
-        :class:`UgniTransactionError` — the documented behaviour of a
-        layer running without recovery enabled.
-        """
-        cq = CompletionQueue(self.machine.engine, capacity=1, name="post")
-        desc.src_cq = cq
-
-        def on_event(q: CompletionQueue) -> None:
-            entry = q.get_event()
-            if entry.kind is CqEventKind.ERROR:
-                if on_error is None:
-                    raise UgniTransactionError(
-                        f"post {desc.id} failed and reliability is disabled "
-                        f"(see UgniLayerConfig.reliability)"
-                    )
-                on_error(entry.time)
-                return
-            cb(entry.time)
-
-        cq.on_event = on_event
 
     # ------------------------------------------------------------------ #
     # Diagnostics

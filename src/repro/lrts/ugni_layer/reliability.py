@@ -14,10 +14,10 @@ module loaded.  Three mechanisms:
   timer with bounded exponential backoff; after
   ``UgniLayerConfig.max_retries`` attempts the packet is abandoned and
   counted in ``rel_failed``.
-* **FMA/BTE post retry** — :meth:`_post_guarded` routes rendezvous and
-  persistent posts through :meth:`_await_post` with an error callback:
-  an ``ERROR`` completion (fault-injected transaction error) re-posts the
-  descriptor after backoff instead of crashing the run.
+* **FMA/BTE post retry** — :meth:`_post` (the protocol core's ``post``
+  verb) watches each rendezvous / persistent post's local CQ: an ``ERROR``
+  completion (fault-injected transaction error) re-posts the descriptor
+  after backoff instead of crashing the run.
 * **Persistent-channel re-arm** — a failed persistent PUT may leave the
   pinned send window in an undefined state, so the retry first
   deregisters and re-registers the source buffer
@@ -31,16 +31,19 @@ the timer machinery, and the extra dispatch on the receive path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any
 
-from repro.converse.scheduler import Message, PE
+from repro.converse.scheduler import PE
 from repro.converse.timers import TimerService
 from repro.errors import UgniTransactionError
-from repro.lrts.messages import CHARM_SMALL_TAG, CONTROL_BYTES
-
-#: smsg tag for delivery acknowledgements (never wrapped, never retried:
-#: a lost ack is recovered by the sender's retransmit + receiver dedup)
-REL_ACK_TAG = 60
+from repro.lrts.messages import (
+    CHARM_SMALL_TAG,
+    CONTROL_BYTES,
+    REL_ACK_TAG,
+    TAG_STEPS,
+)
+from repro.ugni.cq import CompletionQueue
+from repro.ugni.types import CqEventKind
 
 
 @dataclass
@@ -228,91 +231,77 @@ class ReliabilityMixin:
         if pkt.tag == CHARM_SMALL_TAG:
             self.deliver(pe.rank, pkt.payload, recv_cpu=0.0)
         else:
-            self._dispatch_step(pe, self._step_for_tag(pkt.tag), pkt.payload)
+            self._steps[TAG_STEPS[pkt.tag]](pe, pkt.payload)
 
     # -- guarded FMA/BTE posts ------------------------------------------------
-    def _post_guarded(self, pe: PE, desc, on_done: Callable[[float], None],
-                      rearm: Optional[Callable[[PE, Any], None]] = None,
-                      on_failed: Optional[Callable[[PE, Exception], None]] = None,
-                      ) -> None:
-        """Post ``desc``, retrying on ``ERROR`` completions when enabled.
+    def _post(self, pe: PE, desc, done_step: str, failed_step: str,
+              state: Any, rearm: Any = None) -> None:
+        """Fabric port: post ``desc``; ``done_step`` runs on ``pe`` when its
+        local CQ fires.
 
-        Without reliability this is exactly the historical
-        ``_await_post`` + ``post_best`` + ``charge`` sequence (an error
-        completion then raises :class:`UgniTransactionError`).  With it,
-        each error re-posts after backoff, running ``rearm`` first when
-        given (persistent channels re-register their send window).
+        An ``ERROR`` completion (fault-injected transaction failure) raises
+        :class:`UgniTransactionError` without reliability — the documented
+        behaviour of a layer running without recovery enabled.  With it,
+        each error re-posts after backoff, first re-registering the send
+        window of the persistent channel ``rearm`` when one is given (a
+        failed PUT leaves the pinned window in an undefined state).
 
         When retries are exhausted the post is abandoned: ``post_failures``
-        is bumped and ``on_failed(pe, exc)`` runs in PE scheduler context
-        with a :class:`UgniTransactionError` describing the give-up, so the
-        initiating protocol step can release buffers and notify its peer
-        instead of leaking a waiter that never completes.  Passing
-        ``on_failed=None`` means the caller has no state to reclaim; the
-        abandonment is still counted and traced.
+        is bumped, the loss is traced (``post_give_up``, then the failed
+        step's own name) and ``failed_step`` runs in PE scheduler context —
+        it charges time and sends control messages, so not in this CQ
+        callback — to release buffers and notify the peer instead of
+        leaking a waiter that never completes.
         """
-        if not self._rel_on:
-            self._await_post(desc, on_done)
-            cpu = self.gni.rdma.post_best(pe.node.node_id, desc, at=pe.vtime)
-            pe.charge(cpu, "overhead")
-            return
-
-        attempts = [0]
+        attempts = 0
 
         def repost(pe2: PE) -> None:
             if rearm is not None:
-                rearm(pe2, desc)
+                self._persist_rearm(pe2, rearm, desc)
             cpu = self.gni.rdma.post_best(pe2.node.node_id, desc, at=pe2.vtime)
             pe2.charge(cpu, "overhead")
 
-        def on_error(t: float) -> None:
-            attempts[0] += 1
-            if attempts[0] > self.lcfg.max_retries:
+        def on_event(q: CompletionQueue) -> None:
+            nonlocal attempts
+            if q.get_event().kind is not CqEventKind.ERROR:
+                self._self_step(pe, done_step, state)
+                return
+            if not self._rel_on:
+                raise UgniTransactionError(
+                    f"post {desc.id} failed and reliability is disabled "
+                    f"(see UgniLayerConfig.reliability)")
+            attempts += 1
+            if attempts > self.lcfg.max_retries:
                 self.post_failures += 1
                 self._rel_trace("post_give_up", where=pe.rank,
-                                desc=desc.id, attempts=attempts[0])
-                if on_failed is not None:
-                    exc = UgniTransactionError(
-                        f"post {desc.id} abandoned after "
-                        f"{self.lcfg.max_retries} retries"
-                    )
-                    # the upcall must run in PE context (it charges time and
-                    # sends control messages), not in this CQ callback
-                    self._post_failed_upcall(pe, on_failed, exc)
+                                desc=desc.id, attempts=attempts)
+                self._rel_trace(failed_step, where=pe.rank)
+                self._self_step(pe, failed_step, state)
                 return
             self.post_retries += 1
             self._rel_trace("post_retry", where=pe.rank,
-                            desc=desc.id, attempt=attempts[0])
-            self._timers.call_after(self._rel_backoff(attempts[0]),
+                            desc=desc.id, attempt=attempts)
+            self._timers.call_after(self._rel_backoff(attempts),
                                     pe.rank, repost)
 
-        self._await_post(desc, on_done, on_error=on_error)
+        cq = CompletionQueue(self.machine.engine, capacity=1, name="post")
+        cq.on_event = on_event
+        desc.src_cq = cq
         cpu = self.gni.rdma.post_best(pe.node.node_id, desc, at=pe.vtime)
         pe.charge(cpu, "overhead")
 
-    def _post_failed_upcall(self, pe: PE,
-                            on_failed: Callable[[PE, Exception], None],
-                            exc: Exception) -> None:
-        pe.enqueue(
-            Message(handler=self._proto_hid, src_pe=pe.rank, dst_pe=pe.rank,
-                    nbytes=0, payload=("post_failed", (on_failed, exc))),
-            recv_cpu=self.cfg.cq_event_cpu,
-        )
-
-    def _on_post_failed(self, pe: PE, payload) -> None:
-        on_failed, exc = payload
-        on_failed(pe, exc)
-
     def _persist_rearm(self, pe: PE, handle, desc) -> None:
         """Re-register a persistent channel's send window after a failed PUT."""
-        impl = handle.impl
-        pe.charge(self.gni.MemDeregister(impl.src_handle), "overhead")
-        new_handle, cost = self.gni.MemRegister(impl.src_block)
+        chan = handle.impl
+        block, old_handle = chan.src_win
+        pe.charge(self.gni.MemDeregister(old_handle), "overhead")
+        new_handle, cost = self.gni.MemRegister(block)
         pe.charge(cost, "overhead")
         san = self.machine.sanitizer
         if san is not None:
-            san.root_region(new_handle, f"persistent[{handle.id}].src")
-        impl.src_handle = new_handle
+            san.root_region(new_handle,
+                            f"{self._persist_label}[{handle.id}].src")
+        chan.src_win = (block, new_handle)
         desc.local_mem = new_handle
         self.persistent_rearms += 1
         self._rel_trace("persist_rearm", where=pe.rank, channel=handle.id)

@@ -1,6 +1,11 @@
 """The layer registry: self-registration, lookup, config validation."""
 
+import ast
+import pathlib
+
 import pytest
+
+import repro.lrts
 
 from repro.errors import LrtsError
 from repro.hardware.config import MachineConfig
@@ -8,6 +13,30 @@ from repro.lrts.factory import make_machine, make_runtime
 from repro.lrts.registry import available_layers, build_layer, register_layer
 from repro.lrts.rdma_layer import RdmaLayerConfig
 from repro.lrts.ugni_layer import UgniLayerConfig
+
+
+class TestLayering:
+    def test_no_layer_package_imports_another(self):
+        """One fabric may not depend on another: what two layers share
+        lives in ``repro.lrts`` itself (protocols, intranode, messages)."""
+        root = pathlib.Path(repro.lrts.__file__).parent
+        layers = sorted(p.name for p in root.glob("*_layer") if p.is_dir())
+        assert {"ugni_layer", "mpi_layer", "rdma_layer"} <= set(layers)
+        crossings = []
+        for layer in layers:
+            for path in sorted((root / layer).rglob("*.py")):
+                for node in ast.walk(ast.parse(path.read_text())):
+                    if isinstance(node, ast.ImportFrom):
+                        names = [node.module or ""]
+                    elif isinstance(node, ast.Import):
+                        names = [alias.name for alias in node.names]
+                    else:
+                        continue
+                    crossings += [
+                        f"{path.relative_to(root)} imports {name}"
+                        for name in names for other in layers
+                        if other != layer and f"lrts.{other}" in name]
+        assert crossings == []
 
 
 class TestRegistry:

@@ -1,4 +1,4 @@
-"""The small-message path has a call budget, and a fault path.
+"""The message paths have call budgets, and a fault path.
 
 A 256 B kNeighbor message crosses the scheduler, the uGNI machine layer,
 SMSG, the NIC, the router and the CQ.  Host time on that path is dominated
@@ -7,13 +7,21 @@ repeatable (the simulation is deterministic and the counter sees every
 call), and it may only go down.  The chaos case drives the same path with
 SMSG drops and stalls injected, which is where the arrival still goes
 through per-message closures.
+
+The rendezvous path (256 KB) is pinned the same way on the two fabrics
+that run it through the shared protocol core (:mod:`repro.lrts.protocols`):
+the core may not cost an indirection per protocol step.
 """
 
 import sys
 
+import pytest
+
 from repro.apps.kneighbor import kneighbor
 from repro.faults import FaultConfig
+from repro.hardware.config import MachineConfig
 from repro.lrts.ugni_layer import UgniLayerConfig
+from repro.units import KB
 
 N_CORES, K, ITERS, WARMUP = 64, 4, 16, 3
 #: every core sends 2k messages and gets 2k ping-backs per iteration
@@ -21,6 +29,11 @@ APP_MSGS = N_CORES * 2 * K * 2 * (ITERS + WARMUP)
 #: Python calls inside ``repro`` per application message, machine set-up
 #: included; 66.5 before the path was flattened, ~40 after
 CALL_BUDGET = 48.0
+#: the same count for a 256 KB rendezvous message (iters=8, warmup=2):
+#: the count before the protocols were unified (157.2 uGNI, 115.8 RDMA on
+#: a dragonfly) rounded up; 148.2 and 115.8 after
+RNDV_ITERS, RNDV_WARMUP = 8, 2
+RNDV_BUDGETS = {"ugni": 158.0, "rdma": 116.0}
 
 
 def _repro_calls(fn, *args, **kwargs):
@@ -54,6 +67,24 @@ def test_small_message_call_budget():
     assert per_msg <= CALL_BUDGET, (
         f"{per_msg:.1f} Python calls per 256 B message "
         f"(budget {CALL_BUDGET}): the small-message path grew a layer")
+
+
+@pytest.mark.parametrize("layer", sorted(RNDV_BUDGETS))
+def test_rendezvous_call_budget(layer, monkeypatch):
+    # the budget is the hooks-off count: sanitizer / observer sites are
+    # is-None guards there, writers (extra calls) when switched on
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    monkeypatch.delenv("REPRO_OBSERVE", raising=False)
+    config = MachineConfig(topology="dragonfly") if layer == "rdma" else None
+    calls, res = _repro_calls(
+        kneighbor, 256 * KB, layer=layer, config=config, k=K,
+        n_cores=N_CORES, iters=RNDV_ITERS, warmup=RNDV_WARMUP)
+    app_msgs = N_CORES * 2 * K * 2 * (RNDV_ITERS + RNDV_WARMUP)
+    assert res.stats["rendezvous_sent"] == app_msgs
+    per_msg = calls / app_msgs
+    assert per_msg <= RNDV_BUDGETS[layer], (
+        f"{per_msg:.1f} Python calls per 256 KB message on {layer} "
+        f"(budget {RNDV_BUDGETS[layer]}): the rendezvous path grew a layer")
 
 
 def test_call_count_repeats_exactly():

@@ -3,12 +3,13 @@ terminate, be reported, and leak nothing.
 
 Regression tests for two silent-loss bugs:
 
-* ``_post_guarded`` used to abandon a post without telling anyone — the
-  initiating protocol step waited forever and its rendezvous buffers
-  leaked.  Now ``on_failed`` runs in PE context with a
-  :class:`UgniTransactionError`, ``post_failures``/``rndv_failed``/
-  ``persistent_failed`` are bumped, and both sides reclaim their buffers
-  (the :data:`RNDV_FAIL_TAG` control message).
+* the guarded post used to abandon a transfer without telling anyone —
+  the initiating protocol step waited forever and its rendezvous buffers
+  leaked.  Now the protocol's ``*_failed`` step runs in PE context,
+  ``post_failures``/``rndv_failed``/``persistent_failed`` are bumped, and
+  both sides reclaim their buffers (the ``rndv_fail`` control message).
+  The state machine is shared (:mod:`repro.lrts.protocols`), so
+  :class:`TestPostGiveUp` runs once per fabric that implements its port.
 * ``_rel_seen`` grew a per-pair seen-set forever; it is now a cumulative
   watermark plus a bounded out-of-order window (:class:`_RelRx`).
 """
@@ -25,18 +26,27 @@ from repro.lrts.ugni_layer import UgniLayerConfig
 from repro.lrts.ugni_layer.reliability import _RelRx
 from repro.sim.trace import TraceLog
 from repro.units import KB
+from tests._layers import (
+    BUDGET,
+    CONTROL_GIVEUPS,
+    GIVEUPS,
+    RETRIES,
+    giveup_config,
+    live_buffers,
+)
 
-#: small retry budget + fast backoff so give-up happens quickly
-FAST = dict(reliability=True, max_retries=3,
-            retry_backoff_base=2e-6, retry_backoff_max=8e-6)
 
-
-def make(layer_config, faults=None, seed=0):
-    m = Machine(n_nodes=4, config=tiny_config(cores_per_node=2),
+def make(layer_config, faults=None, seed=0, layer="ugni"):
+    m = Machine(n_nodes=4,
+                config=tiny_config(cores_per_node=2).replace(observe=True),
                 seed=seed, trace=TraceLog())
-    conv, layer = make_runtime(machine=m, n_pes=m.n_pes, layer="ugni",
+    conv, layer = make_runtime(machine=m, n_pes=m.n_pes, layer=layer,
                                layer_config=layer_config, faults=faults)
     return m, conv, layer
+
+
+def recoveries(m, event):
+    return m.observer.snapshot().get(f"counter/recovery/{event}", 0)
 
 
 class TestSmsgGiveUp:
@@ -44,7 +54,7 @@ class TestSmsgGiveUp:
         """100% drop: every packet exhausts max_retries; the run must
         still reach quiescence (no retry timer lives past the give-up)
         with every abandonment counted and the tx table empty."""
-        m, conv, layer = make(UgniLayerConfig(**FAST),
+        m, conv, layer = make(giveup_config("ugni"),
                               faults=FaultConfig(smsg_drop_rate=1.0))
         delivered = []
         h = conv.register_handler(lambda pe, msg: delivered.append(msg))
@@ -65,13 +75,18 @@ class TestSmsgGiveUp:
 
 
 class TestPostGiveUp:
+    layer = "ugni"
+
+    def make(self, **layer_kw):
+        return make(giveup_config(self.layer, **layer_kw), layer=self.layer,
+                    faults=FaultConfig(rdma_error_rate=1.0))
+
     @pytest.mark.parametrize("mode", ["get", "put"])
     def test_abandoned_rendezvous_reclaims_both_sides(self, mode):
-        """100% RDMA errors: the FMA/BTE post gives up, the failing side
-        reclaims its buffer and the RNDV_FAIL control message lets the
+        """100% RDMA errors: the one-sided post gives up, the failing side
+        reclaims its buffer and the ``rndv_fail`` control message lets the
         peer reclaim the one it pinned — nothing leaks, nothing hangs."""
-        m, conv, layer = make(UgniLayerConfig(rendezvous=mode, **FAST),
-                              faults=FaultConfig(rdma_error_rate=1.0))
+        m, conv, layer = self.make(rendezvous=mode)
         delivered = []
         h = conv.register_handler(lambda pe, msg: delivered.append(msg))
         sender = conv.register_handler(
@@ -79,22 +94,23 @@ class TestPostGiveUp:
         conv.send_from_outside(0, Message(sender, 0, 0, 0))
         m.engine.run(max_events=1_000_000)
         s = layer.stats()
-        assert s["post_failures"] == 1
-        assert s["post_retries"] == layer.lcfg.max_retries
+        assert s[GIVEUPS[self.layer]] == 1
+        assert s[RETRIES[self.layer]] == BUDGET
         assert s["rndv_failed"] == 1
         assert delivered == []  # lost and reported, not silently hung
-        assert s["pool_live_blocks"] == 0  # both sides reclaimed
-        assert s["pool_live_bytes"] == 0
-        assert m.trace.count("recovery", "post_give_up") == 1
-        assert s["rel_failed"] == 0  # control SMSGs were unaffected
+        assert live_buffers(layer) == 0  # both sides reclaimed
+        assert recoveries(m, f"{mode}_failed") == 1
+        assert s[CONTROL_GIVEUPS[self.layer]] == 0  # controls unaffected
         assert m.engine.peek() == float("inf")
+        if self.layer == "ugni":
+            assert s["pool_live_bytes"] == 0
+            assert m.trace.count("recovery", "post_give_up") == 1
 
     def test_abandoned_persistent_send_keeps_channel(self):
         """A persistent PUT that exhausts retries is counted as lost; the
         channel's pinned buffers persist by design (no leak of pool
         blocks, no dangling waiter)."""
-        m, conv, layer = make(UgniLayerConfig(**FAST),
-                              faults=FaultConfig(rdma_error_rate=1.0))
+        m, conv, layer = self.make()
         delivered = []
         h = conv.register_handler(lambda pe, msg: delivered.append(msg))
 
@@ -108,12 +124,63 @@ class TestPostGiveUp:
         m.engine.run(max_events=1_000_000)
         s = layer.stats()
         assert s["persistent_failed"] == 1
-        assert s["post_failures"] == 1
-        assert s["persistent_rearms"] == s["post_retries"] > 0
+        assert s[GIVEUPS[self.layer]] == 1
+        assert s[RETRIES[self.layer]] == BUDGET
         assert delivered == []
-        assert s["pool_live_blocks"] == 0
-        assert m.trace.count("recovery", "persist_send_failed") == 1
+        assert live_buffers(layer) == 0
+        assert recoveries(m, "persist_send_failed") == 1
         assert m.engine.peek() == float("inf")
+        if self.layer == "ugni":
+            assert s["persistent_rearms"] == s["post_retries"]
+            assert m.trace.count("recovery", "persist_send_failed") == 1
+
+    def test_late_rndv_fail_after_ack_releases_once(self):
+        """Hardening from unifying: the sender's ACK handler used to free
+        the send buffer without nulling the slot, so a late ``rndv_fail``
+        for the same transfer freed it twice.  Every release now guards
+        and nulls."""
+        m, conv, layer = make(None, layer=self.layer)
+        acked = []
+        on_ack = layer._steps["ack"]
+        layer._steps["ack"] = lambda pe, st: (on_ack(pe, st), acked.append(st))
+        h = conv.register_handler(lambda pe, msg: None)
+        sender = conv.register_handler(
+            lambda pe, msg: conv.send(pe, 2, Message(h, pe.rank, 2, 64 * KB)))
+        conv.send_from_outside(0, Message(sender, 0, 0, 0))
+        conv.run()
+        (state,) = acked
+        assert state.src is None and live_buffers(layer) == 0
+        layer._self_step(conv.pes[0], "rndv_fail", state)
+        conv.run()  # a double free raises MemoryError_
+        assert live_buffers(layer) == 0
+
+
+class TestPostGiveUpRdma(TestPostGiveUp):
+    layer = "rdma"
+
+    def test_ack_leaves_before_an_evicting_release(self):
+        """The core sends the control message, *then* releases (paper
+        Fig. 5).  On this fabric that is observable only when the release
+        has to evict from the pin-down cache: the eviction cost must land
+        after the ACK was posted, not delay it."""
+        cfg = tiny_config(cores_per_node=2).replace(rdma_pin_cache_bytes=1 * KB)
+        conv, layer = make_runtime(n_nodes=4, config=cfg, layer="rdma")
+        log = []
+        control, release = layer._control, layer._release
+        layer._control = lambda pe, dst, step, st: (
+            log.append((step, pe.vtime)), control(pe, dst, step, st))
+        layer._release = lambda pe, buf: (
+            release(pe, buf), log.append(("released", pe.vtime)))
+        h = conv.register_handler(lambda pe, msg: None)
+        sender = conv.register_handler(
+            lambda pe, msg: conv.send(pe, 2, Message(h, pe.rank, 2, 64 * KB)))
+        conv.send_from_outside(0, Message(sender, 0, 0, 0))
+        conv.run()
+        assert layer.stats()["pin_evictions"] == 2  # both releases evicted
+        (_, t_init), (_, t_ack), (_, t_freed), _ = log
+        assert [name for name, _ in log] == [
+            "init", "ack", "released", "released"]
+        assert t_freed > t_ack  # the eviction was charged after the post
 
 
 class TestDedupWindow:

@@ -11,7 +11,7 @@ import pytest
 
 from repro import sanitize
 from repro.converse.quiescence import QuiescenceDetector
-from repro.converse.scheduler import ConverseRuntime, Message
+from repro.converse.scheduler import Message
 from repro.errors import (
     LrtsError,
     MemoryError_,
@@ -21,13 +21,13 @@ from repro.errors import (
 from repro.hardware import Machine
 from repro.hardware.config import tiny as tiny_config
 from repro.lrts.factory import make_runtime
-from repro.lrts.ugni_layer import UgniMachineLayer
 from repro.memory.mempool import MemoryPool
 from repro.memory.regcache import RegistrationCache
 from repro.ugni.api import GniJob
 from repro.ugni.rdma import PostDescriptor
 from repro.ugni.types import PostType
 from repro.units import KB
+from tests._layers import registered_bytes
 
 
 def san_job(n_nodes=2):
@@ -36,13 +36,11 @@ def san_job(n_nodes=2):
     return m, GniJob(m)
 
 
-def san_runtime(n_nodes=2):
+def san_runtime(n_nodes=2, layer="ugni"):
     cfg = tiny_config(cores_per_node=1).replace(sanitize=True)
     m = Machine(n_nodes=n_nodes, config=cfg, seed=0)
-    conv = ConverseRuntime(m)
-    layer = UgniMachineLayer(m)
-    conv.attach_lrts(layer)
-    return m, conv, layer
+    conv, lrts = make_runtime(machine=m, layer=layer)
+    return m, conv, lrts
 
 
 def kinds(m):
@@ -279,10 +277,13 @@ class TestMempoolFixes:
 class TestPersistentFixes:
     """Bugfix: destroy_persistent freed the pinned send window under an
     in-flight PUT and leaked the receiver buffer when called before the
-    handshake answered."""
+    handshake answered.  The channel state machine is shared
+    (repro.lrts.protocols): the rdma subclass below runs the same cases."""
+
+    layer = "ugni"
 
     def test_destroy_with_put_in_flight_is_deferred(self):
-        m, conv, layer = san_runtime()
+        m, conv, layer = san_runtime(layer=self.layer)
         got = []
         h_sink = conv.register_handler(lambda pe, msg: got.append(msg.payload))
         state = {}
@@ -296,7 +297,7 @@ class TestPersistentFixes:
                 pe, h, Message(h_sink, 0, 1, 32 * KB, payload="last"))
             layer.destroy_persistent(pe, h)      # PUT still in flight
             assert h.impl.closing
-            assert h.impl.src_block is not None  # teardown deferred
+            assert h.impl.src_win is not None    # teardown deferred
             layer.destroy_persistent(pe, h)      # idempotent
             with pytest.raises(LrtsError):
                 layer.send_persistent(pe, h, Message(h_sink, 0, 1, 1 * KB))
@@ -309,32 +310,30 @@ class TestPersistentFixes:
         conv.run()
         assert got == ["last"]                   # the in-flight send landed
         assert not layer._persistent
-        for table in layer.gni.registrations.values():
-            assert table.registered_bytes == 0   # both windows released
+        assert registered_bytes(layer) == 0      # both windows released
         assert m.sanitizer.violations == []
 
     def test_destroy_before_ready_is_deferred(self):
-        m, conv, layer = san_runtime()
+        m, conv, layer = san_runtime(layer=self.layer)
         state = {}
 
         def starter(pe, msg):
             h = state["h"] = layer.create_persistent(pe, 1, 64 * KB)
             layer.destroy_persistent(pe, h)      # handshake not answered yet
             assert h.impl.closing
-            assert h.impl.src_block is not None
+            assert h.impl.src_win is not None
 
         h1 = conv.register_handler(starter)
         conv.send_from_outside(0, Message(h1, 0, 0, 0))
         conv.run()
-        # the deferred teardown completed once PERSIST_READY arrived,
+        # the deferred teardown completed once persist_ready arrived,
         # releasing the receiver-side buffer the old code leaked
         assert not layer._persistent
-        for table in layer.gni.registrations.values():
-            assert table.registered_bytes == 0
+        assert registered_bytes(layer) == 0
         assert m.sanitizer.violations == []
 
     def test_destroy_with_queued_sends_still_rejected(self):
-        m, conv, layer = san_runtime()
+        m, conv, layer = san_runtime(layer=self.layer)
         h_sink = conv.register_handler(lambda pe, msg: None)
 
         def starter(pe, msg):
@@ -346,6 +345,10 @@ class TestPersistentFixes:
         h1 = conv.register_handler(starter)
         conv.send_from_outside(0, Message(h1, 0, 0, 0))
         conv.run()
+
+
+class TestPersistentFixesRdma(TestPersistentFixes):
+    layer = "rdma"
 
 
 class TestQuiescenceFix:

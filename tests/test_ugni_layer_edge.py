@@ -8,14 +8,15 @@ from repro.lrts.factory import make_runtime
 from repro.lrts.ugni_layer import UgniLayerConfig
 from repro.lrts.ugni_layer.config import initial_design
 from repro.units import KB, MB
+from tests._layers import registered_bytes
 
 
-def runtime(**layer_kw):
+def runtime(layer="ugni", **layer_kw):
     cfg_kw = layer_kw.pop("machine", {})
     cfg = tiny_config(cores_per_node=1)
     if cfg_kw:
         cfg = cfg.replace(**cfg_kw)
-    return make_runtime(n_pes=4, layer="ugni", config=cfg,
+    return make_runtime(n_pes=4, layer=layer, config=cfg,
                         layer_config=UgniLayerConfig(**layer_kw)
                         if layer_kw else None)
 
@@ -142,8 +143,12 @@ class TestMsgqPath:
 
 
 class TestPersistentEdge:
+    #: the channel state machine is shared (repro.lrts.protocols): the
+    #: rdma subclass below runs the same cases on the other fabric
+    layer = "ugni"
+
     def test_teardown_releases_buffers(self):
-        conv, layer = runtime()
+        conv, layer = runtime(self.layer)
         state = {}
 
         def setup(pe, msg):
@@ -158,13 +163,12 @@ class TestPersistentEdge:
         conv.run(max_events=10**5)
         conv.send_from_outside(0, Message(h2, 0, 0, 0), at=conv.engine.now)
         conv.run(max_events=10**5)
-        for table in layer.gni.registrations.values():
-            assert table.registered_bytes == 0
+        assert registered_bytes(layer) == 0
 
     def test_persistent_wrong_owner_rejected(self):
         from repro.errors import LrtsError
 
-        conv, layer = runtime()
+        conv, layer = runtime(self.layer)
 
         def bad(pe, msg):
             h = layer.create_persistent(pe, 1, 1 * KB)
@@ -175,3 +179,7 @@ class TestPersistentEdge:
         hid = conv.register_handler(bad)
         conv.send_from_outside(0, Message(hid, 0, 0, 0))
         conv.run(max_events=10**5)
+
+
+class TestPersistentEdgeRdma(TestPersistentEdge):
+    layer = "rdma"
