@@ -9,6 +9,26 @@ import numpy as np
 from repro.errors import CharmError
 
 
+def _sz(v: Any) -> int:
+    """Structural size of one marshalled value (module-level: a recursive
+    local function would be a function/cell cycle built on every call)."""
+    if v is None or isinstance(v, bool):
+        return 1
+    if isinstance(v, (int, float, complex)):
+        return 8
+    if isinstance(v, str):
+        return len(v)
+    if isinstance(v, (bytes, bytearray)):
+        return len(v)
+    if isinstance(v, np.ndarray):
+        return int(v.nbytes)
+    if isinstance(v, (list, tuple, set)):
+        return 16 + sum(_sz(x) for x in v)
+    if isinstance(v, dict):
+        return 16 + sum(_sz(k) + _sz(x) for k, x in v.items())
+    return 64
+
+
 def estimate_size(args: tuple, kwargs: dict) -> int:
     """Wire-size estimate for marshalled entry-method arguments.
 
@@ -16,25 +36,7 @@ def estimate_size(args: tuple, kwargs: dict) -> int:
     everything else gets a structural estimate (the real runtime's PUP
     sizing, approximated).
     """
-
-    def sz(v: Any) -> int:
-        if v is None or isinstance(v, bool):
-            return 1
-        if isinstance(v, (int, float, complex)):
-            return 8
-        if isinstance(v, str):
-            return len(v)
-        if isinstance(v, (bytes, bytearray)):
-            return len(v)
-        if isinstance(v, np.ndarray):
-            return int(v.nbytes)
-        if isinstance(v, (list, tuple, set)):
-            return 16 + sum(sz(x) for x in v)
-        if isinstance(v, dict):
-            return 16 + sum(sz(k) + sz(x) for k, x in v.items())
-        return 64
-
-    return 16 + sz(list(args)) + sz(kwargs)
+    return 16 + _sz(list(args)) + _sz(kwargs)
 
 
 class Chare:

@@ -68,6 +68,31 @@ class NodeMemory:
         if nbytes <= 0:
             raise MemoryError_(f"malloc of non-positive size {nbytes}")
         need = -(-nbytes // self.ALIGN) * self.ALIGN
+        addr = self.take(need)
+        if addr < 0:
+            raise MemoryError_(
+                f"node {self.node_id} out of memory: need {need}, "
+                f"used {self.used}/{self.capacity}"
+            )
+        return MemoryBlock(addr, need, self.node_id)
+
+    def free(self, block: MemoryBlock) -> None:
+        """Return a block; coalesces with adjacent free ranges."""
+        if block.node_id != self.node_id:
+            raise MemoryError_(
+                f"freeing block of node {block.node_id} on node {self.node_id}"
+            )
+        if block.freed:
+            raise MemoryError_(f"double free of {block!r}")
+        block.freed = True
+        self.give(block.addr, block.size)
+
+    # -- the free list itself: ranges, no block objects ------------------------
+    def take(self, need: int) -> int:
+        """Carve ``need`` bytes (a multiple of :data:`ALIGN`) out of the
+        first free range that fits; returns its address, or -1 when none
+        does.  :meth:`malloc` without the block object — the message pool
+        keeps its own per-allocation record."""
         for i, size in enumerate(self._free_sizes):
             if size >= need:
                 addr = self._free_addrs[i]
@@ -79,25 +104,14 @@ class NodeMemory:
                     self._free_sizes[i] = size - need
                 self.used += need
                 self.total_allocs += 1
-                return MemoryBlock(addr, need, self.node_id)
-        raise MemoryError_(
-            f"node {self.node_id} out of memory: need {need}, "
-            f"used {self.used}/{self.capacity}"
-        )
+                return addr
+        return -1
 
-    def free(self, block: MemoryBlock) -> None:
-        """Return a block; coalesces with adjacent free ranges."""
-        if block.node_id != self.node_id:
-            raise MemoryError_(
-                f"freeing block of node {block.node_id} on node {self.node_id}"
-            )
-        if block.freed:
-            raise MemoryError_(f"double free of {block!r}")
-        block.freed = True
-        self.used -= block.size
+    def give(self, addr: int, size: int) -> None:
+        """Return ``[addr, addr + size)``, a range :meth:`take` handed out,
+        coalescing with adjacent free ranges."""
+        self.used -= size
         self.total_frees += 1
-
-        addr, size = block.addr, block.size
         i = bisect.bisect_left(self._free_addrs, addr)
         # coalesce with predecessor
         if i > 0 and self._free_addrs[i - 1] + self._free_sizes[i - 1] == addr:

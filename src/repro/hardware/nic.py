@@ -20,6 +20,10 @@ schedule completion callbacks on the engine:
 * ``on_remote_data(t)`` — last byte landed in remote memory (PUT / SMSG);
 * ``on_local_cq(t)`` — local completion event (source buffer reusable for
   PUT, data landed locally for GET).
+
+Every callback may come with arguments, appended after ``t`` — callers on
+a hot path pass a bound method plus its arguments instead of building a
+closure per transfer.
 """
 
 from __future__ import annotations
@@ -111,23 +115,27 @@ class GeminiNIC:
         kind: TransferKind,
         peer_coord: Coord,
         nbytes: int,
-        on_local_cq: Optional[Callable[[float], None]] = None,
-        on_remote_data: Optional[Callable[[float], None]] = None,
+        on_local_cq: Optional[Callable[..., None]] = None,
+        on_remote_data: Optional[Callable[..., None]] = None,
         at: Optional[float] = None,
+        local_args: tuple = (),
+        remote_args: tuple = (),
     ) -> float:
         """Execute a one-sided transfer; returns issuing-core CPU time.
 
         For PUT, data flows ``self -> peer``; for GET, ``peer -> self``.
         The remote side gets no event for a GET of its memory — which is
         exactly why the paper's GET-based rendezvous needs an ACK_TAG
-        SMSG (§III.C).
+        SMSG (§III.C).  The callbacks fire as ``on_local_cq(t,
+        *local_args)`` / ``on_remote_data(t, *remote_args)``.
         """
         cfg = self.config
         now = self.engine.now if at is None else at
         self.rdma_posted += 1
         # event routing for sharded engines: data-arrival callbacks fire
         # on the node where the data lands, completion CQs on this node
-        peer_node = self.network.topology.id_of(peer_coord)
+        if on_remote_data is not None:
+            peer_node = self.network.topology.id_of(peer_coord)
 
         if kind is TransferKind.FMA_PUT:
             cpu = cfg.fma_issue_cpu + nbytes / cfg.fma_put_bandwidth
@@ -137,10 +145,12 @@ class GeminiNIC:
             )
             arrive = timing.arrival
             if on_remote_data is not None:
-                self.engine.post_at_node(peer_node, arrive, on_remote_data, arrive)
+                self.engine.post_at_node(peer_node, arrive, on_remote_data,
+                                         arrive, *remote_args)
             if on_local_cq is not None:
                 t_cq = arrive + cfg.nic_latency + timing.hops * cfg.hop_latency
-                self.engine.post_at_node(self.node_id, t_cq, on_local_cq, t_cq)
+                self.engine.post_at_node(self.node_id, t_cq, on_local_cq, t_cq,
+                                         *local_args)
             return cpu
 
         if kind is TransferKind.FMA_GET:
@@ -154,10 +164,12 @@ class GeminiNIC:
             )
             arrive = timing.arrival
             if on_remote_data is not None:  # pragma: no cover - GETs don't notify
-                self.engine.post_at_node(peer_node, arrive, on_remote_data, arrive)
+                self.engine.post_at_node(peer_node, arrive, on_remote_data,
+                                         arrive, *remote_args)
             if on_local_cq is not None:
                 t_cq = arrive + cfg.cq_event_cpu
-                self.engine.post_at_node(self.node_id, t_cq, on_local_cq, t_cq)
+                self.engine.post_at_node(self.node_id, t_cq, on_local_cq, t_cq,
+                                         *local_args)
             return cpu
 
         # BTE: post descriptor, engine does the work
@@ -178,9 +190,11 @@ class GeminiNIC:
             local_cq = arrive + cfg.cq_event_cpu
         self.bte_available_at = start + setup + nbytes / bw
         if on_remote_data is not None and kind is TransferKind.BTE_PUT:
-            self.engine.post_at_node(peer_node, arrive, on_remote_data, arrive)
+            self.engine.post_at_node(peer_node, arrive, on_remote_data, arrive,
+                                     *remote_args)
         if on_local_cq is not None:
-            self.engine.post_at_node(self.node_id, local_cq, on_local_cq, local_cq)
+            self.engine.post_at_node(self.node_id, local_cq, on_local_cq,
+                                     local_cq, *local_args)
         return cpu
 
     def failed_transfer(
@@ -188,7 +202,8 @@ class GeminiNIC:
         kind: TransferKind,
         peer_coord: Coord,
         nbytes: int,
-        on_error: Callable[[float], None],
+        on_error: Callable[..., None],
+        *args: Any,
         frac: float = 0.5,
         at: Optional[float] = None,
     ) -> float:
@@ -196,9 +211,9 @@ class GeminiNIC:
 
         Models ``GNI_RC_TRANSACTION_ERROR``: a fraction ``frac`` of the
         payload occupies the wire (real faults burn real bandwidth before
-        the NIC notices), then the error completion comes back to the
-        initiator after the usual CQ round trip.  Returns issuing-core CPU
-        time, mirroring :meth:`post_transfer`.
+        the NIC notices), then the error completion ``on_error(t, *args)``
+        comes back to the initiator after the usual CQ round trip.  Returns
+        issuing-core CPU time, mirroring :meth:`post_transfer`.
         """
         cfg = self.config
         now = self.engine.now if at is None else at
@@ -223,7 +238,7 @@ class GeminiNIC:
             self.bte_available_at = start + setup + wasted / bw
         t_err = timing.arrival + cfg.nic_latency + timing.hops * cfg.hop_latency
         # the error CQ event comes back to the initiating node
-        self.engine.post_at_node(self.node_id, t_err, on_error, t_err)
+        self.engine.post_at_node(self.node_id, t_err, on_error, t_err, *args)
         return cpu
 
     def best_kind(self, nbytes: int, put: bool) -> TransferKind:

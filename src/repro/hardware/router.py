@@ -182,7 +182,8 @@ class TorusNetwork:
         One pass: per hop, look the candidates up, pick one (the first in
         deterministic mode; the least-backlogged, ties to the earlier
         direction, in adaptive mode) and reserve its link — inline for a
-        healthy single-lane link, through :meth:`Link.reserve` otherwise.
+        healthy link (single-lane hops, multi-lane NIC ports), through
+        :meth:`Link.reserve` for a faulted or multi-lane hop.
         """
         cfg = self.config
         min_occ = cfg.nic_msg_gap if min_occupancy is None else min_occupancy
@@ -192,7 +193,20 @@ class TorusNetwork:
         inj = self._inject.get(src)
         if inj is None:
             inj = self.injection_port(src)
-        _, t = inj.reserve(now, nbytes, min_occ)
+        if inj.state == "up":
+            # Link.reserve on the least-busy lane, minus the call
+            lanes = inj._lanes
+            free = min(lanes)
+            start = free if free > now else now
+            occupancy = nbytes / inj.bandwidth
+            if occupancy < min_occ:
+                occupancy = min_occ
+            lanes[lanes.index(free)] = start + occupancy
+            inj.bytes_carried += nbytes
+            inj.transfers += 1
+            t = start + inj.latency
+        else:
+            _, t = inj.reserve(now, nbytes, min_occ)
         depart = t
 
         hops = 0
@@ -243,7 +257,19 @@ class TorusNetwork:
         ej = self._eject.get(dst)
         if ej is None:
             ej = self.ejection_port(dst)
-        _, t = ej.reserve(t, nbytes, min_occ)
+        if ej.state == "up":
+            lanes = ej._lanes
+            free = min(lanes)
+            start = free if free > t else t
+            occupancy = nbytes / ej.bandwidth
+            if occupancy < min_occ:
+                occupancy = min_occ
+            lanes[lanes.index(free)] = start + occupancy
+            ej.bytes_carried += nbytes
+            ej.transfers += 1
+            t = start + ej.latency
+        else:
+            _, t = ej.reserve(t, nbytes, min_occ)
         head_arrival = t
 
         path_bw = cfg.link_bandwidth

@@ -64,6 +64,8 @@ class UgniMachineLayer(ReliabilityMixin, ProtocolCore, IntranodeMixin,
         #: sends blocked on SMSG credits, per (src_rank, dst_rank)
         self._pending: dict[tuple[int, int], deque] = {}
         self._hooked_rx: set[int] = set()
+        #: the one post (TX completion) CQ of each PE, created on first post
+        self._post_cqs: dict[int, CompletionQueue] = {}
         self._hooked_msgq_nodes: set[int] = set()
         # counters
         self.small_sent = 0

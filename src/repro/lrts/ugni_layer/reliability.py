@@ -15,9 +15,9 @@ module loaded.  Three mechanisms:
   ``UgniLayerConfig.max_retries`` attempts the packet is abandoned and
   counted in ``rel_failed``.
 * **FMA/BTE post retry** — :meth:`_post` (the protocol core's ``post``
-  verb) watches each rendezvous / persistent post's local CQ: an ``ERROR``
-  completion (fault-injected transaction error) re-posts the descriptor
-  after backoff instead of crashing the run.
+  verb) completes every rendezvous / persistent post through the PE's one
+  post CQ: an ``ERROR`` completion (fault-injected transaction error)
+  re-posts the descriptor after backoff instead of crashing the run.
 * **Persistent-channel re-arm** — a failed persistent PUT may leave the
   pinned send window in an undefined state, so the retry first
   deregisters and re-registers the source buffer
@@ -237,7 +237,13 @@ class ReliabilityMixin:
     def _post(self, pe: PE, desc, done_step: str, failed_step: str,
               state: Any, rearm: Any = None) -> None:
         """Fabric port: post ``desc``; ``done_step`` runs on ``pe`` when its
-        local CQ fires.
+        local completion arrives on the PE's post CQ.
+
+        The continuation rides in ``desc.context`` as ``(pe, done_step,
+        failed_step, state, rearm, attempts)`` and the CQ hands the
+        descriptor back with the event (``GNI_GetCompleted``), so a post
+        allocates no CQ and no closure, and nothing it leaves behind
+        points back at the descriptor (DESIGN §16).
 
         An ``ERROR`` completion (fault-injected transaction failure) raises
         :class:`UgniTransactionError` without reliability — the documented
@@ -249,44 +255,51 @@ class ReliabilityMixin:
         When retries are exhausted the post is abandoned: ``post_failures``
         is bumped, the loss is traced (``post_give_up``, then the failed
         step's own name) and ``failed_step`` runs in PE scheduler context —
-        it charges time and sends control messages, so not in this CQ
+        it charges time and sends control messages, so not in the CQ
         callback — to release buffers and notify the peer instead of
         leaking a waiter that never completes.
         """
-        attempts = 0
-
-        def repost(pe2: PE) -> None:
-            if rearm is not None:
-                self._persist_rearm(pe2, rearm, desc)
-            cpu = self.gni.rdma.post_best(pe2.node.node_id, desc, at=pe2.vtime)
-            pe2.charge(cpu, "overhead")
-
-        def on_event(q: CompletionQueue) -> None:
-            nonlocal attempts
-            if q.get_event().kind is not CqEventKind.ERROR:
-                self._self_step(pe, done_step, state)
-                return
-            if not self._rel_on:
-                raise UgniTransactionError(
-                    f"post {desc.id} failed and reliability is disabled "
-                    f"(see UgniLayerConfig.reliability)")
-            attempts += 1
-            if attempts > self.lcfg.max_retries:
-                self.post_failures += 1
-                self._rel_trace("post_give_up", where=pe.rank,
-                                desc=desc.id, attempts=attempts)
-                self._rel_trace(failed_step, where=pe.rank)
-                self._self_step(pe, failed_step, state)
-                return
-            self.post_retries += 1
-            self._rel_trace("post_retry", where=pe.rank,
-                            desc=desc.id, attempt=attempts)
-            self._timers.call_after(self._rel_backoff(attempts),
-                                    pe.rank, repost)
-
-        cq = CompletionQueue(self.machine.engine, capacity=1, name="post")
-        cq.on_event = on_event
+        cq = self._post_cqs.get(pe.rank)
+        if cq is None:
+            # one TX completion queue per PE, like the real layer's
+            # post_tx_cqh; drained on every push, so it never fills
+            cq = self._post_cqs[pe.rank] = CompletionQueue(
+                self.machine.engine, name="post")
+            cq.on_event = self._on_post_event
         desc.src_cq = cq
+        desc.context = (pe, done_step, failed_step, state, rearm, 0)
+        cpu = self.gni.rdma.post_best(pe.node.node_id, desc, at=pe.vtime)
+        pe.charge(cpu, "overhead")
+
+    def _on_post_event(self, cq: CompletionQueue) -> None:
+        entry = cq.get_event()
+        desc = entry.data
+        pe, done_step, failed_step, state, rearm, attempts = desc.context
+        if entry.kind is not CqEventKind.ERROR:
+            self._self_step(pe, done_step, state)
+            return
+        if not self._rel_on:
+            raise UgniTransactionError(
+                f"post {desc.id} failed and reliability is disabled "
+                f"(see UgniLayerConfig.reliability)")
+        attempts += 1
+        if attempts > self.lcfg.max_retries:
+            self.post_failures += 1
+            self._rel_trace("post_give_up", where=pe.rank,
+                            desc=desc.id, attempts=attempts)
+            self._rel_trace(failed_step, where=pe.rank)
+            self._self_step(pe, failed_step, state)
+            return
+        desc.context = (pe, done_step, failed_step, state, rearm, attempts)
+        self.post_retries += 1
+        self._rel_trace("post_retry", where=pe.rank,
+                        desc=desc.id, attempt=attempts)
+        self._timers.call_after(self._rel_backoff(attempts), pe.rank,
+                                lambda pe2: self._repost(pe2, desc, rearm))
+
+    def _repost(self, pe: PE, desc, rearm: Any) -> None:
+        if rearm is not None:
+            self._persist_rearm(pe, rearm, desc)
         cpu = self.gni.rdma.post_best(pe.node.node_id, desc, at=pe.vtime)
         pe.charge(cpu, "overhead")
 

@@ -11,7 +11,8 @@ The pool owns one or more *arenas*.  Each arena is a block of real node
 memory registered once with uGNI; allocations inside an arena are served by
 a first-fit free list and inherit the arena's :class:`MemHandle`, so the
 rendezvous protocol can RDMA directly into/out of pool blocks with no
-per-message registration.
+per-message registration.  An allocation is one :class:`PoolBlock` and one
+range taken from its arena; a free gives the range back.
 
 Cost model: ``alloc``/``free`` return ``mempool_alloc_cpu`` /
 ``mempool_free_cpu`` (sub-microsecond constant work), versus
@@ -28,24 +29,25 @@ from repro.hardware.memory import MemoryBlock, NodeMemory
 from repro.ugni.api import GniJob
 from repro.ugni.memreg import MemHandle
 
+_ALIGN = NodeMemory.ALIGN
+
 
 class PoolBlock:
-    """An allocation served from the pool.
+    """An allocation served from the pool: the one object made per alloc.
 
     Carries the covering arena's registration handle (:attr:`mem_handle`),
     which is what makes zero-registration RDMA possible.
     """
 
-    __slots__ = ("addr", "size", "node_id", "mem_handle", "_arena", "_inner", "freed")
+    __slots__ = ("addr", "size", "node_id", "mem_handle", "_arena", "freed")
 
     def __init__(self, addr: int, size: int, node_id: int, mem_handle: MemHandle,
-                 arena: "_Arena", inner: MemoryBlock):
+                 arena: "_Arena"):
         self.addr = addr
         self.size = size
         self.node_id = node_id
         self.mem_handle = mem_handle
         self._arena = arena
-        self._inner = inner
         self.freed = False
 
     @property
@@ -63,18 +65,10 @@ class _Arena:
     def __init__(self, block: MemoryBlock, handle: MemHandle):
         self.block = block
         self.handle = handle
-        # Reuse the node allocator algorithm for the interior of the slab.
+        self.base = block.addr
+        # Reuse the node allocator algorithm for the interior of the slab:
+        # the pool takes and gives back bare ranges of it.
         self.alloc = NodeMemory(block.node_id, block.size)
-
-    @property
-    def base(self) -> int:
-        return self.block.addr
-
-    def try_alloc(self, nbytes: int) -> Optional[MemoryBlock]:
-        try:
-            return self.alloc.malloc(nbytes)
-        except MemoryError_:
-            return None
 
 
 class MemoryPool:
@@ -141,51 +135,44 @@ class MemoryPool:
         """
         if nbytes <= 0:
             raise MemoryError_(f"pool alloc of non-positive size {nbytes}")
+        need = -(-nbytes // _ALIGN) * _ALIGN
         cost = self.config.mempool_alloc_cpu
         for arena in self.arenas:
-            inner = arena.try_alloc(nbytes)
-            if inner is not None:
-                return self._wrap(arena, inner), cost
-        # overflow: expand with an arena big enough for the request
-        grow = max(self.expand_bytes, 2 * nbytes)
-        cost += self._add_arena(grow)
-        self.expansions += 1
-        arena = self.arenas[-1]
-        inner = arena.try_alloc(nbytes)
-        assert inner is not None, "fresh arena must satisfy the allocation"
-        return self._wrap(arena, inner), cost
-
-    def _wrap(self, arena: _Arena, inner: MemoryBlock) -> PoolBlock:
+            offset = arena.alloc.take(need)
+            if offset >= 0:
+                break
+        else:
+            # overflow: expand with an arena big enough for the request
+            grow = max(self.expand_bytes, 2 * nbytes)
+            cost += self._add_arena(grow)
+            self.expansions += 1
+            arena = self.arenas[-1]
+            offset = arena.alloc.take(need)
+            assert offset >= 0, "fresh arena must satisfy the allocation"
         self.live_blocks += 1
-        self.live_bytes += inner.size
+        self.live_bytes += need
         self.total_allocs += 1
-        block = PoolBlock(
-            addr=arena.base + inner.addr,
-            size=inner.size,
-            node_id=self.node_id,
-            mem_handle=arena.handle,
-            arena=arena,
-            inner=inner,
-        )
+        block = PoolBlock(arena.base + offset, need, self.node_id,
+                          arena.handle, arena)
         if self._san is not None:
             self._san.on_pool_alloc(self, block)
-        return block
+        return block, cost
 
     def free(self, block: PoolBlock) -> float:
         """Return a block to its arena; returns cpu cost.
 
         Rejects double frees and blocks that belong to a different pool (or
-        to an arena this pool already released) — handing a foreign block to
-        ``NodeMemory.free`` would corrupt the arena free list.  An expansion
-        arena that empties out is returned to the node, so transient bursts
-        do not pin registered memory forever.
+        to an arena this pool already released) — giving a foreign range
+        back would corrupt the arena free list.  An expansion arena that
+        empties out is returned to the node, so transient bursts do not pin
+        registered memory forever.
         """
         if block.freed:
             if self._san is not None:
                 self._san.on_pool_double_free(self, block)
             raise MemoryError_(f"double free of {block!r}")
         arena = block._arena
-        if not any(a is arena for a in self.arenas):
+        if arena not in self.arenas:  # arenas compare by identity
             if self._san is not None:
                 self._san.on_pool_foreign_free(self, block)
             raise MemoryError_(
@@ -194,7 +181,7 @@ class MemoryPool:
         if self._san is not None:
             self._san.on_pool_free(self, block)
         block.freed = True
-        arena.alloc.free(block._inner)
+        arena.alloc.give(block.addr - arena.base, block.size)
         self.live_blocks -= 1
         self.live_bytes -= block.size
         cost = self.config.mempool_free_cpu

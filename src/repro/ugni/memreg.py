@@ -112,7 +112,7 @@ class RegistrationTable:
             )
         if not handle.valid:
             raise UgniNotRegistered(f"transaction against deregistered {handle!r}")
-        if not handle.covers(addr, nbytes):
+        if addr < handle.addr or addr + nbytes > handle.addr + handle.length:
             raise UgniNotRegistered(
                 f"[{addr:#x}+{nbytes}] outside registered {handle!r}"
             )

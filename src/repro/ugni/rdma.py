@@ -11,12 +11,16 @@ completion events:
 * for PUT, a ``REMOTE_DATA`` entry on the destination region's CQ (if the
   registration supplied one).  A GET produces **no** remote event — the
   uGNI property that forces the paper's ACK_TAG message.
+
+Completions are bound methods plus arguments handed to the NIC, never
+closures: nothing a post schedules holds a cell that points back at its
+descriptor, so a completed descriptor is freed by reference counting
+(DESIGN §16, "the large-message path").
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.errors import UgniInvalidParam
@@ -29,31 +33,42 @@ from repro.ugni.types import CqEventKind, PostType
 _desc_ids = itertools.count()
 
 
-@dataclass
 class PostDescriptor:
     """Everything GNI needs to execute one FMA/BTE transaction."""
 
-    post_type: PostType
-    local_mem: MemHandle
-    remote_mem: MemHandle
-    length: int
-    local_addr: Optional[int] = None  # defaults to region start
-    remote_addr: Optional[int] = None
-    #: CQ for the local POST_DONE event
-    src_cq: Optional[CompletionQueue] = None
-    #: force BTE ('rdma') or FMA ('fma'); None = size-based choice
-    channel: Optional[str] = None
-    #: opaque context returned in the completion event (first_operand in GNI)
-    context: Any = None
-    id: int = field(default_factory=lambda: next(_desc_ids))
+    __slots__ = ("post_type", "local_mem", "remote_mem", "length",
+                 "local_addr", "remote_addr", "src_cq", "channel", "context",
+                 "id")
 
-    def __post_init__(self) -> None:
-        if self.local_addr is None:
-            self.local_addr = self.local_mem.addr
-        if self.remote_addr is None:
-            self.remote_addr = self.remote_mem.addr
-        if self.length <= 0:
-            raise UgniInvalidParam(f"post length must be positive, got {self.length}")
+    def __init__(self, post_type: PostType, local_mem: MemHandle,
+                 remote_mem: MemHandle, length: int,
+                 local_addr: Optional[int] = None,
+                 remote_addr: Optional[int] = None,
+                 src_cq: Optional[CompletionQueue] = None,
+                 channel: Optional[str] = None, context: Any = None):
+        self.id = next(_desc_ids)
+        if length <= 0:
+            raise UgniInvalidParam(f"post length must be positive, got {length}")
+        self.post_type = post_type
+        self.local_mem = local_mem
+        self.remote_mem = remote_mem
+        self.length = length
+        #: both addresses default to the region start
+        self.local_addr = local_mem.addr if local_addr is None else local_addr
+        self.remote_addr = remote_mem.addr if remote_addr is None else remote_addr
+        #: CQ for the local POST_DONE event
+        self.src_cq = src_cq
+        #: force BTE ('rdma') or FMA ('fma'); None = size-based choice
+        self.channel = channel
+        #: opaque poster context, handed back with the completion event's
+        #: descriptor (``GNI_GetCompleted``); must not refer to the
+        #: descriptor itself
+        self.context = context
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return (f"<PostDescriptor #{self.id} {self.post_type.name} "
+                f"{self.length} B node {self.local_mem.node_id}"
+                f"->{self.remote_mem.node_id}>")
 
 
 class RdmaEngine:
@@ -67,16 +82,17 @@ class RdmaEngine:
         #: posts that ended in a fault-injected ``ERROR`` completion
         self.posts_failed = 0
 
-    def _validate(self, desc: PostDescriptor, initiator_node: int) -> None:
-        if desc.local_mem.node_id != initiator_node:
+    def _validate(self, desc: PostDescriptor, initiator_node: int,
+                  length: int) -> None:
+        local, remote = desc.local_mem, desc.remote_mem
+        if local.node_id != initiator_node:
             raise UgniInvalidParam(
-                f"local_mem is on node {desc.local_mem.node_id}, "
+                f"local_mem is on node {local.node_id}, "
                 f"posted from node {initiator_node}"
             )
-        self.registrations[desc.local_mem.node_id].check(
-            desc.local_mem, desc.local_addr, desc.length)
-        self.registrations[desc.remote_mem.node_id].check(
-            desc.remote_mem, desc.remote_addr, desc.length)
+        registrations = self.registrations
+        registrations[local.node_id].check(local, desc.local_addr, length)
+        registrations[remote.node_id].check(remote, desc.remote_addr, length)
 
     def post(self, initiator_node: int, desc: PostDescriptor, fma: bool,
              at: Optional[float] = None) -> float:
@@ -92,7 +108,7 @@ class RdmaEngine:
             # post-time use-after-free screen, recorded before the
             # registration table's own loud validation below
             san.on_rdma_check(desc, initiator_node)
-        self._validate(desc, initiator_node)
+        self._validate(desc, initiator_node, desc.length)
         node = machine.nodes[initiator_node]
         peer = machine.nodes[desc.remote_mem.node_id]
         put = desc.post_type is PostType.PUT
@@ -107,42 +123,43 @@ class RdmaEngine:
                 and faults.rdma_fails(node.node_id, peer.node_id)):
             return self._post_failed(node, peer, desc, kind, faults, at)
 
-        def on_local_cq(t: float) -> None:
-            self.posts_completed += 1
-            if desc.src_cq is not None:
-                desc.src_cq.push(CqEntry(
-                    CqEventKind.POST_DONE, t, tag=desc.id, data=desc,
-                    source=initiator_node))
-
-        if san is not None:
-            token = san.on_rdma_post(desc, initiator_node)
-            inner_local = on_local_cq
-
-            def on_local_cq(t: float, _inner=inner_local, _tok=token) -> None:
-                san.on_rdma_retire(_tok, t)
-                _inner(t)
-
-        on_remote = None
-        if put and desc.remote_mem.cq is not None:
-            remote_cq = desc.remote_mem.cq
-
-            def on_remote(t: float) -> None:
-                remote_cq.push(CqEntry(
-                    CqEventKind.REMOTE_DATA, t, tag=desc.id, data=desc,
-                    source=initiator_node))
-
+        token = (san.on_rdma_post(desc, initiator_node)
+                 if san is not None else None)
+        notify = put and desc.remote_mem.cq is not None
         if peer.node_id == node.node_id:
             # local post: loopback path, still generates a local CQ event
-            def deliver(t: float) -> None:
-                on_local_cq(t)
-                if on_remote is not None:
-                    on_remote(t)
-
-            return node.nic.loopback_send(desc.length, deliver, at=at)
-
+            return node.nic.loopback_send(
+                desc.length, self._loopback_done, desc, token, notify, at=at)
         return node.nic.post_transfer(
             kind, peer.coord, desc.length,
-            on_local_cq=on_local_cq, on_remote_data=on_remote, at=at)
+            on_local_cq=self._complete,
+            local_args=(desc, CqEventKind.POST_DONE, token),
+            on_remote_data=self._remote_data if notify else None,
+            remote_args=(desc,), at=at)
+
+    # -- completions (engine context; bound methods, never closures) ----------
+    def _complete(self, t: float, desc: PostDescriptor, kind: CqEventKind,
+                  token: Optional[int]) -> None:
+        """Local completion: retire the sanitizer's shadow transaction and
+        push ``kind`` (``POST_DONE`` / ``ERROR``) on the source CQ."""
+        if token is not None:
+            self.machine.sanitizer.on_rdma_retire(token, t)
+        if kind is CqEventKind.POST_DONE:
+            self.posts_completed += 1
+        cq = desc.src_cq
+        if cq is not None:
+            cq.push(CqEntry(kind, t, desc.id, desc, desc.local_mem.node_id))
+
+    def _remote_data(self, t: float, desc: PostDescriptor) -> None:
+        """A PUT landed in a region registered with a destination CQ."""
+        desc.remote_mem.cq.push(CqEntry(
+            CqEventKind.REMOTE_DATA, t, desc.id, desc, desc.local_mem.node_id))
+
+    def _loopback_done(self, t: float, desc: PostDescriptor,
+                       token: Optional[int], notify: bool) -> None:
+        self._complete(t, desc, CqEventKind.POST_DONE, token)
+        if notify:
+            self._remote_data(t, desc)
 
     def _post_failed(self, node, peer, desc: PostDescriptor, kind,
                      faults, at: Optional[float]) -> float:
@@ -150,60 +167,36 @@ class RdmaEngine:
         self.posts_failed += 1
         san = self.machine.sanitizer
         token = san.on_rdma_post(desc, node.node_id) if san is not None else None
-
-        def on_error(t: float) -> None:
-            if token is not None:
-                san.on_rdma_retire(token, t)
-            if desc.src_cq is not None:
-                desc.src_cq.push(CqEntry(
-                    CqEventKind.ERROR, t, tag=desc.id, data=desc,
-                    source=node.node_id))
-
         return node.nic.failed_transfer(
-            kind, peer.coord, desc.length, on_error,
+            kind, peer.coord, desc.length, self._complete,
+            desc, CqEventKind.ERROR, token,
             frac=faults.config.rdma_error_progress, at=at)
 
     def post_best(self, initiator_node: int, desc: PostDescriptor,
                   at: Optional[float] = None) -> float:
         """Post using the size-appropriate unit (paper §III.C policy)."""
-        if desc.channel == "fma":
-            return self.post(initiator_node, desc, fma=True, at=at)
-        if desc.channel == "rdma":
-            return self.post(initiator_node, desc, fma=False, at=at)
-        cfg = self.machine.config
-        use_fma = (
-            cfg.rdma_kind_for(desc.length) == "fma"
-            and desc.length <= cfg.fma_max_bytes
-        )
-        return self.post(initiator_node, desc, fma=use_fma, at=at)
+        channel = desc.channel
+        if channel == "fma":
+            fma = True
+        elif channel == "rdma":
+            fma = False
+        else:
+            cfg = self.machine.config
+            fma = (cfg.rdma_kind_for(desc.length) == "fma"
+                   and desc.length <= cfg.fma_max_bytes)
+        return self.post(initiator_node, desc, fma, at)
 
     def _post_amo(self, initiator_node: int, desc: PostDescriptor) -> float:
         """Atomic memory operation: modelled as an 8-byte FMA round trip."""
         san = self.machine.sanitizer
         if san is not None:
             san.on_rdma_check(desc, initiator_node)
-        self._validate(
-            PostDescriptor(
-                post_type=PostType.GET,
-                local_mem=desc.local_mem,
-                remote_mem=desc.remote_mem,
-                length=8,
-                local_addr=desc.local_addr,
-                remote_addr=desc.remote_addr,
-            ),
-            initiator_node,
-        )
+        self._validate(desc, initiator_node, 8)
         node = self.machine.nodes[initiator_node]
         peer = self.machine.nodes[desc.remote_mem.node_id]
-
-        def on_local_cq(t: float) -> None:
-            self.posts_completed += 1
-            if desc.src_cq is not None:
-                desc.src_cq.push(CqEntry(
-                    CqEventKind.POST_DONE, t, tag=desc.id, data=desc,
-                    source=initiator_node))
-
+        done_args = (desc, CqEventKind.POST_DONE, None)
         if peer.node_id == node.node_id:
-            return node.nic.loopback_send(8, on_local_cq)
+            return node.nic.loopback_send(8, self._complete, *done_args)
         return node.nic.post_transfer(
-            TransferKind.FMA_GET, peer.coord, 8, on_local_cq=on_local_cq)
+            TransferKind.FMA_GET, peer.coord, 8,
+            on_local_cq=self._complete, local_args=done_args)

@@ -21,6 +21,7 @@ from repro.apps.kneighbor import kneighbor
 from repro.faults import FaultConfig
 from repro.hardware.config import MachineConfig
 from repro.lrts.ugni_layer import UgniLayerConfig
+from repro.sim import Engine
 from repro.units import KB
 
 N_CORES, K, ITERS, WARMUP = 64, 4, 16, 3
@@ -29,11 +30,18 @@ APP_MSGS = N_CORES * 2 * K * 2 * (ITERS + WARMUP)
 #: Python calls inside ``repro`` per application message, machine set-up
 #: included; 66.5 before the path was flattened, ~40 after
 CALL_BUDGET = 48.0
-#: the same count for a 256 KB rendezvous message (iters=8, warmup=2):
-#: the count before the protocols were unified (157.2 uGNI, 115.8 RDMA on
-#: a dragonfly) rounded up; 148.2 and 115.8 after
+#: the same count for a 256 KB rendezvous message (iters=8, warmup=2),
+#: rounded up: 157.2 uGNI / 115.8 RDMA (on a dragonfly) before the
+#: protocols were unified, 148.2 / 115.8 after, 120.2 / 101.7 once the
+#: large-message path was flattened (NIC ports reserved inline, one
+#: validation pass per post, one object per pool allocation)
 RNDV_ITERS, RNDV_WARMUP = 8, 2
-RNDV_BUDGETS = {"ugni": 158.0, "rdma": 116.0}
+RNDV_BUDGETS = {"ugni": 121.0, "rdma": 102.0}
+#: without the C core (``REPRO_PURE_ENGINE=1``, a CI leg) the engine's own
+#: Python frames are on the path and counted too: 144.2 / 134.3 (the
+#: 256 B count, 45.4, fits its budget either way)
+if Engine()._core is None:
+    RNDV_BUDGETS = {"ugni": 145.0, "rdma": 135.0}
 
 
 def _repro_calls(fn, *args, **kwargs):

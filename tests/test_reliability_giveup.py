@@ -12,12 +12,17 @@ Regression tests for two silent-loss bugs:
   :class:`TestPostGiveUp` runs once per fabric that implements its port.
 * ``_rel_seen`` grew a per-pair seen-set forever; it is now a cumulative
   watermark plus a bounded out-of-order window (:class:`_RelRx`).
+
+:class:`TestSharedPostCq` pins what moving from one CQ per post to one
+post CQ per PE must not change: posts outstanding together keep separate
+fates, because the continuation rides on each descriptor.
 """
 
 import pytest
 
 from repro.apps.pingpong import charm_pingpong
 from repro.converse.scheduler import Message
+from repro.errors import UgniTransactionError
 from repro.faults import FaultConfig
 from repro.hardware import Machine
 from repro.hardware.config import tiny as tiny_config
@@ -153,6 +158,97 @@ class TestPostGiveUp:
         layer._self_step(conv.pes[0], "rndv_fail", state)
         conv.run()  # a double free raises MemoryError_
         assert live_buffers(layer) == 0
+
+
+class TestSharedPostCq:
+    """Two persistent PUTs outstanding from PE 0 — one to node 1, one to
+    node 2 — complete through PE 0's one post CQ; only posts to node 2 are
+    fault-injected."""
+
+    def run(self, layer_config, node2_fails=lambda attempt: True,
+            sanitize=False):
+        cfg = tiny_config(cores_per_node=2).replace(observe=True,
+                                                    sanitize=sanitize)
+        m = Machine(n_nodes=4, config=cfg, trace=TraceLog())
+        conv, layer = make_runtime(machine=m, n_pes=m.n_pes, layer="ugni",
+                                   layer_config=layer_config,
+                                   faults=FaultConfig())
+        attempts = []
+
+        def rdma_fails(initiator_node, peer_node):
+            if peer_node != 2:
+                return False
+            attempts.append(peer_node)
+            return node2_fails(len(attempts))
+
+        m.faults.rdma_fails = rdma_fails
+        delivered, handles, pinned = [], {}, {}
+        h = conv.register_handler(lambda pe, msg: delivered.append(msg.dst_pe))
+
+        def boot(pe, msg):
+            for dst in (2, 4):  # first PE of node 1, of node 2
+                handles[dst] = layer.create_persistent(pe, dst, 4 * KB)
+                #: the send window's registration as first pinned
+                pinned[dst] = handles[dst].impl.src_win[1]
+                layer.send_persistent(pe, handles[dst],
+                                      Message(h, pe.rank, dst, 2 * KB))
+
+        conv.send_from_outside(0, Message(conv.register_handler(boot), 0, 0, 0))
+        return m, layer, delivered, handles, pinned
+
+    def test_healthy_post_completes_once_failed_one_gives_up_alone(self):
+        m, layer, delivered, handles, pinned = self.run(giveup_config("ugni"))
+        m.engine.run(max_events=1_000_000)
+        s = layer.stats()
+        assert delivered == [2]  # the healthy send arrived, exactly once
+        assert handles[2].impl.inflight == handles[4].impl.inflight == 0
+        # the failed post kept its own attempt count and its own fate
+        assert s["post_retries"] == BUDGET and s["post_failures"] == 1
+        assert s["persistent_failed"] == 1
+        assert recoveries(m, "persist_send_failed") == 1
+        # ... and re-armed only its own send window
+        assert s["persistent_rearms"] == BUDGET
+        assert handles[2].impl.src_win[1] is pinned[2] and pinned[2].valid
+        assert handles[4].impl.src_win[1] is not pinned[4]
+        assert not pinned[4].valid
+        # all of it through one queue: 1 done + (BUDGET + 1) errors
+        (cq,) = layer._post_cqs.values()
+        assert cq.name == "post" and len(cq) == 0
+        assert (cq.total_events, cq.error_events) == (BUDGET + 2, BUDGET + 1)
+        assert m.engine.peek() == float("inf")
+
+    def test_retry_count_is_per_descriptor(self):
+        """Node 2 fails twice and then heals: its post succeeds on the
+        third attempt; the other post's completion on the same CQ neither
+        resets nor advances the count."""
+        m, layer, delivered, _, _ = self.run(
+            giveup_config("ugni"), node2_fails=lambda attempt: attempt <= 2)
+        m.engine.run(max_events=1_000_000)
+        s = layer.stats()
+        assert sorted(delivered) == [2, 4]
+        assert s["post_retries"] == s["persistent_rearms"] == 2
+        assert s["post_failures"] == s["persistent_failed"] == 0
+        assert [rec.detail["attempt"] for rec in
+                m.trace.select("recovery", "post_retry")] == [1, 2]
+
+    def test_error_without_reliability_still_raises(self):
+        m, *_ = self.run(UgniLayerConfig())
+        with pytest.raises(UgniTransactionError, match="reliability is disabled"):
+            m.engine.run(max_events=1_000_000)
+
+    def test_sanitizer_retires_each_post_exactly_once(self):
+        """The retire token travels as a completion argument now: one
+        ``on_rdma_retire`` per post attempt, whether it ends in done,
+        retry or give-up."""
+        m, layer, _, _, _ = self.run(giveup_config("ugni"), sanitize=True)
+        retired = []
+        retire = m.sanitizer.on_rdma_retire
+        m.sanitizer.on_rdma_retire = lambda token, t: (
+            retired.append(token), retire(token, t))
+        m.engine.run(max_events=1_000_000)
+        assert len(retired) == len(set(retired)) == BUDGET + 2
+        stats = m.sanitizer.stats()
+        assert stats["txs_started"] == stats["txs_retired"] == BUDGET + 2
 
 
 class TestPostGiveUpRdma(TestPostGiveUp):
