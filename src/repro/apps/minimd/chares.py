@@ -155,8 +155,9 @@ class ProxyMgr(Chare):
 
     def _maybe_flush(self, patch: int, s: int) -> None:
         key = (s, patch)
-        if self.expect[key] and self.got[key] >= self.expect[key]:
-            covered = self.expect[key]
+        # .get: a look must not leave a zero entry behind in a defaultdict
+        covered = self.expect.get(key, 0)
+        if covered and self.got.get(key, 0) >= covered:
             del self.expect[key]
             self.got[key] -= covered
             if not self.got[key]:

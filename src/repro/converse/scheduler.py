@@ -178,10 +178,10 @@ class PE:
     def deliver_at(self, time: float, msg: Message, recv_cpu: float = 0.0) -> None:
         """Schedule :meth:`enqueue` at an absolute simulated time.
 
-        Routed by node so a sharded engine queues the delivery on this
+        Routed by node so a sharded engine tags the delivery with this
         PE's shard — bootstrap injections (``send_from_outside``) arrive
-        from outside any shard context and would otherwise land on shard
-        0 regardless of the target PE.
+        from outside any shard context and would otherwise be tagged
+        shard 0 regardless of the target PE.
         """
         self.engine.post_at_node(self.node.node_id, time, self.enqueue,
                                  msg, recv_cpu)
@@ -410,12 +410,13 @@ class ConverseRuntime:
         :meth:`~repro.sim.engine.Engine.call_at_batch` — consecutive
         ``seq`` stamps, identical firing order to the equivalent
         :meth:`send_from_outside` loop, but a single validation pass and
-        no per-event Python dispatch.  A sharded engine routes each
-        delivery by node instead (batch staging has no node identity and
-        would land every bootstrap on shard 0).
+        no per-event Python dispatch.  An engine that
+        :attr:`~repro.sim.engine.Engine.routes_by_node` gets each delivery
+        by node instead (batch staging has no node identity and would tag
+        every bootstrap with shard 0).
         """
         ranks = range(len(self.pes)) if ranks is None else list(ranks)
-        if getattr(self.engine, "_shards", None) is not None:
+        if self.engine.routes_by_node:
             for r in ranks:
                 self.pes[r].deliver_at(at, make_msg(r))
             return

@@ -16,10 +16,11 @@ with exactly three hardware resources, and this module models all three:
   get a completion callback).
 
 Everything here is pure timing/bookkeeping on the discrete-event engine:
-completions are scheduled with ``call_at_node`` so process-sharded runs
-order them exactly like sequential runs.  Sanitizer hooks follow the
-repo-wide contract — every call site is ``is None``-guarded and the
-sanitizer never mutates state, so enabling it cannot change results.
+completions are scheduled with ``call_at_node`` so
+:class:`~repro.parallel.ShardedEngine` tags them with the GPU's node.
+Sanitizer hooks follow the repo-wide contract — every call site is
+``is None``-guarded and the sanitizer never mutates state, so enabling
+it cannot change results.
 """
 
 from __future__ import annotations

@@ -117,7 +117,7 @@ class GpuTransportMixin:
 
         self.deliver(dst_rank, msg, recv_cpu, at=done)
         # retire the landing buffer once the payload has been handed up;
-        # node-ordered so process-sharded runs replay identically
+        # routed by node so ShardedEngine tags it with the GPU's shard
         machine.engine.call_at_node(dst_gpu.node_id, done,
                                     dst_gpu.free, landing)
 

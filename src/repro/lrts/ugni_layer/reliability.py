@@ -179,15 +179,17 @@ class ReliabilityMixin:
         return pkt
 
     def _rel_arm_timer(self, rec: _RelTx) -> None:
+        # the timer names its record by key: closing over ``rec`` would tie
+        # rec -> timer -> closure -> rec into a cycle per message
         rec.timer = self._timers.call_after(
             self._rel_backoff(rec.attempts), rec.pkt.src,
-            lambda pe, rec=rec: self._rel_retry(pe, rec))
+            lambda pe, key=rec.pkt.key: self._rel_retry(pe, key))
 
-    def _rel_retry(self, pe: PE, rec: _RelTx) -> None:
-        pkt = rec.pkt
-        key = pkt.key
-        if key not in self._rel_tx:
+    def _rel_retry(self, pe: PE, key: tuple[int, int, int]) -> None:
+        rec = self._rel_tx.get(key)
+        if rec is None:
             return  # acked while the timer was in flight
+        pkt = rec.pkt
         if rec.attempts >= self.lcfg.max_retries:
             del self._rel_tx[key]
             self.rel_failed += 1

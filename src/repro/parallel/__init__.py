@@ -1,19 +1,16 @@
-"""Multi-core scale-out: parallel sweeps + sharded event engine.
-
-Two layers, one determinism contract (documented in DESIGN.md):
+"""Multi-core scale-out: parallel sweeps, and the window audit.
 
 * :mod:`repro.parallel.sweep` — a process-pool runner for *independent*
   sweep points (the benchmark grids behind every paper figure), with
   spawn-key seeding so results are byte-identical at any job count.
-* :mod:`repro.parallel.sharded_engine` — a conservative-lookahead
-  sharded event engine that partitions hardware nodes across shards and
-  advances them in lookahead-bounded synchronization windows, producing
-  bit-identical results to the sequential :class:`repro.sim.engine.Engine`.
-* :mod:`repro.parallel.process_shards` — shard workers in separate OS
-  processes (replicated conservative execution): every worker runs the
-  windowed replica, pickles each window's cross-shard exchange batch
-  into a sha256 chain, and the parent asserts byte-identical parity at
-  any worker count.
+  This is the package's only parallelism.
+* :mod:`repro.parallel.sharded_engine` — :class:`ShardedEngine`, the
+  sequential engine plus an audit of the conservative-lookahead bound:
+  events carry shard tags, the run loop cuts lookahead-wide windows, and
+  cross-shard schedules are counted as barrier hand-overs or lookahead
+  violations.  One queue, one process, bit-identical results.
+
+The determinism contract of both is documented in DESIGN.md §9.
 """
 
 from repro.parallel.sharded_engine import ShardedEngine
@@ -30,20 +27,8 @@ __all__ = [
     "JOBS_ENV",
     "ShardedEngine",
     "SweepPoint",
-    "WindowDigestEngine",
     "resolve_jobs",
-    "run_process_sharded",
     "run_sweep",
     "sweep_map",
     "spawn_seed",
 ]
-
-
-def __getattr__(name):
-    # Lazy: importing these at package-init time would shadow
-    # ``python -m repro.parallel.process_shards`` (runpy re-executes the
-    # submodule it finds already imported).
-    if name in ("WindowDigestEngine", "run_process_sharded"):
-        from repro.parallel import process_shards
-        return getattr(process_shards, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,81 +1,54 @@
-"""Sharded conservative-lookahead event engine.
+"""Window audit of the conservative-lookahead bound, over one event queue.
 
-:class:`ShardedEngine` partitions the machine's hardware nodes into
-*shards*, gives every shard its own event queue, and advances the shards
-in **synchronization windows** bounded by the minimum cross-node link
-latency (the *lookahead*, in classic conservative-PDES terms).  Events a
-shard schedules onto another shard — SMSG arrivals, RDMA completions, PE
-message deliveries, anything routed through
-:meth:`~repro.sim.engine.Engine.call_at_node` — are buffered in per-shard
-**exchange queues** and only handed over at the window barrier.
+:class:`ShardedEngine` is the base :class:`~repro.sim.engine.Engine` —
+the same slab, staging buffer and heap, hence the same ``(time, seq)``
+firing order, bit for bit — plus a bookkeeping pass that answers one
+question: *would a conservative parallel simulation of this run have
+been legal?*  It does **not** parallelise anything and it costs host
+time (one tag write per armed event, one comparison per executed one).
 
-Storage is the base engine's slab: shard queues are index heaps of
-``(time, seq, slot)`` entries over the shared parallel arrays, so a
-handle armed here cancels through exactly the same stale-safe slot-view
-path as on the sequential engine.  The compiled C core is *not* bound
-for sharded engines — the overridable ``_arm`` / ``_stage`` routing
-hooks are the whole point of the subclass — so this class always runs
-the pure-Python slab paths.
+* **Shards are tags.**  The machine's hardware nodes are block-
+  partitioned into ``n_shards`` groups; every pending event carries the
+  index of the shard that owns it.  An event armed by plain
+  ``call_at``/``post_*`` belongs to the shard whose event is executing;
+  one armed through :meth:`call_at_node` / :meth:`post_at_node` — SMSG
+  arrivals, RDMA completions, PE deliveries — belongs to the shard
+  owning that node.
+* **Windows.**  The run loop cuts simulated time into synchronization
+  windows ``[t, t + lookahead)`` opened at the next pending event.  A
+  cross-shard event armed during a window must land at or after the
+  window's end: a conservative simulator would only hand it over at the
+  barrier.  Every cross-node path crosses an injection port, at least
+  one hop and an ejection port, so ``2 * nic_latency + hop_latency`` is
+  the default bound.  Hand-overs are counted in
+  :attr:`exchanged_events`; an event landing *inside* the window is
+  executed in order anyway and counted in :attr:`lookahead_violations`,
+  which the tests and benchmarks pin at zero.
+* **Fallback.**  Where windows would mean nothing the audit switches
+  itself off (:attr:`fallback_reason` says why) and the engine is a
+  plain sequential one: a single shard, fewer than two nodes, a
+  lookahead below ``min_lookahead``, fault injection installed (link
+  faults change latencies mid-run), or a link fault seen at a barrier.
 
-Determinism contract (also documented in DESIGN.md):
-
-* Merged events execute in the total order ``(time, shard, seq)``.  The
-  ``seq`` stamp is drawn from one engine-global monotone counter, so the
-  pair ``(time, seq)`` is already a total order — and it is exactly the
-  sequential :class:`~repro.sim.engine.Engine`'s order.  The shard field
-  therefore never has to break a tie today; it is recorded per event so
-  the exchange protocol keeps a total order even in the multi-process
-  mode (:mod:`repro.parallel.process_shards`), whose workers verify
-  their window digests against each other.
-* Cross-shard events must land at least one lookahead in the future.
-  Every cross-node path in the hardware model crosses an injection port,
-  at least one torus hop, and an ejection port, so
-  ``2 * nic_latency + hop_latency`` is a safe lower bound.  A scheduling
-  call that violates the bound is executed correctly anyway (the event is
-  inserted directly, preserving the total order) but counted in
-  :attr:`lookahead_violations` — the multi-process mode cannot
-  tolerate violations, so CI can assert the counter stays zero.
-* The engine **falls back to sequential execution** — one logical shard,
-  no windows, still the exact same total order — whenever the
-  configuration cannot support conservative sharding: fault injection is
-  installed (link faults change latencies mid-run and node crashes kill
-  whole shards), a link fault is observed at a window barrier, the
-  machine has fewer nodes than shards need, or the lookahead falls below
-  ``min_lookahead``.  :attr:`fallback_reason` records why.
-
-Because the total order is identical in every mode, a sharded run is
-**bit-identical** to a sequential run of the same config — asserted by
-``tests/test_sharded_engine.py`` on the fig-10 kNeighbor config.
+With one queue, a run here is bit-identical to a run on :class:`Engine`
+in every mode — asserted by ``tests/test_sharded_engine.py`` on the
+fig-10 kNeighbor config and by the oracle diff in
+``tests/test_engine_equivalence.py``.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
-from repro.sim.engine import _FREE, _PENDING, _POOL_MAX, Engine, EventHandle
+from repro.sim.engine import Engine, EventHandle
 
 _INF = math.inf
 
 
-class _Shard:
-    """One shard: an index heap over a contiguous block of nodes."""
-
-    __slots__ = ("index", "heap")
-
-    def __init__(self, index: int):
-        self.index = index
-        #: entries are (time, seq, slot); seq is engine-global
-        self.heap: list[tuple[float, int, int]] = []
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<_Shard {self.index} pending={len(self.heap)}>"
-
-
 class ShardedEngine(Engine):
-    """Drop-in :class:`Engine` with sharded queues and windowed execution.
+    """Drop-in :class:`Engine` that audits conservative-window legality.
 
     Usage::
 
@@ -86,9 +59,10 @@ class ShardedEngine(Engine):
 
     Construction does not need the machine; :meth:`bind_machine` (called
     by ``Machine.__init__``) supplies the node partition and the default
-    lookahead.  Until then — and after a fallback — the engine behaves
-    exactly like the sequential one.
+    lookahead.  Until then — and after a fallback — no windows are cut.
     """
+
+    routes_by_node = True
 
     def __init__(
         self,
@@ -100,7 +74,6 @@ class ShardedEngine(Engine):
         if n_shards < 1:
             raise SimulationError(f"need at least one shard, got {n_shards}")
         self.n_shards = int(n_shards)
-        self._shards = [_Shard(i) for i in range(self.n_shards)]
         #: explicit lookahead override (seconds); None = derive from config
         self._lookahead_override = lookahead
         self.lookahead = lookahead if lookahead is not None else 0.0
@@ -108,27 +81,24 @@ class ShardedEngine(Engine):
         #: node_id -> shard index (set by bind_machine)
         self._shard_of_node: list[int] = []
         self._machine = None
-        #: shard whose event is currently executing (targets plain call_at)
+        #: slab slot -> owning shard, parallel to the base engine's slab
+        self._owner: list[int] = []
+        #: shard whose event is executing (owner of plain call_at events)
         self._current = 0
         # window state
         self._in_window = False
         self._window_end = _INF
-        #: per-target-shard exchange buffers of (time, seq, slot) entries,
-        #: flushed at window barriers
-        self._xbuf: list[list[tuple[float, int, int]]] = [
-            [] for _ in range(self.n_shards)
-        ]
         # mode + diagnostics
         self._sequential = self.n_shards == 1
         self.fallback_reason: Optional[str] = (
-            None if not self._sequential else "single-shard")
+            "single-shard" if self._sequential else None)
         self.windows = 0
         self.barriers = 0
         self.exchanged_events = 0
         self.lookahead_violations = 0
 
     # ------------------------------------------------------------------ #
-    # machine binding / partition
+    # machine binding / partition / fallback
     # ------------------------------------------------------------------ #
     def bind_machine(self, machine) -> None:
         """Partition ``machine``'s nodes across shards and pick the lookahead.
@@ -136,8 +106,7 @@ class ShardedEngine(Engine):
         Called by :class:`~repro.hardware.machine.Machine` at construction
         time (any engine exposing ``bind_machine`` gets it).  Nodes are
         assigned in contiguous blocks — node ``i`` of ``n`` goes to shard
-        ``i * n_shards // n`` — so PE rank order and shard order agree,
-        which keeps t=0 startup ties in the sequential order.
+        ``i * n_shards // n`` — so PE rank order and shard order agree.
         """
         self._machine = machine
         n_nodes = machine.n_nodes
@@ -163,444 +132,155 @@ class ShardedEngine(Engine):
             return self._shard_of_node[node_id]
         return 0
 
-    # ------------------------------------------------------------------ #
-    # fallback
-    # ------------------------------------------------------------------ #
     def _fallback(self, reason: str) -> None:
-        """Degrade to sequential execution (same total order, no windows)."""
-        if not self._sequential:
-            self._sequential = True
+        """Stop cutting windows; the first reason given is the one kept."""
+        self._sequential = True
         if self.fallback_reason is None:
             self.fallback_reason = reason
-        self._flush_exchange()
 
-    def _probe_faults(self) -> bool:
-        """Fault check at window boundaries; True if we just fell back."""
+    def _probe_faults(self) -> None:
+        """Fault check at run start and at every barrier."""
         m = self._machine
         if m is None:
-            return False
+            return
         if m.faults is not None:
             self._fallback("faults-installed")
-            return True
-        if m.network.faulted_links:
+        elif m.network.faulted_links:
             self._fallback("link-fault-observed")
-            return True
-        return False
 
     # ------------------------------------------------------------------ #
-    # scheduling (overrides of the base slab hooks)
+    # scheduling: the base engine arms, this class tags
     # ------------------------------------------------------------------ #
-    def _alloc(self, time: float, fn: Callable, args: tuple) -> tuple:
-        """Fill one slab slot; returns its (time, seq, slot) entry.
-
-        Inlined verbatim into :meth:`_stage`, :meth:`_route_node` and
-        :meth:`_arm_shard` — the arming hot paths run once per simulated
-        event, and the extra method dispatch was measurable on the
-        ``sharded_kneighbor`` perf gate.  Keep the four copies in sync.
-        """
-        seq = self._seq
-        self._seq = seq + 1
-        free = self._free
-        if free:
-            slot = free.pop()
-            self._s_time[slot] = time
-            self._s_seq[slot] = seq
-            self._s_fn[slot] = fn
-            self._s_args[slot] = args
-            self._s_state[slot] = _PENDING
-        else:
-            slot = len(self._s_state)
-            self._s_time.append(time)
-            self._s_seq.append(seq)
-            self._s_fn.append(fn)
-            self._s_args.append(args)
-            self._s_handle.append(None)
-            self._s_state.append(_PENDING)
-        return (time, seq, slot)
+    def _tag(self, slot: int, shard: int) -> None:
+        try:
+            self._owner[slot] = shard
+        except IndexError:  # the slab grew by this one slot
+            self._owner.append(shard)
 
     def _stage(self, time: float, fn: Callable, args: tuple) -> int:
-        """Arm one handle-less event on the currently-executing shard."""
-        seq = self._seq
-        self._seq = seq + 1
-        free = self._free
-        if free:
-            slot = free.pop()
-            self._s_time[slot] = time
-            self._s_seq[slot] = seq
-            self._s_fn[slot] = fn
-            self._s_args[slot] = args
-            self._s_state[slot] = _PENDING
-        else:
-            slot = len(self._s_state)
-            self._s_time.append(time)
-            self._s_seq.append(seq)
-            self._s_fn.append(fn)
-            self._s_args.append(args)
-            self._s_handle.append(None)
-            self._s_state.append(_PENDING)
-        heapq.heappush(self._shards[self._current].heap, (time, seq, slot))
+        slot = super()._stage(time, fn, args)
+        self._tag(slot, self._current)
         return slot
 
     def _arm(self, time: float, fn: Callable, args: tuple) -> EventHandle:
-        """Arm one event on the currently-executing shard's queue."""
-        return self._arm_shard(self._shards[self._current], time, fn, args)
-
-    def _arm_shard(self, shard: _Shard, time: float, fn: Callable,
-                   args: tuple) -> EventHandle:
-        seq = self._seq
-        self._seq = seq + 1
-        free = self._free
-        if free:
-            slot = free.pop()
-            self._s_time[slot] = time
-            self._s_seq[slot] = seq
-            self._s_fn[slot] = fn
-            self._s_args[slot] = args
-            self._s_state[slot] = _PENDING
-        else:
-            slot = len(self._s_state)
-            self._s_time.append(time)
-            self._s_seq.append(seq)
-            self._s_fn.append(fn)
-            self._s_args.append(args)
-            self._s_handle.append(None)
-            self._s_state.append(_PENDING)
-        heapq.heappush(shard.heap, (time, seq, slot))
-        pool = self._pool
-        if pool:
-            handle = pool.pop()
-            handle.slot = slot
-            handle.seq = seq
-        else:
-            handle = EventHandle(self, slot, seq)
-        self._s_handle[slot] = handle
+        handle = super()._arm(time, fn, args)
+        self._tag(handle.slot, self._current)
         return handle
 
-    def _handle_for(self, entry: tuple) -> EventHandle:
-        slot = entry[2]
-        pool = self._pool
-        if pool:
-            handle = pool.pop()
-            handle.slot = slot
-            handle.seq = entry[1]
-        else:
-            handle = EventHandle(self, slot, entry[1])
-        self._s_handle[slot] = handle
-        return handle
+    def _route(self, slot: int, node_id: int, time: float) -> None:
+        """Re-tag a just-armed event with ``node_id``'s shard and audit it."""
+        target = self.shard_of_node(node_id)
+        self._owner[slot] = target
+        if self._in_window and target != self._current:
+            if time < self._window_end:
+                self.lookahead_violations += 1
+            else:
+                self.exchanged_events += 1
 
     def call_at_node(self, node_id: int, time: float, fn: Callable,
                      *args: Any) -> EventHandle:
-        """Schedule an event on the shard owning ``node_id``.
+        """:meth:`call_at`, owned by the shard of ``node_id``.
 
-        Cross-shard schedules during a window go through the exchange
-        buffer (flushed at the barrier); a schedule that lands inside the
-        current window is a lookahead violation — executed correctly (the
-        global ``(time, seq)`` order makes direct insertion safe) but
-        counted, because the multi-process mode cannot allow it.
+        During a window, a schedule onto another shard is either a
+        barrier hand-over (it lands at or after the window's end) or a
+        lookahead violation (it lands inside); both fire in the global
+        ``(time, seq)`` order, and each is counted.
         """
-        entry = self._route_node(node_id, time, fn, args)
-        return self._handle_for(entry)
+        handle = self.call_at(time, fn, *args)
+        self._route(handle.slot, node_id, time)
+        return handle
 
     def post_at_node(self, node_id: int, time: float, fn: Callable,
                      *args: Any) -> None:
         """:meth:`call_at_node` without building a handle."""
-        self._route_node(node_id, time, fn, args)
-
-    def _route_node(self, node_id: int, time: float, fn: Callable,
-                    args: tuple) -> tuple:
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at t={time} (now={self._now}): time travel"
-            )
-        if not math.isfinite(time):
-            raise SimulationError(f"non-finite event time {time!r}")
-        target = self.shard_of_node(node_id)
-        # slab fill (see _alloc — inlined for the arming hot path)
-        seq = self._seq
-        self._seq = seq + 1
-        free = self._free
-        if free:
-            slot = free.pop()
-            self._s_time[slot] = time
-            self._s_seq[slot] = seq
-            self._s_fn[slot] = fn
-            self._s_args[slot] = args
-            self._s_state[slot] = _PENDING
-        else:
-            slot = len(self._s_state)
-            self._s_time.append(time)
-            self._s_seq.append(seq)
-            self._s_fn.append(fn)
-            self._s_args.append(args)
-            self._s_handle.append(None)
-            self._s_state.append(_PENDING)
-        entry = (time, seq, slot)
-        if ((not self._in_window) or target == self._current
-                or time < self._window_end):
-            if self._in_window and target != self._current:
-                # lookahead violation: deliver directly, stay
-                # deterministic (global (time, seq) order makes the
-                # direct insertion safe), but count it — the
-                # multi-process mode cannot allow it
-                self.lookahead_violations += 1
-            heapq.heappush(self._shards[target].heap, entry)
-            return entry
-        # buffered hand-off: seq is stamped now (total order is by call
-        # time), the heap insertion waits for the barrier
-        self._xbuf[target].append(entry)
-        self.exchanged_events += 1
-        return entry
-
-    def _flush_exchange(self) -> None:
-        """Window barrier: move buffered cross-shard events to their heaps."""
-        state = self._s_state
-        for target, buf in enumerate(self._xbuf):
-            if not buf:
-                continue
-            heap = self._shards[target].heap
-            for entry in buf:
-                slot = entry[2]
-                if state[slot] == _PENDING:
-                    heapq.heappush(heap, entry)
-                else:  # cancelled while buffered: reclaim, skip the heap
-                    self._cancelled -= 1
-                    self._free_slot(slot)
-            buf.clear()
-
-    def _barrier_hook(self) -> None:
-        """Extension point: called at every window barrier, after the
-        exchange buffers have been flushed and before the fault probe.
-        The multi-process mode overrides this to digest and publish the
-        window's exchange batch."""
+        self.post_at(time, fn, *args)
+        # post_at returns nothing; what it armed is the newest staged entry
+        self._route(self._staged[-1][2], node_id, time)
 
     # ------------------------------------------------------------------ #
-    # heap hygiene (overrides)
+    # execution: the base loop plus window bookkeeping
     # ------------------------------------------------------------------ #
-    def _parked(self) -> int:
-        """Compaction denominator: every parked entry, in any queue."""
-        return (sum(len(s.heap) for s in self._shards)
-                + sum(len(b) for b in self._xbuf))
-
-    def _compact(self) -> None:
-        state = self._s_state
-        for shard in self._shards:
-            heap = shard.heap
-            live = [e for e in heap if state[e[2]] == _PENDING]
-            if len(live) != len(heap):
-                for e in heap:
-                    if state[e[2]] != _PENDING:
-                        self._free_slot(e[2])
-                heap[:] = live
-                heapq.heapify(heap)
-        # exchange buffers: drop cancelled strays, keep live hand-offs
-        for buf in self._xbuf:
-            if any(state[e[2]] != _PENDING for e in buf):
-                for e in buf:
-                    if state[e[2]] != _PENDING:
-                        self._free_slot(e[2])
-                buf[:] = [e for e in buf if state[e[2]] == _PENDING]
-        self._cancelled = 0
-
-    def _live_head(self, shard: _Shard) -> Optional[tuple[float, int, int]]:
-        """The shard's next live entry, reaping cancelled ones."""
-        heap = shard.heap
-        state = self._s_state
-        while heap:
-            entry = heap[0]
-            if state[entry[2]] == _PENDING:
-                return entry
-            heapq.heappop(heap)
-            self._cancelled -= 1
-            self._free_slot(entry[2])
-        return None
-
-    def _min_shard(self, bound: float = _INF) -> Optional[_Shard]:
-        """The shard holding the globally minimal (time, seq) event < bound."""
-        best: Optional[_Shard] = None
-        best_key: Optional[tuple[float, int]] = None
-        for shard in self._shards:
-            entry = self._live_head(shard)
-            if entry is None:
-                continue
-            key = (entry[0], entry[1])
-            if key[0] < bound and (best_key is None or key < best_key):
-                best, best_key = shard, key
-        return best
-
-    # ------------------------------------------------------------------ #
-    # execution (overrides)
-    # ------------------------------------------------------------------ #
-    def _execute_from(self, shard: _Shard) -> None:
-        """Pop and run the head event of ``shard``."""
-        entry = heapq.heappop(shard.heap)
-        slot = entry[2]
-        self._current = shard.index
-        self._now = entry[0]
-        self._events_executed += 1
-        fn = self._s_fn[slot]
-        args = self._s_args[slot]
-        self._free_slot(slot)
-        fn(*args)
-
     def step(self) -> bool:
-        """Execute the globally next pending event (no windowing)."""
-        shard = self._min_shard()
-        if shard is None:
+        """Execute the next pending event (no windowing)."""
+        entry = self._peek_live()
+        if entry is None:
             return False
-        self._execute_from(shard)
-        return True
+        self._current = self._owner[entry[2]]
+        return super().step()
+
+    def _barrier(self) -> None:
+        """Close the open window."""
+        self._in_window = False
+        self._window_end = _INF
+        self.barriers += 1
+        self._probe_faults()
 
     def run(self, until: float = _INF, max_events: Optional[int] = None) -> float:
-        """Windowed run loop; see the module docstring for the protocol.
+        """:meth:`Engine.run` — same ``until`` clamping, ``max_events``
+        guard and ``stop()`` behaviour — cutting windows as it goes.
 
-        Returns the simulated time at exit, mirroring
-        :meth:`repro.sim.engine.Engine.run` exactly (same ``until``
-        clamping, same ``max_events`` guard semantics, same ``stop()``
-        behaviour) — the only difference is the window bookkeeping.
+        A window opens at the first event to execute and closes (a
+        *barrier*) when the next event lies at or past its end, when the
+        queue drains, or on ``stop()``; leaving through ``until`` or the
+        runaway guard abandons it without a barrier.
         """
         if self._running:
             raise SimulationError("Engine.run() is not re-entrant")
         self._running = True
         self._stopped = False
         executed = 0
-        self._probe_faults()
+        limit = _INF if max_events is None else max_events
+        peek_live = self._peek_live
+        owner = self._owner
+        execute = super().step
         try:
+            self._probe_faults()
             while not self._stopped:
-                first = self._min_shard()
-                if first is None:
-                    if math.isfinite(until) and until > self._now:
-                        self._now = until
-                    self._notify_drained()
+                entry = peek_live()
+                if entry is None:
                     break
-                t_min = self._live_head(first)[0]  # type: ignore[index]
-                if t_min > until:
+                time = entry[0]
+                if time >= self._window_end:
+                    self._barrier()
+                    continue
+                if time > until:
                     self._now = until
-                    break
-                if self._sequential or not self.lookahead > 0:
-                    # no positive lookahead (e.g. machine not bound yet):
-                    # a window could not admit even its own floor event,
-                    # so run unwindowed — the total order is the same
-                    window_end = _INF
-                else:
-                    window_end = t_min + self.lookahead
+                    return self._now
+                if (not self._in_window and not self._sequential
+                        and self.lookahead > 0):
                     self._in_window = True
-                    self._window_end = window_end
+                    self._window_end = time + self.lookahead
                     self.windows += 1
-                # merged in-window execution in (time, seq) order —
-                # _min_shard/_live_head/_execute_from fused into one
-                # inlined scan (this loop runs once per event; the
-                # method-call version measurably slowed the benchmark)
-                shards = self._shards
-                state = self._s_state
-                s_fn = self._s_fn
-                s_args = self._s_args
-                s_handle = self._s_handle
-                free = self._free
-                pool = self._pool
-                free_slot = self._free_slot
-                heappop = heapq.heappop
-                while not self._stopped:
-                    best = None
-                    bt = 0.0
-                    bs = 0
-                    for shard in shards:
-                        heap = shard.heap
-                        while heap:
-                            entry = heap[0]
-                            if state[entry[2]] == _PENDING:
-                                t = entry[0]
-                                if t < window_end and (
-                                        best is None or t < bt
-                                        or (t == bt and entry[1] < bs)):
-                                    best, bt, bs = shard, t, entry[1]
-                                break
-                            heappop(heap)
-                            self._cancelled -= 1
-                            free_slot(entry[2])
-                    if best is None:
-                        break
-                    if bt > until:
-                        self._in_window = False
-                        self._flush_exchange()
-                        self._now = until
-                        return self._now
-                    if max_events is not None and executed >= max_events:
-                        obs = self.observer
-                        if obs is not None:
-                            obs.on_stall(self._now, max_events)
-                        raise SimulationError(
-                            f"exceeded max_events={max_events} "
-                            "(runaway simulation?)"
-                        )
-                    executed += 1
-                    slot = heappop(best.heap)[2]
-                    self._current = best.index
-                    self._now = bt
-                    self._events_executed += 1
-                    fn = s_fn[slot]
-                    args = s_args[slot]
-                    # _free_slot, inlined for the per-event hot loop
-                    state[slot] = _FREE
-                    s_fn[slot] = None
-                    s_args[slot] = None
-                    h = s_handle[slot]
-                    if h is not None:
-                        s_handle[slot] = None
-                        if len(pool) < _POOL_MAX:
-                            pool.append(h)
-                    free.append(slot)
-                    fn(*args)
-                # window barrier: hand buffered events to their shards
-                self._in_window = False
-                self._window_end = _INF
-                if not self._sequential:
-                    self.barriers += 1
-                    self._flush_exchange()
-                    self._barrier_hook()
-                    self._probe_faults()
+                if executed >= limit:
+                    obs = self.observer
+                    if obs is not None:
+                        obs.on_stall(self._now, max_events)
+                    raise SimulationError(
+                        f"exceeded max_events={max_events} (runaway simulation?)")
+                executed += 1
+                self._current = owner[entry[2]]
+                execute()
+            if self._in_window:
+                self._barrier()
+            if not self.pending:
+                if math.isfinite(until) and until > self._now:
+                    self._now = until
+                self._notify_drained()
         finally:
             self._in_window = False
-            self._flush_exchange()
+            self._window_end = _INF
             self._running = False
         return self._now
 
     # ------------------------------------------------------------------ #
-    # introspection (overrides + extras)
+    # introspection
     # ------------------------------------------------------------------ #
-    @property
-    def pending(self) -> int:
-        return (sum(len(s.heap) for s in self._shards)
-                + sum(len(b) for b in self._xbuf))
-
-    def peek(self) -> float:
-        shard = self._min_shard()
-        if shard is None:
-            return _INF
-        return self._live_head(shard)[0]  # type: ignore[index]
-
-    def drain(self):  # pragma: no cover - debug aid
-        state = self._s_state
-        for shard in self._shards:
-            while shard.heap:
-                entry = heapq.heappop(shard.heap)
-                yield self._drain_one(entry, state)
-        for buf in self._xbuf:
-            while buf:
-                yield self._drain_one(buf.pop(), state)
-        self._cancelled = 0
-
-    def _drain_one(self, entry: tuple, state) -> EventHandle:
-        slot = entry[2]
-        h = self._s_handle[slot]
-        if h is None:
-            h = EventHandle(self, slot, self._s_seq[slot])
-        self._s_handle[slot] = None  # keep the yielded view alive
-        if state[slot] != _FREE:
-            self._free_slot(slot)
-        return h
-
     def shard_stats(self) -> dict[str, Any]:
         """Window/exchange counters for reports and regression tests."""
+        shard_pending = [0] * self.n_shards
+        for queue in (self._heap, self._staged):
+            for entry in queue:
+                shard_pending[self._owner[entry[2]]] += 1
         return {
             "n_shards": self.n_shards,
             "lookahead_s": self.lookahead,
@@ -610,7 +290,7 @@ class ShardedEngine(Engine):
             "barriers": self.barriers,
             "exchanged_events": self.exchanged_events,
             "lookahead_violations": self.lookahead_violations,
-            "shard_pending": [len(s.heap) for s in self._shards],
+            "shard_pending": shard_pending,
         }
 
     def __repr__(self) -> str:  # pragma: no cover

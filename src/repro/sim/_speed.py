@@ -45,7 +45,7 @@ def _compile(c_path: str, so_path: str) -> None:
         raise RuntimeError("no C compiler on PATH")
     include = sysconfig.get_paths()["include"]
     # Build into a temp file then atomically rename, so concurrent
-    # imports (pytest-xdist, process-shard workers) never load a
+    # imports (pytest-xdist, sweep workers) never load a
     # half-written object.
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(so_path))
     os.close(fd)

@@ -199,14 +199,19 @@ class Engine:
     #: loop itself is not hooked — only the runaway-guard path is — so
     #: with both hooks unset the loop carries zero telemetry branches.
     observer = None
+    #: does the node passed to :meth:`call_at_node` / :meth:`post_at_node`
+    #: mean anything to this engine?  ``False`` here (the node is dropped);
+    #: ``True`` on :class:`repro.parallel.ShardedEngine`, where bootstrap
+    #: code must deliver per node rather than batch-arm node-less events
+    routes_by_node = False
 
     def __init__(self) -> None:
         # The compiled slab core carries the whole hot path when it is
         # available.  Binding its methods *over* the instance shadows the
         # pure-Python definitions below, which remain as the executable
         # specification, the no-compiler fallback, and the base that
-        # ShardedEngine's overridable _arm/_stage hooks build on —
-        # subclasses therefore never bind the core.
+        # ShardedEngine extends (it wraps _arm/_stage to tag each event
+        # with its shard) — subclasses therefore never bind the core.
         core = None
         if _CORE_CLS is not None and _core_eligible(type(self)):
             core = _CORE_CLS(SimulationError)
@@ -284,10 +289,10 @@ class Engine:
     def _stage(self, time: float, fn: Callable, args: tuple) -> int:
         """Arm one handle-less event (slot alloc + staging); returns its slot.
 
-        The overridable no-handle arming primitive: ``post_*`` and the
-        batch API land here, and :class:`~repro.parallel.ShardedEngine`
-        overrides it to route onto the current shard.  :meth:`_arm` is
-        this plus handle construction, inlined.
+        The no-handle arming primitive: ``post_*`` and the batch API land
+        here.  :meth:`_arm` is this plus handle construction, inlined;
+        :class:`~repro.parallel.ShardedEngine` wraps both to tag the new
+        slot with the executing shard.
         """
         seq = self._seq
         self._seq = seq + 1
@@ -421,10 +426,11 @@ class Engine:
         """Schedule an event that *belongs to* hardware node ``node_id``.
 
         Cross-node event injection points (SMSG arrival, RDMA completion,
-        PE message delivery) route through here so that a sharded engine
-        (:class:`repro.parallel.ShardedEngine`) can place the event on the
-        owning shard's queue.  On the sequential engine the node identity
-        carries no information and this is exactly :meth:`call_at`.
+        PE message delivery) route through here so that
+        :class:`repro.parallel.ShardedEngine` can tag the event with the
+        owning shard and audit it against the lookahead window.  Here the
+        node identity carries no information (:attr:`routes_by_node` is
+        ``False``) and this is exactly :meth:`call_at`.
         """
         return self.call_at(time, fn, *args)
 

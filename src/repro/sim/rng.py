@@ -71,7 +71,7 @@ class RngRegistry:
     def spawn(self, *key) -> "RngRegistry":
         """A child registry rooted at ``spawn_seed(self.root_seed, *key)``.
 
-        Shards and sweep workers use this instead of sharing the parent's
+        Sweep workers use this instead of sharing the parent's
         streams: the child's seed depends only on the parent seed and the
         spawn key, so results do not depend on worker scheduling.
         """

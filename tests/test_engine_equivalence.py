@@ -7,27 +7,26 @@ the oracle side by side and require identical observable behaviour:
 the same ``(time, tag)`` firing order, the same clock, the same live
 event counts.
 
-The production engine is exercised in **both** backends in-process:
+The production engine is exercised in three backends in-process:
 
 * ``Engine()`` — binds the compiled C core when it is available;
 * ``PureEngine`` (a trivial subclass) — the core is only bound when
   ``type(self) is Engine``, so any subclass runs the pure-Python slab
-  paths.  This is the same mechanism that keeps ``ShardedEngine`` on the
-  overridable Python hot path.
-
-Process-shard parity (workers 1/2/4) and the checksum pin between
-``process_shards.sim_checksum`` and the benchmark harness live here too —
-they are the same contract at process scope.
+  paths;
+* ``ShardedEngine(n_shards=3)`` — the pure-Python slab under the window
+  audit's own ``run``/``step`` and its tagging ``_arm``/``_stage``
+  wrappers.  Unbound it cuts no windows, so ``_windowed_sharded`` binds
+  a three-node stand-in machine and a 2 ns lookahead: windows open and
+  close, and ``at_node`` events change shard, between the same events.
 """
 
-import importlib.util
-import math
-import pathlib
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.parallel import ShardedEngine
 from repro.sim import _speed
 from repro.sim.engine import Engine
 from tests._reference_engine import ReferenceEngine
@@ -40,9 +39,19 @@ class PureEngine(Engine):
     """Forces the pure-Python slab paths even when the C core is built."""
 
 
+def _windowed_sharded():
+    eng = ShardedEngine(n_shards=3, lookahead=2e-9)
+    eng.bind_machine(SimpleNamespace(
+        n_nodes=3, faults=None, network=SimpleNamespace(faulted_links=())))
+    assert not eng.shard_stats()["sequential"]
+    return eng
+
+
 #: engine factories under test, each diffed against the oracle
 BACKENDS = [pytest.param(Engine, id="c-core" if _speed.core else "default"),
-            pytest.param(PureEngine, id="pure-python")]
+            pytest.param(PureEngine, id="pure-python"),
+            pytest.param(lambda: ShardedEngine(n_shards=3), id="sharded"),
+            pytest.param(_windowed_sharded, id="sharded-windowed")]
 
 # small delay menu with deliberate duplicates so ties (same time,
 # different seq) are common
@@ -51,6 +60,9 @@ _DELAYS = [0.0, 1e-9, 1e-9, 2e-9, 5e-9, 1e-8, 3e-8, 1e-7]
 _op = st.one_of(
     st.tuples(st.just("after"), st.sampled_from(_DELAYS)),
     st.tuples(st.just("post"), st.sampled_from(_DELAYS)),
+    st.tuples(st.just("at_node"), st.integers(0, 3), st.sampled_from(_DELAYS)),
+    st.tuples(st.just("post_node"), st.integers(0, 3),
+              st.sampled_from(_DELAYS)),
     st.tuples(st.just("soon")),
     st.tuples(st.just("batch"),
               st.lists(st.sampled_from(_DELAYS), min_size=0, max_size=5)),
@@ -96,6 +108,23 @@ class _Driver:
                 eng.call_after(op[1], self._cb(self.next_tag))
             else:
                 eng.post_after(op[1], self._cb(self.next_tag))
+            self.next_tag += 1
+        elif kind == "at_node":
+            # the node changes an event's shard tag, never its firing order:
+            # the oracle side is a plain call_after
+            if isinstance(eng, ReferenceEngine):
+                handle = eng.call_after(op[2], self._cb(self.next_tag))
+            else:
+                handle = eng.call_at_node(op[1], eng.now + op[2],
+                                          self._cb(self.next_tag))
+            self.live[self.next_tag] = handle
+            self.next_tag += 1
+        elif kind == "post_node":
+            if isinstance(eng, ReferenceEngine):
+                eng.call_after(op[2], self._cb(self.next_tag))
+            else:
+                eng.post_at_node(op[1], eng.now + op[2],
+                                 self._cb(self.next_tag))
             self.next_tag += 1
         elif kind == "soon":
             if isinstance(eng, ReferenceEngine):
@@ -164,6 +193,9 @@ def test_tie_storm_matches_reference(factory):
             ops.append(("run", 2e-9))
         if i % 5 == 0:
             ops.append(("batch", [1e-9, 1e-9, 0.0]))
+        if i % 4 == 0:
+            ops.append(("at_node", i % 3, _DELAYS[(i + 2) % len(_DELAYS)]))
+            ops.append(("post_node", (i + 1) % 3, 2e-9))
     for op in ops:
         ref.apply(op)
         cur.apply(op)
@@ -233,47 +265,3 @@ def test_peek_is_pure(factory):
     assert live == 1
     eng.run()
     assert eng.events_executed == 1
-
-
-# --------------------------------------------------------------------- #
-# process-shard parity: workers 1 / 2 / 4 are byte-identical
-# --------------------------------------------------------------------- #
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_process_shard_parity(workers):
-    from repro.parallel.process_shards import (kneighbor_point,
-                                               run_process_sharded)
-    out = run_process_sharded(
-        kneighbor_point,
-        {"pes": 8, "size": 256, "k": 1, "iters": 2},
-        workers=workers, n_shards=2, label="parity-test")
-    assert out["parity"] is True
-    assert out["workers"] == workers
-    # same replica regardless of worker count: pin the artifacts across
-    # the parametrize axis via module-level accumulation
-    _PARITY_SEEN.setdefault("checksum", out["checksum"])
-    _PARITY_SEEN.setdefault("digest", out["exchange_digest"])
-    assert out["checksum"] == _PARITY_SEEN["checksum"]
-    assert out["exchange_digest"] == _PARITY_SEEN["digest"]
-    assert out["shard_stats"]["windows_digested"] > 0
-
-
-_PARITY_SEEN: dict = {}
-
-
-# --------------------------------------------------------------------- #
-# checksum pin: process_shards.sim_checksum == benchmark harness checksum
-# --------------------------------------------------------------------- #
-def test_sim_checksum_matches_bench_harness():
-    from repro.parallel.process_shards import sim_checksum
-    path = pathlib.Path(__file__).parent.parent / "benchmarks" / "run_all.py"
-    spec = importlib.util.spec_from_file_location("run_all", path)
-    run_all = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(run_all)
-    sims = [
-        {"a": 1.0, "b": 2.5e-7},
-        {"latency_s": 1.2345678901234567e-06, "bw_MBps": 4321.0},
-        {},
-        {"neg": -0.0, "inf_adjacent": 1e308},
-    ]
-    for sim in sims:
-        assert sim_checksum(sim) == run_all.checksum(sim)

@@ -160,6 +160,22 @@ class TestMiniMDRuns:
         b = self._run(seed=5)
         assert a.step_times == b.step_times
 
+    def test_proxymgr_accounting_drains(self, monkeypatch):
+        """Every (step, patch) expect/got entry is deleted once its forces
+        went back — looking at a key must not plant a zero entry."""
+        from repro.apps.minimd import chares
+        made = []
+        init = chares.ProxyMgr.__init__
+
+        def recording_init(self, ctx):
+            init(self, ctx)
+            made.append(self)
+
+        monkeypatch.setattr(chares.ProxyMgr, "__init__", recording_init)
+        self._run(n_pes=16, steps=3, warmup=2, lb=True)
+        assert len(made) == 16
+        assert [(dict(m.expect), dict(m.got)) for m in made] == [({}, {})] * 16
+
     def test_custom_patch_grid(self):
         r = run_minimd(TINY, 8, config=tiny_config(), steps=1, warmup=1,
                        patch_grid=(2, 2, 1))

@@ -46,7 +46,8 @@ def _minimd(steps):
 
 
 #: scenario -> (run(n), n): every machine layer's rendezvous, the SMSG
-#: path, a persistent channel and the mixed mini-MD step
+#: path (plain, and with a retransmit timer armed per message), a
+#: persistent channel and the mixed mini-MD step
 SCENARIOS = {
     "ugni-get-256K": (_knb(256 * KB), 4),
     "ugni-put-256K": (_knb(256 * KB,
@@ -55,6 +56,8 @@ SCENARIOS = {
                        config=MachineConfig(topology="dragonfly")), 4),
     "mpi-256K": (_knb(256 * KB, layer="mpi"), 4),
     "ugni-256B": (_knb(256), 4),
+    "ugni-256B-reliable": (_knb(256, layer_config=UgniLayerConfig(
+        reliability=True)), 4),
     "ugni-persistent": (_persistent_pingpong, 10),
     "minimd-step": (_minimd, 1),
 }
