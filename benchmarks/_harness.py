@@ -10,6 +10,18 @@ is exactly (docstring, experiment id), so each module is two lines::
 :func:`exhibit_test` manufactures the pytest-benchmark test function the
 old copies spelled out by hand; :func:`run_and_check` is the underlying
 run-render-assert step, still importable directly for ad-hoc use.
+
+Running::
+
+    pytest benchmarks/ --benchmark-only
+
+executes every experiment under pytest-benchmark, prints the regenerated
+rows/series plus the paper-shape claim checklist, asserts that every
+claim holds, and writes the rendered output to
+``benchmarks/results/<id>.txt``.  Set ``REPRO_PAPER_SCALE=1`` for the
+full published sweeps (minutes) and ``REPRO_BENCH_JOBS=N`` to fan the
+figure sweeps out across worker processes (results are byte-identical
+at any job count).
 """
 
 from __future__ import annotations

@@ -1,35 +1,32 @@
 #!/usr/bin/env python
-"""Continuous benchmark-regression harness.
+"""Determinism gate: nine sha256-pinned simulated-metric checksums.
 
-Runs the headline perf-sensitive workloads — fig-9 ping-pong
-(latency + bandwidth), fig-10 kNeighbor, and a pure engine events/sec
-microbenchmark — and emits a ``BENCH_<label>.json`` with:
-
-* **wall-clock** per benchmark: median of ``--rounds`` CPU-time
-  measurements (``time.process_time``, immune to other processes), plus
-  a machine **calibration** factor (a fixed pure-Python spin loop) so
-  numbers recorded on one machine can be compared on another as the
-  dimensionless ``normalized`` cost = wall / calibration;
-* **simulated metrics** and their sha256 **checksum**: the simulation is
-  deterministic, so the checksum must be byte-identical across rounds,
-  machines, and optimization PRs — determinism is verified alongside
-  speed, every round, and any drift fails the run.
+Runs the headline workloads — fig-9 ping-pong (latency + bandwidth),
+fig-10 kNeighbor, two engine kernels, the window-audited kNeighbor, the
+cross-layer comparison, crash recovery and the two GPU benchmarks — and
+emits a ``BENCH_<label>.json`` holding, per benchmark, the **simulated
+metrics** and their sha256 **checksum**.  The simulation is
+deterministic, so the checksum must be byte-identical across rounds,
+``--jobs`` fan-out, engine backends, machines and optimization PRs; any
+drift fails the run.  Nothing here is timed: host speed is measured by
+``python3 perf/bench.py`` (``perf/README.md``), which is the only
+instrument a speed claim may cite.
 
 ``--check BASELINE`` compares against a committed baseline JSON:
-checksums must match exactly and each benchmark's normalized cost must
-not regress by more than ``--tolerance`` (default 20%).  Exit status is
-non-zero on any regression or checksum drift, which is what the CI
-perf-smoke job keys off.  A benchmark present in the current run but
-absent from the baseline fails with a message telling you to
-``--rebase`` (rewrite the baseline in place from this run).
+checksums must match exactly.  Exit status is non-zero on any drift,
+which is what the CI parity legs key off.  A benchmark present in the
+current run but absent from the baseline fails with a message telling
+you to ``--rebase`` (rewrite the baseline in place from this run).
 
-``--jobs N`` (or ``REPRO_BENCH_JOBS=N``) fans the timed rounds out
-across worker processes via :mod:`repro.parallel.sweep`.  Each
-(benchmark, round) pair is an independent task; results merge in
-submission order, so the simulated metrics and their checksums are
-byte-identical to ``--jobs 1`` — only the wall-clock shrinks.  Each
-worker warms a benchmark up once before timing it, mirroring the
-sequential warm-up round.
+``--observe`` runs every benchmark under the observability layer; the
+report gains a ``metrics_digest`` per benchmark, gated exactly like the
+checksum (a baseline entry without one fails the check).  ``--rebase``
+requires ``--observe`` so a rewritten baseline never loses its digests.
+
+``--jobs N`` (or ``REPRO_BENCH_JOBS=N``) fans the rounds out across
+worker processes via :mod:`repro.parallel.sweep`.  Each (benchmark,
+round) pair is an independent task; results merge in submission order,
+so the report is byte-identical to ``--jobs 1``.
 
 Reports always land in the ``benchmarks/`` directory next to this
 script, regardless of the working directory — ``--out`` takes a file
@@ -39,6 +36,7 @@ Usage::
 
     python benchmarks/run_all.py --label local
     python benchmarks/run_all.py --jobs 4 --check benchmarks/BENCH_baseline.json
+    python benchmarks/run_all.py --observe --rebase benchmarks/BENCH_baseline.json
 """
 
 from __future__ import annotations
@@ -48,9 +46,7 @@ import hashlib
 import json
 import os
 import pathlib
-import statistics
 import sys
-import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
@@ -135,7 +131,7 @@ def bench_engine_events_mixed(waves: int = 300, width: int = 256) -> dict[str, f
     event after they have been promoted into the heap (lazy cancellation,
     which drives compaction).  This keeps the slab paths the plain
     ``engine_events`` loop never touches — ``post_many``, handle cancel,
-    compaction — on the perf gate.
+    compaction — on the checksum gate.
     """
     eng = Engine()
     state = [0]
@@ -381,7 +377,7 @@ def select_benchmarks(layers: str | None) -> list[str]:
 
 
 # --------------------------------------------------------------------- #
-# measurement machinery
+# run machinery
 # --------------------------------------------------------------------- #
 def checksum(sim: dict[str, float]) -> str:
     """sha256 over the full-precision reprs, order-independent."""
@@ -389,23 +385,8 @@ def checksum(sim: dict[str, float]) -> str:
     return "sha256:" + hashlib.sha256(blob.encode()).hexdigest()
 
 
-def calibrate(spins: int = 2_000_000) -> float:
-    """CPU seconds for a fixed pure-Python loop — the machine-speed unit."""
-    t0 = time.process_time()
-    acc = 0
-    for i in range(spins):
-        acc += i & 7
-    assert acc >= 0
-    return time.process_time() - t0
-
-
-#: per-process warm-up memo — forked workers each carry their own copy,
-#: so every process warms a benchmark exactly once before timing it
-_WARMED: set = set()
-
-
-def _measure_round(name: str) -> dict:
-    """One timed round of one benchmark — the parallel work unit.
+def _run_round(name: str) -> dict:
+    """One round of one benchmark — the parallel work unit.
 
     Under ``--sanitize`` / ``REPRO_SANITIZE=1`` every machine the round
     builds carries a lifecycle sanitizer; this runs in each worker
@@ -418,21 +399,15 @@ def _measure_round(name: str) -> dict:
     """
     from repro import observe, sanitize
 
-    fn = BENCHMARKS[name]
-    if name not in _WARMED:
-        fn()  # warm-up: imports, lazy caches, allocator steady state
-        _WARMED.add(name)
-    sanitize.clear_registry()  # audit only the timed round below
+    sanitize.clear_registry()  # audit only this round
     observing = observe.observe_requested()
     if observing:
-        observe.clear_registry()  # meter only the timed round below
-    t0 = time.process_time()
-    sim = fn()
-    wall = time.process_time() - t0
+        observe.clear_registry()  # meter only this round
+    sim = BENCHMARKS[name]()
     if sanitize.sanitize_requested():
         sanitize.assert_clean(f"benchmark {name}")
         sanitize.clear_registry()
-    out = {"wall_s": wall, "sim": sim, "checksum": checksum(sim)}
+    out = {"sim": sim, "checksum": checksum(sim)}
     if observing:
         snap = observe.collect_snapshot()
         out["metrics_digest"] = observe.metrics_digest(snapshot=snap)
@@ -442,19 +417,12 @@ def _measure_round(name: str) -> dict:
 
 
 def _aggregate(name: str, round_results: list[dict]) -> dict:
-    walls = [r["wall_s"] for r in round_results]
     sums = {r["checksum"] for r in round_results}
     if len(sums) != 1:
         raise RuntimeError(
             f"{name}: simulated metrics differed across rounds — the "
             f"simulation is no longer deterministic: {sorted(sums)}")
-    sim = round_results[-1]["sim"]
-    entry = {
-        "wall_s": walls,
-        "wall_median_s": statistics.median(walls),
-        "sim": sim,
-        "checksum": sums.pop(),
-    }
+    entry = {"sim": round_results[-1]["sim"], "checksum": sums.pop()}
     digests = {r["metrics_digest"] for r in round_results
                if "metrics_digest" in r}
     if len(digests) > 1:
@@ -464,33 +432,29 @@ def _aggregate(name: str, round_results: list[dict]) -> dict:
     if digests:
         entry["metrics_digest"] = digests.pop()
         entry["metrics"] = round_results[-1]["metrics"]
-    if name in ("engine_events", "engine_events_mixed"):
-        entry["events_per_s"] = sim["events_executed"] / entry["wall_median_s"]
     return entry
 
 
 def run_benchmark(name: str, rounds: int) -> dict:
     """Sequential rounds of one benchmark (the ``--jobs 1`` work loop)."""
-    return _aggregate(name, [_measure_round(name) for _ in range(rounds)])
+    return _aggregate(name, [_run_round(name) for _ in range(rounds)])
 
 
 def run_all(rounds: int, label: str, jobs: int | None = None,
             names: list[str] | None = None) -> dict:
     selected = list(BENCHMARKS) if names is None else list(names)
     n_jobs = resolve_jobs(jobs)
-    calib = statistics.median(calibrate() for _ in range(3))
     report: dict = {
         "schema": SCHEMA,
         "label": label,
         "rounds": rounds,
         "jobs": n_jobs,
-        "calibration_s": calib,
         "benchmarks": {},
     }
     # every (benchmark, round) pair is one task; run_sweep returns them
     # in submission order, so slicing by benchmark reassembles exactly
     # the sequence a --jobs 1 run produces
-    points = [SweepPoint(_measure_round, (name,), label=f"{name}[{i}]")
+    points = [SweepPoint(_run_round, (name,), label=f"{name}[{i}]")
               for name in selected for i in range(rounds)]
     print(f"[bench] {len(points)} rounds across {len(selected)} benchmarks "
           f"(jobs={n_jobs}) ...", flush=True)
@@ -505,11 +469,8 @@ def run_all(rounds: int, label: str, jobs: int | None = None,
             drifted.append(str(exc))
             print(f"[bench] {name}: NONDETERMINISTIC", flush=True)
             continue
-        entry["normalized"] = entry["wall_median_s"] / calib
         report["benchmarks"][name] = entry
-        print(f"[bench] {name}: median {entry['wall_median_s']:.3f}s "
-              f"(normalized {entry['normalized']:.2f}) {entry['checksum'][:23]}",
-              flush=True)
+        print(f"[bench] {name}: {entry['checksum'][:23]}", flush=True)
     if drifted:
         raise RuntimeError(
             "simulation no longer deterministic in "
@@ -518,9 +479,9 @@ def run_all(rounds: int, label: str, jobs: int | None = None,
 
 
 # --------------------------------------------------------------------- #
-# regression check against a committed baseline
+# parity check against a committed baseline
 # --------------------------------------------------------------------- #
-def compare(report: dict, baseline: dict, tolerance: float,
+def compare(report: dict, baseline: dict,
             subset: bool = False) -> list[str]:
     """Return a list of human-readable failures (empty = pass).
 
@@ -551,24 +512,21 @@ def compare(report: dict, baseline: dict, tolerance: float,
                 f"{name}: simulated-metric checksum drifted "
                 f"({str(base.get('checksum'))[:23]}… -> {cur['checksum'][:23]}…) — "
                 f"an optimization changed simulation results")
+        # only an --observe run carries a digest, and then the baseline
+        # must pin it: an unrecorded digest is a gate that checks nothing
         base_digest = base.get("metrics_digest")
         cur_digest = cur.get("metrics_digest")
-        if base_digest and cur_digest and cur_digest != base_digest:
+        if cur_digest is None or cur_digest == base_digest:
+            continue
+        if base_digest is None:
+            failures.append(
+                f"{name}: baseline has no metrics_digest — run with "
+                f"--observe --rebase to record it")
+        else:
             failures.append(
                 f"{name}: observer metrics digest drifted "
                 f"({base_digest[:12]}… -> {cur_digest[:12]}…) — a change "
                 f"altered what the observability layer measures")
-        base_norm = base.get("normalized")
-        if not base_norm:
-            failures.append(
-                f"{name}: baseline entry has no normalized cost — "
-                f"regenerate it with --rebase")
-            continue
-        ratio = cur["normalized"] / base_norm
-        if ratio > 1.0 + tolerance:
-            failures.append(
-                f"{name}: {ratio:.2f}x the baseline normalized cost "
-                f"(limit {1.0 + tolerance:.2f}x)")
     return failures
 
 
@@ -579,29 +537,29 @@ def main(argv: list[str] | None = None) -> int:
                    help="report file name (default: BENCH_<label>.json); "
                         "always written into the benchmarks/ directory")
     p.add_argument("--label", default="local", help="report label")
-    p.add_argument("--rounds", type=int, default=5,
-                   help="timed rounds per benchmark (default: %(default)s)")
+    p.add_argument("--rounds", type=int, default=2,
+                   help="rounds per benchmark; two is what the "
+                        "across-round determinism check needs "
+                        "(default: %(default)s)")
     p.add_argument("--check", metavar="BASELINE",
                    help="baseline JSON to compare against; exit 1 on "
-                        ">tolerance regression or checksum drift")
+                        "checksum or metrics-digest drift")
     p.add_argument("--rebase", metavar="BASELINE",
-                   help="write this run as the new baseline JSON")
-    p.add_argument("--tolerance", type=float, default=0.20,
-                   help="allowed fractional slowdown (default: %(default)s)")
+                   help="write this run as the new baseline JSON "
+                        "(requires --observe, so no digest is lost)")
     p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes for the timed rounds "
+                   help="worker processes for the rounds "
                         "(default: $REPRO_BENCH_JOBS or 1; 0 = all cores)")
     p.add_argument("--sanitize", action="store_true",
                    help="run every benchmark under the lifecycle sanitizer "
-                        "(sets REPRO_SANITIZE=1; fails on any violation). "
-                        "Timings will not be comparable to unsanitized runs.")
+                        "(sets REPRO_SANITIZE=1; fails on any violation)")
     p.add_argument("--observe", action="store_true",
                    help="run every benchmark under the observability layer "
                         "(sets REPRO_OBSERVE=1): the report gains a "
                         "metrics_digest per benchmark and an "
                         "OBSERVE_<label>.jsonl artifact holds the full "
                         "metrics snapshots. Simulated checksums are "
-                        "unaffected; wall-clock carries the hook overhead.")
+                        "unaffected.")
     p.add_argument("--layers", metavar="L1,L2",
                    help="only run benchmarks exercising these machine "
                         "layers (e.g. --layers rdma); --check then skips "
@@ -616,6 +574,14 @@ def main(argv: list[str] | None = None) -> int:
     names = select_benchmarks(args.layers)
     if not names:
         raise SystemExit(f"--layers {args.layers}: no benchmarks selected")
+    if args.rebase and args.layers:
+        raise SystemExit(
+            "--rebase with --layers would write a partial baseline; "
+            "rebase from an unfiltered run")
+    if args.rebase and not args.observe:
+        raise SystemExit(
+            "--rebase without --observe would drop every metrics_digest "
+            "from the baseline; rebase with --observe")
     report = run_all(args.rounds, args.label, jobs=args.jobs, names=names)
 
     # full metrics snapshots go to the JSONL artifact, not the report —
@@ -632,7 +598,7 @@ def main(argv: list[str] | None = None) -> int:
             })
     # artifacts land in benchmarks/ no matter where the harness was
     # invoked from — a bare --out NAME must not scatter reports around
-    # the tree (a stray root BENCH_pr3.json is how this rule got here)
+    # the tree (a stray report at the repo root is how this rule got here)
     out_name = args.out if args.out else f"BENCH_{args.label}.json"
     out_path = BENCH_DIR / pathlib.Path(out_name).name
     out_path.write_text(json.dumps(report, indent=2) + "\n")
@@ -645,25 +611,19 @@ def main(argv: list[str] | None = None) -> int:
         print(f"[bench] wrote {obs_path}")
 
     if args.rebase:
-        if args.layers:
-            raise SystemExit(
-                "--rebase with --layers would write a partial baseline; "
-                "rebase from an unfiltered run")
         pathlib.Path(args.rebase).write_text(
             json.dumps(report, indent=2) + "\n")
         print(f"[bench] rebased baseline {args.rebase}")
 
     if args.check:
         baseline = json.loads(pathlib.Path(args.check).read_text())
-        failures = compare(report, baseline, args.tolerance,
-                           subset=bool(args.layers))
+        failures = compare(report, baseline, subset=bool(args.layers))
         if failures:
-            print(f"[bench] PERF-SMOKE FAILED vs {args.check}:")
+            print(f"[bench] PARITY FAILED vs {args.check}:")
             for f in failures:
                 print(f"  - {f}")
             return 1
-        print(f"[bench] perf-smoke OK vs {args.check} "
-              f"(tolerance {args.tolerance:.0%})")
+        print(f"[bench] parity OK vs {args.check}")
     return 0
 
 

@@ -98,10 +98,6 @@ class PE:
         self.overhead_time = 0.0
         self.idle_since = 0.0
         self.idle_time = 0.0
-        #: most recent closed idle interval, for horizon truncation in
-        #: :meth:`utilization`
-        self._last_idle_start = 0.0
-        self._last_idle_end = 0.0
         self.messages_executed = 0
         #: per-PE scratch for machine layers / applications
         self.ctx: dict[str, Any] = {}
@@ -255,8 +251,6 @@ class PE:
         tracer = self._tracer
         if t > self.idle_since:
             self.idle_time += t - self.idle_since
-            self._last_idle_start = self.idle_since
-            self._last_idle_end = t
             if tracer is not None:
                 tracer.record(self.rank, self.idle_since,
                               t - self.idle_since, "idle")
@@ -297,23 +291,12 @@ class PE:
     def queue_length(self) -> int:
         return len(self._fifo) + len(self._prioq)
 
-    def utilization(self, horizon: Optional[float] = None) -> dict[str, float]:
-        """Fractions of time spent useful / overhead / idle up to horizon.
-
-        With an explicit ``horizon``, accumulated idle time is truncated to
-        it: the portion of the most recent closed idle interval past the
-        horizon is subtracted exactly, and deeper horizons clamp idle to
-        the window (accumulated counters do not keep full interval history,
-        so fractions for horizons that far back are upper bounds).
-        """
-        total = horizon if horizon is not None else self.engine.now
+    def utilization(self) -> dict[str, float]:
+        """Fractions of time spent useful / overhead / idle up to now."""
+        total = self.engine.now
         if total <= 0:
             return {"useful": 0.0, "overhead": 0.0, "idle": 1.0}
         idle = self.idle_time
-        if horizon is not None:
-            if self._last_idle_end > total:
-                idle -= self._last_idle_end - max(total, self._last_idle_start)
-            idle = min(idle, total)
         idle += max(0.0, total - max(self.idle_since, self.busy_until))
         return {
             "useful": self.useful_time / total,

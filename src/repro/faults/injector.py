@@ -256,13 +256,9 @@ class FaultInjector:
 
     # -- reporting --------------------------------------------------------------
     def _emit(self, event: str, where: Any = None, **detail: Any) -> None:
-        now = self.machine.engine.now
-        trace = self.machine.trace
-        if trace is not None:
-            trace.emit(now, "fault", event, where, **detail)
         obs = self.machine.observer
         if obs is not None:
-            obs.on_fault(event, where, now)
+            obs.on_fault(event, where, self.machine.engine.now, **detail)
 
     def stats(self) -> dict[str, int]:
         return {

@@ -1,63 +1,52 @@
-"""Summaries of fault and recovery activity from a :class:`TraceLog`.
+"""Summaries of fault and recovery activity.
 
-The injector emits ``category="fault"`` records; the reliability layer
-emits ``category="recovery"`` records (retransmits, duplicate drops, post
-retries, persistent-channel re-arms).  These helpers fold a run's trace
-into the per-event counts the ablation benchmark and the Projections
-profile report alongside the timing numbers.
-
-When an :class:`~repro.observe.Observer` is active the same events also
-land in its metrics registry (``counter/fault/<event>`` and
-``counter/recovery/<event>``); :func:`fault_report` accepts either source
-so ``--observe`` runs and trace-based ablations share one summary shape.
+The injector reports ``fault`` events and the machine layers and the
+resilience manager report ``recovery`` events (retransmits, duplicate
+drops, post retries, give-ups, persistent-channel re-arms, checkpoints,
+restarts) to the machine's :class:`~repro.observe.Observer`, which counts
+them as ``counter/fault/<event>`` / ``counter/recovery/<event>`` and
+keeps the most recent ones, with their detail, in its flight recorder.
+These helpers fold those counters — and a
+:class:`~repro.resilience.ResilienceManager`'s own, which outlive every
+restart — into one per-event summary.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Optional
-
-from repro.sim.trace import TraceLog
+from typing import Any
 
 
-def fault_report(trace: Optional[TraceLog] = None,
-                 observer: Any = None,
+def fault_report(observer: Any = None,
                  resilience: Any = None) -> dict[str, dict[str, int]]:
     """Per-event counts for the ``fault`` and ``recovery`` categories.
 
-    Pass a :class:`TraceLog` (the historical path), an observer (whose
-    ``counter/fault/*`` and ``counter/recovery/*`` metrics are folded
-    in), a :class:`~repro.resilience.ResilienceManager` (whose
-    checkpoint/crash/restart counters land under ``recovery``), or any
-    combination — counts are merged by taking the max per event, since a
-    run with several sources active records each event in each of them.
-    Manager counters matter when the crashed incarnations' traces and
-    observers are gone: the manager outlives every restart.
+    Pass an observer (whose ``counter/fault/*`` and ``counter/recovery/*``
+    metrics are folded in), a
+    :class:`~repro.resilience.ResilienceManager` (whose
+    checkpoint/crash/restart counters land under ``recovery``), or both —
+    counts are merged by taking the max per event, since a run with both
+    sources active records each manager event in each of them.  Manager
+    counters matter when the crashed incarnations' observers are gone:
+    the manager outlives every restart.
     """
     out: dict[str, Counter] = {"fault": Counter(), "recovery": Counter()}
-    if trace is not None:
-        for rec in trace.records:
-            if rec.category in out:
-                out[rec.category][rec.event] += 1
     if observer is not None:
-        snap = observer.snapshot()
-        for key, value in snap.items():
-            for cat in ("fault", "recovery"):
+        for key, value in observer.snapshot().items():
+            for cat, counts in out.items():
                 prefix = f"counter/{cat}/"
                 if key.startswith(prefix):
-                    event = key[len(prefix):]
-                    out[cat][event] = max(out[cat][event], int(value))
+                    counts[key[len(prefix):]] = int(value)
     if resilience is not None:
         for event, n in resilience.stats().items():
             out["recovery"][event] = max(out["recovery"][event], int(n))
     return {cat: dict(cnt) for cat, cnt in out.items()}
 
 
-def format_fault_report(trace: Optional[TraceLog] = None,
-                        observer: Any = None,
+def format_fault_report(observer: Any = None,
                         resilience: Any = None) -> str:
     """Human-readable fault/recovery summary (one line per event kind)."""
-    rep = fault_report(trace, observer=observer, resilience=resilience)
+    rep = fault_report(observer=observer, resilience=resilience)
     lines = []
     for cat in ("fault", "recovery"):
         events = rep[cat]

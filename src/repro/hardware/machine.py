@@ -29,7 +29,6 @@ from repro.observe import Observer, observe_requested
 from repro.sanitize import Sanitizer, sanitize_requested
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import TraceLog
 
 
 class Machine:
@@ -41,7 +40,6 @@ class Machine:
         config: Optional[MachineConfig] = None,
         engine: Optional[Engine] = None,
         seed: int = 0,
-        trace: Optional[TraceLog] = None,
         torus_dims: Optional[tuple[int, int, int]] = None,
     ):
         if n_nodes < 1:
@@ -49,7 +47,6 @@ class Machine:
         self.config = config or MachineConfig()
         self.engine = engine or Engine()
         self.rng = RngRegistry(seed)
-        self.trace = trace
         if self.config.topology == "dragonfly":
             if torus_dims is not None:
                 raise TopologyError(

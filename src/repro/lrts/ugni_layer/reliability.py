@@ -146,15 +146,11 @@ class ReliabilityMixin:
         self.rel_window_skips = 0
 
     def _rel_trace(self, event: str, where: Any = None, **detail: Any) -> None:
-        now = self.machine.engine.now
-        trace = self.machine.trace
-        if trace is not None:
-            trace.emit(now, "recovery", event, where, **detail)
         obs = self._obs
         if obs is not None:
             # counts into recovery/<event>; give-up events also trigger an
             # automatic flight-recorder dump
-            obs.on_recovery(event, where, now)
+            obs.on_recovery(event, where, self.machine.engine.now, **detail)
 
     def _rel_backoff(self, attempt: int) -> float:
         """Bounded exponential backoff before retry ``attempt`` (1-based)."""

@@ -298,17 +298,19 @@ class Observer:
         self.metrics.observe("net/inject_backlog", now, depart - now)
 
     # -- fault / recovery / failure hooks ----------------------------------
-    def on_fault(self, event: str, where: Any, time: float) -> None:
+    def on_fault(self, event: str, where: Any, time: float,
+                 **detail: Any) -> None:
         self.metrics.inc(f"fault/{event}")
-        self.flight.note(time, "fault", event, where=where)
+        self.flight.note(time, "fault", event, where, **detail)
         if event == "node_crash":
             # dead silicon: dump the recent-event ring for the postmortem
             # before the recovery layer tears this machine down
             self.flight.dump("fault:node_crash", time, where=where)
 
-    def on_recovery(self, event: str, where: Any, time: float) -> None:
+    def on_recovery(self, event: str, where: Any, time: float,
+                    **detail: Any) -> None:
         self.metrics.inc(f"recovery/{event}")
-        self.flight.note(time, "recovery", event, where=where)
+        self.flight.note(time, "recovery", event, where, **detail)
         if event in GIVEUP_EVENTS:
             self.flight.dump(f"recovery:{event}", time, where=where)
 

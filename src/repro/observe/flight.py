@@ -1,22 +1,32 @@
-"""Flight recorder: a bounded ring of recent trace records plus dumps.
+"""Flight recorder: a bounded ring of recent records plus dumps.
 
 The recorder continuously notes interesting events (faults, recovery
-actions, stalls) into a ring-buffered :class:`~repro.sim.trace.TraceLog`
-— bounded memory no matter how long the run — and snapshots the ring
-when something goes wrong: a reliability give-up, a sanitizer violation,
-or an engine stall.  The snapshot (a :class:`FlightDump`) is what a
-postmortem reads: "the last N things the runtime did before it gave up".
+actions, stalls) into a ring — bounded memory no matter how long the run
+— and snapshots the ring when something goes wrong: a reliability
+give-up, a sanitizer violation, or an engine stall.  The snapshot (a
+:class:`FlightDump`) is what a postmortem reads: "the last N things the
+runtime did before it gave up".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
 from typing import Any
-
-from repro.sim.trace import TraceLog, TraceRecord
 
 #: default ring size — enough to cover a few retransmission windows
 DEFAULT_CAPACITY = 256
+
+
+@dataclass(frozen=True)
+class FlightRecord:
+    """One noted event."""
+
+    time: float
+    category: str  # "fault", "recovery", "smsg", "sanitize", "engine"
+    event: str  # e.g. "node_crash", "post_retry", "credit_stall"
+    where: Any = None  # PE / node / pair / queue identifier
+    detail: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -27,7 +37,7 @@ class FlightDump:
     time: float
     where: Any = None
     #: ring contents at the trigger, oldest first
-    records: tuple[TraceRecord, ...] = ()
+    records: tuple[FlightRecord, ...] = ()
     #: records that had already been evicted before the trigger
     dropped: int = 0
 
@@ -44,16 +54,24 @@ class FlightRecorder:
     """Ring buffer of recent records, dumped on fault/violation/stall."""
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
-        self.log = TraceLog(capacity=capacity)
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        #: the newest ``capacity`` records, oldest first
+        self.records: deque[FlightRecord] = deque(maxlen=capacity)
+        #: records evicted to honor the capacity
+        self.dropped = 0
         self.dumps: list[FlightDump] = []
 
     def note(self, time: float, category: str, event: str,
              where: Any = None, **detail: Any) -> None:
-        self.log.emit(time, category, event, where, **detail)
+        records = self.records
+        if len(records) == records.maxlen:
+            self.dropped += 1
+        records.append(FlightRecord(time, category, event, where, detail))
 
     def dump(self, reason: str, time: float, where: Any = None) -> FlightDump:
         snap = FlightDump(reason=reason, time=time, where=where,
-                          records=tuple(self.log.records),
-                          dropped=self.log.dropped)
+                          records=tuple(self.records),
+                          dropped=self.dropped)
         self.dumps.append(snap)
         return snap

@@ -10,8 +10,7 @@ reports.
 """
 
 from repro.projections.profile import TimeProfile
-from repro.projections.render import render_fault_summary, render_profile
+from repro.projections.render import render_profile
 from repro.projections.tracing import UtilizationTracer
 
-__all__ = ["UtilizationTracer", "TimeProfile", "render_profile",
-           "render_fault_summary"]
+__all__ = ["UtilizationTracer", "TimeProfile", "render_profile"]

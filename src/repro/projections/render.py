@@ -7,8 +7,6 @@ yellow), overhead ('!', black), idle (' ', white).
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Optional
-
 import numpy as np
 
 from repro.projections.profile import TimeProfile
@@ -54,32 +52,3 @@ def render_profile(profile: TimeProfile, width: int = 78, height: int = 12,
     )
     return "\n".join(lines)
 
-
-#: layer-stats keys summarized by :func:`render_fault_summary`
-_RECOVERY_KEYS = ("rel_retransmits", "rel_duplicates", "rel_failed",
-                  "post_retries", "post_failures", "persistent_rearms")
-
-
-def render_fault_summary(layer_stats: Mapping[str, Any],
-                         injector_stats: Optional[Mapping[str, int]] = None,
-                         title: str = "fault/recovery summary") -> str:
-    """One block listing injected faults next to the recovery work they cost.
-
-    ``layer_stats`` is ``UgniMachineLayer.stats()``; ``injector_stats`` is
-    ``FaultInjector.stats()`` (or the ``"faults"`` entry a benchmark result
-    carries).  Rendered under the utilization profile so a degraded run's
-    extra overhead can be attributed to recovery rather than application
-    imbalance.
-    """
-    lines = [title]
-    if injector_stats:
-        lines.append("  injected: " + "  ".join(
-            f"{k}={v}" for k, v in sorted(injector_stats.items()) if v))
-    recovered = {k: layer_stats[k] for k in _RECOVERY_KEYS
-                 if layer_stats.get(k)}
-    if recovered:
-        lines.append("  recovery: " + "  ".join(
-            f"{k}={v}" for k, v in sorted(recovered.items())))
-    if len(lines) == 1:
-        lines.append("  (no faults injected, no recovery work)")
-    return "\n".join(lines)

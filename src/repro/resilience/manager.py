@@ -394,12 +394,9 @@ class ResilienceManager:
 
     def _emit(self, event: str, where: Any = None, **detail: Any) -> None:
         machine = self.conv.machine
-        now = machine.engine.now
-        if machine.trace is not None:
-            machine.trace.emit(now, "recovery", event, where, **detail)
         obs = machine.observer
         if obs is not None:
-            obs.on_recovery(event, where, now)
+            obs.on_recovery(event, where, machine.engine.now, **detail)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<ResilienceManager nodes={self._n_nodes} "

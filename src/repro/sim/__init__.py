@@ -16,7 +16,6 @@ kernel is deliberately small:
 from repro.sim.engine import Engine, Event, EventHandle
 from repro.sim.process import Process
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import TraceLog, TraceRecord
 
 __all__ = [
     "Engine",
@@ -24,6 +23,4 @@ __all__ = [
     "EventHandle",
     "Process",
     "RngRegistry",
-    "TraceLog",
-    "TraceRecord",
 ]

@@ -124,42 +124,75 @@ class TestRegressionHarness:
         ra = _load_run_all()
         monkeypatch.setitem(ra.BENCHMARKS, "fast", lambda: {"m": 1.5})
         entry = ra.run_benchmark("fast", rounds=3)
-        assert len(entry["wall_s"]) == 3
-        assert entry["wall_median_s"] >= 0
         assert entry["sim"] == {"m": 1.5}
-        assert entry["checksum"].startswith("sha256:")
+        assert entry["checksum"] == ra.checksum({"m": 1.5})
+        # a checksum gate and nothing else: no wall-clock field of any
+        # kind (the metrics pair appears under REPRO_OBSERVE=1 only)
+        assert set(entry) <= {"sim", "checksum", "metrics_digest", "metrics"}
 
-    def test_compare_flags_slowdown_and_drift(self):
+    @staticmethod
+    def _report(ra, **benchmarks):
+        return {"schema": ra.SCHEMA, "benchmarks": benchmarks}
+
+    def test_compare_flags_checksum_and_digest_drift(self):
         ra = _load_run_all()
-        base = {"schema": ra.SCHEMA, "benchmarks": {
-            "b": {"normalized": 1.0, "checksum": "sha256:aaa"}}}
-        same = {"schema": ra.SCHEMA, "benchmarks": {
-            "b": {"normalized": 1.1, "checksum": "sha256:aaa"}}}
-        slow = {"schema": ra.SCHEMA, "benchmarks": {
-            "b": {"normalized": 1.5, "checksum": "sha256:aaa"}}}
-        drift = {"schema": ra.SCHEMA, "benchmarks": {
-            "b": {"normalized": 1.0, "checksum": "sha256:bbb"}}}
-        assert ra.compare(same, base, tolerance=0.20) == []
-        assert any("1.50x" in f for f in ra.compare(slow, base, tolerance=0.20))
-        assert any("checksum drifted" in f
-                   for f in ra.compare(drift, base, tolerance=0.20))
-        missing = {"schema": ra.SCHEMA, "benchmarks": {}}
-        assert any("missing" in f for f in ra.compare(missing, base, 0.2))
+        base = self._report(ra, b={"checksum": "sha256:aaa",
+                                   "metrics_digest": "d1"})
+        same = self._report(ra, b={"checksum": "sha256:aaa"})
+        assert ra.compare(same, base) == []
+        drift = self._report(ra, b={"checksum": "sha256:bbb"})
+        assert any("checksum drifted" in f for f in ra.compare(drift, base))
+        observed = self._report(ra, b={"checksum": "sha256:aaa",
+                                       "metrics_digest": "d1"})
+        assert ra.compare(observed, base) == []
+        digest_drift = self._report(ra, b={"checksum": "sha256:aaa",
+                                           "metrics_digest": "d2"})
+        assert any("metrics digest drifted" in f
+                   for f in ra.compare(digest_drift, base))
+
+    def test_compare_flags_missing_entry_unless_layers_subset(self):
+        ra = _load_run_all()
+        base = self._report(ra, b={"checksum": "sha256:aaa"})
+        gone = self._report(ra)
+        assert any("missing from current run" in f
+                   for f in ra.compare(gone, base))
+        # ... unless --layers deselected it on purpose
+        assert ra.compare(gone, base, subset=True) == []
+
+    def test_compare_flags_missing_baseline_digest_under_observe(self):
+        """An --observe run against a baseline entry that never recorded a
+        digest used to pass vacuously."""
+        ra = _load_run_all()
+        base = self._report(ra, b={"checksum": "sha256:aaa"})
+        observed = self._report(ra, b={"checksum": "sha256:aaa",
+                                       "metrics_digest": "d1"})
+        fails = ra.compare(observed, base)
+        assert len(fails) == 1
+        assert "no metrics_digest" in fails[0] and "--rebase" in fails[0]
+
+    def test_rebase_requires_observe(self, tmp_path):
+        ra = _load_run_all()
+        target = tmp_path / "baseline.json"
+        with pytest.raises(SystemExit, match="--observe"):
+            ra.main(["--rebase", str(target)])
+        assert not target.exists()
 
     def test_compare_rejects_schema_mismatch(self):
         ra = _load_run_all()
         cur = {"schema": ra.SCHEMA, "benchmarks": {}}
         old = {"schema": "repro-bench-v0", "benchmarks": {}}
-        fails = ra.compare(cur, old, tolerance=0.20)
+        fails = ra.compare(cur, old)
         assert fails and "schema mismatch" in fails[0]
 
     def test_committed_baseline_parses_and_matches_schema(self):
         ra = _load_run_all()
         path = _RUN_ALL.parent / "BENCH_baseline.json"
         base = json.loads(path.read_text())
+        assert set(base) == {"schema", "label", "rounds", "jobs", "benchmarks"}
         assert base["schema"] == ra.SCHEMA
-        for name in ("pingpong", "kneighbor", "engine_events"):
-            entry = base["benchmarks"][name]
-            assert entry["checksum"].startswith("sha256:")
-            assert entry["normalized"] > 0
-            assert entry["sim"]
+        assert set(base["benchmarks"]) == set(ra.BENCHMARKS)
+        for name, entry in base["benchmarks"].items():
+            # checksums and digests only — no wall-clock field survives
+            assert set(entry) == {"sim", "checksum", "metrics_digest"}, name
+            assert entry["checksum"] == ra.checksum(entry["sim"]), name
+            assert len(entry["metrics_digest"]) == 64, name

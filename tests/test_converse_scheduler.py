@@ -88,38 +88,6 @@ class TestExecutionModel:
         u = pe.utilization()
         assert 0 < u["useful"] < 1
 
-    def test_utilization_horizon_truncates_idle(self):
-        """A horizon inside a closed idle interval must not count the
-        idle time that accrued after it (regression: utilization(horizon)
-        used to divide the full accumulated idle by the shorter window,
-        pinning the idle fraction at 1.0)."""
-        m, conv, _ = make_runtime()
-
-        def handler(pe, msg):
-            pe.charge(2 * us)
-
-        hid = conv.register_handler(handler)
-        conv.send_from_outside(0, Message(hid, 0, 0, 8), at=0.0)
-        conv.send_from_outside(0, Message(hid, 0, 0, 8), at=10 * us)
-        conv.run()
-        pe = conv.pes[0]
-        # timeline: busy [0, ~2us], idle [~2us, 10us], busy [10us, ~12us]
-        start, end = pe._last_idle_start, pe._last_idle_end
-        assert end == pytest.approx(10 * us)
-        assert pe.idle_time == pytest.approx(end - start)
-        # horizon mid-idle: only the part of the interval before it counts
-        horizon = (start + end) / 2
-        u = pe.utilization(horizon=horizon)
-        assert u["idle"] == pytest.approx((horizon - start) / horizon)
-        assert u["idle"] < 1.0  # pre-fix this pinned at 1.0
-        # horizon at the end matches the no-horizon accounting
-        full = pe.utilization()
-        at_now = pe.utilization(horizon=m.engine.now)
-        assert at_now["idle"] == pytest.approx(full["idle"])
-        # over the whole busy span the three fractions partition time
-        span = pe.utilization(horizon=pe.busy_until)
-        assert span["useful"] + span["overhead"] + span["idle"] == pytest.approx(1.0)
-
     def test_local_send_bypasses_network(self):
         m, conv, layer = make_runtime()
         got = []

@@ -15,7 +15,6 @@ from repro.hardware import Machine
 from repro.hardware.config import tiny as tiny_config
 from repro.lrts.factory import make_runtime
 from repro.lrts.ugni_layer import UgniLayerConfig
-from repro.sim.trace import TraceLog
 from repro.ugni.cq import CompletionQueue, CqEntry
 from repro.ugni.types import CqEventKind
 from repro.units import KB
@@ -24,9 +23,14 @@ from repro.units import KB
 REL = UgniLayerConfig(reliability=True)
 
 
-def make_machine(n_nodes=4, seed=0, trace=False):
-    return Machine(n_nodes=n_nodes, config=tiny_config(cores_per_node=2),
-                   seed=seed, trace=TraceLog() if trace else None)
+def make_machine(n_nodes=4, seed=0, observe=False):
+    cfg = tiny_config(cores_per_node=2).replace(observe=observe)
+    return Machine(n_nodes=n_nodes, config=cfg, seed=seed)
+
+
+def counted(m, category, event):
+    """How many ``category/event`` reports the machine's observer counted."""
+    return m.observer.snapshot().get(f"counter/{category}/{event}", 0)
 
 
 class TestErrorHierarchy:
@@ -105,7 +109,7 @@ class TestInjector:
         assert inj.rng.bit_generator.state == before
 
     def test_node_crash_halts_pes_and_kills_traffic(self):
-        m = make_machine(trace=True)
+        m = make_machine(observe=True)
         conv, layer = make_runtime(machine=m, n_pes=m.n_pes, layer="ugni",
                                    layer_config=REL,
                                    fault_schedule=[NodeCrash(at=0.0, node_id=1)])
@@ -118,12 +122,12 @@ class TestInjector:
         # traffic toward the dead node now fails at the fabric
         assert m.faults.smsg_delivery_fails(0, dead.first_pe)
         assert m.faults.rdma_fails(0, 1)
-        assert m.trace.count("fault", "node_crash") == 1
+        assert counted(m, "fault", "node_crash") == 1
 
 
 class TestLinkFaults:
     def test_flap_degrades_and_recovers(self):
-        m = make_machine(trace=True)
+        m = make_machine(observe=True)
         a, b = m.nodes[0].coord, m.nodes[1].coord
         install_faults(m, schedule=[LinkFlap(at=1e-6, frm=a, to=b, duration=5e-6)])
         lk = m.network.link(a, b)
@@ -134,8 +138,12 @@ class TestLinkFaults:
         m.engine.run(until=1e-3)
         assert lk.state == "up"
         assert m.network.route_mode == "adaptive"
-        assert m.trace.count("fault", "link_down") == 1
-        assert m.trace.count("fault", "link_up") == 1
+        assert counted(m, "fault", "link_down") == 1
+        assert counted(m, "fault", "link_up") == 1
+        # the event's detail reaches the flight record
+        (down,) = [r for r in m.observer.flight.records
+                   if r.event == "link_down"]
+        assert down.where == (a, b) and down.detail == {"duration": 5e-6}
 
     def test_degraded_link_slows_transfers(self):
         m = make_machine()
@@ -225,7 +233,7 @@ class TestBitIdentity:
 
 class TestReporting:
     def test_fault_report_counts(self):
-        m = make_machine(trace=True)
+        m = make_machine(observe=True)
         conv, layer = make_runtime(machine=m, n_pes=m.n_pes, layer="ugni",
                                    layer_config=REL,
                                    faults=FaultConfig(smsg_drop_rate=0.5))
@@ -239,16 +247,8 @@ class TestReporting:
         for i in range(20):
             conv.send_from_outside(0, Message(h2, 0, 0, 0))
         conv.run(until=0.1)
-        rep = fault_report(m.trace)
+        rep = fault_report(m.observer)
         assert rep["fault"].get("smsg_drop", 0) == m.faults.smsg_dropped > 0
         assert rep["recovery"].get("retransmit", 0) == layer.rel_retransmits > 0
-        text = format_fault_report(m.trace)
+        text = format_fault_report(m.observer)
         assert "smsg_drop" in text and "retransmit" in text
-
-    def test_render_fault_summary(self):
-        from repro.projections import render_fault_summary
-        out = render_fault_summary({"rel_retransmits": 3, "post_retries": 1},
-                                   {"smsg_dropped": 3})
-        assert "rel_retransmits=3" in out and "smsg_dropped=3" in out
-        empty = render_fault_summary({"rel_retransmits": 0})
-        assert "no faults" in empty

@@ -29,6 +29,7 @@ from repro.hardware.config import MachineConfig, tiny as tiny_config
 from repro.lrts.factory import make_runtime
 from repro.lrts.ugni_layer import UgniLayerConfig
 from repro.observe import (
+    FlightRecorder,
     MessageTracer,
     MetricsRegistry,
     chrome_trace,
@@ -36,7 +37,6 @@ from repro.observe import (
     pe_utilization,
 )
 from repro.parallel import ShardedEngine
-from repro.sim.trace import TraceLog
 from repro.units import KB
 
 #: small retry budget + fast backoff so give-up happens quickly
@@ -90,38 +90,6 @@ class TestInstallation:
         assert len(observe.active_observers()) == 2
         observe.clear_registry()
         assert observe.active_observers() == []
-
-
-# --------------------------------------------------------------------- #
-# TraceLog ring buffer (satellite: bounded memory for long campaigns)
-# --------------------------------------------------------------------- #
-class TestTraceLogRing:
-    def test_unbounded_by_default(self):
-        log = TraceLog()
-        for i in range(10):
-            log.emit(i * 1e-6, "cat", "ev")
-        assert len(log.records) == 10
-        assert log.dropped == 0
-
-    def test_capacity_bounds_and_counts_drops(self):
-        log = TraceLog(capacity=4)
-        for i in range(10):
-            log.emit(i * 1e-6, "cat", "ev", seq=i)
-        assert len(log.records) == 4
-        assert log.dropped == 6
-        # the survivors are the newest four, oldest first
-        assert [r.detail["seq"] for r in log.records] == [6, 7, 8, 9]
-
-    def test_clear_resets_dropped(self):
-        log = TraceLog(capacity=2)
-        for i in range(5):
-            log.emit(0.0, "cat", "ev")
-        log.clear()
-        assert log.records == [] and log.dropped == 0
-
-    def test_capacity_validated(self):
-        with pytest.raises(Exception):
-            TraceLog(capacity=0)
 
 
 # --------------------------------------------------------------------- #
@@ -203,7 +171,7 @@ class TestCausalTracing:
         observe.clear_registry()
         cfg = tiny_config(cores_per_node=2)
         cfg = cfg.replace(observe=True)
-        m = Machine(n_nodes=4, config=cfg, seed=3, trace=TraceLog())
+        m = Machine(n_nodes=4, config=cfg, seed=3)
         conv, layer = make_runtime(
             machine=m, n_pes=m.n_pes, layer="ugni",
             layer_config=UgniLayerConfig(**FAST),
@@ -322,7 +290,7 @@ class TestFlightRecorder:
         whose ring holds the retransmissions that led up to it."""
         observe.clear_registry()
         m = Machine(n_nodes=4, config=tiny_config(cores_per_node=2).replace(observe=True),
-                    seed=0, trace=TraceLog())
+                    seed=0)
         conv, layer = make_runtime(
             machine=m, n_pes=m.n_pes, layer="ugni",
             layer_config=UgniLayerConfig(**FAST),
@@ -362,20 +330,41 @@ class TestFlightRecorder:
         obs = m.observer
         for i in range(1000):
             obs.flight.note(i * 1e-6, "fault", "synthetic")
-        assert len(obs.flight.log.records) == 256
-        assert obs.flight.log.dropped == 744
+        assert len(obs.flight.records) == 256
+        assert obs.flight.dropped == 744
         dump = obs.flight.dump("test", 1.0)
         assert len(dump.records) == 256 and dump.dropped == 744
 
+    def test_ring_keeps_newest_oldest_first(self):
+        flight = FlightRecorder(capacity=4)
+        for i in range(3):
+            flight.note(i * 1e-6, "cat", "ev", seq=i)
+        assert len(flight.records) == 3 and flight.dropped == 0
+        for i in range(3, 10):
+            flight.note(i * 1e-6, "cat", "ev", seq=i)
+        assert len(flight.records) == 4
+        assert flight.dropped == 6
+        # the survivors are the newest four, oldest first — in the ring
+        # and in a dump taken from it
+        assert [r.detail["seq"] for r in flight.records] == [6, 7, 8, 9]
+        dump = flight.dump("test", 1.0)
+        assert [r.detail["seq"] for r in dump.records] == [6, 7, 8, 9]
+        assert dump.dropped == 6
+
+    def test_ring_capacity_validated(self):
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="capacity"):
+                FlightRecorder(capacity=bad)
+
 
 # --------------------------------------------------------------------- #
-# fault report folding (satellite: one summary for trace and registry)
+# fault report folding (one recorder: counters and flight records agree)
 # --------------------------------------------------------------------- #
 class TestFaultReportFolding:
     def test_observer_counts_match_trace_counts(self):
         observe.clear_registry()
         m = Machine(n_nodes=4, config=tiny_config(cores_per_node=2).replace(observe=True),
-                    seed=1, trace=TraceLog())
+                    seed=1)
         conv, layer = make_runtime(
             machine=m, n_pes=m.n_pes, layer="ugni",
             layer_config=UgniLayerConfig(**FAST),
@@ -386,12 +375,19 @@ class TestFaultReportFolding:
         for _ in range(10):
             conv.send_from_outside(0, Message(sender, 0, 0, 0))
         m.engine.run(max_events=1_000_000)
-        from_trace = fault_report(m.trace)
+        flight = m.observer.flight
+        assert flight.dropped == 0  # the ring still holds the whole run
+        from_trace: dict = {"fault": {}, "recovery": {}}
+        for rec in flight.records:
+            counts = from_trace[rec.category]
+            counts[rec.event] = counts.get(rec.event, 0) + 1
         from_observer = fault_report(observer=m.observer)
         assert from_trace == from_observer
-        assert from_trace["fault"].get("smsg_drop", 0) > 0
-        # both sources at once merges rather than double-counts
-        assert fault_report(m.trace, observer=m.observer) == from_trace
+        assert from_trace["fault"]["smsg_drop"] == m.faults.smsg_dropped > 0
+        assert from_trace["recovery"]["retransmit"] == layer.rel_retransmits
+        # every record carries the detail its reporter attached
+        assert all(rec.detail["cause"] == "injected" for rec in flight.records
+                   if rec.event == "smsg_drop")
 
 
 # --------------------------------------------------------------------- #

@@ -166,7 +166,7 @@ class TestRunAllJobs:
         ra = _load_run_all()
         monkeypatch.setitem(ra.BENCHMARKS, "toy", _toy_bench)
         seq = ra.run_benchmark("toy", rounds=3)
-        points = [ra.SweepPoint(ra._measure_round, ("toy",))
+        points = [ra.SweepPoint(ra._run_round, ("toy",))
                   for _ in range(3)]
         par = ra._aggregate("toy", ra.run_sweep(points, jobs=2))
         assert par["checksum"] == seq["checksum"]
@@ -182,23 +182,22 @@ class TestRunAllJobs:
     def test_compare_flags_benchmark_missing_from_baseline(self):
         ra = _load_run_all()
         base = {"schema": ra.SCHEMA, "benchmarks": {
-            "old": {"normalized": 1.0, "checksum": "sha256:aaa"}}}
+            "old": {"checksum": "sha256:aaa"}}}
         cur = {"schema": ra.SCHEMA, "benchmarks": {
-            "old": {"normalized": 1.0, "checksum": "sha256:aaa"},
-            "new": {"normalized": 1.0, "checksum": "sha256:bbb"}}}
-        fails = ra.compare(cur, base, tolerance=0.2)
+            "old": {"checksum": "sha256:aaa"},
+            "new": {"checksum": "sha256:bbb"}}}
+        fails = ra.compare(cur, base)
         assert len(fails) == 1
         assert "new" in fails[0]
         assert "--rebase" in fails[0]
 
     def test_compare_survives_malformed_baseline_entry(self):
         ra = _load_run_all()
-        base = {"schema": ra.SCHEMA, "benchmarks": {
-            "b": {"checksum": "sha256:aaa"}}}  # no "normalized"
+        base = {"schema": ra.SCHEMA, "benchmarks": {"b": {}}}  # no checksum
         cur = {"schema": ra.SCHEMA, "benchmarks": {
-            "b": {"normalized": 1.0, "checksum": "sha256:aaa"}}}
-        fails = ra.compare(cur, base, tolerance=0.2)
-        assert fails and "--rebase" in fails[0]
+            "b": {"checksum": "sha256:aaa"}}}
+        fails = ra.compare(cur, base)
+        assert len(fails) == 1 and "checksum drifted" in fails[0]
 
     def test_committed_baseline_covers_every_benchmark(self):
         import json

@@ -29,7 +29,6 @@ from repro.hardware.config import tiny as tiny_config
 from repro.lrts.factory import make_runtime
 from repro.lrts.ugni_layer import UgniLayerConfig
 from repro.lrts.ugni_layer.reliability import _RelRx
-from repro.sim.trace import TraceLog
 from repro.units import KB
 from tests._layers import (
     BUDGET,
@@ -44,7 +43,7 @@ from tests._layers import (
 def make(layer_config, faults=None, seed=0, layer="ugni"):
     m = Machine(n_nodes=4,
                 config=tiny_config(cores_per_node=2).replace(observe=True),
-                seed=seed, trace=TraceLog())
+                seed=seed)
     conv, layer = make_runtime(machine=m, n_pes=m.n_pes, layer=layer,
                                layer_config=layer_config, faults=faults)
     return m, conv, layer
@@ -72,7 +71,7 @@ class TestSmsgGiveUp:
         assert s["rel_failed"] == 5
         assert delivered == []
         assert layer._rel_tx == {}  # every record retired at give-up
-        assert m.trace.count("recovery", "give_up") == 5
+        assert recoveries(m, "give_up") == 5
         # mailbox credit reclaimed when each dropped delivery resolved
         assert all(c.credits_used == 0
                    for c in layer.gni.smsg._connections.values())
@@ -109,7 +108,7 @@ class TestPostGiveUp:
         assert m.engine.peek() == float("inf")
         if self.layer == "ugni":
             assert s["pool_live_bytes"] == 0
-            assert m.trace.count("recovery", "post_give_up") == 1
+            assert recoveries(m, "post_give_up") == 1
 
     def test_abandoned_persistent_send_keeps_channel(self):
         """A persistent PUT that exhausts retries is counted as lost; the
@@ -137,7 +136,6 @@ class TestPostGiveUp:
         assert m.engine.peek() == float("inf")
         if self.layer == "ugni":
             assert s["persistent_rearms"] == s["post_retries"]
-            assert m.trace.count("recovery", "persist_send_failed") == 1
 
     def test_late_rndv_fail_after_ack_releases_once(self):
         """Hardening from unifying: the sender's ACK handler used to free
@@ -169,7 +167,7 @@ class TestSharedPostCq:
             sanitize=False):
         cfg = tiny_config(cores_per_node=2).replace(observe=True,
                                                     sanitize=sanitize)
-        m = Machine(n_nodes=4, config=cfg, trace=TraceLog())
+        m = Machine(n_nodes=4, config=cfg)
         conv, layer = make_runtime(machine=m, n_pes=m.n_pes, layer="ugni",
                                    layer_config=layer_config,
                                    faults=FaultConfig())
@@ -228,8 +226,10 @@ class TestSharedPostCq:
         assert sorted(delivered) == [2, 4]
         assert s["post_retries"] == s["persistent_rearms"] == 2
         assert s["post_failures"] == s["persistent_failed"] == 0
-        assert [rec.detail["attempt"] for rec in
-                m.trace.select("recovery", "post_retry")] == [1, 2]
+        assert recoveries(m, "post_retry") == 2
+        # the attempt numbers ride the flight records' detail
+        assert [rec.detail["attempt"] for rec in m.observer.flight.records
+                if rec.event == "post_retry"] == [1, 2]
 
     def test_error_without_reliability_still_raises(self):
         m, *_ = self.run(UgniLayerConfig())
@@ -277,6 +277,30 @@ class TestPostGiveUpRdma(TestPostGiveUp):
         assert [name for name, _ in log] == [
             "init", "ack", "released", "released"]
         assert t_freed > t_ack  # the eviction was charged after the post
+
+    def test_total_control_loss_reports_every_lost_wqe(self):
+        """100% packet loss: every WQE exhausts the RC retry budget and is
+        reported as ``rc_giveup`` — to the observer only; this layer never
+        wrote to a trace log."""
+        m, conv, layer = make(giveup_config("rdma"), layer="rdma",
+                              faults=FaultConfig(smsg_drop_rate=1.0))
+        delivered = []
+        h = conv.register_handler(lambda pe, msg: delivered.append(msg))
+        sender = conv.register_handler(
+            lambda pe, msg: conv.send(pe, 2, Message(h, pe.rank, 2, 64)))
+        for _ in range(5):
+            conv.send_from_outside(0, Message(sender, 0, 0, 0))
+        m.engine.run(max_events=1_000_000)
+        assert delivered == []
+        assert layer.stats()["rc_lost"] == 5
+        assert recoveries(m, "rc_giveup") == 5
+        giveups = [rec for rec in m.observer.flight.records
+                   if rec.event == "rc_giveup"]
+        assert [rec.where for rec in giveups] == ["qp[0->2]"] * 5
+        # each give-up also dumped the ring for the postmortem
+        assert sum(d.reason == "recovery:rc_giveup"
+                   for d in m.observer.flight.dumps) == 5
+        assert m.engine.peek() == float("inf")
 
 
 class TestDedupWindow:

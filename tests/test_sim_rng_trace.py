@@ -1,9 +1,8 @@
-"""Tests for RNG streams, trace log, and unit helpers."""
+"""Tests for RNG streams and unit helpers."""
 
 import pytest
 
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import TraceLog
 from repro import units
 
 
@@ -42,31 +41,6 @@ class TestRng:
         reg.reset()
         again = list(reg.stream("x").integers(0, 10**9, size=3))
         assert first == again
-
-
-class TestTrace:
-    def test_emit_and_query(self):
-        log = TraceLog()
-        log.emit(1e-6, "smsg", "send", where=0, size=88)
-        log.emit(2e-6, "smsg", "deliver", where=1)
-        log.emit(3e-6, "rdma", "cq", where=0)
-        assert log.count() == 3
-        assert log.count(category="smsg") == 2
-        assert log.count(category="smsg", event="send") == 1
-        rec = next(log.select("smsg", "send"))
-        assert rec.detail == {"size": 88}
-
-    def test_category_filter_drops_records(self):
-        log = TraceLog(categories={"rdma"})
-        log.emit(0.0, "smsg", "send")
-        log.emit(0.0, "rdma", "cq")
-        assert len(log) == 1
-
-    def test_clear(self):
-        log = TraceLog()
-        log.emit(0.0, "x", "y")
-        log.clear()
-        assert len(log) == 0
 
 
 class TestUnits:
