@@ -49,15 +49,16 @@ class TorusNetwork:
         self._links: dict[tuple[Coord, Coord], Link] = {}
         self._inject: dict[Coord, Link] = {}
         self._eject: dict[Coord, Link] = {}
-        #: (at, dst) -> ((next_coord, link), ...): the productive next hops
-        #: in ``minimal_directions`` order (only the first in dimension-
+        #: (at, dst) -> (link, ...): the productive links out of ``at`` in
+        #: ``minimal_directions`` order (only the first in dimension-
         #: ordered mode, so no link is created that routing would not have
-        #: created).  The one per-hop cache; :meth:`transfer` consults it
+        #: created); the next coordinate is the chosen link's
+        #: ``name[1]``, so a miss keeps the key and one tuple and nothing
+        #: else.  The one per-hop cache; :meth:`transfer` consults it
         #: only while no link is faulted.  Link objects are stable — a
         #: fault mutates the Link in place — so entries outlive a
         #: fail/restore cycle.
-        self._routes: dict[tuple[Coord, Coord],
-                           tuple[tuple[Coord, Link], ...]] = {}
+        self._routes: dict[tuple[Coord, Coord], tuple[Link, ...]] = {}
         #: observability hub (:mod:`repro.observe`), set by the machine
         #: that owns this network; ``None`` skips the transfer hooks
         self.observer = None
@@ -73,9 +74,14 @@ class TorusNetwork:
         key = (frm, to)
         lk = self._links.get(key)
         if lk is None:
-            lk = Link(key, self.config.link_bandwidth, self.config.hop_latency)
+            lk = Link(key, self.config.link_bandwidth,
+                      self._link_latency(frm, to))
             self._links[key] = lk
         return lk
+
+    def _link_latency(self, frm: Coord, to: Coord) -> float:
+        """Per-traversal latency of the ``frm -> to`` link when created."""
+        return self.config.hop_latency
 
     def injection_port(self, at: Coord) -> Link:
         lk = self._inject.get(at)
@@ -144,16 +150,20 @@ class TorusNetwork:
                 return d
         return dirs[0]
 
-    def _route_miss(self, at: Coord, dst: Coord) -> tuple[tuple[Coord, Link], ...]:
-        """Compute and remember the candidate next hops from ``at``."""
+    def _route_miss(self, at: Coord, dst: Coord) -> tuple[Link, ...]:
+        """Compute and remember the candidate links out of ``at``."""
         topo = self.topology
         dirs = topo.minimal_directions(at, dst)
         if not self.config.adaptive_routing:
             dirs = dirs[:1]
+        links = self._links
         cands = []
         for d in dirs:
             nxt = topo.neighbor(at, d)
-            cands.append((nxt, self.link(at, nxt)))
+            lk = links.get((at, nxt))
+            if lk is None:
+                lk = self.link(at, nxt)
+            cands.append(lk)
         self._routes[(at, dst)] = route = tuple(cands)
         return route
 
@@ -224,15 +234,16 @@ class TorusNetwork:
                     cands = routes.get((at, leg_end))
                     if cands is None:
                         cands = self._route_miss(at, leg_end)
-                    nxt, lk = cands[0]
+                    lk = cands[0]
                     if len(cands) > 1:
                         # adaptive: least-backlogged productive link
                         load = lk._lanes[0]
                         for cand in cands[1:]:
-                            other = cand[1]._lanes[0]
+                            other = cand._lanes[0]
                             if other < load:
-                                nxt, lk = cand
+                                lk = cand
                                 load = other
+                    nxt = lk.name[1]
                 lanes = lk._lanes
                 if lk.state == "up" and len(lanes) == 1:
                     # Link.reserve for the common case, minus the call
@@ -288,6 +299,22 @@ class TorusNetwork:
     def hottest_link(self) -> Link | None:
         return max(self._links.values(), key=lambda lk: lk.bytes_carried, default=None)
 
+    def route_stats(self) -> dict[str, int]:
+        """Size and use of the route table.
+
+        A simulator self-metric, not a simulated result: it is in no
+        ``stats()`` dict, checksum or metrics digest.  A miss adds exactly
+        one entry and nothing is evicted, so ``misses`` is read off the
+        table and the hit path carries no counter; ``hops`` is every
+        router-link traversal (hits, misses, and degraded-mode hops,
+        which bypass the table), so ``1 - misses / hops`` is the hit
+        rate of a fault-free run.
+        """
+        entries = len(self._routes)
+        return {"entries": entries, "misses": entries,
+                "links": len(self._links),
+                "hops": sum(lk.transfers for lk in self._links.values())}
+
 
 class DragonflyNetwork(TorusNetwork):
     """Dragonfly fabric on top of the shared link/fault machinery.
@@ -306,16 +333,10 @@ class DragonflyNetwork(TorusNetwork):
       the torus's degraded mode.
     """
 
-    def link(self, frm, to) -> Link:
-        key = (frm, to)
-        lk = self._links.get(key)
-        if lk is None:
-            latency = (self.config.dragonfly_global_latency
-                       if self.topology.is_global_link(frm, to)
-                       else self.config.hop_latency)
-            lk = Link(key, self.config.link_bandwidth, latency)
-            self._links[key] = lk
-        return lk
+    def _link_latency(self, frm, to) -> float:
+        if self.topology.is_global_link(frm, to):
+            return self.config.dragonfly_global_latency
+        return self.config.hop_latency
 
     def transfer(
         self,

@@ -137,21 +137,23 @@ class Torus3D:
         Computed on every call: the network's route table
         (:class:`repro.hardware.router.TorusNetwork`) is the one per-hop
         cache, so a route used once does not pay for a second copy here.
+        The entries are the :attr:`DIRECTIONS` constants themselves — a
+        route-table miss allocates nothing here but the list it returns.
         """
         dirs = []
+        directions = self.DIRECTIONS
         for axis in range(3):
-            size = self.dims[axis]
             src_c, dst_c = at[axis], dst[axis]
             if src_c == dst_c:
                 continue
+            size = self.dims[axis]
             forward = (dst_c - src_c) % size
             backward = (src_c - dst_c) % size
-            steps = [1] if forward < backward else (
-                [-1] if backward < forward else [1, -1])
-            for step in steps:
-                d = [0, 0, 0]
-                d[axis] = step
-                dirs.append(tuple(d))  # type: ignore[arg-type]
+            # DIRECTIONS holds each axis as (+1, -1); a tie offers both
+            if forward <= backward:
+                dirs.append(directions[2 * axis])
+            if backward <= forward:
+                dirs.append(directions[2 * axis + 1])
         return dirs
 
     def route(self, src: Coord, dst: Coord) -> list[tuple[Coord, Coord]]:

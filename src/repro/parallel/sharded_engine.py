@@ -215,9 +215,10 @@ class ShardedEngine(Engine):
         self.barriers += 1
         self._probe_faults()
 
-    def run(self, until: float = _INF, max_events: Optional[int] = None) -> float:
-        """:meth:`Engine.run` — same ``until`` clamping, ``max_events``
-        guard and ``stop()`` behaviour — cutting windows as it goes.
+    def _run(self, until: float, max_events: Optional[int]) -> float:
+        """The loop behind :meth:`Engine.run` — same ``until`` clamping,
+        ``max_events`` guard and ``stop()`` behaviour, entered with the
+        collector paused like the base loops — cutting windows as it goes.
 
         A window opens at the first event to execute and closes (a
         *barrier*) when the next event lies at or past its end, when the

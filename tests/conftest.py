@@ -1,4 +1,5 @@
-"""Shared pytest wiring: the lifecycle-sanitizer guard.
+"""Shared pytest wiring: the lifecycle-sanitizer guard, and a fixture
+that keeps the runtimes the apps build referenced.
 
 When the suite runs under ``REPRO_SANITIZE=1`` every test's machines build
 a :class:`repro.sanitize.Sanitizer`, and this guard fails any test whose
@@ -11,7 +12,12 @@ Plain pytest hooks (not an autouse fixture) keep hypothesis's
 
 import pytest
 
+import repro.apps.kneighbor
+import repro.apps.minimd.app
+import repro.apps.nqueens.app
+import repro.apps.pingpong
 from repro import sanitize
+from repro.lrts.factory import make_runtime
 
 
 def pytest_configure(config):
@@ -44,3 +50,21 @@ def pytest_runtest_teardown(item, nextitem):
             pytrace=False,
         )
     return result
+
+
+@pytest.fixture
+def held_runtimes(monkeypatch):
+    """The ``(conv, lrts)`` runtimes the app entry points build while the
+    test runs, kept referenced until the test clears the list: a finished
+    runtime is one big cycle, and tests that count what a run leaves
+    behind must not have it collected under them."""
+    held = []
+
+    def recording_make_runtime(*args, **kwargs):
+        held.append(make_runtime(*args, **kwargs))
+        return held[-1]
+
+    for app in (repro.apps.kneighbor, repro.apps.pingpong,
+                repro.apps.minimd.app, repro.apps.nqueens.app):
+        monkeypatch.setattr(app, "make_runtime", recording_make_runtime)
+    return held

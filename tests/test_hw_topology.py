@@ -106,6 +106,34 @@ class TestRoutes:
         t = Torus3D((4, 4, 4))
         assert t.minimal_directions((2, 2, 2), (2, 2, 2)) == []
 
+    @pytest.mark.parametrize("dims", [(4, 4, 2), (2, 2, 1), (3, 1, 5),
+                                      (6, 5, 4)])
+    def test_minimal_directions_are_the_direction_constants(self, dims):
+        """Every pair of a small torus against the definition written out
+        (X, Y, Z order; the shorter wrap direction; +1 then -1 on a tie),
+        and every entry *is* one of ``DIRECTIONS`` — the router's miss
+        path relies on this call keeping no tuple of its own."""
+        t = Torus3D(dims)
+        constants = {id(d) for d in Torus3D.DIRECTIONS}
+        coords = list(t.all_coords())
+        for at in coords:
+            for dst in coords:
+                want = []
+                for axis in range(3):
+                    if at[axis] == dst[axis]:
+                        continue
+                    forward = (dst[axis] - at[axis]) % dims[axis]
+                    backward = (at[axis] - dst[axis]) % dims[axis]
+                    steps = ([1] if forward < backward else
+                             [-1] if backward < forward else [1, -1])
+                    for step in steps:
+                        d = [0, 0, 0]
+                        d[axis] = step
+                        want.append(tuple(d))
+                got = t.minimal_directions(at, dst)
+                assert got == want, (at, dst)
+                assert all(id(d) in constants for d in got)
+
     @settings(max_examples=60, deadline=None)
     @given(
         dims=st.tuples(*[st.integers(1, 6)] * 3),

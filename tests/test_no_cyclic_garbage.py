@@ -11,6 +11,10 @@ itself is kept alive across the collection — it is one big cycle whose
 size depends on the run's length (route table, registration caches), and
 it is state, not garbage.  On failure the types that grew with the
 iteration count are printed.
+
+``Engine.run`` leans on this: it keeps the collector out of the event
+loop altogether (``tests/test_collector_pause.py``), which is only sound
+while no message path needs one.
 """
 
 import collections
@@ -18,22 +22,19 @@ import gc
 
 import pytest
 
-import repro.apps.kneighbor
-import repro.apps.minimd.app
-import repro.apps.pingpong
 from repro.apps.kneighbor import kneighbor
 from repro.apps.minimd.app import run_minimd
+from repro.apps.nqueens.app import run_nqueens
 from repro.apps.pingpong import charm_pingpong
 from repro.hardware.config import MachineConfig
-from repro.lrts.factory import make_runtime
 from repro.lrts.ugni_layer import UgniLayerConfig
 from repro.units import KB
 
 
-def _knb(size, layer="ugni", n_cores=16, **kw):
+def _knb(size, layer="ugni", n_cores=16, k=2, warmup=1, **kw):
     def run(iters):
-        kneighbor(size, layer=layer, k=2, n_cores=n_cores, iters=iters,
-                  warmup=1, **kw)
+        kneighbor(size, layer=layer, k=k, n_cores=n_cores, iters=iters,
+                  warmup=warmup, **kw)
     return run
 
 
@@ -45,9 +46,17 @@ def _minimd(steps):
     run_minimd("dhfr", 48, steps=steps, warmup=1)
 
 
+def _nqueens(scale):
+    # 7-Queens (254 tasks) then 8-Queens (535): a longer search on the
+    # same PEs, every task one 88 B message to a random PE
+    run_nqueens(6 + scale, 6, 48, seed=3)
+
+
 #: scenario -> (run(n), n): every machine layer's rendezvous, the SMSG
 #: path (plain, and with a retransmit timer armed per message), a
-#: persistent channel and the mixed mini-MD step
+#: persistent channel, the mixed mini-MD step, the N-Queens task tree and
+#: a cold 1,024-PE machine (start broadcast plus first-touch state on
+#: every PE, no warm-up)
 SCENARIOS = {
     "ugni-get-256K": (_knb(256 * KB), 4),
     "ugni-put-256K": (_knb(256 * KB,
@@ -60,23 +69,17 @@ SCENARIOS = {
         reliability=True)), 4),
     "ugni-persistent": (_persistent_pingpong, 10),
     "minimd-step": (_minimd, 1),
+    "nqueens-tree": (_nqueens, 1),
+    "ugni-cold-1024": (_knb(32, n_cores=1024, k=1, warmup=0), 1),
 }
 
 
 @pytest.fixture
-def garbage_after(monkeypatch):
+def garbage_after(held_runtimes):
     """``garbage_after(run, n) -> (objects found, type histogram)`` by a
     full collection after ``run(n)`` executed with the collector disabled
     and the runtime the app built still referenced."""
-    held = []
-
-    def recording_make_runtime(*args, **kwargs):
-        held.append(make_runtime(*args, **kwargs))
-        return held[-1]
-
-    for app in (repro.apps.kneighbor, repro.apps.pingpong,
-                repro.apps.minimd.app):
-        monkeypatch.setattr(app, "make_runtime", recording_make_runtime)
+    held = held_runtimes
 
     def measure(run, n):
         gc.collect()
@@ -109,14 +112,30 @@ def test_per_message_cyclic_garbage_is_zero(name, garbage_after):
         f"iterations than after {n}; types that grew: {grew}")
 
 
-def test_large_message_run_needs_no_old_generation_pass(garbage_after):
-    """256 KB kNeighbor with the collector on: nothing survives into the
-    old generation, so no generation-2 pass runs, and a full collection
-    afterwards finds no per-post object."""
-    gc.collect()
-    before = gc.get_stats()[2]["collections"]
-    _knb(256 * KB, n_cores=64)(24)
-    assert gc.get_stats()[2]["collections"] == before
-    _, types = garbage_after(_knb(256 * KB), 4)
+def test_large_message_steady_state_keeps_nothing(held_runtimes,
+                                                  garbage_after, monkeypatch):
+    """256 KB kNeighbor: with the runtime held, a run twice as long leaves
+    exactly as many GC-tracked objects behind — steady state allocates
+    nothing that survives — and a full collection finds no per-post
+    object."""
+    # a sanitizer or an observer keeps a record per message, by design
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    monkeypatch.delenv("REPRO_OBSERVE", raising=False)
+    run = _knb(256 * KB)
+
+    def tracked_after(n):
+        gc.collect()
+        before = len(gc.get_objects())
+        run(n)
+        gc.collect()
+        tracked = len(gc.get_objects()) - before
+        held_runtimes.clear()
+        return tracked
+
+    # the first call in a process also fills interpreter-level caches
+    # (ABC registries and the like); measure after it
+    tracked_after(1)
+    assert tracked_after(8) == tracked_after(4)
+    _, types = garbage_after(run, 4)
     assert not {"CompletionQueue", "PostDescriptor", "function",
                 "cell"} & set(types), types

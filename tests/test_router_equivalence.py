@@ -5,8 +5,9 @@ _next_direction -> Link.reserve`` composition.  Random streams of
 transfers with link faults interleaved go through it and through the live
 network side by side; every :class:`TransferTiming` field and every
 per-link horizon and counter must be identical, and the two must have
-created exactly the same links (``len(net._links)`` is in the observer's
-metrics digest, so lazy link creation is part of the contract).
+created exactly the same links in the same order (``len(net._links)`` is
+in the observer's metrics digest and ``hottest_link`` breaks ties by
+insertion order, so lazy link creation is part of the contract).
 """
 
 import numpy as np
@@ -79,7 +80,7 @@ def _drive(live, ref, ops):
                     net.degrade_link(frm, to, factor)
                 else:
                     net.restore_link(frm, to)
-        assert set(live._links) == set(ref._links)
+        assert list(live._links) == list(ref._links)
     assert _link_state(live) == _link_state(ref)
     assert live.messages_routed == ref.messages_routed
 
