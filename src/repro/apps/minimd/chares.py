@@ -289,7 +289,7 @@ class Driver(Chare):
         pcoll = charm.collections[ctx.patches.aid]
         loads = {}
         per_pe_compute: dict[int, float] = defaultdict(float)
-        for pe_rank, elems in coll.local.items():
+        for pe_rank, elems in coll.by_pe():
             for idx, elem in elems.items():
                 total = elem._lb_load
                 loads[idx] = total - ctx._lb_snapshot.get(idx, 0.0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Any, Callable, Iterable, Optional
 
 from repro.charm.reduction import ReductionState
@@ -38,16 +39,18 @@ class Collection:
         self.cls = cls
         self.name = name
         self.is_group = is_group
-        n_pes = len(charm.conv.pes)
-        self.n_pes = n_pes
+        self.n_pes = len(charm.conv.pes)
         #: authoritative element -> PE map (the location manager)
         self.location: dict[Any, int] = {}
-        #: pe rank -> {index -> element}
-        self.local: dict[int, dict[Any, Any]] = {r: {} for r in range(n_pes)}
+        #: pe rank -> {index -> element}; a PE's dict is made by the first
+        #: read or write of its rank, so ``local`` is in first-touch order
+        #: and whatever must not depend on that iterates :meth:`by_pe`
+        self.local: dict[int, dict[Any, Any]] = defaultdict(dict)
         #: invocations that arrived before their migrating element did
         self.waiting: dict[Any, list] = {}
-        #: reduction state per PE (round-keyed accumulators)
-        self.red: dict[int, ReductionState] = {r: ReductionState() for r in range(n_pes)}
+        #: reduction state per PE (round-keyed accumulators), made on
+        #: first touch like ``local``
+        self.red: dict[int, ReductionState] = defaultdict(ReductionState)
         #: bumped on every migration; invalidates the cached hosting tree
         self.epoch = 0
         self._tree_epoch = -1
@@ -60,11 +63,19 @@ class Collection:
     def insert(self, idx: Any, pe_rank: int, elem: Any) -> None:
         if idx in self.location:
             raise CharmError(f"duplicate index {idx!r} in {self.name}")
+        if not 0 <= pe_rank < self.n_pes:
+            raise CharmError(
+                f"{self.name}[{idx!r}] placed on PE {pe_rank}, outside the "
+                f"job's {self.n_pes} PEs")
         self.location[idx] = pe_rank
         self.local[pe_rank][idx] = elem
 
     def element_at(self, pe_rank: int, idx: Any) -> Optional[Any]:
         return self.local[pe_rank].get(idx)
+
+    def by_pe(self) -> list[tuple[int, dict[Any, Any]]]:
+        """``(pe rank, {index -> element})`` of every touched PE, by rank."""
+        return sorted(self.local.items())
 
     def home_of(self, idx: Any) -> int:
         try:
@@ -82,7 +93,7 @@ class Collection:
     def _refresh_tree(self) -> None:
         if self._tree_epoch == self.epoch:
             return
-        self._hosting = sorted(r for r in range(self.n_pes) if self.local[r])
+        self._hosting = [r for r, elems in self.by_pe() if elems]
         self._hosting_pos = {r: i for i, r in enumerate(self._hosting)}
         self._tree = SpanningTree(max(1, len(self._hosting)),
                                   branching=self.charm.reduction_branching)
@@ -124,7 +135,7 @@ class Collection:
     # -- load statistics (for the measurement-based LB) --------------------------
     def element_loads(self) -> dict[Any, float]:
         out = {}
-        for pe_elems in self.local.values():
+        for _, pe_elems in self.by_pe():
             for idx, elem in pe_elems.items():
                 out[idx] = getattr(elem, "_lb_load", 0.0)
         return out

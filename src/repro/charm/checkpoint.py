@@ -182,7 +182,7 @@ def take_checkpoint(charm: Charm, skip: tuple = (),
                 f"elements {sorted(coll.waiting, key=str)!r} of {coll.name!r}")
         cc = CollectionCheckpoint(name=coll.name, cls=coll.cls,
                                   is_group=coll.is_group)
-        for pe_rank, elems in coll.local.items():
+        for pe_rank, elems in coll.by_pe():
             for idx, elem in elems.items():
                 cc.states[idx] = _capture_element(elem)
                 cc.placement[idx] = pe_rank

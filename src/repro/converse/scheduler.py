@@ -70,6 +70,13 @@ class Message:
 class PE:
     """One processing element: a core running the Converse scheduler."""
 
+    __slots__ = ("runtime", "engine", "rank", "node", "_tracer", "_observer",
+                 "_dispatch_cpu", "_handlers", "_fifo", "_prioq", "_prio_seq",
+                 "_running", "_scheduled", "_blocked", "halted",
+                 "dropped_dead", "busy_until", "vtime", "useful_time",
+                 "overhead_time", "idle_since", "idle_time",
+                 "messages_executed", "ctx")
+
     def __init__(self, runtime: "ConverseRuntime", rank: int):
         self.runtime = runtime
         self.engine = runtime.engine

@@ -40,17 +40,22 @@ class Link:
     so the router's fault bookkeeping stays consistent.
     """
 
-    __slots__ = ("name", "bandwidth", "latency", "_lanes", "bytes_carried",
-                 "transfers", "state", "degrade_factor", "faults",
-                 "faulted_transfers")
+    __slots__ = ("name", "bandwidth", "latency", "_free", "_lanes",
+                 "bytes_carried", "transfers", "state", "degrade_factor",
+                 "faults", "faulted_transfers")
 
     def __init__(self, name: Hashable, bandwidth: float, latency: float,
                  lanes: int = 1):
         self.name = name
         self.bandwidth = bandwidth
         self.latency = latency
-        #: earliest time each lane can accept a new flow
-        self._lanes = [0.0] * max(1, lanes)
+        #: earliest time the lane of a single-lane link can accept a new
+        #: flow: a float in a slot, so the ~5 router links a cold PE
+        #: touches cost no list each
+        self._free = 0.0
+        #: the same horizon per lane of a multi-lane port; ``None`` on a
+        #: single-lane link
+        self._lanes = [0.0] * lanes if lanes > 1 else None
         #: lifetime counters (diagnostics, adaptive routing load signal)
         self.bytes_carried = 0
         self.transfers = 0
@@ -108,9 +113,8 @@ class Link:
         model per-message router overhead for tiny packets).
         """
         lanes = self._lanes
-        if len(lanes) == 1:
-            lane = 0
-            free = lanes[0]
+        if lanes is None:
+            free = self._free
         else:
             free = min(lanes)
             lane = lanes.index(free)
@@ -124,23 +128,26 @@ class Link:
             self.faulted_transfers += 1
         if occupancy < min_occupancy:
             occupancy = min_occupancy
-        lanes[lane] = start + occupancy
+        if lanes is None:
+            self._free = start + occupancy
+        else:
+            lanes[lane] = start + occupancy
         self.bytes_carried += nbytes
         self.transfers += 1
         return start, start + latency
 
     @property
-    def available_at(self) -> float:
-        """Earliest time any lane is free."""
-        return min(self._lanes)
+    def horizons(self) -> tuple[float, ...]:
+        """When each lane is next free, lane by lane."""
+        lanes = self._lanes
+        return (self._free,) if lanes is None else tuple(lanes)
 
     @property
-    def queue_depth(self) -> float:
-        """Load signal for adaptive routing: the absolute simulated time at
-        which the least-busy lane is next free (a horizon, not a duration —
-        an idle link reads as the end of its last flow, not as zero)."""
-        lanes = self._lanes
-        return lanes[0] if len(lanes) == 1 else min(lanes)
+    def available_at(self) -> float:
+        """Earliest time any lane is free: the load signal of adaptive
+        routing (a horizon, not a duration — an idle link reads as the
+        end of its last flow, not as zero)."""
+        return min(self.horizons)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Link {self.name} bw={self.bandwidth:.3g} busy_until={self.available_at:.9f}>"

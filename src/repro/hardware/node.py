@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from repro.hardware.config import MachineConfig
 from repro.hardware.memory import NodeMemory
 from repro.hardware.nic import GeminiNIC
@@ -9,7 +11,12 @@ from repro.hardware.topology import Coord
 
 
 class Node:
-    """One XE6 compute node (2× 12-core Magny-Cours on Hopper)."""
+    """One XE6 compute node (2× 12-core Magny-Cours on Hopper).
+
+    ``memory``, ``facilities`` and ``gpus`` are built by the first read
+    and are plain attributes from then on: a node nobody allocates on
+    keeps no allocator.
+    """
 
     def __init__(
         self,
@@ -22,21 +29,30 @@ class Node:
         self.coord = coord
         self.config = config
         self.nic = nic
-        self.memory = NodeMemory(node_id, config.node_memory_bytes)
         #: first PE (global rank) hosted on this node; set by Machine
         self.first_pe = 0
         #: number of PEs on this node
         self.n_pes = config.cores_per_node
-        #: scratch registry for node-scoped facilities (pxshm segments,
-        #: MSGQ instances) keyed by facility name
-        self.facilities: dict[str, object] = {}
-        #: accelerators attached to this node; populated by Machine when
-        #: ``config.gpus_per_node > 0`` (empty list otherwise)
-        self.gpus: list = []
         #: cleared by the fault injector when this node crashes; the
         #: runtime halts the node's PEs and peers see their traffic to it
         #: fail with transaction errors
         self.alive = True
+
+    @cached_property
+    def memory(self) -> NodeMemory:
+        return NodeMemory(self.node_id, self.config.node_memory_bytes)
+
+    @cached_property
+    def facilities(self) -> dict[str, object]:
+        """Scratch registry for node-scoped facilities (pxshm segments,
+        MSGQ instances) keyed by facility name."""
+        return {}
+
+    @cached_property
+    def gpus(self) -> list:
+        """Accelerators attached to this node; populated by Machine when
+        ``config.gpus_per_node > 0`` (empty list otherwise)."""
+        return []
 
     def pes(self) -> range:
         """Global PE ranks hosted on this node."""

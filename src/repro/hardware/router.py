@@ -15,11 +15,15 @@ of which a given experiment never touches.
 
 from __future__ import annotations
 
-from typing import Callable
+from types import MappingProxyType
 
 from repro.hardware.config import MachineConfig
 from repro.hardware.link import Link
 from repro.hardware.topology import Coord, Torus3D
+
+
+#: what a leg looks its hops up in until its destination has a row
+_NO_ROW: MappingProxyType = MappingProxyType({})
 
 
 class TransferTiming:
@@ -49,16 +53,21 @@ class TorusNetwork:
         self._links: dict[tuple[Coord, Coord], Link] = {}
         self._inject: dict[Coord, Link] = {}
         self._eject: dict[Coord, Link] = {}
-        #: (at, dst) -> (link, ...): the productive links out of ``at`` in
-        #: ``minimal_directions`` order (only the first in dimension-
-        #: ordered mode, so no link is created that routing would not have
-        #: created); the next coordinate is the chosen link's
-        #: ``name[1]``, so a miss keeps the key and one tuple and nothing
-        #: else.  The one per-hop cache; :meth:`transfer` consults it
-        #: only while no link is faulted.  Link objects are stable — a
-        #: fault mutates the Link in place — so entries outlive a
-        #: fail/restore cycle.
-        self._routes: dict[tuple[Coord, Coord], tuple[Link, ...]] = {}
+        #: one coordinate tuple per node that any link starts or ends at:
+        #: every link into a node shares it in its ``name``
+        self._ends: dict[Coord, Coord] = {}
+        #: dst -> at -> (link, ...): one row per destination, holding for
+        #: each ``at`` a message to it has stood on the productive links
+        #: out of ``at`` in ``minimal_directions`` order (only the first
+        #: in dimension-ordered mode, so no link is created that routing
+        #: would not have created); the next coordinate is the chosen
+        #: link's ``name[1]``.  A leg fetches its row once and its hops
+        #: look ``at`` up in it — coordinates that already exist — so a
+        #: miss keeps one tuple of links and nothing else.  The one
+        #: per-hop cache; :meth:`transfer` consults it only while no link
+        #: is faulted.  Link objects are stable — a fault mutates the
+        #: Link in place — so entries outlive a fail/restore cycle.
+        self._routes: dict[Coord, dict[Coord, tuple[Link, ...]]] = {}
         #: observability hub (:mod:`repro.observe`), set by the machine
         #: that owns this network; ``None`` skips the transfer hooks
         self.observer = None
@@ -71,9 +80,10 @@ class TorusNetwork:
 
     # -- link access -----------------------------------------------------------
     def link(self, frm: Coord, to: Coord) -> Link:
-        key = (frm, to)
-        lk = self._links.get(key)
+        lk = self._links.get((frm, to))
         if lk is None:
+            ends = self._ends
+            key = (ends.setdefault(frm, frm), ends.setdefault(to, to))
             lk = Link(key, self.config.link_bandwidth,
                       self._link_latency(frm, to))
             self._links[key] = lk
@@ -151,7 +161,8 @@ class TorusNetwork:
         return dirs[0]
 
     def _route_miss(self, at: Coord, dst: Coord) -> tuple[Link, ...]:
-        """Compute and remember the candidate links out of ``at``."""
+        """Compute the candidate links out of ``at`` and remember them in
+        the row of ``dst`` (created by its first miss)."""
         topo = self.topology
         dirs = topo.minimal_directions(at, dst)
         if not self.config.adaptive_routing:
@@ -164,7 +175,10 @@ class TorusNetwork:
             if lk is None:
                 lk = self.link(at, nxt)
             cands.append(lk)
-        self._routes[(at, dst)] = route = tuple(cands)
+        row = self._routes.get(dst)
+        if row is None:
+            row = self._routes[dst] = {}
+        row[at] = route = tuple(cands)
         return route
 
     def transfer(
@@ -203,9 +217,9 @@ class TorusNetwork:
         inj = self._inject.get(src)
         if inj is None:
             inj = self.injection_port(src)
-        if inj.state == "up":
+        lanes = inj._lanes
+        if lanes is not None and inj.state == "up":
             # Link.reserve on the least-busy lane, minus the call
-            lanes = inj._lanes
             free = min(lanes)
             start = free if free > now else now
             occupancy = nbytes / inj.bandwidth
@@ -225,34 +239,36 @@ class TorusNetwork:
         degraded = bool(self._faulted)
         leg_end = dst if via is None else via
         while True:
+            row = routes.get(leg_end, _NO_ROW)
             while at != leg_end:
                 if degraded:
                     nxt = self.topology.neighbor(
                         at, self._next_direction(at, leg_end))
                     lk = self.link(at, nxt)
                 else:
-                    cands = routes.get((at, leg_end))
+                    cands = row.get(at)
                     if cands is None:
                         cands = self._route_miss(at, leg_end)
+                        row = routes[leg_end]
                     lk = cands[0]
                     if len(cands) > 1:
                         # adaptive: least-backlogged productive link
-                        load = lk._lanes[0]
+                        # (router links have one lane: its slot is the load)
+                        load = lk._free
                         for cand in cands[1:]:
-                            other = cand._lanes[0]
+                            other = cand._free
                             if other < load:
                                 lk = cand
                                 load = other
                     nxt = lk.name[1]
-                lanes = lk._lanes
-                if lk.state == "up" and len(lanes) == 1:
+                if lk.state == "up" and lk._lanes is None:
                     # Link.reserve for the common case, minus the call
-                    free = lanes[0]
+                    free = lk._free
                     start = free if free > t else t
                     occupancy = nbytes / lk.bandwidth
                     if occupancy < min_occ:
                         occupancy = min_occ
-                    lanes[0] = start + occupancy
+                    lk._free = start + occupancy
                     lk.bytes_carried += nbytes
                     lk.transfers += 1
                     t = start + lk.latency
@@ -268,8 +284,8 @@ class TorusNetwork:
         ej = self._eject.get(dst)
         if ej is None:
             ej = self.ejection_port(dst)
-        if ej.state == "up":
-            lanes = ej._lanes
+        lanes = ej._lanes
+        if lanes is not None and ej.state == "up":
             free = min(lanes)
             start = free if free > t else t
             occupancy = nbytes / ej.bandwidth
@@ -308,11 +324,11 @@ class TorusNetwork:
         table and the hit path carries no counter; ``hops`` is every
         router-link traversal (hits, misses, and degraded-mode hops,
         which bypass the table), so ``1 - misses / hops`` is the hit
-        rate of a fault-free run.
+        rate of a fault-free run.  ``rows`` is the destinations routed to.
         """
-        entries = len(self._routes)
-        return {"entries": entries, "misses": entries,
-                "links": len(self._links),
+        entries = sum(map(len, self._routes.values()))
+        return {"rows": len(self._routes), "entries": entries,
+                "misses": entries, "links": len(self._links),
                 "hops": sum(lk.transfers for lk in self._links.values())}
 
 

@@ -107,3 +107,9 @@ class LrtsLayer(abc.ABC):
     def stats(self) -> dict[str, Any]:
         """Layer counters for EXPERIMENTS.md / ablation reporting."""
         return {"delivered": self.delivered}
+
+    def first_touch(self) -> dict[str, int]:
+        """How many lazily built objects of each kind exist: a simulator
+        self-metric (:func:`repro.observe.self_metrics`), never part of
+        :meth:`stats`."""
+        return {}

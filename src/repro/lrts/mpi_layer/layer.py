@@ -50,8 +50,7 @@ class MpiMachineLayer(GpuTransportMixin, LrtsLayer):
     def _setup(self) -> None:
         assert self.conv is not None
         self._proto_hid = self.conv.register_handler(self._proto_handler)
-        for rank in range(len(self.conv.pes)):
-            self.world.on_unexpected[rank] = self._on_unexpected
+        self.world.on_unexpected_default = self._on_unexpected
 
     # ------------------------------------------------------------------ #
     # Send

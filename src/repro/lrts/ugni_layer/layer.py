@@ -11,7 +11,6 @@ completed messages back to the scheduler.
 from __future__ import annotations
 
 from collections import deque
-from functools import partial
 from typing import Any, Optional
 
 from repro.converse.scheduler import Message, PE
@@ -59,11 +58,13 @@ class UgniMachineLayer(ReliabilityMixin, ProtocolCore, IntranodeMixin,
         #: fixed for the life of the job; chasing ``self.gni.smsg...`` per
         #: message costs two attribute loads per send)
         self._smsg = self.gni.smsg
+        # every SMSG RX CQ feeds its PE's scheduler, from the moment the
+        # fabric creates it
+        self._smsg.on_rx = self._on_smsg_event
         self._small_cutoff = self._small_max()
         self._pools: dict[int, MemoryPool] = {}
         #: sends blocked on SMSG credits, per (src_rank, dst_rank)
         self._pending: dict[tuple[int, int], deque] = {}
-        self._hooked_rx: set[int] = set()
         #: the one post (TX completion) CQ of each PE, created on first post
         self._post_cqs: dict[int, CompletionQueue] = {}
         self._hooked_msgq_nodes: set[int] = set()
@@ -228,8 +229,6 @@ class UgniMachineLayer(ReliabilityMixin, ProtocolCore, IntranodeMixin,
     def _smsg_push(self, pe: PE, dst_rank: int, tag: int, nbytes: int,
                    payload: Any) -> None:
         """Raw SMSG send with credit-exhaustion queueing (FIFO per connection)."""
-        if dst_rank not in self._hooked_rx:
-            self._hook_rx(dst_rank)
         key = (pe.rank, dst_rank)
         pending = self._pending.get(key)
         obs = self._obs
@@ -275,13 +274,8 @@ class UgniMachineLayer(ReliabilityMixin, ProtocolCore, IntranodeMixin,
     # ------------------------------------------------------------------ #
     # Receive side: CQ hooks feed the destination PE's scheduler
     # ------------------------------------------------------------------ #
-    def _hook_rx(self, rank: int) -> None:
-        self._hooked_rx.add(rank)
-        # the CQ calls on_event(cq): bound straight to the drain loop
-        self._smsg.rx_cq(rank).on_event = partial(self._on_smsg_event, rank)
-
-    def _on_smsg_event(self, rank: int, cq: CompletionQueue) -> None:
-        """Drain every message currently in this PE's RX CQ.
+    def _on_smsg_event(self, cq: CompletionQueue) -> None:
+        """Drain every message currently in ``cq``, the RX CQ of ``cq.pe``.
 
         Normally one notify delivers one message, but batching the poll
         here keeps the dispatch loop tight (hoisted lookups) and absorbs
@@ -289,6 +283,7 @@ class UgniMachineLayer(ReliabilityMixin, ProtocolCore, IntranodeMixin,
         pass instead of one notify round-trip each.
         """
         smsg = self._smsg
+        rank = cq.pe
         pe = self.conv.pes[rank]
         proto_hid = self._proto_hid
         while True:
@@ -357,3 +352,10 @@ class UgniMachineLayer(ReliabilityMixin, ProtocolCore, IntranodeMixin,
         if self.cfg.gpus_per_node > 0:
             s.update(self.gpu_stats())
         return s
+
+    def first_touch(self) -> dict[str, int]:
+        return {"smsg_connections": len(self._smsg._connections),
+                "rx_cqs": len(self._smsg._rx_cqs),
+                "post_cqs": len(self._post_cqs),
+                "pools": len(self._pools),
+                "registration_tables": len(self.gni.registrations)}

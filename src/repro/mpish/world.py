@@ -59,8 +59,10 @@ class MpiWorld:
         self._recv_seq: dict[tuple[int, int], int] = {}
         self._reorder: dict[tuple[int, int], dict[int, Arrival]] = {}
         self.reordered = 0
-        #: per-rank hook called when an arrival lands with no posted match
-        #: (the Charm-on-MPI progress engine's Iprobe discovery path)
+        #: hook called when an arrival lands with no posted match (the
+        #: Charm-on-MPI progress engine's Iprobe discovery path): one
+        #: default for every rank, and per-rank overrides
+        self.on_unexpected_default: Optional[Callable[[Arrival], None]] = None
         self.on_unexpected: dict[int, Callable[[Arrival], None]] = {}
         # counters
         self.sends = 0
@@ -231,7 +233,7 @@ class MpiWorld:
         req, match_cpu = eng.match_posted(arr)
         if req is None:
             eng.add_unexpected(arr)
-            hook = self.on_unexpected.get(arr.dst)
+            hook = self.on_unexpected.get(arr.dst, self.on_unexpected_default)
             if hook is not None:
                 hook(arr)
             return

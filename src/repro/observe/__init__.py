@@ -31,6 +31,7 @@ from repro.observe.export import (
 )
 from repro.observe.flight import FlightDump, FlightRecorder
 from repro.observe.registry import MetricsRegistry
+from repro.observe.selfmetrics import self_metrics
 from repro.observe.tracer import MessageTracer, Span, Stage
 
 __all__ = [
@@ -49,6 +50,7 @@ __all__ = [
     "FlightDump",
     "FlightRecorder",
     "MetricsRegistry",
+    "self_metrics",
     "MessageTracer",
     "Span",
     "Stage",

@@ -1,0 +1,44 @@
+"""Self-metrics: what the *simulator* did, as opposed to the machine it
+simulates — how warm its caches are, what the collector cost it, whether
+the compiled core carried the loop, how much lazy state got built.
+
+Plain reads of state the simulator keeps anyway: nothing here is counted
+on a hit path, and none of it is in a ``stats()`` dict, a checksum or a
+metrics digest, so reading it (or not) cannot move a simulated result.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, Any, Optional
+
+from repro.sim import _speed
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.hardware.machine import Machine
+    from repro.lrts.interface import LrtsLayer
+
+
+def self_metrics(machine: "Machine",
+                 lrts: Optional["LrtsLayer"] = None) -> dict[str, Any]:
+    """One dict of every simulator self-metric of ``machine``.
+
+    ``route`` is :meth:`TorusNetwork.route_stats`, ``collector`` is
+    :meth:`Engine.collector_stats`, ``c_core`` says whether the compiled
+    slab core runs this engine's loop (and why not, if it failed to
+    build), ``first_touch`` counts the lazily built objects that exist —
+    the network's, plus the machine layer's when ``lrts`` is given.
+    """
+    engine = machine.engine
+    net = machine.network
+    first_touch = {"links": len(net._links),
+                   "inject_ports": len(net._inject),
+                   "eject_ports": len(net._eject)}
+    if lrts is not None:
+        first_touch.update(lrts.first_touch())
+    return {
+        "route": net.route_stats(),
+        "collector": engine.collector_stats(),
+        "c_core": {"bound": engine._core is not None,
+                   "build_error": _speed.build_error},
+        "first_touch": first_touch,
+    }

@@ -16,7 +16,7 @@ from typing import Any, Optional
 from repro.hardware.machine import Machine
 from repro.hardware.memory import MemoryBlock
 from repro.ugni.cq import CompletionQueue, CqEntry
-from repro.ugni.memreg import MemHandle, RegistrationTable
+from repro.ugni.memreg import MemHandle, RegistrationTables
 from repro.ugni.msgq import MsgqFabric, MsgqMessage
 from repro.ugni.rdma import PostDescriptor, RdmaEngine
 from repro.ugni.smsg import SmsgFabric, SmsgMessage
@@ -28,11 +28,7 @@ class GniJob:
 
     def __init__(self, machine: Machine):
         self.machine = machine
-        self.registrations: dict[int, RegistrationTable] = {
-            node.node_id: RegistrationTable(node.node_id, machine.config,
-                                            sanitizer=machine.sanitizer)
-            for node in machine.nodes
-        }
+        self.registrations = RegistrationTables(machine)
         self.rdma = RdmaEngine(machine, self.registrations)
         self.smsg = SmsgFabric(machine)
         self.msgq = MsgqFabric(machine)

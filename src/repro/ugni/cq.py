@@ -11,7 +11,6 @@ model is unchanged, only the wasted host cycles are elided.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, Callable, Optional
 
 from repro.errors import UgniCqOverrun, UgniInvalidParam
@@ -44,20 +43,32 @@ class CqEntry:
 class CompletionQueue:
     """A single completion queue."""
 
-    _next_id = 0
+    __slots__ = ("engine", "capacity", "name", "strict", "pe", "_entries",
+                 "on_event", "overruns", "error_events", "total_events")
 
     def __init__(self, engine: Engine, capacity: int = 4096, name: str = "",
-                 strict: bool = False):
+                 strict: bool = False, pe: Optional[int] = None):
         if capacity < 1:
             raise UgniInvalidParam(f"CQ capacity must be >= 1, got {capacity}")
         self.engine = engine
         self.capacity = capacity
-        self.name = name or f"cq{CompletionQueue._next_id}"
-        CompletionQueue._next_id += 1
+        if not name:
+            # numbered per engine: a fresh machine names its queues alike
+            # whatever ran earlier in the process
+            name = f"cq{engine.unnamed_cqs}"
+            engine.unnamed_cqs += 1
+        self.name = name
         #: raise :class:`UgniCqOverrun` on overflow instead of emitting an
         #: ``ERROR`` entry (real hardware's GNI_RC_ERROR_RESOURCE behaviour)
         self.strict = strict
-        self._entries: deque[CqEntry] = deque()
+        #: the PE this queue belongs to, for an owner that hooks all its
+        #: queues with one shared ``on_event`` (the SMSG RX queues)
+        self.pe = pe
+        #: FIFO, oldest first.  A list: a hooked consumer drains on every
+        #: notify, so a push finds it empty or one deep and ``pop(0)`` has
+        #: next to nothing to move, and an idle queue keeps no
+        #: preallocated block of slots
+        self._entries: list[CqEntry] = []
         #: fired when an entry lands while the queue was empty
         self.on_event: Optional[Callable[["CompletionQueue"], None]] = None
         #: number of events that found the queue full.  We never drop the
@@ -104,7 +115,7 @@ class CompletionQueue:
     def get_event(self) -> Optional[CqEntry]:
         """``GNI_CqGetEvent``: pop the oldest entry, or None (NOT_DONE)."""
         if self._entries:
-            entry = self._entries.popleft()
+            entry = self._entries.pop(0)
             san = self.engine.sanitizer
             if san is not None:
                 san.on_cq_pop(self, entry)

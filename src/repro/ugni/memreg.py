@@ -119,3 +119,24 @@ class RegistrationTable:
 
     def __len__(self) -> int:
         return len(self._handles)
+
+
+class RegistrationTables(dict):
+    """``node id -> RegistrationTable`` for one job, built on first touch.
+
+    Indexing is the touch: a node that never registers memory and is
+    never the target of a transaction has no table.
+    """
+
+    __slots__ = ("_machine",)
+
+    def __init__(self, machine):
+        self._machine = machine
+
+    def __missing__(self, node_id: int) -> RegistrationTable:
+        machine = self._machine
+        if not 0 <= node_id < machine.n_nodes:
+            raise KeyError(node_id)
+        table = self[node_id] = RegistrationTable(
+            node_id, machine.config, sanitizer=machine.sanitizer)
+        return table

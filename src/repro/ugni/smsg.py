@@ -17,7 +17,7 @@ layer keeps a pending queue for exactly this.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro.errors import UgniInvalidParam, UgniNoSpace
 from repro.hardware.machine import Machine
@@ -48,7 +48,8 @@ class SmsgConnection:
 
     Everything :meth:`SmsgFabric.send` needs per message and that is fixed
     for the life of the pair lives here, looked up once at creation: both
-    endpoint nodes, the receiver's CQ and the observer's label.
+    endpoint nodes and the receiver's CQ.  The observer's label is built by
+    the first observed send and kept (``None`` until then).
     """
 
     __slots__ = ("fabric", "src_pe", "dst_pe", "src_node", "dst_node",
@@ -62,7 +63,7 @@ class SmsgConnection:
         self.src_node = fabric.machine.node_of_pe(src_pe)
         self.dst_node = fabric.machine.node_of_pe(dst_pe)
         self.rx_cq = fabric.rx_cq(dst_pe)
-        self.label = f"smsg[{src_pe}->{dst_pe}]"
+        self.label: Optional[str] = None
         self.mailbox_bytes = fabric.mailbox_bytes
         self.credits_used = 0
         self.sent = 0
@@ -92,6 +93,10 @@ class SmsgFabric:
         self._connections: dict[tuple[int, int], SmsgConnection] = {}
         #: per-PE RX completion queue (created lazily)
         self._rx_cqs: dict[int, CompletionQueue] = {}
+        #: ``on_event`` of every RX CQ created from now on, or ``None``: a
+        #: machine layer sets this once, to one callable that reads the
+        #: receiving PE off ``cq.pe``
+        self.on_rx: Optional[Callable[[CompletionQueue], None]] = None
         #: mailbox memory held per node (bytes), for the footprint ablation
         self.mailbox_memory_per_node: dict[int, int] = {}
         #: total messages dequeued via :meth:`get_next`
@@ -107,7 +112,9 @@ class SmsgFabric:
     def rx_cq(self, pe: int) -> CompletionQueue:
         cq = self._rx_cqs.get(pe)
         if cq is None:
-            cq = CompletionQueue(self.machine.engine, name=f"smsg_rx[{pe}]")
+            cq = CompletionQueue(self.machine.engine, name=f"smsg_rx[{pe}]",
+                                 pe=pe)
+            cq.on_event = self.on_rx
             self._rx_cqs[pe] = cq
         return cq
 
@@ -173,7 +180,10 @@ class SmsgFabric:
             san.on_smsg_send(msg)
         obs = machine.observer
         if obs is not None:
-            obs.on_tx(msg, "smsg", nbytes, conn.label,
+            label = conn.label
+            if label is None:
+                label = conn.label = f"smsg[{src_pe}->{dst_pe}]"
+            obs.on_tx(msg, "smsg", nbytes, label,
                       at if at is not None else machine.engine.now)
         src_node = conn.src_node
         dst_node = conn.dst_node

@@ -34,6 +34,24 @@ class TestArrays:
         sizes = [len(coll.local[r]) for r in range(4)]
         assert sizes == [2, 2, 2, 2]
 
+    def test_per_pe_tables_are_built_on_first_touch(self):
+        charm, conv, _ = charm_runtime(n_pes=8)
+        # 2 elements on 8 PEs: block map puts them on PEs 0 and 4
+        arr = charm.create_array(Counter, 2)
+        coll = charm.collections[arr.aid]
+        assert sorted(coll.local) == [0, 4] and not coll.red
+        assert coll.hosts(0) and not coll.hosts(7)
+        assert coll.local[7] == {}  # reading a PE that hosts nothing
+        assert [r for r, _ in coll.by_pe()] == [0, 4, 7]
+        assert coll.red_root() == 0 and coll.red_parent(4) == 0
+        assert coll.missing_elements() == []
+        assert list(coll.element_loads()) == [0, 1]
+
+    def test_placement_outside_the_job_is_rejected(self):
+        charm, conv, _ = charm_runtime(n_pes=4)
+        with pytest.raises(CharmError, match="outside the job"):
+            charm.create_array(Counter, 2, map=lambda idx, n: {0: 0, 1: -1})
+
     def test_round_robin_map(self):
         charm, conv, _ = charm_runtime(n_pes=4)
         arr = charm.create_array(Counter, 8, map="round_robin")

@@ -20,6 +20,17 @@ class TestLink:
         assert head == pytest.approx(1e-7)
         assert lk.available_at == pytest.approx(1e-6)
 
+    def test_horizons_lane_by_lane(self):
+        one = Link("l", bandwidth=1e9, latency=1e-7)
+        assert one.horizons == (0.0,)
+        one.reserve(0.0, 1000)
+        assert one.horizons == (one.available_at,) == (pytest.approx(1e-6),)
+        port = Link("p", bandwidth=1e9, latency=1e-7, lanes=3)
+        port.reserve(0.0, 1000)
+        port.reserve(0.0, 2000)
+        assert port.horizons == (pytest.approx(1e-6), pytest.approx(2e-6), 0.0)
+        assert port.available_at == 0.0
+
     def test_contention_serializes(self):
         lk = Link("l", bandwidth=1e9, latency=1e-7)
         lk.reserve(0.0, 1000)  # occupies until 1us
@@ -230,6 +241,20 @@ class TestMachine:
         for node in m.nodes:
             seen.extend(node.pes())
         assert seen == list(range(m.n_pes))
+
+    def test_node_tables_are_built_by_the_first_read(self):
+        m = Machine(n_nodes=2, config=tiny_config(cores_per_node=4))
+        lazy = ("memory", "facilities", "gpus")
+        assert not any(name in vars(node) for node in m.nodes for name in lazy)
+        node = m.nodes[1]
+        block = node.memory.malloc(4 * KB)
+        assert node.memory is vars(node)["memory"]
+        assert block.node_id == 1 and node.memory.used == 4 * KB
+        assert node.gpus == [] and node.facilities == {}
+        node.facilities["seg"] = block
+        assert node.facilities == {"seg": block}
+        # the other node was not touched
+        assert not any(name in vars(m.nodes[0]) for name in lazy)
 
     def test_zero_nodes_rejected(self):
         with pytest.raises(TopologyError):

@@ -14,12 +14,15 @@ the core may not cost an indirection per protocol step.
 
 Cold state has a budget too: what one first-touch message per neighbour
 leaves behind on a machine too large to warm up — GC-tracked objects per
-PE (every one of them is walked by each later collector pass) and route
-entries (one key and one tuple of links each).
+PE (every one of them is walked by each later collector pass), bytes per
+PE (tracked objects barely notice a ``deque`` turning into a list, or a
+list into a float slot; resident memory does) and route entries (one
+tuple of links each, in a row per destination).
 """
 
 import gc
 import sys
+import tracemalloc
 
 import pytest
 
@@ -51,13 +54,16 @@ if Engine()._core is None:
     CALL_BUDGET = 46.0
     RNDV_BUDGETS = {"ugni": 145.0, "rdma": 135.0}
 #: one cold 1,024-PE ``kneighbor(32, k=1, iters=1, warmup=0)``, runtime
-#: held: GC-tracked objects it leaves per PE, rounded up (63.9 while a
-#: route entry kept a coordinate tuple and a pair per candidate; at
-#: 10,240 PEs the same change reads 94.3 -> 53.5), and its route table
+#: held: GC-tracked objects it leaves per PE, measured + 0.5 (63.9 while a
+#: route entry kept a coordinate tuple and a pair per candidate, 44.4
+#: while it kept an ``(at, dst)`` key and every node its allocator and
+#: registration table; 32.2 now), the bytes tracemalloc sees it hold per
+#: PE (9.9 KB -> 6.6 KB), and its route table
 COLD_PES = 1024
-COLD_TRACKED_PER_PE = 45.0
-COLD_ROUTES = {"entries": 11302, "misses": 11302, "links": 4239,
-               "hops": 13503}
+COLD_TRACKED_PER_PE = 32.8
+COLD_BYTES_PER_PE = 7200
+COLD_ROUTES = {"rows": 1024, "entries": 11302, "misses": 11302,
+               "links": 4239, "hops": 13503}
 
 
 def _repro_calls(fn, *args, **kwargs):
@@ -129,14 +135,37 @@ def test_cold_state_budget(held_runtimes, monkeypatch):
     net = held_runtimes[0][0].machine.network
     assert net.route_stats() == COLD_ROUTES
     topo = net.topology
-    for (at, dst), links in net._routes.items():
-        assert type(links) is tuple and links
-        assert all(type(lk) is Link and net._links[lk.name] is lk
-                   for lk in links)
-        # the productive links out of ``at``, in minimal_directions order
-        assert [lk.name for lk in links] == [
-            (at, topo.neighbor(at, d))
-            for d in topo.minimal_directions(at, dst)]
+    for dst, row in net._routes.items():
+        assert type(row) is dict and row
+        for at, links in row.items():
+            assert type(links) is tuple and links
+            assert all(type(lk) is Link and net._links[lk.name] is lk
+                       for lk in links)
+            # the productive links out of ``at``, in minimal_directions order
+            assert [lk.name for lk in links] == [
+                (at, topo.neighbor(at, d))
+                for d in topo.minimal_directions(at, dst)]
+    # every link into a node names it by the same tuple
+    ends = {}
+    for lk in net._links.values():
+        assert ends.setdefault(lk.name[1], lk.name[1]) is lk.name[1]
+
+
+def test_cold_bytes_budget(held_runtimes, monkeypatch):
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    monkeypatch.delenv("REPRO_OBSERVE", raising=False)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kneighbor(32, k=1, n_cores=COLD_PES, iters=1, warmup=0)
+        gc.collect()
+        per_pe = (tracemalloc.get_traced_memory()[0] - before) / COLD_PES
+    finally:
+        tracemalloc.stop()
+    assert per_pe <= COLD_BYTES_PER_PE, (
+        f"{per_pe:.0f} bytes held per PE after one cold iteration "
+        f"(budget {COLD_BYTES_PER_PE}): first touch keeps more than it did")
 
 
 def test_call_count_repeats_exactly():

@@ -241,6 +241,18 @@ class TestPointToPoint:
         m.engine.run()
         assert len(seen) == 1 and seen[0].dst == 2
 
+    def test_default_hook_serves_ranks_without_their_own(self):
+        m, world = make_world()
+        default, own = [], []
+        world.on_unexpected_default = default.append
+        world.on_unexpected[2] = own.append
+        world.isend(0, 2, 0, 64)
+        world.isend(0, 3, 0, 64)
+        world.isend(2, 1, 0, 64)
+        m.engine.run()
+        assert [a.dst for a in own] == [2]
+        assert sorted(a.dst for a in default) == [1, 3]
+
 
 class TestCollectives:
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 8])

@@ -226,6 +226,31 @@ class TestMetricsDeterminism:
         observed_kneighbor()
         assert observe.metrics_digest() == plain
 
+    @pytest.mark.parametrize("layer", LAYERS)
+    def test_self_metrics_are_in_no_digest(self, layer, held_runtimes):
+        observed_kneighbor(layer=layer)
+        digest = observe.metrics_digest()
+        snapshot = observe.collect_snapshot()
+        conv, lrts = held_runtimes[-1]
+        machine = conv.machine
+        sm = observe.self_metrics(machine, lrts)
+        # reading them moved nothing the digest covers
+        assert observe.collect_snapshot() == snapshot
+        assert observe.metrics_digest() == digest
+        assert sm["route"] == machine.network.route_stats()
+        assert sm["collector"] == machine.engine.collector_stats()
+        assert sm["c_core"]["bound"] is (machine.engine._core is not None)
+        touched = sm["first_touch"]
+        assert touched["links"] == len(machine.network._links) > 0
+        assert touched == {**observe.self_metrics(machine)["first_touch"],
+                           **lrts.first_touch()}
+        if layer == "ugni":
+            # 4 KB kNeighbor on 3 cores: every PE receives, rendezvous
+            # pools and post CQs on every PE, tables where they registered
+            assert touched["rx_cqs"] == touched["post_cqs"] == 3
+            assert touched["smsg_connections"] == 6
+            assert touched["pools"] == touched["registration_tables"] == 3
+
     def test_results_identical_observe_on_or_off(self):
         on, _ = observed_kneighbor()
         off = kneighbor(4 * KB, layer="ugni", iters=5,

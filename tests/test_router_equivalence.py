@@ -8,6 +8,11 @@ per-link horizon and counter must be identical, and the two must have
 created exactly the same links in the same order (``len(net._links)`` is
 in the observer's metrics digest and ``hottest_link`` breaks ties by
 insertion order, so lazy link creation is part of the contract).
+
+A torus transfer may also name a ``via`` waypoint, so two-leg walks go
+through the live network's per-destination route rows on both
+topologies; the oracle's torus has no ``via``, so its side is composed
+here from the oracle's own ``_walk``, the way its dragonfly does it.
 """
 
 import numpy as np
@@ -16,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.hardware.config import MachineConfig
+from repro.hardware.link import Link
 from repro.hardware.router import DragonflyNetwork, TorusNetwork
 from repro.hardware.topology import Dragonfly, Torus3D
 from tests._reference_router import RefDragonflyNetwork, RefTorusNetwork
@@ -29,11 +35,12 @@ _MIN_OCC = [None, 0.0, 2.0e-7]
 _DT = [0.0, 0.0, 1.0e-8, 5.0e-7, 2.0e-5]
 
 
-def _ops(n_nodes):
+def _ops(n_nodes, via=False):
     node = st.integers(0, n_nodes - 1)
     transfer = st.tuples(st.just("transfer"), st.sampled_from(_DT), node, node,
                          st.sampled_from(_SIZES), st.sampled_from(_CAPS),
-                         st.sampled_from(_MIN_OCC))
+                         st.sampled_from(_MIN_OCC),
+                         st.one_of(st.none(), node) if via else st.none())
     # a fault names a node and one of its outgoing links by index
     fault = st.tuples(st.sampled_from(["fail", "degrade", "restore"]), node,
                       st.integers(0, 7), st.sampled_from([0.1, 0.5, 0.9]))
@@ -43,10 +50,27 @@ def _ops(n_nodes):
 
 def _link_state(net):
     """Per-port horizons and counters, keyed by the port's own name."""
-    return {lk.name: (tuple(lk._lanes), lk.bytes_carried, lk.transfers,
-                      lk.faulted_transfers, lk.state)
+    return {lk.name: (lk.horizons if type(lk) is Link else tuple(lk._lanes),
+                      lk.bytes_carried, lk.transfers, lk.faulted_transfers,
+                      lk.state)
             for table in (net._links, net._inject, net._eject)
             for lk in table.values()}
+
+
+def _ref_transfer_via(ref, now, src, via, dst, nbytes, cap, min_occ):
+    """``RefDragonflyNetwork.transfer``'s two-leg branch, for any oracle."""
+    cfg = ref.config
+    min_occ = cfg.nic_msg_gap if min_occ is None else min_occ
+    ref.messages_routed += 1
+    _, t = ref.injection_port(src).reserve(now, nbytes, min_occ)
+    depart = t
+    t, hops_a = ref._walk(t, src, via, nbytes, min_occ)
+    t, hops_b = ref._walk(t, via, dst, nbytes, min_occ)
+    _, t = ref.ejection_port(dst).reserve(t, nbytes, min_occ)
+    path_bw = cfg.link_bandwidth
+    if cap is not None and cap < path_bw:
+        path_bw = cap
+    return depart, t, t + nbytes / path_bw, hops_a + hops_b
 
 
 def _drive(live, ref, ops):
@@ -55,12 +79,19 @@ def _drive(live, ref, ops):
     now = 0.0
     for op in ops:
         if op[0] == "transfer":
-            _, dt, a, b, nbytes, cap, min_occ = op
+            _, dt, a, b, nbytes, cap, min_occ, via = op
             now += dt
-            got = live.transfer(now, coords[a], coords[b], nbytes,
-                                bandwidth_cap=cap, min_occupancy=min_occ)
-            want = ref.transfer(now, coords[a], coords[b], nbytes,
-                                bandwidth_cap=cap, min_occupancy=min_occ)
+            if via is None:
+                got = live.transfer(now, coords[a], coords[b], nbytes,
+                                    bandwidth_cap=cap, min_occupancy=min_occ)
+                want = ref.transfer(now, coords[a], coords[b], nbytes,
+                                    bandwidth_cap=cap, min_occupancy=min_occ)
+            else:
+                got = live.transfer(now, coords[a], coords[b], nbytes,
+                                    bandwidth_cap=cap, min_occupancy=min_occ,
+                                    via=coords[via])
+                want = _ref_transfer_via(ref, now, coords[a], coords[via],
+                                         coords[b], nbytes, cap, min_occ)
             assert (got.depart, got.head_arrival, got.arrival,
                     got.hops) == want
         else:
@@ -92,7 +123,7 @@ def _drive(live, ref, ops):
 @given(data=st.data())
 def test_torus_matches_reference(dims, adaptive, data):
     cfg = MachineConfig(adaptive_routing=adaptive)
-    ops = data.draw(_ops(dims[0] * dims[1] * dims[2]))
+    ops = data.draw(_ops(dims[0] * dims[1] * dims[2], via=True))
     _drive(TorusNetwork(Torus3D(dims), cfg),
            RefTorusNetwork(Torus3D(dims), cfg), ops)
 

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.errors import UgniInvalidParam, UgniNoSpace, UgniNotRegistered
+from repro.errors import (
+    UgniCqOverrun,
+    UgniInvalidParam,
+    UgniNoSpace,
+    UgniNotRegistered,
+)
 from repro.hardware import Machine
 from repro.hardware.config import tiny as tiny_config
 from repro.ugni import (
@@ -57,6 +62,54 @@ class TestCompletionQueue:
         with pytest.raises(UgniInvalidParam):
             job.CqCreate(capacity=0)
 
+    def test_at_capacity_fifo_with_markers_behind_their_entry(self):
+        m, job = make_job()
+        cq = job.CqCreate(capacity=3)
+        assert cq.peek() is None and len(cq) == 0
+        for i in range(5):
+            cq.push(CqEntry(CqEventKind.POST_DONE, float(i), tag=i, source=7))
+            assert cq.peek().tag == 0
+        # entries 3 and 4 found the queue full: each is kept, in order,
+        # with its overrun marker queued right behind it
+        assert len(cq) == 7 and cq.overruns == cq.error_events == 2
+        drained = []
+        while cq:
+            head = cq.peek()
+            assert cq.get_event() is head
+            drained.append(head)
+        assert [e.tag for e in drained] == [0, 1, 2, 3, "overrun", 4, "overrun"]
+        for marker, entry in ((drained[4], drained[3]), (drained[6], drained[5])):
+            assert marker.kind is CqEventKind.ERROR
+            assert marker.data is entry
+            assert (marker.time, marker.source) == (entry.time, 7)
+        assert cq.get_event() is None and cq.peek() is None
+        assert cq.total_events == 5
+
+    def test_strict_overrun_raises_and_queues_nothing(self):
+        m, job = make_job()
+        cq = CompletionQueue(m.engine, capacity=2, strict=True)
+        for i in range(2):
+            cq.push(CqEntry(CqEventKind.POST_DONE, 0.0, tag=i))
+        with pytest.raises(UgniCqOverrun):
+            cq.push(CqEntry(CqEventKind.POST_DONE, 0.0, tag=2))
+        assert cq.overruns == 1 and len(cq) == 2
+        assert [cq.get_event().tag for _ in range(2)] == [0, 1]
+        # drained below capacity, it takes entries again
+        cq.push(CqEntry(CqEventKind.POST_DONE, 0.0, tag=3))
+        assert cq.peek().tag == 3
+
+    def test_unnamed_cqs_are_numbered_per_engine(self):
+        # two fresh engines in one process name their first unnamed CQ
+        # alike, whatever was created before (the name is the ``where`` of
+        # causal-trace arrive stages)
+        names = []
+        for _ in range(2):
+            m, job = make_job()
+            job.CqCreate(name="named")
+            names.append([job.CqCreate().name, job.CqCreate().name,
+                          CompletionQueue(m.engine).name])
+        assert names[0] == names[1] == ["cq0", "cq1", "cq2"]
+
 
 class TestMemRegistration:
     def test_register_returns_cost_scaling_with_pages(self):
@@ -84,6 +137,23 @@ class TestMemRegistration:
         m.nodes[0].memory.free(blk)
         with pytest.raises(UgniInvalidParam):
             job.MemRegister(blk)
+
+    def test_tables_are_built_on_first_touch(self):
+        m, job = make_job()
+        assert len(job.registrations) == 0
+        blk = m.nodes[2].memory.malloc(8 * KB)
+        h, _ = job.MemRegister(blk)
+        assert list(job.registrations) == [2]
+        table = job.registrations[2]
+        assert table.node_id == 2 and table.registered_bytes == h.length
+        assert job.rdma.registrations is job.registrations
+        # indexing is a touch; a node the machine does not have is not one
+        assert job.registrations[0].registered_bytes == 0
+        assert sorted(job.registrations) == [0, 2]
+        for bad in (-1, m.n_nodes):
+            with pytest.raises(KeyError):
+                job.registrations[bad]
+        assert sorted(job.registrations) == [0, 2]
 
     def test_registered_bytes_accounting(self):
         m, job = make_job()
@@ -124,6 +194,35 @@ class TestSmsg:
         m.engine.run()
         assert len(times) == 1
         assert 0.8 * us < times[0] < 1.8 * us
+
+    def test_rx_cq_carries_its_pe_and_the_fabric_hook(self):
+        m, job = make_job()
+        early = job.smsg.rx_cq(1)
+        assert early.pe == 1 and early.on_event is None
+        seen = []
+        job.smsg.on_rx = lambda cq: seen.append(
+            (cq.pe, job.SmsgGetNextWTag(cq.pe)[0].tag))
+        job.SmsgSendWTag(0, 2, tag=5, nbytes=8)
+        job.SmsgSendWTag(0, 3, tag=6, nbytes=8)
+        m.engine.run()
+        # one callable hooks every queue made after it was set
+        assert sorted(seen) == [(2, 5), (3, 6)]
+        assert job.smsg.rx_cq(2).on_event is job.smsg.rx_cq(3).on_event
+        assert early.on_event is None
+
+    def test_label_is_built_by_the_first_observed_send(self, monkeypatch):
+        monkeypatch.delenv("REPRO_OBSERVE", raising=False)
+        for observed in (False, True):
+            cfg = tiny_config(cores_per_node=2).replace(observe=observed)
+            job = GniJob(Machine(n_nodes=4, config=cfg))
+            labels = []
+            for _ in range(2):
+                job.SmsgSendWTag(0, 2, tag=0, nbytes=8)
+                labels.append(job.smsg.connection(0, 2).label)
+            if observed:
+                assert labels[0] == "smsg[0->2]" and labels[1] is labels[0]
+            else:
+                assert labels == [None, None]
 
     def test_oversize_rejected(self):
         m, job = make_job()

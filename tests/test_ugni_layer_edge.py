@@ -77,6 +77,26 @@ class TestCreditExhaustion:
         assert s["delivered"] == 2  # local bypasses the layer
 
 
+class TestRxHook:
+    def test_every_rx_cq_feeds_its_pe_through_one_bound_method(self):
+        conv, layer = runtime()
+        got = []
+        h_sink = conv.register_handler(
+            lambda pe, msg: got.append((pe.rank, msg.payload)))
+
+        def spray(pe, msg):
+            for dst in (1, 2, 3):
+                conv.send(pe, dst, Message(h_sink, 0, dst, 88, payload=dst))
+
+        conv.send_from_outside(0, Message(conv.register_handler(spray), 0, 0, 0))
+        conv.run(max_events=10**5)
+        assert sorted(got) == [(1, 1), (2, 2), (3, 3)]
+        cqs = layer.gni.smsg._rx_cqs
+        assert sorted(cqs) == [1, 2, 3]
+        assert all(cq.pe == rank for rank, cq in cqs.items())
+        assert len({id(cq.on_event) for cq in cqs.values()}) == 1
+
+
 class TestPoolBehaviour:
     def test_pool_expansion_under_large_traffic(self):
         conv, layer = runtime(machine=dict(
