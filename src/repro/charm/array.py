@@ -43,8 +43,10 @@ class Collection:
         #: authoritative element -> PE map (the location manager)
         self.location: dict[Any, int] = {}
         #: pe rank -> {index -> element}; a PE's dict is made by the first
-        #: read or write of its rank, so ``local`` is in first-touch order
-        #: and whatever must not depend on that iterates :meth:`by_pe`
+        #: element placed on it (:meth:`insert`, an installed migrant) —
+        #: the runtime reads with ``.get``, so a PE that never hosted
+        #: anything has no entry — which leaves ``local`` in first-touch
+        #: order: whatever must not depend on that iterates :meth:`by_pe`
         self.local: dict[int, dict[Any, Any]] = defaultdict(dict)
         #: invocations that arrived before their migrating element did
         self.waiting: dict[Any, list] = {}
@@ -71,7 +73,8 @@ class Collection:
         self.local[pe_rank][idx] = elem
 
     def element_at(self, pe_rank: int, idx: Any) -> Optional[Any]:
-        return self.local[pe_rank].get(idx)
+        elems = self.local.get(pe_rank)
+        return elems.get(idx) if elems else None
 
     def by_pe(self) -> list[tuple[int, dict[Any, Any]]]:
         """``(pe rank, {index -> element})`` of every touched PE, by rank."""
@@ -116,7 +119,7 @@ class Collection:
         return self._hosting[0]
 
     def hosts(self, pe_rank: int) -> bool:
-        return bool(self.local[pe_rank])
+        return bool(self.local.get(pe_rank))
 
     def missing_elements(self) -> list:
         """Indices the location manager knows but no PE currently hosts.

@@ -6,7 +6,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.errors import CharmError
+from repro.converse.scheduler import Message
 
 
 def _sz(v: Any) -> int:
@@ -125,21 +125,46 @@ class Chare:
         return done
 
 
+#: proxies build their refs with this and three slot stores: a proxy call
+#: makes two throw-away objects, and an ``__init__`` each would be two of
+#: its frames
+_new = object.__new__
+
+
 class BoundMethod:
     """``proxy[i].method`` — calling it sends an async invocation."""
 
     __slots__ = ("proxy", "index", "name")
 
-    def __init__(self, proxy: "ArrayProxy", index: Any, name: str):
-        self.proxy = proxy
-        self.index = index
-        self.name = name
-
     def __call__(self, *args: Any, _size: Optional[int] = None,
                  _prio: Optional[int] = None, _device: Any = False,
                  **kwargs: Any) -> None:
-        self.proxy.charm._invoke(self.proxy.aid, self.index, self.name,
-                                 args, kwargs, _size, _prio, _device)
+        """The point-to-point send: size the arguments, find the element's
+        home, count the send for quiescence and hand Converse the message.
+
+        A broadcast (``index`` None) and a call made outside any handler
+        (nothing to charge the send to) go to :meth:`Charm._invoke`."""
+        proxy = self.proxy
+        charm = proxy.charm
+        idx = self.index
+        pe = charm._current_pe
+        if idx is None or pe is None:
+            charm._invoke(proxy.aid, self.name, args, kwargs, _size, _prio,
+                          _device)
+            return
+        nbytes = estimate_size(args, kwargs) if _size is None else _size
+        coll = charm.collections[proxy.aid]
+        dst = coll.location.get(idx)
+        if dst is None:
+            dst = coll.home_of(idx)  # raises: no such element
+        charm.app_sends += 1
+        qd = charm._qd
+        if qd is not None:
+            qd.notify_send(pe.rank)
+        charm.conv.send(pe, dst, Message(
+            charm._h_entry, pe.rank, dst, nbytes,
+            ("inv", proxy.aid, idx, self.name, args, kwargs), _prio,
+            device=_device))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<BoundMethod {self.proxy}[{self.index}].{self.name}>"
@@ -150,14 +175,14 @@ class ElementRef:
 
     __slots__ = ("proxy", "index")
 
-    def __init__(self, proxy: "ArrayProxy", index: Any):
-        self.proxy = proxy
-        self.index = index
-
     def __getattr__(self, name: str) -> BoundMethod:
         if name.startswith("_"):
             raise AttributeError(name)
-        return BoundMethod(self.proxy, self.index, name)
+        bound = _new(BoundMethod)
+        bound.proxy = self.proxy
+        bound.index = self.index
+        bound.name = name
+        return bound
 
 
 class ArrayProxy:
@@ -170,12 +195,19 @@ class ArrayProxy:
         self.name = name
 
     def __getitem__(self, index: Any) -> ElementRef:
-        return ElementRef(self, index)
+        ref = _new(ElementRef)
+        ref.proxy = self
+        ref.index = index
+        return ref
 
     def __getattr__(self, name: str) -> BoundMethod:
         if name.startswith("_") or name in ("charm", "aid", "name"):
             raise AttributeError(name)
-        return BoundMethod(self, None, name)  # index None = broadcast
+        bound = _new(BoundMethod)
+        bound.proxy = self
+        bound.index = None  # broadcast
+        bound.name = name
+        return bound
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<ArrayProxy {self.name}>"

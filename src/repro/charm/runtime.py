@@ -143,54 +143,80 @@ class Charm:
             )
         return self._current_pe
 
-    def _invoke(self, aid: int, idx: Any, method: str, args: tuple,
-                kwargs: dict, size: Optional[int], prio: Optional[int],
+    def _invoke(self, aid: int, method: str, args: tuple, kwargs: dict,
+                size: Optional[int], prio: Optional[int],
                 device: Any = False) -> None:
+        """What :meth:`BoundMethod.__call__` does not do itself: refuse a
+        proxy call made outside any handler, and start a broadcast — a
+        spanning tree rooted at the calling PE, entered by a message to
+        itself."""
         pe = self._require_pe()
         nbytes = estimate_size(args, kwargs) if size is None else size
-        if idx is None:
-            self._broadcast(pe, aid, method, args, kwargs, nbytes, prio,
-                            device)
-            return
-        coll = self.collections[aid]
-        dst = coll.home_of(idx)
+        self._count_send(pe)
+        self.conv.send(pe, pe.rank, Message(
+            self._h_entry, pe.rank, pe.rank, nbytes,
+            payload=("bcast", aid, method, args, kwargs, pe.rank),
+            prio=prio, device=device))
+
+    def _count_send(self, pe: PE) -> None:
+        """One application message leaves ``pe``, for quiescence."""
         self.app_sends += 1
         if self._qd is not None:
             self._qd.notify_send(pe.rank)
-        self.conv.send(pe, dst, Message(
-            self._h_entry, pe.rank, dst, nbytes,
-            payload=("inv", aid, idx, method, args, kwargs), prio=prio,
-            device=device))
 
-    def _broadcast(self, pe: PE, aid: int, method: str, args: tuple,
-                   kwargs: dict, nbytes: int, prio: Optional[int],
-                   device: Any = False) -> None:
-        """Spanning-tree broadcast rooted at the calling PE."""
-        payload = ("bcast", aid, method, args, kwargs, pe.rank)
-        self.conv.send(pe, pe.rank, Message(
-            self._h_entry, pe.rank, pe.rank, nbytes, payload=payload,
-            prio=prio, device=device))
+    def _count_execute(self, pe: PE) -> None:
+        """One application message was processed on ``pe``."""
+        self.app_executes += 1
+        if self._qd is not None:
+            self._qd.notify_process(pe.rank)
 
     def _entry_handler(self, pe: PE, msg: Message) -> None:
-        kind = msg.payload[0]
+        payload = msg.payload
+        kind = payload[0]
         if kind == "inv":
-            _, aid, idx, method, args, kwargs = msg.payload
-            self._deliver_invocation(pe, msg, aid, idx, method, args, kwargs)
+            _, aid, idx, method, args, kwargs = payload
+            elems = self.collections[aid].local.get(pe.rank)
+            elem = elems.get(idx) if elems else None
+            if elem is None:
+                self._deliver_invocation(pe, msg, aid, idx)
+                return
+            # _count_execute and _run_method, inlined: once per message
+            self.app_executes += 1
+            if self._qd is not None:
+                self._qd.notify_process(pe.rank)
+            fn = getattr(elem, method, None)
+            if fn is None:
+                raise CharmError(
+                    f"{type(elem).__name__} has no entry method {method!r}")
+            elem.pe = pe
+            prev, self._current_pe = self._current_pe, pe
+            t0 = pe.vtime
+            try:
+                fn(*args, **kwargs)
+            finally:
+                self._current_pe = prev
+                elem._lb_load += pe.vtime - t0
         elif kind == "bcast":
-            _, aid, method, args, kwargs, root = msg.payload
+            _, aid, method, args, kwargs, root = payload
+            # every tree message is one send at its forwarder and one
+            # process at its receiver, or quiescence could be declared
+            # with the broadcast still on its way down
+            self._count_execute(pe)
             tree = SpanningTree(self.n_pes, self.reduction_branching, root=root)
             for child in tree.children(pe.rank):
+                self._count_send(pe)
                 self.conv.send(pe, child, Message(
                     self._h_entry, pe.rank, child, msg.nbytes,
-                    payload=msg.payload, prio=msg.prio, device=msg.device))
-            coll = self.collections[aid]
-            for elem in list(coll.local[pe.rank].values()):
-                self._run_method(pe, elem, method, args, kwargs)
+                    payload=payload, prio=msg.prio, device=msg.device))
+            elems = self.collections[aid].local.get(pe.rank)
+            if elems:
+                for elem in list(elems.values()):
+                    self._run_method(pe, elem, method, args, kwargs)
         elif kind == "migrate":
-            _, aid, idx, elem = msg.payload
+            _, aid, idx, elem = payload
             self._install_migrant(pe, aid, idx, elem)
         elif kind == "red":
-            _, aid, rnd, value, op, target = msg.payload
+            _, aid, rnd, value, op, target = payload
             prev, self._current_pe = self._current_pe, pe
             try:
                 self._reduction_partial(pe, aid, rnd, value, op, target,
@@ -200,25 +226,19 @@ class Charm:
         else:  # pragma: no cover - defensive
             raise CharmError(f"unknown charm message kind {kind!r}")
 
-    def _deliver_invocation(self, pe: PE, msg: Message, aid: int, idx: Any,
-                            method: str, args: tuple, kwargs: dict) -> None:
+    def _deliver_invocation(self, pe: PE, msg: Message, aid: int,
+                            idx: Any) -> None:
+        """An invocation whose element is not on ``pe``."""
         coll = self.collections[aid]
-        elem = coll.element_at(pe.rank, idx)
-        if elem is None:
-            home = coll.home_of(idx)
-            if home == pe.rank:
-                # migrating element not yet installed: buffer
-                coll.waiting.setdefault(idx, []).append(msg)
-                return
-            # stale delivery: forward to the current home
-            self.conv.send(pe, home, Message(
-                self._h_entry, pe.rank, home, msg.nbytes,
-                payload=msg.payload, prio=msg.prio, device=msg.device))
+        home = coll.home_of(idx)
+        if home == pe.rank:
+            # migrating element not yet installed: buffer
+            coll.waiting.setdefault(idx, []).append(msg)
             return
-        self.app_executes += 1
-        if self._qd is not None:
-            self._qd.notify_process(pe.rank)
-        self._run_method(pe, elem, method, args, kwargs)
+        # stale delivery: forward to the current home
+        self.conv.send(pe, home, Message(
+            self._h_entry, pe.rank, home, msg.nbytes,
+            payload=msg.payload, prio=msg.prio, device=msg.device))
 
     def _run_method(self, pe: PE, elem: Any, method: str, args: tuple,
                     kwargs: dict) -> None:
@@ -282,7 +302,7 @@ class Charm:
 
     def _maybe_forward_reduction(self, pe: PE, coll: Collection, rnd: int) -> None:
         state = coll.red[pe.rank].round_state(rnd)
-        need_local = len(coll.local[pe.rank])
+        need_local = len(coll.local.get(pe.rank, ()))
         need_children = coll.red_children_count(pe.rank)
         if state.local_contrib < need_local or state.children_done < need_children:
             return
@@ -328,9 +348,7 @@ class Charm:
         waiting = coll.waiting.pop(idx, [])
         for msg in waiting:
             _, _aid, _idx, method, args, kwargs = msg.payload
-            self.app_executes += 1
-            if self._qd is not None:
-                self._qd.notify_process(pe.rank)
+            self._count_execute(pe)
             self._run_method(pe, elem, method, args, kwargs)
 
     # ------------------------------------------------------------------ #

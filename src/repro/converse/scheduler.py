@@ -38,7 +38,7 @@ def _bootstrap_enqueue(pe: "PE", msg: "Message") -> None:
     pe.enqueue(msg)
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """A Converse message: envelope + payload.
 
@@ -70,7 +70,8 @@ class Message:
 class PE:
     """One processing element: a core running the Converse scheduler."""
 
-    __slots__ = ("runtime", "engine", "rank", "node", "_tracer", "_observer",
+    __slots__ = ("runtime", "engine", "_clock", "rank", "node", "_tracer",
+                 "_observer",
                  "_dispatch_cpu", "_handlers", "_fifo", "_prioq", "_prio_seq",
                  "_running", "_scheduled", "_blocked", "halted",
                  "dropped_dead", "busy_until", "vtime", "useful_time",
@@ -79,7 +80,11 @@ class PE:
 
     def __init__(self, runtime: "ConverseRuntime", rank: int):
         self.runtime = runtime
-        self.engine = runtime.engine
+        self.engine = engine = runtime.engine
+        #: what answers ``.now`` for the scheduling path: the engine's C
+        #: core when it is bound (an attribute read, where ``Engine.now``
+        #: is a Python property and a frame per message), else the engine
+        self._clock = engine._core if engine._core is not None else engine
         self.rank = rank
         self.node = runtime.machine.node_of_pe(rank)
         # hot-path caches: both are fixed at runtime construction, and
@@ -163,7 +168,7 @@ class PE:
             return
         obs = self._observer
         if obs is not None and msg.trace_id is not None:
-            obs.on_deliver(msg, self.rank, self.engine.now)
+            obs.on_deliver(msg, self.rank, self._clock.now)
         if msg.prio is None:
             self._fifo.append((msg, recv_cpu))
         else:
@@ -173,10 +178,9 @@ class PE:
         if self._running or self._scheduled or self._blocked:
             return
         self._scheduled = True
-        engine = self.engine
-        t = engine.now
+        t = self._clock.now
         bu = self.busy_until
-        engine.post_at(bu if bu > t else t, self._run_next)
+        self.engine.post_at(bu if bu > t else t, self._run_next)
 
     def deliver_at(self, time: float, msg: Message, recv_cpu: float = 0.0) -> None:
         """Schedule :meth:`enqueue` at an absolute simulated time.
@@ -233,10 +237,9 @@ class PE:
         if not self._fifo and not self._prioq:
             return
         self._scheduled = True
-        engine = self.engine
-        t = engine.now
+        t = self._clock.now
         bu = self.busy_until
-        engine.post_at(bu if bu > t else t, self._run_next)
+        self.engine.post_at(bu if bu > t else t, self._run_next)
 
     def _run_next(self) -> None:
         """Execute the next queued message: one engine event per message.
@@ -253,8 +256,7 @@ class PE:
             msg, recv_cpu = self._fifo.popleft()
         else:
             return
-        engine = self.engine
-        t = engine.now
+        t = self._clock.now
         tracer = self._tracer
         if t > self.idle_since:
             self.idle_time += t - self.idle_since
@@ -289,7 +291,7 @@ class PE:
             if (not self._scheduled and not self._blocked
                     and (self._fifo or self._prioq)):
                 self._scheduled = True
-                engine.post_at(bu if bu > t else t, self._run_next)
+                self.engine.post_at(bu if bu > t else t, self._run_next)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -371,20 +373,29 @@ class ConverseRuntime:
         Local sends bypass the machine layer entirely (the scheduler just
         re-enqueues), exactly as the real Converse does.
         """
-        if self.lrts is None:
+        lrts = self.lrts
+        if lrts is None:
             raise CharmError("no machine layer attached")
         self.messages_sent += 1
-        msg.sent_at = src_pe.vtime
+        msg.sent_at = start = src_pe.vtime
         obs = src_pe._observer
         if obs is not None:
             # stage times use the engine clock (monotone across events),
             # not PE vtime (which can run ahead of the engine)
             obs.on_send(msg, src_pe.rank, self.engine.now)
-        src_pe.charge(self.config.converse_send_cpu, "overhead")
+        # src_pe.charge(converse_send_cpu, "overhead"), inlined: a config
+        # constant, which MachineConfig refuses when negative
+        dt = self.config.converse_send_cpu
+        if dt != 0.0:
+            src_pe.vtime = start + dt
+            src_pe.overhead_time += dt
+            tracer = src_pe._tracer
+            if tracer is not None:
+                tracer.record(src_pe.rank, start, dt, "overhead")
         if dst_rank == src_pe.rank:
-            self.pes[dst_rank].deliver_at(src_pe.vtime, msg)
+            src_pe.deliver_at(src_pe.vtime, msg)
             return
-        self.lrts.sync_send(src_pe, dst_rank, msg)
+        lrts.sync_send(src_pe, dst_rank, msg)
 
     def send_from_outside(self, dst_rank: int, msg: Message, at: float = 0.0) -> None:
         """Inject a bootstrap message from outside any handler (mainchare)."""

@@ -298,6 +298,23 @@ class MachineConfig:
     #: enabled process-wide by ``REPRO_OBSERVE=1``.
     observe: bool = False
 
+    def __post_init__(self) -> None:
+        # Every float field is a bandwidth or a duration (a CPU cost, a
+        # latency, a gap).  Costs divide by the first and charge the
+        # second, so a code path that charges a constant straight off the
+        # config may skip the sign test ``PE.charge`` makes.
+        for f in dataclasses.fields(self):
+            if f.type not in ("float", float):  # a string: lazy annotations
+                continue
+            value = getattr(self, f.name)
+            if f.name.endswith("_bandwidth"):
+                if not value > 0:
+                    raise ValueError(
+                        f"{f.name} must be positive, got {value!r}")
+            elif not value >= 0:
+                raise ValueError(
+                    f"{f.name} must not be negative, got {value!r}")
+
     # ------------------------------------------------------------------ #
     # Derived cost helpers
     # ------------------------------------------------------------------ #

@@ -16,6 +16,7 @@ of which a given experiment never touches.
 from __future__ import annotations
 
 from types import MappingProxyType
+from typing import NamedTuple
 
 from repro.hardware.config import MachineConfig
 from repro.hardware.link import Link
@@ -26,22 +27,19 @@ from repro.hardware.topology import Coord, Torus3D
 _NO_ROW: MappingProxyType = MappingProxyType({})
 
 
-class TransferTiming:
-    """Result of a network transfer computation."""
+class TransferTiming(NamedTuple):
+    """Result of a network transfer computation.
 
-    __slots__ = ("depart", "head_arrival", "arrival", "hops")
+    :meth:`TorusNetwork.transfer` builds one per message with
+    ``tuple.__new__`` — the generated ``__new__`` is a Python frame."""
 
-    def __init__(self, depart: float, head_arrival: float, arrival: float, hops: int):
-        self.depart = depart  # when the message left the source NIC port
-        self.head_arrival = head_arrival  # first byte at destination
-        self.arrival = arrival  # last byte at destination
-        self.hops = hops
+    depart: float  # when the message left the source NIC port
+    head_arrival: float  # first byte at destination
+    arrival: float  # last byte at destination
+    hops: int
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"<TransferTiming depart={self.depart:.9f} "
-            f"arrive={self.arrival:.9f} hops={self.hops}>"
-        )
+
+_new_timing = tuple.__new__
 
 
 class TorusNetwork:
@@ -252,10 +250,11 @@ class TorusNetwork:
                         row = routes[leg_end]
                     lk = cands[0]
                     if len(cands) > 1:
-                        # adaptive: least-backlogged productive link
-                        # (router links have one lane: its slot is the load)
+                        # adaptive: least-backlogged productive link, the
+                        # earlier direction on a tie (router links have
+                        # one lane: its slot is the load)
                         load = lk._free
-                        for cand in cands[1:]:
+                        for cand in cands:
                             other = cand._free
                             if other < load:
                                 lk = cand
@@ -306,7 +305,8 @@ class TorusNetwork:
         obs = self.observer
         if obs is not None:
             obs.on_net_transfer(src, dst, nbytes, now, depart, hops)
-        return TransferTiming(depart, head_arrival, arrival, hops)
+        return _new_timing(TransferTiming,
+                           (depart, head_arrival, arrival, hops))
 
     # -- diagnostics ------------------------------------------------------------
     def total_bytes_carried(self) -> int:

@@ -56,6 +56,9 @@ class LrtsLayer(abc.ABC):
     def init(self, conv: ConverseRuntime) -> None:
         """``LrtsInit``: bind to the runtime and set up fabrics."""
         self.conv = conv
+        #: the job's PEs by rank (hot-path cache: every send and every
+        #: arrival indexes it)
+        self._pes = conv.pes
         # hot-path cache, same idiom as machine.sanitizer: None when
         # observability is off, so every hook site is one load + compare
         self._obs = conv.machine.observer

@@ -24,7 +24,13 @@ from repro.memory.pxshm import PxshmMessage
 
 
 class IntranodeMixin:
-    """pxshm delivery for any layer that owns a ``self.pxshm`` fabric."""
+    """pxshm delivery for any layer that owns a ``self.pxshm`` fabric.
+
+    A layer's ``sync_send`` takes this path only for a message (envelope
+    included) that fits :attr:`MachineConfig.pxshm_region_bytes`; a larger
+    one goes through the NIC like inter-node traffic, the size test of the
+    real layer's ``CmiValidPxshm``.
+    """
 
     def _send_intranode(self, src_pe: PE, dst_rank: int, msg: Message) -> None:
         total = msg.nbytes + LRTS_ENVELOPE
@@ -35,3 +41,13 @@ class IntranodeMixin:
         cpu = self.pxshm.send(src_pe.rank, dst_rank, total, msg, deliver,
                               at=src_pe.vtime)
         src_pe.charge(cpu, "overhead")
+
+    def _scan_intranode(self, san) -> None:
+        """The pxshm part of a layer's quiescence scan: only a release
+        drains a backlog, so one still waiting at drain never leaves."""
+        for (src, dst), ch in self.pxshm._channels.items():
+            if ch.backlog:
+                san.report(
+                    "undelivered-message", f"pxshm[{src}->{dst}]",
+                    f"{len(ch.backlog)} send(s) still waiting for region "
+                    f"space ({ch.used}/{ch.capacity} B in use)")

@@ -215,7 +215,9 @@ class ProtocolCore:
         # it and the runtime reclaims it at handoff in this model.
         self._release(pe, state.dst)
         state.dst = None
-        self.deliver(pe.rank, state.msg, self._rndv_recv_cpu)
+        # self.deliver(pe.rank, ...), inlined: this step runs on that PE
+        self.delivered += 1
+        pe.enqueue(state.msg, self._rndv_recv_cpu)
 
     def _on_get_failed(self, pe: PE, state: _Rndv) -> None:
         """Receiver: GET abandoned — reclaim, and tell the sender to."""

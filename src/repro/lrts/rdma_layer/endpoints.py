@@ -233,7 +233,8 @@ class RcQueuePair:
 
     def _tx_complete(self) -> None:
         self.credits += 1
-        self._flush(self.fabric.machine.engine.now)
+        if self.backlog:
+            self._flush(self.fabric.machine.engine.now)
 
     # -- receive side ---------------------------------------------------------
     def _rx(self, seq: int, tag: str, nbytes: int, payload: Any,
@@ -270,7 +271,8 @@ class RdmaFabric:
         }
         #: hot-path cache: node_id -> topology coordinate
         self._coord = {node.node_id: node.coord for node in machine.nodes}
-        self._qps: dict[tuple[int, int], RcQueuePair] = {}
+        #: (src rank, dst rank) -> queue pair, created by :meth:`qp`
+        self.qps: dict[tuple[int, int], RcQueuePair] = {}
         #: rank -> (block, handle) registered eager staging pool
         self._eager_pools: dict[int, tuple[Any, MemHandle]] = {}
         #: set by the layer: (qp, tag, nbytes, payload, t) on ordered rx
@@ -292,15 +294,11 @@ class RdmaFabric:
     # -- queue pairs ----------------------------------------------------------
     def qp(self, src_rank: int, dst_rank: int, at: float) -> RcQueuePair:
         key = (src_rank, dst_rank)
-        pair = self._qps.get(key)
+        pair = self.qps.get(key)
         if pair is None:
             pair = RcQueuePair(self, src_rank, dst_rank, at)
-            self._qps[key] = pair
+            self.qps[key] = pair
         return pair
-
-    @property
-    def qps(self) -> dict[tuple[int, int], RcQueuePair]:
-        return self._qps
 
     # -- UD datagrams (connection management only) -----------------------------
     def _ud_send(self, src_rank: int, dst_rank: int, at: float,
@@ -441,7 +439,7 @@ class RdmaFabric:
     # -- diagnostics --------------------------------------------------------------
     def stats(self) -> dict[str, Any]:
         return {
-            "qp_count": len(self._qps),
+            "qp_count": len(self.qps),
             "qp_connects": self.qp_connects,
             "ud_datagrams": self.ud_datagrams,
             "ud_dropped": self.ud_dropped,

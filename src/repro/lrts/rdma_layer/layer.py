@@ -97,6 +97,7 @@ class RdmaMachineLayer(ProtocolCore, IntranodeMixin, GpuTransportMixin,
                     "undelivered-message", f"rdma.qp[{src}->{dst}]",
                     f"{len(qp.rx_buffer)} packet(s) stuck in the reorder "
                     f"buffer (expected seq {qp.rx_expected})")
+        self._scan_intranode(san)
         self._scan_persistent(san)
         for node_id, cache in self.fabric.pin_caches.items():
             if cache.live:
@@ -114,8 +115,9 @@ class RdmaMachineLayer(ProtocolCore, IntranodeMixin, GpuTransportMixin,
         if msg.device:
             self._gpu_send(src_pe, dst_rank, msg)
             return
-        if (self.machine.same_node(src_pe.rank, dst_rank)
-                and self.lcfg.intranode != "fabric"):
+        if (src_pe.node is self._pes[dst_rank].node
+                and self.lcfg.intranode != "fabric"
+                and total <= self.cfg.pxshm_region_bytes):
             self.intranode_sent += 1
             if obs is not None:
                 obs.on_lrts("rdma", "intranode", msg, self.machine.engine.now)
@@ -144,7 +146,10 @@ class RdmaMachineLayer(ProtocolCore, IntranodeMixin, GpuTransportMixin,
     def _rc_send(self, pe: PE, dst_rank: int, tag: str, payload: Any,
                  nbytes: int = CONTROL_BYTES, extra_cpu: float = 0.0) -> None:
         pe.charge(self.cfg.rdma_post_cpu + extra_cpu, "overhead")
-        qp = self.fabric.qp(pe.rank, dst_rank, at=pe.vtime)
+        # fabric.qp, inlined down to its miss (the handshake)
+        qp = self.fabric.qps.get((pe.rank, dst_rank))
+        if qp is None:
+            qp = self.fabric.qp(pe.rank, dst_rank, at=pe.vtime)
         qp.post_send(tag, nbytes, payload, at=pe.vtime)
 
     #: a control message is an RC send of its defaults: the step name is
@@ -197,7 +202,7 @@ class RdmaMachineLayer(ProtocolCore, IntranodeMixin, GpuTransportMixin,
     # ------------------------------------------------------------------ #
     def _on_rc_receive(self, qp: RcQueuePair, tag: str, nbytes: int,
                        payload: Any, t: float) -> None:
-        pe = self.conv.pes[qp.dst]
+        pe = self._pes[qp.dst]
         if tag == "inline":
             self.delivered += 1
             pe.enqueue(payload, recv_cpu=self.cfg.rdma_recv_cpu)

@@ -14,7 +14,7 @@ from collections import deque
 from typing import Any, Optional
 
 from repro.converse.scheduler import Message, PE
-from repro.errors import UgniNoSpace
+from repro.errors import SimulationError, UgniNoSpace
 from repro.hardware.machine import Machine
 from repro.lrts.gpu_transport import GpuTransportMixin
 from repro.lrts.interface import LrtsLayer
@@ -111,6 +111,7 @@ class UgniMachineLayer(ReliabilityMixin, ProtocolCore, IntranodeMixin,
                 san.report(
                     "undelivered-message", f"layer.pending[{src}->{dst}]",
                     f"{len(q)} send(s) still waiting for SMSG credits")
+        self._scan_intranode(san)
         self._scan_persistent(san)
         for pool in self._pools.values():
             if pool.live_blocks:
@@ -139,8 +140,13 @@ class UgniMachineLayer(ReliabilityMixin, ProtocolCore, IntranodeMixin,
         No-pool mode (``pool`` is None): the full ``Tmalloc + Tregister``
         of Eq. 1.
         """
-        if self.lcfg.use_mempool:
-            pool = self._pool_for(pe)
+        lcfg = self.lcfg
+        if lcfg.use_mempool:
+            # _pool_for, inlined down to its miss
+            pool = self._pools.get(
+                pe.node.node_id if lcfg.smp_pools else pe.rank)
+            if pool is None:
+                pool = self._pool_for(pe)
             block, cost = pool.alloc(nbytes)
             pe.charge(cost, "overhead")
             return block, block.mem_handle, pool
@@ -175,8 +181,9 @@ class UgniMachineLayer(ReliabilityMixin, ProtocolCore, IntranodeMixin,
         if msg.device:
             self._gpu_send(src_pe, dst_rank, msg)
             return
-        if (self.machine.same_node(src_pe.rank, dst_rank)
-                and self.lcfg.intranode != "ugni"):
+        if (src_pe.node is self._pes[dst_rank].node
+                and self.lcfg.intranode != "ugni"
+                and total <= self.cfg.pxshm_region_bytes):
             self.intranode_sent += 1
             if obs is not None:
                 obs.on_lrts("ugni", "intranode", msg, self.machine.engine.now)
@@ -229,24 +236,38 @@ class UgniMachineLayer(ReliabilityMixin, ProtocolCore, IntranodeMixin,
     def _smsg_push(self, pe: PE, dst_rank: int, tag: int, nbytes: int,
                    payload: Any) -> None:
         """Raw SMSG send with credit-exhaustion queueing (FIFO per connection)."""
-        key = (pe.rank, dst_rank)
-        pending = self._pending.get(key)
         obs = self._obs
+        pending = self._pending
         if pending:
-            if obs is not None:
-                obs.on_credit_stall(pe.rank, dst_rank, nbytes, self.machine.engine.now)
-            pending.append((tag, nbytes, payload))
-            return
+            # some connection is stalled (a drained one leaves the table):
+            # only then is this one's key built and looked up
+            q = pending.get((pe.rank, dst_rank))
+            if q:
+                if obs is not None:
+                    obs.on_credit_stall(pe.rank, dst_rank, nbytes,
+                                        self.machine.engine.now)
+                q.append((tag, nbytes, payload))
+                return
+        start = pe.vtime
         try:
             cpu = self._smsg.send(pe.rank, dst_rank, tag, nbytes,
-                                  payload=payload, at=pe.vtime)
-            pe.charge(cpu, "overhead")
+                                  payload=payload, at=start)
         except UgniNoSpace:
             if obs is not None:
                 obs.on_credit_stall(pe.rank, dst_rank, nbytes, self.machine.engine.now)
-            q = self._pending.setdefault(key, deque())
+            q = pending.setdefault((pe.rank, dst_rank), deque())
             q.append((tag, nbytes, payload))
-            self._schedule_flush(pe.rank, dst_rank, pe.vtime)
+            self._schedule_flush(pe.rank, dst_rank, start)
+            return
+        # pe.charge(cpu, "overhead"), inlined
+        if cpu < 0:
+            raise SimulationError(f"negative charge {cpu}")
+        if cpu != 0.0:
+            pe.vtime = start + cpu
+            pe.overhead_time += cpu
+            tracer = pe._tracer
+            if tracer is not None:
+                tracer.record(pe.rank, start, cpu, "overhead")
 
     def _schedule_flush(self, src_rank: int, dst_rank: int, after: float) -> None:
         self.machine.engine.call_at(
@@ -284,8 +305,9 @@ class UgniMachineLayer(ReliabilityMixin, ProtocolCore, IntranodeMixin,
         """
         smsg = self._smsg
         rank = cq.pe
-        pe = self.conv.pes[rank]
+        pe = self._pes[rank]
         proto_hid = self._proto_hid
+        entries = cq._entries
         while True:
             smsg_msg, recv_cpu = smsg.get_next(rank)
             if smsg_msg is None:
@@ -304,7 +326,7 @@ class UgniMachineLayer(ReliabilityMixin, ProtocolCore, IntranodeMixin,
                 payload = Message(handler=proto_hid, src_pe=smsg_msg.src_pe,
                                   dst_pe=rank, nbytes=0, payload=(step, payload))
             pe.enqueue(payload, recv_cpu)
-            if not cq:
+            if not entries:
                 return
 
     def _ensure_msgq_hooked(self, rank: int) -> None:

@@ -94,6 +94,11 @@ class PxshmFabric:
         if src_pe == dst_pe:
             raise LrtsError("pxshm to self; the scheduler handles local sends")
         cfg = self.config
+        if nbytes > cfg.pxshm_region_bytes:
+            # it would wait in the backlog for space no release can make
+            raise LrtsError(
+                f"pxshm message of {nbytes} B exceeds the "
+                f"{cfg.pxshm_region_bytes} B region; send it through the NIC")
         ch = self._channel(src_pe, dst_pe)
         msg = PxshmMessage(src_pe, dst_pe, nbytes, payload)
         # sender always pays: lock/fence + copy into the region

@@ -39,10 +39,6 @@ class Arrival:
     seq: int = 0
 
 
-def _matches(want_src: int, want_tag: int, src: int, tag: int) -> bool:
-    return (want_src in (ANY, src)) and (want_tag in (ANY, tag))
-
-
 class MatchEngine:
     """Per-rank matching state."""
 
@@ -58,11 +54,6 @@ class MatchEngine:
         self.max_unexpected = 0
         self.total_matches = 0
 
-    # -- cost helper -----------------------------------------------------------
-    def _scan_cost(self, scanned: int) -> float:
-        cfg = self.config
-        return cfg.mpi_match_base_cpu + scanned * cfg.mpi_match_per_entry_cpu
-
     # -- receiver side -----------------------------------------------------------
     def match_unexpected(self, src: int, tag: int,
                          pop: bool = True) -> tuple[Optional[Arrival], float]:
@@ -71,13 +62,18 @@ class MatchEngine:
         Returns ``(arrival_or_None, cpu_cost)``.  ``pop=False`` is the
         MPI_Iprobe variant (peek without consuming).
         """
+        cfg = self.config
+        # the wildcard test and the scan cost are written out in both
+        # match loops: a helper would be a call per queue entry scanned
         for i, arr in enumerate(self.unexpected):
-            if _matches(src, tag, arr.src, arr.tag):
+            if (src == ANY or src == arr.src) and (tag == ANY or tag == arr.tag):
                 if pop:
                     self.unexpected.pop(i)
                     self.total_matches += 1
-                return arr, self._scan_cost(i + 1)
-        return None, self._scan_cost(len(self.unexpected))
+                return arr, (cfg.mpi_match_base_cpu
+                             + (i + 1) * cfg.mpi_match_per_entry_cpu)
+        return None, (cfg.mpi_match_base_cpu
+                      + len(self.unexpected) * cfg.mpi_match_per_entry_cpu)
 
     def post(self, req: MpiRequest) -> None:
         self.posted.append(req)
@@ -85,21 +81,23 @@ class MatchEngine:
     # -- arrival side ---------------------------------------------------------------
     def match_posted(self, arr: Arrival) -> tuple[Optional[MpiRequest], float]:
         """Match an arrival against posted receives (progress-engine work)."""
+        cfg = self.config
+        src, tag = arr.src, arr.tag
         for i, req in enumerate(self.posted):
-            if _matches(req.src, req.tag, arr.src, arr.tag):
+            if (req.src == ANY or req.src == src) and (
+                    req.tag == ANY or req.tag == tag):
                 self.posted.pop(i)
                 self.total_matches += 1
-                return req, self._scan_cost(i + 1)
-        return None, self._scan_cost(len(self.posted))
+                return req, (cfg.mpi_match_base_cpu
+                             + (i + 1) * cfg.mpi_match_per_entry_cpu)
+        return None, (cfg.mpi_match_base_cpu
+                      + len(self.posted) * cfg.mpi_match_per_entry_cpu)
 
     def add_unexpected(self, arr: Arrival) -> None:
         self.unexpected.append(arr)
         self.known_sources.add(arr.src)
         if len(self.unexpected) > self.max_unexpected:
             self.max_unexpected = len(self.unexpected)
-
-    def note_source(self, src: int) -> None:
-        self.known_sources.add(src)
 
     def probe_scan_cost(self) -> float:
         """Connection-scan component of an ANY_SOURCE MPI_Iprobe.

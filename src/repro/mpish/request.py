@@ -30,7 +30,7 @@ class MpiRequest:
         self.id = next(_req_ids)
         self.kind = kind  # "send" | "recv"
         self.engine = engine
-        self.done: Event = engine.event()
+        self.done = Event(engine)
         self.src = src
         self.dst = dst
         self.tag = tag

@@ -122,20 +122,17 @@ class MpiWorld:
             if same_node:
                 # double-copy shared-memory path
                 t_arr = at + cpu + cfg.pxshm_sync_cpu
-                self.engine.call_at(t_arr, self._arrive, arr, t_arr)
+                self.engine.call_at(t_arr, self._arrive, t_arr, arr)
             else:
                 wire = nbytes + MPI_HEADER
-
-                def on_arrive(t: float, arr=arr) -> None:
-                    self._arrive(arr, t)
-
                 if nbytes <= MPI_SMALL:
-                    src_node.nic.smsg_send(dst_node, wire, on_arrive,
+                    src_node.nic.smsg_send(dst_node, wire, self._arrive, arr,
                                            at=at + cpu)
                 else:
                     kind = src_node.nic.best_kind(wire, put=True)
                     src_node.nic.post_transfer(kind, dst_node.coord, wire,
-                                               on_remote_data=on_arrive,
+                                               on_remote_data=self._arrive,
+                                               remote_args=(arr,),
                                                at=at + cpu)
             req.complete(at + cpu)  # buffered send
             return req, cpu
@@ -152,12 +149,9 @@ class MpiWorld:
                       protocol="rts", rndv=info, seq=seq)
         if same_node:
             t_arr = at + cpu + cfg.pxshm_sync_cpu
-            self.engine.call_at(t_arr, self._arrive, arr, t_arr)
+            self.engine.call_at(t_arr, self._arrive, t_arr, arr)
         else:
-            def on_arrive(t: float, arr=arr) -> None:
-                self._arrive(arr, t)
-
-            src_node.nic.smsg_send(dst_node, MPI_CONTROL, on_arrive,
+            src_node.nic.smsg_send(dst_node, MPI_CONTROL, self._arrive, arr,
                                    at=at + cpu)
         return req, cpu
 
@@ -175,7 +169,9 @@ class MpiWorld:
         """MPI_Irecv: match unexpected now, or post for later."""
         at = self.engine.now if at is None else at
         cfg = self.cfg
-        eng = self.match_engine(rank)
+        eng = self._match.get(rank)
+        if eng is None:
+            eng = self.match_engine(rank)
         req = MpiRequest(self.engine, "recv", src, rank, tag, 0)
         req.payload = buf_key  # stash the recv-buffer identity for uDREG
         arr, match_cpu = eng.match_unexpected(src, tag, pop=True)
@@ -195,7 +191,9 @@ class MpiWorld:
     ) -> tuple[Optional[Arrival], float]:
         """MPI_Iprobe: peek; cost includes the unexpected-queue scan and,
         for wildcard-source probes, the per-connection mailbox scan."""
-        eng = self.match_engine(rank)
+        eng = self._match.get(rank)
+        if eng is None:
+            eng = self.match_engine(rank)
         arr, scan_cpu = eng.match_unexpected(src, tag, pop=False)
         cpu = self.cfg.mpi_iprobe_cpu + scan_cpu
         if src == ANY:
@@ -205,8 +203,9 @@ class MpiWorld:
     # ------------------------------------------------------------------ #
     # Arrival processing (progress engine)
     # ------------------------------------------------------------------ #
-    def _arrive(self, arr: Arrival, t: float) -> None:
-        """Enforce per-(src,dst) ordering, then match."""
+    def _arrive(self, t: float, arr: Arrival) -> None:
+        """Enforce per-(src,dst) ordering, then match (the NIC's
+        ``on_remote_data(t, *args)`` shape, so a send makes no closure)."""
         arr.time = t
         key = (arr.src, arr.dst)
         expect = self._recv_seq.get(key, 0)
@@ -228,8 +227,10 @@ class MpiWorld:
             self._process(arr2)
 
     def _process(self, arr: Arrival) -> None:
-        eng = self.match_engine(arr.dst)
-        eng.note_source(arr.src)
+        eng = self._match.get(arr.dst)
+        if eng is None:
+            eng = self.match_engine(arr.dst)
+        eng.known_sources.add(arr.src)
         req, match_cpu = eng.match_posted(arr)
         if req is None:
             eng.add_unexpected(arr)

@@ -181,8 +181,9 @@ class RdmaEngine:
         elif channel == "rdma":
             fma = False
         else:
+            # cfg.rdma_kind_for(length) == "fma", inlined
             cfg = self.machine.config
-            fma = (cfg.rdma_kind_for(desc.length) == "fma"
+            fma = (desc.length < cfg.fma_bte_crossover
                    and desc.length <= cfg.fma_max_bytes)
         return self.post(initiator_node, desc, fma, at)
 

@@ -16,7 +16,7 @@ layer keeps a pending queue for exactly this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.errors import UgniInvalidParam, UgniNoSpace
@@ -28,7 +28,7 @@ from repro.ugni.types import CqEventKind
 SMSG_HEADER = 32
 
 
-@dataclass
+@dataclass(slots=True)
 class SmsgMessage:
     """One short message in flight or in a mailbox."""
 
@@ -37,6 +37,10 @@ class SmsgMessage:
     tag: int
     nbytes: int
     payload: Any = None
+    #: the mailbox pair it travels on and holds credit in (set by
+    #: :meth:`SmsgFabric.send`), so arrival and dequeue look nothing up
+    conn: Optional[SmsgConnection] = field(
+        default=None, repr=False, compare=False)
 
     @property
     def credit(self) -> int:
@@ -173,7 +177,7 @@ class SmsgFabric:
             )
         conn.credits_used += need
         conn.sent += 1
-        msg = SmsgMessage(src_pe, dst_pe, tag, nbytes, payload)
+        msg = SmsgMessage(src_pe, dst_pe, tag, nbytes, payload, conn)
         machine = self.machine
         san = machine.sanitizer
         if san is not None:
@@ -188,8 +192,7 @@ class SmsgFabric:
         src_node = conn.src_node
         dst_node = conn.dst_node
         if src_node is dst_node:
-            return src_node.nic.loopback_send(need, self._arrive, msg, conn,
-                                              at=at)
+            return src_node.nic.loopback_send(need, self._arrive, msg, at=at)
 
         faults = machine.faults
         if faults is not None:
@@ -197,11 +200,11 @@ class SmsgFabric:
                 conn.dropped += 1
                 self.dropped += 1
 
-                def on_drop(t: float, msg=msg, conn=conn) -> None:
+                def on_drop(t: float, msg=msg) -> None:
                     # the fabric ate it: the receiver never sees an arrival;
                     # mailbox credit is reclaimed when the delivery attempt
                     # resolves, so the sender's flow control stays sound
-                    conn.release_credit(msg.nbytes)
+                    msg.conn.release_credit(msg.nbytes)
                     if san is not None:
                         san.on_smsg_drop(msg)
 
@@ -210,19 +213,20 @@ class SmsgFabric:
             if stall > 0.0:
                 self.stalled += 1
 
-                def on_stall(t: float, msg=msg, conn=conn, stall=stall) -> None:
+                def on_stall(t: float, msg=msg, stall=stall) -> None:
                     # credit stall: the message (and its mailbox credit)
                     # sits in the fabric before the receiver sees it
                     self.machine.engine.call_at(t + stall, self._arrive,
-                                                t + stall, msg, conn)
+                                                t + stall, msg)
 
                 return src_node.nic.smsg_send(dst_node, need, on_stall, at=at)
 
-        return src_node.nic.smsg_send(dst_node, need, self._arrive, msg, conn,
+        return src_node.nic.smsg_send(dst_node, need, self._arrive, msg,
                                       at=at)
 
-    def _arrive(self, t: float, msg: SmsgMessage, conn: SmsgConnection) -> None:
+    def _arrive(self, t: float, msg: SmsgMessage) -> None:
         """The last byte landed: post the arrival on the receiver's CQ."""
+        conn = msg.conn
         conn.delivered += 1
         conn.rx_cq.push(CqEntry(CqEventKind.SMSG_ARRIVAL, t, msg.tag, msg,
                                 msg.src_pe))
@@ -239,23 +243,30 @@ class SmsgFabric:
         cq = self._rx_cqs.get(pe)
         if cq is None:
             cq = self.rx_cq(pe)
-        entry = cq.get_event()
-        # overrun markers and other ERROR entries are not messages; drain
-        # past them so the one-event-one-message protocol stays in step
-        while entry is not None and entry.kind is not CqEventKind.SMSG_ARRIVAL:
-            entry = cq.get_event()
-        if entry is None:
-            return None, cfg.cq_poll_cpu
+        # cq.get_event, inlined, until an arrival comes up: overrun
+        # markers and other ERROR entries are not messages; drain past
+        # them so the one-event-one-message protocol stays in step
+        entries = cq._entries
+        san = self.machine.sanitizer
+        while True:
+            if not entries:
+                return None, cfg.cq_poll_cpu
+            entry = entries.pop(0)
+            if san is not None:
+                san.on_cq_pop(cq, entry)
+            if entry.kind is CqEventKind.SMSG_ARRIVAL:
+                break
         msg: SmsgMessage = entry.data
         # release_credit, inlined
-        conn = self._connections[(msg.src_pe, msg.dst_pe)]
+        conn = msg.conn
         conn.credits_used -= msg.nbytes + SMSG_HEADER
         assert conn.credits_used >= 0, "SMSG credit accounting went negative"
         self.consumed += 1
-        san = self.machine.sanitizer
         if san is not None:
             san.on_smsg_consume(msg)
-        cpu = cfg.smsg_recv_cpu + cfg.t_memcpy(msg.nbytes)
+        # smsg_recv_cpu + cfg.t_memcpy(nbytes), the copy-out inlined
+        cpu = cfg.smsg_recv_cpu + (cfg.memcpy_base
+                                   + msg.nbytes / cfg.memcpy_bandwidth)
         return msg, cpu
 
     # -- introspection ---------------------------------------------------------

@@ -41,7 +41,8 @@ class TestArrays:
         coll = charm.collections[arr.aid]
         assert sorted(coll.local) == [0, 4] and not coll.red
         assert coll.hosts(0) and not coll.hosts(7)
-        assert coll.local[7] == {}  # reading a PE that hosts nothing
+        assert sorted(coll.local) == [0, 4]  # the runtime's reads use .get
+        assert coll.local[7] == {}  # indexing a PE that hosts nothing
         assert [r for r, _ in coll.by_pe()] == [0, 4, 7]
         assert coll.red_root() == 0 and coll.red_parent(4) == 0
         assert coll.missing_elements() == []
@@ -308,6 +309,27 @@ class TestQuiescence:
         # quiescence must not fire before all 31 tasks ran
         assert charm.app_executes == 31
         assert q_time[0] > 0
+
+    def test_quiescence_waits_for_a_broadcast_in_flight(self):
+        # a 100,000 B broadcast rooted at the last PE is still on its way
+        # down the tree when detection starts; counted only by its
+        # point-to-point sends it was invisible and quiescence fired early
+        ran = []
+
+        class Leaf(Chare):
+            def hit(self):
+                ran.append(self.now())
+
+        charm, conv, _ = charm_runtime(n_pes=96, cores_per_node=24)
+        arr = charm.create_group(Leaf)
+        fired = []
+        charm.start(lambda pe: arr.hit(_size=100_000), pe=95)
+        charm.start(lambda pe: charm.start_quiescence(fired.append),
+                    at=30 * us)
+        charm.run(max_events=10**6)
+        assert len(ran) == 96 and len(fired) == 1
+        assert fired[0] >= max(ran)
+        assert charm.app_sends == charm.app_executes == 96
 
     def test_quiescence_on_both_layers(self):
         for layer in ("ugni", "mpi"):

@@ -1,5 +1,7 @@
 """Tests for links, the torus network, the NIC model, and the machine."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import TopologyError
@@ -290,6 +292,18 @@ class TestConfig:
         cfg2 = cfg.replace(cores_per_node=1)
         assert cfg2.cores_per_node == 1
         assert cfg.cores_per_node == 24
+
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(MachineConfig)
+                 if f.type == "float"])
+    def test_durations_and_bandwidths_are_validated(self, name):
+        # a duration (CPU cost, latency, gap) may be 0, a bandwidth may not
+        bandwidth = name.endswith("_bandwidth")
+        for bad in (-1e-9, float("nan")) + ((0.0,) if bandwidth else ()):
+            with pytest.raises(ValueError, match=name):
+                MachineConfig(**{name: bad})
+        if not bandwidth:
+            assert getattr(MachineConfig(**{name: 0.0}), name) == 0.0
 
     def test_frozen(self):
         cfg = MachineConfig()

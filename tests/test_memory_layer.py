@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.charm import Chare, Charm
 from repro.errors import LrtsError, MemoryError_, UgniInvalidParam
 from repro.hardware import Machine
 from repro.hardware.config import tiny as tiny_config
+from repro.lrts.factory import make_runtime
+from repro.lrts.messages import LRTS_ENVELOPE
 from repro.memory import MemoryPool, PxshmFabric, RegistrationCache
 from repro.ugni.api import GniJob
 from repro.units import KB, MB
@@ -263,6 +266,19 @@ class TestPxshm:
         assert [o[0].payload for o in out] == ["a", "b"]
         assert fab.pending() == 0
 
+    def test_message_no_empty_region_can_hold_is_rejected(self):
+        # it used to sit in the backlog forever: only a release drains it
+        m, _ = make_job()
+        fab = PxshmFabric(m)
+        out, deliver = self._deliveries()
+        region = m.config.pxshm_region_bytes
+        with pytest.raises(LrtsError, match="exceeds"):
+            fab.send(0, 1, region + 1, None, deliver)
+        assert fab.pending() == 0
+        fab.send(0, 1, region, "fits", deliver)  # exactly the region
+        m.engine.run()
+        assert [o[0].payload for o in out] == ["fits"]
+
     def test_region_memory_accounting(self):
         m, _ = make_job()
         fab = PxshmFabric(m)
@@ -280,3 +296,56 @@ class TestPxshm:
             fab.send(0, 1, 32 * KB, i, deliver)
         m.engine.run()
         assert [o[0].payload for o in out] == list(range(200))
+
+
+class _Sink(Chare):
+    def __init__(self):
+        self.got = 0
+
+    def take(self):
+        self.got += 1
+
+
+class TestIntranodeOversize:
+    """An intranode message larger than the pxshm region (envelope
+    included) takes the layer's NIC path; it used to be parked in the
+    region's backlog and never sent."""
+
+    @pytest.mark.parametrize("size", [1 * MB, 4 * MB])
+    @pytest.mark.parametrize("layer", ["ugni", "rdma", "mpi"])
+    def test_delivered_once(self, layer, size):
+        conv, lrts = make_runtime(n_nodes=1, layer=layer)
+        charm = Charm(conv)
+        arr = charm.create_array(_Sink, 2, map="round_robin")
+        charm.start(lambda pe: arr[1].take(_size=size))
+        charm.run()
+        assert charm.collections[arr.aid].local[1][1].got == 1
+        stats = lrts.stats()
+        assert stats["delivered"] == 1
+        if layer != "mpi":
+            assert stats["intranode_sent"] == 0
+            assert stats["rendezvous_sent"] == 1
+            assert lrts.pxshm.pending() == 0
+
+    @pytest.mark.parametrize("layer", ["ugni", "rdma"])
+    def test_largest_message_that_fits_still_uses_pxshm(self, layer):
+        conv, lrts = make_runtime(n_nodes=1, layer=layer)
+        charm = Charm(conv)
+        arr = charm.create_array(_Sink, 2, map="round_robin")
+        fits = conv.config.pxshm_region_bytes - LRTS_ENVELOPE
+        charm.start(lambda pe: arr[1].take(_size=fits))
+        charm.run()
+        assert charm.collections[arr.aid].local[1][1].got == 1
+        assert lrts.stats()["intranode_sent"] == 1
+
+    @pytest.mark.sanitize_violations
+    @pytest.mark.parametrize("layer", ["ugni", "rdma"])
+    def test_backlog_left_at_drain_is_reported(self, layer):
+        cfg = tiny_config().replace(sanitize=True)
+        conv, lrts = make_runtime(n_nodes=1, layer=layer, config=cfg)
+        # a region whose space never comes back: nothing drains the backlog
+        lrts.pxshm._channel(0, 1).used = cfg.pxshm_region_bytes
+        lrts.pxshm.send(0, 1, 64, None, lambda *a: None)
+        conv.run()
+        assert [(v.kind, v.where) for v in conv.machine.sanitizer.violations
+                ] == [("undelivered-message", "pxshm[0->1]")]

@@ -20,6 +20,7 @@ list into a float slot; resident memory does) and route entries (one
 tuple of links each, in a row per destination).
 """
 
+import collections
 import gc
 import sys
 import tracemalloc
@@ -38,21 +39,23 @@ N_CORES, K, ITERS, WARMUP = 64, 4, 16, 3
 #: every core sends 2k messages and gets 2k ping-backs per iteration
 APP_MSGS = N_CORES * 2 * K * 2 * (ITERS + WARMUP)
 #: Python calls inside ``repro`` per application message, machine set-up
-#: included, rounded up: 66.5 before the path was flattened, 38.3 now
-CALL_BUDGET = 39.0
-#: the same count for a 256 KB rendezvous message (iters=8, warmup=2),
-#: rounded up: 157.2 uGNI / 115.8 RDMA (on a dragonfly) before the
-#: protocols were unified, 148.2 / 115.8 after, 120.2 / 101.7 once the
-#: large-message path was flattened (NIC ports reserved inline, one
-#: validation pass per post, one object per pool allocation)
+#: included, measured + 0.5: 66.5 before the path was flattened from the
+#: machine layer down, 38.3 after, 22.2 with the upper half (the proxy
+#: call, the entry delivery, the scheduler's clock and charges) done too
+CALL_BUDGET = 22.7
+#: the same count for a 256 KB rendezvous message (iters=8, warmup=2):
+#: 157.2 uGNI / 115.8 RDMA (on a dragonfly) before the protocols were
+#: unified, 148.2 / 115.8 after, 120.2 / 101.7 once the large-message
+#: path was flattened (NIC ports reserved inline, one validation pass per
+#: post, one object per pool allocation), 87.9 / 74.4 now
 RNDV_ITERS, RNDV_WARMUP = 8, 2
-RNDV_BUDGETS = {"ugni": 121.0, "rdma": 102.0}
+RNDV_BUDGETS = {"ugni": 88.4, "rdma": 74.9}
 #: without the C core (``REPRO_PURE_ENGINE=1``, a CI leg) the engine's own
-#: Python frames are on the path and counted too: 45.4 small,
-#: 144.2 / 134.3 rendezvous
+#: Python frames are on the path and counted too, ``Engine.now`` among
+#: them: 30.3 small, 118.1 / 113.2 rendezvous
 if Engine()._core is None:
-    CALL_BUDGET = 46.0
-    RNDV_BUDGETS = {"ugni": 145.0, "rdma": 135.0}
+    CALL_BUDGET = 30.8
+    RNDV_BUDGETS = {"ugni": 118.6, "rdma": 113.7}
 #: one cold 1,024-PE ``kneighbor(32, k=1, iters=1, warmup=0)``, runtime
 #: held: GC-tracked objects it leaves per PE, measured + 0.5 (63.9 while a
 #: route entry kept a coordinate tuple and a pair per candidate, 44.4
@@ -67,21 +70,34 @@ COLD_ROUTES = {"rows": 1024, "entries": 11302, "misses": 11302,
 
 
 def _repro_calls(fn, *args, **kwargs):
-    """Run ``fn`` counting Python-level calls into ``repro`` modules."""
-    calls = 0
+    """Run ``fn`` counting Python-level calls into ``repro`` modules.
+
+    Returns ``(calls, result, table)``; ``table`` maps each ``(module,
+    function)`` to its share of ``calls`` (what CI's ``BENCH_frames.json``
+    holds per message, and what a budget failure prints).
+    """
+    table = collections.Counter()
 
     def hook(frame, event, arg):
-        nonlocal calls
-        if event == "call" and frame.f_globals.get(
-                "__name__", "").startswith("repro"):
-            calls += 1
+        if event == "call":
+            module = frame.f_globals.get("__name__", "")
+            if module.startswith("repro"):
+                table[module, frame.f_code.co_name] += 1
 
     sys.setprofile(hook)
     try:
         result = fn(*args, **kwargs)
     finally:
         sys.setprofile(None)
-    return calls, result
+    return sum(table.values()), result, table
+
+
+def _largest_rows(table, msgs, n=15):
+    """The ``n`` functions with the most frames per message, one a line:
+    a budget that fails names the frame that grew."""
+    return "\n".join(
+        f"{count / msgs:8.2f}  {module}.{function}"
+        for (module, function), count in table.most_common(n))
 
 
 def _run(iters=ITERS, warmup=WARMUP):
@@ -93,13 +109,14 @@ def test_small_message_call_budget(monkeypatch):
     # hooks off, like the rendezvous budgets below
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
     monkeypatch.delenv("REPRO_OBSERVE", raising=False)
-    calls, res = _repro_calls(_run)
+    calls, res, table = _repro_calls(_run)
     assert res.stats["small_sent"] == res.stats["delivered"]
     assert res.stats["delivered"] >= APP_MSGS
     per_msg = calls / APP_MSGS
     assert per_msg <= CALL_BUDGET, (
         f"{per_msg:.1f} Python calls per 256 B message "
-        f"(budget {CALL_BUDGET}): the small-message path grew a layer")
+        f"(budget {CALL_BUDGET}): the small-message path grew a layer\n"
+        + _largest_rows(table, APP_MSGS))
 
 
 @pytest.mark.parametrize("layer", sorted(RNDV_BUDGETS))
@@ -109,7 +126,7 @@ def test_rendezvous_call_budget(layer, monkeypatch):
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
     monkeypatch.delenv("REPRO_OBSERVE", raising=False)
     config = MachineConfig(topology="dragonfly") if layer == "rdma" else None
-    calls, res = _repro_calls(
+    calls, res, table = _repro_calls(
         kneighbor, 256 * KB, layer=layer, config=config, k=K,
         n_cores=N_CORES, iters=RNDV_ITERS, warmup=RNDV_WARMUP)
     app_msgs = N_CORES * 2 * K * 2 * (RNDV_ITERS + RNDV_WARMUP)
@@ -117,7 +134,8 @@ def test_rendezvous_call_budget(layer, monkeypatch):
     per_msg = calls / app_msgs
     assert per_msg <= RNDV_BUDGETS[layer], (
         f"{per_msg:.1f} Python calls per 256 KB message on {layer} "
-        f"(budget {RNDV_BUDGETS[layer]}): the rendezvous path grew a layer")
+        f"(budget {RNDV_BUDGETS[layer]}): the rendezvous path grew a layer\n"
+        + _largest_rows(table, app_msgs))
 
 
 def test_cold_state_budget(held_runtimes, monkeypatch):
@@ -169,8 +187,8 @@ def test_cold_bytes_budget(held_runtimes, monkeypatch):
 
 
 def test_call_count_repeats_exactly():
-    first, _ = _repro_calls(_run, iters=2, warmup=1)
-    second, _ = _repro_calls(_run, iters=2, warmup=1)
+    _, _, first = _repro_calls(_run, iters=2, warmup=1)
+    _, _, second = _repro_calls(_run, iters=2, warmup=1)
     assert first == second
 
 
