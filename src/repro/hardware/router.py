@@ -21,6 +21,7 @@ from typing import NamedTuple
 from repro.hardware.config import MachineConfig
 from repro.hardware.link import Link
 from repro.hardware.topology import Coord, Torus3D
+from repro.sim import _speed
 
 
 #: what a leg looks its hops up in until its destination has a row
@@ -73,7 +74,8 @@ class TorusNetwork:
         self.messages_routed = 0
         #: links currently marked down/degraded (fault-injection state)
         self._faulted: set[tuple[Coord, Coord]] = set()
-        #: messages routed while any link fault was active
+        #: messages routed while any link fault was active — which is also
+        #: every transfer the compiled lane handed to the Python body
         self.degraded_routes = 0
 
     # -- link access -----------------------------------------------------------
@@ -179,7 +181,7 @@ class TorusNetwork:
         row[at] = route = tuple(cands)
         return route
 
-    def transfer(
+    def _transfer_py(
         self,
         now: float,
         src: Coord,
@@ -206,6 +208,13 @@ class TorusNetwork:
         direction, in adaptive mode) and reserve its link — inline for a
         healthy link (single-lane hops, multi-lane NIC ports), through
         :meth:`Link.reserve` for a faulted or multi-lane hop.
+
+        This body is the contract of :meth:`transfer`.  With the C core
+        loaded (:mod:`repro.sim._speed`) ``transfer`` is its compiled
+        lane, ``router_transfer`` in ``_speedups.c``: the same statements
+        over the same slots for a healthy fabric, which hands the whole
+        call to this body, before any side effect, while a link is
+        faulted.
         """
         cfg = self.config
         min_occ = cfg.nic_msg_gap if min_occupancy is None else min_occupancy
@@ -235,6 +244,8 @@ class TorusNetwork:
         at = src
         routes = self._routes
         degraded = bool(self._faulted)
+        if degraded:
+            self.degraded_routes += 1
         leg_end = dst if via is None else via
         while True:
             row = routes.get(leg_end, _NO_ROW)
@@ -308,6 +319,8 @@ class TorusNetwork:
         return _new_timing(TransferTiming,
                            (depart, head_arrival, arrival, hops))
 
+    transfer = _transfer_py
+
     # -- diagnostics ------------------------------------------------------------
     def total_bytes_carried(self) -> int:
         return sum(lk.bytes_carried for lk in self._links.values())
@@ -330,6 +343,12 @@ class TorusNetwork:
         return {"rows": len(self._routes), "entries": entries,
                 "misses": entries, "links": len(self._links),
                 "hops": sum(lk.transfers for lk in self._links.values())}
+
+
+if _speed.core is not None:
+    # the lane follows the engine core's switch: no C core, no C lane
+    TorusNetwork.transfer = _speed.core.router_transfer(
+        TorusNetwork, TorusNetwork._transfer_py, Link, TransferTiming)
 
 
 class DragonflyNetwork(TorusNetwork):

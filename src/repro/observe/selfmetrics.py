@@ -9,8 +9,10 @@ metrics digest, so reading it (or not) cannot move a simulated result.
 
 from __future__ import annotations
 
+from types import MethodDescriptorType
 from typing import TYPE_CHECKING, Any, Optional
 
+from repro.hardware.router import TorusNetwork
 from repro.sim import _speed
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -24,9 +26,12 @@ def self_metrics(machine: "Machine",
 
     ``route`` is :meth:`TorusNetwork.route_stats`, ``collector`` is
     :meth:`Engine.collector_stats`, ``c_core`` says whether the compiled
-    slab core runs this engine's loop (and why not, if it failed to
-    build), ``first_touch`` counts the lazily built objects that exist —
-    the network's, plus the machine layer's when ``lrts`` is given.
+    slab core runs this engine's loop (``bound``), whether the compiled
+    lane is what this network's ``transfer`` reaches (``router``: it is
+    bound on :class:`TorusNetwork` and nothing on the instance shadows
+    it) and why not, if the core failed to build; ``first_touch`` counts
+    the lazily built objects that exist — the network's, plus the machine
+    layer's when ``lrts`` is given.
     """
     engine = machine.engine
     net = machine.network
@@ -39,6 +44,9 @@ def self_metrics(machine: "Machine",
         "route": net.route_stats(),
         "collector": engine.collector_stats(),
         "c_core": {"bound": engine._core is not None,
+                   "router": (isinstance(vars(TorusNetwork)["transfer"],
+                                         MethodDescriptorType)
+                              and "transfer" not in vars(net)),
                    "build_error": _speed.build_error},
         "first_touch": first_touch,
     }

@@ -1,12 +1,14 @@
-"""Build and load the C slab core (:mod:`repro.sim._speedups`).
+"""Build and load the C core (:mod:`repro.sim._speedups`): the engine's
+slab and run loop, and the network pass of
+:class:`repro.hardware.router.TorusNetwork`.
 
 The extension is compiled on first import with the system C compiler —
 no pip, no network, no build isolation — and cached next to the source
 as ``_speedups.<cache_tag>.so``; it is rebuilt only when ``_speedups.c``
 is newer.  Any failure (no compiler, sandboxed filesystem, exotic
 platform) degrades silently to ``core = None`` and the engine runs its
-pure-Python slab path, which is contract-identical (the hypothesis
-parity suite drives both).
+pure-Python slab path, and the router its Python body, which are
+contract-identical (the hypothesis parity suites drive both).
 
 Set ``REPRO_PURE_ENGINE=1`` to skip the C core entirely — CI uses this
 to keep the pure path honest, and it is the escape hatch if a platform
@@ -50,9 +52,12 @@ def _compile(c_path: str, so_path: str) -> None:
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(so_path))
     os.close(fd)
     try:
+        # -ffp-contract=off: the router lane computes simulated times, and
+        # a fused multiply-add (aarch64, any -march with FMA) rounds once
+        # where Python rounds twice
         subprocess.run(
-            [cc, "-O2", "-fPIC", "-shared", f"-I{include}", c_path,
-             "-o", tmp],
+            [cc, "-O2", "-ffp-contract=off", "-fPIC", "-shared",
+             f"-I{include}", c_path, "-o", tmp],
             check=True, capture_output=True, text=True, timeout=120,
         )
         os.replace(tmp, so_path)

@@ -1,24 +1,28 @@
-/* C hot core for repro.sim.engine: the slab event store and run loop.
+/* C hot core: the slab event store and run loop of repro.sim.engine, and
+ * (at the end of the file) the network pass of
+ * repro.hardware.router.TorusNetwork.transfer.
  *
- * This mirrors the pure-Python slab engine exactly — same (time, seq)
- * total order, same lazy-cancel + compaction policy, same run()/step()/
- * peek() semantics including the drained-clock-advance corner — so a
- * simulation produces bit-identical checksums on either core.  Float
- * arithmetic is IEEE double in both interpreters, sequence numbers are
- * identical, and the heap's internal layout never affects pop order
- * (keys are unique), so determinism survives the port.
+ * The engine part mirrors the pure-Python slab engine exactly — same
+ * (time, seq) total order, same lazy-cancel + compaction policy, same
+ * run()/step()/peek() semantics including the drained-clock-advance
+ * corner — so a simulation produces bit-identical checksums on either
+ * core.  Float arithmetic is IEEE double in both interpreters, sequence
+ * numbers are identical, and the heap's internal layout never affects pop
+ * order (keys are unique), so determinism survives the port.
  *
  * Layout: a slab of Slot records (time, seq, fn, args, state) indexed
  * by a binary heap of (time, seq, slot) entries.  Handles are slot
  * views carrying the slot's seq for staleness — cancel on a recycled
  * slot is a no-op, exactly like the Python EventHandle.
  *
- * Built on demand by repro.sim._speed (plain `cc -O2 -shared -fPIC`);
- * any build or import failure falls back to the Python engine.
+ * Built on demand by repro.sim._speed (plain
+ * `cc -O2 -ffp-contract=off -shared -fPIC`); any build or import failure
+ * falls back to the Python engine and the router's Python body.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <structmember.h>
 #include <math.h>
 
 #define STATE_FREE 0
@@ -834,7 +838,7 @@ core_get_running(Core *c, void *Py_UNUSED(closure))
 }
 
 static PyObject *
-core_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+core_new(PyTypeObject *type, PyObject *args, PyObject *Py_UNUSED(kwds))
 {
     PyObject *sim_error;
     if (!PyArg_ParseTuple(args, "O", &sim_error))
@@ -893,17 +897,20 @@ core_dealloc(Core *c)
     Py_TYPE(c)->tp_free((PyObject *)c);
 }
 
+/* a METH_FASTCALL function in a PyMethodDef, the way CPython spells it */
+#define FASTCALL(fn) ((PyCFunction)(void (*)(void))(fn))
+
 static PyMethodDef core_methods[] = {
-    {"call_at", (PyCFunction)core_call_at, METH_FASTCALL, NULL},
-    {"call_after", (PyCFunction)core_call_after, METH_FASTCALL, NULL},
-    {"call_soon", (PyCFunction)core_call_soon, METH_FASTCALL, NULL},
-    {"call_at_node", (PyCFunction)core_call_at_node, METH_FASTCALL, NULL},
-    {"post_at_node", (PyCFunction)core_post_at_node, METH_FASTCALL, NULL},
-    {"post_at", (PyCFunction)core_post_at, METH_FASTCALL, NULL},
-    {"post_after", (PyCFunction)core_post_after, METH_FASTCALL, NULL},
-    {"post_soon", (PyCFunction)core_post_soon, METH_FASTCALL, NULL},
-    {"post_many", (PyCFunction)core_post_many, METH_FASTCALL, NULL},
-    {"run", (PyCFunction)core_run, METH_FASTCALL, NULL},
+    {"call_at", FASTCALL(core_call_at), METH_FASTCALL, NULL},
+    {"call_after", FASTCALL(core_call_after), METH_FASTCALL, NULL},
+    {"call_soon", FASTCALL(core_call_soon), METH_FASTCALL, NULL},
+    {"call_at_node", FASTCALL(core_call_at_node), METH_FASTCALL, NULL},
+    {"post_at_node", FASTCALL(core_post_at_node), METH_FASTCALL, NULL},
+    {"post_at", FASTCALL(core_post_at), METH_FASTCALL, NULL},
+    {"post_after", FASTCALL(core_post_after), METH_FASTCALL, NULL},
+    {"post_soon", FASTCALL(core_post_soon), METH_FASTCALL, NULL},
+    {"post_many", FASTCALL(core_post_many), METH_FASTCALL, NULL},
+    {"run", FASTCALL(core_run), METH_FASTCALL, NULL},
     {"step", (PyCFunction)core_step, METH_NOARGS, NULL},
     {"peek", (PyCFunction)core_peek, METH_NOARGS, NULL},
     {"stop", (PyCFunction)core_stop, METH_NOARGS, NULL},
@@ -937,17 +944,589 @@ static PyTypeObject Core_Type = {
     .tp_new = core_new,
 };
 
+/* ---- the network pass: TorusNetwork.transfer on a healthy fabric ------ */
+
+/* repro.hardware.router.TorusNetwork._transfer_py, statement for
+ * statement: injection port, per leg the row fetch and per hop the
+ * candidate pick and the reserve over the Link's slots, ejection port,
+ * arrival, the observer hook, the TransferTiming.  The arithmetic is the
+ * same IEEE double operations in the same order (and the build passes
+ * -ffp-contract=off), so either lane leaves every horizon, counter and
+ * timing bit-identical.
+ *
+ * The Python body is the contract and keeps everything rare.  While any
+ * link is faulted the whole call goes to it, before any side effect; so
+ * does a call whose arguments do not bind (it raises the TypeError).
+ * What is rare on a healthy fabric is a call through the instance:
+ * _route_miss, injection_port / ejection_port on first touch, and
+ * Link.reserve for a link that is not "up" (or whose horizon is not a
+ * float, or whose bandwidth is zero: reserve computes or refuses it). */
+
+static struct {
+    PyObject *body;        /* TorusNetwork._transfer_py (owned) */
+    PyTypeObject *link;    /* repro.hardware.link.Link (owned) */
+    PyTypeObject *timing;  /* TransferTiming, a plain tuple subclass (owned) */
+    /* offsets of Link's slots, read once from its member descriptors */
+    Py_ssize_t name, bandwidth, latency, free, lanes, bytes_carried,
+        transfers, state;
+} lane;
+
+/* interned: attribute and method names, "up", transfer's parameters */
+static PyObject *s_config, *s_inject, *s_eject, *s_routes, *s_faulted,
+    *s_observer, *s_messages_routed, *s_nic_msg_gap, *s_link_bandwidth,
+    *s_route_miss, *s_injection_port, *s_ejection_port, *s_reserve,
+    *s_on_net_transfer, *s_up, *int_one;
+#define N_PARAMS 7
+static PyObject *s_params[N_PARAMS];
+static const char *const param_names[N_PARAMS] = {
+    "now", "src", "dst", "nbytes", "bandwidth_cap", "min_occupancy", "via"};
+
+/* what one message carries past every link */
+typedef struct {
+    PyObject *nbytes_o;    /* as passed: counters add it, reserve gets it */
+    double nbytes;
+    PyObject *min_occ_o;
+    double min_occ;
+} Msg;
+
+static inline int
+as_double(PyObject *o, double *out)
+{
+    if (PyFloat_CheckExact(o)) {
+        *out = PyFloat_AS_DOUBLE(o);
+        return 0;
+    }
+    *out = PyFloat_AsDouble(o);
+    return (*out == -1.0 && PyErr_Occurred()) ? -1 : 0;
+}
+
+/* A Link slot, borrowed; NULL (AttributeError) if it was never set. */
+static inline PyObject *
+slot(PyObject *lk, Py_ssize_t offset)
+{
+    PyObject *v = *(PyObject **)((char *)lk + offset);
+    if (!v)
+        PyErr_SetString(PyExc_AttributeError, "unset Link slot");
+    return v;
+}
+
+/* Store into a Link slot; steals `value`, NULL passes an error through. */
+static inline int
+slot_set(PyObject *lk, Py_ssize_t offset, PyObject *value)
+{
+    if (!value)
+        return -1;
+    PyObject **p = (PyObject **)((char *)lk + offset);
+    Py_XSETREF(*p, value);
+    return 0;
+}
+
+/* slot += by */
+static inline int
+slot_add(PyObject *lk, Py_ssize_t offset, PyObject *by)
+{
+    PyObject *v = slot(lk, offset);
+    return v ? slot_set(lk, offset, PyNumber_InPlaceAdd(v, by)) : -1;
+}
+
+static inline int
+is_link(PyObject *lk)
+{
+    if (PyObject_TypeCheck(lk, lane.link))
+        return 1;
+    PyErr_Format(PyExc_TypeError, "the network holds a %.100s where a Link "
+                 "belongs", Py_TYPE(lk)->tp_name);
+    return 0;
+}
+
+/* *t = lk.reserve(t, nbytes, min_occ)[1]; t_o is *t as an object, or NULL */
+static int
+reserve_call(PyObject *lk, PyObject *t_o, double *t, const Msg *m)
+{
+    PyObject *made = NULL;
+    if (!t_o && !(t_o = made = PyFloat_FromDouble(*t)))
+        return -1;
+    PyObject *argv[4] = {lk, t_o, m->nbytes_o, m->min_occ_o};
+    PyObject *res = PyObject_VectorcallMethod(
+        s_reserve, argv, 4 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
+    Py_XDECREF(made);
+    if (!res)
+        return -1;
+    PyObject *exit_o = PySequence_GetItem(res, 1);
+    Py_DECREF(res);
+    if (!exit_o)
+        return -1;
+    int rc = as_double(exit_o, t);
+    Py_DECREF(exit_o);
+    return rc;
+}
+
+/* Link.reserve for an "up" link, minus the call: occupy the least-busy
+ * lane from max(its horizon, *t), count the message, move *t to when the
+ * head leaves the far end.  t_o as in reserve_call (the injection port is
+ * handed `now` as the caller passed it). */
+static int
+link_reserve(PyObject *lk, PyObject *t_o, double *t, const Msg *m)
+{
+    PyObject *state = slot(lk, lane.state);
+    PyObject *lanes = slot(lk, lane.lanes);
+    PyObject *bw_o = slot(lk, lane.bandwidth);
+    PyObject *lat_o = slot(lk, lane.latency);
+    double bw, latency;
+    if (!state || !lanes || !bw_o || !lat_o
+        || as_double(bw_o, &bw) < 0 || as_double(lat_o, &latency) < 0)
+        return -1;
+    if (state != s_up
+        && !(PyUnicode_Check(state) && PyUnicode_Compare(state, s_up) == 0))
+        return reserve_call(lk, t_o, t, m);
+
+    PyObject *horizon = NULL;
+    Py_ssize_t best = -1;
+    if (lanes == Py_None) {
+        if (!(horizon = slot(lk, lane.free)))
+            return -1;
+    }
+    else if (PyList_CheckExact(lanes)) {
+        /* min(lanes) and lanes.index(it): the first least horizon */
+        for (Py_ssize_t i = 0; i < PyList_GET_SIZE(lanes); i++) {
+            PyObject *item = PyList_GET_ITEM(lanes, i);
+            if (!PyFloat_CheckExact(item))
+                return reserve_call(lk, t_o, t, m);
+            if (!horizon
+                || PyFloat_AS_DOUBLE(item) < PyFloat_AS_DOUBLE(horizon)) {
+                horizon = item;
+                best = i;
+            }
+        }
+    }
+    if (!horizon || !PyFloat_CheckExact(horizon) || bw == 0.0)
+        return reserve_call(lk, t_o, t, m);
+
+    double free_at = PyFloat_AS_DOUBLE(horizon);
+    double start = free_at > *t ? free_at : *t;
+    double occupancy = m->nbytes / bw;
+    if (occupancy < m->min_occ)
+        occupancy = m->min_occ;
+    PyObject *until = PyFloat_FromDouble(start + occupancy);
+    if (best < 0) {
+        if (slot_set(lk, lane.free, until) < 0)
+            return -1;
+    }
+    else if (!until || PyList_SetItem(lanes, best, until) < 0)
+        return -1;
+    if (slot_add(lk, lane.bytes_carried, m->nbytes_o) < 0
+        || slot_add(lk, lane.transfers, int_one) < 0)
+        return -1;
+    *t = start + latency;
+    return 0;
+}
+
+/* self.<table>.get(at), or self.<maker>(at) on first touch; then reserve */
+static int
+port_reserve(PyObject *self, PyObject *table_name, PyObject *maker,
+             PyObject *at, PyObject *t_o, double *t, const Msg *m)
+{
+    PyObject *table = PyObject_GetAttr(self, table_name);
+    if (!table)
+        return -1;
+    PyObject *port = PyDict_Check(table)
+        ? PyDict_GetItemWithError(table, at) : NULL;
+    Py_XINCREF(port);
+    Py_DECREF(table);
+    if (!port) {
+        if (PyErr_Occurred())
+            return -1;
+        port = PyObject_CallMethodOneArg(self, maker, at);
+        if (!port)
+            return -1;
+    }
+    int rc = is_link(port) ? link_reserve(port, t_o, t, m) : -1;
+    Py_DECREF(port);
+    return rc;
+}
+
+/* The load adaptive routing compares: a router link has one lane, and its
+ * slot is its horizon. */
+static inline int
+load_of(PyObject *lk, double *out)
+{
+    PyObject *free_o;
+    if (!is_link(lk) || !(free_o = slot(lk, lane.free)))
+        return -1;
+    return as_double(free_o, out);
+}
+
+/* The link a hop takes (borrowed from `cands`): the only candidate in
+ * deterministic mode; in adaptive mode the least-backlogged, the earlier
+ * direction on a tie. */
+static PyObject *
+pick_link(PyObject *cands)
+{
+    if (!PyTuple_Check(cands) || PyTuple_GET_SIZE(cands) == 0) {
+        PyErr_SetString(PyExc_TypeError,
+                        "a route entry is a non-empty tuple of links");
+        return NULL;
+    }
+    PyObject *lk = PyTuple_GET_ITEM(cands, 0);
+    double load, other;
+    if (PyTuple_GET_SIZE(cands) == 1)
+        return is_link(lk) ? lk : NULL;
+    if (load_of(lk, &load) < 0)
+        return NULL;
+    for (Py_ssize_t i = 1; i < PyTuple_GET_SIZE(cands); i++) {
+        PyObject *cand = PyTuple_GET_ITEM(cands, i);
+        if (load_of(cand, &other) < 0)
+            return NULL;
+        if (other < load) {
+            lk = cand;
+            load = other;
+        }
+    }
+    return lk;
+}
+
+/* One minimal leg, *at -> leg_end: per hop the candidates from leg_end's
+ * row (a miss computes them and, the first time, creates the row), the
+ * pick, the reserve; the next coordinate is the link's name[1]. */
+static int
+walk_leg(PyObject *self, PyObject *routes, PyObject **at, PyObject *leg_end,
+         double *t, long *hops, const Msg *m)
+{
+    int rc = -1;
+    PyObject *row = PyDict_GetItemWithError(routes, leg_end);
+    if (!row && PyErr_Occurred())
+        return -1;
+    Py_XINCREF(row);
+    for (;;) {
+        int differ = PyObject_RichCompareBool(*at, leg_end, Py_NE);
+        if (differ <= 0) {
+            rc = differ;
+            break;
+        }
+        PyObject *cands = row ? PyDict_GetItemWithError(row, *at) : NULL;
+        if (cands)
+            Py_INCREF(cands);
+        else {
+            if (PyErr_Occurred())
+                break;
+            PyObject *argv[3] = {self, *at, leg_end};
+            cands = PyObject_VectorcallMethod(
+                s_route_miss, argv, 3 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
+            if (!cands)
+                break;
+            PyObject *made = PyDict_GetItemWithError(routes, leg_end);
+            Py_XINCREF(made);
+            Py_XSETREF(row, made);
+            if (!row) {
+                if (!PyErr_Occurred())
+                    PyErr_SetObject(PyExc_KeyError, leg_end);
+                Py_DECREF(cands);
+                break;
+            }
+        }
+        PyObject *lk = pick_link(cands), *name, *nxt;
+        int reserved = -1;
+        if (lk && (name = slot(lk, lane.name))
+            && (nxt = PySequence_GetItem(name, 1))) {
+            reserved = link_reserve(lk, NULL, t, m);
+            Py_SETREF(*at, nxt);
+        }
+        Py_DECREF(cands);
+        if (reserved < 0)
+            break;
+        *hops += 1;
+        /* a coordinate off the fabric is walked towards for ever, all
+         * hits after the first lap: stay interruptible, as Python is */
+        if ((*hops & 0xfff) == 0 && PyErr_CheckSignals() < 0)
+            break;
+    }
+    Py_XDECREF(row);
+    return rc;
+}
+
+/* Bind the call's arguments to transfer's seven parameters (borrowed).
+ * 1 bound, 0 they do not bind (the Python body names what is wrong), -1
+ * error. */
+static int
+bind_params(PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames,
+            PyObject **out)
+{
+    if (nargs > N_PARAMS)
+        return 0;
+    for (Py_ssize_t i = 0; i < nargs; i++)
+        out[i] = args[i];
+    Py_ssize_t nkw = kwnames ? PyTuple_GET_SIZE(kwnames) : 0;
+    for (Py_ssize_t k = 0; k < nkw; k++) {
+        PyObject *name = PyTuple_GET_ITEM(kwnames, k);
+        Py_ssize_t j = 0;
+        while (j < N_PARAMS && name != s_params[j])
+            j++;
+        if (j == N_PARAMS) {
+            /* not one of the interned strings: compare by value */
+            for (j = 0; j < N_PARAMS; j++) {
+                int eq = PyObject_RichCompareBool(name, s_params[j], Py_EQ);
+                if (eq < 0)
+                    return -1;
+                if (eq)
+                    break;
+            }
+        }
+        if (j == N_PARAMS || j < nargs)
+            return 0;   /* unknown keyword, or given twice */
+        out[j] = args[nargs + k];
+    }
+    return out[0] && out[1] && out[2] && out[3];
+}
+
+/* TorusNetwork._transfer_py(self, *args, **kwargs) */
+static PyObject *
+call_body(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
+          PyObject *kwnames)
+{
+    Py_ssize_t total = nargs + (kwnames ? PyTuple_GET_SIZE(kwnames) : 0);
+    PyObject *small[N_PARAMS + 1];
+    PyObject **argv = small;
+    if (total > N_PARAMS
+        && !(argv = PyMem_Malloc((total + 1) * sizeof(PyObject *))))
+        return PyErr_NoMemory();
+    argv[0] = self;
+    for (Py_ssize_t i = 0; i < total; i++)
+        argv[i + 1] = args[i];
+    PyObject *res = PyObject_Vectorcall(lane.body, argv, nargs + 1, kwnames);
+    if (argv != small)
+        PyMem_Free(argv);
+    return res;
+}
+
+static PyObject *
+router_transfer(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
+                PyObject *kwnames)
+{
+    PyObject *p[N_PARAMS] = {NULL, NULL, NULL, NULL,
+                             Py_None, Py_None, Py_None};
+    int bound = bind_params(args, nargs, kwnames, p);
+    if (bound < 0)
+        return NULL;
+    PyObject *faulted = PyObject_GetAttr(self, s_faulted);
+    if (!faulted)
+        return NULL;
+    int degraded = PyObject_IsTrue(faulted);
+    Py_DECREF(faulted);
+    if (degraded < 0)
+        return NULL;
+    if (degraded || !bound)
+        return call_body(self, args, nargs, kwnames);
+
+    PyObject *now_o = p[0], *src = p[1], *dst = p[2], *cap_o = p[4];
+    PyObject *via = p[6];
+    Msg m = {p[3], 0.0, NULL, 0.0};
+    PyObject *cfg = NULL, *routes = NULL, *at = NULL, *tmp = NULL;
+    PyObject *depart_o = NULL, *head_o = NULL, *arrival_o = NULL;
+    PyObject *hops_o = NULL, *result = NULL;
+    double now, t, path_bw;
+    long hops = 0;
+
+    if (!(cfg = PyObject_GetAttr(self, s_config)))
+        goto done;
+    if (p[5] != Py_None)
+        m.min_occ_o = Py_NewRef(p[5]);
+    else if (!(m.min_occ_o = PyObject_GetAttr(cfg, s_nic_msg_gap)))
+        goto done;
+    if (as_double(m.min_occ_o, &m.min_occ) < 0
+        || as_double(m.nbytes_o, &m.nbytes) < 0 || as_double(now_o, &now) < 0)
+        goto done;
+    if (!(tmp = PyObject_GetAttr(self, s_messages_routed)))
+        goto done;
+    Py_SETREF(tmp, PyNumber_InPlaceAdd(tmp, int_one));
+    if (!tmp || PyObject_SetAttr(self, s_messages_routed, tmp) < 0)
+        goto done;
+
+    /* injection at the source NIC */
+    t = now;
+    if (port_reserve(self, s_inject, s_injection_port, src, now_o, &t, &m) < 0
+        || !(depart_o = PyFloat_FromDouble(t)))
+        goto done;
+
+    /* src -> dst, or src -> via -> dst as two minimal legs */
+    if (!(routes = PyObject_GetAttr(self, s_routes)))
+        goto done;
+    if (!PyDict_Check(routes)) {
+        PyErr_SetString(PyExc_TypeError, "_routes must be a dict");
+        goto done;
+    }
+    at = Py_NewRef(src);
+    if (via != Py_None && via != dst
+        && walk_leg(self, routes, &at, via, &t, &hops, &m) < 0)
+        goto done;
+    if (walk_leg(self, routes, &at, dst, &t, &hops, &m) < 0)
+        goto done;
+
+    /* ejection into the destination NIC */
+    if (port_reserve(self, s_eject, s_ejection_port, dst, NULL, &t, &m) < 0
+        || !(head_o = PyFloat_FromDouble(t)))
+        goto done;
+
+    Py_SETREF(tmp, PyObject_GetAttr(cfg, s_link_bandwidth));
+    if (!tmp || as_double(tmp, &path_bw) < 0)
+        goto done;
+    if (cap_o != Py_None) {
+        double cap;
+        if (as_double(cap_o, &cap) < 0)
+            goto done;
+        if (cap < path_bw)
+            path_bw = cap;
+    }
+    if (path_bw == 0.0) {
+        PyErr_SetString(PyExc_ZeroDivisionError, "float division by zero");
+        goto done;
+    }
+    if (!(arrival_o = PyFloat_FromDouble(t + m.nbytes / path_bw))
+        || !(hops_o = PyLong_FromLong(hops)))
+        goto done;
+
+    Py_SETREF(tmp, PyObject_GetAttr(self, s_observer));
+    if (!tmp)
+        goto done;
+    if (tmp != Py_None) {
+        PyObject *argv[7] = {tmp, src, dst, m.nbytes_o, now_o, depart_o,
+                             hops_o};
+        PyObject *res = PyObject_VectorcallMethod(
+            s_on_net_transfer, argv, 7 | PY_VECTORCALL_ARGUMENTS_OFFSET,
+            NULL);
+        if (!res)
+            goto done;
+        Py_DECREF(res);
+    }
+
+    /* tuple.__new__(TransferTiming, (depart, head_arrival, arrival, hops)) */
+    result = lane.timing->tp_alloc(lane.timing, 4);
+    if (result) {
+        PyTuple_SET_ITEM(result, 0, depart_o);
+        PyTuple_SET_ITEM(result, 1, head_o);
+        PyTuple_SET_ITEM(result, 2, arrival_o);
+        PyTuple_SET_ITEM(result, 3, hops_o);
+        depart_o = head_o = arrival_o = hops_o = NULL;
+    }
+done:
+    Py_XDECREF(cfg);
+    Py_XDECREF(m.min_occ_o);
+    Py_XDECREF(routes);
+    Py_XDECREF(at);
+    Py_XDECREF(tmp);
+    Py_XDECREF(depart_o);
+    Py_XDECREF(head_o);
+    Py_XDECREF(arrival_o);
+    Py_XDECREF(hops_o);
+    return result;
+}
+
+PyDoc_STRVAR(router_transfer_doc,
+"transfer($self, /, now, src, dst, nbytes, bandwidth_cap=None,\n"
+"         min_occupancy=None, via=None)\n--\n\n"
+"Route one message and reserve every link it crosses: the compiled lane\n"
+"of TorusNetwork._transfer_py (see there), which carries the call itself\n"
+"while any link is faulted.");
+
+static PyMethodDef router_transfer_def = {
+    "transfer", FASTCALL(router_transfer),
+    METH_FASTCALL | METH_KEYWORDS, router_transfer_doc};
+
+static int
+slot_offset(PyTypeObject *tp, const char *name, Py_ssize_t *out)
+{
+    PyObject *d = PyObject_GetAttrString((PyObject *)tp, name);
+    if (!d)
+        return -1;
+    int ok = Py_IS_TYPE(d, &PyMemberDescr_Type)
+        && ((PyMemberDescrObject *)d)->d_member->type == T_OBJECT_EX;
+    if (ok)
+        *out = ((PyMemberDescrObject *)d)->d_member->offset;
+    else
+        PyErr_Format(PyExc_TypeError, "%.100s.%s is not a slot",
+                     tp->tp_name, name);
+    Py_DECREF(d);
+    return ok ? 0 : -1;
+}
+
+/* router_transfer(network_cls, body, link_cls, timing_cls) -> the method
+ * descriptor repro.hardware.router binds as TorusNetwork.transfer. */
+static PyObject *
+bind_router_transfer(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    PyObject *body;
+    PyTypeObject *cls, *link, *timing;
+    if (!PyArg_ParseTuple(args, "O!OO!O!", &PyType_Type, &cls, &body,
+                          &PyType_Type, &link, &PyType_Type, &timing))
+        return NULL;
+    if (!PyCallable_Check(body)) {
+        PyErr_SetString(PyExc_TypeError, "the Python body must be callable");
+        return NULL;
+    }
+    if (!PyType_IsSubtype(timing, &PyTuple_Type)
+        || timing->tp_basicsize != PyTuple_Type.tp_basicsize) {
+        PyErr_SetString(PyExc_TypeError,
+                        "the timing class must be a slotless tuple subclass");
+        return NULL;
+    }
+    if (slot_offset(link, "name", &lane.name) < 0
+        || slot_offset(link, "bandwidth", &lane.bandwidth) < 0
+        || slot_offset(link, "latency", &lane.latency) < 0
+        || slot_offset(link, "_free", &lane.free) < 0
+        || slot_offset(link, "_lanes", &lane.lanes) < 0
+        || slot_offset(link, "bytes_carried", &lane.bytes_carried) < 0
+        || slot_offset(link, "transfers", &lane.transfers) < 0
+        || slot_offset(link, "state", &lane.state) < 0)
+        return NULL;
+    Py_XSETREF(lane.body, Py_NewRef(body));
+    Py_XSETREF(lane.link, (PyTypeObject *)Py_NewRef((PyObject *)link));
+    Py_XSETREF(lane.timing, (PyTypeObject *)Py_NewRef((PyObject *)timing));
+    return PyDescr_NewMethod(cls, &router_transfer_def);
+}
+
+static int
+intern_names(void)
+{
+    static const struct { PyObject **var; const char *text; } names[] = {
+        {&s_config, "config"}, {&s_inject, "_inject"}, {&s_eject, "_eject"},
+        {&s_routes, "_routes"}, {&s_faulted, "_faulted"},
+        {&s_observer, "observer"}, {&s_messages_routed, "messages_routed"},
+        {&s_nic_msg_gap, "nic_msg_gap"},
+        {&s_link_bandwidth, "link_bandwidth"},
+        {&s_route_miss, "_route_miss"},
+        {&s_injection_port, "injection_port"},
+        {&s_ejection_port, "ejection_port"}, {&s_reserve, "reserve"},
+        {&s_on_net_transfer, "on_net_transfer"}, {&s_up, "up"},
+    };
+    for (size_t i = 0; i < sizeof(names) / sizeof(names[0]); i++)
+        if (!(*names[i].var = PyUnicode_InternFromString(names[i].text)))
+            return -1;
+    for (int i = 0; i < N_PARAMS; i++)
+        if (!(s_params[i] = PyUnicode_InternFromString(param_names[i])))
+            return -1;
+    return (int_one = PyLong_FromLong(1)) ? 0 : -1;
+}
+
+static PyMethodDef speedups_functions[] = {
+    {"router_transfer", bind_router_transfer, METH_VARARGS,
+     "router_transfer(network_cls, body, link_cls, timing_cls): the "
+     "compiled TorusNetwork.transfer, as a method descriptor of "
+     "network_cls."},
+    {NULL, NULL, 0, NULL},
+};
+
 static struct PyModuleDef speedups_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "repro.sim._speedups",
-    .m_doc = "C slab core for the simulation engine.",
+    .m_doc = "C slab core for the simulation engine; the network pass.",
     .m_size = -1,
+    .m_methods = speedups_functions,
 };
 
 PyMODINIT_FUNC
 PyInit__speedups(void)
 {
-    if (PyType_Ready(&Core_Type) < 0 || PyType_Ready(&CHandle_Type) < 0)
+    if (PyType_Ready(&Core_Type) < 0 || PyType_Ready(&CHandle_Type) < 0
+        || intern_names() < 0)
         return NULL;
     PyObject *m = PyModule_Create(&speedups_module);
     if (!m)

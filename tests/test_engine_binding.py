@@ -8,6 +8,11 @@ class-level monkeypatch on ``Engine`` itself must disable binding the
 same way.  ``REPRO_PURE_ENGINE`` selects the backend explicitly: ``=1``
 forces pure Python, ``=0`` (and every other falsey spelling) keeps the
 C core — the flag is parsed by ``env_flag``, not string truthiness.
+
+The router's compiled lane (``TorusNetwork.transfer``) follows the same
+switch, bound once on the class: the same subprocess asserts hold for it,
+and a class-level or instance-level monkeypatch of ``transfer`` — or a
+subclass override — wins over it, as for ``Engine``.
 """
 
 import os
@@ -17,6 +22,11 @@ import sys
 
 import pytest
 
+from repro.hardware.config import MachineConfig
+from repro.hardware.machine import Machine
+from repro.hardware.router import TorusNetwork, TransferTiming
+from repro.hardware.topology import Torus3D
+from repro.observe import self_metrics
 from repro.sim import _speed
 from repro.sim.engine import Engine
 
@@ -112,21 +122,91 @@ class TestSubclassBinding:
         assert run_workload(Engine()) == run_workload(PureEngine())
 
 
+#: child: is the engine's core bound, does self_metrics call the router's
+#: lane compiled, and did a transfer run a frame of the Python body?
+_CHILD = """
+import sys
+from repro.hardware.machine import Machine
+from repro.observe import self_metrics
+from repro.sim.engine import Engine
+m = Machine(n_nodes=8)
+frames = []
+sys.setprofile(lambda f, e, a: e == 'call' and frames.append(f.f_code.co_name))
+m.network.transfer(0.0, (0, 0, 0), (1, 1, 0), 256, bandwidth_cap=1e9)
+sys.setprofile(None)
+print(Engine()._core is not None, self_metrics(m)['c_core']['router'],
+      '_transfer_py' in frames)
+"""
+
+
+class TestRouterLaneBinding:
+    """``TorusNetwork.transfer`` is bound on the class; anything nearer
+    to the call than the class attribute is what runs."""
+
+    ARGS = (0.0, (0, 0, 0), (1, 1, 0), 256)
+    FAKE = TransferTiming(1.0, 2.0, 3.0, 4)
+
+    def test_self_metrics_names_the_lane(self):
+        machine = Machine(n_nodes=8)
+        c_core = self_metrics(machine)["c_core"]
+        assert c_core["router"] is (_speed.core is not None)
+        assert c_core["router"] is c_core["bound"]
+
+    def test_class_monkeypatch_wins(self, monkeypatch):
+        seen = []
+
+        def patched(self, *args, **kwargs):
+            seen.append(args)
+            return TorusNetwork._transfer_py(self, *args, **kwargs)
+
+        monkeypatch.setattr(TorusNetwork, "transfer", patched)
+        # a dragonfly reaches it through super()
+        for config in (MachineConfig(), MachineConfig(topology="dragonfly")):
+            machine = Machine(n_nodes=8, config=config)
+            coords = [machine.topology.coord_of(i) for i in (0, 5)]
+            assert machine.network.transfer(0.0, *coords, 256).hops >= 1
+            assert not self_metrics(machine)["c_core"]["router"]
+        assert len(seen) == 2
+
+    def test_instance_monkeypatch_wins(self):
+        machine = Machine(n_nodes=8)
+        net = machine.network
+        net.transfer = lambda *args, **kwargs: self.FAKE
+        assert net.transfer(*self.ARGS) is self.FAKE
+        assert not self_metrics(machine)["c_core"]["router"]
+        assert net.messages_routed == 0
+        del net.transfer
+        assert net.transfer(*self.ARGS).hops == 2
+        assert self_metrics(machine)["c_core"]["router"] is (
+            _speed.core is not None)
+
+    def test_subclass_override_wins(self):
+        class Tapped(TorusNetwork):
+            def transfer(self, *args, **kwargs):
+                return TestRouterLaneBinding.FAKE
+
+        net = Tapped(Torus3D((2, 2, 2)), MachineConfig())
+        assert net.transfer(*self.ARGS) is self.FAKE
+        assert net.messages_routed == 0
+
+
 def _core_loaded_in_subprocess(flag_value):
     """Import the engine in a child with REPRO_PURE_ENGINE set; report
-    whether a fresh Engine instance actually bound the C core."""
+    whether a fresh Engine instance actually bound the C core.  The router
+    must be on the same side: compiled lane and no Python-body frame with
+    the core, the Python body without."""
     env = dict(os.environ, PYTHONPATH=SRC)
     if flag_value is None:
         env.pop("REPRO_PURE_ENGINE", None)
     else:
         env["REPRO_PURE_ENGINE"] = flag_value
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from repro.sim.engine import Engine; "
-         "print('bound' if Engine()._core is not None else 'pure')"],
-        env=env, capture_output=True, text=True, timeout=180)
+    out = subprocess.run([sys.executable, "-c", _CHILD], env=env,
+                         capture_output=True, text=True, timeout=180)
     assert out.returncode == 0, out.stderr
-    return out.stdout.strip() == "bound"
+    bound, router, python_frame = (word == "True"
+                                   for word in out.stdout.split())
+    assert router is bound and python_frame is not bound, out.stdout
+    return bound
 
 
 class TestPureEngineFlag:

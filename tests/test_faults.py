@@ -153,6 +153,11 @@ class TestLinkFaults:
         m2.network.degrade_link(a, b, 0.1)
         degraded = m2.network.transfer(0.0, a, b, 64 * KB).arrival
         assert degraded > healthy
+        # routed while a fault was active: counted, until the link is back
+        m2.network.restore_link(a, b)
+        m2.network.transfer(1.0, a, b, 64 * KB)
+        assert (m.network.degraded_routes, m2.network.degraded_routes,
+                m2.network.messages_routed) == (0, 1, 2)
 
     def test_router_steps_around_down_link(self):
         # 2x2x1 torus: two minimal directions from (0,0,0) to (1,1,0)

@@ -41,18 +41,20 @@ APP_MSGS = N_CORES * 2 * K * 2 * (ITERS + WARMUP)
 #: Python calls inside ``repro`` per application message, machine set-up
 #: included, measured + 0.5: 66.5 before the path was flattened from the
 #: machine layer down, 38.3 after, 22.2 with the upper half (the proxy
-#: call, the entry delivery, the scheduler's clock and charges) done too
-CALL_BUDGET = 22.7
+#: call, the entry delivery, the scheduler's clock and charges) done too,
+#: 21.2 with ``TorusNetwork.transfer`` in the C core (one frame a transfer)
+CALL_BUDGET = 21.7
 #: the same count for a 256 KB rendezvous message (iters=8, warmup=2):
 #: 157.2 uGNI / 115.8 RDMA (on a dragonfly) before the protocols were
 #: unified, 148.2 / 115.8 after, 120.2 / 101.7 once the large-message
 #: path was flattened (NIC ports reserved inline, one validation pass per
-#: post, one object per pool allocation), 87.9 / 74.4 now
+#: post, one object per pool allocation), 87.9 / 74.4 with the upper half
+#: flattened, 83.9 / 70.2 now (four transfers a rendezvous, in C)
 RNDV_ITERS, RNDV_WARMUP = 8, 2
-RNDV_BUDGETS = {"ugni": 88.4, "rdma": 74.9}
+RNDV_BUDGETS = {"ugni": 84.4, "rdma": 70.7}
 #: without the C core (``REPRO_PURE_ENGINE=1``, a CI leg) the engine's own
-#: Python frames are on the path and counted too, ``Engine.now`` among
-#: them: 30.3 small, 118.1 / 113.2 rendezvous
+#: Python frames are on the path and counted too, ``Engine.now`` and the
+#: router's Python body among them: 30.3 small, 118.1 / 113.2 rendezvous
 if Engine()._core is None:
     CALL_BUDGET = 30.8
     RNDV_BUDGETS = {"ugni": 118.6, "rdma": 113.7}

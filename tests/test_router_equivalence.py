@@ -1,13 +1,19 @@
-"""Differential test: the fused router pass vs the frozen reference.
+"""Differential test: both lanes of the router pass vs the frozen reference.
 
 ``tests/_reference_router.py`` is the pre-flatten ``transfer -> _walk ->
 _next_direction -> Link.reserve`` composition.  Random streams of
-transfers with link faults interleaved go through it and through the live
-network side by side; every :class:`TransferTiming` field and every
-per-link horizon and counter must be identical, and the two must have
-created exactly the same links in the same order (``len(net._links)`` is
-in the observer's metrics digest and ``hottest_link`` breaks ties by
-insertion order, so lazy link creation is part of the contract).
+transfers with link faults interleaved go through it and, side by side,
+through two live networks: one called as anyone calls it (``transfer`` as
+bound — the compiled lane when the C core is loaded) and one whose
+``transfer`` is the kept Python body.  Every :class:`TransferTiming`
+field and every per-link horizon and counter must be identical, and all
+three must have created exactly the same links in the same order
+(``len(net._links)`` is in the observer's metrics digest and
+``hottest_link`` breaks ties by insertion order, so lazy link creation is
+part of the contract).  Faults come and go inside a stream, so the
+compiled lane's hand-off to the Python body and its return after the last
+``restore_link`` are both covered; ``degraded_routes`` counts exactly the
+transfers made in between.
 
 A torus transfer may also name a ``via`` waypoint, so two-leg walks go
 through the live network's per-destination route rows on both
@@ -29,10 +35,23 @@ from tests._reference_router import RefDragonflyNetwork, RefTorusNetwork
 SETTINGS = dict(max_examples=40, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
 
-_SIZES = [8, 64, 256, 4096, 256 * 1024]
+#: a ``float`` size among them: counters then add floats
+_SIZES = [8, 64, 256, 1536.0, 4096, 256 * 1024]
 _CAPS = [None, 1.5e9, 6.0e9, 1.0e12]
 _MIN_OCC = [None, 0.0, 2.0e-7]
-_DT = [0.0, 0.0, 1.0e-8, 5.0e-7, 2.0e-5]
+#: the clock starts as the ``int`` 0 and stays one while steps are 0
+_DT = [0, 0, 1.0e-8, 5.0e-7, 2.0e-5]
+
+
+class _PythonBody(TorusNetwork):
+    """A network whose ``transfer`` is the kept Python body, whatever
+    :class:`TorusNetwork` binds (a subclass override wins over the lane)."""
+
+    transfer = TorusNetwork._transfer_py
+
+
+class _PythonBodyDragonfly(DragonflyNetwork, _PythonBody):
+    """``DragonflyNetwork.transfer``'s ``super()`` finds the Python body."""
 
 
 def _ops(n_nodes, via=False):
@@ -44,7 +63,9 @@ def _ops(n_nodes, via=False):
     # a fault names a node and one of its outgoing links by index
     fault = st.tuples(st.sampled_from(["fail", "degrade", "restore"]), node,
                       st.integers(0, 7), st.sampled_from([0.1, 0.5, 0.9]))
-    return st.lists(st.one_of(transfer, transfer, transfer, fault),
+    # "heal" restores every faulted link: back to a healthy fabric
+    return st.lists(st.one_of(transfer, transfer, transfer, fault,
+                              st.just(("heal",))),
                     min_size=1, max_size=60)
 
 
@@ -73,27 +94,35 @@ def _ref_transfer_via(ref, now, src, via, dst, nbytes, cap, min_occ):
     return depart, t, t + nbytes / path_bw, hops_a + hops_b
 
 
-def _drive(live, ref, ops):
-    topo = live.topology
+def _drive(lives, ref, ops):
+    """Run ``ops`` through every live network and the oracle in step."""
+    topo = ref.topology
     coords = [topo.coord_of(i) for i in range(topo.volume)]
-    now = 0.0
+    now = 0
+    degraded = 0
     for op in ops:
         if op[0] == "transfer":
             _, dt, a, b, nbytes, cap, min_occ, via = op
             now += dt
+            degraded += bool(ref._faulted)
             if via is None:
-                got = live.transfer(now, coords[a], coords[b], nbytes,
-                                    bandwidth_cap=cap, min_occupancy=min_occ)
                 want = ref.transfer(now, coords[a], coords[b], nbytes,
                                     bandwidth_cap=cap, min_occupancy=min_occ)
+                extra = {}
             else:
-                got = live.transfer(now, coords[a], coords[b], nbytes,
-                                    bandwidth_cap=cap, min_occupancy=min_occ,
-                                    via=coords[via])
                 want = _ref_transfer_via(ref, now, coords[a], coords[via],
                                          coords[b], nbytes, cap, min_occ)
-            assert (got.depart, got.head_arrival, got.arrival,
-                    got.hops) == want
+                extra = {"via": coords[via]}
+            for live in lives:
+                got = live.transfer(now, coords[a], coords[b], nbytes,
+                                    bandwidth_cap=cap, min_occupancy=min_occ,
+                                    **extra)
+                assert (got.depart, got.head_arrival, got.arrival,
+                        got.hops) == want
+        elif op[0] == "heal":
+            for net in (*lives, ref):
+                for frm, to in list(net._faulted):
+                    net.restore_link(frm, to)
         else:
             kind, a, port, factor = op
             # walk one hop off the node so router-to-router links (the
@@ -104,16 +133,19 @@ def _drive(live, ref, ops):
                 frm = nbrs[0]
                 nbrs = [n for _, n in topo.neighbors(frm)]
             to = nbrs[port % len(nbrs)]
-            for net in (live, ref):
+            for net in (*lives, ref):
                 if kind == "fail":
                     net.fail_link(frm, to)
                 elif kind == "degrade":
                     net.degrade_link(frm, to, factor)
                 else:
                     net.restore_link(frm, to)
-        assert list(live._links) == list(ref._links)
-    assert _link_state(live) == _link_state(ref)
-    assert live.messages_routed == ref.messages_routed
+        for live in lives:
+            assert list(live._links) == list(ref._links)
+    for live in lives:
+        assert _link_state(live) == _link_state(ref)
+        assert live.messages_routed == ref.messages_routed
+        assert live.degraded_routes == degraded
 
 
 @pytest.mark.parametrize("adaptive", [True, False],
@@ -122,9 +154,10 @@ def _drive(live, ref, ops):
 @settings(**SETTINGS)
 @given(data=st.data())
 def test_torus_matches_reference(dims, adaptive, data):
-    cfg = MachineConfig(adaptive_routing=adaptive)
+    cfg = MachineConfig(adaptive_routing=adaptive,
+                        nic_port_lanes=data.draw(st.sampled_from([1, 4])))
     ops = data.draw(_ops(dims[0] * dims[1] * dims[2], via=True))
-    _drive(TorusNetwork(Torus3D(dims), cfg),
+    _drive([TorusNetwork(Torus3D(dims), cfg), _PythonBody(Torus3D(dims), cfg)],
            RefTorusNetwork(Torus3D(dims), cfg), ops)
 
 
@@ -132,14 +165,15 @@ def test_torus_matches_reference(dims, adaptive, data):
 @settings(**SETTINGS)
 @given(data=st.data())
 def test_dragonfly_matches_reference(routing, data):
-    cfg = MachineConfig(topology="dragonfly")
-    shape = (5, 3, 2, 2)
+    cfg = MachineConfig(topology="dragonfly",
+                        nic_port_lanes=data.draw(st.sampled_from([1, 4])))
+
     # Valiant intermediates come from the topology's RNG: identical seeds
-    # give the two networks identical misroute choices
-    live_topo = Dragonfly(*shape, routing=routing,
-                          rng=np.random.default_rng(7))
-    ref_topo = Dragonfly(*shape, routing=routing,
+    # give the three networks identical misroute choices
+    def topo():
+        return Dragonfly(5, 3, 2, 2, routing=routing,
                          rng=np.random.default_rng(7))
-    ops = data.draw(_ops(live_topo.volume))
-    _drive(DragonflyNetwork(live_topo, cfg),
-           RefDragonflyNetwork(ref_topo, cfg), ops)
+
+    ops = data.draw(_ops(topo().volume))
+    _drive([DragonflyNetwork(topo(), cfg), _PythonBodyDragonfly(topo(), cfg)],
+           RefDragonflyNetwork(topo(), cfg), ops)

@@ -1,0 +1,341 @@
+"""The compiled lane of ``TorusNetwork.transfer``: what is not a timing.
+
+``tests/test_router_equivalence.py`` holds both lanes to the frozen oracle
+result by result.  Here: a call binds its arguments the way the Python
+body's signature does, whatever raises under the lane — ``_route_miss``,
+``Link.reserve``, the observer hook — comes out of it unchanged and
+leaves the network usable, an endless walk stays interruptible, and
+100,000 warm transfers (and 10,000 failing ones) leave no object, byte or
+reference behind.
+
+Every test runs on a network as anyone builds it and on one whose
+``transfer`` is the kept Python body, so the two are also held to each
+other; with the C core loaded the first runs the compiled lane
+(``REPRO_PURE_ENGINE=1`` makes them the same function).
+"""
+
+import gc
+import signal
+import sys
+import tracemalloc
+
+import pytest
+
+from repro.hardware.config import MachineConfig
+from repro.hardware.link import Link
+from repro.hardware.router import DragonflyNetwork, TorusNetwork
+from repro.hardware.topology import Dragonfly, Torus3D
+from repro.sim import _speed
+from tests.test_router_equivalence import _PythonBody, _PythonBodyDragonfly
+
+DIMS = (4, 4, 2)
+
+
+class Lane:
+    """Builds networks whose ``transfer`` is one lane: ``lane(**cfg)`` a
+    torus network, ``lane.dragonfly()`` a dragonfly."""
+
+    def __init__(self, torus, dragonfly, compiled):
+        self.torus = torus
+        self._dragonfly = dragonfly
+        #: does ``transfer`` on these networks run the compiled lane?
+        self.compiled = compiled
+
+    def __call__(self, **cfg):
+        return self.torus(Torus3D(DIMS), MachineConfig(**cfg))
+
+    def dragonfly(self):
+        return self._dragonfly(Dragonfly(5, 3, 2, 2),
+                               MachineConfig(topology="dragonfly"))
+
+
+@pytest.fixture(params=["bound", "python-body"])
+def make(request):
+    if request.param == "bound":
+        return Lane(TorusNetwork, DragonflyNetwork, _speed.core is not None)
+    return Lane(_PythonBody, _PythonBodyDragonfly, False)
+
+
+class Boom(Exception):
+    pass
+
+
+class RaisingObserver:
+    def on_net_transfer(self, src, dst, nbytes, now, depart, hops):
+        raise Boom((src, dst, nbytes, now, depart, hops))
+
+
+class CountingObserver:
+    calls = 0
+
+    def on_net_transfer(self, src, dst, nbytes, now, depart, hops):
+        self.calls += 1
+
+
+class TestArgumentBinding:
+    def test_every_spelling_of_one_call_agrees(self, make):
+        a, b, mid = (0, 0, 0), (2, 3, 1), (1, 1, 0)
+        spellings = [
+            lambda n: n.transfer(0.0, a, b, 4096, 1.5e9, 2e-7, mid),
+            lambda n: n.transfer(0.0, a, b, 4096, bandwidth_cap=1.5e9,
+                                 min_occupancy=2e-7, via=mid),
+            lambda n: n.transfer(via=mid, min_occupancy=2e-7,
+                                 bandwidth_cap=1.5e9, nbytes=4096, dst=b,
+                                 src=a, now=0.0),
+            # keyword names that are equal to the parameters' without
+            # being the interned strings themselves
+            lambda n: n.transfer(0.0, a, b, 4096, **{
+                "".join(["bandwidth", "_cap"]): 1.5e9,
+                "".join(["min_", "occupancy"]): 2e-7,
+                "".join(["v", "ia"]): mid}),
+        ]
+        results = [call(make()) for call in spellings]
+        assert results[0].hops == 6
+        assert all(r == results[0] for r in results)
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((0.0, (0, 0, 0), (1, 0, 0)), {}),
+        ((0.0, (0, 0, 0)), {"nbytes": 8}),
+        ((0.0, (0, 0, 0), (1, 0, 0), 8), {"detour": (1, 1, 0)}),
+        ((0.0, (0, 0, 0), (1, 0, 0), 8), {"src": (1, 1, 0)}),
+        ((0.0, (0, 0, 0), (1, 0, 0), 8, None, None, None, None), {}),
+    ], ids=["missing", "missing-positional", "unknown", "twice", "too-many"])
+    def test_a_call_that_does_not_bind_is_the_python_bodys_error(
+            self, make, args, kwargs):
+        net = make()
+        with pytest.raises(TypeError) as want:
+            TorusNetwork._transfer_py(net, *args, **kwargs)
+        with pytest.raises(TypeError) as got:
+            net.transfer(*args, **kwargs)
+        assert str(got.value) == str(want.value)
+        assert net.messages_routed == 0 and not net._inject
+
+    def test_wrong_receiver(self, make):
+        with pytest.raises((TypeError, AttributeError)):
+            make.torus.transfer(object(), 0.0, (0, 0, 0), (1, 0, 0), 8)
+
+
+class TestErrorsPropagate:
+    def test_route_miss_error(self, make):
+        """A coordinate off the torus: ``minimal_directions`` runs off its
+        end, inside ``_route_miss``, under the hop loop."""
+        net = make()
+        with pytest.raises(IndexError):
+            net.transfer(0.0, (0, 0, 0), (1, 0), 8)
+        # the injection port was reserved before the walk began
+        assert net.messages_routed == 1
+        assert net._inject[(0, 0, 0)].transfers == 1
+        assert net.transfer(0.0, (0, 0, 0), (1, 0, 0), 8).hops == 1
+
+    def test_route_miss_override_is_called_through_the_instance(
+            self, make):
+        class Net(make.torus):
+            def _route_miss(self, at, dst):
+                raise Boom(at, dst)
+
+        net = Net(Torus3D(DIMS), MachineConfig())
+        with pytest.raises(Boom) as err:
+            net.transfer(0.0, (0, 0, 0), (1, 0, 0), 8)
+        assert err.value.args == ((0, 0, 0), (1, 0, 0))
+
+    @pytest.mark.parametrize("where", ["hop", "inject", "eject"])
+    def test_link_reserve_error(self, make, where, monkeypatch):
+        """A link that is not "up" while the network counts no fault (its
+        state was set behind the network's back) is ``Link.reserve``'s."""
+        net = make()
+        a, b = (0, 0, 0), (1, 0, 0)
+        healthy = net.transfer(0.0, a, b, 8)
+        link = {"hop": net.link(a, b), "inject": net.injection_port(a),
+                "eject": net.ejection_port(b)}[where]
+        link.degrade(0.5)
+        slow = net.transfer(1.0, a, b, 8)
+        assert slow.arrival - 1.0 > healthy.arrival
+        assert link.faulted_transfers == 1
+
+        def reserve(self, now, nbytes, min_occupancy=0.0):
+            raise Boom(self.name, now, nbytes, min_occupancy)
+
+        monkeypatch.setattr(Link, "reserve", reserve)
+        with pytest.raises(Boom) as err:
+            net.transfer(2, a, b, 8)
+        assert err.value.args[0] == link.name
+        if where == "inject":
+            # the port is handed `now` as the caller passed it
+            assert err.value.args[1:] == (2, 8, net.config.nic_msg_gap)
+        monkeypatch.undo()
+        link.restore()
+        assert net.transfer(3.0, a, b, 8).hops == 1
+        assert net.degraded_routes == 0
+
+    def test_single_lane_ports(self, make):
+        """``nic_port_lanes=1``: a port is then a link with one horizon."""
+        net = make(nic_port_lanes=1)
+        first = net.transfer(0, (0, 0, 0), (1, 0, 0), 1 << 20)
+        second = net.transfer(0, (0, 0, 0), (1, 0, 0), 1 << 20)
+        assert second.depart == first.depart + (1 << 20) / \
+            net.config.link_bandwidth
+        assert net._inject[(0, 0, 0)].horizons == (
+            2 * (1 << 20) / net.config.link_bandwidth,)
+
+    def test_observer_hook_error(self, make):
+        net = make()
+        net.observer = RaisingObserver()
+        with pytest.raises(Boom) as err:
+            net.transfer(0, (0, 0, 0), (1, 1, 0), 8.0)
+        src, dst, nbytes, now, depart, hops = err.value.args[0]
+        assert (src, dst, hops) == ((0, 0, 0), (1, 1, 0), 2)
+        # the hook sees the caller's own objects
+        assert type(now) is int and type(nbytes) is float
+        assert depart == net.config.nic_latency
+        net.observer = None
+        assert net.transfer(0.0, (0, 0, 0), (1, 1, 0), 8).hops == 2
+
+    def test_zero_bandwidth_cap(self, make):
+        with pytest.raises(ZeroDivisionError):
+            make().transfer(0.0, (0, 0, 0), (1, 0, 0), 8, bandwidth_cap=0.0)
+
+    def test_not_a_number(self, make):
+        with pytest.raises(TypeError):
+            make().transfer(0.0, (0, 0, 0), (1, 0, 0), "8")
+
+    @pytest.mark.skipif(not hasattr(signal, "setitimer"),
+                        reason="needs an interval timer")
+    def test_an_endless_walk_is_interruptible(self, make):
+        """(9, 0, 0) is on no 4-node ring: the walk laps it for ever, every
+        hop a route-table hit after the first lap."""
+        def on_alarm(signum, frame):
+            raise Boom("interrupted")
+
+        previous = signal.signal(signal.SIGALRM, on_alarm)
+        signal.setitimer(signal.ITIMER_REAL, 0.05)
+        try:
+            with pytest.raises(Boom):
+                make().transfer(0.0, (0, 0, 0), (9, 0, 0), 8)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+
+def _flat(run, watched, *nets):
+    """Run ``run()`` with the collector off and return what it left behind:
+    GC-tracked objects, traced bytes, and the reference-count change of
+    each of ``watched``."""
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        # what a first pass allocates and keeps is not a leak: ports,
+        # links, rows - and a counter's step out of the small-int cache
+        run(0.1)
+        for net in nets:
+            for table in (net._links, net._inject, net._eject):
+                for link in table.values():
+                    link.transfers += 1000
+                    link.bytes_carried += 1000
+        counts = [sys.getrefcount(o) for o in watched]
+        objects = len(gc.get_objects())
+        traced = tracemalloc.get_traced_memory()[0]
+        run()
+        objects = len(gc.get_objects()) - objects
+        traced = tracemalloc.get_traced_memory()[0] - traced
+        after = [sys.getrefcount(o) for o in watched]
+        return objects, traced, [a - c for a, c in zip(after, counts)]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+
+
+class TestNothingLeaks:
+    def test_warm_transfers(self, make):
+        """100,000 transfers over warm routes, in every call shape, on a
+        torus and (through ``DragonflyNetwork.transfer``) a dragonfly."""
+        net = make()
+        net.observer = CountingObserver()
+        topo = net.topology
+        coords = [topo.coord_of(i) for i in range(topo.volume)]
+        # adaptive routing finds new hops as backlogs shift: give every
+        # destination its whole row now, so a later miss is not "growth"
+        for dst in coords:
+            for at in coords:
+                if at != dst:
+                    net._route_miss(at, dst)
+        fly = make.dragonfly()
+        fly_coords = [fly.topology.coord_of(i)
+                      for i in range(fly.topology.volume)]
+        clock = [0.0]
+
+        # every transfer is traced, which the Python body pays ~5x: it
+        # cannot mis-count a reference, so a tenth is enough to see a cycle
+        transfers = 100_000 if make.compiled else 10_000
+
+        def run(share=1.0):
+            for _ in range(int(share * transfers) // (4 * 32) + 1):
+                clock[0] += 1e-3
+                now = clock[0]
+                for i in range(topo.volume):
+                    src, dst = coords[i], coords[(7 * i + 3) % topo.volume]
+                    net.transfer(now, src, dst, 256)
+                    net.transfer(now, dst, src, 4096, bandwidth_cap=1.5e9,
+                                 min_occupancy=2e-7)
+                    net.transfer(now, src, dst, 64, via=coords[(i + 5) % 32])
+                    fly.transfer(now, fly_coords[i % 30],
+                                 fly_coords[-1 - i % 30], 256)
+
+        run(0)  # one round: the dragonfly's rows exist
+        row = net._routes[coords[3]]
+        watched = [None, coords[0], coords[3], coords[31], fly_coords[0],
+                   net.link((0, 0, 0), (1, 0, 0)),
+                   net.injection_port(coords[0]),
+                   net.ejection_port(coords[3]), net.config, net.observer,
+                   net.config.nic_msg_gap, net.config.link_bandwidth,
+                   net._routes, net._inject, net._eject, net._faulted, row,
+                   *row.values(), *fly._routes[fly_coords[-1]].values()]
+        objects, traced, refs = _flat(run, watched, net, fly)
+        assert net.messages_routed + fly.messages_routed >= 1.1 * transfers
+        assert net.observer.calls == net.messages_routed
+        assert objects == 0
+        assert traced < 1024, f"{traced} bytes held after warm transfers"
+        assert refs == [0] * len(watched)
+
+    def test_failing_transfers(self, make, monkeypatch):
+        """10,000 calls that raise at each place the lane calls out."""
+        net = make(adaptive_routing=False)
+        a, b, off = (0, 0, 0), (1, 1, 0), (1, 0)
+        net.transfer(0.0, a, b, 8)
+        limp = net.link((1, 0, 0), (1, 1, 0))
+        limp.degrade(0.5)
+        observer = RaisingObserver()
+        reserve = Link.reserve
+
+        def refuse(self, now, nbytes, min_occupancy=0.0):
+            if nbytes == 13:
+                raise Boom
+            return reserve(self, now, nbytes, min_occupancy)
+
+        monkeypatch.setattr(Link, "reserve", refuse)
+
+        def raises(exc, *args, **kwargs):
+            # not pytest.raises: its ExceptionInfo is a reference cycle
+            try:
+                net.transfer(*args, **kwargs)
+            except exc:
+                return
+            raise AssertionError(f"{exc.__name__} not raised")
+
+        def run(share=1.0):
+            for _ in range(int(share * 2_500)):
+                raises(IndexError, 1.0, a, off, 8)
+                raises(Boom, 1.0, a, b, 13)
+                net.observer = observer
+                raises(Boom, 1.0, a, b, 8, via=(1, 0, 0))
+                net.observer = None
+                raises(TypeError, 1.0, a, b)
+
+        watched = [None, a, b, off, limp, net.injection_port(a),
+                   net.ejection_port(b), observer, Boom,
+                   net.config.nic_msg_gap, net._routes,
+                   net._routes[b], *net._routes[b].values()]
+        objects, traced, refs = _flat(run, watched, net)
+        assert objects == 0
+        assert traced < 1024, f"{traced} bytes held after failing transfers"
+        assert refs == [0] * len(watched)
