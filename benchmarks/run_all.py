@@ -55,6 +55,7 @@ from repro.apps.gpu_apps import gpu_kneighbor, gpu_pingpong
 from repro.apps.kneighbor import kneighbor
 from repro.apps.pingpong import charm_pingpong
 from repro.hardware.config import MachineConfig
+from repro.observe import lane_report
 from repro.parallel import ShardedEngine, SweepPoint, resolve_jobs, run_sweep
 from repro.sim import Engine
 from repro.units import KB, MB
@@ -126,10 +127,9 @@ def bench_engine_events_mixed(waves: int = 300, width: int = 256) -> dict[str, f
 
     Each wave batch-arms ``width`` homogeneous timers through
     ``call_after_batch``, then arms ``width`` individually cancellable
-    timers and cancels two thirds of them — one third immediately (the
-    staged-tail / freshly-armed fast path) and one third from a later
-    event after they have been promoted into the heap (lazy cancellation,
-    which drives compaction).  This keeps the slab paths the plain
+    timers and cancels two thirds of them — one third immediately and
+    one third from a later event (both lazy: the parked cancels drive
+    compaction).  This keeps the slab paths the plain
     ``engine_events`` loop never touches — ``post_many``, handle cancel,
     compaction — on the checksum gate.
     """
@@ -456,6 +456,7 @@ def run_all(rounds: int, label: str, jobs: int | None = None,
     # the sequence a --jobs 1 run produces
     points = [SweepPoint(_run_round, (name,), label=f"{name}[{i}]")
               for name in selected for i in range(rounds)]
+    print(f"[bench] {lane_report()}")
     print(f"[bench] {len(points)} rounds across {len(selected)} benchmarks "
           f"(jobs={n_jobs}) ...", flush=True)
     results = run_sweep(points, jobs=n_jobs)

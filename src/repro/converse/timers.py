@@ -45,9 +45,7 @@ class TimerService:
 
     # -- internals ------------------------------------------------------------
     def _enqueue(self, handle: "TimerHandle") -> None:
-        # the engine event has fired: drop the reference *before* anything
-        # else so a late cancel() cannot touch the (pooled, reusable)
-        # engine handle
+        # the engine event has fired: a late cancel() has nothing to reach
         handle._ev = None
         if handle.cancelled:
             return

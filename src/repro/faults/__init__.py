@@ -4,7 +4,7 @@ Hardware on a 20,000-node Cray is never fault-free: links flap, CRC
 errors kill in-flight transactions, nodes die.  This package injects
 those conditions into the simulated fabric so the runtime's recovery
 machinery (``UgniLayerConfig.reliability``) can be exercised and its cost
-measured (``bench_ablation_faults``).
+measured (the ``ablation_faults`` exhibit).
 
 Determinism: all stochastic decisions draw from the machine's named
 ``"faults"`` RNG stream (:mod:`repro.sim.rng`), so a given seed replays

@@ -147,10 +147,9 @@ class FaultInjector:
                 raise SimulationError(f"unknown schedule event {ev!r}")
 
     def _arm_one(self, at: float, fn: Any, ev: ScheduleEvent) -> None:
-        # Engine handles are pooled and reusable once their callback has
-        # run, so the injector tracks only *pending* ones: _fire removes
-        # its own entry before running, leaving disarm() a set of handles
-        # that are all still safe to cancel.
+        # The injector tracks only *pending* events: _fire removes its own
+        # entry before running, so disarm() and pending_events() see
+        # exactly what has not fired yet.
         key = self._next_key
         self._next_key += 1
         handle = self.machine.engine.call_at(at, self._fire, key, fn, ev)

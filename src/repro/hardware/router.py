@@ -18,6 +18,7 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import NamedTuple
 
+from repro.errors import TopologyError
 from repro.hardware.config import MachineConfig
 from repro.hardware.link import Link
 from repro.hardware.topology import Coord, Torus3D
@@ -162,8 +163,14 @@ class TorusNetwork:
 
     def _route_miss(self, at: Coord, dst: Coord) -> tuple[Link, ...]:
         """Compute the candidate links out of ``at`` and remember them in
-        the row of ``dst`` (created by its first miss)."""
+        the row of ``dst`` (created by its first miss — the one place a
+        destination is checked against the topology, never per hop)."""
         topo = self.topology
+        row = self._routes.get(dst)
+        if row is None:
+            if not topo.contains(dst):
+                raise TopologyError(f"destination {dst} is not on {topo!r}")
+            row = self._routes[dst] = {}
         dirs = topo.minimal_directions(at, dst)
         if not self.config.adaptive_routing:
             dirs = dirs[:1]
@@ -175,9 +182,6 @@ class TorusNetwork:
             if lk is None:
                 lk = self.link(at, nxt)
             cands.append(lk)
-        row = self._routes.get(dst)
-        if row is None:
-            row = self._routes[dst] = {}
         row[at] = route = tuple(cands)
         return route
 
@@ -249,6 +253,11 @@ class TorusNetwork:
         leg_end = dst if via is None else via
         while True:
             row = routes.get(leg_end, _NO_ROW)
+            # (a destination with a row passed _route_miss's check)
+            if (degraded and row is _NO_ROW
+                    and not self.topology.contains(leg_end)):
+                raise TopologyError(
+                    f"destination {leg_end} is not on {self.topology!r}")
             while at != leg_end:
                 if degraded:
                     nxt = self.topology.neighbor(

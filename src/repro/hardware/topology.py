@@ -93,6 +93,11 @@ class Torus3D:
             raise TopologyError(f"coordinate {coord} outside dims {self.dims}")
         return x + dx * (y + dy * z)
 
+    def contains(self, coord: Coord) -> bool:
+        """Is ``coord`` a node of this torus?"""
+        return len(coord) == 3 and all(
+            0 <= c < size for c, size in zip(coord, self.dims))
+
     # -- geometry ----------------------------------------------------------
     def wrap(self, coord: Coord) -> Coord:
         dx, dy, dz = self.dims
@@ -274,12 +279,15 @@ class Dragonfly:
             return coord
         return ("rt", coord[0], coord[1])
 
-    def _check_terminal(self, coord: Any) -> None:
-        g, r, t = coord
-        if not (0 <= g < self.groups and 0 <= r < self.routers_per_group
-                and 0 <= t < self.terminals_per_router):
-            raise TopologyError(f"coordinate {coord} outside dragonfly "
-                                f"{self.dims}")
+    def contains(self, coord: Any) -> bool:
+        """Is ``coord`` a terminal ``(g, r, t)`` of this dragonfly, or one
+        of its routers ``("rt", g, r)``?"""
+        if len(coord) != 3:
+            return False
+        if coord[0] == "rt":
+            return (0 <= coord[1] < self.groups
+                    and 0 <= coord[2] < self.routers_per_group)
+        return all(0 <= c < size for c, size in zip(coord, self.dims))
 
     # -- id <-> coord ------------------------------------------------------
     def coord_of(self, node_id: int) -> Coord:
@@ -294,7 +302,9 @@ class Dragonfly:
     def id_of(self, coord: Coord) -> int:
         if coord[0] == "rt":
             raise TopologyError(f"router coordinate {coord} has no node id")
-        self._check_terminal(coord)
+        if not self.contains(coord):
+            raise TopologyError(f"coordinate {coord} outside dragonfly "
+                                f"{self.dims}")
         g, r, t = coord
         return t + self.terminals_per_router * (r + self.routers_per_group * g)
 

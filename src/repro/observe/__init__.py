@@ -31,7 +31,7 @@ from repro.observe.export import (
 )
 from repro.observe.flight import FlightDump, FlightRecorder
 from repro.observe.registry import MetricsRegistry
-from repro.observe.selfmetrics import self_metrics
+from repro.observe.selfmetrics import lane_report, self_metrics
 from repro.observe.tracer import MessageTracer, Span, Stage
 
 __all__ = [
@@ -50,6 +50,7 @@ __all__ = [
     "FlightDump",
     "FlightRecorder",
     "MetricsRegistry",
+    "lane_report",
     "self_metrics",
     "MessageTracer",
     "Span",

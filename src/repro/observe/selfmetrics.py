@@ -50,3 +50,13 @@ def self_metrics(machine: "Machine",
                    "build_error": _speed.build_error},
         "first_touch": first_touch,
     }
+
+
+def lane_report() -> str:
+    """One line for a report header: the lanes a default engine and network
+    run on in this process, and why if the core failed to build."""
+    engine = "c-core" if _speed.core is not None else "pure-python"
+    router = ("c-lane" if isinstance(vars(TorusNetwork)["transfer"],
+                                     MethodDescriptorType) else "python-body")
+    return (f"[lanes] engine={engine} router={router} "
+            f"build_error={_speed.build_error}")

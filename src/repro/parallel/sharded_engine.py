@@ -1,7 +1,7 @@
 """Window audit of the conservative-lookahead bound, over one event queue.
 
 :class:`ShardedEngine` is the base :class:`~repro.sim.engine.Engine` —
-the same slab, staging buffer and heap, hence the same ``(time, seq)``
+the same slab and heap, hence the same ``(time, seq)``
 firing order, bit for bit — plus a bookkeeping pass that answers one
 question: *would a conservative parallel simulation of this run have
 been legal?*  It does **not** parallelise anything and it costs host
@@ -192,10 +192,9 @@ class ShardedEngine(Engine):
 
     def post_at_node(self, node_id: int, time: float, fn: Callable,
                      *args: Any) -> None:
-        """:meth:`call_at_node` without building a handle."""
-        self.post_at(time, fn, *args)
-        # post_at returns nothing; what it armed is the newest staged entry
-        self._route(self._staged[-1][2], node_id, time)
+        """:meth:`call_at_node`, handle dropped: the audit needs the slot
+        and the handle is what carries it out of the checked arm."""
+        self._route(self.call_at(time, fn, *args).slot, node_id, time)
 
     # ------------------------------------------------------------------ #
     # execution: the base loop plus window bookkeeping
@@ -279,9 +278,8 @@ class ShardedEngine(Engine):
     def shard_stats(self) -> dict[str, Any]:
         """Window/exchange counters for reports and regression tests."""
         shard_pending = [0] * self.n_shards
-        for queue in (self._heap, self._staged):
-            for entry in queue:
-                shard_pending[self._owner[entry[2]]] += 1
+        for entry in self._heap:
+            shard_pending[self._owner[entry[2]]] += 1
         return {
             "n_shards": self.n_shards,
             "lookahead_s": self.lookahead,

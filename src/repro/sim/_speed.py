@@ -5,14 +5,16 @@ slab and run loop, and the network pass of
 The extension is compiled on first import with the system C compiler —
 no pip, no network, no build isolation — and cached next to the source
 as ``_speedups.<cache_tag>.so``; it is rebuilt only when ``_speedups.c``
-is newer.  Any failure (no compiler, sandboxed filesystem, exotic
-platform) degrades silently to ``core = None`` and the engine runs its
-pure-Python slab path, and the router its Python body, which are
-contract-identical (the hypothesis parity suites drive both).
+is newer.  On any failure (no compiler, sandboxed filesystem, exotic
+platform) ``core`` is ``None``, the engine runs its pure-Python slab path
+and the router its Python body, which are contract-identical (the
+hypothesis parity suites drive both) — and one :class:`RuntimeWarning`
+carrying ``build_error`` says so, because nobody asked for that lane
+(the test suite and CI turn it into an error).
 
-Set ``REPRO_PURE_ENGINE=1`` to skip the C core entirely — CI uses this
-to keep the pure path honest, and it is the escape hatch if a platform
-miscompiles.
+Set ``REPRO_PURE_ENGINE=1`` to ask for the pure lanes: no build, no
+warning.  CI uses this to keep the pure path honest, and it is the
+escape hatch if a platform miscompiles.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import subprocess
 import sys
 import sysconfig
 import tempfile
+import warnings
 
 from repro._env import env_flag
 
@@ -100,3 +103,8 @@ def _load():
 
 
 core = _load()
+if build_error is not None:
+    warnings.warn(
+        "repro.sim._speedups unavailable, running the pure-Python engine "
+        f"and router (REPRO_PURE_ENGINE=1 asks for them): {build_error}",
+        RuntimeWarning)

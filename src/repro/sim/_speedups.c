@@ -17,7 +17,8 @@
  *
  * Built on demand by repro.sim._speed (plain
  * `cc -O2 -ffp-contract=off -shared -fPIC`); any build or import failure
- * falls back to the Python engine and the router's Python body.
+ * falls back, with a RuntimeWarning, to the Python engine and the router's
+ * Python body.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -1235,8 +1236,9 @@ walk_leg(PyObject *self, PyObject *routes, PyObject **at, PyObject *leg_end,
         if (reserved < 0)
             break;
         *hops += 1;
-        /* a coordinate off the fabric is walked towards for ever, all
-         * hits after the first lap: stay interruptible, as Python is */
+        /* _route_miss refuses a coordinate off the fabric, but an
+         * override of it may not, and such a walk laps for ever, all hits
+         * after the first lap: stay interruptible, as Python is */
         if ((*hops & 0xfff) == 0 && PyErr_CheckSignals() < 0)
             break;
     }

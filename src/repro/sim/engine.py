@@ -14,39 +14,24 @@ Hot-path architecture (this module executes millions of times per
 benchmark):
 
 * **Slab storage.**  Event payloads live in parallel arrays indexed by a
-  *slot*: ``_s_time`` / ``_s_seq`` / ``_s_fn`` / ``_s_args`` /
-  ``_s_handle`` (plain lists — CPython list indexing is an incref, no
-  boxing) and ``_s_state`` (a bytearray: FREE / PENDING / CANCELLED).
+  *slot*: ``_s_time`` / ``_s_seq`` / ``_s_fn`` / ``_s_args`` (plain
+  lists — CPython list indexing is an incref, no boxing) and
+  ``_s_state`` (a bytearray: FREE / PENDING / CANCELLED).
   Slots are recycled through a free list, so arming an event writes a
   few array cells instead of allocating; the slab only grows when more
   events are simultaneously pending than ever before.
-* **Staging buffer.**  A new event is appended to ``_staged`` — an
-  unsorted list — and only *promoted* into the real heap when the run
-  loop needs an event that could be younger than the heap head.  The
-  payoff is the armed-and-cancelled protocol-timeout pattern (every
-  reliable SMSG arms a retransmit timer and almost always cancels it):
-  a timer cancelled while still staged is reclaimed at promotion for
-  O(1) and **never pays a single heap comparison**.  The heap therefore
-  holds only events that survived long enough to matter, which also
-  shrinks every remaining push/pop's ``log n``.
 * **One skip path.**  All consumers — ``step()``, ``run()``,
   ``peek()`` — find the next live event through :meth:`_peek_live`, the
-  single promote-and-reap loop.  (Historically ``peek`` carried its own
-  copy of the lazy-cancel skip loop and drifted from ``step``/``run``
-  in how it retired handles; one shared path makes that drift
-  structurally impossible.)
+  single reap loop.
 * **Handles are slot views.**  :class:`EventHandle` is an
   ``(engine, slot, seq)`` triple; payloads stay in the slab.  The
   ``seq`` stamp makes stale handles *safe*: cancelling a handle whose
-  slot was already recycled is a no-op instead of corruption.  Handle
-  objects themselves are pooled, and the ``post_*`` family of calls
+  slot was already recycled is a no-op instead of corruption.  A handle
+  is never reused for another event, and the ``post_*`` family of calls
   skips handle creation entirely for fire-and-forget events.
-* **Batch arming.**  :meth:`call_at_batch` / :meth:`call_after_batch`
-  arm homogeneous event groups (per-PE bootstrap kicks, fault
-  schedules, credit timers) with one validation pass — vectorized via
-  numpy when the batch is large enough to amortize it.
-* Cancellation stays lazy (O(1)); cancelled entries that did reach the
-  heap are counted and compacted away when they dominate.
+* Cancellation is lazy (O(1), a state flip); cancelled entries are
+  counted, reaped when they reach the heap head and compacted away
+  when they dominate.
 * **No collector inside the loop.**  :meth:`Engine.run` switches the
   cyclic garbage collector off while events execute and puts it back
   the way it found it (:meth:`Engine._collector_paused`): what a run
@@ -65,25 +50,16 @@ from typing import Any, Callable, Iterator, Optional, Sequence
 from repro.errors import SimulationError
 from repro.sim import _speed
 
-try:  # numpy is optional: the batch API falls back to a plain loop
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
-
 #: the compiled slab core (repro.sim._speedups.EngineCore), or None when
 #: unavailable — see repro.sim._speed for the build/fallback policy
 _CORE_CLS = None if _speed.core is None else _speed.core.EngineCore
 
 _INF = math.inf
 
-#: keep at most this many retired handles for reuse
-_POOL_MAX = 1024
 #: compact only when at least this many cancelled entries are parked ...
 _COMPACT_MIN = 64
 #: ... and they exceed this fraction of all parked entries
 _COMPACT_RATIO = 0.5
-#: below this batch size a plain Python loop beats numpy's call overhead
-_BATCH_NUMPY_MIN = 64
 
 #: slab slot states
 _FREE, _PENDING, _CANCELLED = 0, 1, 2
@@ -109,10 +85,9 @@ class EventHandle:
     the pre-slab engine, where cancelling a reused handle cancelled
     somebody else's event.
 
-    Cancellation is lazy: the parked entry is skipped (staged entries)
-    or reaped (heap entries) later.  This keeps ``cancel`` O(1), which
-    matters because protocol timeouts are frequently armed and almost
-    always cancelled.
+    Cancellation is lazy: the parked heap entry is reaped later.  This
+    keeps ``cancel`` O(1), which matters because protocol timeouts are
+    frequently armed and almost always cancelled.
     """
 
     __slots__ = ("engine", "slot", "seq")
@@ -134,33 +109,13 @@ class EventHandle:
         slot = self.slot
         if eng._s_seq[slot] != self.seq or eng._s_state[slot] != _PENDING:
             return  # already fired, already cancelled, or slot recycled
-        staged = eng._staged
-        if staged and staged[-1][2] == slot:
-            # Fast path: the event is the newest staged entry — the
-            # arm-then-cancel-immediately timer pattern.  Unstage and
-            # reclaim the slot right here: no cancelled-entry
-            # bookkeeping, no compaction pressure, no heap contact ever.
-            staged.pop()
-            if not staged:
-                eng._staged_min = None
-            elif eng._staged_min[2] == slot:
-                eng._staged_min = min(staged)
-            eng._s_state[slot] = _FREE
-            eng._s_fn[slot] = None
-            eng._s_args[slot] = None
-            eng._s_handle[slot] = None
-            pool = eng._pool
-            if len(pool) < _POOL_MAX:
-                pool.append(self)
-            eng._free.append(slot)
-            return
         eng._s_state[slot] = _CANCELLED
         eng._s_fn[slot] = None
         eng._s_args[slot] = None
         cancelled = eng._cancelled + 1
         eng._cancelled = cancelled
         if (cancelled >= _COMPACT_MIN
-                and cancelled > _COMPACT_RATIO * eng._parked()):
+                and cancelled > _COMPACT_RATIO * len(eng._heap)):
             eng._compact()
 
     @property
@@ -181,10 +136,6 @@ class EventHandle:
         state = "cancelled" if self.cancelled else "pending"
         return (f"<EventHandle t={self.time:.9f} seq={self.seq} "
                 f"slot={self.slot} {state}>")
-
-
-def _noop(*_args: Any) -> None:
-    return None
 
 
 class Engine:
@@ -232,24 +183,16 @@ class Engine:
         self._s_seq: list[int] = []
         self._s_fn: list[Optional[Callable]] = []
         self._s_args: list[Any] = []
-        self._s_handle: list[Optional[EventHandle]] = []
         self._s_state = bytearray()
         #: recycled slots (LIFO keeps the working set cache-hot)
         self._free: list[int] = []
-        # -- queues ---------------------------------------------------------
-        #: promoted entries, heap-ordered; entries are (time, seq, slot)
+        #: every parked event, heap-ordered; entries are (time, seq, slot)
         self._heap: list[tuple[float, int, int]] = []
-        #: armed-but-not-promoted entries, append order
-        self._staged: list[tuple[float, int, int]] = []
-        #: minimal staged entry, or None when _staged is empty
-        self._staged_min: Optional[tuple[float, int, int]] = None
         # -- lifecycle ------------------------------------------------------
         self._running = False
         self._stopped = False
-        #: cancelled entries still parked (staged or heap)
+        #: cancelled entries still parked in the heap
         self._cancelled = 0
-        #: retired EventHandle objects available for reuse
-        self._pool: list[EventHandle] = []
         #: number of callbacks actually executed (diagnostics / tests);
         #: read via the events_executed property, which prefers the core's
         self._events_executed = 0
@@ -286,24 +229,14 @@ class Engine:
 
     # -- slab primitives ----------------------------------------------------
     def _free_slot(self, slot: int) -> None:
-        """Release a fired/reaped slot (drop payload refs, pool the handle)."""
+        """Release a fired/reaped slot (drop payload refs)."""
         self._s_state[slot] = _FREE
         self._s_fn[slot] = None
         self._s_args[slot] = None
-        h = self._s_handle[slot]
-        if h is not None:
-            self._s_handle[slot] = None
-            pool = self._pool
-            if len(pool) < _POOL_MAX:
-                pool.append(h)
         self._free.append(slot)
 
-    def _parked(self) -> int:
-        """Entries currently parked in queues (compaction denominator)."""
-        return len(self._heap) + len(self._staged)
-
     def _stage(self, time: float, fn: Callable, args: tuple) -> int:
-        """Arm one handle-less event (slot alloc + staging); returns its slot.
+        """Arm one handle-less event (slot alloc + heap push); returns its slot.
 
         The no-handle arming primitive: ``post_*`` and the batch API land
         here.  :meth:`_arm` is this plus handle construction, inlined;
@@ -326,13 +259,8 @@ class Engine:
             self._s_seq.append(seq)
             self._s_fn.append(fn)
             self._s_args.append(args)
-            self._s_handle.append(None)
             self._s_state.append(_PENDING)
-        entry = (time, seq, slot)
-        self._staged.append(entry)
-        sm = self._staged_min
-        if sm is None or entry < sm:
-            self._staged_min = entry
+        heapq.heappush(self._heap, (time, seq, slot))
         return slot
 
     # -- scheduling ---------------------------------------------------------
@@ -369,12 +297,12 @@ class Engine:
             self._now = time
 
     def _arm(self, time: float, fn: Callable, args: tuple) -> EventHandle:
-        """Slot alloc + stage + handle, fully inlined (the arming hot path).
+        """Slot alloc + heap push + handle, inlined (the arming hot path).
 
         This is :meth:`_stage` plus handle construction with the call
-        tree flattened: one method call per armed event instead of four.
-        The cold paths (``post_*``, batch arming) use :meth:`_stage`
-        directly; the two must stay behaviorally identical.
+        tree flattened: one frame per armed event instead of three.
+        ``post_*`` and batch arming use :meth:`_stage` directly; the two
+        must stay behaviorally identical.
         """
         seq = self._seq
         self._seq = seq + 1
@@ -392,21 +320,13 @@ class Engine:
             self._s_seq.append(seq)
             self._s_fn.append(fn)
             self._s_args.append(args)
-            self._s_handle.append(None)
             self._s_state.append(_PENDING)
-        entry = (time, seq, slot)
-        self._staged.append(entry)
-        sm = self._staged_min
-        if sm is None or entry < sm:
-            self._staged_min = entry
-        pool = self._pool
-        if pool:
-            handle = pool.pop()
-            handle.slot = slot
-            handle.seq = seq
-        else:
-            handle = EventHandle(self, slot, seq)
-        self._s_handle[slot] = handle
+        heapq.heappush(self._heap, (time, seq, slot))
+        # EventHandle(self, slot, seq) without the __init__ frame
+        handle = EventHandle.__new__(EventHandle)
+        handle.engine = self
+        handle.slot = slot
+        handle.seq = seq
         return handle
 
     def call_at(self, time: float, fn: Callable, *args: Any) -> EventHandle:
@@ -491,11 +411,10 @@ class Engine:
 
         The homogeneous-timer fast path: per-PE bootstrap kicks, fault
         schedules, SMSG credit re-arms — groups of events sharing one
-        callback.  Validation (finite, no time travel) is done in a
-        single vectorized pass (numpy when the batch is large enough to
-        amortize the array round-trip), then the events are staged
-        back-to-back so they keep consecutive ``seq`` stamps — the
-        firing order is exactly that of the equivalent ``call_at`` loop.
+        callback.  Every time is validated (finite, no time travel)
+        before anything is armed, then the events are armed back-to-back
+        so they keep consecutive ``seq`` stamps — the firing order is
+        exactly that of the equivalent ``call_at`` loop.
 
         ``argss`` supplies one argument tuple per event (``None`` arms
         them all with no arguments).  No handles are built; batch-armed
@@ -508,25 +427,15 @@ class Engine:
         if n == 0:
             return
         now = self.now
-        if _np is not None and n >= _BATCH_NUMPY_MIN:
-            arr = _np.asarray(times, dtype=_np.float64)
-            if not _np.isfinite(arr).all():
-                raise SimulationError("non-finite event time in batch")
-            if (arr < now).any():
-                t = float(arr.min())
+        for t in times:
+            if not math.isfinite(t):
+                raise SimulationError(f"non-finite event time {t!r}")
+            if t < now:
                 raise SimulationError(
                     f"cannot schedule at t={t} (now={now}): time travel")
-            times = arr.tolist()
-        else:
-            for t in times:
-                if not math.isfinite(t):
-                    raise SimulationError(f"non-finite event time {t!r}")
-                if t < now:
-                    raise SimulationError(
-                        f"cannot schedule at t={t} (now={now}): time travel")
         core = self._core
         if core is not None:
-            core.post_many(times, fn, argss if argss is not None else None)
+            core.post_many(times, fn, argss)
             return
         stage = self._stage
         if argss is None:
@@ -541,23 +450,14 @@ class Engine:
         """Arm one ``fn(*args)`` event per entry of ``delays`` seconds.
 
         See :meth:`call_at_batch`; delays are validated (non-negative,
-        finite) and converted to absolute times in one vectorized pass.
+        finite) and converted to absolute times first.
         """
-        n = len(delays)
-        if n == 0:
-            return
         now = self.now
-        if _np is not None and n >= _BATCH_NUMPY_MIN:
-            arr = _np.asarray(delays, dtype=_np.float64)
-            if not _np.isfinite(arr).all() or (arr < 0).any():
-                raise SimulationError("negative or non-finite delay in batch")
-            times: Sequence[float] = (arr + now).tolist()
-        else:
-            times = []
-            for d in delays:
-                if not 0.0 <= d < _INF:
-                    raise SimulationError(f"negative delay {d!r}")
-                times.append(now + d)
+        times = []
+        for d in delays:
+            if not 0.0 <= d < _INF:
+                raise SimulationError(f"negative delay {d!r}")
+            times.append(now + d)
         self.call_at_batch(times, fn, argss)
 
     # -- event objects --------------------------------------------------------
@@ -573,7 +473,7 @@ class Engine:
 
     # -- heap hygiene --------------------------------------------------------
     def _compact(self) -> None:
-        """Drop lazily-cancelled entries everywhere and re-heapify.
+        """Drop lazily-cancelled entries from the heap and re-heapify.
 
         Pop order is unaffected: entry keys ``(time, seq)`` are unique,
         so the heap's total order — hence determinism — does not depend
@@ -588,56 +488,28 @@ class Engine:
                     self._free_slot(e[2])
             heap[:] = live
             heapq.heapify(heap)
-        staged = self._staged
-        if any(state[e[2]] != _PENDING for e in staged):
-            for e in staged:
-                if state[e[2]] != _PENDING:
-                    self._free_slot(e[2])
-            staged[:] = [e for e in staged if state[e[2]] == _PENDING]
-            self._staged_min = min(staged) if staged else None
         self._cancelled = 0
 
     # -- the one skip path ---------------------------------------------------
     def _peek_live(self) -> Optional[tuple[float, int, int]]:
         """The next live entry, left at the heap head; None when idle.
 
-        The **single** promote-and-reap loop shared by :meth:`step`,
-        :meth:`run`, :meth:`peek` and :meth:`drain` — every consumer of
-        "the next event" goes through here, so the lazy-cancel skip
-        logic cannot drift between them.  (Historically ``peek`` carried
-        its own copy of the skip loop and diverged from ``step``/``run``
-        in how it retired handles.)
-
-        Two jobs, one loop: **promote** staged entries into the heap
-        whenever one could precede the heap head — reclaiming entries
-        cancelled while staged for O(1), *zero* heap comparisons — and
-        **reap** entries cancelled after promotion off the heap top.
+        The **single** reap loop shared by :meth:`step`, :meth:`run`,
+        :meth:`peek` and :meth:`drain` — every consumer of "the next
+        event" goes through here, so the lazy-cancel skip logic cannot
+        drift between them: cancelled entries are popped off the heap
+        head and their slots freed until a live one is on top.
         """
         heap = self._heap
         state = self._s_state
-        heappop = heapq.heappop
-        while True:
-            sm = self._staged_min
-            if sm is not None and (not heap or sm <= heap[0]):
-                # promote: drain the staging buffer into the heap
-                push = heapq.heappush
-                for entry in self._staged:
-                    slot = entry[2]
-                    if state[slot] == _PENDING:
-                        push(heap, entry)
-                    else:  # cancelled while staged: reclaim, skip the heap
-                        self._cancelled -= 1
-                        self._free_slot(slot)
-                self._staged.clear()
-                self._staged_min = None
-            if not heap:
-                return None
+        while heap:
             entry = heap[0]
             if state[entry[2]] == _PENDING:
                 return entry
-            heappop(heap)
+            heapq.heappop(heap)
             self._cancelled -= 1
             self._free_slot(entry[2])
+        return None
 
     # -- run loop -----------------------------------------------------------
     def step(self) -> bool:
@@ -713,8 +585,8 @@ class Engine:
 
         The loop is specialized for the hook-free case: with no
         sanitizer/observer installed and no guard tripping, each
-        iteration is one :meth:`_peek_live`, one heap pop, five slab
-        cell writes and the callback — nothing else.
+        iteration is one :meth:`_peek_live`, one heap pop, the slot's
+        release and the callback — nothing else.
         """
         core = self._core
         if core is not None:
@@ -735,8 +607,6 @@ class Engine:
         s_fn = self._s_fn
         s_args = self._s_args
         s_state = self._s_state
-        s_handle = self._s_handle
-        pool = self._pool
         free_append = self._free.append
         try:
             while not self._stopped:
@@ -765,18 +635,13 @@ class Engine:
                 s_state[slot] = _FREE
                 s_fn[slot] = None
                 s_args[slot] = None
-                h = s_handle[slot]
-                if h is not None:
-                    s_handle[slot] = None
-                    if len(pool) < _POOL_MAX:
-                        pool.append(h)
                 free_append(slot)
                 fn(*args)
-            # drained-or-stopped exit (mirrors the old engine's while-else):
-            # with nothing parked, advance the clock to a finite horizon so
-            # repeated run(until=...) calls observe monotonic time, and
-            # raise the quiescence hook (itself a no-op on a stop() exit)
-            if not heap and not self._staged:
+            # drained-or-stopped exit: with nothing parked, advance the
+            # clock to a finite horizon so repeated run(until=...) calls
+            # observe monotonic time, and raise the quiescence hook
+            # (itself a no-op on a stop() exit)
+            if not heap:
                 if math.isfinite(until) and until > self._now:
                     self._now = until
                 self._notify_drained()
@@ -796,11 +661,9 @@ class Engine:
 
     @property
     def pending(self) -> int:
-        """Parked entries — staged + heap, including lazily-cancelled ones."""
+        """Parked heap entries, including lazily-cancelled ones."""
         core = self._core
-        if core is not None:
-            return core.pending
-        return len(self._heap) + len(self._staged)
+        return core.pending if core is not None else len(self._heap)
 
     @property
     def pending_cancelled(self) -> int:
@@ -821,8 +684,8 @@ class Engine:
     def drain(self) -> Iterator[EventHandle]:  # pragma: no cover - debug aid
         """Yield and remove all pending handles (for post-mortem inspection).
 
-        Handle-less (``post_*`` / batch) events get a handle built on the
-        fly so the caller can inspect ``time``/``cancelled`` uniformly.
+        Every event gets a handle built on the fly (``post_*`` / batch
+        events never had one), so the caller can inspect ``time`` uniformly.
         """
         core = self._core
         if core is not None:
@@ -834,10 +697,7 @@ class Engine:
                 return
             heapq.heappop(self._heap)
             slot = entry[2]
-            h = self._s_handle[slot]
-            if h is None:
-                h = EventHandle(self, slot, self._s_seq[slot])
-            self._s_handle[slot] = None  # keep the yielded view alive
+            h = EventHandle(self, slot, self._s_seq[slot])
             self._free_slot(slot)
             yield h
 

@@ -1,5 +1,5 @@
-"""Shared pytest wiring: the lifecycle-sanitizer guard, and a fixture
-that keeps the runtimes the apps build referenced.
+"""Shared pytest wiring: the lifecycle-sanitizer guard, a fixture that
+keeps the runtimes the apps build referenced, and no silent engine lane.
 
 When the suite runs under ``REPRO_SANITIZE=1`` every test's machines build
 a :class:`repro.sanitize.Sanitizer`, and this guard fails any test whose
@@ -10,7 +10,14 @@ Plain pytest hooks (not an autouse fixture) keep hypothesis's
 ``function_scoped_fixture`` health check quiet for the property tests.
 """
 
+import warnings
+
 import pytest
+
+# a C core that failed to build is an error here, not a quiet change of
+# lane; set before the first repro import, where repro.sim._speed warns
+warnings.filterwarnings("error", message="repro.sim._speedups unavailable",
+                        category=RuntimeWarning)
 
 import repro.apps.kneighbor
 import repro.apps.minimd.app

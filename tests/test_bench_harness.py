@@ -15,7 +15,11 @@ from repro.bench.harness import (
     paper_scale,
 )
 
-_RUN_ALL = pathlib.Path(__file__).parent.parent / "benchmarks" / "run_all.py"
+_BENCHMARKS = pathlib.Path(__file__).parent.parent / "benchmarks"
+_RUN_ALL = _BENCHMARKS / "run_all.py"
+#: the application-scale exhibits (seconds each); CI regenerates them with
+#: the rest of ``benchmarks/``, tier-1 regenerates every other one
+_SLOW_EXHIBITS = {"fig11", "fig12", "fig13", "table1", "table2"}
 
 
 def _load_run_all():
@@ -96,6 +100,15 @@ class TestRegistry:
         assert isinstance(r, ExperimentResult)
         assert r.series
         assert r.render()
+
+    @pytest.mark.parametrize(
+        "exp_id", [e for e in EXPERIMENTS if e not in _SLOW_EXHIBITS])
+    def test_rendering_equals_committed_result(self, exp_id, monkeypatch):
+        """The rendered exhibit is deterministic, on either engine lane:
+        a change that moves one printed number fails here."""
+        monkeypatch.delenv("REPRO_PAPER_SCALE", raising=False)
+        committed = (_BENCHMARKS / "results" / f"{exp_id}.txt").read_text()
+        assert run_experiment(exp_id).render() == committed
 
 
 class TestRegressionHarness:

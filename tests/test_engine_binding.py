@@ -17,6 +17,7 @@ subclass override — wins over it, as for ``Engine``.
 
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -224,3 +225,43 @@ class TestPureEngineFlag:
     @pytest.mark.parametrize("value", ["1", "true", "yes"])
     def test_truthy_values_force_pure(self, value):
         assert not _core_loaded_in_subprocess(value)
+
+
+class TestNoSilentLane:
+    """A core that cannot be loaded is reported, never silently replaced:
+    ``repro.sim._speed`` warns unless ``REPRO_PURE_ENGINE`` asked for the
+    pure lanes, and this suite and CI run with that warning as an error."""
+
+    def test_a_poisoned_so_warns_unless_pure_lanes_were_asked_for(
+            self, tmp_path):
+        # a copy of src/ (the real .so is in use) whose cached .so is newer
+        # than the C source and no shared object: no rebuild, the load fails
+        src = tmp_path / "src"
+        shutil.copytree(SRC, src, ignore=shutil.ignore_patterns(
+            "*.so", "__pycache__"))
+        pathlib.Path(_speed._so_path(str(src / "repro" / "sim"))).write_bytes(
+            b"not an ELF object")
+
+        def lanes(pure, *warning_filter):
+            return subprocess.run(
+                [sys.executable, "-W", *warning_filter, "-c",
+                 "from repro.observe import lane_report; print(lane_report())"],
+                env=dict(os.environ, PYTHONPATH=str(src),
+                         REPRO_PURE_ENGINE=pure),
+                capture_output=True, text=True, timeout=180)
+
+        out = lanes("0", "always")
+        assert out.returncode == 0, out.stderr
+        assert out.stderr.count("RuntimeWarning") == 1
+        assert "repro.sim._speedups unavailable" in out.stderr
+        assert "ImportError" in out.stderr  # the build_error it carries
+        assert out.stdout.startswith(
+            "[lanes] engine=pure-python router=python-body "
+            "build_error=ImportError")
+        # what CI and tests/conftest.py do with it
+        out = lanes("0", "error:repro.sim._speedups unavailable:RuntimeWarning")
+        assert out.returncode != 0 and "RuntimeWarning" in out.stderr
+        out = lanes("1", "error")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == (
+            "[lanes] engine=pure-python router=python-body build_error=None")

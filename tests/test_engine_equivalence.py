@@ -20,12 +20,14 @@ The production engine is exercised in three backends in-process:
   close, and ``at_node`` events change shard, between the same events.
 """
 
+import math
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import SimulationError
 from repro.parallel import ShardedEngine
 from repro.sim import _speed
 from repro.sim.engine import Engine
@@ -85,14 +87,23 @@ class _Driver:
         #: so the driver must never cancel a handle whose event already
         #: fired or was already cancelled.
         self.live = {}
+        #: handles whose event fired or was cancelled (lane parity only:
+        #: the slab engines must shrug off a cancel through any of them)
+        self.retired = []
         self.peeks = []
         self.next_tag = 0
 
     def _cb(self, tag):
         def cb():
-            self.live.pop(tag, None)
+            self._retire(tag)
             self.log.append((repr(self.eng.now), tag))
         return cb
+
+    def _retire(self, tag):
+        handle = self.live.pop(tag, None)
+        if handle is not None:
+            self.retired.append(handle)
+        return handle
 
     def apply(self, op):
         eng = self.eng
@@ -145,13 +156,52 @@ class _Driver:
         elif kind == "cancel":
             if self.live:
                 tags = sorted(self.live)
-                self.live.pop(tags[op[1] % len(tags)]).cancel()
+                self._retire(tags[op[1] % len(tags)]).cancel()
         elif kind == "run":
             eng.run(until=eng.now + op[1])
         elif kind == "step":
             eng.step()
         elif kind == "peek":
             self.peeks.append(repr(eng.peek()))
+        else:
+            self._apply_lane_op(op)
+
+    def _apply_lane_op(self, op):
+        """Ops the oracle cannot take: its handles are not stale-safe, it
+        has no ``stop`` event and it words its errors differently."""
+        eng = self.eng
+        kind = op[0]
+        if kind == "cancel_newest":
+            if self.live:
+                self._retire(max(self.live)).cancel()
+        elif kind == "cancel_stale":
+            if self.retired:
+                self.retired[op[1] % len(self.retired)].cancel()
+        elif kind == "churn":
+            # enough parked cancels to cross the compaction threshold
+            # (64 of them, and more than half of what is parked)
+            first = self.next_tag
+            for _ in range(op[1]):
+                self.apply(("after", 1e-6))
+            for tag in range(first, first + (3 * op[1]) // 4):
+                self._retire(tag).cancel()
+        elif kind == "stop":
+            eng.post_after(op[1], eng.stop)
+        elif kind == "bad":
+            # a rejected call arms nothing and reads the same on every lane
+            arm = getattr(eng, op[1])
+            args = ([1e-9, op[2]], _noop) if "batch" in op[1] else (op[2], _noop)
+            with pytest.raises(SimulationError) as err:
+                arm(*args)
+            self.log.append(str(err.value))
+        else:
+            raise AssertionError(op)
+
+    def state(self):
+        """What a caller can see of the engine between two operations."""
+        return (self.log, self.peeks, repr(self.eng.now),
+                self.eng.events_executed, self.eng.pending,
+                self.eng.pending_cancelled)
 
     def finish(self):
         self.eng.run()
@@ -162,6 +212,10 @@ class _Driver:
 
 def _batch_cb(driver, tag):
     driver.log.append((repr(driver.eng.now), tag))
+
+
+def _noop():
+    pass
 
 
 @pytest.mark.parametrize("factory", BACKENDS)
@@ -200,6 +254,48 @@ def test_tie_storm_matches_reference(factory):
         ref.apply(op)
         cur.apply(op)
     assert cur.finish() == ref.finish()
+
+
+# --------------------------------------------------------------------- #
+# the lanes are one design: they agree with each other at every step,
+# parked and cancelled counts included (the oracle only pins live counts)
+# --------------------------------------------------------------------- #
+_lane_op = st.one_of(
+    _op,
+    st.tuples(st.just("cancel_newest")),
+    st.tuples(st.just("cancel_stale"), st.integers(0, 31)),
+    st.tuples(st.just("churn"), st.sampled_from([8, 100])),
+    st.tuples(st.just("stop"), st.sampled_from(_DELAYS)),
+    st.tuples(st.just("bad"),
+              st.sampled_from(["call_after", "post_after", "call_at",
+                               "post_at", "call_after_batch",
+                               "call_at_batch"]),
+              st.sampled_from([-1e-9, math.inf, math.nan])),
+)
+
+
+@settings(**SETTINGS)
+@given(ops=st.lists(_lane_op, max_size=40))
+@example(ops=[("after", 1e-9), ("cancel_newest",)])
+@example(ops=[("churn", 100), ("run", 1e-9), ("churn", 100), ("step",)])
+@example(ops=[("after", 0.0), ("step",), ("after", 1e-9),
+              ("cancel_stale", 0), ("run", 1e-8)])
+def test_lanes_agree_after_every_operation(ops):
+    """The C core, the pure-Python slab and ``ShardedEngine`` show the same
+    firing log, clock, ``pending`` and ``pending_cancelled`` after every
+    operation of one program: arms of every kind, cancels of the newest,
+    an older and a stale handle, compaction, ``run(until)``, ``step``,
+    ``stop`` and rejected calls."""
+    drivers = [_Driver(param.values[0]()) for param in BACKENDS]
+    for i, op in enumerate(ops):
+        for driver in drivers:
+            driver.apply(op)
+        states = [driver.state() for driver in drivers]
+        assert all(state == states[0] for state in states[1:]), (
+            i, op, [(param.id, state[2:])
+                    for param, state in zip(BACKENDS, states)])
+    results = [driver.finish() for driver in drivers]
+    assert all(result == results[0] for result in results[1:])
 
 
 # --------------------------------------------------------------------- #

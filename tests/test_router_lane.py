@@ -4,9 +4,11 @@
 result by result.  Here: a call binds its arguments the way the Python
 body's signature does, whatever raises under the lane — ``_route_miss``,
 ``Link.reserve``, the observer hook — comes out of it unchanged and
-leaves the network usable, an endless walk stays interruptible, and
+leaves the network usable, a destination off the fabric is an error from
+the first miss towards it, an endless walk stays interruptible,
 100,000 warm transfers (and 10,000 failing ones) leave no object, byte or
-reference behind.
+reference behind, and a link that falls and rises under a whole machine
+layer with retransmission moves no result.
 
 Every test runs on a network as anyone builds it and on one whose
 ``transfer`` is the kept Python body, so the two are also held to each
@@ -21,10 +23,15 @@ import tracemalloc
 
 import pytest
 
+from repro import observe
+from repro.apps.kneighbor import kneighbor
+from repro.errors import TopologyError
+from repro.faults import FaultConfig, LinkFlap
 from repro.hardware.config import MachineConfig
 from repro.hardware.link import Link
 from repro.hardware.router import DragonflyNetwork, TorusNetwork
 from repro.hardware.topology import Dragonfly, Torus3D
+from repro.lrts.ugni_layer import UgniLayerConfig
 from repro.sim import _speed
 from tests.test_router_equivalence import _PythonBody, _PythonBodyDragonfly
 
@@ -117,10 +124,10 @@ class TestArgumentBinding:
 
 class TestErrorsPropagate:
     def test_route_miss_error(self, make):
-        """A coordinate off the torus: ``minimal_directions`` runs off its
-        end, inside ``_route_miss``, under the hop loop."""
+        """A coordinate that is not one: ``_route_miss`` refuses it, under
+        the hop loop."""
         net = make()
-        with pytest.raises(IndexError):
+        with pytest.raises(TopologyError):
             net.transfer(0.0, (0, 0, 0), (1, 0), 8)
         # the injection port was reserved before the walk began
         assert net.messages_routed == 1
@@ -198,19 +205,70 @@ class TestErrorsPropagate:
         with pytest.raises(TypeError):
             make().transfer(0.0, (0, 0, 0), (1, 0, 0), "8")
 
+    def test_an_off_fabric_destination_is_an_error(self, make):
+        """(9, 0, 0) is on no 4-node ring.  The first miss towards a
+        destination checks it — once per destination, not per hop or per
+        message — before a link or a row exists for it; a waypoint is the
+        destination of its leg, and the degraded walk checks per leg."""
+        net = make()
+        a, b = (0, 0, 0), (2, 3, 1)
+        for _ in range(2):
+            with pytest.raises(TopologyError, match="not on"):
+                net.transfer(0.0, a, (9, 0, 0), 8)
+        with pytest.raises(TopologyError):
+            net.transfer(0.0, a, b, 8, via=(0, 7, 0))
+        assert not net._routes and not net._links
+        checked = []
+        contains = net.topology.contains
+        net.topology.contains = lambda c: checked.append(c) or contains(c)
+        assert net.transfer(0.0, a, b, 8).hops == 4
+        assert net.transfer(1.0, (1, 0, 0), b, 8, via=(1, 1, 1)).hops == 5
+        assert checked == [b, (1, 1, 1)]
+        net.fail_link((2, 0, 0), (3, 0, 0))
+        with pytest.raises(TopologyError):
+            net.transfer(2.0, a, (9, 0, 0), 8)
+        net.restore_link((2, 0, 0), (3, 0, 0))
+        assert net.transfer(3.0, a, b, 8).hops == 4
+        assert checked == [b, (1, 1, 1), (9, 0, 0)]
+
+    def test_an_off_dragonfly_destination_is_an_error(self, make):
+        """Terminals ``(g, r, t)`` and router waypoints ``("rt", g, r)``
+        of a 5-group, 3-router, 2-terminal dragonfly."""
+        net = make.dragonfly()
+        a, b = (0, 0, 0), (3, 2, 1)
+        for bad in [(5, 0, 0), (0, 3, 0), (0, 0, 2), (-1, 0, 0), (0, 0)]:
+            with pytest.raises(TopologyError):
+                net.transfer(0.0, a, bad, 8)
+        # DragonflyNetwork.transfer draws its own waypoint; a caller's goes
+        # to the lane under it
+        lane = super(DragonflyNetwork, net).transfer
+        for bad in [("rt", 5, 0), ("rt", 0, 3), ("rt", -1, 0)]:
+            with pytest.raises(TopologyError):
+                lane(0.0, a, b, 8, via=bad)
+        assert lane(0.0, a, b, 8, via=("rt", 4, 2)).hops >= 3
+
     @pytest.mark.skipif(not hasattr(signal, "setitimer"),
                         reason="needs an interval timer")
     def test_an_endless_walk_is_interruptible(self, make):
-        """(9, 0, 0) is on no 4-node ring: the walk laps it for ever, every
+        """A ``_route_miss`` override that checks nothing and always steps
+        +x never reaches (9, 0, 0): the walk laps the ring for ever, every
         hop a route-table hit after the first lap."""
+        class Lapping(make.torus):
+            def _route_miss(self, at, dst):
+                nxt = self.topology.neighbor(at, (1, 0, 0))
+                row = self._routes.setdefault(dst, {})
+                row[at] = route = (self.link(at, nxt),)
+                return route
+
         def on_alarm(signum, frame):
             raise Boom("interrupted")
 
+        net = Lapping(Torus3D(DIMS), MachineConfig())
         previous = signal.signal(signal.SIGALRM, on_alarm)
         signal.setitimer(signal.ITIMER_REAL, 0.05)
         try:
             with pytest.raises(Boom):
-                make().transfer(0.0, (0, 0, 0), (9, 0, 0), 8)
+                net.transfer(0.0, (0, 0, 0), (9, 0, 0), 8)
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
@@ -324,7 +382,7 @@ class TestNothingLeaks:
 
         def run(share=1.0):
             for _ in range(int(share * 2_500)):
-                raises(IndexError, 1.0, a, off, 8)
+                raises(TopologyError, 1.0, a, off, 8)
                 raises(Boom, 1.0, a, b, 13)
                 net.observer = observer
                 raises(Boom, 1.0, a, b, 8, via=(1, 0, 0))
@@ -339,3 +397,69 @@ class TestNothingLeaks:
         assert objects == 0
         assert traced < 1024, f"{traced} bytes held after failing transfers"
         assert refs == [0] * len(watched)
+
+
+class TestFaultsUnderAFullLayer:
+    """A link falls and rises in the middle of a uGNI kNeighbor whose SMSGs
+    are also dropped and retransmitted: the lane hands whole calls to the
+    Python body while the fault is outstanding and carries them again after
+    ``restore_link``, and nothing a run reports can tell."""
+
+    FLAP = LinkFlap(at=30e-6, frm=(0, 0, 0), to=(1, 0, 0), duration=40e-6)
+
+    def _run(self, held_runtimes):
+        """kNeighbor plus, per transfer, the engine time of the call
+        (``calls``: into the compiled lane) and of each frame of the
+        Python body (``bodies``)."""
+        calls, bodies = [], []
+
+        def hook(frame, event, arg):
+            if event == "c_call" and getattr(arg, "__name__", "") == "transfer":
+                calls.append(held_runtimes[-1][0].machine.engine.now)
+            elif event == "call" and frame.f_code.co_name == "_transfer_py":
+                bodies.append(held_runtimes[-1][0].machine.engine.now)
+
+        observe.clear_registry()
+        sys.setprofile(hook)
+        try:
+            res = kneighbor(
+                256, layer="ugni", k=2, n_cores=16, iters=8, warmup=2,
+                config=MachineConfig(observe=True),
+                layer_config=UgniLayerConfig(reliability=True),
+                faults=FaultConfig(smsg_drop_rate=0.02),
+                fault_schedule=[self.FLAP])
+        finally:
+            sys.setprofile(None)
+        digest = observe.metrics_digest()
+        observe.clear_registry()
+        return res, held_runtimes[-1][0].machine, digest, calls, bodies
+
+    def test_a_flap_mid_run_moves_nothing(self, held_runtimes, monkeypatch):
+        res, machine, digest, calls, bodies = self._run(held_runtimes)
+        net = machine.network
+        rose = self.FLAP.at + self.FLAP.duration
+        assert machine.engine.now > rose
+        assert 0 < net.degraded_routes < net.messages_routed
+        assert res.stats["rel_retransmits"] > 0
+        assert res.stats["faults"]["link_events"] == 2
+        assert not net.faulted_links
+        if _speed.core is not None:
+            # every transfer entered the lane; the Python body ran the
+            # degraded ones, none before the link fell or after it rose
+            assert len(calls) == net.messages_routed
+            assert len(bodies) == net.degraded_routes
+            assert self.FLAP.at <= min(bodies) and max(bodies) <= rose
+            assert sum(t < self.FLAP.at for t in calls) > 0
+            assert sum(t > rose for t in calls) > 0
+
+        monkeypatch.setattr(TorusNetwork, "transfer",
+                            TorusNetwork._transfer_py)
+        body, body_machine, body_digest, calls, bodies = self._run(
+            held_runtimes)
+        assert not calls and len(bodies) == net.messages_routed
+        assert body.stats == res.stats
+        assert repr(body.iteration_time) == repr(res.iteration_time)
+        assert body_digest == digest
+        assert repr(body_machine.engine.now) == repr(machine.engine.now)
+        assert (body_machine.network.degraded_routes, body_machine.network
+                .messages_routed) == (net.degraded_routes, net.messages_routed)
