@@ -15,18 +15,12 @@ of which a given experiment never touches.
 
 from __future__ import annotations
 
-from types import MappingProxyType
 from typing import NamedTuple
 
-from repro.errors import TopologyError
 from repro.hardware.config import MachineConfig
 from repro.hardware.link import Link
-from repro.hardware.topology import Coord, Torus3D
+from repro.hardware.topology import Coord, Dragonfly, Torus3D
 from repro.sim import _speed
-
-
-#: what a leg looks its hops up in until its destination has a row
-_NO_ROW: MappingProxyType = MappingProxyType({})
 
 
 class TransferTiming(NamedTuple):
@@ -56,18 +50,15 @@ class TorusNetwork:
         #: one coordinate tuple per node that any link starts or ends at:
         #: every link into a node shares it in its ``name``
         self._ends: dict[Coord, Coord] = {}
-        #: dst -> at -> (link, ...): one row per destination, holding for
-        #: each ``at`` a message to it has stood on the productive links
-        #: out of ``at`` in ``minimal_directions`` order (only the first
-        #: in dimension-ordered mode, so no link is created that routing
-        #: would not have created); the next coordinate is the chosen
-        #: link's ``name[1]``.  A leg fetches its row once and its hops
-        #: look ``at`` up in it — coordinates that already exist — so a
-        #: miss keeps one tuple of links and nothing else.  The one
-        #: per-hop cache; :meth:`transfer` consults it only while no link
-        #: is faulted.  Link objects are stable — a fault mutates the
-        #: Link in place — so entries outlive a fail/restore cycle.
-        self._routes: dict[Coord, dict[Coord, tuple[Link, ...]]] = {}
+        #: the out-table: per vertex of the topology (``topology.vertex``)
+        #: ``None`` until a message stands on it, then its out-links in
+        #: the topology's slot order, each ``None`` until first touched —
+        #: so no link exists that routing did not ask for.  A hop picks
+        #: among ``topology.out_hops(at, end)``, computed, not remembered.
+        #: Link objects are stable — a fault mutates the Link in place —
+        #: so slots outlive a fail/restore cycle.
+        self._out: list[list[Link | None] | None] = \
+            [None] * topology.n_vertices
         #: observability hub (:mod:`repro.observe`), set by the machine
         #: that owns this network; ``None`` skips the transfer hooks
         self.observer = None
@@ -75,8 +66,8 @@ class TorusNetwork:
         self.messages_routed = 0
         #: links currently marked down/degraded (fault-injection state)
         self._faulted: set[tuple[Coord, Coord]] = set()
-        #: messages routed while any link fault was active — which is also
-        #: every transfer the compiled lane handed to the Python body
+        #: messages routed while any link fault was active — each of them a
+        #: transfer the compiled lane handed to the Python body
         self.degraded_routes = 0
 
     # -- link access -----------------------------------------------------------
@@ -161,29 +152,32 @@ class TorusNetwork:
                 return d
         return dirs[0]
 
-    def _route_miss(self, at: Coord, dst: Coord) -> tuple[Link, ...]:
-        """Compute the candidate links out of ``at`` and remember them in
-        the row of ``dst`` (created by its first miss — the one place a
-        destination is checked against the topology, never per hop)."""
+    def _first_touch(self, v: int, slot: int, nxt: int) -> Link:
+        """Fill one slot of the out-table: the link from vertex ``v``
+        through ``slot`` to vertex ``nxt``, made (or found) by name
+        through :meth:`link`."""
         topo = self.topology
-        row = self._routes.get(dst)
-        if row is None:
-            if not topo.contains(dst):
-                raise TopologyError(f"destination {dst} is not on {topo!r}")
-            row = self._routes[dst] = {}
-        dirs = topo.minimal_directions(at, dst)
-        if not self.config.adaptive_routing:
-            dirs = dirs[:1]
-        links = self._links
-        cands = []
-        for d in dirs:
-            nxt = topo.neighbor(at, d)
-            lk = links.get((at, nxt))
-            if lk is None:
-                lk = self.link(at, nxt)
-            cands.append(lk)
-        row[at] = route = tuple(cands)
-        return route
+        links = self._out[v]
+        if links is None:
+            links = self._out[v] = [None] * topo.fan_out(v)
+        lk = links[slot] = self.link(topo.vertex_coord(v),
+                                     topo.vertex_coord(nxt))
+        return lk
+
+    def _walk_degraded(self, t: float, at: Coord, via: Coord | None,
+                       dst: Coord, nbytes: int,
+                       min_occ: float) -> tuple[float, int]:
+        """The walk while a link is faulted: dimension order by name,
+        stepping around a down link (:meth:`_next_direction`)."""
+        topo = self.topology
+        hops = 0
+        for leg_end in (dst,) if via is None else (via, dst):
+            while at != leg_end:
+                nxt = topo.neighbor(at, self._next_direction(at, leg_end))
+                _, t = self.link(at, nxt).reserve(t, nbytes, min_occ)
+                at = nxt
+                hops += 1
+        return t, hops
 
     def _transfer_py(
         self,
@@ -207,18 +201,20 @@ class TorusNetwork:
         ``via`` is a waypoint: the message walks ``src -> via -> dst`` as
         two minimal legs (Valiant misrouting).
 
-        One pass: per hop, look the candidates up, pick one (the first in
-        deterministic mode; the least-backlogged, ties to the earlier
-        direction, in adaptive mode) and reserve its link — inline for a
-        healthy link (single-lane hops, multi-lane NIC ports), through
-        :meth:`Link.reserve` for a faulted or multi-lane hop.
+        One pass: per hop, compute the productive slots of the vertex the
+        message stands on, touch each candidate link, pick one (the first
+        in deterministic mode; the least-backlogged, ties to the earlier
+        direction, in adaptive mode) and reserve it — inline for a healthy
+        single-lane hop or multi-lane NIC port, through
+        :meth:`Link.reserve` otherwise.  A coordinate off the fabric is a
+        :class:`TopologyError` before any router link is touched.
 
         This body is the contract of :meth:`transfer`.  With the C core
         loaded (:mod:`repro.sim._speed`) ``transfer`` is its compiled
         lane, ``router_transfer`` in ``_speedups.c``: the same statements
-        over the same slots for a healthy fabric, which hands the whole
-        call to this body, before any side effect, while a link is
-        faulted.
+        over the same slots, for a healthy :class:`Torus3D` or
+        :class:`Dragonfly` fabric and coordinates on it; any other call
+        comes whole to this body, before any side effect.
         """
         cfg = self.config
         min_occ = cfg.nic_msg_gap if min_occupancy is None else min_occupancy
@@ -244,60 +240,48 @@ class TorusNetwork:
             _, t = inj.reserve(now, nbytes, min_occ)
         depart = t
 
+        # src -> dst, or src -> via -> dst as two minimal legs; a
+        # coordinate off the fabric raises before any router link is touched
+        topo = self.topology
+        v = topo.vertex(src)
+        ends = ((topo.vertex(dst),) if via is None
+                else (topo.vertex(via), topo.vertex(dst)))
         hops = 0
-        at = src
-        routes = self._routes
-        degraded = bool(self._faulted)
-        if degraded:
+        if self._faulted:
             self.degraded_routes += 1
-        leg_end = dst if via is None else via
-        while True:
-            row = routes.get(leg_end, _NO_ROW)
-            # (a destination with a row passed _route_miss's check)
-            if (degraded and row is _NO_ROW
-                    and not self.topology.contains(leg_end)):
-                raise TopologyError(
-                    f"destination {leg_end} is not on {self.topology!r}")
-            while at != leg_end:
-                if degraded:
-                    nxt = self.topology.neighbor(
-                        at, self._next_direction(at, leg_end))
-                    lk = self.link(at, nxt)
-                else:
-                    cands = row.get(at)
-                    if cands is None:
-                        cands = self._route_miss(at, leg_end)
-                        row = routes[leg_end]
-                    lk = cands[0]
-                    if len(cands) > 1:
+            t, hops = self._walk_degraded(t, src, via, dst, nbytes, min_occ)
+        else:
+            out = self._out
+            out_hops = topo.out_hops
+            first_only = not cfg.adaptive_routing
+            for end in ends:
+                while v != end:
+                    links = out[v]
+                    lk = None
+                    for slot, to in out_hops(v, end, first_only):
+                        cand = None if links is None else links[slot]
+                        if cand is None:
+                            cand = self._first_touch(v, slot, to)
+                            links = out[v]
                         # adaptive: least-backlogged productive link, the
                         # earlier direction on a tie (router links have
                         # one lane: its slot is the load)
-                        load = lk._free
-                        for cand in cands:
-                            other = cand._free
-                            if other < load:
-                                lk = cand
-                                load = other
-                    nxt = lk.name[1]
-                if lk.state == "up" and lk._lanes is None:
-                    # Link.reserve for the common case, minus the call
-                    free = lk._free
-                    start = free if free > t else t
-                    occupancy = nbytes / lk.bandwidth
-                    if occupancy < min_occ:
-                        occupancy = min_occ
-                    lk._free = start + occupancy
-                    lk.bytes_carried += nbytes
-                    lk.transfers += 1
-                    t = start + lk.latency
-                else:
-                    _, t = lk.reserve(t, nbytes, min_occ)
-                at = nxt
-                hops += 1
-            if leg_end is dst:
-                break
-            leg_end = dst
+                        if lk is None or cand._free < load:
+                            lk, nxt, load = cand, to, cand._free
+                    if lk.state == "up" and lk._lanes is None:
+                        # Link.reserve for the common case, minus the call
+                        start = load if load > t else t
+                        occupancy = nbytes / lk.bandwidth
+                        if occupancy < min_occ:
+                            occupancy = min_occ
+                        lk._free = start + occupancy
+                        lk.bytes_carried += nbytes
+                        lk.transfers += 1
+                        t = start + lk.latency
+                    else:
+                        _, t = lk.reserve(t, nbytes, min_occ)
+                    v = nxt
+                    hops += 1
 
         # ejection into the destination NIC
         ej = self._eject.get(dst)
@@ -338,26 +322,24 @@ class TorusNetwork:
         return max(self._links.values(), key=lambda lk: lk.bytes_carried, default=None)
 
     def route_stats(self) -> dict[str, int]:
-        """Size and use of the route table.
+        """Size and use of the routing state.
 
         A simulator self-metric, not a simulated result: it is in no
-        ``stats()`` dict, checksum or metrics digest.  A miss adds exactly
-        one entry and nothing is evicted, so ``misses`` is read off the
-        table and the hit path carries no counter; ``hops`` is every
-        router-link traversal (hits, misses, and degraded-mode hops,
-        which bypass the table), so ``1 - misses / hops`` is the hit
-        rate of a fault-free run.  ``rows`` is the destinations routed to.
+        ``stats()`` dict, checksum or metrics digest.  ``vertices`` is the
+        out-lists created (nodes and routers a message has stood on),
+        ``links`` the links made, ``hops`` every router-link traversal,
+        degraded-mode hops included.
         """
-        entries = sum(map(len, self._routes.values()))
-        return {"rows": len(self._routes), "entries": entries,
-                "misses": entries, "links": len(self._links),
+        return {"vertices": sum(links is not None for links in self._out),
+                "links": len(self._links),
                 "hops": sum(lk.transfers for lk in self._links.values())}
 
 
 if _speed.core is not None:
     # the lane follows the engine core's switch: no C core, no C lane
     TorusNetwork.transfer = _speed.core.router_transfer(
-        TorusNetwork, TorusNetwork._transfer_py, Link, TransferTiming)
+        TorusNetwork, TorusNetwork._transfer_py, Link, TransferTiming,
+        Torus3D, Dragonfly)
 
 
 class DragonflyNetwork(TorusNetwork):

@@ -88,15 +88,11 @@ class Torus3D:
 
     def id_of(self, coord: Coord) -> int:
         dx, dy, dz = self.dims
-        x, y, z = coord
-        if not (0 <= x < dx and 0 <= y < dy and 0 <= z < dz):
-            raise TopologyError(f"coordinate {coord} outside dims {self.dims}")
-        return x + dx * (y + dy * z)
-
-    def contains(self, coord: Coord) -> bool:
-        """Is ``coord`` a node of this torus?"""
-        return len(coord) == 3 and all(
-            0 <= c < size for c, size in zip(coord, self.dims))
+        if len(coord) == 3:
+            x, y, z = coord
+            if 0 <= x < dx and 0 <= y < dy and 0 <= z < dz:
+                return x + dx * (y + dy * z)
+        raise TopologyError(f"coordinate {coord} is not on {self!r}")
 
     # -- geometry ----------------------------------------------------------
     def wrap(self, coord: Coord) -> Coord:
@@ -113,14 +109,6 @@ class Torus3D:
         dx, dy, dz = self.dims
         return ((at[0] + d[0]) % dx, (at[1] + d[1]) % dy, (at[2] + d[2]) % dz)
 
-    def _axis_step(self, src: int, dst: int, size: int) -> int:
-        """Shortest-wrap step (-1, 0, +1) along one axis; ties go +1."""
-        if src == dst:
-            return 0
-        forward = (dst - src) % size
-        backward = (src - dst) % size
-        return 1 if forward <= backward else -1
-
     def hop_distance(self, a: Coord, b: Coord) -> int:
         """Minimal hop count between two coordinates."""
         total = 0
@@ -131,48 +119,63 @@ class Torus3D:
         return total
 
     def minimal_directions(self, at: Coord, dst: Coord) -> list[Coord]:
-        """All productive (distance-reducing) directions from ``at``.
-
-        This is the choice set the adaptive router picks from on each hop.
-        When both wrap directions are equidistant (the dimension is even
-        and the target sits exactly opposite), *both* are minimal and both
-        are offered — important on small tori, where dimension-2 axes
-        would otherwise leave half their links idle.
-
-        Computed on every call: the network's route table
-        (:class:`repro.hardware.router.TorusNetwork`) is the one per-hop
-        cache, so a route used once does not pay for a second copy here.
-        The entries are the :attr:`DIRECTIONS` constants themselves — a
-        route-table miss allocates nothing here but the list it returns.
-        """
-        dirs = []
-        directions = self.DIRECTIONS
-        for axis in range(3):
-            src_c, dst_c = at[axis], dst[axis]
-            if src_c == dst_c:
-                continue
-            size = self.dims[axis]
-            forward = (dst_c - src_c) % size
-            backward = (src_c - dst_c) % size
-            # DIRECTIONS holds each axis as (+1, -1); a tie offers both
-            if forward <= backward:
-                dirs.append(directions[2 * axis])
-            if backward <= forward:
-                dirs.append(directions[2 * axis + 1])
-        return dirs
+        """All productive (distance-reducing) directions from ``at``: the
+        :attr:`DIRECTIONS` constants :meth:`out_hops` indexes."""
+        return [self.DIRECTIONS[slot] for slot, _ in
+                self.out_hops(self.id_of(at), self.id_of(dst))]
 
     def route(self, src: Coord, dst: Coord) -> list[tuple[Coord, Coord]]:
         """Dimension-ordered minimal route as ``[(from, to), ...]`` hops."""
         hops: list[tuple[Coord, Coord]] = []
-        at = src
-        for axis in range(3):
-            while at[axis] != dst[axis]:
-                step = self._axis_step(at[axis], dst[axis], self.dims[axis])
-                nxt = list(at)
-                nxt[axis] = (at[axis] + step) % self.dims[axis]
-                nxt_c: Coord = tuple(nxt)  # type: ignore[assignment]
-                hops.append((at, nxt_c))
-                at = nxt_c
+        v, end = self.id_of(src), self.id_of(dst)
+        while v != end:
+            (_, nxt), = self.out_hops(v, end, first_only=True)
+            hops.append((self.coord_of(v), self.coord_of(nxt)))
+            v = nxt
+        return hops
+
+    # -- the network's out-table: vertices and slots -----------------------
+    #: a vertex is a node id; its six slots are in DIRECTIONS order
+    n_vertices = volume
+    vertex = id_of
+    vertex_coord = coord_of
+
+    def fan_out(self, v: int) -> int:
+        return len(self.DIRECTIONS)
+
+    def out_hops(self, v: int, end: int,
+                 first_only: bool = False) -> list[tuple[int, int]]:
+        """The productive links out of vertex ``v`` toward ``end``, as
+        ``(slot, neighbour vertex)`` pairs.
+
+        The choice set the adaptive router picks from on each hop, computed
+        from the coordinate differences.  Per axis X, Y, Z the shorter wrap
+        direction; when both are equidistant (an even axis, the target
+        exactly opposite) *both* are minimal and both are offered, ``+``
+        first — on small tori, dimension-2 axes would otherwise leave half
+        their links idle.  ``first_only`` is dimension-ordered routing.
+        """
+        hops = []
+        slot, stride, at, to = 0, 1, v, end
+        for size in self.dims:
+            fwd = (to - at) % size
+            if fwd:
+                bwd = size - fwd
+                here = at % size
+                if fwd <= bwd:
+                    hops.append((slot, v + stride if here + 1 < size
+                                 else v - stride * here))
+                if bwd <= fwd:
+                    hops.append((slot + 1, v - stride if here
+                                 else v + stride * (size - 1)))
+                if first_only:
+                    return hops[:1]
+            at //= size
+            to //= size
+            if at == to:
+                break
+            slot += 2
+            stride *= size
         return hops
 
     def all_coords(self) -> Iterator[Coord]:
@@ -279,16 +282,6 @@ class Dragonfly:
             return coord
         return ("rt", coord[0], coord[1])
 
-    def contains(self, coord: Any) -> bool:
-        """Is ``coord`` a terminal ``(g, r, t)`` of this dragonfly, or one
-        of its routers ``("rt", g, r)``?"""
-        if len(coord) != 3:
-            return False
-        if coord[0] == "rt":
-            return (0 <= coord[1] < self.groups
-                    and 0 <= coord[2] < self.routers_per_group)
-        return all(0 <= c < size for c, size in zip(coord, self.dims))
-
     # -- id <-> coord ------------------------------------------------------
     def coord_of(self, node_id: int) -> Coord:
         if not 0 <= node_id < self.volume:
@@ -302,11 +295,7 @@ class Dragonfly:
     def id_of(self, coord: Coord) -> int:
         if coord[0] == "rt":
             raise TopologyError(f"router coordinate {coord} has no node id")
-        if not self.contains(coord):
-            raise TopologyError(f"coordinate {coord} outside dragonfly "
-                                f"{self.dims}")
-        g, r, t = coord
-        return t + self.terminals_per_router * (r + self.routers_per_group * g)
+        return self.vertex(coord)
 
     # -- global-link plan --------------------------------------------------
     def gateway(self, group: int, dst_group: int) -> int:
@@ -376,8 +365,7 @@ class Dragonfly:
         The planned-arrangement dragonfly has exactly one minimal next hop
         at every step, so the list is always empty or a singleton — the
         adaptive router's backlog comparison degenerates to deterministic
-        routing, and every entry of the network's route table holds a
-        single candidate.
+        routing (:meth:`out_hops` returns the one pair).
         """
         if at == dst:
             return []
@@ -402,6 +390,60 @@ class Dragonfly:
             hops.append((at, nxt))
             at = nxt
         return hops
+
+    # -- the network's out-table: vertices and slots -----------------------
+    @property
+    def n_vertices(self) -> int:
+        return self.volume + self.groups * self.routers_per_group
+
+    def vertex(self, coord: Any) -> int:
+        """Terminal ``(g, r, t)`` at its node id, then router
+        ``("rt", g, r)`` at ``volume + a*g + r``."""
+        p, a = self.terminals_per_router, self.routers_per_group
+        if len(coord) == 3:
+            g, r, t = coord
+            if g == "rt":
+                if 0 <= r < self.groups and 0 <= t < a:
+                    return self.volume + a * r + t
+            elif 0 <= g < self.groups and 0 <= r < a and 0 <= t < p:
+                return t + p * (r + a * g)
+        raise TopologyError(f"coordinate {coord} is not on {self!r}")
+
+    def vertex_coord(self, v: int) -> Any:
+        if v < self.volume:
+            return self.coord_of(v)
+        return ("rt", *divmod(v - self.volume, self.routers_per_group))
+
+    def fan_out(self, v: int) -> int:
+        """A terminal's one slot is ``up``; a router's are its ``p`` downs,
+        ``a`` locals (its own unused) and ``h`` global ports."""
+        if v < self.volume:
+            return 1
+        return (self.terminals_per_router + self.routers_per_group
+                + self.global_links)
+
+    def out_hops(self, v: int, end: int,
+                 first_only: bool = False) -> list[tuple[int, int]]:
+        """The one minimal (l-g-l) link out of vertex ``v`` toward ``end``,
+        as a ``(slot, neighbour vertex)`` pair: the per-hop arithmetic of
+        :meth:`minimal_directions` and :meth:`neighbor`."""
+        p, a = self.terminals_per_router, self.routers_per_group
+        G, h = self.groups, self.global_links
+        V = G * a * p
+        if v < V:
+            return [(0, V + v // p)]
+        g, r = divmod(v - V, a)
+        gd, rd = divmod(end // p if end < V else end - V, a)
+        if g != gd:
+            # gateway(g, gd) owns the port; it lands on gateway(gd, g)
+            port = (gd - g - 1) % G
+            gw = port // h
+            if r != gw:
+                return [(p + gw, V + a * g + gw)]
+            return [(p + a + port % h, V + a * gd + (g - gd - 1) % G // h)]
+        if r != rd:
+            return [(p + rd, V + a * g + rd)]
+        return [(end % p, end)]
 
     # -- Valiant routing ---------------------------------------------------
     def valiant_intermediate(self, src: Coord, dst: Coord) -> Optional[tuple]:

@@ -948,35 +948,41 @@ static PyTypeObject Core_Type = {
 /* ---- the network pass: TorusNetwork.transfer on a healthy fabric ------ */
 
 /* repro.hardware.router.TorusNetwork._transfer_py, statement for
- * statement: injection port, per leg the row fetch and per hop the
- * candidate pick and the reserve over the Link's slots, ejection port,
- * arrival, the observer hook, the TransferTiming.  The arithmetic is the
- * same IEEE double operations in the same order (and the build passes
- * -ffp-contract=off), so either lane leaves every horizon, counter and
- * timing bit-identical.
+ * statement: injection port, per hop the productive slots of the vertex
+ * the message stands on (Torus3D.out_hops / Dragonfly.out_hops, mirrored
+ * below), the candidate pick and the reserve over the Link's slots,
+ * ejection port, arrival, the observer hook, the TransferTiming.  The
+ * arithmetic is the same IEEE double operations in the same order (and the
+ * build passes -ffp-contract=off), so either lane leaves every horizon,
+ * counter and timing bit-identical.
  *
- * The Python body is the contract and keeps everything rare.  While any
- * link is faulted the whole call goes to it, before any side effect; so
- * does a call whose arguments do not bind (it raises the TypeError).
- * What is rare on a healthy fabric is a call through the instance:
- * _route_miss, injection_port / ejection_port on first touch, and
- * Link.reserve for a link that is not "up" (or whose horizon is not a
- * float, or whose bandwidth is zero: reserve computes or refuses it). */
+ * The Python body is the contract and keeps everything rare.  The whole
+ * call goes to it, before any side effect, while any link is faulted, when
+ * its arguments do not bind (it raises the TypeError), when the topology
+ * is not exactly a Torus3D or a Dragonfly, and when a coordinate is not
+ * one of its vertices (it raises the TopologyError).  What is left to call
+ * through the instance is first touch (_first_touch for a link,
+ * injection_port / ejection_port), Link.reserve for a link that is not
+ * "up" (or whose horizon is not a float, or whose bandwidth is zero:
+ * reserve computes or refuses it) and the observer hook. */
 
 static struct {
     PyObject *body;        /* TorusNetwork._transfer_py (owned) */
     PyTypeObject *link;    /* repro.hardware.link.Link (owned) */
     PyTypeObject *timing;  /* TransferTiming, a plain tuple subclass (owned) */
+    PyTypeObject *torus, *dragonfly;   /* the topologies mirrored (owned) */
     /* offsets of Link's slots, read once from its member descriptors */
     Py_ssize_t name, bandwidth, latency, free, lanes, bytes_carried,
         transfers, state;
 } lane;
 
 /* interned: attribute and method names, "up", transfer's parameters */
-static PyObject *s_config, *s_inject, *s_eject, *s_routes, *s_faulted,
+static PyObject *s_config, *s_inject, *s_eject, *s_out, *s_faulted,
     *s_observer, *s_messages_routed, *s_nic_msg_gap, *s_link_bandwidth,
-    *s_route_miss, *s_injection_port, *s_ejection_port, *s_reserve,
-    *s_on_net_transfer, *s_up, *int_one;
+    *s_adaptive_routing, *s_first_touch, *s_injection_port, *s_ejection_port,
+    *s_reserve, *s_on_net_transfer, *s_up, *s_topology, *s_dims, *s_rt,
+    *int_one;
+static PyObject *s_shape[4];   /* Dragonfly's g, a, p, h */
 #define N_PARAMS 7
 static PyObject *s_params[N_PARAMS];
 static const char *const param_names[N_PARAMS] = {
@@ -1157,93 +1163,217 @@ load_of(PyObject *lk, double *out)
     return as_double(free_o, out);
 }
 
-/* The link a hop takes (borrowed from `cands`): the only candidate in
- * deterministic mode; in adaptive mode the least-backlogged, the earlier
- * direction on a tie. */
-static PyObject *
-pick_link(PyObject *cands)
+/* The fabric as the lane walks it: vertices are indices into the
+ * network's out-table (topology.vertex), links are slots of a vertex. */
+typedef struct {
+    int dragonfly;
+    long n[4];        /* Torus3D: dx, dy, dz; Dragonfly: g, a, p, h */
+    long terminals;   /* Dragonfly.volume: routers are indexed from here */
+} Fabric;
+
+/* 1 and *out = o if o is an int in [0, below); 0 otherwise */
+static inline int
+index_below(PyObject *o, long below, long *out)
 {
-    if (!PyTuple_Check(cands) || PyTuple_GET_SIZE(cands) == 0) {
-        PyErr_SetString(PyExc_TypeError,
-                        "a route entry is a non-empty tuple of links");
-        return NULL;
+    if (!PyLong_CheckExact(o))
+        return 0;
+    *out = PyLong_AsLong(o);
+    if (*out == -1 && PyErr_Occurred())
+        PyErr_Clear();
+    return 0 <= *out && *out < below;
+}
+
+/* Read the shape of network.topology: 1 known, 0 not a topology mirrored
+ * here (a subclass, a shape that is not positive ints), -1 error. */
+static int
+read_fabric(PyObject *topo, Fabric *f)
+{
+    f->dragonfly = Py_IS_TYPE(topo, lane.dragonfly);
+    if (!f->dragonfly) {
+        if (!Py_IS_TYPE(topo, lane.torus))
+            return 0;
+        PyObject *dims = PyObject_GetAttr(topo, s_dims);
+        if (!dims)
+            return -1;
+        int known = PyTuple_CheckExact(dims) && PyTuple_GET_SIZE(dims) == 3;
+        for (int i = 0; known && i < 3; i++)
+            known = index_below(PyTuple_GET_ITEM(dims, i), LONG_MAX, &f->n[i])
+                && f->n[i] > 0;
+        Py_DECREF(dims);
+        return known;
     }
-    PyObject *lk = PyTuple_GET_ITEM(cands, 0);
-    double load, other;
-    if (PyTuple_GET_SIZE(cands) == 1)
-        return is_link(lk) ? lk : NULL;
-    if (load_of(lk, &load) < 0)
-        return NULL;
-    for (Py_ssize_t i = 1; i < PyTuple_GET_SIZE(cands); i++) {
-        PyObject *cand = PyTuple_GET_ITEM(cands, i);
-        if (load_of(cand, &other) < 0)
-            return NULL;
-        if (other < load) {
-            lk = cand;
-            load = other;
+    for (int i = 0; i < 4; i++) {
+        PyObject *size = PyObject_GetAttr(topo, s_shape[i]);
+        if (!size)
+            return -1;
+        int known = index_below(size, LONG_MAX, &f->n[i]) && f->n[i] > 0;
+        Py_DECREF(size);
+        if (!known)
+            return 0;
+    }
+    f->terminals = f->n[0] * f->n[1] * f->n[2];
+    return 1;
+}
+
+/* topology.vertex(coord): 1 and *v, or 0 if coord is not a vertex. */
+static int
+vertex_of(const Fabric *f, PyObject *coord, long *v)
+{
+    long c[3];
+    if (!PyTuple_CheckExact(coord) || PyTuple_GET_SIZE(coord) != 3)
+        return 0;
+    PyObject *first = PyTuple_GET_ITEM(coord, 0);
+    if (f->dragonfly && PyUnicode_CheckExact(first)) {
+        /* ("rt", g, r) */
+        if (first != s_rt && PyUnicode_Compare(first, s_rt) != 0)
+            return 0;
+        if (!index_below(PyTuple_GET_ITEM(coord, 1), f->n[0], &c[1])
+            || !index_below(PyTuple_GET_ITEM(coord, 2), f->n[1], &c[2]))
+            return 0;
+        *v = f->terminals + f->n[1] * c[1] + c[2];
+        return 1;
+    }
+    for (int i = 0; i < 3; i++)
+        if (!index_below(PyTuple_GET_ITEM(coord, i), f->n[i], &c[i]))
+            return 0;
+    if (f->dragonfly)   /* (g, r, t) */
+        *v = c[2] + f->n[2] * (c[1] + f->n[1] * c[0]);
+    else                /* (x, y, z) */
+        *v = c[0] + f->n[0] * (c[1] + f->n[1] * c[2]);
+    return 1;
+}
+
+/* topology.out_hops(v, end, first_only): how many, each a slot of v and
+ * the vertex its link leads to. */
+static int
+out_hops(const Fabric *f, long v, long end, int first_only, int *slots,
+         long *next)
+{
+    if (!f->dragonfly) {
+        int n = 0, slot = 0;
+        long stride = 1, at = v, to = end;
+        for (int axis = 0; axis < 3; axis++) {
+            long size = f->n[axis];
+            long here = at % size;
+            long fwd = (to % size - here + size) % size;
+            if (fwd) {
+                long bwd = size - fwd;
+                if (fwd <= bwd) {
+                    slots[n] = slot;
+                    next[n++] = here + 1 < size ? v + stride
+                                                : v - stride * here;
+                }
+                if (bwd <= fwd) {
+                    slots[n] = slot + 1;
+                    next[n++] = here ? v - stride : v + stride * (size - 1);
+                }
+                if (first_only)
+                    return 1;
+            }
+            at /= size;
+            to /= size;
+            if (at == to)
+                break;
+            slot += 2;
+            stride *= size;
+        }
+        return n;
+    }
+    long G = f->n[0], a = f->n[1], p = f->n[2], h = f->n[3];
+    long V = f->terminals;
+    if (v < V) {
+        slots[0] = 0;
+        next[0] = V + v / p;
+        return 1;
+    }
+    long g = (v - V) / a, r = (v - V) % a;
+    long rt = end < V ? end / p : end - V;
+    long gd = rt / a, rd = rt % a;
+    if (g != gd) {
+        long port = ((gd - g - 1) % G + G) % G;
+        long gw = port / h;
+        if (r != gw) {
+            slots[0] = (int)(p + gw);
+            next[0] = V + a * g + gw;
+        }
+        else {
+            /* the far end is Dragonfly.gateway(gd, g) */
+            slots[0] = (int)(p + a + port % h);
+            next[0] = V + a * gd + ((g - gd - 1) % G + G) % G / h;
         }
     }
+    else if (r != rd) {
+        slots[0] = (int)(p + rd);
+        next[0] = V + a * g + rd;
+    }
+    else {
+        slots[0] = (int)(end % p);
+        next[0] = end;
+    }
+    return 1;
+}
+
+/* self._out[v][slot], or self._first_touch(v, slot, nxt) while the
+ * vertex's list or the slot is still None: a new reference. */
+static PyObject *
+out_link(PyObject *self, PyObject *out, long v, int slot, long nxt)
+{
+    if (v < PyList_GET_SIZE(out)) {
+        PyObject *links = PyList_GET_ITEM(out, v);
+        if (PyList_CheckExact(links) && slot < PyList_GET_SIZE(links)
+            && PyList_GET_ITEM(links, slot) != Py_None)
+            return Py_NewRef(PyList_GET_ITEM(links, slot));
+    }
+    PyObject *argv[4] = {self, PyLong_FromLong(v), PyLong_FromLong(slot),
+                         PyLong_FromLong(nxt)};
+    PyObject *lk = NULL;
+    if (argv[1] && argv[2] && argv[3])
+        lk = PyObject_VectorcallMethod(
+            s_first_touch, argv, 4 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
+    Py_XDECREF(argv[1]);
+    Py_XDECREF(argv[2]);
+    Py_XDECREF(argv[3]);
     return lk;
 }
 
-/* One minimal leg, *at -> leg_end: per hop the candidates from leg_end's
- * row (a miss computes them and, the first time, creates the row), the
- * pick, the reserve; the next coordinate is the link's name[1]. */
+/* One minimal leg, *v -> end: per hop the productive links, every
+ * candidate touched in slot order, the pick (the only candidate in
+ * deterministic mode; in adaptive mode the least-backlogged, the earlier
+ * direction on a tie), the reserve, the step. */
 static int
-walk_leg(PyObject *self, PyObject *routes, PyObject **at, PyObject *leg_end,
-         double *t, long *hops, const Msg *m)
+walk_leg(PyObject *self, PyObject *out, const Fabric *f, int first_only,
+         long *v, long end, double *t, long *hops, const Msg *m)
 {
-    int rc = -1;
-    PyObject *row = PyDict_GetItemWithError(routes, leg_end);
-    if (!row && PyErr_Occurred())
-        return -1;
-    Py_XINCREF(row);
-    for (;;) {
-        int differ = PyObject_RichCompareBool(*at, leg_end, Py_NE);
-        if (differ <= 0) {
-            rc = differ;
-            break;
-        }
-        PyObject *cands = row ? PyDict_GetItemWithError(row, *at) : NULL;
-        if (cands)
-            Py_INCREF(cands);
-        else {
-            if (PyErr_Occurred())
-                break;
-            PyObject *argv[3] = {self, *at, leg_end};
-            cands = PyObject_VectorcallMethod(
-                s_route_miss, argv, 3 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-            if (!cands)
-                break;
-            PyObject *made = PyDict_GetItemWithError(routes, leg_end);
-            Py_XINCREF(made);
-            Py_XSETREF(row, made);
-            if (!row) {
-                if (!PyErr_Occurred())
-                    PyErr_SetObject(PyExc_KeyError, leg_end);
-                Py_DECREF(cands);
-                break;
+    int slots[6];
+    long next[6];
+    while (*v != end) {
+        int n = out_hops(f, *v, end, first_only, slots, next);
+        PyObject *lk = NULL;
+        long nxt = end;
+        double load = 0.0, other;
+        for (int i = 0; i < n; i++) {
+            PyObject *cand = out_link(self, out, *v, slots[i], next[i]);
+            if (!cand || load_of(cand, &other) < 0) {
+                Py_XDECREF(cand);
+                Py_XDECREF(lk);
+                return -1;
             }
+            if (!lk || other < load) {
+                Py_XSETREF(lk, cand);
+                nxt = next[i];
+                load = other;
+            }
+            else
+                Py_DECREF(cand);
         }
-        PyObject *lk = pick_link(cands), *name, *nxt;
-        int reserved = -1;
-        if (lk && (name = slot(lk, lane.name))
-            && (nxt = PySequence_GetItem(name, 1))) {
-            reserved = link_reserve(lk, NULL, t, m);
-            Py_SETREF(*at, nxt);
-        }
-        Py_DECREF(cands);
-        if (reserved < 0)
-            break;
+        int rc = link_reserve(lk, NULL, t, m);
+        Py_DECREF(lk);
+        if (rc < 0)
+            return -1;
+        *v = nxt;
         *hops += 1;
-        /* _route_miss refuses a coordinate off the fabric, but an
-         * override of it may not, and such a walk laps for ever, all hits
-         * after the first lap: stay interruptible, as Python is */
-        if ((*hops & 0xfff) == 0 && PyErr_CheckSignals() < 0)
-            break;
     }
-    Py_XDECREF(row);
-    return rc;
+    return 0;
 }
 
 /* Bind the call's arguments to transfer's seven parameters (borrowed).
@@ -1321,12 +1451,27 @@ router_transfer(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
 
     PyObject *now_o = p[0], *src = p[1], *dst = p[2], *cap_o = p[4];
     PyObject *via = p[6];
+    Fabric fabric;
+    long v, end, mid = 0;
+    PyObject *topo = PyObject_GetAttr(self, s_topology);
+    if (!topo)
+        return NULL;
+    int known = read_fabric(topo, &fabric);
+    Py_DECREF(topo);
+    if (known < 0)
+        return NULL;
+    if (!known || !vertex_of(&fabric, src, &v)
+        || !vertex_of(&fabric, dst, &end)
+        || (via != Py_None && !vertex_of(&fabric, via, &mid)))
+        return call_body(self, args, nargs, kwnames);
+
     Msg m = {p[3], 0.0, NULL, 0.0};
-    PyObject *cfg = NULL, *routes = NULL, *at = NULL, *tmp = NULL;
+    PyObject *cfg = NULL, *out = NULL, *tmp = NULL;
     PyObject *depart_o = NULL, *head_o = NULL, *arrival_o = NULL;
     PyObject *hops_o = NULL, *result = NULL;
     double now, t, path_bw;
     long hops = 0;
+    int first_only;
 
     if (!(cfg = PyObject_GetAttr(self, s_config)))
         goto done;
@@ -1350,17 +1495,19 @@ router_transfer(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
         goto done;
 
     /* src -> dst, or src -> via -> dst as two minimal legs */
-    if (!(routes = PyObject_GetAttr(self, s_routes)))
+    if (!(out = PyObject_GetAttr(self, s_out)))
         goto done;
-    if (!PyDict_Check(routes)) {
-        PyErr_SetString(PyExc_TypeError, "_routes must be a dict");
+    if (!PyList_CheckExact(out)) {
+        PyErr_SetString(PyExc_TypeError, "_out must be a list");
         goto done;
     }
-    at = Py_NewRef(src);
-    if (via != Py_None && via != dst
-        && walk_leg(self, routes, &at, via, &t, &hops, &m) < 0)
+    Py_SETREF(tmp, PyObject_GetAttr(cfg, s_adaptive_routing));
+    if (!tmp || (first_only = PyObject_Not(tmp)) < 0)
         goto done;
-    if (walk_leg(self, routes, &at, dst, &t, &hops, &m) < 0)
+    if (via != Py_None
+        && walk_leg(self, out, &fabric, first_only, &v, mid, &t, &hops, &m) < 0)
+        goto done;
+    if (walk_leg(self, out, &fabric, first_only, &v, end, &t, &hops, &m) < 0)
         goto done;
 
     /* ejection into the destination NIC */
@@ -1412,8 +1559,7 @@ router_transfer(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
 done:
     Py_XDECREF(cfg);
     Py_XDECREF(m.min_occ_o);
-    Py_XDECREF(routes);
-    Py_XDECREF(at);
+    Py_XDECREF(out);
     Py_XDECREF(tmp);
     Py_XDECREF(depart_o);
     Py_XDECREF(head_o);
@@ -1450,15 +1596,17 @@ slot_offset(PyTypeObject *tp, const char *name, Py_ssize_t *out)
     return ok ? 0 : -1;
 }
 
-/* router_transfer(network_cls, body, link_cls, timing_cls) -> the method
- * descriptor repro.hardware.router binds as TorusNetwork.transfer. */
+/* router_transfer(network_cls, body, link_cls, timing_cls, torus_cls,
+ * dragonfly_cls) -> the method descriptor repro.hardware.router binds as
+ * TorusNetwork.transfer. */
 static PyObject *
 bind_router_transfer(PyObject *Py_UNUSED(module), PyObject *args)
 {
     PyObject *body;
-    PyTypeObject *cls, *link, *timing;
-    if (!PyArg_ParseTuple(args, "O!OO!O!", &PyType_Type, &cls, &body,
-                          &PyType_Type, &link, &PyType_Type, &timing))
+    PyTypeObject *cls, *link, *timing, *torus, *dragonfly;
+    if (!PyArg_ParseTuple(args, "O!OO!O!O!O!", &PyType_Type, &cls, &body,
+                          &PyType_Type, &link, &PyType_Type, &timing,
+                          &PyType_Type, &torus, &PyType_Type, &dragonfly))
         return NULL;
     if (!PyCallable_Check(body)) {
         PyErr_SetString(PyExc_TypeError, "the Python body must be callable");
@@ -1482,6 +1630,9 @@ bind_router_transfer(PyObject *Py_UNUSED(module), PyObject *args)
     Py_XSETREF(lane.body, Py_NewRef(body));
     Py_XSETREF(lane.link, (PyTypeObject *)Py_NewRef((PyObject *)link));
     Py_XSETREF(lane.timing, (PyTypeObject *)Py_NewRef((PyObject *)timing));
+    Py_XSETREF(lane.torus, (PyTypeObject *)Py_NewRef((PyObject *)torus));
+    Py_XSETREF(lane.dragonfly,
+               (PyTypeObject *)Py_NewRef((PyObject *)dragonfly));
     return PyDescr_NewMethod(cls, &router_transfer_def);
 }
 
@@ -1490,14 +1641,19 @@ intern_names(void)
 {
     static const struct { PyObject **var; const char *text; } names[] = {
         {&s_config, "config"}, {&s_inject, "_inject"}, {&s_eject, "_eject"},
-        {&s_routes, "_routes"}, {&s_faulted, "_faulted"},
+        {&s_out, "_out"}, {&s_faulted, "_faulted"},
         {&s_observer, "observer"}, {&s_messages_routed, "messages_routed"},
         {&s_nic_msg_gap, "nic_msg_gap"},
         {&s_link_bandwidth, "link_bandwidth"},
-        {&s_route_miss, "_route_miss"},
+        {&s_adaptive_routing, "adaptive_routing"},
+        {&s_first_touch, "_first_touch"},
         {&s_injection_port, "injection_port"},
         {&s_ejection_port, "ejection_port"}, {&s_reserve, "reserve"},
         {&s_on_net_transfer, "on_net_transfer"}, {&s_up, "up"},
+        {&s_topology, "topology"}, {&s_dims, "dims"}, {&s_rt, "rt"},
+        {&s_shape[0], "groups"}, {&s_shape[1], "routers_per_group"},
+        {&s_shape[2], "terminals_per_router"},
+        {&s_shape[3], "global_links"},
     };
     for (size_t i = 0; i < sizeof(names) / sizeof(names[0]); i++)
         if (!(*names[i].var = PyUnicode_InternFromString(names[i].text)))
@@ -1510,9 +1666,9 @@ intern_names(void)
 
 static PyMethodDef speedups_functions[] = {
     {"router_transfer", bind_router_transfer, METH_VARARGS,
-     "router_transfer(network_cls, body, link_cls, timing_cls): the "
-     "compiled TorusNetwork.transfer, as a method descriptor of "
-     "network_cls."},
+     "router_transfer(network_cls, body, link_cls, timing_cls, torus_cls, "
+     "dragonfly_cls): the compiled TorusNetwork.transfer, as a method "
+     "descriptor of network_cls."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -13,7 +13,7 @@ that must survive *any* fault pattern the injector can produce:
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.apps.kneighbor import kneighbor
@@ -71,6 +71,7 @@ class TestPingPongChaos:
 
 class TestKNeighborChaos:
     @given(seed=seeds, drop=rates, err=rates)
+    @example(seed=557430, drop=0.00390625, err=2.9608449494645436e-71)
     @settings(**_SETTINGS)
     def test_kneighbor_survives_mixed_faults(self, seed, drop, err):
         clean = kneighbor(2048, layer_config=CHAOS, seed=seed)
@@ -79,4 +80,7 @@ class TestKNeighborChaos:
             faults=FaultConfig(smsg_drop_rate=drop, rdma_error_rate=err))
         assert faulty.stats["delivered"] == clean.stats["delivered"]
         _check_conserved(faulty.stats)
-        assert faulty.iteration_time >= clean.iteration_time
+        # faults can only cost time — to a few ulps: ``iteration_time`` is
+        # a difference of sums, and retransmits reorder the additions (the
+        # pinned example: seven retransmits, no time saved, 3.5e-15 lower)
+        assert faulty.iteration_time >= clean.iteration_time * (1 - 1e-12)

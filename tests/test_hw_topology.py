@@ -107,12 +107,13 @@ class TestRoutes:
         assert t.minimal_directions((2, 2, 2), (2, 2, 2)) == []
 
     @pytest.mark.parametrize("dims", [(4, 4, 2), (2, 2, 1), (3, 1, 5),
-                                      (6, 5, 4)])
+                                      (6, 5, 4), (6, 1, 3)])
     def test_minimal_directions_are_the_direction_constants(self, dims):
         """Every pair of a small torus against the definition written out
         (X, Y, Z order; the shorter wrap direction; +1 then -1 on a tie),
-        and every entry *is* one of ``DIRECTIONS`` — the router's miss
-        path relies on this call keeping no tuple of its own."""
+        and every entry *is* one of ``DIRECTIONS``.  The reference router
+        (``tests/_reference_router.py``) walks by this call, so it is
+        what holds ``Torus3D.out_hops`` to the definition."""
         t = Torus3D(dims)
         constants = {id(d) for d in Torus3D.DIRECTIONS}
         coords = list(t.all_coords())

@@ -16,8 +16,8 @@ Cold state has a budget too: what one first-touch message per neighbour
 leaves behind on a machine too large to warm up — GC-tracked objects per
 PE (every one of them is walked by each later collector pass), bytes per
 PE (tracked objects barely notice a ``deque`` turning into a list, or a
-list into a float slot; resident memory does) and route entries (one
-tuple of links each, in a row per destination).
+list into a float slot; resident memory does) and routing state (one slot
+list per vertex a message has stood on, one link per slot touched).
 """
 
 import collections
@@ -42,33 +42,36 @@ APP_MSGS = N_CORES * 2 * K * 2 * (ITERS + WARMUP)
 #: included, measured + 0.5: 66.5 before the path was flattened from the
 #: machine layer down, 38.3 after, 22.2 with the upper half (the proxy
 #: call, the entry delivery, the scheduler's clock and charges) done too,
-#: 21.2 with ``TorusNetwork.transfer`` in the C core (one frame a transfer)
-CALL_BUDGET = 21.7
+#: 21.2 with ``TorusNetwork.transfer`` in the C core (one frame a transfer),
+#: 21.1 with routes by arithmetic (343 first touches where 835 misses were)
+CALL_BUDGET = 21.6
 #: the same count for a 256 KB rendezvous message (iters=8, warmup=2):
 #: 157.2 uGNI / 115.8 RDMA (on a dragonfly) before the protocols were
 #: unified, 148.2 / 115.8 after, 120.2 / 101.7 once the large-message
 #: path was flattened (NIC ports reserved inline, one validation pass per
 #: post, one object per pool allocation), 87.9 / 74.4 with the upper half
-#: flattened, 83.9 / 70.2 now (four transfers a rendezvous, in C)
+#: flattened, 83.7 / 70.0 now (four transfers a rendezvous, in C)
 RNDV_ITERS, RNDV_WARMUP = 8, 2
-RNDV_BUDGETS = {"ugni": 84.4, "rdma": 70.7}
+RNDV_BUDGETS = {"ugni": 84.2, "rdma": 70.5}
 #: without the C core (``REPRO_PURE_ENGINE=1``, a CI leg) the engine's own
 #: Python frames are on the path and counted too, ``Engine.now`` and the
-#: router's Python body among them: 30.3 small, 118.1 / 113.2 rendezvous
+#: router's Python body among them — and, per transfer, the topology's
+#: arithmetic: two ``vertex`` frames and one ``out_hops`` frame a hop
+#: (30.3 -> 34.0 small, 118.1 / 113.2 -> 133.1 / 135.5 rendezvous; the
+#: dragonfly's legs are the longer)
 if Engine()._core is None:
-    CALL_BUDGET = 30.8
-    RNDV_BUDGETS = {"ugni": 118.6, "rdma": 113.7}
+    CALL_BUDGET = 34.5
+    RNDV_BUDGETS = {"ugni": 133.6, "rdma": 136.0}
 #: one cold 1,024-PE ``kneighbor(32, k=1, iters=1, warmup=0)``, runtime
-#: held: GC-tracked objects it leaves per PE, measured + 0.5 (63.9 while a
-#: route entry kept a coordinate tuple and a pair per candidate, 44.4
-#: while it kept an ``(at, dst)`` key and every node its allocator and
-#: registration table; 32.2 now), the bytes tracemalloc sees it hold per
-#: PE (9.9 KB -> 6.6 KB), and its route table
+#: held: GC-tracked objects it leaves per PE, measured + 2 % (63.9 while a
+#: route entry kept a coordinate tuple and a pair per candidate, 32.2 with
+#: a row of link tuples per destination; 21.2 with routes by
+#: arithmetic), the bytes tracemalloc sees it hold per PE (9.9 KB -> 6.6 KB
+#: -> 5.6 KB), and its routing state
 COLD_PES = 1024
-COLD_TRACKED_PER_PE = 32.8
-COLD_BYTES_PER_PE = 7200
-COLD_ROUTES = {"rows": 1024, "entries": 11302, "misses": 11302,
-               "links": 4239, "hops": 13503}
+COLD_TRACKED_PER_PE = 21.7
+COLD_BYTES_PER_PE = 5700
+COLD_ROUTES = {"vertices": 1024, "links": 4239, "hops": 13503}
 
 
 def _repro_calls(fn, *args, **kwargs):
@@ -155,16 +158,20 @@ def test_cold_state_budget(held_runtimes, monkeypatch):
     net = held_runtimes[0][0].machine.network
     assert net.route_stats() == COLD_ROUTES
     topo = net.topology
-    for dst, row in net._routes.items():
-        assert type(row) is dict and row
-        for at, links in row.items():
-            assert type(links) is tuple and links
-            assert all(type(lk) is Link and net._links[lk.name] is lk
-                       for lk in links)
-            # the productive links out of ``at``, in minimal_directions order
-            assert [lk.name for lk in links] == [
-                (at, topo.neighbor(at, d))
-                for d in topo.minimal_directions(at, dst)]
+    filled = 0
+    for v, links in enumerate(net._out):
+        if links is None:
+            continue
+        assert type(links) is list and len(links) == topo.fan_out(v)
+        at = topo.vertex_coord(v)
+        # a filled slot is the link named from here to the neighbour of
+        # ``at`` in that direction
+        for lk, (_, nbr) in zip(links, topo.neighbors(at)):
+            if lk is not None:
+                assert type(lk) is Link and lk.name == (at, nbr)
+                assert net._links[lk.name] is lk
+                filled += 1
+    assert filled == len(net._links)
     # every link into a node names it by the same tuple
     ends = {}
     for lk in net._links.values():

@@ -8,7 +8,7 @@ scenario therefore runs twice with the collector off, at ``n`` and ``2n``
 iterations, and ``gc.collect()`` must find the same number of objects
 after both: what set-up orphaned, and nothing per message.  The runtime
 itself is kept alive across the collection — it is one big cycle whose
-size depends on the run's length (route table, registration caches), and
+size depends on the run's length (links, registration caches), and
 it is state, not garbage.  On failure the types that grew with the
 iteration count are printed.
 

@@ -238,6 +238,8 @@ class TestMetricsDeterminism:
         assert observe.collect_snapshot() == snapshot
         assert observe.metrics_digest() == digest
         assert sm["route"] == machine.network.route_stats()
+        assert set(sm["route"]) == {"vertices", "links", "hops"}
+        assert 0 < sm["route"]["vertices"] <= sm["route"]["links"]
         assert sm["collector"] == machine.engine.collector_stats()
         assert sm["c_core"]["bound"] is (machine.engine._core is not None)
         touched = sm["first_touch"]

@@ -16,9 +16,11 @@ compiled lane's hand-off to the Python body and its return after the last
 transfers made in between.
 
 A torus transfer may also name a ``via`` waypoint, so two-leg walks go
-through the live network's per-destination route rows on both
-topologies; the oracle's torus has no ``via``, so its side is composed
-here from the oracle's own ``_walk``, the way its dragonfly does it.
+through the live network's out-table on both topologies; the oracle's
+torus has no ``via``, so its side is composed here from the oracle's own
+``_walk``, the way its dragonfly does it.  The oracle walks by coordinate
+and by name; the live networks by vertex and slot (``topology.out_hops``),
+which the last two tests hold to ``topology.neighbors()``.
 """
 
 import numpy as np
@@ -41,6 +43,8 @@ _CAPS = [None, 1.5e9, 6.0e9, 1.0e12]
 _MIN_OCC = [None, 0.0, 2.0e-7]
 #: the clock starts as the ``int`` 0 and stays one while steps are 0
 _DT = [0, 0, 1.0e-8, 5.0e-7, 2.0e-5]
+#: even axes > 2 (ties), odd axes, size-1 and size-2 axes
+TORUS_DIMS = [(4, 4, 2), (2, 2, 1), (3, 1, 5), (6, 1, 3), (5, 4, 4)]
 
 
 class _PythonBody(TorusNetwork):
@@ -150,7 +154,7 @@ def _drive(lives, ref, ops):
 
 @pytest.mark.parametrize("adaptive", [True, False],
                          ids=["adaptive", "dimension-ordered"])
-@pytest.mark.parametrize("dims", [(4, 4, 2), (2, 2, 1), (3, 1, 5)])
+@pytest.mark.parametrize("dims", TORUS_DIMS)
 @settings(**SETTINGS)
 @given(data=st.data())
 def test_torus_matches_reference(dims, adaptive, data):
@@ -177,3 +181,67 @@ def test_dragonfly_matches_reference(routing, data):
     ops = data.draw(_ops(topo().volume))
     _drive([DragonflyNetwork(topo(), cfg), _PythonBodyDragonfly(topo(), cfg)],
            RefDragonflyNetwork(topo(), cfg), ops)
+
+
+def _slots_name_their_links(net):
+    """Walk every link of the fabric through the out-table: the productive
+    hop from a vertex to a neighbour is that neighbour, through a slot of
+    the vertex, and the slot fills with the link of that name."""
+    topo = net.topology
+    slots = set()
+    for v in range(topo.n_vertices):
+        frm = topo.vertex_coord(v)
+        assert topo.vertex(frm) == v
+        for _, to in topo.neighbors(frm):
+            for slot, nxt in topo.out_hops(v, topo.vertex(to)):
+                assert 0 <= slot < topo.fan_out(v)
+                # (a dragonfly's spare global port is no minimal route:
+                # the hop towards its far end starts on a local link)
+                if nxt != topo.vertex(to):
+                    assert topo.hop_distance(frm, to) == 2
+                    to = topo.vertex_coord(nxt)
+                    assert to in [n for _, n in topo.neighbors(frm)]
+                lk = net._first_touch(v, slot, nxt)
+                assert lk is net._links[(frm, to)] is net._out[v][slot]
+                assert lk.name == (frm, to)
+                slots.add((v, slot))
+    filled = {(v, slot) for v, links in enumerate(net._out) if links
+              for slot, lk in enumerate(links) if lk is not None}
+    assert filled == slots
+    return slots
+
+
+@pytest.mark.parametrize("dims", TORUS_DIMS + [(1, 1, 1), (2, 3, 4)])
+def test_torus_slots_are_the_neighbours_in_direction_order(dims):
+    topo = Torus3D(dims)
+    net = TorusNetwork(topo, MachineConfig())
+    for v in range(topo.n_vertices):
+        at = topo.vertex_coord(v)
+        for slot, (_, to) in enumerate(topo.neighbors(at)):
+            if to != at:   # a size-1 axis has no link
+                assert (slot, topo.vertex(to)) in topo.out_hops(
+                    v, topo.vertex(to))
+    slots = _slots_name_their_links(net)
+    # every slot of every vertex along an axis longer than one
+    assert len(slots) == topo.volume * 2 * sum(d > 1 for d in dims)
+
+
+@pytest.mark.parametrize("shape", [(5, 3, 2, 2), (9, 4, 2, 2), (3, 2, 1, 1),
+                                   (1, 1, 1, 1)])
+def test_dragonfly_slots_are_up_downs_locals_globals(shape):
+    topo = Dragonfly(*shape)
+    net = DragonflyNetwork(topo, MachineConfig(topology="dragonfly"))
+    slots = _slots_name_their_links(net)
+    g, a, p, h = shape
+    for v, slot in slots:
+        frm, to = net._out[v][slot].name
+        if v < topo.volume:
+            kind = "up"
+        else:
+            kind = ("down" if slot < p else "local" if slot < p + a
+                    else "global")
+            assert v == topo.volume + a * frm[1] + frm[2]
+        want = {"up": topo.router_of(frm), "down": (*frm[1:], slot),
+                "local": ("rt", frm[1], slot - p)}.get(kind)
+        assert to == want or (kind == "global"
+                              and topo.is_global_link(frm, to))

@@ -2,13 +2,15 @@
 
 ``tests/test_router_equivalence.py`` holds both lanes to the frozen oracle
 result by result.  Here: a call binds its arguments the way the Python
-body's signature does, whatever raises under the lane — ``_route_miss``,
-``Link.reserve``, the observer hook — comes out of it unchanged and
-leaves the network usable, a destination off the fabric is an error from
-the first miss towards it, an endless walk stays interruptible,
-100,000 warm transfers (and 10,000 failing ones) leave no object, byte or
-reference behind, and a link that falls and rises under a whole machine
-layer with retransmission moves no result.
+body's signature does, whatever raises under the lane — a first touch
+(``_first_touch``, ``injection_port``, ``ejection_port``),
+``Link.reserve``, the observer hook — comes out of it unchanged, with the
+Python body's side effects, and leaves the network usable, a coordinate
+off the fabric is an error before any router link is touched, a topology
+the lane does not mirror is the Python body's, 100,000 warm transfers
+(and 12,500 failing ones) leave no object, byte or reference behind, and a
+link that falls and rises under a whole machine layer with retransmission
+moves no result.
 
 Every test runs on a network as anyone builds it and on one whose
 ``transfer`` is the kept Python body, so the two are also held to each
@@ -17,7 +19,6 @@ other; with the C core loaded the first runs the compiled lane
 """
 
 import gc
-import signal
 import sys
 import tracemalloc
 
@@ -33,7 +34,8 @@ from repro.hardware.router import DragonflyNetwork, TorusNetwork
 from repro.hardware.topology import Dragonfly, Torus3D
 from repro.lrts.ugni_layer import UgniLayerConfig
 from repro.sim import _speed
-from tests.test_router_equivalence import _PythonBody, _PythonBodyDragonfly
+from tests.test_router_equivalence import (_PythonBody, _PythonBodyDragonfly,
+                                           _link_state)
 
 DIMS = (4, 4, 2)
 
@@ -124,26 +126,72 @@ class TestArgumentBinding:
 
 class TestErrorsPropagate:
     def test_route_miss_error(self, make):
-        """A coordinate that is not one: ``_route_miss`` refuses it, under
-        the hop loop."""
+        """A route that misses the fabric — a coordinate that is not one —
+        is refused after the injection port, before the walk."""
         net = make()
         with pytest.raises(TopologyError):
             net.transfer(0.0, (0, 0, 0), (1, 0), 8)
-        # the injection port was reserved before the walk began
         assert net.messages_routed == 1
         assert net._inject[(0, 0, 0)].transfers == 1
         assert net.transfer(0.0, (0, 0, 0), (1, 0, 0), 8).hops == 1
 
-    def test_route_miss_override_is_called_through_the_instance(
-            self, make):
-        class Net(make.torus):
-            def _route_miss(self, at, dst):
-                raise Boom(at, dst)
+    @pytest.mark.parametrize("where", ["_first_touch", "injection_port",
+                                       "ejection_port"])
+    def test_first_touch_error(self, make, where):
+        """The three first touches are calls through the instance: what
+        one raises comes out, with what the body had done by then."""
+        def refuse(self, *args):
+            raise Boom(*args)
 
-        net = Net(Torus3D(DIMS), MachineConfig())
+        net = type("Net", (make.torus,), {where: refuse})(
+            Torus3D(DIMS), MachineConfig())
+        a, b = (0, 0, 0), (1, 1, 0)
         with pytest.raises(Boom) as err:
-            net.transfer(0.0, (0, 0, 0), (1, 0, 0), 8)
-        assert err.value.args == ((0, 0, 0), (1, 0, 0))
+            net.transfer(0.0, a, b, 8)
+        assert net.messages_routed == 1
+        if where == "injection_port":
+            assert err.value.args == (a,)
+            assert not net._inject
+        else:
+            assert net._inject[a].transfers == 1
+        if where == "_first_touch":
+            # vertex 0, its +x slot, towards vertex 1
+            assert err.value.args == (0, 0, 1)
+        if where == "ejection_port":
+            assert err.value.args == (b,)
+            assert [lk.transfers for lk in net._links.values()] == [1, 0, 1]
+        else:
+            assert not net._links and net.route_stats()["vertices"] == 0
+        assert not net._eject
+
+    def test_an_unmirrored_topology_is_the_python_bodys(self, make):
+        """The lane mirrors exactly ``Torus3D`` and ``Dragonfly``: on a
+        subclass of either every call is the Python body's — its frame is
+        seen — and agrees with the lane on the class itself."""
+        class Mesh(Torus3D):
+            pass
+
+        known, other = make(), make.torus(Mesh(DIMS), MachineConfig())
+        calls = [(0.0, (0, 0, 0), (2, 3, 1), 256),
+                 (0.0, (3, 1, 0), (0, 0, 1), 4096),
+                 (1e-7, (0, 0, 0), (2, 2, 1), 64)]
+        frames = []
+
+        def hook(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "_transfer_py":
+                frames.append(frame.f_locals["self"])
+
+        sys.setprofile(hook)
+        try:
+            got = [other.transfer(*call, via=(1, 1, 1)) for call in calls]
+            want = [known.transfer(*call, via=(1, 1, 1)) for call in calls]
+        finally:
+            sys.setprofile(None)
+        assert frames[:3] == [other] * 3
+        assert len(frames) == (3 if make.compiled else 6)
+        assert got == want
+        assert list(other._links) == list(known._links)
+        assert _link_state(other) == _link_state(known)
 
     @pytest.mark.parametrize("where", ["hop", "inject", "eject"])
     def test_link_reserve_error(self, make, where, monkeypatch):
@@ -206,30 +254,38 @@ class TestErrorsPropagate:
             make().transfer(0.0, (0, 0, 0), (1, 0, 0), "8")
 
     def test_an_off_fabric_destination_is_an_error(self, make):
-        """(9, 0, 0) is on no 4-node ring.  The first miss towards a
-        destination checks it — once per destination, not per hop or per
-        message — before a link or a row exists for it; a waypoint is the
-        destination of its leg, and the degraded walk checks per leg."""
+        """(9, 0, 0) is on no 4-node ring.  Every leg end is checked
+        against the fabric once per message, after the injection port and
+        before any router link is touched — the waypoint and the
+        destination alike, degraded or not — and it raises every time."""
         net = make()
         a, b = (0, 0, 0), (2, 3, 1)
         for _ in range(2):
             with pytest.raises(TopologyError, match="not on"):
                 net.transfer(0.0, a, (9, 0, 0), 8)
+        for bad in [(0, 4, 0), (0, 0, 2), (-1, 0, 0)]:
+            with pytest.raises(TopologyError):
+                net.transfer(0.0, a, bad, 8)
         with pytest.raises(TopologyError):
             net.transfer(0.0, a, b, 8, via=(0, 7, 0))
-        assert not net._routes and not net._links
-        checked = []
-        contains = net.topology.contains
-        net.topology.contains = lambda c: checked.append(c) or contains(c)
+        with pytest.raises(TopologyError):
+            net.transfer(0.0, a, (0, 7, 0), 8, via=b)
+        with pytest.raises(TopologyError):
+            net.transfer(0.0, (4, 0, 0), b, 8)
+        assert net.messages_routed == 8
+        assert net._inject[a].transfers == 7
+        assert not net._links and not net._eject
+        assert net.route_stats() == {"vertices": 0, "links": 0, "hops": 0}
         assert net.transfer(0.0, a, b, 8).hops == 4
         assert net.transfer(1.0, (1, 0, 0), b, 8, via=(1, 1, 1)).hops == 5
-        assert checked == [b, (1, 1, 1)]
+        links = list(net._links)
         net.fail_link((2, 0, 0), (3, 0, 0))
-        with pytest.raises(TopologyError):
-            net.transfer(2.0, a, (9, 0, 0), 8)
+        for _ in range(2):
+            with pytest.raises(TopologyError):
+                net.transfer(2.0, a, (9, 0, 0), 8)
+        assert list(net._links) == links + [((2, 0, 0), (3, 0, 0))]
         net.restore_link((2, 0, 0), (3, 0, 0))
         assert net.transfer(3.0, a, b, 8).hops == 4
-        assert checked == [b, (1, 1, 1), (9, 0, 0)]
 
     def test_an_off_dragonfly_destination_is_an_error(self, make):
         """Terminals ``(g, r, t)`` and router waypoints ``("rt", g, r)``
@@ -245,33 +301,10 @@ class TestErrorsPropagate:
         for bad in [("rt", 5, 0), ("rt", 0, 3), ("rt", -1, 0)]:
             with pytest.raises(TopologyError):
                 lane(0.0, a, b, 8, via=bad)
+        assert net._inject[a].transfers == net.messages_routed == 8
+        assert not net._links and not net._eject
+        assert net.route_stats()["vertices"] == 0
         assert lane(0.0, a, b, 8, via=("rt", 4, 2)).hops >= 3
-
-    @pytest.mark.skipif(not hasattr(signal, "setitimer"),
-                        reason="needs an interval timer")
-    def test_an_endless_walk_is_interruptible(self, make):
-        """A ``_route_miss`` override that checks nothing and always steps
-        +x never reaches (9, 0, 0): the walk laps the ring for ever, every
-        hop a route-table hit after the first lap."""
-        class Lapping(make.torus):
-            def _route_miss(self, at, dst):
-                nxt = self.topology.neighbor(at, (1, 0, 0))
-                row = self._routes.setdefault(dst, {})
-                row[at] = route = (self.link(at, nxt),)
-                return route
-
-        def on_alarm(signum, frame):
-            raise Boom("interrupted")
-
-        net = Lapping(Torus3D(DIMS), MachineConfig())
-        previous = signal.signal(signal.SIGALRM, on_alarm)
-        signal.setitimer(signal.ITIMER_REAL, 0.05)
-        try:
-            with pytest.raises(Boom):
-                net.transfer(0.0, (0, 0, 0), (9, 0, 0), 8)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
 
 
 def _flat(run, watched, *nets):
@@ -283,7 +316,7 @@ def _flat(run, watched, *nets):
     tracemalloc.start()
     try:
         # what a first pass allocates and keeps is not a leak: ports,
-        # links, rows - and a counter's step out of the small-int cache
+        # links, slot lists - and a counter's step out of the small-int cache
         run(0.1)
         for net in nets:
             for table in (net._links, net._inject, net._eject):
@@ -311,12 +344,11 @@ class TestNothingLeaks:
         net.observer = CountingObserver()
         topo = net.topology
         coords = [topo.coord_of(i) for i in range(topo.volume)]
-        # adaptive routing finds new hops as backlogs shift: give every
-        # destination its whole row now, so a later miss is not "growth"
-        for dst in coords:
-            for at in coords:
-                if at != dst:
-                    net._route_miss(at, dst)
+        # adaptive routing finds new hops as backlogs shift: fill every
+        # slot now, so a later first touch is not "growth"
+        for v, at in enumerate(coords):
+            for slot, (_, nbr) in enumerate(topo.neighbors(at)):
+                net._first_touch(v, slot, topo.vertex(nbr))
         fly = make.dragonfly()
         fly_coords = [fly.topology.coord_of(i)
                       for i in range(fly.topology.volume)]
@@ -339,15 +371,16 @@ class TestNothingLeaks:
                     fly.transfer(now, fly_coords[i % 30],
                                  fly_coords[-1 - i % 30], 256)
 
-        run(0)  # one round: the dragonfly's rows exist
-        row = net._routes[coords[3]]
+        run(0)  # one round: the dragonfly's slots are filled
+        up, fan = fly._out[0], fly._out[fly.topology.vertex(("rt", 0, 0))]
         watched = [None, coords[0], coords[3], coords[31], fly_coords[0],
                    net.link((0, 0, 0), (1, 0, 0)),
                    net.injection_port(coords[0]),
                    net.ejection_port(coords[3]), net.config, net.observer,
                    net.config.nic_msg_gap, net.config.link_bandwidth,
-                   net._routes, net._inject, net._eject, net._faulted, row,
-                   *row.values(), *fly._routes[fly_coords[-1]].values()]
+                   net._out, net._inject, net._eject, net._faulted,
+                   net._out[3], *net._out[3], fly._out, up, fan,
+                   *(lk for lk in up + fan if lk is not None)]
         objects, traced, refs = _flat(run, watched, net, fly)
         assert net.messages_routed + fly.messages_routed >= 1.1 * transfers
         assert net.observer.calls == net.messages_routed
@@ -356,9 +389,16 @@ class TestNothingLeaks:
         assert refs == [0] * len(watched)
 
     def test_failing_transfers(self, make, monkeypatch):
-        """10,000 calls that raise at each place the lane calls out."""
-        net = make(adaptive_routing=False)
-        a, b, off = (0, 0, 0), (1, 1, 0), (1, 0)
+        """12,500 calls that raise at each place the lane calls out, or
+        hands the call over."""
+        class Net(make.torus):
+            def _first_touch(self, v, slot, nxt):
+                if v == 31:
+                    raise Boom
+                return super()._first_touch(v, slot, nxt)
+
+        net = Net(Torus3D(DIMS), MachineConfig(adaptive_routing=False))
+        a, b, off, last = (0, 0, 0), (1, 1, 0), (1, 0), (3, 3, 1)
         net.transfer(0.0, a, b, 8)
         limp = net.link((1, 0, 0), (1, 1, 0))
         limp.degrade(0.5)
@@ -384,16 +424,18 @@ class TestNothingLeaks:
             for _ in range(int(share * 2_500)):
                 raises(TopologyError, 1.0, a, off, 8)
                 raises(Boom, 1.0, a, b, 13)
+                raises(Boom, 1.0, last, a, 8)
                 net.observer = observer
                 raises(Boom, 1.0, a, b, 8, via=(1, 0, 0))
                 net.observer = None
                 raises(TypeError, 1.0, a, b)
 
-        watched = [None, a, b, off, limp, net.injection_port(a),
+        watched = [None, a, b, off, last, limp, net.injection_port(a),
                    net.ejection_port(b), observer, Boom,
-                   net.config.nic_msg_gap, net._routes,
-                   net._routes[b], *net._routes[b].values()]
+                   net.config.nic_msg_gap, net._out, net._out[0],
+                   *(lk for lk in net._out[0] if lk is not None)]
         objects, traced, refs = _flat(run, watched, net)
+        assert net._out[31] is None
         assert objects == 0
         assert traced < 1024, f"{traced} bytes held after failing transfers"
         assert refs == [0] * len(watched)
