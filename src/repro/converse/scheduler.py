@@ -25,7 +25,6 @@ optional tracer receives every interval for time-binned rendering.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
@@ -72,11 +71,12 @@ class PE:
 
     __slots__ = ("runtime", "engine", "_clock", "rank", "node", "_tracer",
                  "_observer",
-                 "_dispatch_cpu", "_handlers", "_fifo", "_prioq", "_prio_seq",
+                 "_dispatch_cpu", "_handlers", "_fifo", "_head", "_prioq",
+                 "_prio_seq",
                  "_running", "_scheduled", "_blocked", "halted",
                  "dropped_dead", "busy_until", "vtime", "useful_time",
                  "overhead_time", "idle_since", "idle_time",
-                 "messages_executed", "ctx")
+                 "messages_executed", "_ctx")
 
     def __init__(self, runtime: "ConverseRuntime", rank: int):
         self.runtime = runtime
@@ -93,9 +93,13 @@ class PE:
         self._observer = runtime.machine.observer
         self._dispatch_cpu = runtime.config.sched_dispatch_cpu
         self._handlers = runtime._handlers  # registry list, appended in place
-        # execution state
-        self._fifo: deque = deque()
-        self._prioq: list = []
+        # execution state.  The FIFO lane is a list read from ``_head``:
+        # an idle PE keeps an empty list, and it is non-empty exactly
+        # while a message waits (``_run_next`` resets it on catching up).
+        # The priority heap is made by the first prioritised message.
+        self._fifo: list = []
+        self._head = 0
+        self._prioq: Optional[list] = None
         self._prio_seq = 0
         self._running = False  # a handler is executing right now
         self._scheduled = False  # a _run_next is on the event heap
@@ -111,8 +115,16 @@ class PE:
         self.idle_since = 0.0
         self.idle_time = 0.0
         self.messages_executed = 0
-        #: per-PE scratch for machine layers / applications
-        self.ctx: dict[str, Any] = {}
+        self._ctx: Optional[dict[str, Any]] = None
+
+    @property
+    def ctx(self) -> dict[str, Any]:
+        """Per-PE scratch for machine layers / applications, made on the
+        first read."""
+        ctx = self._ctx
+        if ctx is None:
+            ctx = self._ctx = {}
+        return ctx
 
     # ------------------------------------------------------------------ #
     # Time accounting
@@ -172,7 +184,10 @@ class PE:
         if msg.prio is None:
             self._fifo.append((msg, recv_cpu))
         else:
-            heapq.heappush(self._prioq, (msg.prio, self._prio_seq, msg, recv_cpu))
+            prioq = self._prioq
+            if prioq is None:
+                prioq = self._prioq = []
+            heapq.heappush(prioq, (msg.prio, self._prio_seq, msg, recv_cpu))
             self._prio_seq += 1
         # _kick, inlined (the queue is known to be non-empty)
         if self._running or self._scheduled or self._blocked:
@@ -218,7 +233,8 @@ class PE:
         self.halted = True
         self.dropped_dead += self.queue_length
         self._fifo.clear()
-        self._prioq.clear()
+        self._head = 0
+        self._prioq = None
 
     def end_blocking(self, t: float, kind: str = "overhead") -> None:
         """Unblock at simulated time ``t``; the wait is charged as ``kind``."""
@@ -250,10 +266,26 @@ class PE:
         self._scheduled = False
         if self._running:  # pragma: no cover - defensive
             return
+        fifo = self._fifo
         if self._prioq:
             _, _, msg, recv_cpu = heapq.heappop(self._prioq)
-        elif self._fifo:
-            msg, recv_cpu = self._fifo.popleft()
+        elif fifo:
+            head = self._head
+            msg, recv_cpu = fifo[head]
+            head += 1
+            if head == len(fifo):
+                # caught up: an idle PE holds an empty list again
+                fifo.clear()
+                head = 0
+            else:
+                # still backlogged: let go of the cell just read (a bare
+                # head index would keep every delivered message alive)
+                # and cut the consumed prefix once it is the larger half
+                fifo[head - 1] = None
+                if head >= 32 and head * 2 >= len(fifo):
+                    del fifo[:head]
+                    head = 0
+            self._head = head
         else:
             return
         t = self._clock.now
@@ -289,7 +321,7 @@ class PE:
             self.messages_executed += 1
             # _kick: the engine clock has not moved during the handler
             if (not self._scheduled and not self._blocked
-                    and (self._fifo or self._prioq)):
+                    and (fifo or self._prioq)):
                 self._scheduled = True
                 self.engine.post_at(bu if bu > t else t, self._run_next)
 
@@ -298,7 +330,8 @@ class PE:
     # ------------------------------------------------------------------ #
     @property
     def queue_length(self) -> int:
-        return len(self._fifo) + len(self._prioq)
+        return (len(self._fifo) - self._head
+                + (len(self._prioq) if self._prioq else 0))
 
     def utilization(self) -> dict[str, float]:
         """Fractions of time spent useful / overhead / idle up to now."""

@@ -10,8 +10,6 @@ shared paths — serialize the way the paper's measurements show.
 
 from __future__ import annotations
 
-from typing import Hashable
-
 
 #: bandwidth multiplier while a link is hard-down: traffic that cannot
 #: route around the fault still trickles through via link-level hardware
@@ -38,15 +36,19 @@ class Link:
     (hard fault; see :data:`DOWN_BANDWIDTH_FACTOR`).  State is changed by
     the fault injector through :class:`~repro.hardware.router.TorusNetwork`
     so the router's fault bookkeeping stays consistent.
+
+    A link keeps no name: the network names it by where it sits
+    (:meth:`~repro.hardware.router.TorusNetwork.links`).  The constructor
+    still takes one first, for callers outside ``src/`` that label a
+    stand-alone link (``perf/layers.py``), and drops it.
     """
 
-    __slots__ = ("name", "bandwidth", "latency", "_free", "_lanes",
+    __slots__ = ("bandwidth", "latency", "_free", "_lanes",
                  "bytes_carried", "transfers", "state", "degrade_factor",
                  "faults", "faulted_transfers")
 
-    def __init__(self, name: Hashable, bandwidth: float, latency: float,
+    def __init__(self, name: object, bandwidth: float, latency: float,
                  lanes: int = 1):
-        self.name = name
         self.bandwidth = bandwidth
         self.latency = latency
         #: earliest time the lane of a single-lane link can accept a new
@@ -150,4 +152,4 @@ class Link:
         return min(self.horizons)
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"<Link {self.name} bw={self.bandwidth:.3g} busy_until={self.available_at:.9f}>"
+        return f"<Link bw={self.bandwidth:.3g} busy_until={self.available_at:.9f}>"

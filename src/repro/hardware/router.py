@@ -10,12 +10,14 @@ given the current occupancy of every link on its path.  Two routing modes:
   runs stay reproducible without consuming RNG state).
 
 Links are created lazily: a 16×16×16 torus has 24,576 directed links, most
-of which a given experiment never touches.
+of which a given experiment never touches.  A link has no name: it is a
+slot of a vertex, found from ``(frm, to)`` by ``topology.link_slot``.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from array import array
+from typing import Iterator, NamedTuple
 
 from repro.hardware.config import MachineConfig
 from repro.hardware.link import Link
@@ -44,21 +46,22 @@ class TorusNetwork:
     def __init__(self, topology: Torus3D, config: MachineConfig):
         self.topology = topology
         self.config = config
-        self._links: dict[tuple[Coord, Coord], Link] = {}
-        self._inject: dict[Coord, Link] = {}
-        self._eject: dict[Coord, Link] = {}
-        #: one coordinate tuple per node that any link starts or ends at:
-        #: every link into a node shares it in its ``name``
-        self._ends: dict[Coord, Coord] = {}
+        n = topology.n_vertices
         #: the out-table: per vertex of the topology (``topology.vertex``)
         #: ``None`` until a message stands on it, then its out-links in
         #: the topology's slot order, each ``None`` until first touched —
-        #: so no link exists that routing did not ask for.  A hop picks
-        #: among ``topology.out_hops(at, end)``, computed, not remembered.
-        #: Link objects are stable — a fault mutates the Link in place —
-        #: so slots outlive a fail/restore cycle.
-        self._out: list[list[Link | None] | None] = \
-            [None] * topology.n_vertices
+        #: so no link exists that routing or a fault did not ask for.  A
+        #: hop picks among ``topology.out_hops(at, end)``, computed, not
+        #: remembered; a fault mutates the Link in place, so slots outlive
+        #: a fail/restore cycle.
+        self._out: list[list[Link | None] | None] = [None] * n
+        #: link-creation order (it is in the metrics digest, and
+        #: ``hottest_link`` breaks ties by it): per link its two vertices,
+        #: packed ``v * n_vertices + nxt``
+        self._order = array("q")
+        #: NIC ports by vertex, ``None`` until a message enters / leaves
+        self._inject: list[Link | None] = [None] * n
+        self._eject: list[Link | None] = [None] * n
         #: observability hub (:mod:`repro.observe`), set by the machine
         #: that owns this network; ``None`` skips the transfer hooks
         self.observer = None
@@ -72,34 +75,37 @@ class TorusNetwork:
 
     # -- link access -----------------------------------------------------------
     def link(self, frm: Coord, to: Coord) -> Link:
-        lk = self._links.get((frm, to))
-        if lk is None:
-            ends = self._ends
-            key = (ends.setdefault(frm, frm), ends.setdefault(to, to))
-            lk = Link(key, self.config.link_bandwidth,
-                      self._link_latency(frm, to))
-            self._links[key] = lk
-        return lk
+        """The ``frm -> to`` link, made if need be; a pair that is not a
+        link of the topology is a :class:`TopologyError`."""
+        topo = self.topology
+        v, nxt = topo.vertex(frm), topo.vertex(to)
+        return self._first_touch(v, topo.link_slot(v, nxt), nxt)
 
-    def _link_latency(self, frm: Coord, to: Coord) -> float:
-        """Per-traversal latency of the ``frm -> to`` link when created."""
+    def links(self) -> Iterator[tuple[tuple[Coord, Coord], Link]]:
+        """``((frm, to), link)`` for every link made, in creation order."""
+        topo, out = self.topology, self._out
+        coord, slot_of = topo.vertex_coord, topo.link_slot
+        for code in self._order:
+            v, nxt = divmod(code, len(out))
+            yield (coord(v), coord(nxt)), out[v][slot_of(v, nxt)]
+
+    def _link_latency(self, slot: int) -> float:
+        """Per-traversal latency of a link made in ``slot`` of a vertex."""
         return self.config.hop_latency
 
+    def _port(self, table: list[Link | None], at: Coord) -> Link:
+        v = self.topology.vertex(at)
+        if table[v] is None:
+            cfg = self.config
+            table[v] = Link(None, cfg.link_bandwidth, cfg.nic_latency,
+                            lanes=cfg.nic_port_lanes)
+        return table[v]
+
     def injection_port(self, at: Coord) -> Link:
-        lk = self._inject.get(at)
-        if lk is None:
-            lk = Link(("inject", at), self.config.link_bandwidth,
-                      self.config.nic_latency, lanes=self.config.nic_port_lanes)
-            self._inject[at] = lk
-        return lk
+        return self._port(self._inject, at)
 
     def ejection_port(self, at: Coord) -> Link:
-        lk = self._eject.get(at)
-        if lk is None:
-            lk = Link(("eject", at), self.config.link_bandwidth,
-                      self.config.nic_latency, lanes=self.config.nic_port_lanes)
-            self._eject[at] = lk
-        return lk
+        return self._port(self._eject, at)
 
     # -- fault state (driven by repro.faults) ------------------------------------
     def fail_link(self, frm: Coord, to: Coord) -> None:
@@ -119,65 +125,50 @@ class TorusNetwork:
     @property
     def faulted_links(self) -> int:
         """Directed links currently down or degraded (0 = healthy fabric).
-
-        The sharded engine polls this at window barriers: any outstanding
-        link fault invalidates the lookahead bound (fault retry latency
-        and crawl-mode bandwidth change arrival times mid-window), so it
-        falls back to sequential execution.
-        """
+        The sharded engine polls this at window barriers: an outstanding
+        link fault invalidates its lookahead bound."""
         return len(self._faulted)
 
     @property
     def route_mode(self) -> str:
         """Active routing policy: ``"adaptive"`` or ``"dimension-ordered"``.
-
-        With any link fault outstanding, the router falls back from
-        adaptive (backlog-driven) to deterministic dimension-ordered
-        routing with down-link avoidance — the graceful-degradation mode
-        Gemini drops into when adaptive routing would keep hashing traffic
-        onto a flapping lane.
-        """
+        With any link fault outstanding the router falls back from
+        adaptive to dimension-ordered routing with down-link avoidance —
+        the mode Gemini drops into when adaptive routing would keep
+        hashing traffic onto a flapping lane."""
         if self._faulted or not self.config.adaptive_routing:
             return "dimension-ordered"
         return "adaptive"
 
     # -- routing ---------------------------------------------------------------
-    def _next_direction(self, at: Coord, dst: Coord) -> Coord:
-        """Degraded-mode choice: dimension order, stepping around a down
-        link when another productive direction is still up."""
-        topo = self.topology
-        dirs = topo.minimal_directions(at, dst)
-        for d in dirs:
-            if self.link(at, topo.neighbor(at, d)).state != "down":
-                return d
-        return dirs[0]
-
     def _first_touch(self, v: int, slot: int, nxt: int) -> Link:
         """Fill one slot of the out-table: the link from vertex ``v``
-        through ``slot`` to vertex ``nxt``, made (or found) by name
-        through :meth:`link`."""
-        topo = self.topology
+        through ``slot`` to vertex ``nxt``, made — or found — in the slot
+        the pair is named by and shared where two slots of ``v`` end at
+        the same neighbour (both ways round a two-node ring: one link)."""
         links = self._out[v]
         if links is None:
-            links = self._out[v] = [None] * topo.fan_out(v)
-        lk = links[slot] = self.link(topo.vertex_coord(v),
-                                     topo.vertex_coord(nxt))
+            links = self._out[v] = [None] * self.topology.fan_out(v)
+        named = self.topology.link_slot(v, nxt)
+        lk = links[named]
+        if lk is None:
+            lk = links[named] = Link(None, self.config.link_bandwidth,
+                                     self._link_latency(named))
+            self._order.append(v * len(self._out) + nxt)
+        links[slot] = lk
         return lk
 
-    def _walk_degraded(self, t: float, at: Coord, via: Coord | None,
-                       dst: Coord, nbytes: int,
-                       min_occ: float) -> tuple[float, int]:
-        """The walk while a link is faulted: dimension order by name,
-        stepping around a down link (:meth:`_next_direction`)."""
-        topo = self.topology
-        hops = 0
-        for leg_end in (dst,) if via is None else (via, dst):
-            while at != leg_end:
-                nxt = topo.neighbor(at, self._next_direction(at, leg_end))
-                _, t = self.link(at, nxt).reserve(t, nbytes, min_occ)
-                at = nxt
-                hops += 1
-        return t, hops
+    def _next_direction(self, v: int, end: int) -> tuple[Link, int]:
+        """Degraded-mode choice: ``(link, next vertex)`` in dimension
+        order, stepping around a down link when another productive one is
+        still up."""
+        first = None
+        for slot, nxt in self.topology.out_hops(v, end):
+            lk = self._first_touch(v, slot, nxt)
+            if lk.state != "down":
+                return lk, nxt
+            first = first or (lk, nxt)
+        return first
 
     def _transfer_py(
         self,
@@ -194,12 +185,10 @@ class TorusNetwork:
         ``bandwidth_cap`` models a source that cannot feed the wire at full
         link rate (FMA window stores, BTE engine limits): the last byte
         cannot arrive before ``first-byte arrival + nbytes / cap``.
-
         ``min_occupancy`` sets a per-link floor (per-message router
-        overhead) — used for small-message rate limiting.
-
-        ``via`` is a waypoint: the message walks ``src -> via -> dst`` as
-        two minimal legs (Valiant misrouting).
+        overhead) — used for small-message rate limiting.  ``via`` is a
+        waypoint: the message walks ``src -> via -> dst`` as two minimal
+        legs (Valiant misrouting).
 
         One pass: per hop, compute the productive slots of the vertex the
         message stands on, touch each candidate link, pick one (the first
@@ -220,10 +209,10 @@ class TorusNetwork:
         min_occ = cfg.nic_msg_gap if min_occupancy is None else min_occupancy
         self.messages_routed += 1
 
-        # injection at the source NIC
-        inj = self._inject.get(src)
-        if inj is None:
-            inj = self.injection_port(src)
+        # injection at the source NIC; a source off the fabric raises here
+        topo = self.topology
+        v = topo.vertex(src)
+        inj = self._inject[v] or self.injection_port(src)
         lanes = inj._lanes
         if lanes is not None and inj.state == "up":
             # Link.reserve on the least-busy lane, minus the call
@@ -242,14 +231,16 @@ class TorusNetwork:
 
         # src -> dst, or src -> via -> dst as two minimal legs; a
         # coordinate off the fabric raises before any router link is touched
-        topo = self.topology
-        v = topo.vertex(src)
         ends = ((topo.vertex(dst),) if via is None
                 else (topo.vertex(via), topo.vertex(dst)))
         hops = 0
         if self._faulted:
             self.degraded_routes += 1
-            t, hops = self._walk_degraded(t, src, via, dst, nbytes, min_occ)
+            for end in ends:
+                while v != end:
+                    lk, v = self._next_direction(v, end)
+                    _, t = lk.reserve(t, nbytes, min_occ)
+                    hops += 1
         else:
             out = self._out
             out_hops = topo.out_hops
@@ -284,9 +275,7 @@ class TorusNetwork:
                     hops += 1
 
         # ejection into the destination NIC
-        ej = self._eject.get(dst)
-        if ej is None:
-            ej = self.ejection_port(dst)
+        ej = self._eject[ends[-1]] or self.ejection_port(dst)
         lanes = ej._lanes
         if lanes is not None and ej.state == "up":
             free = min(lanes)
@@ -316,23 +305,28 @@ class TorusNetwork:
 
     # -- diagnostics ------------------------------------------------------------
     def total_bytes_carried(self) -> int:
-        return sum(lk.bytes_carried for lk in self._links.values())
+        return sum(lk.bytes_carried for _, lk in self.links())
 
     def hottest_link(self) -> Link | None:
-        return max(self._links.values(), key=lambda lk: lk.bytes_carried, default=None)
+        """The link that carried most bytes; the earlier made on a tie."""
+        return max((lk for _, lk in self.links()),
+                   key=lambda lk: lk.bytes_carried, default=None)
 
     def route_stats(self) -> dict[str, int]:
-        """Size and use of the routing state.
-
-        A simulator self-metric, not a simulated result: it is in no
-        ``stats()`` dict, checksum or metrics digest.  ``vertices`` is the
-        out-lists created (nodes and routers a message has stood on),
-        ``links`` the links made, ``hops`` every router-link traversal,
-        degraded-mode hops included.
-        """
+        """Size and use of the routing state: a simulator self-metric, in
+        no ``stats()`` dict, checksum or metrics digest.  ``vertices`` is
+        the out-lists created (nodes and routers a message has stood on or
+        a fault has named), ``links`` the links made, ``hops`` every
+        router-link traversal, degraded-mode hops included."""
         return {"vertices": sum(links is not None for links in self._out),
-                "links": len(self._links),
-                "hops": sum(lk.transfers for lk in self._links.values())}
+                "links": len(self._order),
+                "hops": sum(lk.transfers for _, lk in self.links())}
+
+    def first_touch(self) -> dict[str, int]:
+        """The lazily built links and NIC ports that exist."""
+        return {"links": len(self._order),
+                "inject_ports": sum(p is not None for p in self._inject),
+                "eject_ports": sum(p is not None for p in self._eject)}
 
 
 if _speed.core is not None:
@@ -359,8 +353,10 @@ class DragonflyNetwork(TorusNetwork):
       the torus's degraded mode.
     """
 
-    def _link_latency(self, frm, to) -> float:
-        if self.topology.is_global_link(frm, to):
+    def _link_latency(self, slot: int) -> float:
+        # a router's global ports follow its downs and locals
+        topo = self.topology
+        if slot >= topo.terminals_per_router + topo.routers_per_group:
             return self.config.dragonfly_global_latency
         return self.config.hop_latency
 

@@ -178,6 +178,28 @@ class Torus3D:
             stride *= size
         return hops
 
+    def link_slot(self, v: int, nxt: int) -> int:
+        """The slot of vertex ``v`` whose link ends at vertex ``nxt``: the
+        inverse of :meth:`out_hops`.  The two differ by one step, modulo
+        the size, along exactly one axis — the ``+`` slot where both ways
+        round a two-node ring end at ``nxt`` — or they name no link."""
+        found = -1
+        slot, at, to = 0, v, nxt
+        for size in self.dims:
+            step = (to - at) % size
+            if step:
+                if found >= 0 or (step != 1 and step != size - 1):
+                    break
+                found = slot if step == 1 else slot + 1
+            at //= size
+            to //= size
+            slot += 2
+        else:
+            if found >= 0 and at == to == 0:
+                return found
+        raise TopologyError(f"no link from vertex {v} to vertex {nxt} "
+                            f"of {self!r}")
+
     def all_coords(self) -> Iterator[Coord]:
         dx, dy, dz = self.dims
         for z, y, x in itertools.product(range(dz), range(dy), range(dx)):
@@ -444,6 +466,28 @@ class Dragonfly:
         if r != rd:
             return [(p + rd, V + a * g + rd)]
         return [(end % p, end)]
+
+    def link_slot(self, v: int, nxt: int) -> int:
+        """The slot of vertex ``v`` whose link ends at vertex ``nxt``: the
+        inverse of :meth:`out_hops` — up, down, local, or the planned
+        global link between two groups' gateways — or they name no link."""
+        p, a = self.terminals_per_router, self.routers_per_group
+        V, n = self.volume, self.n_vertices
+        if 0 <= v < V:
+            if nxt == V + v // p:
+                return 0
+        elif V <= v < n and 0 <= nxt < V:
+            if nxt // p == v - V:
+                return nxt % p
+        elif V <= v < n and V <= nxt < n:
+            (g, r), (g2, r2) = divmod(v - V, a), divmod(nxt - V, a)
+            if g == g2:
+                if r != r2:
+                    return p + r2
+            elif r == self.gateway(g, g2) and r2 == self.gateway(g2, g):
+                return p + a + (g2 - g - 1) % self.groups % self.global_links
+        raise TopologyError(f"no link from vertex {v} to vertex {nxt} "
+                            f"of {self!r}")
 
     # -- Valiant routing ---------------------------------------------------
     def valiant_intermediate(self, src: Coord, dst: Coord) -> Optional[tuple]:

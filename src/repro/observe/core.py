@@ -159,20 +159,17 @@ class Observer:
     def _net_stats(machine: "Machine") -> dict[str, Any]:
         net = machine.network
         out: dict[str, Any] = {
-            "messages_routed": getattr(net, "messages_routed", None),
+            "messages_routed": net.messages_routed,
+            "total_bytes_carried": net.total_bytes_carried(),
         }
-        total = getattr(net, "total_bytes_carried", None)
-        if callable(total):
-            out["total_bytes_carried"] = total()
-        links = getattr(net, "_links", None)
-        if links:
-            # bound cardinality: aggregate totals plus the top-8 busiest
-            # links by (bytes, name) — a deterministic order
-            out["links"] = len(links)
-            ranked = sorted(
-                ((link.bytes_carried, str(key), link)
-                 for key, link in links.items()),
-                key=lambda kv: (-kv[0], kv[1]))
+        # bound cardinality: aggregate totals plus the top-8 busiest
+        # links by (bytes, name) — a deterministic order
+        ranked = sorted(
+            ((link.bytes_carried, str(name), link)
+             for name, link in net.links()),
+            key=lambda kv: (-kv[0], kv[1]))
+        if ranked:
+            out["links"] = len(ranked)
             for nbytes, name, link in ranked[:8]:
                 out[f"top/{name}"] = {
                     "bytes": nbytes,

@@ -35,9 +35,7 @@ def self_metrics(machine: "Machine",
     """
     engine = machine.engine
     net = machine.network
-    first_touch = {"links": len(net._links),
-                   "inject_ports": len(net._inject),
-                   "eject_ports": len(net._eject)}
+    first_touch = net.first_touch()
     if lrts is not None:
         first_touch.update(lrts.first_touch())
     return {

@@ -972,8 +972,8 @@ static struct {
     PyTypeObject *timing;  /* TransferTiming, a plain tuple subclass (owned) */
     PyTypeObject *torus, *dragonfly;   /* the topologies mirrored (owned) */
     /* offsets of Link's slots, read once from its member descriptors */
-    Py_ssize_t name, bandwidth, latency, free, lanes, bytes_carried,
-        transfers, state;
+    Py_ssize_t bandwidth, latency, free, lanes, bytes_carried, transfers,
+        state;
 } lane;
 
 /* interned: attribute and method names, "up", transfer's parameters */
@@ -1128,21 +1128,20 @@ link_reserve(PyObject *lk, PyObject *t_o, double *t, const Msg *m)
     return 0;
 }
 
-/* self.<table>.get(at), or self.<maker>(at) on first touch; then reserve */
+/* self.<table>[v], or self.<maker>(at) on first touch; then reserve */
 static int
-port_reserve(PyObject *self, PyObject *table_name, PyObject *maker,
+port_reserve(PyObject *self, PyObject *table_name, PyObject *maker, long v,
              PyObject *at, PyObject *t_o, double *t, const Msg *m)
 {
     PyObject *table = PyObject_GetAttr(self, table_name);
     if (!table)
         return -1;
-    PyObject *port = PyDict_Check(table)
-        ? PyDict_GetItemWithError(table, at) : NULL;
-    Py_XINCREF(port);
+    PyObject *port = PyList_CheckExact(table) && v < PyList_GET_SIZE(table)
+        ? PyList_GET_ITEM(table, v) : Py_None;
+    Py_INCREF(port);
     Py_DECREF(table);
-    if (!port) {
-        if (PyErr_Occurred())
-            return -1;
+    if (port == Py_None) {
+        Py_DECREF(port);
         port = PyObject_CallMethodOneArg(self, maker, at);
         if (!port)
             return -1;
@@ -1490,7 +1489,8 @@ router_transfer(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
 
     /* injection at the source NIC */
     t = now;
-    if (port_reserve(self, s_inject, s_injection_port, src, now_o, &t, &m) < 0
+    if (port_reserve(self, s_inject, s_injection_port, v, src, now_o, &t,
+                     &m) < 0
         || !(depart_o = PyFloat_FromDouble(t)))
         goto done;
 
@@ -1511,7 +1511,8 @@ router_transfer(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
         goto done;
 
     /* ejection into the destination NIC */
-    if (port_reserve(self, s_eject, s_ejection_port, dst, NULL, &t, &m) < 0
+    if (port_reserve(self, s_eject, s_ejection_port, end, dst, NULL, &t,
+                     &m) < 0
         || !(head_o = PyFloat_FromDouble(t)))
         goto done;
 
@@ -1618,8 +1619,7 @@ bind_router_transfer(PyObject *Py_UNUSED(module), PyObject *args)
                         "the timing class must be a slotless tuple subclass");
         return NULL;
     }
-    if (slot_offset(link, "name", &lane.name) < 0
-        || slot_offset(link, "bandwidth", &lane.bandwidth) < 0
+    if (slot_offset(link, "bandwidth", &lane.bandwidth) < 0
         || slot_offset(link, "latency", &lane.latency) < 0
         || slot_offset(link, "_free", &lane.free) < 0
         || slot_offset(link, "_lanes", &lane.lanes) < 0

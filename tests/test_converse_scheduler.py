@@ -1,6 +1,13 @@
 """Tests for the Converse scheduler: execution model, accounting, priorities."""
 
+import collections
+import gc
+import heapq
+import weakref
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.converse.scheduler import ConverseRuntime, Message
 from repro.hardware import Machine
@@ -148,6 +155,113 @@ class TestExecutionModel:
         conv.send_from_outside(0, Message(999, 0, 0, 8))
         with pytest.raises(CharmError):
             conv.run()
+
+
+class _Token:
+    """A payload a ``weakref`` can watch (a slotted ``Message`` cannot)."""
+
+
+class TestRunQueue:
+    """The FIFO lane is a list read from a head index; its contract is a
+    ``collections.deque`` (and a heap for prioritised messages)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(ops=st.lists(st.one_of(
+        st.tuples(st.just("enqueue"), st.integers(1, 90),
+                  st.sampled_from([None, None, None, 0, 1, 2])),
+        st.tuples(st.just("run"), st.integers(1, 120), st.none()),
+        st.tuples(st.just("halt"), st.none(), st.none())), max_size=40))
+    def test_against_a_deque(self, ops):
+        m, conv, _ = make_runtime()
+        pe, engine = conv.pes[0], m.engine
+        ran = []
+        hid = conv.register_handler(
+            lambda pe, msg: ran.append(msg.payload.serial))
+        fifo, prio, want = collections.deque(), [], []
+        watched = {}          # FIFO-lane payload -> weakref to its token
+        dropped = serial = 0
+        for op, n, level in ops:
+            if op == "enqueue":
+                for _ in range(n):
+                    token = _Token()
+                    token.serial = serial
+                    pe.enqueue(Message(hid, 0, 0, 8, payload=token,
+                                       prio=level))
+                    if pe.halted:
+                        dropped += 1
+                    elif level is None:
+                        fifo.append(serial)
+                        watched[serial] = weakref.ref(token)
+                    else:
+                        heapq.heappush(prio, (level, serial))
+                    serial += 1
+                    del token
+            elif op == "run":
+                for _ in range(n):
+                    if prio:
+                        want.append(heapq.heappop(prio)[1])
+                    elif fifo:
+                        want.append(fifo.popleft())
+                    engine.step()
+                    self._held(pe, fifo, prio, watched)
+            else:
+                dropped += len(fifo) + len(prio)
+                fifo.clear()
+                prio.clear()
+                pe.halt()
+            self._held(pe, fifo, prio, watched)
+            assert ran == want
+            assert pe.dropped_dead == dropped
+            ran.clear()
+            want.clear()
+        assert (pe._prioq is None) == (
+            pe.halted or not any(level is not None for op, _, level in ops
+                                 if op == "enqueue"))
+
+    @staticmethod
+    def _held(pe, fifo, prio, watched):
+        assert pe.queue_length == len(fifo) + len(prio)
+        # a list that is non-empty exactly while a message waits, never
+        # longer than twice the live depth + 32
+        assert bool(pe._fifo) == bool(fifo)
+        assert len(pe._fifo) <= 2 * len(fifo) + 32
+        # what was read is let go of, however deep the backlog behind it
+        live = set(fifo)
+        for serial in [s for s in watched if s not in live]:
+            assert watched.pop(serial)() is None
+
+    def test_a_consumed_message_is_released_under_backlog(self):
+        """One PE, 200 messages queued, 10 run: the ten are gone although
+        the reader has not caught up (a bare head index keeps them)."""
+        m, conv, _ = make_runtime()
+        pe = conv.pes[0]
+        hid = conv.register_handler(lambda pe, msg: None)
+        refs = []
+        for _ in range(200):
+            token = _Token()
+            refs.append(weakref.ref(token))
+            pe.enqueue(Message(hid, 0, 0, 8, payload=token))
+        del token
+        for _ in range(10):
+            assert m.engine.step()
+        gc.collect()
+        assert [r() is None for r in refs] == [True] * 10 + [False] * 190
+        assert pe.queue_length == 190 and len(pe._fifo) == 200
+        for _ in range(95):
+            m.engine.step()
+        # the consumed prefix became the larger half (at 100) and was cut
+        assert pe.queue_length == 95
+        assert (len(pe._fifo), pe._head) == (100, 5)
+        conv.run()
+        assert pe.queue_length == 0 and pe._fifo == [] and pe._head == 0
+
+    def test_an_idle_pe_keeps_no_queue(self):
+        m, conv, _ = make_runtime()
+        for pe in conv.pes:
+            assert pe._fifo == [] and pe._prioq is None and pe._ctx is None
+            assert pe.queue_length == 0
+        assert conv.pes[1].ctx == {} and conv.pes[1]._ctx is conv.pes[1].ctx
+        assert conv.pes[0]._ctx is None
 
 
 class TestRemoteSend:

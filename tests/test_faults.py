@@ -165,10 +165,10 @@ class TestLinkFaults:
                     torus_dims=(2, 2, 1))
         src, dst = (0, 0, 0), (1, 1, 0)
         m.network.fail_link(src, (1, 0, 0))
-        d = m.network._next_direction(src, dst)
-        nxt = m.network.topology.wrap((src[0] + d[0], src[1] + d[1], src[2] + d[2]))
-        assert nxt != (1, 0, 0)
-        assert m.network.link(src, nxt).state == "up"
+        topo = m.network.topology
+        lk, nxt = m.network._next_direction(topo.vertex(src), topo.vertex(dst))
+        assert topo.vertex_coord(nxt) == (0, 1, 0)
+        assert lk is m.network.link(src, (0, 1, 0)) and lk.state == "up"
 
 
 class TestRecovery:

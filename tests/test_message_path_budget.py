@@ -15,8 +15,9 @@ the core may not cost an indirection per protocol step.
 Cold state has a budget too: what one first-touch message per neighbour
 leaves behind on a machine too large to warm up — GC-tracked objects per
 PE (every one of them is walked by each later collector pass), bytes per
-PE (tracked objects barely notice a ``deque`` turning into a list, or a
-list into a float slot; resident memory does) and routing state (one slot
+PE (tracked objects barely notice a run queue turning from a ``deque``
+into a list, or a list into a float slot; resident memory does) and
+routing state (one slot
 list per vertex a message has stood on, one link per slot touched).
 """
 
@@ -43,7 +44,8 @@ APP_MSGS = N_CORES * 2 * K * 2 * (ITERS + WARMUP)
 #: machine layer down, 38.3 after, 22.2 with the upper half (the proxy
 #: call, the entry delivery, the scheduler's clock and charges) done too,
 #: 21.2 with ``TorusNetwork.transfer`` in the C core (one frame a transfer),
-#: 21.1 with routes by arithmetic (343 first touches where 835 misses were)
+#: 21.1 with routes by arithmetic (343 first touches where 835 misses were),
+#: 21.04 with a first touch that makes its link where it sits
 CALL_BUDGET = 21.6
 #: the same count for a 256 KB rendezvous message (iters=8, warmup=2):
 #: 157.2 uGNI / 115.8 RDMA (on a dragonfly) before the protocols were
@@ -57,20 +59,22 @@ RNDV_BUDGETS = {"ugni": 84.2, "rdma": 70.5}
 #: Python frames are on the path and counted too, ``Engine.now`` and the
 #: router's Python body among them — and, per transfer, the topology's
 #: arithmetic: two ``vertex`` frames and one ``out_hops`` frame a hop
-#: (30.3 -> 34.0 small, 118.1 / 113.2 -> 133.1 / 135.5 rendezvous; the
+#: (30.3 -> 33.9 small, 118.1 / 113.2 -> 133.0 / 135.4 rendezvous; the
 #: dragonfly's legs are the longer)
 if Engine()._core is None:
     CALL_BUDGET = 34.5
-    RNDV_BUDGETS = {"ugni": 133.6, "rdma": 136.0}
+    RNDV_BUDGETS = {"ugni": 133.5, "rdma": 135.9}
 #: one cold 1,024-PE ``kneighbor(32, k=1, iters=1, warmup=0)``, runtime
 #: held: GC-tracked objects it leaves per PE, measured + 2 % (63.9 while a
 #: route entry kept a coordinate tuple and a pair per candidate, 32.2 with
 #: a row of link tuples per destination; 21.2 with routes by
-#: arithmetic), the bytes tracemalloc sees it hold per PE (9.9 KB -> 6.6 KB
-#: -> 5.6 KB), and its routing state
+#: arithmetic; 20.2 with links that keep no name tuple), the bytes
+#: tracemalloc sees it hold per PE (9.9 KB -> 6.6 KB -> 5.6 KB -> 4.1 KB
+#: with unnamed links, ports in lists and no idle run queue; 4.17 KB on
+#: the pure-Python engine), and its routing state
 COLD_PES = 1024
-COLD_TRACKED_PER_PE = 21.7
-COLD_BYTES_PER_PE = 5700
+COLD_TRACKED_PER_PE = 20.7
+COLD_BYTES_PER_PE = 4260
 COLD_ROUTES = {"vertices": 1024, "links": 4239, "hops": 13503}
 
 
@@ -158,6 +162,7 @@ def test_cold_state_budget(held_runtimes, monkeypatch):
     net = held_runtimes[0][0].machine.network
     assert net.route_stats() == COLD_ROUTES
     topo = net.topology
+    named = dict(net.links())
     filled = 0
     for v, links in enumerate(net._out):
         if links is None:
@@ -165,17 +170,13 @@ def test_cold_state_budget(held_runtimes, monkeypatch):
         assert type(links) is list and len(links) == topo.fan_out(v)
         at = topo.vertex_coord(v)
         # a filled slot is the link named from here to the neighbour of
-        # ``at`` in that direction
+        # ``at`` in that direction — a name it is given, not one it keeps
         for lk, (_, nbr) in zip(links, topo.neighbors(at)):
             if lk is not None:
-                assert type(lk) is Link and lk.name == (at, nbr)
-                assert net._links[lk.name] is lk
+                assert type(lk) is Link and named[at, nbr] is lk
                 filled += 1
-    assert filled == len(net._links)
-    # every link into a node names it by the same tuple
-    ends = {}
-    for lk in net._links.values():
-        assert ends.setdefault(lk.name[1], lk.name[1]) is lk.name[1]
+    assert filled == len(named) == COLD_ROUTES["links"]
+    assert "name" not in Link.__slots__
 
 
 def test_cold_bytes_budget(held_runtimes, monkeypatch):

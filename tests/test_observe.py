@@ -243,7 +243,8 @@ class TestMetricsDeterminism:
         assert sm["collector"] == machine.engine.collector_stats()
         assert sm["c_core"]["bound"] is (machine.engine._core is not None)
         touched = sm["first_touch"]
-        assert touched["links"] == len(machine.network._links) > 0
+        assert touched["links"] == len(list(machine.network.links())) > 0
+        assert touched["inject_ports"] == touched["eject_ports"] == 3
         assert touched == {**observe.self_metrics(machine)["first_touch"],
                            **lrts.first_touch()}
         if layer == "ugni":

@@ -7,20 +7,23 @@ through two live networks: one called as anyone calls it (``transfer`` as
 bound — the compiled lane when the C core is loaded) and one whose
 ``transfer`` is the kept Python body.  Every :class:`TransferTiming`
 field and every per-link horizon and counter must be identical, and all
-three must have created exactly the same links in the same order
-(``len(net._links)`` is in the observer's metrics digest and
-``hottest_link`` breaks ties by insertion order, so lazy link creation is
-part of the contract).  Faults come and go inside a stream, so the
-compiled lane's hand-off to the Python body and its return after the last
-``restore_link`` are both covered; ``degraded_routes`` counts exactly the
-transfers made in between.
+three must have created exactly the same links in the same order (the
+count and the rendered names of ``net.links()`` are in the observer's
+metrics digest and ``hottest_link`` breaks ties by creation order, so lazy
+link creation is part of the contract).  Faults come and go inside a
+stream, so the compiled lane's hand-off to the Python body and its return
+after the last ``restore_link`` are both covered; ``degraded_routes``
+counts exactly the transfers made in between.
 
 A torus transfer may also name a ``via`` waypoint, so two-leg walks go
 through the live network's out-table on both topologies; the oracle's
 torus has no ``via``, so its side is composed here from the oracle's own
 ``_walk``, the way its dragonfly does it.  The oracle walks by coordinate
 and by name; the live networks by vertex and slot (``topology.out_hops``),
-which the last two tests hold to ``topology.neighbors()``.
+which the last tests hold to ``topology.neighbors()``; the live networks
+keep no name on a link and resolve ``(frm, to)`` by arithmetic
+(``topology.link_slot``), so a pair that is no link is refused where the
+oracle would invent one.
 """
 
 import numpy as np
@@ -28,6 +31,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import TopologyError
 from repro.hardware.config import MachineConfig
 from repro.hardware.link import Link
 from repro.hardware.router import DragonflyNetwork, TorusNetwork
@@ -73,13 +77,26 @@ def _ops(n_nodes, via=False):
                     min_size=1, max_size=60)
 
 
+def _named(net):
+    """``(name, link)`` for every link and port of a network: by its own
+    name on the oracle, by where it sits on a live network."""
+    if isinstance(net, RefTorusNetwork):
+        return [(lk.name, lk)
+                for table in (net._links, net._inject, net._eject)
+                for lk in table.values()]
+    coord = net.topology.vertex_coord
+    return list(net.links()) + [
+        ((kind, coord(v)), lk)
+        for kind, table in (("inject", net._inject), ("eject", net._eject))
+        for v, lk in enumerate(table) if lk is not None]
+
+
 def _link_state(net):
-    """Per-port horizons and counters, keyed by the port's own name."""
-    return {lk.name: (lk.horizons if type(lk) is Link else tuple(lk._lanes),
-                      lk.bytes_carried, lk.transfers, lk.faulted_transfers,
-                      lk.state)
-            for table in (net._links, net._inject, net._eject)
-            for lk in table.values()}
+    """Per-port horizons and counters, keyed by the port's name."""
+    return {name: (lk.horizons if type(lk) is Link else tuple(lk._lanes),
+                   lk.bytes_carried, lk.transfers, lk.faulted_transfers,
+                   lk.state)
+            for name, lk in _named(net)}
 
 
 def _ref_transfer_via(ref, now, src, via, dst, nbytes, cap, min_occ):
@@ -137,6 +154,14 @@ def _drive(lives, ref, ops):
                 frm = nbrs[0]
                 nbrs = [n for _, n in topo.neighbors(frm)]
             to = nbrs[port % len(nbrs)]
+            if topo.hop_distance(frm, to) != 1:
+                # a size-1 axis "neighbour" is the node itself, a spare
+                # global port's far end is two hops away: no link, which
+                # the live networks refuse and the oracle would invent
+                for live in lives:
+                    with pytest.raises(TopologyError):
+                        live.fail_link(frm, to)
+                continue
             for net in (*lives, ref):
                 if kind == "fail":
                     net.fail_link(frm, to)
@@ -145,7 +170,7 @@ def _drive(lives, ref, ops):
                 else:
                     net.restore_link(frm, to)
         for live in lives:
-            assert list(live._links) == list(ref._links)
+            assert [name for name, _ in live.links()] == list(ref._links)
     for live in lives:
         assert _link_state(live) == _link_state(ref)
         assert live.messages_routed == ref.messages_routed
@@ -202,12 +227,21 @@ def _slots_name_their_links(net):
                     to = topo.vertex_coord(nxt)
                     assert to in [n for _, n in topo.neighbors(frm)]
                 lk = net._first_touch(v, slot, nxt)
-                assert lk is net._links[(frm, to)] is net._out[v][slot]
-                assert lk.name == (frm, to)
+                assert lk is net.link(frm, to) is net._out[v][slot]
+                # ... and the name resolves back to a slot holding it
+                assert lk is net._out[v][topo.link_slot(v, nxt)]
                 slots.add((v, slot))
     filled = {(v, slot) for v, links in enumerate(net._out) if links
               for slot, lk in enumerate(links) if lk is not None}
     assert filled == slots
+    # every link once, under the name of the pair it was made for
+    named = dict(net.links())
+    assert len(named) == net.route_stats()["links"] == len(
+        {id(lk) for lk in named.values()})
+    assert {id(net._out[v][slot]) for v, slot in slots} == {
+        id(lk) for lk in named.values()}
+    for (frm, to), lk in named.items():
+        assert lk is net.link(frm, to)
     return slots
 
 
@@ -233,8 +267,9 @@ def test_dragonfly_slots_are_up_downs_locals_globals(shape):
     net = DragonflyNetwork(topo, MachineConfig(topology="dragonfly"))
     slots = _slots_name_their_links(net)
     g, a, p, h = shape
+    names = {id(lk): name for name, lk in net.links()}
     for v, slot in slots:
-        frm, to = net._out[v][slot].name
+        frm, to = names[id(net._out[v][slot])]
         if v < topo.volume:
             kind = "up"
         else:
@@ -245,3 +280,36 @@ def test_dragonfly_slots_are_up_downs_locals_globals(shape):
                 "local": ("rt", frm[1], slot - p)}.get(kind)
         assert to == want or (kind == "global"
                               and topo.is_global_link(frm, to))
+
+
+@pytest.mark.parametrize("topo", [
+    Torus3D((4, 4, 2)), Torus3D((2, 2, 1)), Torus3D((3, 1, 5)),
+    Torus3D((1, 1, 1)), Dragonfly(5, 3, 2, 2), Dragonfly(3, 2, 1, 1),
+    Dragonfly(2, 4, 2, 2), Dragonfly(1, 1, 1, 1)], ids=repr)
+def test_a_pair_of_vertices_names_a_slot_or_no_link(topo):
+    """``link_slot`` is the inverse of ``out_hops`` on exactly the links
+    of the fabric — the one-hop pairs ``neighbors()`` names — and refuses
+    every other pair of vertices, and anything that is not a vertex."""
+    n = topo.n_vertices
+    links = {(v, topo.vertex(to))
+             for v in range(n)
+             for _, to in topo.neighbors(topo.vertex_coord(v))
+             if topo.hop_distance(topo.vertex_coord(v), to) == 1}
+    for v in range(n):
+        for nxt in range(n):
+            if (v, nxt) in links:
+                slot = topo.link_slot(v, nxt)
+                assert 0 <= slot < topo.fan_out(v)
+                assert (slot, nxt) in topo.out_hops(v, nxt)
+            else:
+                with pytest.raises(TopologyError, match="no link"):
+                    topo.link_slot(v, nxt)
+        for off in (-1, n, n + 7):
+            for pair in ((v, off), (off, v)):
+                with pytest.raises(TopologyError):
+                    topo.link_slot(*pair)
+    # a slot names one neighbour, but for the two ways round a two-node ring
+    ends = {}
+    for v, nxt in links:
+        assert ends.setdefault((v, topo.link_slot(v, nxt)), nxt) == nxt
+    assert len(ends) == len(links)

@@ -35,9 +35,14 @@ from repro.hardware.topology import Dragonfly, Torus3D
 from repro.lrts.ugni_layer import UgniLayerConfig
 from repro.sim import _speed
 from tests.test_router_equivalence import (_PythonBody, _PythonBodyDragonfly,
-                                           _link_state)
+                                           _link_state, _named)
 
 DIMS = (4, 4, 2)
+
+
+def _names(net):
+    """The links of ``net`` by name, in the order they were made."""
+    return [name for name, _ in net.links()]
 
 
 class Lane:
@@ -117,7 +122,7 @@ class TestArgumentBinding:
         with pytest.raises(TypeError) as got:
             net.transfer(*args, **kwargs)
         assert str(got.value) == str(want.value)
-        assert net.messages_routed == 0 and not net._inject
+        assert net.messages_routed == 0 and not any(net._inject)
 
     def test_wrong_receiver(self, make):
         with pytest.raises((TypeError, AttributeError)):
@@ -132,7 +137,7 @@ class TestErrorsPropagate:
         with pytest.raises(TopologyError):
             net.transfer(0.0, (0, 0, 0), (1, 0), 8)
         assert net.messages_routed == 1
-        assert net._inject[(0, 0, 0)].transfers == 1
+        assert net._inject[0].transfers == 1
         assert net.transfer(0.0, (0, 0, 0), (1, 0, 0), 8).hops == 1
 
     @pytest.mark.parametrize("where", ["_first_touch", "injection_port",
@@ -151,18 +156,18 @@ class TestErrorsPropagate:
         assert net.messages_routed == 1
         if where == "injection_port":
             assert err.value.args == (a,)
-            assert not net._inject
+            assert not any(net._inject)
         else:
-            assert net._inject[a].transfers == 1
+            assert net._inject[0].transfers == 1
         if where == "_first_touch":
             # vertex 0, its +x slot, towards vertex 1
             assert err.value.args == (0, 0, 1)
         if where == "ejection_port":
             assert err.value.args == (b,)
-            assert [lk.transfers for lk in net._links.values()] == [1, 0, 1]
+            assert [lk.transfers for _, lk in net.links()] == [1, 0, 1]
         else:
-            assert not net._links and net.route_stats()["vertices"] == 0
-        assert not net._eject
+            assert not _names(net) and net.route_stats()["vertices"] == 0
+        assert not any(net._eject)
 
     def test_an_unmirrored_topology_is_the_python_bodys(self, make):
         """The lane mirrors exactly ``Torus3D`` and ``Dragonfly``: on a
@@ -190,7 +195,7 @@ class TestErrorsPropagate:
         assert frames[:3] == [other] * 3
         assert len(frames) == (3 if make.compiled else 6)
         assert got == want
-        assert list(other._links) == list(known._links)
+        assert _names(other) == _names(known) != []
         assert _link_state(other) == _link_state(known)
 
     @pytest.mark.parametrize("where", ["hop", "inject", "eject"])
@@ -208,12 +213,12 @@ class TestErrorsPropagate:
         assert link.faulted_transfers == 1
 
         def reserve(self, now, nbytes, min_occupancy=0.0):
-            raise Boom(self.name, now, nbytes, min_occupancy)
+            raise Boom(self, now, nbytes, min_occupancy)
 
         monkeypatch.setattr(Link, "reserve", reserve)
         with pytest.raises(Boom) as err:
             net.transfer(2, a, b, 8)
-        assert err.value.args[0] == link.name
+        assert err.value.args[0] is link
         if where == "inject":
             # the port is handed `now` as the caller passed it
             assert err.value.args[1:] == (2, 8, net.config.nic_msg_gap)
@@ -229,7 +234,7 @@ class TestErrorsPropagate:
         second = net.transfer(0, (0, 0, 0), (1, 0, 0), 1 << 20)
         assert second.depart == first.depart + (1 << 20) / \
             net.config.link_bandwidth
-        assert net._inject[(0, 0, 0)].horizons == (
+        assert net._inject[0].horizons == (
             2 * (1 << 20) / net.config.link_bandwidth,)
 
     def test_observer_hook_error(self, make):
@@ -273,17 +278,18 @@ class TestErrorsPropagate:
         with pytest.raises(TopologyError):
             net.transfer(0.0, (4, 0, 0), b, 8)
         assert net.messages_routed == 8
-        assert net._inject[a].transfers == 7
-        assert not net._links and not net._eject
+        assert net._inject[0].transfers == 7
+        assert [lk for lk in net._inject if lk] == [net._inject[0]]
+        assert not _names(net) and not any(net._eject)
         assert net.route_stats() == {"vertices": 0, "links": 0, "hops": 0}
         assert net.transfer(0.0, a, b, 8).hops == 4
         assert net.transfer(1.0, (1, 0, 0), b, 8, via=(1, 1, 1)).hops == 5
-        links = list(net._links)
+        links = _names(net)
         net.fail_link((2, 0, 0), (3, 0, 0))
         for _ in range(2):
             with pytest.raises(TopologyError):
                 net.transfer(2.0, a, (9, 0, 0), 8)
-        assert list(net._links) == links + [((2, 0, 0), (3, 0, 0))]
+        assert _names(net) == links + [((2, 0, 0), (3, 0, 0))]
         net.restore_link((2, 0, 0), (3, 0, 0))
         assert net.transfer(3.0, a, b, 8).hops == 4
 
@@ -301,10 +307,74 @@ class TestErrorsPropagate:
         for bad in [("rt", 5, 0), ("rt", 0, 3), ("rt", -1, 0)]:
             with pytest.raises(TopologyError):
                 lane(0.0, a, b, 8, via=bad)
-        assert net._inject[a].transfers == net.messages_routed == 8
-        assert not net._links and not net._eject
+        assert net._inject[0].transfers == net.messages_routed == 8
+        assert not _names(net) and not any(net._eject)
         assert net.route_stats()["vertices"] == 0
         assert lane(0.0, a, b, 8, via=("rt", 4, 2)).hops >= 3
+
+
+class TestAPairThatIsNoLink:
+    """``fail_link`` / ``degrade_link`` / ``restore_link`` resolve their
+    pair by arithmetic.  A pair that is no link of the fabric used to
+    invent one: counted in ``route_stats()`` and the observer's ``links``,
+    crossed by no route, and — failed or degraded — enough to hand every
+    later transfer to the Python body in dimension-ordered mode."""
+
+    def _refused(self, net, pairs):
+        net.transfer(0.0, *pairs[0], 8)   # (src, dst): a route exists
+        before = (net.route_stats(), net.first_touch(), _names(net),
+                  net.route_mode, net.messages_routed)
+        for frm, to in pairs[1:]:
+            for call in (lambda: net.fail_link(frm, to),
+                         lambda: net.degrade_link(frm, to, 0.5),
+                         lambda: net.restore_link(frm, to),
+                         lambda: net.link(frm, to)):
+                with pytest.raises(TopologyError):
+                    call()
+        assert not net._faulted and net.faulted_links == 0
+        net.transfer(1.0, *pairs[0], 8)
+        assert net.degraded_routes == 0
+        assert (net.route_stats()["links"], net.first_touch(), _names(net),
+                net.route_mode) == (before[0]["links"], *before[1:4])
+
+    def test_torus(self, make):
+        self._refused(make(), [
+            ((0, 0, 0), (1, 0, 0)),
+            ((0, 0, 0), (2, 0, 0)),      # two steps along x
+            ((0, 0, 0), (1, 1, 0)),      # one step along two axes
+            ((0, 0, 0), (0, 0, 0)),      # no step
+            ((0, 0, 0), (9, 9, 9)),      # off the fabric
+            ((4, 0, 0), (0, 0, 0)),
+            ((0, 0, 0), (1, 0))])
+
+    def test_dragonfly(self, make):
+        self._refused(make.dragonfly(), [
+            ((0, 0, 0), (3, 2, 1)),
+            ((0, 0, 0), (0, 0, 1)),           # terminal to terminal
+            ((0, 0, 0), ("rt", 0, 1)),        # terminal to a foreign router
+            (("rt", 0, 1), (0, 0, 0)),        # ... and back down
+            (("rt", 0, 0), ("rt", 0, 0)),
+            (("rt", 0, 2), ("rt", 1, 1)),     # a spare global port
+            (("rt", 0, 0), ("rt", 2, 0)),     # not the gateways' pair
+            (("rt", 0, 0), ("rt", 5, 0)),     # off the fabric
+            ((0, 0, 0), ("rt", 0))])
+
+    def test_a_real_flap_still_round_trips(self, make):
+        for net, frm, to in [(make(), (3, 0, 0), (0, 0, 0)),
+                             (make(), (0, 0, 0), (0, 0, 1)),
+                             (make.dragonfly(), ("rt", 0, 0), ("rt", 1, 1)),
+                             (make.dragonfly(), ("rt", 2, 1), (2, 1, 1))]:
+            net.fail_link(frm, to)
+            lk = net.link(frm, to)
+            assert lk.state == "down" and net._faulted == {(frm, to)}
+            assert net.route_mode == "dimension-ordered"
+            net.restore_link(frm, to)
+            net.degrade_link(frm, to, 0.5)
+            assert lk.state == "degraded" and lk.faults == 2
+            net.restore_link(frm, to)
+            assert lk.state == "up" and not net._faulted
+            assert net.route_mode == "adaptive"
+            assert list(net.links()) == [((frm, to), lk)]
 
 
 def _flat(run, watched, *nets):
@@ -319,10 +389,9 @@ def _flat(run, watched, *nets):
         # links, slot lists - and a counter's step out of the small-int cache
         run(0.1)
         for net in nets:
-            for table in (net._links, net._inject, net._eject):
-                for link in table.values():
-                    link.transfers += 1000
-                    link.bytes_carried += 1000
+            for _, link in _named(net):
+                link.transfers += 1000
+                link.bytes_carried += 1000
         counts = [sys.getrefcount(o) for o in watched]
         objects = len(gc.get_objects())
         traced = tracemalloc.get_traced_memory()[0]

@@ -101,7 +101,8 @@ class TestFallback:
         assert repr(shd.iteration_time) == repr(seq.iteration_time)
 
     def test_fault_schedule_matches_sequential_with_faults(self):
-        sched = [LinkFlap(at=5e-6, frm=(0, 0, 0), to=(1, 0, 0),
+        # the default job is three nodes, a (1, 1, 3) torus: a z link
+        sched = [LinkFlap(at=5e-6, frm=(0, 0, 0), to=(0, 0, 1),
                           duration=20e-6)]
         seq = kneighbor(2 * KB, layer="ugni", iters=10, layer_config=REL,
                         faults=FaultConfig(), fault_schedule=sched)
@@ -127,11 +128,9 @@ class TestFallback:
         eng = ShardedEngine(n_shards=2)
         m = Machine(n_nodes=4, engine=eng)
         assert not eng.shard_stats()["sequential"]
-        src = m.network.topology.coord_of(0)
-        dst = m.network._next_direction(src, m.network.topology.coord_of(1))
-        nxt = m.network.topology.wrap(
-            (src[0] + dst[0], src[1] + dst[1], src[2] + dst[2]))
-        m.network.fail_link(src, nxt)
+        topo = m.network.topology
+        (_, nxt), = topo.out_hops(0, 1, first_only=True)
+        m.network.fail_link(topo.coord_of(0), topo.vertex_coord(nxt))
         eng.call_at(1e-6, lambda: None)
         eng.run()
         assert eng.shard_stats()["sequential"]
