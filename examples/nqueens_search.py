@@ -19,7 +19,6 @@ from repro.apps.nqueens import (
     run_nqueens,
 )
 from repro.apps.nqueens.workmodel import paper_threshold_to_depth
-from repro.projections import render_profile
 from repro.units import fmt_time
 
 
@@ -53,8 +52,8 @@ def main() -> None:
               f"speedup {r.speedup:.1f} ({r.efficiency:.0%} efficiency)")
         print(f"    useful {u['useful']:.0%}  overhead {u['overhead']:.0%}  "
               f"idle {u['idle']:.0%}; {r.messages_sent} messages")
-        print(render_profile(r.profile, width=70, height=6,
-                             title=f"    {layer} utilization profile:"))
+        print(r.profile.render(width=70, height=6,
+                               title=f"    {layer} utilization profile:"))
 
 
 if __name__ == "__main__":

@@ -18,8 +18,8 @@ Layer map (bottom to top), mirroring the paper's Figure 3:
   and programming model.
 * :mod:`repro.apps` — ping-pong, one-to-all, kNeighbor, N-Queens and
   mini-NAMD used by the paper's evaluation.
-* :mod:`repro.projections` — utilization tracing (the paper's Projections
-  tool).
+* :mod:`repro.observe` — metrics, causal message traces, flight recorder
+  and the time-binned utilization profile (the paper's Projections tool).
 * :mod:`repro.bench` — the harness that regenerates every table and figure.
 
 Quick start::

@@ -22,7 +22,7 @@ from repro.apps.nqueens.workmodel import (
 from repro.charm import Chare, Charm
 from repro.hardware.config import MachineConfig
 from repro.lrts.factory import make_runtime
-from repro.projections import TimeProfile, UtilizationTracer
+from repro.observe import TimeProfile
 
 #: paper: "the size of messages are quite small (around 88 bytes)"
 TASK_MSG_BYTES = 88
@@ -129,9 +129,9 @@ def run_nqueens(
     if tree is None:
         depth = paper_threshold_to_depth(threshold)
         tree = build_task_tree(n, depth, mode=mode, seed=seed + 1)
-    tracer = UtilizationTracer(bin_width=trace_bin) if trace_bin else None
+    profile = TimeProfile(trace_bin) if trace_bin else None
     conv, lrts = make_runtime(n_pes=n_pes, layer=layer, config=config,
-                              seed=seed, tracer=tracer, **runtime_kw)
+                              seed=seed, tracer=profile, **runtime_kw)
     # the machine may round PEs up to whole nodes; use what was asked for
     charm = Charm(conv)
     ctx = _SearchContext(tree, n_pes, seed)
@@ -144,8 +144,8 @@ def run_nqueens(
     assert ctx.tasks_executed == tree.n_tasks, (
         f"task conservation violated: ran {ctx.tasks_executed} of {tree.n_tasks}"
     )
-    profile = (TimeProfile.from_tracer(tracer, n_pes, until=total_time)
-               if tracer else None)
+    if profile is not None:
+        profile.close(n_pes, until=total_time)
     return NQueensResult(
         n=n,
         threshold=threshold,

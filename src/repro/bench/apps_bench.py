@@ -8,7 +8,6 @@ from repro.apps.nqueens import build_task_tree, run_nqueens
 from repro.apps.nqueens.workmodel import paper_threshold_to_depth
 from repro.bench.harness import ExperimentResult, Series, paper_scale
 from repro.parallel import SweepPoint, run_sweep
-from repro.projections import render_profile
 from repro.units import fmt_time
 
 
@@ -125,9 +124,8 @@ def fig12() -> ExperimentResult:
                [runs[k].utilization["idle"] for k in labels]),
     ]
     for label, r in runs.items():
-        res.extra.append(render_profile(
-            r.profile, width=70, height=9,
-            title=f"{label}: T={fmt_time(r.total_time)}"))
+        res.extra.append(r.profile.render(
+            width=70, height=9, title=f"{label}: T={fmt_time(r.total_time)}"))
 
     coarse = runs[f"MPI thr {thr_coarse}"]
     fine_mpi = runs[f"MPI thr {thr_fine}"]

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
 
 from repro._env import env_flag
 from repro.units import fmt_size, fmt_time
@@ -24,9 +23,6 @@ class Series:
 
     def at(self, xv) -> float:
         return self.y[self.x.index(xv)]
-
-    def interpolate_label(self) -> str:  # pragma: no cover
-        return self.label
 
 
 @dataclass
@@ -125,7 +121,7 @@ class ExperimentResult:
         return "\n".join(lines)
 
 
-def geometric_sizes(lo: int, hi: int, per_decade: Optional[int] = None) -> list[int]:
+def geometric_sizes(lo: int, hi: int) -> list[int]:
     """Power-of-two sizes from lo to hi inclusive."""
     out = []
     s = lo

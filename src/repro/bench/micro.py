@@ -108,9 +108,9 @@ def fig4() -> ExperimentResult:
     res.claim("FMA Put beats BTE Put for 8B",
               curves["fma_put"][0] < curves["bte_put"][0])
     res.claim("BTE Put beats FMA Put for 64KB+",
-              all(b < f for b, f in zip(curves["bte_put"], curves["fma_put"])
-                  if False) or curves["bte_put"][sizes.index(64 * KB)]
-              < curves["fma_put"][sizes.index(64 * KB)])
+              all(b < f for s, b, f
+                  in zip(sizes, curves["bte_put"], curves["fma_put"])
+                  if s >= 64 * KB))
     # locate the put crossover
     cross = None
     for i in range(len(sizes) - 1):

@@ -32,11 +32,6 @@ from repro.errors import CharmError, SimulationError
 from repro.hardware.machine import Machine
 
 
-def _bootstrap_enqueue(pe: "PE", msg: "Message") -> None:
-    """Batch-armed bootstrap trampoline (see ``broadcast_from_outside``)."""
-    pe.enqueue(msg)
-
-
 @dataclass(slots=True)
 class Message:
     """A Converse message: envelope + payload.
@@ -361,9 +356,11 @@ class ConverseRuntime:
         self.machine = machine
         self.engine = machine.engine
         self.config = machine.config
-        # the observer doubles as the per-PE interval tracer (Projections
-        # timeline) unless the caller installed an explicit one
-        if tracer is None and machine.observer is not None:
+        # one interval hook per PE: the observer when the machine has one
+        # (it keeps the raw timeline and feeds the caller's sink from the
+        # same stream), else the caller's sink itself
+        if machine.observer is not None:
+            machine.observer.profile = tracer
             tracer = machine.observer
         self.tracer = tracer
         n = machine.n_pes if n_pes is None else n_pes
@@ -385,12 +382,6 @@ class ConverseRuntime:
             self._handlers.append(fn)
             self._handler_ids[fn] = hid
         return hid
-
-    def handler_fn(self, hid: int) -> Callable[[PE, Message], None]:
-        try:
-            return self._handlers[hid]
-        except IndexError:
-            raise CharmError(f"unknown handler id {hid}") from None
 
     # -- machine layer ---------------------------------------------------------
     def attach_lrts(self, lrts) -> None:
@@ -439,23 +430,12 @@ class ConverseRuntime:
                                ranks: Optional[Iterable[int]] = None) -> None:
         """Inject one bootstrap message per rank (``make_msg(rank)``) at ``at``.
 
-        The per-PE kick that starts every collective/spray benchmark.  On
-        the sequential engine the whole group is armed with one
-        :meth:`~repro.sim.engine.Engine.call_at_batch` — consecutive
-        ``seq`` stamps, identical firing order to the equivalent
-        :meth:`send_from_outside` loop, but a single validation pass and
-        no per-event Python dispatch.  An engine that
-        :attr:`~repro.sim.engine.Engine.routes_by_node` gets each delivery
-        by node instead (batch staging has no node identity and would tag
-        every bootstrap with shard 0).
+        The per-PE kick that starts every collective/spray benchmark:
+        the :meth:`send_from_outside` loop, each delivery routed by its
+        PE's node (consecutive ``seq`` stamps, rank order).
         """
-        ranks = range(len(self.pes)) if ranks is None else list(ranks)
-        if self.engine.routes_by_node:
-            for r in ranks:
-                self.pes[r].deliver_at(at, make_msg(r))
-            return
-        argss = [(self.pes[r], make_msg(r)) for r in ranks]
-        self.engine.call_at_batch([at] * len(argss), _bootstrap_enqueue, argss)
+        for r in (range(len(self.pes)) if ranks is None else ranks):
+            self.pes[r].deliver_at(at, make_msg(r))
 
     # -- run ----------------------------------------------------------------
     def run(self, until: float = float("inf"), max_events: Optional[int] = None) -> float:

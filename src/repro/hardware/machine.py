@@ -170,10 +170,6 @@ class Machine:
                 f"has no GPUs (gpus_per_node=0)")
         return node.gpus[self.core_of_pe(pe) % len(node.gpus)]
 
-    def hop_distance_pes(self, pe_a: int, pe_b: int) -> int:
-        na, nb = self.node_of_pe(pe_a), self.node_of_pe(pe_b)
-        return self.topology.hop_distance(na.coord, nb.coord)
-
     # -- convenience constructors ----------------------------------------------
     @classmethod
     def for_pes(

@@ -12,6 +12,10 @@ from dataclasses import dataclass
 from repro.errors import LrtsError
 from repro.units import KB
 
+#: re-send interval for the UD connection handshake (armed only under
+#: fault injection; the fault-free path never starts the timer)
+CONNECT_RETRY = 25e-6
+
 
 @dataclass(frozen=True)
 class RdmaLayerConfig:
@@ -29,13 +33,8 @@ class RdmaLayerConfig:
     retry_count: int = 7
     #: retransmission timeout after a lost packet
     retransmit_timeout: float = 12e-6
-    #: re-send interval for the UD connection handshake (armed only under
-    #: fault injection; the fault-free path never starts the timer)
-    connect_retry: float = 25e-6
     #: per-PE registered staging pool for eager sends / pre-posted recvs
     eager_pool_bytes: int = 256 * KB
-    #: override :attr:`MachineConfig.rdma_eager_max` (None = use it)
-    eager_max: int | None = None
 
     def __post_init__(self) -> None:
         if self.intranode not in ("pxshm", "pxshm_single", "fabric"):
@@ -53,11 +52,6 @@ class RdmaLayerConfig:
             raise LrtsError(
                 f"retransmit_timeout must be positive, "
                 f"got {self.retransmit_timeout}")
-        if self.connect_retry <= 0:
-            raise LrtsError(
-                f"connect_retry must be positive, got {self.connect_retry}")
         if self.eager_pool_bytes < 4 * KB:
             raise LrtsError(
                 f"eager_pool_bytes must be >= 4 KB, got {self.eager_pool_bytes}")
-        if self.eager_max is not None and self.eager_max < 0:
-            raise LrtsError(f"eager_max must be >= 0, got {self.eager_max}")

@@ -26,7 +26,7 @@ from collections import deque
 from typing import Any, Callable, Optional
 
 from repro.hardware.machine import Machine
-from repro.lrts.rdma_layer.config import RdmaLayerConfig
+from repro.lrts.rdma_layer.config import CONNECT_RETRY, RdmaLayerConfig
 from repro.ugni.memreg import MemHandle, RegistrationTable
 from repro.ugni.rdma import PostDescriptor
 from repro.ugni.types import PostType
@@ -155,7 +155,7 @@ class RcQueuePair:
         fab._ud_send(self.src, self.dst, at=at, on_deliver=on_req)
         if fab.machine.faults is not None:
             fab.machine.engine.call_at_node(
-                self.src_node, at + fab.lcfg.connect_retry, self._reconnect)
+                self.src_node, at + CONNECT_RETRY, self._reconnect)
 
     def _reconnect(self) -> None:
         if self.state != "connecting":

@@ -53,9 +53,6 @@ class RdmaMachineLayer(ProtocolCore, IntranodeMixin, GpuTransportMixin,
         self.cfg = machine.config
         self.lcfg = layer_config or RdmaLayerConfig()
         self.fabric = RdmaFabric(machine, self.lcfg)
-        self._eager_max = (self.lcfg.eager_max
-                           if self.lcfg.eager_max is not None
-                           else self.cfg.rdma_eager_max)
         self._rndv_recv_cpu = self.cfg.rdma_recv_cpu
         # counters
         self.inline_sent = 0
@@ -129,7 +126,7 @@ class RdmaMachineLayer(ProtocolCore, IntranodeMixin, GpuTransportMixin,
                 obs.on_lrts("rdma", "inline", msg, self.machine.engine.now)
             self._rc_send(src_pe, dst_rank, "inline", msg, total)
             return
-        if total <= self._eager_max:
+        if total <= self.cfg.rdma_eager_max:
             self.eager_sent += 1
             if obs is not None:
                 obs.on_lrts("rdma", "eager", msg, self.machine.engine.now)

@@ -5,6 +5,9 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
+#: interval for retrying sends blocked on SMSG credits
+CREDIT_RETRY_INTERVAL = 1e-6
+
 
 @dataclass(frozen=True)
 class UgniLayerConfig:
@@ -28,8 +31,6 @@ class UgniLayerConfig:
     #: SMP-style node-level pool sharing (paper §VII future work): one pool
     #: per node instead of one per PE
     smp_pools: bool = False
-    #: interval for retrying sends blocked on SMSG credits
-    credit_retry_interval: float = 1e-6
     #: sequence-numbered SMSG retransmission + FMA/BTE post retry
     #: (recovery for injected faults, :mod:`repro.faults`); off by default
     #: — the fault-free path is then bit-identical to a build without it
@@ -37,10 +38,9 @@ class UgniLayerConfig:
     #: send/post attempts before giving up (counted in ``rel_failed`` /
     #: ``post_failures``)
     max_retries: int = 8
-    #: retransmit timeout before the first retry; doubles (well,
-    #: ``retry_backoff_factor``s) per attempt up to ``retry_backoff_max``
+    #: retransmit timeout before the first retry; doubles per attempt up
+    #: to ``retry_backoff_max``
     retry_backoff_base: float = 25e-6
-    retry_backoff_factor: float = 2.0
     retry_backoff_max: float = 400e-6
     #: receiver-side dedup keeps at most this many out-of-order sequence
     #: numbers per (src, dst) pair; exceeding it (only possible when the
@@ -60,9 +60,6 @@ class UgniLayerConfig:
         if self.retry_backoff_base <= 0:
             raise ValueError(
                 f"retry_backoff_base must be positive, got {self.retry_backoff_base}")
-        if self.retry_backoff_factor < 1.0:
-            raise ValueError(
-                f"retry_backoff_factor must be >= 1, got {self.retry_backoff_factor}")
         if self.retry_backoff_max < self.retry_backoff_base:
             raise ValueError("retry_backoff_max must be >= retry_backoff_base")
         if self.rel_window_cap < 1:

@@ -27,7 +27,7 @@ from repro.lrts.messages import (
     TAG_STEPS,
 )
 from repro.lrts.protocols import ProtocolCore
-from repro.lrts.ugni_layer.config import UgniLayerConfig
+from repro.lrts.ugni_layer.config import CREDIT_RETRY_INTERVAL, UgniLayerConfig
 from repro.lrts.ugni_layer.reliability import ReliabilityMixin, _RelPacket
 from repro.memory.mempool import MemoryPool
 from repro.memory.pxshm import PxshmFabric
@@ -271,7 +271,7 @@ class UgniMachineLayer(ReliabilityMixin, ProtocolCore, IntranodeMixin,
 
     def _schedule_flush(self, src_rank: int, dst_rank: int, after: float) -> None:
         self.machine.engine.call_at(
-            after + self.lcfg.credit_retry_interval, self._self_step,
+            after + CREDIT_RETRY_INTERVAL, self._self_step,
             self.conv.pes[src_rank], "flush_pending", dst_rank, 0.0)
 
     def _flush_pending(self, pe: PE, dst_rank: int) -> None:

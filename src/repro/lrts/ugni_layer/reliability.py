@@ -156,7 +156,7 @@ class ReliabilityMixin:
         """Bounded exponential backoff before retry ``attempt`` (1-based)."""
         lcfg = self.lcfg
         return min(
-            lcfg.retry_backoff_base * lcfg.retry_backoff_factor ** (attempt - 1),
+            lcfg.retry_backoff_base * 2.0 ** (attempt - 1),
             lcfg.retry_backoff_max,
         )
 

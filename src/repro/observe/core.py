@@ -20,9 +20,10 @@ The observer owns three sub-systems: a :class:`MetricsRegistry`
 :class:`MessageTracer` (causal per-message stage records keyed by the
 trace ID minted at send), and a :class:`FlightRecorder` (bounded ring of
 recent fault/recovery/stall records, dumped automatically on reliability
-give-up, sanitizer violation, or engine stall).  It also implements the
-scheduler-tracer protocol (``record``), so installing it gives the
-Projections-style per-PE timeline for free.
+give-up, sanitizer violation, or engine stall).  It is also the
+scheduler's one interval hook (``record``): it keeps the raw per-PE
+timeline and passes each interval on to the run's
+:class:`~repro.observe.profile.TimeProfile`, if the caller asked for one.
 """
 
 from __future__ import annotations
@@ -104,29 +105,24 @@ class Observer:
     and skips all calls when it is ``None``.
     """
 
-    def __init__(self, machine: "Machine",
-                 flight_capacity: int = 256,
-                 trace_capacity: Optional[int] = None):
+    def __init__(self, machine: "Machine"):
         self.machine = machine
-        self._eng = machine.engine
         self.metrics = MetricsRegistry()
-        self.tracer = MessageTracer(capacity=trace_capacity)
-        self.flight = FlightRecorder(capacity=flight_capacity)
+        self.tracer = MessageTracer()
+        self.flight = FlightRecorder()
         #: pe rank -> [(start, duration, kind), ...] busy/idle intervals
         self.timeline: dict[int, list[tuple[float, float, str]]] = {}
+        #: the caller's sink for the same stream, set by ``ConverseRuntime``
+        self.profile: Optional[Any] = None
         _REGISTRY.append(self)
-        self._register_machine_sources()
+        self.register_source("engine", lambda: self._engine_stats(machine))
+        self.register_source("net", lambda: self._net_stats(machine))
+        self.register_source("nic", lambda: self._nic_stats(machine))
 
     # -- pull-based sources ------------------------------------------------
     def register_source(self, name: str, fn: Callable[[], Any]) -> None:
         """Fold ``fn()`` into every snapshot under ``name`` (see registry)."""
         self.metrics.register_source(name, fn)
-
-    def _register_machine_sources(self) -> None:
-        machine = self.machine
-        self.register_source("engine", lambda: self._engine_stats(machine))
-        self.register_source("net", lambda: self._net_stats(machine))
-        self.register_source("nic", lambda: self._nic_stats(machine))
 
     def register_gpu_source(self, machine: "Machine") -> None:
         """Fold accelerator stats into snapshots.
@@ -322,10 +318,12 @@ class Observer:
         self.flight.note(time, "engine", "stall", max_events=max_events)
         self.flight.dump("engine-stall", time)
 
-    # -- scheduler tracer protocol (per-PE timeline) -----------------------
+    # -- the scheduler's interval hook -------------------------------------
     def record(self, pe_rank: int, start: float, duration: float,
                kind: str) -> None:
         self.timeline.setdefault(pe_rank, []).append((start, duration, kind))
+        if self.profile is not None:
+            self.profile.record(pe_rank, start, duration, kind)
 
     # -- introspection -----------------------------------------------------
     def snapshot(self) -> dict[str, Any]:

@@ -138,10 +138,6 @@ class MetricsRegistry:
         return h.hexdigest()
 
     # -- maintenance -------------------------------------------------------
-    def merge_counters(self, other: "MetricsRegistry") -> None:
-        for name, value in other._counters.items():
-            self.inc(name, value)
-
     def clear(self) -> None:
         self._counters.clear()
         self._gauges.clear()

@@ -62,8 +62,6 @@ class ShardedEngine(Engine):
     lookahead.  Until then — and after a fallback — no windows are cut.
     """
 
-    routes_by_node = True
-
     def __init__(
         self,
         n_shards: int = 2,

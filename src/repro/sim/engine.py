@@ -157,11 +157,6 @@ class Engine:
     #: loop itself is not hooked — only the runaway-guard path is — so
     #: with both hooks unset the loop carries zero telemetry branches.
     observer = None
-    #: does the node passed to :meth:`call_at_node` / :meth:`post_at_node`
-    #: mean anything to this engine?  ``False`` here (the node is dropped);
-    #: ``True`` on :class:`repro.parallel.ShardedEngine`, where bootstrap
-    #: code must deliver per node rather than batch-arm node-less events
-    routes_by_node = False
 
     def __init__(self) -> None:
         # The compiled slab core carries the whole hot path when it is
@@ -365,8 +360,8 @@ class Engine:
         PE message delivery) route through here so that
         :class:`repro.parallel.ShardedEngine` can tag the event with the
         owning shard and audit it against the lookahead window.  Here the
-        node identity carries no information (:attr:`routes_by_node` is
-        ``False``) and this is exactly :meth:`call_at`.
+        node identity carries no information and this is exactly
+        :meth:`call_at`.
         """
         return self.call_at(time, fn, *args)
 

@@ -91,51 +91,3 @@ class Process:
         state = "done" if self.done else "running"
         return f"<Process {self.name} {state}>"
 
-
-def all_of(engine: Engine, events: list[Event]) -> Event:
-    """An event that triggers once every event in ``events`` has triggered.
-
-    The combined event's value is the list of individual values in input
-    order.  An empty list triggers immediately (on the next tick).
-    """
-    combined = engine.event()
-    remaining = len(events)
-    values: list[Any] = [None] * len(events)
-    if remaining == 0:
-        engine.post_soon(combined.succeed, values)
-        return combined
-
-    def make_cb(i: int):
-        def cb(value: Any) -> None:
-            nonlocal remaining
-            values[i] = value
-            remaining -= 1
-            if remaining == 0:
-                combined.succeed(values)
-
-        return cb
-
-    for i, ev in enumerate(events):
-        ev.add_callback(make_cb(i))
-    return combined
-
-
-def any_of(engine: Engine, events: list[Event]) -> Event:
-    """An event that triggers when the first of ``events`` triggers.
-
-    Value is ``(index, value)`` of the winner.  Later triggers are ignored.
-    """
-    if not events:
-        raise SimulationError("any_of() requires at least one event")
-    combined = engine.event()
-
-    def make_cb(i: int):
-        def cb(value: Any) -> None:
-            if not combined.triggered:
-                combined.succeed((i, value))
-
-        return cb
-
-    for i, ev in enumerate(events):
-        ev.add_callback(make_cb(i))
-    return combined

@@ -111,6 +111,29 @@ class TestRegistry:
         assert run_experiment(exp_id).render() == committed
 
 
+class TestClaimsCanFail:
+    """A claim no perturbation can flip checks nothing (ROADMAP 1(a))."""
+
+    def test_fig4_bte_put_claim_follows_the_calibration(self, monkeypatch):
+        from repro.bench import micro
+        from repro.hardware.config import MachineConfig
+
+        monkeypatch.delenv("REPRO_PAPER_SCALE", raising=False)
+        text = "BTE Put beats FMA Put for 64KB+"
+        holds = {c.text: c.holds for c in micro.fig4().claims}
+        assert holds[text]
+
+        base = MachineConfig()
+        slow_bte = base.replace(bte_put_bandwidth=base.fma_put_bandwidth / 2)
+        latency = micro.fma_bte_latency
+        monkeypatch.setattr(micro, "fma_bte_latency",
+                            lambda kind, size: latency(kind, size, slow_bte))
+        flipped = {c.text: c.holds for c in micro.fig4().claims}
+        assert not flipped[text]
+        # one constant, one family of claims: the small-message ones stand
+        assert flipped["FMA Put beats BTE Put for 8B"]
+
+
 class TestRegressionHarness:
     """benchmarks/run_all.py — the perf-smoke harness CI keys off."""
 
