@@ -4,17 +4,19 @@ Fig. 9a plots *both* "MPI (same send/recv buffer)" and "MPI (different
 send/recv buffer)" because the registration cache makes them diverge above
 the rendezvous threshold; ``same_buffer=False`` passes a fresh uDREG key
 per call, exactly the access pattern of the MPI-based Charm++ layer.
+
+Each rank is a callback chain of blocking calls: post the request, sleep
+through its CPU cost, then wait for its completion.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
+from repro.errors import SimulationError
 from repro.hardware.config import MachineConfig
 from repro.hardware.machine import Machine
-from repro.mpish import MpiWorld
-from repro.mpish.comm import recv, send
-from repro.sim.process import Process
+from repro.mpish import MpiRequest, MpiWorld
 
 
 def mpi_pingpong(
@@ -33,29 +35,51 @@ def mpi_pingpong(
         m = Machine(n_nodes=2, config=cfg.replace(cores_per_node=1))
     world = MpiWorld(m)
     engine = m.engine
+    rounds = warmup + iters
     results: list[float] = []
 
-    def key(rank: int, i: int):
-        return f"buf{rank}" if same_buffer else None
+    keys = ("buf0", "buf1") if same_buffer else (None, None)
 
-    def rank0():
-        t_start = None
-        for i in range(warmup + iters):
-            if i == warmup:
-                t_start = engine.now
-            yield from send(world, 0, 1, tag=0, nbytes=size,
-                            buf_key=key(0, i))
-            yield from recv(world, 0, src=1, tag=1, buf_key=key(0, i))
-        results.append((engine.now - t_start) / (2 * iters))
+    def block(posted: tuple[MpiRequest, float],
+              k: Callable[[tuple[float, float]], None]) -> None:
+        """MPI_Wait on a just-posted request: pay its CPU, then await it."""
+        req, cpu = posted
+        engine.post_at(engine.now + cpu, req.on_complete, k)
 
-    def rank1():
-        for i in range(warmup + iters):
-            yield from recv(world, 1, src=0, tag=0, buf_key=key(1, i))
-            yield from send(world, 1, 0, tag=1, nbytes=size,
-                            buf_key=key(1, i))
+    def send(rank: int, dst: int, tag: int, k) -> None:
+        block(world.isend(rank, dst, tag, size, buf_key=keys[rank]), k)
 
-    Process(engine, rank0())
-    Process(engine, rank1())
+    def recv(rank: int, src: int, tag: int, k) -> None:
+        block(world.irecv(rank, src=src, tag=tag, buf_key=keys[rank]), k)
+
+    t_start = 0.0
+    done0 = 0  # round trips rank 0 has completed
+
+    def rank0_round() -> None:
+        nonlocal t_start
+        if done0 == warmup:
+            t_start = engine.now
+        send(0, 1, 0, lambda _v: recv(0, 1, 1, rank0_reply))
+
+    def rank0_reply(_value) -> None:
+        nonlocal done0
+        done0 += 1
+        if done0 < rounds:
+            rank0_round()
+        else:
+            results.append((engine.now - t_start) / (2 * iters))
+
+    done1 = 0  # pings rank 1 has answered
+
+    def rank1_round(_value=None) -> None:
+        nonlocal done1
+        if done1 < rounds:
+            done1 += 1
+            recv(1, 0, 0, lambda _v: send(1, 0, 1, rank1_round))
+
+    engine.post_at(0.0, rank0_round)
+    engine.post_at(0.0, rank1_round)
     engine.run(max_events=10_000_000)
-    assert results, "pure-MPI ping-pong did not finish"
+    if not results:
+        raise SimulationError("pure-MPI ping-pong did not finish")
     return results[0]

@@ -5,18 +5,19 @@ pre-allocate and pre-register their buffers once (outside the timed loop),
 small messages go through SMSG, large messages are a single best-kind PUT
 into the peer's known registered buffer with a remote-data CQ event — no
 control messages, no allocation, no runtime.
+
+Each rank is a callback chain: a send, a sleep through its CPU cost, then
+a wait for the peer's reply, which the arrival resumes.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
+from repro.errors import SimulationError
 from repro.hardware.config import MachineConfig
 from repro.hardware.machine import Machine
-from repro.sim.process import Process
 from repro.ugni.api import GniJob
-from repro.ugni.rdma import PostDescriptor
-from repro.ugni.types import PostType
 
 
 def ugni_pingpong(
@@ -30,73 +31,86 @@ def ugni_pingpong(
     m = Machine(n_nodes=2, config=cfg)
     gni = GniJob(m)
     engine = m.engine
+    rounds = warmup + iters
 
     use_smsg = size <= gni.smsg.max_size
     if not use_smsg:
         # pre-register both buffers (outside the measurement, as the
         # benchmark reuses one buffer per side)
-        blk0, h0, _ = gni.malloc_registered(0, size)
-        blk1, h1, _ = gni.malloc_registered(1, size)
+        gni.malloc_registered(0, size)
+        gni.malloc_registered(1, size)
 
     results: list[float] = []
-    arrive_evts = {0: [], 1: []}
+    #: per PE, the continuation waiting for the next arrival (or None)
+    waiting: list[Optional[Callable[[], None]]] = [None, None]
 
-    def wait_arrival(pe):
-        ev = engine.event()
-        arrive_evts[pe].append(ev)
-        return ev
+    def wait_arrival(pe: int, k: Callable[[], None]) -> None:
+        waiting[pe] = k
 
-    def do_send(pe_from: int, pe_to: int) -> float:
-        """Issue one transfer; returns cpu; arrival triggers peer's event."""
+    def arrive(pe: int) -> None:
+        k = waiting[pe]
+        if k is None:
+            raise SimulationError(
+                f"pure-uGNI ping-pong: an arrival at PE {pe} found no waiter")
+        waiting[pe] = None
+        k()
 
-        def on_data(t: float) -> None:
-            evs = arrive_evts[pe_to]
-            if evs:
-                evs.pop(0).succeed(t)
-
+    def send(pe_from: int, pe_to: int, k: Callable[[], None]) -> None:
+        """Issue one transfer, then run ``k`` once its CPU cost is paid."""
         if use_smsg:
-            return gni.smsg.send(pe_from, pe_to, tag=0, nbytes=size,
-                                 at=engine.now)
-        node = m.nodes[pe_from]
-        lh, rh = (h0, h1) if pe_from == 0 else (h1, h0)
-        desc = PostDescriptor(PostType.PUT, local_mem=lh, remote_mem=rh,
-                              length=size)
-        kind = node.nic.best_kind(size, put=True)
-        fma = kind.value.startswith("fma")
-        cpu = node.nic.post_transfer(kind, m.nodes[pe_to].coord, size,
-                                     on_remote_data=on_data, at=engine.now)
-        return cpu
+            cpu = gni.smsg.send(pe_from, pe_to, tag=0, nbytes=size,
+                                at=engine.now)
+        else:
+            node = m.nodes[pe_from]
+            kind = node.nic.best_kind(size, put=True)
+            cpu = node.nic.post_transfer(
+                kind, m.nodes[pe_to].coord, size,
+                on_remote_data=lambda _t: arrive(pe_to), at=engine.now)
+        engine.post_at(engine.now + cpu, k)
 
     if use_smsg:
-        # SMSG arrivals surface on the RX CQ; drain and fire the waiter
-        def hook(pe: int):
+        # SMSG arrivals surface on the RX CQ; drain and resume the waiter
+        def hook(pe: int) -> None:
             def on_event(cq) -> None:
-                msg, rcpu = gni.smsg.get_next(pe)
-                evs = arrive_evts[pe]
-                if evs:
-                    evs.pop(0).succeed(engine.now + rcpu)
+                gni.smsg.get_next(pe)
+                arrive(pe)
 
             gni.smsg.rx_cq(pe).on_event = on_event
 
         hook(0)
         hook(1)
 
-    def rank0():
-        t_start = None
-        for i in range(warmup + iters):
-            if i == warmup:
-                t_start = engine.now
-            yield do_send(0, 1)
-            yield wait_arrival(0)
-        results.append((engine.now - t_start) / (2 * iters))
+    t_start = 0.0
+    done0 = 0  # round trips rank 0 has completed
 
-    def rank1():
-        for _ in range(warmup + iters):
-            yield wait_arrival(1)
-            yield do_send(1, 0)
+    def rank0_round() -> None:
+        nonlocal t_start
+        if done0 == warmup:
+            t_start = engine.now
+        send(0, 1, lambda: wait_arrival(0, rank0_reply))
 
-    Process(engine, rank0())
-    Process(engine, rank1())
+    def rank0_reply() -> None:
+        nonlocal done0
+        done0 += 1
+        if done0 < rounds:
+            rank0_round()
+        else:
+            results.append((engine.now - t_start) / (2 * iters))
+
+    done1 = 0  # pings rank 1 has answered
+
+    def rank1_wait() -> None:
+        if done1 < rounds:
+            wait_arrival(1, rank1_answer)
+
+    def rank1_answer() -> None:
+        nonlocal done1
+        done1 += 1
+        send(1, 0, rank1_wait)
+
+    engine.post_at(0.0, rank0_round)
+    engine.post_at(0.0, rank1_wait)
     engine.run(max_events=10_000_000)
-    assert results, "pure-uGNI ping-pong did not finish"
+    if not results:
+        raise SimulationError("pure-uGNI ping-pong did not finish")
     return results[0]

@@ -101,7 +101,7 @@ class MpiMachineLayer(GpuTransportMixin, LrtsLayer):
         pe.charge(cpu, "overhead")
         if req.completed:
             # eager: data was already in MPI's buffers; copy-out happened
-            t, extra = req.done.value
+            t, extra = req.value
             pe.charge(max(0.0, extra), "overhead")
             self._deliver_matched(pe, req)
             return
@@ -114,7 +114,7 @@ class MpiMachineLayer(GpuTransportMixin, LrtsLayer):
             pe.end_blocking(t)
             self._deliver_matched(pe, req)
 
-        req.done.add_callback(on_done)
+        req.on_complete(on_done)
 
     def _deliver_matched(self, pe: PE, req) -> None:
         msg: Message = req.matched.payload

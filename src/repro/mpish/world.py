@@ -106,7 +106,7 @@ class MpiWorld:
         at = self.engine.now if at is None else at
         cfg = self.cfg
         self.sends += 1
-        req = MpiRequest(self.engine, "send", src, dst, tag, nbytes, payload)
+        req = MpiRequest("send", src, dst, tag, nbytes, payload)
         key = (src, dst)
         seq = self._send_seq.get(key, 0)
         self._send_seq[key] = seq + 1
@@ -172,7 +172,7 @@ class MpiWorld:
         eng = self._match.get(rank)
         if eng is None:
             eng = self.match_engine(rank)
-        req = MpiRequest(self.engine, "recv", src, rank, tag, 0)
+        req = MpiRequest("recv", src, rank, tag, 0)
         req.payload = buf_key  # stash the recv-buffer identity for uDREG
         arr, match_cpu = eng.match_unexpected(src, tag, pop=True)
         cpu = cfg.mpi_request_cpu + match_cpu

@@ -447,12 +447,11 @@ core_post_at(Core *c, PyObject *const *args, Py_ssize_t nargs)
 }
 
 static PyObject *
-core_call_after_impl(Core *c, PyObject *const *args, Py_ssize_t nargs,
-                     const char *name, int want_handle)
+core_call_after(Core *c, PyObject *const *args, Py_ssize_t nargs)
 {
     if (nargs < 2) {
-        PyErr_Format(PyExc_TypeError,
-                     "%s() requires a delay and a callable", name);
+        PyErr_SetString(PyExc_TypeError,
+                        "call_after() requires a delay and a callable");
         return NULL;
     }
     double delay = PyFloat_AsDouble(args[0]);
@@ -469,19 +468,7 @@ core_call_after_impl(Core *c, PyObject *const *args, Py_ssize_t nargs,
                      PyFloat_FromDouble(time));
         return NULL;
     }
-    return arm_common(c, time, args + 1, nargs - 1, want_handle);
-}
-
-static PyObject *
-core_call_after(Core *c, PyObject *const *args, Py_ssize_t nargs)
-{
-    return core_call_after_impl(c, args, nargs, "call_after", 1);
-}
-
-static PyObject *
-core_post_after(Core *c, PyObject *const *args, Py_ssize_t nargs)
-{
-    return core_call_after_impl(c, args, nargs, "post_after", 0);
+    return arm_common(c, time, args + 1, nargs - 1, 1);
 }
 
 static PyObject *
@@ -507,28 +494,6 @@ core_post_at_node(Core *c, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     }
     return core_call_at_impl(c, args + 1, nargs - 1, "post_at_node", 0);
-}
-
-static PyObject *
-core_call_soon(Core *c, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs < 1) {
-        PyErr_SetString(PyExc_TypeError,
-                        "call_soon() requires a callable");
-        return NULL;
-    }
-    return arm_common(c, c->now, args, nargs, 1);
-}
-
-static PyObject *
-core_post_soon(Core *c, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs < 1) {
-        PyErr_SetString(PyExc_TypeError,
-                        "post_soon() requires a callable");
-        return NULL;
-    }
-    return arm_common(c, c->now, args, nargs, 0);
 }
 
 /* post_many(times, fn, argss): batch-arm pre-validated events.  `times`
@@ -753,37 +718,6 @@ core_set_now(Core *c, PyObject *arg)
     Py_RETURN_NONE;
 }
 
-/* drain(): pop every entry, returning a list of handles for live events
- * (cancelled entries are reaped silently).  Debug aid, parity with the
- * Python engine's drain(). */
-static PyObject *
-core_drain(Core *c, PyObject *Py_UNUSED(ignored))
-{
-    PyObject *out = PyList_New(0);
-    if (!out)
-        return NULL;
-    while (reap_root(c) > 0) {
-        Py_ssize_t slot = c->heap[0].slot;
-        heap_pop(c);
-        PyObject *h = make_handle(c, slot);
-        if (!h || PyList_Append(out, h) < 0) {
-            Py_XDECREF(h);
-            Py_DECREF(out);
-            return NULL;
-        }
-        Py_DECREF(h);
-        /* The handle outlives the queue entry; mark the slot cancelled
-         * so a later cancel() on it is a no-op rather than corruption. */
-        Slot *s = &c->slab[slot];
-        s->state = STATE_CANCELLED;
-        Py_CLEAR(s->fn);
-        Py_CLEAR(s->args);
-        c->cancelled += 1;
-    }
-    core_compact(c);
-    return out;
-}
-
 /* ---- type plumbing ---------------------------------------------------- */
 
 static PyObject *
@@ -808,34 +742,6 @@ static PyObject *
 core_get_executed(Core *c, void *Py_UNUSED(closure))
 {
     return PyLong_FromLongLong(c->events_executed);
-}
-
-static int
-core_set_executed(Core *c, PyObject *value, void *Py_UNUSED(closure))
-{
-    long long v = PyLong_AsLongLong(value);
-    if (v == -1 && PyErr_Occurred())
-        return -1;
-    c->events_executed = v;
-    return 0;
-}
-
-static PyObject *
-core_get_seq(Core *c, void *Py_UNUSED(closure))
-{
-    return PyLong_FromLongLong(c->seq);
-}
-
-static PyObject *
-core_get_stopped(Core *c, void *Py_UNUSED(closure))
-{
-    return PyBool_FromLong(c->stopped);
-}
-
-static PyObject *
-core_get_running(Core *c, void *Py_UNUSED(closure))
-{
-    return PyBool_FromLong(c->running);
 }
 
 static PyObject *
@@ -904,18 +810,14 @@ core_dealloc(Core *c)
 static PyMethodDef core_methods[] = {
     {"call_at", FASTCALL(core_call_at), METH_FASTCALL, NULL},
     {"call_after", FASTCALL(core_call_after), METH_FASTCALL, NULL},
-    {"call_soon", FASTCALL(core_call_soon), METH_FASTCALL, NULL},
     {"call_at_node", FASTCALL(core_call_at_node), METH_FASTCALL, NULL},
     {"post_at_node", FASTCALL(core_post_at_node), METH_FASTCALL, NULL},
     {"post_at", FASTCALL(core_post_at), METH_FASTCALL, NULL},
-    {"post_after", FASTCALL(core_post_after), METH_FASTCALL, NULL},
-    {"post_soon", FASTCALL(core_post_soon), METH_FASTCALL, NULL},
     {"post_many", FASTCALL(core_post_many), METH_FASTCALL, NULL},
     {"run", FASTCALL(core_run), METH_FASTCALL, NULL},
     {"step", (PyCFunction)core_step, METH_NOARGS, NULL},
     {"peek", (PyCFunction)core_peek, METH_NOARGS, NULL},
     {"stop", (PyCFunction)core_stop, METH_NOARGS, NULL},
-    {"drain", (PyCFunction)core_drain, METH_NOARGS, NULL},
     {"_set_now", (PyCFunction)core_set_now, METH_O, NULL},
     {NULL, NULL, 0, NULL},
 };
@@ -924,11 +826,7 @@ static PyGetSetDef core_getset[] = {
     {"now", (getter)core_get_now, NULL, NULL, NULL},
     {"pending", (getter)core_get_pending, NULL, NULL, NULL},
     {"pending_cancelled", (getter)core_get_cancelled, NULL, NULL, NULL},
-    {"events_executed", (getter)core_get_executed,
-     (setter)core_set_executed, NULL, NULL},
-    {"seq", (getter)core_get_seq, NULL, NULL, NULL},
-    {"stopped", (getter)core_get_stopped, NULL, NULL, NULL},
-    {"running", (getter)core_get_running, NULL, NULL, NULL},
+    {"events_executed", (getter)core_get_executed, NULL, NULL, NULL},
     {NULL, NULL, NULL, NULL, NULL},
 };
 

@@ -10,6 +10,13 @@ keeps the previous tuple+heapq engine as the executable specification of
 the ordering contract; a hypothesis property test drives both engines
 through random interleavings and asserts identical firing orders.
 
+Everything simulated is a callback; there are no coroutines and no wait
+objects.  The scheduling surface is small: ``call_at`` / ``call_after``
+return a cancellable :class:`EventHandle`, ``post_at`` arms without one,
+``call_at_node`` / ``post_at_node`` name the hardware node an event
+belongs to (for :class:`~repro.parallel.ShardedEngine`), and
+``call_after_batch`` arms a group sharing one callback.
+
 Hot-path architecture (this module executes millions of times per
 benchmark):
 
@@ -27,8 +34,8 @@ benchmark):
   ``(engine, slot, seq)`` triple; payloads stay in the slab.  The
   ``seq`` stamp makes stale handles *safe*: cancelling a handle whose
   slot was already recycled is a no-op instead of corruption.  A handle
-  is never reused for another event, and the ``post_*`` family of calls
-  skips handle creation entirely for fire-and-forget events.
+  is never reused for another event, and ``post_at`` / ``post_at_node``
+  skip handle creation entirely for fire-and-forget events.
 * Cancellation is lazy (O(1), a state flip); cancelled entries are
   counted, reaped when they reach the heap head and compacted away
   when they dominate.
@@ -69,8 +76,7 @@ _FREE, _PENDING, _CANCELLED = 0, 1, 2
 #: _core_eligible audits exactly these names, so a method can never be
 #: forwarded to the core without also being guarded against overrides.
 _CORE_FORWARDED = (
-    "call_at", "call_after", "call_soon", "call_at_node",
-    "post_at", "post_after", "post_soon", "post_at_node",
+    "call_at", "call_after", "call_at_node", "post_at", "post_at_node",
     "step", "peek", "stop",
 )
 
@@ -214,14 +220,6 @@ class Engine:
         core = self._core
         return core.events_executed if core is not None else self._events_executed
 
-    @events_executed.setter
-    def events_executed(self, value: int) -> None:
-        core = self._core
-        if core is not None:
-            core.events_executed = value
-        else:
-            self._events_executed = value
-
     # -- slab primitives ----------------------------------------------------
     def _free_slot(self, slot: int) -> None:
         """Release a fired/reaped slot (drop payload refs)."""
@@ -233,7 +231,7 @@ class Engine:
     def _stage(self, time: float, fn: Callable, args: tuple) -> int:
         """Arm one handle-less event (slot alloc + heap push); returns its slot.
 
-        The no-handle arming primitive: ``post_*`` and the batch API land
+        The no-handle arming primitive: ``post_at`` and the batch API land
         here.  :meth:`_arm` is this plus handle construction, inlined;
         :class:`~repro.parallel.ShardedEngine` wraps both to tag the new
         slot with the executing shard.
@@ -348,10 +346,6 @@ class Engine:
             raise SimulationError(f"non-finite event time {time!r}")
         return self._arm(time, fn, args)
 
-    def call_soon(self, fn: Callable, *args: Any) -> EventHandle:
-        """Schedule ``fn(*args)`` at the current time (after pending ties)."""
-        return self._arm(self._now, fn, args)
-
     def call_at_node(self, node_id: int, time: float, fn: Callable,
                      *args: Any) -> EventHandle:
         """Schedule an event that *belongs to* hardware node ``node_id``.
@@ -370,8 +364,8 @@ class Engine:
         """:meth:`call_at` without building a handle.
 
         For events nobody will ever cancel — scheduler kicks, hardware
-        arrivals, process resumes — the handle is pure overhead; this
-        path writes the slab cells and nothing else.
+        arrivals, a raw driver's next step — the handle is pure overhead;
+        this path writes the slab cells and nothing else.
         """
         if time < self._now:
             raise SimulationError(
@@ -381,53 +375,40 @@ class Engine:
             raise SimulationError(f"non-finite event time {time!r}")
         self._stage(time, fn, args)
 
-    def post_after(self, delay: float, fn: Callable, *args: Any) -> None:
-        """:meth:`call_after` without building a handle."""
-        if not 0.0 <= delay < _INF:
-            raise SimulationError(f"negative delay {delay!r}")
-        time = self._now + delay
-        if time == _INF:
-            raise SimulationError(f"non-finite event time {time!r}")
-        self._stage(time, fn, args)
-
-    def post_soon(self, fn: Callable, *args: Any) -> None:
-        """:meth:`call_soon` without building a handle."""
-        self._stage(self._now, fn, args)
-
     def post_at_node(self, node_id: int, time: float, fn: Callable,
                      *args: Any) -> None:
         """:meth:`call_at_node` without building a handle."""
         self.post_at(time, fn, *args)
 
     # -- batch scheduling ----------------------------------------------------
-    def call_at_batch(self, times: Sequence[float], fn: Callable,
-                      argss: Optional[Sequence[tuple]] = None) -> None:
-        """Arm one ``fn(*args)`` event per entry of ``times``, in order.
+    def call_after_batch(self, delays: Sequence[float], fn: Callable,
+                         argss: Optional[Sequence[tuple]] = None) -> None:
+        """Arm one ``fn(*args)`` event per entry of ``delays`` seconds.
 
-        The homogeneous-timer fast path: per-PE bootstrap kicks, fault
-        schedules, SMSG credit re-arms — groups of events sharing one
-        callback.  Every time is validated (finite, no time travel)
-        before anything is armed, then the events are armed back-to-back
-        so they keep consecutive ``seq`` stamps — the firing order is
-        exactly that of the equivalent ``call_at`` loop.
+        The homogeneous-timer fast path: groups of events sharing one
+        callback.  Every delay is validated (non-negative, finite) and
+        converted to an absolute time before anything is armed, then the
+        events are armed back-to-back so they keep consecutive ``seq``
+        stamps — the firing order is exactly that of the equivalent
+        ``call_after`` loop.
 
         ``argss`` supplies one argument tuple per event (``None`` arms
         them all with no arguments).  No handles are built; batch-armed
         events cannot be individually cancelled.
         """
+        now = self.now
+        times = []
+        for d in delays:
+            if not 0.0 <= d < _INF:  # also rejects NaN
+                raise SimulationError(f"negative delay {d!r}")
+            times.append(now + d)
         n = len(times)
         if argss is not None and len(argss) != n:
             raise SimulationError(
-                f"call_at_batch: {n} times but {len(argss)} argument tuples")
-        if n == 0:
-            return
-        now = self.now
+                f"call_after_batch: {n} delays but {len(argss)} argument tuples")
         for t in times:
-            if not math.isfinite(t):
+            if t == _INF:
                 raise SimulationError(f"non-finite event time {t!r}")
-            if t < now:
-                raise SimulationError(
-                    f"cannot schedule at t={t} (now={now}): time travel")
         core = self._core
         if core is not None:
             core.post_many(times, fn, argss)
@@ -439,32 +420,6 @@ class Engine:
         else:
             for t, args in zip(times, argss):
                 stage(t, fn, tuple(args))
-
-    def call_after_batch(self, delays: Sequence[float], fn: Callable,
-                         argss: Optional[Sequence[tuple]] = None) -> None:
-        """Arm one ``fn(*args)`` event per entry of ``delays`` seconds.
-
-        See :meth:`call_at_batch`; delays are validated (non-negative,
-        finite) and converted to absolute times first.
-        """
-        now = self.now
-        times = []
-        for d in delays:
-            if not 0.0 <= d < _INF:
-                raise SimulationError(f"negative delay {d!r}")
-            times.append(now + d)
-        self.call_at_batch(times, fn, argss)
-
-    # -- event objects --------------------------------------------------------
-    def event(self) -> "Event":
-        """Create a fresh one-shot :class:`Event` bound to this engine."""
-        return Event(self)
-
-    def timeout(self, delay: float, value: Any = None) -> "Event":
-        """An :class:`Event` that triggers automatically after ``delay``."""
-        ev = Event(self)
-        self.call_after(delay, ev.succeed, value)
-        return ev
 
     # -- heap hygiene --------------------------------------------------------
     def _compact(self) -> None:
@@ -489,11 +444,11 @@ class Engine:
     def _peek_live(self) -> Optional[tuple[float, int, int]]:
         """The next live entry, left at the heap head; None when idle.
 
-        The **single** reap loop shared by :meth:`step`, :meth:`run`,
-        :meth:`peek` and :meth:`drain` — every consumer of "the next
-        event" goes through here, so the lazy-cancel skip logic cannot
-        drift between them: cancelled entries are popped off the heap
-        head and their slots freed until a live one is on top.
+        The **single** reap loop shared by :meth:`step`, :meth:`run` and
+        :meth:`peek` — every consumer of "the next event" goes through
+        here, so the lazy-cancel skip logic cannot drift between them:
+        cancelled entries are popped off the heap head and their slots
+        freed until a live one is on top.
         """
         heap = self._heap
         state = self._s_state
@@ -676,26 +631,6 @@ class Engine:
         entry = self._peek_live()
         return entry[0] if entry is not None else _INF
 
-    def drain(self) -> Iterator[EventHandle]:  # pragma: no cover - debug aid
-        """Yield and remove all pending handles (for post-mortem inspection).
-
-        Every event gets a handle built on the fly (``post_*`` / batch
-        events never had one), so the caller can inspect ``time`` uniformly.
-        """
-        core = self._core
-        if core is not None:
-            yield from core.drain()
-            return
-        while True:
-            entry = self._peek_live()
-            if entry is None:
-                return
-            heapq.heappop(self._heap)
-            slot = entry[2]
-            h = EventHandle(self, slot, self._s_seq[slot])
-            self._free_slot(slot)
-            yield h
-
 
 #: the forwarded methods as defined by the class body above — captured at
 #: import so _core_eligible can detect later class-level replacement
@@ -706,10 +641,10 @@ def _core_eligible(cls: type) -> bool:
     """May instances of ``cls`` bind the compiled core's hot-path methods?
 
     Only an exact, unmodified :class:`Engine` qualifies.  A subclass that
-    overrides even one forwarded method (say, only ``post_soon``) must
+    overrides even one forwarded method (say, only ``post_at``) must
     never see the core's sibling fast paths — internal traffic would
     bypass its override.  The same hazard exists when ``Engine`` itself
-    is patched at class level (a test wrapping ``Engine.post_soon`` to
+    is patched at class level (a test wrapping ``Engine.post_at`` to
     count calls): the per-instance core binding would shadow the wrapper
     silently, so any drift from the pristine class body disables binding
     and the pure-Python specification runs instead.
@@ -719,41 +654,3 @@ def _core_eligible(cls: type) -> bool:
     return all(cls.__dict__.get(name) is _CORE_PRISTINE[name]
                for name in _CORE_FORWARDED)
 
-
-class Event:
-    """A one-shot triggerable value, with callbacks and process support.
-
-    States: *pending* → *triggered*.  Triggering twice raises
-    :class:`SimulationError` (real CQ events never fire twice either, and
-    silent double-triggers have historically hidden protocol bugs).
-    """
-
-    __slots__ = ("engine", "_callbacks", "triggered", "value")
-
-    def __init__(self, engine: Engine):
-        self.engine = engine
-        self._callbacks: list[Callable[[Any], None]] = []
-        self.triggered = False
-        self.value: Any = None
-
-    def succeed(self, value: Any = None) -> "Event":
-        """Trigger the event, delivering ``value`` to all waiters."""
-        if self.triggered:
-            raise SimulationError("Event already triggered")
-        self.triggered = True
-        self.value = value
-        callbacks, self._callbacks = self._callbacks, []
-        for cb in callbacks:
-            cb(value)
-        return self
-
-    def add_callback(self, cb: Callable[[Any], None]) -> None:
-        """Run ``cb(value)`` on trigger; immediately if already triggered."""
-        if self.triggered:
-            cb(self.value)
-        else:
-            self._callbacks.append(cb)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = f"triggered value={self.value!r}" if self.triggered else "pending"
-        return f"<Event {state}>"

@@ -133,6 +133,34 @@ class TestClaimsCanFail:
         # one constant, one family of claims: the small-message ones stand
         assert flipped["FMA Put beats BTE Put for 8B"]
 
+    def test_fig9a_buffer_claim_follows_the_registration_cost(
+            self, monkeypatch):
+        from repro.apps.raw import mpi_pingpong
+        from repro.bench import micro
+        from repro.hardware.config import MachineConfig
+
+        monkeypatch.delenv("REPRO_PAPER_SCALE", raising=False)
+        monkeypatch.delenv("REPRO_BENCH_JOBS", raising=False)
+        text = ("MPI same-buffer beats different-buffer beyond 8KB "
+                "(uDREG cache hits)")
+        beats = "uGNI-Charm++ beats MPI-based Charm++ at every size"
+        holds = {c.text: c.holds for c in micro.fig9a().claims}
+        assert holds[text] and holds[beats]
+
+        # registration for free: a uDREG hit saves nothing over a miss
+        free = MachineConfig().replace(
+            mem_register_base=0.0, mem_register_per_page=0.0,
+            mem_deregister_base=0.0, mem_deregister_per_page=0.0)
+
+        def mpi_latency(size, same_buffer):
+            return mpi_pingpong(size, config=free, same_buffer=same_buffer)
+
+        monkeypatch.setattr(micro, "_mpi_latency", mpi_latency)
+        flipped = {c.text: c.holds for c in micro.fig9a().claims}
+        assert not flipped[text]
+        # the pure-MPI curves moved; the Charm++ comparison stands
+        assert flipped[beats]
+
 
 class TestRegressionHarness:
     """benchmarks/run_all.py — the perf-smoke harness CI keys off."""

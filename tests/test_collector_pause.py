@@ -103,7 +103,7 @@ def test_state_restored_when_the_runaway_guard_raises(engine, was_enabled):
     def again():
         engine.call_after(1e-9, again)
 
-    engine.call_soon(again)
+    engine.call_at(engine.now, again)
     with pytest.raises(SimulationError, match="max_events"):
         engine.run(max_events=10)
     assert gc.isenabled() is was_enabled
@@ -113,14 +113,14 @@ def test_state_restored_when_a_callback_raises(engine):
     def boom():
         raise RuntimeError("handler bug")
 
-    engine.call_soon(boom)
+    engine.call_at(engine.now, boom)
     with pytest.raises(RuntimeError, match="handler bug"):
         engine.run()
     assert gc.isenabled()
 
 
 def test_a_forced_pass_inside_the_loop_is_counted(engine):
-    engine.call_soon(gc.collect)
+    engine.call_at(engine.now, gc.collect)
     engine.run()
     assert engine.collector_stats()["passes_in_run"] == (0, 0, 1)
     assert gc.isenabled()
@@ -128,14 +128,14 @@ def test_a_forced_pass_inside_the_loop_is_counted(engine):
 
 def test_inner_run_of_another_engine_leaves_the_outer_loop_paused(engine):
     inner = Engine()
-    inner.call_soon(_churn)
+    inner.call_at(inner.now, _churn)
     seen = []
 
     def drain_inner():
         inner.run()
         seen.append(gc.isenabled())
 
-    engine.call_soon(drain_inner)
+    engine.call_at(engine.now, drain_inner)
     engine.run()
     assert seen == [False]
     assert inner.collector_stats()["paused_runs"] == 0

@@ -2,7 +2,7 @@
 
 The compiled slab core is bound method-by-method onto plain ``Engine``
 instances only.  A subclass that overrides *any* forwarded method — even
-just ``post_soon`` — must run the pure-Python paths throughout, so its
+just ``post_at`` — must run the pure-Python paths throughout, so its
 override sees every call, including internal engine traffic.  A
 class-level monkeypatch on ``Engine`` itself must disable binding the
 same way.  ``REPRO_PURE_ENGINE`` selects the backend explicitly: ``=1``
@@ -46,11 +46,11 @@ def run_workload(eng):
         log.append((round(eng.now * 1e9), tag))
 
     eng.call_after(3e-9, tick, "a")
-    eng.call_soon(tick, "b")
+    eng.call_at(0.0, tick, "b")
     h = eng.call_after(5e-9, tick, "cancelled")
     eng.call_after(1e-9, h.cancel)
-    eng.post_after(2e-9, tick, "c")
-    eng.post_soon(tick, "d")
+    eng.post_at(2e-9, tick, "c")
+    eng.post_at(0.0, tick, "d")
     eng.run()
     return log
 
@@ -63,20 +63,20 @@ class TestSubclassBinding:
         else:
             assert eng._core is None
 
-    def test_subclass_overriding_post_soon_runs_pure(self):
+    def test_subclass_overriding_post_at_runs_pure(self):
         seen = []
 
         class CountingEngine(Engine):
-            def post_soon(self, fn, *args):
+            def post_at(self, time, fn, *args):
                 seen.append(fn)
-                return super().post_soon(fn, *args)
+                return super().post_at(time, fn, *args)
 
         eng = CountingEngine()
-        # the core must NOT be bound: binding it would route post_soon
+        # the core must NOT be bound: binding it would route post_at
         # (and everything else) around the override
         assert eng._core is None
         log = run_workload(eng)
-        assert seen, "the post_soon override never saw the call"
+        assert seen, "the post_at override never saw the call"
         assert log == run_workload(Engine())
 
     def test_subclass_overriding_post_at_node_runs_pure(self):
@@ -103,16 +103,16 @@ class TestSubclassBinding:
     @needs_core
     def test_class_monkeypatch_disables_binding(self, monkeypatch):
         calls = []
-        orig = Engine.post_soon
+        orig = Engine.post_at
 
-        def patched(self, fn, *args):
+        def patched(self, time, fn, *args):
             calls.append(fn)
-            return orig(self, fn, *args)
+            return orig(self, time, fn, *args)
 
-        monkeypatch.setattr(Engine, "post_soon", patched)
+        monkeypatch.setattr(Engine, "post_at", patched)
         eng = Engine()
         assert eng._core is None
-        eng.post_soon(calls.append, "payload")
+        eng.post_at(0.0, calls.append, "payload")
         eng.run()
         assert len(calls) == 2  # the patch saw the post, then the event ran
 

@@ -113,12 +113,13 @@ class _Driver:
                 op[1], self._cb(self.next_tag))
             self.next_tag += 1
         elif kind == "post":
-            # reference has no post_*; the contract is "call_after minus
-            # the handle", so the oracle side just drops the handle
+            # reference has no post_at; the contract is "call_at minus the
+            # handle", so the oracle side arms the same relative delay and
+            # drops the handle
             if isinstance(eng, ReferenceEngine):
                 eng.call_after(op[1], self._cb(self.next_tag))
             else:
-                eng.post_after(op[1], self._cb(self.next_tag))
+                eng.post_at(eng.now + op[1], self._cb(self.next_tag))
             self.next_tag += 1
         elif kind == "at_node":
             # the node changes an event's shard tag, never its firing order:
@@ -138,10 +139,11 @@ class _Driver:
                                  self._cb(self.next_tag))
             self.next_tag += 1
         elif kind == "soon":
+            # an event at the current time fires after the pending ties
             if isinstance(eng, ReferenceEngine):
                 eng.call_soon(self._cb(self.next_tag))
             else:
-                eng.post_soon(self._cb(self.next_tag))
+                eng.call_at(eng.now, self._cb(self.next_tag))
             self.next_tag += 1
         elif kind == "batch":
             delays = op[1]
@@ -186,7 +188,7 @@ class _Driver:
             for tag in range(first, first + (3 * op[1]) // 4):
                 self._retire(tag).cancel()
         elif kind == "stop":
-            eng.post_after(op[1], eng.stop)
+            eng.post_at(eng.now + op[1], eng.stop)
         elif kind == "bad":
             # a rejected call arms nothing and reads the same on every lane
             arm = getattr(eng, op[1])
@@ -267,9 +269,8 @@ _lane_op = st.one_of(
     st.tuples(st.just("churn"), st.sampled_from([8, 100])),
     st.tuples(st.just("stop"), st.sampled_from(_DELAYS)),
     st.tuples(st.just("bad"),
-              st.sampled_from(["call_after", "post_after", "call_at",
-                               "post_at", "call_after_batch",
-                               "call_at_batch"]),
+              st.sampled_from(["call_after", "call_at", "post_at",
+                               "call_after_batch"]),
               st.sampled_from([-1e-9, math.inf, math.nan])),
 )
 

@@ -1,15 +1,13 @@
-"""Tests for the MPI subset: matching, protocols, ordering, collectives."""
+"""Tests for the MPI subset: matching, protocols, ordering, requests."""
 
 import pytest
 
 from repro.hardware import Machine
 from repro.hardware.config import tiny as tiny_config
-from repro.mpish import ANY, MpiWorld
-from repro.mpish.collectives import allreduce, barrier, bcast, reduce
-from repro.mpish.comm import recv, send, wait
+from repro.errors import SimulationError
+from repro.mpish import ANY, MpiRequest, MpiWorld
 from repro.mpish.matching import MatchEngine, Arrival
 from repro.mpish.udreg import UdregCache
-from repro.sim.process import Process
 from repro.units import KB, MB, us
 
 
@@ -17,6 +15,24 @@ def make_world(n_nodes=2, cores_per_node=2, seed=0):
     m = Machine(n_nodes=n_nodes, config=tiny_config(cores_per_node=cores_per_node),
                 seed=seed)
     return m, MpiWorld(m)
+
+
+def blocking(world, posted, k):
+    """A blocking MPI call as a callback chain: pay the just-posted
+    request's CPU, then run ``k(req)`` once it has completed."""
+    req, cpu = posted
+    eng = world.engine
+    eng.post_at(eng.now + cpu, req.on_complete, lambda _value: k(req))
+
+
+def send(world, rank, dst, tag, nbytes, k, payload=None, buf_key=None):
+    blocking(world, world.isend(rank, dst, tag, nbytes, payload=payload,
+                                buf_key=buf_key), k)
+
+
+def recv(world, rank, src, tag, k, buf_key=None):
+    """Blocking receive; ``k(req)`` reads the arrival off ``req.matched``."""
+    blocking(world, world.irecv(rank, src=src, tag=tag, buf_key=buf_key), k)
 
 
 class TestMatchEngine:
@@ -104,31 +120,64 @@ class TestUdreg:
         assert c.evictions == 1
 
 
+class TestMpiRequest:
+    def _req(self):
+        return MpiRequest("recv", 0, 1, 0, 0)
+
+    def test_complete_runs_waiters_in_order(self):
+        req = self._req()
+        got = []
+        req.on_complete(lambda v: got.append(("a", v)))
+        req.on_complete(lambda v: got.append(("b", v)))
+        assert not req.completed and got == []
+        req.complete(1e-6, 2e-7)
+        assert got == [("a", (1e-6, 2e-7)), ("b", (1e-6, 2e-7))]
+        assert req.completed and req.value == (1e-6, 2e-7)
+
+    def test_waiter_after_completion_runs_at_once(self):
+        req = self._req()
+        req.complete(3e-6)
+        got = []
+        req.on_complete(got.append)
+        assert got == [(3e-6, 0.0)]
+
+    def test_double_completion_raises(self):
+        req = self._req()
+        req.complete(1e-6)
+        with pytest.raises(SimulationError, match="already completed"):
+            req.complete(2e-6)
+        assert req.value == (1e-6, 0.0)
+
+
 class TestPointToPoint:
     def _pingpong(self, size, iters=3, same_buf=True, n_nodes=2):
         m, world = make_world(n_nodes=n_nodes,
                               cores_per_node=1 if n_nodes > 1 else 2)
+        eng = m.engine
+        b0, b1 = ("b0", "b1") if same_buf else (None, None)
         lat = []
 
-        def rank0():
-            for i in range(iters):
-                t0 = m.engine.now
-                key = "b0" if same_buf else None
-                yield from send(world, 0, 1, tag=0, nbytes=size, buf_key=key)
-                yield from recv(world, 0, src=1, tag=1,
-                                buf_key="b0" if same_buf else None)
-                lat.append((m.engine.now - t0) / 2)
+        def rank0(i):
+            if i == iters:
+                return
+            t0 = eng.now
 
-        def rank1():
-            for i in range(iters):
-                yield from recv(world, 1, src=0, tag=0,
-                                buf_key="b1" if same_buf else None)
-                yield from send(world, 1, 0, tag=1, nbytes=size,
-                                buf_key="b1" if same_buf else None)
+            def replied(_req):
+                lat.append((eng.now - t0) / 2)
+                rank0(i + 1)
 
-        Process(m.engine, rank0())
-        Process(m.engine, rank1())
-        m.engine.run(max_events=100000)
+            send(world, 0, 1, 0, size, buf_key=b0,
+                 k=lambda _req: recv(world, 0, 1, 1, replied, buf_key=b0))
+
+        def rank1(i):
+            if i < iters:
+                recv(world, 1, 0, 0, buf_key=b1,
+                     k=lambda _req: send(world, 1, 0, 1, size, buf_key=b1,
+                                         k=lambda _req: rank1(i + 1)))
+
+        eng.post_at(0.0, rank0, 0)
+        eng.post_at(0.0, rank1, 0)
+        eng.run(max_events=100000)
         assert len(lat) == iters
         return lat[-1]  # steady state
 
@@ -155,16 +204,8 @@ class TestPointToPoint:
     def test_intranode_large_uses_xpmem_single_copy(self):
         m, world = make_world(n_nodes=1, cores_per_node=2)
         done = []
-
-        def rank0():
-            yield from send(world, 0, 1, tag=0, nbytes=256 * KB)
-
-        def rank1():
-            arr = yield from recv(world, 1, src=0, tag=0)
-            done.append(m.engine.now)
-
-        Process(m.engine, rank0())
-        Process(m.engine, rank1())
+        send(world, 0, 1, 0, 256 * KB, k=lambda _req: None)
+        recv(world, 1, 0, 0, lambda _req: done.append(m.engine.now))
         m.engine.run()
         assert done
         # single copy: latency ≈ xpmem_sync + one memcpy, well under 2x memcpy
@@ -173,34 +214,19 @@ class TestPointToPoint:
     def test_payload_arrives_intact(self):
         m, world = make_world()
         got = []
-
-        def sender():
-            yield from send(world, 0, 2, tag=7, nbytes=100,
-                            payload={"k": [1, 2, 3]})
-
-        def receiver():
-            arr = yield from recv(world, 2, src=0, tag=7)
-            got.append(arr.payload)
-
-        Process(m.engine, sender())
-        Process(m.engine, receiver())
+        send(world, 0, 2, 7, 100, payload={"k": [1, 2, 3]}, k=lambda _req: None)
+        recv(world, 2, 0, 7, lambda req: got.append(req.matched.payload))
         m.engine.run()
         assert got == [{"k": [1, 2, 3]}]
 
     def test_unexpected_then_late_recv(self):
         m, world = make_world()
         got = []
-
-        def sender():
-            yield from send(world, 0, 2, tag=1, nbytes=64, payload="early")
-
-        def receiver():
-            yield 50 * us  # message arrives long before the recv posts
-            arr = yield from recv(world, 2, src=0, tag=1)
-            got.append((arr.payload, m.engine.now))
-
-        Process(m.engine, sender())
-        Process(m.engine, receiver())
+        send(world, 0, 2, 1, 64, payload="early", k=lambda _req: None)
+        # the message arrives long before the recv posts
+        m.engine.call_after(
+            50 * us, recv, world, 2, 0, 1,
+            lambda req: got.append((req.matched.payload, m.engine.now)))
         m.engine.run()
         assert got and got[0][0] == "early"
         assert got[0][1] >= 50 * us
@@ -209,21 +235,20 @@ class TestPointToPoint:
         """Messages of wildly different sizes still arrive in send order."""
         m, world = make_world()
         got = []
+        # big eager first (slow), tiny second (fast), back to back (an
+        # eager send is complete when posted): order must hold
+        world.isend(0, 2, 0, 8 * KB, payload="big")
+        world.isend(0, 2, 0, 8, payload="small")
 
-        def sender():
-            # big eager first (slow), tiny second (fast): order must hold
-            yield from wait(world, world.isend(0, 2, 0, 8 * KB, payload="big")[0])
-            yield from wait(world, world.isend(0, 2, 0, 8, payload="small")[0])
+        def received(req):
+            got.append(req.matched.payload)
+            if len(got) < 2:
+                recv(world, 2, 0, 0, received)
 
-        def receiver():
-            for _ in range(2):
-                arr = yield from recv(world, 2, src=0, tag=0)
-                got.append(arr.payload)
-
-        Process(m.engine, sender())
-        Process(m.engine, receiver())
+        recv(world, 2, 0, 0, received)
         m.engine.run(max_events=100000)
         assert got == ["big", "small"]
+        assert world.reordered == 1  # the small one landed first
 
     def test_isend_returns_before_delivery(self):
         m, world = make_world()
@@ -252,68 +277,3 @@ class TestPointToPoint:
         m.engine.run()
         assert [a.dst for a in own] == [2]
         assert sorted(a.dst for a in default) == [1, 3]
-
-
-class TestCollectives:
-    @pytest.mark.parametrize("n", [2, 3, 4, 7, 8])
-    def test_bcast_reaches_everyone(self, n):
-        m, world = make_world(n_nodes=4, cores_per_node=2)
-        results = {}
-
-        def ranker(r):
-            val = yield from bcast(world, r, root=0, n=n, nbytes=64,
-                                   payload="hello" if r == 0 else None)
-            results[r] = val
-
-        for r in range(n):
-            Process(m.engine, ranker(r))
-        m.engine.run(max_events=100000)
-        assert results == {r: "hello" for r in range(n)}
-
-    @pytest.mark.parametrize("n", [2, 3, 5, 8])
-    def test_reduce_sums(self, n):
-        m, world = make_world(n_nodes=4, cores_per_node=2)
-        out = {}
-
-        def ranker(r):
-            res = yield from reduce(world, r, root=0, n=n, nbytes=8,
-                                    value=r + 1, op=lambda a, b: a + b)
-            out[r] = res
-
-        for r in range(n):
-            Process(m.engine, ranker(r))
-        m.engine.run(max_events=100000)
-        assert out[0] == n * (n + 1) // 2
-        assert all(out[r] is None for r in range(1, n))
-
-    def test_allreduce(self):
-        n = 6
-        m, world = make_world(n_nodes=4, cores_per_node=2)
-        out = {}
-
-        def ranker(r):
-            res = yield from allreduce(world, r, n=n, nbytes=8, value=1,
-                                       op=lambda a, b: a + b)
-            out[r] = res
-
-        for r in range(n):
-            Process(m.engine, ranker(r))
-        m.engine.run(max_events=100000)
-        assert out == {r: n for r in range(n)}
-
-    def test_barrier_synchronizes(self):
-        n = 4
-        m, world = make_world(n_nodes=4, cores_per_node=1)
-        release = []
-
-        def ranker(r):
-            yield (r + 1) * 10 * us  # staggered arrivals
-            yield from barrier(world, r, n)
-            release.append(m.engine.now)
-
-        for r in range(n):
-            Process(m.engine, ranker(r))
-        m.engine.run(max_events=100000)
-        assert len(release) == n
-        # nobody leaves before the last arrival
-        assert min(release) >= n * 10 * us

@@ -5,8 +5,7 @@ import math
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Engine, Event
-from repro.sim.process import Process
+from repro.sim import Engine
 
 
 class TestScheduling:
@@ -34,9 +33,10 @@ class TestScheduling:
         eng.run()
         assert seen == [pytest.approx(7e-6)]
 
-    def test_call_soon_runs_at_current_time(self):
+    def test_call_at_now_runs_at_current_time(self):
         eng = Engine()
-        eng.call_after(2e-6, lambda: eng.call_soon(lambda: times.append(eng.now)))
+        eng.call_after(2e-6, lambda: eng.call_at(eng.now,
+                                                 lambda: times.append(eng.now)))
         times = []
         eng.run()
         assert times == [pytest.approx(2e-6)]
@@ -150,126 +150,30 @@ class TestScheduling:
         assert Engine().peek() == math.inf
 
 
-class TestEvent:
-    def test_succeed_delivers_value_to_callbacks(self):
-        eng = Engine()
-        ev = eng.event()
-        got = []
-        ev.add_callback(got.append)
-        ev.succeed(42)
-        assert got == [42]
+class TestSurface:
+    """The engine keeps only the verbs the simulator calls, in both lanes."""
 
-    def test_callback_after_trigger_runs_immediately(self):
-        eng = Engine()
-        ev = eng.event()
-        ev.succeed("v")
-        got = []
-        ev.add_callback(got.append)
-        assert got == ["v"]
+    def test_package_exports(self):
+        import repro.sim
+        assert repro.sim.__all__ == ["Engine", "EventHandle", "RngRegistry"]
 
-    def test_double_trigger_raises(self):
-        eng = Engine()
-        ev = eng.event()
-        ev.succeed()
-        with pytest.raises(SimulationError):
-            ev.succeed()
+    def test_public_methods(self):
+        assert sorted(n for n, v in vars(Engine).items()
+                      if callable(v) and not n.startswith("_")) == [
+            "advance_to", "call_after", "call_after_batch", "call_at",
+            "call_at_node", "collector_stats", "peek", "post_at",
+            "post_at_node", "run", "step", "stop"]
 
-    def test_timeout_event(self):
-        eng = Engine()
-        ev = eng.timeout(4e-6, "done")
-        got = []
-        ev.add_callback(lambda v: got.append((eng.now, v)))
-        eng.run()
-        assert got == [(pytest.approx(4e-6), "done")]
-
-
-class TestProcess:
-    def test_sleep_and_resume(self):
-        eng = Engine()
-        marks = []
-
-        def proc():
-            marks.append(eng.now)
-            yield 2e-6
-            marks.append(eng.now)
-            yield 3e-6
-            marks.append(eng.now)
-
-        Process(eng, proc())
-        eng.run()
-        assert marks == [pytest.approx(0.0), pytest.approx(2e-6), pytest.approx(5e-6)]
-
-    def test_wait_event_returns_value(self):
-        eng = Engine()
-        ev = eng.event()
-        got = []
-
-        def proc():
-            v = yield ev
-            got.append(v)
-
-        Process(eng, proc())
-        eng.call_after(1e-6, ev.succeed, "payload")
-        eng.run()
-        assert got == ["payload"]
-
-    def test_process_result_and_done_event(self):
-        eng = Engine()
-
-        def proc():
-            yield 1e-6
-            return 123
-
-        p = Process(eng, proc())
-        eng.run()
-        assert p.done
-        assert p.result == 123
-        assert p.done_event.value == 123
-
-    def test_process_joins_process(self):
-        eng = Engine()
-        order = []
-
-        def child():
-            yield 5e-6
-            order.append("child")
-            return "c"
-
-        def parent():
-            v = yield Process(eng, child())
-            order.append(f"parent:{v}")
-
-        Process(eng, parent())
-        eng.run()
-        assert order == ["child", "parent:c"]
-
-    def test_non_generator_rejected(self):
-        eng = Engine()
-        with pytest.raises(SimulationError):
-            Process(eng, lambda: None)  # type: ignore[arg-type]
-
-    def test_negative_yield_rejected(self):
-        eng = Engine()
-
-        def proc():
-            yield -1.0
-
-        Process(eng, proc())
-        with pytest.raises(SimulationError):
-            eng.run()
-
-    def test_yield_none_reschedules_same_time(self):
-        eng = Engine()
-        times = []
-
-        def proc():
-            times.append(eng.now)
-            yield None
-            times.append(eng.now)
-
-        Process(eng, proc())
-        eng.run()
-        assert times == [0.0, 0.0]
+    def test_core_forwards_only_what_the_core_has(self):
+        from repro.sim import _speed
+        from repro.sim.engine import _CORE_FORWARDED
+        assert len(_CORE_FORWARDED) == 8
+        if _speed.core is not None:
+            core = {n for n in dir(_speed.core.EngineCore)
+                    if not n.startswith("__")}
+            assert core == set(_CORE_FORWARDED) | {
+                "_set_now", "post_many", "run", "now", "pending",
+                "pending_cancelled", "events_executed"}
 
 
 class TestDeterminism:
@@ -278,13 +182,13 @@ class TestDeterminism:
             eng = Engine()
             out = []
 
-            def proc(tag, delay):
-                for i in range(3):
-                    yield delay
-                    out.append((round(eng.now * 1e9), tag, i))
+            def tick(tag, delay, i):
+                out.append((round(eng.now * 1e9), tag, i))
+                if i < 2:
+                    eng.call_after(delay, tick, tag, delay, i + 1)
 
             for tag, d in [("a", 1.1e-6), ("b", 0.7e-6), ("c", 1.3e-6)]:
-                Process(eng, proc(tag, d))
+                eng.call_after(d, tick, tag, d, 0)
             eng.run()
             return out
 
