@@ -126,8 +126,7 @@ def kneighbor(
     if layer == "ugni":
         smsg = lrts.gni.smsg
         stats["smsg_in_flight"] = smsg.in_flight()
-        stats["smsg_credits_used"] = sum(
-            c.credits_used for c in smsg._connections.values())
+        stats["smsg_credits_used"] = smsg.credits_used()
     if conv.machine.faults is not None:
         stats["faults"] = conv.machine.faults.stats()
     return KNeighborResult(size=size, k=k, n_cores=n_cores, layer=layer,

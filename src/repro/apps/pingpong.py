@@ -140,8 +140,7 @@ def charm_pingpong(
     if layer == "ugni":
         smsg = lrts.gni.smsg
         stats["smsg_in_flight"] = smsg.in_flight()
-        stats["smsg_credits_used"] = sum(
-            c.credits_used for c in smsg._connections.values())
+        stats["smsg_credits_used"] = smsg.credits_used()
     if conv.machine.faults is not None:
         stats["faults"] = conv.machine.faults.stats()
     return PingPongResult(size=size, layer=layer, one_way_latency=sink[0],

@@ -6,10 +6,15 @@ for ``nbytes / bandwidth``.  This is a *flow-level* model (no per-packet
 simulation): cheap enough to run hundreds of thousands of messages, while
 still making hot links — the one-to-all root's ejection link, kNeighbor's
 shared paths — serialize the way the paper's measurements show.
+
+Link state is held in typed columns, a row per link (:class:`LinkTable`),
+owned by the network; a :class:`Link` is a view of one row.
 """
 
 from __future__ import annotations
 
+from array import array
+from typing import Sequence
 
 #: bandwidth multiplier while a link is hard-down: traffic that cannot
 #: route around the fault still trickles through via link-level hardware
@@ -21,8 +26,58 @@ DOWN_BANDWIDTH_FACTOR = 0.02
 FAULT_LATENCY = 2.5e-6
 
 
+class Fault:
+    """The fault state of one link a fault has named.  Kept from the first
+    fault on: the counters outlive a restore."""
+
+    __slots__ = ("state", "degrade_factor", "faults", "faulted_transfers")
+
+    def __init__(self) -> None:
+        #: "up" | "degraded" | "down"
+        self.state = "up"
+        #: bandwidth multiplier while degraded
+        self.degrade_factor = 1.0
+        #: lifetime fault transitions and transfers carried while faulted
+        self.faults = 0
+        self.faulted_transfers = 0
+
+
+class LinkTable:
+    """The state of a set of links as typed columns, a row per link.
+
+    ``horizons`` holds ``lanes`` horizons per row (when each lane is next
+    free), ``bytes_carried`` and ``transfers`` are int64 counters.  The
+    links of a table share one bandwidth; row ``r`` has latency
+    ``latency[r % len(latency)]`` — per slot of a vertex for router links,
+    whose rows are ``vertex * fan_out + slot``, one value for NIC ports
+    (a row per vertex) and for a stand-alone link.
+
+    The columns are allocated at full size once and never resized: the
+    compiled router lane writes through their buffers.  Fault state exists
+    only for rows a fault has named (``faults``); ``sick`` is the rows not
+    "up", and while any is, the network reserves through
+    :meth:`Link.reserve` instead of its inline arithmetic.
+    """
+
+    __slots__ = ("bandwidth", "latency", "lanes", "horizons",
+                 "bytes_carried", "transfers", "faults", "sick")
+
+    def __init__(self, rows: int, bandwidth: float, latency: Sequence[float],
+                 lanes: int = 1):
+        lanes = max(1, lanes)
+        self.bandwidth = bandwidth
+        self.latency = array("d", latency)
+        self.lanes = lanes
+        self.horizons = array("d", bytes(8 * rows * lanes))
+        self.bytes_carried = array("q", bytes(8 * rows))
+        self.transfers = array("q", bytes(8 * rows))
+        self.faults: dict[int, Fault] = {}
+        self.sick: set[int] = set()
+
+
 class Link:
-    """One directed link (or NIC injection/ejection port).
+    """One directed link (or NIC injection/ejection port): a view of one
+    row of a :class:`LinkTable`.
 
     A link may have several *lanes* — parallel channels sharing the same
     endpoints, each with the full per-lane bandwidth.  Torus links have
@@ -37,68 +92,120 @@ class Link:
     the fault injector through :class:`~repro.hardware.router.TorusNetwork`
     so the router's fault bookkeeping stays consistent.
 
-    A link keeps no name: the network names it by where it sits
-    (:meth:`~repro.hardware.router.TorusNetwork.links`).  The constructor
-    still takes one first, for callers outside ``src/`` that label a
-    stand-alone link (``perf/layers.py``), and drops it.
+    The network makes views on demand (``net.link(frm, to)``,
+    ``net.links()``); two views of one row are equal.  ``Link(name,
+    bandwidth, latency, lanes=...)`` builds a stand-alone link over a
+    private one-row table; the name is dropped (callers outside ``src/``
+    label one, ``perf/layers.py``).
     """
 
-    __slots__ = ("bandwidth", "latency", "_free", "_lanes",
-                 "bytes_carried", "transfers", "state", "degrade_factor",
-                 "faults", "faulted_transfers")
+    __slots__ = ("_table", "_row")
 
     def __init__(self, name: object, bandwidth: float, latency: float,
                  lanes: int = 1):
-        self.bandwidth = bandwidth
-        self.latency = latency
-        #: earliest time the lane of a single-lane link can accept a new
-        #: flow: a float in a slot, so the ~5 router links a cold PE
-        #: touches cost no list each
-        self._free = 0.0
-        #: the same horizon per lane of a multi-lane port; ``None`` on a
-        #: single-lane link
-        self._lanes = [0.0] * lanes if lanes > 1 else None
-        #: lifetime counters (diagnostics, adaptive routing load signal)
-        self.bytes_carried = 0
-        self.transfers = 0
-        #: fault state: "up" | "degraded" | "down"
-        self.state = "up"
-        #: bandwidth multiplier while degraded
-        self.degrade_factor = 1.0
-        #: lifetime fault transitions and transfers carried while faulted
-        self.faults = 0
-        self.faulted_transfers = 0
+        self._table = LinkTable(1, bandwidth, (latency,), lanes)
+        self._row = 0
+
+    @classmethod
+    def at(cls, table: LinkTable, row: int) -> "Link":
+        """The view of row ``row`` of ``table``."""
+        view = cls.__new__(cls)
+        view._table = table
+        view._row = row
+        return view
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Link):
+            return NotImplemented
+        return self._table is other._table and self._row == other._row
+
+    def __hash__(self) -> int:
+        return hash((id(self._table), self._row))
+
+    # -- static properties and counters ------------------------------------------
+    @property
+    def bandwidth(self) -> float:
+        return self._table.bandwidth
+
+    @property
+    def latency(self) -> float:
+        lat = self._table.latency
+        return lat[self._row % len(lat)]
+
+    @property
+    def bytes_carried(self) -> int:
+        return self._table.bytes_carried[self._row]
+
+    @property
+    def transfers(self) -> int:
+        return self._table.transfers[self._row]
 
     # -- fault state -----------------------------------------------------------
+    def _fault(self) -> Fault:
+        faults = self._table.faults
+        fault = faults.get(self._row)
+        if fault is None:
+            fault = faults[self._row] = Fault()
+        return fault
+
+    @property
+    def state(self) -> str:
+        fault = self._table.faults.get(self._row)
+        return "up" if fault is None else fault.state
+
+    @property
+    def degrade_factor(self) -> float:
+        fault = self._table.faults.get(self._row)
+        return 1.0 if fault is None else fault.degrade_factor
+
+    @property
+    def faults(self) -> int:
+        fault = self._table.faults.get(self._row)
+        return 0 if fault is None else fault.faults
+
+    @property
+    def faulted_transfers(self) -> int:
+        fault = self._table.faults.get(self._row)
+        return 0 if fault is None else fault.faulted_transfers
+
     @property
     def up(self) -> bool:
         return self.state == "up"
 
     @property
     def effective_bandwidth(self) -> float:
-        if self.state == "down":
+        state = self.state
+        if state == "down":
             return self.bandwidth * DOWN_BANDWIDTH_FACTOR
-        if self.state == "degraded":
+        if state == "degraded":
             return self.bandwidth * self.degrade_factor
         return self.bandwidth
 
     def fail(self) -> None:
         """Hard link fault (flap): traffic crawls until :meth:`restore`."""
-        self.state = "down"
-        self.faults += 1
+        fault = self._fault()
+        fault.state = "down"
+        fault.faults += 1
+        self._table.sick.add(self._row)
 
     def degrade(self, factor: float) -> None:
         """Soft fault: run at ``factor`` of nominal bandwidth."""
         if not 0.0 < factor < 1.0:
             raise ValueError(f"degrade factor must be in (0, 1), got {factor}")
-        self.state = "degraded"
-        self.degrade_factor = factor
-        self.faults += 1
+        fault = self._fault()
+        fault.state = "degraded"
+        fault.degrade_factor = factor
+        fault.faults += 1
+        self._table.sick.add(self._row)
 
     def restore(self) -> None:
-        self.state = "up"
-        self.degrade_factor = 1.0
+        fault = self._table.faults.get(self._row)
+        if fault is not None:
+            fault.state = "up"
+            fault.degrade_factor = 1.0
+        self._table.sick.discard(self._row)
 
+    # -- timing ----------------------------------------------------------------
     def reserve(self, now: float, nbytes: int, min_occupancy: float = 0.0) -> tuple[float, float]:
         """Occupy the least-busy lane for one message.
 
@@ -112,37 +219,39 @@ class Link:
 
         The lane stays busy until ``start + occupancy`` where occupancy is
         the body serialization time (bounded below by ``min_occupancy`` to
-        model per-message router overhead for tiny packets).
+        model per-message router overhead for tiny packets).  ``nbytes``
+        is an integer (the counter is an int64 column): anything else is a
+        :class:`TypeError` before the link changes.
         """
-        lanes = self._lanes
-        if lanes is None:
-            free = self._free
-        else:
-            free = min(lanes)
-            lane = lanes.index(free)
+        table, row = self._table, self._row
+        table.bytes_carried[row] += nbytes
+        table.transfers[row] += 1
+        horizons, lanes = table.horizons, table.lanes
+        lane = row * lanes
+        if lanes > 1:
+            seg = horizons[lane:lane + lanes]
+            lane += seg.index(min(seg))
+        free = horizons[lane]
         start = free if free > now else now
         latency = self.latency
-        if self.state == "up":
-            occupancy = nbytes / self.bandwidth
+        fault = table.faults.get(row)
+        if fault is None or fault.state == "up":
+            occupancy = nbytes / table.bandwidth
         else:
             occupancy = nbytes / self.effective_bandwidth
             latency += FAULT_LATENCY
-            self.faulted_transfers += 1
+            fault.faulted_transfers += 1
         if occupancy < min_occupancy:
             occupancy = min_occupancy
-        if lanes is None:
-            self._free = start + occupancy
-        else:
-            lanes[lane] = start + occupancy
-        self.bytes_carried += nbytes
-        self.transfers += 1
+        horizons[lane] = start + occupancy
         return start, start + latency
 
     @property
     def horizons(self) -> tuple[float, ...]:
         """When each lane is next free, lane by lane."""
-        lanes = self._lanes
-        return (self._free,) if lanes is None else tuple(lanes)
+        lanes = self._table.lanes
+        first = self._row * lanes
+        return tuple(self._table.horizons[first:first + lanes])
 
     @property
     def available_at(self) -> float:

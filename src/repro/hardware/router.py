@@ -9,18 +9,23 @@ given the current occupancy of every link on its path.  Two routing modes:
   smallest backlog (ties break deterministically by direction index, so
   runs stay reproducible without consuming RNG state).
 
-Links are created lazily: a 16×16×16 torus has 24,576 directed links, most
-of which a given experiment never touches.  A link has no name: it is a
-slot of a vertex, found from ``(frm, to)`` by ``topology.link_slot``.
+Link state is typed columns (:class:`~repro.hardware.link.LinkTable`),
+allocated once per network: a row per slot of every vertex for router
+links, a row per vertex for each kind of NIC port.  Links are *made*
+lazily — a 16×16×16 torus has 24,576 directed links, most of which a given
+experiment never touches, and only the links made are in ``links()``, the
+route statistics and the metrics digest.  A link has no name: it is a row
+of the table, found from ``(frm, to)`` by ``topology.link_slot``.
 """
 
 from __future__ import annotations
 
 from array import array
+from operator import index as _index
 from typing import Iterator, NamedTuple
 
 from repro.hardware.config import MachineConfig
-from repro.hardware.link import Link
+from repro.hardware.link import Link, LinkTable
 from repro.hardware.topology import Coord, Dragonfly, Torus3D
 from repro.sim import _speed
 
@@ -47,21 +52,32 @@ class TorusNetwork:
         self.topology = topology
         self.config = config
         n = topology.n_vertices
-        #: the out-table: per vertex of the topology (``topology.vertex``)
-        #: ``None`` until a message stands on it, then its out-links in
-        #: the topology's slot order, each ``None`` until first touched —
-        #: so no link exists that routing or a fault did not ask for.  A
-        #: hop picks among ``topology.out_hops(at, end)``, computed, not
-        #: remembered; a fault mutates the Link in place, so slots outlive
-        #: a fail/restore cycle.
-        self._out: list[list[Link | None] | None] = [None] * n
+        #: router links are rows ``vertex * _fan + slot`` of ``_links``
+        fan = self._fan = max(map(topology.fan_out, range(n)))
+        bw = config.link_bandwidth
+        self._links = LinkTable(n * fan, bw,
+                                [self._link_latency(s) for s in range(fan)])
+        #: the out-table: per slot of every vertex (``topology.vertex``),
+        #: the row of its link, ``-1`` until first touched — so no link is
+        #: made that routing or a fault did not ask for.  Two slots of a
+        #: vertex that end at one neighbour (both ways round a two-node
+        #: ring) hold one row.  A hop picks among ``topology.out_hops(at,
+        #: end)``, computed, not remembered.
+        self._out = array("i", [-1]) * (n * fan)
         #: link-creation order (it is in the metrics digest, and
         #: ``hottest_link`` breaks ties by it): per link its two vertices,
         #: packed ``v * n_vertices + nxt``
         self._order = array("q")
-        #: NIC ports by vertex, ``None`` until a message enters / leaves
-        self._inject: list[Link | None] = [None] * n
-        self._eject: list[Link | None] = [None] * n
+        #: NIC ports, a row per vertex, made when a message first enters /
+        #: leaves there
+        lanes = config.nic_port_lanes
+        self._inject = LinkTable(n, bw, (config.nic_latency,), lanes)
+        self._eject = LinkTable(n, bw, (config.nic_latency,), lanes)
+        self._inject_made = bytearray(n)
+        self._eject_made = bytearray(n)
+        #: the compiled lane's hold on the buffers of these columns, set by
+        #: its first call (``None`` on the Python body)
+        self._columns = None
         #: observability hub (:mod:`repro.observe`), set by the machine
         #: that owns this network; ``None`` skips the transfer hooks
         self.observer = None
@@ -79,33 +95,31 @@ class TorusNetwork:
         link of the topology is a :class:`TopologyError`."""
         topo = self.topology
         v, nxt = topo.vertex(frm), topo.vertex(to)
-        return self._first_touch(v, topo.link_slot(v, nxt), nxt)
+        return Link.at(self._links,
+                       self._first_touch(v, topo.link_slot(v, nxt), nxt))
 
     def links(self) -> Iterator[tuple[tuple[Coord, Coord], Link]]:
         """``((frm, to), link)`` for every link made, in creation order."""
-        topo, out = self.topology, self._out
-        coord, slot_of = topo.vertex_coord, topo.link_slot
+        topo, links, fan = self.topology, self._links, self._fan
+        coord, slot_of, n = topo.vertex_coord, topo.link_slot, topo.n_vertices
         for code in self._order:
-            v, nxt = divmod(code, len(out))
-            yield (coord(v), coord(nxt)), out[v][slot_of(v, nxt)]
+            v, nxt = divmod(code, n)
+            yield ((coord(v), coord(nxt)),
+                   Link.at(links, v * fan + slot_of(v, nxt)))
 
     def _link_latency(self, slot: int) -> float:
         """Per-traversal latency of a link made in ``slot`` of a vertex."""
         return self.config.hop_latency
 
-    def _port(self, table: list[Link | None], at: Coord) -> Link:
-        v = self.topology.vertex(at)
-        if table[v] is None:
-            cfg = self.config
-            table[v] = Link(None, cfg.link_bandwidth, cfg.nic_latency,
-                            lanes=cfg.nic_port_lanes)
-        return table[v]
-
     def injection_port(self, at: Coord) -> Link:
-        return self._port(self._inject, at)
+        v = self.topology.vertex(at)
+        self._inject_made[v] = 1
+        return Link.at(self._inject, v)
 
     def ejection_port(self, at: Coord) -> Link:
-        return self._port(self._eject, at)
+        v = self.topology.vertex(at)
+        self._eject_made[v] = 1
+        return Link.at(self._eject, v)
 
     # -- fault state (driven by repro.faults) ------------------------------------
     def fail_link(self, frm: Coord, to: Coord) -> None:
@@ -141,22 +155,18 @@ class TorusNetwork:
         return "adaptive"
 
     # -- routing ---------------------------------------------------------------
-    def _first_touch(self, v: int, slot: int, nxt: int) -> Link:
-        """Fill one slot of the out-table: the link from vertex ``v``
-        through ``slot`` to vertex ``nxt``, made — or found — in the slot
-        the pair is named by and shared where two slots of ``v`` end at
-        the same neighbour (both ways round a two-node ring: one link)."""
-        links = self._out[v]
-        if links is None:
-            links = self._out[v] = [None] * self.topology.fan_out(v)
-        named = self.topology.link_slot(v, nxt)
-        lk = links[named]
-        if lk is None:
-            lk = links[named] = Link(None, self.config.link_bandwidth,
-                                     self._link_latency(named))
-            self._order.append(v * len(self._out) + nxt)
-        links[slot] = lk
-        return lk
+    def _first_touch(self, v: int, slot: int, nxt: int) -> int:
+        """Fill one slot of the out-table and return its row: the link
+        from vertex ``v`` through ``slot`` to vertex ``nxt``, made — or
+        found — in the row of the slot the pair is named by, which two
+        slots of ``v`` ending at one neighbour share."""
+        out, fan = self._out, self._fan
+        row = v * fan + self.topology.link_slot(v, nxt)
+        if out[row] < 0:
+            out[row] = row
+            self._order.append(v * self.topology.n_vertices + nxt)
+        out[v * fan + slot] = row
+        return row
 
     def _next_direction(self, v: int, end: int) -> tuple[Link, int]:
         """Degraded-mode choice: ``(link, next vertex)`` in dimension
@@ -164,7 +174,7 @@ class TorusNetwork:
         still up."""
         first = None
         for slot, nxt in self.topology.out_hops(v, end):
-            lk = self._first_touch(v, slot, nxt)
+            lk = Link.at(self._links, self._first_touch(v, slot, nxt))
             if lk.state != "down":
                 return lk, nxt
             first = first or (lk, nxt)
@@ -182,6 +192,8 @@ class TorusNetwork:
     ) -> TransferTiming:
         """Route one message and reserve every link it crosses.
 
+        ``nbytes`` is an integer (``operator.index`` accepts it; anything
+        else is a :class:`TypeError` before any side effect).
         ``bandwidth_cap`` models a source that cannot feed the wire at full
         link rate (FMA window stores, BTE engine limits): the last byte
         cannot arrive before ``first-byte arrival + nbytes / cap``.
@@ -193,40 +205,51 @@ class TorusNetwork:
         One pass: per hop, compute the productive slots of the vertex the
         message stands on, touch each candidate link, pick one (the first
         in deterministic mode; the least-backlogged, ties to the earlier
-        direction, in adaptive mode) and reserve it — inline for a healthy
-        single-lane hop or multi-lane NIC port, through
-        :meth:`Link.reserve` otherwise.  A coordinate off the fabric is a
-        :class:`TopologyError` before any router link is touched.
+        direction, in adaptive mode) and reserve it — inline over the
+        link table's columns on a healthy fabric, through
+        :meth:`Link.reserve` while any link or port is not "up".  A
+        coordinate off the fabric is a :class:`TopologyError` before any
+        router link is touched.
 
         This body is the contract of :meth:`transfer`.  With the C core
         loaded (:mod:`repro.sim._speed`) ``transfer`` is its compiled
         lane, ``router_transfer`` in ``_speedups.c``: the same statements
-        over the same slots, for a healthy :class:`Torus3D` or
+        over the same columns, for a healthy :class:`Torus3D` or
         :class:`Dragonfly` fabric and coordinates on it; any other call
         comes whole to this body, before any side effect.
         """
+        size = _index(nbytes)
         cfg = self.config
         min_occ = cfg.nic_msg_gap if min_occupancy is None else min_occupancy
         self.messages_routed += 1
+        links, inj, ej = self._links, self._inject, self._eject
+        faulted = self._faulted
+        careful = faulted or links.sick or inj.sick or ej.sick
 
         # injection at the source NIC; a source off the fabric raises here
         topo = self.topology
         v = topo.vertex(src)
-        inj = self._inject[v] or self.injection_port(src)
-        lanes = inj._lanes
-        if lanes is not None and inj.state == "up":
+        if not self._inject_made[v]:
+            self.injection_port(src)
+        if careful:
+            _, t = Link.at(inj, v).reserve(now, size, min_occ)
+        else:
             # Link.reserve on the least-busy lane, minus the call
-            free = min(lanes)
+            horizons, lanes = inj.horizons, inj.lanes
+            lane = v * lanes
+            if lanes > 1:
+                seg = horizons[lane:lane + lanes]
+                lane += seg.index(min(seg))
+            free = horizons[lane]
             start = free if free > now else now
-            occupancy = nbytes / inj.bandwidth
+            occupancy = size / inj.bandwidth
             if occupancy < min_occ:
                 occupancy = min_occ
-            lanes[lanes.index(free)] = start + occupancy
-            inj.bytes_carried += nbytes
-            inj.transfers += 1
-            t = start + inj.latency
-        else:
-            _, t = inj.reserve(now, nbytes, min_occ)
+            horizons[lane] = start + occupancy
+            inj.bytes_carried[v] += size
+            inj.transfers[v] += 1
+            lat = inj.latency
+            t = start + lat[v % len(lat)]
         depart = t
 
         # src -> dst, or src -> via -> dst as two minimal legs; a
@@ -234,67 +257,73 @@ class TorusNetwork:
         ends = ((topo.vertex(dst),) if via is None
                 else (topo.vertex(via), topo.vertex(dst)))
         hops = 0
-        if self._faulted:
+        if faulted:
             self.degraded_routes += 1
-            for end in ends:
-                while v != end:
-                    lk, v = self._next_direction(v, end)
-                    _, t = lk.reserve(t, nbytes, min_occ)
-                    hops += 1
-        else:
-            out = self._out
-            out_hops = topo.out_hops
-            first_only = not cfg.adaptive_routing
-            for end in ends:
-                while v != end:
-                    links = out[v]
-                    lk = None
+        out, fan = self._out, self._fan
+        out_hops = topo.out_hops
+        first_only = not cfg.adaptive_routing
+        horizons, lat = links.horizons, links.latency
+        for end in ends:
+            while v != end:
+                if faulted:
+                    lk, nxt = self._next_direction(v, end)
+                else:
+                    base = v * fan
+                    row = -1
                     for slot, to in out_hops(v, end, first_only):
-                        cand = None if links is None else links[slot]
-                        if cand is None:
+                        cand = out[base + slot]
+                        if cand < 0:
                             cand = self._first_touch(v, slot, to)
-                            links = out[v]
                         # adaptive: least-backlogged productive link, the
                         # earlier direction on a tie (router links have
-                        # one lane: its slot is the load)
-                        if lk is None or cand._free < load:
-                            lk, nxt, load = cand, to, cand._free
-                    if lk.state == "up" and lk._lanes is None:
-                        # Link.reserve for the common case, minus the call
-                        start = load if load > t else t
-                        occupancy = nbytes / lk.bandwidth
-                        if occupancy < min_occ:
-                            occupancy = min_occ
-                        lk._free = start + occupancy
-                        lk.bytes_carried += nbytes
-                        lk.transfers += 1
-                        t = start + lk.latency
-                    else:
-                        _, t = lk.reserve(t, nbytes, min_occ)
-                    v = nxt
-                    hops += 1
+                        # one lane: its horizon is the load)
+                        if row < 0 or horizons[cand] < load:
+                            row, nxt, load = cand, to, horizons[cand]
+                    if careful:
+                        lk = Link.at(links, row)
+                if careful:
+                    _, t = lk.reserve(t, size, min_occ)
+                else:
+                    # Link.reserve for a single-lane link, minus the call
+                    start = load if load > t else t
+                    occupancy = size / links.bandwidth
+                    if occupancy < min_occ:
+                        occupancy = min_occ
+                    horizons[row] = start + occupancy
+                    links.bytes_carried[row] += size
+                    links.transfers[row] += 1
+                    t = start + lat[row % fan]
+                v = nxt
+                hops += 1
 
         # ejection into the destination NIC
-        ej = self._eject[ends[-1]] or self.ejection_port(dst)
-        lanes = ej._lanes
-        if lanes is not None and ej.state == "up":
-            free = min(lanes)
+        v = ends[-1]
+        if not self._eject_made[v]:
+            self.ejection_port(dst)
+        if careful:
+            _, t = Link.at(ej, v).reserve(t, size, min_occ)
+        else:
+            horizons, lanes = ej.horizons, ej.lanes
+            lane = v * lanes
+            if lanes > 1:
+                seg = horizons[lane:lane + lanes]
+                lane += seg.index(min(seg))
+            free = horizons[lane]
             start = free if free > t else t
-            occupancy = nbytes / ej.bandwidth
+            occupancy = size / ej.bandwidth
             if occupancy < min_occ:
                 occupancy = min_occ
-            lanes[lanes.index(free)] = start + occupancy
-            ej.bytes_carried += nbytes
-            ej.transfers += 1
-            t = start + ej.latency
-        else:
-            _, t = ej.reserve(t, nbytes, min_occ)
+            horizons[lane] = start + occupancy
+            ej.bytes_carried[v] += size
+            ej.transfers[v] += 1
+            lat = ej.latency
+            t = start + lat[v % len(lat)]
         head_arrival = t
 
         path_bw = cfg.link_bandwidth
         if bandwidth_cap is not None and bandwidth_cap < path_bw:
             path_bw = bandwidth_cap
-        arrival = head_arrival + nbytes / path_bw
+        arrival = head_arrival + size / path_bw
         obs = self.observer
         if obs is not None:
             obs.on_net_transfer(src, dst, nbytes, now, depart, hops)
@@ -305,7 +334,7 @@ class TorusNetwork:
 
     # -- diagnostics ------------------------------------------------------------
     def total_bytes_carried(self) -> int:
-        return sum(lk.bytes_carried for _, lk in self.links())
+        return sum(self._links.bytes_carried)
 
     def hottest_link(self) -> Link | None:
         """The link that carried most bytes; the earlier made on a tie."""
@@ -315,25 +344,27 @@ class TorusNetwork:
     def route_stats(self) -> dict[str, int]:
         """Size and use of the routing state: a simulator self-metric, in
         no ``stats()`` dict, checksum or metrics digest.  ``vertices`` is
-        the out-lists created (nodes and routers a message has stood on or
-        a fault has named), ``links`` the links made, ``hops`` every
-        router-link traversal, degraded-mode hops included."""
-        return {"vertices": sum(links is not None for links in self._out),
+        the vertices with a link made out of them (nodes and routers a
+        message has stood on or a fault has named), ``links`` the links
+        made, ``hops`` every router-link traversal, degraded-mode hops
+        included."""
+        n = self.topology.n_vertices
+        return {"vertices": len({code // n for code in self._order}),
                 "links": len(self._order),
-                "hops": sum(lk.transfers for _, lk in self.links())}
+                "hops": sum(self._links.transfers)}
 
     def first_touch(self) -> dict[str, int]:
-        """The lazily built links and NIC ports that exist."""
+        """The lazily made links and NIC ports."""
         return {"links": len(self._order),
-                "inject_ports": sum(p is not None for p in self._inject),
-                "eject_ports": sum(p is not None for p in self._eject)}
+                "inject_ports": sum(self._inject_made),
+                "eject_ports": sum(self._eject_made)}
 
 
 if _speed.core is not None:
     # the lane follows the engine core's switch: no C core, no C lane
     TorusNetwork.transfer = _speed.core.router_transfer(
-        TorusNetwork, TorusNetwork._transfer_py, Link, TransferTiming,
-        Torus3D, Dragonfly)
+        TorusNetwork, TorusNetwork._transfer_py, TransferTiming, Torus3D,
+        Dragonfly)
 
 
 class DragonflyNetwork(TorusNetwork):

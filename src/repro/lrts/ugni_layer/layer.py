@@ -376,8 +376,9 @@ class UgniMachineLayer(ReliabilityMixin, ProtocolCore, IntranodeMixin,
         return s
 
     def first_touch(self) -> dict[str, int]:
-        return {"smsg_connections": len(self._smsg._connections),
-                "rx_cqs": len(self._smsg._rx_cqs),
+        smsg = self._smsg
+        return {"smsg_connections": len(smsg._conn),
+                "rx_cqs": sum(cq is not None for cq in smsg._rx_cqs),
                 "post_cqs": len(self._post_cqs),
                 "pools": len(self._pools),
                 "registration_tables": len(self.gni.registrations)}

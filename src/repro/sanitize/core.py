@@ -569,13 +569,13 @@ class Sanitizer:
             key = (rec.msg.src_pe, rec.msg.dst_pe)
             shadow_credit[key] = shadow_credit.get(key, 0) + rec.msg.credit
         for fabric in self._fabrics:
-            for (src, dst), conn in fabric._connections.items():
+            for src, dst, held in fabric.pairs():
                 expect = shadow_credit.get((src, dst), 0)
-                if conn.credits_used != expect:
+                if held != expect:
                     self.report(
                         "credit-leak",
                         f"smsg[{src}->{dst}]",
-                        f"connection holds {conn.credits_used} B of mailbox "
+                        f"connection holds {held} B of mailbox "
                         f"credit but outstanding messages account for "
                         f"{expect} B")
 

@@ -23,7 +23,6 @@
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
-#include <structmember.h>
 #include <math.h>
 
 #define STATE_FREE 0
@@ -848,38 +847,47 @@ static PyTypeObject Core_Type = {
 /* repro.hardware.router.TorusNetwork._transfer_py, statement for
  * statement: injection port, per hop the productive slots of the vertex
  * the message stands on (Torus3D.out_hops / Dragonfly.out_hops, mirrored
- * below), the candidate pick and the reserve over the Link's slots,
- * ejection port, arrival, the observer hook, the TransferTiming.  The
- * arithmetic is the same IEEE double operations in the same order (and the
- * build passes -ffp-contract=off), so either lane leaves every horizon,
- * counter and timing bit-identical.
+ * below), the candidate pick and the reserve, ejection port, arrival, the
+ * observer hook, the TransferTiming.  The arithmetic is the same IEEE
+ * double operations in the same order (and the build passes
+ * -ffp-contract=off), so either lane leaves every horizon, counter and
+ * timing bit-identical.
+ *
+ * Link state is the columns of the network's three LinkTables
+ * (repro.hardware.link): per row `lanes` horizons (double), bytes_carried
+ * and transfers (int64), and the latency column (double).  The lane reads
+ * and writes them through their buffers, as it does the out-table _out (a
+ * C int per slot of a vertex: the row of its link, -1 until first touched)
+ * and the ports' _inject_made / _eject_made (a byte per vertex).  It
+ * opens them on the network's first call and holds them, in a Columns
+ * object the network keeps as _columns, for the network's life: the
+ * columns are allocated at full size and never resized (a held buffer
+ * cannot be), so per call the lane reads no attribute of a table.
  *
  * The Python body is the contract and keeps everything rare.  The whole
- * call goes to it, before any side effect, while any link is faulted, when
- * its arguments do not bind (it raises the TypeError), when the topology
- * is not exactly a Torus3D or a Dragonfly, and when a coordinate is not
- * one of its vertices (it raises the TopologyError).  What is left to call
- * through the instance is first touch (_first_touch for a link,
- * injection_port / ejection_port), Link.reserve for a link that is not
- * "up" (or whose horizon is not a float, or whose bandwidth is zero:
- * reserve computes or refuses it) and the observer hook. */
+ * call goes to it, before any side effect, while any link is faulted or any
+ * row of a table is not "up" (or has no bandwidth: the body raises the
+ * ZeroDivisionError), when its arguments do not bind (it raises the
+ * TypeError), when the topology is not exactly a Torus3D or a Dragonfly,
+ * and when a coordinate is not one of its vertices (it raises the
+ * TopologyError).  What is left to call through the instance is first
+ * touch (_first_touch for a link, injection_port / ejection_port for a
+ * port) and the observer hook. */
 
 static struct {
     PyObject *body;        /* TorusNetwork._transfer_py (owned) */
-    PyTypeObject *link;    /* repro.hardware.link.Link (owned) */
     PyTypeObject *timing;  /* TransferTiming, a plain tuple subclass (owned) */
     PyTypeObject *torus, *dragonfly;   /* the topologies mirrored (owned) */
-    /* offsets of Link's slots, read once from its member descriptors */
-    Py_ssize_t bandwidth, latency, free, lanes, bytes_carried, transfers,
-        state;
 } lane;
 
-/* interned: attribute and method names, "up", transfer's parameters */
-static PyObject *s_config, *s_inject, *s_eject, *s_out, *s_faulted,
-    *s_observer, *s_messages_routed, *s_nic_msg_gap, *s_link_bandwidth,
-    *s_adaptive_routing, *s_first_touch, *s_injection_port, *s_ejection_port,
-    *s_reserve, *s_on_net_transfer, *s_up, *s_topology, *s_dims, *s_rt,
-    *int_one;
+/* interned: attribute and method names, transfer's parameters */
+static PyObject *s_config, *s_links, *s_inject, *s_eject, *s_out,
+    *s_inject_made, *s_eject_made, *s_fan, *s_columns, *s_faulted, *s_sick,
+    *s_bandwidth, *s_lanes, *s_horizons, *s_bytes_carried, *s_transfers,
+    *s_latency, *s_observer, *s_messages_routed, *s_nic_msg_gap,
+    *s_link_bandwidth, *s_adaptive_routing, *s_first_touch,
+    *s_injection_port, *s_ejection_port, *s_on_net_transfer, *s_topology,
+    *s_dims, *s_rt, *int_one;
 static PyObject *s_shape[4];   /* Dragonfly's g, a, p, h */
 #define N_PARAMS 7
 static PyObject *s_params[N_PARAMS];
@@ -888,9 +896,8 @@ static const char *const param_names[N_PARAMS] = {
 
 /* what one message carries past every link */
 typedef struct {
-    PyObject *nbytes_o;    /* as passed: counters add it, reserve gets it */
-    double nbytes;
-    PyObject *min_occ_o;
+    long long size;   /* operator.index(nbytes): what the counters add */
+    double nbytes;    /* the same, as the body's size / bandwidth sees it */
     double min_occ;
 } Msg;
 
@@ -905,159 +912,207 @@ as_double(PyObject *o, double *out)
     return (*out == -1.0 && PyErr_Occurred()) ? -1 : 0;
 }
 
-/* A Link slot, borrowed; NULL (AttributeError) if it was never set. */
-static inline PyObject *
-slot(PyObject *lk, Py_ssize_t offset)
+/* The buffer of column owner.<name>: writable, of format `fmt` and items of
+ * `itemsize` bytes.  The item count, or -1 (view->obj is then NULL). */
+static Py_ssize_t
+open_column(PyObject *owner, PyObject *name, const char *fmt,
+            Py_ssize_t itemsize, Py_buffer *view)
 {
-    PyObject *v = *(PyObject **)((char *)lk + offset);
-    if (!v)
-        PyErr_SetString(PyExc_AttributeError, "unset Link slot");
-    return v;
-}
-
-/* Store into a Link slot; steals `value`, NULL passes an error through. */
-static inline int
-slot_set(PyObject *lk, Py_ssize_t offset, PyObject *value)
-{
-    if (!value)
+    PyObject *col = PyObject_GetAttr(owner, name);
+    if (!col)
         return -1;
-    PyObject **p = (PyObject **)((char *)lk + offset);
-    Py_XSETREF(*p, value);
-    return 0;
+    int rc = PyObject_GetBuffer(col, view, PyBUF_WRITABLE | PyBUF_FORMAT);
+    Py_DECREF(col);
+    if (rc < 0)
+        return -1;
+    if (view->itemsize != itemsize || !view->format
+        || strcmp(view->format, fmt) != 0) {
+        PyErr_Format(PyExc_TypeError, "%U must be a '%s' column", name, fmt);
+        PyBuffer_Release(view);
+        return -1;
+    }
+    return view->len / itemsize;
 }
 
-/* slot += by */
-static inline int
-slot_add(PyObject *lk, Py_ssize_t offset, PyObject *by)
+/* One LinkTable as the lane uses it. */
+typedef struct {
+    Py_buffer horizons, carried, count, latency;
+    PyObject *sick;       /* the table's rows not "up": a set (owned) */
+    double bandwidth;
+    Py_ssize_t lanes, rows, n_latency;
+} Table;
+
+static void
+table_close(Table *tb)
 {
-    PyObject *v = slot(lk, offset);
-    return v ? slot_set(lk, offset, PyNumber_InPlaceAdd(v, by)) : -1;
+    PyBuffer_Release(&tb->horizons);
+    PyBuffer_Release(&tb->carried);
+    PyBuffer_Release(&tb->count);
+    PyBuffer_Release(&tb->latency);
+    Py_CLEAR(tb->sick);
 }
 
-static inline int
-is_link(PyObject *lk)
-{
-    if (PyObject_TypeCheck(lk, lane.link))
-        return 1;
-    PyErr_Format(PyExc_TypeError, "the network holds a %.100s where a Link "
-                 "belongs", Py_TYPE(lk)->tp_name);
-    return 0;
-}
-
-/* *t = lk.reserve(t, nbytes, min_occ)[1]; t_o is *t as an object, or NULL */
+/* Open the LinkTable self.<name>: 0 open, -1 error (what a failed open
+ * took is released by table_close). */
 static int
-reserve_call(PyObject *lk, PyObject *t_o, double *t, const Msg *m)
+table_open(PyObject *self, PyObject *name, Table *tb)
 {
-    PyObject *made = NULL;
-    if (!t_o && !(t_o = made = PyFloat_FromDouble(*t)))
+    PyObject *tbl = PyObject_GetAttr(self, name);
+    if (!tbl)
         return -1;
-    PyObject *argv[4] = {lk, t_o, m->nbytes_o, m->min_occ_o};
-    PyObject *res = PyObject_VectorcallMethod(
-        s_reserve, argv, 4 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-    Py_XDECREF(made);
-    if (!res)
-        return -1;
-    PyObject *exit_o = PySequence_GetItem(res, 1);
-    Py_DECREF(res);
-    if (!exit_o)
-        return -1;
-    int rc = as_double(exit_o, t);
-    Py_DECREF(exit_o);
+    int rc = -1;
+    if (!(tb->sick = PyObject_GetAttr(tbl, s_sick)))
+        goto done;
+    if (!PyAnySet_Check(tb->sick)) {
+        PyErr_Format(PyExc_TypeError, "%U.sick must be a set", name);
+        goto done;
+    }
+    PyObject *o = PyObject_GetAttr(tbl, s_bandwidth);
+    if (!o)
+        goto done;
+    int bad = as_double(o, &tb->bandwidth);
+    Py_DECREF(o);
+    if (bad < 0 || !(o = PyObject_GetAttr(tbl, s_lanes)))
+        goto done;
+    tb->lanes = PyNumber_AsSsize_t(o, PyExc_OverflowError);
+    Py_DECREF(o);
+    if (tb->lanes == -1 && PyErr_Occurred())
+        goto done;
+    Py_ssize_t n_horizons = open_column(tbl, s_horizons, "d",
+                                        sizeof(double), &tb->horizons);
+    if (n_horizons < 0
+        || (tb->rows = open_column(tbl, s_bytes_carried, "q",
+                                   sizeof(long long), &tb->carried)) < 0)
+        goto done;
+    Py_ssize_t n_count = open_column(tbl, s_transfers, "q",
+                                     sizeof(long long), &tb->count);
+    if (n_count < 0
+        || (tb->n_latency = open_column(tbl, s_latency, "d", sizeof(double),
+                                        &tb->latency)) < 0)
+        goto done;
+    if (tb->lanes < 1 || n_count != tb->rows || tb->n_latency < 1
+        || n_horizons != tb->rows * tb->lanes) {
+        PyErr_Format(PyExc_ValueError, "the columns of %U disagree", name);
+        goto done;
+    }
+    rc = 0;
+done:
+    Py_DECREF(tbl);
     return rc;
 }
 
-/* Link.reserve for an "up" link, minus the call: occupy the least-busy
- * lane from max(its horizon, *t), count the message, move *t to when the
- * head leaves the far end.  t_o as in reserve_call (the injection port is
- * handed `now` as the caller passed it). */
-static int
-link_reserve(PyObject *lk, PyObject *t_o, double *t, const Msg *m)
+/* A network's columns, held open for its life as self._columns: the three
+ * LinkTables, the out-table and the ports' made-flags.  Holding a column's
+ * buffer is what keeps it from being resized under the lane. */
+typedef struct {
+    PyObject_HEAD
+    Table links, inj, ej;
+    Py_buffer out, inj_made, ej_made;
+    long fan;
+} Columns;
+
+static void
+columns_dealloc(Columns *c)
 {
-    PyObject *state = slot(lk, lane.state);
-    PyObject *lanes = slot(lk, lane.lanes);
-    PyObject *bw_o = slot(lk, lane.bandwidth);
-    PyObject *lat_o = slot(lk, lane.latency);
-    double bw, latency;
-    if (!state || !lanes || !bw_o || !lat_o
-        || as_double(bw_o, &bw) < 0 || as_double(lat_o, &latency) < 0)
-        return -1;
-    if (state != s_up
-        && !(PyUnicode_Check(state) && PyUnicode_Compare(state, s_up) == 0))
-        return reserve_call(lk, t_o, t, m);
+    table_close(&c->links);
+    table_close(&c->inj);
+    table_close(&c->ej);
+    PyBuffer_Release(&c->out);
+    PyBuffer_Release(&c->inj_made);
+    PyBuffer_Release(&c->ej_made);
+    Py_TYPE(c)->tp_free((PyObject *)c);
+}
 
-    PyObject *horizon = NULL;
-    Py_ssize_t best = -1;
-    if (lanes == Py_None) {
-        if (!(horizon = slot(lk, lane.free)))
-            return -1;
-    }
-    else if (PyList_CheckExact(lanes)) {
-        /* min(lanes) and lanes.index(it): the first least horizon */
-        for (Py_ssize_t i = 0; i < PyList_GET_SIZE(lanes); i++) {
-            PyObject *item = PyList_GET_ITEM(lanes, i);
-            if (!PyFloat_CheckExact(item))
-                return reserve_call(lk, t_o, t, m);
-            if (!horizon
-                || PyFloat_AS_DOUBLE(item) < PyFloat_AS_DOUBLE(horizon)) {
-                horizon = item;
-                best = i;
-            }
-        }
-    }
-    if (!horizon || !PyFloat_CheckExact(horizon) || bw == 0.0)
-        return reserve_call(lk, t_o, t, m);
+static PyTypeObject Columns_Type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim._speedups.Columns",
+    .tp_basicsize = sizeof(Columns),
+    .tp_dealloc = (destructor)columns_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "The router lane's hold on one network's column buffers.",
+};
 
-    double free_at = PyFloat_AS_DOUBLE(horizon);
-    double start = free_at > *t ? free_at : *t;
-    double occupancy = m->nbytes / bw;
+/* self._columns, opened on the network's first call (a new reference), or
+ * NULL on error. */
+static Columns *
+columns_of(PyObject *self)
+{
+    PyObject *o = PyObject_GetAttr(self, s_columns);
+    if (!o || Py_IS_TYPE(o, &Columns_Type))
+        return (Columns *)o;
+    int unset = o == Py_None;
+    Py_DECREF(o);
+    if (!unset) {
+        PyErr_SetString(PyExc_TypeError, "_columns is the router lane's");
+        return NULL;
+    }
+    Columns *c = PyObject_New(Columns, &Columns_Type);
+    if (!c)
+        return NULL;
+    memset((char *)c + sizeof(PyObject), 0,
+           sizeof(Columns) - sizeof(PyObject));
+    if (table_open(self, s_links, &c->links) < 0
+        || table_open(self, s_inject, &c->inj) < 0
+        || table_open(self, s_eject, &c->ej) < 0
+        || open_column(self, s_out, "i", sizeof(int), &c->out) < 0
+        || open_column(self, s_inject_made, "B", 1, &c->inj_made) < 0
+        || open_column(self, s_eject_made, "B", 1, &c->ej_made) < 0
+        || !(o = PyObject_GetAttr(self, s_fan)))
+        goto fail;
+    c->fan = PyLong_AsLong(o);
+    Py_DECREF(o);
+    if (c->fan == -1 && PyErr_Occurred())
+        goto fail;
+    if (c->links.lanes != 1) {
+        PyErr_SetString(PyExc_ValueError, "a router link has one lane");
+        goto fail;
+    }
+    if (PyObject_SetAttr(self, s_columns, (PyObject *)c) < 0)
+        goto fail;
+    return c;
+fail:
+    Py_DECREF(c);
+    return NULL;
+}
+
+/* Link.reserve for an "up" row, minus the call: occupy the first
+ * least-busy lane from max(its horizon, t), count the message; returns
+ * when the head leaves the far end. */
+static inline double
+reserve_row(const Table *tb, Py_ssize_t row, double t, const Msg *m)
+{
+    double *h = (double *)tb->horizons.buf + row * tb->lanes;
+    Py_ssize_t best = 0;
+    for (Py_ssize_t i = 1; i < tb->lanes; i++)
+        if (h[i] < h[best])
+            best = i;
+    ((long long *)tb->carried.buf)[row] += m->size;
+    ((long long *)tb->count.buf)[row] += 1;
+    double start = h[best] > t ? h[best] : t;
+    double occupancy = m->nbytes / tb->bandwidth;
     if (occupancy < m->min_occ)
         occupancy = m->min_occ;
-    PyObject *until = PyFloat_FromDouble(start + occupancy);
-    if (best < 0) {
-        if (slot_set(lk, lane.free, until) < 0)
-            return -1;
-    }
-    else if (!until || PyList_SetItem(lanes, best, until) < 0)
-        return -1;
-    if (slot_add(lk, lane.bytes_carried, m->nbytes_o) < 0
-        || slot_add(lk, lane.transfers, int_one) < 0)
-        return -1;
-    *t = start + latency;
-    return 0;
+    h[best] = start + occupancy;
+    return start + ((double *)tb->latency.buf)[row % tb->n_latency];
 }
 
-/* self.<table>[v], or self.<maker>(at) on first touch; then reserve */
+/* The port of vertex v: self.<maker>(at) on first touch, then reserve. */
 static int
-port_reserve(PyObject *self, PyObject *table_name, PyObject *maker, long v,
-             PyObject *at, PyObject *t_o, double *t, const Msg *m)
+port_reserve(PyObject *self, const Table *tb, const Py_buffer *made,
+             PyObject *maker, long v, PyObject *at, double *t, const Msg *m)
 {
-    PyObject *table = PyObject_GetAttr(self, table_name);
-    if (!table)
+    if (v >= made->len || v >= tb->rows) {
+        PyErr_SetString(PyExc_IndexError, "a vertex beyond the port table");
         return -1;
-    PyObject *port = PyList_CheckExact(table) && v < PyList_GET_SIZE(table)
-        ? PyList_GET_ITEM(table, v) : Py_None;
-    Py_INCREF(port);
-    Py_DECREF(table);
-    if (port == Py_None) {
-        Py_DECREF(port);
-        port = PyObject_CallMethodOneArg(self, maker, at);
+    }
+    if (!((const unsigned char *)made->buf)[v]) {
+        PyObject *port = PyObject_CallMethodOneArg(self, maker, at);
         if (!port)
             return -1;
+        Py_DECREF(port);
     }
-    int rc = is_link(port) ? link_reserve(port, t_o, t, m) : -1;
-    Py_DECREF(port);
-    return rc;
-}
-
-/* The load adaptive routing compares: a router link has one lane, and its
- * slot is its horizon. */
-static inline int
-load_of(PyObject *lk, double *out)
-{
-    PyObject *free_o;
-    if (!is_link(lk) || !(free_o = slot(lk, lane.free)))
-        return -1;
-    return as_double(free_o, out);
+    *t = reserve_row(tb, v, *t, m);
+    return 0;
 }
 
 /* The fabric as the lane walks it: vertices are indices into the
@@ -1210,63 +1265,76 @@ out_hops(const Fabric *f, long v, long end, int first_only, int *slots,
     return 1;
 }
 
-/* self._out[v][slot], or self._first_touch(v, slot, nxt) while the
- * vertex's list or the slot is still None: a new reference. */
-static PyObject *
-out_link(PyObject *self, PyObject *out, long v, int slot, long nxt)
+/* self._first_touch(v, slot, nxt): the row of the slot's link, or -1. */
+static Py_ssize_t
+first_touch(PyObject *self, long v, int slot, long nxt)
 {
-    if (v < PyList_GET_SIZE(out)) {
-        PyObject *links = PyList_GET_ITEM(out, v);
-        if (PyList_CheckExact(links) && slot < PyList_GET_SIZE(links)
-            && PyList_GET_ITEM(links, slot) != Py_None)
-            return Py_NewRef(PyList_GET_ITEM(links, slot));
-    }
     PyObject *argv[4] = {self, PyLong_FromLong(v), PyLong_FromLong(slot),
                          PyLong_FromLong(nxt)};
-    PyObject *lk = NULL;
+    PyObject *res = NULL;
     if (argv[1] && argv[2] && argv[3])
-        lk = PyObject_VectorcallMethod(
+        res = PyObject_VectorcallMethod(
             s_first_touch, argv, 4 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
     Py_XDECREF(argv[1]);
     Py_XDECREF(argv[2]);
     Py_XDECREF(argv[3]);
-    return lk;
+    if (!res)
+        return -1;
+    Py_ssize_t row = PyNumber_AsSsize_t(res, PyExc_IndexError);
+    Py_DECREF(res);
+    if (row < 0 && !PyErr_Occurred())
+        PyErr_SetString(PyExc_IndexError, "_first_touch gave no row");
+    return row < 0 ? -1 : row;
 }
+
+/* The network's router links as one leg walks them. */
+typedef struct {
+    const Table *links;
+    const int *out;       /* the out-table: a row per slot, -1 untouched */
+    Py_ssize_t n_out;
+    long fan;             /* slots per vertex */
+} Walk;
 
 /* One minimal leg, *v -> end: per hop the productive links, every
  * candidate touched in slot order, the pick (the only candidate in
  * deterministic mode; in adaptive mode the least-backlogged, the earlier
- * direction on a tie), the reserve, the step. */
+ * direction on a tie: a router link has one lane, its horizon is the
+ * load), the reserve, the step. */
 static int
-walk_leg(PyObject *self, PyObject *out, const Fabric *f, int first_only,
+walk_leg(PyObject *self, const Walk *w, const Fabric *f, int first_only,
          long *v, long end, double *t, long *hops, const Msg *m)
 {
+    const double *horizons = w->links->horizons.buf;
     int slots[6];
     long next[6];
     while (*v != end) {
         int n = out_hops(f, *v, end, first_only, slots, next);
-        PyObject *lk = NULL;
+        Py_ssize_t row = -1;
         long nxt = end;
-        double load = 0.0, other;
+        double load = 0.0;
         for (int i = 0; i < n; i++) {
-            PyObject *cand = out_link(self, out, *v, slots[i], next[i]);
-            if (!cand || load_of(cand, &other) < 0) {
-                Py_XDECREF(cand);
-                Py_XDECREF(lk);
+            Py_ssize_t at = (Py_ssize_t)*v * w->fan + slots[i];
+            if (slots[i] >= w->fan || at >= w->n_out) {
+                PyErr_SetString(PyExc_IndexError,
+                                "a slot beyond the out-table");
                 return -1;
             }
-            if (!lk || other < load) {
-                Py_XSETREF(lk, cand);
-                nxt = next[i];
-                load = other;
+            Py_ssize_t cand = w->out[at];
+            if (cand < 0 && (cand = first_touch(self, *v, slots[i],
+                                                next[i])) < 0)
+                return -1;
+            if (cand >= w->links->rows) {
+                PyErr_SetString(PyExc_IndexError,
+                                "a row beyond the link table");
+                return -1;
             }
-            else
-                Py_DECREF(cand);
+            if (row < 0 || horizons[cand] < load) {
+                row = cand;
+                nxt = next[i];
+                load = horizons[cand];
+            }
         }
-        int rc = link_reserve(lk, NULL, t, m);
-        Py_DECREF(lk);
-        if (rc < 0)
-            return -1;
+        *t = reserve_row(w->links, row, *t, m);
         *v = nxt;
         *hops += 1;
     }
@@ -1362,24 +1430,51 @@ router_transfer(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
         || (via != Py_None && !vertex_of(&fabric, via, &mid)))
         return call_body(self, args, nargs, kwnames);
 
-    Msg m = {p[3], 0.0, NULL, 0.0};
-    PyObject *cfg = NULL, *out = NULL, *tmp = NULL;
+    Columns *c = columns_of(self);
+    if (!c)
+        return NULL;
+    PyObject *cfg = NULL, *size_o = NULL, *tmp = NULL, *result = NULL;
     PyObject *depart_o = NULL, *head_o = NULL, *arrival_o = NULL;
-    PyObject *hops_o = NULL, *result = NULL;
+    PyObject *hops_o = NULL;
+    Msg m;
+    Walk w;
     double now, t, path_bw;
     long hops = 0;
     int first_only;
 
+    if (PySet_GET_SIZE(c->links.sick) || PySet_GET_SIZE(c->inj.sick)
+        || PySet_GET_SIZE(c->ej.sick) || c->links.bandwidth == 0.0
+        || c->inj.bandwidth == 0.0 || c->ej.bandwidth == 0.0) {
+        /* a row not "up", or no bandwidth: the body's ZeroDivisionError */
+        result = call_body(self, args, nargs, kwnames);
+        goto done;
+    }
+    /* size = operator.index(nbytes): its TypeError is the body's */
+    if (!(size_o = PyNumber_Index(p[3])))
+        goto done;
+    m.size = PyLong_AsLongLong(size_o);
+    if (m.size == -1 && PyErr_Occurred()) {
+        /* past int64: the body raises where its counter overflows */
+        PyErr_Clear();
+        result = call_body(self, args, nargs, kwnames);
+        goto done;
+    }
+    m.nbytes = (double)m.size;
     if (!(cfg = PyObject_GetAttr(self, s_config)))
         goto done;
-    if (p[5] != Py_None)
-        m.min_occ_o = Py_NewRef(p[5]);
-    else if (!(m.min_occ_o = PyObject_GetAttr(cfg, s_nic_msg_gap)))
+    tmp = p[5] != Py_None ? Py_NewRef(p[5])
+                          : PyObject_GetAttr(cfg, s_nic_msg_gap);
+    if (!tmp || as_double(tmp, &m.min_occ) < 0 || as_double(now_o, &now) < 0)
         goto done;
-    if (as_double(m.min_occ_o, &m.min_occ) < 0
-        || as_double(m.nbytes_o, &m.nbytes) < 0 || as_double(now_o, &now) < 0)
+    w.fan = c->fan;
+    w.links = &c->links;
+    w.out = c->out.buf;
+    w.n_out = c->out.len / (Py_ssize_t)sizeof(int);
+    Py_SETREF(tmp, PyObject_GetAttr(cfg, s_adaptive_routing));
+    if (!tmp || (first_only = PyObject_Not(tmp)) < 0)
         goto done;
-    if (!(tmp = PyObject_GetAttr(self, s_messages_routed)))
+    Py_SETREF(tmp, PyObject_GetAttr(self, s_messages_routed));
+    if (!tmp)
         goto done;
     Py_SETREF(tmp, PyNumber_InPlaceAdd(tmp, int_one));
     if (!tmp || PyObject_SetAttr(self, s_messages_routed, tmp) < 0)
@@ -1387,29 +1482,20 @@ router_transfer(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
 
     /* injection at the source NIC */
     t = now;
-    if (port_reserve(self, s_inject, s_injection_port, v, src, now_o, &t,
+    if (port_reserve(self, &c->inj, &c->inj_made, s_injection_port, v, src, &t,
                      &m) < 0
         || !(depart_o = PyFloat_FromDouble(t)))
         goto done;
 
     /* src -> dst, or src -> via -> dst as two minimal legs */
-    if (!(out = PyObject_GetAttr(self, s_out)))
-        goto done;
-    if (!PyList_CheckExact(out)) {
-        PyErr_SetString(PyExc_TypeError, "_out must be a list");
-        goto done;
-    }
-    Py_SETREF(tmp, PyObject_GetAttr(cfg, s_adaptive_routing));
-    if (!tmp || (first_only = PyObject_Not(tmp)) < 0)
-        goto done;
     if (via != Py_None
-        && walk_leg(self, out, &fabric, first_only, &v, mid, &t, &hops, &m) < 0)
+        && walk_leg(self, &w, &fabric, first_only, &v, mid, &t, &hops, &m) < 0)
         goto done;
-    if (walk_leg(self, out, &fabric, first_only, &v, end, &t, &hops, &m) < 0)
+    if (walk_leg(self, &w, &fabric, first_only, &v, end, &t, &hops, &m) < 0)
         goto done;
 
     /* ejection into the destination NIC */
-    if (port_reserve(self, s_eject, s_ejection_port, end, dst, NULL, &t,
+    if (port_reserve(self, &c->ej, &c->ej_made, s_ejection_port, end, dst, &t,
                      &m) < 0
         || !(head_o = PyFloat_FromDouble(t)))
         goto done;
@@ -1436,8 +1522,7 @@ router_transfer(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
     if (!tmp)
         goto done;
     if (tmp != Py_None) {
-        PyObject *argv[7] = {tmp, src, dst, m.nbytes_o, now_o, depart_o,
-                             hops_o};
+        PyObject *argv[7] = {tmp, src, dst, p[3], now_o, depart_o, hops_o};
         PyObject *res = PyObject_VectorcallMethod(
             s_on_net_transfer, argv, 7 | PY_VECTORCALL_ARGUMENTS_OFFSET,
             NULL);
@@ -1456,9 +1541,9 @@ router_transfer(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
         depart_o = head_o = arrival_o = hops_o = NULL;
     }
 done:
+    Py_DECREF(c);
     Py_XDECREF(cfg);
-    Py_XDECREF(m.min_occ_o);
-    Py_XDECREF(out);
+    Py_XDECREF(size_o);
     Py_XDECREF(tmp);
     Py_XDECREF(depart_o);
     Py_XDECREF(head_o);
@@ -1478,34 +1563,17 @@ static PyMethodDef router_transfer_def = {
     "transfer", FASTCALL(router_transfer),
     METH_FASTCALL | METH_KEYWORDS, router_transfer_doc};
 
-static int
-slot_offset(PyTypeObject *tp, const char *name, Py_ssize_t *out)
-{
-    PyObject *d = PyObject_GetAttrString((PyObject *)tp, name);
-    if (!d)
-        return -1;
-    int ok = Py_IS_TYPE(d, &PyMemberDescr_Type)
-        && ((PyMemberDescrObject *)d)->d_member->type == T_OBJECT_EX;
-    if (ok)
-        *out = ((PyMemberDescrObject *)d)->d_member->offset;
-    else
-        PyErr_Format(PyExc_TypeError, "%.100s.%s is not a slot",
-                     tp->tp_name, name);
-    Py_DECREF(d);
-    return ok ? 0 : -1;
-}
-
-/* router_transfer(network_cls, body, link_cls, timing_cls, torus_cls,
- * dragonfly_cls) -> the method descriptor repro.hardware.router binds as
+/* router_transfer(network_cls, body, timing_cls, torus_cls, dragonfly_cls)
+ * -> the method descriptor repro.hardware.router binds as
  * TorusNetwork.transfer. */
 static PyObject *
 bind_router_transfer(PyObject *Py_UNUSED(module), PyObject *args)
 {
     PyObject *body;
-    PyTypeObject *cls, *link, *timing, *torus, *dragonfly;
-    if (!PyArg_ParseTuple(args, "O!OO!O!O!O!", &PyType_Type, &cls, &body,
-                          &PyType_Type, &link, &PyType_Type, &timing,
-                          &PyType_Type, &torus, &PyType_Type, &dragonfly))
+    PyTypeObject *cls, *timing, *torus, *dragonfly;
+    if (!PyArg_ParseTuple(args, "O!OO!O!O!", &PyType_Type, &cls, &body,
+                          &PyType_Type, &timing, &PyType_Type, &torus,
+                          &PyType_Type, &dragonfly))
         return NULL;
     if (!PyCallable_Check(body)) {
         PyErr_SetString(PyExc_TypeError, "the Python body must be callable");
@@ -1517,16 +1585,7 @@ bind_router_transfer(PyObject *Py_UNUSED(module), PyObject *args)
                         "the timing class must be a slotless tuple subclass");
         return NULL;
     }
-    if (slot_offset(link, "bandwidth", &lane.bandwidth) < 0
-        || slot_offset(link, "latency", &lane.latency) < 0
-        || slot_offset(link, "_free", &lane.free) < 0
-        || slot_offset(link, "_lanes", &lane.lanes) < 0
-        || slot_offset(link, "bytes_carried", &lane.bytes_carried) < 0
-        || slot_offset(link, "transfers", &lane.transfers) < 0
-        || slot_offset(link, "state", &lane.state) < 0)
-        return NULL;
     Py_XSETREF(lane.body, Py_NewRef(body));
-    Py_XSETREF(lane.link, (PyTypeObject *)Py_NewRef((PyObject *)link));
     Py_XSETREF(lane.timing, (PyTypeObject *)Py_NewRef((PyObject *)timing));
     Py_XSETREF(lane.torus, (PyTypeObject *)Py_NewRef((PyObject *)torus));
     Py_XSETREF(lane.dragonfly,
@@ -1538,16 +1597,22 @@ static int
 intern_names(void)
 {
     static const struct { PyObject **var; const char *text; } names[] = {
-        {&s_config, "config"}, {&s_inject, "_inject"}, {&s_eject, "_eject"},
-        {&s_out, "_out"}, {&s_faulted, "_faulted"},
+        {&s_config, "config"}, {&s_links, "_links"}, {&s_inject, "_inject"},
+        {&s_eject, "_eject"}, {&s_out, "_out"},
+        {&s_inject_made, "_inject_made"}, {&s_eject_made, "_eject_made"},
+        {&s_fan, "_fan"}, {&s_columns, "_columns"}, {&s_faulted, "_faulted"},
+        {&s_sick, "sick"},
+        {&s_bandwidth, "bandwidth"}, {&s_lanes, "lanes"},
+        {&s_horizons, "horizons"}, {&s_bytes_carried, "bytes_carried"},
+        {&s_transfers, "transfers"}, {&s_latency, "latency"},
         {&s_observer, "observer"}, {&s_messages_routed, "messages_routed"},
         {&s_nic_msg_gap, "nic_msg_gap"},
         {&s_link_bandwidth, "link_bandwidth"},
         {&s_adaptive_routing, "adaptive_routing"},
         {&s_first_touch, "_first_touch"},
         {&s_injection_port, "injection_port"},
-        {&s_ejection_port, "ejection_port"}, {&s_reserve, "reserve"},
-        {&s_on_net_transfer, "on_net_transfer"}, {&s_up, "up"},
+        {&s_ejection_port, "ejection_port"},
+        {&s_on_net_transfer, "on_net_transfer"},
         {&s_topology, "topology"}, {&s_dims, "dims"}, {&s_rt, "rt"},
         {&s_shape[0], "groups"}, {&s_shape[1], "routers_per_group"},
         {&s_shape[2], "terminals_per_router"},
@@ -1564,8 +1629,8 @@ intern_names(void)
 
 static PyMethodDef speedups_functions[] = {
     {"router_transfer", bind_router_transfer, METH_VARARGS,
-     "router_transfer(network_cls, body, link_cls, timing_cls, torus_cls, "
-     "dragonfly_cls): the compiled TorusNetwork.transfer, as a method "
+     "router_transfer(network_cls, body, timing_cls, torus_cls, dragonfly_cls): "
+     "the compiled TorusNetwork.transfer, as a method "
      "descriptor of network_cls."},
     {NULL, NULL, 0, NULL},
 };
@@ -1582,7 +1647,7 @@ PyMODINIT_FUNC
 PyInit__speedups(void)
 {
     if (PyType_Ready(&Core_Type) < 0 || PyType_Ready(&CHandle_Type) < 0
-        || intern_names() < 0)
+        || PyType_Ready(&Columns_Type) < 0 || intern_names() < 0)
         return NULL;
     PyObject *m = PyModule_Create(&speedups_module);
     if (!m)

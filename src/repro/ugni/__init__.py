@@ -27,7 +27,7 @@ from repro.ugni.cq import CompletionQueue, CqEntry
 from repro.ugni.memreg import MemHandle, RegistrationTable
 from repro.ugni.msgq import MsgqFabric
 from repro.ugni.rdma import PostDescriptor, RdmaEngine
-from repro.ugni.smsg import SmsgConnection, SmsgFabric, SmsgMessage
+from repro.ugni.smsg import SmsgFabric, SmsgMessage
 from repro.ugni.types import CqEventKind, PostType
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "PostType",
     "RdmaEngine",
     "RegistrationTable",
-    "SmsgConnection",
     "SmsgFabric",
     "SmsgMessage",
 ]

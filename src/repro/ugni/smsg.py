@@ -16,8 +16,10 @@ layer keeps a pending queue for exactly this.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from sys import intern
+from typing import Any, Callable, Iterator, Optional
 
 from repro.errors import UgniInvalidParam, UgniNoSpace
 from repro.hardware.machine import Machine
@@ -37,73 +39,47 @@ class SmsgMessage:
     tag: int
     nbytes: int
     payload: Any = None
-    #: the mailbox pair it travels on and holds credit in (set by
-    #: :meth:`SmsgFabric.send`), so arrival and dequeue look nothing up
-    conn: Optional[SmsgConnection] = field(
-        default=None, repr=False, compare=False)
+    #: the id of the mailbox pair it travels on and holds credit in (set
+    #: by :meth:`SmsgFabric.send`), so arrival and dequeue look nothing up
+    conn: int = field(default=-1, repr=False, compare=False)
 
     @property
     def credit(self) -> int:
         return self.nbytes + SMSG_HEADER
 
 
-class SmsgConnection:
-    """One direction of a mailbox pair: ``src_pe -> dst_pe``.
+class SmsgFabric:
+    """All SMSG connections and per-PE receive queues for one job.
 
-    Everything :meth:`SmsgFabric.send` needs per message and that is fixed
-    for the life of the pair lives here, looked up once at creation: both
-    endpoint nodes and the receiver's CQ.  The observer's label is built by
-    the first observed send and kept (``None`` until then).
+    A connection — one direction of a mailbox pair, ``src_pe -> dst_pe``
+    — is a dense id given on first touch; its state is the credit it holds,
+    a row of an int64 column.  Everything else about a pair is looked up
+    from the PEs when needed (their nodes, the receiver's CQ).
     """
 
-    __slots__ = ("fabric", "src_pe", "dst_pe", "src_node", "dst_node",
-                 "rx_cq", "label", "mailbox_bytes", "credits_used", "sent",
-                 "delivered", "dropped")
-
-    def __init__(self, fabric: "SmsgFabric", src_pe: int, dst_pe: int):
-        self.fabric = fabric
-        self.src_pe = src_pe
-        self.dst_pe = dst_pe
-        self.src_node = fabric.machine.node_of_pe(src_pe)
-        self.dst_node = fabric.machine.node_of_pe(dst_pe)
-        self.rx_cq = fabric.rx_cq(dst_pe)
-        self.label: Optional[str] = None
-        self.mailbox_bytes = fabric.mailbox_bytes
-        self.credits_used = 0
-        self.sent = 0
-        self.delivered = 0
-        #: deliveries eaten by the fault injector (credit was reclaimed)
-        self.dropped = 0
-
-    def take_credit(self, nbytes: int) -> None:
-        self.credits_used += nbytes + SMSG_HEADER
-
-    def release_credit(self, nbytes: int) -> None:
-        self.credits_used -= nbytes + SMSG_HEADER
-        assert self.credits_used >= 0, "SMSG credit accounting went negative"
-
-
-class SmsgFabric:
-    """All SMSG connections and per-PE receive queues for one job."""
-
-    def __init__(self, machine: Machine, n_pes: Optional[int] = None):
+    def __init__(self, machine: Machine):
         self.machine = machine
         self.config = machine.config
-        self.n_pes = machine.n_pes if n_pes is None else n_pes
+        self.n_pes = machine.n_pes
         n_nodes = machine.n_nodes
         #: job-size-dependent max payload (paper §III.C)
         self.max_size = self.config.smsg_max_size(n_nodes)
         self.mailbox_bytes = self.config.smsg_mailbox_footprint(n_nodes) * 8
-        self._connections: dict[tuple[int, int], SmsgConnection] = {}
+        #: connection id by pair, packed ``src_pe * n_pes + dst_pe``
+        self._conn: dict[int, int] = {}
+        #: mailbox credit held per connection id (bytes)
+        self._credits = array("q")
         #: per-PE RX completion queue (created lazily)
-        self._rx_cqs: dict[int, CompletionQueue] = {}
+        self._rx_cqs: list[Optional[CompletionQueue]] = [None] * self.n_pes
         #: ``on_event`` of every RX CQ created from now on, or ``None``: a
         #: machine layer sets this once, to one callable that reads the
         #: receiving PE off ``cq.pe``
         self.on_rx: Optional[Callable[[CompletionQueue], None]] = None
-        #: mailbox memory held per node (bytes), for the footprint ablation
-        self.mailbox_memory_per_node: dict[int, int] = {}
-        #: total messages dequeued via :meth:`get_next`
+        #: mailbox memory held per node id (bytes), for the footprint
+        #: ablation
+        self.mailbox_memory_per_node = array("q", bytes(8 * n_nodes))
+        #: messages sent and dequeued via :meth:`get_next`
+        self.sent = 0
         self.consumed = 0
         #: fault-injection counters (fabric-wide)
         self.dropped = 0
@@ -114,35 +90,46 @@ class SmsgFabric:
 
     # -- setup ---------------------------------------------------------------
     def rx_cq(self, pe: int) -> CompletionQueue:
-        cq = self._rx_cqs.get(pe)
+        cq = self._rx_cqs[pe] if 0 <= pe < self.n_pes else None
         if cq is None:
+            self.machine.node_of_pe(pe)   # a PE off the machine raises
             cq = CompletionQueue(self.machine.engine, name=f"smsg_rx[{pe}]",
                                  pe=pe)
             cq.on_event = self.on_rx
             self._rx_cqs[pe] = cq
         return cq
 
-    def connection(self, src_pe: int, dst_pe: int) -> SmsgConnection:
-        """Get or lazily create the mailbox pair for this direction.
+    def connection(self, src_pe: int, dst_pe: int) -> int:
+        """The id of the mailbox pair for this direction, made if need be.
 
         Creation charges mailbox memory to both endpoints' nodes, which is
-        the linear-growth cost the paper contrasts with MSGQ.
+        the linear-growth cost the paper contrasts with MSGQ, and makes the
+        receiver's RX CQ.
         """
-        key = (src_pe, dst_pe)
-        conn = self._connections.get(key)
+        machine = self.machine
+        src_node = machine.node_of_pe(src_pe)
+        dst_node = machine.node_of_pe(dst_pe)
+        key = src_pe * self.n_pes + dst_pe
+        conn = self._conn.get(key)
         if conn is None:
-            conn = SmsgConnection(self, src_pe, dst_pe)
-            self._connections[key] = conn
-            for node in (conn.src_node, conn.dst_node):
-                nid = node.node_id
-                self.mailbox_memory_per_node[nid] = (
-                    self.mailbox_memory_per_node.get(nid, 0) + self.mailbox_bytes
-                )
+            conn = self._conn[key] = len(self._credits)
+            self._credits.append(0)
+            self.rx_cq(dst_pe)
+            memory = self.mailbox_memory_per_node
+            memory[src_node.node_id] += self.mailbox_bytes
+            memory[dst_node.node_id] += self.mailbox_bytes
         return conn
+
+    def pairs(self) -> Iterator[tuple[int, int, int]]:
+        """``(src_pe, dst_pe, credit held)`` per connection made."""
+        credits, n = self._credits, self.n_pes
+        for key, conn in self._conn.items():
+            src, dst = divmod(key, n)
+            yield src, dst, credits[conn]
 
     @property
     def total_mailbox_memory(self) -> int:
-        return sum(self.mailbox_memory_per_node.values())
+        return sum(self.mailbox_memory_per_node)
 
     # -- data path ---------------------------------------------------------------
     def send(
@@ -165,18 +152,21 @@ class SmsgFabric:
             )
         if src_pe == dst_pe:
             raise UgniInvalidParam("SMSG to self is not a thing; use the scheduler")
-        conn = self._connections.get((src_pe, dst_pe))
+        n = self.n_pes
+        conn = (self._conn.get(src_pe * n + dst_pe)
+                if 0 <= src_pe < n and 0 <= dst_pe < n else None)
         if conn is None:
             conn = self.connection(src_pe, dst_pe)
         need = nbytes + SMSG_HEADER
-        # the credit check and take_credit, inlined
-        if conn.credits_used + need > conn.mailbox_bytes:
+        credits = self._credits
+        held = credits[conn]
+        if held + need > self.mailbox_bytes:
             raise UgniNoSpace(
                 f"SMSG mailbox {src_pe}->{dst_pe} out of credits "
-                f"({conn.credits_used}/{conn.mailbox_bytes})"
+                f"({held}/{self.mailbox_bytes})"
             )
-        conn.credits_used += need
-        conn.sent += 1
+        credits[conn] = held + need
+        self.sent += 1
         msg = SmsgMessage(src_pe, dst_pe, tag, nbytes, payload, conn)
         machine = self.machine
         san = machine.sanitizer
@@ -184,27 +174,26 @@ class SmsgFabric:
             san.on_smsg_send(msg)
         obs = machine.observer
         if obs is not None:
-            label = conn.label
-            if label is None:
-                label = conn.label = f"smsg[{src_pe}->{dst_pe}]"
+            # interned: a traced message keeps its label, one string a pair
+            label = intern(f"smsg[{src_pe}->{dst_pe}]")
             obs.on_tx(msg, "smsg", nbytes, label,
                       at if at is not None else machine.engine.now)
-        src_node = conn.src_node
-        dst_node = conn.dst_node
+        pe_node = machine._pe_node
+        src_node = pe_node[src_pe]
+        dst_node = pe_node[dst_pe]
         if src_node is dst_node:
             return src_node.nic.loopback_send(need, self._arrive, msg, at=at)
 
         faults = machine.faults
         if faults is not None:
             if faults.smsg_delivery_fails(src_pe, dst_pe):
-                conn.dropped += 1
                 self.dropped += 1
 
                 def on_drop(t: float, msg=msg) -> None:
                     # the fabric ate it: the receiver never sees an arrival;
                     # mailbox credit is reclaimed when the delivery attempt
                     # resolves, so the sender's flow control stays sound
-                    msg.conn.release_credit(msg.nbytes)
+                    self._release_credit(msg)
                     if san is not None:
                         san.on_smsg_drop(msg)
 
@@ -225,11 +214,15 @@ class SmsgFabric:
                                       at=at)
 
     def _arrive(self, t: float, msg: SmsgMessage) -> None:
-        """The last byte landed: post the arrival on the receiver's CQ."""
-        conn = msg.conn
-        conn.delivered += 1
-        conn.rx_cq.push(CqEntry(CqEventKind.SMSG_ARRIVAL, t, msg.tag, msg,
-                                msg.src_pe))
+        """The last byte landed: post the arrival on the receiver's CQ
+        (made with the connection)."""
+        self._rx_cqs[msg.dst_pe].push(CqEntry(
+            CqEventKind.SMSG_ARRIVAL, t, msg.tag, msg, msg.src_pe))
+
+    def _release_credit(self, msg: SmsgMessage) -> None:
+        credits = self._credits
+        credits[msg.conn] -= msg.nbytes + SMSG_HEADER
+        assert credits[msg.conn] >= 0, "SMSG credit accounting went negative"
 
     def get_next(self, pe: int) -> tuple[Optional[SmsgMessage], float]:
         """``GNI_SmsgGetNextWTag``: ``(message_or_None, consumer_cpu)``.
@@ -240,7 +233,7 @@ class SmsgFabric:
         "copies out the messages and hands off ... to Converse").
         """
         cfg = self.config
-        cq = self._rx_cqs.get(pe)
+        cq = self._rx_cqs[pe]
         if cq is None:
             cq = self.rx_cq(pe)
         # cq.get_event, inlined, until an arrival comes up: overrun
@@ -257,10 +250,11 @@ class SmsgFabric:
             if entry.kind is CqEventKind.SMSG_ARRIVAL:
                 break
         msg: SmsgMessage = entry.data
-        # release_credit, inlined
-        conn = msg.conn
-        conn.credits_used -= msg.nbytes + SMSG_HEADER
-        assert conn.credits_used >= 0, "SMSG credit accounting went negative"
+        # _release_credit, inlined
+        credits = self._credits
+        held = credits[msg.conn] - (msg.nbytes + SMSG_HEADER)
+        assert held >= 0, "SMSG credit accounting went negative"
+        credits[msg.conn] = held
         self.consumed += 1
         if san is not None:
             san.on_smsg_consume(msg)
@@ -277,11 +271,15 @@ class SmsgFabric:
         excluded — after quiescence this must return zero even under
         injected loss (the chaos tests' conservation invariant).
         """
-        return (sum(c.sent - c.dropped for c in self._connections.values())
-                - self.consumed)
+        return self.sent - self.dropped - self.consumed
+
+    def credits_used(self) -> int:
+        """Mailbox credit held across every connection (bytes): zero once
+        every message sent has been dequeued or dropped."""
+        return sum(self._credits)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
-            f"<SmsgFabric conns={len(self._connections)} "
+            f"<SmsgFabric conns={len(self._conn)} "
             f"max={self.max_size} mailbox_mem={self.total_mailbox_memory}>"
         )

@@ -168,7 +168,7 @@ class TestLinkFaults:
         topo = m.network.topology
         lk, nxt = m.network._next_direction(topo.vertex(src), topo.vertex(dst))
         assert topo.vertex_coord(nxt) == (0, 1, 0)
-        assert lk is m.network.link(src, (0, 1, 0)) and lk.state == "up"
+        assert lk == m.network.link(src, (0, 1, 0)) and lk.state == "up"
 
 
 class TestRecovery:

@@ -17,8 +17,8 @@ leaves behind on a machine too large to warm up — GC-tracked objects per
 PE (every one of them is walked by each later collector pass), bytes per
 PE (tracked objects barely notice a run queue turning from a ``deque``
 into a list, or a list into a float slot; resident memory does) and
-routing state (one slot
-list per vertex a message has stood on, one link per slot touched).
+routing state (one filled slot per link touched); and, on a larger machine,
+the bytes per link and per SMSG connection made.
 """
 
 import collections
@@ -71,10 +71,11 @@ if Engine()._core is None:
 #: arithmetic; 20.2 with links that keep no name tuple), the bytes
 #: tracemalloc sees it hold per PE (9.9 KB -> 6.6 KB -> 5.6 KB -> 4.1 KB
 #: with unnamed links, ports in lists and no idle run queue; 4.17 KB on
-#: the pure-Python engine), and its routing state
+#: the pure-Python engine; 8.1 objects and 2.50 KB (2.55 KB pure) with
+#: links and SMSG connections as typed columns), and its routing state
 COLD_PES = 1024
-COLD_TRACKED_PER_PE = 20.7
-COLD_BYTES_PER_PE = 4260
+COLD_TRACKED_PER_PE = 8.3
+COLD_BYTES_PER_PE = 2610
 COLD_ROUTES = {"vertices": 1024, "links": 4239, "hops": 13503}
 
 
@@ -161,22 +162,23 @@ def test_cold_state_budget(held_runtimes, monkeypatch):
 
     net = held_runtimes[0][0].machine.network
     assert net.route_stats() == COLD_ROUTES
-    topo = net.topology
+    topo, fan = net.topology, net._fan
     named = dict(net.links())
     filled = 0
-    for v, links in enumerate(net._out):
-        if links is None:
+    for i, row in enumerate(net._out):
+        if row < 0:
             continue
-        assert type(links) is list and len(links) == topo.fan_out(v)
+        v, slot = divmod(i, fan)
         at = topo.vertex_coord(v)
-        # a filled slot is the link named from here to the neighbour of
-        # ``at`` in that direction — a name it is given, not one it keeps
-        for lk, (_, nbr) in zip(links, topo.neighbors(at)):
-            if lk is not None:
-                assert type(lk) is Link and named[at, nbr] is lk
-                filled += 1
+        # a filled slot holds the row of the link named from here to the
+        # neighbour of ``at`` in that direction — a name it is given, not
+        # one it keeps
+        _, nbr = list(topo.neighbors(at))[slot]
+        assert named[at, nbr] == Link.at(net._links, row)
+        filled += 1
     assert filled == len(named) == COLD_ROUTES["links"]
-    assert "name" not in Link.__slots__
+    # a link is a position in the network's table, nothing more
+    assert Link.__slots__ == ("_table", "_row")
 
 
 def test_cold_bytes_budget(held_runtimes, monkeypatch):
@@ -194,6 +196,48 @@ def test_cold_bytes_budget(held_runtimes, monkeypatch):
     assert per_pe <= COLD_BYTES_PER_PE, (
         f"{per_pe:.0f} bytes held per PE after one cold iteration "
         f"(budget {COLD_BYTES_PER_PE}): first touch keeps more than it did")
+
+
+#: one cold 2,048-node ``kneighbor(32, k=1, iters=1, warmup=0)``, runtime
+#: held: the bytes tracemalloc sees allocated by the network
+#: (``hardware/router.py``, ``hardware/link.py``) per link made, and by
+#: SMSG (``ugni/smsg.py``: the pair table, the credit column, the RX CQs it
+#: makes) per connection made — 249 B and 325 B with a ``Link`` and an
+#: ``SmsgConnection`` object each, 77 B (83 B pure) and 178 B as columns
+COLD_NET_NODES = 2048
+NET_BYTES_PER_LINK = 88
+SMSG_BYTES_PER_CONNECTION = 190
+
+
+def test_cold_link_and_connection_bytes(held_runtimes, monkeypatch):
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    monkeypatch.delenv("REPRO_OBSERVE", raising=False)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        kneighbor(32, k=1, n_cores=COLD_NET_NODES, iters=1, warmup=0)
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+
+    def held(*files):
+        only = [tracemalloc.Filter(True, f"*/repro/{f}") for f in files]
+        return sum(stat.size for stat in
+                   snapshot.filter_traces(only).statistics("filename"))
+
+    conv, lrts = held_runtimes[0]
+    links = conv.machine.network.route_stats()["links"]
+    conns = lrts.first_touch()["smsg_connections"]
+    assert conv.machine.n_nodes == COLD_NET_NODES and links and conns
+    per_link = held("hardware/router.py", "hardware/link.py") / links
+    per_conn = held("ugni/smsg.py") / conns
+    assert per_link <= NET_BYTES_PER_LINK, (
+        f"{per_link:.0f} network bytes per link made "
+        f"(budget {NET_BYTES_PER_LINK})")
+    assert per_conn <= SMSG_BYTES_PER_CONNECTION, (
+        f"{per_conn:.0f} SMSG bytes per connection made "
+        f"(budget {SMSG_BYTES_PER_CONNECTION})")
 
 
 def test_call_count_repeats_exactly():

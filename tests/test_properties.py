@@ -109,8 +109,8 @@ def test_smsg_credits_conserved(messages, seed):
     assert drained == sent
     assert job.smsg.in_flight() == 0
     # every connection's credits fully released
-    for conn in job.smsg._connections.values():
-        assert conn.credits_used == 0
+    assert job.smsg.credits_used() == 0
+    assert all(held == 0 for _, _, held in job.smsg.pairs())
 
 
 # --------------------------------------------------------------------- #

@@ -73,8 +73,7 @@ class TestSmsgGiveUp:
         assert layer._rel_tx == {}  # every record retired at give-up
         assert recoveries(m, "give_up") == 5
         # mailbox credit reclaimed when each dropped delivery resolved
-        assert all(c.credits_used == 0
-                   for c in layer.gni.smsg._connections.values())
+        assert layer.gni.smsg.credits_used() == 0
         assert m.engine.peek() == float("inf")  # truly quiescent
 
 

@@ -26,6 +26,8 @@ keep no name on a link and resolve ``(frm, to)`` by arithmetic
 oracle would invent one.
 """
 
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -41,12 +43,14 @@ from tests._reference_router import RefDragonflyNetwork, RefTorusNetwork
 SETTINGS = dict(max_examples=40, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
 
-#: a ``float`` size among them: counters then add floats
-_SIZES = [8, 64, 256, 1536.0, 4096, 256 * 1024]
+#: sizes are integers: the counters are int64 columns (a ``float`` size is
+#: a ``TypeError`` on both lanes, below)
+_SIZES = [8, 64, 256, 1536, 4096, 256 * 1024]
 _CAPS = [None, 1.5e9, 6.0e9, 1.0e12]
 _MIN_OCC = [None, 0.0, 2.0e-7]
 #: the clock starts as the ``int`` 0 and stays one while steps are 0
 _DT = [0, 0, 1.0e-8, 5.0e-7, 2.0e-5]
+DIMS = (4, 4, 2)
 #: even axes > 2 (ties), odd axes, size-1 and size-2 axes
 TORUS_DIMS = [(4, 4, 2), (2, 2, 1), (3, 1, 5), (6, 1, 3), (5, 4, 4)]
 
@@ -86,9 +90,17 @@ def _named(net):
                 for lk in table.values()]
     coord = net.topology.vertex_coord
     return list(net.links()) + [
-        ((kind, coord(v)), lk)
-        for kind, table in (("inject", net._inject), ("eject", net._eject))
-        for v, lk in enumerate(table) if lk is not None]
+        ((kind, coord(v)), Link.at(table, v))
+        for kind, table, made in (("inject", net._inject, net._inject_made),
+                                  ("eject", net._eject, net._eject_made))
+        for v in range(len(made)) if made[v]]
+
+
+def _slot_link(net, v, slot):
+    """The link in ``slot`` of vertex ``v`` of a live network, or ``None``
+    while the slot is untouched."""
+    row = net._out[v * net._fan + slot]
+    return None if row < 0 else Link.at(net._links, row)
 
 
 def _link_state(net):
@@ -208,6 +220,39 @@ def test_dragonfly_matches_reference(routing, data):
            RefDragonflyNetwork(topo(), cfg), ops)
 
 
+@pytest.mark.parametrize("make", [TorusNetwork, _PythonBody],
+                         ids=["bound", "python-body"])
+@pytest.mark.parametrize("faulted", [False, True], ids=["healthy", "faulted"])
+def test_a_size_is_an_integer(make, faulted):
+    """Counters are int64 columns: a size ``operator.index`` refuses is its
+    ``TypeError`` on either lane, healthy or degraded, before the network
+    changes; a numpy integer is a size like any other."""
+    cfg = MachineConfig()
+    net, ref = make(Torus3D(DIMS), cfg), _PythonBody(Torus3D(DIMS), cfg)
+    a, b = (0, 0, 0), (2, 3, 1)
+    if faulted:
+        for live in (net, ref):
+            live.degrade_link((1, 0, 0), (2, 0, 0), 0.5)
+    before = (_link_state(net), net.first_touch(), net.messages_routed)
+    for size in (1536.0, 8.5, "8", None):
+        with pytest.raises(TypeError) as want:
+            operator.index(size)
+        with pytest.raises(TypeError) as got:
+            net.transfer(0.0, a, b, size)
+        assert str(got.value) == str(want.value)
+    assert (_link_state(net), net.first_touch(),
+            net.messages_routed) == before
+    for size in (np.int64(1536), np.int32(8), True):
+        assert net.transfer(0.0, a, b, size) == ref.transfer(
+            0.0, a, b, int(size))
+    assert _link_state(net) == _link_state(ref)
+    lk = net.link(a, (1, 0, 0))
+    state = lk.horizons, lk.bytes_carried, lk.transfers
+    with pytest.raises(TypeError):
+        lk.reserve(0.0, 64.0)
+    assert (lk.horizons, lk.bytes_carried, lk.transfers) == state
+
+
 def _slots_name_their_links(net):
     """Walk every link of the fabric through the out-table: the productive
     hop from a vertex to a neighbour is that neighbour, through a slot of
@@ -226,22 +271,22 @@ def _slots_name_their_links(net):
                     assert topo.hop_distance(frm, to) == 2
                     to = topo.vertex_coord(nxt)
                     assert to in [n for _, n in topo.neighbors(frm)]
-                lk = net._first_touch(v, slot, nxt)
-                assert lk is net.link(frm, to) is net._out[v][slot]
+                lk = Link.at(net._links, net._first_touch(v, slot, nxt))
+                assert lk == net.link(frm, to) == _slot_link(net, v, slot)
                 # ... and the name resolves back to a slot holding it
-                assert lk is net._out[v][topo.link_slot(v, nxt)]
+                assert lk == _slot_link(net, v, topo.link_slot(v, nxt))
                 slots.add((v, slot))
-    filled = {(v, slot) for v, links in enumerate(net._out) if links
-              for slot, lk in enumerate(links) if lk is not None}
+    fan = net._fan
+    filled = {divmod(i, fan) for i, row in enumerate(net._out) if row >= 0}
     assert filled == slots
     # every link once, under the name of the pair it was made for
     named = dict(net.links())
     assert len(named) == net.route_stats()["links"] == len(
-        {id(lk) for lk in named.values()})
-    assert {id(net._out[v][slot]) for v, slot in slots} == {
-        id(lk) for lk in named.values()}
+        set(named.values()))
+    assert {_slot_link(net, v, slot) for v, slot in slots} == set(
+        named.values())
     for (frm, to), lk in named.items():
-        assert lk is net.link(frm, to)
+        assert lk == net.link(frm, to)
     return slots
 
 
@@ -267,9 +312,9 @@ def test_dragonfly_slots_are_up_downs_locals_globals(shape):
     net = DragonflyNetwork(topo, MachineConfig(topology="dragonfly"))
     slots = _slots_name_their_links(net)
     g, a, p, h = shape
-    names = {id(lk): name for name, lk in net.links()}
+    names = {lk: name for name, lk in net.links()}
     for v, slot in slots:
-        frm, to = names[id(net._out[v][slot])]
+        frm, to = names[_slot_link(net, v, slot)]
         if v < topo.volume:
             kind = "up"
         else:

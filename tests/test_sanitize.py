@@ -164,10 +164,14 @@ class TestSeededViolations:
         m.engine.run()
         msg, _ = job.SmsgGetNextWTag(1)
         assert msg is not None
-        conn = job.smsg._connections[(0, 1)]
-        conn.take_credit(64)          # credit held with nothing outstanding
+        # credit held with nothing outstanding
+        job.smsg._credits[job.smsg.connection(0, 1)] += 64
         m.engine.run()                # empty heap -> drain checks fire
         assert "credit-leak" in kinds(m)
+        (leak,) = [v for v in m.sanitizer.violations
+                   if v.kind == "credit-leak"]
+        assert leak.where == "smsg[0->1]"
+        assert "holds 64 B" in leak.detail
 
     @pytest.mark.sanitize_violations
     def test_undelivered_message_at_quiescence(self):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import (
+    TopologyError,
     UgniCqOverrun,
     UgniInvalidParam,
     UgniNoSpace,
@@ -17,6 +18,7 @@ from repro.ugni import (
 )
 from repro.ugni.api import GniJob
 from repro.ugni.cq import CompletionQueue, CqEntry
+from repro.ugni.smsg import SMSG_HEADER
 from repro.units import KB, MB, us
 
 
@@ -210,19 +212,30 @@ class TestSmsg:
         assert job.smsg.rx_cq(2).on_event is job.smsg.rx_cq(3).on_event
         assert early.on_event is None
 
-    def test_label_is_built_by_the_first_observed_send(self, monkeypatch):
+    def test_a_connection_is_an_id_and_a_credit(self, monkeypatch):
+        """A pair is a dense id on first touch; the observer's label is
+        built on the observed path, per send, and interned."""
         monkeypatch.delenv("REPRO_OBSERVE", raising=False)
-        for observed in (False, True):
-            cfg = tiny_config(cores_per_node=2).replace(observe=observed)
-            job = GniJob(Machine(n_nodes=4, config=cfg))
-            labels = []
-            for _ in range(2):
-                job.SmsgSendWTag(0, 2, tag=0, nbytes=8)
-                labels.append(job.smsg.connection(0, 2).label)
-            if observed:
-                assert labels[0] == "smsg[0->2]" and labels[1] is labels[0]
-            else:
-                assert labels == [None, None]
+        cfg = tiny_config(cores_per_node=2).replace(observe=True)
+        m = Machine(n_nodes=4, config=cfg)
+        job = GniJob(m)
+        labels = []
+        m.observer.on_tx = lambda msg, kind, nbytes, label, t: labels.append(
+            label)
+        for dst in (2, 3, 2):
+            job.SmsgSendWTag(0, dst, tag=0, nbytes=8)
+        assert labels == ["smsg[0->2]", "smsg[0->3]", "smsg[0->2]"]
+        assert labels[2] is labels[0]   # one string a pair, however traced
+        assert [job.smsg.connection(0, dst) for dst in (2, 3)] == [0, 1]
+        assert sorted(job.smsg.pairs()) == [(0, 2, 2 * (8 + SMSG_HEADER)),
+                                            (0, 3, 8 + SMSG_HEADER)]
+        assert job.smsg.credits_used() == 3 * (8 + SMSG_HEADER)
+        assert job.smsg.in_flight() == 3
+        # a PE off the machine is refused, not packed into another's key
+        with pytest.raises(TopologyError):
+            job.SmsgSendWTag(0, m.n_pes, tag=0, nbytes=8)
+        with pytest.raises(TopologyError):
+            job.SmsgSendWTag(m.n_pes, 1, tag=0, nbytes=8)
 
     def test_oversize_rejected(self):
         m, job = make_job()
