@@ -54,9 +54,6 @@ class MDSystem:
     def position_msg_bytes(self) -> int:
         return int(self.atoms_per_patch * BYTES_PER_ATOM)
 
-    def pme_contrib_bytes(self) -> int:
-        return int(self.atoms_per_patch * PME_BYTES_PER_ATOM)
-
     def with_patch_grid(self, grid: tuple[int, int, int]) -> "MDSystem":
         import dataclasses
 

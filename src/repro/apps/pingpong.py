@@ -60,7 +60,6 @@ class _Pinger(Chare):
                 handle = layer.create_persistent(self.pe, self._dst_rank(dst),
                                                  self.size + 1024)
                 self.pe.ctx[key] = handle
-            from repro.charm.chare import estimate_size
             from repro.converse.scheduler import Message
 
             payload = ("inv", self._aid, dst, method, (), {})
@@ -117,17 +116,12 @@ def charm_pingpong(
     first lost message.
     """
     cfg = config or MachineConfig()
-    if intranode:
-        conv, lrts = make_runtime(n_nodes=1, layer=layer, config=cfg,
-                                  layer_config=layer_config, seed=seed,
-                                  faults=faults, fault_schedule=fault_schedule)
-        placement = {0: 0, 1: 1}
-    else:
+    if not intranode:
         cfg = cfg.replace(cores_per_node=1)
-        conv, lrts = make_runtime(n_nodes=2, layer=layer, config=cfg,
-                                  layer_config=layer_config, seed=seed,
-                                  faults=faults, fault_schedule=fault_schedule)
-        placement = {0: 0, 1: 1}
+    conv, lrts = make_runtime(n_nodes=1 if intranode else 2, layer=layer,
+                              config=cfg, layer_config=layer_config, seed=seed,
+                              faults=faults, fault_schedule=fault_schedule)
+    placement = {0: 0, 1: 1}
     charm = Charm(conv)
     sink: list[float] = []
     arr = charm.create_array(

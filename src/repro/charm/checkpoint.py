@@ -282,9 +282,7 @@ def restore_into(charm: Charm, ckpt: Checkpoint,
     if obs is not None and ckpt.trace_next_id:
         obs.tracer.fast_forward(ckpt.trace_next_id)
     if restore_clock and ckpt.sim_time > charm.engine.now:
-        advance = getattr(charm.engine, "advance_to", None)
-        if advance is not None:
-            advance(ckpt.sim_time)
+        charm.engine.advance_to(ckpt.sim_time)
     n_new = len(charm.conv.pes)
     mapper = _resolve_restore_map(map)
     proxies: dict[str, ArrayProxy] = {}

@@ -56,17 +56,6 @@ class UgniNotRegistered(UgniError):
     rc = "GNI_RC_INVALID_PARAM"
 
 
-class UgniNotDone(UgniError):
-    """``GNI_CqGetEvent`` polled an empty queue (``GNI_RC_NOT_DONE``).
-
-    The simulated API returns ``None`` rather than raising in the normal
-    polling path; this exception is used by the *blocking* helpers when a
-    deadline expires.
-    """
-
-    rc = "GNI_RC_NOT_DONE"
-
-
 class UgniNoSpace(UgniError):
     """SMSG mailbox out of credits (``GNI_RC_NOT_DONE`` on send)."""
 
@@ -102,10 +91,6 @@ class UgniCqOverrun(UgniError):
 
 class MpiError(ReproError):
     """Errors from the simulated MPI subset (``repro.mpish``)."""
-
-
-class MpiTruncate(MpiError):
-    """Receive buffer smaller than the matched message."""
 
 
 class LrtsError(ReproError):

@@ -55,8 +55,8 @@ class LinkTable:
     The columns are allocated at full size once and never resized: the
     compiled router lane writes through their buffers.  Fault state exists
     only for rows a fault has named (``faults``); ``sick`` is the rows not
-    "up", and while any is, the network reserves through
-    :meth:`Link.reserve` instead of its inline arithmetic.
+    "up", and while any is, the compiled lane hands the whole transfer to
+    the network's Python body, whose every reserve is :meth:`reserve`.
     """
 
     __slots__ = ("bandwidth", "latency", "lanes", "horizons",
@@ -73,6 +73,65 @@ class LinkTable:
         self.transfers = array("q", bytes(8 * rows))
         self.faults: dict[int, Fault] = {}
         self.sick: set[int] = set()
+
+    def reserve(self, row: int, now: float, nbytes: int,
+                min_occupancy: float = 0.0) -> tuple[float, float]:
+        """Occupy the least-busy lane of row ``row`` for one message.
+
+        Returns ``(start, header_exit)``:
+
+        * ``start`` — when the head of the message enters the link (after
+          queueing behind earlier flows on its lane);
+        * ``header_exit`` — when the head emerges at the far end
+          (``start + latency``); cut-through forwarding continues from
+          there while the body still streams.
+
+        The lane stays busy until ``start + occupancy`` where occupancy is
+        the body serialization time (bounded below by ``min_occupancy`` to
+        model per-message router overhead for tiny packets).  A row that
+        is not "up" runs at its effective bandwidth and adds
+        :data:`FAULT_LATENCY`.  ``nbytes`` is an integer (the counter is
+        an int64 column): anything else is a :class:`TypeError` before the
+        row changes.
+
+        The only reserve arithmetic: every link and port of a network, in
+        its Python body and through :meth:`Link.reserve`.  The compiled
+        router lane's ``reserve_row`` mirrors it for a row that is "up".
+        """
+        self.bytes_carried[row] += nbytes
+        self.transfers[row] += 1
+        horizons, lanes = self.horizons, self.lanes
+        lane = row * lanes
+        if lanes > 1:
+            seg = horizons[lane:lane + lanes]
+            lane += seg.index(min(seg))
+        free = horizons[lane]
+        start = free if free > now else now
+        lat = self.latency
+        latency = lat[row % len(lat)]
+        fault = self.faults.get(row)
+        if fault is None or fault.state == "up":
+            occupancy = nbytes / self.bandwidth
+        else:
+            occupancy = nbytes / self.effective_bandwidth(row)
+            latency += FAULT_LATENCY
+            fault.faulted_transfers += 1
+        if occupancy < min_occupancy:
+            occupancy = min_occupancy
+        horizons[lane] = start + occupancy
+        return start, start + latency
+
+    def effective_bandwidth(self, row: int) -> float:
+        """Row ``row``'s bandwidth under its fault state: a fraction of
+        nominal while "degraded", :data:`DOWN_BANDWIDTH_FACTOR` of it while
+        "down"."""
+        fault = self.faults.get(row)
+        state = "up" if fault is None else fault.state
+        if state == "down":
+            return self.bandwidth * DOWN_BANDWIDTH_FACTOR
+        if state == "degraded":
+            return self.bandwidth * fault.degrade_factor
+        return self.bandwidth
 
 
 class Link:
@@ -169,17 +228,8 @@ class Link:
         return 0 if fault is None else fault.faulted_transfers
 
     @property
-    def up(self) -> bool:
-        return self.state == "up"
-
-    @property
     def effective_bandwidth(self) -> float:
-        state = self.state
-        if state == "down":
-            return self.bandwidth * DOWN_BANDWIDTH_FACTOR
-        if state == "degraded":
-            return self.bandwidth * self.degrade_factor
-        return self.bandwidth
+        return self._table.effective_bandwidth(self._row)
 
     def fail(self) -> None:
         """Hard link fault (flap): traffic crawls until :meth:`restore`."""
@@ -206,45 +256,11 @@ class Link:
         self._table.sick.discard(self._row)
 
     # -- timing ----------------------------------------------------------------
-    def reserve(self, now: float, nbytes: int, min_occupancy: float = 0.0) -> tuple[float, float]:
-        """Occupy the least-busy lane for one message.
-
-        Returns ``(start, header_exit)``:
-
-        * ``start`` — when the head of the message enters the link (after
-          queueing behind earlier flows on its lane);
-        * ``header_exit`` — when the head emerges at the far end
-          (``start + latency``); cut-through forwarding continues from
-          there while the body still streams.
-
-        The lane stays busy until ``start + occupancy`` where occupancy is
-        the body serialization time (bounded below by ``min_occupancy`` to
-        model per-message router overhead for tiny packets).  ``nbytes``
-        is an integer (the counter is an int64 column): anything else is a
-        :class:`TypeError` before the link changes.
-        """
-        table, row = self._table, self._row
-        table.bytes_carried[row] += nbytes
-        table.transfers[row] += 1
-        horizons, lanes = table.horizons, table.lanes
-        lane = row * lanes
-        if lanes > 1:
-            seg = horizons[lane:lane + lanes]
-            lane += seg.index(min(seg))
-        free = horizons[lane]
-        start = free if free > now else now
-        latency = self.latency
-        fault = table.faults.get(row)
-        if fault is None or fault.state == "up":
-            occupancy = nbytes / table.bandwidth
-        else:
-            occupancy = nbytes / self.effective_bandwidth
-            latency += FAULT_LATENCY
-            fault.faulted_transfers += 1
-        if occupancy < min_occupancy:
-            occupancy = min_occupancy
-        horizons[lane] = start + occupancy
-        return start, start + latency
+    def reserve(self, now: float, nbytes: int,
+                min_occupancy: float = 0.0) -> tuple[float, float]:
+        """Occupy the least-busy lane for one message:
+        :meth:`LinkTable.reserve` of this row, ``(start, header_exit)``."""
+        return self._table.reserve(self._row, now, nbytes, min_occupancy)
 
     @property
     def horizons(self) -> tuple[float, ...]:

@@ -168,18 +168,6 @@ class TorusNetwork:
         out[v * fan + slot] = row
         return row
 
-    def _next_direction(self, v: int, end: int) -> tuple[Link, int]:
-        """Degraded-mode choice: ``(link, next vertex)`` in dimension
-        order, stepping around a down link when another productive one is
-        still up."""
-        first = None
-        for slot, nxt in self.topology.out_hops(v, end):
-            lk = Link.at(self._links, self._first_touch(v, slot, nxt))
-            if lk.state != "down":
-                return lk, nxt
-            first = first or (lk, nxt)
-        return first
-
     def _transfer_py(
         self,
         now: float,
@@ -203,13 +191,15 @@ class TorusNetwork:
         legs (Valiant misrouting).
 
         One pass: per hop, compute the productive slots of the vertex the
-        message stands on, touch each candidate link, pick one (the first
-        in deterministic mode; the least-backlogged, ties to the earlier
-        direction, in adaptive mode) and reserve it — inline over the
-        link table's columns on a healthy fabric, through
-        :meth:`Link.reserve` while any link or port is not "up".  A
-        coordinate off the fabric is a :class:`TopologyError` before any
-        router link is touched.
+        message stands on, touch each candidate link, pick one and reserve
+        it.  On a healthy fabric the pick is the first slot in
+        deterministic mode and the least-backlogged, ties to the earlier
+        direction, in adaptive mode.  With a link fault outstanding every
+        productive slot is a candidate, in dimension order, and the pick
+        is the first one not "down" (the first, if all are).  Every port
+        and link is reserved through :meth:`LinkTable.reserve`, faulted
+        or not.  A coordinate off the fabric is a :class:`TopologyError`
+        before any router link is touched.
 
         This body is the contract of :meth:`transfer`.  With the C core
         loaded (:mod:`repro.sim._speed`) ``transfer`` is its compiled
@@ -222,34 +212,15 @@ class TorusNetwork:
         cfg = self.config
         min_occ = cfg.nic_msg_gap if min_occupancy is None else min_occupancy
         self.messages_routed += 1
-        links, inj, ej = self._links, self._inject, self._eject
+        links = self._links
         faulted = self._faulted
-        careful = faulted or links.sick or inj.sick or ej.sick
 
         # injection at the source NIC; a source off the fabric raises here
         topo = self.topology
         v = topo.vertex(src)
         if not self._inject_made[v]:
             self.injection_port(src)
-        if careful:
-            _, t = Link.at(inj, v).reserve(now, size, min_occ)
-        else:
-            # Link.reserve on the least-busy lane, minus the call
-            horizons, lanes = inj.horizons, inj.lanes
-            lane = v * lanes
-            if lanes > 1:
-                seg = horizons[lane:lane + lanes]
-                lane += seg.index(min(seg))
-            free = horizons[lane]
-            start = free if free > now else now
-            occupancy = size / inj.bandwidth
-            if occupancy < min_occ:
-                occupancy = min_occ
-            horizons[lane] = start + occupancy
-            inj.bytes_carried[v] += size
-            inj.transfers[v] += 1
-            lat = inj.latency
-            t = start + lat[v % len(lat)]
+        _, t = self._inject.reserve(v, now, size, min_occ)
         depart = t
 
         # src -> dst, or src -> via -> dst as two minimal legs; a
@@ -261,38 +232,30 @@ class TorusNetwork:
             self.degraded_routes += 1
         out, fan = self._out, self._fan
         out_hops = topo.out_hops
-        first_only = not cfg.adaptive_routing
-        horizons, lat = links.horizons, links.latency
+        first_only = not (cfg.adaptive_routing or faulted)
+        horizons, reserve = links.horizons, links.reserve
         for end in ends:
             while v != end:
-                if faulted:
-                    lk, nxt = self._next_direction(v, end)
-                else:
-                    base = v * fan
-                    row = -1
-                    for slot, to in out_hops(v, end, first_only):
-                        cand = out[base + slot]
-                        if cand < 0:
-                            cand = self._first_touch(v, slot, to)
-                        # adaptive: least-backlogged productive link, the
-                        # earlier direction on a tie (router links have
-                        # one lane: its horizon is the load)
-                        if row < 0 or horizons[cand] < load:
-                            row, nxt, load = cand, to, horizons[cand]
-                    if careful:
-                        lk = Link.at(links, row)
-                if careful:
-                    _, t = lk.reserve(t, size, min_occ)
-                else:
-                    # Link.reserve for a single-lane link, minus the call
-                    start = load if load > t else t
-                    occupancy = size / links.bandwidth
-                    if occupancy < min_occ:
-                        occupancy = min_occ
-                    horizons[row] = start + occupancy
-                    links.bytes_carried[row] += size
-                    links.transfers[row] += 1
-                    t = start + lat[row % fan]
+                base = v * fan
+                row = -1
+                for slot, to in out_hops(v, end, first_only):
+                    cand = out[base + slot]
+                    if cand < 0:
+                        cand = self._first_touch(v, slot, to)
+                    if faulted:
+                        # degraded: step around a down link, touching no
+                        # candidate past the first one that is not down
+                        up = Link.at(links, cand).state != "down"
+                        if row < 0 or up:
+                            row, nxt = cand, to
+                        if up:
+                            break
+                    # adaptive: least-backlogged productive link, the
+                    # earlier direction on a tie (router links have one
+                    # lane: its horizon is the load)
+                    elif row < 0 or horizons[cand] < load:
+                        row, nxt, load = cand, to, horizons[cand]
+                _, t = reserve(row, t, size, min_occ)
                 v = nxt
                 hops += 1
 
@@ -300,24 +263,7 @@ class TorusNetwork:
         v = ends[-1]
         if not self._eject_made[v]:
             self.ejection_port(dst)
-        if careful:
-            _, t = Link.at(ej, v).reserve(t, size, min_occ)
-        else:
-            horizons, lanes = ej.horizons, ej.lanes
-            lane = v * lanes
-            if lanes > 1:
-                seg = horizons[lane:lane + lanes]
-                lane += seg.index(min(seg))
-            free = horizons[lane]
-            start = free if free > t else t
-            occupancy = size / ej.bandwidth
-            if occupancy < min_occ:
-                occupancy = min_occ
-            horizons[lane] = start + occupancy
-            ej.bytes_carried[v] += size
-            ej.transfers[v] += 1
-            lat = ej.latency
-            t = start + lat[v % len(lat)]
+        _, t = self._eject.reserve(v, t, size, min_occ)
         head_arrival = t
 
         path_bw = cfg.link_bandwidth

@@ -294,10 +294,6 @@ class Dragonfly:
         """Shape triple (groups, routers/group, terminals/router)."""
         return (self.groups, self.routers_per_group, self.terminals_per_router)
 
-    @staticmethod
-    def is_router(coord: Any) -> bool:
-        return coord[0] == "rt"
-
     def router_of(self, coord: Any) -> tuple:
         """The router coordinate serving ``coord`` (identity for routers)."""
         if coord[0] == "rt":

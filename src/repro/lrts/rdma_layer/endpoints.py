@@ -27,7 +27,7 @@ from typing import Any, Callable, Optional
 
 from repro.hardware.machine import Machine
 from repro.lrts.rdma_layer.config import CONNECT_RETRY, RdmaLayerConfig
-from repro.ugni.memreg import MemHandle, RegistrationTable
+from repro.ugni.memreg import MemHandle, RegistrationTable, RegistrationTables
 from repro.ugni.rdma import PostDescriptor
 from repro.ugni.types import PostType
 
@@ -97,6 +97,22 @@ class PinDownCache:
             self.machine.nodes[self.node_id].memory.free(old_block)
             cpu += self.cfg.t_free(old_block.size)
         return cpu
+
+
+class PinDownCaches(dict):
+    """``node id -> PinDownCache`` for one fabric, built on first touch:
+    a node's cache is made on its first acquire."""
+
+    __slots__ = ("_machine", "_registrations")
+
+    def __init__(self, machine: Machine, registrations: RegistrationTables):
+        self._machine = machine
+        self._registrations = registrations
+
+    def __missing__(self, node_id: int) -> PinDownCache:
+        cache = self[node_id] = PinDownCache(
+            self._machine, node_id, self._registrations[node_id])
+        return cache
 
 
 class RcQueuePair:
@@ -213,8 +229,9 @@ class RcQueuePair:
             stall = faults.smsg_stall_delay(self.src, self.dst)
         fab.rc_packets += 1
         cfg = machine.config
+        nodes = machine.nodes
         timing = machine.network.transfer(
-            at, fab._coord[self.src_node], fab._coord[self.dst_node], nbytes,
+            at, nodes[self.src_node].coord, nodes[self.dst_node].coord, nbytes,
             bandwidth_cap=cfg.rdma_send_bandwidth)
         arrival = timing.arrival + stall
         machine.engine.call_at_node(
@@ -257,20 +274,11 @@ class RdmaFabric:
         self.machine = machine
         self.cfg = machine.config
         self.lcfg = lcfg
-        san = machine.sanitizer
-        #: node_id -> registration table (sanitizer-shadowed when enabled)
-        self.registrations = {
-            node.node_id: RegistrationTable(node.node_id, machine.config,
-                                            sanitizer=san)
-            for node in machine.nodes
-        }
-        self.pin_caches = {
-            node.node_id: PinDownCache(machine, node.node_id,
-                                       self.registrations[node.node_id])
-            for node in machine.nodes
-        }
-        #: hot-path cache: node_id -> topology coordinate
-        self._coord = {node.node_id: node.coord for node in machine.nodes}
+        #: node_id -> registration table (sanitizer-shadowed when enabled),
+        #: made on first touch
+        self.registrations = RegistrationTables(machine)
+        #: node_id -> pin-down cache, made on first touch
+        self.pin_caches = PinDownCaches(machine, self.registrations)
         #: (src rank, dst rank) -> queue pair, created by :meth:`qp`
         self.qps: dict[tuple[int, int], RcQueuePair] = {}
         #: rank -> (block, handle) registered eager staging pool
@@ -315,7 +323,8 @@ class RdmaFabric:
                 return
             stall = faults.smsg_stall_delay(src_rank, dst_rank)
         timing = machine.network.transfer(
-            at, self._coord[src_node], self._coord[dst_node], UD_DGRAM_BYTES)
+            at, machine.nodes[src_node].coord, machine.nodes[dst_node].coord,
+            UD_DGRAM_BYTES)
         machine.engine.call_at_node(
             dst_node, timing.arrival + stall, on_deliver,
             timing.arrival + stall)
@@ -390,13 +399,15 @@ class RdmaFabric:
         machine = self.machine
         cfg = self.cfg
         peer_node = desc.remote_mem.node_id
+        init_coord = machine.nodes[initiator_node].coord
+        peer_coord = machine.nodes[peer_node].coord
         faults = machine.faults
         if (faults is not None and peer_node != initiator_node
                 and faults.rdma_fails(initiator_node, peer_node)):
             # the failed attempt really burned wire (partial progress)
             waste = max(64, int(desc.length * faults.config.rdma_error_progress))
-            timing = machine.network.transfer(
-                at, self._coord[initiator_node], self._coord[peer_node], waste)
+            timing = machine.network.transfer(at, init_coord, peer_coord,
+                                              waste)
             err_t = timing.arrival + cfg.rdma_completion_latency
             if attempt >= self.lcfg.retry_count:
                 self.rdma_giveups += 1
@@ -412,8 +423,6 @@ class RdmaFabric:
                 on_error, token, attempt + 1,
                 err_t + self.lcfg.retransmit_timeout)
             return
-        init_coord = self._coord[initiator_node]
-        peer_coord = self._coord[peer_node]
         if desc.post_type is PostType.PUT:
             timing = machine.network.transfer(
                 at, init_coord, peer_coord, desc.length,

@@ -96,7 +96,7 @@ class RdmaMachineLayer(ProtocolCore, IntranodeMixin, GpuTransportMixin,
                     f"buffer (expected seq {qp.rx_expected})")
         self._scan_intranode(san)
         self._scan_persistent(san)
-        for node_id, cache in self.fabric.pin_caches.items():
+        for node_id, cache in sorted(self.fabric.pin_caches.items()):
             if cache.live:
                 san.report(
                     "pool-leak", f"rdma.pincache[n{node_id}]",

@@ -149,21 +149,15 @@ class ShardedEngine(Engine):
     # ------------------------------------------------------------------ #
     # scheduling: the base engine arms, this class tags
     # ------------------------------------------------------------------ #
-    def _tag(self, slot: int, shard: int) -> None:
-        try:
-            self._owner[slot] = shard
-        except IndexError:  # the slab grew by this one slot
-            self._owner.append(shard)
-
     def _stage(self, time: float, fn: Callable, args: tuple) -> int:
+        # every armed event, handle or not, is staged here and tagged
+        # with the executing shard
         slot = super()._stage(time, fn, args)
-        self._tag(slot, self._current)
+        try:
+            self._owner[slot] = self._current
+        except IndexError:  # the slab grew by this one slot
+            self._owner.append(self._current)
         return slot
-
-    def _arm(self, time: float, fn: Callable, args: tuple) -> EventHandle:
-        handle = super()._arm(time, fn, args)
-        self._tag(handle.slot, self._current)
-        return handle
 
     def _route(self, slot: int, node_id: int, time: float) -> None:
         """Re-tag a just-armed event with ``node_id``'s shard and audit it."""

@@ -94,18 +94,6 @@ class RecoveryReport:
     n_pes_final: int
     crash_times: list = field(default_factory=list)
 
-    def as_metrics(self) -> dict[str, float]:
-        """Flat float metrics for the benchmark harness checksum."""
-        return {
-            "sim_time_s": self.sim_time_s,
-            "checkpoints": float(self.checkpoints),
-            "crashes": float(self.crashes),
-            "restarts": float(self.restarts),
-            "lost_work_s": self.lost_work_s,
-            "restart_cost_s": self.restart_cost_s,
-            "n_pes_final": float(self.n_pes_final),
-        }
-
 
 class ResilienceManager:
     """Drives one phase-structured application to completion under faults.

@@ -847,7 +847,8 @@ static PyTypeObject Core_Type = {
 /* repro.hardware.router.TorusNetwork._transfer_py, statement for
  * statement: injection port, per hop the productive slots of the vertex
  * the message stands on (Torus3D.out_hops / Dragonfly.out_hops, mirrored
- * below), the candidate pick and the reserve, ejection port, arrival, the
+ * below), the healthy fabric's candidate pick and the reserve (the body's
+ * one LinkTable.reserve, reserve_row here), ejection port, arrival, the
  * observer hook, the TransferTiming.  The arithmetic is the same IEEE
  * double operations in the same order (and the build passes
  * -ffp-contract=off), so either lane leaves every horizon, counter and
@@ -1075,9 +1076,9 @@ fail:
     return NULL;
 }
 
-/* Link.reserve for an "up" row, minus the call: occupy the first
- * least-busy lane from max(its horizon, t), count the message; returns
- * when the head leaves the far end. */
+/* LinkTable.reserve for a row that is "up" (the lane runs no other):
+ * count the message, occupy the first least-busy lane from max(its
+ * horizon, t); returns when the head leaves the far end. */
 static inline double
 reserve_row(const Table *tb, Py_ssize_t row, double t, const Msg *m)
 {

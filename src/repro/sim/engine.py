@@ -169,8 +169,8 @@ class Engine:
         # available.  Binding its methods *over* the instance shadows the
         # pure-Python definitions below, which remain as the executable
         # specification, the no-compiler fallback, and the base that
-        # ShardedEngine extends (it wraps _arm/_stage to tag each event
-        # with its shard) — subclasses therefore never bind the core.
+        # ShardedEngine extends (it wraps _stage to tag each event with
+        # its shard) — subclasses therefore never bind the core.
         core = None
         if _CORE_CLS is not None and _core_eligible(type(self)):
             core = _CORE_CLS(SimulationError)
@@ -229,11 +229,11 @@ class Engine:
         self._free.append(slot)
 
     def _stage(self, time: float, fn: Callable, args: tuple) -> int:
-        """Arm one handle-less event (slot alloc + heap push); returns its slot.
+        """Arm one event (slot alloc + heap push); returns its slot.
 
-        The no-handle arming primitive: ``post_at`` and the batch API land
-        here.  :meth:`_arm` is this plus handle construction, inlined;
-        :class:`~repro.parallel.ShardedEngine` wraps both to tag the new
+        The one arming primitive: ``post_at`` and the batch API land here,
+        and :meth:`_arm` is this plus a handle.
+        :class:`~repro.parallel.ShardedEngine` overrides it to tag the new
         slot with the executing shard.
         """
         seq = self._seq
@@ -290,36 +290,13 @@ class Engine:
             self._now = time
 
     def _arm(self, time: float, fn: Callable, args: tuple) -> EventHandle:
-        """Slot alloc + heap push + handle, inlined (the arming hot path).
-
-        This is :meth:`_stage` plus handle construction with the call
-        tree flattened: one frame per armed event instead of three.
-        ``post_*`` and batch arming use :meth:`_stage` directly; the two
-        must stay behaviorally identical.
-        """
-        seq = self._seq
-        self._seq = seq + 1
-        free = self._free
-        if free:
-            slot = free.pop()
-            self._s_time[slot] = time
-            self._s_seq[slot] = seq
-            self._s_fn[slot] = fn
-            self._s_args[slot] = args
-            self._s_state[slot] = _PENDING
-        else:
-            slot = len(self._s_state)
-            self._s_time.append(time)
-            self._s_seq.append(seq)
-            self._s_fn.append(fn)
-            self._s_args.append(args)
-            self._s_state.append(_PENDING)
-        heapq.heappush(self._heap, (time, seq, slot))
+        """:meth:`_stage` plus a handle on the new slot."""
+        slot = self._stage(time, fn, args)
         # EventHandle(self, slot, seq) without the __init__ frame
         handle = EventHandle.__new__(EventHandle)
         handle.engine = self
         handle.slot = slot
-        handle.seq = seq
+        handle.seq = self._s_seq[slot]
         return handle
 
     def call_at(self, time: float, fn: Callable, *args: Any) -> EventHandle:

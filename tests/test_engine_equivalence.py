@@ -14,8 +14,8 @@ The production engine is exercised in three backends in-process:
   ``type(self) is Engine``, so any subclass runs the pure-Python slab
   paths;
 * ``ShardedEngine(n_shards=3)`` — the pure-Python slab under the window
-  audit's own ``run``/``step`` and its tagging ``_arm``/``_stage``
-  wrappers.  Unbound it cuts no windows, so ``_windowed_sharded`` binds
+  audit's own ``run``/``step`` and its tagging ``_stage`` wrapper.
+  Unbound it cuts no windows, so ``_windowed_sharded`` binds
   a three-node stand-in machine and a 2 ns lookahead: windows open and
   close, and ``at_node`` events change shard, between the same events.
 """

@@ -164,11 +164,14 @@ class TestLinkFaults:
         m = Machine(n_nodes=4, config=tiny_config(cores_per_node=1),
                     torus_dims=(2, 2, 1))
         src, dst = (0, 0, 0), (1, 1, 0)
-        m.network.fail_link(src, (1, 0, 0))
-        topo = m.network.topology
-        lk, nxt = m.network._next_direction(topo.vertex(src), topo.vertex(dst))
-        assert topo.vertex_coord(nxt) == (0, 1, 0)
-        assert lk == m.network.link(src, (0, 1, 0)) and lk.state == "up"
+        net = m.network
+        net.fail_link(src, (1, 0, 0))
+        assert net.transfer(0.0, src, dst, 64).hops == 2
+        # the first hop went round the down link, along y
+        down, around = net.link(src, (1, 0, 0)), net.link(src, (0, 1, 0))
+        assert (down.state, around.state) == ("down", "up")
+        assert (down.transfers, around.transfers) == (0, 1)
+        assert net.link((0, 1, 0), dst).transfers == 1
 
 
 class TestRecovery:

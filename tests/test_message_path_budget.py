@@ -60,10 +60,15 @@ RNDV_BUDGETS = {"ugni": 84.2, "rdma": 70.5}
 #: router's Python body among them — and, per transfer, the topology's
 #: arithmetic: two ``vertex`` frames and one ``out_hops`` frame a hop
 #: (30.3 -> 33.9 small, 118.1 / 113.2 -> 133.0 / 135.4 rendezvous; the
-#: dragonfly's legs are the longer)
+#: dragonfly's legs are the longer); and, since each Python body is one
+#: copy, a ``LinkTable.reserve`` frame per port and per hop where the
+#: healthy fabric's reserves were written out inline (+3.8 small, +15.2
+#: ugni, +22.7 rdma) and a ``_stage`` frame per handle ``_arm`` builds
+#: (+5.1 rdma, whose queue pairs arm retransmit timers): 37.6 small,
+#: 147.9 / 163.2 rendezvous
 if Engine()._core is None:
-    CALL_BUDGET = 34.5
-    RNDV_BUDGETS = {"ugni": 133.5, "rdma": 135.9}
+    CALL_BUDGET = 38.1
+    RNDV_BUDGETS = {"ugni": 148.4, "rdma": 163.7}
 #: one cold 1,024-PE ``kneighbor(32, k=1, iters=1, warmup=0)``, runtime
 #: held: GC-tracked objects it leaves per PE, measured + 2 % (63.9 while a
 #: route entry kept a coordinate tuple and a pair per candidate, 32.2 with

@@ -4,7 +4,7 @@
 result by result.  Here: a call binds its arguments the way the Python
 body's signature does, whatever raises under the lane — a first touch
 (``_first_touch``, ``injection_port``, ``ejection_port``),
-``Link.reserve``, the observer hook — comes out of it unchanged, with the
+``LinkTable.reserve``, the observer hook — comes out of it unchanged, with the
 Python body's side effects, and leaves the network usable, a coordinate
 off the fabric is an error before any router link is touched, a topology
 the lane does not mirror is the Python body's, 100,000 warm transfers
@@ -30,7 +30,7 @@ from repro.apps.kneighbor import kneighbor
 from repro.errors import TopologyError
 from repro.faults import FaultConfig, LinkFlap
 from repro.hardware.config import MachineConfig
-from repro.hardware.link import Link
+from repro.hardware.link import Link, LinkTable
 from repro.hardware.router import DragonflyNetwork, TorusNetwork
 from repro.hardware.topology import Dragonfly, Torus3D
 from repro.lrts.ugni_layer import UgniLayerConfig
@@ -202,8 +202,9 @@ class TestErrorsPropagate:
     @pytest.mark.parametrize("where", ["hop", "inject", "eject"])
     def test_link_reserve_error(self, make, where, monkeypatch):
         """A link that is not "up" while the network counts no fault (its
-        state was set behind the network's back) is ``Link.reserve``'s:
-        while any is, the call reserves every link through it."""
+        state was set behind the network's back) hands the call to the
+        Python body, whose every reserve is ``LinkTable.reserve``: what it
+        raises comes out."""
         net = make()
         a, b = (0, 0, 0), (1, 0, 0)
         healthy = net.transfer(0.0, a, b, 8)
@@ -214,14 +215,14 @@ class TestErrorsPropagate:
         assert slow.arrival - 1.0 > healthy.arrival
         assert link.faulted_transfers == 1
 
-        real = Link.reserve
+        real = LinkTable.reserve
 
-        def reserve(self, now, nbytes, min_occupancy=0.0):
-            if self == link:
-                raise Boom(self, now, nbytes, min_occupancy)
-            return real(self, now, nbytes, min_occupancy)
+        def reserve(table, row, now, nbytes, min_occupancy=0.0):
+            if Link.at(table, row) == link:
+                raise Boom(Link.at(table, row), now, nbytes, min_occupancy)
+            return real(table, row, now, nbytes, min_occupancy)
 
-        monkeypatch.setattr(Link, "reserve", reserve)
+        monkeypatch.setattr(LinkTable, "reserve", reserve)
         with pytest.raises(Boom) as err:
             net.transfer(2, a, b, 8)
         assert err.value.args[0] == link
@@ -332,6 +333,39 @@ class TestErrorsPropagate:
         assert not _names(net) and not any(net._eject_made)
         assert net.route_stats()["vertices"] == 0
         assert lane(0.0, a, b, 8, via=("rt", 4, 2)).hops >= 3
+
+
+class TestOneReserve:
+    """The Python body reserves through one method, ``LinkTable.reserve``:
+    once per port and once per hop, healthy or with a link down."""
+
+    @pytest.mark.parametrize("down", [False, True],
+                             ids=["healthy", "link-down"])
+    def test_hops_plus_two_reserves(self, down, monkeypatch):
+        calls = []
+        real = LinkTable.reserve
+
+        def reserve(table, row, *args):
+            calls.append((table, row))
+            return real(table, row, *args)
+
+        monkeypatch.setattr(LinkTable, "reserve", reserve)
+        net = _PythonBody(Torus3D(DIMS), MachineConfig())
+        if down:
+            net.fail_link((0, 0, 0), (1, 0, 0))
+        vertex = net.topology.vertex
+        for src, dst, via in [((0, 0, 0), (2, 3, 1), None),
+                              ((0, 0, 0), (1, 1, 0), None),
+                              ((1, 0, 0), (2, 3, 1), (1, 1, 1)),
+                              ((3, 3, 1), (3, 3, 1), None)]:
+            del calls[:]
+            hops = net.transfer(0.0, src, dst, 256, via=via).hops
+            assert len(calls) == hops + 2
+            assert calls[0] == (net._inject, vertex(src))
+            assert calls[-1] == (net._eject, vertex(dst))
+            assert all(table is net._links for table, _ in calls[1:-1])
+        assert net.degraded_routes == (4 if down else 0)
+        assert (net.link((0, 0, 0), (1, 0, 0)).transfers == 0) == down
 
 
 class TestAPairThatIsNoLink:
@@ -481,7 +515,7 @@ class TestNothingLeaks:
     def test_failing_transfers(self, make, monkeypatch):
         """17,500 calls that raise at each place the lane calls out or
         refuses the call, or hands it over: to the Python body while a link
-        is degraded, and there at ``Link.reserve``."""
+        is degraded, and there at ``LinkTable.reserve``."""
         class Net(make.torus):
             def _first_touch(self, v, slot, nxt):
                 if v == 31:
@@ -493,14 +527,14 @@ class TestNothingLeaks:
         net.transfer(0.0, a, b, 8)
         limp = net.link((1, 0, 0), (1, 1, 0))
         observer = RaisingObserver()
-        reserve = Link.reserve
+        reserve = LinkTable.reserve
 
-        def refuse(self, now, nbytes, min_occupancy=0.0):
+        def refuse(table, row, now, nbytes, min_occupancy=0.0):
             if nbytes == 13:
                 raise Boom
-            return reserve(self, now, nbytes, min_occupancy)
+            return reserve(table, row, now, nbytes, min_occupancy)
 
-        monkeypatch.setattr(Link, "reserve", refuse)
+        monkeypatch.setattr(LinkTable, "reserve", refuse)
 
         def raises(exc, *args, **kwargs):
             # not pytest.raises: its ExceptionInfo is a reference cycle
