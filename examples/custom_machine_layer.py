@@ -9,6 +9,11 @@ simulation by writing a toy machine layer for an *ideal network* (constant
 latency, infinite bandwidth, no protocol) and running the same chare
 program on all three layers — ideal, uGNI, MPI — unchanged.
 
+Attaching is the whole integration: build the layer on the machine and
+hand it to ``ConverseRuntime.attach_lrts``.  Nothing is registered
+anywhere; ``make_layer`` builds only the three shipped layers (the rows of
+``repro.lrts.factory.LAYERS``).
+
 The ideal layer is also a useful analysis tool: the gap between it and the
 uGNI layer is, by construction, exactly the cost of real protocols.
 
@@ -17,7 +22,7 @@ Run:  python examples/custom_machine_layer.py
 
 from repro.charm import Chare, Charm
 from repro.converse.scheduler import Message, PE
-from repro.lrts.factory import make_machine
+from repro.lrts.factory import make_layer, make_machine
 from repro.lrts.interface import LrtsLayer
 from repro.converse.scheduler import ConverseRuntime
 from repro.units import fmt_time, us
@@ -69,8 +74,6 @@ def run(layer_name: str) -> float:
     if layer_name == "ideal":
         conv.attach_lrts(IdealMachineLayer(machine))
     else:
-        from repro.lrts.factory import make_layer
-
         conv.attach_lrts(make_layer(machine, layer=layer_name))
     charm = Charm(conv)
     arr = charm.create_array(Stencil, 16, args=(16, 30), map="round_robin")

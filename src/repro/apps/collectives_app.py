@@ -36,9 +36,13 @@ class CollectiveResult:
     stats: dict[str, Any] = field(default_factory=dict)
 
 
-def _part(src: int, dst: int, base_bytes: int) -> tuple[int, str]:
+#: the smallest contribution; the others are two and three times it
+BASE_BYTES = 2048
+
+
+def _part(src: int, dst: int) -> tuple[int, str]:
     """A genuinely 'v' (variable-size) contribution from src to dst."""
-    return base_bytes * (1 + (src + 2 * dst) % 3), f"{src}->{dst}"
+    return BASE_BYTES * (1 + (src + 2 * dst) % 3), f"{src}->{dst}"
 
 
 def _digest(results: dict[int, dict[int, tuple[int, Any]]]) -> str:
@@ -47,15 +51,15 @@ def _digest(results: dict[int, dict[int, tuple[int, Any]]]) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _run(op: str, n_pes: int, layer: str, algorithm: str, base_bytes: int,
-         branching: int, config: Optional[MachineConfig], seed: int,
+def _run(op: str, n_pes: int, layer: str, algorithm: str,
+         config: Optional[MachineConfig], seed: int,
          layer_config: Any, faults: Optional[FaultConfig],
          fault_schedule: Iterable[Any]) -> CollectiveResult:
     cfg = (config or MachineConfig()).replace(cores_per_node=1)
     conv, lrts = make_runtime(n_nodes=n_pes, layer=layer, config=cfg,
                               seed=seed, layer_config=layer_config,
                               faults=faults, fault_schedule=fault_schedule)
-    coll = CollectiveEngine(conv, algorithm=algorithm, branching=branching)
+    coll = CollectiveEngine(conv, algorithm=algorithm)
     results: dict[int, dict[int, tuple[int, Any]]] = {}
     done_at: dict[int, float] = {}
 
@@ -65,11 +69,10 @@ def _run(op: str, n_pes: int, layer: str, algorithm: str, base_bytes: int,
 
     def start(pe: PE, _msg: Message) -> None:
         if op == "alltoallv":
-            parts = {dst: _part(pe.rank, dst, base_bytes)
-                     for dst in range(n_pes)}
+            parts = {dst: _part(pe.rank, dst) for dst in range(n_pes)}
             coll.alltoallv(pe, "bench", parts, finish)
         else:
-            nbytes = base_bytes * (1 + pe.rank % 3)
+            nbytes = BASE_BYTES * (1 + pe.rank % 3)
             coll.allgather(pe, "bench", nbytes, f"from-{pe.rank}", finish)
 
     hid = conv.register_handler(start)
@@ -92,8 +95,6 @@ def run_alltoallv(
     n_pes: int = 8,
     layer: str = "ugni",
     algorithm: str = "tree",
-    base_bytes: int = 2048,
-    branching: int = 4,
     config: Optional[MachineConfig] = None,
     seed: int = 0,
     layer_config: Any = None,
@@ -101,16 +102,14 @@ def run_alltoallv(
     fault_schedule: Iterable[Any] = (),
 ) -> CollectiveResult:
     """Every rank sends a variable-size part to every other rank."""
-    return _run("alltoallv", n_pes, layer, algorithm, base_bytes, branching,
-                config, seed, layer_config, faults, fault_schedule)
+    return _run("alltoallv", n_pes, layer, algorithm, config, seed,
+                layer_config, faults, fault_schedule)
 
 
 def run_allgather(
     n_pes: int = 8,
     layer: str = "ugni",
     algorithm: str = "tree",
-    base_bytes: int = 2048,
-    branching: int = 4,
     config: Optional[MachineConfig] = None,
     seed: int = 0,
     layer_config: Any = None,
@@ -118,5 +117,5 @@ def run_allgather(
     fault_schedule: Iterable[Any] = (),
 ) -> CollectiveResult:
     """Every rank contributes one variable-size item; all ranks get all."""
-    return _run("allgather", n_pes, layer, algorithm, base_bytes, branching,
-                config, seed, layer_config, faults, fault_schedule)
+    return _run("allgather", n_pes, layer, algorithm, config, seed,
+                layer_config, faults, fault_schedule)

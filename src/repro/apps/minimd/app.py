@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Any, Optional, Union
 
 import numpy as np
 
@@ -56,7 +56,7 @@ def run_minimd(
     seed: int = 0,
     patch_grid: Optional[tuple[int, int, int]] = None,
     max_events: Optional[int] = None,
-    **runtime_kw,
+    engine: Optional[Any] = None,
 ) -> MiniMDResult:
     """Run mini-NAMD: ``warmup`` steps (LB after the last one), then
     ``steps`` measured steps with PME every step (the paper's §V.D setup).
@@ -66,7 +66,7 @@ def run_minimd(
         sysobj = sysobj.with_patch_grid(patch_grid)
     decomp = Decomposition(sysobj, n_pes, seed=seed)
     conv, lrts = make_runtime(n_pes=n_pes, layer=layer, config=config,
-                              seed=seed, **runtime_kw)
+                              seed=seed, engine=engine)
     charm = Charm(conv)
     total_steps = warmup + steps
     ctx = MDContext(decomp, total_steps, lb_at=warmup if lb else None)

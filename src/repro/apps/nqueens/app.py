@@ -10,7 +10,7 @@ problem means that only the first 6 queens are treated as parallel tasks").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Optional
 
 import numpy as np
 
@@ -115,7 +115,7 @@ def run_nqueens(
     tree: Optional[TaskTree] = None,
     trace_bin: Optional[float] = None,
     max_events: Optional[int] = None,
-    **runtime_kw,
+    engine: Optional[Any] = None,
 ) -> NQueensResult:
     """Run one N-Queens configuration on the simulated machine.
 
@@ -131,7 +131,7 @@ def run_nqueens(
         tree = build_task_tree(n, depth, mode=mode, seed=seed + 1)
     profile = TimeProfile(trace_bin) if trace_bin else None
     conv, lrts = make_runtime(n_pes=n_pes, layer=layer, config=config,
-                              seed=seed, tracer=profile, **runtime_kw)
+                              seed=seed, tracer=profile, engine=engine)
     # the machine may round PEs up to whole nodes; use what was asked for
     charm = Charm(conv)
     ctx = _SearchContext(tree, n_pes, seed)

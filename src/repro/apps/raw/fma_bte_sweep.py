@@ -32,8 +32,8 @@ def fma_bte_latency(kind: str, size: int,
     cfg = (config or MachineConfig()).replace(cores_per_node=1)
     m = Machine(n_nodes=2, config=cfg)
     gni = GniJob(m)
-    blk0, h0, _ = gni.malloc_registered(0, size)
-    blk1, h1, _ = gni.malloc_registered(1, size)
+    blk0, h0, _ = gni.registrations.malloc_registered(0, size)
+    blk1, h1, _ = gni.registrations.malloc_registered(1, size)
     done: list[float] = []
 
     if post_type is PostType.PUT:

@@ -37,8 +37,8 @@ def ugni_pingpong(
     if not use_smsg:
         # pre-register both buffers (outside the measurement, as the
         # benchmark reuses one buffer per side)
-        gni.malloc_registered(0, size)
-        gni.malloc_registered(1, size)
+        gni.registrations.malloc_registered(0, size)
+        gni.registrations.malloc_registered(1, size)
 
     results: list[float] = []
     #: per PE, the continuation waiting for the next arrival (or None)

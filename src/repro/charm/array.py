@@ -98,8 +98,7 @@ class Collection:
             return
         self._hosting = [r for r, elems in self.by_pe() if elems]
         self._hosting_pos = {r: i for i, r in enumerate(self._hosting)}
-        self._tree = SpanningTree(max(1, len(self._hosting)),
-                                  branching=self.charm.reduction_branching)
+        self._tree = SpanningTree(max(1, len(self._hosting)))
         self._tree_epoch = self.epoch
 
     def red_parent(self, pe_rank: int) -> Optional[int]:

@@ -246,8 +246,7 @@ def _restore_group_indices(cc: CollectionCheckpoint, n_new: int,
 
 def restore_into(charm: Charm, ckpt: Checkpoint,
                  map: Union[None, str, RestoreMapper] = None,
-                 group_shrink: str = "error",
-                 restore_clock: bool = True) -> dict[str, ArrayProxy]:
+                 group_shrink: str = "error") -> dict[str, ArrayProxy]:
     """Rebuild checkpointed collections inside a fresh runtime.
 
     Returns ``{collection name: proxy}``.
@@ -267,11 +266,8 @@ def restore_into(charm: Charm, ckpt: Checkpoint,
     refuses, ``"merge"`` folds checkpointed element ``r`` into survivor
     ``r % n_new`` via the element's ``merge_restored_state(state)`` hook.
 
-    ``restore_clock`` advances the fresh engine's clock to
-    ``ckpt.sim_time`` (forward only — see the module docstring for the
-    tracer monotonicity argument).  Pass ``False`` only when the caller
-    owns the clock entirely (e.g. replaying a checkpoint into a synthetic
-    timeline).
+    The fresh engine's clock advances to ``ckpt.sim_time`` (forward only
+    — see the module docstring for the tracer monotonicity argument).
     """
     if charm.collections:
         raise CharmError("restore_into needs a fresh Charm runtime")
@@ -281,7 +277,7 @@ def restore_into(charm: Charm, ckpt: Checkpoint,
     obs = machine.observer
     if obs is not None and ckpt.trace_next_id:
         obs.tracer.fast_forward(ckpt.trace_next_id)
-    if restore_clock and ckpt.sim_time > charm.engine.now:
+    if ckpt.sim_time > charm.engine.now:
         charm.engine.advance_to(ckpt.sim_time)
     n_new = len(charm.conv.pes)
     mapper = _resolve_restore_map(map)

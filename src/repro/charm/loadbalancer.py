@@ -41,55 +41,6 @@ def greedy_plan(
     return plan
 
 
-def greedy_plan_locality(
-    loads: dict[Hashable, float],
-    n_pes: int,
-    preferred: dict[Hashable, list[int]],
-    background: dict[int, float] | None = None,
-    tolerance: float = 1.5,
-) -> dict[Hashable, int]:
-    """Greedy placement with communication locality (NAMD-style).
-
-    Each object may name *preferred PEs* (for NAMD computes: the PEs on
-    the nodes hosting their patches, so position multicasts stay
-    intra-node).  The object goes to its least-loaded preferred PE unless
-    that PE's load exceeds ``tolerance ×`` the globally least-loaded PE's
-    load plus one object — then locality yields to balance, exactly the
-    trade-off NAMD's LB strategies make.
-    """
-    if n_pes < 1:
-        raise ValueError("need at least one PE")
-    per_pe = [0.0] * n_pes
-    if background:
-        for pe, b in background.items():
-            if 0 <= pe < n_pes:
-                per_pe[pe] = b
-    heap = [(per_pe[pe], pe) for pe in range(n_pes)]
-    heapq.heapify(heap)
-    plan: dict[Hashable, int] = {}
-
-    def global_min() -> tuple[float, int]:
-        while True:
-            load, pe = heap[0]
-            if load == per_pe[pe]:
-                return load, pe
-            heapq.heappop(heap)
-            heapq.heappush(heap, (per_pe[pe], pe))
-
-    for idx, load in sorted(loads.items(), key=lambda kv: -kv[1]):
-        min_load, min_pe = global_min()
-        target = min_pe
-        prefs = preferred.get(idx)
-        if prefs:
-            best_pref = min(prefs, key=lambda pe: per_pe[pe])
-            if per_pe[best_pref] + load <= tolerance * (min_load + load):
-                target = best_pref
-        plan[idx] = target
-        per_pe[target] += load
-        heapq.heappush(heap, (per_pe[target], target))
-    return plan
-
-
 def greedy_plan_comm(
     loads: dict[Hashable, float],
     n_pes: int,
@@ -100,12 +51,17 @@ def greedy_plan_comm(
 ) -> dict[Hashable, int]:
     """Communication-aware greedy placement (NAMD's refinement idea).
 
-    On top of :func:`greedy_plan_locality`: objects sharing a *group*
-    (for NAMD computes, a patch — ``obj_groups[idx] = (patch_a, patch_b)``)
-    are packed onto the same PEs when load permits, because every distinct
-    (group, PE) pair costs one multicast message per step.  Packing
-    cross-node computes of one patch onto few PEs is what keeps NAMD's
-    proxy count — and hence its position-multicast volume — low.
+    Each object may name *preferred PEs* (for NAMD computes: the PEs on
+    the nodes hosting their patches, so position multicasts stay
+    intra-node).  An object goes to a preferred PE unless that PE's load
+    plus the object's would exceed ``tolerance ×`` (the least-loaded PE's
+    load plus the object's) — then locality yields to balance, the
+    trade-off NAMD's LB strategies make.  On top of that, objects sharing
+    a *group* (for NAMD computes, a patch — ``obj_groups[idx] = (patch_a,
+    patch_b)``) are packed onto the same PEs when load permits, because
+    every distinct (group, PE) pair costs one multicast message per step.
+    Packing cross-node computes of one patch onto few PEs is what keeps
+    NAMD's proxy count — and hence its position-multicast volume — low.
     """
     if n_pes < 1:
         raise ValueError("need at least one PE")
@@ -168,12 +124,3 @@ def plan_cpu_cost(n_objects: int, n_pes: int) -> float:
 
     n = max(2, n_objects)
     return (n * math.log2(n) + n_pes) * 0.05 * us
-
-
-def max_load(loads: dict[Hashable, float], plan: dict[Hashable, int],
-             n_pes: int) -> float:
-    """Max per-PE load under a plan (for before/after LB assertions)."""
-    per_pe = [0.0] * n_pes
-    for idx, load in loads.items():
-        per_pe[plan[idx]] += load
-    return max(per_pe) if per_pe else 0.0

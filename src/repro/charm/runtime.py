@@ -21,11 +21,10 @@ REDUCTION_HEADER = 32
 class Charm:
     """Programming-model runtime bound to one ConverseRuntime."""
 
-    def __init__(self, conv: ConverseRuntime, reduction_branching: int = 4):
+    def __init__(self, conv: ConverseRuntime):
         self.conv = conv
         self.engine = conv.engine
         self.n_pes = len(conv.pes)
-        self.reduction_branching = reduction_branching
         self.collections: dict[int, Collection] = {}
         self._aid = itertools.count()
         self._current_pe: Optional[PE] = None
@@ -202,7 +201,7 @@ class Charm:
             # process at its receiver, or quiescence could be declared
             # with the broadcast still on its way down
             self._count_execute(pe)
-            tree = SpanningTree(self.n_pes, self.reduction_branching, root=root)
+            tree = SpanningTree(self.n_pes, root=root)
             for child in tree.children(pe.rank):
                 self._count_send(pe)
                 self.conv.send(pe, child, Message(

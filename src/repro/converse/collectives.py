@@ -27,16 +27,19 @@ from repro.errors import CharmError
 
 #: per-item header bytes in packed collective payloads (rank + length)
 _ITEM_HEADER = 16
+#: spanning-tree fan-out of every runtime tree (broadcasts, reductions,
+#: quiescence waves, collectives): Charm++'s factor on most machines
+BRANCHING = 4
 
 
 class SpanningTree:
     """A k-ary spanning tree over PE ranks rooted at 0.
 
-    Charm++ uses a branching factor of 4 on most machines; the tree is
-    defined arithmetically so no per-node state is needed.
+    The runtime's trees all take :data:`BRANCHING`; the tree is defined
+    arithmetically so no per-node state is needed.
     """
 
-    def __init__(self, n_pes: int, branching: int = 4, root: int = 0):
+    def __init__(self, n_pes: int, branching: int = BRANCHING, root: int = 0):
         if n_pes < 1:
             raise ValueError(f"need at least one PE, got {n_pes}")
         if branching < 2:
@@ -121,8 +124,7 @@ class CollectiveEngine:
     produce bit-identical ``items``.
     """
 
-    def __init__(self, conv: Any, algorithm: str = "tree",
-                 branching: int = 4):
+    def __init__(self, conv: Any, algorithm: str = "tree"):
         if algorithm not in ("tree", "persistent"):
             raise CharmError(
                 f"unknown collective algorithm {algorithm!r} "
@@ -130,7 +132,7 @@ class CollectiveEngine:
         self.conv = conv
         self.algorithm = algorithm
         self.n = len(conv.pes)
-        self.tree = SpanningTree(self.n, branching=branching)
+        self.tree = SpanningTree(self.n)
         self._hid = conv.register_handler(self._handler)
         self._ag: dict[tuple[Any, int], _AgState] = {}
         self._a2a: dict[tuple[Any, int], _A2aState] = {}

@@ -25,9 +25,9 @@ from repro.converse.scheduler import ConverseRuntime, Message, PE
 class QuiescenceDetector:
     """Counting quiescence detection over a spanning tree."""
 
-    def __init__(self, conv: ConverseRuntime, branching: int = 4):
+    def __init__(self, conv: ConverseRuntime):
         self.conv = conv
-        self.tree = SpanningTree(len(conv.pes), branching)
+        self.tree = SpanningTree(len(conv.pes))
         #: app-message counters, maintained by notify_send/notify_process
         self.sent = [0] * len(conv.pes)
         self.processed = [0] * len(conv.pes)

@@ -1,4 +1,4 @@
-"""Converse condition-daemon timers (CcdCallFnAfter / periodic callbacks).
+"""Converse condition-daemon timers (CcdCallFnAfter).
 
 The real Converse scheduler interleaves timer callbacks with message
 execution; here a timer enqueues a scheduler item on its PE when it fires,
@@ -8,7 +8,7 @@ serialize with handlers exactly like everything else.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Callable
 
 from repro.converse.scheduler import ConverseRuntime, Message, PE
 from repro.errors import CharmError
@@ -33,16 +33,6 @@ class TimerService:
         handle._ev = self.conv.engine.call_after(delay, self._enqueue, handle)
         return handle
 
-    def call_periodic(self, period: float, pe_rank: int,
-                      fn: Callable[[PE], None]) -> "TimerHandle":
-        """Run ``fn(pe)`` every ``period`` seconds until cancelled."""
-        if period <= 0:
-            raise CharmError(f"periodic timer needs period > 0, got {period}")
-        handle = TimerHandle(self, pe_rank, fn, period=period)
-        self.scheduled += 1
-        handle._ev = self.conv.engine.call_after(period, self._enqueue, handle)
-        return handle
-
     # -- internals ------------------------------------------------------------
     def _enqueue(self, handle: "TimerHandle") -> None:
         # the engine event has fired: a late cancel() has nothing to reach
@@ -59,22 +49,18 @@ class TimerService:
             return
         self.fired += 1
         handle.fn(pe)
-        if handle.period is not None and not handle.cancelled:
-            handle._ev = self.conv.engine.call_after(
-                handle.period, self._enqueue, handle)
 
 
 class TimerHandle:
-    """Cancellable reference to a pending (or periodic) timer."""
+    """Cancellable reference to a pending timer."""
 
-    __slots__ = ("service", "pe_rank", "fn", "period", "cancelled", "_ev")
+    __slots__ = ("service", "pe_rank", "fn", "cancelled", "_ev")
 
     def __init__(self, service: TimerService, pe_rank: int,
-                 fn: Callable[[PE], None], period: Optional[float] = None):
+                 fn: Callable[[PE], None]):
         self.service = service
         self.pe_rank = pe_rank
         self.fn = fn
-        self.period = period
         self.cancelled = False
         #: the pending engine event, when one exists (None once it fires)
         self._ev = None

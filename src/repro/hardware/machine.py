@@ -170,19 +170,6 @@ class Machine:
                 f"has no GPUs (gpus_per_node=0)")
         return node.gpus[self.core_of_pe(pe) % len(node.gpus)]
 
-    # -- convenience constructors ----------------------------------------------
-    @classmethod
-    def for_pes(
-        cls,
-        n_pes: int,
-        config: Optional[MachineConfig] = None,
-        **kw,
-    ) -> "Machine":
-        """Build a machine with at least ``n_pes`` PEs (whole nodes)."""
-        cfg = config or MachineConfig()
-        n_nodes = -(-n_pes // cfg.cores_per_node)
-        return cls(n_nodes=n_nodes, config=cfg, **kw)
-
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"<Machine nodes={self.n_nodes} torus={self.topology.dims} "

@@ -175,7 +175,6 @@ class TorusNetwork:
         dst: Coord,
         nbytes: int,
         bandwidth_cap: float | None = None,
-        min_occupancy: float | None = None,
         via: Coord | None = None,
     ) -> TransferTiming:
         """Route one message and reserve every link it crosses.
@@ -185,10 +184,11 @@ class TorusNetwork:
         ``bandwidth_cap`` models a source that cannot feed the wire at full
         link rate (FMA window stores, BTE engine limits): the last byte
         cannot arrive before ``first-byte arrival + nbytes / cap``.
-        ``min_occupancy`` sets a per-link floor (per-message router
-        overhead) — used for small-message rate limiting.  ``via`` is a
-        waypoint: the message walks ``src -> via -> dst`` as two minimal
-        legs (Valiant misrouting).
+        Every port and link holds a message at least
+        :attr:`MachineConfig.nic_msg_gap` (per-message router overhead),
+        the small-message rate limit.  ``via`` is a waypoint: the message
+        walks ``src -> via -> dst`` as two minimal legs (Valiant
+        misrouting).
 
         One pass: per hop, compute the productive slots of the vertex the
         message stands on, touch each candidate link, pick one and reserve
@@ -210,7 +210,7 @@ class TorusNetwork:
         """
         size = _index(nbytes)
         cfg = self.config
-        min_occ = cfg.nic_msg_gap if min_occupancy is None else min_occupancy
+        min_occ = cfg.nic_msg_gap
         self.messages_routed += 1
         links = self._links
         faulted = self._faulted
@@ -344,11 +344,9 @@ class DragonflyNetwork(TorusNetwork):
         dst: Coord,
         nbytes: int,
         bandwidth_cap: float | None = None,
-        min_occupancy: float | None = None,
     ) -> TransferTiming:
         topo = self.topology
         mid = None
         if topo.routing == "valiant" and not self._faulted and src != dst:
             mid = topo.valiant_intermediate(src, dst)
-        return super().transfer(now, src, dst, nbytes, bandwidth_cap,
-                                min_occupancy, via=mid)
+        return super().transfer(now, src, dst, nbytes, bandwidth_cap, via=mid)

@@ -10,7 +10,7 @@ interface so a vendor can port Charm++ by implementing just a few calls:
 * persistent API (``LrtsCreatePersistent`` / ``LrtsSendPersistentMsg``)
   → :meth:`create_persistent` / :meth:`send_persistent`.
 
-Three implementations ship behind :mod:`repro.lrts.registry`:
+Three implementations ship, the rows of :data:`repro.lrts.factory.LAYERS`:
 
 * :class:`repro.lrts.ugni_layer.UgniMachineLayer` — the contribution:
   SMSG small path, GET-based rendezvous, memory pool, persistent channels,

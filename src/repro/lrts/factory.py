@@ -13,10 +13,10 @@ paper's LRTS interface exists to provide ("the flexibility provided by the
 LRTS interface allows the application to change its underlying LRTS
 implementation transparently", §V).
 
-Layer names resolve through :mod:`repro.lrts.registry`; importing the
-shipped layer packages below is what populates it (each registers itself
-at import time), so third-party layers only need to call
-``register_layer`` before the factory runs.
+The shipped layers are the rows of :data:`LAYERS`.  A new layer needs no
+entry here: build it on the machine and hand it to
+:meth:`ConverseRuntime.attach_lrts`, as ``examples/custom_machine_layer.py``
+does.
 """
 
 from __future__ import annotations
@@ -29,12 +29,16 @@ from repro.faults import FaultConfig, install_faults
 from repro.hardware.config import MachineConfig
 from repro.hardware.machine import Machine
 from repro.lrts.interface import LrtsLayer
-from repro.lrts.registry import available_layers, build_layer
+from repro.lrts.mpi_layer import MpiMachineLayer
+from repro.lrts.rdma_layer import RdmaLayerConfig, RdmaMachineLayer
+from repro.lrts.ugni_layer import UgniLayerConfig, UgniMachineLayer
 
-# imported for their registration side effect
-import repro.lrts.mpi_layer  # noqa: F401
-import repro.lrts.rdma_layer  # noqa: F401
-import repro.lrts.ugni_layer  # noqa: F401
+#: layer name -> (layer class, the config type it takes; None: takes none)
+LAYERS: dict[str, tuple[type, Optional[type]]] = {
+    "ugni": (UgniMachineLayer, UgniLayerConfig),
+    "mpi": (MpiMachineLayer, None),
+    "rdma": (RdmaMachineLayer, RdmaLayerConfig),
+}
 
 
 def make_machine(
@@ -42,7 +46,7 @@ def make_machine(
     n_nodes: Optional[int] = None,
     config: Optional[MachineConfig] = None,
     seed: int = 0,
-    **machine_kw: Any,
+    engine: Optional[Any] = None,
 ) -> Machine:
     """Build a machine by PE count (whole nodes) or node count."""
     cfg = config or MachineConfig()
@@ -50,17 +54,30 @@ def make_machine(
         raise LrtsError("specify exactly one of n_pes / n_nodes")
     if n_nodes is None:
         n_nodes = -(-n_pes // cfg.cores_per_node)
-    return Machine(n_nodes=n_nodes, config=cfg, seed=seed, **machine_kw)
+    return Machine(n_nodes=n_nodes, config=cfg, engine=engine, seed=seed)
 
 
 def make_layer(
     machine: Machine,
     layer: str = "ugni",
     layer_config: Optional[Any] = None,
-    **layer_kw: Any,
 ) -> LrtsLayer:
-    """Build one registered layer; unknown names list what's available."""
-    return build_layer(machine, layer, layer_config=layer_config, **layer_kw)
+    """Build one of :data:`LAYERS`; an unknown name lists the three."""
+    try:
+        cls, config_type = LAYERS[layer]
+    except KeyError:
+        names = ", ".join(repr(n) for n in sorted(LAYERS))
+        raise LrtsError(
+            f"unknown machine layer {layer!r} (available: {names})") from None
+    if layer_config is None:
+        return cls(machine)
+    if config_type is None:
+        raise LrtsError(f"the {layer} layer takes no layer_config")
+    if not isinstance(layer_config, config_type):
+        raise LrtsError(
+            f"the {layer} layer takes {config_type.__name__}, "
+            f"got {type(layer_config).__name__}")
+    return cls(machine, layer_config)
 
 
 def make_runtime(
@@ -75,7 +92,6 @@ def make_runtime(
     engine: Optional[Any] = None,
     faults: Optional[FaultConfig] = None,
     fault_schedule: Iterable[Any] = (),
-    **layer_kw: Any,
 ) -> tuple[ConverseRuntime, LrtsLayer]:
     """Machine + ConverseRuntime + machine layer, wired together.
 
@@ -91,8 +107,7 @@ def make_runtime(
     elif engine is not None:
         raise LrtsError("pass either a prebuilt machine or an engine, not both")
     conv = ConverseRuntime(machine, tracer=tracer, n_pes=n_pes)
-    lrts = make_layer(machine, layer=layer, layer_config=layer_config,
-                      **layer_kw)
+    lrts = make_layer(machine, layer=layer, layer_config=layer_config)
     conv.attach_lrts(lrts)
     fault_schedule = tuple(fault_schedule)
     if faults is not None or fault_schedule:

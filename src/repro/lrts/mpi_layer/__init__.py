@@ -1,16 +1,5 @@
 """The MPI-based Charm++ machine layer — the paper's baseline."""
 
-from repro.errors import LrtsError
 from repro.lrts.mpi_layer.layer import MpiMachineLayer
-from repro.lrts.registry import register_layer
-
-
-def _build(machine, layer_config=None, **layer_kw) -> MpiMachineLayer:
-    if layer_config is not None:
-        raise LrtsError("layer_config is a uGNI-layer concept")
-    return MpiMachineLayer(machine, **layer_kw)
-
-
-register_layer("mpi", _build)
 
 __all__ = ["MpiMachineLayer"]

@@ -20,7 +20,7 @@ scripted:
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from repro.converse.scheduler import ConverseRuntime, Message, PE
 from repro.hardware.machine import Machine
@@ -39,11 +39,11 @@ class MpiMachineLayer(GpuTransportMixin, LrtsLayer):
 
     name = "mpi"
 
-    def __init__(self, machine: Machine, eager_threshold: Optional[int] = None):
+    def __init__(self, machine: Machine):
         super().__init__()
         self.machine = machine
         self.cfg = machine.config
-        self.world = MpiWorld(machine, eager_threshold=eager_threshold)
+        self.world = MpiWorld(machine)
         self.blocking_recvs = 0
         self.sent = 0
 
@@ -65,7 +65,7 @@ class MpiMachineLayer(GpuTransportMixin, LrtsLayer):
         if obs is not None:
             # eager vs rendezvous is the receiver's call (Iprobe + Recv);
             # classify by the same threshold the progress engine will use
-            path = ("eager" if total <= self.world.eager_threshold
+            path = ("eager" if total <= self.cfg.mpi_eager_threshold
                     else "rendezvous")
             obs.on_lrts("mpi", path, msg, self.machine.engine.now)
         # fresh buffer identity per message: the runtime allocated it, so

@@ -27,7 +27,7 @@ from typing import Any, Callable, Optional
 
 from repro.hardware.machine import Machine
 from repro.lrts.rdma_layer.config import CONNECT_RETRY, RdmaLayerConfig
-from repro.ugni.memreg import MemHandle, RegistrationTable, RegistrationTables
+from repro.ugni.memreg import MemHandle, RegistrationTables
 from repro.ugni.rdma import PostDescriptor
 from repro.ugni.types import PostType
 
@@ -48,8 +48,7 @@ class PinDownCache:
     """
 
     def __init__(self, machine: Machine, node_id: int,
-                 registrations: RegistrationTable):
-        self.machine = machine
+                 registrations: RegistrationTables):
         self.cfg = machine.config
         self.node_id = node_id
         self.registrations = registrations
@@ -73,15 +72,9 @@ class PinDownCache:
                 return block, handle, self.cfg.rdma_pin_lookup_cpu
         self.misses += 1
         self.live += 1
-        node = self.machine.nodes[self.node_id]
-        block = node.memory.malloc(nbytes)
-        handle, reg_cost = self.registrations.register(block)
-        san = self.machine.sanitizer
-        if san is not None:
-            san.root_region(handle, f"rdma.pincache[n{self.node_id}]")
-        cpu = (self.cfg.rdma_pin_lookup_cpu + self.cfg.t_malloc(nbytes)
-               + reg_cost)
-        return block, handle, cpu
+        block, handle, cpu = self.registrations.malloc_registered(
+            self.node_id, nbytes, f"rdma.pincache[n{self.node_id}]")
+        return block, handle, self.cfg.rdma_pin_lookup_cpu + cpu
 
     def release(self, block: Any, handle: MemHandle) -> float:
         """Return a block to the cache; returns eviction cpu (usually 0)."""
@@ -93,9 +86,7 @@ class PinDownCache:
             old_block, old_handle = self._free.pop(0)
             self.cached_bytes -= old_block.size
             self.evictions += 1
-            cpu += self.registrations.deregister(old_handle)
-            self.machine.nodes[self.node_id].memory.free(old_block)
-            cpu += self.cfg.t_free(old_block.size)
+            cpu += self.registrations.free_registered(old_block, old_handle)
         return cpu
 
 
@@ -111,7 +102,7 @@ class PinDownCaches(dict):
 
     def __missing__(self, node_id: int) -> PinDownCache:
         cache = self[node_id] = PinDownCache(
-            self._machine, node_id, self._registrations[node_id])
+            self._machine, node_id, self._registrations)
         return cache
 
 
@@ -339,32 +330,11 @@ class RdmaFabric:
         """
         if rank in self._eager_pools:
             return 0.0
-        node = self.machine.node_of_pe(rank)
-        block = node.memory.malloc(self.lcfg.eager_pool_bytes)
-        handle, reg_cost = self.registrations[node.node_id].register(block)
-        san = self.machine.sanitizer
-        if san is not None:
-            san.root_region(handle, f"rdma.eagerpool[pe{rank}]")
+        block, handle, cpu = self.registrations.malloc_registered(
+            self.machine.node_of_pe(rank).node_id, self.lcfg.eager_pool_bytes,
+            f"rdma.eagerpool[pe{rank}]")
         self._eager_pools[rank] = (block, handle)
-        return self.cfg.t_malloc(block.size) + reg_cost
-
-    # -- registered windows (persistent channels) -------------------------------
-    def register_window(self, node_id: int, nbytes: int,
-                        why: str) -> tuple[Any, MemHandle, float]:
-        """Malloc + register a long-lived RMA window; returns (+ cpu)."""
-        node = self.machine.nodes[node_id]
-        block = node.memory.malloc(nbytes)
-        handle, reg_cost = self.registrations[node_id].register(block)
-        san = self.machine.sanitizer
-        if san is not None:
-            san.root_region(handle, why)
-        return block, handle, self.cfg.t_malloc(nbytes) + reg_cost
-
-    def release_window(self, node_id: int, block: Any,
-                       handle: MemHandle) -> float:
-        cpu = self.registrations[node_id].deregister(handle)
-        self.machine.nodes[node_id].memory.free(block)
-        return cpu + self.cfg.t_free(block.size)
+        return cpu
 
     # -- one-sided memory channel ------------------------------------------------
     def post_rdma(self, initiator_node: int, desc: PostDescriptor,

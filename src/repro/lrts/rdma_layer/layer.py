@@ -165,14 +165,13 @@ class RdmaMachineLayer(ProtocolCore, IntranodeMixin, GpuTransportMixin,
         pe.charge(cache.release(block, handle), "overhead")
 
     def _pin_window(self, pe: PE, nbytes: int, why: str) -> tuple:
-        block, handle, cpu = self.fabric.register_window(
+        block, handle, cpu = self.fabric.registrations.malloc_registered(
             pe.node.node_id, nbytes, why)
         pe.charge(cpu, "overhead")
         return block, handle
 
     def _unpin_window(self, pe: PE, win: tuple) -> None:
-        pe.charge(self.fabric.release_window(pe.node.node_id, *win),
-                  "overhead")
+        pe.charge(self.fabric.registrations.free_registered(*win), "overhead")
 
     def _post(self, pe: PE, desc, done_step: str, failed_step: str,
               state: Any, rearm: Any = None) -> None:

@@ -17,24 +17,7 @@ turn each optimization off to reproduce the "initial design" curves
 (Fig. 6) and the ablations.
 """
 
-from typing import Optional
-
-from repro.errors import LrtsError
-from repro.lrts.registry import register_layer
 from repro.lrts.ugni_layer.config import UgniLayerConfig
 from repro.lrts.ugni_layer.layer import UgniMachineLayer
-
-
-def _build(machine, layer_config: Optional[UgniLayerConfig] = None,
-           **layer_kw) -> UgniMachineLayer:
-    if layer_config is not None and not isinstance(layer_config,
-                                                   UgniLayerConfig):
-        raise LrtsError(
-            f"the ugni layer takes a UgniLayerConfig, "
-            f"got {type(layer_config).__name__}")
-    return UgniMachineLayer(machine, layer_config=layer_config, **layer_kw)
-
-
-register_layer("ugni", _build)
 
 __all__ = ["UgniMachineLayer", "UgniLayerConfig"]

@@ -150,7 +150,8 @@ class UgniMachineLayer(ReliabilityMixin, ProtocolCore, IntranodeMixin,
             block, cost = pool.alloc(nbytes)
             pe.charge(cost, "overhead")
             return block, block.mem_handle, pool
-        block, handle, cost = self.gni.malloc_registered(pe.node.node_id, nbytes)
+        block, handle, cost = self.gni.registrations.malloc_registered(
+            pe.node.node_id, nbytes)
         pe.charge(cost, "overhead")
         return block, handle, None
 
@@ -159,18 +160,17 @@ class UgniMachineLayer(ReliabilityMixin, ProtocolCore, IntranodeMixin,
         if pool is not None:
             pe.charge(pool.free(block), "overhead")
         else:
-            pe.charge(self.gni.free_registered(block, handle), "overhead")
+            pe.charge(self.gni.registrations.free_registered(block, handle),
+                      "overhead")
 
     def _pin_window(self, pe: PE, nbytes: int, why: str) -> tuple:
-        block, handle, cost = self.gni.malloc_registered(pe.node.node_id, nbytes)
+        block, handle, cost = self.gni.registrations.malloc_registered(
+            pe.node.node_id, nbytes, why)
         pe.charge(cost, "overhead")
-        san = self.machine.sanitizer
-        if san is not None:
-            san.root_region(handle, why)
         return block, handle
 
     def _unpin_window(self, pe: PE, win: tuple) -> None:
-        pe.charge(self.gni.free_registered(*win), "overhead")
+        pe.charge(self.gni.registrations.free_registered(*win), "overhead")
 
     # ------------------------------------------------------------------ #
     # LrtsSyncSend

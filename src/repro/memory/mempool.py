@@ -119,10 +119,9 @@ class MemoryPool:
 
     # -- internals -------------------------------------------------------------
     def _add_arena(self, nbytes: int) -> float:
-        block, handle, cost = self.gni.malloc_registered(self.node_id, nbytes)
+        block, handle, cost = self.gni.registrations.malloc_registered(
+            self.node_id, nbytes, f"pool-arena:{self.name}")
         self.arenas.append(_Arena(block, handle))
-        if self._san is not None:
-            self._san.root_region(handle, f"pool-arena:{self.name}")
         return cost
 
     # -- API ---------------------------------------------------------------------
@@ -188,7 +187,8 @@ class MemoryPool:
         if arena.alloc.used == 0 and arena is not self.arenas[0]:
             # empty expansion arena: give the registration and memory back
             self.arenas.remove(arena)
-            cost += self.gni.free_registered(arena.block, arena.handle)
+            cost += self.gni.registrations.free_registered(
+                arena.block, arena.handle)
             self.arenas_released += 1
         return cost
 
@@ -200,7 +200,8 @@ class MemoryPool:
             )
         cost = 0.0
         for arena in self.arenas:
-            cost += self.gni.free_registered(arena.block, arena.handle)
+            cost += self.gni.registrations.free_registered(
+                arena.block, arena.handle)
         self.arenas.clear()
         return cost
 

@@ -45,13 +45,10 @@ class _RndvInfo:
 class MpiWorld:
     """An MPI job over the whole machine."""
 
-    def __init__(self, machine: Machine, eager_threshold: Optional[int] = None):
+    def __init__(self, machine: Machine):
         self.machine = machine
         self.engine = machine.engine
         self.cfg = machine.config
-        self.eager_threshold = (
-            self.cfg.mpi_eager_threshold if eager_threshold is None else eager_threshold
-        )
         self._match: dict[int, MatchEngine] = {}
         self._udreg: dict[int, UdregCache] = {}
         # non-overtaking order per (src, dst)
@@ -114,7 +111,7 @@ class MpiWorld:
         dst_node = self.machine.node_of_pe(dst)
         same_node = src_node.node_id == dst_node.node_id
 
-        if nbytes <= self.eager_threshold:
+        if nbytes <= cfg.mpi_eager_threshold:
             # EAGER: copy into internal buffers; sender completes locally
             cpu = cfg.mpi_request_cpu + cfg.t_memcpy(nbytes)
             arr = Arrival(src, dst, tag, nbytes, payload, 0.0,

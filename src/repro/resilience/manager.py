@@ -126,7 +126,6 @@ class ResilienceManager:
         fault_config: Optional[FaultConfig] = None,
         crash_schedule: Iterable[Any] = (),
         skip: tuple = (),
-        **layer_kw: Any,
     ):
         self.app = app
         self.layer = layer
@@ -137,7 +136,6 @@ class ResilienceManager:
         self.fault_config = fault_config
         self.schedule = tuple(sorted(crash_schedule, key=lambda ev: ev.at))
         self.skip = tuple(skip)
-        self.layer_kw = layer_kw
 
         self._n_nodes = n_nodes
         self._spares = self.policy.spare_nodes
@@ -167,7 +165,7 @@ class ResilienceManager:
         cpn = 1 if self.config is None else self.config.cores_per_node
         conv, lrts = make_runtime(
             n_pes=n_nodes * cpn, layer=self.layer, config=self.config,
-            layer_config=self.layer_config, seed=self.seed, **self.layer_kw)
+            layer_config=self.layer_config, seed=self.seed)
         self.conv, self.lrts = conv, lrts
         self.charm = Charm(conv)
         self.injector = None

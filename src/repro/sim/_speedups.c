@@ -890,10 +890,10 @@ static PyObject *s_config, *s_links, *s_inject, *s_eject, *s_out,
     *s_injection_port, *s_ejection_port, *s_on_net_transfer, *s_topology,
     *s_dims, *s_rt, *int_one;
 static PyObject *s_shape[4];   /* Dragonfly's g, a, p, h */
-#define N_PARAMS 7
+#define N_PARAMS 6
 static PyObject *s_params[N_PARAMS];
 static const char *const param_names[N_PARAMS] = {
-    "now", "src", "dst", "nbytes", "bandwidth_cap", "min_occupancy", "via"};
+    "now", "src", "dst", "nbytes", "bandwidth_cap", "via"};
 
 /* what one message carries past every link */
 typedef struct {
@@ -1342,7 +1342,7 @@ walk_leg(PyObject *self, const Walk *w, const Fabric *f, int first_only,
     return 0;
 }
 
-/* Bind the call's arguments to transfer's seven parameters (borrowed).
+/* Bind the call's arguments to transfer's six parameters (borrowed).
  * 1 bound, 0 they do not bind (the Python body names what is wrong), -1
  * error. */
 static int
@@ -1400,8 +1400,7 @@ static PyObject *
 router_transfer(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
                 PyObject *kwnames)
 {
-    PyObject *p[N_PARAMS] = {NULL, NULL, NULL, NULL,
-                             Py_None, Py_None, Py_None};
+    PyObject *p[N_PARAMS] = {NULL, NULL, NULL, NULL, Py_None, Py_None};
     int bound = bind_params(args, nargs, kwnames, p);
     if (bound < 0)
         return NULL;
@@ -1416,7 +1415,7 @@ router_transfer(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
         return call_body(self, args, nargs, kwnames);
 
     PyObject *now_o = p[0], *src = p[1], *dst = p[2], *cap_o = p[4];
-    PyObject *via = p[6];
+    PyObject *via = p[5];
     Fabric fabric;
     long v, end, mid = 0;
     PyObject *topo = PyObject_GetAttr(self, s_topology);
@@ -1463,8 +1462,7 @@ router_transfer(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
     m.nbytes = (double)m.size;
     if (!(cfg = PyObject_GetAttr(self, s_config)))
         goto done;
-    tmp = p[5] != Py_None ? Py_NewRef(p[5])
-                          : PyObject_GetAttr(cfg, s_nic_msg_gap);
+    tmp = PyObject_GetAttr(cfg, s_nic_msg_gap);
     if (!tmp || as_double(tmp, &m.min_occ) < 0 || as_double(now_o, &now) < 0)
         goto done;
     w.fan = c->fan;
@@ -1554,8 +1552,8 @@ done:
 }
 
 PyDoc_STRVAR(router_transfer_doc,
-"transfer($self, /, now, src, dst, nbytes, bandwidth_cap=None,\n"
-"         min_occupancy=None, via=None)\n--\n\n"
+"transfer($self, /, now, src, dst, nbytes, bandwidth_cap=None, via=None)\n"
+"--\n\n"
 "Route one message and reserve every link it crosses: the compiled lane\n"
 "of TorusNetwork._transfer_py (see there), which carries the call itself\n"
 "while any link is faulted.");

@@ -78,27 +78,3 @@ class GniJob:
     def PostBest(self, initiator_node: int, desc: PostDescriptor) -> float:
         """Size-aware FMA/BTE selection, the policy from paper §III.C."""
         return self.rdma.post_best(initiator_node, desc)
-
-    # -- convenience for protocol code ---------------------------------------------
-    def malloc_registered(
-        self,
-        node_id: int,
-        nbytes: int,
-        cq: Optional[CompletionQueue] = None,
-    ) -> tuple[MemoryBlock, MemHandle, float]:
-        """Allocate + register in one step; returns total cpu cost too.
-
-        This is precisely the ``Tmalloc + Tregister`` pair from Eq. 1 of
-        the paper — the per-message cost the memory pool eliminates.
-        """
-        node = self.machine.nodes[node_id]
-        block = node.memory.malloc(nbytes)
-        handle, reg_cost = self.MemRegister(block, cq=cq)
-        return block, handle, self.machine.config.t_malloc(nbytes) + reg_cost
-
-    def free_registered(self, block: MemoryBlock, handle: MemHandle) -> float:
-        """Deregister + free; returns cpu cost."""
-        cost = self.MemDeregister(handle)
-        node = self.machine.nodes[block.node_id]
-        node.memory.free(block)
-        return cost + self.machine.config.t_free(block.size)

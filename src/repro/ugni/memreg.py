@@ -125,7 +125,9 @@ class RegistrationTables(dict):
     """``node id -> RegistrationTable`` for one job, built on first touch.
 
     Indexing is the touch: a node that never registers memory and is
-    never the target of a transaction has no table.
+    never the target of a transaction has no table.  The job's one way to
+    make and unmake registered memory is :meth:`malloc_registered` /
+    :meth:`free_registered`.
     """
 
     __slots__ = ("_machine",)
@@ -140,3 +142,26 @@ class RegistrationTables(dict):
         table = self[node_id] = RegistrationTable(
             node_id, machine.config, sanitizer=machine.sanitizer)
         return table
+
+    def malloc_registered(
+        self, node_id: int, nbytes: int, why: Optional[str] = None,
+    ) -> tuple[MemoryBlock, MemHandle, float]:
+        """Allocate + register in one step: ``(block, handle, cpu)``.
+
+        ``cpu`` is precisely the ``Tmalloc + Tregister`` pair of the
+        paper's Eq. 1.  ``why`` marks the region long-lived with the
+        sanitizer (rooted: not a leak at quiescence).
+        """
+        machine = self._machine
+        block = machine.nodes[node_id].memory.malloc(nbytes)
+        handle, reg_cost = self[node_id].register(block)
+        if why is not None and machine.sanitizer is not None:
+            machine.sanitizer.root_region(handle, why)
+        return block, handle, machine.config.t_malloc(nbytes) + reg_cost
+
+    def free_registered(self, block: MemoryBlock, handle: MemHandle) -> float:
+        """Deregister + free a :meth:`malloc_registered` block; returns cpu."""
+        machine = self._machine
+        cost = self[handle.node_id].deregister(handle)
+        machine.nodes[block.node_id].memory.free(block)
+        return cost + machine.config.t_free(block.size)

@@ -57,15 +57,3 @@ def fmt_size(nbytes: int) -> str:
     if nbytes >= KB and nbytes % KB == 0:
         return f"{nbytes // KB}K"
     return str(nbytes)
-
-
-def parse_size(text: str) -> int:
-    """Inverse of :func:`fmt_size` (accepts ``"64K"``, ``"4M"``, ``"88"``)."""
-    text = text.strip().upper()
-    if text.endswith("M"):
-        return int(text[:-1]) * MB
-    if text.endswith("K"):
-        return int(text[:-1]) * KB
-    if text.endswith("B"):
-        return int(text[:-1])
-    return int(text)

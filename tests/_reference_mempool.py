@@ -226,7 +226,7 @@ class RefMemoryPool:
 
     # -- internals -------------------------------------------------------------
     def _add_arena(self, nbytes: int) -> float:
-        block, handle, cost = self.gni.malloc_registered(self.node_id, nbytes)
+        block, handle, cost = self.gni.registrations.malloc_registered(self.node_id, nbytes)
         self.arenas.append(_RefArena(block, handle))
         if self._san is not None:
             self._san.root_region(handle, f"pool-arena:{self.name}")
@@ -302,7 +302,7 @@ class RefMemoryPool:
         if arena.alloc.used == 0 and arena is not self.arenas[0]:
             # empty expansion arena: give the registration and memory back
             self.arenas.remove(arena)
-            cost += self.gni.free_registered(arena.block, arena.handle)
+            cost += self.gni.registrations.free_registered(arena.block, arena.handle)
             self.arenas_released += 1
         return cost
 
@@ -314,7 +314,7 @@ class RefMemoryPool:
             )
         cost = 0.0
         for arena in self.arenas:
-            cost += self.gni.free_registered(arena.block, arena.handle)
+            cost += self.gni.registrations.free_registered(arena.block, arena.handle)
         self.arenas.clear()
         return cost
 

@@ -1,4 +1,4 @@
-"""The layer registry: self-registration, lookup, config validation."""
+"""The layer table: lookup, config validation, layering."""
 
 import ast
 import pathlib
@@ -9,8 +9,7 @@ import repro.lrts
 
 from repro.errors import LrtsError
 from repro.hardware.config import MachineConfig
-from repro.lrts.factory import make_machine, make_runtime
-from repro.lrts.registry import available_layers, build_layer, register_layer
+from repro.lrts.factory import LAYERS, make_layer, make_machine, make_runtime
 from repro.lrts.rdma_layer import RdmaLayerConfig
 from repro.lrts.ugni_layer import UgniLayerConfig
 
@@ -41,29 +40,16 @@ class TestLayering:
 
 class TestRegistry:
     def test_shipped_layers_registered(self):
-        assert {"ugni", "mpi", "rdma"} <= set(available_layers())
+        assert sorted(LAYERS) == ["mpi", "rdma", "ugni"]
 
     def test_unknown_layer_lists_available(self):
         m = make_machine(n_nodes=2)
         with pytest.raises(LrtsError) as exc:
-            build_layer(m, "verbs")
+            make_layer(m, "verbs")
         msg = str(exc.value)
         assert "verbs" in msg
         for name in ("ugni", "mpi", "rdma"):
             assert name in msg
-
-    def test_third_party_registration(self):
-        calls = []
-        register_layer("test_dummy", lambda m, **kw: calls.append(kw) or
-                       build_layer(m, "mpi"))
-        try:
-            m = make_machine(n_nodes=2)
-            layer = build_layer(m, "test_dummy")
-            assert layer.name == "mpi"
-            assert calls
-        finally:
-            from repro.lrts import registry
-            registry._LAYERS.pop("test_dummy", None)
 
     def test_every_layer_builds_a_runtime(self):
         for name in ("ugni", "mpi", "rdma"):
@@ -83,17 +69,17 @@ class TestConfigValidation:
     def test_rdma_rejects_ugni_config(self):
         m = make_machine(n_nodes=2)
         with pytest.raises(LrtsError):
-            build_layer(m, "rdma", layer_config=UgniLayerConfig())
+            make_layer(m, "rdma", layer_config=UgniLayerConfig())
 
     def test_ugni_rejects_rdma_config(self):
         m = make_machine(n_nodes=2)
         with pytest.raises(LrtsError):
-            build_layer(m, "ugni", layer_config=RdmaLayerConfig())
+            make_layer(m, "ugni", layer_config=RdmaLayerConfig())
 
     def test_mpi_rejects_any_config(self):
         m = make_machine(n_nodes=2)
         with pytest.raises(LrtsError):
-            build_layer(m, "mpi", layer_config=RdmaLayerConfig())
+            make_layer(m, "mpi", layer_config=RdmaLayerConfig())
 
     def test_rdma_needs_dragonfly_or_torus_machine(self):
         """The layer runs on either geometry the machine can build."""

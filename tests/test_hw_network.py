@@ -11,6 +11,7 @@ from repro.hardware.link import Link
 from repro.hardware.nic import TransferKind
 from repro.hardware.router import TorusNetwork
 from repro.hardware.topology import Torus3D
+from repro.lrts.factory import make_machine
 from repro.units import KB, MB, us
 
 
@@ -233,7 +234,7 @@ class TestMachine:
             m.node_of_pe(8)
 
     def test_for_pes_rounds_up_to_whole_nodes(self):
-        m = Machine.for_pes(10, config=tiny_config(cores_per_node=4))
+        m = make_machine(n_pes=10, config=tiny_config(cores_per_node=4))
         assert m.n_nodes == 3
         assert m.n_pes == 12
 

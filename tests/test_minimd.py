@@ -5,15 +5,18 @@ import pytest
 
 from repro.apps.minimd import APOA1, DHFR, IAPP, Decomposition, MDSystem, run_minimd
 from repro.apps.minimd.system import SYSTEMS, WORK_SPLIT
-from repro.charm.loadbalancer import (
-    greedy_plan,
-    greedy_plan_comm,
-    greedy_plan_locality,
-    max_load,
-)
+from repro.charm.loadbalancer import greedy_plan, greedy_plan_comm
 from repro.hardware.config import tiny as tiny_config
 
 TINY = MDSystem("tiny", 4000, (2, 2, 2), 8, 0.002)
+
+
+def max_load(loads, plan, n_pes):
+    """Max per-PE load under a plan."""
+    per_pe = [0.0] * n_pes
+    for idx, load in loads.items():
+        per_pe[plan[idx]] += load
+    return max(per_pe)
 
 
 class TestSystems:
@@ -93,13 +96,15 @@ class TestLoadBalancer:
     def test_locality_preferred_when_affordable(self):
         loads = {i: 1.0 for i in range(8)}
         preferred = {i: [0, 1] for i in range(8)}
-        plan = greedy_plan_locality(loads, 8, preferred, tolerance=10.0)
+        plan = greedy_plan_comm(loads, 8, preferred, obj_groups={},
+                                tolerance=10.0)
         assert set(plan.values()) <= {0, 1}
 
     def test_locality_yields_to_balance(self):
         loads = {i: 1.0 for i in range(100)}
         preferred = {i: [0] for i in range(100)}
-        plan = greedy_plan_locality(loads, 10, preferred, tolerance=1.05)
+        plan = greedy_plan_comm(loads, 10, preferred, obj_groups={},
+                                tolerance=1.05)
         assert len(set(plan.values())) > 1  # spilled off the preferred PE
 
     def test_comm_aware_packs_groups(self):

@@ -47,7 +47,6 @@ SETTINGS = dict(max_examples=40, deadline=None,
 #: a ``TypeError`` on both lanes, below)
 _SIZES = [8, 64, 256, 1536, 4096, 256 * 1024]
 _CAPS = [None, 1.5e9, 6.0e9, 1.0e12]
-_MIN_OCC = [None, 0.0, 2.0e-7]
 #: the clock starts as the ``int`` 0 and stays one while steps are 0
 _DT = [0, 0, 1.0e-8, 5.0e-7, 2.0e-5]
 DIMS = (4, 4, 2)
@@ -70,7 +69,6 @@ def _ops(n_nodes, via=False):
     node = st.integers(0, n_nodes - 1)
     transfer = st.tuples(st.just("transfer"), st.sampled_from(_DT), node, node,
                          st.sampled_from(_SIZES), st.sampled_from(_CAPS),
-                         st.sampled_from(_MIN_OCC),
                          st.one_of(st.none(), node) if via else st.none())
     # a fault names a node and one of its outgoing links by index
     fault = st.tuples(st.sampled_from(["fail", "degrade", "restore"]), node,
@@ -111,10 +109,10 @@ def _link_state(net):
             for name, lk in _named(net)}
 
 
-def _ref_transfer_via(ref, now, src, via, dst, nbytes, cap, min_occ):
+def _ref_transfer_via(ref, now, src, via, dst, nbytes, cap):
     """``RefDragonflyNetwork.transfer``'s two-leg branch, for any oracle."""
     cfg = ref.config
-    min_occ = cfg.nic_msg_gap if min_occ is None else min_occ
+    min_occ = cfg.nic_msg_gap
     ref.messages_routed += 1
     _, t = ref.injection_port(src).reserve(now, nbytes, min_occ)
     depart = t
@@ -135,21 +133,20 @@ def _drive(lives, ref, ops):
     degraded = 0
     for op in ops:
         if op[0] == "transfer":
-            _, dt, a, b, nbytes, cap, min_occ, via = op
+            _, dt, a, b, nbytes, cap, via = op
             now += dt
             degraded += bool(ref._faulted)
             if via is None:
                 want = ref.transfer(now, coords[a], coords[b], nbytes,
-                                    bandwidth_cap=cap, min_occupancy=min_occ)
+                                    bandwidth_cap=cap)
                 extra = {}
             else:
                 want = _ref_transfer_via(ref, now, coords[a], coords[via],
-                                         coords[b], nbytes, cap, min_occ)
+                                         coords[b], nbytes, cap)
                 extra = {"via": coords[via]}
             for live in lives:
                 got = live.transfer(now, coords[a], coords[b], nbytes,
-                                    bandwidth_cap=cap, min_occupancy=min_occ,
-                                    **extra)
+                                    bandwidth_cap=cap, **extra)
                 assert (got.depart, got.head_arrival, got.arrival,
                         got.hops) == want
         elif op[0] == "heal":

@@ -91,17 +91,15 @@ class TestArgumentBinding:
     def test_every_spelling_of_one_call_agrees(self, make):
         a, b, mid = (0, 0, 0), (2, 3, 1), (1, 1, 0)
         spellings = [
-            lambda n: n.transfer(0.0, a, b, 4096, 1.5e9, 2e-7, mid),
+            lambda n: n.transfer(0.0, a, b, 4096, 1.5e9, mid),
             lambda n: n.transfer(0.0, a, b, 4096, bandwidth_cap=1.5e9,
-                                 min_occupancy=2e-7, via=mid),
-            lambda n: n.transfer(via=mid, min_occupancy=2e-7,
-                                 bandwidth_cap=1.5e9, nbytes=4096, dst=b,
-                                 src=a, now=0.0),
+                                 via=mid),
+            lambda n: n.transfer(via=mid, bandwidth_cap=1.5e9, nbytes=4096,
+                                 dst=b, src=a, now=0.0),
             # keyword names that are equal to the parameters' without
             # being the interned strings themselves
             lambda n: n.transfer(0.0, a, b, 4096, **{
                 "".join(["bandwidth", "_cap"]): 1.5e9,
-                "".join(["min_", "occupancy"]): 2e-7,
                 "".join(["v", "ia"]): mid}),
         ]
         results = [call(make()) for call in spellings]
@@ -494,8 +492,7 @@ class TestNothingLeaks:
                 for i in range(topo.volume):
                     src, dst = coords[i], coords[(7 * i + 3) % topo.volume]
                     net.transfer(now, src, dst, 256)
-                    net.transfer(now, dst, src, 4096, bandwidth_cap=1.5e9,
-                                 min_occupancy=2e-7)
+                    net.transfer(now, dst, src, 4096, bandwidth_cap=1.5e9)
                     net.transfer(now, src, dst, 64, via=coords[(i + 5) % 32])
                     fly.transfer(now, fly_coords[i % 30],
                                  fly_coords[-1 - i % 30], 256)

@@ -168,11 +168,32 @@ class TestMemRegistration:
 
     def test_malloc_registered_roundtrip(self):
         m, job = make_job()
-        blk, h, cost = job.malloc_registered(1, 16 * KB)
+        blk, h, cost = job.registrations.malloc_registered(1, 16 * KB)
         assert cost > m.config.t_register(16 * KB)  # includes malloc
         assert h.covers(blk.addr, 16 * KB)
-        job.free_registered(blk, h)
+        job.registrations.free_registered(blk, h)
         assert m.nodes[1].memory.used == 0
+
+    @pytest.mark.sanitize_violations
+    def test_malloc_registered_prices_eq1_and_roots(self):
+        """Exactly Eq. 1's ``Tmalloc + Tregister`` one way and
+        ``Tderegister + Tfree`` back; ``why`` roots the region, so a leak
+        check passes it, and a region made without one is a leak."""
+        cfg = tiny_config().replace(sanitize=True)
+        m = Machine(n_nodes=2, config=cfg)
+        tables = GniJob(m).registrations
+        nbytes = 16 * KB + 3
+        blk, h, cost = tables.malloc_registered(1, nbytes, "test.window")
+        assert cost == cfg.t_malloc(nbytes) + cfg.t_register(blk.size)
+        m.sanitizer.leak_check()
+        assert m.sanitizer.violations == []
+        bare, bare_h, _ = tables.malloc_registered(0, 64)
+        m.sanitizer.leak_check()
+        assert [v.kind for v in m.sanitizer.violations] == ["registration-leak"]
+        assert tables.free_registered(blk, h) == (
+            cfg.t_deregister(h.length) + cfg.t_free(blk.size))
+        tables.free_registered(bare, bare_h)
+        assert m.nodes[0].memory.used == m.nodes[1].memory.used == 0
 
 
 class TestSmsg:
