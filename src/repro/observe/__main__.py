@@ -69,7 +69,7 @@ def main(argv: list[str] | None = None) -> int:
     obs = observers[0]
     print(headline)
     print(f"traced {obs.tracer.minted()} messages, "
-          f"{len(obs.tracer.delivered_spans())} delivered spans, "
+          f"{obs.tracer.delivered()} delivered spans, "
           f"{len(obs.flight.dumps)} flight dump(s)")
 
     if args.trace:

@@ -28,12 +28,13 @@ timeline and passes each interval on to the run's
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
+from array import array
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional
 
 from repro._env import env_flag
 from repro.observe.flight import FlightRecorder
 from repro.observe.registry import MetricsRegistry
-from repro.observe.tracer import MessageTracer
+from repro.observe.tracer import DELIVER, EXEC, SEND, MessageTracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hardware.machine import Machine
@@ -110,8 +111,14 @@ class Observer:
         self.metrics = MetricsRegistry()
         self.tracer = MessageTracer()
         self.flight = FlightRecorder()
-        #: pe rank -> [(start, duration, kind), ...] busy/idle intervals
-        self.timeline: dict[int, list[tuple[float, float, str]]] = {}
+        # the PE timeline, one row an interval: rank, start, duration and
+        # kind (an index into ``_kinds``)
+        self._tl_rank = array("i")
+        self._tl_start = array("d")
+        self._tl_duration = array("d")
+        self._tl_kind = array("b")
+        self._kinds: list[str] = []
+        self._kind_code: dict[str, int] = {}
         #: the caller's sink for the same stream, set by ``ConverseRuntime``
         self.profile: Optional[Any] = None
         _REGISTRY.append(self)
@@ -208,30 +215,25 @@ class Observer:
         """Mint a trace ID at the Converse send (the causal root)."""
         tid = self.tracer.mint(src_pe, msg.dst_pe, msg.nbytes)
         msg.trace_id = tid
-        self.tracer.stage(tid, "send", time, where=f"pe{src_pe}")
+        self.tracer.pe_stage(tid, SEND, time, src_pe)
         self.metrics.inc("msg/sent")
         self.metrics.inc("msg/bytes_sent", msg.nbytes)
 
     def on_deliver(self, msg: Any, rank: int, time: float) -> None:
         tid = msg.trace_id
-        self.tracer.stage(tid, "deliver", time, where=f"pe{rank}")
+        tracer = self.tracer
+        tracer.pe_stage(tid, DELIVER, time, rank)
         self.metrics.inc("msg/delivered")
-        span = self.tracer.span(tid)
-        if span is None:
-            return
-        for st in span.stages:
-            if st.stage == "send":
-                self.metrics.observe("msg/latency", time, time - st.time)
-                break
-        for st in span.stages:
-            if st.stage == "lrts" and st.detail == "rendezvous":
-                self.metrics.inc("rndv/roundtrips")
-                self.metrics.observe("rndv/roundtrip_time", time,
-                                     time - st.time)
-                break
+        sent = tracer.first_send(tid)
+        if sent is not None:
+            self.metrics.observe("msg/latency", time, time - sent)
+        rndv = tracer.first_rendezvous(tid)
+        if rndv is not None:
+            self.metrics.inc("rndv/roundtrips")
+            self.metrics.observe("rndv/roundtrip_time", time, time - rndv)
 
     def on_exec(self, msg: Any, rank: int, time: float) -> None:
-        self.tracer.stage(msg.trace_id, "exec", time, where=f"pe{rank}")
+        self.tracer.pe_stage(msg.trace_id, EXEC, time, rank)
         self.metrics.inc("msg/executed")
 
     # -- LRTS-layer hooks --------------------------------------------------
@@ -321,11 +323,46 @@ class Observer:
     # -- the scheduler's interval hook -------------------------------------
     def record(self, pe_rank: int, start: float, duration: float,
                kind: str) -> None:
-        self.timeline.setdefault(pe_rank, []).append((start, duration, kind))
+        code = self._kind_code.get(kind)
+        if code is None:
+            code = self._kind_code[kind] = len(self._kinds)
+            self._kinds.append(kind)
+        self._tl_rank.append(pe_rank)
+        self._tl_start.append(start)
+        self._tl_duration.append(duration)
+        self._tl_kind.append(code)
         if self.profile is not None:
             self.profile.record(pe_rank, start, duration, kind)
 
+    def intervals(self) -> Iterator[tuple[int, float, float, str]]:
+        """``(rank, start, duration, kind)`` per recorded interval, in
+        record order."""
+        kinds = self._kinds
+        return zip(self._tl_rank, self._tl_start, self._tl_duration,
+                   (kinds[code] for code in self._tl_kind))
+
+    @property
+    def timeline(self) -> dict[int, list[tuple[float, float, str]]]:
+        """pe rank -> [(start, duration, kind), ...] busy/idle intervals,
+        ranks in the order they first recorded (a view built on read)."""
+        out: dict[int, list[tuple[float, float, str]]] = {}
+        for rank, start, duration, kind in self.intervals():
+            out.setdefault(rank, []).append((start, duration, kind))
+        return out
+
     # -- introspection -----------------------------------------------------
+    def footprint(self) -> dict[str, int]:
+        """What the record holds: retained spans, stage and timeline rows,
+        evicted spans, and the bytes of every column (simulator
+        self-metrics, never in a snapshot or a digest)."""
+        held = self.tracer.footprint()
+        timeline = (self._tl_rank, self._tl_start, self._tl_duration,
+                    self._tl_kind)
+        held["timeline_rows"] = len(self._tl_rank)
+        held["column_bytes"] += sum(len(col) * col.itemsize
+                                    for col in timeline)
+        return held
+
     def snapshot(self) -> dict[str, Any]:
         return self.metrics.snapshot()
 
@@ -335,4 +372,4 @@ class Observer:
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<Observer machine={self.machine!r} "
                 f"metrics={len(self.metrics)} "
-                f"spans={len(self.tracer.spans)}>")
+                f"spans={self.tracer.footprint()['spans']}>")

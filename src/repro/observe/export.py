@@ -26,35 +26,32 @@ _US = 1e6
 def chrome_trace(observer: Observer) -> dict[str, Any]:
     """Render one observer as a Chrome trace-event JSON object."""
     events: list[dict[str, Any]] = []
-    for rank in sorted(observer.timeline):
+    timeline = observer.timeline
+    for rank in sorted(timeline):
         events.append({
             "name": "thread_name", "ph": "M", "pid": 0, "tid": rank,
             "args": {"name": f"PE {rank}"},
         })
-        for start, duration, kind in observer.timeline[rank]:
+        for start, duration, kind in timeline[rank]:
             events.append({
                 "name": kind, "cat": "pe", "ph": "X", "pid": 0, "tid": rank,
                 "ts": start * _US, "dur": duration * _US,
             })
-    for tid in sorted(observer.tracer.spans):
-        span = observer.tracer.spans[tid]
-        if not span.stages:
+    for tid, src_pe, dst_pe, nbytes, stages in observer.tracer.records():
+        if not stages:
             continue
-        first, last = span.stages[0], span.stages[-1]
-        name = f"msg {span.src_pe}->{span.dst_pe} ({span.nbytes}B)"
+        first, last = stages[0], stages[-1]
+        name = f"msg {src_pe}->{dst_pe} ({nbytes}B)"
         common = {"cat": "msg", "id": tid, "pid": 0, "name": name}
-        events.append({**common, "ph": "b", "tid": span.src_pe,
-                       "ts": first.time * _US,
-                       "args": {"stage": first.stage}})
-        for st in span.stages[1:-1]:
-            events.append({**common, "ph": "n", "tid": span.src_pe,
-                           "ts": st.time * _US,
-                           "args": {"stage": st.stage,
-                                    "detail": st.detail,
-                                    "where": str(st.where)}})
-        events.append({**common, "ph": "e", "tid": span.dst_pe,
-                       "ts": last.time * _US,
-                       "args": {"stage": last.stage}})
+        events.append({**common, "ph": "b", "tid": src_pe,
+                       "ts": first[1] * _US, "args": {"stage": first[0]}})
+        for stage, time, where, detail in stages[1:-1]:
+            events.append({**common, "ph": "n", "tid": src_pe,
+                           "ts": time * _US,
+                           "args": {"stage": stage, "detail": detail,
+                                    "where": str(where)}})
+        events.append({**common, "ph": "e", "tid": dst_pe,
+                       "ts": last[1] * _US, "args": {"stage": last[0]}})
     return {"traceEvents": events, "displayTimeUnit": "ns"}
 
 
@@ -66,11 +63,9 @@ def write_chrome_trace(observer: Observer, path: str) -> None:
 def pe_utilization(observer: Observer) -> dict[int, dict[str, float]]:
     """Per-PE seconds spent in each activity kind."""
     out: dict[int, dict[str, float]] = {}
-    for rank, intervals in observer.timeline.items():
-        by_kind: dict[str, float] = {}
-        for _start, duration, kind in intervals:
-            by_kind[kind] = by_kind.get(kind, 0.0) + duration
-        out[rank] = by_kind
+    for rank, _start, duration, kind in observer.intervals():
+        by_kind = out.setdefault(rank, {})
+        by_kind[kind] = by_kind.get(kind, 0.0) + duration
     return out
 
 

@@ -31,14 +31,15 @@ def self_metrics(machine: "Machine",
     bound on :class:`TorusNetwork` and nothing on the instance shadows
     it) and why not, if the core failed to build; ``first_touch`` counts
     the lazily built objects that exist — the network's, plus the machine
-    layer's when ``lrts`` is given.
+    layer's when ``lrts`` is given; ``observer``, when the machine has one,
+    is :meth:`Observer.footprint` — what its trace record holds.
     """
     engine = machine.engine
     net = machine.network
     first_touch = net.first_touch()
     if lrts is not None:
         first_touch.update(lrts.first_touch())
-    return {
+    metrics = {
         "route": net.route_stats(),
         "collector": engine.collector_stats(),
         "c_core": {"bound": engine._core is not None,
@@ -48,6 +49,9 @@ def self_metrics(machine: "Machine",
                    "build_error": _speed.build_error},
         "first_touch": first_touch,
     }
+    if machine.observer is not None:
+        metrics["observer"] = machine.observer.footprint()
+    return metrics
 
 
 def lane_report() -> str:

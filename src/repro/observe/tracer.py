@@ -2,10 +2,10 @@
 
 A trace ID is minted when :meth:`~repro.converse.scheduler.ConverseRuntime.send`
 accepts a message and rides on ``Message.trace_id`` through every layer the
-message crosses.  Each layer appends a :class:`Stage` — the same per-path
+message crosses.  Each layer appends a stage row — the same per-path
 breakdown Projections gives Charm++ (paper §V's time profiles), but causal:
-every record belongs to exactly one message, so "where did message 412
-spend its time" is a dictionary lookup, not a correlation exercise.
+every row belongs to exactly one message, so "where did message 412 spend
+its time" is a lookup, not a correlation exercise.
 
 Canonical stage names, in causal order (not every message crosses every
 stage — an intranode send skips the fabric entirely):
@@ -19,17 +19,32 @@ stage — an intranode send skips the fabric entirely):
 
 Retransmissions legitimately repeat ``tx``/``arrive``; timestamps stay
 monotone non-decreasing because every layer stamps simulated time.
+
+The record is typed columns, not objects: a span is one row of
+``array`` columns (source, destination, bytes) at ``trace_id - base - 1``,
+a stage is one row of (trace ID, stage code, time, where, detail), with
+``where`` and ``detail`` indexes into one intern table — or, for a stage a
+PE stamps (``send``/``deliver``/``exec``), ``-1 - rank``, rendered
+``pe{rank}`` only when read.  :class:`Span` and :class:`Stage` are views
+built on read.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from itertools import accumulate
+from typing import Any, Iterator, Optional
+
+#: stage codes a stage row stores; names a caller adds are appended
+STAGES = ("send", "lrts", "tx", "arrive", "deliver", "exec", "gpu")
+SEND, LRTS, TX, ARRIVE, DELIVER, EXEC, GPU = range(len(STAGES))
+_NAN = float("nan")
 
 
 @dataclass(frozen=True)
 class Stage:
-    """One protocol stage a traced message crossed."""
+    """One protocol stage a traced message crossed (a read view)."""
 
     stage: str
     time: float
@@ -39,7 +54,7 @@ class Stage:
 
 @dataclass
 class Span:
-    """The full causal record of one traced message."""
+    """The full causal record of one traced message (a read view)."""
 
     trace_id: int
     src_pe: int
@@ -60,36 +75,133 @@ class Span:
 
 
 class MessageTracer:
-    """Mints trace IDs and accumulates per-message stage records.
+    """Mints trace IDs and accumulates per-message stage rows.
 
     IDs are a plain counter (deterministic: minting happens in simulated
     event order).  ``capacity`` bounds the number of *retained* spans —
-    the oldest completed spans are evicted first — so long campaigns can
-    trace with bounded memory; ``None`` keeps everything.
+    the oldest *minted* span is evicted first, complete or not — so long
+    campaigns can trace with bounded memory; ``None`` keeps everything.
+    Eviction raises a low-water mark on trace IDs; once ``capacity`` IDs
+    lie below it, the dead prefix of the span columns and the stage rows
+    of evicted spans are compacted away.
     """
 
     def __init__(self, capacity: Optional[int] = None):
-        self._next_id = 0
-        self.spans: dict[int, Span] = {}
         self.capacity = capacity
         self.evicted = 0
+        self._next_id = 0
+        #: IDs at or below ``_low`` are gone (evicted, or skipped by
+        #: :meth:`fast_forward`); span row 0 is trace ID ``_base + 1``
+        self._low = 0
+        self._base = 0
+        self._retained = 0
+        # span columns (a source PE of -1 marks an ID never minted)
+        self._src = array("i")
+        self._dst = array("i")
+        self._nbytes = array("q")
+        #: first ``send`` time, first ``lrts``/``rendezvous`` time (NaN: none)
+        self._sent_at = array("d")
+        self._rndv_at = array("d")
+        # stage rows
+        self._tid = array("q")
+        self._code = array("b")
+        self._time = array("d")
+        self._where = array("i")
+        self._detail = array("i")
+        self._stage_names = list(STAGES)
+        self._stage_code = {name: code for code, name in enumerate(STAGES)}
+        #: the intern table of ``where`` / ``detail`` values (0 is None)
+        self._names: list[Any] = [None]
+        self._name_index: dict[Any, int] = {None: 0}
+        self._grouped: Optional[tuple] = None
+
+    def _span_columns(self) -> tuple[array, ...]:
+        return (self._src, self._dst, self._nbytes, self._sent_at,
+                self._rndv_at)
+
+    def _stage_columns(self) -> tuple[array, ...]:
+        return (self._tid, self._code, self._time, self._where, self._detail)
 
     def mint(self, src_pe: int, dst_pe: int, nbytes: int) -> int:
-        self._next_id += 1
-        tid = self._next_id
-        self.spans[tid] = Span(tid, src_pe, dst_pe, nbytes)
-        if self.capacity is not None and len(self.spans) > self.capacity:
-            oldest = next(iter(self.spans))
-            del self.spans[oldest]
-            self.evicted += 1
+        self._next_id = tid = self._next_id + 1
+        self._src.append(src_pe)
+        self._dst.append(dst_pe)
+        self._nbytes.append(nbytes)
+        self._sent_at.append(_NAN)
+        self._rndv_at.append(_NAN)
+        self._retained += 1
+        if self.capacity is not None and self._retained > self.capacity:
+            self._evict_oldest()
         return tid
+
+    def _evict_oldest(self) -> None:
+        src = self._src
+        self._low += 1
+        while src[self._low - self._base - 1] < 0:
+            self._low += 1
+        self._retained -= 1
+        self.evicted += 1
+        if self._low - self._base >= self.capacity:
+            self._compact()
+
+    def _compact(self) -> None:
+        """Drop the span rows below the low-water mark and every stage row
+        of a span there."""
+        dead, low = self._low - self._base, self._low
+        for col in self._span_columns():
+            del col[:dead]
+        self._base = low
+        keep = [row for row, tid in enumerate(self._tid) if tid > low]
+        if len(keep) < len(self._tid):
+            for col in self._stage_columns():
+                col[:] = array(col.typecode, [col[row] for row in keep])
 
     def stage(self, trace_id: int, stage: str, time: float,
               where: Any = None, detail: Optional[str] = None) -> None:
-        span = self.spans.get(trace_id)
-        if span is None:
+        if trace_id is None or not self._low < trace_id <= self._next_id:
             return  # evicted, or minted before this tracer existed
-        span.stages.append(Stage(stage, time, where, detail))
+        row = trace_id - self._base - 1
+        if self._src[row] < 0:
+            return  # skipped by fast_forward: never minted
+        code = self._stage_code.get(stage)
+        if code is None:
+            code = self._stage_code[stage] = len(self._stage_names)
+            self._stage_names.append(stage)
+        if code == SEND:
+            if self._sent_at[row] != self._sent_at[row]:
+                self._sent_at[row] = time
+        elif (code == LRTS and detail == "rendezvous"
+              and self._rndv_at[row] != self._rndv_at[row]):
+            self._rndv_at[row] = time
+        self._tid.append(trace_id)
+        self._code.append(code)
+        self._time.append(time)
+        self._where.append(self._intern(where))
+        self._detail.append(self._intern(detail))
+
+    def pe_stage(self, trace_id: int, code: int, time: float,
+                 rank: int) -> None:
+        """A stage a PE stamps (``SEND``/``DELIVER``/``EXEC``): the row
+        keeps the rank, and reads render it ``pe{rank}``."""
+        if not self._low < trace_id <= self._next_id:
+            return
+        row = trace_id - self._base - 1
+        if self._src[row] < 0:
+            return
+        if code == SEND and self._sent_at[row] != self._sent_at[row]:
+            self._sent_at[row] = time
+        self._tid.append(trace_id)
+        self._code.append(code)
+        self._time.append(time)
+        self._where.append(-1 - rank)
+        self._detail.append(0)
+
+    def _intern(self, value: Any) -> int:
+        index = self._name_index.get(value)
+        if index is None:
+            index = self._name_index[value] = len(self._names)
+            self._names.append(value)
+        return index
 
     def fast_forward(self, next_id: int) -> None:
         """Never mint IDs at or below ``next_id`` (checkpoint restore).
@@ -98,17 +210,118 @@ class MessageTracer:
         the checkpointed counter keeps trace IDs globally unique across
         the crash/restore boundary and — because the restore path is
         deterministic — identical for identical (config, seed, schedule).
+        The skipped IDs hold no span: with none retained the columns
+        restart at ``next_id``, otherwise they are padded with unminted
+        rows.
         """
-        if next_id > self._next_id:
-            self._next_id = next_id
+        if next_id <= self._next_id:
+            return
+        if self._retained == 0:
+            self._compact_all(next_id)
+        else:
+            gap = next_id - self._next_id
+            self._src.extend(array("i", [-1]) * gap)
+            self._dst.extend(array("i", [-1]) * gap)
+            self._nbytes.extend(array("q", [0]) * gap)
+            self._sent_at.extend(array("d", [_NAN]) * gap)
+            self._rndv_at.extend(array("d", [_NAN]) * gap)
+        self._next_id = next_id
+
+    def _compact_all(self, low: int) -> None:
+        for col in self._span_columns() + self._stage_columns():
+            del col[:]
+        self._low = self._base = low
 
     # -- queries -----------------------------------------------------------
     def minted(self) -> int:
         return self._next_id
 
+    def footprint(self) -> dict[str, int]:
+        """Retained spans, stage rows held, evictions, column bytes."""
+        return {
+            "spans": self._retained,
+            "stage_rows": len(self._tid),
+            "evicted": self.evicted,
+            "column_bytes": sum(len(col) * col.itemsize
+                                for col in self._span_columns()
+                                + self._stage_columns()),
+        }
+
+    def first_send(self, trace_id: int) -> Optional[float]:
+        """Time of the span's first ``send`` stage (None: none, or gone)."""
+        return self._first(self._sent_at, trace_id)
+
+    def first_rendezvous(self, trace_id: int) -> Optional[float]:
+        """Time of the span's first ``lrts`` stage with detail
+        ``rendezvous`` (None: none, or gone)."""
+        return self._first(self._rndv_at, trace_id)
+
+    def _first(self, col: array, trace_id: Optional[int]) -> Optional[float]:
+        if trace_id is None or not self._low < trace_id <= self._next_id:
+            return None
+        time = col[trace_id - self._base - 1]
+        return None if time != time else time
+
+    def _groups(self) -> tuple[list[int], list[int]]:
+        """Stage rows of the retained spans in trace-ID order, each span's
+        in append order, and where each span's run starts: span row ``s``
+        owns ``order[starts[s]:starts[s + 1]]``.  Cached until a write."""
+        key = (len(self._tid), len(self._src), self._base, self._low)
+        if self._grouped is None or self._grouped[0] != key:
+            low, tids = self._low, self._tid
+            order = [row for row, tid in enumerate(tids) if tid > low]
+            order.sort(key=tids.__getitem__)
+            counts = [0] * (len(self._src) + 1)
+            base = self._base
+            for row in order:
+                counts[tids[row] - base] += 1
+            self._grouped = (key, order, list(accumulate(counts)))
+        return self._grouped[1], self._grouped[2]
+
+    def _render(self, row: int) -> tuple[str, float, Any, Any]:
+        where = self._where[row]
+        return (self._stage_names[self._code[row]], self._time[row],
+                self._names[where] if where >= 0 else f"pe{-1 - where}",
+                self._names[self._detail[row]])
+
+    def records(self) -> Iterator[tuple[int, int, int, int, list[tuple]]]:
+        """``(trace_id, src_pe, dst_pe, nbytes, stages)`` per retained span
+        in trace-ID order, ``stages`` as ``(stage, time, where, detail)``
+        tuples in the order they were stamped: what the exporters read."""
+        order, starts = self._groups()
+        base, src = self._base, self._src
+        for row in range(self._low - base, len(src)):
+            if src[row] < 0:
+                continue
+            yield (base + row + 1, src[row], self._dst[row],
+                   self._nbytes[row],
+                   [self._render(r)
+                    for r in order[starts[row]:starts[row + 1]]])
+
+    @property
+    def spans(self) -> dict[int, Span]:
+        """Every retained span by trace ID (views built on read)."""
+        return {tid: Span(tid, src, dst, nbytes, [Stage(*s) for s in stages])
+                for tid, src, dst, nbytes, stages in self.records()}
+
+    def delivered(self) -> int:
+        """How many retained spans ran a handler (``exec`` stage)."""
+        low = self._low
+        return len({tid for tid, code in zip(self._tid, self._code)
+                    if code == EXEC and tid > low})
+
     def delivered_spans(self) -> list[Span]:
         """Spans whose message actually ran a handler (``exec`` stage)."""
         return [s for s in self.spans.values() if s.has("exec")]
 
-    def span(self, trace_id: int) -> Optional[Span]:
-        return self.spans.get(trace_id)
+    def span(self, trace_id: Optional[int]) -> Optional[Span]:
+        if trace_id is None or not self._low < trace_id <= self._next_id:
+            return None
+        row = trace_id - self._base - 1
+        if self._src[row] < 0:
+            return None
+        order, starts = self._groups()
+        return Span(trace_id, self._src[row], self._dst[row],
+                    self._nbytes[row],
+                    [Stage(*self._render(r))
+                     for r in order[starts[row]:starts[row + 1]]])

@@ -245,6 +245,35 @@ def test_cold_link_and_connection_bytes(held_runtimes, monkeypatch):
         f"(budget {SMSG_BYTES_PER_CONNECTION})")
 
 
+#: one observed 64-PE ``kneighbor(256, k=4, iters=4, warmup=1)`` (5,184
+#: traced messages), runtime held: the bytes tracemalloc sees the whole run
+#: hold per traced message — 1,564 B (1,491 B pure; 1,551 B over
+#: ``knb_observed``'s 23,616) with a ``Span``, ``Stage`` objects and
+#: interval tuples per message, 315 B (316 B pure) as typed columns
+OBSERVED_ITERS, OBSERVED_WARMUP = 4, 1
+OBSERVER_BYTES_PER_MESSAGE = 322
+
+
+def test_observer_bytes_per_traced_message(held_runtimes, monkeypatch):
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kneighbor(256, k=K, n_cores=N_CORES, iters=OBSERVED_ITERS,
+                  warmup=OBSERVED_WARMUP, config=MachineConfig(observe=True))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    traced = held_runtimes[0][0].machine.observer.tracer.minted()
+    assert traced >= N_CORES * 2 * K * 2 * (OBSERVED_ITERS + OBSERVED_WARMUP)
+    per_msg = held / traced
+    assert per_msg <= OBSERVER_BYTES_PER_MESSAGE, (
+        f"{per_msg:.0f} bytes held per traced message "
+        f"(budget {OBSERVER_BYTES_PER_MESSAGE}): the trace record grew")
+
+
 def test_call_count_repeats_exactly():
     _, _, first = _repro_calls(_run, iters=2, warmup=1)
     _, _, second = _repro_calls(_run, iters=2, warmup=1)

@@ -56,6 +56,28 @@ def observed_kneighbor(layer="ugni", size=4 * KB, iters=5, engine=None,
     return result, observe.active_observers()[0]
 
 
+def chaos_run():
+    """Lossy fabric + software reliability, observed: 20 senders on PE 0
+    each send one message to PE 2 with 30 % of SMSGs dropped.  Returns
+    (machine, messages the handler got)."""
+    observe.clear_registry()
+    cfg = tiny_config(cores_per_node=2)
+    cfg = cfg.replace(observe=True)
+    m = Machine(n_nodes=4, config=cfg, seed=3)
+    conv, layer = make_runtime(
+        machine=m, n_pes=m.n_pes, layer="ugni",
+        layer_config=UgniLayerConfig(**FAST),
+        faults=FaultConfig(smsg_drop_rate=0.3))
+    got = []
+    h = conv.register_handler(lambda pe, msg: got.append(msg))
+    sender = conv.register_handler(
+        lambda pe, msg: conv.send(pe, 2, Message(h, pe.rank, 2, 64)))
+    for _ in range(20):
+        conv.send_from_outside(0, Message(sender, 0, 0, 0))
+    m.engine.run(max_events=1_000_000)
+    return m, got
+
+
 # --------------------------------------------------------------------- #
 # installation (mirrors the sanitizer's opt-in matrix)
 # --------------------------------------------------------------------- #
@@ -168,21 +190,7 @@ class TestCausalTracing:
     def test_tracing_survives_chaos(self):
         """Lossy fabric + software reliability: retransmissions repeat
         ``tx`` but every *delivered* span stays complete and monotone."""
-        observe.clear_registry()
-        cfg = tiny_config(cores_per_node=2)
-        cfg = cfg.replace(observe=True)
-        m = Machine(n_nodes=4, config=cfg, seed=3)
-        conv, layer = make_runtime(
-            machine=m, n_pes=m.n_pes, layer="ugni",
-            layer_config=UgniLayerConfig(**FAST),
-            faults=FaultConfig(smsg_drop_rate=0.3))
-        got = []
-        h = conv.register_handler(lambda pe, msg: got.append(msg))
-        sender = conv.register_handler(
-            lambda pe, msg: conv.send(pe, 2, Message(h, pe.rank, 2, 64)))
-        for _ in range(20):
-            conv.send_from_outside(0, Message(sender, 0, 0, 0))
-        m.engine.run(max_events=1_000_000)
+        m, got = chaos_run()
         obs = m.observer
         assert got, "reliability should deliver most messages"
         delivered = obs.tracer.delivered_spans()
@@ -204,6 +212,36 @@ class TestCausalTracing:
         assert tracer.minted() == 5
         tracer.stage(1, "send", 0.0)  # evicted: silently ignored
         assert tracer.span(1) is None
+
+    def test_capacity_evicts_oldest_minted_complete_or_not(self):
+        tracer = MessageTracer(capacity=2)
+        old = tracer.mint(0, 1, 64)
+        tracer.stage(old, "send", 0.0)  # never delivered
+        done = tracer.mint(1, 0, 64)
+        for i, stage in enumerate(("send", "deliver", "exec")):
+            tracer.stage(done, stage, float(i))
+        tracer.mint(0, 1, 64)
+        assert tracer.span(old) is None
+        assert tracer.span(done).has("exec")
+        assert tracer.evicted == 1
+
+    def test_capacity_bounds_rows(self):
+        """100,000 mints at capacity 64 hold O(capacity) rows: evicted
+        spans and their stage rows are compacted away."""
+        capacity = 64
+        tracer = MessageTracer(capacity=capacity)
+        for _ in range(100_000):
+            tid = tracer.mint(0, 1, 64)
+            tracer.stage(tid, "send", 0.0, where="pe0")
+            tracer.stage(tid, "tx", 1.0, where="smsg[0->1]", detail="smsg")
+        held = tracer.footprint()
+        assert held["spans"] == capacity
+        assert held["evicted"] == 100_000 - capacity
+        assert held["stage_rows"] <= 2 * 2 * capacity
+        # five columns a span row, five a stage row: at most 2 * capacity
+        # spans' worth of either
+        assert held["column_bytes"] <= 2 * capacity * (32 + 2 * 25)
+        assert len(tracer.spans) == capacity
 
 
 # --------------------------------------------------------------------- #
@@ -247,6 +285,12 @@ class TestMetricsDeterminism:
         assert touched["inject_ports"] == touched["eject_ports"] == 3
         assert touched == {**observe.self_metrics(machine)["first_touch"],
                            **lrts.first_touch()}
+        held = sm["observer"]
+        assert held == machine.observer.footprint()
+        assert held["spans"] == machine.observer.tracer.minted() > 0
+        assert held["stage_rows"] > held["spans"]
+        assert held["timeline_rows"] > 0 and held["evicted"] == 0
+        assert held["column_bytes"] > 0
         if layer == "ugni":
             # 4 KB kNeighbor on 3 cores: every PE receives, rendezvous
             # pools and post CQs on every PE, tables where they registered
