@@ -12,6 +12,7 @@ from repro.hardware.config import MachineConfig
 from repro.hardware.machine import Machine
 from repro.hardware.nic import TransferKind
 from repro.ugni.api import GniJob
+from repro.ugni.cq import CompletionQueue
 from repro.ugni.rdma import PostDescriptor
 from repro.ugni.types import PostType
 
@@ -43,7 +44,7 @@ def fma_bte_latency(kind: str, size: int,
             on_remote_data=done.append, at=0.0)
     else:
         # latency = data landing locally (local CQ event)
-        cq = gni.CqCreate()
+        cq = CompletionQueue(m.engine)
         desc = PostDescriptor(post_type, local_mem=h0, remote_mem=h1,
                               length=size, src_cq=cq)
         cq.on_event = lambda q: done.append(q.get_event().time)

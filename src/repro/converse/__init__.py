@@ -9,7 +9,7 @@ Charm++ (paper Fig. 3).  It owns:
   which is exactly the decomposition the paper's Projections profiles
   (Fig. 12) show;
 * handler registration and the Cmi send API
-  (:mod:`repro.converse.cmi`);
+  (:class:`~repro.converse.scheduler.ConverseRuntime`);
 * spanning-tree collectives shared by all machine layers
   (:mod:`repro.converse.collectives`);
 * quiescence detection (:mod:`repro.converse.quiescence`) used by

@@ -8,9 +8,9 @@ function that runs *logically* over a span of simulated time: when it
 starts, the PE's virtual clock (:attr:`PE.vtime`) equals the engine time;
 every cost the handler incurs — application work via :meth:`PE.charge`,
 runtime costs charged by the layers — advances ``vtime``; anything the
-handler hands to the hardware is released at the then-current ``vtime`` via
-:meth:`PE.call_at_vtime`, so causality holds without slicing handlers into
-callbacks.
+handler hands to the hardware is released at the then-current ``vtime``
+(the ``at=`` argument of every fabric call), so causality holds without
+slicing handlers into callbacks.
 
 Accounting
 ----------
@@ -143,14 +143,6 @@ class PE:
         tracer = self._tracer
         if tracer is not None:
             tracer.record(self.rank, start, dt, kind)
-
-    def call_at_vtime(self, fn: Callable, *args: Any) -> None:
-        """Run ``fn`` when real simulated time reaches this PE's vtime.
-
-        Machine layers use this to hand work to the hardware at the moment
-        the executing handler logically reaches that point.
-        """
-        self.engine.post_at(self.vtime, fn, *args)
 
     @property
     def now(self) -> float:

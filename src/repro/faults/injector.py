@@ -27,6 +27,12 @@ from repro.errors import SimulationError
 from repro.hardware.machine import Machine
 from repro.hardware.topology import Coord
 
+#: how long a stalled SMSG sits in the fabric before delivery
+SMSG_STALL_DURATION = 20e-6
+#: fraction of the payload that occupies the wire before a failed post's
+#: error completion is generated (bandwidth really burned)
+RDMA_ERROR_PROGRESS = 0.5
+
 
 @dataclass(frozen=True)
 class FaultConfig:
@@ -36,28 +42,14 @@ class FaultConfig:
     smsg_drop_rate: float = 0.0
     #: probability an SMSG delivery is stalled (credit held, arrival late)
     smsg_stall_rate: float = 0.0
-    #: how long a stalled SMSG sits in the fabric before delivery
-    smsg_stall_duration: float = 20e-6
     #: probability an inter-node FMA/BTE post dies with a transaction error
     rdma_error_rate: float = 0.0
-    #: fraction of the payload that occupies the wire before a failed
-    #: post's error completion is generated (bandwidth really burned)
-    rdma_error_progress: float = 0.5
 
     def __post_init__(self) -> None:
-        for name in ("smsg_drop_rate", "smsg_stall_rate", "rdma_error_rate",
-                     "rdma_error_progress"):
+        for name in ("smsg_drop_rate", "smsg_stall_rate", "rdma_error_rate"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise SimulationError(f"{name} must be in [0, 1], got {v}")
-        if self.smsg_stall_duration <= 0:
-            raise SimulationError(
-                f"smsg_stall_duration must be positive, got {self.smsg_stall_duration}")
-
-    @property
-    def any_nonzero(self) -> bool:
-        return (self.smsg_drop_rate > 0 or self.smsg_stall_rate > 0
-                or self.rdma_error_rate > 0)
 
 
 @dataclass(frozen=True)
@@ -203,8 +195,8 @@ class FaultInjector:
         if rate > 0.0 and self.rng.random() < rate:
             self.smsg_stalled += 1
             self._emit("smsg_stall", where=(src_pe, dst_pe),
-                       duration=self.config.smsg_stall_duration)
-            return self.config.smsg_stall_duration
+                       duration=SMSG_STALL_DURATION)
+            return SMSG_STALL_DURATION
         return 0.0
 
     def rdma_fails(self, initiator_node: int, peer_node: int) -> bool:

@@ -13,7 +13,7 @@ from repro.hardware.topology import Coord
 class Node:
     """One XE6 compute node (2× 12-core Magny-Cours on Hopper).
 
-    ``memory``, ``facilities`` and ``gpus`` are built by the first read
+    ``memory`` and ``gpus`` are built by the first read
     and are plain attributes from then on: a node nobody allocates on
     keeps no allocator.
     """
@@ -41,12 +41,6 @@ class Node:
     @cached_property
     def memory(self) -> NodeMemory:
         return NodeMemory(self.node_id, self.config.node_memory_bytes)
-
-    @cached_property
-    def facilities(self) -> dict[str, object]:
-        """Scratch registry for node-scoped facilities (pxshm segments,
-        MSGQ instances) keyed by facility name."""
-        return {}
 
     @cached_property
     def gpus(self) -> list:

@@ -1,7 +1,7 @@
 """Feature flags and protocol constants for the RDMA machine layer.
 
-The knobs here are the IB-verbs-shaped decisions (RC retry budget, send
-queue depth, rendezvous direction) — the hardware timing constants live in
+The knobs here are the IB-verbs-shaped decisions (RC retry budget,
+rendezvous direction) — the hardware timing constants live in
 :class:`~repro.hardware.config.MachineConfig` like every other fabric's.
 """
 
@@ -15,6 +15,10 @@ from repro.units import KB
 #: re-send interval for the UD connection handshake (armed only under
 #: fault injection; the fault-free path never starts the timer)
 CONNECT_RETRY = 25e-6
+#: max outstanding (un-acked) work requests per RC queue pair
+SQ_DEPTH = 64
+#: per-PE registered staging pool for eager sends / pre-posted recvs
+EAGER_POOL_BYTES = 256 * KB
 
 
 @dataclass(frozen=True)
@@ -27,14 +31,10 @@ class RdmaLayerConfig:
     #: rendezvous direction: ``"get"`` (receiver pulls, MPICH2-over-IB
     #: style) or ``"put"`` (RTS/CTS/WRITE, the Slingshot-friendly variant)
     rendezvous: str = "get"
-    #: max outstanding (un-acked) work requests per RC queue pair
-    sq_depth: int = 64
     #: hardware retransmission budget per work request (IB RC default: 7)
     retry_count: int = 7
     #: retransmission timeout after a lost packet
     retransmit_timeout: float = 12e-6
-    #: per-PE registered staging pool for eager sends / pre-posted recvs
-    eager_pool_bytes: int = 256 * KB
 
     def __post_init__(self) -> None:
         if self.intranode not in ("pxshm", "pxshm_single", "fabric"):
@@ -44,14 +44,9 @@ class RdmaLayerConfig:
         if self.rendezvous not in ("get", "put"):
             raise LrtsError(
                 f"rendezvous must be 'get' or 'put', got {self.rendezvous!r}")
-        if self.sq_depth < 1:
-            raise LrtsError(f"sq_depth must be >= 1, got {self.sq_depth}")
         if self.retry_count < 0:
             raise LrtsError(f"retry_count must be >= 0, got {self.retry_count}")
         if self.retransmit_timeout <= 0:
             raise LrtsError(
                 f"retransmit_timeout must be positive, "
                 f"got {self.retransmit_timeout}")
-        if self.eager_pool_bytes < 4 * KB:
-            raise LrtsError(
-                f"eager_pool_bytes must be >= 4 KB, got {self.eager_pool_bytes}")

@@ -25,8 +25,14 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Optional
 
+from repro.faults.injector import RDMA_ERROR_PROGRESS
 from repro.hardware.machine import Machine
-from repro.lrts.rdma_layer.config import CONNECT_RETRY, RdmaLayerConfig
+from repro.lrts.rdma_layer.config import (
+    CONNECT_RETRY,
+    EAGER_POOL_BYTES,
+    SQ_DEPTH,
+    RdmaLayerConfig,
+)
 from repro.ugni.memreg import MemHandle, RegistrationTables
 from repro.ugni.rdma import PostDescriptor
 from repro.ugni.types import PostType
@@ -133,7 +139,7 @@ class RcQueuePair:
         #: ``connecting`` -> ``ready`` (or ``failed`` if the handshake died)
         self.state = "connecting"
         self.next_seq = 0
-        self.credits = fabric.lcfg.sq_depth
+        self.credits = SQ_DEPTH
         #: sends waiting on credits or on the handshake: (seq, tag, nbytes, payload)
         self.backlog: deque = deque()
         self.rx_expected = 0
@@ -331,7 +337,7 @@ class RdmaFabric:
         if rank in self._eager_pools:
             return 0.0
         block, handle, cpu = self.registrations.malloc_registered(
-            self.machine.node_of_pe(rank).node_id, self.lcfg.eager_pool_bytes,
+            self.machine.node_of_pe(rank).node_id, EAGER_POOL_BYTES,
             f"rdma.eagerpool[pe{rank}]")
         self._eager_pools[rank] = (block, handle)
         return cpu
@@ -375,7 +381,7 @@ class RdmaFabric:
         if (faults is not None and peer_node != initiator_node
                 and faults.rdma_fails(initiator_node, peer_node)):
             # the failed attempt really burned wire (partial progress)
-            waste = max(64, int(desc.length * faults.config.rdma_error_progress))
+            waste = max(64, int(desc.length * RDMA_ERROR_PROGRESS))
             timing = machine.network.transfer(at, init_coord, peer_coord,
                                               waste)
             err_t = timing.arrival + cfg.rdma_completion_latency

@@ -7,6 +7,11 @@ from dataclasses import dataclass
 
 #: interval for retrying sends blocked on SMSG credits
 CREDIT_RETRY_INTERVAL = 1e-6
+#: receiver-side dedup keeps at most this many out-of-order sequence
+#: numbers per (src, dst) pair; exceeding it (only possible when the
+#: sender abandoned a seq, leaving a permanent gap) force-advances the
+#: cumulative watermark past the oldest gap
+REL_WINDOW_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -42,11 +47,6 @@ class UgniLayerConfig:
     #: to ``retry_backoff_max``
     retry_backoff_base: float = 25e-6
     retry_backoff_max: float = 400e-6
-    #: receiver-side dedup keeps at most this many out-of-order sequence
-    #: numbers per (src, dst) pair; exceeding it (only possible when the
-    #: sender abandoned a seq, leaving a permanent gap) force-advances the
-    #: cumulative watermark past the oldest gap
-    rel_window_cap: int = 256
 
     def __post_init__(self) -> None:
         if self.rendezvous not in ("get", "put"):
@@ -62,9 +62,6 @@ class UgniLayerConfig:
                 f"retry_backoff_base must be positive, got {self.retry_backoff_base}")
         if self.retry_backoff_max < self.retry_backoff_base:
             raise ValueError("retry_backoff_max must be >= retry_backoff_base")
-        if self.rel_window_cap < 1:
-            raise ValueError(
-                f"rel_window_cap must be >= 1, got {self.rel_window_cap}")
 
     def replace(self, **kw) -> "UgniLayerConfig":
         return dataclasses.replace(self, **kw)

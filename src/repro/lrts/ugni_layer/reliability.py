@@ -10,14 +10,15 @@ module loaded.  Three mechanisms:
   receiver acks each copy with an *unreliable, unwrapped*
   :data:`REL_ACK_TAG` message and suppresses duplicate sequence numbers,
   giving exactly-once delivery on top of a lossy fabric.  Unacked packets
-  are retransmitted on a :class:`~repro.converse.timers.TimerService`
-  timer with bounded exponential backoff; after
+  are retransmitted by the ``rel_retry`` step, armed on the engine with
+  bounded exponential backoff; after
   ``UgniLayerConfig.max_retries`` attempts the packet is abandoned and
   counted in ``rel_failed``.
 * **FMA/BTE post retry** — :meth:`_post` (the protocol core's ``post``
   verb) completes every rendezvous / persistent post through the PE's one
   post CQ: an ``ERROR`` completion (fault-injected transaction error)
-  re-posts the descriptor after backoff instead of crashing the run.
+  re-posts the descriptor after backoff (the ``repost`` step) instead of
+  crashing the run.
 * **Persistent-channel re-arm** — a failed persistent PUT may leave the
   pinned send window in an undefined state, so the retry first
   deregisters and re-registers the source buffer
@@ -34,7 +35,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.converse.scheduler import PE
-from repro.converse.timers import TimerService
 from repro.errors import UgniTransactionError
 from repro.lrts.messages import (
     CHARM_SMALL_TAG,
@@ -42,6 +42,7 @@ from repro.lrts.messages import (
     REL_ACK_TAG,
     TAG_STEPS,
 )
+from repro.lrts.ugni_layer.config import REL_WINDOW_CAP
 from repro.ugni.cq import CompletionQueue
 from repro.ugni.types import CqEventKind
 
@@ -132,7 +133,7 @@ class ReliabilityMixin:
     def _rel_setup(self) -> None:
         """Called from ``_setup`` when ``lcfg.reliability`` is on."""
         self._rel_on = True
-        self._timers = TimerService(self.conv)
+        self._steps.update(rel_retry=self._rel_retry, repost=self._repost)
         #: next sequence number per (src, dst)
         self._rel_next_seq: dict[tuple[int, int], int] = {}
         #: unacked packets: (src, dst, seq) -> record
@@ -175,11 +176,12 @@ class ReliabilityMixin:
         return pkt
 
     def _rel_arm_timer(self, rec: _RelTx) -> None:
-        # the timer names its record by key: closing over ``rec`` would tie
-        # rec -> timer -> closure -> rec into a cycle per message
-        rec.timer = self._timers.call_after(
-            self._rel_backoff(rec.attempts), rec.pkt.src,
-            lambda pe, key=rec.pkt.key: self._rel_retry(pe, key))
+        # the timer names its record by key: holding ``rec`` would tie
+        # rec -> timer -> rec into a cycle per message
+        pkt = rec.pkt
+        rec.timer = self.machine.engine.call_after(
+            self._rel_backoff(rec.attempts), self._self_step,
+            self.conv.pes[pkt.src], "rel_retry", pkt.key, 0.0)
 
     def _rel_retry(self, pe: PE, key: tuple[int, int, int]) -> None:
         rec = self._rel_tx.get(key)
@@ -202,7 +204,7 @@ class ReliabilityMixin:
     def _on_rel_ack(self, pe: PE, ack: tuple[int, int, int]) -> None:
         """Sender PE: the receiver has the packet — stop retransmitting."""
         rec = self._rel_tx.pop(ack, None)
-        if rec is not None and rec.timer is not None:
+        if rec is not None:
             rec.timer.cancel()
 
     # -- receiver side --------------------------------------------------------
@@ -221,8 +223,8 @@ class ReliabilityMixin:
         rx.mark(pkt.seq)
         if len(rx.window) > self.rel_window_peak:
             self.rel_window_peak = len(rx.window)
-        if len(rx.window) > self.lcfg.rel_window_cap:
-            skipped = rx.force_advance(self.lcfg.rel_window_cap)
+        if len(rx.window) > REL_WINDOW_CAP:
+            skipped = rx.force_advance(REL_WINDOW_CAP)
             self.rel_window_skips += skipped
             self._rel_trace("window_skip", where=pkt.pair, skipped=skipped,
                             watermark=rx.watermark)
@@ -292,10 +294,11 @@ class ReliabilityMixin:
         self.post_retries += 1
         self._rel_trace("post_retry", where=pe.rank,
                         desc=desc.id, attempt=attempts)
-        self._timers.call_after(self._rel_backoff(attempts), pe.rank,
-                                lambda pe2: self._repost(pe2, desc, rearm))
+        self.machine.engine.call_after(self._rel_backoff(attempts),
+                                       self._self_step, pe, "repost", desc, 0.0)
 
-    def _repost(self, pe: PE, desc, rearm: Any) -> None:
+    def _repost(self, pe: PE, desc) -> None:
+        _, _, _, _, rearm, _ = desc.context
         if rearm is not None:
             self._persist_rearm(pe, rearm, desc)
         cpu = self.gni.rdma.post_best(pe.node.node_id, desc, at=pe.vtime)

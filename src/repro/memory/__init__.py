@@ -1,15 +1,14 @@
 """Allocation machinery above raw node memory.
 
-Three pieces, each reproducing one artifact from the paper:
-
 * :class:`~repro.memory.mempool.MemoryPool` — the message pool of §IV.B:
   pre-allocated, pre-registered arenas from which the runtime serves every
   Charm++ message, eliminating ``Tmalloc + Tregister`` from the send path.
-* :class:`~repro.memory.regcache.RegistrationCache` — a uDREG-like cache
-  (what Cray MPI uses) with LRU eviction and pinning; gives MPI rendezvous
-  its same-buffer-fast / fresh-buffer-slow behaviour (paper Fig. 9a).
 * :class:`~repro.memory.pxshm.PxshmFabric` — POSIX-shared-memory intra-node
   queues with double-copy and sender-side single-copy modes (Fig. 8c).
+* :class:`~repro.memory.regcache.RegistrationCache` — a block-granular
+  uDREG-like cache with LRU eviction and pinning.  No runtime path uses
+  it; MPI rendezvous gets its same-buffer-fast / fresh-buffer-slow
+  behaviour (paper Fig. 9a) from :class:`~repro.mpish.udreg.UdregCache`.
 """
 
 from repro.memory.mempool import MemoryPool, PoolBlock

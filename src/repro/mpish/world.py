@@ -80,9 +80,6 @@ class MpiWorld:
             self._udreg[rank] = c
         return c
 
-    def unexpected_count(self, rank: int) -> int:
-        return self.match_engine(rank).unexpected_depth
-
     # ------------------------------------------------------------------ #
     # Send side
     # ------------------------------------------------------------------ #

@@ -34,7 +34,7 @@ from repro.observe.flight import FlightDump, FlightRecorder
 from repro.observe.profile import TimeProfile
 from repro.observe.registry import MetricsRegistry
 from repro.observe.selfmetrics import lane_report, self_metrics
-from repro.observe.tracer import MessageTracer, Span, Stage
+from repro.observe.tracer import MessageTracer
 
 __all__ = [
     "GIVEUP_EVENTS",
@@ -56,6 +56,4 @@ __all__ = [
     "lane_report",
     "self_metrics",
     "MessageTracer",
-    "Span",
-    "Stage",
 ]

@@ -12,9 +12,8 @@ Three metric kinds:
 ``counter``
     monotone integer/float accumulator (``inc``);
 ``gauge``
-    last-write-wins sample (``gauge``), also the landing spot for
-    pull-based sources (nested ``stats()`` dicts are flattened with
-    ``/``-joined keys);
+    a pull-based source's value at snapshot time (nested ``stats()``
+    dicts are flattened with ``/``-joined keys);
 ``histogram``
     sim-time-binned accumulator (``observe``): each sample lands in bin
     ``floor(t / bin_width)`` and the bin keeps ``[count, sum]`` — enough
@@ -55,7 +54,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._counters: dict[str, float] = {}
-        self._gauges: dict[str, Any] = {}
         #: name -> bin index -> [count, sum]
         self._hists: dict[str, dict[int, list[float]]] = {}
         self._hist_width: dict[str, float] = {}
@@ -65,9 +63,6 @@ class MetricsRegistry:
     # -- write path --------------------------------------------------------
     def inc(self, name: str, value: float = 1) -> None:
         self._counters[name] = self._counters.get(name, 0) + value
-
-    def gauge(self, name: str, value: Any) -> None:
-        self._gauges[name] = value
 
     def observe(self, name: str, t: float, value: float = 1,
                 bin_width: float = DEFAULT_BIN_WIDTH) -> None:
@@ -109,8 +104,6 @@ class MetricsRegistry:
         out: dict[str, Any] = {}
         for name, value in self._counters.items():
             out[f"counter/{name}"] = value
-        for name, value in self._gauges.items():
-            out[f"gauge/{name}"] = value
         for name, fn in self._sources:
             _fold(out, f"gauge/{name}", fn())
         for name, hist in self._hists.items():
@@ -140,10 +133,9 @@ class MetricsRegistry:
     # -- maintenance -------------------------------------------------------
     def clear(self) -> None:
         self._counters.clear()
-        self._gauges.clear()
         self._hists.clear()
         self._hist_width.clear()
         self._sources.clear()
 
     def __len__(self) -> int:
-        return len(self._counters) + len(self._gauges) + len(self._hists)
+        return len(self._counters) + len(self._hists)

@@ -25,14 +25,13 @@ The record is typed columns, not objects: a span is one row of
 a stage is one row of (trace ID, stage code, time, where, detail), with
 ``where`` and ``detail`` indexes into one intern table — or, for a stage a
 PE stamps (``send``/``deliver``/``exec``), ``-1 - rank``, rendered
-``pe{rank}`` only when read.  :class:`Span` and :class:`Stage` are views
-built on read.
+``pe{rank}`` only when read.  :meth:`MessageTracer.records` is the one
+read path.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Any, Iterator, Optional
 
@@ -40,38 +39,6 @@ from typing import Any, Iterator, Optional
 STAGES = ("send", "lrts", "tx", "arrive", "deliver", "exec", "gpu")
 SEND, LRTS, TX, ARRIVE, DELIVER, EXEC, GPU = range(len(STAGES))
 _NAN = float("nan")
-
-
-@dataclass(frozen=True)
-class Stage:
-    """One protocol stage a traced message crossed (a read view)."""
-
-    stage: str
-    time: float
-    where: Any = None
-    detail: Optional[str] = None
-
-
-@dataclass
-class Span:
-    """The full causal record of one traced message (a read view)."""
-
-    trace_id: int
-    src_pe: int
-    dst_pe: int
-    nbytes: int
-    stages: list[Stage] = field(default_factory=list)
-
-    def times(self, stage: str) -> list[float]:
-        return [s.time for s in self.stages if s.stage == stage]
-
-    def has(self, stage: str) -> bool:
-        return any(s.stage == stage for s in self.stages)
-
-    @property
-    def monotone(self) -> bool:
-        times = [s.time for s in self.stages]
-        return all(a <= b for a, b in zip(times, times[1:]))
 
 
 class MessageTracer:
@@ -298,30 +265,8 @@ class MessageTracer:
                    [self._render(r)
                     for r in order[starts[row]:starts[row + 1]]])
 
-    @property
-    def spans(self) -> dict[int, Span]:
-        """Every retained span by trace ID (views built on read)."""
-        return {tid: Span(tid, src, dst, nbytes, [Stage(*s) for s in stages])
-                for tid, src, dst, nbytes, stages in self.records()}
-
     def delivered(self) -> int:
         """How many retained spans ran a handler (``exec`` stage)."""
         low = self._low
         return len({tid for tid, code in zip(self._tid, self._code)
                     if code == EXEC and tid > low})
-
-    def delivered_spans(self) -> list[Span]:
-        """Spans whose message actually ran a handler (``exec`` stage)."""
-        return [s for s in self.spans.values() if s.has("exec")]
-
-    def span(self, trace_id: Optional[int]) -> Optional[Span]:
-        if trace_id is None or not self._low < trace_id <= self._next_id:
-            return None
-        row = trace_id - self._base - 1
-        if self._src[row] < 0:
-            return None
-        order, starts = self._groups()
-        return Span(trace_id, self._src[row], self._dst[row],
-                    self._nbytes[row],
-                    [Stage(*self._render(r))
-                     for r in order[starts[row]:starts[row + 1]]])

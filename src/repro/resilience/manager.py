@@ -53,6 +53,13 @@ from repro.errors import SimulationError
 from repro.faults import FaultConfig, LinkFlap, NodeCrash, install_faults
 from repro.lrts.factory import make_runtime
 
+#: fixed restart overhead in simulated seconds (relaunch, wire-up) ...
+RESTART_BASE = 100e-6
+#: ... plus checkpoint-state reload at this bandwidth (bytes/s)
+RESTART_BANDWIDTH = 2e9
+#: event budget for draining a dying incarnation
+DRAIN_MAX_EVENTS = 2_000_000
+
 
 @dataclass(frozen=True)
 class RecoveryPolicy:
@@ -64,18 +71,8 @@ class RecoveryPolicy:
     #: crashed nodes are replaced (job keeps its size) while spares last;
     #: afterwards the job shrinks to the survivors
     spare_nodes: int = 0
-    #: fixed restart overhead (relaunch, wire-up) ...
-    restart_base: float = 100e-6
-    #: ... plus checkpoint-state reload at this bandwidth (bytes/s)
-    restart_bandwidth: float = 2e9
-    #: group shrink semantics handed to restore_into on a smaller restart
-    group_shrink: str = "merge"
-    #: rebalance restored placement from checkpointed measured loads
-    rebalance: bool = True
     #: give up after this many restarts (runaway-crash-schedule guard)
     max_restarts: int = 32
-    #: event budget for draining a dying incarnation
-    drain_max_events: int = 2_000_000
 
 
 @dataclass
@@ -298,7 +295,7 @@ class ResilienceManager:
         # 2) drain the dying incarnation: survivor traffic resolves,
         #    dead-peer sends are dropped (sanitizer-clean), and the
         #    drained-engine audit runs on the old machine
-        old_conv.run(max_events=self.policy.drain_max_events)
+        old_conv.run(max_events=DRAIN_MAX_EVENTS)
         survivors = sum(1 for nd in old_conv.machine.nodes if nd.alive)
         if survivors == 0:
             raise SimulationError("every node has crashed; nothing to restart on")
@@ -308,16 +305,15 @@ class ResilienceManager:
         # 3) restart cost model + the determinism state carried over
         ckpt = self._ckpt
         lost = t_crash - ckpt.sim_time
-        cost = (self.policy.restart_base
-                + ckpt.state_bytes() / self.policy.restart_bandwidth)
+        cost = RESTART_BASE + ckpt.state_bytes() / RESTART_BANDWIDTH
         self.lost_work_s += lost
         self.restart_cost_s += cost
         t_resume = t_crash + cost
         self._build(self._n_nodes)
-        proxies = restore_into(
-            self.charm, ckpt,
-            map=restore_rebalance_map if self.policy.rebalance else None,
-            group_shrink=self.policy.group_shrink)
+        # placement rebalanced from the checkpointed measured loads; groups
+        # fold onto a smaller restart
+        proxies = restore_into(self.charm, ckpt, map=restore_rebalance_map,
+                               group_shrink="merge")
         # the clock never rewinds: checkpoint time <= crash < resume
         self.charm.engine.advance_to(t_resume)
         self._install_faults(self._remaining_schedule(pending, ev, t_resume,

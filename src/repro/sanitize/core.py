@@ -119,9 +119,10 @@ class _Region:
 
 
 class _Block:
-    """Shadow of one live pool block."""
+    """Shadow of one pool block from alloc to free."""
 
-    __slots__ = ("block", "pool_name", "node_id", "addr", "end", "created_at")
+    __slots__ = ("block", "pool_name", "node_id", "addr", "end", "created_at",
+                 "retired_at")
 
     def __init__(self, block: Any, pool_name: str, now: float):
         self.block = block
@@ -130,6 +131,7 @@ class _Block:
         self.addr = block.addr
         self.end = block.addr + block.size
         self.created_at = now
+        self.retired_at: Optional[float] = None
 
 
 class _Tx:
@@ -314,11 +316,6 @@ class Sanitizer:
         if region is not None:
             region.root = why
 
-    def unroot_region(self, handle: Any) -> None:
-        region = self._regions.get(id(handle))
-        if region is not None:
-            region.root = None
-
     @staticmethod
     def _region_name(region: _Region) -> str:
         root = f" ({region.root})" if region.root else ""
@@ -328,10 +325,7 @@ class Sanitizer:
     # -- pool blocks -------------------------------------------------------
     def on_pool_alloc(self, pool: Any, block: Any) -> None:
         self.blocks_created += 1
-        # address space reused by the arena allocator: drop stale retired
-        # shadows that this live block now legitimately covers
         self._blocks[id(block)] = _Block(block, pool.name, self._eng.now)
-        self._freed_blocks.pop(id(block), None)
 
     def on_pool_free(self, pool: Any, block: Any) -> None:
         shadow = self._blocks.pop(id(block), None)
@@ -341,12 +335,13 @@ class Sanitizer:
             shadow.node_id, shadow.addr, shadow.end,
             f"free of pool block {shadow.addr:#x}+{shadow.end - shadow.addr} "
             f"({shadow.pool_name})")
+        shadow.retired_at = self._eng.now
         self._freed_blocks[id(block)] = shadow
         self.blocks_retired += 1
 
     def on_pool_double_free(self, pool: Any, block: Any) -> None:
         shadow = self._freed_blocks.get(id(block))
-        freed = (f"first freed at t={shadow.created_at:.9f}" if shadow
+        freed = (f"first freed at t={shadow.retired_at:.9f}" if shadow
                  else "already freed")
         self.report("double-free", pool.name,
                     f"pool block {block.addr:#x}+{block.size} {freed}")
@@ -465,9 +460,6 @@ class Sanitizer:
     def on_device_alloc(self, gpu: Any, buf: Any) -> None:
         self.dev_allocs += 1
         self._dev[id(buf)] = _Dev(buf, self._eng.now)
-        # device address space reused by the allocator: drop stale
-        # retired shadows this live buffer now legitimately covers
-        self._freed_dev.pop(id(buf), None)
 
     def on_device_free(self, gpu: Any, buf: Any) -> None:
         shadow = self._dev.pop(id(buf), None)

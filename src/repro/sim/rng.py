@@ -77,10 +77,6 @@ class RngRegistry:
         """
         return RngRegistry(spawn_seed(self.root_seed, *key))
 
-    def reset(self) -> None:
-        """Drop all streams; next access re-creates them from scratch."""
-        self._streams.clear()
-
     # -- checkpoint support --------------------------------------------------
     def get_state(self) -> dict:
         """Snapshot every materialized stream's bit-generator state.

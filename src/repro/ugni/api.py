@@ -5,22 +5,24 @@ A :class:`GniJob` is what a real application gets after
 node in the job.  The raw-uGNI reference benchmarks (paper Figs. 1, 4, 6,
 9a) and the uGNI machine layer are both written against this object.
 
-Method names mirror the functions the paper lists in §II.B so the protocol
-code reads like the original machine layer.
+The fabrics are its attributes (``smsg``, ``msgq``, ``rdma``,
+``registrations``); completion queues are
+:class:`~repro.ugni.cq.CompletionQueue` objects on the machine's engine.
+Memory registration keeps its ``GNI_MemRegister`` / ``GNI_MemDeregister``
+names.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
 from repro.hardware.machine import Machine
 from repro.hardware.memory import MemoryBlock
-from repro.ugni.cq import CompletionQueue, CqEntry
+from repro.ugni.cq import CompletionQueue
 from repro.ugni.memreg import MemHandle, RegistrationTables
-from repro.ugni.msgq import MsgqFabric, MsgqMessage
-from repro.ugni.rdma import PostDescriptor, RdmaEngine
-from repro.ugni.smsg import SmsgFabric, SmsgMessage
-from repro.ugni.types import PostType
+from repro.ugni.msgq import MsgqFabric
+from repro.ugni.rdma import RdmaEngine
+from repro.ugni.smsg import SmsgFabric
 
 
 class GniJob:
@@ -32,14 +34,6 @@ class GniJob:
         self.rdma = RdmaEngine(machine, self.registrations)
         self.smsg = SmsgFabric(machine)
         self.msgq = MsgqFabric(machine)
-
-    # -- completion queues ------------------------------------------------------
-    def CqCreate(self, capacity: int = 4096, name: str = "") -> CompletionQueue:
-        return CompletionQueue(self.machine.engine, capacity, name)
-
-    @staticmethod
-    def CqGetEvent(cq: CompletionQueue) -> Optional[CqEntry]:
-        return cq.get_event()
 
     # -- memory -----------------------------------------------------------------
     def MemRegister(
@@ -53,28 +47,3 @@ class GniJob:
 
     def MemDeregister(self, handle: MemHandle) -> float:
         return self.registrations[handle.node_id].deregister(handle)
-
-    # -- short messages ------------------------------------------------------------
-    def SmsgSendWTag(
-        self,
-        src_pe: int,
-        dst_pe: int,
-        tag: int,
-        nbytes: int,
-        payload: Any = None,
-    ) -> float:
-        return self.smsg.send(src_pe, dst_pe, tag, nbytes, payload)
-
-    def SmsgGetNextWTag(self, pe: int) -> tuple[Optional[SmsgMessage], float]:
-        return self.smsg.get_next(pe)
-
-    # -- one-sided ---------------------------------------------------------------
-    def PostFma(self, initiator_node: int, desc: PostDescriptor) -> float:
-        return self.rdma.post(initiator_node, desc, fma=True)
-
-    def PostRdma(self, initiator_node: int, desc: PostDescriptor) -> float:
-        return self.rdma.post(initiator_node, desc, fma=False)
-
-    def PostBest(self, initiator_node: int, desc: PostDescriptor) -> float:
-        """Size-aware FMA/BTE selection, the policy from paper §III.C."""
-        return self.rdma.post_best(initiator_node, desc)

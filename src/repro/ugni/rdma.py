@@ -24,6 +24,7 @@ import itertools
 from typing import Any, Optional
 
 from repro.errors import UgniInvalidParam
+from repro.faults.injector import RDMA_ERROR_PROGRESS
 from repro.hardware.machine import Machine
 from repro.hardware.nic import TransferKind
 from repro.ugni.cq import CompletionQueue, CqEntry
@@ -121,7 +122,7 @@ class RdmaEngine:
         faults = machine.faults
         if (faults is not None and peer.node_id != node.node_id
                 and faults.rdma_fails(node.node_id, peer.node_id)):
-            return self._post_failed(node, peer, desc, kind, faults, at)
+            return self._post_failed(node, peer, desc, kind, at)
 
         token = (san.on_rdma_post(desc, initiator_node)
                  if san is not None else None)
@@ -162,7 +163,7 @@ class RdmaEngine:
             self._remote_data(t, desc)
 
     def _post_failed(self, node, peer, desc: PostDescriptor, kind,
-                     faults, at: Optional[float]) -> float:
+                     at: Optional[float]) -> float:
         """Fault-injected transaction: error completion instead of data."""
         self.posts_failed += 1
         san = self.machine.sanitizer
@@ -170,7 +171,7 @@ class RdmaEngine:
         return node.nic.failed_transfer(
             kind, peer.coord, desc.length, self._complete,
             desc, CqEventKind.ERROR, token,
-            frac=faults.config.rdma_error_progress, at=at)
+            frac=RDMA_ERROR_PROGRESS, at=at)
 
     def post_best(self, initiator_node: int, desc: PostDescriptor,
                   at: Optional[float] = None) -> float:

@@ -20,6 +20,7 @@ from repro.apps.kneighbor import kneighbor
 from repro.apps.pingpong import charm_pingpong
 from repro.faults import FaultConfig
 from repro.lrts.ugni_layer import UgniLayerConfig
+from repro.lrts.ugni_layer.config import REL_WINDOW_CAP
 
 # generous retry budget: chaos runs may hit long unlucky drop streaks
 CHAOS = UgniLayerConfig(reliability=True, max_retries=30)
@@ -39,7 +40,7 @@ def _check_conserved(stats):
     assert stats["pool_live_blocks"] == 0
     assert stats["pool_live_bytes"] == 0
     # receiver dedup memory is bounded by the OOO window, never O(msgs)
-    assert stats["rel_window_peak"] <= CHAOS.rel_window_cap
+    assert stats["rel_window_peak"] <= REL_WINDOW_CAP
 
 
 class TestPingPongChaos:

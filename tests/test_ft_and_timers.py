@@ -1,14 +1,16 @@
-"""Tests for checkpoint/restart fault tolerance and Converse timers."""
+"""Tests for checkpoint/restart fault tolerance and the protocol timers."""
 
 import pytest
 
 from repro.charm import Chare, Charm
 from repro.charm.checkpoint import restore_into, take_checkpoint
-from repro.converse.timers import TimerService
+from repro.converse.scheduler import Message
 from repro.errors import CharmError
+from repro.faults import FaultConfig
 from repro.hardware.config import tiny as tiny_config
 from repro.lrts.factory import make_runtime
-from repro.units import us
+from repro.lrts.ugni_layer import UgniLayerConfig
+from repro.units import KB, us
 
 
 def fresh_charm(n_pes=8, layer="ugni"):
@@ -275,45 +277,76 @@ class TestCheckpoint:
 
 
 class TestTimers:
-    def test_one_shot_fires_on_pe(self):
-        charm, conv = fresh_charm()
-        timers = TimerService(conv)
-        fired = []
-        timers.call_after(5 * us, 3, lambda pe: fired.append((pe.rank, pe.vtime)))
+    """A retransmit or re-post is an engine event that queues a protocol
+    step on the PE that owns it (``ProtocolCore._self_step``)."""
+
+    def reliable(self, nbytes, fails):
+        """One ``nbytes`` send from PE 0 to PE 2 (node 1) with reliability
+        on; ``fails(kind)`` decides each inter-node SMSG delivery
+        (``"smsg"``) and one-sided post (``"rdma"``).  Returns (runtime,
+        layer, [(step, rank, vtime)] of every timer step that ran,
+        delivered messages)."""
+        conv, layer = make_runtime(
+            n_pes=4, layer="ugni", config=tiny_config(cores_per_node=2),
+            layer_config=UgniLayerConfig(reliability=True),
+            faults=FaultConfig())
+        faults = conv.machine.faults
+        faults.smsg_delivery_fails = lambda src, dst: fails("smsg")
+        faults.rdma_fails = lambda init, peer: fails("rdma")
+        ran = []
+        for step in ("rel_retry", "repost"):
+            body = layer._steps[step]
+            layer._steps[step] = (
+                lambda pe, state, step=step, body=body:
+                (ran.append((step, pe.rank, pe.vtime)), body(pe, state)))
+        got = []
+        h = conv.register_handler(lambda pe, msg: got.append(msg))
+        sender = conv.register_handler(
+            lambda pe, msg: conv.send(pe, 2, Message(h, pe.rank, 2, nbytes)))
+        conv.send_from_outside(0, Message(sender, 0, 0, 0))
         conv.run()
-        assert len(fired) == 1
-        assert fired[0][0] == 3
-        assert fired[0][1] >= 5 * us
+        return conv, layer, ran, got
+
+    def test_one_shot_fires_on_pe(self):
+        """The first SMSG is lost: its retransmit runs once, on the
+        sender's PE, after the first backoff."""
+        lost = []
+
+        def fails(kind):
+            lost.append(kind)
+            return len(lost) == 1
+
+        conv, layer, ran, got = self.reliable(64, fails)
+        ((step, rank, vtime),) = ran
+        assert (step, rank) == ("rel_retry", 0)
+        assert vtime >= UgniLayerConfig().retry_backoff_base
+        assert len(got) == 1 and layer.rel_retransmits == 1
+        assert layer._rel_tx == {}
 
     def test_cancel_before_fire(self):
-        charm, conv = fresh_charm()
-        timers = TimerService(conv)
-        fired = []
-        h = timers.call_after(5 * us, 0, lambda pe: fired.append(1))
-        h.cancel()
-        conv.run()
-        assert fired == []
+        """A loss-free send: every ack cancels its retransmit timer, so no
+        timer step runs and the engine drains."""
+        conv, layer, ran, got = self.reliable(64, lambda kind: False)
+        assert ran == [] and len(got) == 1
+        assert layer.rel_acks > 0 and layer.rel_retransmits == 0
+        assert layer._rel_tx == {}
+        assert conv.engine.peek() == float("inf")
 
     def test_timer_callback_can_send_messages(self):
-        charm, conv = fresh_charm()
-        timers = TimerService(conv)
-        arr = charm.create_array(Accumulator, 8, name="acc")
-        coll = charm.collections[arr.aid]
+        """The receiver's GET fails once: the re-post step runs on the
+        receiver's PE and posts again, and the message arrives."""
+        posts = []
 
-        def kick(pe):
-            # runs in PE context: proxy sends are legal
-            charm._current_pe = pe
-            try:
-                arr[0].add(1)
-            finally:
-                charm._current_pe = None
+        def fails(kind):
+            if kind == "rdma":
+                posts.append(kind)
+                return len(posts) == 1
+            return False
 
-        timers.call_after(3 * us, 0, kick)
-        conv.run()
-        assert coll.local[coll.home_of(0)][0].total == 1
-
-    def test_negative_delay_rejected(self):
-        charm, conv = fresh_charm()
-        timers = TimerService(conv)
-        with pytest.raises(CharmError):
-            timers.call_after(-1.0, 0, lambda pe: None)
+        conv, layer, ran, got = self.reliable(64 * KB, fails)
+        # (PE 0 is busy setting up its pool when the INIT's ack lands, so
+        # that control's retransmit timer may fire too)
+        assert [(step, rank) for step, rank, _ in ran
+                if step == "repost"] == [("repost", 2)]
+        assert len(got) == 1
+        assert layer.post_retries == 1 and layer.post_failures == 0

@@ -247,15 +247,13 @@ class TestMachine:
 
     def test_node_tables_are_built_by_the_first_read(self):
         m = Machine(n_nodes=2, config=tiny_config(cores_per_node=4))
-        lazy = ("memory", "facilities", "gpus")
+        lazy = ("memory", "gpus")
         assert not any(name in vars(node) for node in m.nodes for name in lazy)
         node = m.nodes[1]
         block = node.memory.malloc(4 * KB)
         assert node.memory is vars(node)["memory"]
         assert block.node_id == 1 and node.memory.used == 4 * KB
-        assert node.gpus == [] and node.facilities == {}
-        node.facilities["seg"] = block
-        assert node.facilities == {"seg": block}
+        assert node.gpus == [] and "gpus" in vars(node)
         # the other node was not touched
         assert not any(name in vars(m.nodes[0]) for name in lazy)
 

@@ -254,9 +254,9 @@ class TestPointToPoint:
         m, world = make_world()
         req, cpu = world.isend(0, 2, 0, 64, payload="x")
         assert req.completed  # eager: buffered completion
-        assert world.unexpected_count(2) == 0  # not yet arrived
+        assert world.match_engine(2).unexpected_depth == 0  # not yet arrived
         m.engine.run()
-        assert world.unexpected_count(2) == 1
+        assert world.match_engine(2).unexpected_depth == 1
 
     def test_on_unexpected_hook_fires(self):
         m, world = make_world()

@@ -56,6 +56,21 @@ def observed_kneighbor(layer="ugni", size=4 * KB, iters=5, engine=None,
     return result, observe.active_observers()[0]
 
 
+def delivered(tracer):
+    """``(trace_id, stages)`` of every retained span that ran a handler."""
+    return [(tid, stages) for tid, _, _, _, stages in tracer.records()
+            if has(stages, "exec")]
+
+
+def has(stages, name):
+    return any(stage == name for stage, *_ in stages)
+
+
+def monotone(stages):
+    times = [time for _, time, *_ in stages]
+    return all(a <= b for a, b in zip(times, times[1:]))
+
+
 def chaos_run():
     """Lossy fabric + software reliability, observed: 20 senders on PE 0
     each send one message to PE 2 with 30 % of SMSGs dropped.  Returns
@@ -122,7 +137,7 @@ class TestMetricsRegistry:
         reg = MetricsRegistry()
         reg.inc("msgs")
         reg.inc("msgs", 2)
-        reg.gauge("depth", 7)
+        reg.register_source("depth", lambda: 7)
         reg.observe("lat", 1.5e-5, 3.0)  # bin 1 at default 1e-5 width
         reg.observe("lat", 1.9e-5, 5.0)  # same bin
         snap = reg.snapshot()
@@ -147,11 +162,12 @@ class TestMetricsRegistry:
 
     def test_digest_stable_and_excludes(self):
         a, b = MetricsRegistry(), MetricsRegistry()
+        now = {a: 1.0, b: 1.0}
         for reg in (a, b):
             reg.inc("x", 5)
-            reg.gauge("engine/now", 1.0)
+            reg.register_source("engine", lambda reg=reg: {"now": now[reg]})
         assert a.digest() == b.digest()
-        b.gauge("engine/now", 2.0)
+        now[b] = 2.0
         assert a.digest() != b.digest()
         assert a.digest(exclude=("engine",)) == b.digest(exclude=("engine",))
 
@@ -163,26 +179,28 @@ class TestCausalTracing:
     @pytest.mark.parametrize("layer", LAYERS)
     def test_spans_complete_and_monotone(self, layer):
         _, obs = observed_kneighbor(layer=layer)
-        spans = obs.tracer.delivered_spans()
+        spans = delivered(obs.tracer)
         assert spans, "no delivered spans traced"
-        for span in spans:
-            assert span.has("send") and span.has("deliver") and span.has("exec")
-            assert span.monotone, (
-                f"non-monotone stage times on {layer}: {span.stages}")
+        for _, stages in spans:
+            assert has(stages, "send") and has(stages, "deliver")
+            assert monotone(stages), (
+                f"non-monotone stage times on {layer}: {stages}")
 
     @pytest.mark.parametrize("layer", LAYERS)
     def test_trace_ids_monotone_in_send_order(self, layer):
         _, obs = observed_kneighbor(layer=layer)
-        send_times = [(min(s.times("send")), s.trace_id)
-                      for s in obs.tracer.spans.values() if s.has("send")]
+        send_times = [(min(t for stage, t, *_ in stages if stage == "send"),
+                       tid)
+                      for tid, *_, stages in obs.tracer.records()
+                      if has(stages, "send")]
         ordered = sorted(send_times)
         assert [tid for _, tid in ordered] == sorted(
             tid for _, tid in send_times)
 
     def test_internode_spans_cross_the_lrts_layer(self):
         _, obs = observed_kneighbor(layer="ugni")
-        internode = [s for s in obs.tracer.delivered_spans()
-                     if s.has("lrts")]
+        internode = [tid for tid, stages in delivered(obs.tracer)
+                     if has(stages, "lrts")]
         assert internode, "expected internode messages through the layer"
         # ugni's rendezvous round-trips were derived from the lrts stage
         assert obs.metrics.snapshot().get("counter/rndv/roundtrips", 0) > 0
@@ -193,11 +211,11 @@ class TestCausalTracing:
         m, got = chaos_run()
         obs = m.observer
         assert got, "reliability should deliver most messages"
-        delivered = obs.tracer.delivered_spans()
-        assert len(delivered) >= len(got)
-        for span in delivered:
-            assert span.monotone
-            assert span.has("send") and span.has("exec")
+        spans = delivered(obs.tracer)
+        assert len(spans) >= len(got)
+        for _, stages in spans:
+            assert monotone(stages)
+            assert has(stages, "send")
         # injected drops were observed as retransmissions
         snap = obs.metrics.snapshot()
         assert snap.get("counter/fault/smsg_drop", 0) > 0
@@ -207,11 +225,11 @@ class TestCausalTracing:
         tracer = MessageTracer(capacity=3)
         for i in range(5):
             tracer.mint(0, 1, 64)
-        assert len(tracer.spans) == 3
+        assert [tid for tid, *_ in tracer.records()] == [3, 4, 5]
         assert tracer.evicted == 2
         assert tracer.minted() == 5
         tracer.stage(1, "send", 0.0)  # evicted: silently ignored
-        assert tracer.span(1) is None
+        assert tracer.footprint()["stage_rows"] == 0
 
     def test_capacity_evicts_oldest_minted_complete_or_not(self):
         tracer = MessageTracer(capacity=2)
@@ -221,8 +239,9 @@ class TestCausalTracing:
         for i, stage in enumerate(("send", "deliver", "exec")):
             tracer.stage(done, stage, float(i))
         tracer.mint(0, 1, 64)
-        assert tracer.span(old) is None
-        assert tracer.span(done).has("exec")
+        spans = {tid: stages for tid, *_, stages in tracer.records()}
+        assert old not in spans
+        assert has(spans[done], "exec")
         assert tracer.evicted == 1
 
     def test_capacity_bounds_rows(self):
@@ -241,7 +260,7 @@ class TestCausalTracing:
         # five columns a span row, five a stage row: at most 2 * capacity
         # spans' worth of either
         assert held["column_bytes"] <= 2 * capacity * (32 + 2 * 25)
-        assert len(tracer.spans) == capacity
+        assert len(list(tracer.records())) == capacity
 
 
 # --------------------------------------------------------------------- #
@@ -476,7 +495,7 @@ class TestExport:
         begins = sum(1 for e in events if e["ph"] == "b")
         ends = sum(1 for e in events if e["ph"] == "e")
         assert begins == ends == len(
-            [s for s in obs.tracer.spans.values() if s.stages])
+            [tid for tid, *_, stages in obs.tracer.records() if stages])
         for e in events:
             if e["ph"] == "X":
                 assert e["dur"] >= 0.0

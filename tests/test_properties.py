@@ -93,7 +93,7 @@ def test_smsg_credits_conserved(messages, seed):
         if src == dst:
             continue
         try:
-            job.SmsgSendWTag(src, dst, tag=0, nbytes=size)
+            job.smsg.send(src, dst, tag=0, nbytes=size)
             sent += 1
         except (UgniNoSpace, UgniInvalidParam):
             pass
@@ -102,7 +102,7 @@ def test_smsg_credits_conserved(messages, seed):
     drained = 0
     for pe in range(4):
         while True:
-            msg, _ = job.SmsgGetNextWTag(pe)
+            msg, _ = job.smsg.get_next(pe)
             if msg is None:
                 break
             drained += 1

@@ -64,10 +64,6 @@ class TestCrossoverPaths:
             RdmaLayerConfig(rendezvous="magic")
         with pytest.raises(LrtsError):
             RdmaLayerConfig(intranode="tcp")
-        with pytest.raises(LrtsError):
-            RdmaLayerConfig(sq_depth=0)
-        with pytest.raises(LrtsError):
-            RdmaLayerConfig(eager_pool_bytes=128)
 
 
 class TestPersistent:

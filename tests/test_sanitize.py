@@ -77,9 +77,9 @@ class TestSeededViolations:
         dst = m.nodes[1].memory.malloc(64 * KB)
         h_src, _ = job.MemRegister(src)
         h_dst, _ = job.MemRegister(dst)
-        job.PostRdma(0, PostDescriptor(
+        job.rdma.post(0, PostDescriptor(
             post_type=PostType.PUT, local_mem=h_src, remote_mem=h_dst,
-            length=64 * KB))
+            length=64 * KB), fma=False)
         # the BTE transfer is still in flight when the source window dies
         job.MemDeregister(h_src)
         assert "use-after-free-rdma" in kinds(m)
@@ -93,9 +93,9 @@ class TestSeededViolations:
         h_dst, _ = job.MemRegister(dst)
         job.MemDeregister(h_src)
         with pytest.raises((UgniInvalidParam, UgniNotRegistered)):
-            job.PostRdma(0, PostDescriptor(
+            job.rdma.post(0, PostDescriptor(
                 post_type=PostType.PUT, local_mem=h_src, remote_mem=h_dst,
-                length=4 * KB))
+                length=4 * KB), fma=False)
         assert "use-after-free-rdma" in kinds(m)
 
     @pytest.mark.sanitize_violations
@@ -108,9 +108,10 @@ class TestSeededViolations:
         h_dst, _ = job.MemRegister(dst)
         # the arena registration is still valid, so uGNI validation passes:
         # only the sanitizer knows this span was returned to the pool
-        job.PostRdma(0, PostDescriptor(
+        job.rdma.post(0, PostDescriptor(
             post_type=PostType.PUT, local_mem=block.mem_handle,
-            remote_mem=h_dst, length=8 * KB, local_addr=block.addr))
+            remote_mem=h_dst, length=8 * KB, local_addr=block.addr),
+            fma=False)
         assert "use-after-free-rdma" in kinds(m)
 
     @pytest.mark.sanitize_violations
@@ -125,13 +126,19 @@ class TestSeededViolations:
 
     @pytest.mark.sanitize_violations
     def test_pool_double_free(self):
+        """Allocated at t0, freed at t1 > t0, freed again: the report
+        names t1, the first free, not the allocation time."""
         m, job = san_job()
         pool = MemoryPool(job, 0, name="dfpool")
-        block, _ = pool.alloc(1 * KB)
-        pool.free(block)
+        block, _ = pool.alloc(1 * KB)  # t0 = 0
+        m.engine.advance_to(3e-6)
+        pool.free(block)  # t1
+        m.engine.advance_to(7e-6)
         with pytest.raises(MemoryError_):
             pool.free(block)
-        assert "double-free" in kinds(m)
+        (violation,) = m.sanitizer.violations
+        assert violation.kind == "double-free"
+        assert "first freed at t=0.000003000" in violation.detail
 
     @pytest.mark.sanitize_violations
     def test_foreign_pool_free(self):
@@ -160,9 +167,9 @@ class TestSeededViolations:
     @pytest.mark.sanitize_violations
     def test_credit_leak_at_quiescence(self):
         m, job = san_job()
-        job.SmsgSendWTag(0, 1, 7, 128)
+        job.smsg.send(0, 1, 7, 128)
         m.engine.run()
-        msg, _ = job.SmsgGetNextWTag(1)
+        msg, _ = job.smsg.get_next(1)
         assert msg is not None
         # credit held with nothing outstanding
         job.smsg._credits[job.smsg.connection(0, 1)] += 64
@@ -176,7 +183,7 @@ class TestSeededViolations:
     @pytest.mark.sanitize_violations
     def test_undelivered_message_at_quiescence(self):
         m, job = san_job()
-        job.SmsgSendWTag(0, 1, 7, 128)
+        job.smsg.send(0, 1, 7, 128)
         m.engine.run()
         # steal the CQ entry without GNI_SmsgGetNextWTag: the message is
         # now neither consumed, dropped, nor anywhere recoverable
@@ -198,9 +205,9 @@ class TestSeededViolations:
 
     def test_clean_raw_exchange_stays_clean(self):
         m, job = san_job()
-        job.SmsgSendWTag(0, 1, 7, 256)
+        job.smsg.send(0, 1, 7, 256)
         m.engine.run()
-        msg, _ = job.SmsgGetNextWTag(1)
+        msg, _ = job.smsg.get_next(1)
         assert msg is not None
         m.engine.run()
         assert m.sanitizer.violations == []

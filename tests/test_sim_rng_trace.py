@@ -35,13 +35,6 @@ class TestRng:
         b = list(RngRegistry(2).stream("x").integers(0, 10**9, size=5))
         assert a != b
 
-    def test_reset_recreates_streams(self):
-        reg = RngRegistry(3)
-        first = list(reg.stream("x").integers(0, 10**9, size=3))
-        reg.reset()
-        again = list(reg.stream("x").integers(0, 10**9, size=3))
-        assert first == again
-
 
 class TestUnits:
     def test_pages(self):

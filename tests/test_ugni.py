@@ -30,19 +30,19 @@ def make_job(n_nodes=4, cores_per_node=2, seed=0):
 class TestCompletionQueue:
     def test_fifo_order(self):
         m, job = make_job()
-        cq = job.CqCreate()
+        cq = CompletionQueue(m.engine)
         for i in range(3):
             cq.push(CqEntry(CqEventKind.POST_DONE, float(i), tag=i))
-        assert [job.CqGetEvent(cq).tag for _ in range(3)] == [0, 1, 2]
+        assert [cq.get_event().tag for _ in range(3)] == [0, 1, 2]
 
     def test_empty_returns_none(self):
         m, job = make_job()
-        cq = job.CqCreate()
-        assert job.CqGetEvent(cq) is None
+        cq = CompletionQueue(m.engine)
+        assert cq.get_event() is None
 
     def test_overrun_counted_not_dropped(self):
         m, job = make_job()
-        cq = job.CqCreate(capacity=2)
+        cq = CompletionQueue(m.engine, capacity=2)
         for i in range(3):
             cq.push(CqEntry(CqEventKind.POST_DONE, 0.0, tag=i))
         assert cq.overruns == 1
@@ -53,7 +53,7 @@ class TestCompletionQueue:
 
     def test_on_event_hook_fires(self):
         m, job = make_job()
-        cq = job.CqCreate()
+        cq = CompletionQueue(m.engine)
         fired = []
         cq.on_event = fired.append
         cq.push(CqEntry(CqEventKind.POST_DONE, 0.0))
@@ -62,11 +62,11 @@ class TestCompletionQueue:
     def test_invalid_capacity(self):
         m, job = make_job()
         with pytest.raises(UgniInvalidParam):
-            job.CqCreate(capacity=0)
+            CompletionQueue(m.engine, capacity=0)
 
     def test_at_capacity_fifo_with_markers_behind_their_entry(self):
         m, job = make_job()
-        cq = job.CqCreate(capacity=3)
+        cq = CompletionQueue(m.engine, capacity=3)
         assert cq.peek() is None and len(cq) == 0
         for i in range(5):
             cq.push(CqEntry(CqEventKind.POST_DONE, float(i), tag=i, source=7))
@@ -107,9 +107,9 @@ class TestCompletionQueue:
         names = []
         for _ in range(2):
             m, job = make_job()
-            job.CqCreate(name="named")
-            names.append([job.CqCreate().name, job.CqCreate().name,
-                          CompletionQueue(m.engine).name])
+            CompletionQueue(m.engine, name="named")
+            names.append([CompletionQueue(m.engine).name
+                          for _ in range(3)])
         assert names[0] == names[1] == ["cq0", "cq1", "cq2"]
 
 
@@ -199,10 +199,10 @@ class TestMemRegistration:
 class TestSmsg:
     def test_delivery_and_payload(self):
         m, job = make_job()
-        cpu = job.SmsgSendWTag(0, 2, tag=7, nbytes=88, payload={"hello": 1})
+        cpu = job.smsg.send(0, 2, tag=7, nbytes=88, payload={"hello": 1})
         assert cpu > 0
         m.engine.run()
-        msg, rcpu = job.SmsgGetNextWTag(2)
+        msg, rcpu = job.smsg.get_next(2)
         assert msg is not None
         assert msg.tag == 7 and msg.payload == {"hello": 1}
         assert msg.src_pe == 0
@@ -211,7 +211,7 @@ class TestSmsg:
     def test_small_message_latency_calibration(self):
         """8B SMSG inter-node ≈ 1.2us (paper's pure-uGNI number)."""
         m, job = make_job()
-        job.SmsgSendWTag(0, 2, tag=0, nbytes=8)
+        job.smsg.send(0, 2, tag=0, nbytes=8)
         times = []
         job.smsg.rx_cq(2).on_event = lambda cq: times.append(m.engine.now)
         m.engine.run()
@@ -224,9 +224,9 @@ class TestSmsg:
         assert early.pe == 1 and early.on_event is None
         seen = []
         job.smsg.on_rx = lambda cq: seen.append(
-            (cq.pe, job.SmsgGetNextWTag(cq.pe)[0].tag))
-        job.SmsgSendWTag(0, 2, tag=5, nbytes=8)
-        job.SmsgSendWTag(0, 3, tag=6, nbytes=8)
+            (cq.pe, job.smsg.get_next(cq.pe)[0].tag))
+        job.smsg.send(0, 2, tag=5, nbytes=8)
+        job.smsg.send(0, 3, tag=6, nbytes=8)
         m.engine.run()
         # one callable hooks every queue made after it was set
         assert sorted(seen) == [(2, 5), (3, 6)]
@@ -244,7 +244,7 @@ class TestSmsg:
         m.observer.on_tx = lambda msg, kind, nbytes, label, t: labels.append(
             label)
         for dst in (2, 3, 2):
-            job.SmsgSendWTag(0, dst, tag=0, nbytes=8)
+            job.smsg.send(0, dst, tag=0, nbytes=8)
         assert labels == ["smsg[0->2]", "smsg[0->3]", "smsg[0->2]"]
         assert labels[2] is labels[0]   # one string a pair, however traced
         assert [job.smsg.connection(0, dst) for dst in (2, 3)] == [0, 1]
@@ -254,19 +254,19 @@ class TestSmsg:
         assert job.smsg.in_flight() == 3
         # a PE off the machine is refused, not packed into another's key
         with pytest.raises(TopologyError):
-            job.SmsgSendWTag(0, m.n_pes, tag=0, nbytes=8)
+            job.smsg.send(0, m.n_pes, tag=0, nbytes=8)
         with pytest.raises(TopologyError):
-            job.SmsgSendWTag(m.n_pes, 1, tag=0, nbytes=8)
+            job.smsg.send(m.n_pes, 1, tag=0, nbytes=8)
 
     def test_oversize_rejected(self):
         m, job = make_job()
         with pytest.raises(UgniInvalidParam):
-            job.SmsgSendWTag(0, 2, tag=0, nbytes=job.smsg.max_size + 1)
+            job.smsg.send(0, 2, tag=0, nbytes=job.smsg.max_size + 1)
 
     def test_send_to_self_rejected(self):
         m, job = make_job()
         with pytest.raises(UgniInvalidParam):
-            job.SmsgSendWTag(3, 3, tag=0, nbytes=8)
+            job.smsg.send(3, 3, tag=0, nbytes=8)
 
     def test_credit_exhaustion_and_release(self):
         m, job = make_job()
@@ -274,23 +274,23 @@ class TestSmsg:
         sent = 0
         with pytest.raises(UgniNoSpace):
             while True:
-                job.SmsgSendWTag(0, 2, tag=0, nbytes=size)
+                job.smsg.send(0, 2, tag=0, nbytes=size)
                 sent += 1
         assert sent > 0
         m.engine.run()
         # drain everything: credits release, sending works again
         for _ in range(sent):
-            msg, _ = job.SmsgGetNextWTag(2)
+            msg, _ = job.smsg.get_next(2)
             assert msg is not None
-        job.SmsgSendWTag(0, 2, tag=0, nbytes=size)
+        job.smsg.send(0, 2, tag=0, nbytes=size)
 
     def test_mailbox_memory_grows_with_connections(self):
         m, job = make_job(n_nodes=4, cores_per_node=2)
         base = job.smsg.total_mailbox_memory
-        job.SmsgSendWTag(0, 2, tag=0, nbytes=8)
+        job.smsg.send(0, 2, tag=0, nbytes=8)
         one = job.smsg.total_mailbox_memory
-        job.SmsgSendWTag(0, 4, tag=0, nbytes=8)
-        job.SmsgSendWTag(0, 6, tag=0, nbytes=8)
+        job.smsg.send(0, 4, tag=0, nbytes=8)
+        job.smsg.send(0, 6, tag=0, nbytes=8)
         three = job.smsg.total_mailbox_memory
         assert base == 0
         assert three == 3 * one
@@ -298,28 +298,28 @@ class TestSmsg:
     def test_in_flight_accounting(self):
         m, job = make_job()
         for i in range(5):
-            job.SmsgSendWTag(0, 2, tag=i, nbytes=32)
+            job.smsg.send(0, 2, tag=i, nbytes=32)
         assert job.smsg.in_flight() == 5
         m.engine.run()
         for _ in range(5):
-            job.SmsgGetNextWTag(2)
+            job.smsg.get_next(2)
         assert job.smsg.in_flight() == 0
 
     def test_intranode_uses_loopback(self):
         m, job = make_job(n_nodes=2, cores_per_node=4)
-        job.SmsgSendWTag(0, 1, tag=0, nbytes=64)  # same node
+        job.smsg.send(0, 1, tag=0, nbytes=64)  # same node
         m.engine.run()
-        msg, _ = job.SmsgGetNextWTag(1)
+        msg, _ = job.smsg.get_next(1)
         assert msg is not None
 
     def test_fifo_per_connection(self):
         m, job = make_job()
         for i in range(10):
-            job.SmsgSendWTag(0, 2, tag=i, nbytes=16)
+            job.smsg.send(0, 2, tag=i, nbytes=16)
         m.engine.run()
         tags = []
         while True:
-            msg, _ = job.SmsgGetNextWTag(2)
+            msg, _ = job.smsg.get_next(2)
             if msg is None:
                 break
             tags.append(msg.tag)
@@ -338,7 +338,7 @@ class TestMsgq:
 
     def test_msgq_slower_than_smsg(self):
         m, job = make_job()
-        t_smsg = job.SmsgSendWTag(0, 2, tag=0, nbytes=64)
+        t_smsg = job.smsg.send(0, 2, tag=0, nbytes=64)
         t_msgq = job.msgq.send(0, 4, tag=0, nbytes=64)
         assert t_msgq > t_smsg
 
@@ -371,15 +371,15 @@ class TestRdma:
 
     def test_put_generates_local_and_remote_events(self):
         m, job = make_job()
-        src_cq, dst_cq = job.CqCreate(), job.CqCreate()
+        src_cq, dst_cq = CompletionQueue(m.engine), CompletionQueue(m.engine)
         lh, rh = self._registered_pair(job, m, 4 * KB, dst_cq=dst_cq)
         desc = PostDescriptor(PostType.PUT, local_mem=lh, remote_mem=rh,
                               length=4 * KB, src_cq=src_cq)
-        cpu = job.PostFma(0, desc)
+        cpu = job.rdma.post(0, desc, fma=True)
         assert cpu > 0
         m.engine.run()
-        local = job.CqGetEvent(src_cq)
-        remote = job.CqGetEvent(dst_cq)
+        local = src_cq.get_event()
+        remote = dst_cq.get_event()
         assert local.kind is CqEventKind.POST_DONE
         assert remote.kind is CqEventKind.REMOTE_DATA
         # data must land before/with the local completion
@@ -388,14 +388,14 @@ class TestRdma:
     def test_get_generates_no_remote_event(self):
         """The uGNI property that forces the paper's ACK_TAG message."""
         m, job = make_job()
-        src_cq, dst_cq = job.CqCreate(), job.CqCreate()
+        src_cq, dst_cq = CompletionQueue(m.engine), CompletionQueue(m.engine)
         lh, rh = self._registered_pair(job, m, 4 * KB, dst_cq=dst_cq)
         desc = PostDescriptor(PostType.GET, local_mem=lh, remote_mem=rh,
                               length=4 * KB, src_cq=src_cq)
-        job.PostRdma(0, desc)
+        job.rdma.post(0, desc, fma=False)
         m.engine.run()
-        assert job.CqGetEvent(src_cq) is not None
-        assert job.CqGetEvent(dst_cq) is None
+        assert src_cq.get_event() is not None
+        assert dst_cq.get_event() is None
 
     @pytest.mark.sanitize_violations
     def test_unregistered_memory_rejected(self):
@@ -404,7 +404,7 @@ class TestRdma:
         job.MemDeregister(rh)
         desc = PostDescriptor(PostType.PUT, local_mem=lh, remote_mem=rh, length=4 * KB)
         with pytest.raises(UgniNotRegistered):
-            job.PostFma(0, desc)
+            job.rdma.post(0, desc, fma=True)
 
     def test_out_of_bounds_transaction_rejected(self):
         m, job = make_job()
@@ -412,14 +412,14 @@ class TestRdma:
         desc = PostDescriptor(PostType.PUT, local_mem=lh, remote_mem=rh,
                               length=8 * KB)
         with pytest.raises(UgniNotRegistered):
-            job.PostFma(0, desc)
+            job.rdma.post(0, desc, fma=True)
 
     def test_post_from_wrong_node_rejected(self):
         m, job = make_job()
         lh, rh = self._registered_pair(job, m, 4 * KB)
         desc = PostDescriptor(PostType.PUT, local_mem=lh, remote_mem=rh, length=4 * KB)
         with pytest.raises(UgniInvalidParam):
-            job.PostFma(2, desc)
+            job.rdma.post(2, desc, fma=True)
 
     def test_zero_length_rejected(self):
         m, job = make_job()
@@ -432,13 +432,13 @@ class TestRdma:
         done = {}
         for name, fma in [("fma", True), ("bte", False)]:
             m2, job2 = make_job()
-            cq = job2.CqCreate()
+            cq = CompletionQueue(m2.engine)
             lh, rh = self._registered_pair(job2, m2, 512)
             desc = PostDescriptor(PostType.PUT, local_mem=lh, remote_mem=rh,
                                   length=512, src_cq=cq)
             job2.rdma.post(0, desc, fma=fma)
             m2.engine.run()
-            done[name] = job2.CqGetEvent(cq).time
+            done[name] = cq.get_event().time
         assert done["fma"] < done["bte"]
 
     def test_post_best_switches_at_crossover(self):
@@ -448,32 +448,32 @@ class TestRdma:
         lh, rh = self._registered_pair(job, m, 64 * KB)
         small = PostDescriptor(PostType.GET, local_mem=lh, remote_mem=rh, length=1 * KB)
         big = PostDescriptor(PostType.GET, local_mem=lh, remote_mem=rh, length=64 * KB)
-        cpu_small = job.PostBest(0, small)
-        cpu_big = job.PostBest(0, big)
+        cpu_small = job.rdma.post_best(0, small)
+        cpu_big = job.rdma.post_best(0, big)
         # FMA for 1K: cpu includes per-byte; BTE for 64K: flat post cost
         assert cpu_small > cfg.fma_issue_cpu
         assert cpu_big == pytest.approx(cfg.bte_post_cpu)
 
     def test_amo_roundtrip(self):
         m, job = make_job()
-        cq = job.CqCreate()
+        cq = CompletionQueue(m.engine)
         lh, rh = self._registered_pair(job, m, 64)
         desc = PostDescriptor(PostType.AMO, local_mem=lh, remote_mem=rh,
                               length=8, src_cq=cq)
-        job.PostFma(0, desc)
+        job.rdma.post(0, desc, fma=True)
         m.engine.run()
-        ev = job.CqGetEvent(cq)
+        ev = cq.get_event()
         assert ev is not None and ev.kind is CqEventKind.POST_DONE
 
     def test_local_node_post_uses_loopback(self):
         m, job = make_job(n_nodes=2, cores_per_node=4)
-        cq = job.CqCreate()
+        cq = CompletionQueue(m.engine)
         src_blk = m.nodes[0].memory.malloc(4 * KB)
         dst_blk = m.nodes[0].memory.malloc(4 * KB)
         lh, _ = job.MemRegister(src_blk)
         rh, _ = job.MemRegister(dst_blk)
         desc = PostDescriptor(PostType.PUT, local_mem=lh, remote_mem=rh,
                               length=4 * KB, src_cq=cq)
-        job.PostFma(0, desc)
+        job.rdma.post(0, desc, fma=True)
         m.engine.run()
-        assert job.CqGetEvent(cq) is not None
+        assert cq.get_event() is not None
