@@ -123,11 +123,15 @@ def run_nqueens(
     spawn depth is ``threshold - 2`` (see
     :func:`~repro.apps.nqueens.workmodel.paper_threshold_to_depth`).
     ``tree`` may be passed in to share one task tree across the runs of a
-    scaling sweep (building it dominates wall time for large N).
+    scaling sweep (and across layers, so each compares the same search).
     ``trace_bin`` turns on Projections-style tracing with that bin width.
     """
     if tree is None:
         depth = paper_threshold_to_depth(threshold)
+        if not 1 <= depth < n:
+            raise ValueError(
+                f"threshold {threshold} maps to spawn depth {depth}, "
+                f"which must be in [1, {n - 1}]")
         tree = build_task_tree(n, depth, mode=mode, seed=seed + 1)
     profile = TimeProfile(trace_bin) if trace_bin else None
     conv, lrts = make_runtime(n_pes=n_pes, layer=layer, config=config,

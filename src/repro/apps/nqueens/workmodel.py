@@ -103,36 +103,32 @@ def build_task_tree(
     ~N=14), ``"estimate"`` uses Knuth probes, ``"auto"`` picks by size.
     """
     if not 1 <= threshold < n:
-        raise ValueError(f"threshold must be in [1, {n - 1}], got {threshold}")
+        raise ValueError(
+            f"spawn depth must be in [1, {n - 1}], got {threshold}")
+    if mode not in ("exact", "estimate", "auto"):
+        raise ValueError(
+            f"mode must be 'exact' | 'estimate' | 'auto', got {mode!r}")
     use_exact = mode == "exact" or (mode == "auto" and n <= exact_limit)
-    rng = np.random.default_rng(seed)
 
     expansion_counts: list[int] = []
     children: list[np.ndarray] = []
-    frontier = [solver.ROOT]
+    cols = ld = rd = np.zeros(1, np.int64)
     for _depth in range(threshold):
-        expansion_counts.append(len(frontier))
-        kid_counts = np.empty(len(frontier), dtype=np.int64)
-        nxt: list[solver.State] = []
-        for i, st in enumerate(frontier):
-            kids = list(solver.expand(n, st))
-            kid_counts[i] = len(kids)
-            nxt.extend(kids)
-        children.append(kid_counts)
-        frontier = nxt
+        expansion_counts.append(len(cols))
+        counts, cols, ld, rd = solver.expand_level(n, cols, ld, rd)
+        children.append(counts)
 
-    leaf_work = np.empty(len(frontier), dtype=np.float64)
-    solutions: Optional[int] = 0 if use_exact else None
-    for i, st in enumerate(frontier):
-        if use_exact:
-            nodes, sols = solver.solve_subtree(n, st)
-            leaf_work[i] = nodes * node_cost
-            solutions += sols
-        else:
-            leaf_work[i] = (
-                solver.estimate_subtree_nodes(n, st, rng, probes=probes)
-                * node_cost
-            )
+    solutions: Optional[int] = None
+    if use_exact:
+        nodes, solutions = solver.subtree_sizes(n, threshold, cols, ld, rd)
+        leaf_work = nodes * node_cost
+    else:
+        rng = np.random.default_rng(seed)
+        leaf_work = np.array([
+            solver.estimate_subtree_nodes(n, (c, l, r, threshold), rng,
+                                          probes=probes)
+            for c, l, r in zip(cols.tolist(), ld.tolist(), rd.tolist())
+        ], dtype=np.float64) * node_cost
     return TaskTree(
         n=n,
         threshold=threshold,
