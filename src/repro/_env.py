@@ -19,16 +19,13 @@ from typing import Optional
 FALSE_STRINGS = frozenset({"", "0", "false", "no", "off"})
 
 
-def env_flag(name: str, default: bool = False) -> bool:
+def env_flag(name: str) -> bool:
     """True when environment variable ``name`` is set to a truthy value.
 
     ``"0"``, ``""``, ``"false"``, ``"no"`` and ``"off"`` (any case) are
-    False; an unset variable yields ``default``.
+    False, and so is an unset variable.
     """
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    return raw.strip().lower() not in FALSE_STRINGS
+    return os.environ.get(name, "").strip().lower() not in FALSE_STRINGS
 
 
 def env_int(name: str, default: Optional[int] = None) -> Optional[int]:

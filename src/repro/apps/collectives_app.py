@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from typing import Any, Optional
 
 from repro.converse.collectives import CollectiveEngine
 from repro.converse.scheduler import Message, PE
@@ -52,13 +52,11 @@ def _digest(results: dict[int, dict[int, tuple[int, Any]]]) -> str:
 
 
 def _run(op: str, n_pes: int, layer: str, algorithm: str,
-         config: Optional[MachineConfig], seed: int,
-         layer_config: Any, faults: Optional[FaultConfig],
-         fault_schedule: Iterable[Any]) -> CollectiveResult:
+         config: Optional[MachineConfig], seed: int = 0,
+         faults: Optional[FaultConfig] = None) -> CollectiveResult:
     cfg = (config or MachineConfig()).replace(cores_per_node=1)
     conv, lrts = make_runtime(n_nodes=n_pes, layer=layer, config=cfg,
-                              seed=seed, layer_config=layer_config,
-                              faults=faults, fault_schedule=fault_schedule)
+                              seed=seed, faults=faults)
     coll = CollectiveEngine(conv, algorithm=algorithm)
     results: dict[int, dict[int, tuple[int, Any]]] = {}
     done_at: dict[int, float] = {}
@@ -97,13 +95,10 @@ def run_alltoallv(
     algorithm: str = "tree",
     config: Optional[MachineConfig] = None,
     seed: int = 0,
-    layer_config: Any = None,
     faults: Optional[FaultConfig] = None,
-    fault_schedule: Iterable[Any] = (),
 ) -> CollectiveResult:
     """Every rank sends a variable-size part to every other rank."""
-    return _run("alltoallv", n_pes, layer, algorithm, config, seed,
-                layer_config, faults, fault_schedule)
+    return _run("alltoallv", n_pes, layer, algorithm, config, seed, faults)
 
 
 def run_allgather(
@@ -111,11 +106,6 @@ def run_allgather(
     layer: str = "ugni",
     algorithm: str = "tree",
     config: Optional[MachineConfig] = None,
-    seed: int = 0,
-    layer_config: Any = None,
-    faults: Optional[FaultConfig] = None,
-    fault_schedule: Iterable[Any] = (),
 ) -> CollectiveResult:
     """Every rank contributes one variable-size item; all ranks get all."""
-    return _run("allgather", n_pes, layer, algorithm, config, seed,
-                layer_config, faults, fault_schedule)
+    return _run("allgather", n_pes, layer, algorithm, config)

@@ -110,8 +110,6 @@ def gpu_pingpong(
     config: Optional[MachineConfig] = None,
     iters: int = 30,
     warmup: int = 5,
-    seed: int = 0,
-    engine: Optional[Any] = None,
 ) -> GpuPingPongResult:
     """One-way latency for a device-resident payload between two nodes.
 
@@ -122,8 +120,7 @@ def gpu_pingpong(
         cores_per_node=1,
         gpus_per_node=max(1, (config or MachineConfig()).gpus_per_node),
         gpu_transport=transport)
-    conv, lrts = make_runtime(n_nodes=2, layer=layer, config=cfg, seed=seed,
-                              engine=engine)
+    conv, lrts = make_runtime(n_nodes=2, layer=layer, config=cfg)
     charm = Charm(conv)
     sink: list[float] = []
     record: list = []
@@ -143,6 +140,14 @@ def gpu_pingpong(
 # --------------------------------------------------------------------------- #
 # GPU kNeighbor
 # --------------------------------------------------------------------------- #
+#: the ring: ``KNB_CORES`` chares, one per node, each sending to ``KNB_K``
+#: neighbours on either side and launching one ``KNB_KERNEL_S`` kernel
+#: per iteration
+KNB_CORES = 3
+KNB_K = 1
+KNB_KERNEL_S = 20e-6
+
+
 @dataclass
 class GpuKNeighborResult:
     size: int
@@ -233,35 +238,30 @@ def gpu_kneighbor(
     size: int,
     layer: str = "ugni",
     transport: str = "auto",
-    k: int = 1,
-    n_cores: int = 3,
-    kernel_s: float = 20e-6,
     config: Optional[MachineConfig] = None,
     iters: int = 10,
     warmup: int = 3,
-    seed: int = 0,
-    engine: Optional[Any] = None,
 ) -> GpuKNeighborResult:
     """kNeighbor over device payloads with kernel/communication overlap."""
     cfg = (config or MachineConfig()).replace(
         cores_per_node=1,
         gpus_per_node=max(1, (config or MachineConfig()).gpus_per_node),
         gpu_transport=transport)
-    conv, lrts = make_runtime(n_nodes=n_cores, layer=layer, config=cfg,
-                              seed=seed, engine=engine)
+    conv, lrts = make_runtime(n_nodes=KNB_CORES, layer=layer, config=cfg)
     charm = Charm(conv)
     sink: list[float] = []
     record: list = []
     arr = charm.create_array(
-        _GpuNeighbor, n_cores,
-        args=(n_cores, k, size, iters, warmup, kernel_s, sink, record),
+        _GpuNeighbor, KNB_CORES,
+        args=(KNB_CORES, KNB_K, size, iters, warmup, KNB_KERNEL_S, sink,
+              record),
         map="round_robin", name="gpu_kneighbor")
     charm.start(lambda pe: arr.begin())
     charm.run(max_events=50_000_000)
     assert sink, "GPU kNeighbor did not finish"
     stats = lrts.stats()
     stats["gpu_devices"] = {g.gpu_id: g.stats() for g in conv.machine.gpus}
-    return GpuKNeighborResult(size=size, k=k, n_cores=n_cores, layer=layer,
-                              transport=transport, iteration_time=sink[0],
-                              iterations=iters, digest=_digest(record),
-                              stats=stats)
+    return GpuKNeighborResult(size=size, k=KNB_K, n_cores=KNB_CORES,
+                              layer=layer, transport=transport,
+                              iteration_time=sink[0], iterations=iters,
+                              digest=_digest(record), stats=stats)

@@ -23,7 +23,6 @@ from repro.apps.nqueens.solver import (
     count_solutions,
     estimate_subtree_nodes,
     solve_subtree,
-    valid_prefixes,
 )
 from repro.apps.nqueens.workmodel import TaskTree, build_task_tree
 
@@ -32,7 +31,6 @@ __all__ = [
     "count_solutions",
     "estimate_subtree_nodes",
     "solve_subtree",
-    "valid_prefixes",
     "TaskTree",
     "build_task_tree",
     "run_nqueens",

@@ -109,7 +109,6 @@ def run_nqueens(
     threshold: int,
     n_pes: int,
     layer: str = "ugni",
-    mode: str = "auto",
     seed: int = 0,
     config: Optional[MachineConfig] = None,
     tree: Optional[TaskTree] = None,
@@ -132,7 +131,7 @@ def run_nqueens(
             raise ValueError(
                 f"threshold {threshold} maps to spawn depth {depth}, "
                 f"which must be in [1, {n - 1}]")
-        tree = build_task_tree(n, depth, mode=mode, seed=seed + 1)
+        tree = build_task_tree(n, depth, seed=seed + 1)
     profile = TimeProfile(trace_bin) if trace_bin else None
     conv, lrts = make_runtime(n_pes=n_pes, layer=layer, config=config,
                               seed=seed, tracer=profile, engine=engine)

@@ -116,22 +116,6 @@ def count_solutions(n: int) -> int:
     return solve_subtree(n, ROOT)[1]
 
 
-def valid_prefixes(n: int, depth: int) -> list[State]:
-    """All consistent placements of the first ``depth`` queens.
-
-    These are the leaf *tasks* at the paper's threshold; their count is
-    the dominant term in the run's message count (e.g. threshold 6 on a
-    17-board gives the paper's ~15K messages, threshold 7 ~123K).
-    """
-    if depth < 0 or depth > n:
-        raise ValueError(f"depth {depth} out of range for n={n}")
-    cols = ld = rd = np.zeros(1, np.int64)
-    for _ in range(depth):
-        _counts, cols, ld, rd = expand_level(n, cols, ld, rd)
-    return [(c, l, r, depth)
-            for c, l, r in zip(cols.tolist(), ld.tolist(), rd.tolist())]
-
-
 def estimate_subtree_nodes(
     n: int,
     state: State,

@@ -5,8 +5,7 @@ valid prefix shallower than the threshold, each charging a small
 expansion cost and spawning its children); at the threshold depth each
 prefix becomes a *leaf task* charging its whole remaining-subtree solve.
 
-``node_cost`` converts tree nodes to seconds; the default (13 ns) is
-calibrated so total 17-Queens work ≈ 105 core-seconds, matching the
+:data:`NODE_COST` converts tree nodes to seconds; 13 ns is calibrated so total 17-Queens work ≈ 105 core-seconds, matching the
 paper's best result (0.029 s on 3840 cores at near-perfect efficiency,
 Table I) — the per-node cost of a tuned C++ bitmask solver is indeed a
 few tens of nanoseconds.
@@ -24,7 +23,7 @@ ParSSSE's adaptive grain control batches them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -33,7 +32,9 @@ from repro.apps.nqueens import solver
 from repro.units import ns
 
 #: seconds of sequential work per search-tree node (see module docstring)
-DEFAULT_NODE_COST = 13 * ns
+NODE_COST = 13 * ns
+#: ``"auto"`` solves every leaf subtree exactly up to this board size
+EXACT_LIMIT = 14
 
 
 def paper_threshold_to_depth(threshold: int) -> int:
@@ -92,15 +93,14 @@ def build_task_tree(
     n: int,
     threshold: int,
     mode: str = "auto",
-    node_cost: float = DEFAULT_NODE_COST,
     seed: int = 1234,
     probes: int = 4,
-    exact_limit: int = 14,
 ) -> TaskTree:
     """Enumerate the prefix tree and attach per-leaf work.
 
     ``mode``: ``"exact"`` solves every leaf subtree (affordable up to
-    ~N=14), ``"estimate"`` uses Knuth probes, ``"auto"`` picks by size.
+    N = :data:`EXACT_LIMIT`), ``"estimate"`` uses Knuth probes,
+    ``"auto"`` picks by size.
     """
     if not 1 <= threshold < n:
         raise ValueError(
@@ -108,7 +108,7 @@ def build_task_tree(
     if mode not in ("exact", "estimate", "auto"):
         raise ValueError(
             f"mode must be 'exact' | 'estimate' | 'auto', got {mode!r}")
-    use_exact = mode == "exact" or (mode == "auto" and n <= exact_limit)
+    use_exact = mode == "exact" or (mode == "auto" and n <= EXACT_LIMIT)
 
     expansion_counts: list[int] = []
     children: list[np.ndarray] = []
@@ -121,18 +121,18 @@ def build_task_tree(
     solutions: Optional[int] = None
     if use_exact:
         nodes, solutions = solver.subtree_sizes(n, threshold, cols, ld, rd)
-        leaf_work = nodes * node_cost
+        leaf_work = nodes * NODE_COST
     else:
         rng = np.random.default_rng(seed)
         leaf_work = np.array([
             solver.estimate_subtree_nodes(n, (c, l, r, threshold), rng,
                                           probes=probes)
             for c, l, r in zip(cols.tolist(), ld.tolist(), rd.tolist())
-        ], dtype=np.float64) * node_cost
+        ], dtype=np.float64) * NODE_COST
     return TaskTree(
         n=n,
         threshold=threshold,
-        node_cost=node_cost,
+        node_cost=NODE_COST,
         leaf_work=leaf_work,
         expansion_counts=expansion_counts,
         children=children,

@@ -11,7 +11,6 @@ different implementations."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.charm import Chare, Charm
 from repro.hardware.config import MachineConfig
@@ -69,14 +68,12 @@ def one_to_all(
     size: int,
     layer: str = "ugni",
     n_nodes: int = 16,
-    config: Optional[MachineConfig] = None,
     iters: int = 20,
     warmup: int = 5,
-    seed: int = 0,
 ) -> OneToAllResult:
     """Run the Fig. 9c benchmark: root on node 0, one leaf per other node."""
-    cfg = config or MachineConfig()
-    conv, _ = make_runtime(n_nodes=n_nodes, layer=layer, config=cfg, seed=seed)
+    cfg = MachineConfig()
+    conv, _ = make_runtime(n_nodes=n_nodes, layer=layer, config=cfg)
     charm = Charm(conv)
     sink: list[float] = []
     n_dests = n_nodes - 1

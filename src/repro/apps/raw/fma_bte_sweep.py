@@ -53,10 +53,3 @@ def fma_bte_latency(kind: str, size: int,
     assert done, f"{kind} transfer never completed"
     return done[0]
 
-
-def fma_bte_sweep(sizes, config: Optional[MachineConfig] = None) -> dict:
-    """All four Fig. 4 curves over ``sizes``; returns kind -> [latency]."""
-    return {
-        kind: [fma_bte_latency(kind, s, config) for s in sizes]
-        for kind in KINDS
-    }

@@ -32,13 +32,13 @@ MAPS: dict[str, Callable[[list, int], dict]] = {
 class Collection:
     """One chare array or group."""
 
-    def __init__(self, charm, aid: int, cls: type, name: str,
-                 is_group: bool = False):
+    def __init__(self, charm, aid: int, cls: type, name: str):
         self.charm = charm
         self.aid = aid
         self.cls = cls
         self.name = name
-        self.is_group = is_group
+        #: set by :meth:`Charm.create_group` (and a group's restore)
+        self.is_group = False
         self.n_pes = len(charm.conv.pes)
         #: authoritative element -> PE map (the location manager)
         self.location: dict[Any, int] = {}
@@ -120,7 +120,7 @@ class Collection:
         detached from its old PE and its message has not been installed at
         the new home yet).  A checkpoint taken in that window would lose
         the element, so :func:`~repro.charm.checkpoint.take_checkpoint`
-        audits this in both drained and wave mode.
+        audits this.
         """
         hosted = set()
         for pe_elems in self.local.values():

@@ -12,23 +12,17 @@ This module implements exactly that for the simulated runtime:
 * :func:`take_checkpoint` — snapshot every collection's element states
   (PUP-style: all attributes except runtime bindings), indices, placement
   and reduction progress, plus the runtime-wide determinism state (engine
-  clock, RNG streams, trace-ID counter).  Two quiescence modes:
-
-  - **drained** (default): the event heap must be empty — the historical
-    contract, right for hand-driven phase tests.
-  - **at_quiescence=True**: the caller vouches that application traffic
-    is quiescent (typically from inside a
-    :class:`~repro.converse.quiescence.QuiescenceDetector` callback).
-    The heap may still hold non-application events — armed fault
-    schedules, checkpoint timers — which is precisely why the resilience
-    layer cannot use drained mode: a pending :class:`NodeCrash` would
-    otherwise make checkpointing impossible for the exact runs that need
-    it.  Application quiescence is still audited (counters balanced,
-    PE queues empty, no reductions or migrations in flight).
+  clock, RNG streams, trace-ID counter).  The caller vouches that
+  application traffic is quiescent (typically from inside a
+  :class:`~repro.converse.quiescence.QuiescenceDetector` callback); the
+  event heap may still hold non-application events — armed fault
+  schedules, checkpoint timers — so checkpointing composes with the
+  fault injector.  Application quiescence is audited (counters balanced,
+  PE queues empty, no reductions or migrations in flight).
 
 * :func:`restore_into` — rebuild the collections inside a *fresh* Charm
   runtime (same or different PE count), re-binding proxies and remapping
-  element placement through a real mapper (optionally the load balancer's
+  element placement through a mapper (optionally the load balancer's
   :func:`~repro.charm.loadbalancer.restore_rebalance_map`).
 
 Clock semantics on restore: the restored engine's clock is advanced to
@@ -50,11 +44,9 @@ size, continue, and verify the results match an uninterrupted run.
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Optional
 
-from repro.charm.array import MAPS
 from repro.charm.chare import ArrayProxy
 from repro.charm.runtime import Charm
 from repro.errors import CharmError
@@ -64,9 +56,6 @@ from repro.errors import CharmError
 #: the incarnation, not the element, and deep-copying it would drag the
 #: whole dead runtime into the checkpoint.
 RUNTIME_ATTRS = frozenset({"charm", "pe", "thisProxy", "_resilience"})
-
-#: how a group checkpoint maps onto *fewer* PEs (see :func:`restore_into`)
-GROUP_SHRINK_MODES = ("error", "merge")
 
 
 @dataclass
@@ -125,30 +114,19 @@ def _capture_element(elem: Any) -> dict:
     return state
 
 
-def take_checkpoint(charm: Charm, skip: tuple = (),
-                    at_quiescence: bool = False) -> Checkpoint:
-    """Snapshot every collection of ``charm`` (must be quiescent).
+def take_checkpoint(charm: Charm) -> Checkpoint:
+    """Snapshot every collection of ``charm`` at application quiescence.
 
-    ``skip`` names collections to leave out (e.g. transient driver
-    singletons the application rebuilds itself).  ``at_quiescence`` selects
-    the relaxed quiescence audit (see the module docstring): application
-    traffic must be drained, but the event heap may hold non-application
-    events such as armed fault schedules.
+    The event heap may hold non-application events such as armed fault
+    schedules (see the module docstring).
     """
-    if at_quiescence:
-        # the QD's counting result, re-checked against the runtime's own
-        # counters: every entry invocation sent has been executed
-        if charm.app_sends != charm.app_executes:
-            raise CharmError(
-                f"checkpoint at_quiescence with unbalanced app counters "
-                f"(sent={charm.app_sends}, executed={charm.app_executes}); "
-                "application messages are still in flight")
-    elif charm.engine.peek() != math.inf:
+    # the QD's counting result, re-checked against the runtime's own
+    # counters: every entry invocation sent has been executed
+    if charm.app_sends != charm.app_executes:
         raise CharmError(
-            "checkpoint with simulation events still pending (messages in "
-            "flight or timers armed); checkpoint at quiescence, or pass "
-            "at_quiescence=True from a quiescence-detection callback"
-        )
+            "checkpoint with unbalanced app counters "
+            f"(sent={charm.app_sends}, executed={charm.app_executes}); "
+            "application messages are still in flight")
     for pe in charm.conv.pes:
         if pe.queue_length:
             raise CharmError(
@@ -165,8 +143,6 @@ def take_checkpoint(charm: Charm, skip: tuple = (),
         trace_next_id=obs.tracer.minted() if obs is not None else 0,
     )
     for coll in charm.collections.values():
-        if coll.name in skip:
-            continue
         if any(st.active for st in coll.red.values()):
             raise CharmError(
                 f"checkpoint with reduction in flight on {coll.name!r}")
@@ -200,20 +176,8 @@ def _preserve_map(cc: CollectionCheckpoint, indices: list, n_pes: int) -> dict:
 RestoreMapper = Callable[[CollectionCheckpoint, list, int], dict]
 
 
-def _resolve_restore_map(map: Union[None, str, RestoreMapper]) -> RestoreMapper:
-    if map is None:
-        return _preserve_map
-    if isinstance(map, str):
-        base = MAPS.get(map)
-        if base is None:
-            raise CharmError(
-                f"unknown restore map {map!r} (available: {sorted(MAPS)})")
-        return lambda cc, indices, n_pes: base(indices, n_pes)
-    return map
-
-
-def _restore_group_indices(cc: CollectionCheckpoint, n_new: int,
-                           group_shrink: str) -> dict[Any, list]:
+def _restore_group_indices(cc: CollectionCheckpoint,
+                           n_new: int) -> dict[Any, list]:
     """Survivor index -> list of checkpointed indices folded into it."""
     if cc.n_elements < n_new:
         raise CharmError(
@@ -222,49 +186,33 @@ def _restore_group_indices(cc: CollectionCheckpoint, n_new: int,
             "is per-PE infrastructure the runtime cannot invent — restart "
             "groups on at most as many PEs as were checkpointed)"
         )
-    if cc.n_elements == n_new:
-        return {idx: [idx] for idx in sorted(cc.states, key=str)}
-    # shrink: more checkpointed elements than PEs to host them
-    if group_shrink == "error":
-        raise CharmError(
-            f"group {cc.name!r} checkpointed with {cc.n_elements} elements "
-            f"does not fit {n_new} PEs; pass group_shrink='merge' (elements "
-            f"define merge_restored_state) to fold them, or restart on "
-            f"{cc.n_elements} PEs"
-        )
-    if group_shrink != "merge":
-        raise CharmError(
-            f"unknown group_shrink mode {group_shrink!r} "
-            f"(available: {GROUP_SHRINK_MODES})")
-    # merge: survivor r absorbs checkpointed ranks r, r+n_new, r+2*n_new, ...
+    # survivor r absorbs checkpointed ranks r, r+n_new, r+2*n_new, ...
     # — the deterministic fold FTC-Charm++ style shrink restart performs
     folded: dict[Any, list] = {r: [] for r in range(n_new)}
-    for old_rank in sorted(cc.states, key=lambda i: (int(i),)):
+    for old_rank in sorted(cc.states, key=int):
         folded[int(old_rank) % n_new].append(old_rank)
     return folded
 
 
 def restore_into(charm: Charm, ckpt: Checkpoint,
-                 map: Union[None, str, RestoreMapper] = None,
-                 group_shrink: str = "error") -> dict[str, ArrayProxy]:
+                 map: Optional[RestoreMapper] = None) -> dict[str, ArrayProxy]:
     """Rebuild checkpointed collections inside a fresh runtime.
 
     Returns ``{collection name: proxy}``.
 
     ``map`` chooses array placement on the new runtime: ``None`` preserves
-    the checkpointed placement modulo the new PE count, a string picks a
-    registered map (``"block"``, ``"round_robin"``), and a callable
+    the checkpointed placement modulo the new PE count, and a callable
     ``(collection_checkpoint, indices, n_pes) -> {idx: pe}`` plugs in a
     custom strategy (the recovery path passes
-    :func:`~repro.charm.loadbalancer.restore_rebalance_map`).  All three
-    routes go through the same mapping path — placement is computed once,
-    validated, and registered via ``Collection.insert``, so the location
-    manager, the reduction tree, and the load balancer's view agree.
+    :func:`~repro.charm.loadbalancer.restore_rebalance_map`).  Placement
+    is computed once, validated, and registered via ``Collection.insert``,
+    so the location manager, the reduction tree, and the load balancer's
+    view agree.
 
     Groups get exactly one element per PE.  Growing a group is an error;
-    shrinking is governed by ``group_shrink``: ``"error"`` (default)
-    refuses, ``"merge"`` folds checkpointed element ``r`` into survivor
-    ``r % n_new`` via the element's ``merge_restored_state(state)`` hook.
+    a shrinking group folds checkpointed element ``r`` into survivor
+    ``r % n_new`` via the element's ``merge_restored_state(state)`` hook
+    (a class without it raises).
 
     The fresh engine's clock advances to ``ckpt.sim_time`` (forward only
     — see the module docstring for the tracer monotonicity argument).
@@ -280,12 +228,12 @@ def restore_into(charm: Charm, ckpt: Checkpoint,
     if ckpt.sim_time > charm.engine.now:
         charm.engine.advance_to(ckpt.sim_time)
     n_new = len(charm.conv.pes)
-    mapper = _resolve_restore_map(map)
+    mapper = map or _preserve_map
     proxies: dict[str, ArrayProxy] = {}
     for cc in ckpt.collections:
         if cc.is_group:
             # groups are rank-indexed: one element per PE, no remapping
-            folded = _restore_group_indices(cc, n_new, group_shrink)
+            folded = _restore_group_indices(cc, n_new)
             indices = sorted(folded, key=str)
             placement = {idx: int(idx) for idx in indices}
         else:

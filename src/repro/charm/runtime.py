@@ -4,7 +4,7 @@ migration, and quiescence, over a ConverseRuntime."""
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.charm.array import MAPS, Collection
 from repro.charm.chare import ArrayProxy, BoundMethod, Chare, estimate_size
@@ -73,10 +73,9 @@ class Charm:
         return proxy
 
     def create_group(self, cls: type, args: Sequence = (),
-                     kwargs: Optional[dict] = None,
                      name: Optional[str] = None) -> ArrayProxy:
         """One element per PE, indexed by PE rank (Charm++ Group)."""
-        proxy = self.create_array(cls, self.n_pes, args=args, kwargs=kwargs,
+        proxy = self.create_array(cls, self.n_pes, args=args,
                                   map="round_robin", name=name or cls.__name__)
         self.collections[proxy.aid].is_group = True
         return proxy
@@ -255,7 +254,7 @@ class Charm:
             elem._lb_load += pe.vtime - t0
 
     def local_invoke(self, proxy: ArrayProxy, idx: Any, method: str,
-                     args: tuple = (), kwargs: Optional[dict] = None) -> bool:
+                     args: tuple = ()) -> bool:
         """Run an element's entry method directly when it lives on the
         calling PE (no message, no scheduling — a plain call within the
         current handler's time).  Falls back to a real invocation when the
@@ -268,9 +267,9 @@ class Charm:
         coll = self.collections[proxy.aid]
         elem = coll.element_at(pe.rank, idx)
         if elem is None:
-            getattr(proxy[idx], method)(*args, **(kwargs or {}))
+            getattr(proxy[idx], method)(*args)
             return False
-        self._run_method(pe, elem, method, args, kwargs or {})
+        self._run_method(pe, elem, method, args, {})
         return True
 
     # ------------------------------------------------------------------ #

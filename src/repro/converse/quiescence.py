@@ -40,11 +40,11 @@ class QuiescenceDetector:
         self._h_up = conv.register_handler(self._wave_up)
 
     # -- counter feed (called by applications' send/execute wrappers) -----------
-    def notify_send(self, pe_rank: int, n: int = 1) -> None:
-        self.sent[pe_rank] += n
+    def notify_send(self, pe_rank: int) -> None:
+        self.sent[pe_rank] += 1
 
-    def notify_process(self, pe_rank: int, n: int = 1) -> None:
-        self.processed[pe_rank] += n
+    def notify_process(self, pe_rank: int) -> None:
+        self.processed[pe_rank] += 1
 
     # -- API ---------------------------------------------------------------------
     def start(self, on_quiescence: Callable[[float], None]) -> None:

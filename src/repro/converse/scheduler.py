@@ -161,8 +161,8 @@ class PE:
         if self.halted:
             # dead silicon: a message that reaches a crashed PE vanishes
             # (previously it sat on the queue forever, which made queue
-            # inspection — and the wave-mode checkpoint's quiescence
-            # audit — lie about pending work)
+            # inspection — and the checkpoint's quiescence audit — lie
+            # about pending work)
             self.dropped_dead += 1
             return
         obs = self._observer
@@ -223,13 +223,13 @@ class PE:
         self._head = 0
         self._prioq = None
 
-    def end_blocking(self, t: float, kind: str = "overhead") -> None:
-        """Unblock at simulated time ``t``; the wait is charged as ``kind``."""
+    def end_blocking(self, t: float) -> None:
+        """Unblock at simulated time ``t``; the wait is charged as overhead."""
         if not self._blocked:
             raise SimulationError(f"PE {self.rank} was not blocked")
         self._blocked = False
         self.vtime = self.busy_until
-        self.charge(max(0.0, t - self.busy_until), kind)
+        self.charge(max(0.0, t - self.busy_until), "overhead")
         self.busy_until = self.vtime
         self.idle_since = self.vtime
         self._kick()
@@ -418,16 +418,15 @@ class ConverseRuntime:
         self.pes[dst_rank].deliver_at(at, msg)
 
     def broadcast_from_outside(self, make_msg: Callable[[int], Message],
-                               at: float = 0.0,
                                ranks: Optional[Iterable[int]] = None) -> None:
-        """Inject one bootstrap message per rank (``make_msg(rank)``) at ``at``.
+        """Inject one bootstrap message per rank (``make_msg(rank)``) at 0.
 
         The per-PE kick that starts every collective/spray benchmark:
         the :meth:`send_from_outside` loop, each delivery routed by its
         PE's node (consecutive ``seq`` stamps, rank order).
         """
         for r in (range(len(self.pes)) if ranks is None else ranks):
-            self.pes[r].deliver_at(at, make_msg(r))
+            self.pes[r].deliver_at(0.0, make_msg(r))
 
     # -- run ----------------------------------------------------------------
     def run(self, until: float = float("inf"), max_events: Optional[int] = None) -> float:

@@ -77,18 +77,6 @@ class UgniTransactionError(UgniError):
     rc = "GNI_RC_TRANSACTION_ERROR"
 
 
-class UgniCqOverrun(UgniError):
-    """A completion queue overflowed (``GNI_RC_ERROR_RESOURCE``).
-
-    A :class:`~repro.ugni.cq.CompletionQueue` created with ``strict=True``
-    raises this when an event arrives at a full queue; non-strict queues
-    keep the event, count the overrun, and emit an explicit ``ERROR``
-    entry instead of failing silently.
-    """
-
-    rc = "GNI_RC_ERROR_RESOURCE"
-
-
 class MpiError(ReproError):
     """Errors from the simulated MPI subset (``repro.mpish``)."""
 

@@ -21,7 +21,6 @@ from repro.faults.injector import (
     NodeCrash,
     install_faults,
 )
-from repro.faults.report import fault_report, format_fault_report
 
 __all__ = [
     "FaultConfig",
@@ -29,6 +28,4 @@ __all__ = [
     "LinkFlap",
     "NodeCrash",
     "install_faults",
-    "fault_report",
-    "format_fault_report",
 ]

@@ -134,6 +134,11 @@ class FaultInjector:
                 if math.isfinite(ev.duration):
                     self._arm_one(ev.at + ev.duration, self._link_up, ev)
             elif isinstance(ev, NodeCrash):
+                n_nodes = len(self.machine.nodes)
+                if not 0 <= ev.node_id < n_nodes:
+                    raise SimulationError(
+                        f"NodeCrash names node {ev.node_id}, but the "
+                        f"machine has {n_nodes} nodes")
                 self._arm_one(ev.at, self._crash, ev)
             else:
                 raise SimulationError(f"unknown schedule event {ev!r}")

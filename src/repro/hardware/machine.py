@@ -40,7 +40,6 @@ class Machine:
         config: Optional[MachineConfig] = None,
         engine: Optional[Engine] = None,
         seed: int = 0,
-        torus_dims: Optional[tuple[int, int, int]] = None,
     ):
         if n_nodes < 1:
             raise TopologyError(f"need at least one node, got {n_nodes}")
@@ -48,17 +47,10 @@ class Machine:
         self.engine = engine or Engine()
         self.rng = RngRegistry(seed)
         if self.config.topology == "dragonfly":
-            if torus_dims is not None:
-                raise TopologyError(
-                    "torus_dims makes no sense on a dragonfly machine; "
-                    "set the dragonfly_* config fields instead")
             self.topology = self._build_dragonfly(n_nodes)
             self.network = DragonflyNetwork(self.topology, self.config)
         elif self.config.topology == "torus3d":
-            self.topology = (
-                Torus3D(torus_dims) if torus_dims is not None
-                else Torus3D.for_nodes(n_nodes)
-            )
+            self.topology = Torus3D.for_nodes(n_nodes)
             self.network = TorusNetwork(self.topology, self.config)
         else:
             raise TopologyError(

@@ -177,22 +177,15 @@ class MpiWorld:
         self._complete_match(req, arr, at + cpu, pre_cpu=0.0)
         return req, cpu
 
-    def iprobe(
-        self,
-        rank: int,
-        src: int = ANY,
-        tag: int = ANY,
-    ) -> tuple[Optional[Arrival], float]:
-        """MPI_Iprobe: peek; cost includes the unexpected-queue scan and,
-        for wildcard-source probes, the per-connection mailbox scan."""
+    def iprobe(self, rank: int,
+               tag: int = ANY) -> tuple[Optional[Arrival], float]:
+        """MPI_Iprobe from any source: peek; cost includes the
+        unexpected-queue scan and the per-connection mailbox scan."""
         eng = self._match.get(rank)
         if eng is None:
             eng = self.match_engine(rank)
-        arr, scan_cpu = eng.match_unexpected(src, tag, pop=False)
-        cpu = self.cfg.mpi_iprobe_cpu + scan_cpu
-        if src == ANY:
-            cpu += eng.probe_scan_cost()
-        return arr, cpu
+        arr, scan_cpu = eng.match_unexpected(ANY, tag, pop=False)
+        return arr, self.cfg.mpi_iprobe_cpu + scan_cpu + eng.probe_scan_cost()
 
     # ------------------------------------------------------------------ #
     # Arrival processing (progress engine)

@@ -16,7 +16,7 @@ Three metric kinds:
     dicts are flattened with ``/``-joined keys);
 ``histogram``
     sim-time-binned accumulator (``observe``): each sample lands in bin
-    ``floor(t / bin_width)`` and the bin keeps ``[count, sum]`` — enough
+    ``floor(t / BIN_WIDTH)`` and the bin keeps ``[count, sum]`` — enough
     to reconstruct a backlog-over-time profile without storing samples.
 """
 
@@ -26,9 +26,9 @@ import hashlib
 import json
 from typing import Any, Callable, Iterable
 
-#: default histogram bin width in simulated seconds (10 µs — fine enough
-#: to resolve per-iteration phases of the paper's microbenchmarks)
-DEFAULT_BIN_WIDTH = 1e-5
+#: histogram bin width in simulated seconds (10 µs — fine enough to
+#: resolve per-iteration phases of the paper's microbenchmarks)
+BIN_WIDTH = 1e-5
 
 
 def _fold(out: dict[str, Any], prefix: str, value: Any) -> None:
@@ -56,7 +56,6 @@ class MetricsRegistry:
         self._counters: dict[str, float] = {}
         #: name -> bin index -> [count, sum]
         self._hists: dict[str, dict[int, list[float]]] = {}
-        self._hist_width: dict[str, float] = {}
         #: pull-based sources, read once per snapshot (name, fn) pairs
         self._sources: list[tuple[str, Callable[[], Any]]] = []
 
@@ -64,13 +63,11 @@ class MetricsRegistry:
     def inc(self, name: str, value: float = 1) -> None:
         self._counters[name] = self._counters.get(name, 0) + value
 
-    def observe(self, name: str, t: float, value: float = 1,
-                bin_width: float = DEFAULT_BIN_WIDTH) -> None:
+    def observe(self, name: str, t: float, value: float = 1) -> None:
         hist = self._hists.get(name)
         if hist is None:
             hist = self._hists[name] = {}
-            self._hist_width[name] = bin_width
-        b = int(t // self._hist_width[name])
+        b = int(t // BIN_WIDTH)
         bin_ = hist.get(b)
         if bin_ is None:
             hist[b] = [1, value]
@@ -134,7 +131,6 @@ class MetricsRegistry:
     def clear(self) -> None:
         self._counters.clear()
         self._hists.clear()
-        self._hist_width.clear()
         self._sources.clear()
 
     def __len__(self) -> int:

@@ -1,8 +1,8 @@
 """Multi-core scale-out: parallel sweeps, and the window audit.
 
 * :mod:`repro.parallel.sweep` — a process-pool runner for *independent*
-  sweep points (the benchmark grids behind every paper figure), with
-  spawn-key seeding so results are byte-identical at any job count.
+  sweep points (the benchmark grids behind every paper figure) whose
+  results are byte-identical at any job count.
   This is the package's only parallelism.
 * :mod:`repro.parallel.sharded_engine` — :class:`ShardedEngine`, the
   sequential engine plus an audit of the conservative-lookahead bound:
@@ -19,9 +19,7 @@ from repro.parallel.sweep import (
     SweepPoint,
     resolve_jobs,
     run_sweep,
-    sweep_map,
 )
-from repro.sim.rng import spawn_seed
 
 __all__ = [
     "JOBS_ENV",
@@ -29,6 +27,4 @@ __all__ = [
     "SweepPoint",
     "resolve_jobs",
     "run_sweep",
-    "sweep_map",
-    "spawn_seed",
 ]

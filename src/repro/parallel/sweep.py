@@ -8,11 +8,9 @@ idles.  This module dispatches sweep points to worker processes and
 merges the results **in submission order**, so a ``jobs=N`` sweep returns
 exactly — byte-for-byte — what ``jobs=1`` returns:
 
-* every point runs the same pure function with the same arguments in
-  whichever process picks it up (the simulations share no state);
-* points that want a seed get one derived with
-  :func:`repro.sim.rng.spawn_seed` from the sweep's root seed and the
-  point's *index* — never from worker identity or completion order;
+* every point runs the same pure function with the same arguments —
+  its seed included — in whichever process picks it up (the simulations
+  share no state);
 * results come back via ``Pool.map``, which preserves submission order.
 
 Worker count: the ``jobs`` argument wins, then the ``REPRO_BENCH_JOBS``
@@ -28,10 +26,9 @@ from __future__ import annotations
 import multiprocessing
 import os
 import sys
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro._env import env_int
-from repro.sim.rng import spawn_seed
 
 #: environment variable consulted when ``jobs`` is not passed explicitly
 JOBS_ENV = "REPRO_BENCH_JOBS"
@@ -45,17 +42,16 @@ class SweepPoint:
     are rejected eagerly so ``--jobs 1`` vs ``--jobs N`` cannot diverge.
     """
 
-    __slots__ = ("fn", "args", "kwargs", "label")
+    __slots__ = ("fn", "args", "label")
 
     def __init__(self, fn: Callable, args: Sequence[Any] = (),
-                 kwargs: Optional[dict[str, Any]] = None, label: str = ""):
+                 label: str = ""):
         self.fn = fn
         self.args = tuple(args)
-        self.kwargs = dict(kwargs or {})
         self.label = label or getattr(fn, "__name__", repr(fn))
 
     def __call__(self) -> Any:
-        return self.fn(*self.args, **self.kwargs)
+        return self.fn(*self.args)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<SweepPoint {self.label}{self.args!r}>"
@@ -82,23 +78,10 @@ def _pool_context():
         "fork" if "fork" in methods else "spawn")
 
 
-def run_sweep(
-    points: Sequence[SweepPoint],
-    jobs: Optional[int] = None,
-    root_seed: Optional[int] = None,
-    seed_kw: str = "seed",
-) -> list[Any]:
-    """Run every point; return results in submission order.
-
-    With ``root_seed`` set, each point's kwargs gain
-    ``seed_kw=spawn_seed(root_seed, index, label)`` — a pure function of
-    the submission, so reruns and different job counts see identical
-    seeds.  Points that already carry an explicit ``seed_kw`` keep it.
-    """
+def run_sweep(points: Sequence[SweepPoint],
+              jobs: Optional[int] = None) -> list[Any]:
+    """Run every point; return results in submission order."""
     points = list(points)
-    if root_seed is not None:
-        for idx, p in enumerate(points):
-            p.kwargs.setdefault(seed_kw, spawn_seed(root_seed, idx, p.label))
     n_jobs = resolve_jobs(jobs)
     if n_jobs <= 1 or len(points) <= 1:
         return [p() for p in points]
@@ -119,16 +102,3 @@ def run_sweep(
               "running sequentially", file=sys.stderr)
         return [p() for p in points]
 
-
-def sweep_map(
-    fn: Callable,
-    argtuples: Iterable[Sequence[Any]],
-    jobs: Optional[int] = None,
-) -> list[Any]:
-    """``[fn(*args) for args in argtuples]``, fanned out across workers.
-
-    The one-line integration point for the figure sweeps: pass a
-    module-level point function and the parameter grid; worker count
-    comes from ``REPRO_BENCH_JOBS`` unless ``jobs`` is given.
-    """
-    return run_sweep([SweepPoint(fn, tuple(a)) for a in argtuples], jobs=jobs)

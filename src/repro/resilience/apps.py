@@ -31,6 +31,8 @@ from repro.charm.chare import Chare
 _HASH = 2654435761
 #: fold modulus (prime, keeps totals small and overflow-free)
 _MOD = 1000003
+#: simulated seconds of compute per phase, before the per-element skew
+WORK_S = 5e-6
 
 
 class SumChare(Chare):
@@ -41,9 +43,11 @@ class SumChare(Chare):
     #: makes the app runnable without a manager — phases just chain
     _resilience: Optional[Any] = None
 
-    def __init__(self, rounds: int, work_s: float = 5e-6):
+    def __init__(self, rounds: int):
         self.rounds = rounds
-        self.work_s = work_s
+        # element state, so part of every checkpoint's bytes (and hence
+        # of the modelled restart cost)
+        self.work_s = WORK_S
         self.total = 0
         self.round = 0
         # root-only state (element 0)
@@ -82,10 +86,9 @@ class PhasedSum:
 
     name = "phased_sum"
 
-    def __init__(self, n_elements: int, rounds: int, work_s: float = 5e-6):
+    def __init__(self, n_elements: int, rounds: int):
         self.n_elements = n_elements
         self.rounds = rounds
-        self.work_s = work_s
         self.charm = None
         self.proxy = None
 
@@ -94,8 +97,7 @@ class PhasedSum:
         self.charm = charm
         self.proxy = charm.create_array(
             SumChare, self.n_elements,
-            kwargs={"rounds": self.rounds, "work_s": self.work_s},
-            name=self.name)
+            kwargs={"rounds": self.rounds}, name=self.name)
 
     def rebind(self, charm: Any, manager: Any, proxies: dict) -> None:
         self.charm = charm

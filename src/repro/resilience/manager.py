@@ -8,11 +8,11 @@ Protocol (DESIGN.md §13):
    If a checkpoint is due, the manager starts a
    :class:`~repro.converse.quiescence.QuiescenceDetector` wave; the wave's
    callback — which fires only once two consecutive waves agree that every
-   application send has been executed — takes the checkpoint with
-   ``at_quiescence=True`` and only then releases the application's
-   continuation.  The engine is *not* drained: armed fault schedules and
-   timers legitimately sit on the heap, which is exactly why drained-mode
-   checkpointing could never compose with the fault injector.
+   application send has been executed — takes the checkpoint and only
+   then releases the application's continuation.  The engine is *not*
+   drained: armed fault schedules and timers legitimately sit on the
+   heap, and :func:`~repro.charm.checkpoint.take_checkpoint` audits
+   application quiescence, not an empty heap.
 2. **Crash detection.**  The manager registers a crash listener on the
    :class:`~repro.faults.FaultInjector`; when a
    :class:`~repro.faults.NodeCrash` lands the listener records it and
@@ -50,7 +50,7 @@ from repro.charm.checkpoint import Checkpoint, restore_into, take_checkpoint
 from repro.charm.loadbalancer import restore_rebalance_map
 from repro.charm.runtime import Charm
 from repro.errors import SimulationError
-from repro.faults import FaultConfig, LinkFlap, NodeCrash, install_faults
+from repro.faults import LinkFlap, NodeCrash, install_faults
 from repro.lrts.factory import make_runtime
 
 #: fixed restart overhead in simulated seconds (relaunch, wire-up) ...
@@ -117,22 +117,16 @@ class ResilienceManager:
         n_nodes: int,
         layer: str = "ugni",
         config: Any = None,
-        layer_config: Any = None,
         seed: int = 0,
         policy: Optional[RecoveryPolicy] = None,
-        fault_config: Optional[FaultConfig] = None,
         crash_schedule: Iterable[Any] = (),
-        skip: tuple = (),
     ):
         self.app = app
         self.layer = layer
         self.config = config
-        self.layer_config = layer_config
         self.seed = seed
         self.policy = policy or RecoveryPolicy()
-        self.fault_config = fault_config
         self.schedule = tuple(sorted(crash_schedule, key=lambda ev: ev.at))
-        self.skip = tuple(skip)
 
         self._n_nodes = n_nodes
         self._spares = self.policy.spare_nodes
@@ -159,20 +153,17 @@ class ResilienceManager:
     # Incarnation construction
     # ------------------------------------------------------------------ #
     def _build(self, n_nodes: int) -> None:
-        cpn = 1 if self.config is None else self.config.cores_per_node
-        conv, lrts = make_runtime(
-            n_pes=n_nodes * cpn, layer=self.layer, config=self.config,
-            layer_config=self.layer_config, seed=self.seed)
+        conv, lrts = make_runtime(n_nodes=n_nodes, layer=self.layer,
+                                  config=self.config, seed=self.seed)
         self.conv, self.lrts = conv, lrts
         self.charm = Charm(conv)
         self.injector = None
 
     def _install_faults(self, schedule: tuple) -> None:
-        if self.fault_config is None and not schedule:
+        if not schedule:
             return
-        self.injector = install_faults(
-            self.conv.machine, config=self.fault_config,
-            schedule=schedule, conv=self.conv)
+        self.injector = install_faults(self.conv.machine, schedule=schedule,
+                                       conv=self.conv)
         self.injector.add_crash_listener(self._on_crash)
 
     def _bind_elements(self) -> None:
@@ -228,8 +219,7 @@ class ResilienceManager:
         charm.start_quiescence(on_quiescence)
 
     def _take_checkpoint(self) -> None:
-        self._ckpt = take_checkpoint(self.charm, skip=self.skip,
-                                     at_quiescence=True)
+        self._ckpt = take_checkpoint(self.charm)
         self._last_ckpt_time = self.charm.engine.now
         self.checkpoints += 1
         self._emit("checkpoint", bytes=self._ckpt.state_bytes(),
@@ -312,8 +302,7 @@ class ResilienceManager:
         self._build(self._n_nodes)
         # placement rebalanced from the checkpointed measured loads; groups
         # fold onto a smaller restart
-        proxies = restore_into(self.charm, ckpt, map=restore_rebalance_map,
-                               group_shrink="merge")
+        proxies = restore_into(self.charm, ckpt, map=restore_rebalance_map)
         # the clock never rewinds: checkpoint time <= crash < resume
         self.charm.engine.advance_to(t_resume)
         self._install_faults(self._remaining_schedule(pending, ev, t_resume,
@@ -338,7 +327,7 @@ class ResilienceManager:
         self.app.setup(self.charm, self)
         self._bind_elements()
         # checkpoint 0: a crash before the first phase boundary must have
-        # something to restore (taken wave-mode — the schedule is armed)
+        # something to restore (the armed schedule may sit on the heap)
         self._take_checkpoint()
         self.charm.start(lambda pe: self.app.kick(self.charm))
         while True:
@@ -366,14 +355,6 @@ class ResilienceManager:
     # ------------------------------------------------------------------ #
     # Reporting
     # ------------------------------------------------------------------ #
-    def stats(self) -> dict[str, int]:
-        """Integer recovery counters (folded by ``fault_report``)."""
-        return {
-            "checkpoint": self.checkpoints,
-            "crash_detected": self.crashes,
-            "restart": self.restarts,
-        }
-
     def _emit(self, event: str, where: Any = None, **detail: Any) -> None:
         machine = self.conv.machine
         obs = machine.observer

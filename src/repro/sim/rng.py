@@ -10,41 +10,9 @@ results stay comparable across code revisions.
 
 from __future__ import annotations
 
-import hashlib
 import zlib
 
 import numpy as np
-
-
-def spawn_seed(root_seed: int, *spawn_key) -> int:
-    """Derive a child seed from ``root_seed`` and a stable spawn key.
-
-    The parallel sweep runner gives every benchmark point its own seed so
-    that (a) points are statistically independent streams and (b) the seed
-    a point receives depends only on the root seed and the point's spawn
-    key — never on how many workers ran, which worker picked the point up,
-    or what order points completed in.  That is what makes a ``--jobs N``
-    sweep bit-identical to ``--jobs 1``: the (root_seed, key) -> seed map
-    is a pure function.
-
-    Keys may be ints, strings, floats, or tuples thereof; they are folded
-    through SHA-256 (salted hashes such as Python's ``hash()`` must never
-    leak in here, or runs stop being reproducible across processes).
-    """
-    h = hashlib.sha256()
-    h.update(str(int(root_seed)).encode("ascii"))
-    for part in spawn_key:
-        if isinstance(part, tuple):
-            h.update(b"(")
-            for sub in part:
-                h.update(repr(sub).encode("utf-8"))
-                h.update(b",")
-            h.update(b")")
-        else:
-            h.update(repr(part).encode("utf-8"))
-        h.update(b"\x00")
-    # 63 bits: always a non-negative Python int, valid as a numpy seed
-    return int.from_bytes(h.digest()[:8], "big") >> 1
 
 
 class RngRegistry:
@@ -67,15 +35,6 @@ class RngRegistry:
             gen = np.random.default_rng(child)
             self._streams[name] = gen
         return gen
-
-    def spawn(self, *key) -> "RngRegistry":
-        """A child registry rooted at ``spawn_seed(self.root_seed, *key)``.
-
-        Sweep workers use this instead of sharing the parent's
-        streams: the child's seed depends only on the parent seed and the
-        spawn key, so results do not depend on worker scheduling.
-        """
-        return RngRegistry(spawn_seed(self.root_seed, *key))
 
     # -- checkpoint support --------------------------------------------------
     def get_state(self) -> dict:

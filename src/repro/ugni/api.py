@@ -39,11 +39,10 @@ class GniJob:
     def MemRegister(
         self,
         block: MemoryBlock,
-        length: Optional[int] = None,
         cq: Optional[CompletionQueue] = None,
     ) -> tuple[MemHandle, float]:
-        """Register node memory; returns ``(handle, cpu_cost)``."""
-        return self.registrations[block.node_id].register(block, length, cq)
+        """Register a whole block; returns ``(handle, cpu_cost)``."""
+        return self.registrations[block.node_id].register(block, cq)
 
     def MemDeregister(self, handle: MemHandle) -> float:
         return self.registrations[handle.node_id].deregister(handle)

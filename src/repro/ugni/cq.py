@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from repro.errors import UgniCqOverrun, UgniInvalidParam
+from repro.errors import UgniInvalidParam
 from repro.sim.engine import Engine
 from repro.ugni.types import CqEventKind
 
@@ -43,11 +43,11 @@ class CqEntry:
 class CompletionQueue:
     """A single completion queue."""
 
-    __slots__ = ("engine", "capacity", "name", "strict", "pe", "_entries",
+    __slots__ = ("engine", "capacity", "name", "pe", "_entries",
                  "on_event", "overruns", "error_events", "total_events")
 
     def __init__(self, engine: Engine, capacity: int = 4096, name: str = "",
-                 strict: bool = False, pe: Optional[int] = None):
+                 pe: Optional[int] = None):
         if capacity < 1:
             raise UgniInvalidParam(f"CQ capacity must be >= 1, got {capacity}")
         self.engine = engine
@@ -58,9 +58,6 @@ class CompletionQueue:
             name = f"cq{engine.unnamed_cqs}"
             engine.unnamed_cqs += 1
         self.name = name
-        #: raise :class:`UgniCqOverrun` on overflow instead of emitting an
-        #: ``ERROR`` entry (real hardware's GNI_RC_ERROR_RESOURCE behaviour)
-        self.strict = strict
         #: the PE this queue belongs to, for an owner that hooks all its
         #: queues with one shared ``on_event`` (the SMSG RX queues)
         self.pe = pe
@@ -87,10 +84,6 @@ class CompletionQueue:
         overrun = len(self._entries) >= self.capacity
         if overrun:
             self.overruns += 1
-            if self.strict:
-                raise UgniCqOverrun(
-                    f"CQ {self.name} overran its capacity of {self.capacity}"
-                )
         if entry.kind is CqEventKind.ERROR:
             self.error_events += 1
         self._entries.append(entry)

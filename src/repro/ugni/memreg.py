@@ -62,22 +62,16 @@ class RegistrationTable:
         self.total_deregistrations = 0
 
     # -- API -----------------------------------------------------------------
-    def register(
-        self,
-        block: MemoryBlock,
-        length: Optional[int] = None,
-        cq=None,
-    ) -> tuple[MemHandle, float]:
-        """``GNI_MemRegister``: returns ``(handle, cpu_cost)``."""
+    def register(self, block: MemoryBlock,
+                 cq=None) -> tuple[MemHandle, float]:
+        """``GNI_MemRegister`` of the whole block: ``(handle, cpu_cost)``."""
         if block.freed:
             raise UgniInvalidParam(f"registering freed block {block!r}")
         if block.node_id != self.node_id:
             raise UgniInvalidParam(
                 f"registering node-{block.node_id} memory on node {self.node_id}"
             )
-        length = block.size if length is None else length
-        if length <= 0 or length > block.size:
-            raise UgniInvalidParam(f"bad registration length {length}")
+        length = block.size
         handle = MemHandle(self.node_id, block.addr, length, cq=cq)
         self._handles.add(handle)
         self.registered_bytes += length

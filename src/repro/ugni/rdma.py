@@ -21,7 +21,7 @@ descriptor, so a completed descriptor is freed by reference counting
 from __future__ import annotations
 
 import itertools
-from typing import Any, Optional
+from typing import Optional
 
 from repro.errors import UgniInvalidParam
 from repro.faults.injector import RDMA_ERROR_PROGRESS
@@ -38,15 +38,13 @@ class PostDescriptor:
     """Everything GNI needs to execute one FMA/BTE transaction."""
 
     __slots__ = ("post_type", "local_mem", "remote_mem", "length",
-                 "local_addr", "remote_addr", "src_cq", "channel", "context",
-                 "id")
+                 "local_addr", "remote_addr", "src_cq", "context", "id")
 
     def __init__(self, post_type: PostType, local_mem: MemHandle,
                  remote_mem: MemHandle, length: int,
                  local_addr: Optional[int] = None,
                  remote_addr: Optional[int] = None,
-                 src_cq: Optional[CompletionQueue] = None,
-                 channel: Optional[str] = None, context: Any = None):
+                 src_cq: Optional[CompletionQueue] = None):
         self.id = next(_desc_ids)
         if length <= 0:
             raise UgniInvalidParam(f"post length must be positive, got {length}")
@@ -59,12 +57,10 @@ class PostDescriptor:
         self.remote_addr = remote_mem.addr if remote_addr is None else remote_addr
         #: CQ for the local POST_DONE event
         self.src_cq = src_cq
-        #: force BTE ('rdma') or FMA ('fma'); None = size-based choice
-        self.channel = channel
-        #: opaque poster context, handed back with the completion event's
-        #: descriptor (``GNI_GetCompleted``); must not refer to the
-        #: descriptor itself
-        self.context = context
+        #: opaque poster context, set by the poster and handed back with
+        #: the completion event's descriptor (``GNI_GetCompleted``); must
+        #: not refer to the descriptor itself
+        self.context = None
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<PostDescriptor #{self.id} {self.post_type.name} "
@@ -176,16 +172,10 @@ class RdmaEngine:
     def post_best(self, initiator_node: int, desc: PostDescriptor,
                   at: Optional[float] = None) -> float:
         """Post using the size-appropriate unit (paper §III.C policy)."""
-        channel = desc.channel
-        if channel == "fma":
-            fma = True
-        elif channel == "rdma":
-            fma = False
-        else:
-            # cfg.rdma_kind_for(length) == "fma", inlined
-            cfg = self.machine.config
-            fma = (desc.length < cfg.fma_bte_crossover
-                   and desc.length <= cfg.fma_max_bytes)
+        # cfg.rdma_kind_for(length) == "fma", inlined
+        cfg = self.machine.config
+        fma = (desc.length < cfg.fma_bte_crossover
+               and desc.length <= cfg.fma_max_bytes)
         return self.post(initiator_node, desc, fma, at)
 
     def _post_amo(self, initiator_node: int, desc: PostDescriptor) -> float:

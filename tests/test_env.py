@@ -27,11 +27,6 @@ class TestEnvFlag:
     def test_unset_uses_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_TEST_FLAG", raising=False)
         assert env_flag("REPRO_TEST_FLAG") is False
-        assert env_flag("REPRO_TEST_FLAG", default=True) is True
-
-    def test_explicit_zero_beats_truthy_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TEST_FLAG", "0")
-        assert env_flag("REPRO_TEST_FLAG", default=True) is False
 
 
 class TestEnvInt:

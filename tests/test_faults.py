@@ -5,12 +5,10 @@ import pytest
 from repro.apps.pingpong import charm_pingpong
 from repro.errors import (
     SimulationError,
-    UgniCqOverrun,
     UgniError,
     UgniTransactionError,
 )
 from repro.faults import FaultConfig, FaultInjector, LinkFlap, NodeCrash, install_faults
-from repro.faults.report import fault_report, format_fault_report
 from repro.hardware import Machine
 from repro.hardware.config import tiny as tiny_config
 from repro.lrts.factory import make_runtime
@@ -38,10 +36,6 @@ class TestErrorHierarchy:
         assert issubclass(UgniTransactionError, UgniError)
         assert UgniTransactionError.rc == "GNI_RC_TRANSACTION_ERROR"
 
-    def test_cq_overrun_rc(self):
-        assert issubclass(UgniCqOverrun, UgniError)
-        assert UgniCqOverrun.rc == "GNI_RC_ERROR_RESOURCE"
-
 
 class TestCqOverrun:
     def _fill(self, cq, n):
@@ -61,13 +55,6 @@ class TestCqOverrun:
         # no data event was dropped
         data = [e for e in entries if e.kind is CqEventKind.POST_DONE]
         assert [e.tag for e in data] == [0, 1, 2, 3, 4]
-
-    def test_strict_mode_raises(self):
-        m = make_machine()
-        cq = CompletionQueue(m.engine, capacity=2, strict=True)
-        self._fill(cq, 2)
-        with pytest.raises(UgniCqOverrun):
-            cq.push(CqEntry(CqEventKind.POST_DONE, 0.0, tag=2))
 
 
 class TestFaultConfig:
@@ -156,18 +143,18 @@ class TestLinkFaults:
                 m2.network.messages_routed) == (0, 1, 2)
 
     def test_router_steps_around_down_link(self):
-        # 2x2x1 torus: two minimal directions from (0,0,0) to (1,1,0)
-        m = Machine(n_nodes=4, config=tiny_config(cores_per_node=1),
-                    torus_dims=(2, 2, 1))
-        src, dst = (0, 0, 0), (1, 1, 0)
+        # 1x2x2 torus: two minimal directions from (0,0,0) to (0,1,1)
+        m = Machine(n_nodes=4, config=tiny_config(cores_per_node=1))
+        assert m.topology.dims == (1, 2, 2)
+        src, dst = (0, 0, 0), (0, 1, 1)
         net = m.network
-        net.fail_link(src, (1, 0, 0))
+        net.fail_link(src, (0, 1, 0))
         assert net.transfer(0.0, src, dst, 64).hops == 2
-        # the first hop went round the down link, along y
-        down, around = net.link(src, (1, 0, 0)), net.link(src, (0, 1, 0))
+        # the first hop went round the down link, along z
+        down, around = net.link(src, (0, 1, 0)), net.link(src, (0, 0, 1))
         assert (down.state, around.state) == ("down", "up")
         assert (down.transfers, around.transfers) == (0, 1)
-        assert net.link((0, 1, 0), dst).transfers == 1
+        assert net.link((0, 0, 1), dst).transfers == 1
 
 
 class TestRecovery:
@@ -251,8 +238,6 @@ class TestReporting:
         for i in range(20):
             conv.send_from_outside(0, Message(h2, 0, 0, 0))
         conv.run(until=0.1)
-        rep = fault_report(m.observer)
-        assert rep["fault"].get("smsg_drop", 0) == m.faults.smsg_dropped > 0
-        assert rep["recovery"].get("retransmit", 0) == layer.rel_retransmits > 0
-        text = format_fault_report(m.observer)
-        assert "smsg_drop" in text and "retransmit" in text
+        assert counted(m, "fault", "smsg_drop") == m.faults.smsg_dropped > 0
+        assert (counted(m, "recovery", "retransmit")
+                == layer.rel_retransmits > 0)

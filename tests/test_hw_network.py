@@ -261,12 +261,6 @@ class TestMachine:
         with pytest.raises(TopologyError):
             Machine(n_nodes=0)
 
-    def test_explicit_torus_dims(self):
-        m = Machine(n_nodes=8, config=tiny_config(), torus_dims=(2, 2, 2))
-        assert m.topology.dims == (2, 2, 2)
-        with pytest.raises(TopologyError):
-            Machine(n_nodes=9, config=tiny_config(), torus_dims=(2, 2, 2))
-
 
 class TestConfig:
     def test_cost_helpers_monotone_in_size(self):

@@ -13,11 +13,18 @@ from repro.apps.nqueens import (
     estimate_subtree_nodes,
     run_nqueens,
     solve_subtree,
-    valid_prefixes,
 )
 from repro.apps.nqueens.solver import ROOT, expand_level, subtree_sizes
 from repro.hardware.config import tiny as tiny_config
 from tests import _reference_nqueens as ref
+
+
+def _prefixes(n, depth):
+    """Valid placements of the first ``depth`` queens, by the oracle."""
+    level = [ref.ROOT]
+    for _ in range(depth):
+        level = [kid for state in level for kid in ref.expand(n, state)]
+    return level
 
 
 class TestSolver:
@@ -55,13 +62,13 @@ class TestSolver:
 
     def test_valid_prefix_counts(self):
         # depth 1 always has n prefixes
-        assert len(valid_prefixes(9, 1)) == 9
+        assert len(_prefixes(9, 1)) == 9
         # depth n prefixes are exactly the solutions
-        assert len(valid_prefixes(7, 7)) == KNOWN_SOLUTIONS[7]
+        assert len(_prefixes(7, 7)) == KNOWN_SOLUTIONS[7]
 
     def test_prefixes_shrink_ratio(self):
-        deep = len(valid_prefixes(10, 5))
-        shallow = len(valid_prefixes(10, 2))
+        deep = len(_prefixes(10, 5))
+        shallow = len(_prefixes(10, 2))
         assert deep > shallow
 
     def test_estimator_unbiasedness(self):
@@ -177,9 +184,9 @@ class TestWorkModel:
         tree = build_task_tree(8, 3, mode="exact")
         assert tree.solutions == 92
         # leaf tasks = valid prefixes at threshold depth
-        assert tree.n_leaf_tasks == len(valid_prefixes(8, 3))
+        assert tree.n_leaf_tasks == len(_prefixes(8, 3))
         # expansion tasks = prefixes above the threshold
-        assert tree.expansion_counts == [1, 8, len(valid_prefixes(8, 2))]
+        assert tree.expansion_counts == [1, 8, len(_prefixes(8, 2))]
 
     def test_task_count_grows_with_threshold(self):
         t5 = build_task_tree(10, 5, mode="exact")
@@ -219,14 +226,12 @@ class TestWorkModel:
         match = "'exact' \\| 'estimate' \\| 'auto'.*'exakt'"
         with pytest.raises(ValueError, match=match):
             build_task_tree(8, 3, mode="exakt")
-        with pytest.raises(ValueError, match=match):
-            run_nqueens(8, 3, 4, mode="exakt")
 
 
 class TestApp:
     def _run(self, layer="ugni", n_pes=8, n=8, threshold=3, **kw):
         return run_nqueens(n, threshold, n_pes, layer=layer,
-                           config=tiny_config(), mode="exact", **kw)
+                           config=tiny_config(), **kw)
 
     def test_all_tasks_execute_exactly_once(self):
         from repro.apps.nqueens.workmodel import paper_threshold_to_depth

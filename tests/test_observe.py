@@ -23,7 +23,6 @@ from repro import observe
 from repro.apps.kneighbor import kneighbor
 from repro.converse.scheduler import Message
 from repro.faults import FaultConfig
-from repro.faults.report import fault_report
 from repro.hardware import Machine
 from repro.hardware.config import MachineConfig, tiny as tiny_config
 from repro.lrts.factory import make_runtime
@@ -138,7 +137,7 @@ class TestMetricsRegistry:
         reg.inc("msgs")
         reg.inc("msgs", 2)
         reg.register_source("depth", lambda: 7)
-        reg.observe("lat", 1.5e-5, 3.0)  # bin 1 at default 1e-5 width
+        reg.observe("lat", 1.5e-5, 3.0)  # bin 1 at the 1e-5 width
         reg.observe("lat", 1.9e-5, 5.0)  # same bin
         snap = reg.snapshot()
         assert snap["counter/msgs"] == 3
@@ -472,7 +471,11 @@ class TestFaultReportFolding:
         for rec in flight.records:
             counts = from_trace[rec.category]
             counts[rec.event] = counts.get(rec.event, 0) + 1
-        from_observer = fault_report(observer=m.observer)
+        from_observer: dict = {"fault": {}, "recovery": {}}
+        for key, value in m.observer.snapshot().items():
+            kind, _, event = key.partition("/")[2].partition("/")
+            if key.startswith("counter/") and kind in from_observer:
+                from_observer[kind][event] = int(value)
         assert from_trace == from_observer
         assert from_trace["fault"]["smsg_drop"] == m.faults.smsg_dropped > 0
         assert from_trace["recovery"]["retransmit"] == layer.rel_retransmits

@@ -1,9 +1,7 @@
-"""The deterministic process-pool sweep runner and spawn-key seeding.
+"""The deterministic process-pool sweep runner.
 
 The contract under test: ``run_sweep`` at any job count returns exactly
-what sequential execution returns — same values, same order, same
-derived seeds — and ``spawn_seed`` is a pure function of (root seed,
-spawn key) with no dependence on scheduling.
+what sequential execution returns — same values, same order.
 """
 
 from __future__ import annotations
@@ -19,10 +17,7 @@ from repro.parallel import (
     SweepPoint,
     resolve_jobs,
     run_sweep,
-    spawn_seed,
-    sweep_map,
 )
-from repro.sim.rng import RngRegistry
 
 _RUN_ALL = (pathlib.Path(__file__).parent.parent / "benchmarks"
             / "run_all.py")
@@ -42,41 +37,8 @@ def _square(x: int) -> int:
     return x * x
 
 
-def _tag(x: int, seed: int = -1) -> tuple[int, int]:
-    return (x, seed)
-
-
 def _boom(x: int) -> int:
     raise ValueError(f"boom {x}")
-
-
-# --------------------------------------------------------------------- #
-# spawn-key seeding
-# --------------------------------------------------------------------- #
-class TestSpawnSeed:
-    def test_pure_function_of_root_and_key(self):
-        assert spawn_seed(0, "a") == spawn_seed(0, "a")
-        assert spawn_seed(0, "a") != spawn_seed(1, "a")
-        assert spawn_seed(0, "a") != spawn_seed(0, "b")
-        assert spawn_seed(0, 1, "a") != spawn_seed(0, "a", 1)
-
-    def test_range_fits_a_signed_64bit_seed(self):
-        for key in range(200):
-            s = spawn_seed(42, key)
-            assert 0 <= s < 2 ** 63
-
-    def test_key_parts_are_separated(self):
-        # ("ab", "c") and ("a", "bc") must not collide via concatenation
-        assert spawn_seed(0, "ab", "c") != spawn_seed(0, "a", "bc")
-
-    def test_registry_spawn_derives_independent_registry(self):
-        reg = RngRegistry(7)
-        child_a = reg.spawn("worker", 0)
-        child_b = reg.spawn("worker", 1)
-        assert child_a.root_seed == spawn_seed(7, "worker", 0)
-        assert child_b.root_seed != child_a.root_seed
-        # spawning must not perturb the parent
-        assert reg.root_seed == 7
 
 
 # --------------------------------------------------------------------- #
@@ -118,29 +80,6 @@ class TestRunSweep:
         seq = run_sweep([SweepPoint(_square, (x,)) for x in xs], jobs=1)
         par = run_sweep([SweepPoint(_square, (x,)) for x in xs], jobs=3)
         assert par == seq
-
-    def test_sweep_map_equivalence(self):
-        xs = [3, 1, 4, 1, 5]
-        assert sweep_map(_square, [(x,) for x in xs]) == [x * x for x in xs]
-
-    def test_root_seed_injection_is_deterministic(self):
-        def mk():
-            return [SweepPoint(_tag, (i,), label=f"p{i}") for i in range(6)]
-
-        a = run_sweep(mk(), jobs=1, root_seed=123)
-        b = run_sweep(mk(), jobs=2, root_seed=123)
-        assert a == b
-        # derived seeds are the documented pure function of (root, index, label)
-        assert a[0] == (0, spawn_seed(123, 0, "p0"))
-        assert a[5] == (5, spawn_seed(123, 5, "p5"))
-        # different root seed -> different derived seeds, same values
-        c = run_sweep(mk(), jobs=1, root_seed=124)
-        assert [x for x, _ in c] == [x for x, _ in a]
-        assert [s for _, s in c] != [s for _, s in a]
-
-    def test_explicit_seed_kwarg_is_kept(self):
-        pts = [SweepPoint(_tag, (0,), kwargs={"seed": 99})]
-        assert run_sweep(pts, jobs=1, root_seed=5) == [(0, 99)]
 
     def test_lambda_rejected_in_parallel_mode(self):
         pts = [SweepPoint(lambda: 1), SweepPoint(lambda: 2)]

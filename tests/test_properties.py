@@ -238,9 +238,7 @@ def test_engine_executes_in_timestamp_order(delays):
 def test_full_app_replay_determinism(seed):
     from repro.apps.nqueens import run_nqueens
 
-    a = run_nqueens(8, 4, 8, layer="ugni", seed=seed,
-                    config=tiny_config(), mode="exact")
-    b = run_nqueens(8, 4, 8, layer="ugni", seed=seed,
-                    config=tiny_config(), mode="exact")
+    a = run_nqueens(8, 4, 8, layer="ugni", seed=seed, config=tiny_config())
+    b = run_nqueens(8, 4, 8, layer="ugni", seed=seed, config=tiny_config())
     assert a.total_time == b.total_time
     assert a.messages_sent == b.messages_sent

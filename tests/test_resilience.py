@@ -23,7 +23,7 @@ from repro import sanitize
 from repro.charm import Chare, Charm
 from repro.charm.checkpoint import restore_into, take_checkpoint
 from repro.errors import SimulationError
-from repro.faults import NodeCrash, fault_report
+from repro.faults import NodeCrash, install_faults
 from repro.hardware.config import MachineConfig, tiny as tiny_config
 from repro.lrts.factory import make_runtime
 from repro.resilience import PhasedSum, RecoveryPolicy, ResilienceManager
@@ -143,6 +143,25 @@ class TestCrashRecovery:
         # recovery costs simulated time, never saves it
         assert crashed.sim_time_s > clean.sim_time_s
 
+    def test_unconfigured_manager_builds_the_whole_machine(self):
+        # no config: the default MachineConfig's cores on every one of
+        # the n_nodes nodes, so node 2 exists to crash
+        def run(schedule=()):
+            return ResilienceManager(PhasedSum(8, 4), n_nodes=4,
+                                     crash_schedule=schedule).run()
+
+        clean = run()
+        crashed = run([NodeCrash(at=100 * us, node_id=2)])
+        assert clean.n_pes_final == 4 * MachineConfig().cores_per_node
+        assert crashed.restarts == 1
+        assert crashed.result["digest"] == clean.result["digest"]
+
+    def test_crash_of_a_missing_node_fails_at_install(self):
+        conv, _ = make_runtime(n_nodes=2, config=tiny_config())
+        with pytest.raises(SimulationError, match="node 5.*2 nodes"):
+            install_faults(conv.machine, conv=conv,
+                           schedule=[NodeCrash(at=1 * us, node_id=5)])
+
     @pytest.mark.parametrize("layer", ["ugni", "mpi", "rdma"])
     def test_recovery_is_deterministic(self, layer):
         schedule = [NodeCrash(at=120 * us, node_id=2)]
@@ -248,10 +267,9 @@ class TestScheduleHandoff:
 
     def test_fault_report_folds_manager_counters(self):
         _rep, mgr = _run_phased("ugni", [NodeCrash(at=120 * us, node_id=2)])
-        folded = fault_report(resilience=mgr)
-        assert folded["recovery"]["restart"] == 1
-        assert folded["recovery"]["crash_detected"] == 1
-        assert folded["recovery"]["checkpoint"] == mgr.checkpoints
+        # the manager's counters outlive every incarnation's observer
+        assert (mgr.crashes, mgr.restarts) == (1, 1)
+        assert mgr.checkpoints >= 2  # checkpoint 0 and the post-restart one
 
 
 # --------------------------------------------------------------------- #

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import (
     TopologyError,
-    UgniCqOverrun,
     UgniInvalidParam,
     UgniNoSpace,
     UgniNotRegistered,
@@ -86,19 +85,6 @@ class TestCompletionQueue:
             assert (marker.time, marker.source) == (entry.time, 7)
         assert cq.get_event() is None and cq.peek() is None
         assert cq.total_events == 5
-
-    def test_strict_overrun_raises_and_queues_nothing(self):
-        m, job = make_job()
-        cq = CompletionQueue(m.engine, capacity=2, strict=True)
-        for i in range(2):
-            cq.push(CqEntry(CqEventKind.POST_DONE, 0.0, tag=i))
-        with pytest.raises(UgniCqOverrun):
-            cq.push(CqEntry(CqEventKind.POST_DONE, 0.0, tag=2))
-        assert cq.overruns == 1 and len(cq) == 2
-        assert [cq.get_event().tag for _ in range(2)] == [0, 1]
-        # drained below capacity, it takes entries again
-        cq.push(CqEntry(CqEventKind.POST_DONE, 0.0, tag=3))
-        assert cq.peek().tag == 3
 
     def test_unnamed_cqs_are_numbered_per_engine(self):
         # two fresh engines in one process name their first unnamed CQ
