@@ -1,9 +1,9 @@
-"""Collective benchmarks: alltoallv / allgather across machine layers.
+"""Collective benchmark: alltoallv across machine layers.
 
 Drives :class:`repro.converse.collectives.CollectiveEngine` end-to-end on
 any registered layer.  Each run returns a content digest over the data
 every rank received — the digest is *bit-identical* across layers and
-algorithms (tree vs persistent), so the cross-layer benchmark can assert
+algorithms (plain vs persistent), so the cross-layer benchmark can assert
 that swapping the fabric or the transport changes timing only.
 """
 
@@ -23,7 +23,6 @@ from repro.lrts.factory import make_runtime
 
 @dataclass
 class CollectiveResult:
-    op: str
     n_pes: int
     layer: str
     algorithm: str
@@ -51,9 +50,15 @@ def _digest(results: dict[int, dict[int, tuple[int, Any]]]) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _run(op: str, n_pes: int, layer: str, algorithm: str,
-         config: Optional[MachineConfig], seed: int = 0,
-         faults: Optional[FaultConfig] = None) -> CollectiveResult:
+def run_alltoallv(
+    n_pes: int = 8,
+    layer: str = "ugni",
+    algorithm: str = "plain",
+    config: Optional[MachineConfig] = None,
+    seed: int = 0,
+    faults: Optional[FaultConfig] = None,
+) -> CollectiveResult:
+    """Every rank sends a variable-size part to every other rank."""
     cfg = (config or MachineConfig()).replace(cores_per_node=1)
     conv, lrts = make_runtime(n_nodes=n_pes, layer=layer, config=cfg,
                               seed=seed, faults=faults)
@@ -66,12 +71,8 @@ def _run(op: str, n_pes: int, layer: str, algorithm: str,
         done_at[pe.rank] = pe.vtime
 
     def start(pe: PE, _msg: Message) -> None:
-        if op == "alltoallv":
-            parts = {dst: _part(pe.rank, dst) for dst in range(n_pes)}
-            coll.alltoallv(pe, "bench", parts, finish)
-        else:
-            nbytes = BASE_BYTES * (1 + pe.rank % 3)
-            coll.allgather(pe, "bench", nbytes, f"from-{pe.rank}", finish)
+        parts = {dst: _part(pe.rank, dst) for dst in range(n_pes)}
+        coll.alltoallv(pe, "bench", parts, finish)
 
     hid = conv.register_handler(start)
     conv.broadcast_from_outside(
@@ -79,33 +80,12 @@ def _run(op: str, n_pes: int, layer: str, algorithm: str,
     conv.run(max_events=50_000_000)
     if conv.machine.faults is None and len(results) != n_pes:
         raise CharmError(
-            f"{op} incomplete: {len(results)}/{n_pes} ranks finished")
+            f"alltoallv incomplete: {len(results)}/{n_pes} ranks finished")
     stats = lrts.stats()
     if conv.machine.faults is not None:
         stats["faults"] = conv.machine.faults.stats()
     return CollectiveResult(
-        op=op, n_pes=n_pes, layer=layer, algorithm=algorithm,
+        n_pes=n_pes, layer=layer, algorithm=algorithm,
         time=max(done_at.values()) if done_at else 0.0,
         digest=_digest(results), completed=len(results), stats=stats)
 
-
-def run_alltoallv(
-    n_pes: int = 8,
-    layer: str = "ugni",
-    algorithm: str = "tree",
-    config: Optional[MachineConfig] = None,
-    seed: int = 0,
-    faults: Optional[FaultConfig] = None,
-) -> CollectiveResult:
-    """Every rank sends a variable-size part to every other rank."""
-    return _run("alltoallv", n_pes, layer, algorithm, config, seed, faults)
-
-
-def run_allgather(
-    n_pes: int = 8,
-    layer: str = "ugni",
-    algorithm: str = "tree",
-    config: Optional[MachineConfig] = None,
-) -> CollectiveResult:
-    """Every rank contributes one variable-size item; all ranks get all."""
-    return _run("allgather", n_pes, layer, algorithm, config)

@@ -60,12 +60,8 @@ class _Pinger(Chare):
                 handle = layer.create_persistent(self.pe, self._dst_rank(dst),
                                                  self.size + 1024)
                 self.pe.ctx[key] = handle
-            from repro.converse.scheduler import Message
-
-            payload = ("inv", self._aid, dst, method, (), {})
-            layer.send_persistent(self.pe, handle, Message(
-                self.charm._h_entry, self.pe.rank, self._dst_rank(dst),
-                self.size, payload=payload))
+            layer.send_persistent(self.pe, handle, self.charm.invocation(
+                self.pe, self._aid, dst, method, self.size))
         else:
             getattr(self.thisProxy[dst], method)(_size=self.size)
 

@@ -156,6 +156,16 @@ class Charm:
             payload=("bcast", aid, method, args, kwargs, pe.rank),
             prio=prio, device=device))
 
+    def invocation(self, pe: PE, aid: int, idx: Any, method: str,
+                   nbytes: int) -> Message:
+        """The message that runs ``method()`` on element ``idx`` of
+        collection ``aid``, for a send from ``pe`` that is not a proxy call
+        (a persistent channel): counted for quiescence like every send."""
+        self._count_send(pe)
+        dst = self.collections[aid].home_of(idx)
+        return Message(self._h_entry, pe.rank, dst, nbytes,
+                       payload=("inv", aid, idx, method, (), {}))
+
     def _count_send(self, pe: PE) -> None:
         """One application message leaves ``pe``, for quiescence."""
         self.app_sends += 1

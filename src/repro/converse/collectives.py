@@ -1,14 +1,13 @@
-"""Converse collectives: spanning trees, allgather, and alltoallv.
+"""Converse collectives: spanning trees and alltoallv.
 
 Converse implements collectives once, over whatever machine layer is
 attached (paper §III.B: "Different machine-specific LRTS implementations
 can share common implementations such as collective operations").
 
-Two transports per collective in :class:`CollectiveEngine`:
+Two transports for alltoallv in :class:`CollectiveEngine`:
 
-* ``"tree"`` — the reference data path: gather/broadcast over a
-  :class:`SpanningTree` (allgather) and dense pairwise sends (alltoallv),
-  all through plain ``LrtsSyncSend``.
+* ``"plain"`` — the reference data path: dense pairwise sends through
+  plain ``LrtsSyncSend``.
 * ``"persistent"`` — pre-negotiated windows: every data edge is a
   persistent channel (RMA windows on layers with one-sided support), the
   persistent-alltoallv scheme.  Channels are created on first use and
@@ -84,17 +83,6 @@ class SpanningTree:
         return d
 
 
-class _AgState:
-    """Per-(cid, rank) allgather progress."""
-
-    __slots__ = ("items", "on_done", "down_seen")
-
-    def __init__(self) -> None:
-        self.items: dict[int, tuple[int, Any]] = {}
-        self.on_done: Optional[Callable[[PE, dict], None]] = None
-        self.down_seen = False
-
-
 class _A2aState:
     """Per-(cid, rank) alltoallv progress."""
 
@@ -106,35 +94,31 @@ class _A2aState:
 
 
 class CollectiveEngine:
-    """Allgather / alltoallv over plain sends or persistent channels.
+    """Alltoallv over plain sends or persistent channels.
 
     One engine instance is shared by all participating PEs (the simulator
     analogue of the collective module linked into every process image).
     Operations are identified by a caller-chosen ``cid``; each PE joins an
-    operation by calling :meth:`allgather` / :meth:`alltoallv` from a
-    handler running on that PE, and its ``on_done(pe, items)`` callback
-    fires once with ``{rank: (nbytes, value)}`` covering every rank.
+    operation by calling :meth:`alltoallv` from a handler running on that
+    PE, and its ``on_done(pe, items)`` callback fires once with
+    ``{src: (nbytes, value)}`` covering every rank.
 
-    ``algorithm="tree"`` gathers up and broadcasts down a
-    :class:`SpanningTree` (allgather) and sends dense pairwise messages
-    (alltoallv).  ``algorithm="persistent"`` moves every data edge over a
-    persistent channel — a pre-negotiated RMA window on layers that have
-    them (paper §IV.A's persistent alltoallv) — using a ring for
-    allgather so each edge is reused ``n-1`` times.  The two algorithms
-    produce bit-identical ``items``.
+    ``algorithm="plain"`` sends dense pairwise messages.
+    ``algorithm="persistent"`` moves every data edge over a persistent
+    channel — a pre-negotiated RMA window on layers that have them (paper
+    §IV.A's persistent alltoallv).  The two algorithms produce
+    bit-identical ``items``.
     """
 
-    def __init__(self, conv: Any, algorithm: str = "tree"):
-        if algorithm not in ("tree", "persistent"):
+    def __init__(self, conv: Any, algorithm: str = "plain"):
+        if algorithm not in ("plain", "persistent"):
             raise CharmError(
                 f"unknown collective algorithm {algorithm!r} "
-                "(available: 'tree', 'persistent')")
+                "(available: 'plain', 'persistent')")
         self.conv = conv
         self.algorithm = algorithm
         self.n = len(conv.pes)
-        self.tree = SpanningTree(self.n)
         self._hid = conv.register_handler(self._handler)
-        self._ag: dict[tuple[Any, int], _AgState] = {}
         self._a2a: dict[tuple[Any, int], _A2aState] = {}
         #: (src, dst) -> PersistentHandle, reused across operations
         self._chan: dict[tuple[int, int], Any] = {}
@@ -179,64 +163,6 @@ class CollectiveEngine:
                 self._obs.metrics.inc("coll/persistent_channels")
         lrts.send_persistent(pe, handle, msg)
 
-    # -- allgather ---------------------------------------------------------
-    def allgather(self, pe: PE, cid: Any, nbytes: int, value: Any,
-                  on_done: Callable[[PE, dict], None]) -> None:
-        """Contribute ``(nbytes, value)`` on ``pe``; every rank must call
-        once with the same ``cid``."""
-        st = self._ag_state(cid, pe.rank)
-        if st.on_done is not None:
-            raise CharmError(
-                f"PE {pe.rank} already joined allgather {cid!r}")
-        if self._obs is not None:
-            self._obs.metrics.inc("coll/allgather")
-        st.on_done = on_done
-        st.items[pe.rank] = (nbytes, value)
-        if self.n == 1:
-            self._ag_finish(pe, cid, st)
-        elif self.algorithm == "persistent":
-            self._send(pe, (pe.rank + 1) % self.n, nbytes + _ITEM_HEADER,
-                       ("ag_ring", cid, pe.rank, nbytes, value))
-            if len(st.items) == self.n:  # joined after the ring filled in
-                self._ag_finish(pe, cid, st)
-        else:
-            self._ag_try_up(pe, cid, st)
-
-    def _ag_state(self, cid: Any, rank: int) -> _AgState:
-        return self._ag.setdefault((cid, rank), _AgState())
-
-    def _ag_items_bytes(self, items: dict[int, tuple[int, Any]]) -> int:
-        return sum(nb for nb, _ in items.values()) + _ITEM_HEADER * len(items)
-
-    def _ag_try_up(self, pe: PE, cid: Any, st: _AgState) -> None:
-        """Tree gather: forward once the whole subtree has reported."""
-        if st.on_done is None:
-            return  # haven't joined yet; up-messages wait in st.items
-        if len(st.items) != self.tree.subtree_size(pe.rank):
-            return
-        parent = self.tree.parent(pe.rank)
-        if parent is None:
-            self._ag_down(pe, cid, st)
-        else:
-            self._send(pe, parent, self._ag_items_bytes(st.items),
-                       ("ag_up", cid, dict(st.items)))
-
-    def _ag_down(self, pe: PE, cid: Any, st: _AgState) -> None:
-        """Root/interior broadcast of the full gathered set."""
-        if st.down_seen:
-            return
-        st.down_seen = True
-        nbytes = self._ag_items_bytes(st.items)
-        for child in self.tree.children(pe.rank):
-            self._send(pe, child, nbytes, ("ag_down", cid, dict(st.items)))
-        self._ag_finish(pe, cid, st)
-
-    def _ag_finish(self, pe: PE, cid: Any, st: _AgState) -> None:
-        on_done = st.on_done
-        assert on_done is not None
-        del self._ag[(cid, pe.rank)]
-        on_done(pe, dict(st.items))
-
     # -- alltoallv ---------------------------------------------------------
     def alltoallv(self, pe: PE, cid: Any,
                   parts: dict[int, tuple[int, Any]],
@@ -261,7 +187,7 @@ class CollectiveEngine:
                 continue
             nbytes, value = parts[dst]
             self._send(pe, dst, nbytes + _ITEM_HEADER,
-                       ("a2a", cid, pe.rank, nbytes, value))
+                       (cid, pe.rank, nbytes, value))
         self._a2a_try_finish(pe, cid, st)
 
     def _a2a_state(self, cid: Any, rank: int) -> _A2aState:
@@ -276,31 +202,7 @@ class CollectiveEngine:
 
     # -- dispatch ----------------------------------------------------------
     def _handler(self, pe: PE, message: Message) -> None:
-        step = message.payload[0]
-        if step == "ag_up":
-            _, cid, items = message.payload
-            st = self._ag_state(cid, pe.rank)
-            st.items.update(items)
-            self._ag_try_up(pe, cid, st)
-        elif step == "ag_down":
-            _, cid, items = message.payload
-            st = self._ag_state(cid, pe.rank)
-            st.items.update(items)
-            self._ag_down(pe, cid, st)
-        elif step == "ag_ring":
-            _, cid, origin, nbytes, value = message.payload
-            st = self._ag_state(cid, pe.rank)
-            st.items[origin] = (nbytes, value)
-            nxt = (pe.rank + 1) % self.n
-            if origin != nxt:  # stop before the item returns home
-                self._send(pe, nxt, nbytes + _ITEM_HEADER,
-                           ("ag_ring", cid, origin, nbytes, value))
-            if st.on_done is not None and len(st.items) == self.n:
-                self._ag_finish(pe, cid, st)
-        elif step == "a2a":
-            _, cid, src, nbytes, value = message.payload
-            st = self._a2a_state(cid, pe.rank)
-            st.items[src] = (nbytes, value)
-            self._a2a_try_finish(pe, cid, st)
-        else:  # pragma: no cover
-            raise CharmError(f"unknown collective step {step!r}")
+        cid, src, nbytes, value = message.payload
+        st = self._a2a_state(cid, pe.rank)
+        st.items[src] = (nbytes, value)
+        self._a2a_try_finish(pe, cid, st)

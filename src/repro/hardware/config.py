@@ -50,8 +50,6 @@ class MachineConfig:
     dragonfly_terminals_per_router: int = 2
     #: global (optical) ports per router
     dragonfly_global_links: int = 2
-    #: ``"minimal"`` (l-g-l) or ``"valiant"`` (random-intermediate misroute)
-    dragonfly_routing: str = "minimal"
     #: per-hop latency of inter-group optical links (longer than the
     #: electrical intra-group hops)
     dragonfly_global_latency: float = 0.35 * us

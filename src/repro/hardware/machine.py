@@ -116,19 +116,14 @@ class Machine:
 
     def _build_dragonfly(self, n_nodes: int) -> Dragonfly:
         cfg = self.config
-        # the RNG stream exists either way; valiant is its only consumer,
-        # so minimal-mode machines draw nothing from it
-        rng = self.rng.stream("valiant")
         if cfg.dragonfly_groups > 0:
             return Dragonfly(
                 cfg.dragonfly_groups, cfg.dragonfly_routers_per_group,
                 cfg.dragonfly_terminals_per_router,
-                cfg.dragonfly_global_links,
-                routing=cfg.dragonfly_routing, rng=rng)
+                cfg.dragonfly_global_links)
         return Dragonfly.for_nodes(
             n_nodes, cfg.dragonfly_routers_per_group,
-            cfg.dragonfly_terminals_per_router, cfg.dragonfly_global_links,
-            routing=cfg.dragonfly_routing, rng=rng)
+            cfg.dragonfly_terminals_per_router, cfg.dragonfly_global_links)
 
     # -- sizing ------------------------------------------------------------
     @property

@@ -175,7 +175,6 @@ class TorusNetwork:
         dst: Coord,
         nbytes: int,
         bandwidth_cap: float | None = None,
-        via: Coord | None = None,
     ) -> TransferTiming:
         """Route one message and reserve every link it crosses.
 
@@ -186,9 +185,7 @@ class TorusNetwork:
         cannot arrive before ``first-byte arrival + nbytes / cap``.
         Every port and link holds a message at least
         :attr:`MachineConfig.nic_msg_gap` (per-message router overhead),
-        the small-message rate limit.  ``via`` is a waypoint: the message
-        walks ``src -> via -> dst`` as two minimal legs (Valiant
-        misrouting).
+        the small-message rate limit.
 
         One pass: per hop, compute the productive slots of the vertex the
         message stands on, touch each candidate link, pick one and reserve
@@ -223,10 +220,9 @@ class TorusNetwork:
         _, t = self._inject.reserve(v, now, size, min_occ)
         depart = t
 
-        # src -> dst, or src -> via -> dst as two minimal legs; a
-        # coordinate off the fabric raises before any router link is touched
-        ends = ((topo.vertex(dst),) if via is None
-                else (topo.vertex(via), topo.vertex(dst)))
+        # a destination off the fabric raises before any router link is
+        # touched
+        end = topo.vertex(dst)
         hops = 0
         if faulted:
             self.degraded_routes += 1
@@ -234,36 +230,34 @@ class TorusNetwork:
         out_hops = topo.out_hops
         first_only = not (cfg.adaptive_routing or faulted)
         horizons, reserve = links.horizons, links.reserve
-        for end in ends:
-            while v != end:
-                base = v * fan
-                row = -1
-                for slot, to in out_hops(v, end, first_only):
-                    cand = out[base + slot]
-                    if cand < 0:
-                        cand = self._first_touch(v, slot, to)
-                    if faulted:
-                        # degraded: step around a down link, touching no
-                        # candidate past the first one that is not down
-                        up = Link.at(links, cand).state != "down"
-                        if row < 0 or up:
-                            row, nxt = cand, to
-                        if up:
-                            break
-                    # adaptive: least-backlogged productive link, the
-                    # earlier direction on a tie (router links have one
-                    # lane: its horizon is the load)
-                    elif row < 0 or horizons[cand] < load:
-                        row, nxt, load = cand, to, horizons[cand]
-                _, t = reserve(row, t, size, min_occ)
-                v = nxt
-                hops += 1
+        while v != end:
+            base = v * fan
+            row = -1
+            for slot, to in out_hops(v, end, first_only):
+                cand = out[base + slot]
+                if cand < 0:
+                    cand = self._first_touch(v, slot, to)
+                if faulted:
+                    # degraded: step around a down link, touching no
+                    # candidate past the first one that is not down
+                    up = Link.at(links, cand).state != "down"
+                    if row < 0 or up:
+                        row, nxt = cand, to
+                    if up:
+                        break
+                # adaptive: least-backlogged productive link, the earlier
+                # direction on a tie (router links have one lane: its
+                # horizon is the load)
+                elif row < 0 or horizons[cand] < load:
+                    row, nxt, load = cand, to, horizons[cand]
+            _, t = reserve(row, t, size, min_occ)
+            v = nxt
+            hops += 1
 
         # ejection into the destination NIC
-        v = ends[-1]
-        if not self._eject_made[v]:
+        if not self._eject_made[end]:
             self.ejection_port(dst)
-        _, t = self._eject.reserve(v, t, size, min_occ)
+        _, t = self._eject.reserve(end, t, size, min_occ)
         head_arrival = t
 
         path_bw = cfg.link_bandwidth
@@ -314,21 +308,10 @@ if _speed.core is not None:
 
 
 class DragonflyNetwork(TorusNetwork):
-    """Dragonfly fabric on top of the shared link/fault machinery.
-
-    Differences from the torus network:
-
-    * inter-group (optical) router links carry their own, longer latency
-      (:attr:`MachineConfig.dragonfly_global_latency`);
-    * in ``valiant`` routing mode each inter-group message walks two
-      minimal legs — source to a randomly drawn intermediate router in a
-      third group, then on to the destination — spreading adversarial
-      traffic across global links at the cost of path length.  The
-      intermediate comes from the topology's seeded RNG stream, so runs
-      stay bit-reproducible.  With any link fault outstanding the network
-      falls back to minimal routing with down-link avoidance, mirroring
-      the torus's degraded mode.
-    """
+    """Dragonfly fabric on top of the shared link/fault machinery: the
+    torus network's minimal routing and degraded mode, with inter-group
+    (optical) router links carrying their own, longer latency
+    (:attr:`MachineConfig.dragonfly_global_latency`)."""
 
     def _link_latency(self, slot: int) -> float:
         # a router's global ports follow its downs and locals
@@ -336,17 +319,3 @@ class DragonflyNetwork(TorusNetwork):
         if slot >= topo.terminals_per_router + topo.routers_per_group:
             return self.config.dragonfly_global_latency
         return self.config.hop_latency
-
-    def transfer(
-        self,
-        now: float,
-        src: Coord,
-        dst: Coord,
-        nbytes: int,
-        bandwidth_cap: float | None = None,
-    ) -> TransferTiming:
-        topo = self.topology
-        mid = None
-        if topo.routing == "valiant" and not self._faulted and src != dst:
-            mid = topo.valiant_intermediate(src, dst)
-        return super().transfer(now, src, dst, nbytes, bandwidth_cap, via=mid)

@@ -1,8 +1,8 @@
 """Intra-node delivery (paper §IV.C, Fig. 8c).
 
-Shared by the uGNI and RDMA layers (both mix it in; each selects the mode
-through its own layer config's ``intranode`` field).  The uGNI layer's
-three modes:
+Shared by the uGNI and RDMA layers (both mix it in).  The RDMA layer
+always uses double-copy pxshm; the uGNI layer selects one of three modes
+through :attr:`UgniLayerConfig.intranode`:
 
 * ``"pxshm_single"`` — sender-side copy into POSIX shared memory; the
   receiver hands the in-region message straight to the application.  The

@@ -30,6 +30,10 @@ PUT-based (the variant §III.C rejects — one extra rendezvous message)::
     control "put_done"       ->
     release send buffer         release, deliver to Converse
 
+A layer's ``lcfg.rendezvous`` picks the first step: a field of
+:class:`UgniLayerConfig`, a class constant ``"get"`` of
+:class:`RdmaLayerConfig`.
+
 Buffers are *real*: pool blocks, pinned bounce windows or registered
 node-memory blocks, and the RDMA engines validate every transaction
 against the registration tables, so protocol bugs fail loudly.  A post

@@ -8,8 +8,8 @@ Cray MPI's 8 KB eager threshold):
 * ``total <= rdma_eager_max`` (16 KB) — **eager**: sender copies into its
   registered staging pool, receiver copies out of a pre-posted buffer.
 * larger — **rendezvous**: both sides pin bounce windows through the
-  pin-down cache and the payload moves as one RDMA READ (receiver pulls,
-  the default) or WRITE (RTS/CTS variant), zero-copy on the wire path.
+  pin-down cache and the payload moves as one RDMA READ (the receiver
+  pulls), zero-copy on the wire path.
 
 The rendezvous and persistent-channel state machines are the shared
 :class:`~repro.lrts.protocols.ProtocolCore`; this layer binds its fabric
@@ -67,9 +67,7 @@ class RdmaMachineLayer(ProtocolCore, IntranodeMixin, GpuTransportMixin,
     # ------------------------------------------------------------------ #
     def _setup(self) -> None:
         assert self.conv is not None
-        self.pxshm = PxshmFabric(
-            self.machine,
-            single_copy=(self.lcfg.intranode == "pxshm_single"))
+        self.pxshm = PxshmFabric(self.machine, single_copy=False)
         self._proto_setup()
         self.fabric.on_receive = self._on_rc_receive
         self.fabric.on_giveup = self._on_rc_giveup
@@ -113,7 +111,6 @@ class RdmaMachineLayer(ProtocolCore, IntranodeMixin, GpuTransportMixin,
             self._gpu_send(src_pe, dst_rank, msg)
             return
         if (src_pe.node is self._pes[dst_rank].node
-                and self.lcfg.intranode != "fabric"
                 and total <= self.cfg.pxshm_region_bytes):
             self.intranode_sent += 1
             if obs is not None:

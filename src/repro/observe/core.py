@@ -352,9 +352,9 @@ class Observer:
 
     # -- introspection -----------------------------------------------------
     def footprint(self) -> dict[str, int]:
-        """What the record holds: retained spans, stage and timeline rows,
-        evicted spans, and the bytes of every column (simulator
-        self-metrics, never in a snapshot or a digest)."""
+        """What the record holds: spans, stage and timeline rows, and the
+        bytes of every column (simulator self-metrics, never in a snapshot
+        or a digest)."""
         held = self.tracer.footprint()
         timeline = (self._tl_rank, self._tl_start, self._tl_duration,
                     self._tl_kind)

@@ -45,23 +45,14 @@ class MessageTracer:
     """Mints trace IDs and accumulates per-message stage rows.
 
     IDs are a plain counter (deterministic: minting happens in simulated
-    event order).  ``capacity`` bounds the number of *retained* spans —
-    the oldest *minted* span is evicted first, complete or not — so long
-    campaigns can trace with bounded memory; ``None`` keeps everything.
-    Eviction raises a low-water mark on trace IDs; once ``capacity`` IDs
-    lie below it, the dead prefix of the span columns and the stage rows
-    of evicted spans are compacted away.
+    event order), and every span minted is kept.
     """
 
-    def __init__(self, capacity: Optional[int] = None):
-        self.capacity = capacity
-        self.evicted = 0
+    def __init__(self) -> None:
         self._next_id = 0
-        #: IDs at or below ``_low`` are gone (evicted, or skipped by
-        #: :meth:`fast_forward`); span row 0 is trace ID ``_base + 1``
-        self._low = 0
+        #: IDs at or below ``_base`` were skipped by :meth:`fast_forward`
+        #: before anything was minted; span row 0 is trace ID ``_base + 1``
         self._base = 0
-        self._retained = 0
         # span columns (a source PE of -1 marks an ID never minted)
         self._src = array("i")
         self._dst = array("i")
@@ -96,37 +87,12 @@ class MessageTracer:
         self._nbytes.append(nbytes)
         self._sent_at.append(_NAN)
         self._rndv_at.append(_NAN)
-        self._retained += 1
-        if self.capacity is not None and self._retained > self.capacity:
-            self._evict_oldest()
         return tid
-
-    def _evict_oldest(self) -> None:
-        src = self._src
-        self._low += 1
-        while src[self._low - self._base - 1] < 0:
-            self._low += 1
-        self._retained -= 1
-        self.evicted += 1
-        if self._low - self._base >= self.capacity:
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop the span rows below the low-water mark and every stage row
-        of a span there."""
-        dead, low = self._low - self._base, self._low
-        for col in self._span_columns():
-            del col[:dead]
-        self._base = low
-        keep = [row for row, tid in enumerate(self._tid) if tid > low]
-        if len(keep) < len(self._tid):
-            for col in self._stage_columns():
-                col[:] = array(col.typecode, [col[row] for row in keep])
 
     def stage(self, trace_id: int, stage: str, time: float,
               where: Any = None, detail: Optional[str] = None) -> None:
-        if trace_id is None or not self._low < trace_id <= self._next_id:
-            return  # evicted, or minted before this tracer existed
+        if trace_id is None or not self._base < trace_id <= self._next_id:
+            return  # minted before this tracer existed
         row = trace_id - self._base - 1
         if self._src[row] < 0:
             return  # skipped by fast_forward: never minted
@@ -150,7 +116,7 @@ class MessageTracer:
                  rank: int) -> None:
         """A stage a PE stamps (``SEND``/``DELIVER``/``EXEC``): the row
         keeps the rank, and reads render it ``pe{rank}``."""
-        if not self._low < trace_id <= self._next_id:
+        if not self._base < trace_id <= self._next_id:
             return
         row = trace_id - self._base - 1
         if self._src[row] < 0:
@@ -177,14 +143,13 @@ class MessageTracer:
         the checkpointed counter keeps trace IDs globally unique across
         the crash/restore boundary and — because the restore path is
         deterministic — identical for identical (config, seed, schedule).
-        The skipped IDs hold no span: with none retained the columns
-        restart at ``next_id``, otherwise they are padded with unminted
-        rows.
+        The skipped IDs hold no span: with none minted the columns start
+        at ``next_id``, otherwise they are padded with unminted rows.
         """
         if next_id <= self._next_id:
             return
-        if self._retained == 0:
-            self._compact_all(next_id)
+        if not self._src:
+            self._base = next_id
         else:
             gap = next_id - self._next_id
             self._src.extend(array("i", [-1]) * gap)
@@ -194,50 +159,43 @@ class MessageTracer:
             self._rndv_at.extend(array("d", [_NAN]) * gap)
         self._next_id = next_id
 
-    def _compact_all(self, low: int) -> None:
-        for col in self._span_columns() + self._stage_columns():
-            del col[:]
-        self._low = self._base = low
-
     # -- queries -----------------------------------------------------------
     def minted(self) -> int:
         return self._next_id
 
     def footprint(self) -> dict[str, int]:
-        """Retained spans, stage rows held, evictions, column bytes."""
+        """Spans, stage rows held, column bytes."""
         return {
-            "spans": self._retained,
+            "spans": len(self._src) - self._src.count(-1),
             "stage_rows": len(self._tid),
-            "evicted": self.evicted,
             "column_bytes": sum(len(col) * col.itemsize
                                 for col in self._span_columns()
                                 + self._stage_columns()),
         }
 
     def first_send(self, trace_id: int) -> Optional[float]:
-        """Time of the span's first ``send`` stage (None: none, or gone)."""
+        """Time of the span's first ``send`` stage (None: none)."""
         return self._first(self._sent_at, trace_id)
 
     def first_rendezvous(self, trace_id: int) -> Optional[float]:
         """Time of the span's first ``lrts`` stage with detail
-        ``rendezvous`` (None: none, or gone)."""
+        ``rendezvous`` (None: none)."""
         return self._first(self._rndv_at, trace_id)
 
     def _first(self, col: array, trace_id: Optional[int]) -> Optional[float]:
-        if trace_id is None or not self._low < trace_id <= self._next_id:
+        if trace_id is None or not self._base < trace_id <= self._next_id:
             return None
         time = col[trace_id - self._base - 1]
         return None if time != time else time
 
     def _groups(self) -> tuple[list[int], list[int]]:
-        """Stage rows of the retained spans in trace-ID order, each span's
-        in append order, and where each span's run starts: span row ``s``
-        owns ``order[starts[s]:starts[s + 1]]``.  Cached until a write."""
-        key = (len(self._tid), len(self._src), self._base, self._low)
+        """Stage rows in trace-ID order, each span's in append order, and
+        where each span's run starts: span row ``s`` owns
+        ``order[starts[s]:starts[s + 1]]``.  Cached until a write."""
+        key = (len(self._tid), len(self._src))
         if self._grouped is None or self._grouped[0] != key:
-            low, tids = self._low, self._tid
-            order = [row for row, tid in enumerate(tids) if tid > low]
-            order.sort(key=tids.__getitem__)
+            tids = self._tid
+            order = sorted(range(len(tids)), key=tids.__getitem__)
             counts = [0] * (len(self._src) + 1)
             base = self._base
             for row in order:
@@ -252,12 +210,12 @@ class MessageTracer:
                 self._names[self._detail[row]])
 
     def records(self) -> Iterator[tuple[int, int, int, int, list[tuple]]]:
-        """``(trace_id, src_pe, dst_pe, nbytes, stages)`` per retained span
-        in trace-ID order, ``stages`` as ``(stage, time, where, detail)``
+        """``(trace_id, src_pe, dst_pe, nbytes, stages)`` per span in
+        trace-ID order, ``stages`` as ``(stage, time, where, detail)``
         tuples in the order they were stamped: what the exporters read."""
         order, starts = self._groups()
         base, src = self._base, self._src
-        for row in range(self._low - base, len(src)):
+        for row in range(len(src)):
             if src[row] < 0:
                 continue
             yield (base + row + 1, src[row], self._dst[row],
@@ -266,7 +224,6 @@ class MessageTracer:
                     for r in order[starts[row]:starts[row + 1]]])
 
     def delivered(self) -> int:
-        """How many retained spans ran a handler (``exec`` stage)."""
-        low = self._low
+        """How many spans ran a handler (``exec`` stage)."""
         return len({tid for tid, code in zip(self._tid, self._code)
-                    if code == EXEC and tid > low})
+                    if code == EXEC})

@@ -4,8 +4,9 @@ slab and run loop, and the network pass of
 
 The extension is compiled on first import with the system C compiler —
 no pip, no network, no build isolation — and cached next to the source
-as ``_speedups.<cache_tag>.so``; it is rebuilt only when ``_speedups.c``
-is newer.  On any failure (no compiler, sandboxed filesystem, exotic
+as ``_speedups.<cache_tag>-<hash>.so``, ``<hash>`` a SHA-256 prefix of
+``_speedups.c``: a binary built from other source is never loaded,
+whatever its mtime, and a build removes the older ones.  On any failure (no compiler, sandboxed filesystem, exotic
 platform) ``core`` is ``None``, the engine runs its pure-Python slab path
 and the router its Python body, which are contract-identical (the
 hypothesis parity suites drive both) — and one :class:`RuntimeWarning`
@@ -19,6 +20,9 @@ escape hatch if a platform miscompiles.
 
 from __future__ import annotations
 
+import contextlib
+import glob
+import hashlib
 import importlib.util
 import os
 import shutil
@@ -38,9 +42,16 @@ core = None
 build_error: str | None = None
 
 
+def _tag() -> str:
+    return getattr(sys.implementation, "cache_tag", None) or "python"
+
+
 def _so_path(src_dir: str) -> str:
-    tag = getattr(sys.implementation, "cache_tag", None) or "python"
-    return os.path.join(src_dir, f"_speedups.{tag}.so")
+    """The cached build of ``src_dir``'s ``_speedups.c``, named by its
+    content."""
+    with open(os.path.join(src_dir, "_speedups.c"), "rb") as src:
+        digest = hashlib.sha256(src.read()).hexdigest()[:16]
+    return os.path.join(src_dir, f"_speedups.{_tag()}-{digest}.so")
 
 
 def _compile(c_path: str, so_path: str) -> None:
@@ -81,11 +92,15 @@ def _load():
     if not os.path.exists(c_path):
         build_error = "_speedups.c missing"
         return None
-    so_path = _so_path(src_dir)
     try:
-        if (not os.path.exists(so_path)
-                or os.path.getmtime(so_path) < os.path.getmtime(c_path)):
+        so_path = _so_path(src_dir)
+        if not os.path.exists(so_path):
             _compile(c_path, so_path)
+            stale = os.path.join(src_dir, f"_speedups.{_tag()}*.so")
+            for old in glob.glob(stale):
+                if old != so_path:
+                    with contextlib.suppress(OSError):  # removed already
+                        os.unlink(old)
         spec = importlib.util.spec_from_file_location(
             "repro.sim._speedups", so_path)
         if spec is None or spec.loader is None:

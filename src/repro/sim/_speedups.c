@@ -888,12 +888,12 @@ static PyObject *s_config, *s_links, *s_inject, *s_eject, *s_out,
     *s_latency, *s_observer, *s_messages_routed, *s_nic_msg_gap,
     *s_link_bandwidth, *s_adaptive_routing, *s_first_touch,
     *s_injection_port, *s_ejection_port, *s_on_net_transfer, *s_topology,
-    *s_dims, *s_rt, *int_one;
+    *s_dims, *int_one;
 static PyObject *s_shape[4];   /* Dragonfly's g, a, p, h */
-#define N_PARAMS 6
+#define N_PARAMS 5
 static PyObject *s_params[N_PARAMS];
 static const char *const param_names[N_PARAMS] = {
-    "now", "src", "dst", "nbytes", "bandwidth_cap", "via"};
+    "now", "src", "dst", "nbytes", "bandwidth_cap"};
 
 /* what one message carries past every link */
 typedef struct {
@@ -1168,24 +1168,14 @@ read_fabric(PyObject *topo, Fabric *f)
     return 1;
 }
 
-/* topology.vertex(coord): 1 and *v, or 0 if coord is not a vertex. */
+/* topology.vertex(coord) of a node: 1 and *v, or 0 if coord is not a node
+ * (terminal) coordinate of the fabric. */
 static int
 vertex_of(const Fabric *f, PyObject *coord, long *v)
 {
     long c[3];
     if (!PyTuple_CheckExact(coord) || PyTuple_GET_SIZE(coord) != 3)
         return 0;
-    PyObject *first = PyTuple_GET_ITEM(coord, 0);
-    if (f->dragonfly && PyUnicode_CheckExact(first)) {
-        /* ("rt", g, r) */
-        if (first != s_rt && PyUnicode_Compare(first, s_rt) != 0)
-            return 0;
-        if (!index_below(PyTuple_GET_ITEM(coord, 1), f->n[0], &c[1])
-            || !index_below(PyTuple_GET_ITEM(coord, 2), f->n[1], &c[2]))
-            return 0;
-        *v = f->terminals + f->n[1] * c[1] + c[2];
-        return 1;
-    }
     for (int i = 0; i < 3; i++)
         if (!index_below(PyTuple_GET_ITEM(coord, i), f->n[i], &c[i]))
             return 0;
@@ -1288,7 +1278,7 @@ first_touch(PyObject *self, long v, int slot, long nxt)
     return row < 0 ? -1 : row;
 }
 
-/* The network's router links as one leg walks them. */
+/* The network's router links as a route walks them. */
 typedef struct {
     const Table *links;
     const int *out;       /* the out-table: a row per slot, -1 untouched */
@@ -1296,13 +1286,13 @@ typedef struct {
     long fan;             /* slots per vertex */
 } Walk;
 
-/* One minimal leg, *v -> end: per hop the productive links, every
+/* The minimal route *v -> end: per hop the productive links, every
  * candidate touched in slot order, the pick (the only candidate in
  * deterministic mode; in adaptive mode the least-backlogged, the earlier
  * direction on a tie: a router link has one lane, its horizon is the
  * load), the reserve, the step. */
 static int
-walk_leg(PyObject *self, const Walk *w, const Fabric *f, int first_only,
+walk_route(PyObject *self, const Walk *w, const Fabric *f, int first_only,
          long *v, long end, double *t, long *hops, const Msg *m)
 {
     const double *horizons = w->links->horizons.buf;
@@ -1342,7 +1332,7 @@ walk_leg(PyObject *self, const Walk *w, const Fabric *f, int first_only,
     return 0;
 }
 
-/* Bind the call's arguments to transfer's six parameters (borrowed).
+/* Bind the call's arguments to transfer's five parameters (borrowed).
  * 1 bound, 0 they do not bind (the Python body names what is wrong), -1
  * error. */
 static int
@@ -1400,7 +1390,7 @@ static PyObject *
 router_transfer(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
                 PyObject *kwnames)
 {
-    PyObject *p[N_PARAMS] = {NULL, NULL, NULL, NULL, Py_None, Py_None};
+    PyObject *p[N_PARAMS] = {NULL, NULL, NULL, NULL, Py_None};
     int bound = bind_params(args, nargs, kwnames, p);
     if (bound < 0)
         return NULL;
@@ -1415,9 +1405,8 @@ router_transfer(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
         return call_body(self, args, nargs, kwnames);
 
     PyObject *now_o = p[0], *src = p[1], *dst = p[2], *cap_o = p[4];
-    PyObject *via = p[5];
     Fabric fabric;
-    long v, end, mid = 0;
+    long v, end;
     PyObject *topo = PyObject_GetAttr(self, s_topology);
     if (!topo)
         return NULL;
@@ -1426,8 +1415,7 @@ router_transfer(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
     if (known < 0)
         return NULL;
     if (!known || !vertex_of(&fabric, src, &v)
-        || !vertex_of(&fabric, dst, &end)
-        || (via != Py_None && !vertex_of(&fabric, via, &mid)))
+        || !vertex_of(&fabric, dst, &end))
         return call_body(self, args, nargs, kwnames);
 
     Columns *c = columns_of(self);
@@ -1486,11 +1474,8 @@ router_transfer(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
         || !(depart_o = PyFloat_FromDouble(t)))
         goto done;
 
-    /* src -> dst, or src -> via -> dst as two minimal legs */
-    if (via != Py_None
-        && walk_leg(self, &w, &fabric, first_only, &v, mid, &t, &hops, &m) < 0)
-        goto done;
-    if (walk_leg(self, &w, &fabric, first_only, &v, end, &t, &hops, &m) < 0)
+    /* src -> dst */
+    if (walk_route(self, &w, &fabric, first_only, &v, end, &t, &hops, &m) < 0)
         goto done;
 
     /* ejection into the destination NIC */
@@ -1552,7 +1537,7 @@ done:
 }
 
 PyDoc_STRVAR(router_transfer_doc,
-"transfer($self, /, now, src, dst, nbytes, bandwidth_cap=None, via=None)\n"
+"transfer($self, /, now, src, dst, nbytes, bandwidth_cap=None)\n"
 "--\n\n"
 "Route one message and reserve every link it crosses: the compiled lane\n"
 "of TorusNetwork._transfer_py (see there), which carries the call itself\n"
@@ -1612,7 +1597,7 @@ intern_names(void)
         {&s_injection_port, "injection_port"},
         {&s_ejection_port, "ejection_port"},
         {&s_on_net_transfer, "on_net_transfer"},
-        {&s_topology, "topology"}, {&s_dims, "dims"}, {&s_rt, "rt"},
+        {&s_topology, "topology"}, {&s_dims, "dims"},
         {&s_shape[0], "groups"}, {&s_shape[1], "routers_per_group"},
         {&s_shape[2], "terminals_per_router"},
         {&s_shape[3], "global_links"},

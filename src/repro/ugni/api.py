@@ -14,11 +14,8 @@ names.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.hardware.machine import Machine
 from repro.hardware.memory import MemoryBlock
-from repro.ugni.cq import CompletionQueue
 from repro.ugni.memreg import MemHandle, RegistrationTables
 from repro.ugni.msgq import MsgqFabric
 from repro.ugni.rdma import RdmaEngine
@@ -36,13 +33,9 @@ class GniJob:
         self.msgq = MsgqFabric(machine)
 
     # -- memory -----------------------------------------------------------------
-    def MemRegister(
-        self,
-        block: MemoryBlock,
-        cq: Optional[CompletionQueue] = None,
-    ) -> tuple[MemHandle, float]:
+    def MemRegister(self, block: MemoryBlock) -> tuple[MemHandle, float]:
         """Register a whole block; returns ``(handle, cpu_cost)``."""
-        return self.registrations[block.node_id].register(block, cq)
+        return self.registrations[block.node_id].register(block)
 
     def MemDeregister(self, handle: MemHandle) -> float:
         return self.registrations[handle.node_id].deregister(handle)

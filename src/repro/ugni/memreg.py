@@ -23,17 +23,14 @@ from repro.hardware.memory import MemoryBlock
 class MemHandle:
     """A registration handle covering ``[addr, addr+length)`` on a node."""
 
-    __slots__ = ("node_id", "addr", "length", "valid", "cq")
+    __slots__ = ("node_id", "addr", "length", "valid")
 
-    def __init__(self, node_id: int, addr: int, length: int, cq=None):
+    def __init__(self, node_id: int, addr: int, length: int):
         self.node_id = node_id
         self.addr = addr
         self.length = length
         #: False after deregistration
         self.valid = True
-        #: optional CQ that receives REMOTE_DATA events for PUTs into this
-        #: region (GNI_MemRegister's dst_cq argument)
-        self.cq = cq
 
     @property
     def end(self) -> int:
@@ -62,8 +59,7 @@ class RegistrationTable:
         self.total_deregistrations = 0
 
     # -- API -----------------------------------------------------------------
-    def register(self, block: MemoryBlock,
-                 cq=None) -> tuple[MemHandle, float]:
+    def register(self, block: MemoryBlock) -> tuple[MemHandle, float]:
         """``GNI_MemRegister`` of the whole block: ``(handle, cpu_cost)``."""
         if block.freed:
             raise UgniInvalidParam(f"registering freed block {block!r}")
@@ -72,7 +68,7 @@ class RegistrationTable:
                 f"registering node-{block.node_id} memory on node {self.node_id}"
             )
         length = block.size
-        handle = MemHandle(self.node_id, block.addr, length, cq=cq)
+        handle = MemHandle(self.node_id, block.addr, length)
         self._handles.add(handle)
         self.registered_bytes += length
         self.total_registrations += 1

@@ -3,14 +3,10 @@
 A :class:`PostDescriptor` names registered memory on both sides (exactly
 the information the paper's rendezvous control message carries: "memory
 address, memory handler and size", §III.C).  The engine validates both
-registrations, hands the transfer to the right NIC unit, and pushes
-completion events:
-
-* a ``POST_DONE`` entry on the initiator's source CQ when the transaction
-  completes locally;
-* for PUT, a ``REMOTE_DATA`` entry on the destination region's CQ (if the
-  registration supplied one).  A GET produces **no** remote event — the
-  uGNI property that forces the paper's ACK_TAG message.
+registrations, hands the transfer to the right NIC unit, and pushes one
+completion event: a ``POST_DONE`` entry on the initiator's source CQ when
+the transaction completes locally.  The target sees **no** event — for a
+GET, the uGNI property that forces the paper's ACK_TAG message.
 
 Completions are bound methods plus arguments handed to the NIC, never
 closures: nothing a post schedules holds a cell that points back at its
@@ -97,8 +93,6 @@ class RdmaEngine:
 
         Returns initiator CPU seconds.
         """
-        if desc.post_type is PostType.AMO:
-            return self._post_amo(initiator_node, desc)
         machine = self.machine
         san = machine.sanitizer
         if san is not None:
@@ -122,17 +116,15 @@ class RdmaEngine:
 
         token = (san.on_rdma_post(desc, initiator_node)
                  if san is not None else None)
-        notify = put and desc.remote_mem.cq is not None
         if peer.node_id == node.node_id:
             # local post: loopback path, still generates a local CQ event
             return node.nic.loopback_send(
-                desc.length, self._loopback_done, desc, token, notify, at=at)
+                desc.length, self._complete, desc, CqEventKind.POST_DONE,
+                token, at=at)
         return node.nic.post_transfer(
             kind, peer.coord, desc.length,
             on_local_cq=self._complete,
-            local_args=(desc, CqEventKind.POST_DONE, token),
-            on_remote_data=self._remote_data if notify else None,
-            remote_args=(desc,), at=at)
+            local_args=(desc, CqEventKind.POST_DONE, token), at=at)
 
     # -- completions (engine context; bound methods, never closures) ----------
     def _complete(self, t: float, desc: PostDescriptor, kind: CqEventKind,
@@ -146,17 +138,6 @@ class RdmaEngine:
         cq = desc.src_cq
         if cq is not None:
             cq.push(CqEntry(kind, t, desc.id, desc, desc.local_mem.node_id))
-
-    def _remote_data(self, t: float, desc: PostDescriptor) -> None:
-        """A PUT landed in a region registered with a destination CQ."""
-        desc.remote_mem.cq.push(CqEntry(
-            CqEventKind.REMOTE_DATA, t, desc.id, desc, desc.local_mem.node_id))
-
-    def _loopback_done(self, t: float, desc: PostDescriptor,
-                       token: Optional[int], notify: bool) -> None:
-        self._complete(t, desc, CqEventKind.POST_DONE, token)
-        if notify:
-            self._remote_data(t, desc)
 
     def _post_failed(self, node, peer, desc: PostDescriptor, kind,
                      at: Optional[float]) -> float:
@@ -177,18 +158,3 @@ class RdmaEngine:
         fma = (desc.length < cfg.fma_bte_crossover
                and desc.length <= cfg.fma_max_bytes)
         return self.post(initiator_node, desc, fma, at)
-
-    def _post_amo(self, initiator_node: int, desc: PostDescriptor) -> float:
-        """Atomic memory operation: modelled as an 8-byte FMA round trip."""
-        san = self.machine.sanitizer
-        if san is not None:
-            san.on_rdma_check(desc, initiator_node)
-        self._validate(desc, initiator_node, 8)
-        node = self.machine.nodes[initiator_node]
-        peer = self.machine.nodes[desc.remote_mem.node_id]
-        done_args = (desc, CqEventKind.POST_DONE, None)
-        if peer.node_id == node.node_id:
-            return node.nic.loopback_send(8, self._complete, *done_args)
-        return node.nic.post_transfer(
-            TransferKind.FMA_GET, peer.coord, 8,
-            on_local_cq=self._complete, local_args=done_args)

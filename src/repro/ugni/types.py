@@ -10,8 +10,6 @@ class PostType(enum.Enum):
 
     PUT = "put"
     GET = "get"
-    #: atomic memory operation (fetch-and-add style); FMA only
-    AMO = "amo"
 
 
 class CqEventKind(enum.Enum):
@@ -19,12 +17,8 @@ class CqEventKind(enum.Enum):
 
     #: a local FMA/BTE transaction completed (source side)
     POST_DONE = "post_done"
-    #: data landed in local memory via a remote PUT with remote-event mode
-    REMOTE_DATA = "remote_data"
     #: an SMSG message arrived in a local mailbox
     SMSG_ARRIVAL = "smsg_arrival"
-    #: an SMSG send's TX completion (buffer reusable)
-    SMSG_TX = "smsg_tx"
     #: a MSGQ message arrived in the node queue
     MSGQ_ARRIVAL = "msgq_arrival"
     #: the operation failed (``GNI_RC_TRANSACTION_ERROR`` family): a

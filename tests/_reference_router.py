@@ -1,8 +1,7 @@
 """Frozen reference router: the pre-flatten ``transfer`` composition.
 
 A verbatim copy of ``TorusNetwork.transfer -> _walk -> _next_direction ->
-Link.reserve`` (and the Valiant two-leg ``DragonflyNetwork.transfer``) as
-they stood before the message path was fused into one pass, minus the
+Link.reserve`` (and the dragonfly's link latencies) as they stood before the message path was fused into one pass, minus the
 observer hook and the per-hop caches (which never changed a result).
 ``tests/test_router_equivalence.py`` drives it and the live router with the
 same transfer/fault streams and requires identical timings and identical
@@ -193,28 +192,3 @@ class RefDragonflyNetwork(RefTorusNetwork):
             lk = RefLink(key, self.config.link_bandwidth, latency)
             self._links[key] = lk
         return lk
-
-    def transfer(self, now, src, dst, nbytes, bandwidth_cap=None,
-                 min_occupancy=None):
-        topo = self.topology
-        mid = None
-        if topo.routing == "valiant" and not self._faulted and src != dst:
-            mid = topo.valiant_intermediate(src, dst)
-        if mid is None:
-            return super().transfer(now, src, dst, nbytes,
-                                    bandwidth_cap=bandwidth_cap,
-                                    min_occupancy=min_occupancy)
-        cfg = self.config
-        min_occ = cfg.nic_msg_gap if min_occupancy is None else min_occupancy
-        self.messages_routed += 1
-        _, t = self.injection_port(src).reserve(now, nbytes, min_occ)
-        depart = t
-        t, hops_a = self._walk(t, src, mid, nbytes, min_occ)
-        t, hops_b = self._walk(t, mid, dst, nbytes, min_occ)
-        _, t = self.ejection_port(dst).reserve(t, nbytes, min_occ)
-        head_arrival = t
-        path_bw = cfg.link_bandwidth
-        if bandwidth_cap is not None and bandwidth_cap < path_bw:
-            path_bw = bandwidth_cap
-        arrival = head_arrival + nbytes / path_bw
-        return depart, head_arrival, arrival, hops_a + hops_b

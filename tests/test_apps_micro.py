@@ -6,6 +6,7 @@ from repro.apps.kneighbor import kneighbor
 from repro.apps.onetoall import one_to_all
 from repro.apps.pingpong import charm_pingpong
 from repro.apps.raw import fma_bte_latency, mpi_pingpong, ugni_pingpong
+from repro.charm import Charm
 from repro.hardware.config import tiny as tiny_config
 from repro.units import KB, MB, us
 
@@ -66,6 +67,24 @@ class TestCharmPingpong:
         with pytest.raises(LrtsError):
             charm_pingpong(64 * KB, layer="mpi", persistent=True,
                            iters=2, warmup=1)
+
+    @pytest.mark.parametrize("persistent", [False, True],
+                             ids=["plain", "persistent"])
+    def test_every_send_is_counted(self, persistent, monkeypatch):
+        """Quiescence and the checkpoint audit read ``app_sends`` against
+        ``app_executes``: a persistent ping-pong sends through a channel,
+        not a proxy call, and must balance them all the same."""
+        charms = []
+        run = Charm.run
+
+        def record(charm, *args, **kwargs):
+            charms.append(charm)
+            return run(charm, *args, **kwargs)
+
+        monkeypatch.setattr(Charm, "run", record)
+        charm_pingpong(64 * KB, persistent=persistent, iters=5, warmup=1)
+        (charm,) = charms
+        assert charm.app_sends == charm.app_executes == 13
 
     def test_deterministic(self):
         a = charm_pingpong(1 * KB, iters=5, warmup=2, seed=1)

@@ -265,3 +265,43 @@ class TestNoSilentLane:
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == (
             "[lanes] engine=pure-python router=python-body build_error=None")
+
+
+class TestCoreCache:
+    @needs_core
+    def test_an_edited_source_rebuilds_whatever_the_mtimes(self, tmp_path):
+        """The cached core is named by its source's content: after an edit
+        of ``_speedups.c``, the old build touched newer than the source (a
+        ``cp -r``, a cache restore) is neither loaded nor kept."""
+        src = tmp_path / "src"
+        shutil.copytree(SRC, src, ignore=shutil.ignore_patterns(
+            "__pycache__"))
+        sim = src / "repro" / "sim"
+        probe = ("from repro.sim import _speed; "
+                 "from repro.hardware.router import TorusNetwork; "
+                 "print(_speed.core.__file__); "
+                 "print(TorusNetwork.transfer.__doc__.splitlines()[0])")
+
+        def load():
+            out = subprocess.run(
+                [sys.executable, "-c", probe],
+                env=dict(os.environ, PYTHONPATH=str(src),
+                         REPRO_PURE_ENGINE="0"),
+                capture_output=True, text=True, timeout=180)
+            assert out.returncode == 0, out.stderr
+            return out.stdout.splitlines()
+
+        old_so, old_doc = load()
+        assert old_so == _speed._so_path(str(sim))
+        assert old_doc.startswith("Route one message")
+        c_path = sim / "_speedups.c"
+        c_path.write_text(c_path.read_text().replace(
+            '"Route one message and', '"Route one MESSAGE and'))
+        later = c_path.stat().st_mtime + 60
+        os.utime(old_so, (later, later))
+        new_so, new_doc = load()
+        assert new_so == _speed._so_path(str(sim)) != old_so
+        assert new_doc.startswith("Route one MESSAGE")
+        assert not os.path.exists(old_so)
+        assert sorted(p.name for p in sim.glob("*.so")) == [
+            os.path.basename(new_so)]

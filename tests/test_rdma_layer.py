@@ -36,11 +36,6 @@ class TestCrossoverPaths:
         assert r.stats["rendezvous_sent"] > 0
         assert r.stats["rdma_gets"] > 0 and r.stats["rdma_puts"] == 0
 
-    def test_rendezvous_put_variant(self):
-        r = _pp(64 * KB, layer_config=RdmaLayerConfig(rendezvous="put"))
-        assert r.stats["rendezvous_sent"] > 0
-        assert r.stats["rdma_puts"] > 0 and r.stats["rdma_gets"] == 0
-
     def test_crossover_constants_honoured(self):
         """The layer's own constants, not uGNI's SMSG/FMA/BTE split."""
         cfg = MachineConfig()
@@ -61,9 +56,9 @@ class TestCrossoverPaths:
 
     def test_config_validation(self):
         with pytest.raises(LrtsError):
-            RdmaLayerConfig(rendezvous="magic")
+            RdmaLayerConfig(retry_count=-1)
         with pytest.raises(LrtsError):
-            RdmaLayerConfig(intranode="tcp")
+            RdmaLayerConfig(retransmit_timeout=0.0)
 
 
 class TestPersistent:
@@ -159,11 +154,3 @@ class TestIntranode:
         r = charm_pingpong(2 * KB, layer="rdma", config=cfg, intranode=True)
         assert r.stats["intranode_sent"] > 0
         assert r.stats["rc_packets"] == 0
-
-    def test_fabric_loopback_variant(self):
-        cfg = MachineConfig().replace(cores_per_node=2)
-        r = charm_pingpong(
-            2 * KB, layer="rdma", config=cfg, intranode=True,
-            layer_config=RdmaLayerConfig(intranode="fabric"))
-        assert r.stats["intranode_sent"] == 0
-        assert r.stats["rc_packets"] > 0

@@ -85,7 +85,11 @@ class TestPostGiveUp:
         return make(giveup_config(self.layer, **layer_kw), layer=self.layer,
                     faults=FaultConfig(rdma_error_rate=1.0))
 
-    @pytest.mark.parametrize("mode", ["get", "put"])
+    @pytest.fixture(params=["get", "put"])
+    def mode(self, request):
+        """The rendezvous direction of :attr:`UgniLayerConfig.rendezvous`."""
+        return request.param
+
     def test_abandoned_rendezvous_reclaims_both_sides(self, mode):
         """100% RDMA errors: the one-sided post gives up, the failing side
         reclaims its buffer and the ``rndv_fail`` control message lets the
@@ -253,6 +257,14 @@ class TestSharedPostCq:
 
 class TestPostGiveUpRdma(TestPostGiveUp):
     layer = "rdma"
+
+    @pytest.fixture(params=["get"])
+    def mode(self, request):
+        """The rdma layer always pulls (``RdmaLayerConfig.rendezvous``)."""
+        return request.param
+
+    def make(self, rendezvous="get"):
+        return super().make()
 
     def test_ack_leaves_before_an_evicting_release(self):
         """The core sends the control message, *then* releases (paper

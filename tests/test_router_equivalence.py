@@ -15,11 +15,7 @@ stream, so the compiled lane's hand-off to the Python body and its return
 after the last ``restore_link`` are both covered; ``degraded_routes``
 counts exactly the transfers made in between.
 
-A torus transfer may also name a ``via`` waypoint, so two-leg walks go
-through the live network's out-table on both topologies; the oracle's
-torus has no ``via``, so its side is composed here from the oracle's own
-``_walk``, the way its dragonfly does it.  The oracle walks by coordinate
-and by name; the live networks by vertex and slot (``topology.out_hops``),
+The oracle walks by coordinate and by name; the live networks by vertex and slot (``topology.out_hops``),
 which the last tests hold to ``topology.neighbors()``; the live networks
 keep no name on a link and resolve ``(frm, to)`` by arithmetic
 (``topology.link_slot``), so a pair that is no link is refused where the
@@ -62,14 +58,13 @@ class _PythonBody(TorusNetwork):
 
 
 class _PythonBodyDragonfly(DragonflyNetwork, _PythonBody):
-    """``DragonflyNetwork.transfer``'s ``super()`` finds the Python body."""
+    """A dragonfly whose ``transfer`` is the kept Python body."""
 
 
-def _ops(n_nodes, via=False):
+def _ops(n_nodes):
     node = st.integers(0, n_nodes - 1)
     transfer = st.tuples(st.just("transfer"), st.sampled_from(_DT), node, node,
-                         st.sampled_from(_SIZES), st.sampled_from(_CAPS),
-                         st.one_of(st.none(), node) if via else st.none())
+                         st.sampled_from(_SIZES), st.sampled_from(_CAPS))
     # a fault names a node and one of its outgoing links by index
     fault = st.tuples(st.sampled_from(["fail", "degrade", "restore"]), node,
                       st.integers(0, 7), st.sampled_from([0.1, 0.5, 0.9]))
@@ -109,22 +104,6 @@ def _link_state(net):
             for name, lk in _named(net)}
 
 
-def _ref_transfer_via(ref, now, src, via, dst, nbytes, cap):
-    """``RefDragonflyNetwork.transfer``'s two-leg branch, for any oracle."""
-    cfg = ref.config
-    min_occ = cfg.nic_msg_gap
-    ref.messages_routed += 1
-    _, t = ref.injection_port(src).reserve(now, nbytes, min_occ)
-    depart = t
-    t, hops_a = ref._walk(t, src, via, nbytes, min_occ)
-    t, hops_b = ref._walk(t, via, dst, nbytes, min_occ)
-    _, t = ref.ejection_port(dst).reserve(t, nbytes, min_occ)
-    path_bw = cfg.link_bandwidth
-    if cap is not None and cap < path_bw:
-        path_bw = cap
-    return depart, t, t + nbytes / path_bw, hops_a + hops_b
-
-
 def _drive(lives, ref, ops):
     """Run ``ops`` through every live network and the oracle in step."""
     topo = ref.topology
@@ -133,20 +112,14 @@ def _drive(lives, ref, ops):
     degraded = 0
     for op in ops:
         if op[0] == "transfer":
-            _, dt, a, b, nbytes, cap, via = op
+            _, dt, a, b, nbytes, cap = op
             now += dt
             degraded += bool(ref._faulted)
-            if via is None:
-                want = ref.transfer(now, coords[a], coords[b], nbytes,
-                                    bandwidth_cap=cap)
-                extra = {}
-            else:
-                want = _ref_transfer_via(ref, now, coords[a], coords[via],
-                                         coords[b], nbytes, cap)
-                extra = {"via": coords[via]}
+            want = ref.transfer(now, coords[a], coords[b], nbytes,
+                                bandwidth_cap=cap)
             for live in lives:
                 got = live.transfer(now, coords[a], coords[b], nbytes,
-                                    bandwidth_cap=cap, **extra)
+                                    bandwidth_cap=cap)
                 assert (got.depart, got.head_arrival, got.arrival,
                         got.hops) == want
         elif op[0] == "heal":
@@ -194,23 +167,19 @@ def _drive(lives, ref, ops):
 def test_torus_matches_reference(dims, adaptive, data):
     cfg = MachineConfig(adaptive_routing=adaptive,
                         nic_port_lanes=data.draw(st.sampled_from([1, 4])))
-    ops = data.draw(_ops(dims[0] * dims[1] * dims[2], via=True))
+    ops = data.draw(_ops(dims[0] * dims[1] * dims[2]))
     _drive([TorusNetwork(Torus3D(dims), cfg), _PythonBody(Torus3D(dims), cfg)],
            RefTorusNetwork(Torus3D(dims), cfg), ops)
 
 
-@pytest.mark.parametrize("routing", ["minimal", "valiant"])
 @settings(**SETTINGS)
 @given(data=st.data())
-def test_dragonfly_matches_reference(routing, data):
+def test_dragonfly_matches_reference(data):
     cfg = MachineConfig(topology="dragonfly",
                         nic_port_lanes=data.draw(st.sampled_from([1, 4])))
 
-    # Valiant intermediates come from the topology's RNG: identical seeds
-    # give the three networks identical misroute choices
     def topo():
-        return Dragonfly(5, 3, 2, 2, routing=routing,
-                         rng=np.random.default_rng(7))
+        return Dragonfly(5, 3, 2, 2)
 
     ops = data.draw(_ops(topo().volume))
     _drive([DragonflyNetwork(topo(), cfg), _PythonBodyDragonfly(topo(), cfg)],

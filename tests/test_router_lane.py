@@ -89,21 +89,20 @@ class CountingObserver:
 
 class TestArgumentBinding:
     def test_every_spelling_of_one_call_agrees(self, make):
-        a, b, mid = (0, 0, 0), (2, 3, 1), (1, 1, 0)
+        a, b = (0, 0, 0), (2, 3, 1)
         spellings = [
-            lambda n: n.transfer(0.0, a, b, 4096, 1.5e9, mid),
-            lambda n: n.transfer(0.0, a, b, 4096, bandwidth_cap=1.5e9,
-                                 via=mid),
-            lambda n: n.transfer(via=mid, bandwidth_cap=1.5e9, nbytes=4096,
+            lambda n: n.transfer(0.0, a, b, 4096, 1.5e9),
+            lambda n: n.transfer(0.0, a, b, 4096, bandwidth_cap=1.5e9),
+            lambda n: n.transfer(bandwidth_cap=1.5e9, nbytes=4096,
                                  dst=b, src=a, now=0.0),
             # keyword names that are equal to the parameters' without
             # being the interned strings themselves
-            lambda n: n.transfer(0.0, a, b, 4096, **{
+            lambda n: n.transfer(0.0, a, b, **{
                 "".join(["bandwidth", "_cap"]): 1.5e9,
-                "".join(["v", "ia"]): mid}),
+                "".join(["nby", "tes"]): 4096}),
         ]
         results = [call(make()) for call in spellings]
-        assert results[0].hops == 6
+        assert results[0].hops == 4
         assert all(r == results[0] for r in results)
 
     @pytest.mark.parametrize("args, kwargs", [
@@ -187,8 +186,8 @@ class TestErrorsPropagate:
 
         sys.setprofile(hook)
         try:
-            got = [other.transfer(*call, via=(1, 1, 1)) for call in calls]
-            want = [known.transfer(*call, via=(1, 1, 1)) for call in calls]
+            got = [other.transfer(*call) for call in calls]
+            want = [known.transfer(*call) for call in calls]
         finally:
             sys.setprofile(None)
         assert frames[:3] == [other] * 3
@@ -279,10 +278,10 @@ class TestErrorsPropagate:
             make().transfer(0.0, (0, 0, 0), (1, 0, 0), "8")
 
     def test_an_off_fabric_destination_is_an_error(self, make):
-        """(9, 0, 0) is on no 4-node ring.  Every leg end is checked
+        """(9, 0, 0) is on no 4-node ring.  The destination is checked
         against the fabric once per message, after the injection port and
-        before any router link is touched — the waypoint and the
-        destination alike, degraded or not — and it raises every time."""
+        before any router link is touched, degraded or not, and it raises
+        every time."""
         net = make()
         a, b = (0, 0, 0), (2, 3, 1)
         for _ in range(2):
@@ -292,18 +291,14 @@ class TestErrorsPropagate:
             with pytest.raises(TopologyError):
                 net.transfer(0.0, a, bad, 8)
         with pytest.raises(TopologyError):
-            net.transfer(0.0, a, b, 8, via=(0, 7, 0))
-        with pytest.raises(TopologyError):
-            net.transfer(0.0, a, (0, 7, 0), 8, via=b)
-        with pytest.raises(TopologyError):
             net.transfer(0.0, (4, 0, 0), b, 8)
-        assert net.messages_routed == 8
-        assert net._inject.transfers[0] == 7
+        assert net.messages_routed == 6
+        assert net._inject.transfers[0] == 5
         assert [v for v, made in enumerate(net._inject_made) if made] == [0]
         assert not _names(net) and not any(net._eject_made)
         assert net.route_stats() == {"vertices": 0, "links": 0, "hops": 0}
         assert net.transfer(0.0, a, b, 8).hops == 4
-        assert net.transfer(1.0, (1, 0, 0), b, 8, via=(1, 1, 1)).hops == 5
+        assert net.transfer(1.0, (1, 0, 0), b, 8).hops == 3
         links = _names(net)
         net.fail_link((2, 0, 0), (3, 0, 0))
         for _ in range(2):
@@ -314,23 +309,18 @@ class TestErrorsPropagate:
         assert net.transfer(3.0, a, b, 8).hops == 4
 
     def test_an_off_dragonfly_destination_is_an_error(self, make):
-        """Terminals ``(g, r, t)`` and router waypoints ``("rt", g, r)``
-        of a 5-group, 3-router, 2-terminal dragonfly."""
+        """Terminals ``(g, r, t)`` of a 5-group, 3-router, 2-terminal
+        dragonfly."""
         net = make.dragonfly()
         a, b = (0, 0, 0), (3, 2, 1)
         for bad in [(5, 0, 0), (0, 3, 0), (0, 0, 2), (-1, 0, 0), (0, 0)]:
             with pytest.raises(TopologyError):
                 net.transfer(0.0, a, bad, 8)
-        # DragonflyNetwork.transfer draws its own waypoint; a caller's goes
-        # to the lane under it
-        lane = super(DragonflyNetwork, net).transfer
-        for bad in [("rt", 5, 0), ("rt", 0, 3), ("rt", -1, 0)]:
-            with pytest.raises(TopologyError):
-                lane(0.0, a, b, 8, via=bad)
-        assert net._inject.transfers[0] == net.messages_routed == 8
+        assert net._inject.transfers[0] == net.messages_routed == 5
         assert not _names(net) and not any(net._eject_made)
         assert net.route_stats()["vertices"] == 0
-        assert lane(0.0, a, b, 8, via=("rt", 4, 2)).hops >= 3
+        assert (net.transfer(0.0, a, b, 8).hops
+                == net.topology.hop_distance(a, b))
 
 
 class TestOneReserve:
@@ -352,12 +342,12 @@ class TestOneReserve:
         if down:
             net.fail_link((0, 0, 0), (1, 0, 0))
         vertex = net.topology.vertex
-        for src, dst, via in [((0, 0, 0), (2, 3, 1), None),
-                              ((0, 0, 0), (1, 1, 0), None),
-                              ((1, 0, 0), (2, 3, 1), (1, 1, 1)),
-                              ((3, 3, 1), (3, 3, 1), None)]:
+        for src, dst in [((0, 0, 0), (2, 3, 1)),
+                         ((0, 0, 0), (1, 1, 0)),
+                         ((1, 0, 0), (2, 3, 1)),
+                         ((3, 3, 1), (3, 3, 1))]:
             del calls[:]
-            hops = net.transfer(0.0, src, dst, 256, via=via).hops
+            hops = net.transfer(0.0, src, dst, 256).hops
             assert len(calls) == hops + 2
             assert calls[0] == (net._inject, vertex(src))
             assert calls[-1] == (net._eject, vertex(dst))
@@ -466,7 +456,7 @@ def _columns(net):
 class TestNothingLeaks:
     def test_warm_transfers(self, make):
         """100,000 transfers over warm routes, in every call shape, on a
-        torus and (through ``DragonflyNetwork.transfer``) a dragonfly."""
+        torus and a dragonfly."""
         net = make()
         net.observer = CountingObserver()
         topo = net.topology
@@ -493,7 +483,8 @@ class TestNothingLeaks:
                     src, dst = coords[i], coords[(7 * i + 3) % topo.volume]
                     net.transfer(now, src, dst, 256)
                     net.transfer(now, dst, src, 4096, bandwidth_cap=1.5e9)
-                    net.transfer(now, src, dst, 64, via=coords[(i + 5) % 32])
+                    net.transfer(now=now, src=coords[(i + 5) % 32],
+                                 dst=dst, nbytes=64)
                     fly.transfer(now, fly_coords[i % 30],
                                  fly_coords[-1 - i % 30], 256)
 
@@ -547,7 +538,7 @@ class TestNothingLeaks:
                 raises(Boom, 1.0, last, a, 8)
                 raises(TypeError, 1.0, a, b, 8.0)
                 net.observer = observer
-                raises(Boom, 1.0, a, b, 8, via=(1, 0, 0))
+                raises(Boom, 1.0, a, b, 8)
                 net.observer = None
                 raises(TypeError, 1.0, a, b)
                 limp.degrade(0.5)

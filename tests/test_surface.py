@@ -20,7 +20,9 @@ Both walks match names, not bindings, so a name used anywhere counts for
 every definition of it: they under-report, never over-report.
 
 The settable fields of the four option objects are pinned too: an option
-no caller sets is a module constant, not a field.
+no caller sets is a module constant, not a field.  And every value of a
+string-valued choice (:data:`MODES`) other than its default is passed, as
+a constant, by some caller: a mode no caller selects is not a mode.
 """
 
 import ast
@@ -70,8 +72,6 @@ KEEP = {
                      "footprint the memory-layer test accounts",
     "route_mode": "the router's fault fallback state, read by the fault "
                   "and router-lane tests",
-    "run_allgather": "the collectives app's allgather entry point, run by "
-                     "the collectives test",
     "self_metrics": "the simulator's own counters, called by CI's scale "
                     "probe and the README",
     "unexpected_depth": "MatchEngine.unexpected_depth: how the MPI tests "
@@ -80,9 +80,6 @@ KEEP = {
 
 #: callable -> (parameters only the tests pass, why they stay)
 KEEP_PARAMS = {
-    "repro.apps.collectives_app.run_allgather": (
-        ("n_pes", "layer", "algorithm", "config"),
-        "sizes and layers the collectives test varies (see KEEP)"),
     "repro.apps.collectives_app.run_alltoallv": (
         ("seed", "faults"),
         "seeds and injected faults the collectives tests vary"),
@@ -150,17 +147,63 @@ KEEP_PARAMS = {
         ("tail",), "sizes: the profile tests vary the tail window"),
     "repro.observe.selfmetrics.self_metrics": (
         ("lrts",), "CI's scale probe and the README pass the layer"),
-    "repro.observe.tracer.MessageTracer": (
-        ("capacity",), "sizes: the tracer tests force compaction"),
     "repro.parallel.sharded_engine.ShardedEngine": (
         ("lookahead", "min_lookahead"),
         "sizes: the window-audit tests vary the lookahead"),
     "repro.sim.engine.Engine.call_after_batch": (
         ("argss",), "the engine tests pass per-event arguments"),
-    "repro.ugni.api.GniJob.MemRegister": (
-        ("cq",), "the raw-uGNI tests attach a remote-event queue"),
     "repro.ugni.cq.CompletionQueue": (
         ("capacity",), "sizes: the overrun tests fill a small queue"),
+}
+
+def _checked(path: str, name: str) -> tuple[str, ...]:
+    """The string tuple ``path`` validates ``name`` (a name or an
+    attribute) against with ``not in``."""
+    for node in ast.walk(ast.parse((ROOT / path).read_text())):
+        if (isinstance(node, ast.Compare)
+                and isinstance(node.ops[0], ast.NotIn)
+                and name in (getattr(node.left, "id", None),
+                             getattr(node.left, "attr", None))
+                and isinstance(node.comparators[0], ast.Tuple)):
+            return tuple(elt.value for elt in node.comparators[0].elts)
+    raise LookupError(f"{path} validates no {name!r} against a tuple")
+
+
+_UGNI_CONFIG = "src/repro/lrts/ugni_layer/config.py"
+
+
+def _machine(field: str) -> tuple[tuple[str, str], ...]:
+    """How a caller sets a machine option: the constructor, the
+    ``replace`` copy or the ``tiny`` preset."""
+    return tuple((callee, field)
+                 for callee in ("MachineConfig", "replace", "tiny"))
+
+
+#: choice -> (values, default, the (called name, keyword) pairs that pass
+#: it on): every value but the default is passed by some caller outside
+#: the tests
+MODES = {
+    "UgniLayerConfig.rendezvous": (
+        _checked(_UGNI_CONFIG, "rendezvous"), "get",
+        (("UgniLayerConfig", "rendezvous"),)),
+    "UgniLayerConfig.intranode": (
+        _checked(_UGNI_CONFIG, "intranode"), "pxshm_single",
+        (("UgniLayerConfig", "intranode"),)),
+    "UgniLayerConfig.small_path": (
+        _checked(_UGNI_CONFIG, "small_path"), "smsg",
+        (("UgniLayerConfig", "small_path"),)),
+    "MachineConfig.topology": (
+        ("torus3d", "dragonfly"), "torus3d", _machine("topology")),
+    "MachineConfig.gpu_transport": (
+        ("auto", "staged", "direct"), "auto",
+        (*_machine("gpu_transport"), ("gpu_pingpong", "transport"),
+         ("gpu_kneighbor", "transport"))),
+    "run_alltoallv.algorithm": (
+        _checked("src/repro/converse/collectives.py", "algorithm"), "plain",
+        (("run_alltoallv", "algorithm"), ("CollectiveEngine", "algorithm"))),
+    "build_task_tree.mode": (
+        _checked("src/repro/apps/nqueens/workmodel.py", "mode"), "auto",
+        (("build_task_tree", "mode"),)),
 }
 
 
@@ -289,7 +332,7 @@ def test_option_objects_hold_only_set_fields():
     counts = {cls.__name__: len(dataclasses.fields(cls))
               for cls in (UgniLayerConfig, RdmaLayerConfig, FaultConfig,
                           RecoveryPolicy)}
-    assert counts == {"UgniLayerConfig": 9, "RdmaLayerConfig": 4,
+    assert counts == {"UgniLayerConfig": 9, "RdmaLayerConfig": 2,
                       "FaultConfig": 3, "RecoveryPolicy": 3}
 
 
@@ -309,3 +352,80 @@ def test_every_parameter_has_a_caller():
             for key, params in sorted(keep.items())
             if params - unpassed.get(key, set())}
     assert not gone, f"keep-list parameters that now have a caller: {gone}"
+
+
+def _own_nodes(scope: ast.AST):
+    """The nodes of ``scope`` outside any function or class nested in it."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _strings(node: ast.AST, bound: dict[str, set[str]]) -> set[str]:
+    """String constants ``node`` can be: a constant, either branch of a
+    conditional, an element of a literal tuple or list, or any constant
+    its scope binds to a name."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return {node.value}
+    if isinstance(node, ast.IfExp):
+        return _strings(node.body, bound) | _strings(node.orelse, bound)
+    if isinstance(node, (ast.Tuple, ast.List)):
+        return set().union(*(_strings(elt, bound) for elt in node.elts))
+    if isinstance(node, ast.Name):
+        return bound.get(node.id, set())
+    return set()
+
+
+def _mode_values() -> set[tuple[str, str, str]]:
+    """``(called name, keyword, constant)`` of every keyword argument a
+    caller passes a string constant to — directly, or through a name its
+    function binds by assignment or ``for`` over a literal tuple."""
+    out = set()
+    for top in CALLERS:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            for scope in [tree, *(node for node in ast.walk(tree)
+                                  if isinstance(node, (ast.FunctionDef,
+                                                       ast.AsyncFunctionDef,
+                                                       ast.ClassDef)))]:
+                nodes = list(_own_nodes(scope))
+                bound: dict[str, set[str]] = {}
+                for node in nodes:
+                    if isinstance(node, ast.Assign):
+                        targets, value = node.targets, node.value
+                    elif isinstance(node, ast.For):
+                        targets, value = [node.target], node.iter
+                    else:
+                        continue
+                    for target in targets:
+                        if isinstance(target, ast.Name):
+                            bound.setdefault(target.id, set()).update(
+                                _strings(value, {}))
+                for node in nodes:
+                    if not isinstance(node, ast.Call):
+                        continue
+                    func = node.func
+                    name = getattr(func, "id", None) or getattr(
+                        func, "attr", None)
+                    for kw in node.keywords:
+                        if kw.arg:
+                            out.update((name, kw.arg, value) for value
+                                       in _strings(kw.value, bound))
+    return out
+
+
+def test_every_mode_value_has_a_caller():
+    passed = _mode_values()
+    unselected = {}
+    for mode, (values, default, takers) in MODES.items():
+        assert default in values, (mode, default)
+        missing = [value for value in values if value != default
+                   and not any((callee, keyword, value) in passed
+                               for callee, keyword in takers)]
+        if missing:
+            unselected[mode] = missing
+    assert not unselected, f"mode values no caller selects: {unselected}"
