@@ -69,16 +69,12 @@ def ugni_pingpong(
         engine.post_at(engine.now + cpu, k)
 
     if use_smsg:
-        # SMSG arrivals surface on the RX CQ; drain and resume the waiter
-        def hook(pe: int) -> None:
-            def on_event(cq) -> None:
-                gni.smsg.get_next(pe)
-                arrive(pe)
+        # every SMSG arrival: consume it and resume its receiver's waiter
+        def on_rx(msg) -> None:
+            gni.smsg.consume(msg)
+            arrive(msg.dst_pe)
 
-            gni.smsg.rx_cq(pe).on_event = on_event
-
-        hook(0)
-        hook(1)
+        gni.smsg.on_rx = on_rx
 
     t_start = 0.0
     done0 = 0  # round trips rank 0 has completed

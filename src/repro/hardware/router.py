@@ -179,7 +179,8 @@ class TorusNetwork:
         """Route one message and reserve every link it crosses.
 
         ``nbytes`` is an integer (``operator.index`` accepts it; anything
-        else is a :class:`TypeError` before any side effect).
+        else is a :class:`TypeError`, and a negative size a
+        :class:`ValueError`, before any side effect).
         ``bandwidth_cap`` models a source that cannot feed the wire at full
         link rate (FMA window stores, BTE engine limits): the last byte
         cannot arrive before ``first-byte arrival + nbytes / cap``.
@@ -206,6 +207,8 @@ class TorusNetwork:
         comes whole to this body, before any side effect.
         """
         size = _index(nbytes)
+        if size < 0:
+            raise ValueError(f"transfer size {size} B is negative")
         cfg = self.config
         min_occ = cfg.nic_msg_gap
         self.messages_routed += 1

@@ -58,9 +58,8 @@ class UgniMachineLayer(ReliabilityMixin, ProtocolCore, IntranodeMixin,
         #: fixed for the life of the job; chasing ``self.gni.smsg...`` per
         #: message costs two attribute loads per send)
         self._smsg = self.gni.smsg
-        # every SMSG RX CQ feeds its PE's scheduler, from the moment the
-        # fabric creates it
-        self._smsg.on_rx = self._on_smsg_event
+        # every SMSG arrival feeds its receiver's scheduler
+        self._smsg.on_rx = self._on_smsg_rx
         self._small_cutoff = self._small_max()
         self._pools: dict[int, MemoryPool] = {}
         #: sends blocked on SMSG credits, per (src_rank, dst_rank)
@@ -293,41 +292,28 @@ class UgniMachineLayer(ReliabilityMixin, ProtocolCore, IntranodeMixin,
         self._pending.pop(key, None)
 
     # ------------------------------------------------------------------ #
-    # Receive side: CQ hooks feed the destination PE's scheduler
+    # Receive side: arrivals feed the destination PE's scheduler
     # ------------------------------------------------------------------ #
-    def _on_smsg_event(self, cq: CompletionQueue) -> None:
-        """Drain every message currently in ``cq``, the RX CQ of ``cq.pe``.
-
-        Normally one notify delivers one message, but batching the poll
-        here keeps the dispatch loop tight (hoisted lookups) and absorbs
-        bursts — e.g. entries queued behind an overrun marker — in a single
-        pass instead of one notify round-trip each.
-        """
-        smsg = self._smsg
-        rank = cq.pe
-        pe = self._pes[rank]
-        proto_hid = self._proto_hid
-        entries = cq._entries
-        while True:
-            smsg_msg, recv_cpu = smsg.get_next(rank)
-            if smsg_msg is None:
-                # the event was a CQ overrun marker / error entry, not a message
-                return
-            payload = smsg_msg.payload
-            if isinstance(payload, _RelPacket):
-                # dedupe + ack must run in PE context (the ack charges pe.vtime)
-                step = "rel_rx"
-            elif smsg_msg.tag == CHARM_SMALL_TAG:
-                step = None  # a whole application message: enqueue as is
-                self.delivered += 1
-            else:
-                step = TAG_STEPS[smsg_msg.tag]
-            if step is not None:
-                payload = Message(handler=proto_hid, src_pe=smsg_msg.src_pe,
-                                  dst_pe=rank, nbytes=0, payload=(step, payload))
-            pe.enqueue(payload, recv_cpu)
-            if not entries:
-                return
+    def _on_smsg_rx(self, smsg_msg) -> None:
+        """Consume one SMSG arrival and enqueue it on its receiver: an
+        application message as is, a protocol step or a reliability
+        packet as a protocol-handler message."""
+        recv_cpu = self._smsg.consume(smsg_msg)
+        payload = smsg_msg.payload
+        if isinstance(payload, _RelPacket):
+            # dedupe + ack must run in PE context (the ack charges pe.vtime)
+            step = "rel_rx"
+        elif smsg_msg.tag == CHARM_SMALL_TAG:
+            step = None  # a whole application message: enqueue as is
+            self.delivered += 1
+        else:
+            step = TAG_STEPS[smsg_msg.tag]
+        rank = smsg_msg.dst_pe
+        if step is not None:
+            payload = Message(handler=self._proto_hid,
+                              src_pe=smsg_msg.src_pe, dst_pe=rank, nbytes=0,
+                              payload=(step, payload))
+        self._pes[rank].enqueue(payload, recv_cpu)
 
     def _ensure_msgq_hooked(self, rank: int) -> None:
         node = self.machine.node_of_pe(rank)
@@ -376,9 +362,7 @@ class UgniMachineLayer(ReliabilityMixin, ProtocolCore, IntranodeMixin,
         return s
 
     def first_touch(self) -> dict[str, int]:
-        smsg = self._smsg
-        return {"smsg_connections": len(smsg._conn),
-                "rx_cqs": sum(cq is not None for cq in smsg._rx_cqs),
+        return {"smsg_connections": len(self._smsg._conn),
                 "post_cqs": len(self._post_cqs),
                 "pools": len(self._pools),
                 "registration_tables": len(self.gni.registrations)}

@@ -276,12 +276,12 @@ class Observer:
         self.metrics.inc(f"tx/{kind}")
         self.metrics.inc("tx/bytes", nbytes)
 
-    def on_cq_push(self, cq: Any, entry: Any, time: float) -> None:
-        """A completion landed on the destination's CQ."""
-        tid = self.trace_id_of(getattr(entry, "data", None))
+    def on_arrive(self, payload: Any, where: Any, time: float) -> None:
+        """An arrival landed: an SMSG in its receiver's mailbox, or a
+        completion on a CQ (``where`` names the mailbox or the CQ)."""
+        tid = self.trace_id_of(payload)
         if tid is not None:
-            self.tracer.stage(tid, "arrive", time,
-                              where=getattr(cq, "name", None))
+            self.tracer.stage(tid, "arrive", time, where=where)
         self.metrics.inc("cq/pushed")
 
     def on_net_transfer(self, src: Any, dst: Any, nbytes: int,

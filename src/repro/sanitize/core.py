@@ -428,6 +428,11 @@ class Sanitizer:
         self.msgs_sent += 1
         self._msgs[id(msg)] = _Msg(msg, self._eng.now)
 
+    def on_smsg_arrive(self, msg: Any) -> None:
+        shadow = self._msgs.get(id(msg))
+        if shadow is not None:
+            shadow.arrived = True
+
     def on_smsg_consume(self, msg: Any) -> None:
         if self._msgs.pop(id(msg), None) is not None:
             self.msgs_resolved += 1
@@ -438,15 +443,11 @@ class Sanitizer:
             self.msgs_resolved += 1
 
     # -- CQ entries --------------------------------------------------------
-    def on_cq_push(self, cq: Any, entry: Any) -> None:
+    def on_cq_push(self, cq: Any) -> None:
         self.cq_pushed += 1
         self._cqs[id(cq)] = cq
-        data = entry.data
-        shadow = self._msgs.get(id(data)) if data is not None else None
-        if shadow is not None:
-            shadow.arrived = True
 
-    def on_cq_pop(self, cq: Any, entry: Any) -> None:
+    def on_cq_pop(self, cq: Any) -> None:
         self.cq_popped += 1
         if not len(cq):
             self._cqs.pop(id(cq), None)
@@ -512,16 +513,16 @@ class Sanitizer:
 
     # -- drain / teardown checks -------------------------------------------
     def _entry_still_queued(self, msg: Any) -> bool:
-        for cq in self._cqs.values():
-            for entry in cq._entries:
-                if entry.data is msg:
-                    return True
+        """Is ``msg`` still in its receiver's mailbox, unpolled?"""
+        for fabric in self._fabrics:
+            if any(m is msg for m in fabric._mailboxes.get(msg.dst_pe, ())):
+                return True
         return False
 
     def on_engine_drained(self, now: float) -> None:
         """Conservation checks at quiescence (the event heap is empty).
 
-        A message sitting unconsumed in its receive CQ is *not* flagged
+        A message sitting unconsumed in its mailbox is *not* flagged
         here — raw-fabric users legitimately poll after ``run()`` — but a
         message that neither resolved nor remains anywhere is lost.
         """
@@ -534,7 +535,7 @@ class Sanitizer:
                 f"smsg[{msg.src_pe}->{msg.dst_pe}]",
                 f"tag={msg.tag} nbytes={msg.nbytes} sent at "
                 f"t={shadow.sent_at:.9f} "
-                + ("arrived but vanished from its RX CQ without "
+                + ("arrived but vanished from its mailbox without "
                    "GNI_SmsgGetNextWTag" if shadow.arrived
                    else "never arrived and was never dropped"))
         self._check_credit_books()

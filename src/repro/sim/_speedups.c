@@ -1441,8 +1441,9 @@ router_transfer(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
     if (!(size_o = PyNumber_Index(p[3])))
         goto done;
     m.size = PyLong_AsLongLong(size_o);
-    if (m.size == -1 && PyErr_Occurred()) {
-        /* past int64: the body raises where its counter overflows */
+    if (m.size < 0) {
+        /* past int64 (the body raises where its counter overflows) or
+           negative (its ValueError, before any side effect) */
         PyErr_Clear();
         result = call_body(self, args, nargs, kwnames);
         goto done;

@@ -7,6 +7,11 @@ registers ``on_event`` and the simulation wakes it exactly when an entry
 arrives.  The poll cost the real code would pay is still charged — the
 consumer pays ``cq_poll_cpu`` per :meth:`get_event` call — so the timing
 model is unchanged, only the wasted host cycles are elided.
+
+CQs carry transaction completions — the per-PE post CQs of FMA/BTE
+transfers, with the ``ERROR`` entries reliability retries on — and MSGQ's
+node queues.  SMSG arrivals make no entry: a short message is found in its
+mailbox itself (:mod:`repro.ugni.smsg`).
 """
 
 from __future__ import annotations
@@ -27,9 +32,9 @@ class CqEntry:
                  data: Any = None, source: Any = None):
         self.kind = kind
         self.time = time
-        #: application tag (SMSG tag, post descriptor id, ...)
+        #: application tag (post descriptor id, MSGQ tag, ...)
         self.tag = tag
-        #: event payload: the SMSG message, the completed descriptor, ...
+        #: event payload: the completed descriptor, the MSGQ message, ...
         self.data = data
         #: originating PE / node, when meaningful
         self.source = source
@@ -43,11 +48,10 @@ class CqEntry:
 class CompletionQueue:
     """A single completion queue."""
 
-    __slots__ = ("engine", "capacity", "name", "pe", "_entries",
+    __slots__ = ("engine", "capacity", "name", "_entries",
                  "on_event", "overruns", "error_events", "total_events")
 
-    def __init__(self, engine: Engine, capacity: int = 4096, name: str = "",
-                 pe: Optional[int] = None):
+    def __init__(self, engine: Engine, capacity: int = 4096, name: str = ""):
         if capacity < 1:
             raise UgniInvalidParam(f"CQ capacity must be >= 1, got {capacity}")
         self.engine = engine
@@ -58,9 +62,6 @@ class CompletionQueue:
             name = f"cq{engine.unnamed_cqs}"
             engine.unnamed_cqs += 1
         self.name = name
-        #: the PE this queue belongs to, for an owner that hooks all its
-        #: queues with one shared ``on_event`` (the SMSG RX queues)
-        self.pe = pe
         #: FIFO, oldest first.  A list: a hooked consumer drains on every
         #: notify, so a push finds it empty or one deep and ``pop(0)`` has
         #: next to nothing to move, and an idle queue keeps no
@@ -90,10 +91,10 @@ class CompletionQueue:
         self.total_events += 1
         san = self.engine.sanitizer
         if san is not None:
-            san.on_cq_push(self, entry)
+            san.on_cq_push(self)
         obs = self.engine.observer
         if obs is not None:
-            obs.on_cq_push(self, entry, entry.time)
+            obs.on_arrive(entry.data, self.name, entry.time)
         if overrun:
             # explicit overrun marker, queued right after the event that hit
             # the full queue (the counter and these entries always agree)
@@ -111,7 +112,7 @@ class CompletionQueue:
             entry = self._entries.pop(0)
             san = self.engine.sanitizer
             if san is not None:
-                san.on_cq_pop(self, entry)
+                san.on_cq_pop(self)
             return entry
         return None
 

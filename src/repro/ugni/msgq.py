@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.errors import UgniInvalidParam, UgniNoSpace
+from repro.errors import TopologyError, UgniInvalidParam, UgniNoSpace
 from repro.hardware.machine import Machine
 from repro.ugni.cq import CompletionQueue, CqEntry
 from repro.ugni.types import CqEventKind
@@ -70,8 +70,9 @@ class MsgqFabric:
         at: Optional[float] = None,
     ) -> float:
         """Send through the shared queue; returns sender CPU seconds."""
-        if nbytes > self.max_size:
-            raise UgniInvalidParam(f"MSGQ payload {nbytes} exceeds max {self.max_size}")
+        if not 0 <= nbytes <= self.max_size:
+            raise UgniInvalidParam(
+                f"MSGQ payload {nbytes} outside 0..{self.max_size}")
         dst_node = self.machine.node_of_pe(dst_pe)
         src_node = self.machine.node_of_pe(src_pe)
         need = nbytes + MSGQ_HEADER
@@ -94,10 +95,16 @@ class MsgqFabric:
         return extra + src_node.nic.smsg_send(dst_node, need, on_arrive, at=at)
 
     def get_next(self, node_id: int) -> tuple[Optional[MsgqMessage], float]:
-        """Dequeue one message from the node's shared queue."""
+        """Dequeue one message from the node's shared queue.
+
+        A node off the machine is a :class:`TopologyError`; polling a node
+        that never received costs one poll and makes no queue.
+        """
         cfg = self.config
-        cq = self.rx_cq(node_id)
-        entry = cq.get_event()
+        if not 0 <= node_id < self.machine.n_nodes:
+            raise TopologyError(f"node {node_id} is not on the machine")
+        cq = self._rx_cqs.get(node_id)
+        entry = cq.get_event() if cq is not None else None
         if entry is None:
             return None, cfg.cq_poll_cpu
         msg: MsgqMessage = entry.data

@@ -8,23 +8,29 @@ node memory — the MSGQ-vs-SMSG memory ablation in the benchmarks reads it
 straight from here.
 
 Flow control: a message occupies mailbox credit (its payload plus a header
-slot) from send until the receiver dequeues it with
-``GNI_SmsgGetNextWTag``.  A send with insufficient credit fails with
-``GNI_RC_NOT_DONE`` and the caller must retry after draining — the machine
-layer keeps a pending queue for exactly this.
+slot) from send until the receiver consumes it
+(:meth:`SmsgFabric.consume`, the copy-out of ``GNI_SmsgGetNextWTag``).  A
+send with insufficient credit fails with ``GNI_RC_NOT_DONE`` and the
+caller must retry after draining — the machine layer keeps a pending queue
+for exactly this.
+
+Receive: the message itself is the arrival (the receiver finds it in its
+mailbox; no completion event is made per message).  A landed message goes
+to the fabric's one consumer, :attr:`SmsgFabric.on_rx`: a machine layer
+consumes it on the spot; with nothing hooked it waits in the receiving
+PE's mailbox, credit held, until :meth:`SmsgFabric.get_next` polls it.
 """
 
 from __future__ import annotations
 
 from array import array
+from collections import deque
 from dataclasses import dataclass, field
 from sys import intern
 from typing import Any, Callable, Iterator, Optional
 
 from repro.errors import UgniInvalidParam, UgniNoSpace
 from repro.hardware.machine import Machine
-from repro.ugni.cq import CompletionQueue, CqEntry
-from repro.ugni.types import CqEventKind
 
 #: per-message mailbox header (sequence, tag, length fields)
 SMSG_HEADER = 32
@@ -49,12 +55,12 @@ class SmsgMessage:
 
 
 class SmsgFabric:
-    """All SMSG connections and per-PE receive queues for one job.
+    """All SMSG connections of one job and the consumer of their arrivals.
 
     A connection — one direction of a mailbox pair, ``src_pe -> dst_pe``
     — is a dense id given on first touch; its state is the credit it holds,
     a row of an int64 column.  Everything else about a pair is looked up
-    from the PEs when needed (their nodes, the receiver's CQ).
+    from the PEs when needed (their nodes).
     """
 
     def __init__(self, machine: Machine):
@@ -69,16 +75,17 @@ class SmsgFabric:
         self._conn: dict[int, int] = {}
         #: mailbox credit held per connection id (bytes)
         self._credits = array("q")
-        #: per-PE RX completion queue (created lazily)
-        self._rx_cqs: list[Optional[CompletionQueue]] = [None] * self.n_pes
-        #: ``on_event`` of every RX CQ created from now on, or ``None``: a
-        #: machine layer sets this once, to one callable that reads the
-        #: receiving PE off ``cq.pe``
-        self.on_rx: Optional[Callable[[CompletionQueue], None]] = None
+        #: messages landed and not yet polled, per receiving PE (made on
+        #: its first arrival); only the default consumer fills them
+        self._mailboxes: dict[int, deque[SmsgMessage]] = {}
+        #: the one consumer of every arrival, called with the message: a
+        #: machine layer sets it and calls :meth:`consume` itself; the
+        #: default leaves the message in its receiver's mailbox
+        self.on_rx: Callable[[SmsgMessage], None] = self._to_mailbox
         #: mailbox memory held per node id (bytes), for the footprint
         #: ablation
         self.mailbox_memory_per_node = array("q", bytes(8 * n_nodes))
-        #: messages sent and dequeued via :meth:`get_next`
+        #: messages sent and consumed
         self.sent = 0
         self.consumed = 0
         #: fault-injection counters (fabric-wide)
@@ -89,22 +96,11 @@ class SmsgFabric:
             san.register_fabric(self)
 
     # -- setup ---------------------------------------------------------------
-    def rx_cq(self, pe: int) -> CompletionQueue:
-        cq = self._rx_cqs[pe] if 0 <= pe < self.n_pes else None
-        if cq is None:
-            self.machine.node_of_pe(pe)   # a PE off the machine raises
-            cq = CompletionQueue(self.machine.engine, name=f"smsg_rx[{pe}]",
-                                 pe=pe)
-            cq.on_event = self.on_rx
-            self._rx_cqs[pe] = cq
-        return cq
-
     def connection(self, src_pe: int, dst_pe: int) -> int:
         """The id of the mailbox pair for this direction, made if need be.
 
         Creation charges mailbox memory to both endpoints' nodes, which is
-        the linear-growth cost the paper contrasts with MSGQ, and makes the
-        receiver's RX CQ.
+        the linear-growth cost the paper contrasts with MSGQ.
         """
         machine = self.machine
         src_node = machine.node_of_pe(src_pe)
@@ -114,7 +110,6 @@ class SmsgFabric:
         if conn is None:
             conn = self._conn[key] = len(self._credits)
             self._credits.append(0)
-            self.rx_cq(dst_pe)
             memory = self.mailbox_memory_per_node
             memory[src_node.node_id] += self.mailbox_bytes
             memory[dst_node.node_id] += self.mailbox_bytes
@@ -144,12 +139,12 @@ class SmsgFabric:
         """``GNI_SmsgSendWTag``: returns sender CPU seconds.
 
         Raises :class:`UgniNoSpace` when the mailbox is out of credits and
-        :class:`UgniInvalidParam` for payloads over :attr:`max_size`.
+        :class:`UgniInvalidParam` for payloads over :attr:`max_size` or
+        below zero (zero is a header-only message).
         """
-        if nbytes > self.max_size:
+        if not 0 <= nbytes <= self.max_size:
             raise UgniInvalidParam(
-                f"SMSG payload {nbytes} exceeds max {self.max_size}"
-            )
+                f"SMSG payload {nbytes} outside 0..{self.max_size}")
         if src_pe == dst_pe:
             raise UgniInvalidParam("SMSG to self is not a thing; use the scheduler")
         n = self.n_pes
@@ -214,58 +209,70 @@ class SmsgFabric:
                                       at=at)
 
     def _arrive(self, t: float, msg: SmsgMessage) -> None:
-        """The last byte landed: post the arrival on the receiver's CQ
-        (made with the connection)."""
-        self._rx_cqs[msg.dst_pe].push(CqEntry(
-            CqEventKind.SMSG_ARRIVAL, t, msg.tag, msg, msg.src_pe))
+        """The last byte landed in the receiver's mailbox: mark it for the
+        sanitizer and the observer, then hand it to the consumer."""
+        machine = self.machine
+        san = machine.sanitizer
+        if san is not None:
+            san.on_smsg_arrive(msg)
+        obs = machine.observer
+        if obs is not None:
+            obs.on_arrive(msg, intern(f"smsg_rx[{msg.dst_pe}]"), t)
+        self.on_rx(msg)
+
+    def _to_mailbox(self, msg: SmsgMessage) -> None:
+        """The default consumer: leave the message, credit held, for
+        :meth:`get_next`."""
+        box = self._mailboxes.get(msg.dst_pe)
+        if box is None:
+            box = self._mailboxes[msg.dst_pe] = deque()
+        box.append(msg)
 
     def _release_credit(self, msg: SmsgMessage) -> None:
         credits = self._credits
         credits[msg.conn] -= msg.nbytes + SMSG_HEADER
         assert credits[msg.conn] >= 0, "SMSG credit accounting went negative"
 
-    def get_next(self, pe: int) -> tuple[Optional[SmsgMessage], float]:
-        """``GNI_SmsgGetNextWTag``: ``(message_or_None, consumer_cpu)``.
+    def consume(self, msg: SmsgMessage) -> float:
+        """The receiver takes ``msg`` out of its mailbox: returns its CPU
+        seconds.
 
-        Dequeues one arrival from the PE's RX CQ, releases mailbox credit,
-        and charges the CQ poll plus the copy-out of the payload from the
-        mailbox into runtime memory (the copy the paper's Figure 5 shows as
-        "copies out the messages and hands off ... to Converse").
+        Releases the mailbox credit and charges the receive plus the
+        copy-out of the payload from the mailbox into runtime memory (the
+        copy the paper's Figure 5 shows as "copies out the messages and
+        hands off ... to Converse").  Every receive goes through here.
         """
-        cfg = self.config
-        cq = self._rx_cqs[pe]
-        if cq is None:
-            cq = self.rx_cq(pe)
-        # cq.get_event, inlined, until an arrival comes up: overrun
-        # markers and other ERROR entries are not messages; drain past
-        # them so the one-event-one-message protocol stays in step
-        entries = cq._entries
-        san = self.machine.sanitizer
-        while True:
-            if not entries:
-                return None, cfg.cq_poll_cpu
-            entry = entries.pop(0)
-            if san is not None:
-                san.on_cq_pop(cq, entry)
-            if entry.kind is CqEventKind.SMSG_ARRIVAL:
-                break
-        msg: SmsgMessage = entry.data
         # _release_credit, inlined
         credits = self._credits
         held = credits[msg.conn] - (msg.nbytes + SMSG_HEADER)
         assert held >= 0, "SMSG credit accounting went negative"
         credits[msg.conn] = held
         self.consumed += 1
+        san = self.machine.sanitizer
         if san is not None:
             san.on_smsg_consume(msg)
+        cfg = self.config
         # smsg_recv_cpu + cfg.t_memcpy(nbytes), the copy-out inlined
-        cpu = cfg.smsg_recv_cpu + (cfg.memcpy_base
-                                   + msg.nbytes / cfg.memcpy_bandwidth)
-        return msg, cpu
+        return cfg.smsg_recv_cpu + (cfg.memcpy_base
+                                    + msg.nbytes / cfg.memcpy_bandwidth)
+
+    def get_next(self, pe: int) -> tuple[Optional[SmsgMessage], float]:
+        """``GNI_SmsgGetNextWTag``: ``(message_or_None, consumer_cpu)``.
+
+        Takes the oldest message out of ``pe``'s mailbox (FIFO per
+        connection) and consumes it (:meth:`consume`); an empty mailbox
+        costs one poll.  Only messages the default consumer kept are there.
+        """
+        self.machine.node_of_pe(pe)   # a PE off the machine raises
+        box = self._mailboxes.get(pe)
+        if not box:
+            return None, self.config.cq_poll_cpu
+        msg = box.popleft()
+        return msg, self.consume(msg)
 
     # -- introspection ---------------------------------------------------------
     def in_flight(self) -> int:
-        """Messages sent but not yet dequeued by a receiver.
+        """Messages sent but not yet consumed by a receiver.
 
         Fault-dropped deliveries never reach a receiver, so they are
         excluded — after quiescence this must return zero even under
@@ -275,7 +282,7 @@ class SmsgFabric:
 
     def credits_used(self) -> int:
         """Mailbox credit held across every connection (bytes): zero once
-        every message sent has been dequeued or dropped."""
+        every message sent has been consumed or dropped."""
         return sum(self._credits)
 
     def __repr__(self) -> str:  # pragma: no cover

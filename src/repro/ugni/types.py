@@ -17,8 +17,6 @@ class CqEventKind(enum.Enum):
 
     #: a local FMA/BTE transaction completed (source side)
     POST_DONE = "post_done"
-    #: an SMSG message arrived in a local mailbox
-    SMSG_ARRIVAL = "smsg_arrival"
     #: a MSGQ message arrived in the node queue
     MSGQ_ARRIVAL = "msgq_arrival"
     #: the operation failed (``GNI_RC_TRANSACTION_ERROR`` family): a

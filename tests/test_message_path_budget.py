@@ -45,16 +45,18 @@ APP_MSGS = N_CORES * 2 * K * 2 * (ITERS + WARMUP)
 #: call, the entry delivery, the scheduler's clock and charges) done too,
 #: 21.2 with ``TorusNetwork.transfer`` in the C core (one frame a transfer),
 #: 21.1 with routes by arithmetic (343 first touches where 835 misses were),
-#: 21.04 with a first touch that makes its link where it sits
-CALL_BUDGET = 21.6
+#: 21.04 with a first touch that makes its link where it sits, 18.89 with
+#: SMSG arrivals handed straight to their consumer (no RX CQ entry)
+CALL_BUDGET = 19.4
 #: the same count for a 256 KB rendezvous message (iters=8, warmup=2):
 #: 157.2 uGNI / 115.8 RDMA (on a dragonfly) before the protocols were
 #: unified, 148.2 / 115.8 after, 120.2 / 101.7 once the large-message
 #: path was flattened (NIC ports reserved inline, one validation pass per
 #: post, one object per pool allocation), 87.9 / 74.4 with the upper half
-#: flattened, 83.7 / 70.0 now (four transfers a rendezvous, in C)
+#: flattened, 83.7 / 70.0 with four transfers a rendezvous in C, 79.3 /
+#: 70.0 now (its two control SMSGs make no RX CQ entry)
 RNDV_ITERS, RNDV_WARMUP = 8, 2
-RNDV_BUDGETS = {"ugni": 84.2, "rdma": 70.5}
+RNDV_BUDGETS = {"ugni": 79.8, "rdma": 70.5}
 #: without the C core (``REPRO_PURE_ENGINE=1``, a CI leg) the engine's own
 #: Python frames are on the path and counted too, ``Engine.now`` and the
 #: router's Python body among them — and, per transfer, the topology's
@@ -65,10 +67,11 @@ RNDV_BUDGETS = {"ugni": 84.2, "rdma": 70.5}
 #: healthy fabric's reserves were written out inline (+3.8 small, +15.2
 #: ugni, +22.7 rdma) and a ``_stage`` frame per handle ``_arm`` builds
 #: (+5.1 rdma, whose queue pairs arm retransmit timers): 37.6 small,
-#: 147.9 / 163.2 rendezvous
+#: 147.9 / 163.2 rendezvous; 35.6 small and 143.8 ugni rendezvous with no
+#: SMSG RX CQ
 if Engine()._core is None:
-    CALL_BUDGET = 38.1
-    RNDV_BUDGETS = {"ugni": 148.4, "rdma": 163.7}
+    CALL_BUDGET = 36.1
+    RNDV_BUDGETS = {"ugni": 144.4, "rdma": 163.7}
 #: one cold 1,024-PE ``kneighbor(32, k=1, iters=1, warmup=0)``, runtime
 #: held: GC-tracked objects it leaves per PE, measured + 2 % (63.9 while a
 #: route entry kept a coordinate tuple and a pair per candidate, 32.2 with
@@ -77,10 +80,11 @@ if Engine()._core is None:
 #: tracemalloc sees it hold per PE (9.9 KB -> 6.6 KB -> 5.6 KB -> 4.1 KB
 #: with unnamed links, ports in lists and no idle run queue; 4.17 KB on
 #: the pure-Python engine; 8.1 objects and 2.50 KB (2.55 KB pure) with
-#: links and SMSG connections as typed columns), and its routing state
+#: links and SMSG connections as typed columns; 6.1 objects and 2.24 KB
+#: (2.29 KB pure) with no RX CQ per receiving PE), and its routing state
 COLD_PES = 1024
-COLD_TRACKED_PER_PE = 8.3
-COLD_BYTES_PER_PE = 2610
+COLD_TRACKED_PER_PE = 6.2
+COLD_BYTES_PER_PE = 2350
 COLD_ROUTES = {"vertices": 1024, "links": 4239, "hops": 13503}
 
 
@@ -206,12 +210,13 @@ def test_cold_bytes_budget(held_runtimes, monkeypatch):
 #: one cold 2,048-node ``kneighbor(32, k=1, iters=1, warmup=0)``, runtime
 #: held: the bytes tracemalloc sees allocated by the network
 #: (``hardware/router.py``, ``hardware/link.py``) per link made, and by
-#: SMSG (``ugni/smsg.py``: the pair table, the credit column, the RX CQs it
-#: makes) per connection made — 249 B and 325 B with a ``Link`` and an
-#: ``SmsgConnection`` object each, 77 B (83 B pure) and 178 B as columns
+#: SMSG (``ugni/smsg.py``: the pair table and the credit column) per
+#: connection made — 249 B and 325 B with a ``Link`` and an
+#: ``SmsgConnection`` object each, 77 B (83 B pure) and 178 B as columns,
+#: 118 B with no RX CQ per receiving PE
 COLD_NET_NODES = 2048
 NET_BYTES_PER_LINK = 88
-SMSG_BYTES_PER_CONNECTION = 190
+SMSG_BYTES_PER_CONNECTION = 125
 
 
 def test_cold_link_and_connection_bytes(held_runtimes, monkeypatch):

@@ -277,6 +277,23 @@ class TestErrorsPropagate:
         with pytest.raises(TypeError):
             make().transfer(0.0, (0, 0, 0), (1, 0, 0), "8")
 
+    def test_a_negative_size_is_refused_before_any_side_effect(self, make):
+        """A negative ``nbytes`` used to run time backwards (the first byte
+        arriving after the last) and carry negative bytes; zero is a
+        header-only message."""
+        net = make()
+        a, b = (0, 0, 0), (2, 3, 1)
+        for _ in range(2):
+            before = (net.messages_routed, net.first_touch(),
+                      net.total_bytes_carried())
+            with pytest.raises(ValueError):
+                net.transfer(0.0, a, b, -1000)
+            assert (net.messages_routed, net.first_touch(),
+                    net.total_bytes_carried()) == before
+            timing = net.transfer(0.0, a, b, 0)
+            assert timing.head_arrival <= timing.arrival
+        assert net.messages_routed == 2 and net.total_bytes_carried() == 0
+
     def test_an_off_fabric_destination_is_an_error(self, make):
         """(9, 0, 0) is on no 4-node ring.  The destination is checked
         against the fabric once per message, after the injection port and

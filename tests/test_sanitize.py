@@ -183,14 +183,24 @@ class TestSeededViolations:
     @pytest.mark.sanitize_violations
     def test_undelivered_message_at_quiescence(self):
         m, job = san_job()
+        taken = []
+        # a consumer that takes the message without consuming it: it is
+        # now neither consumed, dropped, nor in its mailbox
+        job.smsg.on_rx = taken.append
         job.smsg.send(0, 1, 7, 128)
         m.engine.run()
-        # steal the CQ entry without GNI_SmsgGetNextWTag: the message is
-        # now neither consumed, dropped, nor anywhere recoverable
-        entry = job.smsg.rx_cq(1).get_event()
-        assert entry is not None
-        m.engine.run()
+        assert len(taken) == 1
         assert "undelivered-message" in kinds(m)
+
+    def test_a_message_left_in_its_mailbox_is_not_flagged(self):
+        m, job = san_job()
+        job.smsg.send(0, 1, 7, 128)
+        m.engine.run()                # landed, never polled
+        assert m.sanitizer.violations == []
+        msg, _ = job.smsg.get_next(1)
+        assert msg is not None
+        m.engine.run()
+        assert m.sanitizer.violations == []
 
     @pytest.mark.sanitize_violations
     def test_pinned_entry_invalidated_behind_cache(self):

@@ -199,25 +199,99 @@ class TestSmsg:
         m, job = make_job()
         job.smsg.send(0, 2, tag=0, nbytes=8)
         times = []
-        job.smsg.rx_cq(2).on_event = lambda cq: times.append(m.engine.now)
+
+        def on_rx(msg):
+            job.smsg.consume(msg)
+            times.append(m.engine.now)
+
+        job.smsg.on_rx = on_rx
         m.engine.run()
         assert len(times) == 1
         assert 0.8 * us < times[0] < 1.8 * us
 
-    def test_rx_cq_carries_its_pe_and_the_fabric_hook(self):
+    def test_one_on_rx_serves_every_pe(self):
         m, job = make_job()
-        early = job.smsg.rx_cq(1)
-        assert early.pe == 1 and early.on_event is None
         seen = []
-        job.smsg.on_rx = lambda cq: seen.append(
-            (cq.pe, job.smsg.get_next(cq.pe)[0].tag))
+
+        def on_rx(msg):
+            job.smsg.consume(msg)
+            seen.append((msg.dst_pe, msg.tag))
+
+        job.smsg.on_rx = on_rx
         job.smsg.send(0, 2, tag=5, nbytes=8)
         job.smsg.send(0, 3, tag=6, nbytes=8)
+        job.smsg.send(1, 2, tag=7, nbytes=8)
         m.engine.run()
-        # one callable hooks every queue made after it was set
-        assert sorted(seen) == [(2, 5), (3, 6)]
-        assert job.smsg.rx_cq(2).on_event is job.smsg.rx_cq(3).on_event
-        assert early.on_event is None
+        # one callable takes every arrival, whichever PE receives it
+        assert sorted(seen) == [(2, 5), (2, 7), (3, 6)]
+        assert job.smsg.in_flight() == 0
+        assert job.smsg._mailboxes == {}
+
+    def test_a_hooked_consumer_releases_credit_at_arrival(self):
+        m, job = make_job()
+        held = []
+
+        def on_rx(msg):
+            before = job.smsg.credits_used()
+            cpu = job.smsg.consume(msg)
+            held.append((before, job.smsg.credits_used(), cpu))
+
+        job.smsg.on_rx = on_rx
+        job.smsg.send(0, 2, tag=0, nbytes=100)
+        assert job.smsg.credits_used() == 100 + SMSG_HEADER
+        m.engine.run()
+        cfg = m.config
+        assert held == [(100 + SMSG_HEADER, 0,
+                         cfg.smsg_recv_cpu + cfg.t_memcpy(100))]
+        assert job.smsg.consumed == 1 and job.smsg.in_flight() == 0
+        # nothing waits in a mailbox: a poll finds nothing, at a poll's cost
+        assert job.smsg.get_next(2) == (None, cfg.cq_poll_cpu)
+
+    def test_the_mailbox_holds_credit_until_get_next(self):
+        m, job = make_job()
+        for tag in range(3):
+            job.smsg.send(0, 2, tag=tag, nbytes=16)
+        job.smsg.send(1, 2, tag=9, nbytes=16)
+        m.engine.run()
+        # landed, unpolled: every message still holds its credit
+        assert job.smsg.credits_used() == 4 * (16 + SMSG_HEADER)
+        assert job.smsg.consumed == 0 and job.smsg.in_flight() == 4
+        got = []
+        while True:
+            msg, _ = job.smsg.get_next(2)
+            if msg is None:
+                break
+            got.append((msg.src_pe, msg.tag))
+            assert job.smsg.credits_used() == (4 - len(got)) * (
+                16 + SMSG_HEADER)
+        # FIFO per connection
+        assert [tag for src, tag in got if src == 0] == [0, 1, 2]
+        assert sorted(got) == [(0, 0), (0, 1), (0, 2), (1, 9)]
+        assert job.smsg.in_flight() == 0
+
+    def test_a_poll_of_a_pe_off_the_machine_is_refused(self):
+        m, job = make_job(n_nodes=2, cores_per_node=2)
+        job.smsg.send(0, 3, tag=1, nbytes=8)
+        m.engine.run()
+        for bad in (-1, m.n_pes, 99):
+            with pytest.raises(TopologyError):
+                job.smsg.get_next(bad)
+        # the refused polls took nothing: PE 3's message is still PE 3's
+        msg, _ = job.smsg.get_next(3)
+        assert msg is not None and msg.tag == 1
+        assert job.smsg.get_next(0) == (None, m.config.cq_poll_cpu)
+
+    def test_a_negative_size_is_refused(self):
+        m, job = make_job()
+        with pytest.raises(UgniInvalidParam):
+            job.smsg.send(0, 2, tag=0, nbytes=-1)
+        with pytest.raises(UgniInvalidParam):
+            job.msgq.send(0, 2, tag=0, nbytes=-1)
+        assert job.smsg.credits_used() == 0 and job.smsg.sent == 0
+        assert job.msgq.sent == 0 and job.msgq.total_queue_memory == 0
+        # zero is a header-only message
+        job.smsg.send(0, 2, tag=0, nbytes=0)
+        assert job.smsg.credits_used() == SMSG_HEADER
 
     def test_a_connection_is_an_id_and_a_credit(self, monkeypatch):
         """A pair is a dense id on first touch; the observer's label is
@@ -321,6 +395,15 @@ class TestMsgq:
         msg, cpu = job.msgq.get_next(node_id)
         assert msg is not None and msg.payload == "x" and msg.dst_pe == 4
         assert cpu > 0
+
+    def test_a_poll_makes_no_queue_and_refuses_nodes_off_the_machine(self):
+        m, job = make_job(n_nodes=4, cores_per_node=2)
+        for bad in (99, -5, m.n_nodes):
+            with pytest.raises(TopologyError):
+                job.msgq.get_next(bad)
+        # a node that never received: one poll's cost, no queue made
+        assert job.msgq.get_next(2) == (None, m.config.cq_poll_cpu)
+        assert job.msgq.total_queue_memory == 0
 
     def test_msgq_slower_than_smsg(self):
         m, job = make_job()

@@ -78,7 +78,7 @@ class TestCreditExhaustion:
 
 
 class TestRxHook:
-    def test_every_rx_cq_feeds_its_pe_through_one_bound_method(self):
+    def test_every_arrival_feeds_its_pe_through_one_bound_method(self):
         conv, layer = runtime()
         got = []
         h_sink = conv.register_handler(
@@ -91,11 +91,11 @@ class TestRxHook:
         conv.send_from_outside(0, Message(conv.register_handler(spray), 0, 0, 0))
         conv.run(max_events=10**5)
         assert sorted(got) == [(1, 1), (2, 2), (3, 3)]
-        cqs = {rank: cq for rank, cq in enumerate(layer.gni.smsg._rx_cqs)
-               if cq is not None}
-        assert sorted(cqs) == [1, 2, 3]
-        assert all(cq.pe == rank for rank, cq in cqs.items())
-        assert len({id(cq.on_event) for cq in cqs.values()}) == 1
+        smsg = layer.gni.smsg
+        assert smsg.on_rx == layer._on_smsg_rx
+        # consumed on arrival: no mailbox made, no credit held
+        assert smsg._mailboxes == {} and smsg.credits_used() == 0
+        assert smsg.consumed == smsg.sent > 0
 
 
 class TestPoolBehaviour:
