@@ -125,13 +125,18 @@ def run_nqueens(
     scaling sweep (and across layers, so each compares the same search).
     ``trace_bin`` turns on Projections-style tracing with that bin width.
     """
+    depth = paper_threshold_to_depth(threshold)
     if tree is None:
-        depth = paper_threshold_to_depth(threshold)
         if not 1 <= depth < n:
             raise ValueError(
                 f"threshold {threshold} maps to spawn depth {depth}, "
                 f"which must be in [1, {n - 1}]")
         tree = build_task_tree(n, depth, seed=seed + 1)
+    elif (tree.n, tree.threshold) != (n, depth):
+        raise ValueError(
+            f"the tree is the {tree.n}-Queens search to spawn depth "
+            f"{tree.threshold}, not {n}-Queens at threshold {threshold} "
+            f"(spawn depth {depth})")
     profile = TimeProfile(trace_bin) if trace_bin else None
     conv, lrts = make_runtime(n_pes=n_pes, layer=layer, config=config,
                               seed=seed, tracer=profile, engine=engine)

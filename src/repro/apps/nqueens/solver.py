@@ -5,11 +5,17 @@ occupied), ``ld``/``rd`` (diagonals threatened, shifted per row).  The
 exact search keeps a whole row of states as three ``int64`` columns and
 steps every state one row down at once (:func:`expand_level`); a lone
 state is the tuple ``(cols, ld, rd, row)``.
+
+:func:`subtree_sizes` and :func:`estimate_leaves` run the C core's
+kernels when it is loaded; their Python bodies (``_py``) are the pure lane
+and the oracle the kernels equal bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.sim import _speed
 
 #: published solution counts (OEIS A000170) used to validate the solver
 #: and to sanity-check the estimator
@@ -83,6 +89,15 @@ def subtree_sizes(
     the unit the simulated work model charges per) and the number of
     solutions below all of them.
     """
+    if _speed.core is None:
+        return _subtree_sizes_py(n, row, cols, ld, rd)
+    nodes = np.empty(len(cols), np.int64)
+    return nodes, _speed.core.nqueens_subtree_sizes(n, cols, ld, rd, nodes)
+
+
+def _subtree_sizes_py(n, row, cols, ld, rd):
+    """:func:`subtree_sizes` level by level in numpy (the C kernel's
+    contract)."""
     nodes = np.zeros(len(cols), np.int64)
     edges = np.arange(len(cols) + 1)
     # widen a narrow start (a lone root) so each chunk holds many subtrees
@@ -152,3 +167,30 @@ def estimate_subtree_nodes(
             c, l, r, y = c | bit, ((l | bit) << 1) & full, (r | bit) >> 1, y + 1
         total += est
     return total / probes
+
+
+def estimate_leaves(
+    n: int, row: int, cols: np.ndarray, ld: np.ndarray, rd: np.ndarray,
+    rng: np.random.Generator, probes: int,
+) -> np.ndarray:
+    """:func:`estimate_subtree_nodes` for each state of one ``row``, in
+    order, drawing from ``rng`` (``float64``)."""
+    if probes < 1:
+        raise ValueError(f"probes must be at least 1, got {probes}")
+    if _speed.core is None:
+        return _estimate_leaves_py(n, row, cols, ld, rd, rng, probes)
+    out = np.empty(len(cols), np.float64)
+    bitgen = rng.bit_generator
+    with bitgen.lock:
+        _speed.core.nqueens_probe(n, row, cols, ld, rd, bitgen.capsule,
+                                  probes, out)
+    return out
+
+
+def _estimate_leaves_py(n, row, cols, ld, rd, rng, probes):
+    """:func:`estimate_leaves` one Python walk at a time (the C kernel's
+    contract)."""
+    return np.array([
+        estimate_subtree_nodes(n, (c, l, r, row), rng, probes=probes)
+        for c, l, r in zip(cols.tolist(), ld.tolist(), rd.tolist())
+    ], dtype=np.float64)

@@ -123,12 +123,9 @@ def build_task_tree(
         nodes, solutions = solver.subtree_sizes(n, threshold, cols, ld, rd)
         leaf_work = nodes * NODE_COST
     else:
-        rng = np.random.default_rng(seed)
-        leaf_work = np.array([
-            solver.estimate_subtree_nodes(n, (c, l, r, threshold), rng,
-                                          probes=probes)
-            for c, l, r in zip(cols.tolist(), ld.tolist(), rd.tolist())
-        ], dtype=np.float64) * NODE_COST
+        leaf_work = solver.estimate_leaves(
+            n, threshold, cols, ld, rd, np.random.default_rng(seed),
+            probes) * NODE_COST
     return TaskTree(
         n=n,
         threshold=threshold,

@@ -154,8 +154,9 @@ def table1() -> ExperimentResult:
     if paper_scale():
         boards = {14: [128, 256, 512], 15: [240, 480, 960],
                   16: [768, 1536, 3072], 17: [1920, 3840, 7680],
-                  18: [3840, 7680, 15360]}
-        thr = {14: 6, 15: 6, 16: 7, 17: 7, 18: 7}
+                  18: [3840, 7680, 15360], 19: [3840, 7680, 15360]}
+        # the paper gives no threshold for N = 19: N = 18's
+        thr = {14: 6, 15: 6, 16: 7, 17: 7, 18: 7, 19: 7}
         mode = "estimate"
     else:
         boards = {11: [16, 32, 64], 12: [32, 64, 128], 13: [64, 128, 256]}

@@ -1,15 +1,18 @@
 """Build and load the C core (:mod:`repro.sim._speedups`): the engine's
-slab and run loop, and the network pass of
-:class:`repro.hardware.router.TorusNetwork`.
+slab and run loop, the network pass of
+:class:`repro.hardware.router.TorusNetwork` and the N-Queens search of
+:mod:`repro.apps.nqueens.solver`.
 
-The extension is compiled on first import with the system C compiler —
-no pip, no network, no build isolation — and cached next to the source
-as ``_speedups.<cache_tag>-<hash>.so``, ``<hash>`` a SHA-256 prefix of
-``_speedups.c``: a binary built from other source is never loaded,
-whatever its mtime, and a build removes the older ones.  On any failure (no compiler, sandboxed filesystem, exotic
-platform) ``core`` is ``None``, the engine runs its pure-Python slab path
-and the router its Python body, which are contract-identical (the
-hypothesis parity suites drive both) — and one :class:`RuntimeWarning`
+The extension is compiled on first import with the system C compiler
+(:func:`build_command`; numpy's static ``libnpyrandom`` linked in) — no
+pip, no network, no build isolation — and cached next to the source as
+``_speedups.<cache_tag>-<hash>.so``, ``<hash>`` a SHA-256 prefix of
+``_speedups.c`` and the numpy version: a binary built from other source
+or numpy is never loaded, whatever its mtime, and a build removes the
+older ones.  On any failure (no compiler, sandboxed filesystem, exotic
+platform) ``core`` is ``None`` and the engine, router and N-Queens solver
+run their Python bodies, which are contract-identical (the parity suites
+drive both) — and one :class:`RuntimeWarning`
 carrying ``build_error`` says so, because nobody asked for that lane
 (the test suite and CI turn it into an error).
 
@@ -32,9 +35,11 @@ import sysconfig
 import tempfile
 import warnings
 
+import numpy
+
 from repro._env import env_flag
 
-__all__ = ["core", "build_error"]
+__all__ = ["core", "build_error", "build_command"]
 
 #: the loaded extension module, or None when unavailable
 core = None
@@ -48,32 +53,48 @@ def _tag() -> str:
 
 def _so_path(src_dir: str) -> str:
     """The cached build of ``src_dir``'s ``_speedups.c``, named by its
-    content."""
+    content and the numpy whose ``libnpyrandom`` it links statically."""
     with open(os.path.join(src_dir, "_speedups.c"), "rb") as src:
-        digest = hashlib.sha256(src.read()).hexdigest()[:16]
+        digest = hashlib.sha256(
+            src.read() + numpy.__version__.encode()).hexdigest()[:16]
     return os.path.join(src_dir, f"_speedups.{_tag()}-{digest}.so")
 
 
-def _compile(c_path: str, so_path: str) -> None:
+def build_command(c_path: str, out: str) -> list[str]:
+    """The compiler command that builds ``c_path`` into ``out``."""
     cc = (os.environ.get("CC") or shutil.which("cc") or shutil.which("gcc")
           or shutil.which("clang"))
     if cc is None:
         raise RuntimeError("no C compiler on PATH")
-    include = sysconfig.get_paths()["include"]
+    random_lib = os.path.join(os.path.dirname(numpy.__file__), "random", "lib")
+    # the whole core links these, not only the N-Queens probe: a numpy
+    # stripped of its static library or headers loses every C lane
+    for need in (os.path.join(random_lib, "libnpyrandom.a"),
+                 os.path.join(numpy.get_include(), "numpy", "random",
+                              "distributions.h")):
+        if not os.path.exists(need):
+            raise RuntimeError(f"numpy {numpy.__version__} ships no {need}; "
+                               "the C core links numpy's static random "
+                               "library")
+    # -ffp-contract=off: the router lane's simulated times and the probe's
+    # `est += weight * k` must round as Python does, and a fused
+    # multiply-add (aarch64, any -march with FMA) rounds once where Python
+    # rounds twice
+    return [cc, "-O2", "-ffp-contract=off", "-fPIC", "-shared",
+            f"-I{sysconfig.get_paths()['include']}",
+            f"-I{numpy.get_include()}", c_path, "-o", out,
+            f"-L{random_lib}", "-lnpyrandom", "-lm"]
+
+
+def _compile(c_path: str, so_path: str) -> None:
     # Build into a temp file then atomically rename, so concurrent
     # imports (pytest-xdist, sweep workers) never load a
     # half-written object.
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(so_path))
     os.close(fd)
     try:
-        # -ffp-contract=off: the router lane computes simulated times, and
-        # a fused multiply-add (aarch64, any -march with FMA) rounds once
-        # where Python rounds twice
-        subprocess.run(
-            [cc, "-O2", "-ffp-contract=off", "-fPIC", "-shared",
-             f"-I{include}", c_path, "-o", tmp],
-            check=True, capture_output=True, text=True, timeout=120,
-        )
+        subprocess.run(build_command(c_path, tmp), check=True,
+                       capture_output=True, text=True, timeout=120)
         os.replace(tmp, so_path)
     except BaseException:
         try:

@@ -1,6 +1,6 @@
-/* C hot core: the slab event store and run loop of repro.sim.engine, and
- * (at the end of the file) the network pass of
- * repro.hardware.router.TorusNetwork.transfer.
+/* C hot core: the slab event store and run loop of repro.sim.engine,
+ * the network pass of repro.hardware.router.TorusNetwork.transfer and (at
+ * the end of the file) the N-Queens search of repro.apps.nqueens.solver.
  *
  * The engine part mirrors the pure-Python slab engine exactly — same
  * (time, seq) total order, same lazy-cancel + compaction policy, same
@@ -16,14 +16,18 @@
  * slot is a no-op, exactly like the Python EventHandle.
  *
  * Built on demand by repro.sim._speed (plain
- * `cc -O2 -ffp-contract=off -shared -fPIC`); any build or import failure
- * falls back, with a RuntimeWarning, to the Python engine and the router's
- * Python body.
+ * `cc -O2 -ffp-contract=off -shared -fPIC`, numpy's headers and its
+ * static libnpyrandom); any build or import failure falls back, with a
+ * RuntimeWarning, to the Python engine, the router's Python body and the
+ * numpy search.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
+#include <stdbool.h>
+#include <stdint.h>
+#include "numpy/random/distributions.h"
 
 #define STATE_FREE 0
 #define STATE_PENDING 1
@@ -1612,11 +1616,148 @@ intern_names(void)
     return (int_one = PyLong_FromLong(1)) ? 0 : -1;
 }
 
+/* ---- the N-Queens search: exact subtree sizes and Knuth probes -------- */
+
+/* repro.apps.nqueens.solver.subtree_sizes and estimate_leaves over start
+ * states given as int64 columns (cols, ld, rd: the three bitmasks of
+ * solver.expand_level).  Their Python bodies run under REPRO_PURE_ENGINE=1
+ * and are the oracle.  The probe draws every column with numpy's own
+ * random_bounded_uint64_fill, the routine behind Generator.integers(k), on
+ * the generator's bitgen_t, so the stream and the estimates (the same
+ * double operations in the same order) are those of the Python walk. */
+
+#define NQ_MAX_N 61
+
+/* The item count the buffers cols, ld, rd and out (v[0..3], 8-byte items:
+ * int64, and float64 for a probe's out) share, or -1 with a ValueError;
+ * an n wider than the int64 columns is one too. */
+static Py_ssize_t
+nq_items(Py_ssize_t n, const Py_buffer *v)
+{
+    if (n < 0 || n > NQ_MAX_N) {
+        PyErr_Format(PyExc_ValueError, "n must be at most %d, got %zd",
+                     NQ_MAX_N, n);
+        return -1;
+    }
+    if (v[0].len % 8 || v[1].len != v[0].len || v[2].len != v[0].len
+        || v[3].len != v[0].len) {
+        PyErr_Format(PyExc_ValueError, "cols, ld, rd and out must have the "
+                     "same length of 8-byte items, got %zd, %zd, %zd and %zd "
+                     "bytes", v[0].len, v[1].len, v[2].len, v[3].len);
+        return -1;
+    }
+    return v[0].len / 8;
+}
+
+static void
+nq_release(Py_buffer *v)
+{
+    for (int i = 0; i < 4; i++)
+        PyBuffer_Release(&v[i]);
+}
+
+/* Every placement below (c, l, r); solutions found are added to *sol. */
+static int64_t
+nq_count(uint64_t full, uint64_t c, uint64_t l, uint64_t r, int64_t *sol)
+{
+    if (c == full) {
+        ++*sol;
+        return 0;
+    }
+    int64_t nodes = 0;
+    for (uint64_t free = full & ~(c | l | r); free; free &= free - 1) {
+        uint64_t bit = free & -free;
+        nodes += 1 + nq_count(full, c | bit, ((l | bit) << 1) & full,
+                              (r | bit) >> 1, sol);
+    }
+    return nodes;
+}
+
+/* nqueens_subtree_sizes(n, cols, ld, rd, out) -> solutions */
+static PyObject *
+nqueens_subtree_sizes(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    Py_ssize_t n, items;
+    Py_buffer v[4];
+    if (!PyArg_ParseTuple(args, "ny*y*y*w*", &n, &v[0], &v[1], &v[2], &v[3]))
+        return NULL;
+    int64_t sol = 0;
+    if ((items = nq_items(n, v)) >= 0) {
+        const int64_t *c = v[0].buf, *l = v[1].buf, *r = v[2].buf;
+        int64_t *nodes = v[3].buf;
+        uint64_t full = ((uint64_t)1 << n) - 1;
+        for (Py_ssize_t i = 0; i < items; i++)
+            nodes[i] = nq_count(full, c[i], l[i], r[i], &sol);
+    }
+    nq_release(v);
+    return items < 0 ? NULL : PyLong_FromLongLong(sol);
+}
+
+/* nqueens_probe(n, row, cols, ld, rd, bitgen_capsule, probes, out):
+ * solver.estimate_subtree_nodes for every start state of `row`, in order;
+ * the caller holds the bit generator's lock. */
+static PyObject *
+nqueens_probe(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    Py_ssize_t n, row, probes, items;
+    PyObject *capsule;
+    Py_buffer v[4];
+    if (!PyArg_ParseTuple(args, "nny*y*y*Onw*", &n, &row, &v[0], &v[1],
+                          &v[2], &capsule, &probes, &v[3]))
+        return NULL;
+    bitgen_t *bg = NULL;
+    if (probes < 1)
+        PyErr_Format(PyExc_ValueError, "probes must be at least 1, got %zd",
+                     probes);
+    else if ((items = nq_items(n, v)) >= 0)
+        bg = PyCapsule_GetPointer(capsule, "BitGenerator");
+    if (!bg) {
+        nq_release(v);
+        return NULL;
+    }
+    const int64_t *c0 = v[0].buf, *l0 = v[1].buf, *r0 = v[2].buf;
+    double *est_out = v[3].buf;
+    uint64_t full = ((uint64_t)1 << n) - 1;
+    for (Py_ssize_t i = 0; i < items; i++) {
+        double total = 0.0;
+        for (Py_ssize_t p = 0; p < probes; p++) {
+            uint64_t c = c0[i], l = l0[i], r = r0[i];
+            double weight = 1.0, est = 0.0;
+            for (Py_ssize_t y = row; y < n; y++) {
+                uint64_t free = full & ~(c | l | r), pick;
+                int k = __builtin_popcountll(free);
+                if (k == 0)
+                    break;
+                est += weight * k;
+                weight *= k;
+                random_bounded_uint64_fill(bg, 0, (uint64_t)k - 1, 1, false,
+                                           &pick);
+                while (pick--)
+                    free &= free - 1;
+                uint64_t bit = free & -free;
+                c |= bit;
+                l = ((l | bit) << 1) & full;
+                r = (r | bit) >> 1;
+            }
+            total += est;
+        }
+        est_out[i] = total / (double)probes;
+    }
+    nq_release(v);
+    Py_RETURN_NONE;
+}
+
 static PyMethodDef speedups_functions[] = {
     {"router_transfer", bind_router_transfer, METH_VARARGS,
      "router_transfer(network_cls, body, timing_cls, torus_cls, dragonfly_cls): "
      "the compiled TorusNetwork.transfer, as a method "
      "descriptor of network_cls."},
+    {"nqueens_subtree_sizes", nqueens_subtree_sizes, METH_VARARGS,
+     "nqueens_subtree_sizes(n, cols, ld, rd, out) -> solutions: every "
+     "placement below each start state into out; the solutions below all."},
+    {"nqueens_probe", nqueens_probe, METH_VARARGS,
+     "nqueens_probe(n, row, cols, ld, rd, bitgen_capsule, probes, out): "
+     "the Knuth estimate of each start state's subtree into out."},
     {NULL, NULL, 0, NULL},
 };
 

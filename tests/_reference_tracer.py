@@ -3,12 +3,14 @@
 A verbatim copy of ``repro.observe.tracer`` (``Stage`` / ``Span`` objects,
 a dict of spans keyed by trace ID), of the ``Observer`` hooks that wrote
 them (``on_send`` / ``on_deliver`` / ``on_exec`` / ``on_lrts`` /
-``on_gpu`` / ``on_tx`` / ``on_cq_push``, the interval hook ``record`` with
-its ``timeline`` dict of ``(start, duration, kind)`` tuples) and of the
-exporters that read them, as they stood before the record became typed
-columns.  Only the class names changed (``Ref`` prefix); ``RefObserver``
-subclasses the live ``Observer`` so the metrics, sources and flight
-recorder are the live ones.  ``tests/test_observe_equivalence.py`` runs the
+``on_gpu`` / ``on_tx``, the interval hook ``record`` with its ``timeline``
+dict of ``(start, duration, kind)`` tuples) and of the exporters that read
+them, as they stood before the record became typed columns.  Only the
+class names changed (``Ref`` prefix).  The arrival hook is the former
+``on_cq_push`` body under its present name and signature, ``on_arrive``,
+and ``on_net_transfer`` is frozen too, so no span stage or metric of the
+oracle is written by the code under test.  ``RefObserver`` subclasses the
+live ``Observer`` for the metrics, sources and flight recorder.  ``tests/test_observe_equivalence.py`` runs the
 same simulations under it and under the live observer and requires
 identical exports, spans and metrics digests.  Do not "fix" or optimise
 this file: it is the oracle.
@@ -157,12 +159,18 @@ class RefObserver(Observer):
         self.metrics.inc(f"tx/{kind}")
         self.metrics.inc("tx/bytes", nbytes)
 
-    def on_cq_push(self, cq: Any, entry: Any, time: float) -> None:
-        tid = self.trace_id_of(getattr(entry, "data", None))
+    def on_arrive(self, payload: Any, where: Any, time: float) -> None:
+        tid = self.trace_id_of(payload)
         if tid is not None:
-            self.tracer.stage(tid, "arrive", time,
-                              where=getattr(cq, "name", None))
+            self.tracer.stage(tid, "arrive", time, where=where)
         self.metrics.inc("cq/pushed")
+
+    def on_net_transfer(self, src: Any, dst: Any, nbytes: int,
+                        now: float, depart: float, hops: int) -> None:
+        self.metrics.inc("net/transfers")
+        self.metrics.inc("net/bytes", nbytes)
+        self.metrics.inc("net/hops", hops)
+        self.metrics.observe("net/inject_backlog", now, depart - now)
 
     def record(self, pe_rank: int, start: float, duration: float,
                kind: str) -> None:

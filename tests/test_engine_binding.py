@@ -266,6 +266,18 @@ class TestNoSilentLane:
         assert out.stdout.strip() == (
             "[lanes] engine=pure-python router=python-body build_error=None")
 
+    @pytest.mark.parametrize("missing", ["libnpyrandom.a", "distributions.h"])
+    def test_a_numpy_without_its_static_random_library_is_named(
+            self, monkeypatch, missing):
+        # the whole core links numpy's libnpyrandom, so a numpy that strips
+        # it (or its header) is a build error naming the file, not a raw
+        # linker or compiler message
+        exists = os.path.exists
+        monkeypatch.setattr(os.path, "exists",
+                            lambda p: not p.endswith(missing) and exists(p))
+        with pytest.raises(RuntimeError, match=f"ships no .*{missing}"):
+            _speed.build_command("_speedups.c", "_speedups.so")
+
 
 class TestCoreCache:
     @needs_core

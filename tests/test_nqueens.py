@@ -14,8 +14,11 @@ from repro.apps.nqueens import (
     run_nqueens,
     solve_subtree,
 )
-from repro.apps.nqueens.solver import ROOT, expand_level, subtree_sizes
+from repro.apps.nqueens.solver import (ROOT, estimate_leaves, expand_level,
+                                      subtree_sizes)
+from repro.apps.nqueens.workmodel import paper_threshold_to_depth
 from repro.hardware.config import tiny as tiny_config
+from repro.sim import _speed
 from tests import _reference_nqueens as ref
 
 
@@ -222,6 +225,24 @@ class TestWorkModel:
                       r"which must be in \[1, 5\]"):
             run_nqueens(6, 9, 4)
 
+    @pytest.mark.parametrize("lane", ["c_core", "python"])
+    @pytest.mark.parametrize("probes", [0, -1])
+    def test_probes_below_one_rejected_before_any_draw(
+            self, lane, probes, monkeypatch):
+        if lane == "python":
+            monkeypatch.setattr(_speed, "core", None)
+        elif _speed.core is None:
+            pytest.skip("the C core is not loaded (REPRO_PURE_ENGINE=1)")
+        with pytest.raises(ValueError,
+                           match=f"probes must be at least 1, got {probes}"):
+            build_task_tree(8, 2, mode="estimate", probes=probes)
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        cols = ld = rd = np.zeros(1, np.int64)
+        with pytest.raises(ValueError, match="probes must be at least 1"):
+            estimate_leaves(8, 0, cols, ld, rd, rng, probes)
+        assert rng.bit_generator.state == before
+
     def test_unknown_mode_rejected(self):
         match = "'exact' \\| 'estimate' \\| 'auto'.*'exakt'"
         with pytest.raises(ValueError, match=match):
@@ -234,8 +255,6 @@ class TestApp:
                            config=tiny_config(), **kw)
 
     def test_all_tasks_execute_exactly_once(self):
-        from repro.apps.nqueens.workmodel import paper_threshold_to_depth
-
         res = self._run()
         # run_nqueens maps the nominal threshold to a spawn depth
         tree = build_task_tree(8, paper_threshold_to_depth(3),
@@ -243,6 +262,13 @@ class TestApp:
         assert res.n_tasks == tree.n_tasks
         # the run itself already asserts conservation internally
         assert res.messages_sent >= res.n_tasks - 1
+
+    @pytest.mark.parametrize("n,threshold", [(10, 7), (10, 4), (8, 5)])
+    def test_a_tree_for_another_search_rejected(self, n, threshold):
+        tree = build_task_tree(8, paper_threshold_to_depth(4), mode="exact")
+        with pytest.raises(ValueError, match="8-Queens search to spawn "
+                                             "depth 2"):
+            run_nqueens(n, threshold, 16, tree=tree)
 
     def test_speedup_with_more_pes(self):
         t4 = self._run(n_pes=4, n=10, threshold=4).total_time
