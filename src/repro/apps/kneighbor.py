@@ -109,6 +109,10 @@ def kneighbor(
     :class:`~repro.parallel.ShardedEngine`) — the determinism regression
     tests run the same config on both engines and diff the metrics.
     """
+    for name, value, least in (("size", size, 0), ("k", k, 1),
+                               ("iters", iters, 1), ("warmup", warmup, 0)):
+        if value < least:
+            raise ValueError(f"kneighbor: {name}={value} < {least}")
     cfg = (config or MachineConfig()).replace(cores_per_node=1)
     conv, lrts = make_runtime(n_nodes=n_cores, layer=layer, config=cfg,
                               seed=seed, layer_config=layer_config,

@@ -111,6 +111,10 @@ def charm_pingpong(
     with ``layer_config.reliability`` or the run will simply hang on the
     first lost message.
     """
+    for name, value, least in (("size", size, 0), ("iters", iters, 1),
+                               ("warmup", warmup, 0)):
+        if value < least:
+            raise ValueError(f"charm_pingpong: {name}={value} < {least}")
     cfg = config or MachineConfig()
     if not intranode:
         cfg = cfg.replace(cores_per_node=1)

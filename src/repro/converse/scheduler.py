@@ -392,13 +392,15 @@ class ConverseRuntime:
         lrts = self.lrts
         if lrts is None:
             raise CharmError("no machine layer attached")
+        if msg.nbytes < 0:
+            raise ValueError(f"message size {msg.nbytes} < 0")
         self.messages_sent += 1
         msg.sent_at = start = src_pe.vtime
         obs = src_pe._observer
         if obs is not None:
             # stage times use the engine clock (monotone across events),
             # not PE vtime (which can run ahead of the engine)
-            obs.on_send(msg, src_pe.rank, self.engine.now)
+            obs.on_send(msg, src_pe.rank, src_pe._clock.now)
         # src_pe.charge(converse_send_cpu, "overhead"), inlined: a config
         # constant, which MachineConfig refuses when negative
         dt = self.config.converse_send_cpu
@@ -415,6 +417,8 @@ class ConverseRuntime:
 
     def send_from_outside(self, dst_rank: int, msg: Message, at: float = 0.0) -> None:
         """Inject a bootstrap message from outside any handler (mainchare)."""
+        if msg.nbytes < 0:
+            raise ValueError(f"message size {msg.nbytes} < 0")
         self.pes[dst_rank].deliver_at(at, msg)
 
     def broadcast_from_outside(self, make_msg: Callable[[int], Message],
@@ -426,7 +430,7 @@ class ConverseRuntime:
         PE's node (consecutive ``seq`` stamps, rank order).
         """
         for r in (range(len(self.pes)) if ranks is None else ranks):
-            self.pes[r].deliver_at(0.0, make_msg(r))
+            self.send_from_outside(r, make_msg(r))
 
     # -- run ----------------------------------------------------------------
     def run(self, until: float = float("inf"), max_events: Optional[int] = None) -> float:

@@ -185,13 +185,13 @@ class UgniMachineLayer(ReliabilityMixin, ProtocolCore, IntranodeMixin,
                 and total <= self.cfg.pxshm_region_bytes):
             self.intranode_sent += 1
             if obs is not None:
-                obs.on_lrts("ugni", "intranode", msg, self.machine.engine.now)
+                obs.on_lrts("ugni", "intranode", msg, src_pe._clock.now)
             self._send_intranode(src_pe, dst_rank, msg)
             return
         if total <= self._small_cutoff:
             self.small_sent += 1
             if obs is not None:
-                obs.on_lrts("ugni", "small", msg, self.machine.engine.now)
+                obs.on_lrts("ugni", "small", msg, src_pe._clock.now)
             if self.lcfg.small_path == "msgq":
                 self._send_msgq(src_pe, dst_rank, msg, total)
                 return
@@ -203,7 +203,7 @@ class UgniMachineLayer(ReliabilityMixin, ProtocolCore, IntranodeMixin,
             return
         self.rendezvous_sent += 1
         if obs is not None:
-            obs.on_lrts("ugni", "rendezvous", msg, self.machine.engine.now)
+            obs.on_lrts("ugni", "rendezvous", msg, src_pe._clock.now)
         self._send_rendezvous(src_pe, dst_rank, msg, total)
 
     def _small_max(self) -> int:

@@ -34,7 +34,9 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional
 from repro._env import env_flag
 from repro.observe.flight import FlightRecorder
 from repro.observe.registry import MetricsRegistry
-from repro.observe.tracer import DELIVER, EXEC, SEND, MessageTracer
+from repro.observe.tracer import (
+    ARRIVE, DELIVER, EXEC, LRTS, TX, MessageTracer,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hardware.machine import Machine
@@ -109,6 +111,12 @@ class Observer:
     def __init__(self, machine: "Machine"):
         self.machine = machine
         self.metrics = MetricsRegistry()
+        #: the registry's counter dict: the per-message hooks add in place
+        self._counters = self.metrics.counters
+        #: counter keys built once: ``(layer, path)`` -> the path's and the
+        #: layer's byte counter, ``kind`` -> ``tx/{kind}``
+        self._lrts_keys: dict[tuple[str, str], tuple[str, str]] = {}
+        self._tx_keys: dict[str, str] = {}
         self.tracer = MessageTracer()
         self.flight = FlightRecorder()
         # the PE timeline, one row an interval: rank, start, duration and
@@ -199,7 +207,9 @@ class Observer:
         """Walk ``payload`` wrappers until a ``trace_id`` shows up.
 
         An SMSG message carries the Converse :class:`Message` as its
-        payload; a reliability packet wraps it one level deeper.
+        payload; a reliability packet wraps it one level deeper.  The
+        per-message hooks read those first levels in place and walk only
+        when they carry no ID.
         """
         for _ in range(4):
             if obj is None:
@@ -213,37 +223,61 @@ class Observer:
     # -- scheduler hooks ---------------------------------------------------
     def on_send(self, msg: Any, src_pe: int, time: float) -> None:
         """Mint a trace ID at the Converse send (the causal root)."""
-        tid = self.tracer.mint(src_pe, msg.dst_pe, msg.nbytes)
-        msg.trace_id = tid
-        self.tracer.pe_stage(tid, SEND, time, src_pe)
-        self.metrics.inc("msg/sent")
-        self.metrics.inc("msg/bytes_sent", msg.nbytes)
+        nbytes = msg.nbytes
+        msg.trace_id = self.tracer.send(src_pe, msg.dst_pe, nbytes, time)
+        counters = self._counters
+        counters["msg/sent"] = counters.get("msg/sent", 0) + 1
+        counters["msg/bytes_sent"] = counters.get("msg/bytes_sent", 0) + nbytes
 
     def on_deliver(self, msg: Any, rank: int, time: float) -> None:
-        tid = msg.trace_id
-        tracer = self.tracer
-        tracer.pe_stage(tid, DELIVER, time, rank)
-        self.metrics.inc("msg/delivered")
-        sent = tracer.first_send(tid)
-        if sent is not None:
-            self.metrics.observe("msg/latency", time, time - sent)
-        rndv = tracer.first_rendezvous(tid)
-        if rndv is not None:
-            self.metrics.inc("rndv/roundtrips")
-            self.metrics.observe("rndv/roundtrip_time", time, time - rndv)
+        """The receiving PE enqueued a traced message: its ``deliver`` row,
+        and latency samples from the span's send and rendezvous times."""
+        counters = self._counters
+        counters["msg/delivered"] = counters.get("msg/delivered", 0) + 1
+        tid, tracer = msg.trace_id, self.tracer
+        row = tid - tracer._base - 1
+        if not 0 <= row < len(tracer._src) or tracer._src[row] < 0:
+            return  # minted before this tracer, or skipped by fast_forward
+        tracer._tid.append(tid)
+        tracer._code.append(DELIVER)
+        tracer._time.append(time)
+        tracer._where.append(-1 - rank)
+        tracer._detail.append(0)
+        # every span is minted with its send time
+        self.metrics.observe("msg/latency", time, time - tracer._sent_at[row])
+        rndv = tracer._rndv_at[row]
+        if rndv != rndv:
+            return  # NaN: no rendezvous
+        counters["rndv/roundtrips"] = counters.get("rndv/roundtrips", 0) + 1
+        self.metrics.observe("rndv/roundtrip_time", time, time - rndv)
 
     def on_exec(self, msg: Any, rank: int, time: float) -> None:
-        self.tracer.pe_stage(msg.trace_id, EXEC, time, rank)
-        self.metrics.inc("msg/executed")
+        counters = self._counters
+        counters["msg/executed"] = counters.get("msg/executed", 0) + 1
+        tid, tracer = msg.trace_id, self.tracer
+        row = tid - tracer._base - 1
+        if 0 <= row < len(tracer._src) and tracer._src[row] >= 0:
+            tracer._tid.append(tid)
+            tracer._code.append(EXEC)
+            tracer._time.append(time)
+            tracer._where.append(-1 - rank)
+            tracer._detail.append(0)
 
     # -- LRTS-layer hooks --------------------------------------------------
     def on_lrts(self, layer: str, path: str, msg: Any, time: float) -> None:
         """The machine layer chose a protocol path for one message."""
-        tid = self.trace_id_of(msg)
-        if tid is not None:
-            self.tracer.stage(tid, "lrts", time, where=layer, detail=path)
-        self.metrics.inc(f"lrts/{layer}/{path}")
-        self.metrics.inc(f"lrts/{layer}/bytes", getattr(msg, "nbytes", 0))
+        tid = getattr(msg, "trace_id", None)
+        self.tracer.row(self.trace_id_of(msg) if tid is None else tid,
+                        LRTS, time, layer, path)
+        keys = self._lrts_keys.get((layer, path))
+        if keys is None:
+            keys = self._lrts_keys[layer, path] = (f"lrts/{layer}/{path}",
+                                                   f"lrts/{layer}/bytes")
+        counters = self._counters
+        path_key, bytes_key = keys
+        counters[path_key] = counters.get(path_key, 0) + 1
+        counters[bytes_key] = (counters.get(bytes_key, 0)
+                               + getattr(msg, "nbytes", 0))
 
     def on_gpu(self, stage: str, msg: Any, nbytes: int, time: float,
                where: Any = None) -> None:
@@ -270,25 +304,35 @@ class Observer:
     def on_tx(self, payload: Any, kind: str, nbytes: int, where: Any,
               time: float) -> None:
         """A fabric accepted bytes for the wire (SMSG push, RDMA post)."""
-        tid = self.trace_id_of(payload)
-        if tid is not None:
-            self.tracer.stage(tid, "tx", time, where=where, detail=kind)
-        self.metrics.inc(f"tx/{kind}")
-        self.metrics.inc("tx/bytes", nbytes)
+        tid = getattr(payload, "trace_id", None)
+        if tid is None:  # an SMSG message carries the traced one inside
+            tid = getattr(getattr(payload, "payload", None), "trace_id", None)
+        self.tracer.row(self.trace_id_of(payload) if tid is None else tid,
+                        TX, time, where, kind)
+        key = self._tx_keys.get(kind)
+        if key is None:
+            key = self._tx_keys[kind] = f"tx/{kind}"
+        counters = self._counters
+        counters[key] = counters.get(key, 0) + 1
+        counters["tx/bytes"] = counters.get("tx/bytes", 0) + nbytes
 
     def on_arrive(self, payload: Any, where: Any, time: float) -> None:
         """An arrival landed: an SMSG in its receiver's mailbox, or a
         completion on a CQ (``where`` names the mailbox or the CQ)."""
-        tid = self.trace_id_of(payload)
-        if tid is not None:
-            self.tracer.stage(tid, "arrive", time, where=where)
-        self.metrics.inc("cq/pushed")
+        tid = getattr(payload, "trace_id", None)
+        if tid is None:
+            tid = getattr(getattr(payload, "payload", None), "trace_id", None)
+        self.tracer.row(self.trace_id_of(payload) if tid is None else tid,
+                        ARRIVE, time, where)
+        counters = self._counters
+        counters["cq/pushed"] = counters.get("cq/pushed", 0) + 1
 
     def on_net_transfer(self, src: Any, dst: Any, nbytes: int,
                         now: float, depart: float, hops: int) -> None:
-        self.metrics.inc("net/transfers")
-        self.metrics.inc("net/bytes", nbytes)
-        self.metrics.inc("net/hops", hops)
+        counters = self._counters
+        counters["net/transfers"] = counters.get("net/transfers", 0) + 1
+        counters["net/bytes"] = counters.get("net/bytes", 0) + nbytes
+        counters["net/hops"] = counters.get("net/hops", 0) + hops
         # injection backlog: how long the head waited for a free lane
         self.metrics.observe("net/inject_backlog", now, depart - now)
 

@@ -53,7 +53,9 @@ class MetricsRegistry:
     """Deterministic counters / gauges / sim-time-binned histograms."""
 
     def __init__(self) -> None:
-        self._counters: dict[str, float] = {}
+        #: name -> value; the observer's per-message hooks add to it in
+        #: place (``inc`` is the by-name write for everything else)
+        self.counters: dict[str, float] = {}
         #: name -> bin index -> [count, sum]
         self._hists: dict[str, dict[int, list[float]]] = {}
         #: pull-based sources, read once per snapshot (name, fn) pairs
@@ -61,7 +63,7 @@ class MetricsRegistry:
 
     # -- write path --------------------------------------------------------
     def inc(self, name: str, value: float = 1) -> None:
-        self._counters[name] = self._counters.get(name, 0) + value
+        self.counters[name] = self.counters.get(name, 0) + value
 
     def observe(self, name: str, t: float, value: float = 1) -> None:
         hist = self._hists.get(name)
@@ -99,7 +101,7 @@ class MetricsRegistry:
         sources folded in as gauges under their registered name.
         """
         out: dict[str, Any] = {}
-        for name, value in self._counters.items():
+        for name, value in self.counters.items():
             out[f"counter/{name}"] = value
         for name, fn in self._sources:
             _fold(out, f"gauge/{name}", fn())
@@ -129,9 +131,9 @@ class MetricsRegistry:
 
     # -- maintenance -------------------------------------------------------
     def clear(self) -> None:
-        self._counters.clear()
+        self.counters.clear()
         self._hists.clear()
         self._sources.clear()
 
     def __len__(self) -> int:
-        return len(self._counters) + len(self._hists)
+        return len(self.counters) + len(self._hists)

@@ -13,7 +13,7 @@ stage — an intranode send skips the fabric entirely):
 ``send``      minted in the Converse scheduler on the source PE
 ``lrts``      the machine layer chose a protocol path (detail: which)
 ``tx``        the fabric accepted bytes for the wire (SMSG/NIC)
-``arrive``    a completion-queue event landed on the destination
+``arrive``    landed: in the SMSG mailbox (``smsg_rx[{pe}]``), or on a CQ
 ``deliver``   the destination PE enqueued the message
 ``exec``      the destination PE ran the handler
 
@@ -27,6 +27,12 @@ a stage is one row of (trace ID, stage code, time, where, detail), with
 PE stamps (``send``/``deliver``/``exec``), ``-1 - rank``, rendered
 ``pe{rank}`` only when read.  :meth:`MessageTracer.records` is the one
 read path.
+
+Writes: :meth:`MessageTracer.send` mints a span with its ``send`` row,
+:meth:`MessageTracer.row` appends any other stage row by code, and
+:meth:`MessageTracer.stage` is the same by name.  The observer's
+``on_deliver`` / ``on_exec`` write their PE-stamped rows into the columns
+themselves and read ``_sent_at`` / ``_rndv_at`` in place.
 """
 
 from __future__ import annotations
@@ -57,7 +63,8 @@ class MessageTracer:
         self._src = array("i")
         self._dst = array("i")
         self._nbytes = array("q")
-        #: first ``send`` time, first ``lrts``/``rendezvous`` time (NaN: none)
+        #: the span's ``send`` time (set at mint) and its first
+        #: ``lrts``/``rendezvous`` time (NaN: none)
         self._sent_at = array("d")
         self._rndv_at = array("d")
         # stage rows
@@ -80,60 +87,57 @@ class MessageTracer:
     def _stage_columns(self) -> tuple[array, ...]:
         return (self._tid, self._code, self._time, self._where, self._detail)
 
-    def mint(self, src_pe: int, dst_pe: int, nbytes: int) -> int:
+    def send(self, src_pe: int, dst_pe: int, nbytes: int,
+             time: float) -> int:
+        """Mint a trace ID: the span and its ``send`` row (where
+        ``pe{src_pe}``) in one write."""
         self._next_id = tid = self._next_id + 1
         self._src.append(src_pe)
         self._dst.append(dst_pe)
         self._nbytes.append(nbytes)
-        self._sent_at.append(_NAN)
+        self._sent_at.append(time)
         self._rndv_at.append(_NAN)
+        self._tid.append(tid)
+        self._code.append(SEND)
+        self._time.append(time)
+        self._where.append(-1 - src_pe)
+        self._detail.append(0)
         return tid
 
-    def stage(self, trace_id: int, stage: str, time: float,
-              where: Any = None, detail: Optional[str] = None) -> None:
-        if trace_id is None or not self._base < trace_id <= self._next_id:
-            return  # minted before this tracer existed
+    def row(self, trace_id: Optional[int], code: int, time: float,
+            where: Any, detail: Any = None) -> None:
+        """Append one stage row, ``where`` and ``detail`` interned.  An ID
+        with no span here (None, minted before this tracer existed, or
+        skipped by :meth:`fast_forward`) writes nothing."""
+        if trace_id is None:
+            return
         row = trace_id - self._base - 1
-        if self._src[row] < 0:
-            return  # skipped by fast_forward: never minted
-        code = self._stage_code.get(stage)
-        if code is None:
-            code = self._stage_code[stage] = len(self._stage_names)
-            self._stage_names.append(stage)
-        if code == SEND:
-            if self._sent_at[row] != self._sent_at[row]:
-                self._sent_at[row] = time
-        elif (code == LRTS and detail == "rendezvous"
-              and self._rndv_at[row] != self._rndv_at[row]):
+        if not 0 <= row < len(self._src) or self._src[row] < 0:
+            return
+        if (code == LRTS and detail == "rendezvous"
+                and self._rndv_at[row] != self._rndv_at[row]):
             self._rndv_at[row] = time
         self._tid.append(trace_id)
         self._code.append(code)
         self._time.append(time)
-        self._where.append(self._intern(where))
-        self._detail.append(self._intern(detail))
+        index = self._name_index
+        at = index.get(where)
+        self._where.append(self._intern(where) if at is None else at)
+        at = index.get(detail)
+        self._detail.append(self._intern(detail) if at is None else at)
 
-    def pe_stage(self, trace_id: int, code: int, time: float,
-                 rank: int) -> None:
-        """A stage a PE stamps (``SEND``/``DELIVER``/``EXEC``): the row
-        keeps the rank, and reads render it ``pe{rank}``."""
-        if not self._base < trace_id <= self._next_id:
-            return
-        row = trace_id - self._base - 1
-        if self._src[row] < 0:
-            return
-        if code == SEND and self._sent_at[row] != self._sent_at[row]:
-            self._sent_at[row] = time
-        self._tid.append(trace_id)
-        self._code.append(code)
-        self._time.append(time)
-        self._where.append(-1 - rank)
-        self._detail.append(0)
+    def stage(self, trace_id: Optional[int], stage: str, time: float,
+              where: Any = None, detail: Any = None) -> None:
+        """:meth:`row` by stage name (a new name gets the next code)."""
+        code = self._stage_code.get(stage)
+        if code is None:
+            code = self._stage_code[stage] = len(self._stage_names)
+            self._stage_names.append(stage)
+        self.row(trace_id, code, time, where, detail)
 
     def _intern(self, value: Any) -> int:
-        index = self._name_index.get(value)
-        if index is None:
-            index = self._name_index[value] = len(self._names)
-            self._names.append(value)
+        index = self._name_index[value] = len(self._names)
+        self._names.append(value)
         return index
 
     def fast_forward(self, next_id: int) -> None:
@@ -172,21 +176,6 @@ class MessageTracer:
                                 for col in self._span_columns()
                                 + self._stage_columns()),
         }
-
-    def first_send(self, trace_id: int) -> Optional[float]:
-        """Time of the span's first ``send`` stage (None: none)."""
-        return self._first(self._sent_at, trace_id)
-
-    def first_rendezvous(self, trace_id: int) -> Optional[float]:
-        """Time of the span's first ``lrts`` stage with detail
-        ``rendezvous`` (None: none)."""
-        return self._first(self._rndv_at, trace_id)
-
-    def _first(self, col: array, trace_id: Optional[int]) -> Optional[float]:
-        if trace_id is None or not self._base < trace_id <= self._next_id:
-            return None
-        time = col[trace_id - self._base - 1]
-        return None if time != time else time
 
     def _groups(self) -> tuple[list[int], list[int]]:
         """Stage rows in trace-ID order, each span's in append order, and

@@ -26,7 +26,6 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from sys import intern
 from typing import Any, Callable, Iterator, Optional
 
 from repro.errors import UgniInvalidParam, UgniNoSpace
@@ -85,6 +84,10 @@ class SmsgFabric:
         #: mailbox memory held per node id (bytes), for the footprint
         #: ablation
         self.mailbox_memory_per_node = array("q", bytes(8 * n_nodes))
+        #: the observer's labels, built on a connection's or a receiving
+        #: PE's first observed message (empty with no observer)
+        self._tx_labels: dict[int, str] = {}
+        self._rx_labels: dict[int, str] = {}
         #: messages sent and consumed
         self.sent = 0
         self.consumed = 0
@@ -169,8 +172,9 @@ class SmsgFabric:
             san.on_smsg_send(msg)
         obs = machine.observer
         if obs is not None:
-            # interned: a traced message keeps its label, one string a pair
-            label = intern(f"smsg[{src_pe}->{dst_pe}]")
+            label = self._tx_labels.get(conn)
+            if label is None:
+                label = self._tx_labels[conn] = f"smsg[{src_pe}->{dst_pe}]"
             obs.on_tx(msg, "smsg", nbytes, label,
                       at if at is not None else machine.engine.now)
         pe_node = machine._pe_node
@@ -217,7 +221,10 @@ class SmsgFabric:
             san.on_smsg_arrive(msg)
         obs = machine.observer
         if obs is not None:
-            obs.on_arrive(msg, intern(f"smsg_rx[{msg.dst_pe}]"), t)
+            label = self._rx_labels.get(msg.dst_pe)
+            if label is None:
+                label = self._rx_labels[msg.dst_pe] = f"smsg_rx[{msg.dst_pe}]"
+            obs.on_arrive(msg, label, t)
         self.on_rx(msg)
 
     def _to_mailbox(self, msg: SmsgMessage) -> None:

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.apps import kneighbor as kneighbor_mod
+from repro.apps import pingpong as pingpong_mod
 from repro.apps.kneighbor import kneighbor
 from repro.apps.onetoall import one_to_all
 from repro.apps.pingpong import charm_pingpong
@@ -120,3 +122,39 @@ class TestKNeighbor:
         u = kneighbor(256 * KB, layer="ugni", iters=4, warmup=1)
         m = kneighbor(256 * KB, layer="mpi", iters=4, warmup=1)
         assert m.iteration_time > 1.5 * u.iteration_time
+
+
+def _no_runtime(*args, **kwargs):
+    raise AssertionError("a runtime was built for arguments that cannot work")
+
+
+class TestLoopArguments:
+    """Sizes and loop counts that cannot work are refused, by name, before
+    any runtime is built (a negative size once ran and traced as positive
+    once the envelope was added; ``iters=0`` divided by zero after the
+    run; ``warmup=-1`` returned a timing)."""
+
+    @pytest.mark.parametrize("name, kwargs", [
+        ("size", dict(size=-5)), ("k", dict(k=0)), ("iters", dict(iters=0)),
+        ("warmup", dict(warmup=-1)),
+    ])
+    def test_kneighbor(self, name, kwargs, monkeypatch):
+        monkeypatch.setattr(kneighbor_mod, "make_runtime", _no_runtime)
+        args = {**dict(size=64, n_cores=8, k=2, iters=1, warmup=0), **kwargs}
+        with pytest.raises(ValueError, match=f"{name}="):
+            kneighbor(**args)
+
+    @pytest.mark.parametrize("name, kwargs", [
+        ("size", dict(size=-5)), ("iters", dict(iters=0)),
+        ("warmup", dict(warmup=-1)),
+    ])
+    def test_charm_pingpong(self, name, kwargs, monkeypatch):
+        monkeypatch.setattr(pingpong_mod, "make_runtime", _no_runtime)
+        args = {**dict(size=64, iters=2, warmup=0), **kwargs}
+        with pytest.raises(ValueError, match=f"{name}="):
+            charm_pingpong(**args)
+
+    def test_edges_still_run(self):
+        assert kneighbor(0, n_cores=3, k=1, iters=1,
+                         warmup=0).iteration_time > 0
+        assert charm_pingpong(0, iters=1, warmup=0).one_way_latency > 0

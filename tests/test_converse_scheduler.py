@@ -357,6 +357,39 @@ class TestRemoteSend:
             pool.check_invariants()
 
 
+class TestNegativeSize:
+    """Every message enters through ``send`` or ``send_from_outside``;
+    both refuse a negative size before a trace ID is minted or time is
+    charged (below them ``nbytes + LRTS_ENVELOPE`` is positive, so no
+    lower layer would notice)."""
+
+    def _runtime(self):
+        m = Machine(n_nodes=2, config=tiny_config(
+            cores_per_node=1).replace(observe=True))
+        conv = ConverseRuntime(m)
+        conv.attach_lrts(UgniMachineLayer(m))
+        return m, conv, conv.register_handler(lambda pe, msg: None)
+
+    def test_send(self):
+        m, conv, h = self._runtime()
+        pe = conv.pes[0]
+        with pytest.raises(ValueError, match="-5"):
+            conv.send(pe, 1, Message(h, 0, 1, -5))
+        assert m.observer.tracer.minted() == 0
+        assert pe.vtime == pe.overhead_time == conv.messages_sent == 0
+        conv.send(pe, 1, Message(h, 0, 1, 0))  # zero is a message
+        assert m.observer.tracer.minted() == 1
+
+    def test_send_from_outside(self):
+        m, conv, h = self._runtime()
+        with pytest.raises(ValueError, match="-5"):
+            conv.send_from_outside(1, Message(h, 0, 1, -5))
+        with pytest.raises(ValueError, match="-1"):
+            conv.broadcast_from_outside(lambda r: Message(h, r, r, -1))
+        conv.run()
+        assert conv.pes[1].messages_executed == 0
+
+
 class TestIntranode:
     def _intra_pingpong(self, size, mode):
         m, conv, layer = make_runtime(n_nodes=1, cores_per_node=2, intranode=mode)

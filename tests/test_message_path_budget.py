@@ -69,9 +69,16 @@ RNDV_BUDGETS = {"ugni": 79.8, "rdma": 70.5}
 #: (+5.1 rdma, whose queue pairs arm retransmit timers): 37.6 small,
 #: 147.9 / 163.2 rendezvous; 35.6 small and 143.8 ugni rendezvous with no
 #: SMSG RX CQ
+#: the same 256 B count with the observer on (``knb_observed``'s hook
+#: sites as writers, the sanitizer unset), C core / pure Python: 65.05 /
+#: 82.75 with a counter frame per ``inc``, span-setup and interning
+#: helpers and per-message label strings, 34.98 / 54.69 with each hook one
+#: frame plus at most one row writer or histogram sample
+OBSERVED_CALL_BUDGET = 35.5
 if Engine()._core is None:
     CALL_BUDGET = 36.1
     RNDV_BUDGETS = {"ugni": 144.4, "rdma": 163.7}
+    OBSERVED_CALL_BUDGET = 55.2
 #: one cold 1,024-PE ``kneighbor(32, k=1, iters=1, warmup=0)``, runtime
 #: held: GC-tracked objects it leaves per PE, measured + 2 % (63.9 while a
 #: route entry kept a coordinate tuple and a pair per candidate, 32.2 with
@@ -119,9 +126,13 @@ def _largest_rows(table, msgs, n=15):
         for (module, function), count in table.most_common(n))
 
 
-def _run(iters=ITERS, warmup=WARMUP):
+def _run(iters=ITERS, warmup=WARMUP, config=None):
     return kneighbor(256, layer="ugni", k=K, n_cores=N_CORES, iters=iters,
-                     warmup=warmup)
+                     warmup=warmup, config=config)
+
+
+def _run_observed():
+    return _run(config=MachineConfig(observe=True))
 
 
 def test_small_message_call_budget(monkeypatch):
@@ -135,6 +146,17 @@ def test_small_message_call_budget(monkeypatch):
     assert per_msg <= CALL_BUDGET, (
         f"{per_msg:.1f} Python calls per 256 B message "
         f"(budget {CALL_BUDGET}): the small-message path grew a layer\n"
+        + _largest_rows(table, APP_MSGS))
+
+
+def test_observed_message_call_budget(monkeypatch):
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    calls, res, table = _repro_calls(_run_observed)
+    assert res.stats["delivered"] >= APP_MSGS
+    per_msg = calls / APP_MSGS
+    assert per_msg <= OBSERVED_CALL_BUDGET, (
+        f"{per_msg:.1f} Python calls per observed 256 B message "
+        f"(budget {OBSERVED_CALL_BUDGET}): an observer hook grew a frame\n"
         + _largest_rows(table, APP_MSGS))
 
 
