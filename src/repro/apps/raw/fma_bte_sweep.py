@@ -12,7 +12,6 @@ from repro.hardware.config import MachineConfig
 from repro.hardware.machine import Machine
 from repro.hardware.nic import TransferKind
 from repro.ugni.api import GniJob
-from repro.ugni.cq import CompletionQueue
 from repro.ugni.rdma import PostDescriptor
 from repro.ugni.types import PostType
 
@@ -43,11 +42,10 @@ def fma_bte_latency(kind: str, size: int,
             transfer_kind, m.nodes[1].coord, size,
             on_remote_data=done.append, at=0.0)
     else:
-        # latency = data landing locally (local CQ event)
-        cq = CompletionQueue(m.engine)
+        # latency = data landing locally (the local completion)
+        gni.rdma.on_complete = lambda desc, t, failed: done.append(t)
         desc = PostDescriptor(post_type, local_mem=h0, remote_mem=h1,
-                              length=size, src_cq=cq)
-        cq.on_event = lambda q: done.append(q.get_event().time)
+                              length=size)
         gni.rdma.post(0, desc, fma=fma, at=0.0)
     m.engine.run()
     assert done, f"{kind} transfer never completed"

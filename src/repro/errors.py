@@ -69,9 +69,10 @@ class UgniTransactionError(UgniError):
     Real Gemini surfaces network-level failures — adaptive-routing link
     faults, CRC errors, dead peers — as error completions on the
     initiator's CQ.  The fault-injection subsystem (:mod:`repro.faults`)
-    produces the same ``CqEventKind.ERROR`` events; this exception is
-    raised when such an event reaches a layer with no recovery machinery
-    enabled (see ``UgniLayerConfig.reliability``).
+    produces the same failed completions (``RdmaEngine.on_complete`` with
+    ``failed=True``); this exception is raised when one reaches a layer
+    with no recovery machinery enabled (see
+    ``UgniLayerConfig.reliability``).
     """
 
     rc = "GNI_RC_TRANSACTION_ERROR"

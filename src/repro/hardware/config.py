@@ -119,9 +119,8 @@ class MachineConfig:
     msgq_node_bytes: int = 2 * MB
 
     # ------------------------------------------------------------------ #
-    # Completion queues
+    # Completion events
     # ------------------------------------------------------------------ #
-    cq_poll_cpu: float = 0.08 * us
     cq_event_cpu: float = 0.05 * us
 
     # ------------------------------------------------------------------ #

@@ -32,7 +32,6 @@ from repro.lrts.ugni_layer.reliability import ReliabilityMixin, _RelPacket
 from repro.memory.mempool import MemoryPool
 from repro.memory.pxshm import PxshmFabric
 from repro.ugni.api import GniJob
-from repro.ugni.cq import CompletionQueue
 
 
 class UgniMachineLayer(ReliabilityMixin, ProtocolCore, IntranodeMixin,
@@ -58,15 +57,16 @@ class UgniMachineLayer(ReliabilityMixin, ProtocolCore, IntranodeMixin,
         #: fixed for the life of the job; chasing ``self.gni.smsg...`` per
         #: message costs two attribute loads per send)
         self._smsg = self.gni.smsg
-        # every SMSG arrival feeds its receiver's scheduler
+        # every SMSG and MSGQ arrival feeds its receiver's scheduler, every
+        # FMA/BTE completion its poster's protocol step
         self._smsg.on_rx = self._on_smsg_rx
+        self.gni.msgq.on_rx = self._on_msgq_rx
+        self.gni.rdma.on_complete = self._on_post_complete
         self._small_cutoff = self._small_max()
         self._pools: dict[int, MemoryPool] = {}
-        #: sends blocked on SMSG credits, per (src_rank, dst_rank)
+        #: sends blocked on SMSG credits or a full MSGQ node queue, per
+        #: (src_rank, dst_rank): ``(fabric, tag, nbytes, payload)``
         self._pending: dict[tuple[int, int], deque] = {}
-        #: the one post (TX completion) CQ of each PE, created on first post
-        self._post_cqs: dict[int, CompletionQueue] = {}
-        self._hooked_msgq_nodes: set[int] = set()
         # counters
         self.small_sent = 0
         self.rendezvous_sent = 0
@@ -109,7 +109,7 @@ class UgniMachineLayer(ReliabilityMixin, ProtocolCore, IntranodeMixin,
             if q:
                 san.report(
                     "undelivered-message", f"layer.pending[{src}->{dst}]",
-                    f"{len(q)} send(s) still waiting for SMSG credits")
+                    f"{len(q)} send(s) still waiting for fabric space")
         self._scan_intranode(san)
         self._scan_persistent(san)
         for pool in self._pools.values():
@@ -216,9 +216,23 @@ class UgniMachineLayer(ReliabilityMixin, ProtocolCore, IntranodeMixin,
     # ------------------------------------------------------------------ #
     def _send_msgq(self, src_pe: PE, dst_rank: int, msg: Message,
                    total: int) -> None:
-        self._ensure_msgq_hooked(dst_rank)
-        cpu = self.gni.msgq.send(src_pe.rank, dst_rank, CHARM_SMALL_TAG,
-                                 total, payload=msg, at=src_pe.vtime)
+        """A small message through MSGQ.  A full node queue
+        (``GNI_RC_NOT_DONE``) parks it, FIFO per connection, behind the
+        same retry as an SMSG credit stall."""
+        msgq = self.gni.msgq
+        item = (msgq, CHARM_SMALL_TAG, total, msg)
+        key = (src_pe.rank, dst_rank)
+        q = self._pending.get(key)
+        if q:
+            q.append(item)
+            return
+        try:
+            cpu = msgq.send(src_pe.rank, dst_rank, CHARM_SMALL_TAG, total,
+                            payload=msg, at=src_pe.vtime)
+        except UgniNoSpace:
+            self._pending[key] = deque((item,))
+            self._schedule_flush(src_pe.rank, dst_rank, src_pe.vtime)
+            return
         src_pe.charge(cpu, "overhead")
 
     def _control(self, pe: PE, dst_rank: int, step: str, state: Any) -> None:
@@ -245,7 +259,7 @@ class UgniMachineLayer(ReliabilityMixin, ProtocolCore, IntranodeMixin,
                 if obs is not None:
                     obs.on_credit_stall(pe.rank, dst_rank, nbytes,
                                         self.machine.engine.now)
-                q.append((tag, nbytes, payload))
+                q.append((self._smsg, tag, nbytes, payload))
                 return
         start = pe.vtime
         try:
@@ -255,7 +269,7 @@ class UgniMachineLayer(ReliabilityMixin, ProtocolCore, IntranodeMixin,
             if obs is not None:
                 obs.on_credit_stall(pe.rank, dst_rank, nbytes, self.machine.engine.now)
             q = pending.setdefault((pe.rank, dst_rank), deque())
-            q.append((tag, nbytes, payload))
+            q.append((self._smsg, tag, nbytes, payload))
             self._schedule_flush(pe.rank, dst_rank, start)
             return
         # pe.charge(cpu, "overhead"), inlined
@@ -280,10 +294,10 @@ class UgniMachineLayer(ReliabilityMixin, ProtocolCore, IntranodeMixin,
             self._pending.pop(key, None)
             return
         while q:
-            tag, nbytes, payload = q[0]
+            fabric, tag, nbytes, payload = q[0]
             try:
-                cpu = self._smsg.send(pe.rank, dst_rank, tag, nbytes,
-                                      payload=payload, at=pe.vtime)
+                cpu = fabric.send(pe.rank, dst_rank, tag, nbytes,
+                                  payload=payload, at=pe.vtime)
             except UgniNoSpace:
                 self._schedule_flush(pe.rank, dst_rank, pe.vtime)
                 return
@@ -315,19 +329,12 @@ class UgniMachineLayer(ReliabilityMixin, ProtocolCore, IntranodeMixin,
                               payload=(step, payload))
         self._pes[rank].enqueue(payload, recv_cpu)
 
-    def _ensure_msgq_hooked(self, rank: int) -> None:
-        node = self.machine.node_of_pe(rank)
-        if node.node_id in self._hooked_msgq_nodes:
-            return
-        self._hooked_msgq_nodes.add(node.node_id)
-        cq = self.gni.msgq.rx_cq(node.node_id)
-        cq.on_event = lambda _cq, nid=node.node_id: self._on_msgq_event(nid)
-
-    def _on_msgq_event(self, node_id: int) -> None:
-        msg, recv_cpu = self.gni.msgq.get_next(node_id)
-        assert msg is not None
+    def _on_msgq_rx(self, msgq_msg) -> None:
+        """Consume one MSGQ arrival and enqueue its application message
+        on its receiver."""
+        recv_cpu = self.gni.msgq.consume(msgq_msg)
         self.delivered += 1
-        self.conv.pes[msg.dst_pe].enqueue(msg.payload, recv_cpu)
+        self._pes[msgq_msg.dst_pe].enqueue(msgq_msg.payload, recv_cpu)
 
     # ------------------------------------------------------------------ #
     # Diagnostics
@@ -363,6 +370,5 @@ class UgniMachineLayer(ReliabilityMixin, ProtocolCore, IntranodeMixin,
 
     def first_touch(self) -> dict[str, int]:
         return {"smsg_connections": len(self._smsg._conn),
-                "post_cqs": len(self._post_cqs),
                 "pools": len(self._pools),
                 "registration_tables": len(self.gni.registrations)}

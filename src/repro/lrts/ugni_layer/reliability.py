@@ -15,10 +15,10 @@ module loaded.  Three mechanisms:
   ``UgniLayerConfig.max_retries`` attempts the packet is abandoned and
   counted in ``rel_failed``.
 * **FMA/BTE post retry** — :meth:`_post` (the protocol core's ``post``
-  verb) completes every rendezvous / persistent post through the PE's one
-  post CQ: an ``ERROR`` completion (fault-injected transaction error)
-  re-posts the descriptor after backoff (the ``repost`` step) instead of
-  crashing the run.
+  verb) completes every rendezvous / persistent post through the rdma
+  engine's one consumer, :meth:`_on_post_complete`: a failed completion
+  (fault-injected transaction error) re-posts the descriptor after
+  backoff (the ``repost`` step) instead of crashing the run.
 * **Persistent-channel re-arm** — a failed persistent PUT may leave the
   pinned send window in an undefined state, so the retry first
   deregisters and re-registers the source buffer
@@ -43,8 +43,6 @@ from repro.lrts.messages import (
     TAG_STEPS,
 )
 from repro.lrts.ugni_layer.config import REL_WINDOW_CAP
-from repro.ugni.cq import CompletionQueue
-from repro.ugni.types import CqEventKind
 
 
 @dataclass
@@ -237,15 +235,15 @@ class ReliabilityMixin:
     def _post(self, pe: PE, desc, done_step: str, failed_step: str,
               state: Any, rearm: Any = None) -> None:
         """Fabric port: post ``desc``; ``done_step`` runs on ``pe`` when its
-        local completion arrives on the PE's post CQ.
+        local completion arrives.
 
         The continuation rides in ``desc.context`` as ``(pe, done_step,
-        failed_step, state, rearm, attempts)`` and the CQ hands the
-        descriptor back with the event (``GNI_GetCompleted``), so a post
-        allocates no CQ and no closure, and nothing it leaves behind
-        points back at the descriptor (DESIGN §16).
+        failed_step, state, rearm, attempts)`` and the rdma engine hands
+        the descriptor back to :meth:`_on_post_complete`
+        (``GNI_GetCompleted``), so a post allocates no closure, and nothing
+        it leaves behind points back at the descriptor (DESIGN §16).
 
-        An ``ERROR`` completion (fault-injected transaction failure) raises
+        A failed completion (fault-injected transaction error) raises
         :class:`UgniTransactionError` without reliability — the documented
         behaviour of a layer running without recovery enabled.  With it,
         each error re-posts after backoff, first re-registering the send
@@ -255,27 +253,19 @@ class ReliabilityMixin:
         When retries are exhausted the post is abandoned: ``post_failures``
         is bumped, the loss is traced (``post_give_up``, then the failed
         step's own name) and ``failed_step`` runs in PE scheduler context —
-        it charges time and sends control messages, so not in the CQ
-        callback — to release buffers and notify the peer instead of
-        leaking a waiter that never completes.
+        it charges time and sends control messages, so not in the
+        completion callback — to release buffers and notify the peer
+        instead of leaking a waiter that never completes.
         """
-        cq = self._post_cqs.get(pe.rank)
-        if cq is None:
-            # one TX completion queue per PE, like the real layer's
-            # post_tx_cqh; drained on every push, so it never fills
-            cq = self._post_cqs[pe.rank] = CompletionQueue(
-                self.machine.engine, name="post")
-            cq.on_event = self._on_post_event
-        desc.src_cq = cq
         desc.context = (pe, done_step, failed_step, state, rearm, 0)
         cpu = self.gni.rdma.post_best(pe.node.node_id, desc, at=pe.vtime)
         pe.charge(cpu, "overhead")
 
-    def _on_post_event(self, cq: CompletionQueue) -> None:
-        entry = cq.get_event()
-        desc = entry.data
+    def _on_post_complete(self, desc, t: float, failed: bool) -> None:
+        """The rdma engine's one consumer: a completed post's continuation
+        runs on its PE; a failed one is retried or given up."""
         pe, done_step, failed_step, state, rearm, attempts = desc.context
-        if entry.kind is not CqEventKind.ERROR:
+        if not failed:
             self._self_step(pe, done_step, state)
             return
         if not self._rel_on:

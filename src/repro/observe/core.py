@@ -317,14 +317,18 @@ class Observer:
         counters["tx/bytes"] = counters.get("tx/bytes", 0) + nbytes
 
     def on_arrive(self, payload: Any, where: Any, time: float) -> None:
-        """An arrival landed: an SMSG in its receiver's mailbox, or a
-        completion on a CQ (``where`` names the mailbox or the CQ)."""
+        """An arrival landed, just before its fabric's consumer takes it:
+        an SMSG in its receiver's mailbox (``where`` is ``smsg_rx[pe]``),
+        an MSGQ message in its node's queue (``msgq_rx[n<node>]``) or an
+        FMA/BTE local completion (``post``)."""
         tid = getattr(payload, "trace_id", None)
         if tid is None:
             tid = getattr(getattr(payload, "payload", None), "trace_id", None)
         self.tracer.row(self.trace_id_of(payload) if tid is None else tid,
                         ARRIVE, time, where)
         counters = self._counters
+        # named for the completion queue these arrivals once went through:
+        # the name is in the committed metrics digests
         counters["cq/pushed"] = counters.get("cq/pushed", 0) + 1
 
     def on_net_transfer(self, src: Any, dst: Any, nbytes: int,

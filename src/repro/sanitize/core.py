@@ -6,8 +6,8 @@ buffers between runtime layers, which is exactly where RDMA runtimes
 historically accumulate silent lifecycle bugs (Wyckoff & Wu's
 registration-cache pitfalls; the uDREG hazards Pritchard et al. catalogue).
 This module is the ASan/leak-detector analogue for our simulation: it
-shadows every registered memory region, pool block, SMSG mailbox credit,
-rendezvous-capable RDMA transaction and CQ entry from creation to
+shadows every registered memory region, pool block, SMSG message and its
+mailbox credit, and rendezvous-capable RDMA transaction from creation to
 retirement, and reports violations with virtual-time provenance.
 
 Design rules:
@@ -40,8 +40,9 @@ Violation classes (``Violation.kind``):
     SMSG mailbox credit held by a connection that the shadow's
     sent/consumed/dropped accounting cannot explain at quiescence;
 ``undelivered-message``
-    a message sent but neither consumed, dropped, nor still sitting in
-    its receive CQ once the event heap drains;
+    an SMSG sent but neither consumed nor dropped once the event heap
+    drains (it never arrived, or its consumer did not consume it), or an
+    FMA/BTE post that never completed;
 ``pinned-eviction``
     a registration-cache entry dropped (or about to be) while pins mark
     it in use by an in-flight transaction;
@@ -249,8 +250,6 @@ class Sanitizer:
         self._msgs: dict[int, _Msg] = {}
         #: SMSG fabrics whose credit books we audit at quiescence
         self._fabrics: list[Any] = []
-        #: id(cq) -> CQ object, only while it holds entries
-        self._cqs: dict[int, Any] = {}
         #: id(buf) -> live device-buffer shadow
         self._dev: dict[int, _Dev] = {}
         #: id(buf) -> retired device-buffer shadow (use-after-free provenance)
@@ -268,8 +267,6 @@ class Sanitizer:
         self.txs_retired = 0
         self.msgs_sent = 0
         self.msgs_resolved = 0
-        self.cq_pushed = 0
-        self.cq_popped = 0
         self.dev_allocs = 0
         self.dev_frees = 0
         self.copies_posted = 0
@@ -442,16 +439,6 @@ class Sanitizer:
         if self._msgs.pop(id(msg), None) is not None:
             self.msgs_resolved += 1
 
-    # -- CQ entries --------------------------------------------------------
-    def on_cq_push(self, cq: Any) -> None:
-        self.cq_pushed += 1
-        self._cqs[id(cq)] = cq
-
-    def on_cq_pop(self, cq: Any) -> None:
-        self.cq_popped += 1
-        if not len(cq):
-            self._cqs.pop(id(cq), None)
-
     # -- device buffers and copy-engine credits ----------------------------
     @staticmethod
     def _dev_name(shadow: "_Dev") -> str:
@@ -512,31 +499,20 @@ class Sanitizer:
         self._quiescence_checks.append(fn)
 
     # -- drain / teardown checks -------------------------------------------
-    def _entry_still_queued(self, msg: Any) -> bool:
-        """Is ``msg`` still in its receiver's mailbox, unpolled?"""
-        for fabric in self._fabrics:
-            if any(m is msg for m in fabric._mailboxes.get(msg.dst_pe, ())):
-                return True
-        return False
-
     def on_engine_drained(self, now: float) -> None:
         """Conservation checks at quiescence (the event heap is empty).
 
-        A message sitting unconsumed in its mailbox is *not* flagged
-        here — raw-fabric users legitimately poll after ``run()`` — but a
-        message that neither resolved nor remains anywhere is lost.
+        Every SMSG sent must be consumed or dropped by now: its arrival
+        went to the fabric's consumer, so one still outstanding is lost.
         """
         for shadow in self._msgs.values():
             msg = shadow.msg
-            if shadow.arrived and self._entry_still_queued(msg):
-                continue
             self.report(
                 "undelivered-message",
                 f"smsg[{msg.src_pe}->{msg.dst_pe}]",
                 f"tag={msg.tag} nbytes={msg.nbytes} sent at "
                 f"t={shadow.sent_at:.9f} "
-                + ("arrived but vanished from its mailbox without "
-                   "GNI_SmsgGetNextWTag" if shadow.arrived
+                + ("arrived but was never consumed" if shadow.arrived
                    else "never arrived and was never dropped"))
         self._check_credit_books()
         for tx in self._txs.values():
@@ -593,21 +569,8 @@ class Sanitizer:
 
     def check_teardown(self) -> list[Violation]:
         """Full end-of-run audit: quiescence conservation + leak checks."""
-        from repro.ugni.types import CqEventKind  # local: avoid import cycle
         self.on_engine_drained(self._eng.now)
         self.leak_check()
-        for cq in self._cqs.values():
-            for entry in cq._entries:
-                if entry.kind is CqEventKind.ERROR:
-                    continue
-                shadow = (self._msgs.get(id(entry.data))
-                          if entry.data is not None else None)
-                if shadow is not None:
-                    continue  # already reported through the message books
-                self.report(
-                    "undelivered-message", cq.name,
-                    f"{entry.kind.name} entry from t={entry.time:.9f} "
-                    f"still queued at teardown")
         return self.violations
 
     # -- introspection -----------------------------------------------------
@@ -621,8 +584,6 @@ class Sanitizer:
             "txs_retired": self.txs_retired,
             "msgs_sent": self.msgs_sent,
             "msgs_resolved": self.msgs_resolved,
-            "cq_pushed": self.cq_pushed,
-            "cq_popped": self.cq_popped,
             "dev_allocs": self.dev_allocs,
             "dev_frees": self.dev_frees,
             "copies_posted": self.copies_posted,

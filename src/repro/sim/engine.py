@@ -203,9 +203,6 @@ class Engine:
         self._gc_runs = 0
         self._gc_paused = 0
         self._gc_passes = [0, 0, 0]
-        #: completion queues created on this engine without a name; the
-        #: next one is ``cq<unnamed_cqs>``
-        self.unnamed_cqs = 0
 
     # -- clock -------------------------------------------------------------
     @property

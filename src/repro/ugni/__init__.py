@@ -3,8 +3,6 @@
 This is the API surface the paper's machine layer is written against
 (paper §II.B), reproduced over the simulated Gemini NIC:
 
-* :class:`~repro.ugni.cq.CompletionQueue` — ``GNI_CqCreate`` /
-  ``GNI_CqGetEvent`` event notification.
 * :class:`~repro.ugni.memreg.RegistrationTable` — ``GNI_MemRegister`` /
   ``GNI_MemDeregister`` with real cost accounting (the expense the memory
   pool optimization removes).
@@ -19,22 +17,26 @@ This is the API surface the paper's machine layer is written against
   the fabrics above for one job, used by the machine layer and the "pure
   uGNI" reference benchmarks.
 
+No completion queue is modelled and nothing polls.  What the real
+progress engine finds with ``GNI_CqGetEvent`` or in a mailbox goes
+straight to its fabric's one consumer, set once by its owner:
+``smsg.on_rx(msg)`` and ``msgq.on_rx(msg)``, which call ``consume`` for
+the receive CPU, and ``rdma.on_complete(desc, t, failed)``, whose
+consumer charges ``cq_event_cpu`` itself.  An arrival or completion with
+no consumer set is a :class:`~repro.errors.SimulationError`.
+
 CPU-time convention: every call that a real PE would burn cycles in returns
 the number of seconds the caller must charge to its PE.  The uGNI layer
 never charges PEs itself — it does not know who is calling.
 """
 
-from repro.ugni.cq import CompletionQueue, CqEntry
 from repro.ugni.memreg import MemHandle, RegistrationTable
 from repro.ugni.msgq import MsgqFabric
 from repro.ugni.rdma import PostDescriptor, RdmaEngine
 from repro.ugni.smsg import SmsgFabric, SmsgMessage
-from repro.ugni.types import CqEventKind, PostType
+from repro.ugni.types import PostType
 
 __all__ = [
-    "CompletionQueue",
-    "CqEntry",
-    "CqEventKind",
     "MemHandle",
     "MsgqFabric",
     "PostDescriptor",

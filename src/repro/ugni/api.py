@@ -6,10 +6,10 @@ node in the job.  The raw-uGNI reference benchmarks (paper Figs. 1, 4, 6,
 9a) and the uGNI machine layer are both written against this object.
 
 The fabrics are its attributes (``smsg``, ``msgq``, ``rdma``,
-``registrations``); completion queues are
-:class:`~repro.ugni.cq.CompletionQueue` objects on the machine's engine.
-Memory registration keeps its ``GNI_MemRegister`` / ``GNI_MemDeregister``
-names.
+``registrations``).  Each fabric has one consumer of its arrivals or
+completions (``on_rx`` / ``on_complete``), which the job's user sets
+before the first send.  Memory registration keeps its
+``GNI_MemRegister`` / ``GNI_MemDeregister`` names.
 """
 
 from __future__ import annotations

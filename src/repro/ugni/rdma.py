@@ -3,9 +3,11 @@
 A :class:`PostDescriptor` names registered memory on both sides (exactly
 the information the paper's rendezvous control message carries: "memory
 address, memory handler and size", §III.C).  The engine validates both
-registrations, hands the transfer to the right NIC unit, and pushes one
-completion event: a ``POST_DONE`` entry on the initiator's source CQ when
-the transaction completes locally.  The target sees **no** event — for a
+registrations, hands the transfer to the right NIC unit, and reports one
+completion when the transaction completes locally: the engine's one
+consumer, :attr:`RdmaEngine.on_complete`, gets the descriptor back (the
+``GNI_CqGetEvent`` + ``GNI_GetCompleted`` pair), with ``failed`` set for
+a fault-injected transaction error.  The target sees **no** event — for a
 GET, the uGNI property that forces the paper's ACK_TAG message.
 
 Completions are bound methods plus arguments handed to the NIC, never
@@ -17,15 +19,14 @@ descriptor, so a completed descriptor is freed by reference counting
 from __future__ import annotations
 
 import itertools
-from typing import Optional
+from typing import Callable, Optional
 
-from repro.errors import UgniInvalidParam
+from repro.errors import SimulationError, UgniInvalidParam
 from repro.faults.injector import RDMA_ERROR_PROGRESS
 from repro.hardware.machine import Machine
 from repro.hardware.nic import TransferKind
-from repro.ugni.cq import CompletionQueue, CqEntry
 from repro.ugni.memreg import MemHandle, RegistrationTable
-from repro.ugni.types import CqEventKind, PostType
+from repro.ugni.types import PostType
 
 _desc_ids = itertools.count()
 
@@ -34,13 +35,12 @@ class PostDescriptor:
     """Everything GNI needs to execute one FMA/BTE transaction."""
 
     __slots__ = ("post_type", "local_mem", "remote_mem", "length",
-                 "local_addr", "remote_addr", "src_cq", "context", "id")
+                 "local_addr", "remote_addr", "context", "id")
 
     def __init__(self, post_type: PostType, local_mem: MemHandle,
                  remote_mem: MemHandle, length: int,
                  local_addr: Optional[int] = None,
-                 remote_addr: Optional[int] = None,
-                 src_cq: Optional[CompletionQueue] = None):
+                 remote_addr: Optional[int] = None):
         self.id = next(_desc_ids)
         if length <= 0:
             raise UgniInvalidParam(f"post length must be positive, got {length}")
@@ -51,11 +51,9 @@ class PostDescriptor:
         #: both addresses default to the region start
         self.local_addr = local_mem.addr if local_addr is None else local_addr
         self.remote_addr = remote_mem.addr if remote_addr is None else remote_addr
-        #: CQ for the local POST_DONE event
-        self.src_cq = src_cq
         #: opaque poster context, set by the poster and handed back with
-        #: the completion event's descriptor (``GNI_GetCompleted``); must
-        #: not refer to the descriptor itself
+        #: the descriptor at completion (``GNI_GetCompleted``); must not
+        #: refer to the descriptor itself
         self.context = None
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -71,9 +69,10 @@ class RdmaEngine:
         self.machine = machine
         #: node_id -> registration table (owned by the NIC handle layer)
         self.registrations = registrations
-        self.posts_completed = 0
-        #: posts that ended in a fault-injected ``ERROR`` completion
-        self.posts_failed = 0
+        #: the one consumer of every local completion, ``(desc, t,
+        #: failed)``: set once by its owner; the default refuses it
+        self.on_complete: Callable[[PostDescriptor, float, bool], None] = (
+            self._unconsumed)
 
     def _validate(self, desc: PostDescriptor, initiator_node: int,
                   length: int) -> None:
@@ -117,37 +116,41 @@ class RdmaEngine:
         token = (san.on_rdma_post(desc, initiator_node)
                  if san is not None else None)
         if peer.node_id == node.node_id:
-            # local post: loopback path, still generates a local CQ event
+            # local post: loopback path, still a local completion
             return node.nic.loopback_send(
-                desc.length, self._complete, desc, CqEventKind.POST_DONE,
-                token, at=at)
+                desc.length, self._complete, desc, False, token, at=at)
         return node.nic.post_transfer(
             kind, peer.coord, desc.length,
-            on_local_cq=self._complete,
-            local_args=(desc, CqEventKind.POST_DONE, token), at=at)
+            on_local_cq=self._complete, local_args=(desc, False, token),
+            at=at)
 
     # -- completions (engine context; bound methods, never closures) ----------
-    def _complete(self, t: float, desc: PostDescriptor, kind: CqEventKind,
+    def _complete(self, t: float, desc: PostDescriptor, failed: bool,
                   token: Optional[int]) -> None:
-        """Local completion: retire the sanitizer's shadow transaction and
-        push ``kind`` (``POST_DONE`` / ``ERROR``) on the source CQ."""
+        """Local completion: retire the sanitizer's shadow transaction,
+        mark the arrival for the observer, then hand the descriptor to
+        the consumer."""
+        machine = self.machine
         if token is not None:
-            self.machine.sanitizer.on_rdma_retire(token, t)
-        if kind is CqEventKind.POST_DONE:
-            self.posts_completed += 1
-        cq = desc.src_cq
-        if cq is not None:
-            cq.push(CqEntry(kind, t, desc.id, desc, desc.local_mem.node_id))
+            machine.sanitizer.on_rdma_retire(token, t)
+        obs = machine.observer
+        if obs is not None:
+            obs.on_arrive(desc, "post", t)
+        self.on_complete(desc, t, failed)
+
+    def _unconsumed(self, desc: PostDescriptor, t: float,
+                    failed: bool) -> None:
+        raise SimulationError(
+            f"post {desc.id} completed at t={t!r} and nothing consumes it "
+            f"(set RdmaEngine.on_complete)")
 
     def _post_failed(self, node, peer, desc: PostDescriptor, kind,
                      at: Optional[float]) -> float:
         """Fault-injected transaction: error completion instead of data."""
-        self.posts_failed += 1
         san = self.machine.sanitizer
         token = san.on_rdma_post(desc, node.node_id) if san is not None else None
         return node.nic.failed_transfer(
-            kind, peer.coord, desc.length, self._complete,
-            desc, CqEventKind.ERROR, token,
+            kind, peer.coord, desc.length, self._complete, desc, True, token,
             frac=RDMA_ERROR_PROGRESS, at=at)
 
     def post_best(self, initiator_node: int, desc: PostDescriptor,

@@ -14,21 +14,20 @@ send with insufficient credit fails with ``GNI_RC_NOT_DONE`` and the
 caller must retry after draining — the machine layer keeps a pending queue
 for exactly this.
 
-Receive: the message itself is the arrival (the receiver finds it in its
-mailbox; no completion event is made per message).  A landed message goes
-to the fabric's one consumer, :attr:`SmsgFabric.on_rx`: a machine layer
-consumes it on the spot; with nothing hooked it waits in the receiving
-PE's mailbox, credit held, until :meth:`SmsgFabric.get_next` polls it.
+Receive: the message itself is the arrival (no completion event is made
+per message).  A landed message goes to the fabric's one consumer,
+:attr:`SmsgFabric.on_rx`, which takes it out of the mailbox with
+:meth:`SmsgFabric.consume`; an arrival with no consumer set is a
+:class:`~repro.errors.SimulationError`.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
 
-from repro.errors import UgniInvalidParam, UgniNoSpace
+from repro.errors import SimulationError, UgniInvalidParam, UgniNoSpace
 from repro.hardware.machine import Machine
 
 #: per-message mailbox header (sequence, tag, length fields)
@@ -37,7 +36,7 @@ SMSG_HEADER = 32
 
 @dataclass(slots=True)
 class SmsgMessage:
-    """One short message in flight or in a mailbox."""
+    """One short message in flight or landed, until it is consumed."""
 
     src_pe: int
     dst_pe: int
@@ -74,13 +73,10 @@ class SmsgFabric:
         self._conn: dict[int, int] = {}
         #: mailbox credit held per connection id (bytes)
         self._credits = array("q")
-        #: messages landed and not yet polled, per receiving PE (made on
-        #: its first arrival); only the default consumer fills them
-        self._mailboxes: dict[int, deque[SmsgMessage]] = {}
-        #: the one consumer of every arrival, called with the message: a
-        #: machine layer sets it and calls :meth:`consume` itself; the
-        #: default leaves the message in its receiver's mailbox
-        self.on_rx: Callable[[SmsgMessage], None] = self._to_mailbox
+        #: the one consumer of every arrival, called with the message: its
+        #: owner sets it and calls :meth:`consume`; the default refuses an
+        #: arrival nobody takes
+        self.on_rx: Callable[[SmsgMessage], None] = self._unconsumed
         #: mailbox memory held per node id (bytes), for the footprint
         #: ablation
         self.mailbox_memory_per_node = array("q", bytes(8 * n_nodes))
@@ -227,13 +223,10 @@ class SmsgFabric:
             obs.on_arrive(msg, label, t)
         self.on_rx(msg)
 
-    def _to_mailbox(self, msg: SmsgMessage) -> None:
-        """The default consumer: leave the message, credit held, for
-        :meth:`get_next`."""
-        box = self._mailboxes.get(msg.dst_pe)
-        if box is None:
-            box = self._mailboxes[msg.dst_pe] = deque()
-        box.append(msg)
+    def _unconsumed(self, msg: SmsgMessage) -> None:
+        raise SimulationError(
+            f"SMSG {msg.src_pe}->{msg.dst_pe} arrived and nothing consumes "
+            f"it (set SmsgFabric.on_rx)")
 
     def _release_credit(self, msg: SmsgMessage) -> None:
         credits = self._credits
@@ -262,20 +255,6 @@ class SmsgFabric:
         # smsg_recv_cpu + cfg.t_memcpy(nbytes), the copy-out inlined
         return cfg.smsg_recv_cpu + (cfg.memcpy_base
                                     + msg.nbytes / cfg.memcpy_bandwidth)
-
-    def get_next(self, pe: int) -> tuple[Optional[SmsgMessage], float]:
-        """``GNI_SmsgGetNextWTag``: ``(message_or_None, consumer_cpu)``.
-
-        Takes the oldest message out of ``pe``'s mailbox (FIFO per
-        connection) and consumes it (:meth:`consume`); an empty mailbox
-        costs one poll.  Only messages the default consumer kept are there.
-        """
-        self.machine.node_of_pe(pe)   # a PE off the machine raises
-        box = self._mailboxes.get(pe)
-        if not box:
-            return None, self.config.cq_poll_cpu
-        msg = box.popleft()
-        return msg, self.consume(msg)
 
     # -- introspection ---------------------------------------------------------
     def in_flight(self) -> int:

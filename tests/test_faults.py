@@ -13,8 +13,6 @@ from repro.hardware import Machine
 from repro.hardware.config import tiny as tiny_config
 from repro.lrts.factory import make_runtime
 from repro.lrts.ugni_layer import UgniLayerConfig
-from repro.ugni.cq import CompletionQueue, CqEntry
-from repro.ugni.types import CqEventKind
 from repro.units import KB
 
 
@@ -35,26 +33,6 @@ class TestErrorHierarchy:
     def test_transaction_error_rc(self):
         assert issubclass(UgniTransactionError, UgniError)
         assert UgniTransactionError.rc == "GNI_RC_TRANSACTION_ERROR"
-
-
-class TestCqOverrun:
-    def _fill(self, cq, n):
-        for i in range(n):
-            cq.push(CqEntry(CqEventKind.POST_DONE, 0.0, tag=i))
-
-    def test_overrun_counter_and_error_events_agree(self):
-        m = make_machine()
-        cq = CompletionQueue(m.engine, capacity=2)
-        self._fill(cq, 5)
-        assert cq.overruns == 3
-        # one explicit ERROR marker per overrun: counter and events agree
-        entries = [cq.get_event() for _ in range(len(cq))]
-        markers = [e for e in entries
-                   if e.kind is CqEventKind.ERROR and e.tag == "overrun"]
-        assert len(markers) == cq.overruns == cq.error_events
-        # no data event was dropped
-        data = [e for e in entries if e.kind is CqEventKind.POST_DONE]
-        assert [e.tag for e in data] == [0, 1, 2, 3, 4]
 
 
 class TestFaultConfig:

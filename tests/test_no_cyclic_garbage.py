@@ -1,7 +1,7 @@
 """No message path leaves work for the cyclic garbage collector.
 
 A message that builds a reference cycle — a closure whose cell holds the
-descriptor that holds the CQ that holds the closure — is freed only by a
+descriptor whose context holds the closure — is freed only by a
 collector pass, and the passes themselves cost more host time than the
 calls that built the cycle (DESIGN §16, "the large-message path").  Each
 scenario therefore runs twice with the collector off, at ``n`` and ``2n``
@@ -137,5 +137,4 @@ def test_large_message_steady_state_keeps_nothing(held_runtimes,
     tracked_after(1)
     assert tracked_after(8) == tracked_after(4)
     _, types = garbage_after(run, 4)
-    assert not {"CompletionQueue", "PostDescriptor", "function",
-                "cell"} & set(types), types
+    assert not {"PostDescriptor", "function", "cell"} & set(types), types

@@ -207,8 +207,8 @@ class TestCausalTracing:
 
     def test_arrive_rows_name_the_mailbox_or_the_cq(self, monkeypatch):
         """An SMSG arrival is labelled with its receiver's mailbox,
-        ``smsg_rx[{pe}]`` (one interned string a PE), a post-CQ completion
-        with its CQ, ``post``; each counts once in ``cq/pushed``."""
+        ``smsg_rx[{pe}]`` (one interned string a PE), an FMA/BTE completion
+        ``post``; each counts once in ``cq/pushed``."""
         calls = []
         live = Observer.on_arrive
 
@@ -297,8 +297,7 @@ class TestMetricsDeterminism:
         assert held["column_bytes"] > 0
         if layer == "ugni":
             # 4 KB kNeighbor on 3 cores: every PE receives, rendezvous
-            # pools and post CQs on every PE, tables where they registered
-            assert touched["post_cqs"] == 3
+            # pools on every PE, tables where they registered
             assert touched["smsg_connections"] == 6
             assert touched["pools"] == touched["registration_tables"] == 3
 

@@ -88,6 +88,8 @@ def test_smsg_credits_conserved(messages, seed):
 
     m = Machine(n_nodes=4, config=tiny_config(cores_per_node=1), seed=seed)
     job = GniJob(m)
+    landed = []
+    job.smsg.on_rx = landed.append   # consumed after the run
     sent = 0
     for src, dst, size in messages:
         if src == dst:
@@ -98,15 +100,11 @@ def test_smsg_credits_conserved(messages, seed):
         except (UgniNoSpace, UgniInvalidParam):
             pass
     m.engine.run()
-    # drain everything everywhere
-    drained = 0
-    for pe in range(4):
-        while True:
-            msg, _ = job.smsg.get_next(pe)
-            if msg is None:
-                break
-            drained += 1
-    assert drained == sent
+    assert len(landed) == sent
+    # every landed message holds its credit until consumed
+    assert job.smsg.credits_used() == sum(msg.credit for msg in landed)
+    for msg in landed:
+        job.smsg.consume(msg)
     assert job.smsg.in_flight() == 0
     # every connection's credits fully released
     assert job.smsg.credits_used() == 0

@@ -13,9 +13,9 @@ Regression tests for two silent-loss bugs:
 * ``_rel_seen`` grew a per-pair seen-set forever; it is now a cumulative
   watermark plus a bounded out-of-order window (:class:`_RelRx`).
 
-:class:`TestSharedPostCq` pins what moving from one CQ per post to one
-post CQ per PE must not change: posts outstanding together keep separate
-fates, because the continuation rides on each descriptor.
+:class:`TestSharedPostCq` pins what one completion consumer for the whole
+job must not change: posts outstanding together keep separate fates,
+because the continuation rides on each descriptor.
 """
 
 import pytest
@@ -164,8 +164,8 @@ class TestPostGiveUp:
 
 class TestSharedPostCq:
     """Two persistent PUTs outstanding from PE 0 — one to node 1, one to
-    node 2 — complete through PE 0's one post CQ; only posts to node 2 are
-    fault-injected."""
+    node 2 — complete through the rdma engine's one ``on_complete``; only
+    posts to node 2 are fault-injected."""
 
     def run(self, layer_config, node2_fails=lambda attempt: True,
             sanitize=False):
@@ -200,6 +200,12 @@ class TestSharedPostCq:
 
     def test_healthy_post_completes_once_failed_one_gives_up_alone(self):
         m, layer, delivered, handles, pinned = self.run(giveup_config("ugni"))
+        rdma = layer.gni.rdma
+        consume = rdma.on_complete
+        assert consume == layer._on_post_complete
+        fates = []
+        rdma.on_complete = lambda desc, t, failed: (
+            fates.append(failed), consume(desc, t, failed))
         m.engine.run(max_events=1_000_000)
         s = layer.stats()
         assert delivered == [2]  # the healthy send arrived, exactly once
@@ -213,10 +219,9 @@ class TestSharedPostCq:
         assert handles[2].impl.src_win[1] is pinned[2] and pinned[2].valid
         assert handles[4].impl.src_win[1] is not pinned[4]
         assert not pinned[4].valid
-        # all of it through one queue: 1 done + (BUDGET + 1) errors
-        (cq,) = layer._post_cqs.values()
-        assert cq.name == "post" and len(cq) == 0
-        assert (cq.total_events, cq.error_events) == (BUDGET + 2, BUDGET + 1)
+        # all of it through the engine's one on_complete: 1 done +
+        # (BUDGET + 1) failed
+        assert sorted(fates) == [False] + [True] * (BUDGET + 1)
         assert m.engine.peek() == float("inf")
 
     def test_retry_count_is_per_descriptor(self):

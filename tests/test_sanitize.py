@@ -167,10 +167,10 @@ class TestSeededViolations:
     @pytest.mark.sanitize_violations
     def test_credit_leak_at_quiescence(self):
         m, job = san_job()
+        job.smsg.on_rx = job.smsg.consume
         job.smsg.send(0, 1, 7, 128)
         m.engine.run()
-        msg, _ = job.smsg.get_next(1)
-        assert msg is not None
+        assert job.smsg.consumed == 1
         # credit held with nothing outstanding
         job.smsg._credits[job.smsg.connection(0, 1)] += 64
         m.engine.run()                # empty heap -> drain checks fire
@@ -185,22 +185,15 @@ class TestSeededViolations:
         m, job = san_job()
         taken = []
         # a consumer that takes the message without consuming it: it is
-        # now neither consumed, dropped, nor in its mailbox
+        # now neither consumed nor dropped
         job.smsg.on_rx = taken.append
         job.smsg.send(0, 1, 7, 128)
         m.engine.run()
         assert len(taken) == 1
-        assert "undelivered-message" in kinds(m)
-
-    def test_a_message_left_in_its_mailbox_is_not_flagged(self):
-        m, job = san_job()
-        job.smsg.send(0, 1, 7, 128)
-        m.engine.run()                # landed, never polled
-        assert m.sanitizer.violations == []
-        msg, _ = job.smsg.get_next(1)
-        assert msg is not None
-        m.engine.run()
-        assert m.sanitizer.violations == []
+        (lost,) = [v for v in m.sanitizer.violations
+                   if v.kind == "undelivered-message"]
+        assert lost.where == "smsg[0->1]"
+        assert "arrived but was never consumed" in lost.detail
 
     @pytest.mark.sanitize_violations
     def test_pinned_entry_invalidated_behind_cache(self):
@@ -215,11 +208,10 @@ class TestSeededViolations:
 
     def test_clean_raw_exchange_stays_clean(self):
         m, job = san_job()
+        job.smsg.on_rx = job.smsg.consume
         job.smsg.send(0, 1, 7, 256)
         m.engine.run()
-        msg, _ = job.smsg.get_next(1)
-        assert msg is not None
-        m.engine.run()
+        assert job.smsg.consumed == 1
         assert m.sanitizer.violations == []
         stats = m.sanitizer.stats()
         assert stats["msgs_sent"] == stats["msgs_resolved"] == 1

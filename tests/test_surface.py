@@ -152,8 +152,6 @@ KEEP_PARAMS = {
         "sizes: the window-audit tests vary the lookahead"),
     "repro.sim.engine.Engine.call_after_batch": (
         ("argss",), "the engine tests pass per-event arguments"),
-    "repro.ugni.cq.CompletionQueue": (
-        ("capacity",), "sizes: the overrun tests fill a small queue"),
 }
 
 def _checked(path: str, name: str) -> tuple[str, ...]:

@@ -1,8 +1,12 @@
-"""Tests for the simulated uGNI layer: CQs, registration, SMSG, MSGQ, RDMA."""
+"""Tests for the simulated uGNI layer: registration, SMSG, MSGQ, RDMA.
+
+Each test that runs a fabric owns its one consumer: it sets ``on_rx`` /
+``on_complete`` and calls ``consume`` itself."""
 
 import pytest
 
 from repro.errors import (
+    SimulationError,
     TopologyError,
     UgniInvalidParam,
     UgniNoSpace,
@@ -11,12 +15,11 @@ from repro.errors import (
 from repro.hardware import Machine
 from repro.hardware.config import tiny as tiny_config
 from repro.ugni import (
-    CqEventKind,
     PostDescriptor,
     PostType,
 )
 from repro.ugni.api import GniJob
-from repro.ugni.cq import CompletionQueue, CqEntry
+from repro.ugni.msgq import MSGQ_HEADER
 from repro.ugni.smsg import SMSG_HEADER
 from repro.units import KB, MB, us
 
@@ -26,77 +29,49 @@ def make_job(n_nodes=4, cores_per_node=2, seed=0):
     return m, GniJob(m)
 
 
-class TestCompletionQueue:
-    def test_fifo_order(self):
-        m, job = make_job()
-        cq = CompletionQueue(m.engine)
-        for i in range(3):
-            cq.push(CqEntry(CqEventKind.POST_DONE, float(i), tag=i))
-        assert [cq.get_event().tag for _ in range(3)] == [0, 1, 2]
+def consume_into(fabric):
+    """Own ``fabric``'s arrivals: consume each one on the spot and append
+    ``(msg, receive cpu)`` to the returned list."""
+    got = []
+    fabric.on_rx = lambda msg: got.append((msg, fabric.consume(msg)))
+    return got
 
-    def test_empty_returns_none(self):
-        m, job = make_job()
-        cq = CompletionQueue(m.engine)
-        assert cq.get_event() is None
 
-    def test_overrun_counted_not_dropped(self):
-        m, job = make_job()
-        cq = CompletionQueue(m.engine, capacity=2)
-        for i in range(3):
-            cq.push(CqEntry(CqEventKind.POST_DONE, 0.0, tag=i))
-        assert cq.overruns == 1
-        # the data event is kept AND an explicit ERROR marker is queued
-        assert len(cq) == 4
-        kinds = [cq.get_event().kind for _ in range(4)]
-        assert kinds.count(CqEventKind.ERROR) == 1
+def completions_into(job):
+    """Own ``job``'s FMA/BTE completions: ``(desc, t, failed)`` each."""
+    done = []
+    job.rdma.on_complete = lambda desc, t, failed: done.append(
+        (desc, t, failed))
+    return done
 
-    def test_on_event_hook_fires(self):
-        m, job = make_job()
-        cq = CompletionQueue(m.engine)
-        fired = []
-        cq.on_event = fired.append
-        cq.push(CqEntry(CqEventKind.POST_DONE, 0.0))
-        assert fired == [cq]
 
-    def test_invalid_capacity(self):
-        m, job = make_job()
-        with pytest.raises(UgniInvalidParam):
-            CompletionQueue(m.engine, capacity=0)
+def _smsg_arrival(m, job):
+    job.smsg.send(0, 2, tag=0, nbytes=8)
 
-    def test_at_capacity_fifo_with_markers_behind_their_entry(self):
-        m, job = make_job()
-        cq = CompletionQueue(m.engine, capacity=3)
-        assert cq.peek() is None and len(cq) == 0
-        for i in range(5):
-            cq.push(CqEntry(CqEventKind.POST_DONE, float(i), tag=i, source=7))
-            assert cq.peek().tag == 0
-        # entries 3 and 4 found the queue full: each is kept, in order,
-        # with its overrun marker queued right behind it
-        assert len(cq) == 7 and cq.overruns == cq.error_events == 2
-        drained = []
-        while cq:
-            head = cq.peek()
-            assert cq.get_event() is head
-            drained.append(head)
-        assert [e.tag for e in drained] == [0, 1, 2, 3, "overrun", 4, "overrun"]
-        for marker, entry in ((drained[4], drained[3]), (drained[6], drained[5])):
-            assert marker.kind is CqEventKind.ERROR
-            assert marker.data is entry
-            assert (marker.time, marker.source) == (entry.time, 7)
-        assert cq.get_event() is None and cq.peek() is None
-        assert cq.total_events == 5
 
-    def test_unnamed_cqs_are_numbered_per_engine(self):
-        # two fresh engines in one process name their first unnamed CQ
-        # alike, whatever was created before (the name is the ``where`` of
-        # causal-trace arrive stages)
-        names = []
-        for _ in range(2):
-            m, job = make_job()
-            CompletionQueue(m.engine, name="named")
-            names.append([CompletionQueue(m.engine).name
-                          for _ in range(3)])
-        assert names[0] == names[1] == ["cq0", "cq1", "cq2"]
+def _msgq_arrival(m, job):
+    job.msgq.send(0, 2, tag=0, nbytes=8)
+
+
+def _rdma_completion(m, job):
+    lh, _ = job.MemRegister(m.nodes[0].memory.malloc(4 * KB))
+    rh, _ = job.MemRegister(m.nodes[1].memory.malloc(4 * KB))
+    job.rdma.post(0, PostDescriptor(PostType.PUT, local_mem=lh,
+                                    remote_mem=rh, length=4 * KB), fma=True)
+
+
+@pytest.mark.parametrize("start, consumer", [
+    (_smsg_arrival, "SmsgFabric.on_rx"),
+    (_msgq_arrival, "MsgqFabric.on_rx"),
+    (_rdma_completion, "RdmaEngine.on_complete"),
+], ids=["smsg", "msgq", "rdma"])
+def test_an_arrival_nobody_consumes_is_an_error(start, consumer):
+    """Every fabric hands each arrival or completion to its one consumer;
+    with none set the run stops, naming the attribute to set."""
+    m, job = make_job()
+    start(m, job)
+    with pytest.raises(SimulationError, match=consumer):
+        m.engine.run()
 
 
 class TestMemRegistration:
@@ -185,11 +160,12 @@ class TestMemRegistration:
 class TestSmsg:
     def test_delivery_and_payload(self):
         m, job = make_job()
+        got = consume_into(job.smsg)
         cpu = job.smsg.send(0, 2, tag=7, nbytes=88, payload={"hello": 1})
         assert cpu > 0
         m.engine.run()
-        msg, rcpu = job.smsg.get_next(2)
-        assert msg is not None
+        ((msg, rcpu),) = got
+        assert msg.dst_pe == 2
         assert msg.tag == 7 and msg.payload == {"hello": 1}
         assert msg.src_pe == 0
         assert rcpu > 0
@@ -225,7 +201,6 @@ class TestSmsg:
         # one callable takes every arrival, whichever PE receives it
         assert sorted(seen) == [(2, 5), (2, 7), (3, 6)]
         assert job.smsg.in_flight() == 0
-        assert job.smsg._mailboxes == {}
 
     def test_a_hooked_consumer_releases_credit_at_arrival(self):
         m, job = make_job()
@@ -244,42 +219,26 @@ class TestSmsg:
         assert held == [(100 + SMSG_HEADER, 0,
                          cfg.smsg_recv_cpu + cfg.t_memcpy(100))]
         assert job.smsg.consumed == 1 and job.smsg.in_flight() == 0
-        # nothing waits in a mailbox: a poll finds nothing, at a poll's cost
-        assert job.smsg.get_next(2) == (None, cfg.cq_poll_cpu)
 
-    def test_the_mailbox_holds_credit_until_get_next(self):
+    def test_a_message_holds_credit_until_consumed(self):
         m, job = make_job()
+        landed = []
+        job.smsg.on_rx = landed.append   # a consumer that consumes later
         for tag in range(3):
             job.smsg.send(0, 2, tag=tag, nbytes=16)
         job.smsg.send(1, 2, tag=9, nbytes=16)
         m.engine.run()
-        # landed, unpolled: every message still holds its credit
+        # landed, not consumed: every message still holds its credit
         assert job.smsg.credits_used() == 4 * (16 + SMSG_HEADER)
         assert job.smsg.consumed == 0 and job.smsg.in_flight() == 4
-        got = []
-        while True:
-            msg, _ = job.smsg.get_next(2)
-            if msg is None:
-                break
-            got.append((msg.src_pe, msg.tag))
-            assert job.smsg.credits_used() == (4 - len(got)) * (
-                16 + SMSG_HEADER)
+        for n, msg in enumerate(landed, 1):
+            job.smsg.consume(msg)
+            assert job.smsg.credits_used() == (4 - n) * (16 + SMSG_HEADER)
+        got = [(msg.src_pe, msg.tag) for msg in landed]
         # FIFO per connection
         assert [tag for src, tag in got if src == 0] == [0, 1, 2]
         assert sorted(got) == [(0, 0), (0, 1), (0, 2), (1, 9)]
         assert job.smsg.in_flight() == 0
-
-    def test_a_poll_of_a_pe_off_the_machine_is_refused(self):
-        m, job = make_job(n_nodes=2, cores_per_node=2)
-        job.smsg.send(0, 3, tag=1, nbytes=8)
-        m.engine.run()
-        for bad in (-1, m.n_pes, 99):
-            with pytest.raises(TopologyError):
-                job.smsg.get_next(bad)
-        # the refused polls took nothing: PE 3's message is still PE 3's
-        msg, _ = job.smsg.get_next(3)
-        assert msg is not None and msg.tag == 1
-        assert job.smsg.get_next(0) == (None, m.config.cq_poll_cpu)
 
     def test_a_negative_size_is_refused(self):
         m, job = make_job()
@@ -330,6 +289,7 @@ class TestSmsg:
 
     def test_credit_exhaustion_and_release(self):
         m, job = make_job()
+        got = consume_into(job.smsg)
         size = job.smsg.max_size
         sent = 0
         with pytest.raises(UgniNoSpace):
@@ -338,10 +298,8 @@ class TestSmsg:
                 sent += 1
         assert sent > 0
         m.engine.run()
-        # drain everything: credits release, sending works again
-        for _ in range(sent):
-            msg, _ = job.smsg.get_next(2)
-            assert msg is not None
+        # every arrival consumed: credits released, sending works again
+        assert len(got) == sent and job.smsg.credits_used() == 0
         job.smsg.send(0, 2, tag=0, nbytes=size)
 
     def test_mailbox_memory_grows_with_connections(self):
@@ -357,53 +315,43 @@ class TestSmsg:
 
     def test_in_flight_accounting(self):
         m, job = make_job()
+        consume_into(job.smsg)
         for i in range(5):
             job.smsg.send(0, 2, tag=i, nbytes=32)
         assert job.smsg.in_flight() == 5
         m.engine.run()
-        for _ in range(5):
-            job.smsg.get_next(2)
         assert job.smsg.in_flight() == 0
 
     def test_intranode_uses_loopback(self):
         m, job = make_job(n_nodes=2, cores_per_node=4)
+        got = consume_into(job.smsg)
         job.smsg.send(0, 1, tag=0, nbytes=64)  # same node
         m.engine.run()
-        msg, _ = job.smsg.get_next(1)
-        assert msg is not None
+        assert [msg.dst_pe for msg, _ in got] == [1]
 
     def test_fifo_per_connection(self):
         m, job = make_job()
+        got = consume_into(job.smsg)
         for i in range(10):
             job.smsg.send(0, 2, tag=i, nbytes=16)
         m.engine.run()
-        tags = []
-        while True:
-            msg, _ = job.smsg.get_next(2)
-            if msg is None:
-                break
-            tags.append(msg.tag)
-        assert tags == list(range(10))
+        assert [msg.tag for msg, _ in got] == list(range(10))
 
 
 class TestMsgq:
     def test_delivery_via_node_queue(self):
         m, job = make_job(n_nodes=3, cores_per_node=2)
+        got = consume_into(job.msgq)
         job.msgq.send(0, 4, tag=3, nbytes=64, payload="x")
-        m.engine.run()
         node_id = m.node_of_pe(4).node_id
-        msg, cpu = job.msgq.get_next(node_id)
-        assert msg is not None and msg.payload == "x" and msg.dst_pe == 4
-        assert cpu > 0
-
-    def test_a_poll_makes_no_queue_and_refuses_nodes_off_the_machine(self):
-        m, job = make_job(n_nodes=4, cores_per_node=2)
-        for bad in (99, -5, m.n_nodes):
-            with pytest.raises(TopologyError):
-                job.msgq.get_next(bad)
-        # a node that never received: one poll's cost, no queue made
-        assert job.msgq.get_next(2) == (None, m.config.cq_poll_cpu)
-        assert job.msgq.total_queue_memory == 0
+        # the message holds its node's queue space until consumed
+        assert job.msgq._in_use == {node_id: 64 + MSGQ_HEADER}
+        m.engine.run()
+        ((msg, cpu),) = got
+        assert msg.payload == "x" and msg.dst_pe == 4
+        cfg = m.config
+        assert cpu == cfg.msgq_recv_cpu + cfg.t_memcpy(64)
+        assert job.msgq._in_use == {node_id: 0} and job.msgq.in_flight() == 0
 
     def test_msgq_slower_than_smsg(self):
         m, job = make_job()
@@ -428,6 +376,16 @@ class TestMsgq:
         with pytest.raises(UgniNoSpace):
             for _ in range(100000):
                 job.msgq.send(0, 2, tag=0, nbytes=job.msgq.max_size)
+        # a queue that cannot hold one largest message could never drain
+        largest = m.config.msgq_max_bytes + MSGQ_HEADER
+        for size, ok in ((largest - 1, False), (largest, True)):
+            small = Machine(n_nodes=2, config=m.config.replace(
+                msgq_node_bytes=size))
+            if ok:
+                assert GniJob(small).msgq.node_queue_bytes == size
+            else:
+                with pytest.raises(ValueError, match="msgq_node_bytes"):
+                    GniJob(small)
 
 
 class TestRdma:
@@ -442,14 +400,13 @@ class TestRdma:
         """The uGNI property that forces the paper's ACK_TAG message: a
         GET's one completion is the initiator's ``POST_DONE``."""
         m, job = make_job()
-        src_cq = CompletionQueue(m.engine)
+        done = completions_into(job)
         lh, rh = self._registered_pair(job, m, 4 * KB)
         desc = PostDescriptor(PostType.GET, local_mem=lh, remote_mem=rh,
-                              length=4 * KB, src_cq=src_cq)
+                              length=4 * KB)
         job.rdma.post(0, desc, fma=False)
         m.engine.run()
-        assert src_cq.get_event().kind is CqEventKind.POST_DONE
-        assert src_cq.get_event() is None
+        assert [(d, failed) for d, _, failed in done] == [(desc, False)]
         assert m.engine.events_executed == 1
 
     @pytest.mark.sanitize_violations
@@ -487,13 +444,13 @@ class TestRdma:
         done = {}
         for name, fma in [("fma", True), ("bte", False)]:
             m2, job2 = make_job()
-            cq = CompletionQueue(m2.engine)
+            completed = completions_into(job2)
             lh, rh = self._registered_pair(job2, m2, 512)
             desc = PostDescriptor(PostType.PUT, local_mem=lh, remote_mem=rh,
-                                  length=512, src_cq=cq)
+                                  length=512)
             job2.rdma.post(0, desc, fma=fma)
             m2.engine.run()
-            done[name] = cq.get_event().time
+            ((_, done[name], _),) = completed
         assert done["fma"] < done["bte"]
 
     def test_post_best_switches_at_crossover(self):
@@ -511,13 +468,13 @@ class TestRdma:
 
     def test_local_node_post_uses_loopback(self):
         m, job = make_job(n_nodes=2, cores_per_node=4)
-        cq = CompletionQueue(m.engine)
+        done = completions_into(job)
         src_blk = m.nodes[0].memory.malloc(4 * KB)
         dst_blk = m.nodes[0].memory.malloc(4 * KB)
         lh, _ = job.MemRegister(src_blk)
         rh, _ = job.MemRegister(dst_blk)
         desc = PostDescriptor(PostType.PUT, local_mem=lh, remote_mem=rh,
-                              length=4 * KB, src_cq=cq)
+                              length=4 * KB)
         job.rdma.post(0, desc, fma=True)
         m.engine.run()
-        assert cq.get_event() is not None
+        assert [d for d, _, _ in done] == [desc]

@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.apps.kneighbor import kneighbor
 from repro.converse.scheduler import Message
+from repro.hardware.config import MachineConfig
 from repro.hardware.config import tiny as tiny_config
 from repro.lrts.factory import make_runtime
-from repro.lrts.ugni_layer import UgniLayerConfig
+from repro.lrts.ugni_layer import UgniLayerConfig, UgniMachineLayer
 from repro.lrts.ugni_layer.config import initial_design
 from repro.units import KB, MB
 from tests._layers import registered_bytes
@@ -91,11 +93,13 @@ class TestRxHook:
         conv.send_from_outside(0, Message(conv.register_handler(spray), 0, 0, 0))
         conv.run(max_events=10**5)
         assert sorted(got) == [(1, 1), (2, 2), (3, 3)]
-        smsg = layer.gni.smsg
-        assert smsg.on_rx == layer._on_smsg_rx
-        # consumed on arrival: no mailbox made, no credit held
-        assert smsg._mailboxes == {} and smsg.credits_used() == 0
-        assert smsg.consumed == smsg.sent > 0
+        gni = layer.gni
+        assert gni.smsg.on_rx == layer._on_smsg_rx
+        assert gni.msgq.on_rx == layer._on_msgq_rx
+        assert gni.rdma.on_complete == layer._on_post_complete
+        # consumed on arrival: no credit held
+        assert gni.smsg.credits_used() == 0
+        assert gni.smsg.consumed == gni.smsg.sent > 0
 
 
 class TestPoolBehaviour:
@@ -148,6 +152,31 @@ class TestMsgqPath:
         conv.run(max_events=10**5)
         assert got == ["via-msgq"]
         assert layer.stats()["msgq_memory"] > 0
+
+    def test_a_full_node_queue_makes_the_send_wait(self, monkeypatch):
+        """``GNI_RC_NOT_DONE`` from a full MSGQ node queue parks the send
+        behind the SMSG credit-stall retry: a 2,000 B queue delivers every
+        message the unbounded one does, no sooner, and the sanitizer guard
+        finds nothing stranded."""
+        flushes = []
+        schedule = UgniMachineLayer._schedule_flush
+        monkeypatch.setattr(
+            UgniMachineLayer, "_schedule_flush",
+            lambda self, *a: (flushes.append(a), schedule(self, *a)))
+
+        def run(node_bytes):
+            flushes.clear()
+            r = kneighbor(32, layer="ugni", n_cores=64, k=8, iters=2,
+                          config=MachineConfig(msgq_node_bytes=node_bytes,
+                                               cores_per_node=32,
+                                               sanitize=True),
+                          layer_config=UgniLayerConfig(small_path="msgq"))
+            return r, len(flushes)
+
+        (roomy, roomy_waits), (tight, tight_waits) = run(100_000), run(2_000)
+        assert roomy_waits == 0 < tight_waits
+        assert tight.stats["delivered"] == roomy.stats["delivered"] == 10_303
+        assert tight.iteration_time >= roomy.iteration_time
 
     def test_msgq_overflow_to_rendezvous(self):
         """Messages over the tiny MSGQ limit take the rendezvous path."""
