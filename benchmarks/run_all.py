@@ -346,35 +346,6 @@ BENCHMARKS = {
     "gpu_kneighbor": bench_gpu_kneighbor,
 }
 
-#: machine layers each benchmark exercises — what ``--layers`` filters on
-#: (``engine_events`` touches no layer, so any filter deselects it)
-BENCHMARK_LAYERS = {
-    "pingpong": ("ugni",),
-    "kneighbor": ("ugni",),
-    "engine_events": (),
-    "engine_events_mixed": (),
-    "sharded_kneighbor": ("ugni",),
-    "crosslayer": ("ugni", "mpi", "rdma"),
-    "recovery": ("ugni",),
-    "gpu_crossover": ("gpu",),
-    "gpu_kneighbor": ("gpu",),
-}
-
-
-def select_benchmarks(layers: str | None) -> list[str]:
-    """Resolve a ``--layers`` comma list to benchmark names (in run order)."""
-    if not layers:
-        return list(BENCHMARKS)
-    wanted = {s.strip() for s in layers.split(",") if s.strip()}
-    known = {l for tags in BENCHMARK_LAYERS.values() for l in tags}
-    unknown = wanted - known
-    if unknown:
-        raise SystemExit(
-            f"--layers: unknown layer(s) {sorted(unknown)} "
-            f"(available: {sorted(known)})")
-    return [name for name in BENCHMARKS
-            if wanted & set(BENCHMARK_LAYERS[name])]
-
 
 # --------------------------------------------------------------------- #
 # run machinery
@@ -440,9 +411,7 @@ def run_benchmark(name: str, rounds: int) -> dict:
     return _aggregate(name, [_run_round(name) for _ in range(rounds)])
 
 
-def run_all(rounds: int, label: str, jobs: int | None = None,
-            names: list[str] | None = None) -> dict:
-    selected = list(BENCHMARKS) if names is None else list(names)
+def run_all(rounds: int, label: str, jobs: int | None = None) -> dict:
     n_jobs = resolve_jobs(jobs)
     report: dict = {
         "schema": SCHEMA,
@@ -455,15 +424,15 @@ def run_all(rounds: int, label: str, jobs: int | None = None,
     # in submission order, so slicing by benchmark reassembles exactly
     # the sequence a --jobs 1 run produces
     points = [SweepPoint(_run_round, (name,), label=f"{name}[{i}]")
-              for name in selected for i in range(rounds)]
+              for name in BENCHMARKS for i in range(rounds)]
     print(f"[bench] {lane_report()}")
-    print(f"[bench] {len(points)} rounds across {len(selected)} benchmarks "
+    print(f"[bench] {len(points)} rounds across {len(BENCHMARKS)} benchmarks "
           f"(jobs={n_jobs}) ...", flush=True)
     results = run_sweep(points, jobs=n_jobs)
     # a nondeterministic benchmark must not hide drift in the ones after
     # it: aggregate them all, then fail once listing every offender
     drifted: list[str] = []
-    for bi, name in enumerate(selected):
+    for bi, name in enumerate(BENCHMARKS):
         try:
             entry = _aggregate(name, results[bi * rounds:(bi + 1) * rounds])
         except RuntimeError as exc:
@@ -482,13 +451,8 @@ def run_all(rounds: int, label: str, jobs: int | None = None,
 # --------------------------------------------------------------------- #
 # parity check against a committed baseline
 # --------------------------------------------------------------------- #
-def compare(report: dict, baseline: dict,
-            subset: bool = False) -> list[str]:
-    """Return a list of human-readable failures (empty = pass).
-
-    ``subset`` (set by ``--layers``) tolerates baseline entries absent
-    from the current run — a filtered run checks what it ran, no more.
-    """
+def compare(report: dict, baseline: dict) -> list[str]:
+    """Return a list of human-readable failures (empty = pass)."""
     failures = []
     if baseline.get("schema") != report["schema"]:
         failures.append(
@@ -505,8 +469,7 @@ def compare(report: dict, baseline: dict,
                 f"record it")
             continue
         if cur is None:
-            if not subset:
-                failures.append(f"{name}: benchmark missing from current run")
+            failures.append(f"{name}: benchmark missing from current run")
             continue
         if cur["checksum"] != base.get("checksum"):
             failures.append(
@@ -561,10 +524,6 @@ def main(argv: list[str] | None = None) -> int:
                         "OBSERVE_<label>.jsonl artifact holds the full "
                         "metrics snapshots. Simulated checksums are "
                         "unaffected.")
-    p.add_argument("--layers", metavar="L1,L2",
-                   help="only run benchmarks exercising these machine "
-                        "layers (e.g. --layers rdma); --check then skips "
-                        "baseline entries the filter deselected")
     args = p.parse_args(argv)
 
     if args.sanitize:
@@ -572,18 +531,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.observe:
         os.environ["REPRO_OBSERVE"] = "1"
 
-    names = select_benchmarks(args.layers)
-    if not names:
-        raise SystemExit(f"--layers {args.layers}: no benchmarks selected")
-    if args.rebase and args.layers:
-        raise SystemExit(
-            "--rebase with --layers would write a partial baseline; "
-            "rebase from an unfiltered run")
     if args.rebase and not args.observe:
         raise SystemExit(
             "--rebase without --observe would drop every metrics_digest "
             "from the baseline; rebase with --observe")
-    report = run_all(args.rounds, args.label, jobs=args.jobs, names=names)
+    report = run_all(args.rounds, args.label, jobs=args.jobs)
 
     # full metrics snapshots go to the JSONL artifact, not the report —
     # the report (and any baseline rebased from it) keeps only the digest
@@ -618,7 +570,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.check:
         baseline = json.loads(pathlib.Path(args.check).read_text())
-        failures = compare(report, baseline, subset=bool(args.layers))
+        failures = compare(report, baseline)
         if failures:
             print(f"[bench] PARITY FAILED vs {args.check}:")
             for f in failures:

@@ -1,7 +1,7 @@
 """Chaos + sanitizer matrix over every machine layer.
 
-One test per layer, selectable with ``pytest -k <layer>`` — the CI
-chaos-and-sanitize job fans these out as a ``layer`` matrix.  Each case
+One test per layer, selectable with ``pytest -k <layer>``; CI runs them
+all in the ``sanitize`` job's full suite.  Each case
 runs kNeighbor under the hardest fault mix that layer is specified to
 survive (ugni needs its reliability protocol armed for drops; mpi's
 simulated transport only tolerates stalls; rdma's RC endpoints recover

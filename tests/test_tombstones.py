@@ -90,6 +90,11 @@ TOMBSTONES = [
      "every uGNI arrival and completion goes straight to its fabric's one "
      "consumer: no completion queue, no poll, no mailbox default",
      "entry = cq.get_event()"),
+    (r"BENCHMARK_LAYERS|select_benchmarks|run_all\.py --layers|chaos-layers",
+     ("benchmarks", ".github", ".claude", *_DOCS), 41,
+     "one CI leg per gate: no job re-runs a subset of another leg, and "
+     "run_all.py runs every benchmark",
+     "names = select_benchmarks(args.layers)"),
 ]
 
 _IDS = [f"pr{pr}-{n}" for n, (_, _, pr, _, _) in enumerate(TOMBSTONES)]
