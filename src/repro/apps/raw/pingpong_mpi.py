@@ -41,7 +41,7 @@ def mpi_pingpong(
     keys = ("buf0", "buf1") if same_buffer else (None, None)
 
     def block(posted: tuple[MpiRequest, float],
-              k: Callable[[tuple[float, float]], None]) -> None:
+              k: Callable[[MpiRequest], None]) -> None:
         """MPI_Wait on a just-posted request: pay its CPU, then await it."""
         req, cpu = posted
         engine.post_at(engine.now + cpu, req.on_complete, k)
@@ -59,9 +59,9 @@ def mpi_pingpong(
         nonlocal t_start
         if done0 == warmup:
             t_start = engine.now
-        send(0, 1, 0, lambda _v: recv(0, 1, 1, rank0_reply))
+        send(0, 1, 0, lambda _req: recv(0, 1, 1, rank0_reply))
 
-    def rank0_reply(_value) -> None:
+    def rank0_reply(_req) -> None:
         nonlocal done0
         done0 += 1
         if done0 < rounds:
@@ -71,11 +71,11 @@ def mpi_pingpong(
 
     done1 = 0  # pings rank 1 has answered
 
-    def rank1_round(_value=None) -> None:
+    def rank1_round(_req=None) -> None:
         nonlocal done1
         if done1 < rounds:
             done1 += 1
-            recv(1, 0, 0, lambda _v: send(1, 0, 1, rank1_round))
+            recv(1, 0, 0, lambda _req: send(1, 0, 1, rank1_round))
 
     engine.post_at(0.0, rank0_round)
     engine.post_at(0.0, rank1_round)

@@ -98,7 +98,9 @@ class PE:
         self._prio_seq = 0
         self._running = False  # a handler is executing right now
         self._scheduled = False  # a _run_next is on the event heap
-        self._blocked = False  # stuck in a blocking call (MPI_Recv)
+        #: stuck in a blocking call: set by the handler whose call blocks
+        #: (the MPI machine layer's MPI_Recv), cleared by end_blocking
+        self._blocked = False
         self.halted = False  # node crashed: dead silicon, drops everything
         #: messages dropped because this PE was already halted
         self.dropped_dead = 0
@@ -176,7 +178,8 @@ class PE:
                 prioq = self._prioq = []
             heapq.heappush(prioq, (msg.prio, self._prio_seq, msg, recv_cpu))
             self._prio_seq += 1
-        # _kick, inlined (the queue is known to be non-empty)
+        # schedule a run unless one is due (the queue is known to be
+        # non-empty)
         if self._running or self._scheduled or self._blocked:
             return
         self._scheduled = True
@@ -196,17 +199,6 @@ class PE:
                                  msg, recv_cpu)
 
     # -- blocking calls (the MPI machine layer's MPI_Recv) -----------------------
-    def begin_blocking(self) -> None:
-        """Mark this PE blocked; no further messages run until unblocked.
-
-        Called from inside a handler that ends in a blocking call (the
-        MPI-based layer's large-message ``MPI_Recv``).  The paper: "once a
-        MPI_IProbe returns true, the progress engine calls blocking
-        MPI_Recv [...] which prevents the progress engine from doing any
-        other work" (§V.B).
-        """
-        self._blocked = True
-
     def halt(self) -> None:
         """Stop this PE permanently (its node crashed).
 
@@ -224,31 +216,36 @@ class PE:
         self._prioq = None
 
     def end_blocking(self, t: float) -> None:
-        """Unblock at simulated time ``t``; the wait is charged as overhead."""
+        """Unblock at simulated time ``t``; the wait is charged as overhead.
+
+        ``charge`` and the run kick are inlined: this runs once per
+        message on the MPI machine layer.
+        """
         if not self._blocked:
             raise SimulationError(f"PE {self.rank} was not blocked")
         self._blocked = False
-        self.vtime = self.busy_until
-        self.charge(max(0.0, t - self.busy_until), "overhead")
-        self.busy_until = self.vtime
-        self.idle_since = self.vtime
-        self._kick()
-
-    def _kick(self) -> None:
-        if self._running or self._scheduled or self._blocked:
+        start = self.vtime = self.busy_until
+        dt = max(0.0, t - start)
+        if dt != 0.0:
+            self.vtime = start + dt
+            self.overhead_time += dt
+            tracer = self._tracer
+            if tracer is not None:
+                tracer.record(self.rank, start, dt, "overhead")
+        self.busy_until = self.idle_since = bu = self.vtime
+        if self._running or self._scheduled:
             return
         if not self._fifo and not self._prioq:
             return
         self._scheduled = True
-        t = self._clock.now
-        bu = self.busy_until
-        self.engine.post_at(bu if bu > t else t, self._run_next)
+        now = self._clock.now
+        self.engine.post_at(bu if bu > now else now, self._run_next)
 
     def _run_next(self) -> None:
         """Execute the next queued message: one engine event per message.
 
-        ``charge`` (for the dispatch overhead) and the trailing ``_kick``
-        are inlined — this runs once per message.
+        ``charge`` (for the dispatch overhead) and the trailing kick of the
+        next run are inlined — this runs once per message.
         """
         self._scheduled = False
         if self._running:  # pragma: no cover - defensive
@@ -306,7 +303,8 @@ class PE:
             self._running = False
             self.busy_until = bu = self.idle_since = self.vtime
             self.messages_executed += 1
-            # _kick: the engine clock has not moved during the handler
+            # kick the next run: the engine clock has not moved during the
+            # handler
             if (not self._scheduled and not self._blocked
                     and (fifo or self._prioq)):
                 self._scheduled = True

@@ -22,13 +22,16 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.converse.scheduler import ConverseRuntime, Message, PE
+from repro.converse.scheduler import Message, PE
+from repro.errors import SimulationError
 from repro.hardware.machine import Machine
 from repro.lrts.gpu_transport import GpuTransportMixin
 from repro.lrts.interface import LrtsLayer
 from repro.lrts.messages import LRTS_ENVELOPE
 from repro.mpish.matching import Arrival
+from repro.mpish.request import MpiRequest
 from repro.mpish.world import MpiWorld
+from repro.units import PAGE_SIZE
 
 #: MPI tag carrying Charm++ messages
 CHARM_TAG = 77
@@ -70,55 +73,81 @@ class MpiMachineLayer(GpuTransportMixin, LrtsLayer):
             obs.on_lrts("mpi", path, msg, self.machine.engine.now)
         # fresh buffer identity per message: the runtime allocated it, so
         # uDREG can never hit (the paper's different-buffers case)
+        start = src_pe.vtime
         _req, cpu = self.world.isend(src_pe.rank, dst_rank, CHARM_TAG, total,
-                                     payload=msg, buf_key=None, at=src_pe.vtime)
-        src_pe.charge(cpu, "overhead")
+                                     payload=msg, buf_key=None, at=start)
+        # src_pe.charge(cpu, "overhead"), inlined
+        if cpu < 0:
+            raise SimulationError(f"negative charge {cpu}")
+        if cpu != 0.0:
+            src_pe.vtime = start + cpu
+            src_pe.overhead_time += cpu
+            tracer = src_pe._tracer
+            if tracer is not None:
+                tracer.record(src_pe.rank, start, cpu, "overhead")
 
     # ------------------------------------------------------------------ #
-    # Receive: progress engine driven by arrivals
+    # Receive: progress engine driven by arrivals, one call per step:
+    # arrival -> Iprobe + Recv (the protocol handler) -> completion
     # ------------------------------------------------------------------ #
     def _on_unexpected(self, arr: Arrival) -> None:
         """An arrival the progress engine will discover via Iprobe."""
-        pe = self.conv.pes[arr.dst]
-        pe.enqueue(
-            Message(handler=self._proto_hid, src_pe=arr.src, dst_pe=arr.dst,
-                    nbytes=0, payload=arr),
-            recv_cpu=0.0,
-        )
+        self._pes[arr.dst].enqueue(
+            Message(self._proto_hid, arr.src, arr.dst, 0, arr), 0.0)
 
     def _proto_handler(self, pe: PE, message: Message) -> None:
         arr: Arrival = message.payload
+        world = self.world
+        cfg = self.cfg
+        rank = pe.rank
+        nbytes = arr.nbytes
         # The progress engine's ANY_SOURCE Iprobe that found the message:
-        # scans the unexpected queue plus one mailbox per connected peer
-        _probe, probe_cpu = self.world.iprobe(pe.rank, tag=arr.tag)
-        # plus the polls that came up empty while this message was in flight
-        pe.charge(probe_cpu + self.cfg.mpi_charm_poll_cpu, "overhead")
-        # allocate the Charm++ message buffer for the incoming message
-        pe.charge(self.cfg.t_malloc(arr.nbytes), "overhead")
-        # blocking MPI_Recv
-        req, cpu = self.world.irecv(pe.rank, src=arr.src, tag=arr.tag,
-                                    buf_key=None, at=pe.vtime)
-        pe.charge(cpu, "overhead")
-        if req.completed:
+        # scans the unexpected queue plus one mailbox per connected peer,
+        # with the polls that came up empty while the message was in flight
+        probe_cpu = world.iprobe(rank, arr.tag)[1] + cfg.mpi_charm_poll_cpu
+        # allocate the Charm++ message buffer for it (t_malloc)
+        malloc_cpu = (cfg.malloc_base
+                      + (-(-nbytes // PAGE_SIZE) if nbytes > 0 else 1)
+                      * cfg.malloc_per_page)
+        # blocking MPI_Recv, called once those two have run
+        start = pe.vtime
+        req, recv_cpu = world.irecv(rank, arr.src, arr.tag,
+                                    at=start + probe_cpu + malloc_cpu)
+        # pe.charge(dt, "overhead") for the three, written out: one
+        # addition each, in order, each with its interval
+        tracer = pe._tracer
+        vt = start
+        for dt in (probe_cpu, malloc_cpu, recv_cpu):
+            if dt < 0:
+                raise SimulationError(f"negative charge {dt}")
+            if dt != 0.0:
+                if tracer is not None:
+                    tracer.record(rank, vt, dt, "overhead")
+                pe.overhead_time += dt
+                vt += dt
+        pe.vtime = vt
+        value = req.value
+        if value is not None:
             # eager: data was already in MPI's buffers; copy-out happened
-            t, extra = req.value
-            pe.charge(max(0.0, extra), "overhead")
-            self._deliver_matched(pe, req)
+            pe.charge(max(0.0, value[1]), "overhead")
+            self.delivered += 1
+            pe.enqueue(req.matched.payload, 0.0)
             return
-        # rendezvous: the progress engine sits in MPI_Recv until done
+        # the progress engine sits in MPI_Recv until the data is in: "once
+        # a MPI_IProbe returns true, the progress engine calls blocking
+        # MPI_Recv [...] which prevents the progress engine from doing any
+        # other work" (§V.B) — no message runs on this PE until
+        # ``_recv_done`` calls ``pe.end_blocking``
         self.blocking_recvs += 1
-        pe.begin_blocking()
+        pe._blocked = True
+        req.then = self._recv_done
 
-        def on_done(value) -> None:
-            t, _extra = value
-            pe.end_blocking(t)
-            self._deliver_matched(pe, req)
-
-        req.on_complete(on_done)
-
-    def _deliver_matched(self, pe: PE, req) -> None:
-        msg: Message = req.matched.payload
-        self.deliver(pe.rank, msg, recv_cpu=0.0)
+    def _recv_done(self, req: MpiRequest) -> None:
+        """The blocking MPI_Recv has returned: unblock, deliver."""
+        pe = self._pes[req.dst]
+        pe.end_blocking(req.value[0])
+        self.delivered += 1
+        pe.enqueue(req.matched.payload, 0.0)
 
     # ------------------------------------------------------------------ #
     def stats(self) -> dict[str, Any]:

@@ -1,6 +1,7 @@
-"""Tag matching: posted-receive and unexpected-message queues.
+"""Tag matching state: posted-receive and unexpected-message queues.
 
-MPI semantics enforced here:
+MPI semantics, enforced by :class:`~repro.mpish.world.MpiWorld` (the
+receive calls scan the unexpected queue, an arrival scans the posted one):
 
 * a receive matches ``(src, tag)`` with ``ANY`` wildcards;
 * matching is FIFO within the set of candidates (non-overtaking);
@@ -13,16 +14,15 @@ MPI semantics enforced here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from dataclasses import dataclass
+from typing import Any
 
-from repro.hardware.config import MachineConfig
 from repro.mpish.request import MpiRequest
 
 ANY = -1
 
 
-@dataclass
+@dataclass(slots=True)
 class Arrival:
     """An arrived message (or rendezvous RTS) awaiting a matching receive."""
 
@@ -34,7 +34,7 @@ class Arrival:
     time: float  # arrival time
     #: "eager" (data is in internal buffers) or "rts" (rendezvous pending)
     protocol: str = "eager"
-    #: opaque sender-side state for the rendezvous GET
+    #: for an RTS: the sender's request, which the FIN completes
     rndv: Any = None
     seq: int = 0
 
@@ -42,9 +42,11 @@ class Arrival:
 class MatchEngine:
     """Per-rank matching state."""
 
-    def __init__(self, rank: int, config: MachineConfig):
+    __slots__ = ("rank", "posted", "unexpected", "known_sources",
+                 "max_unexpected", "total_matches")
+
+    def __init__(self, rank: int):
         self.rank = rank
-        self.config = config
         self.posted: list[MpiRequest] = []
         self.unexpected: list[Arrival] = []
         #: distinct peers this rank has received from (live connections);
@@ -53,64 +55,6 @@ class MatchEngine:
         # diagnostics
         self.max_unexpected = 0
         self.total_matches = 0
-
-    # -- receiver side -----------------------------------------------------------
-    def match_unexpected(self, src: int, tag: int,
-                         pop: bool = True) -> tuple[Optional[Arrival], float]:
-        """Find the oldest unexpected arrival matching (src, tag).
-
-        Returns ``(arrival_or_None, cpu_cost)``.  ``pop=False`` is the
-        MPI_Iprobe variant (peek without consuming).
-        """
-        cfg = self.config
-        # the wildcard test and the scan cost are written out in both
-        # match loops: a helper would be a call per queue entry scanned
-        for i, arr in enumerate(self.unexpected):
-            if (src == ANY or src == arr.src) and (tag == ANY or tag == arr.tag):
-                if pop:
-                    self.unexpected.pop(i)
-                    self.total_matches += 1
-                return arr, (cfg.mpi_match_base_cpu
-                             + (i + 1) * cfg.mpi_match_per_entry_cpu)
-        return None, (cfg.mpi_match_base_cpu
-                      + len(self.unexpected) * cfg.mpi_match_per_entry_cpu)
-
-    def post(self, req: MpiRequest) -> None:
-        self.posted.append(req)
-
-    # -- arrival side ---------------------------------------------------------------
-    def match_posted(self, arr: Arrival) -> tuple[Optional[MpiRequest], float]:
-        """Match an arrival against posted receives (progress-engine work)."""
-        cfg = self.config
-        src, tag = arr.src, arr.tag
-        for i, req in enumerate(self.posted):
-            if (req.src == ANY or req.src == src) and (
-                    req.tag == ANY or req.tag == tag):
-                self.posted.pop(i)
-                self.total_matches += 1
-                return req, (cfg.mpi_match_base_cpu
-                             + (i + 1) * cfg.mpi_match_per_entry_cpu)
-        return None, (cfg.mpi_match_base_cpu
-                      + len(self.posted) * cfg.mpi_match_per_entry_cpu)
-
-    def add_unexpected(self, arr: Arrival) -> None:
-        self.unexpected.append(arr)
-        self.known_sources.add(arr.src)
-        if len(self.unexpected) > self.max_unexpected:
-            self.max_unexpected = len(self.unexpected)
-
-    def probe_scan_cost(self) -> float:
-        """Connection-scan component of an ANY_SOURCE MPI_Iprobe.
-
-        The probe walks per-peer mailboxes and returns at the first one
-        with data, so the expected scan length is the connection count
-        divided by how many messages are currently waiting: sparse traffic
-        (one pending message among hundreds of peers — the N-Queens spray
-        in steady state) pays the full scan, bursty traffic (a deep
-        unexpected queue) finds data quickly.
-        """
-        expected_scan = len(self.known_sources) / (1 + len(self.unexpected))
-        return expected_scan * self.config.mpi_iprobe_per_conn_cpu
 
     @property
     def unexpected_depth(self) -> int:

@@ -17,10 +17,13 @@ class MpiRequest:
       happen *at* completion (matching performed by the progress engine,
       eager copy-out, FIN processing).  A raw driver charges it by
       sleeping; the Charm machine layer charges it to the PE.
+
+    A request has at most one waiter (one ``MPI_Wait``), kept in
+    :attr:`then` and run as ``then(request)`` when the request completes.
     """
 
     __slots__ = ("kind", "src", "dst", "tag", "nbytes", "payload", "matched",
-                 "value", "_waiters")
+                 "value", "then", "extra_cpu")
 
     def __init__(self, kind: str, src: int, dst: int, tag: int, nbytes: int,
                  payload: Any = None):
@@ -34,21 +37,31 @@ class MpiRequest:
         self.matched: Optional[Any] = None
         #: ``(time, extra_cpu)`` once complete, ``None`` before
         self.value: Optional[tuple[float, float]] = None
-        self._waiters: list[Callable[[tuple[float, float]], None]] = []
+        #: the waiter, ``None`` while nobody waits
+        self.then: Optional[Callable[["MpiRequest"], None]] = None
+        #: what completion will report as ``extra_cpu``, held while a
+        #: rendezvous GET is in flight (its post cost is known once posted)
+        self.extra_cpu = 0.0
 
     @property
     def completed(self) -> bool:
         return self.value is not None
 
-    def on_complete(self, cb: Callable[[tuple[float, float]], None]) -> None:
-        """Run ``cb(value)`` on completion; at once if already complete."""
+    def on_complete(self, cb: Callable[["MpiRequest"], None]) -> None:
+        """Run ``cb(self)`` on completion; at once if already complete.
+
+        A second waiter raises :class:`SimulationError`: a request is
+        waited on once.
+        """
         if self.value is not None:
-            cb(self.value)
+            cb(self)
+        elif self.then is None:
+            self.then = cb
         else:
-            self._waiters.append(cb)
+            raise SimulationError(f"{self!r} already has a waiter")
 
     def complete(self, time: float, extra_cpu: float = 0.0) -> None:
-        """Complete the request and run its waiters in order.
+        """Complete the request and run its waiter.
 
         A second completion raises :class:`SimulationError` (a real
         request never completes twice, and a silent double completion
@@ -56,10 +69,11 @@ class MpiRequest:
         """
         if self.value is not None:
             raise SimulationError(f"{self!r} already completed")
-        value = self.value = (time, extra_cpu)
-        waiters, self._waiters = self._waiters, []
-        for cb in waiters:
-            cb(value)
+        self.value = (time, extra_cpu)
+        then = self.then
+        if then is not None:
+            self.then = None
+            then(self)
 
     def __repr__(self) -> str:  # pragma: no cover
         state = "done" if self.completed else "pending"

@@ -16,6 +16,7 @@ from collections import OrderedDict
 from typing import Hashable
 
 from repro.hardware.config import MachineConfig
+from repro.units import PAGE_SIZE
 
 
 class UdregCache:
@@ -54,7 +55,11 @@ class UdregCache:
             _, old_size = self._entries.popitem(last=False)
             cost += cfg.t_deregister(min(old_size, cfg.mpi_pipeline_chunk))
             self.evictions += 1
-        cost += cfg.t_register(reg_bytes)
+        # cfg.t_register(reg_bytes), written out: every fresh buffer of the
+        # MPI-based layer's rendezvous pays it, twice a message
+        cost += (cfg.mem_register_base
+                 + (-(-reg_bytes // PAGE_SIZE) if reg_bytes > 0 else 1)
+                 * cfg.mem_register_per_page)
         self._entries[key] = nbytes
         return cost
 

@@ -10,7 +10,8 @@ through per-message closures.
 
 The rendezvous path (256 KB) is pinned the same way on the two fabrics
 that run it through the shared protocol core (:mod:`repro.lrts.protocols`):
-the core may not cost an indirection per protocol step.
+the core may not cost an indirection per protocol step.  So is the
+baseline's path, Charm++ over MPI, eager and rendezvous.
 
 Cold state has a budget too: what one first-touch message per neighbour
 leaves behind on a machine too large to warm up — GC-tracked objects per
@@ -58,6 +59,15 @@ CALL_BUDGET = 19.4
 #: (its GET's completion goes straight to the layer: no post CQ entry)
 RNDV_ITERS, RNDV_WARMUP = 8, 2
 RNDV_BUDGETS = {"ugni": 76.8, "rdma": 70.5}
+#: the same count for a Charm-on-MPI message (``layer="mpi"``): 128 B
+#: eager (iters=16, warmup=3) and 8 KB rendezvous (iters=8, warmup=2),
+#: measured + 0.5: 54.93 / 69.21 with a frame per match, queue append,
+#: probe-scan cost, node lookup, cost formula and PE charge, a waiter
+#: list and closures per receive, and the unblock as three calls; 28.84 /
+#: 37.06 with each protocol step one frame (send, arrival, Iprobe, Recv,
+#: completion, the GET's completion, the FIN)
+MPI_SIZES = {"eager": (128, ITERS, WARMUP), "rendezvous": (8 * KB, 8, 2)}
+MPI_BUDGETS = {"eager": 29.4, "rendezvous": 37.6}
 #: without the C core (``REPRO_PURE_ENGINE=1``, a CI leg) the engine's own
 #: Python frames are on the path and counted too, ``Engine.now`` and the
 #: router's Python body among them — and, per transfer, the topology's
@@ -76,10 +86,13 @@ RNDV_BUDGETS = {"ugni": 76.8, "rdma": 70.5}
 #: helpers and per-message label strings, 34.98 / 54.69 with each hook one
 #: frame plus at most one row writer or histogram sample
 OBSERVED_CALL_BUDGET = 35.5
+#: the MPI path on the pure-Python engine: 80.64 / 128.70 before it was
+#: flattened, 55.56 / 98.56 after
 if Engine()._core is None:
     CALL_BUDGET = 36.1
     RNDV_BUDGETS = {"ugni": 141.3, "rdma": 163.7}
     OBSERVED_CALL_BUDGET = 55.2
+    MPI_BUDGETS = {"eager": 56.1, "rendezvous": 99.1}
 #: one cold 1,024-PE ``kneighbor(32, k=1, iters=1, warmup=0)``, runtime
 #: held: GC-tracked objects it leaves per PE, measured + 2 % (63.9 while a
 #: route entry kept a coordinate tuple and a pair per candidate, 32.2 with
@@ -177,6 +190,30 @@ def test_rendezvous_call_budget(layer, monkeypatch):
     assert per_msg <= RNDV_BUDGETS[layer], (
         f"{per_msg:.1f} Python calls per 256 KB message on {layer} "
         f"(budget {RNDV_BUDGETS[layer]}): the rendezvous path grew a layer\n"
+        + _largest_rows(table, app_msgs))
+
+
+def _run_mpi(path):
+    size, iters, warmup = MPI_SIZES[path]
+    return kneighbor(size, layer="mpi", k=K, n_cores=N_CORES, iters=iters,
+                     warmup=warmup)
+
+
+@pytest.mark.parametrize("path", sorted(MPI_BUDGETS))
+def test_mpi_call_budget(path, monkeypatch):
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    monkeypatch.delenv("REPRO_OBSERVE", raising=False)
+    calls, res, table = _repro_calls(_run_mpi, path)
+    _, iters, warmup = MPI_SIZES[path]
+    app_msgs = N_CORES * 2 * K * 2 * (iters + warmup)
+    # every receive is a blocking MPI_Recv (an eager copy-out completes
+    # after the call returns too), and every one delivered its message
+    assert res.stats["blocking_recvs"] == res.stats["delivered"]
+    assert res.stats["delivered"] >= app_msgs
+    per_msg = calls / app_msgs
+    assert per_msg <= MPI_BUDGETS[path], (
+        f"{per_msg:.2f} Python calls per Charm-on-MPI {path} message "
+        f"(budget {MPI_BUDGETS[path]}): the MPI path grew a frame\n"
         + _largest_rows(table, app_msgs))
 
 

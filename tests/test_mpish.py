@@ -4,9 +4,8 @@ import pytest
 
 from repro.hardware import Machine
 from repro.hardware.config import tiny as tiny_config
-from repro.errors import SimulationError
+from repro.errors import SimulationError, TopologyError
 from repro.mpish import ANY, MpiRequest, MpiWorld
-from repro.mpish.matching import MatchEngine, Arrival
 from repro.mpish.udreg import UdregCache
 from repro.units import KB, MB, us
 
@@ -22,7 +21,7 @@ def blocking(world, posted, k):
     request's CPU, then run ``k(req)`` once it has completed."""
     req, cpu = posted
     eng = world.engine
-    eng.post_at(eng.now + cpu, req.on_complete, lambda _value: k(req))
+    eng.post_at(eng.now + cpu, req.on_complete, k)
 
 
 def send(world, rank, dst, tag, nbytes, k, payload=None, buf_key=None):
@@ -36,59 +35,58 @@ def recv(world, rank, src, tag, k, buf_key=None):
 
 
 class TestMatchEngine:
-    def _eng(self):
-        return MatchEngine(0, tiny_config())
+    """Matching through the receive calls: messages to rank 0 land
+    unexpected (nothing is posted), then ``irecv`` / ``iprobe`` scan."""
 
-    def _arr(self, src=1, tag=5, seq=0):
-        return Arrival(src, 0, tag, 64, None, 0.0, seq=seq)
+    def _land(self, world, *arrivals):
+        """Send ``(src, tag, payload)`` triples to rank 0; run until they
+        have landed."""
+        for src, tag, payload in arrivals:
+            world.isend(src, 0, tag, 64, payload=payload)
+        world.engine.run()
 
     def test_exact_match(self):
-        eng = self._eng()
-        eng.add_unexpected(self._arr(src=1, tag=5))
-        arr, _ = eng.match_unexpected(1, 5)
-        assert arr is not None
-        assert eng.unexpected_depth == 0
+        _, world = make_world()
+        self._land(world, (1, 5, None))
+        req, _ = world.irecv(0, src=1, tag=5)
+        assert req.matched is not None
+        assert world.match_engine(0).unexpected_depth == 0
 
     def test_wildcard_source_and_tag(self):
-        eng = self._eng()
-        eng.add_unexpected(self._arr(src=3, tag=9))
-        arr, _ = eng.match_unexpected(ANY, ANY)
-        assert arr is not None and arr.src == 3
+        _, world = make_world()
+        self._land(world, (3, 9, None))
+        req, _ = world.irecv(0, src=ANY, tag=ANY)
+        assert req.matched is not None and req.matched.src == 3
 
     def test_no_match_leaves_queue(self):
-        eng = self._eng()
-        eng.add_unexpected(self._arr(src=1, tag=5))
-        arr, _ = eng.match_unexpected(2, 5)
-        assert arr is None
-        assert eng.unexpected_depth == 1
+        _, world = make_world()
+        self._land(world, (1, 5, None))
+        req, _ = world.irecv(0, src=2, tag=5)
+        assert req.matched is None
+        assert world.match_engine(0).unexpected_depth == 1
 
     def test_fifo_among_matches(self):
-        eng = self._eng()
-        a = self._arr(src=1, tag=5)
-        b = self._arr(src=1, tag=5)
-        eng.add_unexpected(a)
-        eng.add_unexpected(b)
-        got, _ = eng.match_unexpected(1, 5)
-        assert got is a
+        _, world = make_world()
+        self._land(world, (1, 5, "a"), (1, 5, "b"))
+        req, _ = world.irecv(0, src=1, tag=5)
+        assert req.matched.payload == "a"
 
     def test_scan_cost_grows_with_queue_depth(self):
-        eng = self._eng()
-        for _ in range(50):
-            eng.add_unexpected(self._arr(src=1, tag=1))
+        _, deep = make_world()
         # match something at the back
-        eng.add_unexpected(self._arr(src=2, tag=2))
-        _, deep_cost = eng.match_unexpected(2, 2)
-        eng2 = self._eng()
-        eng2.add_unexpected(self._arr(src=2, tag=2))
-        _, shallow_cost = eng2.match_unexpected(2, 2)
+        self._land(deep, *[(1, 1, None)] * 50, (2, 2, None))
+        _, deep_cost = deep.irecv(0, src=2, tag=2)
+        _, shallow = make_world()
+        self._land(shallow, (2, 2, None))
+        _, shallow_cost = shallow.irecv(0, src=2, tag=2)
         assert deep_cost > shallow_cost
 
     def test_probe_does_not_pop(self):
-        eng = self._eng()
-        eng.add_unexpected(self._arr())
-        arr, _ = eng.match_unexpected(ANY, ANY, pop=False)
+        _, world = make_world()
+        self._land(world, (1, 5, None))
+        arr, _ = world.iprobe(0)
         assert arr is not None
-        assert eng.unexpected_depth == 1
+        assert world.match_engine(0).unexpected_depth == 1
 
 
 class TestUdreg:
@@ -124,22 +122,27 @@ class TestMpiRequest:
     def _req(self):
         return MpiRequest("recv", 0, 1, 0, 0)
 
-    def test_complete_runs_waiters_in_order(self):
+    def test_complete_runs_its_waiter(self):
         req = self._req()
         got = []
-        req.on_complete(lambda v: got.append(("a", v)))
-        req.on_complete(lambda v: got.append(("b", v)))
+        req.on_complete(got.append)
         assert not req.completed and got == []
         req.complete(1e-6, 2e-7)
-        assert got == [("a", (1e-6, 2e-7)), ("b", (1e-6, 2e-7))]
+        assert got == [req]
         assert req.completed and req.value == (1e-6, 2e-7)
+
+    def test_second_waiter_refused(self):
+        req = self._req()
+        req.on_complete(lambda _req: None)
+        with pytest.raises(SimulationError, match="already has a waiter"):
+            req.on_complete(lambda _req: None)
 
     def test_waiter_after_completion_runs_at_once(self):
         req = self._req()
         req.complete(3e-6)
         got = []
         req.on_complete(got.append)
-        assert got == [(3e-6, 0.0)]
+        assert got == [req] and req.value == (3e-6, 0.0)
 
     def test_double_completion_raises(self):
         req = self._req()
@@ -277,3 +280,32 @@ class TestPointToPoint:
         m.engine.run()
         assert [a.dst for a in own] == [2]
         assert sorted(a.dst for a in default) == [1, 3]
+
+
+class TestRanksOnTheMachine:
+    """A rank off the machine is the machine's ``TopologyError`` in every
+    call, never a receive that can not complete: on a 2-PE machine."""
+
+    @pytest.mark.parametrize("call", [
+        lambda w: w.isend(0, 99, 0, 64),
+        lambda w: w.isend(-1, 1, 0, 64),
+        lambda w: w.irecv(99, src=0, tag=1),
+        lambda w: w.irecv(-1, src=0, tag=1),
+        lambda w: w.irecv(1, src=7, tag=1),
+        lambda w: w.irecv(1, src=-2, tag=1),
+        lambda w: w.iprobe(-5),
+        lambda w: w.iprobe(2),
+    ], ids=["isend_dst", "isend_src", "irecv_rank", "irecv_negative_rank",
+            "irecv_src", "irecv_negative_src", "iprobe_negative",
+            "iprobe_rank"])
+    def test_off_machine_rank_refused(self, call):
+        _, world = make_world(n_nodes=2, cores_per_node=1)
+        with pytest.raises(TopologyError, match="outside machine of 2 PEs"):
+            call(world)
+        # refused before any state: no matcher made, no send counted
+        assert world._match == {} and world.sends == 0
+
+    def test_any_source_is_a_rank_wildcard(self):
+        _, world = make_world(n_nodes=2, cores_per_node=1)
+        req, _ = world.irecv(1, src=ANY, tag=1)
+        assert not req.completed and world.match_engine(1).posted == [req]

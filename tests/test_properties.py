@@ -17,7 +17,6 @@ from repro.hardware import Machine
 from repro.hardware.config import tiny as tiny_config
 from repro.lrts.factory import make_runtime
 from repro.mpish import ANY, MpiWorld
-from repro.mpish.matching import Arrival, MatchEngine
 from repro.sim.engine import Engine
 
 SETTINGS = dict(max_examples=40, deadline=None,
@@ -28,20 +27,30 @@ SETTINGS = dict(max_examples=40, deadline=None,
 # MPI matching vs. a brute-force reference model
 # --------------------------------------------------------------------- #
 class _ReferenceMatcher:
-    """Obviously-correct O(n) model of MPI matching semantics."""
+    """Obviously-correct O(n) model of MPI matching semantics: a receive
+    takes the oldest matching unexpected arrival or is posted; an arrival
+    goes to the oldest matching posted receive or is queued unexpected."""
 
     def __init__(self):
-        self.unexpected = []
+        self.unexpected = []  # (src, tag, uid)
+        self.posted = []  # (src, tag, receive number)
+        self.matched = {}  # receive number -> uid
 
-    def add(self, src, tag, uid):
+    def arrive(self, src, tag, uid):
+        for i, (want_src, want_tag, rid) in enumerate(self.posted):
+            if want_src in (ANY, src) and want_tag in (ANY, tag):
+                self.posted.pop(i)
+                self.matched[rid] = uid
+                return
         self.unexpected.append((src, tag, uid))
 
-    def match(self, want_src, want_tag):
+    def recv(self, want_src, want_tag, rid):
         for i, (src, tag, uid) in enumerate(self.unexpected):
             if want_src in (ANY, src) and want_tag in (ANY, tag):
                 self.unexpected.pop(i)
-                return uid
-        return None
+                self.matched[rid] = uid
+                return
+        self.posted.append((want_src, want_tag, rid))
 
 
 @settings(**SETTINGS)
@@ -55,24 +64,32 @@ class _ReferenceMatcher:
     max_size=60,
 ))
 def test_match_engine_agrees_with_reference(ops):
-    """The production matcher must pick exactly the same message as the
-    reference for every arrival/receive interleaving (MPI's FIFO +
-    wildcard semantics)."""
-    eng = MatchEngine(0, tiny_config())
+    """The production matcher — ``MpiWorld.irecv``'s unexpected-queue scan
+    and an arrival's posted-queue scan — must pair exactly the same
+    messages with the same receives as the reference for every
+    arrival/receive interleaving (MPI's FIFO + wildcard semantics)."""
+    m = Machine(n_nodes=4, config=tiny_config(cores_per_node=1))
+    world = MpiWorld(m)
     ref = _ReferenceMatcher()
+    reqs = []
     uid = 0
     for op in ops:
+        _, src, tag = op
         if op[0] == "arrive":
-            _, src, tag = op
-            eng.add_unexpected(Arrival(src, 0, tag, 8, uid, 0.0))
-            ref.add(src, tag, uid)
+            world.isend(src, 0, tag, 8, payload=uid)
+            m.engine.run()  # landed: matched or queued
+            ref.arrive(src, tag, uid)
             uid += 1
         else:
-            _, src, tag = op
-            got, _ = eng.match_unexpected(src, tag, pop=True)
-            expect = ref.match(src, tag)
-            assert (got.payload if got else None) == expect
+            req, _ = world.irecv(0, src=src, tag=tag)
+            ref.recv(src, tag, len(reqs))
+            reqs.append(req)
+    got = {rid: req.matched.payload for rid, req in enumerate(reqs)
+           if req.matched is not None}
+    assert got == ref.matched
+    eng = world.match_engine(0)
     assert len(eng.unexpected) == len(ref.unexpected)
+    assert len(eng.posted) == len(ref.posted)
 
 
 # --------------------------------------------------------------------- #

@@ -95,6 +95,12 @@ TOMBSTONES = [
      "one CI leg per gate: no job re-runs a subset of another leg, and "
      "run_all.py runs every benchmark",
      "names = select_benchmarks(args.layers)"),
+    (r"match_unexpected|match_posted|add_unexpected|probe_scan_cost"
+     r"|_RndvInfo|_deliver_matched|begin_blocking|def _kick\b|_waiters",
+     ("src",), 42,
+     "the MPI path at one frame per protocol step: iprobe / irecv are the "
+     "unexpected-queue scans, a request has one waiter",
+     "arr, cpu = eng.match_unexpected(src, tag, pop=True)"),
 ]
 
 _IDS = [f"pr{pr}-{n}" for n, (_, _, pr, _, _) in enumerate(TOMBSTONES)]
