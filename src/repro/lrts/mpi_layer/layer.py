@@ -143,8 +143,15 @@ class MpiMachineLayer(GpuTransportMixin, LrtsLayer):
         req.then = self._recv_done
 
     def _recv_done(self, req: MpiRequest) -> None:
-        """The blocking MPI_Recv has returned: unblock, deliver."""
+        """The blocking MPI_Recv has returned: unblock, deliver.
+
+        A PE whose node crashed while it waited stays blocked: the data
+        lands in dead memory, charged to nobody and counted once, dropped.
+        """
         pe = self._pes[req.dst]
+        if pe.halted:
+            pe.dropped_dead += 1
+            return
         pe.end_blocking(req.value[0])
         self.delivered += 1
         pe.enqueue(req.matched.payload, 0.0)

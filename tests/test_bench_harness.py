@@ -262,6 +262,79 @@ class TestClaimsCanFail:
         # the blocking MPI_Recv still costs the MPI-based layer every size
         assert flipped[faster]
 
+    def test_fig1_layering_claim_follows_the_registration_cost(
+            self, monkeypatch):
+        from repro.bench import micro
+        from repro.hardware.config import MachineConfig
+
+        monkeypatch.delenv("REPRO_PAPER_SCALE", raising=False)
+        text = "layering cost largest in relative terms for small messages"
+        order = "uGNI below MPI at every size"
+        holds = {c.text: c.holds for c in micro.fig1().claims}
+        assert holds[text] and holds[order]
+
+        # MPI-based Charm++ registers a fresh receive buffer for every
+        # rendezvous: at 4 us a page that cost outgrows the small-message
+        # overhead, and the relative gap widens with size
+        base = MachineConfig()
+        self._charm_pingpong_on(monkeypatch, micro, base.replace(
+            mem_register_per_page=10 * base.mem_register_per_page))
+        flipped = {c.text: c.holds for c in micro.fig1().claims}
+        assert not flipped[text]
+        # the two raw ping-pongs did not move
+        assert flipped[order]
+
+    def test_fig9b_peak_claim_follows_the_bte_get_bandwidth(
+            self, monkeypatch):
+        from repro.apps.pingpong import charm_pingpong
+        from repro.bench import micro
+        from repro.hardware.config import MachineConfig
+
+        monkeypatch.delenv("REPRO_PAPER_SCALE", raising=False)
+        monkeypatch.delenv("REPRO_BENCH_JOBS", raising=False)
+        text = "peak bandwidth approaches the BTE limit (>4GB/s)"
+        leads = "uGNI-based bandwidth higher below 1MB"
+        holds = {c.text: c.holds for c in micro.fig9b().claims}
+        assert holds[text] and holds[leads]
+
+        # the rendezvous pulls with a BTE GET: a slower GET engine caps
+        # the 4 MB bandwidth below the claim's 4 GB/s
+        base = MachineConfig()
+        slow_get = base.replace(
+            bte_get_bandwidth=0.6 * base.bte_get_bandwidth)
+        monkeypatch.setattr(micro, "_charm_bandwidth", lambda size, layer:
+                            charm_pingpong(size, layer=layer,
+                                           config=slow_get).bandwidth)
+        flipped = {c.text: c.holds for c in micro.fig9b().claims}
+        assert not flipped[text]
+        # both layers pull through the same engine: uGNI still leads
+        assert flipped[leads]
+
+    def test_fig9c_closing_claim_follows_the_registration_cost(
+            self, monkeypatch):
+        from repro.apps import onetoall
+        from repro.bench import micro
+        from repro.hardware.config import MachineConfig
+
+        monkeypatch.delenv("REPRO_PAPER_SCALE", raising=False)
+        monkeypatch.delenv("REPRO_BENCH_JOBS", raising=False)
+        text = "gap closes for large messages"
+        margin = "large margin for small messages (>=1.7x)"
+        holds = {c.text: c.holds for c in micro.fig9c().claims}
+        assert holds[text] and holds[margin]
+
+        # the MPI-based root registers a fresh buffer per large send and
+        # each leaf one per receive; the uGNI pool registers none: dearer
+        # pages open the gap at 1 MB instead of closing it
+        base = MachineConfig()
+        dear = base.replace(
+            mem_register_per_page=10 * base.mem_register_per_page)
+        monkeypatch.setattr(onetoall, "MachineConfig", lambda: dear)
+        flipped = {c.text: c.holds for c in micro.fig9c().claims}
+        assert not flipped[text]
+        # small messages register nothing: their margin stands
+        assert flipped[margin]
+
 
 class TestRegressionHarness:
     """benchmarks/run_all.py — the perf-smoke harness CI keys off."""

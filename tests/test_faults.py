@@ -3,6 +3,7 @@
 import pytest
 
 from repro.apps.pingpong import charm_pingpong
+from repro.converse.scheduler import Message
 from repro.errors import (
     SimulationError,
     UgniError,
@@ -84,6 +85,27 @@ class TestInjector:
         assert m.faults.smsg_delivery_fails(0, dead.first_pe)
         assert m.faults.rdma_fails(0, 1)
         assert counted(m, "fault", "node_crash") == 1
+
+    def test_crash_during_a_blocking_mpi_recv_keeps_the_pe_halted(self):
+        """The 64 KB GET completes after node 1 died under its blocking
+        MPI_Recv: the PE stays blocked, is charged nothing more, and the
+        message counts once, as dropped, not as delivered."""
+        conv, lrts = make_runtime(
+            n_nodes=2, layer="mpi", config=tiny_config(cores_per_node=1),
+            fault_schedule=[NodeCrash(at=12.7e-6, node_id=1)])
+        got = []
+        hid = conv.register_handler(lambda pe, msg: got.append(msg))
+        conv.machine.engine.post_at(0.0, lambda: conv.send(
+            conv.pes[0], 1, Message(hid, 0, 1, 64 * KB, None)))
+        pe = conv.pes[1]
+        conv.run(until=12.7e-6 + 1e-12)
+        assert pe.halted and pe._blocked and lrts.blocking_recvs == 1
+        at_crash = (pe.vtime, pe.overhead_time, pe.busy_until)
+        conv.run()
+        assert pe._blocked
+        assert (pe.vtime, pe.overhead_time, pe.busy_until) == at_crash
+        assert pe.dropped_dead == 1
+        assert lrts.delivered == 0 and got == []
 
 
 class TestLinkFaults:

@@ -55,7 +55,7 @@ KEEP = {
     "hopper": "the paper's NERSC Hopper preset, named in README and "
               "EXPERIMENTS.md",
     "hosts": "Collection.hosts: the probe that looks without planting a "
-             "PE's dict (DESIGN §16)",
+             "PE's dict (DESIGN §16, \"Cold state\")",
     "hottest_link": "router diagnostic in DESIGN; the router-equivalence "
                     "test pins its tie order",
     "invalidate": "RegistrationCache.invalidate: perf/layers.py pins the "
