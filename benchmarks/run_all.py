@@ -14,9 +14,11 @@ instrument a speed claim may cite.
 
 ``--check BASELINE`` compares against a committed baseline JSON:
 checksums must match exactly.  Exit status is non-zero on any drift,
-which is what the CI parity legs key off.  A benchmark present in the
-current run but absent from the baseline fails with a message telling
-you to ``--rebase`` (rewrite the baseline in place from this run).
+which is what CI's one ``run_all.py`` step keys off
+(``tests/test_determinism_gate.py`` runs the same check in the suite).
+A benchmark present in the current run but absent from the baseline
+fails with a message telling you to ``--rebase`` (rewrite the baseline
+in place from this run).
 
 ``--observe`` runs every benchmark under the observability layer; the
 report gains a ``metrics_digest`` per benchmark, gated exactly like the

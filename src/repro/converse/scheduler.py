@@ -154,19 +154,21 @@ class PE:
     # ------------------------------------------------------------------ #
     # Scheduling
     # ------------------------------------------------------------------ #
-    def enqueue(self, msg: Message, recv_cpu: float = 0.0) -> None:
+    def enqueue(self, msg: Message, recv_cpu: float = 0.0) -> bool:
         """Put a ready message on this PE's scheduler queue (now).
 
         ``recv_cpu`` is network-layer receive processing (CQ poll, copy
         out, matching) charged as overhead when the message is picked up.
+        Returns whether the PE took the message: a machine layer counts a
+        message ``delivered`` only then, so one that reaches a crashed PE
+        is ``dropped_dead`` and not delivered.
         """
         if self.halted:
-            # dead silicon: a message that reaches a crashed PE vanishes
-            # (previously it sat on the queue forever, which made queue
-            # inspection — and the checkpoint's quiescence audit — lie
-            # about pending work)
+            # dead silicon: a message that reaches a crashed PE vanishes,
+            # so queue inspection and the checkpoint's quiescence audit
+            # see no pending work on it
             self.dropped_dead += 1
-            return
+            return False
         obs = self._observer
         if obs is not None and msg.trace_id is not None:
             obs.on_deliver(msg, self.rank, self._clock.now)
@@ -181,13 +183,14 @@ class PE:
         # schedule a run unless one is due (the queue is known to be
         # non-empty)
         if self._running or self._scheduled or self._blocked:
-            return
+            return True
         self._scheduled = True
         t = self._clock.now
         bu = self.busy_until
         self.engine.post_at(bu if bu > t else t, self._run_next)
+        return True
 
-    def deliver_at(self, time: float, msg: Message, recv_cpu: float = 0.0) -> None:
+    def deliver_at(self, time: float, msg: Message) -> None:
         """Schedule :meth:`enqueue` at an absolute simulated time.
 
         Routed by node so a sharded engine tags the delivery with this
@@ -195,8 +198,7 @@ class PE:
         from outside any shard context and would otherwise be tagged
         shard 0 regardless of the target PE.
         """
-        self.engine.post_at_node(self.node.node_id, time, self.enqueue,
-                                 msg, recv_cpu)
+        self.engine.post_at_node(self.node.node_id, time, self.enqueue, msg)
 
     # -- blocking calls (the MPI machine layer's MPI_Recv) -----------------------
     def halt(self) -> None:

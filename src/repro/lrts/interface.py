@@ -97,14 +97,16 @@ class LrtsLayer(abc.ABC):
     # -- shared delivery helper ------------------------------------------------
     def deliver(self, dst_rank: int, msg: Message, recv_cpu: float,
                 at: Optional[float] = None) -> None:
-        """Hand a fully-received message to the destination scheduler."""
-        assert self.conv is not None
-        self.delivered += 1
-        pe = self.conv.pes[dst_rank]
-        if at is None:
-            pe.enqueue(msg, recv_cpu)
-        else:
-            pe.deliver_at(at, msg, recv_cpu)
+        """Hand a fully-received message to the destination scheduler,
+        now or at simulated time ``at``; it counts as delivered once the
+        PE takes it (a crashed PE drops it)."""
+        pe = self._pes[dst_rank]
+        if at is not None:
+            # routed by node, as PE.deliver_at is
+            pe.engine.post_at_node(pe.node.node_id, at, self.deliver,
+                                   dst_rank, msg, recv_cpu)
+        elif pe.enqueue(msg, recv_cpu):
+            self.delivered += 1
 
     # -- diagnostics -----------------------------------------------------------
     def stats(self) -> dict[str, Any]:

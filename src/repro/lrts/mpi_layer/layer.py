@@ -130,8 +130,8 @@ class MpiMachineLayer(GpuTransportMixin, LrtsLayer):
         if value is not None:
             # eager: data was already in MPI's buffers; copy-out happened
             pe.charge(max(0.0, value[1]), "overhead")
-            self.delivered += 1
-            pe.enqueue(req.matched.payload, 0.0)
+            if pe.enqueue(req.matched.payload, 0.0):
+                self.delivered += 1
             return
         # the progress engine sits in MPI_Recv until the data is in: "once
         # a MPI_IProbe returns true, the progress engine calls blocking
@@ -153,8 +153,8 @@ class MpiMachineLayer(GpuTransportMixin, LrtsLayer):
             pe.dropped_dead += 1
             return
         pe.end_blocking(req.value[0])
-        self.delivered += 1
-        pe.enqueue(req.matched.payload, 0.0)
+        if pe.enqueue(req.matched.payload, 0.0):
+            self.delivered += 1
 
     # ------------------------------------------------------------------ #
     def stats(self) -> dict[str, Any]:

@@ -220,8 +220,8 @@ class ProtocolCore:
         self._release(pe, state.dst)
         state.dst = None
         # self.deliver(pe.rank, ...), inlined: this step runs on that PE
-        self.delivered += 1
-        pe.enqueue(state.msg, self._rndv_recv_cpu)
+        if pe.enqueue(state.msg, self._rndv_recv_cpu):
+            self.delivered += 1
 
     def _on_get_failed(self, pe: PE, state: _Rndv) -> None:
         """Receiver: GET abandoned — reclaim, and tell the sender to."""

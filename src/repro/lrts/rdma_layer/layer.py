@@ -197,12 +197,12 @@ class RdmaMachineLayer(ProtocolCore, IntranodeMixin, GpuTransportMixin,
                        payload: Any, t: float) -> None:
         pe = self._pes[qp.dst]
         if tag == "inline":
-            self.delivered += 1
-            pe.enqueue(payload, recv_cpu=self.cfg.rdma_recv_cpu)
+            if pe.enqueue(payload, recv_cpu=self.cfg.rdma_recv_cpu):
+                self.delivered += 1
         elif tag == "eager":
-            self.delivered += 1
-            pe.enqueue(payload, recv_cpu=(self.cfg.rdma_recv_cpu
-                                          + self.cfg.t_memcpy(nbytes)))
+            if pe.enqueue(payload, recv_cpu=(self.cfg.rdma_recv_cpu
+                                             + self.cfg.t_memcpy(nbytes))):
+                self.delivered += 1
         else:
             pe.enqueue(
                 Message(handler=self._proto_hid, src_pe=qp.src,

@@ -314,27 +314,27 @@ class UgniMachineLayer(ReliabilityMixin, ProtocolCore, IntranodeMixin,
         packet as a protocol-handler message."""
         recv_cpu = self._smsg.consume(smsg_msg)
         payload = smsg_msg.payload
+        pe = self._pes[smsg_msg.dst_pe]
         if isinstance(payload, _RelPacket):
             # dedupe + ack must run in PE context (the ack charges pe.vtime)
             step = "rel_rx"
         elif smsg_msg.tag == CHARM_SMALL_TAG:
-            step = None  # a whole application message: enqueue as is
-            self.delivered += 1
+            # a whole application message: enqueue as is
+            if pe.enqueue(payload, recv_cpu):
+                self.delivered += 1
+            return
         else:
             step = TAG_STEPS[smsg_msg.tag]
-        rank = smsg_msg.dst_pe
-        if step is not None:
-            payload = Message(handler=self._proto_hid,
-                              src_pe=smsg_msg.src_pe, dst_pe=rank, nbytes=0,
-                              payload=(step, payload))
-        self._pes[rank].enqueue(payload, recv_cpu)
+        pe.enqueue(Message(handler=self._proto_hid, src_pe=smsg_msg.src_pe,
+                           dst_pe=pe.rank, nbytes=0, payload=(step, payload)),
+                   recv_cpu)
 
     def _on_msgq_rx(self, msgq_msg) -> None:
         """Consume one MSGQ arrival and enqueue its application message
         on its receiver."""
         recv_cpu = self.gni.msgq.consume(msgq_msg)
-        self.delivered += 1
-        self._pes[msgq_msg.dst_pe].enqueue(msgq_msg.payload, recv_cpu)
+        if self._pes[msgq_msg.dst_pe].enqueue(msgq_msg.payload, recv_cpu):
+            self.delivered += 1
 
     # ------------------------------------------------------------------ #
     # Diagnostics

@@ -16,16 +16,14 @@ exactly — byte-for-byte — what ``jobs=1`` returns:
 Worker count: the ``jobs`` argument wins, then the ``REPRO_BENCH_JOBS``
 environment variable, then 1 (sequential, no pool at all — the default
 path has zero multiprocessing overhead and is what unit tests exercise).
-``jobs <= 0`` means "all cores".  When a pool cannot be created (some
-sandboxes forbid forking), the sweep silently degrades to sequential
-execution — the results are identical either way.
+``jobs <= 0`` means "all cores".  A pool that cannot start raises: a
+report that says ``jobs=N`` was run by N workers.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import sys
 from typing import Any, Callable, Optional, Sequence
 
 from repro._env import env_int
@@ -90,15 +88,9 @@ def run_sweep(points: Sequence[SweepPoint],
             raise ValueError(
                 f"sweep point {p.label!r} wraps a lambda, which worker "
                 "processes cannot import; use a module-level function")
-    try:
-        ctx = _pool_context()
-        with ctx.Pool(processes=min(n_jobs, len(points))) as pool:
-            # chunksize=1: points have wildly different costs (a 1MB
-            # kNeighbor point is ~100x a 32B one); fine-grained dispatch
-            # is what load-balances the sweep
-            return pool.map(_invoke, points, chunksize=1)
-    except (OSError, PermissionError) as exc:  # pragma: no cover - sandbox
-        print(f"[sweep] process pool unavailable ({exc}); "
-              "running sequentially", file=sys.stderr)
-        return [p() for p in points]
+    with _pool_context().Pool(processes=min(n_jobs, len(points))) as pool:
+        # chunksize=1: points have wildly different costs (a 1MB
+        # kNeighbor point is ~100x a 32B one); fine-grained dispatch
+        # is what load-balances the sweep
+        return pool.map(_invoke, points, chunksize=1)
 

@@ -337,7 +337,8 @@ class TestClaimsCanFail:
 
 
 class TestRegressionHarness:
-    """benchmarks/run_all.py — the perf-smoke harness CI keys off."""
+    """benchmarks/run_all.py — the checksum gate that
+    tests/test_determinism_gate.py and CI's one run_all.py step run."""
 
     def test_checksum_is_order_independent_and_full_precision(self):
         ra = _load_run_all()

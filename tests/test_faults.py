@@ -108,6 +108,60 @@ class TestInjector:
         assert lrts.delivered == 0 and got == []
 
 
+#: one message per receive path whose arrival lands on the PE from engine
+#: context: (layer, bytes, cores per node, config fields, layer config,
+#: src, dst, device)
+ARRIVAL_PATHS = {
+    "ugni_smsg": ("ugni", 100, 1, {}, None, 0, 1, False),
+    "ugni_msgq": ("ugni", 32, 1, {}, UgniLayerConfig(small_path="msgq"),
+                  0, 1, False),
+    "rdma_inline": ("rdma", 100, 1, {"topology": "dragonfly"}, None, 0, 1,
+                    False),
+    "ugni_intranode": ("ugni", 256, 2, {}, None, 2, 3, False),
+    "rdma_intranode": ("rdma", 256, 2, {}, None, 2, 3, False),
+    "ugni_gpu_staged": ("ugni", 256, 1, {"gpus_per_node": 1}, None, 0, 1,
+                        True),
+}
+
+
+def _one_message(path, crash_at=None):
+    """Send one message on ``path`` with node 1 crashing at ``crash_at``;
+    return ``(delivered, dropped_dead, handler start times)``."""
+    layer, nbytes, cpn, fields, lcfg, src, dst, device = ARRIVAL_PATHS[path]
+    conv, lrts = make_runtime(
+        n_nodes=2, layer=layer, layer_config=lcfg,
+        config=tiny_config(cores_per_node=cpn).replace(**fields),
+        fault_schedule=([] if crash_at is None
+                        else [NodeCrash(at=crash_at, node_id=1)]))
+    ran = []
+    hid = conv.register_handler(lambda pe, msg: ran.append(pe.vtime))
+    conv.machine.engine.post_at(0.0, lambda: conv.send(
+        conv.pes[src], dst, Message(hid, src, dst, nbytes, None,
+                                    device=device)))
+    conv.run()
+    return lrts.delivered, conv.pes[dst].dropped_dead, ran
+
+
+class TestDeliveredOrDropped:
+    """A message that reaches a crashed PE is ``dropped_dead`` and not
+    ``delivered``: the layer counts a delivery only when ``PE.enqueue``
+    takes the message, on every receive path."""
+
+    @pytest.mark.parametrize("path", sorted(ARRIVAL_PATHS))
+    def test_never_both(self, path):
+        (_, _, (ran_at,)) = _one_message(path)
+        # node 1 crashes every 0.1 us over the 5 us before the handler ran
+        grid = [ran_at - k * 0.1e-6 for k in range(50)]
+        outcomes = set()
+        for crash_at in (t for t in grid if t > 0):
+            delivered, dropped, ran = _one_message(path, crash_at)
+            assert (delivered, dropped) != (1, 1), (path, crash_at)
+            assert delivered == len(ran), (path, crash_at)
+            outcomes.add((delivered, dropped))
+        # the grid straddles the arrival: both outcomes happen
+        assert {(1, 0), (0, 1)} <= outcomes, outcomes
+
+
 class TestLinkFaults:
     def test_flap_degrades_and_recovers(self):
         m = make_machine(observe=True)

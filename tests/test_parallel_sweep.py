@@ -96,6 +96,18 @@ class TestRunSweep:
     def test_single_point_skips_the_pool(self):
         assert run_sweep([SweepPoint(_square, (9,))], jobs=4) == [81]
 
+    def test_pool_that_cannot_start_raises(self, monkeypatch):
+        """No silent sequential fallback: a ``jobs=2`` run either has its
+        workers or fails."""
+        from repro.parallel import sweep
+
+        def no_pool():
+            raise OSError("fork forbidden")
+
+        monkeypatch.setattr(sweep, "_pool_context", no_pool)
+        with pytest.raises(OSError, match="fork forbidden"):
+            run_sweep([SweepPoint(_square, (x,)) for x in range(3)], jobs=2)
+
 
 # --------------------------------------------------------------------- #
 # run_all.py integration: --jobs and the baseline comparison
