@@ -201,7 +201,7 @@ class PE:
         self.engine.post_at_node(self.node.node_id, time, self.enqueue, msg)
 
     # -- blocking calls (the MPI machine layer's MPI_Recv) -----------------------
-    def halt(self) -> None:
+    def halt(self) -> list[Message]:
         """Stop this PE permanently (its node crashed).
 
         Queued and future messages are never executed; the fault injector
@@ -209,13 +209,21 @@ class PE:
         state that is never unblocked — accounting stays consistent and
         in-flight hardware events addressed to the PE are simply dropped
         on the floor, as they would be by dead silicon.
+
+        Returns the queued messages it dropped, so the machine layer can
+        take back the deliveries it counted for them
+        (:meth:`~repro.lrts.interface.LrtsLayer.undeliver`).
         """
         self._blocked = True
         self.halted = True
-        self.dropped_dead += self.queue_length
+        flushed = [msg for msg, _ in self._fifo[self._head:]]
+        if self._prioq:
+            flushed += [msg for _, _, msg, _ in self._prioq]
+        self.dropped_dead += len(flushed)
         self._fifo.clear()
         self._head = 0
         self._prioq = None
+        return flushed
 
     def end_blocking(self, t: float) -> None:
         """Unblock at simulated time ``t``; the wait is charged as overhead.

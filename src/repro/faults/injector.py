@@ -244,9 +244,12 @@ class FaultInjector:
         self.node_crashes += 1
         self._emit("node_crash", where=ev.node_id)
         if self._conv is not None:
+            lrts = self._conv.lrts
             for rank in node.pes():
                 if rank < len(self._conv.pes):
-                    self._conv.pes[rank].halt()
+                    flushed = self._conv.pes[rank].halt()
+                    if lrts is not None:
+                        lrts.undeliver(flushed)
         for listener in self._crash_listeners:
             listener(ev)
 

@@ -40,6 +40,9 @@ class LrtsLayer(abc.ABC):
     """Machine-layer contract used by Converse (paper §III.B)."""
 
     name: str = "abstract"
+    #: handler ids of the layer's own protocol messages (never counted as
+    #: delivered); set by the layer at ``LrtsInit``
+    _internal_hids: frozenset = frozenset()
     #: True on layers implementing :meth:`create_persistent` /
     #: :meth:`send_persistent`; callers (persistent collectives) fall back
     #: to plain sends when False
@@ -107,6 +110,19 @@ class LrtsLayer(abc.ABC):
                                    dst_rank, msg, recv_cpu)
         elif pe.enqueue(msg, recv_cpu):
             self.delivered += 1
+
+    def undeliver(self, flushed: list[Message]) -> None:
+        """A crash dropped ``flushed`` from a PE's queue (``PE.halt``): the
+        ones this layer counted as delivered are ``dropped_dead`` instead.
+
+        Those are the application messages that crossed the layer: from
+        another PE (a self-send or a bootstrap message never enters it)
+        and not one of the layer's own protocol messages.
+        """
+        internal = self._internal_hids
+        self.delivered -= sum(1 for m in flushed
+                              if m.src_pe != m.dst_pe
+                              and m.handler not in internal)
 
     # -- diagnostics -----------------------------------------------------------
     def stats(self) -> dict[str, Any]:

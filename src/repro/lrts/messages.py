@@ -49,6 +49,6 @@ TAG_STEPS = {
     RNDV_FAIL_TAG: "rndv_fail",
     REL_ACK_TAG: "rel_ack",
 }
-STEP_TAGS = {step: tag for tag, step in TAG_STEPS.items()}
 # a duplicated tag (or step) silently collapses a dict entry: refuse it
-assert len(TAG_STEPS) == len(STEP_TAGS) == 11 and CHARM_SMALL_TAG not in TAG_STEPS
+assert (len(TAG_STEPS) == len(set(TAG_STEPS.values())) == 11
+        and CHARM_SMALL_TAG not in TAG_STEPS)

@@ -53,6 +53,7 @@ class MpiMachineLayer(GpuTransportMixin, LrtsLayer):
     def _setup(self) -> None:
         assert self.conv is not None
         self._proto_hid = self.conv.register_handler(self._proto_handler)
+        self._internal_hids = frozenset((self._proto_hid,))
         self.world.on_unexpected_default = self._on_unexpected
 
     # ------------------------------------------------------------------ #

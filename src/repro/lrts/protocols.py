@@ -61,8 +61,9 @@ window scheme persistent alltoallv analyses assume.
 
 The fabric port (each layer implements these in a few lines):
 
-``_control(pe, dst_rank, step, state)``
-    one control message; ``step`` then runs on ``dst_rank`` with ``state``
+``_control(pe, dst_rank, tag, state)``
+    one control message; the step of ``tag`` (``TAG_STEPS``) then runs on
+    ``dst_rank`` with ``state``
 ``_acquire(pe, nbytes) -> buf`` / ``_release(pe, buf)``
     a registered transfer buffer, charged to ``pe``
 ``_pin_window(pe, nbytes, why) -> win`` / ``_unpin_window(pe, win)``
@@ -76,6 +77,11 @@ The fabric port (each layer implements these in a few lines):
 — all the core reads, to build descriptors — followed by whatever the
 layer needs to release them (the owning pool or cache).  Two constants
 complete the port: ``_rndv_recv_cpu`` and ``_persist_label``.
+
+Every step is a Converse handler of its own (``_steps``: step name ->
+handler id): a control's arrival or a post's completion enqueues
+``Message(hid, ..., payload=state)`` on the PE that owns the step, so a
+step costs one scheduler dispatch and its own frame.
 """
 
 from __future__ import annotations
@@ -85,9 +91,22 @@ from typing import Any
 from repro.converse.scheduler import Message, PE
 from repro.errors import LrtsError
 from repro.lrts.interface import PersistentHandle
-from repro.lrts.messages import LRTS_ENVELOPE
+from repro.lrts.messages import (
+    ACK_TAG,
+    INIT_TAG,
+    LRTS_ENVELOPE,
+    PERSIST_READY_TAG,
+    PERSIST_SETUP_TAG,
+    PERSIST_TEARDOWN_TAG,
+    PERSISTENT_TAG,
+    PUT_CTS_TAG,
+    PUT_DONE_TAG,
+    PUT_REQ_TAG,
+    RNDV_FAIL_TAG,
+    TAG_STEPS,
+)
 from repro.ugni.rdma import PostDescriptor
-from repro.ugni.types import PostType
+from repro.ugni.types import GET, PUT
 
 
 class _Rndv:
@@ -123,14 +142,6 @@ class _Channel:
         self.closing = False
 
 
-def _desc(post_type: PostType, local: tuple, remote: tuple,
-          nbytes: int) -> PostDescriptor:
-    """A transfer of ``nbytes`` between two buffer/window tokens."""
-    return PostDescriptor(
-        post_type=post_type, local_mem=local[1], remote_mem=remote[1],
-        length=nbytes, local_addr=local[0].addr, remote_addr=remote[0].addr)
-
-
 class ProtocolCore:
     """Rendezvous + persistent channels over the fabric port (a mixin)."""
 
@@ -146,48 +157,52 @@ class ProtocolCore:
     #: persistent-channel sends abandoned after exhausting the budget
     persistent_failed = 0
 
-    def _proto_setup(self) -> None:
-        """Register the protocol handler and the step table (``LrtsInit``)."""
-        self._proto_hid = self.conv.register_handler(self._proto_handler)
+    def _proto_setup(self, **private_steps) -> None:
+        """Register every protocol step, the core's and the layer's
+        ``private_steps``, as a Converse handler (``LrtsInit``)."""
         self._persistent: dict[int, PersistentHandle] = {}
-        #: protocol-step dispatch table; layers add their private steps
-        self._steps = {
-            "init": self._on_init,
-            "get_done": self._on_get_done,
-            "get_failed": self._on_get_failed,
-            "ack": self._on_ack,
-            "put_req": self._on_put_req,
-            "put_cts": self._on_put_cts,
-            "put_done_local": self._on_put_local_done,
-            "put_failed": self._on_put_failed,
-            "put_done": self._on_put_done,
-            "rndv_fail": self._on_rndv_fail,
-            "persist_setup": self._on_persist_setup,
-            "persist_ready": self._on_persist_ready,
-            "persist_done": self._on_persist_done,
-            "persist_send_failed": self._on_persist_send_failed,
-            "persistent": self._on_persistent,
-            "persist_teardown": self._on_persist_teardown,
-        }
-
-    def _proto_handler(self, pe: PE, message: Message) -> None:
-        """Runs each step on the PE that owns it (so protocol processing
-        *occupies* that PE, exactly like the real progress engine)."""
-        step, state = message.payload
-        self._steps[step](pe, state)
+        steps = dict(
+            init=self._on_init,
+            get_done=self._on_get_done,
+            get_failed=self._on_get_failed,
+            ack=self._on_ack,
+            put_req=self._on_put_req,
+            put_cts=self._on_put_cts,
+            put_done_local=self._on_put_local_done,
+            put_failed=self._on_put_failed,
+            put_done=self._on_put_done,
+            rndv_fail=self._on_rndv_fail,
+            persist_setup=self._on_persist_setup,
+            persist_ready=self._on_persist_ready,
+            persist_done=self._on_persist_done,
+            persist_send_failed=self._on_persist_send_failed,
+            persistent=self._on_persistent,
+            persist_teardown=self._on_persist_teardown,
+            **private_steps)
+        #: step name -> Converse handler id, for every step a control, a
+        #: completion or a timer queues
+        self._steps = {name: self.conv.register_handler(fn)
+                       for name, fn in steps.items()}
+        #: control tag -> the handler id of the step it runs on arrival
+        self._tag_hids = {tag: self._steps[step]
+                          for tag, step in TAG_STEPS.items()
+                          if step in self._steps}
+        #: the control that opens a rendezvous
+        self._rndv_tag = (INIT_TAG if self.lcfg.rendezvous == "get"
+                          else PUT_REQ_TAG)
+        self._internal_hids = frozenset(self._steps.values())
 
     def _self_step(self, pe: PE, step: str, state: Any,
                    recv_cpu: float | None = None) -> None:
         """Queue ``step`` on ``pe`` itself.
 
-        Completions and timers fire in engine context, but the step they
-        trigger charges time and sends control messages, so it goes
-        through the PE's scheduler like any message (``recv_cpu``
+        Timers and failed completions fire in engine context, but the
+        step they trigger charges time and sends control messages, so it
+        goes through the PE's scheduler like any message (``recv_cpu``
         defaults to one CQ-event poll).
         """
         pe.enqueue(
-            Message(handler=self._proto_hid, src_pe=pe.rank, dst_pe=pe.rank,
-                    nbytes=0, payload=(step, state)),
+            Message(self._steps[step], pe.rank, pe.rank, 0, state),
             self.cfg.cq_event_cpu if recv_cpu is None else recv_cpu)
 
     # ------------------------------------------------------------------ #
@@ -197,24 +212,26 @@ class ProtocolCore:
                          total: int) -> None:
         state = _Rndv(msg, total, src_pe.rank, dst_rank)
         state.src = self._acquire(src_pe, total)
-        self._control(src_pe, dst_rank,
-                      "init" if self.lcfg.rendezvous == "get" else "put_req",
-                      state)
+        self._control(src_pe, dst_rank, self._rndv_tag, state)
 
     # -- GET protocol -----------------------------------------------------
-    def _on_init(self, pe: PE, state: _Rndv) -> None:
+    def _on_init(self, pe: PE, message: Message) -> None:
         """Receiver: allocate, then pull the data with a GET."""
-        state.dst = self._acquire(pe, state.nbytes)
-        self._post(pe, _desc(PostType.GET, state.dst, state.src, state.nbytes),
+        state: _Rndv = message.payload
+        src = state.src
+        dst = state.dst = self._acquire(pe, state.nbytes)
+        self._post(pe, PostDescriptor(GET, dst[1], src[1],
+                                      state.nbytes, dst[0].addr, src[0].addr),
                    "get_done", "get_failed", state)
 
-    def _on_get_done(self, pe: PE, state: _Rndv) -> None:
+    def _on_get_done(self, pe: PE, message: Message) -> None:
         """Receiver: data landed — ACK the sender, deliver to Converse.
 
         The control message leaves *before* the release (paper Fig. 5), on
         every fabric: a release that has to evict must not delay the ACK.
         """
-        self._control(pe, state.src_rank, "ack", state)
+        state: _Rndv = message.payload
+        self._control(pe, state.src_rank, ACK_TAG, state)
         # The received buffer *is* the delivered message; the app consumes
         # it and the runtime reclaims it at handoff in this model.
         self._release(pe, state.dst)
@@ -223,62 +240,72 @@ class ProtocolCore:
         if pe.enqueue(state.msg, self._rndv_recv_cpu):
             self.delivered += 1
 
-    def _on_get_failed(self, pe: PE, state: _Rndv) -> None:
+    def _on_get_failed(self, pe: PE, message: Message) -> None:
         """Receiver: GET abandoned — reclaim, and tell the sender to."""
+        state: _Rndv = message.payload
         self.rndv_failed += 1
         self._release(pe, state.dst)
         state.dst = None
-        self._control(pe, state.src_rank, "rndv_fail", state)
+        self._control(pe, state.src_rank, RNDV_FAIL_TAG, state)
 
-    def _on_ack(self, pe: PE, state: _Rndv) -> None:
+    def _on_ack(self, pe: PE, message: Message) -> None:
         """Sender: receiver has the data — reclaim the send buffer.
 
         Guarded and nulled like every release here, so a late
         ``rndv_fail`` for the same transfer cannot free it twice.
         """
+        state: _Rndv = message.payload
         if state.src is not None:
             self._release(pe, state.src)
             state.src = None
 
     # -- PUT protocol -----------------------------------------------------
-    def _on_put_req(self, pe: PE, state: _Rndv) -> None:
+    def _on_put_req(self, pe: PE, message: Message) -> None:
         """Receiver: allocate and tell the sender where to put."""
+        state: _Rndv = message.payload
         state.dst = self._acquire(pe, state.nbytes)
-        self._control(pe, state.src_rank, "put_cts", state)
+        self._control(pe, state.src_rank, PUT_CTS_TAG, state)
 
-    def _on_put_cts(self, pe: PE, state: _Rndv) -> None:
+    def _on_put_cts(self, pe: PE, message: Message) -> None:
         """Sender: push the data, then notify."""
-        self._post(pe, _desc(PostType.PUT, state.src, state.dst, state.nbytes),
+        state: _Rndv = message.payload
+        src, dst = state.src, state.dst
+        self._post(pe, PostDescriptor(PUT, src[1], dst[1],
+                                      state.nbytes, src[0].addr, dst[0].addr),
                    "put_done_local", "put_failed", state)
 
-    def _on_put_local_done(self, pe: PE, state: _Rndv) -> None:
+    def _on_put_local_done(self, pe: PE, message: Message) -> None:
         """Sender: PUT completed locally — notify the receiver and free."""
-        self._control(pe, state.dst_rank, "put_done", state)
+        state: _Rndv = message.payload
+        self._control(pe, state.dst_rank, PUT_DONE_TAG, state)
         self._release(pe, state.src)
         state.src = None
 
-    def _on_put_failed(self, pe: PE, state: _Rndv) -> None:
+    def _on_put_failed(self, pe: PE, message: Message) -> None:
         """Sender: PUT abandoned — reclaim the send buffer and tell the
         receiver to reclaim the one it advertised in the CTS."""
+        state: _Rndv = message.payload
         self.rndv_failed += 1
         self._release(pe, state.src)
         state.src = None
-        self._control(pe, state.dst_rank, "rndv_fail", state)
+        self._control(pe, state.dst_rank, RNDV_FAIL_TAG, state)
 
-    def _on_put_done(self, pe: PE, state: _Rndv) -> None:
+    def _on_put_done(self, pe: PE, message: Message) -> None:
         """Receiver: data landed — deliver."""
+        state: _Rndv = message.payload
         self._release(pe, state.dst)
         state.dst = None
         self.deliver(pe.rank, state.msg, self._rndv_recv_cpu)
 
     # -- give-up cleanup ----------------------------------------------------
-    def _on_rndv_fail(self, pe: PE, state: _Rndv) -> None:
+    def _on_rndv_fail(self, pe: PE, message: Message) -> None:
         """The peer's post was abandoned: reclaim this side's buffer.
 
         Runs on the sender after a failed GET (its ``init`` pinned ``src``)
         or on the receiver after a failed PUT (its CTS pinned ``dst``); the
         failing side already reclaimed its own buffer.
         """
+        state: _Rndv = message.payload
         if pe.rank == state.src_rank and state.src is not None:
             self._release(pe, state.src)
             state.src = None
@@ -303,19 +330,21 @@ class ProtocolCore:
             src_pe, max_bytes + LRTS_ENVELOPE,
             f"{self._persist_label}[{handle.id}].src")
         self._persistent[handle.id] = handle
-        self._control(src_pe, dst_rank, "persist_setup", handle)
+        self._control(src_pe, dst_rank, PERSIST_SETUP_TAG, handle)
         return handle
 
     # -- handshake ----------------------------------------------------------
-    def _on_persist_setup(self, pe: PE, handle: PersistentHandle) -> None:
+    def _on_persist_setup(self, pe: PE, message: Message) -> None:
         """Destination PE: pin the persistent receive window."""
+        handle: PersistentHandle = message.payload
         handle.impl.dst_win = self._pin_window(
             pe, handle.max_bytes + LRTS_ENVELOPE,
             f"{self._persist_label}[{handle.id}].dst")
-        self._control(pe, handle.src_rank, "persist_ready", handle)
+        self._control(pe, handle.src_rank, PERSIST_READY_TAG, handle)
 
-    def _on_persist_ready(self, pe: PE, handle: PersistentHandle) -> None:
+    def _on_persist_ready(self, pe: PE, message: Message) -> None:
         """Sender PE: channel open; flush anything queued."""
+        handle: PersistentHandle = message.payload
         handle.ready = True
         chan: _Channel = handle.impl
         queued, chan.queued = chan.queued, []
@@ -353,32 +382,35 @@ class ProtocolCore:
         chan: _Channel = handle.impl
         handle.sends += 1
         chan.inflight += 1
-        self._post(pe, _desc(PostType.PUT, chan.src_win, chan.dst_win,
-                             msg.nbytes + LRTS_ENVELOPE),
+        src, dst = chan.src_win, chan.dst_win
+        self._post(pe, PostDescriptor(PUT, src[1], dst[1],
+                                      msg.nbytes + LRTS_ENVELOPE,
+                                      src[0].addr, dst[0].addr),
                    "persist_done", "persist_send_failed", (handle, msg),
                    rearm=handle)
 
-    def _on_persist_done(self, pe: PE, payload) -> None:
+    def _on_persist_done(self, pe: PE, message: Message) -> None:
         """Sender's local completion: notify the receiver (Fig. 7a)."""
-        handle, msg = payload
+        payload = message.payload
+        handle, _ = payload
         handle.impl.inflight -= 1
-        self._control(pe, handle.dst_rank, "persistent", payload)
+        self._control(pe, handle.dst_rank, PERSISTENT_TAG, payload)
         if handle.impl.closing:
             self._try_persist_finalize(pe, handle)
 
-    def _on_persist_send_failed(self, pe: PE, payload) -> None:
+    def _on_persist_send_failed(self, pe: PE, message: Message) -> None:
         """PUT abandoned: this send is lost, but the channel's pinned
         windows persist and later sends still work — count the
         abandonment so the application can see it."""
-        handle, _ = payload
+        handle, _ = message.payload
         self.persistent_failed += 1
         handle.impl.inflight -= 1
         if handle.impl.closing:
             self._try_persist_finalize(pe, handle)
 
-    def _on_persistent(self, pe: PE, payload) -> None:
+    def _on_persistent(self, pe: PE, message: Message) -> None:
         """Receiver: the PUT has landed; the notify carries no data."""
-        _, msg = payload
+        _, msg = message.payload
         self.deliver(pe.rank, msg, recv_cpu=0.0)
 
     # -- teardown -----------------------------------------------------------
@@ -414,13 +446,13 @@ class ProtocolCore:
             chan.src_win = None
         if chan.dst_win is not None:
             # receiver-side release; charge there via a protocol message
-            self._control(pe, handle.dst_rank, "persist_teardown", handle)
+            self._control(pe, handle.dst_rank, PERSIST_TEARDOWN_TAG, handle)
         handle.ready = False
         chan.closing = False
         self._persistent.pop(handle.id, None)
 
-    def _on_persist_teardown(self, pe: PE, handle: PersistentHandle) -> None:
-        chan: _Channel = handle.impl
+    def _on_persist_teardown(self, pe: PE, message: Message) -> None:
+        chan: _Channel = message.payload.impl
         if chan.dst_win is not None:
             self._unpin_window(pe, chan.dst_win)
             chan.dst_win = None

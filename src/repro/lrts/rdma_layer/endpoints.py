@@ -35,7 +35,7 @@ from repro.lrts.rdma_layer.config import (
 )
 from repro.ugni.memreg import MemHandle, RegistrationTables
 from repro.ugni.rdma import PostDescriptor
-from repro.ugni.types import PostType
+from repro.ugni.types import PUT
 
 #: wire size of a UD connection-management datagram
 UD_DGRAM_BYTES = 96
@@ -344,11 +344,12 @@ class RdmaFabric:
 
     # -- one-sided memory channel ------------------------------------------------
     def post_rdma(self, initiator_node: int, desc: PostDescriptor,
-                  on_done: Callable[[], None], on_error: Callable[[], None],
+                  on_done: Callable[[PostDescriptor], None],
+                  on_error: Callable[[PostDescriptor], None],
                   at: float) -> float:
         """RDMA READ (a ``GET`` descriptor) or WRITE (``PUT``); returns cpu.
 
-        ``on_done()`` / ``on_error()`` run in engine context on the
+        ``on_done(desc)`` / ``on_error(desc)`` run in engine context on the
         initiator's node.  Offloaded: the posting CPU is free after the
         doorbell (the returned :attr:`MachineConfig.rdma_post_cpu`).
         """
@@ -360,7 +361,7 @@ class RdmaFabric:
             desc.local_mem, desc.local_addr, desc.length)
         self.registrations[desc.remote_mem.node_id].check(
             desc.remote_mem, desc.remote_addr, desc.length)
-        if desc.post_type is PostType.PUT:
+        if desc.post_type is PUT:
             self.rdma_puts += 1
         else:
             self.rdma_gets += 1
@@ -390,7 +391,8 @@ class RdmaFabric:
                 san = machine.sanitizer
                 if san is not None and token is not None:
                     san.on_rdma_retire(token, err_t)
-                machine.engine.call_at_node(initiator_node, err_t, on_error)
+                machine.engine.call_at_node(initiator_node, err_t, on_error,
+                                            desc)
                 return
             self.rdma_retransmits += 1
             machine.engine.call_at_node(
@@ -399,7 +401,7 @@ class RdmaFabric:
                 on_error, token, attempt + 1,
                 err_t + self.lcfg.retransmit_timeout)
             return
-        if desc.post_type is PostType.PUT:
+        if desc.post_type is PUT:
             timing = machine.network.transfer(
                 at, init_coord, peer_coord, desc.length,
                 bandwidth_cap=cfg.rdma_write_bandwidth)
@@ -414,12 +416,12 @@ class RdmaFabric:
             done_t = timing.arrival + cfg.rdma_completion_latency
         san = machine.sanitizer
         if san is not None and token is not None:
-            def complete() -> None:
+            def complete(desc: PostDescriptor) -> None:
                 san.on_rdma_retire(token, done_t)
-                on_done()
+                on_done(desc)
         else:
             complete = on_done
-        machine.engine.call_at_node(initiator_node, done_t, complete)
+        machine.engine.call_at_node(initiator_node, done_t, complete, desc)
 
     # -- diagnostics --------------------------------------------------------------
     def stats(self) -> dict[str, Any]:

@@ -24,10 +24,10 @@ reliability mode — loss recovery is part of the fabric model.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Any, Optional
 
 from repro.converse.scheduler import Message, PE
+from repro.errors import SimulationError
 from repro.hardware.machine import Machine
 from repro.lrts.gpu_transport import GpuTransportMixin
 from repro.lrts.interface import LrtsLayer
@@ -137,29 +137,55 @@ class RdmaMachineLayer(ProtocolCore, IntranodeMixin, GpuTransportMixin,
         self._send_rendezvous(src_pe, dst_rank, msg, total)
 
     # -- RC sends, and the fabric port ------------------------------------------
-    def _rc_send(self, pe: PE, dst_rank: int, tag: str, payload: Any,
+    def _rc_send(self, pe: PE, dst_rank: int, tag: Any, payload: Any,
                  nbytes: int = CONTROL_BYTES, extra_cpu: float = 0.0) -> None:
-        pe.charge(self.cfg.rdma_post_cpu + extra_cpu, "overhead")
+        start = pe.vtime
+        cpu = self.cfg.rdma_post_cpu + extra_cpu
+        # pe.charge(cpu, "overhead"), inlined
+        if cpu < 0:
+            raise SimulationError(f"negative charge {cpu}")
+        if cpu != 0.0:
+            pe.vtime = start + cpu
+            pe.overhead_time += cpu
+            if pe._tracer is not None:
+                pe._tracer.record(pe.rank, start, cpu, "overhead")
         # fabric.qp, inlined down to its miss (the handshake)
         qp = self.fabric.qps.get((pe.rank, dst_rank))
         if qp is None:
             qp = self.fabric.qp(pe.rank, dst_rank, at=pe.vtime)
         qp.post_send(tag, nbytes, payload, at=pe.vtime)
 
-    #: a control message is an RC send of its defaults: the step name is
-    #: the tag, the state the payload
+    #: a control message is an RC send of its defaults: the control's tag
+    #: is the RC tag, the state the payload
     _control = _rc_send
 
     def _acquire(self, pe: PE, nbytes: int) -> tuple:
         """A bounce window from this node's pin-down cache."""
         cache = self.fabric.pin_caches[pe.node.node_id]
         block, handle, cpu = cache.acquire(nbytes)
-        pe.charge(cpu, "overhead")
+        # pe.charge(cpu, "overhead"), inlined
+        if cpu < 0:
+            raise SimulationError(f"negative charge {cpu}")
+        if cpu != 0.0:
+            start = pe.vtime
+            pe.vtime = start + cpu
+            pe.overhead_time += cpu
+            if pe._tracer is not None:
+                pe._tracer.record(pe.rank, start, cpu, "overhead")
         return block, handle, cache
 
     def _release(self, pe: PE, buf: tuple) -> None:
         block, handle, cache = buf
-        pe.charge(cache.release(block, handle), "overhead")
+        cpu = cache.release(block, handle)
+        # pe.charge(cpu, "overhead"), inlined
+        if cpu < 0:
+            raise SimulationError(f"negative charge {cpu}")
+        if cpu != 0.0:
+            start = pe.vtime
+            pe.vtime = start + cpu
+            pe.overhead_time += cpu
+            if pe._tracer is not None:
+                pe._tracer.record(pe.rank, start, cpu, "overhead")
 
     def _pin_window(self, pe: PE, nbytes: int, why: str) -> tuple:
         block, handle, cpu = self.fabric.registrations.malloc_registered(
@@ -173,17 +199,32 @@ class RdmaMachineLayer(ProtocolCore, IntranodeMixin, GpuTransportMixin,
     def _post(self, pe: PE, desc, done_step: str, failed_step: str,
               state: Any, rearm: Any = None) -> None:
         """One-sided READ/WRITE; the RC hardware retries inside the fabric,
-        so a persistent window needs no ``rearm``."""
-        cpu = self.fabric.post_rdma(
-            pe.node.node_id, desc,
-            partial(self._self_step, pe, done_step, state),
-            partial(self._post_abandoned, pe, failed_step, state),
-            at=pe.vtime)
-        pe.charge(cpu, "overhead")
+        so a persistent window needs no ``rearm``.  The continuation rides
+        in ``desc.context`` as ``(pe, done_step, failed_step, state)``."""
+        desc.context = (pe, done_step, failed_step, state)
+        start = pe.vtime
+        cpu = self.fabric.post_rdma(pe.node.node_id, desc, self._on_post_done,
+                                    self._post_abandoned, at=start)
+        # pe.charge(cpu, "overhead"), inlined
+        if cpu < 0:
+            raise SimulationError(f"negative charge {cpu}")
+        if cpu != 0.0:
+            pe.vtime = start + cpu
+            pe.overhead_time += cpu
+            if pe._tracer is not None:
+                pe._tracer.record(pe.rank, start, cpu, "overhead")
 
-    def _post_abandoned(self, pe: PE, failed_step: str, state: Any) -> None:
+    def _on_post_done(self, desc) -> None:
+        """The transfer completed locally: queue ``done_step`` on its PE."""
+        pe, done_step, _, state = desc.context
+        # self._self_step(pe, done_step, state), inlined
+        pe.enqueue(Message(self._steps[done_step], pe.rank, pe.rank, 0, state),
+                   self.cfg.cq_event_cpu)
+
+    def _post_abandoned(self, desc) -> None:
         """The transfer died after all retries: report which protocol lost
         its message, then run the cleanup step on the PE."""
+        pe, _, failed_step, state = desc.context
         obs = self._obs
         if obs is not None:
             obs.on_recovery(failed_step, f"pe{pe.rank}",
@@ -193,7 +234,7 @@ class RdmaMachineLayer(ProtocolCore, IntranodeMixin, GpuTransportMixin,
     # ------------------------------------------------------------------ #
     # Receive side (engine context on the destination's node)
     # ------------------------------------------------------------------ #
-    def _on_rc_receive(self, qp: RcQueuePair, tag: str, nbytes: int,
+    def _on_rc_receive(self, qp: RcQueuePair, tag: Any, nbytes: int,
                        payload: Any, t: float) -> None:
         pe = self._pes[qp.dst]
         if tag == "inline":
@@ -204,10 +245,8 @@ class RdmaMachineLayer(ProtocolCore, IntranodeMixin, GpuTransportMixin,
                                              + self.cfg.t_memcpy(nbytes))):
                 self.delivered += 1
         else:
-            pe.enqueue(
-                Message(handler=self._proto_hid, src_pe=qp.src,
-                        dst_pe=qp.dst, nbytes=0, payload=(tag, payload)),
-                recv_cpu=self.cfg.rdma_recv_cpu)
+            pe.enqueue(Message(self._tag_hids[tag], qp.src, qp.dst, 0, payload),
+                       self.cfg.rdma_recv_cpu)
 
     def _on_rc_giveup(self, qp: RcQueuePair, tag: str, nbytes: int,
                       payload: Any) -> None:

@@ -23,8 +23,7 @@ from repro.lrts.messages import (
     CHARM_SMALL_TAG,
     CONTROL_BYTES,
     LRTS_ENVELOPE,
-    STEP_TAGS,
-    TAG_STEPS,
+    REL_ACK_TAG,
 )
 from repro.lrts.protocols import ProtocolCore
 from repro.lrts.ugni_layer.config import CREDIT_RETRY_INTERVAL, UgniLayerConfig
@@ -90,9 +89,9 @@ class UgniMachineLayer(ReliabilityMixin, ProtocolCore, IntranodeMixin,
         assert self.conv is not None
         self.pxshm = PxshmFabric(
             self.machine, single_copy=(self.lcfg.intranode == "pxshm_single"))
-        self._proto_setup()
-        self._steps.update(flush_pending=self._flush_pending,
-                           rel_rx=self._on_rel_rx, rel_ack=self._on_rel_ack)
+        self._proto_setup(flush_pending=self._flush_pending,
+                          rel_rx=self._on_rel_rx, rel_ack=self._on_rel_ack,
+                          rel_retry=self._rel_retry, repost=self._repost)
         if self.lcfg.reliability:
             self._rel_setup()
         san = self.machine.sanitizer
@@ -147,20 +146,37 @@ class UgniMachineLayer(ReliabilityMixin, ProtocolCore, IntranodeMixin,
             if pool is None:
                 pool = self._pool_for(pe)
             block, cost = pool.alloc(nbytes)
-            pe.charge(cost, "overhead")
-            return block, block.mem_handle, pool
-        block, handle, cost = self.gni.registrations.malloc_registered(
-            pe.node.node_id, nbytes)
-        pe.charge(cost, "overhead")
-        return block, handle, None
+            handle = block.mem_handle
+        else:
+            pool = None
+            block, handle, cost = self.gni.registrations.malloc_registered(
+                pe.node.node_id, nbytes)
+        # pe.charge(cost, "overhead"), inlined
+        if cost < 0:
+            raise SimulationError(f"negative charge {cost}")
+        if cost != 0.0:
+            start = pe.vtime
+            pe.vtime = start + cost
+            pe.overhead_time += cost
+            if pe._tracer is not None:
+                pe._tracer.record(pe.rank, start, cost, "overhead")
+        return block, handle, pool
 
     def _release(self, pe: PE, buf: tuple) -> None:
         block, handle, pool = buf
         if pool is not None:
-            pe.charge(pool.free(block), "overhead")
+            cost = pool.free(block)
         else:
-            pe.charge(self.gni.registrations.free_registered(block, handle),
-                      "overhead")
+            cost = self.gni.registrations.free_registered(block, handle)
+        # pe.charge(cost, "overhead"), inlined
+        if cost < 0:
+            raise SimulationError(f"negative charge {cost}")
+        if cost != 0.0:
+            start = pe.vtime
+            pe.vtime = start + cost
+            pe.overhead_time += cost
+            if pe._tracer is not None:
+                pe._tracer.record(pe.rank, start, cost, "overhead")
 
     def _pin_window(self, pe: PE, nbytes: int, why: str) -> tuple:
         block, handle, cost = self.gni.registrations.malloc_registered(
@@ -195,11 +211,7 @@ class UgniMachineLayer(ReliabilityMixin, ProtocolCore, IntranodeMixin,
             if self.lcfg.small_path == "msgq":
                 self._send_msgq(src_pe, dst_rank, msg, total)
                 return
-            payload: Any = msg
-            if self._rel_on:
-                payload = self._rel_wrap(src_pe, dst_rank, CHARM_SMALL_TAG,
-                                         total, msg)
-            self._smsg_push(src_pe, dst_rank, CHARM_SMALL_TAG, total, payload)
+            self._smsg_push(src_pe, dst_rank, CHARM_SMALL_TAG, msg, total)
             return
         self.rendezvous_sent += 1
         if obs is not None:
@@ -235,20 +247,18 @@ class UgniMachineLayer(ReliabilityMixin, ProtocolCore, IntranodeMixin,
             return
         src_pe.charge(cpu, "overhead")
 
-    def _control(self, pe: PE, dst_rank: int, step: str, state: Any) -> None:
-        """Fabric port: a protocol control SMSG (INIT/ACK/CTS/...).
+    def _smsg_push(self, pe: PE, dst_rank: int, tag: int, payload: Any,
+                   nbytes: int = CONTROL_BYTES) -> None:
+        """Every SMSG the layer sends: an application message or a control.
 
-        Reliability-wrapped when enabled; the reliability acks themselves
-        go straight to :meth:`_smsg_push`.
+        With reliability on, each is sequenced once (:meth:`_rel_wrap`)
+        except the reliability acks, and a retransmit re-pushes the packet
+        it already is.  Credit exhaustion queues the send, FIFO per
+        connection.
         """
-        tag = STEP_TAGS[step]
-        if self._rel_on:
-            state = self._rel_wrap(pe, dst_rank, tag, CONTROL_BYTES, state)
-        self._smsg_push(pe, dst_rank, tag, CONTROL_BYTES, state)
-
-    def _smsg_push(self, pe: PE, dst_rank: int, tag: int, nbytes: int,
-                   payload: Any) -> None:
-        """Raw SMSG send with credit-exhaustion queueing (FIFO per connection)."""
+        if (self._rel_on and tag != REL_ACK_TAG
+                and type(payload) is not _RelPacket):
+            payload = self._rel_wrap(pe, dst_rank, tag, nbytes, payload)
         obs = self._obs
         pending = self._pending
         if pending:
@@ -282,12 +292,16 @@ class UgniMachineLayer(ReliabilityMixin, ProtocolCore, IntranodeMixin,
             if tracer is not None:
                 tracer.record(pe.rank, start, cpu, "overhead")
 
+    #: fabric port: a protocol control is an SMSG of its tag
+    _control = _smsg_push
+
     def _schedule_flush(self, src_rank: int, dst_rank: int, after: float) -> None:
         self.machine.engine.call_at(
             after + CREDIT_RETRY_INTERVAL, self._self_step,
             self.conv.pes[src_rank], "flush_pending", dst_rank, 0.0)
 
-    def _flush_pending(self, pe: PE, dst_rank: int) -> None:
+    def _flush_pending(self, pe: PE, message: Message) -> None:
+        dst_rank = message.payload
         key = (pe.rank, dst_rank)
         q = self._pending.get(key)
         if not q:
@@ -310,23 +324,22 @@ class UgniMachineLayer(ReliabilityMixin, ProtocolCore, IntranodeMixin,
     # ------------------------------------------------------------------ #
     def _on_smsg_rx(self, smsg_msg) -> None:
         """Consume one SMSG arrival and enqueue it on its receiver: an
-        application message as is, a protocol step or a reliability
-        packet as a protocol-handler message."""
+        application message as is, a control or a reliability packet as a
+        message to its step's handler."""
         recv_cpu = self._smsg.consume(smsg_msg)
         payload = smsg_msg.payload
         pe = self._pes[smsg_msg.dst_pe]
         if isinstance(payload, _RelPacket):
             # dedupe + ack must run in PE context (the ack charges pe.vtime)
-            step = "rel_rx"
+            hid = self._steps["rel_rx"]
         elif smsg_msg.tag == CHARM_SMALL_TAG:
             # a whole application message: enqueue as is
             if pe.enqueue(payload, recv_cpu):
                 self.delivered += 1
             return
         else:
-            step = TAG_STEPS[smsg_msg.tag]
-        pe.enqueue(Message(handler=self._proto_hid, src_pe=smsg_msg.src_pe,
-                           dst_pe=pe.rank, nbytes=0, payload=(step, payload)),
+            hid = self._tag_hids[smsg_msg.tag]
+        pe.enqueue(Message(hid, smsg_msg.src_pe, pe.rank, 0, payload),
                    recv_cpu)
 
     def _on_msgq_rx(self, msgq_msg) -> None:

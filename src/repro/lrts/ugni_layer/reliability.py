@@ -34,14 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.converse.scheduler import PE
-from repro.errors import UgniTransactionError
-from repro.lrts.messages import (
-    CHARM_SMALL_TAG,
-    CONTROL_BYTES,
-    REL_ACK_TAG,
-    TAG_STEPS,
-)
+from repro.converse.scheduler import Message, PE
+from repro.errors import SimulationError, UgniTransactionError
+from repro.lrts.messages import CHARM_SMALL_TAG, REL_ACK_TAG
 from repro.lrts.ugni_layer.config import REL_WINDOW_CAP
 
 
@@ -131,7 +126,6 @@ class ReliabilityMixin:
     def _rel_setup(self) -> None:
         """Called from ``_setup`` when ``lcfg.reliability`` is on."""
         self._rel_on = True
-        self._steps.update(rel_retry=self._rel_retry, repost=self._repost)
         #: next sequence number per (src, dst)
         self._rel_next_seq: dict[tuple[int, int], int] = {}
         #: unacked packets: (src, dst, seq) -> record
@@ -181,7 +175,8 @@ class ReliabilityMixin:
             self._rel_backoff(rec.attempts), self._self_step,
             self.conv.pes[pkt.src], "rel_retry", pkt.key, 0.0)
 
-    def _rel_retry(self, pe: PE, key: tuple[int, int, int]) -> None:
+    def _rel_retry(self, pe: PE, message: Message) -> None:
+        key = message.payload
         rec = self._rel_tx.get(key)
         if rec is None:
             return  # acked while the timer was in flight
@@ -196,21 +191,22 @@ class ReliabilityMixin:
         self.rel_retransmits += 1
         self._rel_trace("retransmit", where=pkt.pair,
                         seq=pkt.seq, attempt=rec.attempts)
-        self._smsg_push(pe, pkt.dst, pkt.tag, rec.nbytes, pkt)
+        self._smsg_push(pe, pkt.dst, pkt.tag, pkt, rec.nbytes)
         self._rel_arm_timer(rec)
 
-    def _on_rel_ack(self, pe: PE, ack: tuple[int, int, int]) -> None:
+    def _on_rel_ack(self, pe: PE, message: Message) -> None:
         """Sender PE: the receiver has the packet — stop retransmitting."""
-        rec = self._rel_tx.pop(ack, None)
+        rec = self._rel_tx.pop(message.payload, None)
         if rec is not None:
             rec.timer.cancel()
 
     # -- receiver side --------------------------------------------------------
-    def _on_rel_rx(self, pe: PE, pkt: _RelPacket) -> None:
+    def _on_rel_rx(self, pe: PE, message: Message) -> None:
         """Receiver PE: ack, deduplicate, then dispatch the inner message."""
+        pkt: _RelPacket = message.payload
         # ack every copy — the ack for an earlier copy may itself be lost
         self.rel_acks += 1
-        self._smsg_push(pe, pkt.src, REL_ACK_TAG, CONTROL_BYTES, pkt.key)
+        self._smsg_push(pe, pkt.src, REL_ACK_TAG, pkt.key)
         rx = self._rel_seen.get(pkt.pair)
         if rx is None:
             rx = self._rel_seen[pkt.pair] = _RelRx()
@@ -229,7 +225,9 @@ class ReliabilityMixin:
         if pkt.tag == CHARM_SMALL_TAG:
             self.deliver(pe.rank, pkt.payload, recv_cpu=0.0)
         else:
-            self._steps[TAG_STEPS[pkt.tag]](pe, pkt.payload)
+            # the control's step, run here through the handler table
+            message.payload = pkt.payload
+            self.conv._handlers[self._tag_hids[pkt.tag]](pe, message)
 
     # -- guarded FMA/BTE posts ------------------------------------------------
     def _post(self, pe: PE, desc, done_step: str, failed_step: str,
@@ -258,15 +256,25 @@ class ReliabilityMixin:
         instead of leaking a waiter that never completes.
         """
         desc.context = (pe, done_step, failed_step, state, rearm, 0)
-        cpu = self.gni.rdma.post_best(pe.node.node_id, desc, at=pe.vtime)
-        pe.charge(cpu, "overhead")
+        start = pe.vtime
+        cpu = self.gni.rdma.post(pe.node.node_id, desc, at=start)
+        # pe.charge(cpu, "overhead"), inlined
+        if cpu < 0:
+            raise SimulationError(f"negative charge {cpu}")
+        if cpu != 0.0:
+            pe.vtime = start + cpu
+            pe.overhead_time += cpu
+            if pe._tracer is not None:
+                pe._tracer.record(pe.rank, start, cpu, "overhead")
 
     def _on_post_complete(self, desc, t: float, failed: bool) -> None:
         """The rdma engine's one consumer: a completed post's continuation
         runs on its PE; a failed one is retried or given up."""
         pe, done_step, failed_step, state, rearm, attempts = desc.context
         if not failed:
-            self._self_step(pe, done_step, state)
+            # self._self_step(pe, done_step, state), inlined
+            pe.enqueue(Message(self._steps[done_step], pe.rank, pe.rank, 0,
+                               state), self.cfg.cq_event_cpu)
             return
         if not self._rel_on:
             raise UgniTransactionError(
@@ -287,11 +295,12 @@ class ReliabilityMixin:
         self.machine.engine.call_after(self._rel_backoff(attempts),
                                        self._self_step, pe, "repost", desc, 0.0)
 
-    def _repost(self, pe: PE, desc) -> None:
+    def _repost(self, pe: PE, message: Message) -> None:
+        desc = message.payload
         _, _, _, _, rearm, _ = desc.context
         if rearm is not None:
             self._persist_rearm(pe, rearm, desc)
-        cpu = self.gni.rdma.post_best(pe.node.node_id, desc, at=pe.vtime)
+        cpu = self.gni.rdma.post(pe.node.node_id, desc, at=pe.vtime)
         pe.charge(cpu, "overhead")
 
     def _persist_rearm(self, pe: PE, handle, desc) -> None:

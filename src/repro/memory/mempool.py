@@ -30,25 +30,26 @@ from repro.ugni.api import GniJob
 from repro.ugni.memreg import MemHandle
 
 _ALIGN = NodeMemory.ALIGN
+_new = object.__new__
 
 
 class PoolBlock:
     """An allocation served from the pool: the one object made per alloc.
 
     Carries the covering arena's registration handle (:attr:`mem_handle`),
-    which is what makes zero-registration RDMA possible.
+    which is what makes zero-registration RDMA possible.  Only
+    :meth:`MemoryPool.alloc` makes one, filling its slots in place (an
+    ``__init__`` would be one more frame per allocation).
     """
 
     __slots__ = ("addr", "size", "node_id", "mem_handle", "_arena", "freed")
 
-    def __init__(self, addr: int, size: int, node_id: int, mem_handle: MemHandle,
-                 arena: "_Arena"):
-        self.addr = addr
-        self.size = size
-        self.node_id = node_id
-        self.mem_handle = mem_handle
-        self._arena = arena
-        self.freed = False
+    addr: int
+    size: int
+    node_id: int
+    mem_handle: MemHandle
+    _arena: "_Arena"
+    freed: bool
 
     @property
     def end(self) -> int:
@@ -151,8 +152,13 @@ class MemoryPool:
         self.live_blocks += 1
         self.live_bytes += need
         self.total_allocs += 1
-        block = PoolBlock(arena.base + offset, need, self.node_id,
-                          arena.handle, arena)
+        block = _new(PoolBlock)
+        block.addr = arena.base + offset
+        block.size = need
+        block.node_id = self.node_id
+        block.mem_handle = arena.handle
+        block._arena = arena
+        block.freed = False
         if self._san is not None:
             self._san.on_pool_alloc(self, block)
         return block, cost

@@ -24,9 +24,9 @@ from typing import Callable, Optional
 from repro.errors import SimulationError, UgniInvalidParam
 from repro.faults.injector import RDMA_ERROR_PROGRESS
 from repro.hardware.machine import Machine
-from repro.hardware.nic import TransferKind
+from repro.hardware.nic import BTE_GET, BTE_PUT, FMA_GET, FMA_PUT
 from repro.ugni.memreg import MemHandle, RegistrationTable
-from repro.ugni.types import PostType
+from repro.ugni.types import PUT, PostType
 
 _desc_ids = itertools.count()
 
@@ -74,53 +74,57 @@ class RdmaEngine:
         self.on_complete: Callable[[PostDescriptor, float, bool], None] = (
             self._unconsumed)
 
-    def _validate(self, desc: PostDescriptor, initiator_node: int,
-                  length: int) -> None:
+    def post(self, initiator_node: int, desc: PostDescriptor,
+             fma: Optional[bool] = None, at: Optional[float] = None) -> float:
+        """``GNI_PostFma`` (``fma=True``) / ``GNI_PostRdma`` (``False``);
+        ``None`` picks the unit by size, the paper's §III.C policy: FMA
+        below ``fma_bte_crossover`` (and within ``fma_max_bytes``), BTE
+        from there.
+
+        Returns initiator CPU seconds.
+        """
+        machine = self.machine
+        length = desc.length
+        if fma is None:
+            cfg = machine.config
+            fma = length < cfg.fma_bte_crossover and length <= cfg.fma_max_bytes
+        san = machine.sanitizer
+        if san is not None:
+            # post-time use-after-free screen, recorded before the
+            # registration table's own loud validation below
+            san.on_rdma_check(desc, initiator_node)
         local, remote = desc.local_mem, desc.remote_mem
         if local.node_id != initiator_node:
             raise UgniInvalidParam(
                 f"local_mem is on node {local.node_id}, "
                 f"posted from node {initiator_node}"
             )
+        peer_id = remote.node_id
         registrations = self.registrations
-        registrations[local.node_id].check(local, desc.local_addr, length)
-        registrations[remote.node_id].check(remote, desc.remote_addr, length)
-
-    def post(self, initiator_node: int, desc: PostDescriptor, fma: bool,
-             at: Optional[float] = None) -> float:
-        """``GNI_PostFma`` (``fma=True``) / ``GNI_PostRdma``.
-
-        Returns initiator CPU seconds.
-        """
-        machine = self.machine
-        san = machine.sanitizer
-        if san is not None:
-            # post-time use-after-free screen, recorded before the
-            # registration table's own loud validation below
-            san.on_rdma_check(desc, initiator_node)
-        self._validate(desc, initiator_node, desc.length)
+        registrations[initiator_node].check(local, desc.local_addr, length)
+        registrations[peer_id].check(remote, desc.remote_addr, length)
         node = machine.nodes[initiator_node]
-        peer = machine.nodes[desc.remote_mem.node_id]
-        put = desc.post_type is PostType.PUT
+        peer = machine.nodes[peer_id]
+        put = desc.post_type is PUT
 
         if fma:
-            kind = TransferKind.FMA_PUT if put else TransferKind.FMA_GET
+            kind = FMA_PUT if put else FMA_GET
         else:
-            kind = TransferKind.BTE_PUT if put else TransferKind.BTE_GET
+            kind = BTE_PUT if put else BTE_GET
 
         faults = machine.faults
-        if (faults is not None and peer.node_id != node.node_id
-                and faults.rdma_fails(node.node_id, peer.node_id)):
+        if (faults is not None and peer_id != initiator_node
+                and faults.rdma_fails(initiator_node, peer_id)):
             return self._post_failed(node, peer, desc, kind, at)
 
         token = (san.on_rdma_post(desc, initiator_node)
                  if san is not None else None)
-        if peer.node_id == node.node_id:
+        if peer_id == initiator_node:
             # local post: loopback path, still a local completion
             return node.nic.loopback_send(
-                desc.length, self._complete, desc, False, token, at=at)
+                length, self._complete, desc, False, token, at=at)
         return node.nic.post_transfer(
-            kind, peer.coord, desc.length,
+            kind, peer.coord, length,
             on_local_cq=self._complete, local_args=(desc, False, token),
             at=at)
 
@@ -152,12 +156,3 @@ class RdmaEngine:
         return node.nic.failed_transfer(
             kind, peer.coord, desc.length, self._complete, desc, True, token,
             frac=RDMA_ERROR_PROGRESS, at=at)
-
-    def post_best(self, initiator_node: int, desc: PostDescriptor,
-                  at: Optional[float] = None) -> float:
-        """Post using the size-appropriate unit (paper §III.C policy)."""
-        # cfg.rdma_kind_for(length) == "fma", inlined
-        cfg = self.machine.config
-        fma = (desc.length < cfg.fma_bte_crossover
-               and desc.length <= cfg.fma_max_bytes)
-        return self.post(initiator_node, desc, fma, at)

@@ -11,3 +11,8 @@ class PostType(enum.Enum):
     PUT = "put"
     GET = "get"
 
+
+#: the members as module constants for the per-post paths: reading a
+#: member off an Enum class is a descriptor call (~0.2 us on CPython 3.11)
+PUT, GET = PostType.PUT, PostType.GET
+

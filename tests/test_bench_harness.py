@@ -187,6 +187,32 @@ class TestClaimsCanFail:
         # a constant per message still fades as the transfer grows
         assert flipped[converges]
 
+    def test_put_get_claim_follows_the_get_bandwidth(self, monkeypatch):
+        from repro.bench import ablations
+        from repro.hardware.config import MachineConfig
+
+        monkeypatch.delenv("REPRO_PAPER_SCALE", raising=False)
+        text = "GET wins up to 256KB (PUT's extra rendezvous message)"
+        offset = ("at multi-MB sizes the hardware's higher PUT bandwidth can "
+                  "offset the extra message (why the trade-off is "
+                  "size-dependent)")
+        holds = {c.text: c.holds for c in ablations.ablation_put_get().claims}
+        assert holds[text] and holds[offset]
+
+        # a BTE GET 10 % slower than its calibration costs more than the
+        # PUT's extra control message from 4 KB on
+        base = MachineConfig()
+        pingpong = ablations.charm_pingpong
+        slow_get = base.replace(bte_get_bandwidth=0.9 * base.bte_get_bandwidth)
+        monkeypatch.setattr(
+            ablations, "charm_pingpong",
+            lambda *a, **kw: pingpong(*a, config=slow_get, **kw))
+        flipped = {c.text: c.holds
+                   for c in ablations.ablation_put_get().claims}
+        assert not flipped[text]
+        # the PUT still wins at 1 MB: a slower GET only widens that
+        assert flipped[offset]
+
     def test_fig8c_single_copy_claim_follows_the_memcpy_bandwidth(
             self, monkeypatch):
         from repro.bench import micro

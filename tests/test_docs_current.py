@@ -20,6 +20,7 @@ here is exactly as current as they are.
 
 import json
 import re
+import subprocess
 from pathlib import Path
 
 from repro.bench.figures import EXPERIMENTS
@@ -160,14 +161,19 @@ def identifier_problems(design: str, code_words: set[str]) -> list[str]:
                          if part))
 
 
-def _code_words() -> set[str]:
+def _code_words(root: Path = ROOT) -> set[str]:
+    """Every word of the code files git tracks under ``CODE``: what a run
+    leaves behind (traces, local reports) is not code."""
+    tracked = subprocess.run(
+        ["git", "ls-files", "--", *CODE], cwd=root, capture_output=True,
+        text=True, check=True).stdout.splitlines()
     words: set[str] = set()
-    for top in CODE:
-        for path in (ROOT / top).rglob("*"):
-            if (path.suffix in CODE_SUFFIXES and path.is_file()
-                    and path not in NOT_CODE):
-                words.update(re.findall(r"[A-Za-z_]\w*",
-                                        path.read_text(errors="replace")))
+    for name in tracked:
+        path = root / name
+        if (path.suffix in CODE_SUFFIXES and path.is_file()
+                and path not in NOT_CODE):
+            words.update(re.findall(r"[A-Za-z_]\w*",
+                                    path.read_text(errors="replace")))
     return words
 
 
@@ -270,4 +276,20 @@ class TestSeededEdits:
     def test_a_stale_identifier(self):
         design = DESIGN.read_text() + "\nThe `post_tx_cqh` queue.\n"
         assert identifier_problems(design, _code_words()) == [
+            "`post_tx_cqh` names nothing in src, tests, benchmarks, perf"]
+
+    def test_a_stale_identifier_in_an_ignored_file(self, tmp_path):
+        """A name that only git-ignored run output holds (a trace under
+        ``perf/out``, a local report) still names nothing."""
+        (tmp_path / "src").mkdir()
+        (tmp_path / "src" / "rdma.py").write_text("def post(): pass\n")
+        (tmp_path / "perf" / "out").mkdir(parents=True)
+        (tmp_path / "perf" / "out" / "trace_knb_large.json").write_text(
+            '{"post_tx_cqh": 1}\n')
+        (tmp_path / ".gitignore").write_text("perf/out/\n")
+        for cmd in (["git", "init", "-q"], ["git", "add", "-A"]):
+            subprocess.run(cmd, cwd=tmp_path, check=True)
+        words = _code_words(tmp_path)
+        assert "post" in words
+        assert identifier_problems("The `post_tx_cqh` queue.\n", words) == [
             "`post_tx_cqh` names nothing in src, tests, benchmarks, perf"]

@@ -121,6 +121,11 @@ ARRIVAL_PATHS = {
     "rdma_intranode": ("rdma", 256, 2, {}, None, 2, 3, False),
     "ugni_gpu_staged": ("ugni", 256, 1, {"gpus_per_node": 1}, None, 0, 1,
                         True),
+    # the GET rendezvous: the message is queued behind the step that
+    # landed it, so a crash can flush it after the layer counted it
+    "ugni_rndv": ("ugni", 64 * KB, 1, {}, None, 0, 1, False),
+    "rdma_rndv": ("rdma", 64 * KB, 1, {"topology": "dragonfly"}, None, 0, 1,
+                  False),
 }
 
 

@@ -260,7 +260,8 @@ class TestCheckpoint:
 
 class TestTimers:
     """A retransmit or re-post is an engine event that queues a protocol
-    step on the PE that owns it (``ProtocolCore._self_step``)."""
+    step, a Converse handler, on the PE that owns it
+    (``ProtocolCore._self_step``)."""
 
     def reliable(self, nbytes, fails):
         """One ``nbytes`` send from PE 0 to PE 2 (node 1) with reliability
@@ -277,10 +278,11 @@ class TestTimers:
         faults.rdma_fails = lambda init, peer: fails("rdma")
         ran = []
         for step in ("rel_retry", "repost"):
-            body = layer._steps[step]
-            layer._steps[step] = (
-                lambda pe, state, step=step, body=body:
-                (ran.append((step, pe.rank, pe.vtime)), body(pe, state)))
+            hid = layer._steps[step]
+            body = conv._handlers[hid]
+            conv._handlers[hid] = (
+                lambda pe, msg, step=step, body=body:
+                (ran.append((step, pe.rank, pe.vtime)), body(pe, msg)))
         got = []
         h = conv.register_handler(lambda pe, msg: got.append(msg))
         sender = conv.register_handler(

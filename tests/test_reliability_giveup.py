@@ -27,6 +27,7 @@ from repro.faults import FaultConfig
 from repro.hardware import Machine
 from repro.hardware.config import tiny as tiny_config
 from repro.lrts.factory import make_runtime
+from repro.lrts.messages import ACK_TAG, INIT_TAG
 from repro.lrts.ugni_layer import UgniLayerConfig
 from repro.lrts.ugni_layer.config import REL_WINDOW_CAP
 from repro.lrts.ugni_layer.reliability import _RelRx
@@ -148,8 +149,10 @@ class TestPostGiveUp:
         and nulls."""
         m, conv, layer = make(None, layer=self.layer)
         acked = []
-        on_ack = layer._steps["ack"]
-        layer._steps["ack"] = lambda pe, st: (on_ack(pe, st), acked.append(st))
+        hid = layer._steps["ack"]
+        on_ack = conv._handlers[hid]
+        conv._handlers[hid] = lambda pe, msg: (on_ack(pe, msg),
+                                               acked.append(msg.payload))
         h = conv.register_handler(lambda pe, msg: None)
         sender = conv.register_handler(
             lambda pe, msg: conv.send(pe, 2, Message(h, pe.rank, 2, 64 * KB)))
@@ -280,8 +283,8 @@ class TestPostGiveUpRdma(TestPostGiveUp):
         conv, layer = make_runtime(n_nodes=4, config=cfg, layer="rdma")
         log = []
         control, release = layer._control, layer._release
-        layer._control = lambda pe, dst, step, st: (
-            log.append((step, pe.vtime)), control(pe, dst, step, st))
+        layer._control = lambda pe, dst, tag, st: (
+            log.append((tag, pe.vtime)), control(pe, dst, tag, st))
         layer._release = lambda pe, buf: (
             release(pe, buf), log.append(("released", pe.vtime)))
         h = conv.register_handler(lambda pe, msg: None)
@@ -292,7 +295,7 @@ class TestPostGiveUpRdma(TestPostGiveUp):
         assert layer.stats()["pin_evictions"] == 2  # both releases evicted
         (_, t_init), (_, t_ack), (_, t_freed), _ = log
         assert [name for name, _ in log] == [
-            "init", "ack", "released", "released"]
+            INIT_TAG, ACK_TAG, "released", "released"]
         assert t_freed > t_ack  # the eviction was charged after the post
 
     def test_total_control_loss_reports_every_lost_wqe(self):

@@ -101,6 +101,17 @@ TOMBSTONES = [
      "the MPI path at one frame per protocol step: iprobe / irecv are the "
      "unexpected-queue scans, a request has one waiter",
      "arr, cpu = eng.match_unexpected(src, tag, pop=True)"),
+    (r"post_best|STEP_TAGS|def _desc\b|def _validate\b",
+     ("src", "benchmarks", "examples", *_DOCS), 45,
+     "a post reaches the NIC in one engine frame: RdmaEngine.post picks the "
+     "unit and validates, and the core builds its descriptors inline",
+     "cpu = gni.rdma.post_best(node, desc)"),
+    (r"_proto_handler|_proto_hid|_steps\[step\]\(",
+     ("src/repro/lrts/protocols.py", "src/repro/lrts/ugni_layer",
+      "src/repro/lrts/rdma_layer"), 45,
+     "each protocol step is a Converse handler of its own: no shared "
+     "protocol handler dispatching on a step name",
+     "self._proto_hid = self.conv.register_handler(self._proto_handler)"),
 ]
 
 _IDS = [f"pr{pr}-{n}" for n, (_, _, pr, _, _) in enumerate(TOMBSTONES)]

@@ -459,15 +459,16 @@ class TestRdma:
             ((_, done[name], _),) = completed
         assert done["fma"] < done["bte"]
 
-    def test_post_best_switches_at_crossover(self):
+    def test_post_picks_unit_at_crossover(self):
+        """``post`` without ``fma`` picks the unit by size (§III.C)."""
         m, job = make_job()
         cfg = m.config
         # below crossover: FMA (CPU cost grows with size)
         lh, rh = self._registered_pair(job, m, 64 * KB)
         small = PostDescriptor(PostType.GET, local_mem=lh, remote_mem=rh, length=1 * KB)
         big = PostDescriptor(PostType.GET, local_mem=lh, remote_mem=rh, length=64 * KB)
-        cpu_small = job.rdma.post_best(0, small)
-        cpu_big = job.rdma.post_best(0, big)
+        cpu_small = job.rdma.post(0, small)
+        cpu_big = job.rdma.post(0, big)
         # FMA for 1K: cpu includes per-byte; BTE for 64K: flat post cost
         assert cpu_small > cfg.fma_issue_cpu
         assert cpu_big == pytest.approx(cfg.bte_post_cpu)
