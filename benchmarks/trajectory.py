@@ -7,8 +7,9 @@ For each workload of ``BENCHMARK.json`` this runs the checkout's own
 then a ``--trace 1`` pass of the same workload, and reads what they wrote
 to ``perf/out/report_traj.json``.  A row holds the commit and its PR
 number, the calibration slices, the median and quartiles of the four
-end-to-end metrics, ``sim_checksum`` and ``total.calls_per_msg``.  Rows
-measured together on one box are comparable; each row names its box.
+end-to-end metrics, ``sim_checksum`` and every layer's
+``<layer>.calls_per_msg`` from the traced pass, ``total`` among them.
+Rows measured together on one box are comparable; each row names its box.
 
 Usage::
 
@@ -16,6 +17,7 @@ Usage::
     python benchmarks/trajectory.py --tree ../parent     # another checkout
     python benchmarks/trajectory.py --pr N               # uncommitted work
     python benchmarks/trajectory.py --trend
+    python benchmarks/trajectory.py --trend --layers     # per-layer deltas
 
 Rows are at ``perf/bench.py``'s default seed.  Any checkout can be
 measured (a clone, archive or worktree of an older commit; it builds its
@@ -95,7 +97,8 @@ def row(tree: str, workload: str, pr: int | None) -> dict:
         "peak_rss_mb": _quartiles(spread["raw.peak_rss_mb"]),
         "sim_checksum": res["sim_checksum"],
         "checks_failed": res["checks_failed"] + traced["checks_failed"],
-        "total.calls_per_msg": traced["metrics"]["total.calls_per_msg"],
+        **{name: value for name, value in traced["metrics"].items()
+           if name.endswith(".calls_per_msg")},
         "box": f"{platform.machine()} nproc {os.cpu_count()}, python "
                f"{platform.python_version()}",
         "measured": time.strftime("%Y-%m-%d", time.gmtime()),
@@ -126,8 +129,34 @@ def _rows() -> list[dict]:
     return rows
 
 
-def trend() -> None:
-    """Print the trajectory's rows per workload, in file order."""
+def _layer_calls(r: dict) -> dict[str, float]:
+    """``layer -> calls_per_msg`` of a row, ``total`` left out (empty for
+    a row that kept only the total)."""
+    return {name[:-len(".calls_per_msg")]: value
+            for name, value in r.items()
+            if name.endswith(".calls_per_msg")
+            and name != "total.calls_per_msg"}
+
+
+def _layer_deltas(r: dict, earlier: list[dict]) -> str:
+    """The layers whose frames per message moved against the last earlier
+    row of another PR that has the ledger."""
+    now = _layer_calls(r)
+    if not now:
+        return "no layer ledger in this row"
+    before = next((_layer_calls(e) for e in reversed(earlier)
+                   if e["pr"] != r["pr"] and _layer_calls(e)), None)
+    if before is None:
+        return "no earlier PR with a layer ledger"
+    moved = [f"{layer} {now[layer] - before.get(layer, 0.0):+.2f}"
+             for layer in sorted(now)
+             if abs(now[layer] - before.get(layer, 0.0)) >= 0.005]
+    return ", ".join(moved) if moved else "no layer moved"
+
+
+def trend(layers: bool) -> None:
+    """Print the trajectory's rows per workload, in file order; with
+    ``layers``, each row's per-layer frame deltas under it."""
     by_workload: dict[str, list[dict]] = {}
     for r in _rows():
         by_workload.setdefault(r["workload"], []).append(r)
@@ -135,7 +164,7 @@ def trend() -> None:
         print(f"\n== {workload}")
         print(f"  {'PR':>4} {'commit':<9} {'host_s':>9} {'msgs/s':>10} "
               f"{'setup_s':>8} {'rss_mb':>7} {'calls/msg':>9}  checksum")
-        for r in rows:
+        for i, r in enumerate(rows):
             commit = r["commit"] or r["base"] + "+"
             print(f"  {r['pr'] or '-':>4} {commit:<9} "
                   f"{r['host_s']['median']:>9.4f} "
@@ -144,6 +173,8 @@ def trend() -> None:
                   f"{r['peak_rss_mb']['median']:>7.1f} "
                   f"{r['total.calls_per_msg']:>9.2f}  "
                   f"{r['sim_checksum'][:12]}")
+            if layers:
+                print(f"{'':>17}{_layer_deltas(r, rows[:i])}")
 
 
 def main() -> int:
@@ -156,9 +187,14 @@ def main() -> int:
                          "subject 'PR <n>: ...')")
     ap.add_argument("--trend", action="store_true",
                     help="print the rows per workload and exit")
+    ap.add_argument("--layers", action="store_true",
+                    help="with --trend: each row's per-layer calls_per_msg "
+                         "deltas against the previous PR")
     args = ap.parse_args()
+    if args.layers and not args.trend:
+        ap.error("--layers goes with --trend")
     if args.trend:
-        trend()
+        trend(layers=args.layers)
         return 0
     tree = os.path.abspath(args.tree)
     if args.pr is None and _dirty(tree):

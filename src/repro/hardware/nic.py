@@ -228,7 +228,7 @@ class GeminiNIC:
         self.transaction_errors += 1
         wasted = max(64, int(nbytes * frac))
 
-        if kind in (TransferKind.FMA_PUT, TransferKind.FMA_GET):
+        if kind is FMA_PUT or kind is FMA_GET:
             cpu = cfg.fma_issue_cpu + wasted / cfg.fma_put_bandwidth
             timing = self.network.transfer(
                 now + cfg.fma_issue_cpu, self.coord, peer_coord, wasted,
@@ -236,8 +236,8 @@ class GeminiNIC:
             )
         else:
             cpu = cfg.bte_post_cpu
-            setup = cfg.bte_put_base if kind is TransferKind.BTE_PUT else cfg.bte_get_base
-            bw = cfg.bte_put_bandwidth if kind is TransferKind.BTE_PUT else cfg.bte_get_bandwidth
+            setup = cfg.bte_put_base if kind is BTE_PUT else cfg.bte_get_base
+            bw = cfg.bte_put_bandwidth if kind is BTE_PUT else cfg.bte_get_bandwidth
             start = max(now + cpu, self.bte_available_at)
             timing = self.network.transfer(
                 start + setup, self.coord, peer_coord, wasted, bandwidth_cap=bw)
@@ -251,8 +251,8 @@ class GeminiNIC:
     def best_kind(self, nbytes: int, put: bool) -> TransferKind:
         """Size-aware FMA/BTE selection (paper §III.C)."""
         if self.config.rdma_kind_for(nbytes) == "fma" and nbytes <= self.config.fma_max_bytes:
-            return TransferKind.FMA_PUT if put else TransferKind.FMA_GET
-        return TransferKind.BTE_PUT if put else TransferKind.BTE_GET
+            return FMA_PUT if put else FMA_GET
+        return BTE_PUT if put else BTE_GET
 
     # ------------------------------------------------------------------ #
     # Loopback (intra-node traffic routed through the NIC)

@@ -100,7 +100,18 @@ def make_runtime(
     nothing, leaving ``machine.faults`` as ``None``.  ``engine`` swaps in
     an alternative event engine — e.g. a
     :class:`~repro.parallel.ShardedEngine` — for the machine to build on.
+    The ``mpi`` layer's transport draws no SMSG or RDMA faults, so a
+    nonzero rate for it is an :class:`LrtsError` rather than a run that
+    quietly ignores the rate (crashes and link flaps still apply).
     """
+    if layer == "mpi" and faults is not None:
+        for name in ("smsg_drop_rate", "smsg_stall_rate", "rdma_error_rate"):
+            rate = getattr(faults, name)
+            if rate > 0.0:
+                raise LrtsError(
+                    f"the mpi layer does not inject FaultConfig.{name} "
+                    f"({rate}): its transport has no SMSG or RDMA fault "
+                    f"draws")
     if machine is None:
         machine = make_machine(n_pes=n_pes, n_nodes=n_nodes, config=config,
                                seed=seed, engine=engine)

@@ -22,7 +22,7 @@ from typing import Any, Callable, Hashable, Optional
 
 from repro.errors import MpiError
 from repro.hardware.machine import Machine
-from repro.hardware.nic import TransferKind
+from repro.hardware.nic import BTE_GET, FMA_GET
 from repro.hardware.node import Node
 from repro.mpish.matching import ANY, Arrival, MatchEngine
 from repro.mpish.request import MpiRequest
@@ -331,9 +331,9 @@ class MpiWorld:
             udreg = self.udreg(req.dst)
         reg_cpu = udreg.lookup(recv_key, nbytes)
         if nbytes + MPI_HEADER <= cfg.mpi_rndv_fma_max:
-            kind = TransferKind.FMA_GET
+            kind = FMA_GET
         else:
-            kind = TransferKind.BTE_GET
+            kind = BTE_GET
         post_cpu = dst_node.nic.post_transfer(
             kind, src_node.coord, nbytes + MPI_HEADER,
             on_local_cq=self._get_done, at=t + pre_cpu + reg_cpu,

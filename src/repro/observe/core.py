@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional
 
 from repro._env import env_flag
 from repro.observe.flight import FlightRecorder
-from repro.observe.registry import MetricsRegistry
+from repro.observe.registry import BIN_WIDTH, MetricsRegistry
 from repro.observe.tracer import (
     ARRIVE, DELIVER, EXEC, LRTS, TX, MessageTracer,
 )
@@ -111,13 +111,20 @@ class Observer:
     def __init__(self, machine: "Machine"):
         self.machine = machine
         self.metrics = MetricsRegistry()
-        #: the registry's counter dict: the per-message hooks add in place
+        #: the registry's counter and histogram dicts: the per-message
+        #: hooks add in place
         self._counters = self.metrics.counters
-        #: counter keys built once: ``(layer, path)`` -> the path's and the
-        #: layer's byte counter, ``kind`` -> ``tx/{kind}``
-        self._lrts_keys: dict[tuple[str, str], tuple[str, str]] = {}
-        self._tx_keys: dict[str, str] = {}
+        self._hists = self.metrics._hists
         self.tracer = MessageTracer()
+        #: keys built once per label: ``(layer, path)`` -> the path's and
+        #: the layer's byte counter and the ``lrts`` row key, ``kind`` ->
+        #: ``tx/{kind}`` and ``where`` -> the ``tx`` row key, ``where`` ->
+        #: the ``arrive`` row key, rank -> the ``deliver`` / ``exec`` row key
+        self._lrts_keys: dict[tuple[str, str], tuple[str, str, int]] = {}
+        self._tx_keys: dict[str, tuple[str, dict[Any, int]]] = {}
+        self._arrive_keys: dict[Any, int] = {}
+        self._deliver_keys: dict[int, int] = {}
+        self._exec_keys: dict[int, int] = {}
         self.flight = FlightRecorder()
         # the PE timeline, one row an interval: rank, start, duration and
         # kind (an index into ``_kinds``)
@@ -221,10 +228,21 @@ class Observer:
         return None
 
     # -- scheduler hooks ---------------------------------------------------
+    # Each per-message hook is one frame: it writes its stage row into the
+    # tracer's columns, its counters and its histogram bins in place.  A
+    # histogram sample is ``MetricsRegistry.observe`` written out.
+
     def on_send(self, msg: Any, src_pe: int, time: float) -> None:
-        """Mint a trace ID at the Converse send (the causal root)."""
+        """Mint a trace ID at the Converse send (the causal root): the span
+        row, which implies the ``send`` stage."""
+        tracer = self.tracer
+        tracer._next_id = tid = tracer._next_id + 1
         nbytes = msg.nbytes
-        msg.trace_id = self.tracer.send(src_pe, msg.dst_pe, nbytes, time)
+        tracer._src.append(src_pe)
+        tracer._dst.append(msg.dst_pe)
+        tracer._nbytes.append(nbytes)
+        tracer._sent_at.append(time)
+        msg.trace_id = tid
         counters = self._counters
         counters["msg/sent"] = counters.get("msg/sent", 0) + 1
         counters["msg/bytes_sent"] = counters.get("msg/bytes_sent", 0) + nbytes
@@ -238,18 +256,38 @@ class Observer:
         row = tid - tracer._base - 1
         if not 0 <= row < len(tracer._src) or tracer._src[row] < 0:
             return  # minted before this tracer, or skipped by fast_forward
+        key = self._deliver_keys.get(rank)
+        if key is None:
+            key = self._deliver_keys[rank] = tracer._pe_key(DELIVER, rank)
         tracer._tid.append(tid)
-        tracer._code.append(DELIVER)
         tracer._time.append(time)
-        tracer._where.append(-1 - rank)
-        tracer._detail.append(0)
+        tracer._key.append(key)
+        hists, b = self._hists, int(time // BIN_WIDTH)
         # every span is minted with its send time
-        self.metrics.observe("msg/latency", time, time - tracer._sent_at[row])
-        rndv = tracer._rndv_at[row]
-        if rndv != rndv:
-            return  # NaN: no rendezvous
+        latency = time - tracer._sent_at[row]
+        hist = hists.get("msg/latency")
+        if hist is None:
+            hist = hists["msg/latency"] = {}
+        bin_ = hist.get(b)
+        if bin_ is None:
+            hist[b] = [1, latency]
+        else:
+            bin_[0] += 1
+            bin_[1] += latency
+        rndv = tracer._rndv_at.get(row)
+        if rndv is None:
+            return
         counters["rndv/roundtrips"] = counters.get("rndv/roundtrips", 0) + 1
-        self.metrics.observe("rndv/roundtrip_time", time, time - rndv)
+        roundtrip = time - rndv
+        hist = hists.get("rndv/roundtrip_time")
+        if hist is None:
+            hist = hists["rndv/roundtrip_time"] = {}
+        bin_ = hist.get(b)
+        if bin_ is None:
+            hist[b] = [1, roundtrip]
+        else:
+            bin_[0] += 1
+            bin_[1] += roundtrip
 
     def on_exec(self, msg: Any, rank: int, time: float) -> None:
         counters = self._counters
@@ -257,27 +295,39 @@ class Observer:
         tid, tracer = msg.trace_id, self.tracer
         row = tid - tracer._base - 1
         if 0 <= row < len(tracer._src) and tracer._src[row] >= 0:
+            key = self._exec_keys.get(rank)
+            if key is None:
+                key = self._exec_keys[rank] = tracer._pe_key(EXEC, rank)
             tracer._tid.append(tid)
-            tracer._code.append(EXEC)
             tracer._time.append(time)
-            tracer._where.append(-1 - rank)
-            tracer._detail.append(0)
+            tracer._key.append(key)
 
     # -- LRTS-layer hooks --------------------------------------------------
     def on_lrts(self, layer: str, path: str, msg: Any, time: float) -> None:
         """The machine layer chose a protocol path for one message."""
-        tid = getattr(msg, "trace_id", None)
-        self.tracer.row(self.trace_id_of(msg) if tid is None else tid,
-                        LRTS, time, layer, path)
+        tracer = self.tracer
         keys = self._lrts_keys.get((layer, path))
         if keys is None:
-            keys = self._lrts_keys[layer, path] = (f"lrts/{layer}/{path}",
-                                                   f"lrts/{layer}/bytes")
+            keys = self._lrts_keys[layer, path] = (
+                f"lrts/{layer}/{path}", f"lrts/{layer}/bytes",
+                tracer._key_of(LRTS, layer, path))
+        path_key, bytes_key, key = keys
         counters = self._counters
-        path_key, bytes_key = keys
         counters[path_key] = counters.get(path_key, 0) + 1
         counters[bytes_key] = (counters.get(bytes_key, 0)
                                + getattr(msg, "nbytes", 0))
+        tid = getattr(msg, "trace_id", None)
+        if tid is None:
+            tid = self.trace_id_of(msg)
+            if tid is None:
+                return
+        row = tid - tracer._base - 1
+        if 0 <= row < len(tracer._src) and tracer._src[row] >= 0:
+            if path == "rendezvous" and row not in tracer._rndv_at:
+                tracer._rndv_at[row] = time
+            tracer._tid.append(tid)
+            tracer._time.append(time)
+            tracer._key.append(key)
 
     def on_gpu(self, stage: str, msg: Any, nbytes: int, time: float,
                where: Any = None) -> None:
@@ -304,32 +354,56 @@ class Observer:
     def on_tx(self, payload: Any, kind: str, nbytes: int, where: Any,
               time: float) -> None:
         """A fabric accepted bytes for the wire (SMSG push, RDMA post)."""
+        keys = self._tx_keys.get(kind)
+        if keys is None:
+            keys = self._tx_keys[kind] = (f"tx/{kind}", {})
+        kind_key, row_keys = keys
+        counters = self._counters
+        counters[kind_key] = counters.get(kind_key, 0) + 1
+        counters["tx/bytes"] = counters.get("tx/bytes", 0) + nbytes
         tid = getattr(payload, "trace_id", None)
         if tid is None:  # an SMSG message carries the traced one inside
             tid = getattr(getattr(payload, "payload", None), "trace_id", None)
-        self.tracer.row(self.trace_id_of(payload) if tid is None else tid,
-                        TX, time, where, kind)
-        key = self._tx_keys.get(kind)
-        if key is None:
-            key = self._tx_keys[kind] = f"tx/{kind}"
-        counters = self._counters
-        counters[key] = counters.get(key, 0) + 1
-        counters["tx/bytes"] = counters.get("tx/bytes", 0) + nbytes
+            if tid is None:
+                tid = self.trace_id_of(payload)
+                if tid is None:
+                    return
+        tracer = self.tracer
+        row = tid - tracer._base - 1
+        if 0 <= row < len(tracer._src) and tracer._src[row] >= 0:
+            key = row_keys.get(where)
+            if key is None:
+                key = row_keys[where] = tracer._key_of(TX, where, kind)
+            tracer._tid.append(tid)
+            tracer._time.append(time)
+            tracer._key.append(key)
 
     def on_arrive(self, payload: Any, where: Any, time: float) -> None:
         """An arrival landed, just before its fabric's consumer takes it:
         an SMSG in its receiver's mailbox (``where`` is ``smsg_rx[pe]``),
         an MSGQ message in its node's queue (``msgq_rx[n<node>]``) or an
         FMA/BTE local completion (``post``)."""
-        tid = getattr(payload, "trace_id", None)
-        if tid is None:
-            tid = getattr(getattr(payload, "payload", None), "trace_id", None)
-        self.tracer.row(self.trace_id_of(payload) if tid is None else tid,
-                        ARRIVE, time, where)
         counters = self._counters
         # named for the completion queue these arrivals once went through:
         # the name is in the committed metrics digests
         counters["cq/pushed"] = counters.get("cq/pushed", 0) + 1
+        tid = getattr(payload, "trace_id", None)
+        if tid is None:
+            tid = getattr(getattr(payload, "payload", None), "trace_id", None)
+            if tid is None:
+                tid = self.trace_id_of(payload)
+                if tid is None:
+                    return
+        tracer = self.tracer
+        row = tid - tracer._base - 1
+        if 0 <= row < len(tracer._src) and tracer._src[row] >= 0:
+            key = self._arrive_keys.get(where)
+            if key is None:
+                key = self._arrive_keys[where] = tracer._key_of(
+                    ARRIVE, where, None)
+            tracer._tid.append(tid)
+            tracer._time.append(time)
+            tracer._key.append(key)
 
     def on_net_transfer(self, src: Any, dst: Any, nbytes: int,
                         now: float, depart: float, hops: int) -> None:
@@ -338,7 +412,17 @@ class Observer:
         counters["net/bytes"] = counters.get("net/bytes", 0) + nbytes
         counters["net/hops"] = counters.get("net/hops", 0) + hops
         # injection backlog: how long the head waited for a free lane
-        self.metrics.observe("net/inject_backlog", now, depart - now)
+        backlog = depart - now
+        hist = self._hists.get("net/inject_backlog")
+        if hist is None:
+            hist = self._hists["net/inject_backlog"] = {}
+        b = int(now // BIN_WIDTH)
+        bin_ = hist.get(b)
+        if bin_ is None:
+            hist[b] = [1, backlog]
+        else:
+            bin_[0] += 1
+            bin_[1] += backlog
 
     # -- fault / recovery / failure hooks ----------------------------------
     def on_fault(self, event: str, where: Any, time: float,

@@ -56,7 +56,8 @@ class MetricsRegistry:
         #: name -> value; the observer's per-message hooks add to it in
         #: place (``inc`` is the by-name write for everything else)
         self.counters: dict[str, float] = {}
-        #: name -> bin index -> [count, sum]
+        #: name -> bin index -> [count, sum]; the observer's per-message
+        #: hooks add their samples in place too (``observe`` written out)
         self._hists: dict[str, dict[int, list[float]]] = {}
         #: pull-based sources, read once per snapshot (name, fn) pairs
         self._sources: list[tuple[str, Callable[[], Any]]] = []

@@ -20,19 +20,23 @@ stage — an intranode send skips the fabric entirely):
 Retransmissions legitimately repeat ``tx``/``arrive``; timestamps stay
 monotone non-decreasing because every layer stamps simulated time.
 
-The record is typed columns, not objects: a span is one row of
-``array`` columns (source, destination, bytes) at ``trace_id - base - 1``,
-a stage is one row of (trace ID, stage code, time, where, detail), with
-``where`` and ``detail`` indexes into one intern table — or, for a stage a
-PE stamps (``send``/``deliver``/``exec``), ``-1 - rank``, rendered
-``pe{rank}`` only when read.  :meth:`MessageTracer.records` is the one
+The record is typed columns, not objects.  A span is one row of
+``array`` columns (source, destination, bytes, send time) at
+``trace_id - base - 1``; its ``send`` stage is implied by that row and
+rendered first, so no row is written for it.  Every other stage is one
+row of three columns: trace ID, time, and a key into a table of
+``(code, where, detail)`` triples, with ``where`` and ``detail`` indexes
+into one intern table — or, for a stage a PE stamps (``deliver`` /
+``exec``), ``where`` is ``-1 - rank``, rendered ``pe{rank}`` only when
+read.  The first ``lrts``/``rendezvous`` time of a span is kept in a map
+over rendezvous spans only.  :meth:`MessageTracer.records` is the one
 read path.
 
-Writes: :meth:`MessageTracer.send` mints a span with its ``send`` row,
-:meth:`MessageTracer.row` appends any other stage row by code, and
-:meth:`MessageTracer.stage` is the same by name.  The observer's
-``on_deliver`` / ``on_exec`` write their PE-stamped rows into the columns
-themselves and read ``_sent_at`` / ``_rndv_at`` in place.
+Writes: the observer's per-message hooks mint spans and append rows in
+place, each with keys it caches the first time it sees a label;
+:meth:`MessageTracer.send` mints a span, :meth:`MessageTracer.row`
+appends a stage row by code and :meth:`MessageTracer.stage` by name —
+the writers for rare hooks (``on_gpu``) and direct callers.
 """
 
 from __future__ import annotations
@@ -63,16 +67,17 @@ class MessageTracer:
         self._src = array("i")
         self._dst = array("i")
         self._nbytes = array("q")
-        #: the span's ``send`` time (set at mint) and its first
-        #: ``lrts``/``rendezvous`` time (NaN: none)
+        #: the span's ``send`` time, set at mint
         self._sent_at = array("d")
-        self._rndv_at = array("d")
+        #: span row -> its first ``lrts``/``rendezvous`` time
+        self._rndv_at: dict[int, float] = {}
         # stage rows
         self._tid = array("q")
-        self._code = array("b")
         self._time = array("d")
-        self._where = array("i")
-        self._detail = array("i")
+        self._key = array("i")
+        #: key -> ``(code, where, detail)``, interned by :meth:`_key_of`
+        self._keys: list[tuple[int, int, int]] = []
+        self._key_index: dict[tuple[int, int, int], int] = {}
         self._stage_names = list(STAGES)
         self._stage_code = {name: code for code, name in enumerate(STAGES)}
         #: the intern table of ``where`` / ``detail`` values (0 is None)
@@ -80,28 +85,19 @@ class MessageTracer:
         self._name_index: dict[Any, int] = {None: 0}
         self._grouped: Optional[tuple] = None
 
-    def _span_columns(self) -> tuple[array, ...]:
+    def _columns(self) -> tuple[array, ...]:
         return (self._src, self._dst, self._nbytes, self._sent_at,
-                self._rndv_at)
-
-    def _stage_columns(self) -> tuple[array, ...]:
-        return (self._tid, self._code, self._time, self._where, self._detail)
+                self._tid, self._time, self._key)
 
     def send(self, src_pe: int, dst_pe: int, nbytes: int,
              time: float) -> int:
-        """Mint a trace ID: the span and its ``send`` row (where
-        ``pe{src_pe}``) in one write."""
+        """Mint a trace ID: the span row, which implies its ``send`` stage
+        (where ``pe{src_pe}``)."""
         self._next_id = tid = self._next_id + 1
         self._src.append(src_pe)
         self._dst.append(dst_pe)
         self._nbytes.append(nbytes)
         self._sent_at.append(time)
-        self._rndv_at.append(_NAN)
-        self._tid.append(tid)
-        self._code.append(SEND)
-        self._time.append(time)
-        self._where.append(-1 - src_pe)
-        self._detail.append(0)
         return tid
 
     def row(self, trace_id: Optional[int], code: int, time: float,
@@ -115,16 +111,11 @@ class MessageTracer:
         if not 0 <= row < len(self._src) or self._src[row] < 0:
             return
         if (code == LRTS and detail == "rendezvous"
-                and self._rndv_at[row] != self._rndv_at[row]):
+                and row not in self._rndv_at):
             self._rndv_at[row] = time
         self._tid.append(trace_id)
-        self._code.append(code)
         self._time.append(time)
-        index = self._name_index
-        at = index.get(where)
-        self._where.append(self._intern(where) if at is None else at)
-        at = index.get(detail)
-        self._detail.append(self._intern(detail) if at is None else at)
+        self._key.append(self._key_of(code, where, detail))
 
     def stage(self, trace_id: Optional[int], stage: str, time: float,
               where: Any = None, detail: Any = None) -> None:
@@ -134,6 +125,26 @@ class MessageTracer:
             code = self._stage_code[stage] = len(self._stage_names)
             self._stage_names.append(stage)
         self.row(trace_id, code, time, where, detail)
+
+    def _key_of(self, code: int, where: Any, detail: Any) -> int:
+        """The key of stage ``code`` at ``where`` with ``detail``."""
+        index = self._name_index
+        at_where, at_detail = index.get(where), index.get(detail)
+        return self._intern_key(
+            code, self._intern(where) if at_where is None else at_where,
+            self._intern(detail) if at_detail is None else at_detail)
+
+    def _pe_key(self, code: int, rank: int) -> int:
+        """The key of stage ``code`` stamped by PE ``rank``."""
+        return self._intern_key(code, -1 - rank, 0)
+
+    def _intern_key(self, code: int, where: int, detail: int) -> int:
+        triple = (code, where, detail)
+        key = self._key_index.get(triple)
+        if key is None:
+            key = self._key_index[triple] = len(self._keys)
+            self._keys.append(triple)
+        return key
 
     def _intern(self, value: Any) -> int:
         index = self._name_index[value] = len(self._names)
@@ -160,7 +171,6 @@ class MessageTracer:
             self._dst.extend(array("i", [-1]) * gap)
             self._nbytes.extend(array("q", [0]) * gap)
             self._sent_at.extend(array("d", [_NAN]) * gap)
-            self._rndv_at.extend(array("d", [_NAN]) * gap)
         self._next_id = next_id
 
     # -- queries -----------------------------------------------------------
@@ -168,13 +178,14 @@ class MessageTracer:
         return self._next_id
 
     def footprint(self) -> dict[str, int]:
-        """Spans, stage rows held, column bytes."""
+        """Spans, the stage rows they read as (each span's ``send`` row
+        implied), column bytes."""
+        spans = len(self._src) - self._src.count(-1)
         return {
-            "spans": len(self._src) - self._src.count(-1),
-            "stage_rows": len(self._tid),
+            "spans": spans,
+            "stage_rows": len(self._tid) + spans,
             "column_bytes": sum(len(col) * col.itemsize
-                                for col in self._span_columns()
-                                + self._stage_columns()),
+                                for col in self._columns()),
         }
 
     def _groups(self) -> tuple[list[int], list[int]]:
@@ -193,26 +204,31 @@ class MessageTracer:
         return self._grouped[1], self._grouped[2]
 
     def _render(self, row: int) -> tuple[str, float, Any, Any]:
-        where = self._where[row]
-        return (self._stage_names[self._code[row]], self._time[row],
+        code, where, detail = self._keys[self._key[row]]
+        return (self._stage_names[code], self._time[row],
                 self._names[where] if where >= 0 else f"pe{-1 - where}",
-                self._names[self._detail[row]])
+                self._names[detail])
 
     def records(self) -> Iterator[tuple[int, int, int, int, list[tuple]]]:
         """``(trace_id, src_pe, dst_pe, nbytes, stages)`` per span in
         trace-ID order, ``stages`` as ``(stage, time, where, detail)``
-        tuples in the order they were stamped: what the exporters read."""
+        tuples in the order they were stamped, the implied ``send`` first:
+        what the exporters read."""
         order, starts = self._groups()
-        base, src = self._base, self._src
+        base, src, sent_at = self._base, self._src, self._sent_at
+        send = self._stage_names[SEND]
         for row in range(len(src)):
             if src[row] < 0:
                 continue
+            stages = [(send, sent_at[row], f"pe{src[row]}", None)]
+            stages += [self._render(r)
+                       for r in order[starts[row]:starts[row + 1]]]
             yield (base + row + 1, src[row], self._dst[row],
-                   self._nbytes[row],
-                   [self._render(r)
-                    for r in order[starts[row]:starts[row + 1]]])
+                   self._nbytes[row], stages)
 
     def delivered(self) -> int:
         """How many spans ran a handler (``exec`` stage)."""
-        return len({tid for tid, code in zip(self._tid, self._code)
-                    if code == EXEC})
+        exec_keys = {key for key, (code, _, _) in enumerate(self._keys)
+                     if code == EXEC}
+        return len({tid for tid, key in zip(self._tid, self._key)
+                    if key in exec_keys})

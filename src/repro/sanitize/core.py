@@ -149,17 +149,6 @@ class _Tx:
         self.started_at = now
 
 
-class _Msg:
-    """Shadow of one SMSG message from send to consume/drop."""
-
-    __slots__ = ("msg", "sent_at", "arrived")
-
-    def __init__(self, msg: Any, now: float):
-        self.msg = msg
-        self.sent_at = now
-        self.arrived = False
-
-
 class _Dev:
     """Shadow of one device-memory buffer from alloc to free."""
 
@@ -233,7 +222,10 @@ class Sanitizer:
 
     def __init__(self, machine: "Machine"):
         self.machine = machine
-        self._eng = machine.engine
+        engine = machine.engine
+        #: the clock: the engine's compiled core when it has one (its
+        #: ``now`` is a slot read, ``Engine.now`` a property frame)
+        self._clock = engine._core if engine._core is not None else engine
         self.violations: list[Violation] = []
         self._seen: set[tuple[str, str, str]] = set()
         #: id(handle) -> region shadow (live and retired; retired entries
@@ -246,8 +238,12 @@ class Sanitizer:
         #: token -> in-flight transaction shadow
         self._txs: dict[int, _Tx] = {}
         self._tx_seq = 0
-        #: id(msg) -> outstanding SMSG message shadow
-        self._msgs: dict[int, _Msg] = {}
+        #: the SMSG shadow, no object per message: id(msg) -> each
+        #: outstanding message, its send time, and the ids of those that
+        #: have arrived
+        self._msgs: dict[int, Any] = {}
+        self._msg_sent_at: dict[int, float] = {}
+        self._msg_arrived: set[int] = set()
         #: SMSG fabrics whose credit books we audit at quiescence
         self._fabrics: list[Any] = []
         #: id(buf) -> live device-buffer shadow
@@ -280,17 +276,17 @@ class Sanitizer:
         if key in self._seen:
             return
         self._seen.add(key)
-        self.violations.append(Violation(kind, self._eng.now, where, detail))
+        self.violations.append(Violation(kind, self._clock.now, where, detail))
         obs = getattr(self.machine, "observer", None)
         if obs is not None:
             # a violation is a flight-recorder trigger: dump the recent
             # runtime event ring for postmortem analysis
-            obs.on_violation(kind, where, detail, self._eng.now)
+            obs.on_violation(kind, where, detail, self._clock.now)
 
     # -- registered regions ------------------------------------------------
     def on_register(self, handle: Any) -> None:
         self.regions_created += 1
-        self._regions[id(handle)] = _Region(handle, self._eng.now)
+        self._regions[id(handle)] = _Region(handle, self._clock.now)
 
     def on_deregister(self, handle: Any) -> None:
         region = self._regions.get(id(handle))
@@ -304,7 +300,7 @@ class Sanitizer:
             return
         self._check_tx_overlap(region.node_id, region.addr, region.end,
                                f"deregister of {where}")
-        region.retired_at = self._eng.now
+        region.retired_at = self._clock.now
         self.regions_retired += 1
 
     def root_region(self, handle: Any, why: str) -> None:
@@ -322,7 +318,7 @@ class Sanitizer:
     # -- pool blocks -------------------------------------------------------
     def on_pool_alloc(self, pool: Any, block: Any) -> None:
         self.blocks_created += 1
-        self._blocks[id(block)] = _Block(block, pool.name, self._eng.now)
+        self._blocks[id(block)] = _Block(block, pool.name, self._clock.now)
 
     def on_pool_free(self, pool: Any, block: Any) -> None:
         shadow = self._blocks.pop(id(block), None)
@@ -332,7 +328,7 @@ class Sanitizer:
             shadow.node_id, shadow.addr, shadow.end,
             f"free of pool block {shadow.addr:#x}+{shadow.end - shadow.addr} "
             f"({shadow.pool_name})")
-        shadow.retired_at = self._eng.now
+        shadow.retired_at = self._clock.now
         self._freed_blocks[id(block)] = shadow
         self.blocks_retired += 1
 
@@ -398,7 +394,7 @@ class Sanitizer:
              desc.remote_addr + desc.length),
         )
         self._txs[token] = _Tx(desc.id, desc.post_type.name, spans,
-                               self._eng.now)
+                               self._clock.now)
         self.txs_started += 1
         return token
 
@@ -423,21 +419,25 @@ class Sanitizer:
 
     def on_smsg_send(self, msg: Any) -> None:
         self.msgs_sent += 1
-        self._msgs[id(msg)] = _Msg(msg, self._eng.now)
+        key = id(msg)
+        self._msgs[key] = msg
+        self._msg_sent_at[key] = self._clock.now
 
     def on_smsg_arrive(self, msg: Any) -> None:
-        shadow = self._msgs.get(id(msg))
-        if shadow is not None:
-            shadow.arrived = True
+        key = id(msg)
+        if key in self._msgs:
+            self._msg_arrived.add(key)
 
     def on_smsg_consume(self, msg: Any) -> None:
-        if self._msgs.pop(id(msg), None) is not None:
+        key = id(msg)
+        if self._msgs.pop(key, None) is not None:
+            del self._msg_sent_at[key]
+            self._msg_arrived.discard(key)
             self.msgs_resolved += 1
 
     def on_smsg_drop(self, msg: Any) -> None:
         """Fault injector ate the delivery; credit was reclaimed."""
-        if self._msgs.pop(id(msg), None) is not None:
-            self.msgs_resolved += 1
+        self.on_smsg_consume(msg)
 
     # -- device buffers and copy-engine credits ----------------------------
     @staticmethod
@@ -447,13 +447,13 @@ class Sanitizer:
 
     def on_device_alloc(self, gpu: Any, buf: Any) -> None:
         self.dev_allocs += 1
-        self._dev[id(buf)] = _Dev(buf, self._eng.now)
+        self._dev[id(buf)] = _Dev(buf, self._clock.now)
 
     def on_device_free(self, gpu: Any, buf: Any) -> None:
         shadow = self._dev.pop(id(buf), None)
         if shadow is None:
             return  # allocated before this sanitizer existed; not ours
-        shadow.retired_at = self._eng.now
+        shadow.retired_at = self._clock.now
         self._freed_dev[id(buf)] = shadow
         self.dev_frees += 1
 
@@ -505,14 +505,14 @@ class Sanitizer:
         Every SMSG sent must be consumed or dropped by now: its arrival
         went to the fabric's consumer, so one still outstanding is lost.
         """
-        for shadow in self._msgs.values():
-            msg = shadow.msg
+        for key, msg in self._msgs.items():
             self.report(
                 "undelivered-message",
                 f"smsg[{msg.src_pe}->{msg.dst_pe}]",
                 f"tag={msg.tag} nbytes={msg.nbytes} sent at "
-                f"t={shadow.sent_at:.9f} "
-                + ("arrived but was never consumed" if shadow.arrived
+                f"t={self._msg_sent_at[key]:.9f} "
+                + ("arrived but was never consumed"
+                   if key in self._msg_arrived
                    else "never arrived and was never dropped"))
         self._check_credit_books()
         for tx in self._txs.values():
@@ -534,9 +534,9 @@ class Sanitizer:
         # shadow credit per connection: every outstanding message holds
         # its payload + header credit from send until consume/drop
         shadow_credit: dict[tuple[int, int], int] = {}
-        for rec in self._msgs.values():
-            key = (rec.msg.src_pe, rec.msg.dst_pe)
-            shadow_credit[key] = shadow_credit.get(key, 0) + rec.msg.credit
+        for msg in self._msgs.values():
+            key = (msg.src_pe, msg.dst_pe)
+            shadow_credit[key] = shadow_credit.get(key, 0) + msg.credit
         for fabric in self._fabrics:
             for src, dst, held in fabric.pairs():
                 expect = shadow_credit.get((src, dst), 0)
@@ -569,7 +569,7 @@ class Sanitizer:
 
     def check_teardown(self) -> list[Violation]:
         """Full end-of-run audit: quiescence conservation + leak checks."""
-        self.on_engine_drained(self._eng.now)
+        self.on_engine_drained(self._clock.now)
         self.leak_check()
         return self.violations
 

@@ -113,7 +113,7 @@ class TestRegistry:
 
 
 class TestClaimsCanFail:
-    """A claim no perturbation can flip checks nothing (ROADMAP 1(a))."""
+    """A claim no perturbation can flip checks nothing (ROADMAP 3(a))."""
 
     def test_fig4_bte_put_claim_follows_the_calibration(self, monkeypatch):
         from repro.bench import micro

@@ -3,16 +3,19 @@
 One test per layer, selectable with ``pytest -k <layer>``; CI runs them
 all in the ``sanitize`` job's full suite.  Each case
 runs kNeighbor under the hardest fault mix that layer is specified to
-survive (ugni needs its reliability protocol armed for drops; mpi's
-simulated transport only tolerates stalls; rdma's RC endpoints recover
-drops natively), with the lifecycle sanitizer auditing the whole run.
+survive (ugni needs its reliability protocol armed for drops; rdma's RC
+endpoints recover drops natively), with the lifecycle sanitizer auditing
+the whole run, and shows that every injected rate fired.  The mpi
+layer's transport draws no SMSG or RDMA faults, so a rate given to it is
+refused at ``make_runtime`` instead of ignored.
 """
 
 import pytest
 
 from repro import sanitize
 from repro.apps.kneighbor import kneighbor
-from repro.faults import FaultConfig
+from repro.errors import LrtsError
+from repro.faults import FaultConfig, LinkFlap
 from repro.hardware.config import MachineConfig
 from repro.lrts.ugni_layer import UgniLayerConfig
 from repro.units import KB
@@ -24,6 +27,7 @@ CASES = {
         faults=FaultConfig(smsg_drop_rate=0.05, smsg_stall_rate=0.05,
                            rdma_error_rate=0.05),
     ),
+    # its transport draws no SMSG or RDMA faults: the rate is refused
     "mpi": dict(
         config=MachineConfig(sanitize=True),
         layer_config=None,
@@ -42,6 +46,11 @@ CASES = {
 def test_chaos_with_sanitizer(layer):
     case = CASES[layer]
     sanitize.clear_registry()
+    if layer == "mpi":
+        with pytest.raises(LrtsError, match="smsg_stall_rate"):
+            kneighbor(16 * KB, layer=layer, config=case["config"], seed=11,
+                      faults=case["faults"])
+        return
     try:
         clean = kneighbor(16 * KB, layer=layer, config=case["config"],
                           layer_config=case["layer_config"], seed=11)
@@ -52,6 +61,25 @@ def test_chaos_with_sanitizer(layer):
         assert faulty.stats["delivered"] == clean.stats["delivered"]
         # faults cost time, never save it
         assert faulty.iteration_time >= clean.iteration_time
+        # and every injected rate fired
+        fired = faulty.stats["faults"]
+        assert fired["smsg_dropped"] > 0, fired
+        assert fired["smsg_stalled"] > 0, fired
+        assert fired["rdma_failed"] > 0, fired
         sanitize.assert_clean(f"{layer} chaos kneighbor")
     finally:
         sanitize.clear_registry()
+
+
+@pytest.mark.parametrize("rate", ["smsg_drop_rate", "rdma_error_rate"])
+def test_mpi_refuses_fault_rates_it_cannot_inject(rate):
+    with pytest.raises(LrtsError, match=rate):
+        kneighbor(16 * KB, layer="mpi", seed=11,
+                  faults=FaultConfig(**{rate: 0.10}))
+
+
+def test_mpi_keeps_link_flaps():
+    res = kneighbor(16 * KB, layer="mpi", seed=11, faults=FaultConfig(),
+                    fault_schedule=[LinkFlap(at=5e-6, frm=(0, 0, 0),
+                                             to=(0, 0, 1), duration=20e-6)])
+    assert res.stats["faults"]["link_events"] > 0

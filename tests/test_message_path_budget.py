@@ -90,14 +90,20 @@ MPI_BUDGETS = {"eager": 29.4, "rendezvous": 37.6}
 #: sites as writers, the sanitizer unset), C core / pure Python: 65.05 /
 #: 82.75 with a counter frame per ``inc``, span-setup and interning
 #: helpers and per-message label strings, 34.98 / 54.69 with each hook one
-#: frame plus at most one row writer or histogram sample
-OBSERVED_CALL_BUDGET = 35.5
+#: frame plus at most one row writer or histogram sample, 29.04 / 48.75
+#: with each hook one frame that writes its row and bins in place
+OBSERVED_CALL_BUDGET = 29.5
+#: ``knb_observed``'s own configuration, the observer and the sanitizer
+#: on: 40.03 / 59.73 with a ``_Msg`` shadow and an ``Engine.now`` read per
+#: SMSG, 32.08 / 52.79 with neither and the hooks above
+KNB_OBSERVED_CALL_BUDGET = 32.6
 #: the MPI path on the pure-Python engine: 80.64 / 128.70 before it was
 #: flattened, 55.56 / 98.56 after
 if Engine()._core is None:
     CALL_BUDGET = 36.1
     RNDV_BUDGETS = {"ugni": 125.3, "rdma": 152.7, "ugni_put": 146.0}
-    OBSERVED_CALL_BUDGET = 55.2
+    OBSERVED_CALL_BUDGET = 49.2
+    KNB_OBSERVED_CALL_BUDGET = 53.3
     MPI_BUDGETS = {"eager": 56.1, "rendezvous": 99.1}
 #: one cold 1,024-PE ``kneighbor(32, k=1, iters=1, warmup=0)``, runtime
 #: held: GC-tracked objects it leaves per PE, measured + 2 % (63.9 while a
@@ -190,6 +196,17 @@ def test_observed_message_call_budget(monkeypatch):
     assert per_msg <= OBSERVED_CALL_BUDGET, (
         f"{per_msg:.1f} Python calls per observed 256 B message "
         f"(budget {OBSERVED_CALL_BUDGET}): an observer hook grew a frame\n"
+        + _largest_rows(table, APP_MSGS))
+
+
+def test_knb_observed_call_budget():
+    calls, res, table = _repro_calls(
+        _run, config=MachineConfig(observe=True, sanitize=True))
+    assert res.stats["delivered"] >= APP_MSGS
+    per_msg = calls / APP_MSGS
+    assert per_msg <= KNB_OBSERVED_CALL_BUDGET, (
+        f"{per_msg:.1f} Python calls per observed, sanitized 256 B message "
+        f"(budget {KNB_OBSERVED_CALL_BUDGET}): a hook grew a frame\n"
         + _largest_rows(table, APP_MSGS))
 
 
@@ -329,9 +346,10 @@ def test_cold_link_and_connection_bytes(held_runtimes, monkeypatch):
 #: traced messages), runtime held: the bytes tracemalloc sees the whole run
 #: hold per traced message — 1,564 B (1,491 B pure; 1,551 B over
 #: ``knb_observed``'s 23,616) with a ``Span``, ``Stage`` objects and
-#: interval tuples per message, 315 B (316 B pure) as typed columns
+#: interval tuples per message, 315 B (316 B pure) as typed columns,
+#: 282.4 B (283.0 B pure) with three-column stage rows and no ``send`` row
 OBSERVED_ITERS, OBSERVED_WARMUP = 4, 1
-OBSERVER_BYTES_PER_MESSAGE = 322
+OBSERVER_BYTES_PER_MESSAGE = 284
 
 
 def test_observer_bytes_per_traced_message(held_runtimes, monkeypatch):

@@ -181,8 +181,7 @@ def test_crash_restart_records_match_reference(monkeypatch):
 
 
 def _first(column, tracer, tid):
-    """A span's first-send / first-rendezvous time column, None for NaN
-    or no span."""
+    """A span's send time column, None for NaN or no span."""
     row = tid - tracer._base - 1
     if not 0 <= row < len(column):
         return None
@@ -234,7 +233,9 @@ def test_random_stream_matches_reference(seed):
             sends[0] if sends else None)
         rndv = [s.time for s in span.stages
                 if s.stage == "lrts" and s.detail == "rendezvous"]
-        assert _first(live._rndv_at, live, tid) == (rndv[0] if rndv else None)
+        # the rendezvous map holds rendezvous spans only
+        assert live._rndv_at.get(tid - live._base - 1) == (
+            rndv[0] if rndv else None)
 
 
 def _carrier(msg, depth):

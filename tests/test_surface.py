@@ -59,7 +59,7 @@ KEEP = {
     "hottest_link": "router diagnostic in DESIGN; the router-equivalence "
                     "test pins its tie order",
     "invalidate": "RegistrationCache.invalidate: perf/layers.py pins the "
-                  "class until ROADMAP item 2 deletes it",
+                  "class until ROADMAP item 7 deletes it",
     "is_global_link": "Dragonfly.is_global_link: the frozen router oracle "
                       "(tests/_reference_router.py) calls it",
     "largest_free_range": "NodeMemory.largest_free_range: the frozen "

@@ -112,6 +112,13 @@ TOMBSTONES = [
      "each protocol step is a Converse handler of its own: no shared "
      "protocol handler dispatching on a step name",
      "self._proto_hid = self.conv.register_handler(self._proto_handler)"),
+    (r"class _Msg\b|_eng\.now|_stage_columns|_span_columns"
+     r"|\._(code|where|detail)\.append",
+     ("src/repro/sanitize", "src/repro/observe"), 46,
+     "the observed path at one write per stage: a stage row is trace ID, "
+     "time and key, and the sanitizer's SMSG shadow makes no object per "
+     "message and reads the engine core's clock",
+     "self._msgs[id(msg)] = _Msg(msg, self._eng.now)"),
 ]
 
 _IDS = [f"pr{pr}-{n}" for n, (_, _, pr, _, _) in enumerate(TOMBSTONES)]
