@@ -21,11 +21,12 @@ Usage::
 
 Rows are at ``perf/bench.py``'s default seed.  Any checkout can be
 measured (a clone, archive or worktree of an older commit; it builds its
-own C core).  One with uncommitted changes under ``src``, ``perf`` or
-``BENCHMARK.json`` needs ``--pr``; its rows say ``"commit": null`` and
-the ``"base"`` they stand on, and once a commit sits on top of ``base``
-in this checkout's history, the next run (``--trend`` too) gives them
-that commit.
+own C core).  A commit whose subject does not start ``PR <n>:`` (a
+re-anchor, a revert) needs ``--pr``, and so does a checkout with
+uncommitted changes under ``src``, ``perf`` or ``BENCHMARK.json``; the
+latter's rows say ``"commit": null`` and the ``"base"`` they stand on,
+and once a commit sits on top of ``base`` in this checkout's history,
+the next run (``--trend`` too) gives them that commit.
 """
 
 from __future__ import annotations
@@ -67,7 +68,14 @@ def _quartiles(spread: dict) -> dict:
     return {k: spread[k] for k in ("q1", "median", "q3")}
 
 
-def row(tree: str, workload: str, pr: int | None) -> dict:
+def pr_of(subject: str) -> int | None:
+    """The PR number of a commit subject that starts ``PR <n>:``; None for
+    any other (a re-anchor or a revert names a PR it is not)."""
+    found = re.match(r"PR (\d+):", subject)
+    return int(found.group(1)) if found else None
+
+
+def row(tree: str, workload: str, pr: int) -> dict:
     """Measure ``workload`` on ``tree``: the trajectory row."""
     res = _bench(tree, workload, 0)["workloads"][workload]
     traced = _bench(tree, workload, 1)["workloads"][workload]
@@ -77,10 +85,6 @@ def row(tree: str, workload: str, pr: int | None) -> dict:
     msgs = {"q1": res["app_msgs"] / host["q3"],
             "median": res["end_to_end"]["msgs_per_s"],
             "q3": res["app_msgs"] / host["q1"]}
-    if pr is None:
-        found = re.search(r"\bPR (\d+)\b",
-                          _git(tree, "log", "-1", "--format=%s"))
-        pr = int(found.group(1)) if found else None
     head = _git(tree, "rev-parse", "--short", "HEAD")
     return {
         **({"commit": None, "base": head} if _dirty(tree)
@@ -197,13 +201,20 @@ def main() -> int:
         trend(layers=args.layers)
         return 0
     tree = os.path.abspath(args.tree)
-    if args.pr is None and _dirty(tree):
-        ap.error(f"{tree} has uncommitted changes: say which PR with --pr")
+    pr = args.pr
+    if pr is None:
+        if _dirty(tree):
+            ap.error(f"{tree} has uncommitted changes: say which PR with --pr")
+        subject = _git(tree, "log", "-1", "--format=%s")
+        pr = pr_of(subject)
+        if pr is None:
+            ap.error(f"{tree}'s commit {subject!r} does not start "
+                     f"'PR <n>:': say which PR with --pr")
     _rows()
     with open(os.path.join(tree, "BENCHMARK.json")) as fh:
         names = [w["name"] for w in json.load(fh)["workloads"]]
     for name in names:
-        r = row(tree, name, args.pr)
+        r = row(tree, name, pr)
         with open(TRAJECTORY, "a") as fh:
             fh.write(json.dumps(r, sort_keys=True) + "\n")
         print(f"{name}: {r['checks_failed']} checks failed")

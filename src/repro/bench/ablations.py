@@ -56,7 +56,6 @@ def ablation_msgq() -> ExperimentResult:
     )
     import numpy as np
 
-    from repro.charm import Chare, Charm
     from repro.converse.scheduler import Message
 
     stats = {}

@@ -125,33 +125,28 @@ class Chare:
         return done
 
 
-#: proxies build their refs with this and three slot stores: a proxy call
-#: makes two throw-away objects, and an ``__init__`` each would be two of
-#: its frames
+#: proxies build their refs with this and two slot stores: an ``__init__``
+#: would be a frame of every proxy call
 _new = object.__new__
 
 
-class BoundMethod:
-    """``proxy[i].method`` — calling it sends an async invocation."""
+def _send_entry(name: str):
+    """``ElementRef.<name>`` and ``ArrayProxy.<name>``, made by the name's
+    first lookup: size the arguments, find the element's home, count the
+    send for quiescence and hand Converse the message.  A broadcast
+    (``index`` None) and a call made outside any handler (nothing to
+    charge the send to) go to :meth:`Charm._invoke`."""
 
-    __slots__ = ("proxy", "index", "name")
-
-    def __call__(self, *args: Any, _size: Optional[int] = None,
-                 _prio: Optional[int] = None, _device: Any = False,
-                 **kwargs: Any) -> None:
-        """The point-to-point send: size the arguments, find the element's
-        home, count the send for quiescence and hand Converse the message.
-
-        A broadcast (``index`` None) and a call made outside any handler
-        (nothing to charge the send to) go to :meth:`Charm._invoke`."""
-        proxy = self.proxy
+    def entry(ref: "ElementRef", *args: Any, _size: Optional[int] = None,
+              _prio: Optional[int] = None, _device: Any = False,
+              **kwargs: Any) -> None:
+        proxy = ref.proxy
         charm = proxy.charm
-        idx = self.index
+        idx = ref.index
         pe = charm._current_pe
         if idx is None or pe is None:
-            charm._invoke(proxy.aid, self.name, args, kwargs, _size, _prio,
-                          _device)
-            return
+            return charm._invoke(proxy.aid, name, args, kwargs, _size,
+                                 _prio, _device)
         nbytes = estimate_size(args, kwargs) if _size is None else _size
         coll = charm.collections[proxy.aid]
         dst = coll.location.get(idx)
@@ -163,31 +158,39 @@ class BoundMethod:
             qd.notify_send(pe.rank)
         charm.conv.send(pe, dst, Message(
             charm._h_entry, pe.rank, dst, nbytes,
-            ("inv", proxy.aid, idx, self.name, args, kwargs), _prio,
+            ("inv", proxy.aid, idx, name, args, kwargs), _prio,
             device=_device))
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<BoundMethod {self.proxy}[{self.index}].{self.name}>"
+    entry.__name__ = entry.__qualname__ = name
+    return entry
 
 
 class ElementRef:
-    """``proxy[i]`` — reference to one element."""
+    """``proxy[i]`` — reference to one element.  An entry name is a
+    function on the class, made once by ``__getattr__`` and then found
+    without it (DESIGN §6, "first lookup reaches")."""
 
     __slots__ = ("proxy", "index")
+    #: attributes that are state, never entry names (read before set)
+    _state = ("proxy", "index")
 
-    def __getattr__(self, name: str) -> BoundMethod:
-        if name.startswith("_"):
+    def __getattr__(self, name: str):
+        if name.startswith("_") or name in self._state:
             raise AttributeError(name)
-        bound = _new(BoundMethod)
-        bound.proxy = self.proxy
-        bound.index = self.index
-        bound.name = name
-        return bound
+        fn = _send_entry(name)
+        setattr(type(self), name, fn)
+        return fn.__get__(self)
 
 
 class ArrayProxy:
     """Proxy to a chare collection; indexing yields element refs and
-    attribute access on the proxy itself is a broadcast."""
+    attribute access on the proxy itself is a broadcast: the proxy is its
+    own ref, with no index."""
+
+    index = None
+    proxy = property(lambda self: self)
+    _state = ("charm", "aid", "name")
+    __getattr__ = ElementRef.__getattr__
 
     def __init__(self, charm, aid: int, name: str):
         self.charm = charm
@@ -199,15 +202,6 @@ class ArrayProxy:
         ref.proxy = self
         ref.index = index
         return ref
-
-    def __getattr__(self, name: str) -> BoundMethod:
-        if name.startswith("_") or name in ("charm", "aid", "name"):
-            raise AttributeError(name)
-        bound = _new(BoundMethod)
-        bound.proxy = self
-        bound.index = None  # broadcast
-        bound.name = name
-        return bound
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<ArrayProxy {self.name}>"

@@ -7,7 +7,7 @@ import itertools
 from typing import Any, Callable, Optional, Sequence
 
 from repro.charm.array import MAPS, Collection
-from repro.charm.chare import ArrayProxy, BoundMethod, Chare, estimate_size
+from repro.charm.chare import ArrayProxy, Chare, ElementRef, estimate_size
 from repro.charm.reduction import REDUCERS
 from repro.converse.collectives import SpanningTree
 from repro.converse.quiescence import QuiescenceDetector
@@ -144,7 +144,7 @@ class Charm:
     def _invoke(self, aid: int, method: str, args: tuple, kwargs: dict,
                 size: Optional[int], prio: Optional[int],
                 device: Any = False) -> None:
-        """What :meth:`BoundMethod.__call__` does not do itself: refuse a
+        """What a ref's entry function does not do itself: refuse a
         proxy call made outside any handler, and start a broadcast — a
         spanning tree rooted at the calling PE, entered by a message to
         itself."""
@@ -288,7 +288,11 @@ class Charm:
     def _contribute(self, elem: Any, value: Any, op: str, target) -> None:
         if op not in REDUCERS:
             raise CharmError(f"unknown reduction op {op!r}")
-        if not isinstance(target, BoundMethod):
+        # an entry function bound to a ref or a proxy, not ``elem.total``
+        owner = type(getattr(target, "__self__", None))
+        if (owner not in (ElementRef, ArrayProxy)
+                or target.__name__.startswith("_")
+                or vars(owner).get(target.__name__) is not target.__func__):
             raise CharmError("reduction target must be a bound proxy method")
         pe = elem.pe
         coll = self.collections[elem._aid]

@@ -27,7 +27,7 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
 
-from repro.errors import SimulationError, UgniInvalidParam, UgniNoSpace
+from repro.errors import SimulationError, TopologyError, UgniInvalidParam, UgniNoSpace
 from repro.hardware.machine import Machine
 
 #: per-message mailbox header (sequence, tag, length fields)
@@ -101,17 +101,19 @@ class SmsgFabric:
         Creation charges mailbox memory to both endpoints' nodes, which is
         the linear-growth cost the paper contrasts with MSGQ.
         """
-        machine = self.machine
-        src_node = machine.node_of_pe(src_pe)
-        dst_node = machine.node_of_pe(dst_pe)
-        key = src_pe * self.n_pes + dst_pe
+        n = self.n_pes
+        if not (0 <= src_pe < n and 0 <= dst_pe < n):
+            bad = dst_pe if 0 <= src_pe < n else src_pe
+            raise TopologyError(f"PE {bad} outside machine of {n} PEs")
+        key = src_pe * n + dst_pe
         conn = self._conn.get(key)
         if conn is None:
             conn = self._conn[key] = len(self._credits)
             self._credits.append(0)
+            pe_node = self.machine._pe_node
             memory = self.mailbox_memory_per_node
-            memory[src_node.node_id] += self.mailbox_bytes
-            memory[dst_node.node_id] += self.mailbox_bytes
+            memory[pe_node[src_pe].node_id] += self.mailbox_bytes
+            memory[pe_node[dst_pe].node_id] += self.mailbox_bytes
         return conn
 
     def pairs(self) -> Iterator[tuple[int, int, int]]:

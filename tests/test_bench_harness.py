@@ -213,6 +213,28 @@ class TestClaimsCanFail:
         # the PUT still wins at 1 MB: a slower GET only widens that
         assert flipped[offset]
 
+    def test_msgq_memory_claim_follows_the_node_queue_size(self, monkeypatch):
+        from repro.bench import ablations
+        from repro.hardware.config import MachineConfig
+
+        monkeypatch.delenv("REPRO_PAPER_SCALE", raising=False)
+        text = "MSGQ uses less fabric memory under many-to-many traffic"
+        delivers = "both transports deliver everything"
+        holds = {c.text: c.holds for c in ablations.ablation_msgq().claims}
+        assert holds[text] and holds[delivers]
+
+        # a node queue eight times larger outweighs every SMSG mailbox the
+        # spray opens (the SMSG side holds ~5.6x MSGQ's memory)
+        base = MachineConfig()
+        big_queue = base.replace(msgq_node_bytes=8 * base.msgq_node_bytes)
+        make = ablations.make_runtime
+        monkeypatch.setattr(ablations, "make_runtime",
+                            lambda *a, **kw: make(*a, config=big_queue, **kw))
+        flipped = {c.text: c.holds for c in ablations.ablation_msgq().claims}
+        assert not flipped[text]
+        # a larger queue holds the same messages: both still deliver all
+        assert flipped[delivers]
+
     def test_fig8c_single_copy_claim_follows_the_memcpy_bandwidth(
             self, monkeypatch):
         from repro.bench import micro
@@ -360,6 +382,27 @@ class TestClaimsCanFail:
         assert not flipped[text]
         # small messages register nothing: their margin stands
         assert flipped[margin]
+
+
+class TestTrajectorySubject:
+    """benchmarks/trajectory.py reads a row's PR number from the commit
+    subject only when it starts ``PR <n>:``."""
+
+    @staticmethod
+    def _pr_of(subject):
+        spec = importlib.util.spec_from_file_location(
+            "trajectory", _BENCHMARKS / "trajectory.py")
+        mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mod)
+        return mod.pr_of(subject)
+
+    @pytest.mark.parametrize("subject, pr", [
+        ("PR 46: [perf_opt] The observed path at one write per stage", 46),
+        ("re-anchor @ PR 45: ROADMAP", None),
+        ('Revert "PR 12: [perf_opt] Something"', None),
+    ])
+    def test_only_a_pr_subject_names_a_pr(self, subject, pr):
+        assert self._pr_of(subject) == pr
 
 
 class TestRegressionHarness:

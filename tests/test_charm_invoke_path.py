@@ -1,19 +1,22 @@
 """The proxy call and the entry delivery, after they were flattened.
 
 ``proxy[i].m(...)`` used to walk ``__getitem__`` → ``ElementRef.__init__``
-→ ``__getattr__`` → ``BoundMethod.__init__`` → ``__call__`` →
-``Charm._invoke``; the point-to-point body now lives in
-``BoundMethod.__call__`` and the hit path of the delivery in
+→ ``__getattr__`` → a bound-entry object's ``__init__`` → ``__call__`` →
+``Charm._invoke``; now ``__getitem__`` builds the ref, ``m`` is the name's
+one function on ``ElementRef`` (built by its first lookup), whose body is
+the point-to-point send, and the hit path of the delivery lives in
 ``Charm._entry_handler``.  The property test holds the new send to the old
 one — ``_parent_invoke`` below is ``Charm._invoke`` as it stood before,
 frozen here — and the rest walks the branches the short path steps past.
 """
 
+from types import MethodType
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.charm import Chare, Charm
-from repro.charm.chare import BoundMethod, ElementRef, estimate_size
+from repro.charm.chare import ArrayProxy, ElementRef, estimate_size
 from repro.converse.quiescence import QuiescenceDetector
 from repro.converse.scheduler import Message
 from repro.errors import CharmError
@@ -117,12 +120,45 @@ def test_refs_are_built_per_call_and_hold_no_extra_state():
     charm, conv, arr, coll = _runtime()
     ref, bound = arr[3], arr[3].take
     assert type(ref) is ElementRef and (ref.proxy, ref.index) == (arr, 3)
-    assert type(bound) is BoundMethod
-    assert (bound.proxy, bound.index, bound.name) == (arr, 3, "take")
+    # the name's one function, found in the class dict and bound to the ref
+    assert type(bound) is MethodType
+    assert bound.__func__ is vars(ElementRef)["take"]
+    assert (bound.__self__.proxy, bound.__self__.index, bound.__name__) == (
+        arr, 3, "take")
     assert arr[3] is not ref  # nothing is cached on the proxy
-    assert not hasattr(ref, "__dict__") and not hasattr(bound, "__dict__")
+    assert arr[5].take.__func__ is bound.__func__  # nor per ref
+    assert not hasattr(ref, "__dict__")
     bcast = arr.take
-    assert type(bcast) is BoundMethod and bcast.index is None
+    assert type(bcast) is MethodType and bcast.__self__ is arr
+    assert bcast.__func__ is vars(ArrayProxy)["take"]
+
+
+class Tally(Chare):
+    def __init__(self):
+        self.got = []
+
+    def take(self, *args, **kwargs):
+        self.got.append(("tally", args))
+
+
+def test_one_function_per_name_reaches_each_collections_own_element():
+    # two chare classes in two collections (and two runtimes) share the
+    # name ``take``: after its first call builds the function, each call
+    # still lands on its own collection's element
+    charm, conv, arr, coll = _runtime()
+    tallies = charm.create_array(Tally, 4, map="round_robin")
+    other, _, arr2, coll2 = _runtime()
+    charm.start(lambda pe: (arr[1].take("a"), tallies[1].take("b")))
+    other.start(lambda pe: arr2[2].take("c"))
+    charm.run()
+    other.run()
+    fn = vars(ElementRef)["take"]
+    assert arr[1].take.__func__ is tallies[1].take.__func__ is fn
+    assert coll.element_at(coll.home_of(1), 1).got == [(("a",), {})]
+    tally = charm.collections[tallies.aid]
+    assert tally.element_at(tally.home_of(1), 1).got == [("tally", ("b",))]
+    assert coll2.element_at(coll2.home_of(2), 2).got == [(("c",), {})]
+    assert charm.app_executes == 2 and other.app_executes == 1
 
 
 def test_underscore_attributes_are_not_entry_methods():
@@ -228,12 +264,16 @@ def test_reads_do_not_plant_per_pe_tables():
     assert len(coll.local) == 2
 
 
-# -- reductions still name their target by a BoundMethod ---------------------
+# -- reductions still name their target by a ref's or proxy's entry ----------
 def test_reduction_target_is_a_bound_method():
     charm, conv, arr, coll = _runtime()
     charm.start(lambda pe: arr.give())
     charm.run()
     assert coll.local[coll.home_of(0)][0].got == [N_ELEMS]
     elem = coll.local[coll.home_of(1)][1]
-    with pytest.raises(CharmError, match="bound proxy method"):
-        elem.contribute(1, "sum", elem.total)
+    # a chare's own bound method, a proxy's non-entry method and a plain
+    # function are refused; only an entry bound to a ref or proxy passes
+    for target in (elem.total, arr.__getitem__, arr[0].__getattr__,
+                   vars(ElementRef)["total"], print):
+        with pytest.raises(CharmError, match="bound proxy method"):
+            elem.contribute(1, "sum", target)

@@ -29,7 +29,7 @@ import tracemalloc
 
 import pytest
 
-from repro.apps.kneighbor import kneighbor
+from repro.apps.kneighbor import _Neighbor, kneighbor
 from repro.faults import FaultConfig
 from repro.hardware.config import MachineConfig
 from repro.hardware.link import Link
@@ -47,8 +47,11 @@ APP_MSGS = N_CORES * 2 * K * 2 * (ITERS + WARMUP)
 #: 21.2 with ``TorusNetwork.transfer`` in the C core (one frame a transfer),
 #: 21.1 with routes by arithmetic (343 first touches where 835 misses were),
 #: 21.04 with a first touch that makes its link where it sits, 18.89 with
-#: SMSG arrivals handed straight to their consumer (no RX CQ entry)
-CALL_BUDGET = 19.4
+#: SMSG arrivals handed straight to their consumer (no RX CQ entry),
+#: 17.84 with an entry name found on the ref's class (the failed lookup
+#: and ``__getattr__`` gone; one ``entry`` frame is the send) and a new
+#: SMSG connection made without ``node_of_pe`` frames
+CALL_BUDGET = 18.3
 #: the same count for a 256 KB rendezvous message (iters=8, warmup=2):
 #: 157.2 uGNI / 115.8 RDMA (on a dragonfly) before the protocols were
 #: unified, 148.2 / 115.8 after, 120.2 / 101.7 once the large-message
@@ -60,19 +63,21 @@ CALL_BUDGET = 19.4
 #: measured on rdma), 60.3 / 54.9 with each protocol step its own Converse
 #: handler, the fabric port's charges written out, a control SMSG one
 #: layer frame, a post one engine frame and a pool block built in place;
-#: the PUT rendezvous (``ugni_put``) 90.3 -> 72.3 by the same changes
+#: the PUT rendezvous (``ugni_put``) 90.3 -> 72.3 by the same changes;
+#: 59.2 / 53.9 / 71.2 with an entry name found on the ref's class
 RNDV_ITERS, RNDV_WARMUP = 8, 2
 RNDV_MSGS = N_CORES * 2 * K * 2 * (RNDV_ITERS + RNDV_WARMUP)
-RNDV_BUDGETS = {"ugni": 60.8, "rdma": 55.4, "ugni_put": 72.8}
+RNDV_BUDGETS = {"ugni": 59.7, "rdma": 54.4, "ugni_put": 71.7}
 #: the same count for a Charm-on-MPI message (``layer="mpi"``): 128 B
 #: eager (iters=16, warmup=3) and 8 KB rendezvous (iters=8, warmup=2),
 #: measured + 0.5: 54.93 / 69.21 with a frame per match, queue append,
 #: probe-scan cost, node lookup, cost formula and PE charge, a waiter
 #: list and closures per receive, and the unblock as three calls; 28.84 /
 #: 37.06 with each protocol step one frame (send, arrival, Iprobe, Recv,
-#: completion, the GET's completion, the FIN)
+#: completion, the GET's completion, the FIN); 27.84 / 36.06 with an
+#: entry name found on the ref's class
 MPI_SIZES = {"eager": (128, ITERS, WARMUP), "rendezvous": (8 * KB, 8, 2)}
-MPI_BUDGETS = {"eager": 29.4, "rendezvous": 37.6}
+MPI_BUDGETS = {"eager": 28.3, "rendezvous": 36.6}
 #: without the C core (``REPRO_PURE_ENGINE=1``, a CI leg) the engine's own
 #: Python frames are on the path and counted too, ``Engine.now`` and the
 #: router's Python body among them — and, per transfer, the topology's
@@ -85,26 +90,31 @@ MPI_BUDGETS = {"eager": 29.4, "rendezvous": 37.6}
 #: (+5.1 rdma, whose queue pairs arm retransmit timers): 37.6 small,
 #: 147.9 / 163.2 rendezvous; 35.6 small and 143.8 ugni rendezvous with no
 #: SMSG RX CQ; 140.8 ugni rendezvous with no post CQ; 124.8 / 148.2
-#: rendezvous and 145.5 PUT rendezvous with each step its own handler
+#: rendezvous and 145.5 PUT rendezvous with each step its own handler;
+#: 34.53 small, 123.73 / 147.16 rendezvous and 144.41 PUT rendezvous with
+#: an entry name found on the ref's class
 #: the same 256 B count with the observer on (``knb_observed``'s hook
 #: sites as writers, the sanitizer unset), C core / pure Python: 65.05 /
 #: 82.75 with a counter frame per ``inc``, span-setup and interning
 #: helpers and per-message label strings, 34.98 / 54.69 with each hook one
 #: frame plus at most one row writer or histogram sample, 29.04 / 48.75
-#: with each hook one frame that writes its row and bins in place
-OBSERVED_CALL_BUDGET = 29.5
+#: with each hook one frame that writes its row and bins in place, 27.99
+#: / 47.69 with an entry name found on the ref's class
+OBSERVED_CALL_BUDGET = 28.5
 #: ``knb_observed``'s own configuration, the observer and the sanitizer
 #: on: 40.03 / 59.73 with a ``_Msg`` shadow and an ``Engine.now`` read per
-#: SMSG, 32.08 / 52.79 with neither and the hooks above
-KNB_OBSERVED_CALL_BUDGET = 32.6
+#: SMSG, 32.08 / 52.79 with neither and the hooks above, 31.03 / 51.73
+#: with an entry name found on the ref's class
+KNB_OBSERVED_CALL_BUDGET = 31.5
 #: the MPI path on the pure-Python engine: 80.64 / 128.70 before it was
-#: flattened, 55.56 / 98.56 after
+#: flattened, 55.56 / 98.56 after, 54.56 / 96.56 with an entry name found
+#: on the ref's class
 if Engine()._core is None:
-    CALL_BUDGET = 36.1
-    RNDV_BUDGETS = {"ugni": 125.3, "rdma": 152.7, "ugni_put": 146.0}
-    OBSERVED_CALL_BUDGET = 49.2
-    KNB_OBSERVED_CALL_BUDGET = 53.3
-    MPI_BUDGETS = {"eager": 56.1, "rendezvous": 99.1}
+    CALL_BUDGET = 35.0
+    RNDV_BUDGETS = {"ugni": 124.2, "rdma": 147.7, "ugni_put": 144.9}
+    OBSERVED_CALL_BUDGET = 48.2
+    KNB_OBSERVED_CALL_BUDGET = 52.2
+    MPI_BUDGETS = {"eager": 55.1, "rendezvous": 97.1}
 #: one cold 1,024-PE ``kneighbor(32, k=1, iters=1, warmup=0)``, runtime
 #: held: GC-tracked objects it leaves per PE, measured + 2 % (63.9 while a
 #: route entry kept a coordinate tuple and a pair per candidate, 32.2 with
@@ -142,6 +152,18 @@ def _repro_calls(fn, *args, **kwargs):
     finally:
         sys.setprofile(None)
     return sum(table.values()), result, table
+
+
+def _check_entry_lookups(table):
+    """``ElementRef.__getattr__`` / ``ArrayProxy.__getattr__`` run only to
+    build a name's entry function: at most once per distinct entry name on
+    each class, never once per message (a failed attribute lookup builds
+    and drops an ``AttributeError``, host time no frame count shows)."""
+    names = [n for n in vars(_Neighbor) if not n.startswith("_")]
+    lookups = table["repro.charm.chare", "__getattr__"]
+    assert lookups <= 2 * len(names), (
+        f"{lookups} __getattr__ frames for entry names {names}: a proxy "
+        f"call took the failed-lookup path")
 
 
 def _largest_rows(table, msgs, n=15):
@@ -186,6 +208,7 @@ def test_small_message_call_budget(monkeypatch):
         f"{per_msg:.1f} Python calls per 256 B message "
         f"(budget {CALL_BUDGET}): the small-message path grew a layer\n"
         + _largest_rows(table, APP_MSGS))
+    _check_entry_lookups(table)
 
 
 def test_observed_message_call_budget(monkeypatch):
@@ -197,6 +220,7 @@ def test_observed_message_call_budget(monkeypatch):
         f"{per_msg:.1f} Python calls per observed 256 B message "
         f"(budget {OBSERVED_CALL_BUDGET}): an observer hook grew a frame\n"
         + _largest_rows(table, APP_MSGS))
+    _check_entry_lookups(table)
 
 
 def test_knb_observed_call_budget():
@@ -208,6 +232,7 @@ def test_knb_observed_call_budget():
         f"{per_msg:.1f} Python calls per observed, sanitized 256 B message "
         f"(budget {KNB_OBSERVED_CALL_BUDGET}): a hook grew a frame\n"
         + _largest_rows(table, APP_MSGS))
+    _check_entry_lookups(table)
 
 
 @pytest.mark.parametrize("layer", sorted(RNDV_BUDGETS))
@@ -223,6 +248,7 @@ def test_rendezvous_call_budget(layer, monkeypatch):
         f"{per_msg:.1f} Python calls per 256 KB message on {layer} "
         f"(budget {RNDV_BUDGETS[layer]}): the rendezvous path grew a layer\n"
         + _largest_rows(table, RNDV_MSGS))
+    _check_entry_lookups(table)
 
 
 def _run_mpi(path):
@@ -247,6 +273,7 @@ def test_mpi_call_budget(path, monkeypatch):
         f"{per_msg:.2f} Python calls per Charm-on-MPI {path} message "
         f"(budget {MPI_BUDGETS[path]}): the MPI path grew a frame\n"
         + _largest_rows(table, app_msgs))
+    _check_entry_lookups(table)
 
 
 def test_cold_state_budget(held_runtimes, monkeypatch):

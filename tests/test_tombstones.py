@@ -119,6 +119,11 @@ TOMBSTONES = [
      "time and key, and the sanitizer's SMSG shadow makes no object per "
      "message and reads the engine core's clock",
      "self._msgs[id(msg)] = _Msg(msg, self._eng.now)"),
+    (r"\bBoundMethod\b",
+     ("src", "tests", *_DOCS), 47,
+     "a proxy's entry name is a function on the ref's class, found without "
+     "a failed attribute lookup: no bound-entry object beside it",
+     "bound = _new(Bound" "Method)"),
 ]
 
 _IDS = [f"pr{pr}-{n}" for n, (_, _, pr, _, _) in enumerate(TOMBSTONES)]

@@ -282,6 +282,16 @@ class TestSmsg:
             job.smsg.send(0, m.n_pes, tag=0, nbytes=8)
         with pytest.raises(TopologyError):
             job.smsg.send(m.n_pes, 1, tag=0, nbytes=8)
+        # ... by ``connection`` itself too, naming the PE and making nothing
+        memory = job.smsg.total_mailbox_memory
+        for src, dst, bad in ((0, m.n_pes, m.n_pes), (-1, 1, -1),
+                              (m.n_pes, -1, m.n_pes)):
+            with pytest.raises(TopologyError,
+                               match=f"PE {bad} outside machine of "
+                                     f"{m.n_pes} PEs"):
+                job.smsg.connection(src, dst)
+        assert job.smsg.total_mailbox_memory == memory
+        assert len(list(job.smsg.pairs())) == 2
 
     def test_oversize_rejected(self):
         m, job = make_job()
