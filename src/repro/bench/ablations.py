@@ -200,15 +200,20 @@ def ablation_faults() -> ExperimentResult:
     )
     rel = UgniLayerConfig(reliability=True)
 
-    # SMSG drop sweep: small-message latency under retransmission
+    # SMSG drop sweep: latency under retransmission; lost = sent - delivered
     drop_rates = [0.0, 0.02, 0.05, 0.1, 0.2]
     lat, rexmit, failed = [], [], []
     for rate in drop_rates:
-        r = charm_pingpong(64, layer="ugni", layer_config=rel,
-                           faults=FaultConfig(smsg_drop_rate=rate))
+        try:
+            r = charm_pingpong(64, layer="ugni", layer_config=rel,
+                               faults=FaultConfig(smsg_drop_rate=rate))
+        except AssertionError:  # a lost message stalls the ping-pong
+            for column in (lat, rexmit, failed):
+                column.append(float("nan"))
+            continue
         lat.append(r.one_way_latency)
         rexmit.append(r.stats["rel_retransmits"])
-        failed.append(r.stats["rel_failed"])
+        failed.append(r.stats["small_sent"] - r.stats["delivered"])
 
     # transaction-error sweep: rendezvous bandwidth under post retry
     err_rates = [0.0, 0.05, 0.1, 0.2]

@@ -68,7 +68,7 @@ class PE:
                  "_observer",
                  "_dispatch_cpu", "_handlers", "_fifo", "_head", "_prioq",
                  "_prio_seq",
-                 "_running", "_scheduled", "_blocked", "halted",
+                 "_running", "_scheduled", "_blocked", "halted", "delivered",
                  "dropped_dead", "busy_until", "vtime", "useful_time",
                  "overhead_time", "idle_since", "idle_time",
                  "messages_executed", "_ctx")
@@ -102,7 +102,8 @@ class PE:
         #: (the MPI machine layer's MPI_Recv), cleared by end_blocking
         self._blocked = False
         self.halted = False  # node crashed: dead silicon, drops everything
-        #: messages dropped because this PE was already halted
+        #: application messages taken and dropped here (see :meth:`enqueue`)
+        self.delivered = 0
         self.dropped_dead = 0
         self.busy_until = 0.0
         self.vtime = 0.0
@@ -154,41 +155,47 @@ class PE:
     # ------------------------------------------------------------------ #
     # Scheduling
     # ------------------------------------------------------------------ #
-    def enqueue(self, msg: Message, recv_cpu: float = 0.0) -> bool:
+    def enqueue(self, msg: Message, recv_cpu: float = 0.0,
+                app: Optional[Message] = None) -> None:
         """Put a ready message on this PE's scheduler queue (now).
 
         ``recv_cpu`` is network-layer receive processing (CQ poll, copy
         out, matching) charged as overhead when the message is picked up.
-        Returns whether the PE took the message: a machine layer counts a
-        message ``delivered`` only then, so one that reaches a crashed PE
-        is ``dropped_dead`` and not delivered.
+
+        ``app`` is the application message whose outcome this enqueue
+        carries across a machine layer: ``msg`` itself (``delivered`` once
+        taken) or the message a protocol step still moves.  It is
+        ``dropped_dead`` if this PE is halted or :meth:`halt` flushes it.
         """
         if self.halted:
             # dead silicon: a message that reaches a crashed PE vanishes,
             # so queue inspection and the checkpoint's quiescence audit
             # see no pending work on it
-            self.dropped_dead += 1
-            return False
+            if app is not None:
+                self.dropped_dead += 1
+            return
+        if app is msg:
+            self.delivered += 1
         obs = self._observer
         if obs is not None and msg.trace_id is not None:
             obs.on_deliver(msg, self.rank, self._clock.now)
         if msg.prio is None:
-            self._fifo.append((msg, recv_cpu))
+            self._fifo.append((msg, recv_cpu, app))
         else:
             prioq = self._prioq
             if prioq is None:
                 prioq = self._prioq = []
-            heapq.heappush(prioq, (msg.prio, self._prio_seq, msg, recv_cpu))
+            heapq.heappush(prioq, (msg.prio, self._prio_seq, msg, recv_cpu,
+                                   app))
             self._prio_seq += 1
         # schedule a run unless one is due (the queue is known to be
         # non-empty)
         if self._running or self._scheduled or self._blocked:
-            return True
+            return
         self._scheduled = True
         t = self._clock.now
         bu = self.busy_until
         self.engine.post_at(bu if bu > t else t, self._run_next)
-        return True
 
     def deliver_at(self, time: float, msg: Message) -> None:
         """Schedule :meth:`enqueue` at an absolute simulated time.
@@ -201,29 +208,27 @@ class PE:
         self.engine.post_at_node(self.node.node_id, time, self.enqueue, msg)
 
     # -- blocking calls (the MPI machine layer's MPI_Recv) -----------------------
-    def halt(self) -> list[Message]:
+    def halt(self) -> None:
         """Stop this PE permanently (its node crashed).
 
         Queued and future messages are never executed; the fault injector
         calls this for every PE of a crashed node.  Modeled as a blocked
         state that is never unblocked — accounting stays consistent and
         in-flight hardware events addressed to the PE are simply dropped
-        on the floor, as they would be by dead silicon.
-
-        Returns the queued messages it dropped, so the machine layer can
-        take back the deliveries it counted for them
-        (:meth:`~repro.lrts.interface.LrtsLayer.undeliver`).
+        on the floor, as they would be by dead silicon.  A flushed ``app``
+        is ``dropped_dead`` (and no longer ``delivered``).
         """
         self._blocked = True
         self.halted = True
-        flushed = [msg for msg, _ in self._fifo[self._head:]]
-        if self._prioq:
-            flushed += [msg for _, _, msg, _ in self._prioq]
-        self.dropped_dead += len(flushed)
+        for entry in self._fifo[self._head:] + (self._prioq or []):
+            app = entry[-1]
+            if app is not None:
+                if app is entry[-3]:
+                    self.delivered -= 1
+                self.dropped_dead += 1
         self._fifo.clear()
         self._head = 0
         self._prioq = None
-        return flushed
 
     def end_blocking(self, t: float) -> None:
         """Unblock at simulated time ``t``; the wait is charged as overhead.
@@ -262,10 +267,10 @@ class PE:
             return
         fifo = self._fifo
         if self._prioq:
-            _, _, msg, recv_cpu = heapq.heappop(self._prioq)
+            _, _, msg, recv_cpu, _ = heapq.heappop(self._prioq)
         elif fifo:
             head = self._head
-            msg, recv_cpu = fifo[head]
+            msg, recv_cpu, _ = fifo[head]
             head += 1
             if head == len(fifo):
                 # caught up: an idle PE holds an empty list again

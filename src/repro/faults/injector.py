@@ -244,12 +244,11 @@ class FaultInjector:
         self.node_crashes += 1
         self._emit("node_crash", where=ev.node_id)
         if self._conv is not None:
-            lrts = self._conv.lrts
             for rank in node.pes():
                 if rank < len(self._conv.pes):
-                    flushed = self._conv.pes[rank].halt()
-                    if lrts is not None:
-                        lrts.undeliver(flushed)
+                    self._conv.pes[rank].halt()
+            if self._conv.lrts is not None:
+                self._conv.lrts.crashed()
         for listener in self._crash_listeners:
             listener(ev)
 

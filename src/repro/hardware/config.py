@@ -355,21 +355,10 @@ class MachineConfig:
         """Which hardware unit a size-aware runtime picks: 'fma' or 'bte'."""
         return "fma" if nbytes < self.fma_bte_crossover else "bte"
 
-    def rdma_path_for(self, nbytes: int) -> str:
-        """The rdma layer's protocol for a total wire size:
-        'inline', 'eager', or 'rendezvous'."""
-        if nbytes <= self.rdma_inline_max:
-            return "inline"
-        if nbytes <= self.rdma_eager_max:
-            return "eager"
-        return "rendezvous"
-
     def gpu_path_for(self, nbytes: int) -> str:
         """Device-payload transport under ``gpu_transport="auto"``:
         'staged' (d2h copy → host wire → h2d copy) below the crossover,
-        'direct' (GPUDirect zero-copy) at or above it.  Mirrors
-        :meth:`rdma_path_for` — the same size-crossover idiom one layer
-        up the memory hierarchy."""
+        'direct' (GPUDirect zero-copy) at or above it."""
         return "staged" if nbytes < self.gpu_staged_crossover else "direct"
 
     def replace(self, **kw) -> "MachineConfig":

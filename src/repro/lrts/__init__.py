@@ -23,35 +23,8 @@ Three implementations ship, the rows of :data:`repro.lrts.factory.LAYERS`:
 
 What the uGNI and RDMA layers share is written once, here and not in
 either layer package: the rendezvous and persistent-channel state machines
-(:mod:`repro.lrts.protocols`, over a six-verb fabric port), pxshm delivery
+(:mod:`repro.lrts.protocols`, over a four-verb fabric port), pxshm delivery
 (:mod:`repro.lrts.intranode`), the GPU paths
 (:mod:`repro.lrts.gpu_transport`) and the wire constants
 (:mod:`repro.lrts.messages`).
 """
-
-from repro.lrts.interface import LrtsLayer, PersistentHandle
-from repro.lrts.messages import (
-    ACK_TAG,
-    CHARM_SMALL_TAG,
-    CONTROL_BYTES,
-    INIT_TAG,
-    LRTS_ENVELOPE,
-    PERSISTENT_TAG,
-    PUT_CTS_TAG,
-    PUT_DONE_TAG,
-    PUT_REQ_TAG,
-)
-
-__all__ = [
-    "LrtsLayer",
-    "PersistentHandle",
-    "ACK_TAG",
-    "CHARM_SMALL_TAG",
-    "CONTROL_BYTES",
-    "INIT_TAG",
-    "LRTS_ENVELOPE",
-    "PERSISTENT_TAG",
-    "PUT_CTS_TAG",
-    "PUT_DONE_TAG",
-    "PUT_REQ_TAG",
-]

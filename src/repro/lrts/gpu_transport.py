@@ -7,8 +7,8 @@ copy on the far side — cheap setup, two extra copies) or go *GPUDirect*
 (the NIC reads/writes device memory directly — zero copies, but an
 expensive peer-mapping setup and a wire rate capped by the PCIe peer
 path).  The right answer flips with message size, exactly like the
-inline/eager/rendezvous crossover one layer down, so
-:meth:`MachineConfig.gpu_path_for` mirrors :meth:`rdma_path_for`.
+inline/eager/rendezvous crossover one layer down
+(:meth:`MachineConfig.gpu_path_for`).
 
 The mixin is layer-agnostic on purpose: like the RDMA fabric it drives
 ``machine.network.transfer`` directly, charges post CPU to the sending

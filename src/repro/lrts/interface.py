@@ -27,7 +27,6 @@ class PersistentHandle:
         #: machine-layer private state (registered buffer etc.)
         self.impl: Any = None
         self.ready = False
-        self.sends = 0
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
@@ -40,9 +39,6 @@ class LrtsLayer(abc.ABC):
     """Machine-layer contract used by Converse (paper §III.B)."""
 
     name: str = "abstract"
-    #: handler ids of the layer's own protocol messages (never counted as
-    #: delivered); set by the layer at ``LrtsInit``
-    _internal_hids: frozenset = frozenset()
     #: True on layers implementing :meth:`create_persistent` /
     #: :meth:`send_persistent`; callers (persistent collectives) fall back
     #: to plain sends when False
@@ -52,8 +48,8 @@ class LrtsLayer(abc.ABC):
         self.conv: Optional[ConverseRuntime] = None
         #: observability hub (set in :meth:`init`; ``None`` = hooks off)
         self._obs = None
-        #: delivered message count (tests assert conservation against sends)
-        self.delivered = 0
+        #: application messages the layer lost, by cause (:meth:`_lose`)
+        self.lost: dict[str, int] = {}
 
     # -- lifecycle ----------------------------------------------------------
     def init(self, conv: ConverseRuntime) -> None:
@@ -97,32 +93,32 @@ class LrtsLayer(abc.ABC):
         """``LrtsSendPersistentMsg``."""
         raise LrtsError(f"{self.name} layer does not support persistent messages")
 
-    # -- shared delivery helper ------------------------------------------------
+    # -- the ledger: delivered / dropped_dead on the PEs, lost here ------------
     def deliver(self, dst_rank: int, msg: Message, recv_cpu: float,
                 at: Optional[float] = None) -> None:
         """Hand a fully-received message to the destination scheduler,
-        now or at simulated time ``at``; it counts as delivered once the
-        PE takes it (a crashed PE drops it)."""
+        now or at simulated time ``at``."""
         pe = self._pes[dst_rank]
         if at is not None:
             # routed by node, as PE.deliver_at is
             pe.engine.post_at_node(pe.node.node_id, at, self.deliver,
                                    dst_rank, msg, recv_cpu)
-        elif pe.enqueue(msg, recv_cpu):
-            self.delivered += 1
+        else:
+            pe.enqueue(msg, recv_cpu, msg)
 
-    def undeliver(self, flushed: list[Message]) -> None:
-        """A crash dropped ``flushed`` from a PE's queue (``PE.halt``): the
-        ones this layer counted as delivered are ``dropped_dead`` instead.
+    def _lose(self, cause: str) -> None:
+        """An application message is lost: the fabric gave up on it, its
+        rendezvous failed, or a control it needed was refused."""
+        self.lost[cause] = self.lost.get(cause, 0) + 1
 
-        Those are the application messages that crossed the layer: from
-        another PE (a self-send or a bootstrap message never enters it)
-        and not one of the layer's own protocol messages.
-        """
-        internal = self._internal_hids
-        self.delivered -= sum(1 for m in flushed
-                              if m.src_pe != m.dst_pe
-                              and m.handler not in internal)
+    @property
+    def delivered(self) -> int:
+        """Application messages the destination PEs took."""
+        return sum(pe.delivered for pe in self._pes)
+
+    def crashed(self) -> None:
+        """A node crashed: settle what the layer still held for a halted
+        PE to send (nothing, where every send goes to the NIC at once)."""
 
     # -- diagnostics -----------------------------------------------------------
     def stats(self) -> dict[str, Any]:

@@ -48,6 +48,6 @@ class IntranodeMixin:
         for (src, dst), ch in self.pxshm._channels.items():
             if ch.backlog:
                 san.report(
-                    "undelivered-message", f"pxshm[{src}->{dst}]",
+                    "stuck-message", f"pxshm[{src}->{dst}]",
                     f"{len(ch.backlog)} send(s) still waiting for region "
                     f"space ({ch.used}/{ch.capacity} B in use)")

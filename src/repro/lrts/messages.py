@@ -52,3 +52,10 @@ TAG_STEPS = {
 # a duplicated tag (or step) silently collapses a dict entry: refuse it
 assert (len(TAG_STEPS) == len(set(TAG_STEPS.values())) == 11
         and CHARM_SMALL_TAG not in TAG_STEPS)
+
+#: tags of the packets that carry an application message on its way (losing
+#: one loses it): the message itself, or a control whose state's ``.msg`` it
+#: is.  An ACK or ``rndv_fail`` follows the outcome; a handshake has none.
+CARRIER_TAGS = frozenset((CHARM_SMALL_TAG, "inline", "eager", INIT_TAG,
+                          PUT_REQ_TAG, PUT_CTS_TAG, PUT_DONE_TAG,
+                          PERSISTENT_TAG))

@@ -53,7 +53,6 @@ class MpiMachineLayer(GpuTransportMixin, LrtsLayer):
     def _setup(self) -> None:
         assert self.conv is not None
         self._proto_hid = self.conv.register_handler(self._proto_handler)
-        self._internal_hids = frozenset((self._proto_hid,))
         self.world.on_unexpected_default = self._on_unexpected
 
     # ------------------------------------------------------------------ #
@@ -94,7 +93,8 @@ class MpiMachineLayer(GpuTransportMixin, LrtsLayer):
     def _on_unexpected(self, arr: Arrival) -> None:
         """An arrival the progress engine will discover via Iprobe."""
         self._pes[arr.dst].enqueue(
-            Message(self._proto_hid, arr.src, arr.dst, 0, arr), 0.0)
+            Message(self._proto_hid, arr.src, arr.dst, 0, arr), 0.0,
+            arr.payload)
 
     def _proto_handler(self, pe: PE, message: Message) -> None:
         arr: Arrival = message.payload
@@ -131,8 +131,8 @@ class MpiMachineLayer(GpuTransportMixin, LrtsLayer):
         if value is not None:
             # eager: data was already in MPI's buffers; copy-out happened
             pe.charge(max(0.0, value[1]), "overhead")
-            if pe.enqueue(req.matched.payload, 0.0):
-                self.delivered += 1
+            msg = req.matched.payload
+            pe.enqueue(msg, 0.0, msg)
             return
         # the progress engine sits in MPI_Recv until the data is in: "once
         # a MPI_IProbe returns true, the progress engine calls blocking
@@ -147,15 +147,13 @@ class MpiMachineLayer(GpuTransportMixin, LrtsLayer):
         """The blocking MPI_Recv has returned: unblock, deliver.
 
         A PE whose node crashed while it waited stays blocked: the data
-        lands in dead memory, charged to nobody and counted once, dropped.
+        lands in dead memory, charged to nobody, and is ``dropped_dead``.
         """
         pe = self._pes[req.dst]
-        if pe.halted:
-            pe.dropped_dead += 1
-            return
-        pe.end_blocking(req.value[0])
-        if pe.enqueue(req.matched.payload, 0.0):
-            self.delivered += 1
+        if not pe.halted:
+            pe.end_blocking(req.value[0])
+        msg = req.matched.payload
+        pe.enqueue(msg, 0.0, msg)
 
     # ------------------------------------------------------------------ #
     def stats(self) -> dict[str, Any]:

@@ -2,7 +2,7 @@
 
 Both large-message protocols are the same state machine on every fabric;
 what differs is how a control message travels, where a buffer comes from
-and how a one-sided transfer is posted.  Those are the six verbs of the
+and how a one-sided transfer is posted.  Those are the four verbs of the
 *fabric port* below — the paper's §III.B argument (everything
 machine-specific fits behind a handful of calls) taken one level down.
 
@@ -66,8 +66,9 @@ The fabric port (each layer implements these in a few lines):
     ``dst_rank`` with ``state``
 ``_acquire(pe, nbytes) -> buf`` / ``_release(pe, buf)``
     a registered transfer buffer, charged to ``pe``
-``_pin_window(pe, nbytes, why) -> win`` / ``_unpin_window(pe, win)``
-    a long-lived registered window, rooted with the sanitizer as ``why``
+``_registrations``
+    the fabric's registration tables, where the core's ``_pin_window``
+    pins a long-lived window, rooted with the sanitizer as ``why``
 ``_post(pe, desc, done_step, failed_step, state, rearm=None)``
     post a one-sided transfer; ``done_step`` (or, once the fabric gives up
     and has reported the loss, ``failed_step``) runs on ``pe``.  ``rearm``
@@ -125,6 +126,15 @@ class _Rndv:
         self.dst = None
 
 
+class _PersistSend:
+    """One persistent-channel send in flight, carried by reference."""
+
+    __slots__ = ("handle", "msg")
+
+    def __init__(self, handle: PersistentHandle, msg: Message):
+        self.handle, self.msg = handle, msg
+
+
 class _Channel:
     """Machine-layer-private state hanging off a PersistentHandle."""
 
@@ -150,12 +160,7 @@ class ProtocolCore:
     _rndv_recv_cpu = 0.0
     #: prefix of this layer's channel labels in sanitizer reports
     _persist_label = "persistent"
-    #: rendezvous transfers abandoned after exhausting the retry budget
-    #: (both sides' buffers were reclaimed; the message was lost)
-    rndv_failed = 0
     persistent_sent = 0
-    #: persistent-channel sends abandoned after exhausting the budget
-    persistent_failed = 0
 
     def _proto_setup(self, **private_steps) -> None:
         """Register every protocol step, the core's and the layer's
@@ -190,20 +195,20 @@ class ProtocolCore:
         #: the control that opens a rendezvous
         self._rndv_tag = (INIT_TAG if self.lcfg.rendezvous == "get"
                           else PUT_REQ_TAG)
-        self._internal_hids = frozenset(self._steps.values())
 
     def _self_step(self, pe: PE, step: str, state: Any,
-                   recv_cpu: float | None = None) -> None:
+                   recv_cpu: float | None = None,
+                   app: Message | None = None) -> None:
         """Queue ``step`` on ``pe`` itself.
 
         Timers and failed completions fire in engine context, but the
         step they trigger charges time and sends control messages, so it
         goes through the PE's scheduler like any message (``recv_cpu``
-        defaults to one CQ-event poll).
+        defaults to one CQ-event poll; ``app`` is as for ``PE.enqueue``).
         """
         pe.enqueue(
             Message(self._steps[step], pe.rank, pe.rank, 0, state),
-            self.cfg.cq_event_cpu if recv_cpu is None else recv_cpu)
+            self.cfg.cq_event_cpu if recv_cpu is None else recv_cpu, app)
 
     # ------------------------------------------------------------------ #
     # Rendezvous
@@ -237,13 +242,12 @@ class ProtocolCore:
         self._release(pe, state.dst)
         state.dst = None
         # self.deliver(pe.rank, ...), inlined: this step runs on that PE
-        if pe.enqueue(state.msg, self._rndv_recv_cpu):
-            self.delivered += 1
+        pe.enqueue(state.msg, self._rndv_recv_cpu, state.msg)
 
     def _on_get_failed(self, pe: PE, message: Message) -> None:
         """Receiver: GET abandoned — reclaim, and tell the sender to."""
         state: _Rndv = message.payload
-        self.rndv_failed += 1
+        self._lose("rndv_failed")
         self._release(pe, state.dst)
         state.dst = None
         self._control(pe, state.src_rank, RNDV_FAIL_TAG, state)
@@ -285,7 +289,7 @@ class ProtocolCore:
         """Sender: PUT abandoned — reclaim the send buffer and tell the
         receiver to reclaim the one it advertised in the CTS."""
         state: _Rndv = message.payload
-        self.rndv_failed += 1
+        self._lose("rndv_failed")
         self._release(pe, state.src)
         state.src = None
         self._control(pe, state.dst_rank, RNDV_FAIL_TAG, state)
@@ -316,6 +320,15 @@ class ProtocolCore:
     # ------------------------------------------------------------------ #
     # Persistent channels
     # ------------------------------------------------------------------ #
+    def _pin_window(self, pe: PE, nbytes: int, why: str) -> tuple:
+        block, handle, cost = self._registrations.malloc_registered(
+            pe.node.node_id, nbytes, why)
+        pe.charge(cost, "overhead")
+        return block, handle
+
+    def _unpin_window(self, pe: PE, win: tuple) -> None:
+        pe.charge(self._registrations.free_registered(*win), "overhead")
+
     def create_persistent(self, src_pe: PE, dst_rank: int,
                           max_bytes: int) -> PersistentHandle:
         if max_bytes <= 0:
@@ -380,19 +393,18 @@ class ProtocolCore:
     def _persistent_put(self, pe: PE, handle: PersistentHandle,
                         msg: Message) -> None:
         chan: _Channel = handle.impl
-        handle.sends += 1
         chan.inflight += 1
         src, dst = chan.src_win, chan.dst_win
         self._post(pe, PostDescriptor(PUT, src[1], dst[1],
                                       msg.nbytes + LRTS_ENVELOPE,
                                       src[0].addr, dst[0].addr),
-                   "persist_done", "persist_send_failed", (handle, msg),
-                   rearm=handle)
+                   "persist_done", "persist_send_failed",
+                   _PersistSend(handle, msg), rearm=handle)
 
     def _on_persist_done(self, pe: PE, message: Message) -> None:
         """Sender's local completion: notify the receiver (Fig. 7a)."""
         payload = message.payload
-        handle, _ = payload
+        handle = payload.handle
         handle.impl.inflight -= 1
         self._control(pe, handle.dst_rank, PERSISTENT_TAG, payload)
         if handle.impl.closing:
@@ -402,16 +414,15 @@ class ProtocolCore:
         """PUT abandoned: this send is lost, but the channel's pinned
         windows persist and later sends still work — count the
         abandonment so the application can see it."""
-        handle, _ = message.payload
-        self.persistent_failed += 1
+        handle = message.payload.handle
+        self._lose("persistent_failed")
         handle.impl.inflight -= 1
         if handle.impl.closing:
             self._try_persist_finalize(pe, handle)
 
     def _on_persistent(self, pe: PE, message: Message) -> None:
         """Receiver: the PUT has landed; the notify carries no data."""
-        _, msg = message.payload
-        self.deliver(pe.rank, msg, recv_cpu=0.0)
+        self.deliver(pe.rank, message.payload.msg, recv_cpu=0.0)
 
     # -- teardown -----------------------------------------------------------
     def destroy_persistent(self, src_pe: PE, handle: PersistentHandle) -> None:

@@ -16,8 +16,6 @@ fabric runs on the torus too — topology and transport are orthogonal.
 """
 
 from repro.lrts.rdma_layer.config import RdmaLayerConfig
-from repro.lrts.rdma_layer.endpoints import PinDownCache, RcQueuePair, RdmaFabric
 from repro.lrts.rdma_layer.layer import RdmaMachineLayer
 
-__all__ = ["RdmaMachineLayer", "RdmaLayerConfig", "RdmaFabric",
-           "RcQueuePair", "PinDownCache"]
+__all__ = ["RdmaMachineLayer", "RdmaLayerConfig"]

@@ -215,7 +215,7 @@ class RcQueuePair:
                     fab.rc_giveups += 1
                     machine.engine.call_at_node(
                         self.src_node, at + fab.lcfg.retransmit_timeout,
-                        self._abandon, tag, nbytes, payload)
+                        self._abandon, seq, tag, nbytes, payload)
                     return
                 fab.rc_retransmits += 1
                 machine.engine.call_at_node(
@@ -239,11 +239,14 @@ class RcQueuePair:
             self.src_node, arrival + cfg.rdma_completion_latency,
             self._tx_complete)
 
-    def _abandon(self, tag: str, nbytes: int, payload: Any) -> None:
-        """Retry budget exhausted: reclaim the credit, drop the WQE."""
+    def _abandon(self, seq: int, tag: str, nbytes: int, payload: Any) -> None:
+        """Retry budget exhausted: reclaim the credit, drop the WQE, and
+        let the receiver stop waiting for its sequence number."""
         self.credits += 1
         self.fabric.on_giveup(self, tag, nbytes, payload)
-        self._flush(self.fabric.machine.engine.now)
+        now = self.fabric.machine.engine.now
+        self._rx(seq, None, 0, None, now)
+        self._flush(now)
 
     def _tx_complete(self) -> None:
         self.credits += 1
@@ -256,12 +259,13 @@ class RcQueuePair:
         if seq != self.rx_expected:
             self.rx_buffer[seq] = (tag, nbytes, payload)
             return
-        self.fabric.on_receive(self, tag, nbytes, payload, t)
-        self.rx_expected += 1
-        while self.rx_expected in self.rx_buffer:
-            tag, nbytes, payload = self.rx_buffer.pop(self.rx_expected)
-            self.fabric.on_receive(self, tag, nbytes, payload, t)
+        while True:
+            if tag is not None:  # None: the hole of a WQE given up on
+                self.fabric.on_receive(self, tag, nbytes, payload, t)
             self.rx_expected += 1
+            if self.rx_expected not in self.rx_buffer:
+                return
+            tag, nbytes, payload = self.rx_buffer.pop(self.rx_expected)
 
 
 class RdmaFabric:

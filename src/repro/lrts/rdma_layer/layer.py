@@ -32,7 +32,7 @@ from repro.hardware.machine import Machine
 from repro.lrts.gpu_transport import GpuTransportMixin
 from repro.lrts.interface import LrtsLayer
 from repro.lrts.intranode import IntranodeMixin
-from repro.lrts.messages import CONTROL_BYTES, LRTS_ENVELOPE
+from repro.lrts.messages import CARRIER_TAGS, CONTROL_BYTES, LRTS_ENVELOPE
 from repro.lrts.protocols import ProtocolCore
 from repro.lrts.rdma_layer.config import RdmaLayerConfig
 from repro.lrts.rdma_layer.endpoints import RcQueuePair, RdmaFabric
@@ -53,6 +53,7 @@ class RdmaMachineLayer(ProtocolCore, IntranodeMixin, GpuTransportMixin,
         self.cfg = machine.config
         self.lcfg = layer_config or RdmaLayerConfig()
         self.fabric = RdmaFabric(machine, self.lcfg)
+        self._registrations = self.fabric.registrations
         self._rndv_recv_cpu = self.cfg.rdma_recv_cpu
         # counters
         self.inline_sent = 0
@@ -84,12 +85,12 @@ class RdmaMachineLayer(ProtocolCore, IntranodeMixin, GpuTransportMixin,
         for (src, dst), qp in self.fabric.qps.items():
             if qp.backlog:
                 san.report(
-                    "undelivered-message", f"rdma.qp[{src}->{dst}]",
+                    "stuck-message", f"rdma.qp[{src}->{dst}]",
                     f"{len(qp.backlog)} WQE(s) still queued "
                     f"(state={qp.state}, credits={qp.credits})")
             if qp.rx_buffer:
                 san.report(
-                    "undelivered-message", f"rdma.qp[{src}->{dst}]",
+                    "stuck-message", f"rdma.qp[{src}->{dst}]",
                     f"{len(qp.rx_buffer)} packet(s) stuck in the reorder "
                     f"buffer (expected seq {qp.rx_expected})")
         self._scan_intranode(san)
@@ -187,15 +188,6 @@ class RdmaMachineLayer(ProtocolCore, IntranodeMixin, GpuTransportMixin,
             if pe._tracer is not None:
                 pe._tracer.record(pe.rank, start, cpu, "overhead")
 
-    def _pin_window(self, pe: PE, nbytes: int, why: str) -> tuple:
-        block, handle, cpu = self.fabric.registrations.malloc_registered(
-            pe.node.node_id, nbytes, why)
-        pe.charge(cpu, "overhead")
-        return block, handle
-
-    def _unpin_window(self, pe: PE, win: tuple) -> None:
-        pe.charge(self.fabric.registrations.free_registered(*win), "overhead")
-
     def _post(self, pe: PE, desc, done_step: str, failed_step: str,
               state: Any, rearm: Any = None) -> None:
         """One-sided READ/WRITE; the RC hardware retries inside the fabric,
@@ -217,9 +209,9 @@ class RdmaMachineLayer(ProtocolCore, IntranodeMixin, GpuTransportMixin,
     def _on_post_done(self, desc) -> None:
         """The transfer completed locally: queue ``done_step`` on its PE."""
         pe, done_step, _, state = desc.context
-        # self._self_step(pe, done_step, state), inlined
+        # self._self_step(pe, done_step, state, app=state.msg), inlined
         pe.enqueue(Message(self._steps[done_step], pe.rank, pe.rank, 0, state),
-                   self.cfg.cq_event_cpu)
+                   self.cfg.cq_event_cpu, state.msg)
 
     def _post_abandoned(self, desc) -> None:
         """The transfer died after all retries: report which protocol lost
@@ -229,7 +221,7 @@ class RdmaMachineLayer(ProtocolCore, IntranodeMixin, GpuTransportMixin,
         if obs is not None:
             obs.on_recovery(failed_step, f"pe{pe.rank}",
                             self.machine.engine.now)
-        self._self_step(pe, failed_step, state)
+        self._self_step(pe, failed_step, state, app=state.msg)
 
     # ------------------------------------------------------------------ #
     # Receive side (engine context on the destination's node)
@@ -238,20 +230,21 @@ class RdmaMachineLayer(ProtocolCore, IntranodeMixin, GpuTransportMixin,
                        payload: Any, t: float) -> None:
         pe = self._pes[qp.dst]
         if tag == "inline":
-            if pe.enqueue(payload, recv_cpu=self.cfg.rdma_recv_cpu):
-                self.delivered += 1
+            pe.enqueue(payload, self.cfg.rdma_recv_cpu, payload)
         elif tag == "eager":
-            if pe.enqueue(payload, recv_cpu=(self.cfg.rdma_recv_cpu
-                                             + self.cfg.t_memcpy(nbytes))):
-                self.delivered += 1
+            pe.enqueue(payload, (self.cfg.rdma_recv_cpu
+                                 + self.cfg.t_memcpy(nbytes)), payload)
         else:
             pe.enqueue(Message(self._tag_hids[tag], qp.src, qp.dst, 0, payload),
-                       self.cfg.rdma_recv_cpu)
+                       self.cfg.rdma_recv_cpu,
+                       payload.msg if tag in CARRIER_TAGS else None)
 
     def _on_rc_giveup(self, qp: RcQueuePair, tag: str, nbytes: int,
                       payload: Any) -> None:
         """A WQE exhausted its retry budget; whatever it carried is lost."""
         self.rc_lost += 1
+        if tag in CARRIER_TAGS:
+            self._lose("rc_giveup")
         obs = self._obs
         if obs is not None:
             obs.on_recovery("rc_giveup", f"qp[{qp.src}->{qp.dst}]",
@@ -269,8 +262,8 @@ class RdmaMachineLayer(ProtocolCore, IntranodeMixin, GpuTransportMixin,
             persistent_sent=self.persistent_sent,
             intranode_sent=self.intranode_sent,
             rc_lost=self.rc_lost,
-            rndv_failed=self.rndv_failed,
-            persistent_failed=self.persistent_failed,
+            rndv_failed=self.lost.get("rndv_failed", 0),
+            persistent_failed=self.lost.get("persistent_failed", 0),
         )
         if self.cfg.gpus_per_node > 0:
             s.update(self.gpu_stats())

@@ -20,6 +20,7 @@ from repro.lrts.gpu_transport import GpuTransportMixin
 from repro.lrts.interface import LrtsLayer
 from repro.lrts.intranode import IntranodeMixin
 from repro.lrts.messages import (
+    CARRIER_TAGS,
     CHARM_SMALL_TAG,
     CONTROL_BYTES,
     LRTS_ENVELOPE,
@@ -52,6 +53,7 @@ class UgniMachineLayer(ReliabilityMixin, ProtocolCore, IntranodeMixin,
         self.cfg = machine.config
         self.lcfg = layer_config or UgniLayerConfig()
         self.gni = GniJob(machine)
+        self._registrations = self.gni.registrations
         #: hot-path caches (the fabrics and the small/rendezvous cutoff are
         #: fixed for the life of the job; chasing ``self.gni.smsg...`` per
         #: message costs two attribute loads per send)
@@ -59,6 +61,7 @@ class UgniMachineLayer(ReliabilityMixin, ProtocolCore, IntranodeMixin,
         # every SMSG and MSGQ arrival feeds its receiver's scheduler, every
         # FMA/BTE completion its poster's protocol step
         self._smsg.on_rx = self._on_smsg_rx
+        self._smsg.on_drop = self._on_smsg_drop
         self.gni.msgq.on_rx = self._on_msgq_rx
         self.gni.rdma.on_complete = self._on_post_complete
         self._small_cutoff = self._small_max()
@@ -76,7 +79,9 @@ class UgniMachineLayer(ReliabilityMixin, ProtocolCore, IntranodeMixin,
         self.rel_duplicates = 0
         self.rel_acks = 0
         self.rel_failed = 0
+        #: largest out-of-order window observed across all pairs
         self.rel_window_peak = 0
+        #: abandoned-seq gaps skipped by watermark force-advance
         self.rel_window_skips = 0
         self.post_retries = 0
         self.post_failures = 0
@@ -107,7 +112,7 @@ class UgniMachineLayer(ReliabilityMixin, ProtocolCore, IntranodeMixin,
         for (src, dst), q in self._pending.items():
             if q:
                 san.report(
-                    "undelivered-message", f"layer.pending[{src}->{dst}]",
+                    "stuck-message", f"layer.pending[{src}->{dst}]",
                     f"{len(q)} send(s) still waiting for fabric space")
         self._scan_intranode(san)
         self._scan_persistent(san)
@@ -177,15 +182,6 @@ class UgniMachineLayer(ReliabilityMixin, ProtocolCore, IntranodeMixin,
             pe.overhead_time += cost
             if pe._tracer is not None:
                 pe._tracer.record(pe.rank, start, cost, "overhead")
-
-    def _pin_window(self, pe: PE, nbytes: int, why: str) -> tuple:
-        block, handle, cost = self.gni.registrations.malloc_registered(
-            pe.node.node_id, nbytes, why)
-        pe.charge(cost, "overhead")
-        return block, handle
-
-    def _unpin_window(self, pe: PE, win: tuple) -> None:
-        pe.charge(self.gni.registrations.free_registered(*win), "overhead")
 
     # ------------------------------------------------------------------ #
     # LrtsSyncSend
@@ -300,6 +296,18 @@ class UgniMachineLayer(ReliabilityMixin, ProtocolCore, IntranodeMixin,
             after + CREDIT_RETRY_INTERVAL, self._self_step,
             self.conv.pes[src_rank], "flush_pending", dst_rank, 0.0)
 
+    def crashed(self) -> None:
+        """A halted PE sends nothing more: its credit-stalled sends, or
+        with reliability its unacked packets, are lost."""
+        for key in [k for k in self._pending if self._pes[k[0]].halted]:
+            for _, tag, _, _ in self._pending.pop(key):
+                if not self._rel_on and tag in CARRIER_TAGS:
+                    self._lose("sender_crashed")
+        if self._rel_on:
+            for key in [k for k in self._rel_tx if self._pes[k[0]].halted]:
+                self._rel_abandon(self._rel_tx.pop(key).pkt,
+                                  "sender_crashed")
+
     def _flush_pending(self, pe: PE, message: Message) -> None:
         dst_rank = message.payload
         key = (pe.rank, dst_rank)
@@ -329,25 +337,32 @@ class UgniMachineLayer(ReliabilityMixin, ProtocolCore, IntranodeMixin,
         recv_cpu = self._smsg.consume(smsg_msg)
         payload = smsg_msg.payload
         pe = self._pes[smsg_msg.dst_pe]
+        tag = smsg_msg.tag
         if isinstance(payload, _RelPacket):
             # dedupe + ack must run in PE context (the ack charges pe.vtime)
             hid = self._steps["rel_rx"]
-        elif smsg_msg.tag == CHARM_SMALL_TAG:
+            app = None  # the sender's retransmission decides the outcome
+        elif tag == CHARM_SMALL_TAG:
             # a whole application message: enqueue as is
-            if pe.enqueue(payload, recv_cpu):
-                self.delivered += 1
+            pe.enqueue(payload, recv_cpu, payload)
             return
         else:
-            hid = self._tag_hids[smsg_msg.tag]
+            hid = self._tag_hids[tag]
+            app = payload.msg if tag in CARRIER_TAGS else None
         pe.enqueue(Message(hid, smsg_msg.src_pe, pe.rank, 0, payload),
-                   recv_cpu)
+                   recv_cpu, app)
+
+    def _on_smsg_drop(self, smsg_msg) -> None:
+        """The fabric ate an SMSG: without reliability, what it carried."""
+        if not self._rel_on and smsg_msg.tag in CARRIER_TAGS:
+            self._lose("smsg_dropped")
 
     def _on_msgq_rx(self, msgq_msg) -> None:
         """Consume one MSGQ arrival and enqueue its application message
         on its receiver."""
         recv_cpu = self.gni.msgq.consume(msgq_msg)
-        if self._pes[msgq_msg.dst_pe].enqueue(msgq_msg.payload, recv_cpu):
-            self.delivered += 1
+        msg = msgq_msg.payload
+        self._pes[msgq_msg.dst_pe].enqueue(msg, recv_cpu, msg)
 
     # ------------------------------------------------------------------ #
     # Diagnostics
@@ -374,8 +389,8 @@ class UgniMachineLayer(ReliabilityMixin, ProtocolCore, IntranodeMixin,
             post_retries=self.post_retries,
             post_failures=self.post_failures,
             persistent_rearms=self.persistent_rearms,
-            rndv_failed=self.rndv_failed,
-            persistent_failed=self.persistent_failed,
+            rndv_failed=self.lost.get("rndv_failed", 0),
+            persistent_failed=self.lost.get("persistent_failed", 0),
         )
         if self.cfg.gpus_per_node > 0:
             s.update(self.gpu_stats())

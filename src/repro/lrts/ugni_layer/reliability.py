@@ -36,7 +36,7 @@ from typing import Any
 
 from repro.converse.scheduler import Message, PE
 from repro.errors import SimulationError, UgniTransactionError
-from repro.lrts.messages import CHARM_SMALL_TAG, REL_ACK_TAG
+from repro.lrts.messages import CARRIER_TAGS, CHARM_SMALL_TAG, REL_ACK_TAG
 from repro.lrts.ugni_layer.config import REL_WINDOW_CAP
 
 
@@ -133,10 +133,6 @@ class ReliabilityMixin:
         #: receiver-side duplicate suppression: (src, dst) -> watermark +
         #: out-of-order window (bounded; see :class:`_RelRx`)
         self._rel_seen: dict[tuple[int, int], _RelRx] = {}
-        #: largest out-of-order window observed across all pairs
-        self.rel_window_peak = 0
-        #: abandoned-seq gaps skipped by watermark force-advance
-        self.rel_window_skips = 0
 
     def _rel_trace(self, event: str, where: Any = None, **detail: Any) -> None:
         obs = self._obs
@@ -186,6 +182,7 @@ class ReliabilityMixin:
             self.rel_failed += 1
             self._rel_trace("give_up", where=pkt.pair,
                             seq=pkt.seq, attempts=rec.attempts)
+            self._rel_abandon(pkt, "rel_failed")
             return
         rec.attempts += 1
         self.rel_retransmits += 1
@@ -193,6 +190,15 @@ class ReliabilityMixin:
                         seq=pkt.seq, attempt=rec.attempts)
         self._smsg_push(pe, pkt.dst, pkt.tag, pkt, rec.nbytes)
         self._rel_arm_timer(rec)
+
+    def _rel_abandon(self, pkt: _RelPacket, cause: str) -> None:
+        """No copy of ``pkt`` will be sent again: unless the receiver took
+        one, its message is lost (and a straggler copy a duplicate)."""
+        rx = self._rel_seen.setdefault(pkt.pair, _RelRx())
+        if not rx.seen(pkt.seq):
+            rx.mark(pkt.seq)
+            if pkt.tag in CARRIER_TAGS:
+                self._lose(cause)
 
     def _on_rel_ack(self, pe: PE, message: Message) -> None:
         """Sender PE: the receiver has the packet — stop retransmitting."""
@@ -272,9 +278,9 @@ class ReliabilityMixin:
         runs on its PE; a failed one is retried or given up."""
         pe, done_step, failed_step, state, rearm, attempts = desc.context
         if not failed:
-            # self._self_step(pe, done_step, state), inlined
+            # self._self_step(pe, done_step, state, app=state.msg), inlined
             pe.enqueue(Message(self._steps[done_step], pe.rank, pe.rank, 0,
-                               state), self.cfg.cq_event_cpu)
+                               state), self.cfg.cq_event_cpu, state.msg)
             return
         if not self._rel_on:
             raise UgniTransactionError(
@@ -286,14 +292,15 @@ class ReliabilityMixin:
             self._rel_trace("post_give_up", where=pe.rank,
                             desc=desc.id, attempts=attempts)
             self._rel_trace(failed_step, where=pe.rank)
-            self._self_step(pe, failed_step, state)
+            self._self_step(pe, failed_step, state, app=state.msg)
             return
         desc.context = (pe, done_step, failed_step, state, rearm, attempts)
         self.post_retries += 1
         self._rel_trace("post_retry", where=pe.rank,
                         desc=desc.id, attempt=attempts)
         self.machine.engine.call_after(self._rel_backoff(attempts),
-                                       self._self_step, pe, "repost", desc, 0.0)
+                                       self._self_step, pe, "repost", desc,
+                                       0.0, state.msg)
 
     def _repost(self, pe: PE, message: Message) -> None:
         desc = message.payload

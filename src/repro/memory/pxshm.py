@@ -59,8 +59,6 @@ class PxshmFabric:
         #: sender-side single copy (the paper's optimization) vs double copy
         self.single_copy = single_copy
         self._channels: dict[tuple[int, int], _Channel] = {}
-        self.messages = 0
-        self.backlogged = 0
 
     def _channel(self, src_pe: int, dst_pe: int) -> _Channel:
         key = (src_pe, dst_pe)
@@ -107,7 +105,6 @@ class PxshmFabric:
         if ch.used + nbytes <= ch.capacity:
             self._enqueue(ch, msg, deliver, start=now + cpu)
         else:
-            self.backlogged += 1
             ch.backlog.append((msg, deliver))
         return cpu
 
@@ -115,7 +112,6 @@ class PxshmFabric:
                  deliver: Callable, start: float) -> None:
         cfg = self.config
         ch.used += msg.nbytes
-        self.messages += 1
         # visible to the receiver after the sender's fence
         notify_at = start + cfg.pxshm_sync_cpu
         if self.single_copy:

@@ -64,7 +64,6 @@ class MpiWorld:
         self.on_unexpected: dict[int, Callable[[Arrival], None]] = {}
         # counters
         self.sends = 0
-        self.recvs_completed = 0
 
     # -- per-rank state ----------------------------------------------------------
     def match_engine(self, rank: int) -> MatchEngine:
@@ -298,7 +297,6 @@ class MpiWorld:
                         t: float, pre_cpu: float) -> None:
         """A receive has matched an arrival at time ``t``."""
         cfg = self.cfg
-        self.recvs_completed += 1
         nbytes = req.nbytes = arr.nbytes
         if arr.protocol == "eager":
             # copy-out (t_memcpy); _complete_at, written out

@@ -39,7 +39,7 @@ Violation classes (``Violation.kind``):
 ``credit-leak``
     SMSG mailbox credit held by a connection that the shadow's
     sent/consumed/dropped accounting cannot explain at quiescence;
-``undelivered-message``
+``stuck-message``
     an SMSG sent but neither consumed nor dropped once the event heap
     drains (it never arrived, or its consumer did not consume it), or an
     FMA/BTE post that never completed;
@@ -507,7 +507,7 @@ class Sanitizer:
         """
         for key, msg in self._msgs.items():
             self.report(
-                "undelivered-message",
+                "stuck-message",
                 f"smsg[{msg.src_pe}->{msg.dst_pe}]",
                 f"tag={msg.tag} nbytes={msg.nbytes} sent at "
                 f"t={self._msg_sent_at[key]:.9f} "
@@ -517,7 +517,7 @@ class Sanitizer:
         self._check_credit_books()
         for tx in self._txs.values():
             self.report(
-                "undelivered-message",
+                "stuck-message",
                 f"post#{tx.desc_id}",
                 f"{tx.kind} posted at t={tx.started_at:.9f} never completed")
         for copy in self._copies.values():

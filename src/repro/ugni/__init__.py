@@ -22,7 +22,8 @@ progress engine finds with ``GNI_CqGetEvent`` or in a mailbox goes
 straight to its fabric's one consumer, set once by its owner:
 ``smsg.on_rx(msg)`` and ``msgq.on_rx(msg)``, which call ``consume`` for
 the receive CPU, and ``rdma.on_complete(desc, t, failed)``, whose
-consumer charges ``cq_event_cpu`` itself.  An arrival or completion with
+consumer charges ``cq_event_cpu`` itself (``smsg.on_drop(msg)``, if set,
+hears of each SMSG the fault injector ate).  An arrival or completion with
 no consumer set is a :class:`~repro.errors.SimulationError`.
 
 CPU-time convention: every call that a real PE would burn cycles in returns

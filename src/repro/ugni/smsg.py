@@ -77,6 +77,8 @@ class SmsgFabric:
         #: owner sets it and calls :meth:`consume`; the default refuses an
         #: arrival nobody takes
         self.on_rx: Callable[[SmsgMessage], None] = self._unconsumed
+        #: told of each message the fabric ate once its attempt resolves
+        self.on_drop: Optional[Callable[[SmsgMessage], None]] = None
         #: mailbox memory held per node id (bytes), for the footprint
         #: ablation
         self.mailbox_memory_per_node = array("q", bytes(8 * n_nodes))
@@ -87,9 +89,8 @@ class SmsgFabric:
         #: messages sent and consumed
         self.sent = 0
         self.consumed = 0
-        #: fault-injection counters (fabric-wide)
+        #: messages the fault injector ate (fabric-wide)
         self.dropped = 0
-        self.stalled = 0
         san = machine.sanitizer
         if san is not None:
             san.register_fabric(self)
@@ -193,11 +194,12 @@ class SmsgFabric:
                     self._release_credit(msg)
                     if san is not None:
                         san.on_smsg_drop(msg)
+                    if self.on_drop is not None:
+                        self.on_drop(msg)
 
                 return src_node.nic.smsg_send(dst_node, need, on_drop, at=at)
             stall = faults.smsg_stall_delay(src_pe, dst_pe)
             if stall > 0.0:
-                self.stalled += 1
 
                 def on_stall(t: float, msg=msg, stall=stall) -> None:
                     # credit stall: the message (and its mailbox credit)

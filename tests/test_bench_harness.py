@@ -383,6 +383,34 @@ class TestClaimsCanFail:
         # small messages register nothing: their margin stands
         assert flipped[margin]
 
+    def test_ablation_faults_recovery_claim_follows_the_retry_budget(
+            self, monkeypatch):
+        from repro.bench import ablations
+        from repro.lrts.ugni_layer import UgniLayerConfig
+
+        monkeypatch.delenv("REPRO_PAPER_SCALE", raising=False)
+        text = "every dropped delivery was recovered by retransmission"
+        zero = ("a zero-rate injector perturbs nothing (bit-identical "
+                "latency vs no injector)")
+        holds = {c.text: c.holds for c in ablations.ablation_faults().claims}
+        assert holds[text] and holds[zero]
+
+        # fewer attempts per packet: the largest budget that loses a
+        # message at some drop rate flips the claim (the ledger's lost)
+        for budget in range(UgniLayerConfig().max_retries - 1, 0, -1):
+            monkeypatch.setattr(
+                ablations, "UgniLayerConfig",
+                lambda budget=budget, **kw: UgniLayerConfig(
+                    max_retries=budget, **kw))
+            flipped = {c.text: c.holds
+                       for c in ablations.ablation_faults().claims}
+            if not flipped[text]:
+                break
+        else:
+            pytest.fail("no retry budget loses a message")
+        # the zero-rate run draws nothing and retransmits nothing: it stands
+        assert flipped[zero]
+
 
 class TestTrajectorySubject:
     """benchmarks/trajectory.py reads a row's PR number from the commit

@@ -5,20 +5,25 @@ all in the ``sanitize`` job's full suite.  Each case
 runs kNeighbor under the hardest fault mix that layer is specified to
 survive (ugni needs its reliability protocol armed for drops; rdma's RC
 endpoints recover drops natively), with the lifecycle sanitizer auditing
-the whole run, and shows that every injected rate fired.  The mpi
-layer's transport draws no SMSG or RDMA faults, so a rate given to it is
-refused at ``make_runtime`` instead of ignored.
+the whole run, and shows that every injected rate fired.  The ugni and
+rdma cases run once more with a node crash on top: kNeighbor cannot
+finish, and every message sent still ends in one outcome (the ledger).
+The mpi layer's transport draws no SMSG or RDMA faults, so a rate given
+to it is refused at ``make_runtime`` instead of ignored.
 """
 
 import pytest
 
 from repro import sanitize
-from repro.apps.kneighbor import kneighbor
+from repro.apps.kneighbor import _Neighbor, kneighbor
+from repro.charm import Charm
 from repro.errors import LrtsError
-from repro.faults import FaultConfig, LinkFlap
+from repro.faults import FaultConfig, LinkFlap, NodeCrash
 from repro.hardware.config import MachineConfig
+from repro.lrts.factory import make_runtime
 from repro.lrts.ugni_layer import UgniLayerConfig
 from repro.units import KB
+from tests.test_faults import SENT_KEYS
 
 CASES = {
     "ugni": dict(
@@ -67,8 +72,45 @@ def test_chaos_with_sanitizer(layer):
         assert fired["smsg_stalled"] > 0, fired
         assert fired["rdma_failed"] > 0, fired
         sanitize.assert_clean(f"{layer} chaos kneighbor")
+        _crashed_kneighbor(layer, case)
     finally:
         sanitize.clear_registry()
+
+
+def _kneighbor_runtime(layer, case, schedule=()):
+    """kNeighbor's shape (3 nodes, k=1, 16 KB, 10 + 3 iterations) under
+    the case's rates, run until the engine drains."""
+    conv, lrts = make_runtime(
+        n_nodes=3, layer=layer, config=case["config"].replace(
+            cores_per_node=1), seed=11, layer_config=case["layer_config"],
+        faults=case["faults"], fault_schedule=schedule)
+    charm = Charm(conv)
+    arr = charm.create_array(_Neighbor, 3, args=(3, 1, 16 * KB, 10, 3, []),
+                             map="round_robin", name="kneighbor")
+    charm.start(lambda pe: arr.begin())
+    charm.run(max_events=50_000_000)
+    return conv, lrts
+
+
+def _crashed_kneighbor(layer, case):
+    """The same run with node 1 crashing at 90 % of its span: kNeighbor
+    cannot finish, and every message sent has one outcome."""
+    span = _kneighbor_runtime(layer, case)[0].engine.now
+    conv, lrts = _kneighbor_runtime(
+        layer, case, [NodeCrash(at=0.9 * span, node_id=1)])
+    stats = lrts.stats()
+    sent = sum(stats.get(k, 0) for k in SENT_KEYS)
+    dropped_dead = sum(pe.dropped_dead for pe in conv.pes)
+    lost = sum(lrts.lost.values())
+    assert sent == lrts.delivered + dropped_dead + lost, (
+        sent, lrts.delivered, dropped_dead, lrts.lost)
+    # the crash cost messages, and every fault kind fired
+    assert dropped_dead + lost > 0
+    fired = conv.machine.faults.stats()
+    assert fired["node_crashes"] == 1, fired
+    assert fired["smsg_dropped"] > 0, fired
+    assert fired["smsg_stalled"] > 0, fired
+    assert fired["rdma_failed"] > 0, fired
 
 
 @pytest.mark.parametrize("rate", ["smsg_drop_rate", "rdma_error_rate"])

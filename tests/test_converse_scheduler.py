@@ -172,6 +172,9 @@ class TestRunQueue:
         st.tuples(st.just("run"), st.integers(1, 120), st.none()),
         st.tuples(st.just("halt"), st.none(), st.none())), max_size=40))
     def test_against_a_deque(self, ops):
+        """Each message is enqueued as an application message that crossed
+        a machine layer (``app=msg``), so the PE's ledger counts it: taken
+        is ``delivered``, refused or flushed by the halt ``dropped_dead``."""
         m, conv, _ = make_runtime()
         pe, engine = conv.pes[0], m.engine
         ran = []
@@ -185,8 +188,9 @@ class TestRunQueue:
                 for _ in range(n):
                     token = _Token()
                     token.serial = serial
-                    pe.enqueue(Message(hid, 0, 0, 8, payload=token,
-                                       prio=level))
+                    msg = Message(hid, 0, 0, 8, payload=token, prio=level)
+                    pe.enqueue(msg, app=msg)
+                    del msg
                     if pe.halted:
                         dropped += 1
                     elif level is None:
@@ -211,7 +215,8 @@ class TestRunQueue:
                 pe.halt()
             self._held(pe, fifo, prio, watched)
             assert ran == want
-            assert pe.dropped_dead == dropped
+            assert (pe.delivered, pe.dropped_dead) == (serial - dropped,
+                                                       dropped)
             ran.clear()
             want.clear()
         assert (pe._prioq is None) == (

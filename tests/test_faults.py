@@ -110,7 +110,8 @@ class TestInjector:
 
 #: one message per receive path whose arrival lands on the PE from engine
 #: context: (layer, bytes, cores per node, config fields, layer config,
-#: src, dst, device)
+#: src, dst, device).  A ``"persistent"`` layer config sends over a
+#: persistent channel opened at 0 (the send at ``PERSISTENT_SEND_AT``).
 ARRIVAL_PATHS = {
     "ugni_smsg": ("ugni", 100, 1, {}, None, 0, 1, False),
     "ugni_msgq": ("ugni", 32, 1, {}, UgniLayerConfig(small_path="msgq"),
@@ -126,45 +127,188 @@ ARRIVAL_PATHS = {
     "ugni_rndv": ("ugni", 64 * KB, 1, {}, None, 0, 1, False),
     "rdma_rndv": ("rdma", 64 * KB, 1, {"topology": "dragonfly"}, None, 0, 1,
                   False),
+    "mpi_eager": ("mpi", 128, 1, {}, None, 0, 1, False),
+    "mpi_rndv": ("mpi", 64 * KB, 1, {}, None, 0, 1, False),
+    "mpi_intranode": ("mpi", 256, 2, {}, None, 2, 3, False),
+    # its PUT_DONE can be refused by the dead node: lost, not dropped
+    "ugni_put_rndv": ("ugni", 64 * KB, 1, {},
+                      UgniLayerConfig(rendezvous="put"), 0, 1, False),
+    "ugni_nopool_rndv": ("ugni", 64 * KB, 1, {},
+                         UgniLayerConfig(use_mempool=False), 0, 1, False),
+    "ugni_msgq_rndv": ("ugni", 64 * KB, 1, {},
+                       UgniLayerConfig(small_path="msgq"), 0, 1, False),
+    "ugni_reliable_smsg": ("ugni", 100, 1, {}, REL, 0, 1, False),
+    "ugni_gpu_direct": ("ugni", 256, 1,
+                        {"gpus_per_node": 1, "gpu_transport": "direct"},
+                        None, 0, 1, True),
+    "rdma_eager": ("rdma", 8 * KB, 1, {"topology": "dragonfly"}, None, 0, 1,
+                   False),
+    "ugni_persistent": ("ugni", 4 * KB, 1, {}, "persistent", 0, 1, False),
 }
+PERSISTENT_SEND_AT = 50e-6
+#: the stats keys that count one application message sent each
+SENT_KEYS = ("small_sent", "rendezvous_sent", "persistent_sent",
+             "intranode_sent", "inline_sent", "eager_sent", "sent",
+             "gpu_staged_sent", "gpu_direct_sent", "gpu_d2d_sent")
 
 
 def _one_message(path, crash_at=None):
     """Send one message on ``path`` with node 1 crashing at ``crash_at``;
-    return ``(delivered, dropped_dead, handler start times)``."""
+    return ``(delivered, dropped_dead at dst, handler start times,
+    ledger)``, the ledger ``(sent, delivered, dropped_dead, lost)`` over
+    the whole layer, or ``None`` where the run raised
+    :class:`UgniTransactionError`."""
     layer, nbytes, cpn, fields, lcfg, src, dst, device = ARRIVAL_PATHS[path]
+    persistent = lcfg == "persistent"
     conv, lrts = make_runtime(
-        n_nodes=2, layer=layer, layer_config=lcfg,
+        n_nodes=2, layer=layer, layer_config=None if persistent else lcfg,
         config=tiny_config(cores_per_node=cpn).replace(**fields),
         fault_schedule=([] if crash_at is None
                         else [NodeCrash(at=crash_at, node_id=1)]))
     ran = []
     hid = conv.register_handler(lambda pe, msg: ran.append(pe.vtime))
-    conv.machine.engine.post_at(0.0, lambda: conv.send(
-        conv.pes[src], dst, Message(hid, src, dst, nbytes, None,
-                                    device=device)))
-    conv.run()
-    return lrts.delivered, conv.pes[dst].dropped_dead, ran
+    msg = Message(hid, src, dst, nbytes, None, device=device)
+    if persistent:
+        chan = []
+        kick = conv.register_handler(lambda pe, m: (
+            lrts.send_persistent(pe, chan[0], msg) if chan
+            else chan.append(lrts.create_persistent(pe, dst, nbytes))))
+        conv.send_from_outside(src, Message(kick, src, src, 0))
+        conv.send_from_outside(src, Message(kick, src, src, 0),
+                               at=PERSISTENT_SEND_AT)
+    else:
+        conv.machine.engine.post_at(
+            0.0, lambda: conv.send(conv.pes[src], dst, msg))
+    try:
+        conv.run()
+    except UgniTransactionError:
+        # no reliability: a post to the dead node raises, by design
+        assert not (lcfg and getattr(lcfg, "reliability", False)), path
+        ledger = None
+    else:
+        stats = lrts.stats()
+        ledger = (sum(stats.get(k, 0) for k in SENT_KEYS), lrts.delivered,
+                  sum(pe.dropped_dead for pe in conv.pes),
+                  sum(lrts.lost.values()))
+    return lrts.delivered, conv.pes[dst].dropped_dead, ran, ledger
 
 
 class TestDeliveredOrDropped:
     """A message that reaches a crashed PE is ``dropped_dead`` and not
     ``delivered``: the layer counts a delivery only when ``PE.enqueue``
-    takes the message, on every receive path."""
+    takes the message, on every receive path.  And the message has one
+    outcome, whenever node 1 crashes: ``sent == delivered + dropped_dead
+    + lost`` over the layer.  Without reliability a post to the dead
+    node raises :class:`UgniTransactionError` instead (the layer's
+    documented behaviour), an accepted outcome the identity is not read
+    for."""
 
     @pytest.mark.parametrize("path", sorted(ARRIVAL_PATHS))
     def test_never_both(self, path):
-        (_, _, (ran_at,)) = _one_message(path)
-        # node 1 crashes every 0.1 us over the 5 us before the handler ran
-        grid = [ran_at - k * 0.1e-6 for k in range(50)]
+        (_, _, (ran_at,), ledger) = _one_message(path)
+        assert ledger == (1, 1, 0, 0)
+        sent_at = (PERSISTENT_SEND_AT if ARRIVAL_PATHS[path][4] == "persistent"
+                   else 0.0)
+        # node 1 crashes at 40 even steps from the send to the handler,
+        # and every 0.1 us over the 5 us before the handler ran
+        grid = [sent_at + k * (ran_at - sent_at) / 41 for k in range(1, 41)]
+        grid += [ran_at - k * 0.1e-6 for k in range(50)]
         outcomes = set()
-        for crash_at in (t for t in grid if t > 0):
-            delivered, dropped, ran = _one_message(path, crash_at)
+        for crash_at in (t for t in grid if t > sent_at):
+            delivered, dropped, ran, ledger = _one_message(path, crash_at)
+            if ledger is None:
+                continue
             assert (delivered, dropped) != (1, 1), (path, crash_at)
             assert delivered == len(ran), (path, crash_at)
+            sent, delivered, dropped_dead, lost = ledger
+            assert sent == 1 == delivered + dropped_dead + lost, (
+                path, crash_at, ledger)
             outcomes.add((delivered, dropped))
         # the grid straddles the arrival: both outcomes happen
         assert {(1, 0), (0, 1)} <= outcomes, outcomes
+
+    def test_a_refused_put_done_loses_the_message(self):
+        """The PUT rendezvous's last control is refused by a node that
+        crashed after the data landed (the handler runs at 929.8 us): the
+        message is lost."""
+        for crash_at in (913.5e-6, 920.5e-6, 927.5e-6):
+            *_, ledger = _one_message("ugni_put_rndv", crash_at)
+            assert ledger == (1, 0, 0, 1), crash_at
+
+    def test_a_get_init_reaching_a_dead_node_drops_the_message(self):
+        """The GET rendezvous's INIT lands on the crashed PE: the message
+        it carries is ``dropped_dead`` there, once."""
+        *_, ledger = _one_message("ugni_rndv", 5e-6)
+        assert ledger == (1, 0, 1, 0)
+
+
+def _ledger_run(layer, lcfg, schedule, drop, nbytes=100, sends=1,
+                fields=None):
+    """``sends`` messages PE 0 -> PE 1 (nodes 0 and 1) at 0, with the
+    injector's SMSG/RC draw replaced by ``drop(src, dst)``; return the
+    layer's ledger ``(sent, delivered, dropped_dead, lost by cause)``."""
+    conv, lrts = make_runtime(
+        n_nodes=2, layer=layer, layer_config=lcfg,
+        config=tiny_config(cores_per_node=1).replace(**(fields or {})),
+        faults=FaultConfig(), fault_schedule=schedule)
+    conv.machine.faults.smsg_delivery_fails = drop
+    hid = conv.register_handler(lambda pe, msg: None)
+    for _ in range(sends):
+        conv.machine.engine.post_at(0.0, lambda: conv.send(
+            conv.pes[0], 1, Message(hid, 0, 1, nbytes, None)))
+    conv.run()
+    stats = lrts.stats()
+    return (sum(stats.get(k, 0) for k in SENT_KEYS), lrts.delivered,
+            sum(pe.dropped_dead for pe in conv.pes), lrts.lost)
+
+
+class TestLedgerUnderLoss:
+    """Where a sender gives up, the message is lost only if the receiver
+    never took it."""
+
+    def test_a_crashed_sender_loses_what_it_never_had_acked(self):
+        """Reliable SMSG: the only copy is dropped and the sender's node
+        crashes before its retransmit timer fires."""
+        drops = iter([True])
+        ledger = _ledger_run("ugni", REL, [NodeCrash(at=10e-6, node_id=0)],
+                             lambda src, dst: next(drops, False))
+        assert ledger == (1, 0, 0, {"sender_crashed": 1})
+
+    def test_a_crashed_sender_loses_its_credit_stalled_sends(self):
+        """Without reliability: 200 sends of 900 B outrun the SMSG credit,
+        and those still parked when the sender's node crashes never
+        leave."""
+        sent, delivered, dropped_dead, lost = _ledger_run(
+            "ugni", None, [NodeCrash(at=1e-6, node_id=0)],
+            lambda src, dst: False, nbytes=900, sends=200)
+        assert 0 < delivered < sent == 200
+        assert (dropped_dead, lost) == (0, {"sender_crashed": sent - delivered})
+
+    def test_a_give_up_on_a_packet_the_receiver_took_loses_nothing(self):
+        """Every ack is dropped: the sender gives up on a packet that was
+        delivered, and the ledger keeps it delivered."""
+        ledger = _ledger_run("ugni", REL, [], lambda src, dst: src == 1)
+        assert ledger == (1, 1, 0, {})
+
+    def test_an_rc_give_up_does_not_strand_the_wqes_behind_it(self,
+                                                              monkeypatch):
+        """The first of two inline WQEs on one queue pair fails every
+        attempt: it is lost, and the second, already at the receiver, is
+        delivered rather than held for the missing sequence number."""
+        from repro.lrts.rdma_layer.endpoints import RcQueuePair
+
+        xmit = RcQueuePair._xmit
+        current = {}
+
+        def tracked(qp, seq, *args):
+            current["seq"] = seq
+            return xmit(qp, seq, *args)
+
+        monkeypatch.setattr(RcQueuePair, "_xmit", tracked)
+        ledger = _ledger_run("rdma", None, [],
+                             lambda src, dst: current.get("seq") == 0,
+                             sends=2, fields={"topology": "dragonfly"})
+        assert ledger == (2, 1, 0, {"rc_giveup": 1})
 
 
 class TestLinkFaults:

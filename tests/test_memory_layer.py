@@ -348,4 +348,4 @@ class TestIntranodeOversize:
         lrts.pxshm.send(0, 1, 64, None, lambda *a: None)
         conv.run()
         assert [(v.kind, v.where) for v in conv.machine.sanitizer.violations
-                ] == [("undelivered-message", "pxshm[0->1]")]
+                ] == [("stuck-message", "pxshm[0->1]")]

@@ -9,6 +9,7 @@ from repro.apps.pingpong import charm_pingpong
 from repro.errors import LrtsError
 from repro.faults import FaultConfig
 from repro.hardware.config import MachineConfig
+from repro.lrts.messages import LRTS_ENVELOPE
 from repro.lrts.rdma_layer import RdmaLayerConfig
 from repro.units import KB
 
@@ -37,15 +38,20 @@ class TestCrossoverPaths:
         assert r.stats["rdma_gets"] > 0 and r.stats["rdma_puts"] == 0
 
     def test_crossover_constants_honoured(self):
-        """The layer's own constants, not uGNI's SMSG/FMA/BTE split."""
+        """The layer's own constants, not uGNI's SMSG/FMA/BTE split: its
+        path counters read the ladder at both boundaries, one byte either
+        side of each (sizes on the wire, ``LRTS_ENVELOPE`` included)."""
         cfg = MachineConfig()
-        at_inline = _pp(cfg.rdma_inline_max - 80)  # envelope still fits
-        just_over = _pp(cfg.rdma_inline_max + 1)
-        assert at_inline.stats["inline_sent"] > 0
-        assert just_over.stats["eager_sent"] > 0
-        assert cfg.rdma_path_for(cfg.rdma_inline_max) == "inline"
-        assert cfg.rdma_path_for(cfg.rdma_eager_max) == "eager"
-        assert cfg.rdma_path_for(cfg.rdma_eager_max + 1) == "rendezvous"
+
+        def path(total):
+            s = _pp(total - LRTS_ENVELOPE).stats
+            (taken,) = [p for p in ("inline", "eager", "rendezvous")
+                        if s[f"{p}_sent"]]
+            return taken
+
+        assert [path(cfg.rdma_inline_max), path(cfg.rdma_inline_max + 1),
+                path(cfg.rdma_eager_max), path(cfg.rdma_eager_max + 1)] == [
+            "inline", "eager", "eager", "rendezvous"]
 
     def test_latency_ordering(self):
         """Bigger messages cost more; inline is the fastest path."""

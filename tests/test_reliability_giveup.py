@@ -72,6 +72,7 @@ class TestSmsgGiveUp:
         s = layer.stats()
         assert s["rel_failed"] == 5
         assert delivered == []
+        assert layer.lost == {"rel_failed": 5}  # the ledger: five lost
         assert layer._rel_tx == {}  # every record retired at give-up
         assert recoveries(m, "give_up") == 5
         # mailbox credit reclaimed when each dropped delivery resolved
@@ -107,6 +108,7 @@ class TestPostGiveUp:
         assert s[RETRIES[self.layer]] == BUDGET
         assert s["rndv_failed"] == 1
         assert delivered == []  # lost and reported, not silently hung
+        assert layer.lost == {"rndv_failed": 1}
         assert live_buffers(layer) == 0  # both sides reclaimed
         assert recoveries(m, f"{mode}_failed") == 1
         assert s[CONTROL_GIVEUPS[self.layer]] == 0  # controls unaffected
@@ -135,7 +137,7 @@ class TestPostGiveUp:
         assert s["persistent_failed"] == 1
         assert s[GIVEUPS[self.layer]] == 1
         assert s[RETRIES[self.layer]] == BUDGET
-        assert delivered == []
+        assert delivered == [] and layer.lost == {"persistent_failed": 1}
         assert live_buffers(layer) == 0
         assert recoveries(m, "persist_send_failed") == 1
         assert m.engine.peek() == float("inf")

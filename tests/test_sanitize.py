@@ -191,7 +191,7 @@ class TestSeededViolations:
         m.engine.run()
         assert len(taken) == 1
         (lost,) = [v for v in m.sanitizer.violations
-                   if v.kind == "undelivered-message"]
+                   if v.kind == "stuck-message"]
         assert lost.where == "smsg[0->1]"
         assert "arrived but was never consumed" in lost.detail
 

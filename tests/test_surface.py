@@ -66,8 +66,6 @@ KEEP = {
                           "mempool oracle calls it",
     "neighbors": "topology adjacency: the README example and the router "
                  "tests",
-    "rdma_path_for": "the rdma layer's inline / eager / rendezvous ladder "
-                     "as one function, documented in DESIGN for tests",
     "region_memory": "PxshmFabric.region_memory: the shared-memory "
                      "footprint the memory-layer test accounts",
     "route_mode": "the router's fault fallback state, read by the fault "

@@ -124,6 +124,16 @@ TOMBSTONES = [
      "a proxy's entry name is a function on the ref's class, found without "
      "a failed attribute lookup: no bound-entry object beside it",
      "bound = _new(Bound" "Method)"),
+    (r"\bundeliver\b|_internal_hids|rdma_path_for",
+     ("src", "benchmarks", "examples", *_DOCS), 48,
+     "one outcome per application message, recorded where the scheduler "
+     "takes or drops it: no take-back guessed from handler ids, and no "
+     "test-only copy of the rdma ladder",
+     "lrts.undeliver(pe.halt())"),
+    (r"(delivered|dropped_dead) \+= 1",
+     ("src/repro/lrts",), 48,
+     "the layers record no outcome of their own: PE.enqueue counts it",
+     "self.delivered += 1"),
 ]
 
 _IDS = [f"pr{pr}-{n}" for n, (_, _, pr, _, _) in enumerate(TOMBSTONES)]
