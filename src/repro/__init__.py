@@ -24,9 +24,13 @@ Layer map (bottom to top), mirroring the paper's Figure 3:
 
 Quick start::
 
+    from repro import MachineConfig
     from repro.bench.figures import run_experiment
     result = run_experiment("fig9a")   # latency comparison, five variants
     print(result.render())
+    # the same exhibit on a perturbed machine: registration for free
+    free = MachineConfig().replace(mem_register_per_page=0.0)
+    print(run_experiment("fig9a", config=free).render())
 """
 
 from repro.hardware import Machine, MachineConfig

@@ -11,6 +11,7 @@ different implementations."
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from repro.charm import Chare, Charm
 from repro.hardware.config import MachineConfig
@@ -70,9 +71,10 @@ def one_to_all(
     n_nodes: int = 16,
     iters: int = 20,
     warmup: int = 5,
+    config: Optional[MachineConfig] = None,
 ) -> OneToAllResult:
     """Run the Fig. 9c benchmark: root on node 0, one leaf per other node."""
-    cfg = MachineConfig()
+    cfg = config or MachineConfig()
     conv, _ = make_runtime(n_nodes=n_nodes, layer=layer, config=cfg)
     charm = Charm(conv)
     sink: list[float] = []

@@ -17,7 +17,7 @@ from repro.lrts.ugni_layer import UgniLayerConfig
 from repro.units import KB, MB
 
 
-def ablation_put_get() -> ExperimentResult:
+def ablation_put_get(config: MachineConfig = MachineConfig()) -> ExperimentResult:
     res = ExperimentResult(
         "ablation_put_get", "GET-based vs PUT-based rendezvous",
         paper_says="§III.C: 'the advantage of the GET-based scheme over the "
@@ -26,8 +26,9 @@ def ablation_put_get() -> ExperimentResult:
         x_label="message bytes",
     )
     sizes = [4 * KB, 16 * KB, 64 * KB, 256 * KB, 1 * MB]
-    get = [charm_pingpong(s, layer="ugni").one_way_latency for s in sizes]
-    put = [charm_pingpong(s, layer="ugni",
+    get = [charm_pingpong(s, layer="ugni", config=config).one_way_latency
+           for s in sizes]
+    put = [charm_pingpong(s, layer="ugni", config=config,
                           layer_config=UgniLayerConfig(rendezvous="put"))
            .one_way_latency for s in sizes]
     res.series = [Series("GET rendezvous", sizes, get),
@@ -45,7 +46,7 @@ def ablation_put_get() -> ExperimentResult:
     return res
 
 
-def ablation_msgq() -> ExperimentResult:
+def ablation_msgq(config: MachineConfig = MachineConfig()) -> ExperimentResult:
     res = ExperimentResult(
         "ablation_msgq", "SMSG vs MSGQ small-message transport",
         paper_says="§II.B: SMSG fastest but per-peer mailbox memory grows "
@@ -62,7 +63,7 @@ def ablation_msgq() -> ExperimentResult:
     n_pes = 96 if paper_scale() else 48
     for path in ("smsg", "msgq"):
         conv, layer = make_runtime(
-            n_pes=n_pes, layer="ugni",
+            n_pes=n_pes, layer="ugni", config=config,
             layer_config=UgniLayerConfig(small_path=path))
         got = []
 
@@ -112,7 +113,7 @@ def ablation_msgq() -> ExperimentResult:
     return res
 
 
-def ablation_routing() -> ExperimentResult:
+def ablation_routing(config: MachineConfig = MachineConfig()) -> ExperimentResult:
     res = ExperimentResult(
         "ablation_routing", "Adaptive vs dimension-ordered torus routing",
         paper_says="Gemini routes packet-by-packet to fully utilize links "
@@ -124,9 +125,9 @@ def ablation_routing() -> ExperimentResult:
 
     times = {}
     for adaptive in (True, False):
-        cfg = MachineConfig(adaptive_routing=adaptive)
-        times[adaptive] = kneighbor(256 * KB, layer="ugni", k=2, n_cores=8,
-                                    config=cfg).iteration_time
+        times[adaptive] = kneighbor(
+            256 * KB, layer="ugni", k=2, n_cores=8,
+            config=config.replace(adaptive_routing=adaptive)).iteration_time
     labels = ["adaptive", "dimension-ordered"]
     res.series = [Series("kNeighbor iteration (s)", labels,
                          [times[True], times[False]])]
@@ -136,7 +137,7 @@ def ablation_routing() -> ExperimentResult:
     return res
 
 
-def ablation_smp_pools() -> ExperimentResult:
+def ablation_smp_pools(config: MachineConfig = MachineConfig()) -> ExperimentResult:
     res = ExperimentResult(
         "ablation_smp_pools", "Per-PE vs node-shared (SMP-mode) memory pools",
         paper_says="§VII future work: SMP mode to further optimize "
@@ -148,7 +149,7 @@ def ablation_smp_pools() -> ExperimentResult:
     results = {}
     for smp in (False, True):
         conv, layer = make_runtime(
-            n_nodes=2, layer="ugni",
+            n_nodes=2, layer="ugni", config=config,
             layer_config=UgniLayerConfig(smp_pools=smp))
         from repro.converse.scheduler import Message
 
@@ -185,7 +186,7 @@ def ablation_smp_pools() -> ExperimentResult:
     return res
 
 
-def ablation_faults() -> ExperimentResult:
+def ablation_faults(config: MachineConfig = MachineConfig()) -> ExperimentResult:
     """Fault-injection ablation: what recovery costs as error rates climb."""
     from repro.faults import FaultConfig
 
@@ -206,6 +207,7 @@ def ablation_faults() -> ExperimentResult:
     for rate in drop_rates:
         try:
             r = charm_pingpong(64, layer="ugni", layer_config=rel,
+                               config=config,
                                faults=FaultConfig(smsg_drop_rate=rate))
         except AssertionError:  # a lost message stalls the ping-pong
             for column in (lat, rexmit, failed):
@@ -220,12 +222,14 @@ def ablation_faults() -> ExperimentResult:
     bw, retries = [], []
     for rate in err_rates:
         r = charm_pingpong(64 * KB, layer="ugni", layer_config=rel,
+                           config=config,
                            faults=FaultConfig(rdma_error_rate=rate))
         bw.append(r.bandwidth)
         retries.append(r.stats["post_retries"])
 
     # same layer config, no injector at all: the zero-rate reference
-    baseline = charm_pingpong(64, layer="ugni", layer_config=rel)
+    baseline = charm_pingpong(64, layer="ugni", layer_config=rel,
+                              config=config)
 
     res.series = [
         Series("SMSG 64B latency (s)", drop_rates, lat),

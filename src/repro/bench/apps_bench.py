@@ -7,25 +7,28 @@ from repro.apps.minimd import run_minimd
 from repro.apps.nqueens import build_task_tree, run_nqueens
 from repro.apps.nqueens.workmodel import paper_threshold_to_depth
 from repro.bench.harness import ExperimentResult, Series, paper_scale
+from repro.hardware.config import MachineConfig
 from repro.parallel import SweepPoint, run_sweep
 from repro.units import fmt_time
 
 
 # module-level sweep points (picklable for the process-pool sweep runner)
-def _nqueens_speedup(n: int, thr: int, cores: int, layer: str, tree) -> float:
-    return run_nqueens(n, thr, cores, layer=layer, tree=tree).speedup
+def _nqueens_speedup(n: int, thr: int, cores: int, layer: str, tree,
+                     config: MachineConfig) -> float:
+    return run_nqueens(n, thr, cores, layer=layer, tree=tree,
+                       config=config).speedup
 
 
 def _minimd_ms(system: str, cores: int, layer: str, steps: int,
-               warmup: int) -> float:
+               warmup: int, config: MachineConfig) -> float:
     return run_minimd(system, cores, layer=layer, steps=steps,
-                      warmup=warmup).ms_per_step
+                      warmup=warmup, config=config).ms_per_step
 
 
 # --------------------------------------------------------------------- #
 # Fig. 11 — 17-Queens strong scaling
 # --------------------------------------------------------------------- #
-def fig11() -> ExperimentResult:
+def fig11(config: MachineConfig = MachineConfig()) -> ExperimentResult:
     if paper_scale():
         n, thr_mpi, thr_ugni = 17, 6, 7
         cores = [96, 192, 384, 768, 1536, 3840]
@@ -48,9 +51,11 @@ def fig11() -> ExperimentResult:
         for thr in {thr_mpi, thr_ugni}
     }
     flat = run_sweep(
-        [SweepPoint(_nqueens_speedup, (n, thr_ugni, c, "ugni", trees[thr_ugni]))
+        [SweepPoint(_nqueens_speedup,
+                    (n, thr_ugni, c, "ugni", trees[thr_ugni], config))
          for c in cores]
-        + [SweepPoint(_nqueens_speedup, (n, thr_mpi, c, "mpi", trees[thr_mpi]))
+        + [SweepPoint(_nqueens_speedup,
+                      (n, thr_mpi, c, "mpi", trees[thr_mpi], config))
            for c in cores])
     ugni, mpi = flat[:len(cores)], flat[len(cores):]
     res.series = [
@@ -73,7 +78,7 @@ def fig11() -> ExperimentResult:
 # --------------------------------------------------------------------- #
 # Fig. 12 — utilization profiles at a fixed core count
 # --------------------------------------------------------------------- #
-def fig12() -> ExperimentResult:
+def fig12(config: MachineConfig = MachineConfig()) -> ExperimentResult:
     if paper_scale():
         n, cores = 17, 384
         thr_coarse, thr_fine = 6, 7
@@ -99,11 +104,13 @@ def fig12() -> ExperimentResult:
     runs = {
         f"MPI thr {thr_coarse}": run_nqueens(
             n, thr_coarse, cores, layer="mpi", tree=trees[thr_coarse],
-            trace_bin=None),
+            config=config),
         f"MPI thr {thr_fine}": run_nqueens(
-            n, thr_fine, cores, layer="mpi", tree=trees[thr_fine]),
+            n, thr_fine, cores, layer="mpi", tree=trees[thr_fine],
+            config=config),
         f"uGNI thr {thr_fine}": run_nqueens(
-            n, thr_fine, cores, layer="ugni", tree=trees[thr_fine]),
+            n, thr_fine, cores, layer="ugni", tree=trees[thr_fine],
+            config=config),
     }
     # re-run with tracing at a bin width scaled to each run's length
     for label in list(runs):
@@ -111,6 +118,7 @@ def fig12() -> ExperimentResult:
         layer = "mpi" if label.startswith("MPI") else "ugni"
         thr = int(label.split()[-1])
         runs[label] = run_nqueens(n, thr, cores, layer=layer, tree=trees[thr],
+                                  config=config,
                                   trace_bin=max(r0.total_time / 120, 1e-6))
     labels = list(runs)
     res.series = [
@@ -150,7 +158,7 @@ def fig12() -> ExperimentResult:
 # --------------------------------------------------------------------- #
 # Table I — best (cores, time) per board size
 # --------------------------------------------------------------------- #
-def table1() -> ExperimentResult:
+def table1(config: MachineConfig = MachineConfig()) -> ExperimentResult:
     if paper_scale():
         boards = {14: [128, 256, 512], 15: [240, 480, 960],
                   16: [768, 1536, 3072], 17: [1920, 3840, 7680],
@@ -177,7 +185,8 @@ def table1() -> ExperimentResult:
         for layer in ("ugni", "mpi"):
             best_t, best_c = None, None
             for c in core_list:
-                t = run_nqueens(n, thr[n], c, layer=layer, tree=tree).total_time
+                t = run_nqueens(n, thr[n], c, layer=layer, tree=tree,
+                                config=config).total_time
                 # "best" = the largest core count that still improves time
                 if best_t is None or t < best_t:
                     best_t, best_c = t, c
@@ -204,7 +213,7 @@ def table1() -> ExperimentResult:
 # --------------------------------------------------------------------- #
 # Table II — ApoA1 strong scaling
 # --------------------------------------------------------------------- #
-def table2() -> ExperimentResult:
+def table2(config: MachineConfig = MachineConfig()) -> ExperimentResult:
     cores = ([2, 12, 48, 240, 480, 1920, 3840] if paper_scale()
              else [2, 12, 48, 240])
     res = ExperimentResult(
@@ -219,10 +228,8 @@ def table2() -> ExperimentResult:
     mpi, ugni = [], []
     for c in cores:
         steps = 3 if c <= 48 else 4
-        mpi.append(run_minimd("apoa1", c, layer="mpi", steps=steps,
-                              warmup=2).ms_per_step)
-        ugni.append(run_minimd("apoa1", c, layer="ugni", steps=steps,
-                               warmup=2).ms_per_step)
+        mpi.append(_minimd_ms("apoa1", c, "mpi", steps, 2, config))
+        ugni.append(_minimd_ms("apoa1", c, "ugni", steps, 2, config))
     res.series = [
         Series("MPI-based (ms/step)", cores, mpi),
         Series("uGNI-based (ms/step)", cores, ugni),
@@ -249,7 +256,7 @@ def table2() -> ExperimentResult:
 # --------------------------------------------------------------------- #
 # Fig. 13 — NAMD weak scaling
 # --------------------------------------------------------------------- #
-def fig13() -> ExperimentResult:
+def fig13(config: MachineConfig = MachineConfig()) -> ExperimentResult:
     if paper_scale():
         setups = [("iapp", 960), ("dhfr", 3840), ("apoa1", 7680)]
     else:
@@ -264,9 +271,9 @@ def fig13() -> ExperimentResult:
     )
     labels = [f"{system}@{c}" for system, c in setups]
     flat = run_sweep(
-        [SweepPoint(_minimd_ms, (system, c, "mpi", 4, 2))
+        [SweepPoint(_minimd_ms, (system, c, "mpi", 4, 2, config))
          for system, c in setups]
-        + [SweepPoint(_minimd_ms, (system, c, "ugni", 4, 2))
+        + [SweepPoint(_minimd_ms, (system, c, "ugni", 4, 2, config))
            for system, c in setups])
     mpi, ugni = flat[:len(setups)], flat[len(setups):]
     res.series = [

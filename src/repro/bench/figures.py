@@ -1,9 +1,9 @@
 """Registry of all paper-reproduction experiments.
 
-``run_experiment(id)`` runs one and returns an
-:class:`~repro.bench.harness.ExperimentResult`; ``EXPERIMENTS`` maps every
-known id to its callable.  Scale is controlled by ``REPRO_PAPER_SCALE``
-(see :mod:`repro.bench`).
+``run_experiment(id, config)`` runs one on the machine ``config`` and
+returns an :class:`~repro.bench.harness.ExperimentResult`; ``EXPERIMENTS``
+maps every known id to its callable, ``exp(config) -> ExperimentResult``.
+Scale is controlled by ``REPRO_PAPER_SCALE`` (see :mod:`repro.bench`).
 """
 
 from __future__ import annotations
@@ -12,8 +12,9 @@ from typing import Callable
 
 from repro.bench import ablations, apps_bench, micro
 from repro.bench.harness import ExperimentResult
+from repro.hardware.config import MachineConfig
 
-EXPERIMENTS: dict[str, Callable[[], ExperimentResult]] = {
+EXPERIMENTS: dict[str, Callable[[MachineConfig], ExperimentResult]] = {
     # microbenchmarks
     "fig1": micro.fig1,
     "fig4": micro.fig4,
@@ -40,15 +41,16 @@ EXPERIMENTS: dict[str, Callable[[], ExperimentResult]] = {
 }
 
 
-def run_experiment(exp_id: str) -> ExperimentResult:
-    """Run one experiment by id (see :data:`EXPERIMENTS`)."""
+def run_experiment(exp_id: str,
+                   config: MachineConfig = MachineConfig()) -> ExperimentResult:
+    """Run one experiment by id (see :data:`EXPERIMENTS`) on ``config``."""
     try:
         fn = EXPERIMENTS[exp_id]
     except KeyError:
         raise KeyError(
             f"unknown experiment {exp_id!r}; known: {sorted(EXPERIMENTS)}"
         ) from None
-    return fn()
+    return fn(config)
 
 
 def main(argv=None) -> int:  # pragma: no cover - CLI convenience

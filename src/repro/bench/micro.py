@@ -7,6 +7,7 @@ from repro.apps.onetoall import one_to_all
 from repro.apps.pingpong import charm_pingpong
 from repro.apps.raw import fma_bte_latency, mpi_pingpong, ugni_pingpong
 from repro.bench.harness import ExperimentResult, Series, geometric_sizes, paper_scale
+from repro.hardware.config import MachineConfig
 from repro.lrts.ugni_layer import UgniLayerConfig
 from repro.lrts.ugni_layer.config import initial_design
 from repro.parallel import SweepPoint, run_sweep
@@ -26,24 +27,26 @@ def _sizes(lo: int, hi: int) -> list[int]:
 # import, so the per-size simulations the figures fan out live here
 # rather than as comprehensions inside each figure
 # --------------------------------------------------------------------- #
-def _charm_latency(size: int, layer: str) -> float:
-    return charm_pingpong(size, layer=layer).one_way_latency
+def _charm_latency(size: int, layer: str, config: MachineConfig) -> float:
+    return charm_pingpong(size, layer=layer, config=config).one_way_latency
 
 
-def _charm_bandwidth(size: int, layer: str) -> float:
-    return charm_pingpong(size, layer=layer).bandwidth
+def _charm_bandwidth(size: int, layer: str, config: MachineConfig) -> float:
+    return charm_pingpong(size, layer=layer, config=config).bandwidth
 
 
-def _mpi_latency(size: int, same_buffer: bool) -> float:
-    return mpi_pingpong(size, same_buffer=same_buffer)
+def _mpi_latency(size: int, same_buffer: bool, config: MachineConfig) -> float:
+    return mpi_pingpong(size, config, same_buffer=same_buffer)
 
 
-def _one_to_all_latency(size: int, layer: str, n_nodes: int) -> float:
-    return one_to_all(size, layer=layer, n_nodes=n_nodes).latency
+def _one_to_all_latency(size: int, layer: str, n_nodes: int,
+                        config: MachineConfig) -> float:
+    return one_to_all(size, layer=layer, n_nodes=n_nodes,
+                      config=config).latency
 
 
-def _kneighbor_time(size: int, layer: str) -> float:
-    return kneighbor(size, layer=layer).iteration_time
+def _kneighbor_time(size: int, layer: str, config: MachineConfig) -> float:
+    return kneighbor(size, layer=layer, config=config).iteration_time
 
 
 def _curves(specs: list[tuple], sizes: list[int]) -> list[list[float]]:
@@ -64,7 +67,7 @@ def _curves(specs: list[tuple], sizes: list[int]) -> list[list[float]]:
 # --------------------------------------------------------------------- #
 # Fig. 1 — layer overhead: uGNI < MPI < MPI-based Charm++
 # --------------------------------------------------------------------- #
-def fig1() -> ExperimentResult:
+def fig1(config: MachineConfig = MachineConfig()) -> ExperimentResult:
     res = ExperimentResult(
         "fig1", "Ping-pong one-way latency in uGNI, MPI and MPI-based Charm++",
         paper_says="each software layer adds latency: uGNI < MPI < "
@@ -72,9 +75,9 @@ def fig1() -> ExperimentResult:
         x_label="message bytes",
     )
     sizes = _sizes(32, 64 * KB)
-    ugni = [ugni_pingpong(s) for s in sizes]
-    mpi = [mpi_pingpong(s, same_buffer=True) for s in sizes]
-    mpi_charm = [charm_pingpong(s, layer="mpi").one_way_latency for s in sizes]
+    ugni = [ugni_pingpong(s, config) for s in sizes]
+    mpi = [mpi_pingpong(s, config, same_buffer=True) for s in sizes]
+    mpi_charm = [_charm_latency(s, "mpi", config) for s in sizes]
     res.series = [
         Series("uGNI", sizes, ugni),
         Series("pure MPI", sizes, mpi),
@@ -94,7 +97,7 @@ def fig1() -> ExperimentResult:
 # --------------------------------------------------------------------- #
 # Fig. 4 — FMA/BTE PUT/GET latencies and their crossover
 # --------------------------------------------------------------------- #
-def fig4() -> ExperimentResult:
+def fig4(config: MachineConfig = MachineConfig()) -> ExperimentResult:
     res = ExperimentResult(
         "fig4", "One-way latency using FMA/RDMA Put/Get",
         paper_says="FMA lowest latency for small messages; BTE best beyond "
@@ -102,7 +105,7 @@ def fig4() -> ExperimentResult:
         x_label="message bytes",
     )
     sizes = _sizes(8, 4 * MB)
-    curves = {k: [fma_bte_latency(k, s) for s in sizes]
+    curves = {k: [fma_bte_latency(k, s, config) for s in sizes]
               for k in ("fma_put", "fma_get", "bte_put", "bte_get")}
     res.series = [Series(k, sizes, v) for k, v in curves.items()]
     res.claim("FMA Put beats BTE Put for 8B",
@@ -129,7 +132,7 @@ def fig4() -> ExperimentResult:
 # --------------------------------------------------------------------- #
 # Fig. 6 — the unoptimized uGNI layer: great small, bad large
 # --------------------------------------------------------------------- #
-def fig6() -> ExperimentResult:
+def fig6(config: MachineConfig = MachineConfig()) -> ExperimentResult:
     res = ExperimentResult(
         "fig6", "Initial uGNI-based Charm++ vs MPI-based Charm++ vs pure uGNI",
         paper_says="the initial design wins for SMSG-size messages but loses "
@@ -138,11 +141,11 @@ def fig6() -> ExperimentResult:
         x_label="message bytes",
     )
     sizes = _sizes(32, 1 * MB)
-    pure = [ugni_pingpong(s) for s in sizes]
-    initial = [charm_pingpong(s, layer="ugni",
-                              layer_config=initial_design()).one_way_latency
+    pure = [ugni_pingpong(s, config) for s in sizes]
+    initial = [charm_pingpong(s, layer="ugni", layer_config=initial_design(),
+                              config=config).one_way_latency
                for s in sizes]
-    mpi_charm = [charm_pingpong(s, layer="mpi").one_way_latency for s in sizes]
+    mpi_charm = [_charm_latency(s, "mpi", config) for s in sizes]
     res.series = [
         Series("pure uGNI", sizes, pure),
         Series("initial uGNI-CHARM++", sizes, initial),
@@ -163,7 +166,7 @@ def fig6() -> ExperimentResult:
 # --------------------------------------------------------------------- #
 # Fig. 8a — persistent messages
 # --------------------------------------------------------------------- #
-def fig8a() -> ExperimentResult:
+def fig8a(config: MachineConfig = MachineConfig()) -> ExperimentResult:
     res = ExperimentResult(
         "fig8a", "Large-message latency with and without persistent messages",
         paper_says="persistent messages greatly reduce large-message latency "
@@ -171,10 +174,10 @@ def fig8a() -> ExperimentResult:
         x_label="message bytes",
     )
     sizes = _sizes(1 * KB, 512 * KB)
-    wo = [charm_pingpong(s, layer="ugni").one_way_latency for s in sizes]
-    w = [charm_pingpong(s, layer="ugni", persistent=True).one_way_latency
-         for s in sizes]
-    pure = [ugni_pingpong(s) for s in sizes]
+    wo = [_charm_latency(s, "ugni", config) for s in sizes]
+    w = [charm_pingpong(s, layer="ugni", config=config,
+                        persistent=True).one_way_latency for s in sizes]
+    pure = [ugni_pingpong(s, config) for s in sizes]
     res.series = [
         Series("w/o persistent", sizes, wo),
         Series("w/ persistent", sizes, w),
@@ -192,7 +195,7 @@ def fig8a() -> ExperimentResult:
 # --------------------------------------------------------------------- #
 # Fig. 8b — memory pool
 # --------------------------------------------------------------------- #
-def fig8b() -> ExperimentResult:
+def fig8b(config: MachineConfig = MachineConfig()) -> ExperimentResult:
     res = ExperimentResult(
         "fig8b", "Large-message latency with and without the memory pool",
         paper_says="the memory pool cuts latency by ~50%; with it, latency "
@@ -202,10 +205,10 @@ def fig8b() -> ExperimentResult:
     )
     sizes = _sizes(1 * KB, 512 * KB)
     wo = [charm_pingpong(s, layer="ugni",
-                         layer_config=UgniLayerConfig(use_mempool=False))
-          .one_way_latency for s in sizes]
-    w = [charm_pingpong(s, layer="ugni").one_way_latency for s in sizes]
-    pure = [ugni_pingpong(s) for s in sizes]
+                         layer_config=UgniLayerConfig(use_mempool=False),
+                         config=config).one_way_latency for s in sizes]
+    w = [_charm_latency(s, "ugni", config) for s in sizes]
+    pure = [ugni_pingpong(s, config) for s in sizes]
     res.series = [
         Series("w/o memory pool", sizes, wo),
         Series("w/ memory pool", sizes, w),
@@ -229,7 +232,7 @@ def fig8b() -> ExperimentResult:
 # --------------------------------------------------------------------- #
 # Fig. 8c — intra-node communication
 # --------------------------------------------------------------------- #
-def fig8c() -> ExperimentResult:
+def fig8c(config: MachineConfig = MachineConfig()) -> ExperimentResult:
     res = ExperimentResult(
         "fig8c", "Intra-node latency: pxshm double/single copy vs pure MPI "
                  "vs NIC loopback",
@@ -238,13 +241,13 @@ def fig8c() -> ExperimentResult:
         x_label="message bytes",
     )
     sizes = _sizes(1 * KB, 512 * KB)
-    double = [charm_pingpong(s, layer="ugni", intranode=True,
+    double = [charm_pingpong(s, layer="ugni", intranode=True, config=config,
                              layer_config=UgniLayerConfig(intranode="pxshm_double"))
               .one_way_latency for s in sizes]
-    single = [charm_pingpong(s, layer="ugni", intranode=True).one_way_latency
-              for s in sizes]
-    pure_mpi = [mpi_pingpong(s, intranode=True) for s in sizes]
-    loopback = [charm_pingpong(s, layer="ugni", intranode=True,
+    single = [charm_pingpong(s, layer="ugni", intranode=True,
+                             config=config).one_way_latency for s in sizes]
+    pure_mpi = [mpi_pingpong(s, config, intranode=True) for s in sizes]
+    loopback = [charm_pingpong(s, layer="ugni", intranode=True, config=config,
                                layer_config=UgniLayerConfig(intranode="ugni"))
                 .one_way_latency for s in sizes]
     res.series = [
@@ -269,7 +272,7 @@ def fig8c() -> ExperimentResult:
 # --------------------------------------------------------------------- #
 # Fig. 9a — the five-way latency comparison
 # --------------------------------------------------------------------- #
-def fig9a() -> ExperimentResult:
+def fig9a(config: MachineConfig = MachineConfig()) -> ExperimentResult:
     res = ExperimentResult(
         "fig9a", "One-way latency: uGNI-Charm++, MPI-Charm++, MPI same/diff "
                  "buffers, pure uGNI",
@@ -280,11 +283,11 @@ def fig9a() -> ExperimentResult:
     )
     sizes = _sizes(8, 1 * MB)
     pure, ugni_charm, mpi_same, mpi_diff, mpi_charm = _curves([
-        (ugni_pingpong,),
-        (_charm_latency, "ugni"),
-        (_mpi_latency, True),
-        (_mpi_latency, False),
-        (_charm_latency, "mpi"),
+        (ugni_pingpong, config),
+        (_charm_latency, "ugni", config),
+        (_mpi_latency, True, config),
+        (_mpi_latency, False, config),
+        (_charm_latency, "mpi", config),
     ], sizes)
     res.series = [
         Series("uGNI-CHARM++", sizes, ugni_charm),
@@ -314,7 +317,7 @@ def fig9a() -> ExperimentResult:
 # --------------------------------------------------------------------- #
 # Fig. 9b — bandwidth
 # --------------------------------------------------------------------- #
-def fig9b() -> ExperimentResult:
+def fig9b(config: MachineConfig = MachineConfig()) -> ExperimentResult:
     res = ExperimentResult(
         "fig9b", "Bandwidth, uGNI-based vs MPI-based Charm++",
         paper_says="uGNI-based bandwidth leads below 1MB (MPI-layer "
@@ -325,8 +328,8 @@ def fig9b() -> ExperimentResult:
     )
     sizes = _sizes(16 * KB, 4 * MB)
     ugni_bw, mpi_bw = _curves([
-        (_charm_bandwidth, "ugni"),
-        (_charm_bandwidth, "mpi"),
+        (_charm_bandwidth, "ugni", config),
+        (_charm_bandwidth, "mpi", config),
     ], sizes)
     res.series = [
         Series("uGNI-based CHARM++", sizes, ugni_bw),
@@ -346,7 +349,7 @@ def fig9b() -> ExperimentResult:
 # --------------------------------------------------------------------- #
 # Fig. 9c — one-to-all
 # --------------------------------------------------------------------- #
-def fig9c() -> ExperimentResult:
+def fig9c(config: MachineConfig = MachineConfig()) -> ExperimentResult:
     n_nodes = 16 if paper_scale() else 8
     res = ExperimentResult(
         "fig9c", f"One-to-all latency on {n_nodes} nodes",
@@ -357,8 +360,8 @@ def fig9c() -> ExperimentResult:
     )
     sizes = _sizes(32, 1 * MB)
     ugni, mpi = _curves([
-        (_one_to_all_latency, "ugni", n_nodes),
-        (_one_to_all_latency, "mpi", n_nodes),
+        (_one_to_all_latency, "ugni", n_nodes, config),
+        (_one_to_all_latency, "mpi", n_nodes, config),
     ], sizes)
     res.series = [
         Series("uGNI-based CHARM++", sizes, ugni),
@@ -377,7 +380,7 @@ def fig9c() -> ExperimentResult:
 # --------------------------------------------------------------------- #
 # Fig. 10 — kNeighbor
 # --------------------------------------------------------------------- #
-def fig10() -> ExperimentResult:
+def fig10(config: MachineConfig = MachineConfig()) -> ExperimentResult:
     res = ExperimentResult(
         "fig10", "kNeighbor (3 cores on 3 nodes, k=1)",
         paper_says="uGNI-based iteration latency is about half the "
@@ -387,8 +390,8 @@ def fig10() -> ExperimentResult:
     )
     sizes = _sizes(32, 1 * MB)
     ugni, mpi = _curves([
-        (_kneighbor_time, "ugni"),
-        (_kneighbor_time, "mpi"),
+        (_kneighbor_time, "ugni", config),
+        (_kneighbor_time, "mpi", config),
     ], sizes)
     res.series = [
         Series("uGNI-based CHARM++", sizes, ugni),

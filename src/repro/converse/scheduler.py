@@ -173,6 +173,7 @@ class PE:
             # see no pending work on it
             if app is not None:
                 self.dropped_dead += 1
+            self._refuse(msg)
             return
         if app is msg:
             self.delivered += 1
@@ -226,9 +227,17 @@ class PE:
                 if app is entry[-3]:
                     self.delivered -= 1
                 self.dropped_dead += 1
+            self._refuse(entry[-3])
         self._fifo.clear()
         self._head = 0
         self._prioq = None
+
+    def _refuse(self, msg: Message) -> None:
+        """``msg`` reached this halted PE or its crash flushed it: the
+        machine layer settles what a live peer still holds for it."""
+        lrts = self.runtime.lrts
+        if lrts is not None:
+            lrts.refused(msg.payload)
 
     def end_blocking(self, t: float) -> None:
         """Unblock at simulated time ``t``; the wait is charged as overhead.

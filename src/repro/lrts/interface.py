@@ -120,6 +120,12 @@ class LrtsLayer(abc.ABC):
         """A node crashed: settle what the layer still held for a halted
         PE to send (nothing, where every send goes to the NIC at once)."""
 
+    def refused(self, payload: Any) -> None:
+        """A message carrying ``payload`` will never be taken: it reached a
+        halted PE, a crash flushed it, or its sender gave it up.  Settle
+        what a live peer still holds for it (nothing, where no protocol
+        holds a buffer or a queue across messages)."""
+
     # -- diagnostics -----------------------------------------------------------
     def stats(self) -> dict[str, Any]:
         """Layer counters for EXPERIMENTS.md / ablation reporting."""

@@ -306,8 +306,9 @@ class ProtocolCore:
         """The peer's post was abandoned: reclaim this side's buffer.
 
         Runs on the sender after a failed GET (its ``init`` pinned ``src``)
-        or on the receiver after a failed PUT (its CTS pinned ``dst``); the
-        failing side already reclaimed its own buffer.
+        or a dead receiver (:meth:`refused`), or on the receiver after a
+        failed PUT (its CTS pinned ``dst``); the failing side already
+        reclaimed its own buffer.
         """
         state: _Rndv = message.payload
         if pe.rank == state.src_rank and state.src is not None:
@@ -316,6 +317,23 @@ class ProtocolCore:
         elif pe.rank == state.dst_rank and state.dst is not None:
             self._release(pe, state.dst)
             state.dst = None
+
+    def refused(self, payload: Any) -> None:
+        """A rendezvous that cannot finish gives a live sender its source
+        buffer back (the ``rndv_fail`` step); a persistent handshake that
+        cannot finish loses the sends queued behind it, one outcome each.
+
+        Each case is safe to settle: a refused INIT, PUT request or CTS
+        started no transfer, and a refused GET completion or ACK ends one.
+        """
+        if type(payload) is _Rndv:
+            sender = self._pes[payload.src_rank]
+            if payload.src is not None and not sender.halted:
+                self._self_step(sender, "rndv_fail", payload)
+        elif type(payload) is PersistentHandle:
+            for _ in payload.impl.queued:
+                self._lose("persist_handshake")
+            payload.impl.queued.clear()
 
     # ------------------------------------------------------------------ #
     # Persistent channels
@@ -386,7 +404,11 @@ class ProtocolCore:
         self.conv.messages_sent += 1
         self.persistent_sent += 1
         if not handle.ready:
-            handle.impl.queued.append(msg)
+            if self._pes[handle.dst_rank].halted:
+                # the handshake cannot finish (see refused)
+                self._lose("persist_handshake")
+            else:
+                handle.impl.queued.append(msg)
             return
         self._persistent_put(src_pe, handle, msg)
 

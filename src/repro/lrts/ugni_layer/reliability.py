@@ -193,12 +193,14 @@ class ReliabilityMixin:
 
     def _rel_abandon(self, pkt: _RelPacket, cause: str) -> None:
         """No copy of ``pkt`` will be sent again: unless the receiver took
-        one, its message is lost (and a straggler copy a duplicate)."""
+        one, its message is lost (and a straggler copy a duplicate), and
+        what a peer holds for it is settled (:meth:`refused`)."""
         rx = self._rel_seen.setdefault(pkt.pair, _RelRx())
         if not rx.seen(pkt.seq):
             rx.mark(pkt.seq)
             if pkt.tag in CARRIER_TAGS:
                 self._lose(cause)
+            self.refused(pkt.payload)
 
     def _on_rel_ack(self, pe: PE, message: Message) -> None:
         """Sender PE: the receiver has the packet — stop retransmitting."""

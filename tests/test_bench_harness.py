@@ -1,8 +1,10 @@
 """Tests for the benchmark harness machinery and experiment registry."""
 
+import dataclasses
 import importlib.util
 import json
 import pathlib
+from unittest import mock
 
 import pytest
 
@@ -14,13 +16,23 @@ from repro.bench.harness import (
     geometric_sizes,
     paper_scale,
 )
+from repro.hardware.config import MachineConfig
+from repro.units import KB
 
 _BENCHMARKS = pathlib.Path(__file__).parent.parent / "benchmarks"
+_RESULTS = _BENCHMARKS / "results"
 _RUN_ALL = _BENCHMARKS / "run_all.py"
 #: the application-scale exhibits that take tens of seconds each; CI
 #: regenerates them with the rest of ``benchmarks/``, tier-1 every other
 #: one (the N-Queens ones, fig11, fig12 and table1, take ~2 s each)
 _SLOW_EXHIBITS = {"fig13", "table2"}
+
+
+@pytest.fixture(autouse=True)
+def _committed_scale_in_process(monkeypatch):
+    """Exhibits here run at the committed (default) scale, in this process."""
+    monkeypatch.delenv("REPRO_PAPER_SCALE", raising=False)
+    monkeypatch.delenv("REPRO_BENCH_JOBS", raising=False)
 
 
 def _load_run_all():
@@ -104,299 +116,154 @@ class TestRegistry:
 
     @pytest.mark.parametrize(
         "exp_id", [e for e in EXPERIMENTS if e not in _SLOW_EXHIBITS])
-    def test_rendering_equals_committed_result(self, exp_id, monkeypatch):
+    def test_rendering_equals_committed_result(self, exp_id):
         """The rendered exhibit is deterministic, on either engine lane:
-        a change that moves one printed number fails here."""
-        monkeypatch.delenv("REPRO_PAPER_SCALE", raising=False)
-        committed = (_BENCHMARKS / "results" / f"{exp_id}.txt").read_text()
-        assert run_experiment(exp_id).render() == committed
+        a change that moves one printed number fails here.  And it ran on
+        the machine it was given: no runner on the way built a
+        ``MachineConfig`` from defaults (``config or MachineConfig()``)."""
+        committed = (_RESULTS / f"{exp_id}.txt").read_text()
+        fields = len(dataclasses.fields(MachineConfig))
+        init, defaulted = MachineConfig.__init__, []
+
+        def counted(self, *args, **kw):
+            if len(args) + len(kw) < fields:
+                defaulted.append(sorted(kw))
+            init(self, *args, **kw)
+
+        config = MachineConfig()
+        with mock.patch.object(MachineConfig, "__init__", counted):
+            rendered = run_experiment(exp_id, config).render()
+        assert rendered == committed
+        assert not defaulted, (
+            f"{len(defaulted)} MachineConfig(s) built from defaults, "
+            f"setting only {defaulted}")
+
+
+def _committed_claims(exp_id):
+    """Claim text -> holds, as ``benchmarks/results/<id>.txt`` prints them
+    (test_rendering_equals_committed_result holds it to a live run)."""
+    lines = (_RESULTS / f"{exp_id}.txt").read_text().splitlines()
+    return {line[9:]: line.startswith("  [PASS] ") for line in lines
+            if line.startswith(("  [PASS] ", "  [FAIL] "))}
+
+
+def _register_dearer(base):
+    return base.replace(mem_register_per_page=10 * base.mem_register_per_page)
+
+
+#: ``(exhibit, perturbation, claim that flips, claim that stands)``: the
+#: exhibit runs once on ``perturbation(MachineConfig())``, the whole machine
+#: perturbed; its unperturbed claims are the committed rendering's
+CAN_FAIL = [
+    # MPI-based Charm++ registers a fresh receive buffer for every
+    # rendezvous: at 4 us a page that cost outgrows the small-message
+    # overhead, and the relative gap widens with size
+    ("fig1", _register_dearer,
+     "layering cost largest in relative terms for small messages",
+     "uGNI below MPI at every size"),
+    ("fig4", lambda b: b.replace(bte_put_bandwidth=b.fma_put_bandwidth / 2),
+     "BTE Put beats FMA Put for 64KB+",
+     "FMA Put beats BTE Put for 8B"),
+    # a dearer MPI rendezvous hands the large sizes to the initial design
+    ("fig6", lambda b: b.replace(mpi_rndv_cpu=20 * b.mpi_rndv_cpu),
+     "initial design LOSES to MPI-based Charm++ for large messages",
+     "initial design beats MPI-based Charm++ for small messages"),
+    # a persistent send is a PUT, the rendezvous a GET: a PUT slower than
+    # the GET gives the largest sizes back to the rendezvous
+    ("fig8a",
+     lambda b: b.replace(bte_put_bandwidth=0.9 * b.bte_get_bandwidth),
+     "persistent faster than the rendezvous path for all large sizes",
+     "persistent within 2x of pure uGNI for 64KB+"),
+    # a pool block as dear as the malloc plus registration (and the
+    # deregistration plus free) of a 64 KB buffer: the pool saves nothing
+    # below that size, and a constant per message still fades with size
+    ("fig8b", lambda b: b.replace(
+        mempool_alloc_cpu=b.t_malloc(64 * KB) + b.t_register(64 * KB),
+        mempool_free_cpu=b.t_deregister(64 * KB) + b.t_free(64 * KB)),
+     "pool cuts large-message latency by >=35% (paper: ~50%)",
+     "pooled latency converges toward pure uGNI as size grows"),
+    # the pxshm handshake is Charm++'s alone (a slower memcpy would slow
+    # MPI's XPMEM copy too); x20 does not flip
+    ("fig8c", lambda b: b.replace(pxshm_sync_cpu=25 * b.pxshm_sync_cpu),
+     "single copy beats MPI at 64KB+",
+     "single copy beats double copy for every large size"),
+    # registration for free: a uDREG hit saves nothing over a miss
+    ("fig9a", lambda b: b.replace(
+        mem_register_base=0.0, mem_register_per_page=0.0,
+        mem_deregister_base=0.0, mem_deregister_per_page=0.0),
+     "MPI same-buffer beats different-buffer beyond 8KB (uDREG cache hits)",
+     "uGNI-Charm++ beats MPI-based Charm++ at every size"),
+    # the rendezvous pulls with a BTE GET: a slower GET engine caps the
+    # 4 MB bandwidth, and both layers pull through it
+    ("fig9b", lambda b: b.replace(bte_get_bandwidth=0.6 * b.bte_get_bandwidth),
+     "peak bandwidth approaches the BTE limit (>4GB/s)",
+     "uGNI-based bandwidth higher below 1MB"),
+    # the MPI-based root registers a fresh buffer per large send and each
+    # leaf one per receive; small messages register nothing
+    ("fig9c", _register_dearer,
+     "gap closes for large messages",
+     "large margin for small messages (>=1.7x)"),
+    # Cray MPI pipelines a large rendezvous' registration one chunk at a
+    # time: a 4 KB chunk takes the fresh-buffer registration off the
+    # critical path; the blocking MPI_Recv still costs every size
+    ("fig10", lambda b: b.replace(mpi_pipeline_chunk=4096),
+     "MPI-based at least 1.5x slower for 64KB+ (paper: about 2x even at 1MB)",
+     "uGNI-based faster at every size"),
+    # the ANY_SOURCE probe scan is the fine-threshold MPI overhead
+    ("fig12", lambda b: b.replace(mpi_iprobe_cpu=0.0,
+                                  mpi_iprobe_per_conn_cpu=0.0),
+     "fine-threshold MPI shows much more overhead than uGNI "
+     "(Fig 12b vs 12c: the black regions)",
+     "coarse threshold suffers an idle tail (Fig 12a)"),
+    # a BTE GET 10 % slower costs more than the PUT's extra control
+    # message from 4 KB on; the PUT still wins at 1 MB
+    ("ablation_put_get",
+     lambda b: b.replace(bte_get_bandwidth=0.9 * b.bte_get_bandwidth),
+     "GET wins up to 256KB (PUT's extra rendezvous message)",
+     "at multi-MB sizes the hardware's higher PUT bandwidth can offset the "
+     "extra message (why the trade-off is size-dependent)"),
+    # a node queue eight times larger outweighs every SMSG mailbox the
+    # spray opens; it holds the same messages
+    ("ablation_msgq",
+     lambda b: b.replace(msgq_node_bytes=8 * b.msgq_node_bytes),
+     "MSGQ uses less fabric memory under many-to-many traffic",
+     "both transports deliver everything"),
+    # with one lane per NIC port the ports, not the links, set the pace,
+    # and adaptive routing comes out ~6 % slower; the exhibit has this one
+    # claim, so none is left to stand
+    ("ablation_routing", lambda b: b.replace(nic_port_lanes=1),
+     "adaptive routing not slower under neighbor contention", None),
+]
 
 
 class TestClaimsCanFail:
     """A claim no perturbation can flip checks nothing (ROADMAP 3(a))."""
 
-    def test_fig4_bte_put_claim_follows_the_calibration(self, monkeypatch):
-        from repro.bench import micro
-        from repro.hardware.config import MachineConfig
-
-        monkeypatch.delenv("REPRO_PAPER_SCALE", raising=False)
-        text = "BTE Put beats FMA Put for 64KB+"
-        holds = {c.text: c.holds for c in micro.fig4().claims}
-        assert holds[text]
-
-        base = MachineConfig()
-        slow_bte = base.replace(bte_put_bandwidth=base.fma_put_bandwidth / 2)
-        latency = micro.fma_bte_latency
-        monkeypatch.setattr(micro, "fma_bte_latency",
-                            lambda kind, size: latency(kind, size, slow_bte))
-        flipped = {c.text: c.holds for c in micro.fig4().claims}
-        assert not flipped[text]
-        # one constant, one family of claims: the small-message ones stand
-        assert flipped["FMA Put beats BTE Put for 8B"]
-
-    @staticmethod
-    def _charm_pingpong_on(monkeypatch, micro, config):
-        """Every Charm++ ping-pong the exhibit runs, on ``config``."""
-        pingpong = micro.charm_pingpong
-        monkeypatch.setattr(micro, "charm_pingpong",
-                            lambda *a, **kw: pingpong(*a, config=config, **kw))
-
-    def test_fig8a_persistent_claim_follows_the_put_bandwidth(
-            self, monkeypatch):
-        from repro.bench import micro
-        from repro.hardware.config import MachineConfig
-
-        monkeypatch.delenv("REPRO_PAPER_SCALE", raising=False)
-        text = "persistent faster than the rendezvous path for all large sizes"
-        near = "persistent within 2x of pure uGNI for 64KB+"
-        holds = {c.text: c.holds for c in micro.fig8a().claims}
-        assert holds[text] and holds[near]
-
-        # a persistent send is a PUT, the rendezvous a GET: a PUT slower
-        # than the GET gives the largest sizes back to the rendezvous
-        base = MachineConfig()
-        self._charm_pingpong_on(monkeypatch, micro, base.replace(
-            bte_put_bandwidth=0.9 * base.bte_get_bandwidth))
-        flipped = {c.text: c.holds for c in micro.fig8a().claims}
-        assert not flipped[text]
-        # the pure-uGNI curve did not move and persistent stays near it
-        assert flipped[near]
-
-    def test_fig8b_pool_claim_follows_the_pool_cost(self, monkeypatch):
-        from repro.bench import micro
-        from repro.hardware.config import MachineConfig
-        from repro.units import KB
-
-        monkeypatch.delenv("REPRO_PAPER_SCALE", raising=False)
-        text = "pool cuts large-message latency by >=35% (paper: ~50%)"
-        converges = "pooled latency converges toward pure uGNI as size grows"
-        holds = {c.text: c.holds for c in micro.fig8b().claims}
-        assert holds[text] and holds[converges]
-
-        # a pool block as dear as the malloc plus registration (and the
-        # deregistration plus free) of a 64 KB buffer: the pool saves
-        # nothing below that size
-        base = MachineConfig()
-        self._charm_pingpong_on(monkeypatch, micro, base.replace(
-            mempool_alloc_cpu=base.t_malloc(64 * KB)
-            + base.t_register(64 * KB),
-            mempool_free_cpu=base.t_deregister(64 * KB)
-            + base.t_free(64 * KB)))
-        flipped = {c.text: c.holds for c in micro.fig8b().claims}
-        assert not flipped[text]
-        # a constant per message still fades as the transfer grows
-        assert flipped[converges]
-
-    def test_put_get_claim_follows_the_get_bandwidth(self, monkeypatch):
-        from repro.bench import ablations
-        from repro.hardware.config import MachineConfig
-
-        monkeypatch.delenv("REPRO_PAPER_SCALE", raising=False)
-        text = "GET wins up to 256KB (PUT's extra rendezvous message)"
-        offset = ("at multi-MB sizes the hardware's higher PUT bandwidth can "
-                  "offset the extra message (why the trade-off is "
-                  "size-dependent)")
-        holds = {c.text: c.holds for c in ablations.ablation_put_get().claims}
-        assert holds[text] and holds[offset]
-
-        # a BTE GET 10 % slower than its calibration costs more than the
-        # PUT's extra control message from 4 KB on
-        base = MachineConfig()
-        pingpong = ablations.charm_pingpong
-        slow_get = base.replace(bte_get_bandwidth=0.9 * base.bte_get_bandwidth)
-        monkeypatch.setattr(
-            ablations, "charm_pingpong",
-            lambda *a, **kw: pingpong(*a, config=slow_get, **kw))
-        flipped = {c.text: c.holds
-                   for c in ablations.ablation_put_get().claims}
-        assert not flipped[text]
-        # the PUT still wins at 1 MB: a slower GET only widens that
-        assert flipped[offset]
-
-    def test_msgq_memory_claim_follows_the_node_queue_size(self, monkeypatch):
-        from repro.bench import ablations
-        from repro.hardware.config import MachineConfig
-
-        monkeypatch.delenv("REPRO_PAPER_SCALE", raising=False)
-        text = "MSGQ uses less fabric memory under many-to-many traffic"
-        delivers = "both transports deliver everything"
-        holds = {c.text: c.holds for c in ablations.ablation_msgq().claims}
-        assert holds[text] and holds[delivers]
-
-        # a node queue eight times larger outweighs every SMSG mailbox the
-        # spray opens (the SMSG side holds ~5.6x MSGQ's memory)
-        base = MachineConfig()
-        big_queue = base.replace(msgq_node_bytes=8 * base.msgq_node_bytes)
-        make = ablations.make_runtime
-        monkeypatch.setattr(ablations, "make_runtime",
-                            lambda *a, **kw: make(*a, config=big_queue, **kw))
-        flipped = {c.text: c.holds for c in ablations.ablation_msgq().claims}
-        assert not flipped[text]
-        # a larger queue holds the same messages: both still deliver all
-        assert flipped[delivers]
-
-    def test_fig8c_single_copy_claim_follows_the_memcpy_bandwidth(
-            self, monkeypatch):
-        from repro.bench import micro
-        from repro.hardware.config import MachineConfig
-
-        monkeypatch.delenv("REPRO_PAPER_SCALE", raising=False)
-        text = "single copy beats MPI at 64KB+"
-        fewer = "single copy beats double copy for every large size"
-        holds = {c.text: c.holds for c in micro.fig8c().claims}
-        assert holds[text] and holds[fewer]
-
-        # a slower memcpy on the Charm++ side: the pure-MPI curve keeps
-        # its time and passes the single copy
-        base = MachineConfig()
-        self._charm_pingpong_on(monkeypatch, micro, base.replace(
-            memcpy_bandwidth=0.8 * base.memcpy_bandwidth))
-        flipped = {c.text: c.holds for c in micro.fig8c().claims}
-        assert not flipped[text]
-        # one copy still beats two on the same memcpy
-        assert flipped[fewer]
-
-    def test_fig9a_buffer_claim_follows_the_registration_cost(
-            self, monkeypatch):
-        from repro.apps.raw import mpi_pingpong
-        from repro.bench import micro
-        from repro.hardware.config import MachineConfig
-
-        monkeypatch.delenv("REPRO_PAPER_SCALE", raising=False)
-        monkeypatch.delenv("REPRO_BENCH_JOBS", raising=False)
-        text = ("MPI same-buffer beats different-buffer beyond 8KB "
-                "(uDREG cache hits)")
-        beats = "uGNI-Charm++ beats MPI-based Charm++ at every size"
-        holds = {c.text: c.holds for c in micro.fig9a().claims}
-        assert holds[text] and holds[beats]
-
-        # registration for free: a uDREG hit saves nothing over a miss
-        free = MachineConfig().replace(
-            mem_register_base=0.0, mem_register_per_page=0.0,
-            mem_deregister_base=0.0, mem_deregister_per_page=0.0)
-
-        def mpi_latency(size, same_buffer):
-            return mpi_pingpong(size, config=free, same_buffer=same_buffer)
-
-        monkeypatch.setattr(micro, "_mpi_latency", mpi_latency)
-        flipped = {c.text: c.holds for c in micro.fig9a().claims}
-        assert not flipped[text]
-        # the pure-MPI curves moved; the Charm++ comparison stands
-        assert flipped[beats]
-
-    def test_fig10_mpi_claim_follows_the_fresh_buffer_registration(
-            self, monkeypatch):
-        from repro.bench import micro
-        from repro.hardware.config import MachineConfig
-
-        monkeypatch.delenv("REPRO_PAPER_SCALE", raising=False)
-        monkeypatch.delenv("REPRO_BENCH_JOBS", raising=False)
-        text = ("MPI-based at least 1.5x slower for 64KB+ "
-                "(paper: about 2x even at 1MB)")
-        faster = "uGNI-based faster at every size"
-        holds = {c.text: c.holds for c in micro.fig10().claims}
-        assert holds[text] and holds[faster]
-
-        # Cray MPI pipelines the registration of a large rendezvous one
-        # chunk at a time, and only the first chunk's pinning is on the
-        # critical path: a 4 KB chunk takes the fresh-buffer registration
-        # (which the MPI-based layer pays twice a message) off it
-        kneighbor = micro.kneighbor
-        chunked = MachineConfig(mpi_pipeline_chunk=4096)
-        monkeypatch.setattr(micro, "kneighbor", lambda *a, **kw: kneighbor(
-            *a, config=chunked, **kw))
-        flipped = {c.text: c.holds for c in micro.fig10().claims}
-        assert not flipped[text]
-        # the blocking MPI_Recv still costs the MPI-based layer every size
-        assert flipped[faster]
-
-    def test_fig1_layering_claim_follows_the_registration_cost(
-            self, monkeypatch):
-        from repro.bench import micro
-        from repro.hardware.config import MachineConfig
-
-        monkeypatch.delenv("REPRO_PAPER_SCALE", raising=False)
-        text = "layering cost largest in relative terms for small messages"
-        order = "uGNI below MPI at every size"
-        holds = {c.text: c.holds for c in micro.fig1().claims}
-        assert holds[text] and holds[order]
-
-        # MPI-based Charm++ registers a fresh receive buffer for every
-        # rendezvous: at 4 us a page that cost outgrows the small-message
-        # overhead, and the relative gap widens with size
-        base = MachineConfig()
-        self._charm_pingpong_on(monkeypatch, micro, base.replace(
-            mem_register_per_page=10 * base.mem_register_per_page))
-        flipped = {c.text: c.holds for c in micro.fig1().claims}
-        assert not flipped[text]
-        # the two raw ping-pongs did not move
-        assert flipped[order]
-
-    def test_fig9b_peak_claim_follows_the_bte_get_bandwidth(
-            self, monkeypatch):
-        from repro.apps.pingpong import charm_pingpong
-        from repro.bench import micro
-        from repro.hardware.config import MachineConfig
-
-        monkeypatch.delenv("REPRO_PAPER_SCALE", raising=False)
-        monkeypatch.delenv("REPRO_BENCH_JOBS", raising=False)
-        text = "peak bandwidth approaches the BTE limit (>4GB/s)"
-        leads = "uGNI-based bandwidth higher below 1MB"
-        holds = {c.text: c.holds for c in micro.fig9b().claims}
-        assert holds[text] and holds[leads]
-
-        # the rendezvous pulls with a BTE GET: a slower GET engine caps
-        # the 4 MB bandwidth below the claim's 4 GB/s
-        base = MachineConfig()
-        slow_get = base.replace(
-            bte_get_bandwidth=0.6 * base.bte_get_bandwidth)
-        monkeypatch.setattr(micro, "_charm_bandwidth", lambda size, layer:
-                            charm_pingpong(size, layer=layer,
-                                           config=slow_get).bandwidth)
-        flipped = {c.text: c.holds for c in micro.fig9b().claims}
-        assert not flipped[text]
-        # both layers pull through the same engine: uGNI still leads
-        assert flipped[leads]
-
-    def test_fig9c_closing_claim_follows_the_registration_cost(
-            self, monkeypatch):
-        from repro.apps import onetoall
-        from repro.bench import micro
-        from repro.hardware.config import MachineConfig
-
-        monkeypatch.delenv("REPRO_PAPER_SCALE", raising=False)
-        monkeypatch.delenv("REPRO_BENCH_JOBS", raising=False)
-        text = "gap closes for large messages"
-        margin = "large margin for small messages (>=1.7x)"
-        holds = {c.text: c.holds for c in micro.fig9c().claims}
-        assert holds[text] and holds[margin]
-
-        # the MPI-based root registers a fresh buffer per large send and
-        # each leaf one per receive; the uGNI pool registers none: dearer
-        # pages open the gap at 1 MB instead of closing it
-        base = MachineConfig()
-        dear = base.replace(
-            mem_register_per_page=10 * base.mem_register_per_page)
-        monkeypatch.setattr(onetoall, "MachineConfig", lambda: dear)
-        flipped = {c.text: c.holds for c in micro.fig9c().claims}
-        assert not flipped[text]
-        # small messages register nothing: their margin stands
-        assert flipped[margin]
+    @pytest.mark.parametrize("exp_id, perturb, flips, stands", CAN_FAIL,
+                             ids=[row[0] for row in CAN_FAIL])
+    def test_one_claim_flips(self, exp_id, perturb, flips, stands):
+        assert all(_committed_claims(exp_id)[c] for c in (flips, stands)
+                   if c is not None)
+        holds = {c.text: c.holds
+                 for c in run_experiment(exp_id, perturb(MachineConfig()))
+                 .claims}
+        assert not holds[flips]
+        assert stands is None or holds[stands]
 
     def test_ablation_faults_recovery_claim_follows_the_retry_budget(
             self, monkeypatch):
         from repro.bench import ablations
         from repro.lrts.ugni_layer import UgniLayerConfig
 
-        monkeypatch.delenv("REPRO_PAPER_SCALE", raising=False)
         text = "every dropped delivery was recovered by retransmission"
         zero = ("a zero-rate injector perturbs nothing (bit-identical "
                 "latency vs no injector)")
-        holds = {c.text: c.holds for c in ablations.ablation_faults().claims}
+        holds = _committed_claims("ablation_faults")
         assert holds[text] and holds[zero]
 
-        # fewer attempts per packet: the largest budget that loses a
-        # message at some drop rate flips the claim (the ledger's lost)
+        # a layer setting, not a machine constant: fewer attempts per
+        # packet, the largest budget that loses a message at some drop
+        # rate flips the claim (the ledger's lost)
         for budget in range(UgniLayerConfig().max_retries - 1, 0, -1):
             monkeypatch.setattr(
                 ablations, "UgniLayerConfig",

@@ -7,7 +7,8 @@ survive (ugni needs its reliability protocol armed for drops; rdma's RC
 endpoints recover drops natively), with the lifecycle sanitizer auditing
 the whole run, and shows that every injected rate fired.  The ugni and
 rdma cases run once more with a node crash on top: kNeighbor cannot
-finish, and every message sent still ends in one outcome (the ledger).
+finish, every message sent still ends in one outcome (the ledger), and
+only the crashed node's pools leak.
 The mpi layer's transport draws no SMSG or RDMA faults, so a rate given
 to it is refused at ``make_runtime`` instead of ignored.
 """
@@ -94,7 +95,8 @@ def _kneighbor_runtime(layer, case, schedule=()):
 
 def _crashed_kneighbor(layer, case):
     """The same run with node 1 crashing at 90 % of its span: kNeighbor
-    cannot finish, and every message sent has one outcome."""
+    cannot finish, every message sent has one outcome, and no live PE
+    keeps a buffer it held for the dead one."""
     span = _kneighbor_runtime(layer, case)[0].engine.now
     conv, lrts = _kneighbor_runtime(
         layer, case, [NodeCrash(at=0.9 * span, node_id=1)])
@@ -111,6 +113,11 @@ def _crashed_kneighbor(layer, case):
     assert fired["smsg_dropped"] > 0, fired
     assert fired["smsg_stalled"] > 0, fired
     assert fired["rdma_failed"] > 0, fired
+    for san in sanitize.active_sanitizers():
+        san.check_teardown()
+    dead = {f"pool[pe{pe.rank}]" for pe in conv.pes if pe.halted}
+    leaks = [v for v in sanitize.collect() if v.kind == "pool-leak"]
+    assert all(v.where in dead for v in leaks), "\n".join(map(str, leaks))
 
 
 @pytest.mark.parametrize("rate", ["smsg_drop_rate", "rdma_error_rate"])

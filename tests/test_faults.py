@@ -290,6 +290,51 @@ class TestLedgerUnderLoss:
         ledger = _ledger_run("ugni", REL, [], lambda src, dst: src == 1)
         assert ledger == (1, 1, 0, {})
 
+    def test_persistent_sends_queued_behind_a_dead_handshake_are_lost(self):
+        """Three sends queue on a new channel whose destination's node
+        crashes while the handshake is in flight: the refused setup loses
+        each of them, and none is left without an outcome."""
+        conv, lrts = make_runtime(
+            n_nodes=2, layer="ugni", config=tiny_config(cores_per_node=1),
+            faults=FaultConfig(),
+            fault_schedule=[NodeCrash(at=1e-6, node_id=1)])
+        hid = conv.register_handler(lambda pe, msg: None)
+
+        def open_and_send():
+            handle = lrts.create_persistent(conv.pes[0], 1, 1 * KB)
+            for _ in range(3):
+                lrts.send_persistent(conv.pes[0], handle,
+                                     Message(hid, 0, 1, 1 * KB, None))
+
+        conv.machine.engine.post_at(0.0, open_and_send)
+        conv.run()
+        stats = lrts.stats()
+        sent = sum(stats.get(k, 0) for k in SENT_KEYS)
+        dropped_dead = sum(pe.dropped_dead for pe in conv.pes)
+        assert sent == 3
+        assert sent == (lrts.delivered + dropped_dead
+                        + sum(lrts.lost.values())), lrts.lost
+        assert lrts.lost == {"persist_handshake": 3}
+
+    def test_a_persistent_send_after_its_peer_crashed_is_lost(self):
+        """A send on a channel whose handshake can no longer finish is
+        lost at once instead of queueing for good."""
+        conv, lrts = make_runtime(
+            n_nodes=2, layer="ugni", config=tiny_config(cores_per_node=1),
+            faults=FaultConfig(),
+            fault_schedule=[NodeCrash(at=1e-6, node_id=1)])
+        hid = conv.register_handler(lambda pe, msg: None)
+        handle = []
+        engine = conv.machine.engine
+        engine.post_at(0.0, lambda: handle.append(
+            lrts.create_persistent(conv.pes[0], 1, 1 * KB)))
+        engine.post_at(2e-6, lambda: lrts.send_persistent(
+            conv.pes[0], handle[0], Message(hid, 0, 1, 1 * KB, None)))
+        conv.run()
+        assert (lrts.stats()["persistent_sent"], lrts.lost) == (
+            1, {"persist_handshake": 1})
+        assert not handle[0].impl.queued
+
     def test_an_rc_give_up_does_not_strand_the_wqes_behind_it(self,
                                                               monkeypatch):
         """The first of two inline WQEs on one queue pair fails every

@@ -29,6 +29,7 @@ import ast
 import dataclasses
 from pathlib import Path
 
+from repro.bench.figures import EXPERIMENTS
 from repro.faults import FaultConfig
 from repro.lrts.rdma_layer import RdmaLayerConfig
 from repro.lrts.ugni_layer import UgniLayerConfig
@@ -88,11 +89,10 @@ KEEP_PARAMS = {
         ("config", "warmup"),
         "tier-1 run lengths, and the sanitized/observed machine"),
     "repro.apps.minimd.app.run_minimd": (
-        ("lb", "config", "patch_grid", "max_events"),
+        ("lb", "patch_grid", "max_events"),
         "the mini-MD tests switch balancing, shrink the machine and grid"),
     "repro.apps.nqueens.app.run_nqueens": (
-        ("config", "max_events"),
-        "tier-1 sizes: the tests run on the tiny machine"),
+        ("max_events",), "tier-1 sizes: the tests bound the run"),
     "repro.apps.nqueens.workmodel.build_task_tree": (
         ("probes",),
         "the estimator test raises the probe count to compare with exact"),
@@ -101,17 +101,18 @@ KEEP_PARAMS = {
     "repro.apps.pingpong.charm_pingpong": (
         ("warmup", "fault_schedule"),
         "tier-1 run lengths, and the crash-schedule tests"),
-    "repro.apps.raw.fma_bte_sweep.fma_bte_latency": (
-        ("config",),
-        "the Fig. 4 claim test perturbs the BTE calibration through it"),
     "repro.apps.raw.pingpong_mpi.mpi_pingpong": (
-        ("config", "iters", "warmup"),
-        "tier-1 run lengths and the pinned-latency configurations"),
+        ("iters", "warmup"), "tier-1 run lengths"),
     "repro.apps.raw.pingpong_ugni.ugni_pingpong": (
-        ("config", "iters", "warmup"),
-        "tier-1 run lengths and the pinned-latency configurations"),
+        ("iters", "warmup"), "tier-1 run lengths"),
     "repro.bench.figures.main": (
         ("argv",), "the CLI reads sys.argv; the tests pass their own"),
+    "repro.bench.figures.run_experiment": (
+        ("config",), "the claims-can-fail table runs perturbed machines"),
+    # run_experiment calls each exhibit through the EXPERIMENTS table, a
+    # call by a name this walk cannot follow
+    **{f"{fn.__module__}.{fn.__name__}": (
+        ("config",), "run_experiment passes it") for fn in EXPERIMENTS.values()},
     "repro.observe.__main__.main": (
         ("argv",), "the CLI reads sys.argv; the tests pass their own"),
     "repro.charm.loadbalancer.greedy_plan": (
