@@ -138,15 +138,14 @@ def _send_entry(name: str):
     charge the send to) go to :meth:`Charm._invoke`."""
 
     def entry(ref: "ElementRef", *args: Any, _size: Optional[int] = None,
-              _prio: Optional[int] = None, _device: Any = False,
-              **kwargs: Any) -> None:
+              _device: Any = False, **kwargs: Any) -> None:
         proxy = ref.proxy
         charm = proxy.charm
         idx = ref.index
         pe = charm._current_pe
         if idx is None or pe is None:
             return charm._invoke(proxy.aid, name, args, kwargs, _size,
-                                 _prio, _device)
+                                 _device)
         nbytes = estimate_size(args, kwargs) if _size is None else _size
         coll = charm.collections[proxy.aid]
         dst = coll.location.get(idx)
@@ -158,8 +157,7 @@ def _send_entry(name: str):
             qd.notify_send(pe.rank)
         charm.conv.send(pe, dst, Message(
             charm._h_entry, pe.rank, dst, nbytes,
-            ("inv", proxy.aid, idx, name, args, kwargs), _prio,
-            device=_device))
+            ("inv", proxy.aid, idx, name, args, kwargs), device=_device))
 
     entry.__name__ = entry.__qualname__ = name
     return entry

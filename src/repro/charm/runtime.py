@@ -142,8 +142,7 @@ class Charm:
         return self._current_pe
 
     def _invoke(self, aid: int, method: str, args: tuple, kwargs: dict,
-                size: Optional[int], prio: Optional[int],
-                device: Any = False) -> None:
+                size: Optional[int], device: Any = False) -> None:
         """What a ref's entry function does not do itself: refuse a
         proxy call made outside any handler, and start a broadcast — a
         spanning tree rooted at the calling PE, entered by a message to
@@ -154,7 +153,7 @@ class Charm:
         self.conv.send(pe, pe.rank, Message(
             self._h_entry, pe.rank, pe.rank, nbytes,
             payload=("bcast", aid, method, args, kwargs, pe.rank),
-            prio=prio, device=device))
+            device=device))
 
     def invocation(self, pe: PE, aid: int, idx: Any, method: str,
                    nbytes: int) -> Message:
@@ -215,7 +214,7 @@ class Charm:
                 self._count_send(pe)
                 self.conv.send(pe, child, Message(
                     self._h_entry, pe.rank, child, msg.nbytes,
-                    payload=payload, prio=msg.prio, device=msg.device))
+                    payload=payload, device=msg.device))
             elems = self.collections[aid].local.get(pe.rank)
             if elems:
                 for elem in list(elems.values()):
@@ -246,7 +245,7 @@ class Charm:
         # stale delivery: forward to the current home
         self.conv.send(pe, home, Message(
             self._h_entry, pe.rank, home, msg.nbytes,
-            payload=msg.payload, prio=msg.prio, device=msg.device))
+            payload=msg.payload, device=msg.device))
 
     def _run_method(self, pe: PE, elem: Any, method: str, args: tuple,
                     kwargs: dict) -> None:

@@ -24,7 +24,6 @@ optional tracer receives every interval for time-binned rendering.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
@@ -46,8 +45,6 @@ class Message:
     dst_pe: int
     nbytes: int
     payload: Any = None
-    #: scheduler priority; lower runs first, None = FIFO lane
-    prio: Optional[int] = None
     #: simulated time the message was handed to LrtsSyncSend
     sent_at: float = 0.0
     #: causal trace ID minted by the observer at send; ``None`` when
@@ -66,8 +63,7 @@ class PE:
 
     __slots__ = ("runtime", "engine", "_clock", "rank", "node", "_tracer",
                  "_observer",
-                 "_dispatch_cpu", "_handlers", "_fifo", "_head", "_prioq",
-                 "_prio_seq",
+                 "_dispatch_cpu", "_handlers", "_fifo", "_head",
                  "_running", "_scheduled", "_blocked", "halted", "delivered",
                  "dropped_dead", "busy_until", "vtime", "useful_time",
                  "overhead_time", "idle_since", "idle_time",
@@ -88,14 +84,11 @@ class PE:
         self._observer = runtime.machine.observer
         self._dispatch_cpu = runtime.config.sched_dispatch_cpu
         self._handlers = runtime._handlers  # registry list, appended in place
-        # execution state.  The FIFO lane is a list read from ``_head``:
+        # execution state.  The run queue is a list read from ``_head``:
         # an idle PE keeps an empty list, and it is non-empty exactly
         # while a message waits (``_run_next`` resets it on catching up).
-        # The priority heap is made by the first prioritised message.
         self._fifo: list = []
         self._head = 0
-        self._prioq: Optional[list] = None
-        self._prio_seq = 0
         self._running = False  # a handler is executing right now
         self._scheduled = False  # a _run_next is on the event heap
         #: stuck in a blocking call: set by the handler whose call blocks
@@ -180,15 +173,7 @@ class PE:
         obs = self._observer
         if obs is not None and msg.trace_id is not None:
             obs.on_deliver(msg, self.rank, self._clock.now)
-        if msg.prio is None:
-            self._fifo.append((msg, recv_cpu, app))
-        else:
-            prioq = self._prioq
-            if prioq is None:
-                prioq = self._prioq = []
-            heapq.heappush(prioq, (msg.prio, self._prio_seq, msg, recv_cpu,
-                                   app))
-            self._prio_seq += 1
+        self._fifo.append((msg, recv_cpu, app))
         # schedule a run unless one is due (the queue is known to be
         # non-empty)
         if self._running or self._scheduled or self._blocked:
@@ -221,16 +206,14 @@ class PE:
         """
         self._blocked = True
         self.halted = True
-        for entry in self._fifo[self._head:] + (self._prioq or []):
-            app = entry[-1]
+        for msg, _, app in self._fifo[self._head:]:
             if app is not None:
-                if app is entry[-3]:
+                if app is msg:
                     self.delivered -= 1
                 self.dropped_dead += 1
-            self._refuse(entry[-3])
+            self._refuse(msg)
         self._fifo.clear()
         self._head = 0
-        self._prioq = None
 
     def _refuse(self, msg: Message) -> None:
         """``msg`` reached this halted PE or its crash flushed it: the
@@ -259,7 +242,7 @@ class PE:
         self.busy_until = self.idle_since = bu = self.vtime
         if self._running or self._scheduled:
             return
-        if not self._fifo and not self._prioq:
+        if not self._fifo:
             return
         self._scheduled = True
         now = self._clock.now
@@ -275,27 +258,24 @@ class PE:
         if self._running:  # pragma: no cover - defensive
             return
         fifo = self._fifo
-        if self._prioq:
-            _, _, msg, recv_cpu, _ = heapq.heappop(self._prioq)
-        elif fifo:
-            head = self._head
-            msg, recv_cpu, _ = fifo[head]
-            head += 1
-            if head == len(fifo):
-                # caught up: an idle PE holds an empty list again
-                fifo.clear()
-                head = 0
-            else:
-                # still backlogged: let go of the cell just read (a bare
-                # head index would keep every delivered message alive)
-                # and cut the consumed prefix once it is the larger half
-                fifo[head - 1] = None
-                if head >= 32 and head * 2 >= len(fifo):
-                    del fifo[:head]
-                    head = 0
-            self._head = head
-        else:
+        if not fifo:
             return
+        head = self._head
+        msg, recv_cpu, _ = fifo[head]
+        head += 1
+        if head == len(fifo):
+            # caught up: an idle PE holds an empty list again
+            fifo.clear()
+            head = 0
+        else:
+            # still backlogged: let go of the cell just read (a bare head
+            # index would keep every delivered message alive) and cut the
+            # consumed prefix once it is the larger half
+            fifo[head - 1] = None
+            if head >= 32 and head * 2 >= len(fifo):
+                del fifo[:head]
+                head = 0
+        self._head = head
         t = self._clock.now
         tracer = self._tracer
         if t > self.idle_since:
@@ -329,8 +309,7 @@ class PE:
             self.messages_executed += 1
             # kick the next run: the engine clock has not moved during the
             # handler
-            if (not self._scheduled and not self._blocked
-                    and (fifo or self._prioq)):
+            if not self._scheduled and not self._blocked and fifo:
                 self._scheduled = True
                 self.engine.post_at(bu if bu > t else t, self._run_next)
 
@@ -339,8 +318,7 @@ class PE:
     # ------------------------------------------------------------------ #
     @property
     def queue_length(self) -> int:
-        return (len(self._fifo) - self._head
-                + (len(self._prioq) if self._prioq else 0))
+        return len(self._fifo) - self._head
 
     def utilization(self) -> dict[str, float]:
         """Fractions of time spent useful / overhead / idle up to now."""

@@ -74,8 +74,6 @@ class MachineConfig:
     # ------------------------------------------------------------------ #
     # FMA unit (CPU-driven: occupies the issuing core for the transfer)
     # ------------------------------------------------------------------ #
-    fma_put_base: float = 0.80 * us
-    fma_get_base: float = 1.40 * us
     fma_put_bandwidth: float = 1.40 * GBps
     fma_get_bandwidth: float = 1.20 * GBps
     #: largest transaction FMA accepts (hardware window limit, 1 MB)
@@ -99,8 +97,6 @@ class MachineConfig:
     # ------------------------------------------------------------------ #
     # SMSG (small-message mailboxes)
     # ------------------------------------------------------------------ #
-    #: per-peer mailbox size at small job sizes
-    smsg_mailbox_bytes: int = 64 * KB
     #: CPU time to send one SMSG (build header + FMA store of payload)
     smsg_send_cpu: float = 0.25 * us
     #: CPU time for the receiver to poll the RX CQ and copy the payload out
@@ -350,10 +346,6 @@ class MachineConfig:
         """Per-connection mailbox memory (both ends, one peer)."""
         # mailbox sized to hold a fixed number of max-size messages
         return 8 * self.smsg_max_size(n_nodes) + 2048
-
-    def rdma_kind_for(self, nbytes: int) -> str:
-        """Which hardware unit a size-aware runtime picks: 'fma' or 'bte'."""
-        return "fma" if nbytes < self.fma_bte_crossover else "bte"
 
     def gpu_path_for(self, nbytes: int) -> str:
         """Device-payload transport under ``gpu_transport="auto"``:

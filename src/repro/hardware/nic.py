@@ -250,7 +250,8 @@ class GeminiNIC:
 
     def best_kind(self, nbytes: int, put: bool) -> TransferKind:
         """Size-aware FMA/BTE selection (paper §III.C)."""
-        if self.config.rdma_kind_for(nbytes) == "fma" and nbytes <= self.config.fma_max_bytes:
+        cfg = self.config
+        if nbytes < cfg.fma_bte_crossover and nbytes <= cfg.fma_max_bytes:
             return FMA_PUT if put else FMA_GET
         return BTE_PUT if put else BTE_GET
 

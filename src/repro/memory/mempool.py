@@ -92,6 +92,10 @@ class MemoryPool:
         self.initial_bytes = initial_bytes or self.config.mempool_initial_bytes
         self.expand_bytes = expand_bytes or self.config.mempool_expand_bytes
         self.arenas: list[_Arena] = []
+        #: the most registered bytes this pool has held at once: an
+        #: emptied expansion arena goes back, so ``registered_bytes`` after
+        #: a burst shows none of it
+        self.peak_registered_bytes = 0
         #: CPU cost paid at setup (allocate + register the first arena);
         #: charged once by the machine layer at LrtsInit time
         self.setup_cost = self._add_arena(self.initial_bytes)
@@ -123,6 +127,8 @@ class MemoryPool:
         block, handle, cost = self.gni.registrations.malloc_registered(
             self.node_id, nbytes, f"pool-arena:{self.name}")
         self.arenas.append(_Arena(block, handle))
+        self.peak_registered_bytes = max(self.peak_registered_bytes,
+                                         self.registered_bytes)
         return cost
 
     # -- API ---------------------------------------------------------------------

@@ -55,7 +55,7 @@ def _capture_sends(conv):
     return sent
 
 
-def _parent_invoke(charm, aid, idx, method, args, kwargs, size, prio,
+def _parent_invoke(charm, aid, idx, method, args, kwargs, size,
                    device=False):
     """The point-to-point half of ``Charm._invoke`` before the flatten."""
     pe = charm._require_pe()
@@ -67,8 +67,7 @@ def _parent_invoke(charm, aid, idx, method, args, kwargs, size, prio,
         charm._qd.notify_send(pe.rank)
     charm.conv.send(pe, dst, Message(
         charm._h_entry, pe.rank, dst, nbytes,
-        payload=("inv", aid, idx, method, args, kwargs), prio=prio,
-        device=device))
+        payload=("inv", aid, idx, method, args, kwargs), device=device))
 
 
 _values = st.recursive(
@@ -85,27 +84,25 @@ _values = st.recursive(
        kwargs=st.dictionaries(st.sampled_from(["a", "b", "size", "prio"]),
                               _values, max_size=3),
        size=st.none() | st.integers(0, 4 * 1024 * 1024),
-       prio=st.none() | st.integers(-5, 5),
        device=st.booleans(),
        src=st.integers(0, N_PES - 1),
        idx=st.integers(0, N_ELEMS - 1),
        with_qd=st.booleans())
 def test_proxy_call_sends_what_the_parent_invoke_sent(
-        args, kwargs, size, prio, device, src, idx, with_qd):
+        args, kwargs, size, device, src, idx, with_qd):
     charm, conv, arr, coll = _runtime()
     if with_qd:
         charm._qd = QuiescenceDetector(conv)
     sent = _capture_sends(conv)
     charm._current_pe = conv.pes[src]
 
-    arr[idx].take(*args, _size=size, _prio=prio, _device=device, **kwargs)
+    arr[idx].take(*args, _size=size, _device=device, **kwargs)
     after_new = (charm.app_sends, list(charm._qd.sent) if with_qd else None)
-    _parent_invoke(charm, arr.aid, idx, "take", args, kwargs, size, prio,
-                   device)
+    _parent_invoke(charm, arr.aid, idx, "take", args, kwargs, size, device)
 
     (new_src, new_dst, new), (old_src, old_dst, old) = sent
     assert (new_src, new_dst) == (old_src, old_dst) == (src, coll.home_of(idx))
-    # handler, src, dst, nbytes, payload, prio, device — and the two
+    # handler, src, dst, nbytes, payload, device — and the two
     # fields a send fills in later, still at their defaults
     assert new == old
     assert type(new.payload[4]) is tuple and type(new.payload[5]) is dict
@@ -195,12 +192,11 @@ def test_broadcast_goes_through_invoke_as_one_message_to_self():
     charm, conv, arr, coll = _runtime()
     sent = _capture_sends(conv)
     charm._current_pe = conv.pes[5]
-    arr.take(7, _size=100, _prio=2, k="v")
+    arr.take(7, _size=100, k="v")
     [(src, dst, msg)] = sent
     assert (src, dst) == (5, 5)
     assert msg == Message(charm._h_entry, 5, 5, 100,
-                          payload=("bcast", arr.aid, "take", (7,), {"k": "v"}, 5),
-                          prio=2)
+                          payload=("bcast", arr.aid, "take", (7,), {"k": "v"}, 5))
     assert charm.app_sends == 1
 
 
@@ -215,9 +211,9 @@ def test_broadcast_runs_every_element_once_and_is_counted_per_tree_message():
 
 
 # -- the branches the short delivery path steps past -------------------------
-def _inv(charm, arr, idx, src, dst, method="take", nbytes=64, prio=None):
+def _inv(charm, arr, idx, src, dst, method="take", nbytes=64):
     return Message(charm._h_entry, src, dst, nbytes,
-                   payload=("inv", arr.aid, idx, method, ("v",), {}), prio=prio)
+                   payload=("inv", arr.aid, idx, method, ("v",), {}))
 
 
 def test_unknown_entry_method_is_refused_at_delivery():
@@ -245,12 +241,11 @@ def test_stale_delivery_is_forwarded_and_plants_nothing():
     # 2 elements on 192 PEs: a PE that hosts nothing gets an invocation
     charm, conv, arr, coll = _runtime(n_pes=192, n_elems=2, cores_per_node=24)
     sent = _capture_sends(conv)
-    msg = _inv(charm, arr, 1, src=0, dst=100, nbytes=300, prio=4)
+    msg = _inv(charm, arr, 1, src=0, dst=100, nbytes=300)
     charm._entry_handler(conv.pes[100], msg)
     [(src, dst, fwd)] = sent
     assert (src, dst) == (100, coll.home_of(1))
-    assert fwd == Message(charm._h_entry, 100, dst, 300,
-                          payload=msg.payload, prio=4)
+    assert fwd == Message(charm._h_entry, 100, dst, 300, payload=msg.payload)
     assert charm.app_executes == 0  # forwarded, not processed
     assert len(coll.local) == 2
 

@@ -1,8 +1,7 @@
-"""Tests for the Converse scheduler: execution model, accounting, priorities."""
+"""Tests for the Converse scheduler: execution model, accounting, run queue."""
 
 import collections
 import gc
-import heapq
 import weakref
 
 import pytest
@@ -61,25 +60,6 @@ class TestExecutionModel:
         assert len(spans) == 3
         for (s0, e0), (s1, e1) in zip(spans, spans[1:]):
             assert s1 >= e0
-
-    def test_priority_messages_run_first(self):
-        m, conv, _ = make_runtime()
-        order = []
-
-        def blocker(pe, msg):
-            pe.charge(1 * us)
-
-        def handler(pe, msg):
-            order.append(msg.payload)
-
-        hb = conv.register_handler(blocker)
-        hid = conv.register_handler(handler)
-        # while PE is busy with the blocker, queue fifo + prio messages
-        conv.send_from_outside(0, Message(hb, 0, 0, 8))
-        conv.send_from_outside(0, Message(hid, 0, 0, 8, payload="fifo"))
-        conv.send_from_outside(0, Message(hid, 0, 0, 8, payload="prio", prio=0))
-        conv.run()
-        assert order == ["prio", "fifo"]
 
     def test_idle_time_accounting(self):
         m, conv, _ = make_runtime()
@@ -162,15 +142,14 @@ class _Token:
 
 
 class TestRunQueue:
-    """The FIFO lane is a list read from a head index; its contract is a
-    ``collections.deque`` (and a heap for prioritised messages)."""
+    """The run queue is a list read from a head index; its contract is a
+    ``collections.deque``."""
 
     @settings(max_examples=60, deadline=None)
     @given(ops=st.lists(st.one_of(
-        st.tuples(st.just("enqueue"), st.integers(1, 90),
-                  st.sampled_from([None, None, None, 0, 1, 2])),
-        st.tuples(st.just("run"), st.integers(1, 120), st.none()),
-        st.tuples(st.just("halt"), st.none(), st.none())), max_size=40))
+        st.tuples(st.just("enqueue"), st.integers(1, 90)),
+        st.tuples(st.just("run"), st.integers(1, 120)),
+        st.tuples(st.just("halt"), st.none())), max_size=40))
     def test_against_a_deque(self, ops):
         """Each message is enqueued as an application message that crossed
         a machine layer (``app=msg``), so the PE's ledger counts it: taken
@@ -180,52 +159,44 @@ class TestRunQueue:
         ran = []
         hid = conv.register_handler(
             lambda pe, msg: ran.append(msg.payload.serial))
-        fifo, prio, want = collections.deque(), [], []
-        watched = {}          # FIFO-lane payload -> weakref to its token
+        fifo, want = collections.deque(), []
+        watched = {}          # queued payload -> weakref to its token
         dropped = serial = 0
-        for op, n, level in ops:
+        for op, n in ops:
             if op == "enqueue":
                 for _ in range(n):
                     token = _Token()
                     token.serial = serial
-                    msg = Message(hid, 0, 0, 8, payload=token, prio=level)
+                    msg = Message(hid, 0, 0, 8, payload=token)
                     pe.enqueue(msg, app=msg)
                     del msg
                     if pe.halted:
                         dropped += 1
-                    elif level is None:
+                    else:
                         fifo.append(serial)
                         watched[serial] = weakref.ref(token)
-                    else:
-                        heapq.heappush(prio, (level, serial))
                     serial += 1
                     del token
             elif op == "run":
                 for _ in range(n):
-                    if prio:
-                        want.append(heapq.heappop(prio)[1])
-                    elif fifo:
+                    if fifo:
                         want.append(fifo.popleft())
                     engine.step()
-                    self._held(pe, fifo, prio, watched)
+                    self._held(pe, fifo, watched)
             else:
-                dropped += len(fifo) + len(prio)
+                dropped += len(fifo)
                 fifo.clear()
-                prio.clear()
                 pe.halt()
-            self._held(pe, fifo, prio, watched)
+            self._held(pe, fifo, watched)
             assert ran == want
             assert (pe.delivered, pe.dropped_dead) == (serial - dropped,
                                                        dropped)
             ran.clear()
             want.clear()
-        assert (pe._prioq is None) == (
-            pe.halted or not any(level is not None for op, _, level in ops
-                                 if op == "enqueue"))
 
     @staticmethod
-    def _held(pe, fifo, prio, watched):
-        assert pe.queue_length == len(fifo) + len(prio)
+    def _held(pe, fifo, watched):
+        assert pe.queue_length == len(fifo)
         # a list that is non-empty exactly while a message waits, never
         # longer than twice the live depth + 32
         assert bool(pe._fifo) == bool(fifo)
@@ -263,7 +234,7 @@ class TestRunQueue:
     def test_an_idle_pe_keeps_no_queue(self):
         m, conv, _ = make_runtime()
         for pe in conv.pes:
-            assert pe._fifo == [] and pe._prioq is None and pe._ctx is None
+            assert pe._fifo == [] and pe._ctx is None
             assert pe.queue_length == 0
         assert conv.pes[1].ctx == {} and conv.pes[1]._ctx is conv.pes[1].ctx
         assert conv.pes[0]._ctx is None

@@ -276,9 +276,10 @@ class TestConfig:
         assert cfg.smsg_max_size(5000) == 128
 
     def test_rdma_kind_crossover(self):
-        cfg = MachineConfig()
-        assert cfg.rdma_kind_for(1024) == "fma"
-        assert cfg.rdma_kind_for(cfg.fma_bte_crossover) == "bte"
+        nic = Machine(n_nodes=2, config=MachineConfig()).nodes[0].nic
+        assert nic.best_kind(1024, put=True) is TransferKind.FMA_PUT
+        assert nic.best_kind(nic.config.fma_bte_crossover,
+                             put=True) is TransferKind.BTE_PUT
 
     def test_replace_makes_new_config(self):
         cfg = MachineConfig()

@@ -23,6 +23,7 @@ the bytes per link and per SMSG connection made.
 """
 
 import collections
+import functools
 import gc
 import sys
 import tracemalloc
@@ -38,8 +39,14 @@ from repro.sim import Engine
 from repro.units import KB
 
 N_CORES, K, ITERS, WARMUP = 64, 4, 16, 3
-#: every core sends 2k messages and gets 2k ping-backs per iteration
-APP_MSGS = N_CORES * 2 * K * 2 * (ITERS + WARMUP)
+
+
+def _app_msgs(iters, warmup):
+    """Every core sends 2k messages and gets 2k ping-backs per iteration."""
+    return N_CORES * 2 * K * 2 * (iters + warmup)
+
+
+APP_MSGS = _app_msgs(ITERS, WARMUP)
 #: Python calls inside ``repro`` per application message, machine set-up
 #: included, measured + 0.5: 66.5 before the path was flattened from the
 #: machine layer down, 38.3 after, 22.2 with the upper half (the proxy
@@ -66,7 +73,7 @@ CALL_BUDGET = 18.3
 #: the PUT rendezvous (``ugni_put``) 90.3 -> 72.3 by the same changes;
 #: 59.2 / 53.9 / 71.2 with an entry name found on the ref's class
 RNDV_ITERS, RNDV_WARMUP = 8, 2
-RNDV_MSGS = N_CORES * 2 * K * 2 * (RNDV_ITERS + RNDV_WARMUP)
+RNDV_MSGS = _app_msgs(RNDV_ITERS, RNDV_WARMUP)
 RNDV_BUDGETS = {"ugni": 59.7, "rdma": 54.4, "ugni_put": 71.7}
 #: the same count for a Charm-on-MPI message (``layer="mpi"``): 128 B
 #: eager (iters=16, warmup=3) and 8 KB rendezvous (iters=8, warmup=2),
@@ -196,30 +203,55 @@ def _run_rndv(row):
                      iters=RNDV_ITERS, warmup=RNDV_WARMUP)
 
 
+def _run_mpi(path):
+    size, iters, warmup = MPI_SIZES[path]
+    return kneighbor(size, layer="mpi", k=K, n_cores=N_CORES, iters=iters,
+                     warmup=warmup)
+
+
+#: the ``RUNS`` row of each rendezvous and Charm-on-MPI budget
+RNDV_RUNS = {"ugni": "knb_256KB", "rdma": "rdma_256KB",
+             "ugni_put": "ugni_256KB_put"}
+MPI_RUNS = {"eager": "mpi_128B", "rendezvous": "mpi_8KB"}
+#: the budgeted runs under the names CI's ``BENCH_frames.json`` gives
+#: them: name -> (application messages, run)
+RUNS = {
+    "knb_256B": (APP_MSGS, _run),
+    "knb_256B_observed": (APP_MSGS, _run_observed),
+    **{name: (RNDV_MSGS, functools.partial(_run_rndv, row))
+       for row, name in RNDV_RUNS.items()},
+    **{name: (_app_msgs(*MPI_SIZES[path][1:]),
+              functools.partial(_run_mpi, path))
+       for path, name in MPI_RUNS.items()},
+}
+
+
 def test_small_message_call_budget(monkeypatch):
     # hooks off, like the rendezvous budgets below
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
     monkeypatch.delenv("REPRO_OBSERVE", raising=False)
-    calls, res, table = _repro_calls(_run)
+    msgs, run = RUNS["knb_256B"]
+    calls, res, table = _repro_calls(run)
     assert res.stats["small_sent"] == res.stats["delivered"]
-    assert res.stats["delivered"] >= APP_MSGS
-    per_msg = calls / APP_MSGS
+    assert res.stats["delivered"] >= msgs
+    per_msg = calls / msgs
     assert per_msg <= CALL_BUDGET, (
         f"{per_msg:.1f} Python calls per 256 B message "
         f"(budget {CALL_BUDGET}): the small-message path grew a layer\n"
-        + _largest_rows(table, APP_MSGS))
+        + _largest_rows(table, msgs))
     _check_entry_lookups(table)
 
 
 def test_observed_message_call_budget(monkeypatch):
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-    calls, res, table = _repro_calls(_run_observed)
-    assert res.stats["delivered"] >= APP_MSGS
-    per_msg = calls / APP_MSGS
+    msgs, run = RUNS["knb_256B_observed"]
+    calls, res, table = _repro_calls(run)
+    assert res.stats["delivered"] >= msgs
+    per_msg = calls / msgs
     assert per_msg <= OBSERVED_CALL_BUDGET, (
         f"{per_msg:.1f} Python calls per observed 256 B message "
         f"(budget {OBSERVED_CALL_BUDGET}): an observer hook grew a frame\n"
-        + _largest_rows(table, APP_MSGS))
+        + _largest_rows(table, msgs))
     _check_entry_lookups(table)
 
 
@@ -241,38 +273,32 @@ def test_rendezvous_call_budget(layer, monkeypatch):
     # is-None guards there, writers (extra calls) when switched on
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
     monkeypatch.delenv("REPRO_OBSERVE", raising=False)
-    calls, res, table = _repro_calls(_run_rndv, layer)
-    assert res.stats["rendezvous_sent"] == RNDV_MSGS
-    per_msg = calls / RNDV_MSGS
+    msgs, run = RUNS[RNDV_RUNS[layer]]
+    calls, res, table = _repro_calls(run)
+    assert res.stats["rendezvous_sent"] == msgs
+    per_msg = calls / msgs
     assert per_msg <= RNDV_BUDGETS[layer], (
         f"{per_msg:.1f} Python calls per 256 KB message on {layer} "
         f"(budget {RNDV_BUDGETS[layer]}): the rendezvous path grew a layer\n"
-        + _largest_rows(table, RNDV_MSGS))
+        + _largest_rows(table, msgs))
     _check_entry_lookups(table)
-
-
-def _run_mpi(path):
-    size, iters, warmup = MPI_SIZES[path]
-    return kneighbor(size, layer="mpi", k=K, n_cores=N_CORES, iters=iters,
-                     warmup=warmup)
 
 
 @pytest.mark.parametrize("path", sorted(MPI_BUDGETS))
 def test_mpi_call_budget(path, monkeypatch):
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
     monkeypatch.delenv("REPRO_OBSERVE", raising=False)
-    calls, res, table = _repro_calls(_run_mpi, path)
-    _, iters, warmup = MPI_SIZES[path]
-    app_msgs = N_CORES * 2 * K * 2 * (iters + warmup)
+    msgs, run = RUNS[MPI_RUNS[path]]
+    calls, res, table = _repro_calls(run)
     # every receive is a blocking MPI_Recv (an eager copy-out completes
     # after the call returns too), and every one delivered its message
     assert res.stats["blocking_recvs"] == res.stats["delivered"]
-    assert res.stats["delivered"] >= app_msgs
-    per_msg = calls / app_msgs
+    assert res.stats["delivered"] >= msgs
+    per_msg = calls / msgs
     assert per_msg <= MPI_BUDGETS[path], (
         f"{per_msg:.2f} Python calls per Charm-on-MPI {path} message "
         f"(budget {MPI_BUDGETS[path]}): the MPI path grew a frame\n"
-        + _largest_rows(table, app_msgs))
+        + _largest_rows(table, msgs))
     _check_entry_lookups(table)
 
 
@@ -392,7 +418,7 @@ def test_observer_bytes_per_traced_message(held_runtimes, monkeypatch):
     finally:
         tracemalloc.stop()
     traced = held_runtimes[0][0].machine.observer.tracer.minted()
-    assert traced >= N_CORES * 2 * K * 2 * (OBSERVED_ITERS + OBSERVED_WARMUP)
+    assert traced >= _app_msgs(OBSERVED_ITERS, OBSERVED_WARMUP)
     per_msg = held / traced
     assert per_msg <= OBSERVER_BYTES_PER_MESSAGE, (
         f"{per_msg:.0f} bytes held per traced message "

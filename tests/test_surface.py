@@ -20,9 +20,12 @@ Both walks match names, not bindings, so a name used anywhere counts for
 every definition of it: they under-report, never over-report.
 
 The settable fields of the four option objects are pinned too: an option
-no caller sets is a module constant, not a field.  And every value of a
+no caller sets is a module constant, not a field.  Every value of a
 string-valued choice (:data:`MODES`) other than its default is passed, as
-a constant, by some caller: a mode no caller selects is not a mode.
+a constant, by some caller: a mode no caller selects is not a mode.  And
+every :class:`MachineConfig` field is read, as an attribute, by some
+caller, or is in :data:`KEEP_FIELDS` with a reason: a calibration value
+nothing reads prices nothing.
 """
 
 import ast
@@ -31,6 +34,7 @@ from pathlib import Path
 
 from repro.bench.figures import EXPERIMENTS
 from repro.faults import FaultConfig
+from repro.hardware.config import MachineConfig
 from repro.lrts.rdma_layer import RdmaLayerConfig
 from repro.lrts.ugni_layer import UgniLayerConfig
 from repro.resilience.manager import RecoveryPolicy
@@ -152,6 +156,9 @@ KEEP_PARAMS = {
     "repro.sim.engine.Engine.call_after_batch": (
         ("argss",), "the engine tests pass per-event arguments"),
 }
+
+#: MachineConfig field -> why it stays although no caller reads it
+KEEP_FIELDS: dict[str, str] = {}
 
 def _checked(path: str, name: str) -> tuple[str, ...]:
     """The string tuple ``path`` validates ``name`` (a name or an
@@ -331,6 +338,24 @@ def test_option_objects_hold_only_set_fields():
                           RecoveryPolicy)}
     assert counts == {"UgniLayerConfig": 9, "RdmaLayerConfig": 2,
                       "FaultConfig": 3, "RecoveryPolicy": 3}
+
+
+def _attributes_read() -> set[str]:
+    """Every attribute name a caller loads (``x.name``, not ``x.name =``)."""
+    return {node.attr for top in CALLERS
+            for path in sorted((ROOT / top).rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_machine_field_is_read():
+    fields = {f.name for f in dataclasses.fields(MachineConfig)}
+    unread = fields - _attributes_read()
+    new = sorted(unread - set(KEEP_FIELDS))
+    assert not new, f"MachineConfig fields no caller reads: {new}"
+    gone = sorted(set(KEEP_FIELDS) - unread)
+    assert not gone, f"keep-list fields that are now read: {gone}"
 
 
 def test_every_parameter_has_a_caller():
