@@ -1,10 +1,10 @@
 """Seeded, schedule-driven fault injection for the simulated Gemini stack.
 
-Hardware on a 20,000-node Cray is never fault-free: links flap, CRC
-errors kill in-flight transactions, nodes die.  This package injects
-those conditions into the simulated fabric so the runtime's recovery
-machinery (``UgniLayerConfig.reliability``) can be exercised and its cost
-measured (the ``ablation_faults`` exhibit).
+Hardware on a 20,000-node Cray is never fault-free: CRC errors kill
+in-flight transactions, SMSG deliveries are lost, nodes die.  This
+package injects those conditions into the simulated fabric so the
+runtime's recovery machinery (``UgniLayerConfig.reliability``) can be
+exercised and its cost measured (the ``ablation_faults`` exhibit).
 
 Determinism: all stochastic decisions draw from the machine's named
 ``"faults"`` RNG stream (:mod:`repro.sim.rng`), so a given seed replays
@@ -17,7 +17,6 @@ changes, bit-identical results.
 from repro.faults.injector import (
     FaultConfig,
     FaultInjector,
-    LinkFlap,
     NodeCrash,
     install_faults,
 )
@@ -25,7 +24,6 @@ from repro.faults.injector import (
 __all__ = [
     "FaultConfig",
     "FaultInjector",
-    "LinkFlap",
     "NodeCrash",
     "install_faults",
 ]

@@ -8,9 +8,8 @@ Two kinds of faults:
   :meth:`repro.ugni.smsg.SmsgFabric.send` and
   :meth:`repro.ugni.rdma.RdmaEngine.post`; both consult
   ``machine.faults`` and do nothing when it is ``None``.
-* **Scheduled** (:class:`LinkFlap`, :class:`NodeCrash`) — absolute-time
-  events armed on the simulation engine before the run starts: a link
-  goes down (or degrades) and later recovers; a node dies for good.
+* **Scheduled** (:class:`NodeCrash`) — absolute-time events armed on the
+  simulation engine before the run starts: a node dies for good.
 
 All probabilistic decisions draw from the machine's ``"faults"`` RNG
 stream, and *only* when the relevant rate is nonzero — so an injector
@@ -19,13 +18,11 @@ with all-zero rates consumes no RNG state and perturbs nothing.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional, Union
+from typing import Any, Iterable, Optional
 
 from repro.errors import SimulationError
 from repro.hardware.machine import Machine
-from repro.hardware.topology import Coord
 
 #: how long a stalled SMSG sits in the fabric before delivery
 SMSG_STALL_DURATION = 20e-6
@@ -53,26 +50,11 @@ class FaultConfig:
 
 
 @dataclass(frozen=True)
-class LinkFlap:
-    """One directed link fails (or degrades) at ``at`` for ``duration``."""
-
-    at: float
-    frm: Coord
-    to: Coord
-    duration: float
-    #: ``None`` = hard down; else run at this fraction of nominal bandwidth
-    degrade: Optional[float] = None
-
-
-@dataclass(frozen=True)
 class NodeCrash:
     """Node ``node_id`` dies permanently at ``at``."""
 
     at: float
     node_id: int
-
-
-ScheduleEvent = Union[LinkFlap, NodeCrash]
 
 
 class FaultInjector:
@@ -88,7 +70,7 @@ class FaultInjector:
         self,
         machine: Machine,
         config: Optional[FaultConfig] = None,
-        schedule: Iterable[ScheduleEvent] = (),
+        schedule: Iterable[NodeCrash] = (),
     ):
         self.machine = machine
         self.config = config or FaultConfig()
@@ -105,7 +87,6 @@ class FaultInjector:
         self.smsg_dropped = 0
         self.smsg_stalled = 0
         self.rdma_failed = 0
-        self.link_events = 0
         self.node_crashes = 0
 
     # -- wiring ---------------------------------------------------------------
@@ -124,37 +105,22 @@ class FaultInjector:
         self._crash_listeners.append(fn)
 
     def arm(self) -> None:
-        """Schedule every :class:`LinkFlap` / :class:`NodeCrash` on the engine."""
+        """Schedule every :class:`NodeCrash` on the engine."""
         if self._armed:
             return
         self._armed = True
+        n_nodes = len(self.machine.nodes)
         for ev in self.schedule:
-            if isinstance(ev, LinkFlap):
-                self._arm_one(ev.at, self._link_down, ev)
-                if math.isfinite(ev.duration):
-                    self._arm_one(ev.at + ev.duration, self._link_up, ev)
-            elif isinstance(ev, NodeCrash):
-                n_nodes = len(self.machine.nodes)
-                if not 0 <= ev.node_id < n_nodes:
-                    raise SimulationError(
-                        f"NodeCrash names node {ev.node_id}, but the "
-                        f"machine has {n_nodes} nodes")
-                self._arm_one(ev.at, self._crash, ev)
-            else:
+            if not isinstance(ev, NodeCrash):
                 raise SimulationError(f"unknown schedule event {ev!r}")
-
-    def _arm_one(self, at: float, fn: Any, ev: ScheduleEvent) -> None:
-        # The injector tracks only *pending* events: _fire removes its own
-        # entry before running, so disarm() and pending_events() see
-        # exactly what has not fired yet.
-        key = self._next_key
-        self._next_key += 1
-        handle = self.machine.engine.call_at(at, self._fire, key, fn, ev)
-        self._pending[key] = (handle, ev)
-
-    def _fire(self, key: int, fn: Any, ev: ScheduleEvent) -> None:
-        self._pending.pop(key, None)
-        fn(ev)
+            if not 0 <= ev.node_id < n_nodes:
+                raise SimulationError(
+                    f"NodeCrash names node {ev.node_id}, but the "
+                    f"machine has {n_nodes} nodes")
+            key = self._next_key
+            self._next_key += 1
+            handle = self.machine.engine.call_at(ev.at, self._crash, key, ev)
+            self._pending[key] = (handle, ev)
 
     def disarm(self) -> None:
         """Cancel every scheduled fault that has not fired yet.
@@ -174,8 +140,7 @@ class FaultInjector:
 
         The recovery path snapshots this *before* :meth:`disarm` to learn
         which of the job's faults still lie ahead and must be re-armed on
-        the replacement runtime.  A :class:`LinkFlap` counts as pending
-        until its recovery half has fired.
+        the replacement runtime.
         """
         live = {id(ev) for _handle, ev in self._pending.values()}
         return tuple(ev for ev in self.schedule if id(ev) in live)
@@ -220,23 +185,11 @@ class FaultInjector:
         return False
 
     # -- scheduled events -------------------------------------------------------
-    def _link_down(self, ev: LinkFlap) -> None:
-        net = self.machine.network
-        if ev.degrade is not None:
-            net.degrade_link(ev.frm, ev.to, ev.degrade)
-            self._emit("link_degraded", where=(ev.frm, ev.to),
-                       factor=ev.degrade, duration=ev.duration)
-        else:
-            net.fail_link(ev.frm, ev.to)
-            self._emit("link_down", where=(ev.frm, ev.to), duration=ev.duration)
-        self.link_events += 1
-
-    def _link_up(self, ev: LinkFlap) -> None:
-        self.machine.network.restore_link(ev.frm, ev.to)
-        self._emit("link_up", where=(ev.frm, ev.to))
-        self.link_events += 1
-
-    def _crash(self, ev: NodeCrash) -> None:
+    def _crash(self, key: int, ev: NodeCrash) -> None:
+        # The injector tracks only *pending* events: a crash removes its
+        # own entry first, so disarm() and pending_events() see exactly
+        # what has not fired yet.
+        self._pending.pop(key, None)
         node = self.machine.nodes[ev.node_id]
         if not node.alive:
             return
@@ -263,7 +216,6 @@ class FaultInjector:
             "smsg_dropped": self.smsg_dropped,
             "smsg_stalled": self.smsg_stalled,
             "rdma_failed": self.rdma_failed,
-            "link_events": self.link_events,
             "node_crashes": self.node_crashes,
         }
 
@@ -275,7 +227,7 @@ class FaultInjector:
 def install_faults(
     machine: Machine,
     config: Optional[FaultConfig] = None,
-    schedule: Iterable[ScheduleEvent] = (),
+    schedule: Iterable[NodeCrash] = (),
     conv: Any = None,
 ) -> FaultInjector:
     """Create a :class:`FaultInjector`, attach it as ``machine.faults``, arm it."""

@@ -59,10 +59,10 @@ class TorusNetwork:
                                 [self._link_latency(s) for s in range(fan)])
         #: the out-table: per slot of every vertex (``topology.vertex``),
         #: the row of its link, ``-1`` until first touched — so no link is
-        #: made that routing or a fault did not ask for.  Two slots of a
-        #: vertex that end at one neighbour (both ways round a two-node
-        #: ring) hold one row.  A hop picks among ``topology.out_hops(at,
-        #: end)``, computed, not remembered.
+        #: made that routing did not ask for.  Two slots of a vertex that
+        #: end at one neighbour (both ways round a two-node ring) hold one
+        #: row.  A hop picks among ``topology.out_hops(at, end)``,
+        #: computed, not remembered.
         self._out = array("i", [-1]) * (n * fan)
         #: link-creation order (it is in the metrics digest, and
         #: ``hottest_link`` breaks ties by it): per link its two vertices,
@@ -83,11 +83,6 @@ class TorusNetwork:
         self.observer = None
         #: total messages routed (diagnostics)
         self.messages_routed = 0
-        #: links currently marked down/degraded (fault-injection state)
-        self._faulted: set[tuple[Coord, Coord]] = set()
-        #: messages routed while any link fault was active — each of them a
-        #: transfer the compiled lane handed to the Python body
-        self.degraded_routes = 0
 
     # -- link access -----------------------------------------------------------
     def link(self, frm: Coord, to: Coord) -> Link:
@@ -120,39 +115,6 @@ class TorusNetwork:
         v = self.topology.vertex(at)
         self._eject_made[v] = 1
         return Link.at(self._eject, v)
-
-    # -- fault state (driven by repro.faults) ------------------------------------
-    def fail_link(self, frm: Coord, to: Coord) -> None:
-        """Mark one directed link hard-down (a flap's falling edge)."""
-        self.link(frm, to).fail()
-        self._faulted.add((frm, to))
-
-    def degrade_link(self, frm: Coord, to: Coord, factor: float) -> None:
-        """Run one directed link at ``factor`` of nominal bandwidth."""
-        self.link(frm, to).degrade(factor)
-        self._faulted.add((frm, to))
-
-    def restore_link(self, frm: Coord, to: Coord) -> None:
-        self.link(frm, to).restore()
-        self._faulted.discard((frm, to))
-
-    @property
-    def faulted_links(self) -> int:
-        """Directed links currently down or degraded (0 = healthy fabric).
-        The sharded engine polls this at window barriers: an outstanding
-        link fault invalidates its lookahead bound."""
-        return len(self._faulted)
-
-    @property
-    def route_mode(self) -> str:
-        """Active routing policy: ``"adaptive"`` or ``"dimension-ordered"``.
-        With any link fault outstanding the router falls back from
-        adaptive to dimension-ordered routing with down-link avoidance —
-        the mode Gemini drops into when adaptive routing would keep
-        hashing traffic onto a flapping lane."""
-        if self._faulted or not self.config.adaptive_routing:
-            return "dimension-ordered"
-        return "adaptive"
 
     # -- routing ---------------------------------------------------------------
     def _first_touch(self, v: int, slot: int, nxt: int) -> int:
@@ -190,19 +152,16 @@ class TorusNetwork:
 
         One pass: per hop, compute the productive slots of the vertex the
         message stands on, touch each candidate link, pick one and reserve
-        it.  On a healthy fabric the pick is the first slot in
-        deterministic mode and the least-backlogged, ties to the earlier
-        direction, in adaptive mode.  With a link fault outstanding every
-        productive slot is a candidate, in dimension order, and the pick
-        is the first one not "down" (the first, if all are).  Every port
-        and link is reserved through :meth:`LinkTable.reserve`, faulted
-        or not.  A coordinate off the fabric is a :class:`TopologyError`
-        before any router link is touched.
+        it.  The pick is the first slot in deterministic mode and the
+        least-backlogged, ties to the earlier direction, in adaptive mode.
+        Every port and link is reserved through :meth:`LinkTable.reserve`.
+        A coordinate off the fabric is a :class:`TopologyError` before any
+        router link is touched.
 
         This body is the contract of :meth:`transfer`.  With the C core
         loaded (:mod:`repro.sim._speed`) ``transfer`` is its compiled
         lane, ``router_transfer`` in ``_speedups.c``: the same statements
-        over the same columns, for a healthy :class:`Torus3D` or
+        over the same columns, for a :class:`Torus3D` or
         :class:`Dragonfly` fabric and coordinates on it; any other call
         comes whole to this body, before any side effect.
         """
@@ -212,8 +171,6 @@ class TorusNetwork:
         cfg = self.config
         min_occ = cfg.nic_msg_gap
         self.messages_routed += 1
-        links = self._links
-        faulted = self._faulted
 
         # injection at the source NIC; a source off the fabric raises here
         topo = self.topology
@@ -227,11 +184,10 @@ class TorusNetwork:
         # touched
         end = topo.vertex(dst)
         hops = 0
-        if faulted:
-            self.degraded_routes += 1
         out, fan = self._out, self._fan
         out_hops = topo.out_hops
-        first_only = not (cfg.adaptive_routing or faulted)
+        first_only = not cfg.adaptive_routing
+        links = self._links
         horizons, reserve = links.horizons, links.reserve
         while v != end:
             base = v * fan
@@ -240,18 +196,10 @@ class TorusNetwork:
                 cand = out[base + slot]
                 if cand < 0:
                     cand = self._first_touch(v, slot, to)
-                if faulted:
-                    # degraded: step around a down link, touching no
-                    # candidate past the first one that is not down
-                    up = Link.at(links, cand).state != "down"
-                    if row < 0 or up:
-                        row, nxt = cand, to
-                    if up:
-                        break
-                # adaptive: least-backlogged productive link, the earlier
-                # direction on a tie (router links have one lane: its
-                # horizon is the load)
-                elif row < 0 or horizons[cand] < load:
+                # the least-backlogged productive link, the earlier
+                # direction on a tie (one candidate in deterministic mode;
+                # router links have one lane: its horizon is the load)
+                if row < 0 or horizons[cand] < load:
                     row, nxt, load = cand, to, horizons[cand]
             _, t = reserve(row, t, size, min_occ)
             v = nxt
@@ -288,9 +236,8 @@ class TorusNetwork:
         """Size and use of the routing state: a simulator self-metric, in
         no ``stats()`` dict, checksum or metrics digest.  ``vertices`` is
         the vertices with a link made out of them (nodes and routers a
-        message has stood on or a fault has named), ``links`` the links
-        made, ``hops`` every router-link traversal, degraded-mode hops
-        included."""
+        message has stood on or :meth:`link` has named), ``links`` the
+        links made, ``hops`` every router-link traversal."""
         n = self.topology.n_vertices
         return {"vertices": len({code // n for code in self._order}),
                 "links": len(self._order),
@@ -311,9 +258,9 @@ if _speed.core is not None:
 
 
 class DragonflyNetwork(TorusNetwork):
-    """Dragonfly fabric on top of the shared link/fault machinery: the
-    torus network's minimal routing and degraded mode, with inter-group
-    (optical) router links carrying their own, longer latency
+    """Dragonfly fabric on top of the shared link machinery: the torus
+    network's minimal routing, with inter-group (optical) router links
+    carrying their own, longer latency
     (:attr:`MachineConfig.dragonfly_global_latency`)."""
 
     def _link_latency(self, slot: int) -> float:

@@ -102,7 +102,7 @@ def make_runtime(
     :class:`~repro.parallel.ShardedEngine` — for the machine to build on.
     The ``mpi`` layer's transport draws no SMSG or RDMA faults, so a
     nonzero rate for it is an :class:`LrtsError` rather than a run that
-    quietly ignores the rate (crashes and link flaps still apply).
+    quietly ignores the rate (node crashes still apply).
     """
     if layer == "mpi" and faults is not None:
         for name in ("smsg_drop_rate", "smsg_stall_rate", "rdma_error_rate"):

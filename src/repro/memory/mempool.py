@@ -148,8 +148,8 @@ class MemoryPool:
             if offset >= 0:
                 break
         else:
-            # overflow: expand with an arena big enough for the request
-            grow = max(self.expand_bytes, 2 * nbytes)
+            # overflow: expand with an arena that holds two such blocks
+            grow = max(self.expand_bytes, 2 * need)
             cost += self._add_arena(grow)
             self.expansions += 1
             arena = self.arenas[-1]

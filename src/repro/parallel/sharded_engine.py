@@ -27,8 +27,9 @@ time (one tag write per armed event, one comparison per executed one).
 * **Fallback.**  Where windows would mean nothing the audit switches
   itself off (:attr:`fallback_reason` says why) and the engine is a
   plain sequential one: a single shard, fewer than two nodes, a
-  lookahead below ``min_lookahead``, fault injection installed (link
-  faults change latencies mid-run), or a link fault seen at a barrier.
+  lookahead below ``min_lookahead``, or fault injection installed (at
+  bind time or seen at a barrier: injected faults change latencies
+  mid-run).
 
 With one queue, a run here is bit-identical to a run on :class:`Engine`
 in every mode — asserted by ``tests/test_sharded_engine.py`` on the
@@ -139,12 +140,8 @@ class ShardedEngine(Engine):
     def _probe_faults(self) -> None:
         """Fault check at run start and at every barrier."""
         m = self._machine
-        if m is None:
-            return
-        if m.faults is not None:
+        if m is not None and m.faults is not None:
             self._fallback("faults-installed")
-        elif m.network.faulted_links:
-            self._fallback("link-fault-observed")
 
     # ------------------------------------------------------------------ #
     # scheduling: the base engine arms, this class tags

@@ -43,14 +43,14 @@ is bit-identical across runs and across ``--jobs`` fan-out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
 from repro.charm.checkpoint import Checkpoint, restore_into, take_checkpoint
 from repro.charm.loadbalancer import restore_rebalance_map
 from repro.charm.runtime import Charm
 from repro.errors import SimulationError
-from repro.faults import LinkFlap, NodeCrash, install_faults
+from repro.faults import NodeCrash, install_faults
 from repro.lrts.factory import make_runtime
 
 #: fixed restart overhead in simulated seconds (relaunch, wire-up) ...
@@ -252,18 +252,9 @@ class ResilienceManager:
         the job is back up — restart does not grant immunity) and node ids
         are wrapped onto the new, possibly smaller, node count.
         """
-        out = []
-        for ev in pending:
-            if ev is fired:
-                continue
-            at = max(ev.at, t_resume)
-            if isinstance(ev, NodeCrash):
-                out.append(NodeCrash(at=at, node_id=ev.node_id % n_nodes))
-            elif isinstance(ev, LinkFlap):
-                out.append(dc_replace(ev, at=at))
-            else:
-                out.append(ev)
-        return tuple(out)
+        return tuple(NodeCrash(at=max(ev.at, t_resume),
+                               node_id=ev.node_id % n_nodes)
+                     for ev in pending if ev is not fired)
 
     def _recover(self) -> None:
         ev, self._crash_ev = self._crash_ev, None

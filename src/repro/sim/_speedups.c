@@ -846,12 +846,12 @@ static PyTypeObject Core_Type = {
     .tp_new = core_new,
 };
 
-/* ---- the network pass: TorusNetwork.transfer on a healthy fabric ------ */
+/* ---- the network pass: TorusNetwork.transfer ------------------------- */
 
 /* repro.hardware.router.TorusNetwork._transfer_py, statement for
  * statement: injection port, per hop the productive slots of the vertex
  * the message stands on (Torus3D.out_hops / Dragonfly.out_hops, mirrored
- * below), the healthy fabric's candidate pick and the reserve (the body's
+ * below), the candidate pick and the reserve (the body's
  * one LinkTable.reserve, reserve_row here), ejection port, arrival, the
  * observer hook, the TransferTiming.  The arithmetic is the same IEEE
  * double operations in the same order (and the build passes
@@ -870,12 +870,11 @@ static PyTypeObject Core_Type = {
  * cannot be), so per call the lane reads no attribute of a table.
  *
  * The Python body is the contract and keeps everything rare.  The whole
- * call goes to it, before any side effect, while any link is faulted or any
- * row of a table is not "up" (or has no bandwidth: the body raises the
- * ZeroDivisionError), when its arguments do not bind (it raises the
- * TypeError), when the topology is not exactly a Torus3D or a Dragonfly,
- * and when a coordinate is not one of its vertices (it raises the
- * TopologyError).  What is left to call through the instance is first
+ * call goes to it, before any side effect, when a table has no bandwidth
+ * (the body raises the ZeroDivisionError), when its arguments do not bind
+ * (it raises the TypeError), when the topology is not exactly a Torus3D or
+ * a Dragonfly, and when a coordinate is not one of its vertices (it raises
+ * the TopologyError).  What is left to call through the instance is first
  * touch (_first_touch for a link, injection_port / ejection_port for a
  * port) and the observer hook. */
 
@@ -887,9 +886,9 @@ static struct {
 
 /* interned: attribute and method names, transfer's parameters */
 static PyObject *s_config, *s_links, *s_inject, *s_eject, *s_out,
-    *s_inject_made, *s_eject_made, *s_fan, *s_columns, *s_faulted, *s_sick,
-    *s_bandwidth, *s_lanes, *s_horizons, *s_bytes_carried, *s_transfers,
-    *s_latency, *s_observer, *s_messages_routed, *s_nic_msg_gap,
+    *s_inject_made, *s_eject_made, *s_fan, *s_columns, *s_bandwidth,
+    *s_lanes, *s_horizons, *s_bytes_carried, *s_transfers, *s_latency,
+    *s_observer, *s_messages_routed, *s_nic_msg_gap,
     *s_link_bandwidth, *s_adaptive_routing, *s_first_touch,
     *s_injection_port, *s_ejection_port, *s_on_net_transfer, *s_topology,
     *s_dims, *int_one;
@@ -942,7 +941,6 @@ open_column(PyObject *owner, PyObject *name, const char *fmt,
 /* One LinkTable as the lane uses it. */
 typedef struct {
     Py_buffer horizons, carried, count, latency;
-    PyObject *sick;       /* the table's rows not "up": a set (owned) */
     double bandwidth;
     Py_ssize_t lanes, rows, n_latency;
 } Table;
@@ -954,7 +952,6 @@ table_close(Table *tb)
     PyBuffer_Release(&tb->carried);
     PyBuffer_Release(&tb->count);
     PyBuffer_Release(&tb->latency);
-    Py_CLEAR(tb->sick);
 }
 
 /* Open the LinkTable self.<name>: 0 open, -1 error (what a failed open
@@ -966,12 +963,6 @@ table_open(PyObject *self, PyObject *name, Table *tb)
     if (!tbl)
         return -1;
     int rc = -1;
-    if (!(tb->sick = PyObject_GetAttr(tbl, s_sick)))
-        goto done;
-    if (!PyAnySet_Check(tb->sick)) {
-        PyErr_Format(PyExc_TypeError, "%U.sick must be a set", name);
-        goto done;
-    }
     PyObject *o = PyObject_GetAttr(tbl, s_bandwidth);
     if (!o)
         goto done;
@@ -1080,9 +1071,8 @@ fail:
     return NULL;
 }
 
-/* LinkTable.reserve for a row that is "up" (the lane runs no other):
- * count the message, occupy the first least-busy lane from max(its
- * horizon, t); returns when the head leaves the far end. */
+/* LinkTable.reserve: count the message, occupy the first least-busy lane
+ * from max(its horizon, t); returns when the head leaves the far end. */
 static inline double
 reserve_row(const Table *tb, Py_ssize_t row, double t, const Msg *m)
 {
@@ -1398,14 +1388,7 @@ router_transfer(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
     int bound = bind_params(args, nargs, kwnames, p);
     if (bound < 0)
         return NULL;
-    PyObject *faulted = PyObject_GetAttr(self, s_faulted);
-    if (!faulted)
-        return NULL;
-    int degraded = PyObject_IsTrue(faulted);
-    Py_DECREF(faulted);
-    if (degraded < 0)
-        return NULL;
-    if (degraded || !bound)
+    if (!bound)
         return call_body(self, args, nargs, kwnames);
 
     PyObject *now_o = p[0], *src = p[1], *dst = p[2], *cap_o = p[4];
@@ -1434,10 +1417,9 @@ router_transfer(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
     long hops = 0;
     int first_only;
 
-    if (PySet_GET_SIZE(c->links.sick) || PySet_GET_SIZE(c->inj.sick)
-        || PySet_GET_SIZE(c->ej.sick) || c->links.bandwidth == 0.0
-        || c->inj.bandwidth == 0.0 || c->ej.bandwidth == 0.0) {
-        /* a row not "up", or no bandwidth: the body's ZeroDivisionError */
+    if (c->links.bandwidth == 0.0 || c->inj.bandwidth == 0.0
+        || c->ej.bandwidth == 0.0) {
+        /* no bandwidth: the body's ZeroDivisionError */
         result = call_body(self, args, nargs, kwnames);
         goto done;
     }
@@ -1545,8 +1527,7 @@ PyDoc_STRVAR(router_transfer_doc,
 "transfer($self, /, now, src, dst, nbytes, bandwidth_cap=None)\n"
 "--\n\n"
 "Route one message and reserve every link it crosses: the compiled lane\n"
-"of TorusNetwork._transfer_py (see there), which carries the call itself\n"
-"while any link is faulted.");
+"of TorusNetwork._transfer_py (see there).");
 
 static PyMethodDef router_transfer_def = {
     "transfer", FASTCALL(router_transfer),
@@ -1589,8 +1570,7 @@ intern_names(void)
         {&s_config, "config"}, {&s_links, "_links"}, {&s_inject, "_inject"},
         {&s_eject, "_eject"}, {&s_out, "_out"},
         {&s_inject_made, "_inject_made"}, {&s_eject_made, "_eject_made"},
-        {&s_fan, "_fan"}, {&s_columns, "_columns"}, {&s_faulted, "_faulted"},
-        {&s_sick, "sick"},
+        {&s_fan, "_fan"}, {&s_columns, "_columns"},
         {&s_bandwidth, "bandwidth"}, {&s_lanes, "lanes"},
         {&s_horizons, "horizons"}, {&s_bytes_carried, "bytes_carried"},
         {&s_transfers, "transfers"}, {&s_latency, "latency"},

@@ -247,8 +247,10 @@ class RefMemoryPool:
             inner = arena.try_alloc(nbytes)
             if inner is not None:
                 return self._wrap(arena, inner), cost
-        # overflow: expand with an arena big enough for the request
-        grow = max(self.expand_bytes, 2 * nbytes)
+        # overflow: expand with an arena big enough for the request (two
+        # aligned blocks: the one fix made to this copy since it froze)
+        need = -(-nbytes // RefNodeMemory.ALIGN) * RefNodeMemory.ALIGN
+        grow = max(self.expand_bytes, 2 * need)
         cost += self._add_arena(grow)
         self.expansions += 1
         arena = self.arenas[-1]

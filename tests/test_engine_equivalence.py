@@ -43,8 +43,7 @@ class PureEngine(Engine):
 
 def _windowed_sharded():
     eng = ShardedEngine(n_shards=3, lookahead=2e-9)
-    eng.bind_machine(SimpleNamespace(
-        n_nodes=3, faults=None, network=SimpleNamespace(faulted_links=())))
+    eng.bind_machine(SimpleNamespace(n_nodes=3, faults=None))
     assert not eng.shard_stats()["sequential"]
     return eng
 

@@ -9,7 +9,7 @@ from repro.errors import (
     UgniError,
     UgniTransactionError,
 )
-from repro.faults import FaultConfig, FaultInjector, LinkFlap, NodeCrash, install_faults
+from repro.faults import FaultConfig, FaultInjector, NodeCrash, install_faults
 from repro.hardware import Machine
 from repro.hardware.config import tiny as tiny_config
 from repro.lrts.factory import make_runtime
@@ -354,55 +354,6 @@ class TestLedgerUnderLoss:
                              lambda src, dst: current.get("seq") == 0,
                              sends=2, fields={"topology": "dragonfly"})
         assert ledger == (2, 1, 0, {"rc_giveup": 1})
-
-
-class TestLinkFaults:
-    def test_flap_degrades_and_recovers(self):
-        m = make_machine(observe=True)
-        a, b = m.nodes[0].coord, m.nodes[1].coord
-        install_faults(m, schedule=[LinkFlap(at=1e-6, frm=a, to=b, duration=5e-6)])
-        lk = m.network.link(a, b)
-        m.engine.run(until=2e-6)
-        assert lk.state == "down"
-        assert m.network.route_mode == "dimension-ordered"
-        assert lk.effective_bandwidth < lk.bandwidth
-        m.engine.run(until=1e-3)
-        assert lk.state == "up"
-        assert m.network.route_mode == "adaptive"
-        assert counted(m, "fault", "link_down") == 1
-        assert counted(m, "fault", "link_up") == 1
-        # the event's detail reaches the flight record
-        (down,) = [r for r in m.observer.flight.records
-                   if r.event == "link_down"]
-        assert down.where == (a, b) and down.detail == {"duration": 5e-6}
-
-    def test_degraded_link_slows_transfers(self):
-        m = make_machine()
-        a, b = m.nodes[0].coord, m.nodes[1].coord
-        healthy = m.network.transfer(0.0, a, b, 64 * KB).arrival
-        m2 = make_machine()
-        m2.network.degrade_link(a, b, 0.1)
-        degraded = m2.network.transfer(0.0, a, b, 64 * KB).arrival
-        assert degraded > healthy
-        # routed while a fault was active: counted, until the link is back
-        m2.network.restore_link(a, b)
-        m2.network.transfer(1.0, a, b, 64 * KB)
-        assert (m.network.degraded_routes, m2.network.degraded_routes,
-                m2.network.messages_routed) == (0, 1, 2)
-
-    def test_router_steps_around_down_link(self):
-        # 1x2x2 torus: two minimal directions from (0,0,0) to (0,1,1)
-        m = Machine(n_nodes=4, config=tiny_config(cores_per_node=1))
-        assert m.topology.dims == (1, 2, 2)
-        src, dst = (0, 0, 0), (0, 1, 1)
-        net = m.network
-        net.fail_link(src, (0, 1, 0))
-        assert net.transfer(0.0, src, dst, 64).hops == 2
-        # the first hop went round the down link, along z
-        down, around = net.link(src, (0, 1, 0)), net.link(src, (0, 0, 1))
-        assert (down.state, around.state) == ("down", "up")
-        assert (down.transfers, around.transfers) == (0, 1)
-        assert net.link((0, 0, 1), dst).transfers == 1
 
 
 class TestRecovery:

@@ -58,6 +58,21 @@ class TestMemoryPool:
         assert b.mem_handle is not a.mem_handle
         pool.check_invariants()
 
+    def test_an_expansion_holds_two_of_the_blocks_it_was_made_for(self):
+        """A 64 KB rendezvous payload plus its envelope is not a multiple
+        of 16 B: the arena is sized by the aligned block, so the second
+        such block shares the first one's expansion."""
+        m, job = make_job()
+        pool = MemoryPool(job, node_id=0, initial_bytes=4 * KB,
+                          expand_bytes=4 * KB)
+        nbytes = 64 * KB + LRTS_ENVELOPE
+        a, _ = pool.alloc(nbytes)
+        b, cost = pool.alloc(nbytes)
+        assert pool.expansions == 1
+        assert b.mem_handle is a.mem_handle
+        assert cost == m.config.mempool_alloc_cpu
+        pool.check_invariants()
+
     def test_expansion_sized_to_large_request(self):
         m, job = make_job()
         pool = MemoryPool(job, node_id=0, initial_bytes=64 * KB, expand_bytes=64 * KB)

@@ -2,18 +2,14 @@
 
 ``tests/_reference_router.py`` is the pre-flatten ``transfer -> _walk ->
 _next_direction -> Link.reserve`` composition.  Random streams of
-transfers with link faults interleaved go through it and, side by side,
-through two live networks: one called as anyone calls it (``transfer`` as
+transfers go through it and, side by side, through two live networks: one called as anyone calls it (``transfer`` as
 bound — the compiled lane when the C core is loaded) and one whose
 ``transfer`` is the kept Python body.  Every :class:`TransferTiming`
 field and every per-link horizon and counter must be identical, and all
 three must have created exactly the same links in the same order (the
 count and the rendered names of ``net.links()`` are in the observer's
 metrics digest and ``hottest_link`` breaks ties by creation order, so lazy
-link creation is part of the contract).  Faults come and go inside a
-stream, so the compiled lane's hand-off to the Python body and its return
-after the last ``restore_link`` are both covered; ``degraded_routes``
-counts exactly the transfers made in between.
+link creation is part of the contract).
 
 The oracle walks by coordinate and by name; the live networks by vertex and slot (``topology.out_hops``),
 which the last tests hold to ``topology.neighbors()``; the live networks
@@ -63,15 +59,9 @@ class _PythonBodyDragonfly(DragonflyNetwork, _PythonBody):
 
 def _ops(n_nodes):
     node = st.integers(0, n_nodes - 1)
-    transfer = st.tuples(st.just("transfer"), st.sampled_from(_DT), node, node,
+    transfer = st.tuples(st.sampled_from(_DT), node, node,
                          st.sampled_from(_SIZES), st.sampled_from(_CAPS))
-    # a fault names a node and one of its outgoing links by index
-    fault = st.tuples(st.sampled_from(["fail", "degrade", "restore"]), node,
-                      st.integers(0, 7), st.sampled_from([0.1, 0.5, 0.9]))
-    # "heal" restores every faulted link: back to a healthy fabric
-    return st.lists(st.one_of(transfer, transfer, transfer, fault,
-                              st.just(("heal",))),
-                    min_size=1, max_size=60)
+    return st.lists(transfer, min_size=1, max_size=60)
 
 
 def _named(net):
@@ -99,8 +89,7 @@ def _slot_link(net, v, slot):
 def _link_state(net):
     """Per-port horizons and counters, keyed by the port's name."""
     return {name: (lk.horizons if type(lk) is Link else tuple(lk._lanes),
-                   lk.bytes_carried, lk.transfers, lk.faulted_transfers,
-                   lk.state)
+                   lk.bytes_carried, lk.transfers)
             for name, lk in _named(net)}
 
 
@@ -109,54 +98,20 @@ def _drive(lives, ref, ops):
     topo = ref.topology
     coords = [topo.coord_of(i) for i in range(topo.volume)]
     now = 0
-    degraded = 0
-    for op in ops:
-        if op[0] == "transfer":
-            _, dt, a, b, nbytes, cap = op
-            now += dt
-            degraded += bool(ref._faulted)
-            want = ref.transfer(now, coords[a], coords[b], nbytes,
+    for dt, a, b, nbytes, cap in ops:
+        now += dt
+        want = ref.transfer(now, coords[a], coords[b], nbytes,
+                            bandwidth_cap=cap)
+        for live in lives:
+            got = live.transfer(now, coords[a], coords[b], nbytes,
                                 bandwidth_cap=cap)
-            for live in lives:
-                got = live.transfer(now, coords[a], coords[b], nbytes,
-                                    bandwidth_cap=cap)
-                assert (got.depart, got.head_arrival, got.arrival,
-                        got.hops) == want
-        elif op[0] == "heal":
-            for net in (*lives, ref):
-                for frm, to in list(net._faulted):
-                    net.restore_link(frm, to)
-        else:
-            kind, a, port, factor = op
-            # walk one hop off the node so router-to-router links (the
-            # only kind a dragonfly has beyond terminal up-links) are hit
-            frm = coords[a]
-            nbrs = [n for _, n in topo.neighbors(frm)]
-            if port >= 4 and len(nbrs) == 1:
-                frm = nbrs[0]
-                nbrs = [n for _, n in topo.neighbors(frm)]
-            to = nbrs[port % len(nbrs)]
-            if topo.hop_distance(frm, to) != 1:
-                # a size-1 axis "neighbour" is the node itself, a spare
-                # global port's far end is two hops away: no link, which
-                # the live networks refuse and the oracle would invent
-                for live in lives:
-                    with pytest.raises(TopologyError):
-                        live.fail_link(frm, to)
-                continue
-            for net in (*lives, ref):
-                if kind == "fail":
-                    net.fail_link(frm, to)
-                elif kind == "degrade":
-                    net.degrade_link(frm, to, factor)
-                else:
-                    net.restore_link(frm, to)
+            assert (got.depart, got.head_arrival, got.arrival,
+                    got.hops) == want
         for live in lives:
             assert [name for name, _ in live.links()] == list(ref._links)
     for live in lives:
         assert _link_state(live) == _link_state(ref)
         assert live.messages_routed == ref.messages_routed
-        assert live.degraded_routes == degraded
 
 
 @pytest.mark.parametrize("adaptive", [True, False],
@@ -188,17 +143,13 @@ def test_dragonfly_matches_reference(data):
 
 @pytest.mark.parametrize("make", [TorusNetwork, _PythonBody],
                          ids=["bound", "python-body"])
-@pytest.mark.parametrize("faulted", [False, True], ids=["healthy", "faulted"])
-def test_a_size_is_an_integer(make, faulted):
+def test_a_size_is_an_integer(make):
     """Counters are int64 columns: a size ``operator.index`` refuses is its
-    ``TypeError`` on either lane, healthy or degraded, before the network
-    changes; a numpy integer is a size like any other."""
+    ``TypeError`` on either lane, before the network changes; a numpy
+    integer is a size like any other."""
     cfg = MachineConfig()
     net, ref = make(Torus3D(DIMS), cfg), _PythonBody(Torus3D(DIMS), cfg)
     a, b = (0, 0, 0), (2, 3, 1)
-    if faulted:
-        for live in (net, ref):
-            live.degrade_link((1, 0, 0), (2, 0, 0), 0.5)
     before = (_link_state(net), net.first_touch(), net.messages_routed)
     for size in (1536.0, 8.5, "8", None):
         with pytest.raises(TypeError) as want:

@@ -3,14 +3,13 @@
 ``tests/test_router_equivalence.py`` holds both lanes to the frozen oracle
 result by result.  Here: a call binds its arguments the way the Python
 body's signature does, whatever raises under the lane — a first touch
-(``_first_touch``, ``injection_port``, ``ejection_port``),
-``LinkTable.reserve``, the observer hook — comes out of it unchanged, with the
-Python body's side effects, and leaves the network usable, a coordinate
-off the fabric is an error before any router link is touched, a topology
-the lane does not mirror is the Python body's, 100,000 warm transfers
-(and 17,500 failing ones) leave no object, byte or reference behind, and a
-link that falls and rises under a whole machine layer with retransmission
-moves no result.
+(``_first_touch``, ``injection_port``, ``ejection_port``), the observer
+hook, the Python body's ``LinkTable.reserve`` — comes out of it
+unchanged, with the Python body's side effects, and leaves the network
+usable, a coordinate off the fabric is an error before any router link is
+touched, a topology the lane does not mirror is the Python body's, and
+100,000 warm transfers (and 17,500 failing ones) leave no object, byte or
+reference behind.
 
 Every test runs on a network as anyone builds it and on one whose
 ``transfer`` is the kept Python body, so the two are also held to each
@@ -25,18 +24,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro import observe
-from repro.apps.kneighbor import kneighbor
 from repro.errors import TopologyError
-from repro.faults import FaultConfig, LinkFlap
 from repro.hardware.config import MachineConfig
 from repro.hardware.link import Link, LinkTable
 from repro.hardware.router import DragonflyNetwork, TorusNetwork
 from repro.hardware.topology import Dragonfly, Torus3D
-from repro.lrts.ugni_layer import UgniLayerConfig
 from repro.sim import _speed
 from tests.test_router_equivalence import (_PythonBody, _PythonBodyDragonfly,
-                                           _link_state, _named)
+                                           _link_state)
 
 DIMS = (4, 4, 2)
 
@@ -198,19 +193,16 @@ class TestErrorsPropagate:
 
     @pytest.mark.parametrize("where", ["hop", "inject", "eject"])
     def test_link_reserve_error(self, make, where, monkeypatch):
-        """A link that is not "up" while the network counts no fault (its
-        state was set behind the network's back) hands the call to the
-        Python body, whose every reserve is ``LinkTable.reserve``: what it
-        raises comes out."""
-        net = make()
+        """The Python body reserves every port and hop through
+        ``LinkTable.reserve``: what it raises comes out.  The compiled lane
+        calls no reserve (``reserve_row`` is its mirror), so there a
+        raising ``LinkTable.reserve`` changes nothing."""
+        net, twin = make(), make()
         a, b = (0, 0, 0), (1, 0, 0)
-        healthy = net.transfer(0.0, a, b, 8)
+        net.transfer(0.0, a, b, 8)
+        twin.transfer(0.0, a, b, 8)
         link = {"hop": net.link(a, b), "inject": net.injection_port(a),
                 "eject": net.ejection_port(b)}[where]
-        link.degrade(0.5)
-        slow = net.transfer(1.0, a, b, 8)
-        assert slow.arrival - 1.0 > healthy.arrival
-        assert link.faulted_transfers == 1
 
         real = LinkTable.reserve
 
@@ -220,6 +212,9 @@ class TestErrorsPropagate:
             return real(table, row, now, nbytes, min_occupancy)
 
         monkeypatch.setattr(LinkTable, "reserve", reserve)
+        if make.compiled:
+            assert net.transfer(2, a, b, 8) == twin.transfer(2, a, b, 8)
+            return
         with pytest.raises(Boom) as err:
             net.transfer(2, a, b, 8)
         assert err.value.args[0] == link
@@ -227,9 +222,7 @@ class TestErrorsPropagate:
             # the port is handed `now` as the caller passed it
             assert err.value.args[1:] == (2, 8, net.config.nic_msg_gap)
         monkeypatch.undo()
-        link.restore()
         assert net.transfer(3.0, a, b, 8).hops == 1
-        assert net.degraded_routes == 0
 
     def test_single_lane_ports(self, make):
         """``nic_port_lanes=1``: a port is then a link with one horizon."""
@@ -297,8 +290,7 @@ class TestErrorsPropagate:
     def test_an_off_fabric_destination_is_an_error(self, make):
         """(9, 0, 0) is on no 4-node ring.  The destination is checked
         against the fabric once per message, after the injection port and
-        before any router link is touched, degraded or not, and it raises
-        every time."""
+        before any router link is touched, and it raises every time."""
         net = make()
         a, b = (0, 0, 0), (2, 3, 1)
         for _ in range(2):
@@ -316,14 +308,6 @@ class TestErrorsPropagate:
         assert net.route_stats() == {"vertices": 0, "links": 0, "hops": 0}
         assert net.transfer(0.0, a, b, 8).hops == 4
         assert net.transfer(1.0, (1, 0, 0), b, 8).hops == 3
-        links = _names(net)
-        net.fail_link((2, 0, 0), (3, 0, 0))
-        for _ in range(2):
-            with pytest.raises(TopologyError):
-                net.transfer(2.0, a, (9, 0, 0), 8)
-        assert _names(net) == links + [((2, 0, 0), (3, 0, 0))]
-        net.restore_link((2, 0, 0), (3, 0, 0))
-        assert net.transfer(3.0, a, b, 8).hops == 4
 
     def test_an_off_dragonfly_destination_is_an_error(self, make):
         """Terminals ``(g, r, t)`` of a 5-group, 3-router, 2-terminal
@@ -342,11 +326,9 @@ class TestErrorsPropagate:
 
 class TestOneReserve:
     """The Python body reserves through one method, ``LinkTable.reserve``:
-    once per port and once per hop, healthy or with a link down."""
+    once per port and once per hop."""
 
-    @pytest.mark.parametrize("down", [False, True],
-                             ids=["healthy", "link-down"])
-    def test_hops_plus_two_reserves(self, down, monkeypatch):
+    def test_hops_plus_two_reserves(self, monkeypatch):
         calls = []
         real = LinkTable.reserve
 
@@ -356,8 +338,6 @@ class TestOneReserve:
 
         monkeypatch.setattr(LinkTable, "reserve", reserve)
         net = _PythonBody(Torus3D(DIMS), MachineConfig())
-        if down:
-            net.fail_link((0, 0, 0), (1, 0, 0))
         vertex = net.topology.vertex
         for src, dst in [((0, 0, 0), (2, 3, 1)),
                          ((0, 0, 0), (1, 1, 0)),
@@ -369,33 +349,22 @@ class TestOneReserve:
             assert calls[0] == (net._inject, vertex(src))
             assert calls[-1] == (net._eject, vertex(dst))
             assert all(table is net._links for table, _ in calls[1:-1])
-        assert net.degraded_routes == (4 if down else 0)
-        assert (net.link((0, 0, 0), (1, 0, 0)).transfers == 0) == down
 
 
 class TestAPairThatIsNoLink:
-    """``fail_link`` / ``degrade_link`` / ``restore_link`` resolve their
-    pair by arithmetic.  A pair that is no link of the fabric used to
-    invent one: counted in ``route_stats()`` and the observer's ``links``,
-    crossed by no route, and — failed or degraded — enough to hand every
-    later transfer to the Python body in dimension-ordered mode."""
+    """``link`` resolves its pair by arithmetic.  A pair that is no link of
+    the fabric used to invent one: counted in ``route_stats()`` and the
+    observer's ``links``, crossed by no route."""
 
     def _refused(self, net, pairs):
         net.transfer(0.0, *pairs[0], 8)   # (src, dst): a route exists
-        before = (net.route_stats(), net.first_touch(), _names(net),
-                  net.route_mode, net.messages_routed)
+        before = (net.route_stats(), net.first_touch(), _names(net))
         for frm, to in pairs[1:]:
-            for call in (lambda: net.fail_link(frm, to),
-                         lambda: net.degrade_link(frm, to, 0.5),
-                         lambda: net.restore_link(frm, to),
-                         lambda: net.link(frm, to)):
-                with pytest.raises(TopologyError):
-                    call()
-        assert not net._faulted and net.faulted_links == 0
+            with pytest.raises(TopologyError):
+                net.link(frm, to)
         net.transfer(1.0, *pairs[0], 8)
-        assert net.degraded_routes == 0
-        assert (net.route_stats()["links"], net.first_touch(), _names(net),
-                net.route_mode) == (before[0]["links"], *before[1:4])
+        assert (net.route_stats()["links"], net.first_touch(),
+                _names(net)) == (before[0]["links"], *before[1:])
 
     def test_torus(self, make):
         self._refused(make(), [
@@ -419,23 +388,6 @@ class TestAPairThatIsNoLink:
             (("rt", 0, 0), ("rt", 5, 0)),     # off the fabric
             ((0, 0, 0), ("rt", 0))])
 
-    def test_a_real_flap_still_round_trips(self, make):
-        for net, frm, to in [(make(), (3, 0, 0), (0, 0, 0)),
-                             (make(), (0, 0, 0), (0, 0, 1)),
-                             (make.dragonfly(), ("rt", 0, 0), ("rt", 1, 1)),
-                             (make.dragonfly(), ("rt", 2, 1), (2, 1, 1))]:
-            net.fail_link(frm, to)
-            lk = net.link(frm, to)
-            assert lk.state == "down" and net._faulted == {(frm, to)}
-            assert net.route_mode == "dimension-ordered"
-            net.restore_link(frm, to)
-            net.degrade_link(frm, to, 0.5)
-            assert lk.state == "degraded" and lk.faults == 2
-            net.restore_link(frm, to)
-            assert lk.state == "up" and not net._faulted
-            assert net.route_mode == "adaptive"
-            assert list(net.links()) == [((frm, to), lk)]
-
 
 def _flat(run, watched):
     """Run ``run()`` with the collector off and return what it left behind:
@@ -446,7 +398,7 @@ def _flat(run, watched):
     tracemalloc.start()
     try:
         # what a first pass allocates and keeps is not a leak: the
-        # creation order's growth, fault records
+        # creation order's growth
         run(0.1)
         counts = [sys.getrefcount(o) for o in watched]
         objects = len(gc.get_objects())
@@ -467,7 +419,7 @@ def _columns(net):
     return [*tables, net._out, net._inject_made, net._eject_made,
             *(getattr(table, column) for table in tables
               for column in ("horizons", "bytes_carried", "transfers",
-                             "latency", "faults", "sick"))]
+                             "latency"))]
 
 
 class TestNothingLeaks:
@@ -508,7 +460,7 @@ class TestNothingLeaks:
         run(0)  # one round: the dragonfly's slots are filled
         watched = [None, coords[0], coords[3], coords[31], fly_coords[0],
                    net.config, net.observer, net.config.nic_msg_gap,
-                   net.config.link_bandwidth, net._faulted, *_columns(net),
+                   net.config.link_bandwidth, *_columns(net),
                    *_columns(fly)]
         objects, traced, refs = _flat(run, watched)
         assert net.messages_routed + fly.messages_routed >= 1.1 * transfers
@@ -517,10 +469,10 @@ class TestNothingLeaks:
         assert traced < 1024, f"{traced} bytes held after warm transfers"
         assert refs == [0] * len(watched)
 
-    def test_failing_transfers(self, make, monkeypatch):
+    def test_failing_transfers(self, make):
         """17,500 calls that raise at each place the lane calls out or
-        refuses the call, or hands it over: to the Python body while a link
-        is degraded, and there at ``LinkTable.reserve``."""
+        refuses the call, or hands it over to the Python body: a negative
+        size and one past int64."""
         class Net(make.torus):
             def _first_touch(self, v, slot, nxt):
                 if v == 31:
@@ -530,16 +482,8 @@ class TestNothingLeaks:
         net = Net(Torus3D(DIMS), MachineConfig(adaptive_routing=False))
         a, b, off, last = (0, 0, 0), (1, 1, 0), (1, 0), (3, 3, 1)
         net.transfer(0.0, a, b, 8)
-        limp = net.link((1, 0, 0), (1, 1, 0))
+        huge = 1 << 63
         observer = RaisingObserver()
-        reserve = LinkTable.reserve
-
-        def refuse(table, row, now, nbytes, min_occupancy=0.0):
-            if nbytes == 13:
-                raise Boom
-            return reserve(table, row, now, nbytes, min_occupancy)
-
-        monkeypatch.setattr(LinkTable, "reserve", refuse)
 
         def raises(exc, *args, **kwargs):
             # not pytest.raises: its ExceptionInfo is a reference cycle
@@ -558,81 +502,14 @@ class TestNothingLeaks:
                 raises(Boom, 1.0, a, b, 8)
                 net.observer = None
                 raises(TypeError, 1.0, a, b)
-                limp.degrade(0.5)
-                raises(Boom, 1.0, a, b, 13)
-                limp.restore()
+                raises(ValueError, 1.0, a, b, -13)
+                raises(OverflowError, 1.0, a, b, huge)
 
-        watched = [None, a, b, off, last, limp, observer, Boom,
-                   net.config.nic_msg_gap, net._faulted, *_columns(net)]
+        watched = [None, a, b, off, last, huge, observer, Boom,
+                   net.config.nic_msg_gap, *_columns(net)]
         objects, traced, refs = _flat(run, watched)
         fan = net._fan
         assert max(net._out[31 * fan:32 * fan]) < 0
         assert objects == 0
         assert traced < 1024, f"{traced} bytes held after failing transfers"
         assert refs == [0] * len(watched)
-
-
-class TestFaultsUnderAFullLayer:
-    """A link falls and rises in the middle of a uGNI kNeighbor whose SMSGs
-    are also dropped and retransmitted: the lane hands whole calls to the
-    Python body while the fault is outstanding and carries them again after
-    ``restore_link``, and nothing a run reports can tell."""
-
-    FLAP = LinkFlap(at=30e-6, frm=(0, 0, 0), to=(1, 0, 0), duration=40e-6)
-
-    def _run(self, held_runtimes):
-        """kNeighbor plus, per transfer, the engine time of the call
-        (``calls``: into the compiled lane) and of each frame of the
-        Python body (``bodies``)."""
-        calls, bodies = [], []
-
-        def hook(frame, event, arg):
-            if event == "c_call" and getattr(arg, "__name__", "") == "transfer":
-                calls.append(held_runtimes[-1][0].machine.engine.now)
-            elif event == "call" and frame.f_code.co_name == "_transfer_py":
-                bodies.append(held_runtimes[-1][0].machine.engine.now)
-
-        observe.clear_registry()
-        sys.setprofile(hook)
-        try:
-            res = kneighbor(
-                256, layer="ugni", k=2, n_cores=16, iters=8, warmup=2,
-                config=MachineConfig(observe=True),
-                layer_config=UgniLayerConfig(reliability=True),
-                faults=FaultConfig(smsg_drop_rate=0.02),
-                fault_schedule=[self.FLAP])
-        finally:
-            sys.setprofile(None)
-        digest = observe.metrics_digest()
-        observe.clear_registry()
-        return res, held_runtimes[-1][0].machine, digest, calls, bodies
-
-    def test_a_flap_mid_run_moves_nothing(self, held_runtimes, monkeypatch):
-        res, machine, digest, calls, bodies = self._run(held_runtimes)
-        net = machine.network
-        rose = self.FLAP.at + self.FLAP.duration
-        assert machine.engine.now > rose
-        assert 0 < net.degraded_routes < net.messages_routed
-        assert res.stats["rel_retransmits"] > 0
-        assert res.stats["faults"]["link_events"] == 2
-        assert not net.faulted_links
-        if _speed.core is not None:
-            # every transfer entered the lane; the Python body ran the
-            # degraded ones, none before the link fell or after it rose
-            assert len(calls) == net.messages_routed
-            assert len(bodies) == net.degraded_routes
-            assert self.FLAP.at <= min(bodies) and max(bodies) <= rose
-            assert sum(t < self.FLAP.at for t in calls) > 0
-            assert sum(t > rose for t in calls) > 0
-
-        monkeypatch.setattr(TorusNetwork, "transfer",
-                            TorusNetwork._transfer_py)
-        body, body_machine, body_digest, calls, bodies = self._run(
-            held_runtimes)
-        assert not calls and len(bodies) == net.messages_routed
-        assert body.stats == res.stats
-        assert repr(body.iteration_time) == repr(res.iteration_time)
-        assert body_digest == digest
-        assert repr(body_machine.engine.now) == repr(machine.engine.now)
-        assert (body_machine.network.degraded_routes, body_machine.network
-                .messages_routed) == (net.degraded_routes, net.messages_routed)

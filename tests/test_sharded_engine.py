@@ -16,8 +16,7 @@ import pytest
 
 from repro.apps.kneighbor import kneighbor
 from repro.errors import SimulationError
-from repro.faults import FaultConfig, LinkFlap
-from repro.hardware.machine import Machine
+from repro.faults import FaultConfig, NodeCrash
 from repro.lrts.ugni_layer import UgniLayerConfig
 from repro.parallel import ShardedEngine
 from repro.units import KB
@@ -101,9 +100,9 @@ class TestFallback:
         assert repr(shd.iteration_time) == repr(seq.iteration_time)
 
     def test_fault_schedule_matches_sequential_with_faults(self):
-        # the default job is three nodes, a (1, 1, 3) torus: a z link
-        sched = [LinkFlap(at=5e-6, frm=(0, 0, 0), to=(0, 0, 1),
-                          duration=20e-6)]
+        # kNeighbor has no recovery: the crash lands after its last
+        # iteration, and both runs count it
+        sched = [NodeCrash(at=1e-2, node_id=2)]
         seq = kneighbor(2 * KB, layer="ugni", iters=10, layer_config=REL,
                         faults=FaultConfig(), fault_schedule=sched)
         eng = ShardedEngine(n_shards=3)
@@ -112,6 +111,7 @@ class TestFallback:
                         engine=eng)
         assert eng.shard_stats()["sequential"]
         assert eng.fallback_reason == "faults-installed"
+        assert seq.stats["faults"]["node_crashes"] == 1
         assert _metrics(shd) == _metrics(seq)
 
     def test_stochastic_faults_match_sequential(self):
@@ -123,18 +123,6 @@ class TestFallback:
                         engine=eng)
         assert eng.shard_stats()["sequential"]
         assert _metrics(shd) == _metrics(seq)
-
-    def test_link_fault_observed_at_probe(self):
-        eng = ShardedEngine(n_shards=2)
-        m = Machine(n_nodes=4, engine=eng)
-        assert not eng.shard_stats()["sequential"]
-        topo = m.network.topology
-        (_, nxt), = topo.out_hops(0, 1, first_only=True)
-        m.network.fail_link(topo.coord_of(0), topo.vertex_coord(nxt))
-        eng.call_at(1e-6, lambda: None)
-        eng.run()
-        assert eng.shard_stats()["sequential"]
-        assert eng.fallback_reason == "link-fault-observed"
 
 
 # --------------------------------------------------------------------- #

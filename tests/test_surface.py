@@ -73,8 +73,6 @@ KEEP = {
                  "tests",
     "region_memory": "PxshmFabric.region_memory: the shared-memory "
                      "footprint the memory-layer test accounts",
-    "route_mode": "the router's fault fallback state, read by the fault "
-                  "and router-lane tests",
     "self_metrics": "the simulator's own counters, called by CI's scale "
                     "probe and the README",
     "unexpected_depth": "MatchEngine.unexpected_depth: how the MPI tests "

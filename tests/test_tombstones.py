@@ -148,6 +148,13 @@ TOMBSTONES = [
      ("src", "tests", "benchmarks", "examples", *_DOCS), 50,
      "no MachineConfig field that nothing reads",
      "t = cfg.fma_put" "_base"),
+    (r"\bLinkFlap\b|\b(fail|degrade|restore)_link\b|\bfaulted_links\b"
+     r"|\broute_mode\b|\bdegraded_routes\b|\b_faulted\b|\bFAULT_LATENCY\b"
+     r"|\bDOWN_BANDWIDTH_FACTOR\b|\bfaulted_transfers\b|\blink_events\b",
+     ("src", "benchmarks", "examples", *_DOCS), 51,
+     "links have no fault state: no link fault event, no degraded routing "
+     "mode, and no hand-off from the compiled router lane while one is out",
+     "net.fail" "_link(a, b)"),
 ]
 
 _IDS = [f"pr{pr}-{n}" for n, (_, _, pr, _, _) in enumerate(TOMBSTONES)]
